@@ -53,345 +53,34 @@ func BenchmarkFigure1(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPolicies is ablation A1: placement policies at full
-// scale.
-func BenchmarkAblationPolicies(b *testing.B) {
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationPolicies(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, metricUnit(r.Name))
-	}
-}
-
-// BenchmarkAblationControlThreads is ablation A2: the control-thread
-// strategies of Algorithm 1.
-func BenchmarkAblationControlThreads(b *testing.B) {
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationControlThreads(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, metricUnit(r.Name))
-	}
-}
-
-// BenchmarkAblationOversubscription is ablation A3.
-func BenchmarkAblationOversubscription(b *testing.B) {
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationOversubscription(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, metricUnit(r.Name))
-	}
-}
-
-// BenchmarkAblationGranularity is ablation A4: block-granularity sweep.
-func BenchmarkAblationGranularity(b *testing.B) {
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationGranularity(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, metricUnit(r.Name))
-	}
-}
-
-// BenchmarkAblationTopology is ablation A5: 192 cores arranged flat vs
-// deep.
-func BenchmarkAblationTopology(b *testing.B) {
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationTopology(benchCfg(), experiment.DefaultTopologyCases())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, metricUnit(r.Name))
-	}
-}
-
-// BenchmarkAblationDistribution is ablation A6: the NUMA-distribution step.
-func BenchmarkAblationDistribution(b *testing.B) {
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationDistribution(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, metricUnit(r.Name))
-	}
-}
-
-// BenchmarkAblationAdaptive is ablation A8: one-shot static placement
-// against the epoch-based adaptive engine (and its free-migration oracle)
-// on the phase-shifting and stationary workloads. Reduced scale: the full
-// stationary configuration is already covered by Figure 1, and the
-// phase-shift scenario is scale-independent in what it demonstrates.
-func BenchmarkAblationAdaptive(b *testing.B) {
-	cfg := experiment.Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 42}
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationAdaptive(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportAndAssert(b, rows, "adaptive")
-}
-
-// BenchmarkAblationCluster is ablation A9: the multi-node stencil under
-// hierarchical two-level placement, flat TreeMatch on the cluster tree,
-// round-robin across nodes, and a fabric-free single machine of the same
-// core count.
-func BenchmarkAblationCluster(b *testing.B) {
-	cfg := experiment.ClusterConfig{Seed: 42} // defaults: 4 nodes x 12 cores
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationCluster(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The A9 acceptance property, enforced at bench time too: hierarchical
-	// placement must beat round-robin and never lose to flat treematch (the
-	// two can tie exactly when both find the same optimal partition; see
-	// TestAblationCluster).
-	reportAndAssert(b, rows, "cluster")
-}
-
-// BenchmarkAblationRack is ablation A10: the rack-skewed stencil on a
-// multi-switch fabric under fabric-aware three-level placement, the
-// fabric-blind hierarchical variant, and flat TreeMatch.
-func BenchmarkAblationRack(b *testing.B) {
-	cfg := experiment.RackConfig{Seed: 42} // defaults: 2 racks x 2 nodes x 8 cores
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationRack(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The A10 acceptance property, enforced at bench time too: fabric-aware
-	// three-level placement strictly beats the fabric-blind variant, which
-	// strictly beats flat treematch.
-	reportAndAssert(b, rows, "rack")
-}
-
-// BenchmarkAblationHetero is ablation A11: the pod-skewed stencil on a
-// heterogeneous three-switch-level platform under capacity- and depth-aware
-// placement, the capacity-blind variant, and the depth-blind variant.
-func BenchmarkAblationHetero(b *testing.B) {
-	cfg := experiment.HeteroConfig{Seed: 42} // defaults: 2 pods x 2 racks x (8+4) cores
-	var rows []experiment.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiment.AblationHetero(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The A11 acceptance property, enforced at bench time too: capacity-
-	// aware depth-aware placement strictly beats the capacity-blind
-	// variant, which strictly beats the depth-blind one.
-	reportAndAssert(b, rows, "hetero")
-}
-
-// BenchmarkAblationShift is ablation A12: the rack-crossing phase shift
-// under one-shot hierarchical placement, the adaptive engine with flat and
-// with fabric-aware candidates, and the free-migration oracle — on the
-// default shape and on 4 racks, mirroring the two-shape acceptance property
-// of the test suite.
-func BenchmarkAblationShift(b *testing.B) {
-	for name, cfg := range map[string]experiment.ShiftConfig{
-		"2x2x8": {Seed: 42},
-		"4x2x8": {Racks: 4, Seed: 42},
-	} {
-		b.Run(name, func(b *testing.B) {
-			var rows []experiment.AblationRow
-			var err error
-			for i := 0; i < b.N; i++ {
-				rows, err = experiment.AblationShift(cfg)
-				if err != nil {
+// BenchmarkAblation runs every study of the registry on each of its default
+// cells (experiment.Studies — an ordered table, so the sub-benchmark order is
+// the same on every run): one sub-benchmark per study × cell, every row's
+// simulated seconds reported as a custom metric, and the study's asserted
+// orderings enforced at bench time too — the exact relations the test suite
+// and cmd/ablate -json check.
+//
+//	go test -bench 'BenchmarkAblation/shift' -benchtime 1x
+func BenchmarkAblation(b *testing.B) {
+	for _, s := range experiment.Studies() {
+		for _, cell := range s.Cells {
+			b.Run(s.Name+"/"+cell.Name, func(b *testing.B) {
+				var rows []experiment.AblationRow
+				var err error
+				for i := 0; i < b.N; i++ {
+					rows, err = s.Run(cell.Config, experiment.Overrides{})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, r := range rows {
+					b.ReportMetric(r.Seconds, metricUnit(r.Name))
+				}
+				if err := experiment.CheckOrderings(rows, s.Orderings); err != nil {
 					b.Fatal(err)
 				}
-			}
-			// The A12 acceptance property, enforced at bench time too:
-			// fabric-aware adaptive candidates strictly beat flat ones,
-			// which strictly beat never adapting, with the oracle as the
-			// lower bound.
-			reportAndAssert(b, rows, "shift")
-		})
-	}
-}
-
-// BenchmarkAblationTorus is ablation A13: the scrambled halo exchange on a
-// routed torus fabric under SFC-seeded distance matching, the balanced-tree-
-// restricted matcher (which cannot see the shape), and round-robin — on two
-// torus shapes and two scheduler seeds, mirroring the acceptance property of
-// the test suite.
-func BenchmarkAblationTorus(b *testing.B) {
-	for _, dims := range [][]int{{4, 4}, {2, 2, 4}} {
-		for _, seed := range []int64{7, 42} {
-			b.Run(fmt.Sprintf("%dd/seed=%d", len(dims), seed), func(b *testing.B) {
-				cfg := experiment.TorusConfig{Dims: dims, Seed: seed}
-				var rows []experiment.AblationRow
-				var err error
-				for i := 0; i < b.N; i++ {
-					rows, err = experiment.AblationTorus(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				// The A13 acceptance property, enforced at bench time too:
-				// sfc strictly beats tree-matched, which strictly beats rr.
-				reportAndAssert(b, rows, "torus")
 			})
 		}
-	}
-}
-
-// BenchmarkAblationFault is ablation A14: the rack-skewed stencil with a
-// mid-run correlated node kill + uplink degrade, under the four fault-
-// handling arms — on two platform shapes and two scheduler seeds, mirroring
-// the acceptance property of the test suite.
-func BenchmarkAblationFault(b *testing.B) {
-	for _, shape := range []struct {
-		name string
-		cfg  experiment.FaultConfig
-	}{
-		{"2x4x8", experiment.FaultConfig{}},
-		{"2x6x8", experiment.FaultConfig{NodesPerRack: 6}},
-	} {
-		for _, seed := range []int64{7, 42} {
-			b.Run(fmt.Sprintf("%s/seed=%d", shape.name, seed), func(b *testing.B) {
-				cfg := shape.cfg
-				cfg.Seed = seed
-				var rows []experiment.AblationRow
-				var err error
-				for i := 0; i < b.N; i++ {
-					rows, err = experiment.AblationFault(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				// The A14 acceptance property, enforced at bench time too:
-				// fault-aware strictly beats fault-blind, which strictly beats
-				// static-with-respawn, and the spread-hardened initial
-				// placement also strictly beats static-with-respawn.
-				reportAndAssert(b, rows, "fault")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationSched is ablation A15: the online multi-tenant scheduler
-// replaying the seeded job stream under the three policy arms — each grid
-// cell (platform shape × stream seed) benchmarked and asserted separately,
-// mirroring the acceptance property of the test suite.
-func BenchmarkAblationSched(b *testing.B) {
-	base := experiment.SchedConfig{}
-	for _, shape := range []struct {
-		name, spec string
-	}{
-		{"2rack", "rack:2 node:4 pack:2 core:4 pu:1"},
-		{"2pod", "pod:2 rack:2 node:2 pack:2 core:4 pu:1"},
-	} {
-		for _, seed := range []int64{7, 42} {
-			b.Run(fmt.Sprintf("%s/seed=%d", shape.name, seed), func(b *testing.B) {
-				cfg := base
-				cfg.Shapes = []string{shape.spec}
-				cfg.Seeds = []int64{seed}
-				var rows []experiment.AblationRow
-				var err error
-				for i := 0; i < b.N; i++ {
-					rows, err = experiment.AblationSched(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				// The A15 acceptance property, enforced at bench time too:
-				// topo-aware strictly beats topo-blind on aggregate job cycle
-				// time, and topo-blind strictly beats first-fit.
-				reportAndAssert(b, rows, "sched")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationSched2 is ablation A16: the phase-2 scheduler policies
-// (conservative backfill, priority preemption, hysteresis-gated
-// defragmentation) layered on the topology-aware scheduler — each grid cell
-// (platform shape × stream seed) benchmarked and asserted separately,
-// mirroring the acceptance property of the test suite.
-func BenchmarkAblationSched2(b *testing.B) {
-	base := experiment.Sched2Config{}
-	for _, shape := range []struct {
-		name, spec string
-	}{
-		{"2rack", "rack:2 node:4 pack:2 core:4 pu:1"},
-		{"2pod", "pod:2 rack:2 node:2 pack:2 core:4 pu:1"},
-	} {
-		for _, seed := range []int64{8, 37} {
-			b.Run(fmt.Sprintf("%s/seed=%d", shape.name, seed), func(b *testing.B) {
-				cfg := base
-				cfg.Shapes = []string{shape.spec}
-				cfg.Seeds = []int64{seed}
-				var rows []experiment.AblationRow
-				var err error
-				for i := 0; i < b.N; i++ {
-					rows, err = experiment.AblationSched2(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				// The A16 acceptance property, enforced at bench time too:
-				// the full policy stack strictly beats backfill-only on
-				// aggregate job cycle time, and backfill-only strictly beats
-				// plain FIFO.
-				reportAndAssert(b, rows, "sched2")
-			})
-		}
-	}
-}
-
-// reportAndAssert emits every row's simulated seconds as a custom metric and
-// fails the benchmark when an asserted ordering of the ablation is violated
-// — the exact same relations the test suite and cmd/ablate -json check
-// (experiment.AblationOrderings).
-func reportAndAssert(b *testing.B, rows []experiment.AblationRow, exp string) {
-	b.Helper()
-	for _, r := range rows {
-		b.ReportMetric(r.Seconds, metricUnit(r.Name))
-	}
-	if err := experiment.CheckOrderings(rows, experiment.AblationOrderings(exp)); err != nil {
-		b.Fatal(err)
 	}
 }
 

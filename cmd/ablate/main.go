@@ -1,28 +1,13 @@
-// Command ablate runs the ablation studies of the reproduction: the design
-// choices of the paper's placement module isolated one at a time (see
-// DESIGN.md §4 for the index).
+// Command ablate runs the studies of the reproduction: the design choices of
+// the paper's placement module isolated one at a time (A1–A16, see DESIGN.md
+// §4 for the index) and the benchmark tiers (S1). The suite is declared once,
+// in internal/experiment's study registry; `ablate -h` lists the -exp names.
 //
 //	ablate                  # run every ablation at a reduced scale
-//	ablate -exp policies    # placement policies (A1)
-//	ablate -exp control     # control-thread strategies (A2)
-//	ablate -exp oversub     # oversubscription (A3)
-//	ablate -exp granularity # block granularity (A4)
-//	ablate -exp topology    # machine shapes (A5)
-//	ablate -exp distribute  # NUMA distribution (A6)
-//	ablate -exp ompsched    # OpenMP loop schedules (A7)
-//	ablate -exp adaptive    # epoch-based adaptive re-placement (A8)
-//	ablate -exp cluster     # multi-node hierarchical placement (A9)
-//	ablate -exp rack        # rack-tier fabric, three-level placement (A10)
-//	ablate -exp hetero      # heterogeneous pod-tier platform (A11)
-//	ablate -exp shift       # cross-fabric adaptive migration (A12)
-//	ablate -exp torus       # torus halo exchange, routed fabric (A13)
-//	ablate -exp fault       # fault injection, mid-run resilience (A14)
-//	ablate -exp sched       # online multi-tenant scheduler (A15)
-//	ablate -exp sched2      # backfill, preemption, defragmentation (A16)
-//	ablate -exp scale       # placement-latency benchmark tier (S1)
+//	ablate -exp policies    # one study by name
+//	ablate -exp all,scale   # a comma-separated list; "all" may be a member
 //	ablate -full            # paper-scale matrix and iterations
 //
-// -exp also accepts a comma-separated list (-exp adaptive,cluster,shift).
 // The scale study is a benchmark tier, not an ablation: it reports the
 // wall-clock latency of the placement pipeline itself on datacenter-scale
 // grids (tasks × nodes set by -scale-tasks/-scale-nodes), so it is excluded
@@ -43,8 +28,8 @@
 // on stdout — per-ablation rows with simulated seconds and cycle counts,
 // plus the asserted orderings and their verdicts — and the exit status is
 // non-zero when any asserted ordering is violated. The CI bench-smoke job
-// runs the reduced-shape A8–A12 this way and archives the document as the
-// BENCH artifact.
+// runs the tiers of bench/manifest.json this way and archives the documents
+// as the BENCH artifacts.
 package main
 
 import (
@@ -63,14 +48,14 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "ablation: policies, control, oversub, granularity, topology, distribute, ompsched, adaptive, cluster, rack, hetero, shift, torus, fault, sched, sched2, scale, all (a comma-separated list selects several; scale is excluded from all)")
+		exp          = flag.String("exp", "all", experiment.ExpUsage())
 		full         = flag.Bool("full", false, "paper-scale configuration (16384^2, 100 iterations, 192 cores; overrides -rows/-cols/-iters/-cores)")
 		jsonF        = flag.Bool("json", false, "emit one machine-readable JSON report on stdout (rows, cycle counts, ordering verdicts); exit non-zero on any ordering violation")
-		seed         = flag.Int64("seed", 7, "simulated OS scheduler seed")
-		rows         = flag.Int("rows", 4096, "matrix rows (reduced scale)")
-		cols         = flag.Int("cols", 4096, "matrix columns (reduced scale)")
-		iters        = flag.Int("iters", 10, "iterations (reduced scale)")
-		cores        = flag.Int("cores", 48, "number of cores (reduced scale)")
+		seed         = flag.Int64("seed", experiment.Reduced.Seed, "simulated OS scheduler seed")
+		rows         = flag.Int("rows", experiment.Reduced.Rows, "matrix rows (reduced scale)")
+		cols         = flag.Int("cols", experiment.Reduced.Cols, "matrix columns (reduced scale)")
+		iters        = flag.Int("iters", experiment.Reduced.Iters, "iterations (reduced scale)")
+		cores        = flag.Int("cores", experiment.Reduced.Cores, "number of cores (reduced scale)")
 		scaleTasks   = flag.String("scale-tasks", "", "comma-separated task counts for -exp scale (default 10000,100000)")
 		scaleNodes   = flag.String("scale-nodes", "", "comma-separated cluster-node counts for -exp scale (default 100,1000,10000)")
 		faultKill    = flag.String("fault-kill", "", "comma-separated \"node@epoch\" node kills for -exp fault (any fault flag overrides the default correlated failure)")
@@ -86,136 +71,54 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
+		os.Exit(1)
+	}
 	cfg, err := buildConfig(*rows, *cols, *iters, *cores, *seed, *full)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	if scaleOverrides.tasks, err = parseIntList(*scaleTasks); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: -scale-tasks: %v\n", err)
-		os.Exit(1)
+	var o experiment.Overrides
+	if o.ScaleTasks, err = parseIntList(*scaleTasks); err != nil {
+		fail(fmt.Errorf("-scale-tasks: %v", err))
 	}
-	if scaleOverrides.nodes, err = parseIntList(*scaleNodes); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: -scale-nodes: %v\n", err)
-		os.Exit(1)
+	if o.ScaleNodes, err = parseIntList(*scaleNodes); err != nil {
+		fail(fmt.Errorf("-scale-nodes: %v", err))
 	}
-	if faultOverrides.events, err = parseFaultEvents(*faultKill, *faultDegrade, *faultSever); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
-		os.Exit(1)
+	if o.FaultEvents, err = parseFaultEvents(*faultKill, *faultDegrade, *faultSever); err != nil {
+		fail(err)
 	}
-	if err = buildSchedOverrides(*schedJobs, *schedChurn, *schedConstr, *schedFit, *schedQueue); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
-		os.Exit(1)
+	if err = buildSchedOverrides(&o, *schedJobs, *schedChurn, *schedConstr, *schedFit, *schedQueue); err != nil {
+		fail(err)
 	}
-	if err = buildSched2Overrides(*sched2Prio, *sched2Defrag); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
-		os.Exit(1)
+	if err = buildSched2Overrides(&o, *sched2Prio, *sched2Defrag); err != nil {
+		fail(err)
 	}
-	if err := run(os.Stdout, cfg, *exp, *jsonF); err != nil {
-		fmt.Fprintf(os.Stderr, "ablate: %v\n", err)
-		os.Exit(1)
+	if err := run(os.Stdout, cfg, o, *exp, *jsonF); err != nil {
+		fail(err)
 	}
 }
 
-// ablation is one runnable study of the suite.
-type ablation struct {
-	name  string // -exp selector
-	id    string // stable identifier (A1..A13)
-	title string
-	run   func(experiment.Config) ([]experiment.AblationRow, error)
-}
-
-// ablations returns the full suite in report order.
-func ablations() []ablation {
-	return []ablation{
-		{"policies", "A1", "A1: placement policies (LK23, blocks = cores)", experiment.AblationPolicies},
-		{"control", "A2", "A2: control-thread strategies", experiment.AblationControlThreads},
-		{"oversub", "A3", "A3: oversubscription (blocks vs cores)", experiment.AblationOversubscription},
-		{"granularity", "A4", "A4: block granularity", experiment.AblationGranularity},
-		{"topology", "A5", "A5: topology shapes (192 cores each)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			return experiment.AblationTopology(c, experiment.DefaultTopologyCases())
-		}},
-		{"distribute", "A6", "A6: NUMA distribution (cluster + distribute vs cluster only)", experiment.AblationDistribution},
-		{"ompsched", "A7", "A7: OpenMP loop schedules vs bound ORWL", experiment.AblationOMPSchedule},
-		{"adaptive", "A8", "A8: adaptive re-placement (static vs epoch feedback vs oracle)", experiment.AblationAdaptive},
-		{"cluster", "A9", "A9: multi-node placement (hierarchical vs flat vs rr-nodes vs one big node)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			return experiment.AblationCluster(experiment.ClusterConfigFrom(c))
-		}},
-		{"rack", "A10", "A10: rack-tier fabric (fabric-aware vs fabric-blind vs flat treematch)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			return experiment.AblationRack(experiment.RackConfigFrom(c))
-		}},
-		{"hetero", "A11", "A11: heterogeneous pod-tier platform (aware vs capacity-blind vs depth-blind)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			return experiment.AblationHetero(experiment.HeteroConfigFrom(c))
-		}},
-		{"shift", "A12", "A12: cross-fabric adaptive migration (static vs adaptive-flat vs adaptive-fabric vs oracle)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			return experiment.AblationShift(experiment.ShiftConfigFrom(c))
-		}},
-		{"torus", "A13", "A13: torus halo exchange on the routed fabric (sfc vs tree-matched vs rr)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			return experiment.AblationTorus(experiment.TorusConfigFrom(c))
-		}},
-		{"fault", "A14", "A14: fault injection and mid-run resilience (fault-aware vs spread vs fault-blind vs static-respawn)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			fc := experiment.FaultConfigFrom(c)
-			fc.Events = faultOverrides.events
-			return experiment.AblationFault(fc)
-		}},
-		{"sched", "A15", "A15: online multi-tenant scheduler (topo-aware vs topo-blind vs first-fit)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			sc := experiment.SchedConfigFrom(c)
-			sc.Jobs = schedOverrides.jobs
-			sc.Churn = schedOverrides.churn
-			sc.ConstraintFraction = schedOverrides.constraints
-			sc.Fit = schedOverrides.fit
-			sc.Queue = schedOverrides.queue
-			return experiment.AblationSched(sc)
-		}},
-		{"sched2", "A16", "A16: phase-2 scheduler policies (backfill + preemption + defrag vs backfill-only vs fifo)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			sc := experiment.Sched2ConfigFrom(c)
-			sc.Jobs = schedOverrides.jobs
-			sc.Churn = schedOverrides.churn
-			sc.ConstraintFraction = schedOverrides.constraints
-			sc.Fit = schedOverrides.fit
-			sc.Queue = schedOverrides.queue
-			sc.PriorityClasses = sched2Overrides.priorities
-			sc.DefragThreshold = sched2Overrides.defragThreshold
-			return experiment.AblationSched2(sc)
-		}},
-	}
-}
-
-// sched2Overrides carries the parsed -sched2-* flag values to the phase-2
-// scheduler ablation; zero values select the experiment defaults.
-var sched2Overrides struct {
-	priorities      int
-	defragThreshold float64
-}
-
-// buildSched2Overrides validates the -sched2-* flag values; the experiment
-// re-validates the assembled configuration.
-func buildSched2Overrides(priorities int, defragThreshold float64) error {
+// buildSched2Overrides validates the -sched2-* flag values and stores them
+// in the override set; the experiment re-validates the assembled
+// configuration.
+func buildSched2Overrides(o *experiment.Overrides, priorities int, defragThreshold float64) error {
 	if priorities < 0 || priorities > 100 {
 		return fmt.Errorf("-sched2-priorities: class count %d outside [0,100]", priorities)
 	}
 	if defragThreshold < 0 || defragThreshold > 1 {
 		return fmt.Errorf("-sched2-defrag-threshold: weight %v outside [0,1]", defragThreshold)
 	}
-	sched2Overrides.priorities = priorities
-	sched2Overrides.defragThreshold = defragThreshold
+	o.Sched2Priorities, o.Sched2DefragThreshold = priorities, defragThreshold
 	return nil
 }
 
-// schedOverrides carries the parsed -sched-* flag values to the scheduler
-// ablation; zero values select the experiment defaults.
-var schedOverrides struct {
-	jobs        int
-	churn       float64
-	constraints float64
-	fit         sched.Fit
-	queue       sched.QueuePolicy
-}
-
-// buildSchedOverrides validates the -sched-* flag values. The numeric knobs
-// only enforce the flag-layer contract (non-negative; zero = default); the
-// stream generator re-validates the assembled configuration.
-func buildSchedOverrides(jobs int, churn, constraints float64, fit, queue string) error {
+// buildSchedOverrides validates the -sched-* flag values and stores them in
+// the override set. The numeric knobs only enforce the flag-layer contract
+// (non-negative; zero = default); the stream generator re-validates the
+// assembled configuration.
+func buildSchedOverrides(o *experiment.Overrides, jobs int, churn, constraints float64, fit, queue string) error {
 	if jobs < 0 {
 		return fmt.Errorf("-sched-jobs: job count %d must be non-negative", jobs)
 	}
@@ -225,50 +128,24 @@ func buildSchedOverrides(jobs int, churn, constraints float64, fit, queue string
 	if constraints < 0 || constraints > 1 {
 		return fmt.Errorf("-sched-constraints: fraction %v outside [0,1]", constraints)
 	}
-	schedOverrides.jobs = jobs
-	schedOverrides.churn = churn
-	schedOverrides.constraints = constraints
-	schedOverrides.fit = sched.BestFit
+	o.SchedJobs, o.SchedChurn, o.SchedConstraints = jobs, churn, constraints
+	o.SchedFit, o.SchedQueue = sched.BestFit, sched.QueueWait
 	if fit != "" {
 		f, err := sched.ParseFit(fit)
 		if err != nil {
 			return fmt.Errorf("-sched-fit: %v", err)
 		}
-		schedOverrides.fit = f
+		o.SchedFit = f
 	}
-	schedOverrides.queue = sched.QueueWait
 	if queue != "" {
 		q, err := sched.ParseQueuePolicy(queue)
 		if err != nil {
 			return fmt.Errorf("-sched-queue: %v", err)
 		}
-		schedOverrides.queue = q
+		o.SchedQueue = q
 	}
 	return nil
 }
-
-// scaleOverrides carries the -scale-tasks/-scale-nodes flag values to the
-// scale study; empty slices select the experiment.ScaleConfig defaults.
-var scaleOverrides struct{ tasks, nodes []int }
-
-// extraAblations returns the selectable-by-name studies excluded from "all":
-// the benchmark tiers, which measure real wall time rather than simulated
-// program time and would dominate a full ablation run.
-func extraAblations() []ablation {
-	return []ablation{
-		{"scale", "S1", "S1: placement latency at datacenter scale (wall time)", func(c experiment.Config) ([]experiment.AblationRow, error) {
-			sc := experiment.ScaleConfigFrom(c)
-			sc.Tasks = scaleOverrides.tasks
-			sc.Nodes = scaleOverrides.nodes
-			return experiment.AblationScale(sc)
-		}},
-	}
-}
-
-// faultOverrides carries the parsed -fault-kill/-fault-degrade/-fault-sever
-// events to the fault ablation; nil keeps the experiment's built-in
-// correlated kill+degrade scenario.
-var faultOverrides struct{ events []experiment.FaultEventSpec }
 
 // parseFaultEvents parses the fault-schedule flags into experiment
 // coordinates. The flag layer enforces the entry syntax (including the
@@ -379,68 +256,28 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-// selectAblations resolves a -exp value ("all", one name, or a
-// comma-separated list) against the suite, preserving report order. "all"
-// selects the sixteen ablations; the benchmark tiers (extraAblations) only
-// run when named explicitly.
-func selectAblations(exp string) ([]ablation, error) {
-	all := ablations()
-	if exp == "all" {
-		return all, nil
-	}
-	all = append(all, extraAblations()...)
-	want := map[string]bool{}
-	for _, name := range strings.Split(exp, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range all {
-			if a.name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown experiment %q", name)
-		}
-		want[name] = true
-	}
-	if len(want) == 0 {
-		return nil, fmt.Errorf("unknown experiment %q", exp)
-	}
-	var out []ablation
-	for _, a := range all {
-		if want[a.name] {
-			out = append(out, a)
-		}
-	}
-	return out, nil
-}
-
-// run executes the selected ablations and renders them human-readable or as
+// run executes the selected studies and renders them human-readable or as
 // the machine-readable JSON report. In JSON mode an ordering violation is
 // reported through the error return after the full document is written, so
 // a CI consumer archives the evidence and still fails the job.
-func run(w io.Writer, cfg experiment.Config, exp string, asJSON bool) error {
-	selected, err := selectAblations(exp)
+func run(w io.Writer, cfg experiment.Config, o experiment.Overrides, exp string, asJSON bool) error {
+	selected, err := experiment.SelectStudies(exp)
 	if err != nil {
 		return err
 	}
 	var report benchReport
 	violated := false
-	for _, a := range selected {
-		rows, err := a.run(cfg)
+	for _, s := range selected {
+		rows, err := s.Run(cfg, o)
 		if err != nil {
-			return fmt.Errorf("%s: %v", a.name, err)
+			return fmt.Errorf("%s: %v", s.Name, err)
 		}
 		if !asJSON {
-			fmt.Fprint(w, experiment.FormatAblation(a.title, rows))
+			fmt.Fprint(w, experiment.FormatAblation(s.Title(), rows))
 			fmt.Fprintln(w)
 			continue
 		}
-		res := benchAblation{Exp: a.name, ID: a.id, Title: a.title}
+		res := benchAblation{Exp: s.Name, ID: s.ID, Title: s.Title()}
 		for _, r := range rows {
 			res.Rows = append(res.Rows, benchRow{
 				Name:        r.Name,
@@ -450,7 +287,7 @@ func run(w io.Writer, cfg experiment.Config, exp string, asJSON bool) error {
 				WallSeconds: r.WallSeconds,
 			})
 		}
-		for _, o := range experiment.AblationOrderings(a.name) {
+		for _, o := range s.Orderings {
 			ok := experiment.CheckOrderings(rows, []experiment.Ordering{o}) == nil
 			if !ok {
 				violated = true

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,22 +47,36 @@ func TestBuildConfigValidation(t *testing.T) {
 }
 
 func TestSelectAblations(t *testing.T) {
-	all, err := selectAblations("all")
-	if err != nil {
-		t.Fatal(err)
+	ids := func(exp string) string {
+		t.Helper()
+		sel, err := experiment.SelectStudies(exp)
+		if err != nil {
+			t.Fatalf("selector %q: %v", exp, err)
+		}
+		var out []string
+		for _, s := range sel {
+			out = append(out, s.ID)
+		}
+		return strings.Join(out, " ")
 	}
-	if len(all) != 16 || all[0].id != "A1" || all[15].id != "A16" {
-		t.Fatalf("all selects %d ablations (%+v), want A1..A16", len(all), all)
+	const ablations = "A1 A2 A3 A4 A5 A6 A7 A8 A9 A10 A11 A12 A13 A14 A15 A16"
+	for exp, want := range map[string]string{
+		"all":            ablations,
+		"shift,adaptive": "A8 A12", // report order, not list order
+		"scale":          "S1",
+		// "all" is a list member like any other: the benchmark tier the
+		// header says "must be selected by name" rides along when named.
+		"all,scale":   ablations + " S1",
+		"scale, all":  ablations + " S1",
+		"all,shift":   ablations,
+		"shift,shift": "A12",
+	} {
+		if got := ids(exp); got != want {
+			t.Errorf("selector %q picks %q, want %q", exp, got, want)
+		}
 	}
-	list, err := selectAblations("shift,adaptive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 || list[0].name != "adaptive" || list[1].name != "shift" {
-		t.Fatalf("list selection %+v, want adaptive then shift in report order", list)
-	}
-	for _, bad := range []string{"nonsense", "shift,nonsense", ",", ""} {
-		if _, err := selectAblations(bad); err == nil {
+	for _, bad := range []string{"nonsense", "shift,nonsense", "all,nonsense", ",", ""} {
+		if _, err := experiment.SelectStudies(bad); err == nil {
 			t.Errorf("selector %q accepted", bad)
 		}
 	}
@@ -75,7 +92,7 @@ func TestRunJSONReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, cfg, "shift", true); err != nil {
+	if err := run(&buf, cfg, experiment.Overrides{}, "shift", true); err != nil {
 		t.Fatalf("run -json: %v\n%s", err, buf.String())
 	}
 	var report benchReport
@@ -95,8 +112,8 @@ func TestRunJSONReport(t *testing.T) {
 	if a.ID != "A12" || a.Exp != "shift" {
 		t.Errorf("ablation identity %s/%s, want A12/shift", a.ID, a.Exp)
 	}
-	if len(a.Rows) != len(experiment.ShiftModes()) {
-		t.Errorf("%d rows, want %d", len(a.Rows), len(experiment.ShiftModes()))
+	if len(a.Rows) != 4 {
+		t.Errorf("%d rows, want the 4 shift arms", len(a.Rows))
 	}
 	for _, r := range a.Rows {
 		if r.Seconds <= 0 || r.Cycles <= 0 {
@@ -203,10 +220,8 @@ func TestRunFaultSemanticErrors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("flag layer rejected %q/%q/%q: %v", tc.kill, tc.degrade, tc.sever, err)
 			}
-			faultOverrides.events = events
-			defer func() { faultOverrides.events = nil }()
 			var buf bytes.Buffer
-			err = run(&buf, cfg, "fault", false)
+			err = run(&buf, cfg, experiment.Overrides{FaultEvents: events}, "fault", false)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("run: got %v, want error containing %q", err, tc.wantErr)
 			}
@@ -218,7 +233,7 @@ func TestRunFaultSemanticErrors(t *testing.T) {
 func TestRunHumanReport(t *testing.T) {
 	cfg := experiment.Config{Rows: 1024, Cols: 1024, Iters: 4, Cores: 16, Seed: 42}
 	var buf bytes.Buffer
-	if err := run(&buf, cfg, "shift", false); err != nil {
+	if err := run(&buf, cfg, experiment.Overrides{}, "shift", false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -253,11 +268,8 @@ func TestBuildSchedOverrides(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				schedOverrides.jobs, schedOverrides.churn, schedOverrides.constraints = 0, 0, 0
-				schedOverrides.fit, schedOverrides.queue = sched.BestFit, sched.QueueWait
-			}()
-			err := buildSchedOverrides(tc.jobs, tc.churn, tc.constraints, tc.fit, tc.queue)
+			var o experiment.Overrides
+			err := buildSchedOverrides(&o, tc.jobs, tc.churn, tc.constraints, tc.fit, tc.queue)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
@@ -267,14 +279,12 @@ func TestBuildSchedOverrides(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if schedOverrides.jobs != tc.jobs || schedOverrides.churn != tc.churn ||
-				schedOverrides.constraints != tc.constraints {
+			if o.SchedJobs != tc.jobs || o.SchedChurn != tc.churn || o.SchedConstraints != tc.constraints {
 				t.Errorf("overrides %+v, want jobs=%d churn=%v constraints=%v",
-					schedOverrides, tc.jobs, tc.churn, tc.constraints)
+					o, tc.jobs, tc.churn, tc.constraints)
 			}
-			if schedOverrides.fit != tc.wantFit || schedOverrides.queue != tc.wantQueue {
-				t.Errorf("fit/queue = %v/%v, want %v/%v",
-					schedOverrides.fit, schedOverrides.queue, tc.wantFit, tc.wantQueue)
+			if o.SchedFit != tc.wantFit || o.SchedQueue != tc.wantQueue {
+				t.Errorf("fit/queue = %v/%v, want %v/%v", o.SchedFit, o.SchedQueue, tc.wantFit, tc.wantQueue)
 			}
 		})
 	}
@@ -298,10 +308,8 @@ func TestBuildSched2Overrides(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				sched2Overrides.priorities, sched2Overrides.defragThreshold = 0, 0
-			}()
-			err := buildSched2Overrides(tc.priorities, tc.threshold)
+			var o experiment.Overrides
+			err := buildSched2Overrides(&o, tc.priorities, tc.threshold)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
@@ -311,10 +319,49 @@ func TestBuildSched2Overrides(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if sched2Overrides.priorities != tc.priorities || sched2Overrides.defragThreshold != tc.threshold {
-				t.Errorf("overrides %+v, want priorities=%d threshold=%v",
-					sched2Overrides, tc.priorities, tc.threshold)
+			if o.Sched2Priorities != tc.priorities || o.Sched2DefragThreshold != tc.threshold {
+				t.Errorf("overrides %+v, want priorities=%d threshold=%v", o, tc.priorities, tc.threshold)
 			}
 		})
 	}
+}
+
+// TestRunAllGolden pins the whole human-readable report: the stdout of
+// `ablate -exp all` at the default scale and seed is deterministic, and
+// testdata/all.golden was generated before the study registry and the
+// shared stencil/run harness replaced the per-study copies, so any drift in
+// a simulated figure, a row name, a title or the report order fails here.
+func TestRunAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every ablation at the reduced scale (~5 s)")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, experiment.Reduced, experiment.Overrides{}, "all", false); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("ablate -exp all drifted from testdata/all.golden:\n%s", firstDiff(string(want), got))
+	}
+}
+
+// firstDiff renders the first differing line of two reports.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, wl, gl)
+		}
+	}
+	return "(no difference)"
 }

@@ -1,16 +1,21 @@
-// Docs-freshness guard: command-line flags and the documentation pages must
-// not drift apart silently. The test parses every cmd/* main.go for flag
-// declarations and asserts the README mentions each flag; it also pins the
-// existence of the architecture and topology-spec docs and their links from
-// the README.
+// Docs-freshness guard: command-line flags, the study registry and the
+// documentation pages must not drift apart silently. The tests parse every
+// cmd/* main.go for flag declarations and assert the README mentions each
+// flag, pin the existence of the architecture and topology-spec docs and
+// their links from the README, and hold the study registry
+// (internal/experiment) against everything derived from it.
 package repro
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // flagDeclRe matches the name argument of flag.String(...), flag.BoolVar-style
@@ -69,29 +74,120 @@ func TestREADMELinksDocs(t *testing.T) {
 }
 
 // TestAblateFlagHelpMatchesREADME drives the -exp flag's usage string the
-// same way `ablate -h` renders it: every experiment name offered by the
-// binary must appear in the README's flag table, so a new ablation cannot
-// ship undocumented.
+// same way `ablate -h` renders it (experiment.ExpUsage, derived from the
+// study registry): every registered study must be offered by the usage
+// string, and every name the usage string offers must appear in the README,
+// so a new study cannot ship undocumented.
 func TestAblateFlagHelpMatchesREADME(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("cmd", "ablate", "main.go"))
-	if err != nil {
-		t.Fatal(err)
+	usage := experiment.ExpUsage()
+	for _, s := range experiment.Studies() {
+		if !strings.Contains(usage, s.Name+",") {
+			t.Errorf("-exp usage %q does not offer study %q", usage, s.Name)
+		}
 	}
-	m := regexp.MustCompile(`"exp", "all", "ablation: ([^"]+)"`).FindStringSubmatch(string(src))
-	if m == nil {
-		t.Fatal("could not find the -exp usage string in cmd/ablate/main.go")
-	}
+	list, _, _ := strings.Cut(strings.TrimPrefix(usage, "study: "), " (")
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range strings.Split(m[1], ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); !strings.Contains(string(readme), name) {
+			t.Errorf("README does not mention %q offered by ablate -exp", name)
+		}
+	}
+}
+
+// studyTableRow renders a study as its row of the README experiment table.
+func studyTableRow(s experiment.Study) string {
+	var orderings []string
+	for _, o := range s.Orderings {
+		orderings = append(orderings, o.String())
+	}
+	if orderings == nil {
+		orderings = []string{"—"}
+	}
+	return fmt.Sprintf("| `%s` | %s | %s | %s |", s.Name, s.ID, s.Desc, strings.Join(orderings, "; "))
+}
+
+// TestStudyRegistryInvariants holds the study registry against its
+// consumers: names, ids and cell names are unique (cells are an ordered
+// slice, so BenchmarkAblation's sub-benchmark names are unique and come in
+// the same order on every run); every asserted ordering names rows its
+// study really emits on its first default cell, and holds there; every
+// bench/manifest.json tier resolves to registered studies; and the README
+// experiment table carries exactly the registry's row for every study.
+func TestStudyRegistryInvariants(t *testing.T) {
+	studies := experiment.Studies()
+	names, ids := map[string]bool{}, map[string]bool{}
+	for _, s := range studies {
+		if s.Name == "" || s.Name == "all" || strings.ContainsAny(s.Name, ", ") || names[s.Name] {
+			t.Errorf("study name %q is empty, reserved, unselectable or registered twice", s.Name)
+		}
+		if s.ID == "" || ids[s.ID] {
+			t.Errorf("study %s: id %q is empty or registered twice", s.Name, s.ID)
+		}
+		names[s.Name], ids[s.ID] = true, true
+		cells := map[string]bool{}
+		for _, c := range s.Cells {
+			if c.Name == "" || cells[c.Name] {
+				t.Errorf("study %s: cell name %q is empty or listed twice", s.Name, c.Name)
+			}
+			cells[c.Name] = true
+			if err := c.Config.Validate(); err != nil {
+				t.Errorf("study %s cell %s: %v", s.Name, c.Name, err)
+			}
+		}
+		if len(s.Cells) > 0 && s.Cells[0].Config != experiment.Reduced {
+			t.Errorf("study %s: first cell %+v is not the reduced default scale", s.Name, s.Cells[0].Config)
+		}
+		if len(s.Orderings) > 0 && len(s.Cells) == 0 {
+			t.Errorf("study %s asserts orderings but has no default cell to assert them on", s.Name)
+		}
+	}
+
+	var manifest struct {
+		Tiers []struct{ Exp, Artifact string }
+	}
+	raw, err := os.ReadFile(filepath.Join("bench", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	if len(manifest.Tiers) == 0 {
+		t.Error("bench/manifest.json lists no tiers; the guard is reading the wrong file")
+	}
+	for _, tier := range manifest.Tiers {
+		if _, err := experiment.SelectStudies(tier.Exp); err != nil {
+			t.Errorf("bench/manifest.json tier %s: %v", tier.Artifact, err)
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range studies {
+		if row := studyTableRow(s); !strings.Contains(string(readme), row+"\n") {
+			t.Errorf("README experiment table misses the registry row of %s:\n%s", s.Name, row)
+		}
+	}
+
+	if testing.Short() {
+		t.Skip("running every ordered study's first cell in -short mode")
+	}
+	for _, s := range studies {
+		if len(s.Orderings) == 0 {
 			continue
 		}
-		if !strings.Contains(string(readme), name) {
-			t.Errorf("README does not mention ablation %q offered by ablate -exp", name)
+		rows, err := s.Run(s.Cells[0].Config, experiment.Overrides{})
+		if err != nil {
+			t.Errorf("study %s on its first cell: %v", s.Name, err)
+			continue
+		}
+		if err := experiment.CheckOrderings(rows, s.Orderings); err != nil {
+			t.Errorf("study %s on its first cell: %v", s.Name, err)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/kernels"
 	"repro/internal/omp"
 	"repro/internal/orwl"
 	"repro/internal/placement"
@@ -140,41 +139,19 @@ func runORWLControlVariant(cfg Config, unbindCtl bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	blocks := cfg.BlocksOverride
-	if blocks == 0 {
-		blocks = cfg.Cores
-	}
-	bx, by := BlockGrid(blocks)
-	prog, err := kernels.Build(rt, cfg.Rows, cfg.Cols, kernels.BuildOptions{
-		BX: bx, BY: by, Iters: cfg.Iters, Costs: kernels.LK23Costs,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	a, err := placement.Place(rt, placement.TreeMatch{})
-	if err != nil {
-		return Result{}, err
-	}
-	if unbindCtl {
+	res, _, err := runLK23(mach, cfg, ORWLBind, func(rt *orwl.Runtime) (*placement.Assignment, error) {
+		a, err := placement.Place(rt, placement.TreeMatch{})
+		if err != nil || !unbindCtl {
+			return a, err
+		}
 		for _, t := range rt.Tasks() {
 			if err := rt.BindControl(t, -1); err != nil {
-				return Result{}, err
+				return nil, err
 			}
 		}
-	}
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	placement.SetContention(mach, a, heavy)
-	if err := rt.Run(); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Impl: ORWLBind, Cores: cfg.Cores, Blocks: blocks,
-		Seconds: rt.MakespanSeconds(), Policy: a.Policy, Strategy: a.Strategy.String(),
-	}, nil
+		return a, nil
+	})
+	return res, err
 }
 
 // AblationOversubscription (A3) exercises the paper's oversubscription
@@ -226,36 +203,28 @@ func AblationGranularity(cfg Config) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// TopologyCase is one machine shape of the topology ablation.
-type TopologyCase struct {
-	Name string
-	Spec string
-}
-
-// DefaultTopologyCases returns three 192-core machines of increasing
-// hierarchy depth.
-func DefaultTopologyCases() []TopologyCase {
-	return []TopologyCase{
-		{"flat-24x8", "pack:24 l3:1 core:8 pu:1"},
-		{"numa-4x6x8", "pack:4 numa:6 l3:1 core:8 pu:1"},
-		{"deep-2x2x3x16", "group:2 pack:2 numa:3 l3:2 core:8 pu:1"},
-	}
+// topologyCases are the machine shapes of the topology ablation: three
+// 192-core machines of increasing hierarchy depth.
+var topologyCases = []struct{ name, spec string }{
+	{"flat-24x8", "pack:24 l3:1 core:8 pu:1"},
+	{"numa-4x6x8", "pack:4 numa:6 l3:1 core:8 pu:1"},
+	{"deep-2x2x3x16", "group:2 pack:2 numa:3 l3:2 core:8 pu:1"},
 }
 
 // AblationTopology (A5) runs Bind vs NoBind on machines of different
 // hierarchy depth but identical core count, showing that the placement
 // module adapts to the tree shape it is given.
-func AblationTopology(cfg Config, cases []TopologyCase) ([]AblationRow, error) {
+func AblationTopology(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []AblationRow
-	for _, tc := range cases {
+	for _, tc := range topologyCases {
 		for _, impl := range []Impl{ORWLBind, ORWLNoBind} {
-			res, err := runORWLOnSpec(impl, cfg, tc.Spec)
+			res, err := runORWLOnSpec(impl, cfg, tc.spec)
 			if err != nil {
-				return nil, fmt.Errorf("ablation topology %s, %s: %w", tc.Name, impl, err)
+				return nil, fmt.Errorf("ablation topology %s, %s: %w", tc.name, impl, err)
 			}
 			rows = append(rows, AblationRow{
-				Name:    fmt.Sprintf("%s/%s", tc.Name, impl),
+				Name:    fmt.Sprintf("%s/%s", tc.name, impl),
 				Seconds: res.Seconds,
 				Detail:  res.Strategy,
 			})
@@ -347,36 +316,6 @@ func runORWLOnSpec(impl Impl, cfg Config, spec string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	blocks := cfg.BlocksOverride
-	if blocks == 0 {
-		blocks = mach.Topology().NumCores()
-	}
-	bx, by := BlockGrid(blocks)
-	prog, err := kernels.Build(rt, cfg.Rows, cfg.Cols, kernels.BuildOptions{
-		BX: bx, BY: by, Iters: cfg.Iters, Costs: kernels.LK23Costs,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	var pol placement.Policy = placement.TreeMatch{}
-	if impl == ORWLNoBind {
-		pol = placement.NoBind{}
-	}
-	a, err := placement.Place(rt, pol)
-	if err != nil {
-		return Result{}, err
-	}
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	placement.SetContention(mach, a, heavy)
-	if err := rt.Run(); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Impl: impl, Cores: mach.Topology().NumCores(), Blocks: blocks,
-		Seconds: rt.MakespanSeconds(), Policy: a.Policy, Strategy: a.Strategy.String(),
-	}, nil
+	res, _, err := runLK23(mach, cfg, impl, oneShot(impl, cfg))
+	return res, err
 }

@@ -112,7 +112,7 @@ func TestAblationGranularity(t *testing.T) {
 }
 
 func TestAblationTopology(t *testing.T) {
-	rows, err := AblationTopology(ablCfg(), DefaultTopologyCases())
+	rows, err := AblationTopology(ablCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

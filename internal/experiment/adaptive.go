@@ -104,57 +104,23 @@ func buildPhaseShift(rt *orwl.Runtime, cfg PhaseShiftConfig) error {
 	for i := 0; i < n; i++ {
 		locs[i] = rt.NewLocation(fmt.Sprintf("blk%d", i), cfg.BlockBytes)
 	}
-	cells := float64(cfg.BlockBytes / 8)
 	for i := 0; i < n; i++ {
 		task := rt.AddTask(fmt.Sprintf("p%d", i), nil)
 		rL := task.NewHandleVol(locs[(i+n-1)%n], orwl.Read, cfg.HaloBytes, 0)
 		rR := task.NewHandleVol(locs[(i+1)%n], orwl.Read, cfg.HaloBytes, 0)
 		rO := task.NewHandleVol(locs[(i+n/2)%n], orwl.Read, phaseShiftEps, 0)
 		w := task.NewHandleVol(locs[i], orwl.Write, cfg.HaloBytes, 1)
-		region := locs[i].Region()
-		task.SetFunc(func(t *orwl.Task) error {
-			for it := 0; it < cfg.Iters; it++ {
-				if it == cfg.ShiftAt {
-					// The communication pattern rotates: ring partners go
-					// quiet, the opposite task becomes the heavy partner.
-					rL.SetVolume(phaseShiftEps)
-					rR.SetVolume(phaseShiftEps)
-					rO.SetVolume(cfg.HaloBytes)
-				}
-				last := it == cfg.Iters-1
-				for _, h := range []*orwl.Handle{rL, rR, rO} {
-					if err := h.Acquire(); err != nil {
-						return err
-					}
-					if err := releaseOrNext(h, last); err != nil {
-						return err
-					}
-				}
-				if err := w.Acquire(); err != nil {
-					return err
-				}
-				if p := t.Proc(); p != nil {
-					p.Compute(11 * cells) // LK23's flops per cell
-					p.SweepWorkingSet(region, cfg.BlockBytes)
-				}
-				if err := releaseOrNext(w, last); err != nil {
-					return err
-				}
-				t.EndIteration()
+		stencilTask(task, []*orwl.Handle{rL, rR, rO}, w, cfg.Iters, func(it int) {
+			if it == cfg.ShiftAt {
+				// The communication pattern rotates: ring partners go
+				// quiet, the opposite task becomes the heavy partner.
+				rL.SetVolume(phaseShiftEps)
+				rR.SetVolume(phaseShiftEps)
+				rO.SetVolume(cfg.HaloBytes)
 			}
-			return nil
 		})
 	}
 	return nil
-}
-
-// releaseOrNext releases the handle on the last iteration and re-requests
-// it (the iterative ORWL primitive) otherwise.
-func releaseOrNext(h *orwl.Handle, last bool) error {
-	if last {
-		return h.Release()
-	}
-	return h.ReleaseAndRequest()
 }
 
 // RunPhaseShift executes the phase-shifting workload under one of three
@@ -170,48 +136,34 @@ func releaseOrNext(h *orwl.Handle, last bool) error {
 //     an upper bound on what re-placement could gain.
 func RunPhaseShift(mode string, cfg PhaseShiftConfig) (PhaseShiftResult, error) {
 	cfg = cfg.withDefaults()
+	adaptive, err := armPolicy("phase-shift", phaseShiftArms, mode)
+	if err != nil {
+		return PhaseShiftResult{}, err
+	}
+	res, err := runPhaseShift(adaptive, cfg)
+	res.Mode = mode
+	return res, err
+}
+
+func runPhaseShift(adaptive *placement.AdaptiveOptions, cfg PhaseShiftConfig) (PhaseShiftResult, error) {
 	mach, err := Machine(Config{Cores: cfg.Cores, CoresPerSocket: cfg.CoresPerSocket})
 	if err != nil {
 		return PhaseShiftResult{}, err
 	}
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildPhaseShift(rt, cfg); err != nil {
+	run, err := runStencil(mach, cfg.Seed, func(rt *orwl.Runtime) error { return buildPhaseShift(rt, cfg) },
+		placement.TreeMatch{}, tuned(adaptive, cfg.EpochIters, cfg.Hysteresis, cfg.WindowDecay))
+	if err != nil {
 		return PhaseShiftResult{}, err
 	}
-	var eng *placement.AdaptiveEngine
-	switch mode {
-	case "static":
-		a, err := placement.Place(rt, placement.TreeMatch{})
-		if err != nil {
-			return PhaseShiftResult{}, err
-		}
-		placement.SetContention(mach, a, nil)
-	case "adaptive", "oracle":
-		eng, err = placement.PlaceAdaptive(rt, placement.AdaptiveOptions{
-			Base:          placement.TreeMatch{},
-			EpochIters:    cfg.EpochIters,
-			Hysteresis:    cfg.Hysteresis,
-			WindowDecay:   cfg.WindowDecay,
-			FreeMigration: mode == "oracle",
-		})
-		if err != nil {
-			return PhaseShiftResult{}, err
-		}
-		placement.SetContention(mach, eng.Assignment(), nil)
-	default:
-		return PhaseShiftResult{}, fmt.Errorf("experiment: unknown phase-shift mode %q", mode)
-	}
-	if err := rt.Run(); err != nil {
-		return PhaseShiftResult{}, err
-	}
-	res := PhaseShiftResult{Mode: mode, Seconds: rt.MakespanSeconds()}
-	if eng != nil {
-		if err := eng.Err(); err != nil {
-			return PhaseShiftResult{}, err
-		}
-		res.Stats = eng.Stats()
-	}
-	return res, nil
+	return PhaseShiftResult{Seconds: run.seconds, Stats: run.stats}, nil
+}
+
+// phaseShiftArms are the placement modes of the phase-shift workload; a nil
+// entry is the engine-less one-shot pipeline.
+var phaseShiftArms = []arm[*placement.AdaptiveOptions]{
+	{"static", nil},
+	{"adaptive", &placement.AdaptiveOptions{Base: placement.TreeMatch{}}},
+	{"oracle", &placement.AdaptiveOptions{Base: placement.TreeMatch{}, FreeMigration: true}},
 }
 
 // RunAdaptive executes the standard (stationary) LK23 configuration under
@@ -222,51 +174,25 @@ func RunPhaseShift(mode string, cfg PhaseShiftConfig) (PhaseShiftResult, error) 
 func RunAdaptive(cfg Config, opts placement.AdaptiveOptions) (Result, placement.AdaptiveStats, error) {
 	cfg = cfg.withDefaults()
 	if opts.EpochIters == 0 {
-		opts.EpochIters = cfg.Iters / 5
-		if opts.EpochIters < 1 {
-			opts.EpochIters = 1
-		}
+		opts.EpochIters = max(cfg.Iters/5, 1)
 	}
 	mach, err := Machine(cfg)
 	if err != nil {
 		return Result{}, placement.AdaptiveStats{}, err
 	}
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	blocks := cfg.BlocksOverride
-	if blocks == 0 {
-		blocks = cfg.Cores
-	}
-	prog, err := buildLK23(rt, cfg, blocks)
+	var eng *placement.AdaptiveEngine
+	res, _, err := runLK23(mach, cfg, ORWLBind, func(rt *orwl.Runtime) (*placement.Assignment, error) {
+		var err error
+		if eng, err = placement.PlaceAdaptive(rt, opts); err != nil {
+			return nil, err
+		}
+		return eng.Assignment(), nil
+	})
 	if err != nil {
-		return Result{}, placement.AdaptiveStats{}, err
-	}
-	eng, err := placement.PlaceAdaptive(rt, opts)
-	if err != nil {
-		return Result{}, placement.AdaptiveStats{}, err
-	}
-	a := eng.Assignment()
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	placement.SetContention(mach, a, heavy)
-	if err := rt.Run(); err != nil {
 		return Result{}, placement.AdaptiveStats{}, err
 	}
 	if err := eng.Err(); err != nil {
 		return Result{}, placement.AdaptiveStats{}, err
-	}
-	final := eng.Assignment()
-	res := Result{
-		Impl:    ORWLBind,
-		Cores:   cfg.Cores,
-		Blocks:  blocks,
-		Tasks:   len(prog.Tasks),
-		Seconds: rt.MakespanSeconds(),
-		Policy:  final.Policy,
-	}
-	for _, t := range prog.Tasks {
-		res.Migrations += t.Proc().Stats().Migrations
 	}
 	return res, eng.Stats(), nil
 }
@@ -281,19 +207,20 @@ func AblationAdaptive(cfg Config) ([]AblationRow, error) {
 		Cores:          cfg.Cores,
 		CoresPerSocket: cfg.CoresPerSocket,
 		Seed:           cfg.Seed,
-	}
-	var rows []AblationRow
-	for _, mode := range []string{"static", "adaptive", "oracle"} {
-		res, err := RunPhaseShift(mode, ps)
-		if err != nil {
-			return nil, fmt.Errorf("ablation adaptive, phase-shift %s: %w", mode, err)
-		}
-		detail := ""
-		if mode != "static" {
-			detail = fmt.Sprintf("epochs=%d applied=%d rebinds=%d",
-				res.Stats.Epochs, res.Stats.Applied, res.Stats.Rebinds)
-		}
-		rows = append(rows, AblationRow{Name: "phase/" + mode, Seconds: res.Seconds, Detail: detail})
+	}.withDefaults()
+	rows, err := sweep("phase", phaseShiftArms,
+		func(adaptive *placement.AdaptiveOptions) (PhaseShiftResult, error) {
+			return runPhaseShift(adaptive, ps)
+		},
+		func(a arm[*placement.AdaptiveOptions], res PhaseShiftResult) AblationRow {
+			row := AblationRow{Seconds: res.Seconds}
+			if a.policy != nil {
+				row.Detail = adaptiveDetail(res.Stats)
+			}
+			return row
+		})
+	if err != nil {
+		return nil, err
 	}
 	static, err := Run(ORWLBind, cfg)
 	if err != nil {
@@ -304,10 +231,10 @@ func AblationAdaptive(cfg Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ablation adaptive, stationary adaptive: %w", err)
 	}
-	rows = append(rows, AblationRow{
-		Name:    "lk23/adaptive",
-		Seconds: adaptive.Seconds,
-		Detail:  fmt.Sprintf("epochs=%d applied=%d rebinds=%d", st.Epochs, st.Applied, st.Rebinds),
-	})
-	return rows, nil
+	return append(rows, AblationRow{Name: "lk23/adaptive", Seconds: adaptive.Seconds, Detail: adaptiveDetail(st)}), nil
+}
+
+// adaptiveDetail renders the engine's decision counters for a report row.
+func adaptiveDetail(st placement.AdaptiveStats) string {
+	return fmt.Sprintf("epochs=%d applied=%d rebinds=%d", st.Epochs, st.Applied, st.Rebinds)
 }

@@ -81,9 +81,8 @@ func (c ClusterConfig) Validate() error {
 }
 
 // Cluster builds the simulated cluster for a configuration via the
-// spec-driven platform path. A Fabric.Racks override still splits the
-// nodes across that many top-of-rack switches, as the legacy constructor
-// did.
+// spec-driven platform path. A Fabric.Racks override splits the nodes across
+// that many top-of-rack switches.
 func Cluster(cfg ClusterConfig) (*numasim.Platform, error) {
 	cfg = cfg.withDefaults()
 	nodeSpec := fmt.Sprintf("pack:%d l3:1 core:%d pu:1",
@@ -98,146 +97,97 @@ func Cluster(cfg ClusterConfig) (*numasim.Platform, error) {
 	return numasim.NewPlatformAttrs(spec, cfg.Fabric.Defaults(), numasim.Config{})
 }
 
-// ClusterModes lists the placement arms of the cluster ablation in report
-// order: the hierarchical two-level policy first (the speedup base), then
-// flat TreeMatch on the whole cluster tree, round-robin across nodes, and
-// the fabric-free single machine.
-func ClusterModes() []string {
-	return []string{"hierarchical", "flat", "rr-nodes", "bignode"}
+// clusterArm is what one arm of the cluster ablation swaps: the placement
+// policy and, for the fabric-free reference, the machine itself.
+type clusterArm struct {
+	policy placement.Policy
+	// oneMachine runs the same total core count as one shared-memory
+	// machine: no fabric, the upper bound distribution has to pay for.
+	oneMachine bool
 }
 
-// buildClusterStencil constructs the multi-node block stencil on the
-// runtime: one task per core, arranged in the most square bx×by grid. Task
+// clusterArms are the arms of the cluster ablation in report order: the
+// hierarchical two-level policy first (the speedup base), then flat
+// TreeMatch on the whole cluster tree, round-robin across nodes, and the
+// fabric-free single machine.
+var clusterArms = []arm[clusterArm]{
+	{"hierarchical", clusterArm{policy: placement.Hierarchical{}}},
+	{"flat", clusterArm{policy: placement.TreeMatch{}}},
+	{"rr-nodes", clusterArm{policy: placement.RoundRobinNodes{}}},
+	{"bignode", clusterArm{policy: placement.TreeMatch{}, oneMachine: true}},
+}
+
+// clusterStencil builds the multi-node block stencil on a runtime: one task
+// per core, arranged in the most square bx×by grid. Task
 // (x,y) writes its own block location and reads the block of each edge
 // neighbour every iteration, so every task pair cut apart by the node
 // partition sends its halo volume over the fabric once per iteration. All
 // volumes are whole bytes, so the run is bit-deterministic regardless of
 // goroutine interleaving (the phase-shift scenario's discipline).
-func buildClusterStencil(rt *orwl.Runtime, cfg ClusterConfig) error {
-	cfg = cfg.withDefaults()
-	n := cfg.Nodes * cfg.CoresPerNode
-	bx, by := BlockGrid(n)
-	id := func(x, y int) int { return y*bx + x }
-	locs := make([]*orwl.Location, n)
-	for y := 0; y < by; y++ {
-		for x := 0; x < bx; x++ {
-			locs[id(x, y)] = rt.NewLocation(fmt.Sprintf("blk(%d,%d)", x, y), cfg.BlockBytes)
-		}
-	}
-	cells := float64(cfg.BlockBytes / 8)
-	for y := 0; y < by; y++ {
-		for x := 0; x < bx; x++ {
-			i := id(x, y)
-			task := rt.AddTask(fmt.Sprintf("b(%d,%d)", x, y), nil)
-			var halos []*orwl.Handle
-			for _, d := range [][2]int{{0, -1}, {0, 1}, {1, 0}, {-1, 0}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || nx >= bx || ny < 0 || ny >= by {
-					continue
-				}
-				halos = append(halos, task.NewHandleVol(locs[id(nx, ny)], orwl.Read, cfg.HaloBytes, 0))
+func clusterStencil(cfg ClusterConfig) func(*orwl.Runtime) error {
+	return func(rt *orwl.Runtime) error {
+		n := cfg.Nodes * cfg.CoresPerNode
+		bx, by := BlockGrid(n)
+		id := func(x, y int) int { return y*bx + x }
+		locs := make([]*orwl.Location, n)
+		for y := 0; y < by; y++ {
+			for x := 0; x < bx; x++ {
+				locs[id(x, y)] = rt.NewLocation(fmt.Sprintf("blk(%d,%d)", x, y), cfg.BlockBytes)
 			}
-			w := task.NewHandleVol(locs[i], orwl.Write, cfg.HaloBytes, 1)
-			region := locs[i].Region()
-			block := cfg.BlockBytes
-			task.SetFunc(func(t *orwl.Task) error {
-				for it := 0; it < cfg.Iters; it++ {
-					last := it == cfg.Iters-1
-					for _, h := range halos {
-						if err := h.Acquire(); err != nil {
-							return err
-						}
-						if err := releaseOrNext(h, last); err != nil {
-							return err
-						}
+		}
+		for y := 0; y < by; y++ {
+			for x := 0; x < bx; x++ {
+				task := rt.AddTask(fmt.Sprintf("b(%d,%d)", x, y), nil)
+				var halos []*orwl.Handle
+				for _, d := range [][2]int{{0, -1}, {0, 1}, {1, 0}, {-1, 0}} {
+					nx, ny := x+d[0], y+d[1]
+					if nx < 0 || nx >= bx || ny < 0 || ny >= by {
+						continue
 					}
-					if err := w.Acquire(); err != nil {
-						return err
-					}
-					if p := t.Proc(); p != nil {
-						p.Compute(11 * cells) // LK23's flops per cell
-						p.SweepWorkingSet(region, block)
-					}
-					if err := releaseOrNext(w, last); err != nil {
-						return err
-					}
-					t.EndIteration()
+					halos = append(halos, task.NewHandleVol(locs[id(nx, ny)], orwl.Read, cfg.HaloBytes, 0))
 				}
-				return nil
-			})
+				w := task.NewHandleVol(locs[id(x, y)], orwl.Write, cfg.HaloBytes, 1)
+				stencilTask(task, halos, w, cfg.Iters, nil)
+			}
 		}
-	}
-	return nil
-}
-
-// clusterPolicy returns the placement policy and machine of one ablation
-// arm.
-func clusterPolicy(mode string, cfg ClusterConfig) (*numasim.Machine, placement.Policy, error) {
-	switch mode {
-	case "hierarchical", "flat", "rr-nodes":
-		c, err := Cluster(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		var pol placement.Policy
-		switch mode {
-		case "hierarchical":
-			pol = placement.Hierarchical{}
-		case "flat":
-			pol = placement.TreeMatch{}
-		default:
-			pol = placement.RoundRobinNodes{}
-		}
-		return c.Machine(), pol, nil
-	case "bignode":
-		// The same total core count in one shared-memory machine: no
-		// fabric, the upper bound distribution has to pay for.
-		total := cfg.Nodes * cfg.CoresPerNode
-		m, err := machineFromSpec(fmt.Sprintf("pack:%d l3:1 core:%d pu:1",
-			total/cfg.CoresPerSocket, cfg.CoresPerSocket))
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, placement.TreeMatch{}, nil
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown cluster mode %q", mode)
+		return nil
 	}
 }
 
-// RunCluster executes the multi-node stencil under one placement mode and
-// returns its simulated processing time.
+// RunCluster executes the multi-node stencil under one placement mode (see
+// clusterArms) and returns its simulated processing time.
 func RunCluster(mode string, cfg ClusterConfig) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg = cfg.withDefaults()
-	mach, pol, err := clusterPolicy(mode, cfg)
+	a, err := armPolicy("cluster", clusterArms, mode)
 	if err != nil {
 		return Result{}, err
 	}
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildClusterStencil(rt, cfg); err != nil {
-		return Result{}, err
-	}
-	a, err := placement.Place(rt, pol)
-	if err != nil {
-		return Result{}, err
-	}
-	placement.SetContention(mach, a, nil)
-	placement.SetFabricContention(mach, a, rt.CommMatrix())
-	if err := rt.Run(); err != nil {
-		return Result{}, err
-	}
+	return runCluster(a, cfg.withDefaults())
+}
+
+func runCluster(a clusterArm, cfg ClusterConfig) (Result, error) {
 	tasks := cfg.Nodes * cfg.CoresPerNode
-	return Result{
-		Impl:     ORWLBind,
-		Cores:    tasks,
-		Blocks:   tasks,
-		Tasks:    tasks,
-		Seconds:  rt.MakespanSeconds(),
-		Policy:   a.Policy,
-		Strategy: a.Strategy.String(),
-	}, nil
+	var mach *numasim.Machine
+	if a.oneMachine {
+		m, err := machineFromSpec(fmt.Sprintf("pack:%d l3:1 core:%d pu:1", tasks/cfg.CoresPerSocket, cfg.CoresPerSocket))
+		if err != nil {
+			return Result{}, err
+		}
+		mach = m
+	} else {
+		c, err := Cluster(cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		mach = c.Machine()
+	}
+	run, err := runStencil(mach, cfg.Seed, clusterStencil(cfg), a.policy, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return run.result(tasks, tasks), nil
 }
 
 // AblationCluster (A9) compares the placement arms on the multi-node
@@ -247,19 +197,15 @@ func AblationCluster(cfg ClusterConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
-	for _, mode := range ClusterModes() {
-		res, err := RunCluster(mode, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation cluster, %s: %w", mode, err)
-		}
-		detail := fmt.Sprintf("%d nodes x %d cores", cfg.Nodes, cfg.CoresPerNode)
-		if mode == "bignode" {
-			detail = fmt.Sprintf("1 machine x %d cores", cfg.Nodes*cfg.CoresPerNode)
-		}
-		rows = append(rows, AblationRow{Name: "cluster/" + mode, Seconds: res.Seconds, Detail: detail})
-	}
-	return rows, nil
+	return sweep("cluster", clusterArms,
+		func(a clusterArm) (Result, error) { return runCluster(a, cfg) },
+		func(a arm[clusterArm], res Result) AblationRow {
+			detail := fmt.Sprintf("%d nodes x %d cores", cfg.Nodes, cfg.CoresPerNode)
+			if a.policy.oneMachine {
+				detail = fmt.Sprintf("1 machine x %d cores", cfg.Nodes*cfg.CoresPerNode)
+			}
+			return AblationRow{Seconds: res.Seconds, Detail: detail}
+		})
 }
 
 // ClusterConfigFrom derives the cluster configuration from the common

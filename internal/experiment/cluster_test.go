@@ -62,8 +62,8 @@ func TestAblationCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != len(ClusterModes()) {
-			t.Fatalf("%d rows, want %d", len(rows), len(ClusterModes()))
+		if len(rows) != len(clusterArms) {
+			t.Fatalf("%d rows, want %d", len(rows), len(clusterArms))
 		}
 		byName := map[string]float64{}
 		for _, r := range rows {
@@ -91,7 +91,8 @@ func TestAblationCluster(t *testing.T) {
 
 func TestRunClusterDeterministic(t *testing.T) {
 	cfg := testClusterCfg(2)
-	for _, mode := range ClusterModes() {
+	for _, arm := range clusterArms {
+		mode := arm.name
 		a, err := RunCluster(mode, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -113,14 +114,14 @@ func TestRunClusterDeterministic(t *testing.T) {
 // migrations are priced over the fabric — hysteresis must keep it from
 // thrashing.
 func TestClusterAdaptive(t *testing.T) {
-	cfg := testClusterCfg(2)
+	cfg := testClusterCfg(2).withDefaults()
 	c, err := Cluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := c.Machine()
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildClusterStencil(rt, cfg); err != nil {
+	if err := clusterStencil(cfg)(rt); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := placement.PlaceAdaptive(rt, placement.AdaptiveOptions{
@@ -148,9 +149,9 @@ func TestClusterAdaptive(t *testing.T) {
 	}
 }
 
-// TestClusterHonorsFabricRacks pins that the platform-path builder still
-// honors the legacy Fabric.Racks override (the old NewCluster path split
-// the nodes across top-of-rack switches; the spec-driven path must too).
+// TestClusterHonorsFabricRacks pins that the platform builder honors the
+// Fabric.Racks override: the nodes split evenly across that many
+// top-of-rack switches, and an uneven split is rejected.
 func TestClusterHonorsFabricRacks(t *testing.T) {
 	c, err := Cluster(ClusterConfig{Nodes: 4, Fabric: numasim.Fabric{Racks: 2}})
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/numasim"
-	"repro/internal/orwl"
 	"repro/internal/placement"
 	"repro/internal/topology"
 )
@@ -46,19 +44,15 @@ type FaultEventSpec struct {
 
 // FaultConfig parameterizes one fault-injection run.
 type FaultConfig struct {
-	// Racks, NodesPerRack, CoresPerNode, CoresPerSocket shape the platform
-	// exactly as in the A10 rack scenario (defaults 2, 4, 8, 4). The default
-	// rack is wider than A10's because a 2-node rack is degenerate for fault
-	// handling: with only 3 survivors every refuge choice doubles up the same
-	// way, and the arms cannot separate.
-	Racks, NodesPerRack, CoresPerNode, CoresPerSocket int
-	// Iters is the stencil iteration count (default 30) and EpochIters the
-	// re-placement interval (default 3).
-	Iters, EpochIters int
-	// BlockBytes, HaloBytes, PairBytes, LinkBytes are the A10 stencil
-	// volumes (defaults 1 MiB, 256 KiB, 320 KiB, 32 KiB).
-	BlockBytes                      int64
-	HaloBytes, PairBytes, LinkBytes float64
+	// RackConfig shapes the platform and the stencil exactly as in the A10
+	// rack scenario, with three defaults of its own: Iters 30, BlockBytes
+	// 1 MiB and NodesPerRack 4. The default rack is wider than A10's because
+	// a 2-node rack is degenerate for fault handling: with only 3 survivors
+	// every refuge choice doubles up the same way, and the arms cannot
+	// separate.
+	RackConfig
+	// EpochIters is the re-placement interval (default 3).
+	EpochIters int
 	// KillNode is the cluster node that dies (default: node NodesPerRack,
 	// the first node of rack 1; -1 disables the default failure so only
 	// Events apply). KillEpoch is the 1-based epoch it dies at (default:
@@ -73,42 +67,21 @@ type FaultConfig struct {
 	Events []FaultEventSpec
 	// Hysteresis and WindowDecay tune the adaptive engine.
 	Hysteresis, WindowDecay float64
-	// Fabric overrides the interconnect parameters, as in RackConfig.
-	Fabric numasim.Fabric
-	// Seed drives the simulated OS scheduler.
-	Seed int64
 }
 
 func (c FaultConfig) withDefaults() FaultConfig {
-	if c.Racks == 0 {
-		c.Racks = 2
-	}
 	if c.NodesPerRack == 0 {
 		c.NodesPerRack = 4
-	}
-	if c.CoresPerNode == 0 {
-		c.CoresPerNode = 8
-	}
-	if c.CoresPerSocket == 0 {
-		c.CoresPerSocket = 4
 	}
 	if c.Iters == 0 {
 		c.Iters = 30
 	}
-	if c.EpochIters == 0 {
-		c.EpochIters = 3
-	}
 	if c.BlockBytes == 0 {
 		c.BlockBytes = 1 << 20
 	}
-	if c.HaloBytes == 0 {
-		c.HaloBytes = 256 << 10
-	}
-	if c.PairBytes == 0 {
-		c.PairBytes = 320 << 10
-	}
-	if c.LinkBytes == 0 {
-		c.LinkBytes = 32 << 10
+	c.RackConfig = c.RackConfig.withDefaults()
+	if c.EpochIters == 0 {
+		c.EpochIters = 3
 	}
 	if c.KillNode == 0 {
 		// The first node of rack 1: the kill orphans a whole block and the
@@ -118,33 +91,12 @@ func (c FaultConfig) withDefaults() FaultConfig {
 	if c.KillEpoch == 0 {
 		// The failure lands at 2/5 of the run — the A12 shift point — so the
 		// degraded phase dominates and recovery quality decides the ranking.
-		c.KillEpoch = c.Iters / c.EpochIters * 2 / 5
-		if c.KillEpoch < 1 {
-			c.KillEpoch = 1
-		}
+		c.KillEpoch = max(c.Iters/c.EpochIters*2/5, 1)
 	}
 	if c.DegradeFactor == 0 {
 		c.DegradeFactor = 0.5
 	}
 	return c
-}
-
-// rackConfig converts to the A10 configuration that builds the platform and
-// the stencil: A14 reuses both, only the fault schedule is new.
-func (c FaultConfig) rackConfig() RackConfig {
-	return RackConfig{
-		Racks:          c.Racks,
-		NodesPerRack:   c.NodesPerRack,
-		CoresPerNode:   c.CoresPerNode,
-		CoresPerSocket: c.CoresPerSocket,
-		Iters:          c.Iters,
-		BlockBytes:     c.BlockBytes,
-		HaloBytes:      c.HaloBytes,
-		PairBytes:      c.PairBytes,
-		LinkBytes:      c.LinkBytes,
-		Fabric:         c.Fabric,
-		Seed:           c.Seed,
-	}
 }
 
 // effectiveEvents returns the fault schedule in experiment coordinates: the
@@ -172,7 +124,7 @@ func (c FaultConfig) effectiveEvents() []FaultEventSpec {
 // Validate rejects configurations the fault pipeline cannot run.
 func (c FaultConfig) Validate() error {
 	d := c.withDefaults()
-	if err := d.rackConfig().Validate(); err != nil {
+	if err := d.RackConfig.Validate(); err != nil {
 		return err
 	}
 	if d.EpochIters < 1 {
@@ -242,12 +194,22 @@ func BuildFaultSchedule(topo *topology.Topology, specs []FaultEventSpec) (*topol
 	return s, nil
 }
 
-// FaultModes lists the arms of the fault ablation in report order: the
-// fault-aware adaptive engine first (the speedup base), then the spread-
-// hardened initial placement, the fault-blind engine, and the static-with-
-// respawn baseline.
-func FaultModes() []string {
-	return []string{"fault-aware", "spread", "fault-blind", "static-respawn"}
+// faultArms are the arms of the fault ablation in report order. Every arm
+// runs the engine with hierarchical candidates; they differ in the initial
+// placement and in how the engine handles the failure.
+var faultArms = []arm[*placement.AdaptiveOptions]{
+	// The engine evacuates the dead node's tasks next to their heaviest
+	// surviving partners under the degraded fabric prices, and keeps
+	// adapting afterwards. The speedup base.
+	{"fault-aware", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, FaultMode: placement.FaultAware}},
+	// fault-aware on top of a SpreadDomains initial placement (the critical
+	// block pair starts rack-separated).
+	{"spread", &placement.AdaptiveOptions{Base: placement.Hierarchical{SpreadDomains: true}, FaultMode: placement.FaultAware}},
+	// The engine evacuates first-fit in node order, then keeps adapting.
+	{"fault-blind", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, FaultMode: placement.FaultBlind}},
+	// The one-shot placement with forced round-robin respawn of the orphans
+	// — no adaptation at all.
+	{"static-respawn", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, FaultMode: placement.FaultRespawn}},
 }
 
 // FaultResult reports one fault-injection run.
@@ -265,49 +227,33 @@ type FaultResult struct {
 
 // String renders a one-line summary.
 func (r FaultResult) String() string {
-	return fmt.Sprintf("%-15s time=%8.3fs faults=%d evac=%d rebinds=%d cross-rack=%d",
-		r.Mode, r.Seconds, r.Stats.FaultEpochs, r.Stats.Evacuations,
-		r.Stats.Rebinds, r.Stats.CrossRackRebinds)
+	return fmt.Sprintf("%-15s time=%8.3fs %s", r.Mode, r.Seconds, faultDetail(r.Stats))
 }
 
-// faultArm returns the initial placement policy and FaultMode of one arm.
-func faultArm(mode string) (base placement.Policy, fm placement.FaultMode, err error) {
-	switch mode {
-	case "fault-aware":
-		return placement.Hierarchical{}, placement.FaultAware, nil
-	case "spread":
-		return placement.Hierarchical{SpreadDomains: true}, placement.FaultAware, nil
-	case "fault-blind":
-		return placement.Hierarchical{}, placement.FaultBlind, nil
-	case "static-respawn":
-		return placement.Hierarchical{}, placement.FaultRespawn, nil
-	default:
-		return nil, 0, fmt.Errorf("experiment: unknown fault mode %q", mode)
-	}
+// faultDetail renders the engine's fault-handling counters.
+func faultDetail(st placement.AdaptiveStats) string {
+	return fmt.Sprintf("faults=%d evac=%d rebinds=%d cross-rack=%d",
+		st.FaultEpochs, st.Evacuations, st.Rebinds, st.CrossRackRebinds)
 }
 
-// RunFault executes the rack-skewed stencil under one fault-handling mode:
-//
-//   - "fault-aware": the adaptive engine evacuates the dead node's tasks
-//     next to their heaviest surviving partners under the degraded fabric
-//     prices, and keeps adapting afterwards;
-//   - "spread": fault-aware on top of a SpreadDomains initial placement
-//     (the critical block pair starts rack-separated);
-//   - "fault-blind": the engine evacuates first-fit in node order, then
-//     keeps adapting;
-//   - "static-respawn": the one-shot placement with forced round-robin
-//     respawn of the orphans — no adaptation at all.
+// RunFault executes the rack-skewed stencil under one fault-handling mode
+// (see faultArms).
 func RunFault(mode string, cfg FaultConfig) (FaultResult, error) {
-	start := time.Now()
 	if err := cfg.Validate(); err != nil {
 		return FaultResult{}, err
 	}
-	cfg = cfg.withDefaults()
-	base, fm, err := faultArm(mode)
+	a, err := armPolicy("fault", faultArms, mode)
 	if err != nil {
 		return FaultResult{}, err
 	}
-	cluster, err := RackCluster(cfg.rackConfig())
+	res, err := runFault(a, cfg.withDefaults())
+	res.Mode = mode
+	return res, err
+}
+
+func runFault(a *placement.AdaptiveOptions, cfg FaultConfig) (FaultResult, error) {
+	start := time.Now()
+	cluster, err := RackCluster(cfg.RackConfig)
 	if err != nil {
 		return FaultResult{}, err
 	}
@@ -316,37 +262,13 @@ func RunFault(mode string, cfg FaultConfig) (FaultResult, error) {
 	if err != nil {
 		return FaultResult{}, err
 	}
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildRackStencil(rt, cfg.rackConfig()); err != nil {
-		return FaultResult{}, err
-	}
-	eng, err := placement.PlaceAdaptive(rt, placement.AdaptiveOptions{
-		Base:        base,
-		Candidate:   placement.Hierarchical{},
-		EpochIters:  cfg.EpochIters,
-		Hysteresis:  cfg.Hysteresis,
-		WindowDecay: cfg.WindowDecay,
-		Faults:      schedule,
-		FaultMode:   fm,
-	})
+	opts := tuned(a, cfg.EpochIters, cfg.Hysteresis, cfg.WindowDecay)
+	opts.Candidate, opts.Faults = placement.Hierarchical{}, schedule
+	run, err := runStencil(mach, cfg.Seed, rackStencil(cfg.RackConfig).build, nil, opts)
 	if err != nil {
 		return FaultResult{}, err
 	}
-	a := eng.Assignment()
-	placement.SetContention(mach, a, nil)
-	placement.SetFabricContention(mach, a, rt.CommMatrix())
-	if err := rt.Run(); err != nil {
-		return FaultResult{}, err
-	}
-	if err := eng.Err(); err != nil {
-		return FaultResult{}, err
-	}
-	return FaultResult{
-		Mode:        mode,
-		Seconds:     rt.MakespanSeconds(),
-		WallSeconds: time.Since(start).Seconds(),
-		Stats:       eng.Stats(),
-	}, nil
+	return FaultResult{Seconds: run.seconds, WallSeconds: time.Since(start).Seconds(), Stats: run.stats}, nil
 }
 
 // AblationFault (A14) compares the fault-handling arms on the rack-skewed
@@ -356,40 +278,19 @@ func AblationFault(cfg FaultConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
-	for _, mode := range FaultModes() {
-		res, err := RunFault(mode, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation fault, %s: %w", mode, err)
-		}
-		rows = append(rows, AblationRow{
-			Name:    "fault/" + mode,
-			Seconds: res.Seconds,
-			Detail: fmt.Sprintf("faults=%d evac=%d rebinds=%d cross-rack=%d",
-				res.Stats.FaultEpochs, res.Stats.Evacuations,
-				res.Stats.Rebinds, res.Stats.CrossRackRebinds),
-			WallSeconds: res.WallSeconds,
+	return sweep("fault", faultArms,
+		func(a *placement.AdaptiveOptions) (FaultResult, error) { return runFault(a, cfg) },
+		func(_ arm[*placement.AdaptiveOptions], res FaultResult) AblationRow {
+			return AblationRow{Seconds: res.Seconds, Detail: faultDetail(res.Stats), WallSeconds: res.WallSeconds}
 		})
-	}
-	return rows, nil
 }
 
 // FaultConfigFrom derives the fault configuration from the common ablation
-// Config, with the same shape rule as A10/A12: 2 racks of fixed 8-core
-// nodes, the node count scaled so the total core count comes close to
-// cfg.Cores (minimum 4 nodes per rack — below that the kill leaves too few
-// survivors for the refuge choice to matter, see FaultConfig).
+// Config: the A10 shape rule (RackConfigFrom) with a floor of 4 nodes per
+// rack — below that the kill leaves too few survivors for the refuge choice
+// to matter, see FaultConfig.
 func FaultConfigFrom(cfg Config) FaultConfig {
-	cfg = cfg.withDefaults()
-	perRack := cfg.Cores / 16
-	if perRack < 4 {
-		perRack = 4
-	}
-	return FaultConfig{
-		Racks:          2,
-		NodesPerRack:   perRack,
-		CoresPerNode:   8,
-		CoresPerSocket: 4,
-		Seed:           cfg.Seed,
-	}
+	rc := RackConfigFrom(cfg)
+	rc.NodesPerRack = max(rc.NodesPerRack, 4)
+	return FaultConfig{RackConfig: rc}
 }

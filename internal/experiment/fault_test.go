@@ -8,7 +8,7 @@ import (
 )
 
 func testFaultCfg() FaultConfig {
-	return FaultConfig{Seed: 42}
+	return FaultConfig{RackConfig: RackConfig{Seed: 42}}
 }
 
 // TestAblationFault is the A14 acceptance property: on the rack-skewed
@@ -22,8 +22,8 @@ func testFaultCfg() FaultConfig {
 func TestAblationFault(t *testing.T) {
 	shapes := map[string]FaultConfig{
 		"2x4x8": testFaultCfg(),
-		"2x6x8": {NodesPerRack: 6, Seed: 42},
-		"2x4x4": {CoresPerNode: 4, CoresPerSocket: 2, Seed: 42},
+		"2x6x8": {RackConfig: RackConfig{NodesPerRack: 6, Seed: 42}},
+		"2x4x4": {RackConfig: RackConfig{CoresPerNode: 4, CoresPerSocket: 2, Seed: 42}},
 	}
 	for name, cfg := range shapes {
 		var prev map[string]float64
@@ -33,8 +33,8 @@ func TestAblationFault(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
-			if len(rows) != len(FaultModes()) {
-				t.Fatalf("%s seed=%d: %d rows, want %d", name, seed, len(rows), len(FaultModes()))
+			if len(rows) != len(faultArms) {
+				t.Fatalf("%s seed=%d: %d rows, want %d", name, seed, len(rows), len(faultArms))
 			}
 			byName := map[string]float64{}
 			for _, r := range rows {
@@ -77,7 +77,8 @@ func TestAblationFault(t *testing.T) {
 // the respawn arm never adapts beyond them.
 func TestRunFaultEvacuates(t *testing.T) {
 	cfg := testFaultCfg()
-	for _, mode := range FaultModes() {
+	for _, arm := range faultArms {
+		mode := arm.name
 		res, err := RunFault(mode, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -101,7 +102,8 @@ func TestRunFaultEvacuates(t *testing.T) {
 
 // TestRunFaultDeterministic pins bit-reproducibility of every arm.
 func TestRunFaultDeterministic(t *testing.T) {
-	for _, mode := range FaultModes() {
+	for _, arm := range faultArms {
+		mode := arm.name
 		a, err := RunFault(mode, testFaultCfg())
 		if err != nil {
 			t.Fatal(err)
@@ -143,8 +145,8 @@ func TestFaultValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", FaultConfig{}, true},
-		{"one rack", FaultConfig{Racks: 1}, false},
-		{"bad node shape", FaultConfig{CoresPerNode: 10, CoresPerSocket: 4}, false},
+		{"one rack", FaultConfig{RackConfig: RackConfig{Racks: 1}}, false},
+		{"bad node shape", FaultConfig{RackConfig: RackConfig{CoresPerNode: 10, CoresPerSocket: 4}}, false},
 		{"epoch zero", FaultConfig{Events: []FaultEventSpec{{Epoch: 0, Kind: topology.FaultKillNode, Node: 1}}}, false},
 		{"epoch beyond run", FaultConfig{KillEpoch: 99}, false},
 		{"unknown node", FaultConfig{KillNode: 99}, false},

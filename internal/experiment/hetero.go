@@ -150,25 +150,13 @@ func HeteroPlatform(cfg HeteroConfig) (*numasim.Platform, error) {
 	return numasim.NewPlatformAttrs(HeteroPlatformSpec(cfg), def, numasim.Config{})
 }
 
-// HeteroModes lists the placement arms of the hetero ablation in report
-// order: the fully aware policy first (the speedup base), then the
-// capacity-blind and depth-blind variants.
-func HeteroModes() []string {
-	return []string{"aware", "capacity-blind", "depth-blind"}
-}
-
-// heteroPolicy returns the placement policy of one ablation arm.
-func heteroPolicy(mode string) (placement.Policy, error) {
-	switch mode {
-	case "aware":
-		return placement.Hierarchical{}, nil
-	case "capacity-blind":
-		return placement.Hierarchical{CapacityBlind: true}, nil
-	case "depth-blind":
-		return placement.Hierarchical{NoFabricMatch: true}, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown hetero mode %q", mode)
-	}
+// heteroArms are the placement arms of the hetero ablation in report order:
+// the fully aware policy first (the speedup base), then the capacity-blind
+// and depth-blind variants.
+var heteroArms = []arm[placement.Policy]{
+	{"aware", placement.Hierarchical{}},
+	{"capacity-blind", placement.Hierarchical{CapacityBlind: true}},
+	{"depth-blind", placement.Hierarchical{NoFabricMatch: true}},
 }
 
 // heteroBlockSizes returns the per-node block sizes of the scenario, in
@@ -203,138 +191,51 @@ func heteroPairOf(sizes []int) []int {
 	return pair
 }
 
-// buildHeteroStencil constructs the pod-skewed heterogeneous stencil: one
-// task per core, grouped into node-capacity-sized blocks. Task s of block b
+// heteroStencil is the pod-skewed heterogeneous stencil on the shared
+// node-block workload (see blockStencil), its blocks sized to the node
+// capacities. Beyond its block's grid, task s of block b
 //
-//   - reads HaloBytes from its grid neighbours inside the block (a 2-row
-//     stencil grid, the heavy coupling that makes the blocks the min-cut
-//     partition groups),
 //   - exchanges PairBytes with the slot-aligned task of the partner block
 //     (big slot s reads small slot s mod |small|; the pod-decisive medium
 //     traffic),
 //   - and, for slot 0 only, exchanges LinkBytes with the neighbouring
 //     blocks (light connectivity so the affinity graph is one component).
-//
-// All volumes are whole bytes; the run is bit-deterministic.
-func buildHeteroStencil(rt *orwl.Runtime, cfg HeteroConfig) error {
-	cfg = cfg.withDefaults()
+func heteroStencil(cfg HeteroConfig) blockStencil {
 	sizes := heteroBlockSizes(cfg)
 	pair := heteroPairOf(sizes)
-	blocks := len(sizes)
-	base := make([]int, blocks) // first task index of each block
-	n := 0
-	for b, sz := range sizes {
-		base[b] = n
-		n += sz
+	return blockStencil{
+		sizes: sizes, iters: cfg.Iters, blockBytes: cfg.BlockBytes, haloBytes: cfg.HaloBytes,
+		extra: func(task *orwl.Task, b, slot int, at locAt) ([]*orwl.Handle, func(int)) {
+			reads := []*orwl.Handle{task.NewHandleVol(at(pair[b], slot%sizes[pair[b]]), orwl.Read, cfg.PairBytes, 0)}
+			return append(reads, linkReads(task, b, slot, len(sizes), cfg.LinkBytes, at)...), nil
+		},
 	}
-	locs := make([]*orwl.Location, n)
-	for b, sz := range sizes {
-		for s := 0; s < sz; s++ {
-			locs[base[b]+s] = rt.NewLocation(fmt.Sprintf("blk%d.%d", b, s), cfg.BlockBytes)
-		}
-	}
-	cells := float64(cfg.BlockBytes / 8)
-	for b, sz := range sizes {
-		for s := 0; s < sz; s++ {
-			i := base[b] + s
-			task := rt.AddTask(fmt.Sprintf("t%d.%d", b, s), nil)
-			var reads []*orwl.Handle
-			addRead := func(peer int, vol float64) {
-				reads = append(reads, task.NewHandleVol(locs[peer], orwl.Read, vol, 0))
-			}
-			// Heavy stencil grid inside the block: 2 rows of sz/2 columns
-			// (one row when the block is too narrow).
-			gw := sz / 2
-			if gw < 1 {
-				gw = 1
-			}
-			sx, sy := s%gw, s/gw
-			for _, d := range [][2]int{{0, -1}, {0, 1}, {1, 0}, {-1, 0}} {
-				nx, ny := sx+d[0], sy+d[1]
-				if nx < 0 || nx >= gw || ny < 0 || ny*gw+nx >= sz {
-					continue
-				}
-				addRead(base[b]+ny*gw+nx, cfg.HaloBytes)
-			}
-			// Medium pair exchange with the slot-aligned partner task.
-			addRead(base[pair[b]]+s%sizes[pair[b]], cfg.PairBytes)
-			// Light connectivity ring over the blocks.
-			if s == 0 && blocks > 2 {
-				addRead(base[(b+1)%blocks], cfg.LinkBytes)
-				addRead(base[(b+blocks-1)%blocks], cfg.LinkBytes)
-			}
-			w := task.NewHandleVol(locs[i], orwl.Write, cfg.HaloBytes, 1)
-			region := locs[i].Region()
-			block := cfg.BlockBytes
-			task.SetFunc(func(t *orwl.Task) error {
-				for it := 0; it < cfg.Iters; it++ {
-					last := it == cfg.Iters-1
-					for _, h := range reads {
-						if err := h.Acquire(); err != nil {
-							return err
-						}
-						if err := releaseOrNext(h, last); err != nil {
-							return err
-						}
-					}
-					if err := w.Acquire(); err != nil {
-						return err
-					}
-					if p := t.Proc(); p != nil {
-						p.Compute(11 * cells)
-						p.SweepWorkingSet(region, block)
-					}
-					if err := releaseOrNext(w, last); err != nil {
-						return err
-					}
-					t.EndIteration()
-				}
-				return nil
-			})
-		}
-	}
-	return nil
 }
 
 // RunHetero executes the heterogeneous pod-tier stencil under one placement
-// mode and returns its simulated processing time.
+// mode (see heteroArms) and returns its simulated processing time.
 func RunHetero(mode string, cfg HeteroConfig) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg = cfg.withDefaults()
-	pol, err := heteroPolicy(mode)
+	pol, err := armPolicy("hetero", heteroArms, mode)
 	if err != nil {
 		return Result{}, err
 	}
+	return runHetero(pol, cfg.withDefaults())
+}
+
+func runHetero(pol placement.Policy, cfg HeteroConfig) (Result, error) {
 	platform, err := HeteroPlatform(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	mach := platform.Machine()
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildHeteroStencil(rt, cfg); err != nil {
-		return Result{}, err
-	}
-	a, err := placement.Place(rt, pol)
+	run, err := runStencil(mach, cfg.Seed, heteroStencil(cfg).build, pol, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	placement.SetContention(mach, a, nil)
-	placement.SetFabricContention(mach, a, rt.CommMatrix())
-	if err := rt.Run(); err != nil {
-		return Result{}, err
-	}
-	tasks := mach.Topology().NumCores()
-	return Result{
-		Impl:     ORWLBind,
-		Cores:    tasks,
-		Blocks:   platform.Nodes(),
-		Tasks:    tasks,
-		Seconds:  rt.MakespanSeconds(),
-		Policy:   a.Policy,
-		Strategy: a.Strategy.String(),
-	}, nil
+	return run.result(mach.Topology().NumCores(), platform.Nodes()), nil
 }
 
 // AblationHetero (A11) compares the placement arms on the heterogeneous
@@ -344,20 +245,12 @@ func AblationHetero(cfg HeteroConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
-	for _, mode := range HeteroModes() {
-		res, err := RunHetero(mode, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation hetero, %s: %w", mode, err)
-		}
-		rows = append(rows, AblationRow{
-			Name:    "hetero/" + mode,
-			Seconds: res.Seconds,
-			Detail: fmt.Sprintf("%d pods x %d racks x (%d+%d) cores",
-				cfg.Pods, cfg.RacksPerPod, cfg.BigCores, cfg.SmallCores),
+	detail := fmt.Sprintf("%d pods x %d racks x (%d+%d) cores", cfg.Pods, cfg.RacksPerPod, cfg.BigCores, cfg.SmallCores)
+	return sweep("hetero", heteroArms,
+		func(pol placement.Policy) (Result, error) { return runHetero(pol, cfg) },
+		func(_ arm[placement.Policy], res Result) AblationRow {
+			return AblationRow{Seconds: res.Seconds, Detail: detail}
 		})
-	}
-	return rows, nil
 }
 
 // HeteroConfigFrom derives the hetero configuration from the common ablation

@@ -80,7 +80,7 @@ func TestHeteroAwarePlacement(t *testing.T) {
 	}
 	mach := platform.Machine()
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: 1})
-	if err := buildHeteroStencil(rt, cfg); err != nil {
+	if err := heteroStencil(cfg).build(rt); err != nil {
 		t.Fatal(err)
 	}
 	m := rt.CommMatrix()

@@ -174,12 +174,65 @@ func BlockGrid(n int) (bx, by int) {
 	return n, 1
 }
 
-// buildLK23 constructs the cost-only LK23 block program on the runtime.
-func buildLK23(rt *orwl.Runtime, cfg Config, blocks int) (*kernels.Program, error) {
+// runLK23 is the tail every cost-only ORWL LK23 arm shares: the block
+// program (paper §III decomposition; BlocksOverride blocks, default one per
+// core) built on a runtime over the machine, placed by place, the memory
+// contention of the main operations declared from the placement, and the
+// run. It also returns the placement place computed, for structural
+// inspection by the ablations.
+func runLK23(mach *numasim.Machine, cfg Config, impl Impl, place func(*orwl.Runtime) (*placement.Assignment, error)) (Result, *placement.Assignment, error) {
+	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
+	blocks := cfg.BlocksOverride
+	if blocks == 0 {
+		blocks = mach.Topology().NumCores()
+	}
 	bx, by := BlockGrid(blocks)
-	return kernels.Build(rt, cfg.Rows, cfg.Cols, kernels.BuildOptions{
+	prog, err := kernels.Build(rt, cfg.Rows, cfg.Cols, kernels.BuildOptions{
 		BX: bx, BY: by, Iters: cfg.Iters, Costs: kernels.LK23Costs,
 	})
+	if err != nil {
+		return Result{}, nil, err
+	}
+	a, err := place(rt)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	// The heavy memory streams are the main operations: one per block,
+	// sweeping the block's working set each iteration. Frontier operations
+	// only move strips.
+	heavy := make([]bool, len(prog.Tasks))
+	for i := range heavy {
+		heavy[i] = i%9 == 0
+	}
+	placement.SetContention(mach, a, heavy)
+	if err := rt.Run(); err != nil {
+		return Result{}, nil, err
+	}
+	res := Result{
+		Impl:     impl,
+		Cores:    mach.Topology().NumCores(),
+		Blocks:   blocks,
+		Tasks:    len(prog.Tasks),
+		Seconds:  rt.MakespanSeconds(),
+		Policy:   a.Policy,
+		Strategy: a.Strategy.String(),
+	}
+	for _, t := range prog.Tasks {
+		res.Migrations += t.Proc().Stats().Migrations
+	}
+	return res, a, nil
+}
+
+// oneShot places with the implementation's policy: cfg.Policy (default
+// TreeMatch) for ORWLBind, all threads left to the OS otherwise.
+func oneShot(impl Impl, cfg Config) func(*orwl.Runtime) (*placement.Assignment, error) {
+	var pol placement.Policy = placement.NoBind{}
+	if impl == ORWLBind {
+		if pol = cfg.Policy; pol == nil {
+			pol = placement.TreeMatch{}
+		}
+	}
+	return func(rt *orwl.Runtime) (*placement.Assignment, error) { return placement.Place(rt, pol) }
 }
 
 // Run executes one LK23 configuration with the given implementation and
@@ -199,8 +252,8 @@ func Run(impl Impl, cfg Config) (Result, error) {
 	}
 }
 
-// runORWL executes the cost-only ORWL program (paper §III decomposition)
-// under the configured placement.
+// runORWL executes the cost-only ORWL program under the configured
+// placement.
 func runORWL(impl Impl, cfg Config) (Result, error) {
 	res, _, err := runORWLWithAssignment(impl, cfg)
 	return res, err
@@ -213,52 +266,7 @@ func runORWLWithAssignment(impl Impl, cfg Config) (Result, *placement.Assignment
 	if err != nil {
 		return Result{}, nil, err
 	}
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	blocks := cfg.BlocksOverride
-	if blocks == 0 {
-		blocks = cfg.Cores
-	}
-	prog, err := buildLK23(rt, cfg, blocks)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	var pol placement.Policy
-	if impl == ORWLBind {
-		pol = cfg.Policy
-		if pol == nil {
-			pol = placement.TreeMatch{}
-		}
-	} else {
-		pol = placement.NoBind{}
-	}
-	a, err := placement.Place(rt, pol)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	// The heavy memory streams are the main operations: one per block,
-	// sweeping the block's working set each iteration. Frontier operations
-	// only move strips.
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	placement.SetContention(mach, a, heavy)
-	if err := rt.Run(); err != nil {
-		return Result{}, nil, err
-	}
-	res := Result{
-		Impl:     impl,
-		Cores:    cfg.Cores,
-		Blocks:   blocks,
-		Tasks:    len(prog.Tasks),
-		Seconds:  rt.MakespanSeconds(),
-		Policy:   a.Policy,
-		Strategy: a.Strategy.String(),
-	}
-	for _, t := range prog.Tasks {
-		res.Migrations += t.Proc().Stats().Migrations
-	}
-	return res, a, nil
+	return runLK23(mach, cfg, impl, oneShot(impl, cfg))
 }
 
 // runOMP executes the cost-only OpenMP baseline: Cores unbound threads

@@ -7,12 +7,6 @@ import (
 	"repro/internal/topology"
 )
 
-// The asserted ablation orderings, shared by the test suite, the bench
-// harness (bench_test.go) and the machine-readable bench pipeline
-// (cmd/ablate -json): each beyond-the-paper ablation states which arms must
-// come out ahead, and every consumer checks the same statements, so a
-// placement regression cannot pass one gate and slip through another.
-
 // Ordering is one asserted relation between two ablation rows: the row
 // named Before must finish in no more (strictly less, when Strict) simulated
 // time than the row named After.
@@ -28,66 +22,6 @@ func (o Ordering) String() string {
 		op = "<"
 	}
 	return fmt.Sprintf("%s %s %s", o.Before, op, o.After)
-}
-
-// AblationOrderings returns the asserted orderings of one ablation,
-// identified by its cmd/ablate experiment name. Ablations without a pinned
-// ordering (the paper-reproduction sweeps, where the interesting output is
-// the whole curve) return nil.
-func AblationOrderings(exp string) []Ordering {
-	switch exp {
-	case "adaptive": // A8
-		return []Ordering{
-			{Before: "phase/adaptive", After: "phase/static", Strict: true},
-			{Before: "phase/oracle", After: "phase/adaptive"},
-		}
-	case "cluster": // A9
-		// Strict against the affinity-blind baseline; flat treematch can tie
-		// exactly when both policies find the same optimal partition (the
-		// reduced 4-node shape does; see TestAblationCluster).
-		return []Ordering{
-			{Before: "cluster/hierarchical", After: "cluster/flat"},
-			{Before: "cluster/hierarchical", After: "cluster/rr-nodes", Strict: true},
-		}
-	case "rack": // A10
-		return []Ordering{
-			{Before: "rack/rack-aware", After: "rack/rack-blind", Strict: true},
-			{Before: "rack/rack-blind", After: "rack/flat", Strict: true},
-		}
-	case "hetero": // A11
-		return []Ordering{
-			{Before: "hetero/aware", After: "hetero/capacity-blind", Strict: true},
-			{Before: "hetero/capacity-blind", After: "hetero/depth-blind", Strict: true},
-		}
-	case "shift": // A12
-		return []Ordering{
-			{Before: "shift/adaptive-fabric", After: "shift/adaptive-flat", Strict: true},
-			{Before: "shift/adaptive-flat", After: "shift/static", Strict: true},
-			{Before: "shift/oracle", After: "shift/adaptive-fabric"},
-		}
-	case "torus": // A13
-		return []Ordering{
-			{Before: "torus/sfc", After: "torus/tree-matched", Strict: true},
-			{Before: "torus/tree-matched", After: "torus/rr", Strict: true},
-		}
-	case "fault": // A14
-		return []Ordering{
-			{Before: "fault/fault-aware", After: "fault/fault-blind", Strict: true},
-			{Before: "fault/fault-blind", After: "fault/static-respawn", Strict: true},
-			{Before: "fault/spread", After: "fault/static-respawn", Strict: true},
-		}
-	case "sched": // A15
-		return []Ordering{
-			{Before: "sched/topo-aware", After: "sched/topo-blind", Strict: true},
-			{Before: "sched/topo-blind", After: "sched/first-fit", Strict: true},
-		}
-	case "sched2": // A16
-		return []Ordering{
-			{Before: "sched2/full", After: "sched2/backfill", Strict: true},
-			{Before: "sched2/backfill", After: "sched2/fifo", Strict: true},
-		}
-	}
-	return nil
 }
 
 // CheckOrderings verifies every asserted ordering against a set of ablation

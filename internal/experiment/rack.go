@@ -9,10 +9,6 @@ import (
 	"repro/internal/topology"
 )
 
-// topologyNICBandwidth returns the default per-NIC fabric bandwidth, the
-// baseline for the oversubscribed-uplink default of RackCluster.
-func topologyNICBandwidth() float64 { return topology.DefaultAttrs().NetBandwidth }
-
 // The rack experiment (A10) exercises the multi-switch fabric: the same
 // hierarchical placement pipeline on a cluster whose nodes are split across
 // top-of-rack switches, with rack uplinks priced above NIC links. The
@@ -125,7 +121,7 @@ func RackCluster(cfg RackConfig) (*numasim.Platform, error) {
 	if fabric.UplinkBandwidthBytesPerSec == 0 {
 		bw := fabric.LinkBandwidthBytesPerSec
 		if bw == 0 {
-			bw = topologyNICBandwidth()
+			bw = topology.DefaultAttrs().NetBandwidth
 		}
 		fabric.UplinkBandwidthBytesPerSec = bw
 	}
@@ -134,151 +130,72 @@ func RackCluster(cfg RackConfig) (*numasim.Platform, error) {
 	return numasim.NewPlatformAttrs(spec, fabric.Defaults(), numasim.Config{})
 }
 
-// RackModes lists the placement arms of the rack ablation in report order:
+// rackArms are the placement arms of the rack ablation in report order:
 // fabric-aware three-level placement first (the speedup base), then the
 // fabric-blind hierarchical variant and flat TreeMatch.
-func RackModes() []string {
-	return []string{"rack-aware", "rack-blind", "flat"}
+var rackArms = []arm[placement.Policy]{
+	{"rack-aware", placement.Hierarchical{}},
+	{"rack-blind", placement.Hierarchical{NoFabricMatch: true}},
+	{"flat", placement.TreeMatch{}},
 }
 
-// buildRackStencil constructs the rack-skewed stencil: one task per core,
-// grouped into node-sized blocks. Task i of block b
+// rackStencil is the rack-skewed stencil on the shared node-block workload
+// (see blockStencil). Beyond its block's grid, task slot of block b
 //
-//   - reads HaloBytes from every other task of its block (the heavy
-//     all-to-all coupling that makes the blocks the min-cut partition
-//     groups: splitting a block anywhere cuts quadratically many heavy
-//     edges),
-//   - exchanges PairBytes with task i of the partner block b ± B/2 (the
+//   - exchanges PairBytes with task slot of the partner block b ± B/2 (the
 //     rack-decisive medium traffic: with B blocks numbered in partition
 //     order, pairs (b, b+B/2) always straddle the identity group→node
 //     assignment's rack split),
-//   - and, for task 0 only, exchanges LinkBytes with the next block (light
-//     connectivity so the affinity graph is one component).
-//
-// All volumes are whole bytes; the run is bit-deterministic.
-func buildRackStencil(rt *orwl.Runtime, cfg RackConfig) error {
-	cfg = cfg.withDefaults()
+//   - and, for slot 0 only, exchanges LinkBytes with the neighbouring blocks
+//     (light connectivity so the affinity graph is one component).
+func rackStencil(cfg RackConfig) blockStencil {
 	blocks := cfg.Racks * cfg.NodesPerRack
-	c := cfg.CoresPerNode
-	n := blocks * c
-	locs := make([]*orwl.Location, n)
-	for i := 0; i < n; i++ {
-		locs[i] = rt.NewLocation(fmt.Sprintf("blk%d.%d", i/c, i%c), cfg.BlockBytes)
-	}
-	cells := float64(cfg.BlockBytes / 8)
-	for i := 0; i < n; i++ {
-		b, slot := i/c, i%c
-		task := rt.AddTask(fmt.Sprintf("t%d.%d", b, slot), nil)
-		var reads []*orwl.Handle
-		addRead := func(peer int, vol float64) {
-			reads = append(reads, task.NewHandleVol(locs[peer], orwl.Read, vol, 0))
-		}
-		// Heavy stencil grid inside the node block: 2 rows of c/2 columns
-		// (one row when the block is too narrow).
-		gw := c / 2
-		if gw < 1 {
-			gw = 1
-		}
-		sx, sy := slot%gw, slot/gw
-		for _, d := range [][2]int{{0, -1}, {0, 1}, {1, 0}, {-1, 0}} {
-			nx, ny := sx+d[0], sy+d[1]
-			if nx < 0 || nx >= gw || ny < 0 || ny*gw+nx >= c {
-				continue
-			}
-			addRead(b*c+ny*gw+nx, cfg.HaloBytes)
-		}
-		// Medium pair exchange with the partner block.
-		addRead(((b+blocks/2)%blocks)*c+slot, cfg.PairBytes)
-		// Light connectivity ring over the blocks.
-		if slot == 0 && blocks > 2 {
-			addRead(((b+1)%blocks)*c, cfg.LinkBytes)
-			addRead(((b+blocks-1)%blocks)*c, cfg.LinkBytes)
-		}
-		w := task.NewHandleVol(locs[i], orwl.Write, cfg.HaloBytes, 1)
-		region := locs[i].Region()
-		block := cfg.BlockBytes
-		task.SetFunc(func(t *orwl.Task) error {
-			for it := 0; it < cfg.Iters; it++ {
-				last := it == cfg.Iters-1
-				for _, h := range reads {
-					if err := h.Acquire(); err != nil {
-						return err
-					}
-					if err := releaseOrNext(h, last); err != nil {
-						return err
-					}
-				}
-				if err := w.Acquire(); err != nil {
-					return err
-				}
-				if p := t.Proc(); p != nil {
-					p.Compute(11 * cells)
-					p.SweepWorkingSet(region, block)
-				}
-				if err := releaseOrNext(w, last); err != nil {
-					return err
-				}
-				t.EndIteration()
-			}
-			return nil
-		})
-	}
-	return nil
-}
-
-// rackPolicy returns the placement policy of one ablation arm.
-func rackPolicy(mode string) (placement.Policy, error) {
-	switch mode {
-	case "rack-aware":
-		return placement.Hierarchical{}, nil
-	case "rack-blind":
-		return placement.Hierarchical{NoFabricMatch: true}, nil
-	case "flat":
-		return placement.TreeMatch{}, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown rack mode %q", mode)
+	return blockStencil{
+		sizes: uniformBlocks(blocks, cfg.CoresPerNode),
+		iters: cfg.Iters, blockBytes: cfg.BlockBytes, haloBytes: cfg.HaloBytes,
+		extra: func(task *orwl.Task, b, slot int, at locAt) ([]*orwl.Handle, func(int)) {
+			reads := []*orwl.Handle{task.NewHandleVol(at((b+blocks/2)%blocks, slot), orwl.Read, cfg.PairBytes, 0)}
+			return append(reads, linkReads(task, b, slot, blocks, cfg.LinkBytes, at)...), nil
+		},
 	}
 }
 
-// RunRack executes the rack-skewed stencil under one placement mode and
-// returns its simulated processing time.
+// linkReads creates the light connectivity ring over the blocks: slot 0 of
+// every block reads the first slot of the next and the previous block.
+func linkReads(task *orwl.Task, b, slot, blocks int, vol float64, at locAt) []*orwl.Handle {
+	if slot != 0 || blocks <= 2 {
+		return nil
+	}
+	return []*orwl.Handle{
+		task.NewHandleVol(at((b+1)%blocks, 0), orwl.Read, vol, 0),
+		task.NewHandleVol(at((b+blocks-1)%blocks, 0), orwl.Read, vol, 0),
+	}
+}
+
+// RunRack executes the rack-skewed stencil under one placement mode (see
+// rackArms) and returns its simulated processing time.
 func RunRack(mode string, cfg RackConfig) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg = cfg.withDefaults()
-	pol, err := rackPolicy(mode)
+	pol, err := armPolicy("rack", rackArms, mode)
 	if err != nil {
 		return Result{}, err
 	}
+	return runRack(pol, cfg.withDefaults())
+}
+
+func runRack(pol placement.Policy, cfg RackConfig) (Result, error) {
 	cluster, err := RackCluster(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	mach := cluster.Machine()
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildRackStencil(rt, cfg); err != nil {
-		return Result{}, err
-	}
-	a, err := placement.Place(rt, pol)
+	run, err := runStencil(cluster.Machine(), cfg.Seed, rackStencil(cfg).build, pol, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	placement.SetContention(mach, a, nil)
-	placement.SetFabricContention(mach, a, rt.CommMatrix())
-	if err := rt.Run(); err != nil {
-		return Result{}, err
-	}
 	tasks := cfg.Racks * cfg.NodesPerRack * cfg.CoresPerNode
-	return Result{
-		Impl:     ORWLBind,
-		Cores:    tasks,
-		Blocks:   tasks,
-		Tasks:    tasks,
-		Seconds:  rt.MakespanSeconds(),
-		Policy:   a.Policy,
-		Strategy: a.Strategy.String(),
-	}, nil
+	return run.result(tasks, tasks), nil
 }
 
 // AblationRack (A10) compares the placement arms on the rack-skewed stencil.
@@ -287,20 +204,12 @@ func AblationRack(cfg RackConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
-	for _, mode := range RackModes() {
-		res, err := RunRack(mode, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation rack, %s: %w", mode, err)
-		}
-		rows = append(rows, AblationRow{
-			Name:    "rack/" + mode,
-			Seconds: res.Seconds,
-			Detail: fmt.Sprintf("%d racks x %d nodes x %d cores",
-				cfg.Racks, cfg.NodesPerRack, cfg.CoresPerNode),
+	detail := fmt.Sprintf("%d racks x %d nodes x %d cores", cfg.Racks, cfg.NodesPerRack, cfg.CoresPerNode)
+	return sweep("rack", rackArms,
+		func(pol placement.Policy) (Result, error) { return runRack(pol, cfg) },
+		func(_ arm[placement.Policy], res Result) AblationRow {
+			return AblationRow{Seconds: res.Seconds, Detail: detail}
 		})
-	}
-	return rows, nil
 }
 
 // RackConfigFrom derives the rack configuration from the common ablation

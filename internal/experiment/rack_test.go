@@ -54,8 +54,8 @@ func TestAblationRack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(rows) != len(RackModes()) {
-			t.Fatalf("%s: %d rows, want %d", name, len(rows), len(RackModes()))
+		if len(rows) != len(rackArms) {
+			t.Fatalf("%s: %d rows, want %d", name, len(rows), len(rackArms))
 		}
 		byName := map[string]float64{}
 		for _, r := range rows {
@@ -79,7 +79,8 @@ func TestAblationRack(t *testing.T) {
 // TestRunRackDeterministic pins bit-reproducibility of every arm.
 func TestRunRackDeterministic(t *testing.T) {
 	cfg := testRackCfg()
-	for _, mode := range RackModes() {
+	for _, arm := range rackArms {
+		mode := arm.name
 		a, err := RunRack(mode, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -105,10 +106,10 @@ func TestRackClusterShape(t *testing.T) {
 	if c.Racks() != 2 || c.Nodes() != 4 {
 		t.Fatalf("shape: %d racks, %d nodes", c.Racks(), c.Nodes())
 	}
-	f := c.Fabric()
-	if f.UplinkBandwidthBytesPerSec != f.LinkBandwidthBytesPerSec {
+	nic, uplink := c.FabricLevels()[0], c.FabricLevels()[1]
+	if uplink.BandwidthBytesPerSec != nic.BandwidthBytesPerSec {
 		t.Errorf("uplink bandwidth %.3g, want the oversubscribed NIC-class default %.3g",
-			f.UplinkBandwidthBytesPerSec, f.LinkBandwidthBytesPerSec)
+			uplink.BandwidthBytesPerSec, nic.BandwidthBytesPerSec)
 	}
 }
 

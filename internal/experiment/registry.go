@@ -1,0 +1,280 @@
+package experiment
+
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/sched"
+)
+
+// The study registry: the one place a study of the suite is declared.
+// cmd/ablate's dispatch, its -exp usage and the JSON report's identities,
+// AblationOrderings, BenchmarkAblation, the README experiment-table guard
+// and the bench/manifest.json exp resolution are all derived from the
+// Studies table, so adding a study means adding one entry here (plus its arm
+// table and, when it is gated, one bench/manifest.json tier).
+
+// Study is one runnable study of the suite.
+type Study struct {
+	// Name is the -exp selector; ID the stable identifier in reports (A1…
+	// for the ablations, S1… for the benchmark tiers).
+	Name, ID string
+	// Desc says what the study compares; Title prefixes it with the ID.
+	Desc string
+	// ByNameOnly excludes the study from "all": the benchmark tiers measure
+	// real wall time rather than simulated program time and would dominate
+	// a full ablation run.
+	ByNameOnly bool
+	// Orderings are the relations between the study's rows that every
+	// consumer asserts — the test suite, BenchmarkAblation and cmd/ablate
+	// -json check the same statements, so a placement regression cannot pass
+	// one gate and slip through another. Studies without a pinned ordering
+	// (the paper-reproduction sweeps, where the interesting output is the
+	// whole curve) have none.
+	Orderings []Ordering
+	// Cells are the default shape × seed configurations BenchmarkAblation
+	// sweeps, in order; the first is the reduced scale cmd/ablate runs by
+	// default. Empty for studies sized by their own flags.
+	Cells []Cell
+
+	run func(Config, Overrides) ([]AblationRow, error)
+}
+
+// Cell is one named shape × seed configuration of a study.
+type Cell struct {
+	Name   string
+	Config Config
+}
+
+// Title is the study's report heading, e.g. "A9: multi-node placement (…)".
+func (s Study) Title() string { return s.ID + ": " + s.Desc }
+
+// Run executes the study at the given scale.
+func (s Study) Run(cfg Config, o Overrides) ([]AblationRow, error) { return s.run(cfg, o) }
+
+// Overrides carries cmd/ablate's study-specific flag values to the studies
+// they reshape. The zero value keeps every study's defaults.
+type Overrides struct {
+	// ScaleTasks and ScaleNodes replace the grid of the scale study
+	// (-scale-tasks, -scale-nodes).
+	ScaleTasks, ScaleNodes []int
+	// FaultEvents replaces the fault study's default correlated
+	// kill+degrade scenario (-fault-kill, -fault-degrade, -fault-sever).
+	FaultEvents []FaultEventSpec
+	// The Sched fields reshape the job stream and set the domain scoring
+	// rule and required-tier-full policy of both scheduler studies
+	// (-sched-jobs, -sched-churn, -sched-constraints, -sched-fit,
+	// -sched-queue).
+	SchedJobs        int
+	SchedChurn       float64
+	SchedConstraints float64
+	SchedFit         sched.Fit
+	SchedQueue       sched.QueuePolicy
+	// Sched2Priorities and Sched2DefragThreshold set the priority-class
+	// count of the sched2 stream and the fragmentation weight arming its
+	// defragmentation (-sched2-priorities, -sched2-defrag-threshold).
+	Sched2Priorities      int
+	Sched2DefragThreshold float64
+}
+
+// sched applies the -sched-* overrides to a scheduler-study configuration.
+func (o Overrides) sched(sc SchedConfig) SchedConfig {
+	sc.Jobs, sc.Churn, sc.ConstraintFraction = o.SchedJobs, o.SchedChurn, o.SchedConstraints
+	sc.Fit, sc.Queue = o.SchedFit, o.SchedQueue
+	return sc
+}
+
+// Reduced is the scale cmd/ablate runs by default and the first cell of
+// every study: small enough that the whole suite takes seconds, large enough
+// that every asserted ordering holds.
+var Reduced = Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 7}
+
+// atCores is the reduced scale at another core count and seed, the knob the
+// fabric studies derive their platform shape from.
+func atCores(cores int, seed int64) Config {
+	c := Reduced
+	c.Cores, c.Seed = cores, seed
+	return c
+}
+
+var (
+	reducedCell = Cell{"reduced", Reduced}
+	// paperCells add the paper's full-scale configuration (16384², 100
+	// iterations, 24×8 cores).
+	paperCells = []Cell{reducedCell, {"paper", Config{Seed: 42}}}
+)
+
+// configOnly adapts a study that takes no overrides.
+func configOnly(run func(Config) ([]AblationRow, error)) func(Config, Overrides) ([]AblationRow, error) {
+	return func(c Config, _ Overrides) ([]AblationRow, error) { return run(c) }
+}
+
+// derived adapts a study that runs on its own configuration type, derived
+// from the common one, and takes no overrides.
+func derived[C any](from func(Config) C, run func(C) ([]AblationRow, error)) func(Config, Overrides) ([]AblationRow, error) {
+	return func(c Config, _ Overrides) ([]AblationRow, error) { return run(from(c)) }
+}
+
+// studies is the suite in report order.
+var studies = []Study{
+	{Name: "policies", ID: "A1", Desc: "placement policies (LK23, blocks = cores)",
+		Cells: paperCells, run: configOnly(AblationPolicies)},
+	{Name: "control", ID: "A2", Desc: "control-thread strategies",
+		Cells: paperCells, run: configOnly(AblationControlThreads)},
+	{Name: "oversub", ID: "A3", Desc: "oversubscription (blocks vs cores)",
+		Cells: paperCells, run: configOnly(AblationOversubscription)},
+	{Name: "granularity", ID: "A4", Desc: "block granularity",
+		Cells: paperCells, run: configOnly(AblationGranularity)},
+	{Name: "topology", ID: "A5", Desc: "topology shapes (192 cores each)",
+		Cells: paperCells, run: configOnly(AblationTopology)},
+	{Name: "distribute", ID: "A6", Desc: "NUMA distribution (cluster + distribute vs cluster only)",
+		Cells: paperCells, run: configOnly(AblationDistribution)},
+	{Name: "ompsched", ID: "A7", Desc: "OpenMP loop schedules vs bound ORWL",
+		Cells: paperCells, run: configOnly(AblationOMPSchedule)},
+	{Name: "adaptive", ID: "A8", Desc: "adaptive re-placement (static vs epoch feedback vs oracle)",
+		Orderings: []Ordering{
+			{Before: "phase/adaptive", After: "phase/static", Strict: true},
+			{Before: "phase/oracle", After: "phase/adaptive"},
+		},
+		Cells: []Cell{reducedCell},
+		run:   configOnly(AblationAdaptive)},
+	{Name: "cluster", ID: "A9", Desc: "multi-node placement (hierarchical vs flat vs rr-nodes vs one big node)",
+		// Strict against the affinity-blind baseline; flat treematch can tie
+		// exactly when both policies find the same optimal partition (the
+		// reduced 4-node shape does; see TestAblationCluster).
+		Orderings: []Ordering{
+			{Before: "cluster/hierarchical", After: "cluster/flat"},
+			{Before: "cluster/hierarchical", After: "cluster/rr-nodes", Strict: true},
+		},
+		Cells: []Cell{reducedCell, {"2x4", atCores(8, 42)}},
+		run:   derived(ClusterConfigFrom, AblationCluster)},
+	{Name: "rack", ID: "A10", Desc: "rack-tier fabric (fabric-aware vs fabric-blind vs flat treematch)",
+		Orderings: []Ordering{
+			{Before: "rack/rack-aware", After: "rack/rack-blind", Strict: true},
+			{Before: "rack/rack-blind", After: "rack/flat", Strict: true},
+		},
+		Cells: []Cell{reducedCell, {"2x2x8", atCores(32, 42)}},
+		run:   derived(RackConfigFrom, AblationRack)},
+	{Name: "hetero", ID: "A11", Desc: "heterogeneous pod-tier platform (aware vs capacity-blind vs depth-blind)",
+		Orderings: []Ordering{
+			{Before: "hetero/aware", After: "hetero/capacity-blind", Strict: true},
+			{Before: "hetero/capacity-blind", After: "hetero/depth-blind", Strict: true},
+		},
+		Cells: []Cell{reducedCell},
+		run:   derived(HeteroConfigFrom, AblationHetero)},
+	{Name: "shift", ID: "A12", Desc: "cross-fabric adaptive migration (static vs adaptive-flat vs adaptive-fabric vs oracle)",
+		Orderings: []Ordering{
+			{Before: "shift/adaptive-fabric", After: "shift/adaptive-flat", Strict: true},
+			{Before: "shift/adaptive-flat", After: "shift/static", Strict: true},
+			{Before: "shift/oracle", After: "shift/adaptive-fabric"},
+		},
+		Cells: []Cell{reducedCell, {"2x2x8", atCores(32, 42)}},
+		run:   derived(ShiftConfigFrom, AblationShift)},
+	{Name: "torus", ID: "A13", Desc: "torus halo exchange on the routed fabric (sfc vs tree-matched vs rr)",
+		Orderings: []Ordering{
+			{Before: "torus/sfc", After: "torus/tree-matched", Strict: true},
+			{Before: "torus/tree-matched", After: "torus/rr", Strict: true},
+		},
+		Cells: []Cell{reducedCell, {"4x4x4", atCores(64, 42)}},
+		run:   derived(TorusConfigFrom, AblationTorus)},
+	{Name: "fault", ID: "A14", Desc: "fault injection and mid-run resilience (fault-aware vs spread vs fault-blind vs static-respawn)",
+		Orderings: []Ordering{
+			{Before: "fault/fault-aware", After: "fault/fault-blind", Strict: true},
+			{Before: "fault/fault-blind", After: "fault/static-respawn", Strict: true},
+			{Before: "fault/spread", After: "fault/static-respawn", Strict: true},
+		},
+		Cells: []Cell{reducedCell, {"2x6x8", atCores(96, 42)}},
+		run: func(c Config, o Overrides) ([]AblationRow, error) {
+			fc := FaultConfigFrom(c)
+			fc.Events = o.FaultEvents
+			return AblationFault(fc)
+		}},
+	{Name: "sched", ID: "A15", Desc: "online multi-tenant scheduler (topo-aware vs topo-blind vs first-fit)",
+		Orderings: []Ordering{
+			{Before: "sched/topo-aware", After: "sched/topo-blind", Strict: true},
+			{Before: "sched/topo-blind", After: "sched/first-fit", Strict: true},
+		},
+		Cells: []Cell{reducedCell},
+		run: func(c Config, o Overrides) ([]AblationRow, error) {
+			return AblationSched(o.sched(SchedConfigFrom(c)))
+		}},
+	{Name: "sched2", ID: "A16", Desc: "phase-2 scheduler policies (backfill + preemption + defrag vs backfill-only vs fifo)",
+		Orderings: []Ordering{
+			{Before: "sched2/full", After: "sched2/backfill", Strict: true},
+			{Before: "sched2/backfill", After: "sched2/fifo", Strict: true},
+		},
+		Cells: []Cell{reducedCell},
+		run: func(c Config, o Overrides) ([]AblationRow, error) {
+			sc := o.sched(Sched2ConfigFrom(c))
+			sc.PriorityClasses, sc.DefragThreshold = o.Sched2Priorities, o.Sched2DefragThreshold
+			return AblationSched2(sc)
+		}},
+	{Name: "scale", ID: "S1", Desc: "placement latency at datacenter scale (wall time)",
+		ByNameOnly: true,
+		run: func(c Config, o Overrides) ([]AblationRow, error) {
+			sc := ScaleConfigFrom(c)
+			sc.Tasks, sc.Nodes = o.ScaleTasks, o.ScaleNodes
+			return AblationScale(sc)
+		}},
+}
+
+// Studies returns the suite in report order.
+func Studies() []Study { return append([]Study(nil), studies...) }
+
+// SelectStudies resolves an -exp value — one name, "all", or a
+// comma-separated list of either — against the suite, preserving report
+// order. "all" stands for every study not marked ByNameOnly; those run only
+// when named.
+func SelectStudies(exp string) ([]Study, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		known := name == "all"
+		for _, s := range studies {
+			if s.Name == name || (name == "all" && !s.ByNameOnly) {
+				want[s.Name], known = true, true
+			}
+		}
+		if !known {
+			return nil, fmt.Errorf("unknown experiment %q", name)
+		}
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", exp)
+	}
+	var out []Study
+	for _, s := range studies {
+		if want[s.Name] {
+			out = append(out, s)
+		}
+	}
+	return out, nil
+}
+
+// ExpUsage renders the -exp flag's usage from the registry.
+func ExpUsage() string {
+	var names, byName []string
+	for _, s := range studies {
+		names = append(names, s.Name)
+		if s.ByNameOnly {
+			byName = append(byName, s.Name)
+		}
+	}
+	return fmt.Sprintf("study: %s, all (a comma-separated list selects several; all excludes %s)",
+		strings.Join(names, ", "), strings.Join(byName, ", "))
+}
+
+// AblationOrderings returns the asserted orderings of one study, identified
+// by its -exp name (nil for unknown names and studies without a pinned
+// ordering).
+func AblationOrderings(exp string) []Ordering {
+	for _, s := range studies {
+		if s.Name == exp {
+			return s.Orderings
+		}
+	}
+	return nil
+}

@@ -13,15 +13,16 @@ func TestAblationSched2Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	cfg := Sched2Config{}.withDefaults()
+	cfg := SchedConfig{}.sched2Defaults()
 	if len(cfg.Shapes) < 2 || len(cfg.Seeds) < 2 {
 		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(cfg.Shapes), len(cfg.Seeds))
 	}
 	for _, shape := range cfg.Shapes {
 		for _, seed := range cfg.Seeds {
 			agg := map[string]float64{}
-			for _, mode := range Sched2Modes() {
-				rep, err := RunSched2Cell(mode, shape, seed, cfg)
+			for _, arm := range sched2Arms {
+				mode := arm.name
+				rep, err := runSchedCell(arm.policy, shape, seed, cfg)
 				if err != nil {
 					t.Fatalf("%s shape %q seed %d: %v", mode, shape, seed, err)
 				}
@@ -50,12 +51,12 @@ func TestAblationSched2Rows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	rows, err := AblationSched2(Sched2Config{})
+	rows, err := AblationSched2(SchedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(Sched2Modes()) {
-		t.Fatalf("%d rows, want %d", len(rows), len(Sched2Modes()))
+	if len(rows) != len(sched2Arms) {
+		t.Fatalf("%d rows, want %d", len(rows), len(sched2Arms))
 	}
 	for _, r := range rows {
 		if r.Seconds <= 0 {
@@ -73,15 +74,15 @@ func TestAblationSched2Rows(t *testing.T) {
 		t.Errorf("registered sched2 orderings violated: %v", err)
 	}
 
-	full, err := RunSched2("full", Sched2Config{})
+	full, err := RunSched2("full", SchedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := RunSched2("backfill", Sched2Config{})
+	bf, err := RunSched2("backfill", SchedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := RunSched2("fifo", Sched2Config{})
+	fifo, err := RunSched2("fifo", SchedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +109,15 @@ func TestAblationSched2Rows(t *testing.T) {
 func TestSched2ConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Sched2Config
+		cfg  SchedConfig
 		want string
 	}{
-		{"bad shape", Sched2Config{Shapes: []string{"nonsense"}}, "shape"},
-		{"bad tier", Sched2Config{RequiredTier: "closet"}, "tier"},
-		{"negative churn", Sched2Config{Churn: -1}, "churn"},
-		{"threshold above one", Sched2Config{DefragThreshold: 1.5}, "threshold"},
-		{"bad long fraction", Sched2Config{LongFraction: 2}, "long fraction"},
-		{"bad mode reaches RunSched2", Sched2Config{}, ""},
+		{"bad shape", SchedConfig{Shapes: []string{"nonsense"}}, "shape"},
+		{"bad tier", SchedConfig{RequiredTier: "closet"}, "tier"},
+		{"negative churn", SchedConfig{Churn: -1}, "churn"},
+		{"threshold above one", SchedConfig{DefragThreshold: 1.5}, "threshold"},
+		{"bad long fraction", SchedConfig{LongFraction: 2}, "long fraction"},
+		{"bad mode reaches RunSched2", SchedConfig{}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,7 +128,7 @@ func TestSched2ConfigValidate(t *testing.T) {
 				}
 				return
 			}
-			err := tc.cfg.Validate()
+			err := tc.cfg.sched2Defaults().Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate() = %v, want mention of %q", err, tc.want)
 			}

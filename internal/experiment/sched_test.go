@@ -21,8 +21,9 @@ func TestAblationSchedOrdering(t *testing.T) {
 	for _, shape := range cfg.Shapes {
 		for _, seed := range cfg.Seeds {
 			agg := map[string]float64{}
-			for _, mode := range SchedModes() {
-				rep, err := RunSchedCell(mode, shape, seed, cfg)
+			for _, arm := range schedArms {
+				mode := arm.name
+				rep, err := runSchedCell(arm.policy, shape, seed, cfg)
 				if err != nil {
 					t.Fatalf("%s shape %q seed %d: %v", mode, shape, seed, err)
 				}
@@ -55,8 +56,8 @@ func TestAblationSchedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(SchedModes()) {
-		t.Fatalf("%d rows, want %d", len(rows), len(SchedModes()))
+	if len(rows) != len(schedArms) {
+		t.Fatalf("%d rows, want %d", len(rows), len(schedArms))
 	}
 	for _, r := range rows {
 		if r.Seconds <= 0 {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/numasim"
 	"repro/internal/orwl"
 	"repro/internal/placement"
 )
@@ -25,85 +24,39 @@ import (
 
 // ShiftConfig parameterizes one rack-crossing phase-shift run.
 type ShiftConfig struct {
-	// Racks is the number of top-of-rack switches (default 2, minimum 2 so
-	// the uplinks exist).
-	Racks int
-	// NodesPerRack is the number of cluster nodes under each switch
-	// (default 2). Racks*NodesPerRack must be even and at least 4, so both
-	// phases' block pairings are well defined.
-	NodesPerRack int
-	// CoresPerNode and CoresPerSocket shape each machine (defaults 8 and 4).
-	CoresPerNode, CoresPerSocket int
-	// Iters is the total iteration count (default 30); the pattern shifts
-	// after ShiftAt iterations (default 2*Iters/5, so the post-shift phase
-	// dominates the run).
-	Iters, ShiftAt int
-	// BlockBytes is each task's working set (default 1 MiB): the data it
-	// sweeps per iteration and drags over the fabric when migrated.
-	BlockBytes int64
-	// HaloBytes is the per-iteration volume exchanged between grid
-	// neighbours inside a node-sized block (default 256 KiB): the heavy
-	// stationary coupling that makes the blocks the min-cut partition
-	// groups in both phases.
-	HaloBytes float64
-	// PairBytes is the per-iteration volume between slot-aligned tasks of
-	// partnered blocks (default 320 KiB): the traffic whose rack placement
-	// the phases rotate. Phase one pairs diametric blocks (b, b+B/2) — the
-	// A10 structure, which the fabric matching co-racks; phase two pairs
-	// adjacent blocks (b, b^1), which straddle the phase-one rack split.
-	PairBytes float64
-	// LinkBytes is the light connectivity volume between consecutive blocks
-	// (default 32 KiB), active through both phases.
-	LinkBytes float64
+	// RackConfig shapes the platform and the stationary part of the stencil
+	// exactly as in the A10 rack scenario, with two defaults of its own:
+	// Iters 30 and BlockBytes 1 MiB (the data a task drags over the fabric
+	// when migrated). Racks*NodesPerRack must be at least 4 and CoresPerNode
+	// at least 2, so both phases' block pairings are well defined. PairBytes
+	// is the traffic whose rack placement the phases rotate: phase one pairs
+	// diametric blocks (b, b+B/2) — the A10 structure, which the fabric
+	// matching co-racks; phase two pairs adjacent blocks (b, b^1), which
+	// straddle the phase-one rack split.
+	RackConfig
+	// ShiftAt is the iteration after which the pattern shifts (default
+	// 2*Iters/5, so the post-shift phase dominates the run).
+	ShiftAt int
 	// EpochIters is the re-placement interval (default 3).
 	EpochIters int
 	// Hysteresis and WindowDecay tune the adaptive engine (see
 	// placement.AdaptiveOptions).
 	Hysteresis, WindowDecay float64
-	// Fabric overrides the interconnect parameters; zero fields keep the
-	// defaults (10GbE-class NICs and, as in the A10 scenario, a single
-	// oversubscribed NIC-class uplink per rack).
-	Fabric numasim.Fabric
-	// Seed drives the simulated OS scheduler.
-	Seed int64
 }
 
 func (c ShiftConfig) withDefaults() ShiftConfig {
-	if c.Racks == 0 {
-		c.Racks = 2
-	}
-	if c.NodesPerRack == 0 {
-		c.NodesPerRack = 2
-	}
-	if c.CoresPerNode == 0 {
-		c.CoresPerNode = 8
-	}
-	if c.CoresPerSocket == 0 {
-		c.CoresPerSocket = 4
-	}
 	if c.Iters == 0 {
 		c.Iters = 30
-	}
-	if c.ShiftAt == 0 {
-		// The shift lands early (at 2/5 of the run) so the post-shift phase
-		// dominates: one-shot placement spends most of the run wrong, and an
-		// engine that migrates has time to amortize the bill.
-		c.ShiftAt = c.Iters * 2 / 5
-		if c.ShiftAt < 1 {
-			c.ShiftAt = 1
-		}
 	}
 	if c.BlockBytes == 0 {
 		c.BlockBytes = 1 << 20
 	}
-	if c.HaloBytes == 0 {
-		c.HaloBytes = 256 << 10
-	}
-	if c.PairBytes == 0 {
-		c.PairBytes = 320 << 10
-	}
-	if c.LinkBytes == 0 {
-		c.LinkBytes = 32 << 10
+	c.RackConfig = c.RackConfig.withDefaults()
+	if c.ShiftAt == 0 {
+		// The shift lands early (at 2/5 of the run) so the post-shift phase
+		// dominates: one-shot placement spends most of the run wrong, and an
+		// engine that migrates has time to amortize the bill.
+		c.ShiftAt = max(c.Iters*2/5, 1)
 	}
 	if c.EpochIters == 0 {
 		c.EpochIters = 3
@@ -114,51 +67,42 @@ func (c ShiftConfig) withDefaults() ShiftConfig {
 // Validate rejects configurations the shift pipeline cannot run.
 func (c ShiftConfig) Validate() error {
 	d := c.withDefaults()
-	blocks := d.Racks * d.NodesPerRack
-	switch {
-	case d.Racks < 2:
-		return fmt.Errorf("experiment: shift scenario needs at least 2 racks, got %d", d.Racks)
-	case d.NodesPerRack < 1:
-		return fmt.Errorf("experiment: invalid nodes per rack %d", d.NodesPerRack)
-	case blocks < 4 || blocks%2 != 0:
+	if err := d.RackConfig.Validate(); err != nil {
+		return err
+	}
+	switch blocks := d.Racks * d.NodesPerRack; {
+	case blocks < 4:
 		return fmt.Errorf("experiment: shift scenario needs an even block count >= 4, got %d", blocks)
-	case d.CoresPerNode < 2 || d.CoresPerSocket < 1:
+	case d.CoresPerNode < 2:
 		return fmt.Errorf("experiment: invalid node shape %d cores / %d per socket", d.CoresPerNode, d.CoresPerSocket)
-	case d.CoresPerNode%d.CoresPerSocket != 0:
-		return fmt.Errorf("experiment: %d cores per node not divisible into sockets of %d", d.CoresPerNode, d.CoresPerSocket)
 	case d.Iters < 2 || d.ShiftAt < 1 || d.ShiftAt >= d.Iters:
 		return fmt.Errorf("experiment: shift at iteration %d outside the %d-iteration run", d.ShiftAt, d.Iters)
 	case d.EpochIters < 1:
 		return fmt.Errorf("experiment: epoch interval %d must be positive", d.EpochIters)
-	case d.BlockBytes < 0 || d.HaloBytes < 0 || d.PairBytes < 0 || d.LinkBytes < 0:
-		return fmt.Errorf("experiment: negative volume in shift config")
 	}
 	return nil
 }
 
-// ShiftCluster builds the simulated multi-switch cluster for a
-// configuration: the same platform shape and oversubscribed-uplink default
-// as the A10 rack scenario (RackCluster) — a single NIC-class trunk per
-// rack, so rack-crossing traffic pays for itself in bandwidth as well as
-// latency.
-func ShiftCluster(cfg ShiftConfig) (*numasim.Platform, error) {
-	cfg = cfg.withDefaults()
-	return RackCluster(RackConfig{
-		Racks:          cfg.Racks,
-		NodesPerRack:   cfg.NodesPerRack,
-		CoresPerNode:   cfg.CoresPerNode,
-		CoresPerSocket: cfg.CoresPerSocket,
-		Fabric:         cfg.Fabric,
-	})
-}
-
-// ShiftModes lists the placement arms of the shift ablation in report
-// order: the one-shot hierarchical pipeline first (the speedup base), then
-// the adaptive engine with flat TreeMatch candidates, the adaptive engine
-// with hierarchical (fabric-aware) candidates, and the free-migration
-// oracle bound.
-func ShiftModes() []string {
-	return []string{"static", "adaptive-flat", "adaptive-fabric", "oracle"}
+// shiftArms are the placement arms of the shift ablation in report order; a
+// nil entry is the engine-less one-shot pipeline.
+var shiftArms = []arm[*placement.AdaptiveOptions]{
+	// The one-shot hierarchical pipeline — node partition plus fabric
+	// matching from the static affinity matrix, never revisited. The speedup
+	// base.
+	{"static", nil},
+	// The paper's flat pipeline made adaptive: TreeMatch on the whole fused
+	// cluster tree both for the initial placement and for every epoch's
+	// candidate — it reacts to the shift, but neither stage optimizes the
+	// fabric cut explicitly.
+	{"adaptive-flat", &placement.AdaptiveOptions{Base: placement.TreeMatch{}, Candidate: placement.TreeMatch{}}},
+	// Hierarchical candidates: every epoch re-runs the node partition and
+	// fabric-tree matching on the measured window, prices the inter-node
+	// moves through the fabric hop walk, and refreshes the per-link
+	// contention after committing.
+	{"adaptive-fabric", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, Candidate: placement.Hierarchical{}}},
+	// adaptive-fabric with free migration and no hysteresis, the upper bound
+	// on what re-placement could gain.
+	{"oracle", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, Candidate: placement.Hierarchical{}, FreeMigration: true}},
 }
 
 // ShiftResult reports one rack-crossing phase-shift run.
@@ -172,201 +116,78 @@ type ShiftResult struct {
 
 // String renders a one-line summary.
 func (r ShiftResult) String() string {
-	return fmt.Sprintf("%-15s time=%8.3fs epochs=%d applied=%d rebinds=%d cross-node=%d cross-rack=%d",
-		r.Mode, r.Seconds, r.Stats.Epochs, r.Stats.Applied, r.Stats.Rebinds,
-		r.Stats.CrossNodeRebinds, r.Stats.CrossRackRebinds)
+	return fmt.Sprintf("%-15s time=%8.3fs %s", r.Mode, r.Seconds, shiftDetail(r.Stats))
 }
 
-// buildShift constructs the rack-crossing phase-shift workload: one task per
-// core, grouped into node-sized blocks. Task i of block b
+// shiftDetail renders the engine's decision counters with the cross-fabric
+// move split.
+func shiftDetail(st placement.AdaptiveStats) string {
+	return fmt.Sprintf("%s cross-node=%d cross-rack=%d", adaptiveDetail(st), st.CrossNodeRebinds, st.CrossRackRebinds)
+}
+
+// shiftStencil is the rack-crossing phase-shift workload on the shared
+// node-block workload (see blockStencil): the A10 rack stencil whose pair
+// exchange rotates mid-run. Beyond its block's grid, task slot of block b
 //
-//   - reads HaloBytes from its grid neighbours inside the block (a 2-row
-//     stencil grid, the heavy stationary coupling that keeps the blocks the
-//     min-cut partition groups in both phases),
-//   - exchanges PairBytes with task i of the diametric partner block
-//     (b+B/2)%B during phase one, and with task i of the adjacent block
+//   - exchanges PairBytes with task slot of the diametric partner block
+//     (b+B/2)%B during phase one, and with task slot of the adjacent block
 //     b^1 during phase two (the inactive partner carries 8 bytes; the
 //     volumes swap at ShiftAt via Handle.SetVolume),
-//   - and writes its own block location.
+//   - and, for slot 0 only, exchanges LinkBytes with the neighbouring blocks
+//     through both phases, so the affinity graph stays one component.
 //
 // With blocks numbered 0..B-1 and the fabric matching co-racking the
 // phase-one diametric pairs {b, b+B/2}, the phase-two pairing (b, b^1)
 // straddles the racks (each rack holds whole phase-one pairs, never both
 // members of an adjacent pair), so a placement frozen at phase one funnels
-// all pair traffic over the uplinks. All volumes are whole bytes, so the
-// run is bit-deterministic regardless of goroutine interleaving.
-func buildShift(rt *orwl.Runtime, cfg ShiftConfig) error {
-	cfg = cfg.withDefaults()
-	blocks := cfg.Racks * cfg.NodesPerRack
-	c := cfg.CoresPerNode
-	n := blocks * c
-	locs := make([]*orwl.Location, n)
-	for i := 0; i < n; i++ {
-		locs[i] = rt.NewLocation(fmt.Sprintf("blk%d.%d", i/c, i%c), cfg.BlockBytes)
-	}
-	cells := float64(cfg.BlockBytes / 8)
-	for i := 0; i < n; i++ {
-		b, slot := i/c, i%c
-		task := rt.AddTask(fmt.Sprintf("t%d.%d", b, slot), nil)
-		var halos []*orwl.Handle
-		// Heavy stencil grid inside the node block: 2 rows of c/2 columns
-		// (one row when the block is too narrow).
-		gw := c / 2
-		if gw < 1 {
-			gw = 1
-		}
-		sx, sy := slot%gw, slot/gw
-		for _, d := range [][2]int{{0, -1}, {0, 1}, {1, 0}, {-1, 0}} {
-			nx, ny := sx+d[0], sy+d[1]
-			if nx < 0 || nx >= gw || ny < 0 || ny*gw+nx >= c {
-				continue
-			}
-			halos = append(halos, task.NewHandleVol(locs[b*c+ny*gw+nx], orwl.Read, cfg.HaloBytes, 0))
-		}
-		// The two pair partners: diametric block in phase one (the A10
-		// structure), adjacent block in phase two. Both handles exist for
-		// the whole run (the handle set is fixed at build time); the
-		// volumes swap at the shift.
-		p1 := task.NewHandleVol(locs[((b+blocks/2)%blocks)*c+slot], orwl.Read, cfg.PairBytes, 0)
-		p2 := task.NewHandleVol(locs[(b^1)*c+slot], orwl.Read, phaseShiftEps, 0)
-		// Light connectivity ring over the blocks, active through both
-		// phases, so the affinity graph stays one component.
-		if slot == 0 && blocks > 2 {
-			for _, peer := range []int{(b + 1) % blocks, (b + blocks - 1) % blocks} {
-				halos = append(halos, task.NewHandleVol(locs[peer*c], orwl.Read, cfg.LinkBytes, 0))
+// all pair traffic over the uplinks.
+func shiftStencil(cfg ShiftConfig) blockStencil {
+	s := rackStencil(cfg.RackConfig)
+	blocks := len(s.sizes)
+	s.extra = func(task *orwl.Task, b, slot int, at locAt) ([]*orwl.Handle, func(int)) {
+		// Both pair handles exist for the whole run (the handle set is fixed
+		// at build time); they are acquired after the link reads.
+		p1 := task.NewHandleVol(at((b+blocks/2)%blocks, slot), orwl.Read, cfg.PairBytes, 0)
+		p2 := task.NewHandleVol(at(b^1, slot), orwl.Read, phaseShiftEps, 0)
+		reads := append(linkReads(task, b, slot, blocks, cfg.LinkBytes, at), p1, p2)
+		return reads, func(it int) {
+			if it == cfg.ShiftAt {
+				// The pattern rotates across the rack boundaries: the
+				// diametric partner goes quiet, the adjacent one wakes.
+				p1.SetVolume(phaseShiftEps)
+				p2.SetVolume(cfg.PairBytes)
 			}
 		}
-		w := task.NewHandleVol(locs[i], orwl.Write, cfg.HaloBytes, 1)
-		region := locs[i].Region()
-		block := cfg.BlockBytes
-		task.SetFunc(func(t *orwl.Task) error {
-			for it := 0; it < cfg.Iters; it++ {
-				if it == cfg.ShiftAt {
-					// The pattern rotates across the rack boundaries: the
-					// diametric partner goes quiet, the adjacent one wakes.
-					p1.SetVolume(phaseShiftEps)
-					p2.SetVolume(cfg.PairBytes)
-				}
-				last := it == cfg.Iters-1
-				for _, h := range halos {
-					if err := h.Acquire(); err != nil {
-						return err
-					}
-					if err := releaseOrNext(h, last); err != nil {
-						return err
-					}
-				}
-				for _, h := range []*orwl.Handle{p1, p2} {
-					if err := h.Acquire(); err != nil {
-						return err
-					}
-					if err := releaseOrNext(h, last); err != nil {
-						return err
-					}
-				}
-				if err := w.Acquire(); err != nil {
-					return err
-				}
-				if p := t.Proc(); p != nil {
-					p.Compute(11 * cells) // LK23's flops per cell
-					p.SweepWorkingSet(region, block)
-				}
-				if err := releaseOrNext(w, last); err != nil {
-					return err
-				}
-				t.EndIteration()
-			}
-			return nil
-		})
 	}
-	return nil
-}
-
-// shiftPolicies returns the initial (base) and per-epoch candidate policies
-// of one shift arm (nil policies for the engine-less static mode).
-func shiftPolicies(mode string) (base, cand placement.Policy, err error) {
-	switch mode {
-	case "static":
-		return nil, nil, nil
-	case "adaptive-flat":
-		// The paper's flat pipeline made adaptive: TreeMatch on the whole
-		// fused cluster tree both for the initial placement and for every
-		// epoch's candidate — it reacts to the shift, but neither stage
-		// optimizes the fabric cut explicitly.
-		return placement.TreeMatch{}, placement.TreeMatch{}, nil
-	case "adaptive-fabric", "oracle":
-		return placement.Hierarchical{}, placement.Hierarchical{}, nil
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown shift mode %q", mode)
-	}
+	return s
 }
 
 // RunShift executes the rack-crossing phase-shift workload under one
-// placement mode:
-//
-//   - "static": the one-shot hierarchical pipeline — node partition plus
-//     fabric matching from the static affinity matrix, never revisited;
-//   - "adaptive-flat": the epoch-based engine with flat TreeMatch
-//     candidates — it reacts to the shift, but re-groups bottom-up over the
-//     whole fused cluster tree instead of optimizing the fabric cut;
-//   - "adaptive-fabric": the engine with hierarchical candidates — every
-//     epoch re-runs the node partition and fabric-tree matching on the
-//     measured window, prices the inter-node moves through the fabric hop
-//     walk, and refreshes the per-link contention after committing;
-//   - "oracle": adaptive-fabric with free migration and no hysteresis, the
-//     upper bound on what re-placement could gain.
+// placement mode (see shiftArms).
 func RunShift(mode string, cfg ShiftConfig) (ShiftResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ShiftResult{}, err
 	}
-	cfg = cfg.withDefaults()
-	base, cand, err := shiftPolicies(mode)
+	a, err := armPolicy("shift", shiftArms, mode)
 	if err != nil {
 		return ShiftResult{}, err
 	}
-	cluster, err := ShiftCluster(cfg)
+	res, err := runShift(a, cfg.withDefaults())
+	res.Mode = mode
+	return res, err
+}
+
+func runShift(a *placement.AdaptiveOptions, cfg ShiftConfig) (ShiftResult, error) {
+	cluster, err := RackCluster(cfg.RackConfig)
 	if err != nil {
 		return ShiftResult{}, err
 	}
-	mach := cluster.Machine()
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildShift(rt, cfg); err != nil {
+	run, err := runStencil(cluster.Machine(), cfg.Seed, shiftStencil(cfg).build,
+		placement.Hierarchical{}, tuned(a, cfg.EpochIters, cfg.Hysteresis, cfg.WindowDecay))
+	if err != nil {
 		return ShiftResult{}, err
 	}
-	var eng *placement.AdaptiveEngine
-	var a *placement.Assignment
-	if cand == nil {
-		a, err = placement.Place(rt, placement.Hierarchical{})
-		if err != nil {
-			return ShiftResult{}, err
-		}
-	} else {
-		eng, err = placement.PlaceAdaptive(rt, placement.AdaptiveOptions{
-			Base:          base,
-			Candidate:     cand,
-			EpochIters:    cfg.EpochIters,
-			Hysteresis:    cfg.Hysteresis,
-			WindowDecay:   cfg.WindowDecay,
-			FreeMigration: mode == "oracle",
-		})
-		if err != nil {
-			return ShiftResult{}, err
-		}
-		a = eng.Assignment()
-	}
-	placement.SetContention(mach, a, nil)
-	placement.SetFabricContention(mach, a, rt.CommMatrix())
-	if err := rt.Run(); err != nil {
-		return ShiftResult{}, err
-	}
-	res := ShiftResult{Mode: mode, Seconds: rt.MakespanSeconds()}
-	if eng != nil {
-		if err := eng.Err(); err != nil {
-			return ShiftResult{}, err
-		}
-		res.Stats = eng.Stats()
-	}
-	return res, nil
+	return ShiftResult{Seconds: run.seconds, Stats: run.stats}, nil
 }
 
 // AblationShift (A12) compares the placement arms on the rack-crossing
@@ -377,41 +198,22 @@ func AblationShift(cfg ShiftConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
-	for _, mode := range ShiftModes() {
-		res, err := RunShift(mode, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation shift, %s: %w", mode, err)
-		}
-		detail := fmt.Sprintf("%d racks x %d nodes x %d cores",
-			cfg.Racks, cfg.NodesPerRack, cfg.CoresPerNode)
-		if mode != "static" {
-			detail = fmt.Sprintf("epochs=%d applied=%d rebinds=%d cross-node=%d cross-rack=%d",
-				res.Stats.Epochs, res.Stats.Applied, res.Stats.Rebinds,
-				res.Stats.CrossNodeRebinds, res.Stats.CrossRackRebinds)
-		}
-		rows = append(rows, AblationRow{Name: "shift/" + mode, Seconds: res.Seconds, Detail: detail})
-	}
-	return rows, nil
+	return sweep("shift", shiftArms,
+		func(a *placement.AdaptiveOptions) (ShiftResult, error) { return runShift(a, cfg) },
+		func(a arm[*placement.AdaptiveOptions], res ShiftResult) AblationRow {
+			detail := fmt.Sprintf("%d racks x %d nodes x %d cores", cfg.Racks, cfg.NodesPerRack, cfg.CoresPerNode)
+			if a.policy != nil {
+				detail = shiftDetail(res.Stats)
+			}
+			return AblationRow{Seconds: res.Seconds, Detail: detail}
+		})
 }
 
 // ShiftConfigFrom derives the shift configuration from the common ablation
-// Config: 2 racks of fixed 8-core nodes, the node count scaled so the total
-// core count comes close to cfg.Cores (minimum 2 nodes per rack so both
-// phases' pairings exist). As in A10, the node shape stays fixed because
-// the scenario's volume ratios are calibrated per node; scale comes from
-// more nodes per rack.
+// Config: the A10 shape rule (RackConfigFrom) with a floor of 2 nodes per
+// rack so both phases' pairings exist.
 func ShiftConfigFrom(cfg Config) ShiftConfig {
-	cfg = cfg.withDefaults()
-	perRack := cfg.Cores / 16
-	if perRack < 2 {
-		perRack = 2
-	}
-	return ShiftConfig{
-		Racks:          2,
-		NodesPerRack:   perRack,
-		CoresPerNode:   8,
-		CoresPerSocket: 4,
-		Seed:           cfg.Seed,
-	}
+	rc := RackConfigFrom(cfg)
+	rc.NodesPerRack = max(rc.NodesPerRack, 2)
+	return ShiftConfig{RackConfig: rc}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func testShiftCfg() ShiftConfig {
-	return ShiftConfig{Seed: 42}
+	return ShiftConfig{RackConfig: RackConfig{Seed: 42}}
 }
 
 // TestAblationShift is the A12 acceptance property: on the rack-crossing
@@ -20,9 +20,9 @@ func testShiftCfg() ShiftConfig {
 func TestAblationShift(t *testing.T) {
 	shapes := map[string]ShiftConfig{
 		"2x2x8":  testShiftCfg(),
-		"4x2x8":  {Racks: 4, Seed: 42},
-		"2x3x8":  {NodesPerRack: 3, Seed: 42},
-		"2x2x12": {CoresPerNode: 12, CoresPerSocket: 6, Seed: 42},
+		"4x2x8":  {RackConfig: RackConfig{Racks: 4, Seed: 42}},
+		"2x3x8":  {RackConfig: RackConfig{NodesPerRack: 3, Seed: 42}},
+		"2x2x12": {RackConfig: RackConfig{CoresPerNode: 12, CoresPerSocket: 6, Seed: 42}},
 	}
 	for name, cfg := range shapes {
 		var prev map[string]float64
@@ -32,8 +32,8 @@ func TestAblationShift(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
-			if len(rows) != len(ShiftModes()) {
-				t.Fatalf("%s seed=%d: %d rows, want %d", name, seed, len(rows), len(ShiftModes()))
+			if len(rows) != len(shiftArms) {
+				t.Fatalf("%s seed=%d: %d rows, want %d", name, seed, len(rows), len(shiftArms))
 			}
 			byName := map[string]float64{}
 			for _, r := range rows {
@@ -131,7 +131,8 @@ func TestShiftNoIntraNodeChurn(t *testing.T) {
 
 // TestRunShiftDeterministic pins bit-reproducibility of every arm.
 func TestRunShiftDeterministic(t *testing.T) {
-	for _, mode := range ShiftModes() {
+	for _, arm := range shiftArms {
+		mode := arm.name
 		a, err := RunShift(mode, testShiftCfg())
 		if err != nil {
 			t.Fatal(err)
@@ -154,14 +155,14 @@ func TestShiftValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", ShiftConfig{}, true},
-		{"one rack", ShiftConfig{Racks: 1}, false},
-		{"odd blocks", ShiftConfig{Racks: 3, NodesPerRack: 1}, false},
-		{"two blocks", ShiftConfig{Racks: 2, NodesPerRack: 1}, false},
-		{"indivisible sockets", ShiftConfig{CoresPerNode: 10, CoresPerSocket: 4}, false},
-		{"one-core nodes", ShiftConfig{CoresPerNode: 1, CoresPerSocket: 1}, false},
-		{"shift after end", ShiftConfig{Iters: 10, ShiftAt: 10}, false},
-		{"negative pair volume", ShiftConfig{PairBytes: -1}, false},
-		{"negative link volume", ShiftConfig{LinkBytes: -1}, false},
+		{"one rack", ShiftConfig{RackConfig: RackConfig{Racks: 1}}, false},
+		{"odd blocks", ShiftConfig{RackConfig: RackConfig{Racks: 3, NodesPerRack: 1}}, false},
+		{"two blocks", ShiftConfig{RackConfig: RackConfig{Racks: 2, NodesPerRack: 1}}, false},
+		{"indivisible sockets", ShiftConfig{RackConfig: RackConfig{CoresPerNode: 10, CoresPerSocket: 4}}, false},
+		{"one-core nodes", ShiftConfig{RackConfig: RackConfig{CoresPerNode: 1, CoresPerSocket: 1}}, false},
+		{"shift after end", ShiftConfig{RackConfig: RackConfig{Iters: 10}, ShiftAt: 10}, false},
+		{"negative pair volume", ShiftConfig{RackConfig: RackConfig{PairBytes: -1}}, false},
+		{"negative link volume", ShiftConfig{RackConfig: RackConfig{LinkBytes: -1}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

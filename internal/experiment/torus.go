@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/numasim"
 	"repro/internal/orwl"
@@ -162,13 +161,20 @@ func TorusCluster(cfg TorusConfig) (*numasim.Platform, error) {
 	return numasim.NewPlatformAttrs(spec, cfg.Fabric.Defaults(), numasim.Config{})
 }
 
-// TorusModes lists the placement arms of the torus ablation in report
-// order: the routed distance matcher with its space-filling-curve seed
-// first (the speedup base), then the balanced-tree-only matcher (which
-// skips shaped fabrics and keeps the scrambled positional order), then the
-// affinity-blind round-robin dealer.
-func TorusModes() []string {
-	return []string{"sfc", "tree-matched", "rr"}
+// torusArms are the placement arms of the torus ablation in report order.
+var torusArms = []arm[placement.Policy]{
+	// The default hierarchical pipeline: on a shaped fabric the group→node
+	// matching runs through the routed distance model with the
+	// space-filling-curve seed (and the partitioner's portfolio gains the
+	// curve-chain candidate). The speedup base.
+	{"sfc", placement.Hierarchical{}},
+	// The balanced-tree model of earlier revisions: a shaped fabric admits
+	// no balanced abstract tree, so the matching is skipped and the
+	// partition keeps the positional group→node order — which inherits the
+	// scramble.
+	{"tree-matched", placement.Hierarchical{TreeFabric: true}},
+	// The affinity-blind round-robin dealer.
+	{"rr", placement.RoundRobinNodes{}},
 }
 
 // TorusResult reports one torus halo-exchange run.
@@ -216,143 +222,57 @@ func torusNeighbors(dims []int, cell int) []int {
 	return out
 }
 
-// buildTorus constructs the torus halo-exchange workload: one task per
-// core, grouped into node-sized blocks; block b sits on the logical grid
-// cell the Scramble shuffle deals it. Task i of block b
-//
-//   - reads HaloBytes from its grid neighbours inside the block (a 2-row
-//     stencil grid, the heavy stationary coupling that keeps the blocks the
-//     min-cut partition groups),
-//   - exchanges WireBytes with task i of every logically adjacent block
-//     (±1 per torus dimension of the blocks' scrambled cells, wrapping),
-//   - and writes its own block location.
-//
-// All volumes are whole bytes, so the run is bit-deterministic regardless
-// of goroutine interleaving.
-func buildTorus(rt *orwl.Runtime, cfg TorusConfig) error {
-	cfg = cfg.withDefaults()
+// torusStencil is the torus halo-exchange workload on the shared node-block
+// workload (see blockStencil); block b sits on the logical grid cell the
+// Scramble shuffle deals it. Beyond its block's grid, task slot of block b
+// exchanges WireBytes with task slot of every logically adjacent block (±1
+// per torus dimension of the blocks' scrambled cells, wrapping).
+func torusStencil(cfg TorusConfig) blockStencil {
 	blocks := cfg.cells()
-	c := cfg.CoresPerNode
-	n := blocks * c
-	locs := make([]*orwl.Location, n)
-	for i := 0; i < n; i++ {
-		locs[i] = rt.NewLocation(fmt.Sprintf("blk%d.%d", i/c, i%c), cfg.BlockBytes)
-	}
 	// cellOf scrambles block → logical cell; blockAt inverts it.
 	cellOf := torusPerm(blocks, cfg.Scramble)
 	blockAt := make([]int, blocks)
 	for b, cell := range cellOf {
 		blockAt[cell] = b
 	}
-	cells := float64(cfg.BlockBytes / 8)
-	for i := 0; i < n; i++ {
-		b, slot := i/c, i%c
-		task := rt.AddTask(fmt.Sprintf("t%d.%d", b, slot), nil)
-		var handles []*orwl.Handle
-		// Heavy stencil grid inside the node block: 2 rows of c/2 columns
-		// (one row when the block is too narrow).
-		gw := c / 2
-		if gw < 1 {
-			gw = 1
-		}
-		sx, sy := slot%gw, slot/gw
-		for _, d := range [][2]int{{0, -1}, {0, 1}, {1, 0}, {-1, 0}} {
-			nx, ny := sx+d[0], sy+d[1]
-			if nx < 0 || nx >= gw || ny < 0 || ny*gw+nx >= c {
-				continue
+	return blockStencil{
+		sizes: uniformBlocks(blocks, cfg.CoresPerNode),
+		iters: cfg.Iters, blockBytes: cfg.BlockBytes, haloBytes: cfg.HaloBytes,
+		extra: func(task *orwl.Task, b, slot int, at locAt) ([]*orwl.Handle, func(int)) {
+			var reads []*orwl.Handle
+			for _, cell := range torusNeighbors(cfg.Dims, cellOf[b]) {
+				reads = append(reads, task.NewHandleVol(at(blockAt[cell], slot), orwl.Read, cfg.WireBytes, 0))
 			}
-			handles = append(handles, task.NewHandleVol(locs[b*c+ny*gw+nx], orwl.Read, cfg.HaloBytes, 0))
-		}
-		// Slot-aligned wire exchange with every logically adjacent block.
-		for _, cell := range torusNeighbors(cfg.Dims, cellOf[b]) {
-			handles = append(handles, task.NewHandleVol(locs[blockAt[cell]*c+slot], orwl.Read, cfg.WireBytes, 0))
-		}
-		w := task.NewHandleVol(locs[i], orwl.Write, cfg.HaloBytes, 1)
-		region := locs[i].Region()
-		block := cfg.BlockBytes
-		task.SetFunc(func(t *orwl.Task) error {
-			for it := 0; it < cfg.Iters; it++ {
-				last := it == cfg.Iters-1
-				for _, h := range handles {
-					if err := h.Acquire(); err != nil {
-						return err
-					}
-					if err := releaseOrNext(h, last); err != nil {
-						return err
-					}
-				}
-				if err := w.Acquire(); err != nil {
-					return err
-				}
-				if p := t.Proc(); p != nil {
-					p.Compute(11 * cells) // LK23's flops per cell
-					p.SweepWorkingSet(region, block)
-				}
-				if err := releaseOrNext(w, last); err != nil {
-					return err
-				}
-				t.EndIteration()
-			}
-			return nil
-		})
-	}
-	return nil
-}
-
-// torusPolicy returns the placement policy of one torus arm.
-func torusPolicy(mode string) (placement.Policy, error) {
-	switch mode {
-	case "sfc":
-		// The default hierarchical pipeline: on a shaped fabric the
-		// group→node matching runs through the routed distance model with
-		// the space-filling-curve seed (and the partitioner's portfolio
-		// gains the curve-chain candidate).
-		return placement.Hierarchical{}, nil
-	case "tree-matched":
-		// The balanced-tree model of earlier revisions: a shaped fabric
-		// admits no balanced abstract tree, so the matching is skipped and
-		// the partition keeps the positional group→node order — which
-		// inherits the scramble.
-		return placement.Hierarchical{TreeFabric: true}, nil
-	case "rr":
-		return placement.RoundRobinNodes{}, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown torus mode %q", mode)
+			return reads, nil
+		},
 	}
 }
 
 // RunTorus executes the torus halo-exchange workload under one placement
-// mode ("sfc", "tree-matched" or "rr"; see TorusModes).
+// mode ("sfc", "tree-matched" or "rr"; see torusArms).
 func RunTorus(mode string, cfg TorusConfig) (TorusResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return TorusResult{}, err
 	}
-	cfg = cfg.withDefaults()
-	pol, err := torusPolicy(mode)
+	pol, err := armPolicy("torus", torusArms, mode)
 	if err != nil {
 		return TorusResult{}, err
 	}
+	res, err := runTorus(pol, cfg.withDefaults())
+	res.Mode = mode
+	return res, err
+}
+
+func runTorus(pol placement.Policy, cfg TorusConfig) (TorusResult, error) {
 	cluster, err := TorusCluster(cfg)
 	if err != nil {
 		return TorusResult{}, err
 	}
-	mach := cluster.Machine()
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := buildTorus(rt, cfg); err != nil {
-		return TorusResult{}, err
-	}
-	start := time.Now()
-	a, err := placement.Place(rt, pol)
+	run, err := runStencil(cluster.Machine(), cfg.Seed, torusStencil(cfg).build, pol, nil)
 	if err != nil {
 		return TorusResult{}, err
 	}
-	wall := time.Since(start).Seconds()
-	placement.SetContention(mach, a, nil)
-	placement.SetFabricContention(mach, a, rt.CommMatrix())
-	if err := rt.Run(); err != nil {
-		return TorusResult{}, err
-	}
-	return TorusResult{Mode: mode, Seconds: rt.MakespanSeconds(), WallSeconds: wall}, nil
+	return TorusResult{Seconds: run.seconds, WallSeconds: run.placeWall}, nil
 }
 
 // AblationTorus (A13) compares the placement arms on the torus halo
@@ -363,21 +283,12 @@ func AblationTorus(cfg TorusConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
-	for _, mode := range TorusModes() {
-		res, err := RunTorus(mode, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation torus, %s: %w", mode, err)
-		}
-		rows = append(rows, AblationRow{
-			Name:        "torus/" + mode,
-			Seconds:     res.Seconds,
-			WallSeconds: res.WallSeconds,
-			Detail: fmt.Sprintf("torus %v x %d cores, scramble %d",
-				cfg.Dims, cfg.CoresPerNode, cfg.Scramble),
+	detail := fmt.Sprintf("torus %v x %d cores, scramble %d", cfg.Dims, cfg.CoresPerNode, cfg.Scramble)
+	return sweep("torus", torusArms,
+		func(pol placement.Policy) (TorusResult, error) { return runTorus(pol, cfg) },
+		func(_ arm[placement.Policy], res TorusResult) AblationRow {
+			return AblationRow{Seconds: res.Seconds, WallSeconds: res.WallSeconds, Detail: detail}
 		})
-	}
-	return rows, nil
 }
 
 // TorusConfigFrom derives the torus configuration from the common ablation

@@ -17,8 +17,8 @@ func TestAblationTorus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dims=%v seed=%d: %v", dims, seed, err)
 			}
-			if len(rows) != len(TorusModes()) {
-				t.Fatalf("dims=%v: %d rows, want %d", dims, len(rows), len(TorusModes()))
+			if len(rows) != len(torusArms) {
+				t.Fatalf("dims=%v: %d rows, want %d", dims, len(rows), len(torusArms))
 			}
 			for _, r := range rows {
 				if r.Seconds <= 0 {
@@ -38,7 +38,8 @@ func TestAblationTorus(t *testing.T) {
 // TestRunTorusDeterministic pins bit-reproducibility of every arm.
 func TestRunTorusDeterministic(t *testing.T) {
 	cfg := TorusConfig{Seed: 42}
-	for _, mode := range TorusModes() {
+	for _, arm := range torusArms {
+		mode := arm.name
 		a, err := RunTorus(mode, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,15 +1,16 @@
 package numasim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/topology"
 )
 
-func newTestCluster(t *testing.T, n int, nodeSpec string) *Cluster {
+func newTestCluster(t *testing.T, n int, nodeSpec string) *Platform {
 	t.Helper()
-	c, err := NewCluster(n, nodeSpec, Fabric{}, Config{})
+	c, err := NewPlatform(fmt.Sprintf("cluster:%d %s", n, nodeSpec), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,22 +41,22 @@ func TestClusterShape(t *testing.T) {
 }
 
 func TestClusterRejectsNestedClusterSpec(t *testing.T) {
-	_, err := NewCluster(2, "cluster:2 core:4", Fabric{}, Config{})
-	if err == nil || !strings.Contains(err.Error(), "cluster level") {
+	_, err := NewPlatform("cluster:2 cluster:2 core:4", Config{})
+	if err == nil || !strings.Contains(err.Error(), "platform spec") {
 		t.Fatalf("nested cluster spec accepted: %v", err)
 	}
 }
 
 func TestClusterFromSpec(t *testing.T) {
-	c, err := ClusterFromSpec("node:2 pack:2 core:4", Fabric{}, Config{})
+	c, err := NewPlatformAttrs("node:2 pack:2 core:4", Fabric{}.Defaults(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Nodes() != 2 || c.Machine().Topology().NumCores() != 16 {
-		t.Fatalf("ClusterFromSpec shape: nodes=%d cores=%d", c.Nodes(), c.Machine().Topology().NumCores())
+		t.Fatalf("platform shape: nodes=%d cores=%d", c.Nodes(), c.Machine().Topology().NumCores())
 	}
-	// A plain machine spec yields a single-node cluster.
-	c, err = ClusterFromSpec("pack:2 core:4", Fabric{}, Config{})
+	// A plain machine spec yields a single-node platform.
+	c, err = NewPlatformAttrs("pack:2 core:4", Fabric{}.Defaults(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +80,13 @@ func TestTransferCostCrossesFabric(t *testing.T) {
 	if cross <= sameNode {
 		t.Fatalf("cross-node transfer (%.0f cycles) not more expensive than intra-node (%.0f)", cross, sameNode)
 	}
-	fabric := c.Fabric()
-	if cross < 2*fabric.LinkLatencyCycles {
-		t.Fatalf("cross-node transfer %.0f cycles cheaper than two link latencies (%.0f)", cross, 2*fabric.LinkLatencyCycles)
+	nic := c.FabricLevels()[0]
+	if cross < 2*nic.LatencyCycles {
+		t.Fatalf("cross-node transfer %.0f cycles cheaper than two link latencies (%.0f)", cross, 2*nic.LatencyCycles)
 	}
 	// Streaming time is bounded below by the link bandwidth.
 	clock := m.ClockHz()
-	if minStream := bytes / (fabric.LinkBandwidthBytesPerSec / clock); cross < minStream {
+	if minStream := bytes / (nic.BandwidthBytesPerSec / clock); cross < minStream {
 		t.Fatalf("cross-node transfer %.0f cycles faster than the link allows (%.0f)", cross, minStream)
 	}
 }
@@ -140,11 +141,11 @@ func TestMigrationCostCrossesFabric(t *testing.T) {
 // TestFabricParametersBite: halving the link bandwidth raises the cross-node
 // transfer cost; the intra-node cost is untouched.
 func TestFabricParametersBite(t *testing.T) {
-	fast, err := NewCluster(2, "pack:1 core:4", Fabric{LinkBandwidthBytesPerSec: 8e9}, Config{})
+	fast, err := NewPlatformAttrs("cluster:2 pack:1 core:4", Fabric{LinkBandwidthBytesPerSec: 8e9}.Defaults(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewCluster(2, "pack:1 core:4", Fabric{LinkBandwidthBytesPerSec: 1e9}, Config{})
+	slow, err := NewPlatformAttrs("cluster:2 pack:1 core:4", Fabric{LinkBandwidthBytesPerSec: 1e9}.Defaults(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

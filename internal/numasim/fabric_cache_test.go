@@ -1,6 +1,7 @@
 package numasim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/topology"
@@ -93,38 +94,28 @@ func TestFabricBandwidthCacheMatchesWalk(t *testing.T) {
 		}
 		m := plat.Machine()
 		n := len(m.Topology().ClusterNodes())
-		// Exercise the global fallback, full per-edge counts, and a mix of
-		// set and unset (-1, global-fallback) edges.
+		// Exercise the undeclared state, full per-edge counts, and a mix of
+		// contended and uncontended (0) edges.
 		ne := m.NumFabricEdges()
 		full := make([]int, ne)
 		mixed := make([]int, ne)
 		for e := range full {
 			full[e] = 1 + e%3
-			mixed[e] = full[e]
-			if e%2 == 1 {
-				mixed[e] = -1
+			if e%2 == 0 {
+				mixed[e] = full[e]
 			}
 		}
-		streamStates := []struct {
-			streams []int
-			global  int
-		}{
-			{nil, 1},
-			{nil, 7},
-			{full, 2},
-			{mixed, 5},
-		}
-		for _, st := range streamStates {
+		for i, streams := range [][]int{nil, full, mixed} {
 			for from := 0; from < n; from++ {
 				for to := 0; to < n; to++ {
 					if from == to {
 						continue
 					}
-					cached := m.fabricBandwidth(from, to, st.streams, st.global)
-					walked := m.fabricBandwidthWalk(from, to, st.streams, st.global)
+					cached := m.fabricBandwidth(from, to, streams)
+					walked := m.fabricBandwidthWalk(from, to, streams)
 					if cached != walked {
-						t.Errorf("%s global=%d: bandwidth(%d,%d) cached %v != walked %v",
-							spec, st.global, from, to, cached, walked)
+						t.Errorf("%s stream state %d: bandwidth(%d,%d) cached %v != walked %v",
+							spec, i, from, to, cached, walked)
 					}
 				}
 			}
@@ -132,63 +123,52 @@ func TestFabricBandwidthCacheMatchesWalk(t *testing.T) {
 	}
 }
 
-// TestLinkStreamsPriceIdenticallyPerEdge pins the satellite guarantee of
-// the per-edge refactor: declaring contention through the per-level
-// SetLinkStreams wrapper produces the same per-edge stream state — and so
-// the same transfer prices — as declaring the equivalent counts directly
-// with SetEdgeStreams.
+// TestLinkStreamsPriceIdenticallyPerEdge pins the bridge between the two
+// addressings of a tree fabric: counts declared per edge through
+// FabricGraph().LevelEdges read back per edge, and the per-level pricing
+// tables charge exactly the bottleneck a hand walk over the level links
+// finds — every level below the endpoints' divergence contributes both
+// endpoint links, each shared by its own declared streams.
 func TestLinkStreamsPriceIdenticallyPerEdge(t *testing.T) {
 	for _, spec := range fabricCacheSpecs {
-		platA, err := NewPlatform(spec, Config{})
+		plat, err := NewPlatform(spec, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		platB, err := NewPlatform(spec, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
+		m := plat.Machine()
+		if m.NumFabricLevels() == 0 {
+			continue // shaped fabric: no per-level addressing exists
 		}
-		a, b := platA.Machine(), platB.Machine()
-		g := a.FabricGraph()
-		perEdge := make([]int, g.NumEdges())
-		for e := range perEdge {
-			perEdge[e] = -1
-		}
-		if a.NumFabricLevels() == 0 {
-			// Shaped fabric: no per-level form exists; only the direct
-			// per-edge declaration applies.
-			for e := range perEdge {
-				perEdge[e] = 1 + e%4
+		counts := make([][]int, m.NumFabricLevels())
+		for l := range counts {
+			counts[l] = make([]int, m.FabricLevelSize(l))
+			for i := range counts[l] {
+				counts[l][i] = 1 + (l+i)%4
 			}
-			a.SetEdgeStreams(perEdge)
-			b.SetEdgeStreams(perEdge)
-		} else {
-			for l := 0; l < a.NumFabricLevels(); l++ {
-				counts := make([]int, a.FabricLevelSize(l))
-				for i := range counts {
-					counts[i] = 1 + (l+i)%4
-				}
-				a.SetLinkStreams(l, counts)
-				for i, e := range g.LevelEdges(l) {
-					perEdge[e] = counts[i]
+		}
+		m.SetEdgeStreams(levelStreams(m, counts...))
+		for l := range counts {
+			for i, e := range m.FabricGraph().LevelEdges(l) {
+				if got := m.EdgeStreams(e); got != counts[l][i] {
+					t.Fatalf("%s: EdgeStreams(level %d link %d) = %d, want %d", spec, l, i, got, counts[l][i])
 				}
 			}
-			b.SetEdgeStreams(perEdge)
 		}
-		n := len(a.Topology().ClusterNodes())
-		for e := 0; e < a.NumFabricEdges(); e++ {
-			if a.EdgeStreams(e) != b.EdgeStreams(e) {
-				t.Fatalf("%s: EdgeStreams(%d): wrapper %d != per-edge %d", spec, e, a.EdgeStreams(e), b.EdgeStreams(e))
-			}
-		}
+		levels := plat.FabricLevels()
+		n := len(m.Topology().ClusterNodes())
 		for from := 0; from < n; from++ {
 			for to := 0; to < n; to++ {
 				if from == to {
 					continue
 				}
-				pa := a.fabricBandwidth(from, to, a.edgeStreams, a.fabricStreams)
-				pb := b.fabricBandwidth(from, to, b.edgeStreams, b.fabricStreams)
-				if pa != pb {
-					t.Errorf("%s: bandwidth(%d,%d) via wrapper %v != per-edge %v", spec, from, to, pa, pb)
+				want := math.Inf(1)
+				for l := 0; l < len(levels) && m.FabricGroupOf(l, from) != m.FabricGroupOf(l, to); l++ {
+					for _, g := range []int{m.FabricGroupOf(l, from), m.FabricGroupOf(l, to)} {
+						want = math.Min(want, levels[l].BandwidthBytesPerSec/float64(counts[l][g]))
+					}
+				}
+				if got := m.fabricBandwidth(from, to, m.edgeStreams); got != want {
+					t.Errorf("%s: bandwidth(%d,%d) = %v, want the level-link bottleneck %v", spec, from, to, got, want)
 				}
 			}
 		}

@@ -31,10 +31,8 @@
 // instead — the accumulated per-link latency of the actual hop path (NIC
 // links, plus rack uplinks across racks and pod uplinks across pods;
 // fabricLatencyCycles) and streaming at the bottleneck link bandwidth, each
-// link shared by its declared crossing streams (per-level SetLinkStreams, or
-// the machine-wide SetFabricStreams fallback). The simulator prices whatever
-// placement it is
-// given; it does not optimize. The placement side optimizes a structural
+// link shared by its declared crossing streams (SetEdgeStreams). The
+// simulator prices whatever placement it is given; it does not optimize. The placement side optimizes a structural
 // byte×hop objective whose units never appear here — internal/comm's
 // package documentation records where the two models are known to diverge.
 package numasim
@@ -160,8 +158,8 @@ type Machine struct {
 	edgeLat []float64
 	edgeBW  []float64
 	// levelEdge[l][g] is the fabric-graph edge id of link g at tree fabric
-	// level l — the bridge that lets the per-level SetLinkStreams form
-	// address the per-edge stream storage. Empty on shaped fabrics.
+	// level l — the bridge from the per-level pricing tables to the per-edge
+	// stream and fault storage. Empty on shaped fabrics.
 	levelEdge [][]int
 	// l3Share[pu] is the slice of the innermost shared cache a PU can count
 	// on, in bytes (cache size / PUs sharing it).
@@ -196,22 +194,13 @@ type Machine struct {
 	// inter-socket fabric in steady state; they share
 	// cfg.InterconnectBandwidth.
 	remoteStreams int
-	// fabricStreams is the static number of streams crossing cluster-node
-	// boundaries in steady state, the machine-wide fallback contention model:
-	// every fabric link's bandwidth is shared among all of them. A fabric
-	// level applies it only while that level's per-link counts are unset.
-	fabricStreams int
-	// edgeStreams[e], when edgeStreams is non-nil and edgeStreams[e] >= 0,
-	// is the number of crossing streams touching fabric-graph edge e; a
-	// negative entry leaves that edge on the global fabricStreams fallback.
-	// Per-edge counts replace the global model edge by edge: a transfer is
-	// capped by the most contended edge on its routed path, so balancing the
-	// crossing streams across the fabric recovers bandwidth that the global
-	// model would average away. On tree fabrics SetLinkStreams addresses
-	// this same storage through levelEdge, so per-level declarations price
-	// identically through the per-edge path. The slice is replaced wholesale
-	// on every update (copy-on-write), so a snapshot taken under the lock
-	// stays consistent outside it.
+	// edgeStreams[e] is the number of crossing streams touching fabric-graph
+	// edge e; nil (nothing declared) leaves every edge uncontended. A
+	// transfer is capped by the most contended edge on its routed path, so
+	// balancing the crossing streams across the fabric recovers bandwidth
+	// that funnelling them through one edge loses. The slice is replaced
+	// wholesale on every update (copy-on-write), so a snapshot taken under
+	// the lock stays consistent outside it.
 	edgeStreams []int
 	// boundPerPU counts bound Procs per PU. SMT compute inflation applies
 	// when at least two PUs of the same core are occupied (hyperthread
@@ -374,14 +363,13 @@ func (m *Machine) Accessors(node int) int {
 }
 
 // ResetAccessors restores every node to contention degree 1 and clears the
-// remote-stream and fabric-stream counts (global and per-link).
+// remote-stream and per-edge fabric-stream counts.
 func (m *Machine) ResetAccessors() {
 	m.mu.Lock()
 	for i := range m.accessors {
 		m.accessors[i] = 1
 	}
 	m.remoteStreams = 0
-	m.fabricStreams = 0
 	m.edgeStreams = nil
 	m.mu.Unlock()
 }
@@ -404,49 +392,6 @@ func (m *Machine) RemoteStreams() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.remoteStreams
-}
-
-// SetFabricStreams declares the machine-wide fallback fabric contention: how
-// many streams cross cluster-node boundaries in steady state, every fabric
-// edge's bandwidth shared equally among all of them. 0 disables the cap. Any
-// per-edge counts previously declared with SetEdgeStreams or SetLinkStreams
-// are cleared — the two models are alternatives, the per-edge one strictly
-// finer. A no-op concern on single-machine topologies, where nothing
-// crosses.
-//
-// Deprecated: declare per-edge counts with SetEdgeStreams (or the per-level
-// SetLinkStreams form on tree fabrics); this remains as the global-fallback
-// setter behind them.
-func (m *Machine) SetFabricStreams(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.mu.Lock()
-	m.fabricStreams = n
-	m.edgeStreams = nil
-	m.mu.Unlock()
-}
-
-// FabricStreams returns the declared machine-wide fabric contention degree
-// (the fallback model): 0 once every fabric edge carries a per-edge count —
-// the global count is then out of force everywhere — and the declared count
-// otherwise, because edges without per-edge counts still price against it.
-func (m *Machine) FabricStreams() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fabricGraph != nil && m.edgeStreams != nil {
-		all := true
-		for _, s := range m.edgeStreams {
-			if s < 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			return 0
-		}
-	}
-	return m.fabricStreams
 }
 
 // NumFabricLevels returns the number of link levels of the cluster fabric,
@@ -484,12 +429,11 @@ func (m *Machine) FabricGroupOf(level, c int) int { return m.fabricGroupOf[level
 // of FabricGraph().Edges(). A transfer is capped by the most contended edge
 // on its routed path, so a placement that balances the crossing streams
 // across the fabric sustains more bandwidth than one that funnels them
-// through a single edge, even at equal total cut. A negative count leaves
-// that edge on the global fallback (SetFabricStreams); passing nil reverts
-// every edge. A mis-sized slice panics (a programming error, like an
-// out-of-range index): zero-filling missing edges would silently model them
-// as uncontended. This is the general form behind the per-level
-// SetLinkStreams wrapper.
+// through a single edge, even at equal total cut. Passing nil clears every
+// count (no contention). A mis-sized slice panics (a programming error, like
+// an out-of-range index): zero-filling missing edges would silently model
+// them as uncontended. On tree fabrics FabricGraph().LevelEdges(l) maps the
+// links of fabric level l (NICs, rack uplinks, pod uplinks) to edge ids.
 func (m *Machine) SetEdgeStreams(counts []int) {
 	if m.fabricGraph == nil {
 		panic("numasim: SetEdgeStreams on a single-machine topology (no fabric)")
@@ -509,122 +453,12 @@ func (m *Machine) SetEdgeStreams(counts []int) {
 	m.edgeStreams = append([]int(nil), counts...)
 }
 
-// SetLinkStreams declares the per-link fabric contention of one tree-fabric
-// level: counts[i] is the number of crossing streams touching link i of that
-// level (level 0: cluster node i's NIC; level 1: rack i's uplink; level 2:
-// pod i's uplink). The per-level form is a wrapper over the per-edge storage
-// of SetEdgeStreams — the level's links map onto fabric-graph edge ids, so
-// the declaration prices identically through the per-edge path. While a
-// level's counts are set they take precedence over the global model at that
-// level; passing nil reverts the level to whatever SetFabricStreams last
-// declared. A mis-sized slice panics (a programming error, like an
-// out-of-range index): zero-filling missing links would silently model them
-// as uncontended. Shaped (torus/dragonfly) fabrics have no levels — declare
-// per-edge counts there.
-func (m *Machine) SetLinkStreams(level int, counts []int) {
-	if level < 0 || level >= len(m.fabricLevels) {
-		panic(fmt.Sprintf("numasim: SetLinkStreams level %d on a %d-level fabric", level, len(m.fabricLevels)))
-	}
-	if counts != nil && len(counts) != len(m.fabricLevels[level]) {
-		panic(fmt.Sprintf("numasim: SetLinkStreams got %d counts for %d links at fabric level %d",
-			len(counts), len(m.fabricLevels[level]), level))
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next := m.copyEdgeStreamsLocked()
-	for g, e := range m.levelEdge[level] {
-		if counts == nil {
-			next[e] = -1
-		} else {
-			next[e] = counts[g]
-		}
-	}
-	m.edgeStreams = next
-}
-
-// copyEdgeStreamsLocked returns a fresh copy of the per-edge stream counts,
-// all unset (-1) when none are declared yet. Copy-on-write: the caller
-// installs the copy wholesale, so snapshots taken under the lock stay
-// consistent outside it.
-func (m *Machine) copyEdgeStreamsLocked() []int {
-	next := make([]int, m.fabricGraph.NumEdges())
-	if m.edgeStreams == nil {
-		for i := range next {
-			next[i] = -1
-		}
-		return next
-	}
-	copy(next, m.edgeStreams)
-	return next
-}
-
 // EdgeStreams returns the declared crossing-stream count of fabric-graph
-// edge e, falling back to the global fabric-stream count while the edge's
-// count is unset.
+// edge e (0 while nothing is declared).
 func (m *Machine) EdgeStreams(e int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.edgeStreams == nil || m.edgeStreams[e] < 0 {
-		return m.fabricStreams
-	}
-	return m.edgeStreams[e]
-}
-
-// LinkStreams returns the declared crossing-stream count of link i at the
-// given tree-fabric level, falling back to the global fabric-stream count
-// while the link's per-edge count is unset.
-func (m *Machine) LinkStreams(level, i int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if level >= len(m.levelEdge) || m.edgeStreams == nil {
-		return m.fabricStreams
-	}
-	if s := m.edgeStreams[m.levelEdge[level][i]]; s >= 0 {
-		return s
-	}
-	return m.fabricStreams
-}
-
-// SetFabricLinkStreams declares the per-link fabric contention of the NIC
-// and rack-uplink levels: nic[c] is the number of crossing streams touching
-// cluster node c's NIC link, uplink[r] the number of streams leaving rack r
-// over its uplink (ignored on a single-switch fabric; may be nil there).
-// Passing a nil nic slice reverts every level to the global model.
-//
-// Deprecated: use SetLinkStreams, which addresses any fabric depth — this
-// wrapper cannot declare pod-uplink counts.
-func (m *Machine) SetFabricLinkStreams(nic, uplink []int) {
-	if nic == nil {
-		m.mu.Lock()
-		m.edgeStreams = nil
-		m.mu.Unlock()
-		return
-	}
-	if nodes := len(m.topo.ClusterNodes()); len(nic) != nodes {
-		panic(fmt.Sprintf("numasim: SetFabricLinkStreams got %d NIC counts for %d cluster nodes", len(nic), nodes))
-	}
-	if racks := len(m.topo.Racks()); racks > 0 && len(uplink) != racks {
-		panic(fmt.Sprintf("numasim: SetFabricLinkStreams got %d uplink counts for %d racks", len(uplink), racks))
-	}
-	m.SetLinkStreams(0, nic)
-	if len(m.topo.Racks()) > 0 {
-		m.SetLinkStreams(1, uplink)
-	}
-}
-
-// NICStreams returns the declared crossing-stream count of cluster node c's
-// NIC link, falling back to the global fabric-stream count when no per-link
-// counts are set.
-func (m *Machine) NICStreams(c int) int { return m.LinkStreams(0, c) }
-
-// UplinkStreams returns the declared crossing-stream count of rack r's
-// uplink, falling back to the global fabric-stream count when no per-link
-// counts are set (and 0 on a single-switch fabric).
-func (m *Machine) UplinkStreams(r int) int {
-	if len(m.fabricLevels) < 2 {
-		return 0
-	}
-	return m.LinkStreams(1, r)
+	return edgeStreamCount(m.edgeStreams, e)
 }
 
 // ClusterNodeOfPU returns the cluster-node index of a PU (0 on a single
@@ -722,9 +556,7 @@ func (m *Machine) fabricLatencyCyclesWalk(fromC, toC int) float64 {
 // fabricBandwidth returns the bytes/second a stream between two distinct
 // cluster nodes can sustain: the bottleneck over the edges of its routed
 // path, each edge's bandwidth shared among the streams declared to cross it
-// (per-edge counts from SetEdgeStreams or the SetLinkStreams wrapper), or
-// among all crossing streams under the global fallback count
-// (SetFabricStreams). The stream-count state is passed in by the caller —
+// (SetEdgeStreams). The stream-count state is passed in by the caller —
 // effectiveBandwidth snapshots it under the machine lock it already holds,
 // so the hot path takes the lock once. On tree fabrics the path includes,
 // at every fabric level where the endpoints' groups differ, both endpoint
@@ -732,7 +564,7 @@ func (m *Machine) fabricLatencyCyclesWalk(fromC, toC int) float64 {
 // addressed into the per-edge stream storage through levelEdge — the same
 // arithmetic the per-level model used. Shaped fabrics bottleneck over the
 // routed PathEdges.
-func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) float64 {
+func (m *Machine) fabricBandwidth(fromC, toC int, streams []int) float64 {
 	bw := math.Inf(1)
 	if len(m.fabricLevels) == 0 {
 		for _, e := range m.RoutedPathEdges(fromC, toC) {
@@ -740,7 +572,7 @@ func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) flo
 			if m.edgeFaultFactor != nil {
 				ebw *= m.edgeFaultFactor[e]
 			}
-			if b := shareLink(ebw, edgeStreamCount(streams, e, global)); b < bw {
+			if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
 				bw = b
 			}
 		}
@@ -754,7 +586,7 @@ func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) flo
 			if m.edgeFaultFactor != nil {
 				lbw *= m.edgeFaultFactor[m.levelEdge[l][g]]
 			}
-			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g], global)); b < bw {
+			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g])); b < bw {
 				bw = b
 			}
 		}
@@ -765,7 +597,7 @@ func (m *Machine) fabricBandwidth(fromC, toC int, streams []int, global int) flo
 // fabricBandwidthWalk is the reference implementation of fabricBandwidth,
 // reading the link attributes off the topology objects (or the graph's
 // uncached Route) per call. Kept (unexported) for the cache-equality test.
-func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int) float64 {
+func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int) float64 {
 	bw := math.Inf(1)
 	if len(m.fabricLevels) == 0 {
 		edges := m.fabricGraph.Edges()
@@ -774,7 +606,7 @@ func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int)
 			if m.edgeFaultFactor != nil {
 				ebw *= m.edgeFaultFactor[e]
 			}
-			if b := shareLink(ebw, edgeStreamCount(streams, e, global)); b < bw {
+			if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
 				bw = b
 			}
 		}
@@ -790,7 +622,7 @@ func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int)
 			if m.edgeFaultFactor != nil {
 				lbw *= m.edgeFaultFactor[m.levelEdge[l][g]]
 			}
-			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g], global)); b < bw {
+			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g])); b < bw {
 				bw = b
 			}
 		}
@@ -799,11 +631,10 @@ func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int, global int)
 }
 
 // edgeStreamCount returns the contention degree of one fabric edge: its
-// per-edge count when declared (non-negative), the global fallback
-// otherwise.
-func edgeStreamCount(streams []int, e, global int) int {
-	if streams == nil || streams[e] < 0 {
-		return global
+// declared count, 0 while nothing is declared.
+func edgeStreamCount(streams []int, e int) int {
+	if streams == nil {
+		return 0
 	}
 	return streams[e]
 }
@@ -829,16 +660,16 @@ func (m *Machine) effectiveBandwidth(pu, node int) float64 {
 	acc := m.accessors[node]
 	remote := m.remoteStreams
 	// Snapshot the fabric stream state in the same critical section; the
-	// slices are replaced wholesale, never mutated in place, so reading the
+	// slice is replaced wholesale, never mutated in place, so reading the
 	// snapshot outside the lock is safe.
-	streams, global := m.edgeStreams, m.fabricStreams
+	streams := m.edgeStreams
 	m.mu.Unlock()
 	bw := nodeObj.Attr.BandwidthBytesPerSec / float64(acc)
 	if m.nodeOf[pu] == node {
 		return bw
 	}
 	if m.cnodeOf[pu] != m.cnodeOfNUMA[node] {
-		if link := m.fabricBandwidth(m.cnodeOf[pu], m.cnodeOfNUMA[node], streams, global); link < bw {
+		if link := m.fabricBandwidth(m.cnodeOf[pu], m.cnodeOfNUMA[node], streams); link < bw {
 			bw = link
 		}
 		return bw

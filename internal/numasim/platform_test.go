@@ -7,9 +7,9 @@ import (
 )
 
 // TestPlatformUnevenRacks is the regression test for the uneven-fabric
-// rejection: ClusterFromSpec used to parse "rack:2 node:2,3 ..." and then
-// refuse it with "uneven fabric level not supported"; the platform path
-// must build a working simulation machine from it.
+// rejection: "rack:2 node:2,3 ..." used to parse and then be refused with
+// "uneven fabric level not supported"; the platform path must build a
+// working simulation machine from it, with or without attribute overrides.
 func TestPlatformUnevenRacks(t *testing.T) {
 	for _, build := range []struct {
 		name string
@@ -18,8 +18,8 @@ func TestPlatformUnevenRacks(t *testing.T) {
 		{"NewPlatform", func() (*Platform, error) {
 			return NewPlatform("rack:2 node:2,3 pack:1 core:4", Config{})
 		}},
-		{"ClusterFromSpec", func() (*Platform, error) {
-			return ClusterFromSpec("rack:2 node:2,3 pack:1 core:4", Fabric{}, Config{})
+		{"NewPlatformAttrs", func() (*Platform, error) {
+			return NewPlatformAttrs("rack:2 node:2,3 pack:1 core:4", Fabric{}.Defaults(), Config{})
 		}},
 	} {
 		p, err := build.make()
@@ -70,8 +70,11 @@ func TestPlatformHeterogeneousMembers(t *testing.T) {
 	}
 }
 
+// TestNewClusterWrapperMatchesPlatform: the "cluster" spelling of the node
+// tier under an all-zero Fabric override block builds the same platform as
+// the "node" spelling under the default attributes.
 func TestNewClusterWrapperMatchesPlatform(t *testing.T) {
-	viaWrapper, err := NewCluster(4, "pack:1 core:4", Fabric{Racks: 2}, Config{})
+	viaWrapper, err := NewPlatformAttrs("rack:2 cluster:2 pack:1 core:4", Fabric{}.Defaults(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestNewClusterWrapperMatchesPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	if viaWrapper.Machine().Topology().Spec() != viaSpec.Machine().Topology().Spec() {
-		t.Errorf("wrapper spec %q != platform spec %q",
+		t.Errorf("cluster-spelled spec %q != node-spelled spec %q",
 			viaWrapper.Machine().Topology().Spec(), viaSpec.Machine().Topology().Spec())
 	}
 	// Identical pricing on an identical sample path.
@@ -88,124 +91,7 @@ func TestNewClusterWrapperMatchesPlatform(t *testing.T) {
 		w := viaWrapper.Machine().TransferCost(0, pu, 4096)
 		s := viaSpec.Machine().TransferCost(0, pu, 4096)
 		if w != s {
-			t.Errorf("TransferCost(0,%d) wrapper %.2f != platform %.2f", pu, w, s)
-		}
-	}
-}
-
-// equivalencePlatforms builds the three fabric depths the stream-count
-// equivalence tests sweep: flat (NICs only), racked (+ ToR uplinks), and
-// pod-tiered (+ pod uplinks).
-func equivalencePlatforms(t *testing.T) map[string]*Platform {
-	t.Helper()
-	out := map[string]*Platform{}
-	for name, spec := range map[string]string{
-		"flat":   "cluster:4 pack:1 core:4",
-		"racked": "rack:2 node:2 pack:1 core:4",
-		"pod":    "pod:2 rack:2 node:2 pack:1 core:4",
-	} {
-		p, err := NewPlatform(spec, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = p
-	}
-	return out
-}
-
-// samplePaths lists PU pairs covering every hop-path shape of a platform:
-// same node, same rack, same pod, and the full fabric climb.
-func samplePaths(m *Machine) [][2]int {
-	pus := m.Topology().NumPUs()
-	paths := [][2]int{{0, 1}}
-	for _, to := range []int{pus / 4, pus / 2, pus - 1} {
-		paths = append(paths, [2]int{0, to}, [2]int{to, 0})
-	}
-	return paths
-}
-
-// TestSetFabricStreamsEquivalence pins that the deprecated machine-wide
-// SetFabricStreams(n) prices every transfer identically to SetLinkStreams
-// with uniform per-level count vectors of n, on flat, racked and pod
-// fabrics.
-func TestSetFabricStreamsEquivalence(t *testing.T) {
-	for name, p := range equivalencePlatforms(t) {
-		mach := p.Machine()
-		for _, n := range []int{0, 1, 3, 7} {
-			mach.ResetAccessors()
-			mach.SetFabricStreams(n)
-			var want []float64
-			for _, pr := range samplePaths(mach) {
-				want = append(want, mach.TransferCost(pr[0], pr[1], 1<<20))
-			}
-			mach.ResetAccessors()
-			for l := 0; l < mach.NumFabricLevels(); l++ {
-				counts := make([]int, mach.FabricLevelSize(l))
-				for i := range counts {
-					counts[i] = n
-				}
-				mach.SetLinkStreams(l, counts)
-			}
-			for i, pr := range samplePaths(mach) {
-				if got := mach.TransferCost(pr[0], pr[1], 1<<20); got != want[i] {
-					t.Errorf("%s n=%d path %v: per-level %.2f != global %.2f", name, n, pr, got, want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSetFabricLinkStreamsEquivalence pins that the deprecated two-level
-// SetFabricLinkStreams(nic, uplink) wrapper prices every transfer
-// identically to the per-level SetLinkStreams vectors it stands for, on
-// flat, racked and pod fabrics.
-func TestSetFabricLinkStreamsEquivalence(t *testing.T) {
-	for name, p := range equivalencePlatforms(t) {
-		mach := p.Machine()
-		nodes := len(mach.Topology().ClusterNodes())
-		racks := len(mach.Topology().Racks())
-		nic := make([]int, nodes)
-		for i := range nic {
-			nic[i] = 2 + i%3
-		}
-		var uplink []int
-		if racks > 0 {
-			uplink = make([]int, racks)
-			for i := range uplink {
-				uplink[i] = 4 + i
-			}
-		}
-		mach.ResetAccessors()
-		mach.SetFabricLinkStreams(nic, uplink)
-		var want []float64
-		for _, pr := range samplePaths(mach) {
-			want = append(want, mach.TransferCost(pr[0], pr[1], 1<<20))
-		}
-		mach.ResetAccessors()
-		mach.SetLinkStreams(0, nic)
-		if racks > 0 {
-			mach.SetLinkStreams(1, uplink)
-		}
-		for i, pr := range samplePaths(mach) {
-			if got := mach.TransferCost(pr[0], pr[1], 1<<20); got != want[i] {
-				t.Errorf("%s path %v: per-level %.2f != wrapper %.2f", name, pr, got, want[i])
-			}
-		}
-		// The accessors agree too.
-		for c := 0; c < nodes; c++ {
-			if got := mach.NICStreams(c); got != nic[c] {
-				t.Errorf("%s: NICStreams(%d) = %d, want %d", name, c, got, nic[c])
-			}
-		}
-		for r := 0; r < racks; r++ {
-			if got := mach.UplinkStreams(r); got != uplink[r] {
-				t.Errorf("%s: UplinkStreams(%d) = %d, want %d", name, r, got, uplink[r])
-			}
-		}
-		// Clearing through the wrapper reverts to the global model.
-		mach.SetFabricLinkStreams(nil, nil)
-		if got := mach.FabricStreams(); got != 0 {
-			t.Errorf("%s: FabricStreams after clear = %d", name, got)
+			t.Errorf("TransferCost(0,%d) cluster-spelled %.2f != node-spelled %.2f", pu, w, s)
 		}
 	}
 }
@@ -247,27 +133,35 @@ func TestPodFabricPricing(t *testing.T) {
 	}
 }
 
+// TestSetLinkStreamsValidation: a stream-count slice that does not cover
+// every fabric edge panics instead of zero-filling the missing links, and so
+// does declaring counts on a machine without a fabric.
 func TestSetLinkStreamsValidation(t *testing.T) {
 	p, err := NewPlatform("rack:2 node:2 pack:1 core:2", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := p.Machine()
+	mach := p.Machine() // 4 NICs + 2 uplinks
+	single, err := NewPlatform("pack:1 core:2", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []func(){
-		func() { mach.SetLinkStreams(0, []int{1}) },       // 4 nodes
-		func() { mach.SetLinkStreams(1, []int{1, 2, 3}) }, // 2 racks
-		func() { mach.SetLinkStreams(2, []int{1}) },       // no pod level
-		func() { mach.SetLinkStreams(-1, nil) },
+		func() { mach.SetEdgeStreams([]int{1, 1, 1, 1}) },          // NICs only
+		func() { mach.SetEdgeStreams(make([]int, 7)) },             // one too many
+		func() { mach.SetEdgeStreams([]int{}) },                    // empty is not nil
+		func() { single.Machine().SetEdgeStreams(make([]int, 1)) }, // no fabric
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("mis-sized SetLinkStreams did not panic")
+					t.Error("mis-sized SetEdgeStreams did not panic")
 				}
 			}()
 			bad()
 		}()
 	}
+	mach.SetEdgeStreams(make([]int, mach.NumFabricEdges()))
 }
 
 // TestPlatformFusedSpecRoundTrips pins that a platform's own fused spec —
@@ -294,38 +188,23 @@ func TestPlatformFusedSpecRoundTrips(t *testing.T) {
 	}
 }
 
-// TestClusterFromSpecRejectsImposedRacksOnHetero pins the legacy-path
-// guard: Fabric.Racks cannot restructure a heterogeneous member list
-// (rebuilding from member 0 would silently homogenize the platform).
+// TestClusterFromSpecRejectsImposedRacksOnHetero: the spec alone shapes the
+// fabric. Fabric.Racks never restructures a heterogeneous member list (it
+// only carries link attributes into Defaults), so the platform stays flat
+// and heterogeneous; the rack tier belongs in the spec.
 func TestClusterFromSpecRejectsImposedRacksOnHetero(t *testing.T) {
-	_, err := ClusterFromSpec("node:{pack:2 core:8 | pack:1 core:4}", Fabric{Racks: 2}, Config{})
-	if err == nil {
-		t.Fatal("imposed rack tier on heterogeneous members accepted")
-	}
-	// With the rack tier in the spec itself, heterogeneous members build.
-	if _, err := ClusterFromSpec("rack:2 node:{pack:2 core:8 | pack:1 core:4}", Fabric{}, Config{}); err != nil {
-		t.Fatalf("rack tier in spec rejected: %v", err)
-	}
-}
-
-// TestFabricStreamsPartialLevels pins that the global fallback count stays
-// visible while any fabric level still prices against it.
-func TestFabricStreamsPartialLevels(t *testing.T) {
-	p, err := NewPlatform("pod:2 rack:2 node:2 pack:1 core:2", Config{})
+	flat, err := NewPlatformAttrs("node:{pack:2 core:8 | pack:1 core:4}", Fabric{Racks: 2}.Defaults(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := p.Machine()
-	mach.SetFabricStreams(8)
-	uplink := make([]int, mach.FabricLevelSize(1))
-	mach.SetLinkStreams(1, uplink)
-	if got := mach.FabricStreams(); got != 8 {
-		t.Errorf("FabricStreams with levels 0 and 2 unset = %d, want 8 (still in force)", got)
+	if flat.Racks() != 1 || !flat.Heterogeneous() {
+		t.Fatalf("Fabric.Racks restructured the platform: %d racks, heterogeneous=%v", flat.Racks(), flat.Heterogeneous())
 	}
-	for l := 0; l < mach.NumFabricLevels(); l++ {
-		mach.SetLinkStreams(l, make([]int, mach.FabricLevelSize(l)))
+	racked, err := NewPlatformAttrs("rack:2 node:{pack:2 core:8 | pack:1 core:4}", Fabric{}.Defaults(), Config{})
+	if err != nil {
+		t.Fatalf("rack tier in spec rejected: %v", err)
 	}
-	if got := mach.FabricStreams(); got != 0 {
-		t.Errorf("FabricStreams with every level set = %d, want 0", got)
+	if racked.Racks() != 2 || !racked.Heterogeneous() {
+		t.Fatalf("rack tier in spec built %d racks, heterogeneous=%v", racked.Racks(), racked.Heterogeneous())
 	}
 }

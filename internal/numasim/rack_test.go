@@ -8,13 +8,27 @@ import (
 )
 
 // rackCluster builds 2 racks × 2 nodes of 4 cores for the fabric tests.
-func rackCluster(t *testing.T) *Cluster {
+func rackCluster(t *testing.T) *Platform {
 	t.Helper()
-	c, err := NewCluster(4, "pack:1 core:4 pu:1", Fabric{Racks: 2}, Config{})
+	c, err := NewPlatform("rack:2 cluster:2 pack:1 core:4 pu:1", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// levelStreams builds the per-edge count slice that declares counts[l][g]
+// crossing streams on link g of tree-fabric level l (level 0 the NICs,
+// level 1 the rack uplinks, level 2 the pod uplinks).
+func levelStreams(m *Machine, counts ...[]int) []int {
+	g := m.FabricGraph()
+	out := make([]int, g.NumEdges())
+	for l, level := range counts {
+		for i, e := range g.LevelEdges(l) {
+			out[e] = level[i]
+		}
+	}
+	return out
 }
 
 func TestNewClusterRacks(t *testing.T) {
@@ -39,23 +53,29 @@ func TestNewClusterRacks(t *testing.T) {
 	}
 }
 
+// TestNewClusterRacksIndivisible: three nodes do not split evenly across two
+// racks, so the uneven split has to be spelled out per rack; a per-rack list
+// that does not match the rack count is rejected.
 func TestNewClusterRacksIndivisible(t *testing.T) {
-	_, err := NewCluster(3, "core:4", Fabric{Racks: 2}, Config{})
-	if err == nil || !strings.Contains(err.Error(), "not divisible across") {
-		t.Fatalf("indivisible rack split accepted: %v", err)
+	if _, err := NewPlatform("rack:2 node:1,2 core:4", Config{}); err != nil {
+		t.Fatalf("explicit uneven split rejected: %v", err)
+	}
+	_, err := NewPlatform("rack:2 node:1,1,1 core:4", Config{})
+	if err == nil || !strings.Contains(err.Error(), "platform spec") {
+		t.Fatalf("three per-rack counts for two racks accepted: %v", err)
 	}
 }
 
 func TestClusterFromSpecRackTier(t *testing.T) {
-	c, err := ClusterFromSpec("rack:2 node:2 pack:1 core:4", Fabric{}, Config{})
+	c, err := NewPlatformAttrs("rack:2 node:2 pack:1 core:4", Fabric{}.Defaults(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Racks() != 2 || c.Nodes() != 4 {
 		t.Fatalf("shape: %d racks, %d nodes", c.Racks(), c.Nodes())
 	}
-	if got := c.Fabric().Racks; got != 2 {
-		t.Errorf("Fabric().Racks = %d, want 2", got)
+	if got := len(c.FabricLevels()); got != 2 {
+		t.Errorf("%d fabric levels, want 2 (NICs and rack uplinks)", got)
 	}
 }
 
@@ -85,7 +105,7 @@ func TestFabricHopPathPricing(t *testing.T) {
 
 	// A flat 4-node cluster prices the same node pair like the intra-rack
 	// path: racks only add cost where a rack boundary is crossed.
-	flat, err := NewCluster(4, "pack:1 core:4 pu:1", Fabric{}, Config{})
+	flat, err := NewPlatform("cluster:4 pack:1 core:4 pu:1", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +127,7 @@ func TestPerLinkFabricContention(t *testing.T) {
 	free := m.TransferCost(0, perNode, bytes)
 
 	// 8 streams all hitting node 1's NIC; nodes 0/2/3 uncontended.
-	m.SetFabricLinkStreams([]int{1, 8, 1, 1}, []int{1, 1})
+	m.SetEdgeStreams(levelStreams(m, []int{1, 8, 1, 1}, []int{1, 1}))
 	hot := m.TransferCost(0, perNode, bytes)            // into the hot NIC
 	cold := m.TransferCost(2*perNode, 3*perNode, bytes) // rack 1, both NICs cold
 	if hot <= free {
@@ -118,7 +138,7 @@ func TestPerLinkFabricContention(t *testing.T) {
 	}
 
 	// Uplink contention throttles only rack-crossing transfers.
-	m.SetFabricLinkStreams([]int{1, 1, 1, 1}, []int{8, 8})
+	m.SetEdgeStreams(levelStreams(m, []int{1, 1, 1, 1}, []int{8, 8}))
 	intra := m.TransferCost(0, perNode, bytes)
 	cross := m.TransferCost(0, 2*perNode, bytes)
 	if intra != free {
@@ -129,66 +149,41 @@ func TestPerLinkFabricContention(t *testing.T) {
 		t.Errorf("cross-rack transfer under uplink contention = %.0f, want above %.0f", cross, crossFree)
 	}
 
-	// Reverting to the global model restores uniform sharing.
-	m.SetFabricLinkStreams(nil, nil)
+	// Clearing the counts restores the uncontended fabric.
+	m.SetEdgeStreams(nil)
 	if got := m.TransferCost(0, perNode, bytes); got != free {
 		t.Errorf("after reset transfer = %.0f, want %.0f", got, free)
 	}
 }
 
-// TestGlobalFabricStreamsEquivalence: on any fabric, the legacy global model
-// must equal uniform per-link counts — SetFabricStreams(n) and
-// SetFabricLinkStreams([n,n,...], [n,n,...]) price every transfer alike.
-func TestGlobalFabricStreamsEquivalence(t *testing.T) {
-	c := rackCluster(t)
-	m := c.Machine()
-	perNode := m.Topology().NumPUs() / 4
-	const bytes = 4 << 20
-	pairs := [][2]int{{0, perNode}, {0, 2 * perNode}, {perNode, 3 * perNode}}
-
-	m.SetFabricStreams(6)
-	global := make([]float64, len(pairs))
-	for i, p := range pairs {
-		global[i] = m.TransferCost(p[0], p[1], bytes)
-	}
-	m.SetFabricLinkStreams([]int{6, 6, 6, 6}, []int{6, 6})
-	for i, p := range pairs {
-		if got := m.TransferCost(p[0], p[1], bytes); got != global[i] {
-			t.Errorf("pair %v: per-link uniform %.0f != global %.0f", p, got, global[i])
-		}
-	}
-	// Getters report the in-force model.
-	if m.FabricStreams() != 0 {
-		t.Errorf("FabricStreams = %d after per-link declaration, want 0", m.FabricStreams())
-	}
-	if m.NICStreams(2) != 6 || m.UplinkStreams(1) != 6 {
-		t.Errorf("per-link getters: nic=%d uplink=%d, want 6/6", m.NICStreams(2), m.UplinkStreams(1))
-	}
-	m.ResetAccessors()
-	if m.NICStreams(0) != 0 || m.UplinkStreams(0) != 0 {
-		t.Error("ResetAccessors must clear per-link stream counts")
-	}
-}
-
-// TestFabricLinkStreamsRevert: clearing the per-link counts restores the
-// global model that was last declared — not an uncapped fabric.
+// TestFabricLinkStreamsRevert: the getter reads back the declared per-edge
+// counts, and both ways of clearing them — SetEdgeStreams(nil) and
+// ResetAccessors — restore the uncontended price and a zero reading.
 func TestFabricLinkStreamsRevert(t *testing.T) {
 	c := rackCluster(t)
 	m := c.Machine()
 	perNode := m.Topology().NumPUs() / 4
 	const bytes = 4 << 20
 
-	m.SetFabricStreams(6)
-	global := m.TransferCost(0, perNode, bytes)
-	m.SetFabricLinkStreams([]int{1, 1, 1, 1}, []int{1, 1})
-	if got := m.TransferCost(0, perNode, bytes); got >= global {
-		t.Fatalf("uncontended per-link transfer %.0f not below global-6 %.0f", got, global)
-	}
-	m.SetFabricLinkStreams(nil, nil)
-	if got := m.FabricStreams(); got != 6 {
-		t.Errorf("FabricStreams after revert = %d, want the declared 6", got)
-	}
-	if got := m.TransferCost(0, perNode, bytes); got != global {
-		t.Errorf("transfer after revert = %.0f, want the global-model price %.0f", got, global)
+	free := m.TransferCost(0, perNode, bytes)
+	nicOf2 := m.FabricGraph().LevelEdges(0)[2]
+	for _, clear := range []func(){
+		func() { m.SetEdgeStreams(nil) },
+		m.ResetAccessors,
+	} {
+		m.SetEdgeStreams(levelStreams(m, []int{6, 6, 6, 6}, []int{6, 6}))
+		if got := m.EdgeStreams(nicOf2); got != 6 {
+			t.Errorf("EdgeStreams(node 2's NIC) = %d, want the declared 6", got)
+		}
+		if got := m.TransferCost(0, perNode, bytes); got <= free {
+			t.Fatalf("6-stream transfer %.0f not above the uncontended %.0f", got, free)
+		}
+		clear()
+		if got := m.EdgeStreams(nicOf2); got != 0 {
+			t.Errorf("EdgeStreams after clearing = %d, want 0", got)
+		}
+		if got := m.TransferCost(0, perNode, bytes); got != free {
+			t.Errorf("transfer after clearing = %.0f, want the uncontended %.0f", got, free)
+		}
 	}
 }

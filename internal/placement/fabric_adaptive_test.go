@@ -129,7 +129,7 @@ func TestAdaptiveRefreshesFabricContention(t *testing.T) {
 	}
 	total := 0
 	for c := 0; c < 4; c++ {
-		total += mach.NICStreams(c)
+		total += linkStreams(mach, 0, c)
 	}
 	if total == 0 {
 		t.Errorf("no per-link NIC streams declared after the run; the engine did not refresh the contention model")

@@ -348,7 +348,7 @@ func SetContention(mach *numasim.Machine, a *Assignment, heavy []bool) {
 // cluster node contributes one stream on its node's NIC link, and — at
 // every outer fabric level (rack uplinks, pod uplinks) where some partner
 // sits in a different group — one stream on its own group's uplink at that
-// level. The counts are declared with numasim.Machine.SetLinkStreams, so a
+// level. The counts are declared with numasim.Machine.SetEdgeStreams, so a
 // transfer is capped by the most contended link on its path: partitions
 // that balance the crossing streams across NICs, racks and pods sustain
 // more bandwidth than ones that funnel them, even at equal total cut. An
@@ -364,9 +364,13 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 		setRoutedFabricContention(mach, a, m)
 		return
 	}
-	counts := make([][]int, levels)
-	for l := range counts {
-		counts[l] = make([]int, mach.FabricLevelSize(l))
+	// One per-edge slice collects every level's streams: link g of fabric
+	// level l is edge levelEdges[l][g] of the fabric graph.
+	g := mach.FabricGraph()
+	counts := make([]int, g.NumEdges())
+	levelEdges := make([][]int, levels)
+	for l := range levelEdges {
+		levelEdges[l] = g.LevelEdges(l)
 	}
 	crossesAt := make([]bool, levels)
 	for i := 0; i < m.Order() && i < len(a.TaskPU); i++ {
@@ -392,29 +396,27 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 		switch {
 		case !hasTraffic:
 			// A task that exchanges no volume contributes no stream, bound
-			// or not (the old global model's guard, preserved).
+			// or not.
 		case a.TaskPU[i] < 0:
 			// An unbound endpoint can stream over any link; count it on all
-			// of them, the conservative reading of the old global model.
-			for l := range counts {
-				for g := range counts[l] {
-					counts[l][g]++
+			// of them.
+			for _, le := range levelEdges {
+				for _, e := range le {
+					counts[e]++
 				}
 			}
 		case crossesAt[0] || partnerUnbound:
 			// A bound task whose partner is unbound may end up streaming
 			// anywhere, so its own links at every level carry the stream.
 			ci := mach.ClusterNodeOfPU(a.TaskPU[i])
-			for l := range counts {
+			for l, le := range levelEdges {
 				if crossesAt[l] || partnerUnbound {
-					counts[l][mach.FabricGroupOf(l, ci)]++
+					counts[le[mach.FabricGroupOf(l, ci)]]++
 				}
 			}
 		}
 	}
-	for l, c := range counts {
-		mach.SetLinkStreams(l, c)
-	}
+	mach.SetEdgeStreams(counts)
 }
 
 // setRoutedFabricContention is the shaped-fabric (torus/dragonfly) arm of

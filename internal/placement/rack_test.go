@@ -11,11 +11,17 @@ import (
 // cores per node.
 func rackMachine(t *testing.T) *numasim.Machine {
 	t.Helper()
-	c, err := numasim.NewCluster(4, "pack:1 core:4 pu:1", numasim.Fabric{Racks: 2}, numasim.Config{})
+	c, err := numasim.NewPlatform("rack:2 cluster:2 pack:1 core:4 pu:1", numasim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c.Machine()
+}
+
+// linkStreams reads the declared stream count of link i at tree-fabric level
+// `level` (0: cluster node i's NIC, 1: rack i's uplink).
+func linkStreams(mach *numasim.Machine, level, i int) int {
+	return mach.EdgeStreams(mach.FabricGraph().LevelEdges(level)[i])
 }
 
 // pairBlockMatrix builds 4 blocks of `c` tasks with heavy intra-block
@@ -94,7 +100,7 @@ func TestHierarchicalFabricMatch(t *testing.T) {
 // assignment matches the NoFabricMatch variant exactly (A9 results stay
 // bit-stable).
 func TestHierarchicalFlatFabricIdentity(t *testing.T) {
-	c, err := numasim.NewCluster(4, "pack:1 core:4 pu:1", numasim.Fabric{}, numasim.Config{})
+	c, err := numasim.NewPlatform("cluster:4 pack:1 core:4 pu:1", numasim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +141,19 @@ func TestSetFabricContentionPerLink(t *testing.T) {
 		a.ControlPU[i], a.ControlPU[4+i] = -1, -1
 	}
 	SetFabricContention(mach, a, m)
-	if got := mach.NICStreams(0); got != 2 {
+	if got := linkStreams(mach, 0, 0); got != 2 {
 		t.Errorf("NIC streams node 0 = %d, want 2 (tasks 0 and 1 cross)", got)
 	}
-	if got := mach.NICStreams(2); got != 2 {
+	if got := linkStreams(mach, 0, 2); got != 2 {
 		t.Errorf("NIC streams node 2 = %d, want 2 (tasks 4 and 5 cross)", got)
 	}
-	if got := mach.NICStreams(1) + mach.NICStreams(3); got != 0 {
+	if got := linkStreams(mach, 0, 1) + linkStreams(mach, 0, 3); got != 0 {
 		t.Errorf("idle nodes carry %d NIC streams, want 0", got)
 	}
-	if got, want := mach.UplinkStreams(0), 2; got != want {
+	if got, want := linkStreams(mach, 1, 0), 2; got != want {
 		t.Errorf("uplink streams rack 0 = %d, want %d", got, want)
 	}
-	if got, want := mach.UplinkStreams(1), 2; got != want {
+	if got, want := linkStreams(mach, 1, 1), 2; got != want {
 		t.Errorf("uplink streams rack 1 = %d, want %d", got, want)
 	}
 }
@@ -167,13 +173,13 @@ func TestSetFabricContentionZeroVolumeTask(t *testing.T) {
 	SetFabricContention(mach, a, m)
 	// Tasks 0 and 1 cross the racks (nodes 0 and 2); the silent unbound
 	// task 2 must not inflate any link.
-	if got := mach.NICStreams(0); got != 1 {
+	if got := linkStreams(mach, 0, 0); got != 1 {
 		t.Errorf("NIC streams node 0 = %d, want 1 (only task 0)", got)
 	}
-	if got := mach.NICStreams(1); got != 0 {
+	if got := linkStreams(mach, 0, 1); got != 0 {
 		t.Errorf("NIC streams idle node 1 = %d, want 0 — the zero-volume unbound task must not count", got)
 	}
-	if got := mach.UplinkStreams(0); got != 1 {
+	if got := linkStreams(mach, 1, 0); got != 1 {
 		t.Errorf("uplink streams rack 0 = %d, want 1", got)
 	}
 }
@@ -187,12 +193,12 @@ func TestSetFabricContentionUnboundRoams(t *testing.T) {
 	a := &Assignment{TaskPU: []int{-1, mach.Topology().Cores()[0].Children[0].OSIndex}, ControlPU: []int{-1, -1}}
 	SetFabricContention(mach, a, m)
 	for n := 0; n < 4; n++ {
-		if mach.NICStreams(n) < 1 {
+		if linkStreams(mach, 0, n) < 1 {
 			t.Errorf("node %d NIC saw no stream from the roaming task", n)
 		}
 	}
 	for r := 0; r < 2; r++ {
-		if mach.UplinkStreams(r) < 1 {
+		if linkStreams(mach, 1, r) < 1 {
 			t.Errorf("rack %d uplink saw no stream from the roaming task", r)
 		}
 	}

@@ -146,8 +146,8 @@ type FabricGraph struct {
 	treeDepth  []int
 
 	// levelEdge maps the tree fabric's (level, group) link addressing onto
-	// edge ids, innermost level first — the bridge that keeps the per-level
-	// SetLinkStreams form working over per-edge storage.
+	// edge ids, innermost level first — the bridge from per-level link
+	// addressing to the per-edge stream and fault storage (LevelEdges).
 	levelEdge [][]int
 
 	pathOnce sync.Once
