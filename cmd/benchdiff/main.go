@@ -1,12 +1,17 @@
-// Command benchdiff gates wall-clock regressions between two bench
-// documents produced by cmd/ablate -json:
+// Command benchdiff gates two bench documents produced by cmd/ablate -json
+// against each other — simulated drift and wall-clock regressions:
 //
 //	benchdiff -base BENCH_6.json -cur BENCH_new.json
 //	benchdiff -base BENCH_6.json -cur BENCH_new.json -factor 3
+//	benchdiff -base BENCH_5.json -cur BENCH_new.json -factor 0
 //	benchdiff -manifest bench/manifest.json
 //
-// Only rows carrying wall_seconds are compared (the benchmark tiers; the
-// simulated rows are deterministic and asserted by the orderings instead).
+// The drift gate always runs: simulated results are deterministic, so every
+// row present in both documents must carry the same cycles and detail, to the
+// last bit — a baseline is regenerated deliberately when a model change is
+// intended. The wall gate compares only rows carrying wall_seconds (the
+// benchmark tiers); -factor 0 skips it, for the ordering-only tiers whose
+// rows carry none.
 // Every wall row of the baseline must still exist in the current document —
 // silently dropping a grid point is itself a failure — and must not exceed
 // factor × its baseline wall time (default 2, absorbing runner-to-runner
@@ -32,13 +37,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 func main() {
 	var (
 		base     = flag.String("base", "", "baseline bench JSON (required without -manifest)")
 		cur      = flag.String("cur", "", "current bench JSON (required without -manifest)")
-		factor   = flag.Float64("factor", 2, "allowed wall-time growth factor over the baseline")
+		factor   = flag.Float64("factor", 2, "allowed wall-time growth factor over the baseline (0: drift gate only)")
 		manifest = flag.String("manifest", "", "bench-gate manifest to check for completeness instead of diffing")
 	)
 	flag.Parse()
@@ -57,7 +63,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff: -base and -cur are both required")
 		os.Exit(2)
 	}
-	if err := diff(os.Stdout, *base, *cur, *factor); err != nil {
+	err := drift(os.Stdout, *base, *cur)
+	if err == nil && *factor != 0 {
+		err = diff(os.Stdout, *base, *cur, *factor)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(1)
 	}
@@ -114,11 +124,11 @@ func checkManifest(w io.Writer, path string) error {
 		if tier.Factor > 0 {
 			verdict = fmt.Sprintf("wall-gated x%g", tier.Factor)
 			baseline := filepath.Join(dir, tier.Artifact)
-			walls, err := load(baseline)
+			rows, err := load(baseline)
 			switch {
 			case err != nil:
 				bad = append(bad, fmt.Sprintf("tier %d (%s): baseline %s: %v", i, tier.Exp, baseline, err))
-			case len(walls) == 0:
+			case len(wallKeys(rows)) == 0:
 				bad = append(bad, fmt.Sprintf("tier %d (%s): baseline %s carries no wall_seconds rows to gate on", i, tier.Exp, baseline))
 			}
 		}
@@ -134,51 +144,88 @@ func checkManifest(w io.Writer, path string) error {
 		}
 	}
 	if len(bad) > 0 {
-		msg := bad[0]
-		for _, m := range bad[1:] {
-			msg += "; " + m
-		}
-		return fmt.Errorf("%d manifest check(s) failed: %s", len(bad), msg)
+		return fmt.Errorf("%d manifest check(s) failed: %s", len(bad), strings.Join(bad, "; "))
 	}
 	return nil
 }
 
-// benchReport mirrors the subset of the cmd/ablate -json schema benchdiff
-// consumes (see benchSchema there).
-type benchReport struct {
-	Schema    string `json:"schema"`
-	Ablations []struct {
-		Exp  string `json:"exp"`
-		Rows []struct {
-			Name        string  `json:"name"`
-			WallSeconds float64 `json:"wall_seconds"`
-		} `json:"rows"`
-	} `json:"ablations"`
+// benchRow is the subset of one cmd/ablate -json row benchdiff consumes (see
+// benchSchema there).
+type benchRow struct {
+	Name        string  `json:"name"`
+	Cycles      float64 `json:"cycles"`
+	Detail      string  `json:"detail"`
+	WallSeconds float64 `json:"wall_seconds"`
 }
 
 const benchSchema = "repro-bench/1"
 
-func load(path string) (map[string]float64, error) {
+// load reads a bench document into its rows, keyed "exp/name".
+func load(path string) (map[string]benchRow, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep benchReport
+	var rep struct {
+		Schema    string `json:"schema"`
+		Ablations []struct {
+			Exp  string     `json:"exp"`
+			Rows []benchRow `json:"rows"`
+		} `json:"ablations"`
+	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if rep.Schema != benchSchema {
 		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, benchSchema)
 	}
-	walls := map[string]float64{}
+	rows := map[string]benchRow{}
 	for _, a := range rep.Ablations {
 		for _, r := range a.Rows {
-			if r.WallSeconds > 0 {
-				walls[a.Exp+"/"+r.Name] = r.WallSeconds
-			}
+			rows[a.Exp+"/"+r.Name] = r
 		}
 	}
-	return walls, nil
+	return rows, nil
+}
+
+// wallKeys returns the sorted keys of the rows that carry a wall time.
+func wallKeys(rows map[string]benchRow) []string {
+	var keys []string
+	for k, r := range rows {
+		if r.WallSeconds > 0 {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// drift compares the simulated results of the two documents: every row
+// present in both must agree in cycles and detail exactly. It prints the
+// drifted rows to w and returns an error naming them.
+func drift(w io.Writer, basePath, curPath string) error {
+	base, err := load(basePath)
+	if err != nil {
+		return err
+	}
+	cur, err := load(curPath)
+	if err != nil {
+		return err
+	}
+	var bad []string
+	for k, b := range base {
+		if c, ok := cur[k]; ok && (c.Cycles != b.Cycles || c.Detail != b.Detail) {
+			bad = append(bad, fmt.Sprintf("%s: cycles %v detail %q vs baseline %v %q", k, c.Cycles, c.Detail, b.Cycles, b.Detail))
+		}
+	}
+	sort.Strings(bad)
+	for _, m := range bad {
+		fmt.Fprintf(w, "  DRIFTED %s\n", m)
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("%d simulated row(s) drifted from the baseline: %s", len(bad), strings.Join(bad, "; "))
+	}
+	return nil
 }
 
 // diff compares the wall rows of the two documents, printing the table to w
@@ -195,19 +242,14 @@ func diff(w io.Writer, basePath, curPath string, factor float64) error {
 	if err != nil {
 		return err
 	}
-	if len(base) == 0 {
+	keys := wallKeys(base)
+	if len(keys) == 0 {
 		return fmt.Errorf("%s carries no wall_seconds rows to gate on", basePath)
 	}
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var bad []string
 	for _, k := range keys {
-		b := base[k]
-		c, ok := cur[k]
-		if !ok {
+		b, c := base[k].WallSeconds, cur[k].WallSeconds
+		if c <= 0 {
 			fmt.Fprintf(w, "  %-52s %9.3fs  MISSING\n", k, b)
 			bad = append(bad, fmt.Sprintf("%s: present in baseline, missing from current", k))
 			continue
@@ -220,11 +262,7 @@ func diff(w io.Writer, basePath, curPath string, factor float64) error {
 		fmt.Fprintf(w, "  %-52s %9.3fs -> %9.3fs  x%-5.2f %s\n", k, b, c, c/b, verdict)
 	}
 	if len(bad) > 0 {
-		msg := bad[0]
-		for _, m := range bad[1:] {
-			msg += "; " + m
-		}
-		return fmt.Errorf("%d wall-time check(s) failed: %s", len(bad), msg)
+		return fmt.Errorf("%d wall-time check(s) failed: %s", len(bad), strings.Join(bad, "; "))
 	}
 	return nil
 }

@@ -76,6 +76,54 @@ func TestDiffFailsOnMissingRow(t *testing.T) {
 	}
 }
 
+// TestDriftGate: simulated results must not move by a bit. A drifted cycles
+// value or detail string on a row both documents carry fails and is named;
+// wall times, rows only one side has and identical documents pass.
+func TestDriftGate(t *testing.T) {
+	dir := t.TempDir()
+	base := writeReport(t, dir, "base.json", baseDoc)
+	for _, tc := range []struct {
+		name, old, new, wantErr string
+	}{
+		{"identical", "", "", ""},
+		{"wall only", `"wall_seconds": 1.0`, `"wall_seconds": 7.5`, ""},
+		{"row dropped", `{"name": "phase/static", "seconds": 3.5, "cycles": 1e9}`, ``, ""},
+		{"cycles drifted by an ulp", `"cycles": 1e9`, `"cycles": 1000000000.0000001`, "shift/phase/static"},
+		{"detail drifted", `"seconds": 3.5, "cycles": 1e9`, `"seconds": 3.5, "cycles": 1e9, "detail": "rebinds=1"`, "shift/phase/static"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := writeReport(t, dir, "cur.json", strings.Replace(baseDoc, tc.old, tc.new, 1))
+			var buf bytes.Buffer
+			err := drift(&buf, base, cur)
+			if tc.wantErr == "" && err != nil {
+				t.Fatalf("unexpected drift: %v", err)
+			}
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(buf.String(), "DRIFTED")) {
+				t.Fatalf("got %v, want drift naming %q\n%s", err, tc.wantErr, buf.String())
+			}
+		})
+	}
+	// The drift gate needs no wall rows, unlike the wall gate.
+	sim := writeReport(t, dir, "sim.json", simOnlyDoc)
+	if err := drift(io.Discard, sim, sim); err != nil {
+		t.Errorf("ordering-only document failed the drift gate: %v", err)
+	}
+}
+
+// TestRepoBaselinesSelfConsistent runs the drift gate over every committed
+// baseline against itself: each must load under the current schema.
+func TestRepoBaselinesSelfConsistent(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "bench", "BENCH_*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed baselines found: %v", err)
+	}
+	for _, f := range files {
+		if err := drift(io.Discard, f, f); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
+}
+
 const manifestDoc = `{
   "schema": "repro-bench-manifest/1",
   "tiers": [

@@ -157,7 +157,7 @@ func TestClusterHonorsFabricRacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Racks(); got != 2 {
+	if got := c.Machine().Topology().NumRacks(); got != 2 {
 		t.Fatalf("Fabric.Racks=2 built %d racks", got)
 	}
 	if _, err := Cluster(ClusterConfig{Nodes: 4, CoresPerNode: 12, CoresPerSocket: 6, Fabric: numasim.Fabric{Racks: 3}}); err == nil {

@@ -14,12 +14,10 @@ func TestHeteroPlatformShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if platform.Nodes() != 8 || platform.Pods() != 2 || platform.Racks() != 4 {
+	topo := platform.Machine().Topology()
+	if platform.Nodes() != 8 || topo.NumPods() != 2 || topo.NumRacks() != 4 {
 		t.Fatalf("platform shape nodes=%d pods=%d racks=%d, want 8/2/4",
-			platform.Nodes(), platform.Pods(), platform.Racks())
-	}
-	if !platform.Heterogeneous() {
-		t.Fatal("platform is not heterogeneous")
+			platform.Nodes(), topo.NumPods(), topo.NumRacks())
 	}
 	if got := platform.Machine().Topology().NumCores(); got != 48 {
 		t.Fatalf("fused platform has %d cores, want 48", got)
@@ -30,7 +28,7 @@ func TestHeteroPlatformShape(t *testing.T) {
 			t.Errorf("node %d has %d cores, want %d", i, got, want)
 		}
 	}
-	if levels := platform.Machine().NumFabricLevels(); levels != 3 {
+	if levels := platform.Machine().FabricGraph().NumLevels(); levels != 3 {
 		t.Fatalf("%d fabric levels, want 3 (NIC, rack uplink, pod uplink)", levels)
 	}
 	if !strings.Contains(HeteroPlatformSpec(cfg), "node:2{") {

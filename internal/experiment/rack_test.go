@@ -103,10 +103,11 @@ func TestRackClusterShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Racks() != 2 || c.Nodes() != 4 {
-		t.Fatalf("shape: %d racks, %d nodes", c.Racks(), c.Nodes())
+	g := c.Machine().FabricGraph()
+	if racks := c.Machine().Topology().NumRacks(); racks != 2 || c.Nodes() != 4 {
+		t.Fatalf("shape: %d racks, %d nodes", racks, c.Nodes())
 	}
-	nic, uplink := c.FabricLevels()[0], c.FabricLevels()[1]
+	nic, uplink := g.Edges()[g.LevelEdges(0)[0]], g.Edges()[g.LevelEdges(1)[0]]
 	if uplink.BandwidthBytesPerSec != nic.BandwidthBytesPerSec {
 		t.Errorf("uplink bandwidth %.3g, want the oversubscribed NIC-class default %.3g",
 			uplink.BandwidthBytesPerSec, nic.BandwidthBytesPerSec)

@@ -7,33 +7,19 @@ import (
 )
 
 // Platform is a simulated multi-machine cluster built from a single topology
-// spec: a set of (possibly heterogeneous) member Machines joined by an
-// interconnect fabric of any depth — flat single-switch, racked (ToR +
-// spine), or pod-tiered (ToR + pod switch + core switch) — priced with
-// per-level link latency and bandwidth. The platform is simulated through a
-// single fused Machine whose topology carries the fabric tiers above the
-// per-node trees, so that lock handoffs and region pulls crossing a node
-// boundary charge network cycles instead of cache or memory cycles (see
-// Machine.TransferCost). The member Machines expose each node's
-// shared-memory view for per-node placement (hierarchical TreeMatch runs
-// Algorithm 1 on one member's topology).
+// spec: a set of (possibly heterogeneous) member machines joined by an
+// interconnect fabric of any shape — flat single-switch, racked (ToR +
+// spine), pod-tiered (ToR + pod switch + core switch), torus or dragonfly.
+// The platform is simulated through a single fused Machine whose topology
+// carries the fabric above the per-node trees, so that lock handoffs and
+// region pulls crossing a node boundary charge network cycles instead of
+// cache or memory cycles (see Machine.TransferCost). Per-node placement works
+// on the fused topology too: placement.Hierarchical runs Algorithm 1 on each
+// member's subtree of it (treematch.NodeSubtrees).
 type Platform struct {
-	fused   *Machine
-	members []*Machine
-	levels  []FabricLevel
-}
-
-// FabricLevel describes the links of one fabric tier, innermost first:
-// level 0 the per-node NIC links, level 1 the rack uplinks, level 2 the pod
-// uplinks.
-type FabricLevel struct {
-	// LatencyCycles is the per-link latency of one link at this level in CPU
-	// cycles; a message traverses both endpoint links of every level below
-	// (and including) the first tier the endpoints share.
-	LatencyCycles float64
-	// BandwidthBytesPerSec is the per-link bandwidth at this level, shared by
-	// every stream declared to cross the link.
-	BandwidthBytesPerSec float64
+	fused *Machine
+	// nodeCores[i] is the number of physical cores of the i-th member.
+	nodeCores []int
 }
 
 // Fabric is the link-parameter override block of the experiment configs: the
@@ -43,10 +29,6 @@ type FabricLevel struct {
 // fabric's shape lives in the platform spec; Defaults turns the overrides
 // into the attributes NewPlatformAttrs takes. It cannot describe a pod tier.
 type Fabric struct {
-	// LinkLatencyCycles is the latency of one fabric (NIC) link in CPU
-	// cycles; a message between two nodes of the same switch traverses two
-	// such links.
-	LinkLatencyCycles float64
 	// LinkBandwidthBytesPerSec is the bandwidth of one fabric (NIC) link.
 	LinkBandwidthBytesPerSec float64
 	// Racks splits the cluster nodes across that many top-of-rack switches
@@ -66,9 +48,6 @@ type Fabric struct {
 // Defaults merges the fabric's non-zero fields onto topology.DefaultAttrs.
 func (f Fabric) Defaults() topology.Defaults {
 	def := topology.DefaultAttrs()
-	if f.LinkLatencyCycles > 0 {
-		def.NetLatencyCycles = f.LinkLatencyCycles
-	}
 	if f.LinkBandwidthBytesPerSec > 0 {
 		def.NetBandwidth = f.LinkBandwidthBytesPerSec
 	}
@@ -116,25 +95,9 @@ func NewPlatformAttrs(spec string, def topology.Defaults, cfg Config) (*Platform
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{fused: fused}
-	for _, lv := range fusedTopo.FabricLevels() {
-		p.levels = append(p.levels, FabricLevel{
-			LatencyCycles:        lv[0].Attr.LatencyCycles,
-			BandwidthBytesPerSec: lv[0].Attr.BandwidthBytesPerSec,
-		})
-	}
-	for i, member := range ps.Members {
-		// Each member gets its own topology instance so per-node state
-		// (accessors, bound Procs) stays independent.
-		mt, err := topology.FromSpecAttrs(member, def)
-		if err != nil {
-			return nil, fmt.Errorf("numasim: platform member %d: %w", i, err)
-		}
-		mm, err := New(mt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.members = append(p.members, mm)
+	p := &Platform{fused: fused, nodeCores: make([]int, fusedTopo.NumClusterNodes())}
+	for _, core := range fusedTopo.Cores() {
+		p.nodeCores[fused.ClusterNodeOfPU(core.Children[0].OSIndex)]++
 	}
 	return p, nil
 }
@@ -145,46 +108,8 @@ func NewPlatformAttrs(spec string, def topology.Defaults, cfg Config) (*Platform
 func (c *Platform) Machine() *Machine { return c.fused }
 
 // Nodes returns the number of cluster nodes.
-func (c *Platform) Nodes() int { return len(c.members) }
-
-// Node returns the i-th member machine: the shared-memory view of one
-// cluster node, used for per-node placement.
-func (c *Platform) Node(i int) *Machine { return c.members[i] }
+func (c *Platform) Nodes() int { return len(c.nodeCores) }
 
 // NodeCores returns the number of physical cores of the i-th member, the
 // capacity weight of capacity-aware partitioning.
-func (c *Platform) NodeCores(i int) int { return c.members[i].Topology().NumCores() }
-
-// Heterogeneous reports whether the members differ in core count.
-func (c *Platform) Heterogeneous() bool {
-	for i := 1; i < len(c.members); i++ {
-		if c.NodeCores(i) != c.NodeCores(0) {
-			return true
-		}
-	}
-	return false
-}
-
-// FabricLevels returns the per-level link attributes of the fabric,
-// innermost first (NICs, then rack uplinks, then pod uplinks). Empty on a
-// single-node platform.
-func (c *Platform) FabricLevels() []FabricLevel {
-	return append([]FabricLevel(nil), c.levels...)
-}
-
-// Racks returns the number of top-of-rack switches (1 on a flat fabric).
-func (c *Platform) Racks() int {
-	if r := c.fused.Topology().NumRacks(); r > 0 {
-		return r
-	}
-	return 1
-}
-
-// Pods returns the number of pod switches (0 without a pod tier).
-func (c *Platform) Pods() int { return c.fused.Topology().NumPods() }
-
-// RackOfNode returns the rack index of a cluster node (0 on a flat fabric).
-func (c *Platform) RackOfNode(i int) int { return c.fused.RackOfClusterNode(i) }
-
-// NodeOfPU returns the cluster-node index owning a fused-machine PU.
-func (c *Platform) NodeOfPU(pu int) int { return c.fused.ClusterNodeOfPU(pu) }
+func (c *Platform) NodeCores(i int) int { return c.nodeCores[i] }

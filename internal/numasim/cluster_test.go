@@ -27,15 +27,15 @@ func TestClusterShape(t *testing.T) {
 		t.Fatalf("fused cores = %d, want 64", got)
 	}
 	for i := 0; i < c.Nodes(); i++ {
-		if got := c.Node(i).Topology().NumCores(); got != 16 {
+		if got := c.NodeCores(i); got != 16 {
 			t.Fatalf("member %d cores = %d, want 16", i, got)
 		}
 	}
 	// PU ownership is contiguous per node, left to right.
 	perNode := fused.Topology().NumPUs() / c.Nodes()
 	for pu := 0; pu < fused.Topology().NumPUs(); pu++ {
-		if got, want := c.NodeOfPU(pu), pu/perNode; got != want {
-			t.Fatalf("NodeOfPU(%d) = %d, want %d", pu, got, want)
+		if got, want := fused.ClusterNodeOfPU(pu), pu/perNode; got != want {
+			t.Fatalf("ClusterNodeOfPU(%d) = %d, want %d", pu, got, want)
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestTransferCostCrossesFabric(t *testing.T) {
 	if cross <= sameNode {
 		t.Fatalf("cross-node transfer (%.0f cycles) not more expensive than intra-node (%.0f)", cross, sameNode)
 	}
-	nic := c.FabricLevels()[0]
+	nic := m.FabricGraph().Edges()[0]
 	if cross < 2*nic.LatencyCycles {
 		t.Fatalf("cross-node transfer %.0f cycles cheaper than two link latencies (%.0f)", cross, 2*nic.LatencyCycles)
 	}
@@ -97,7 +97,7 @@ func TestMemAccessCrossesFabric(t *testing.T) {
 	c := newTestCluster(t, 2, "pack:1 l3:1 core:4")
 	m := c.Machine()
 	remoteNUMA := m.Topology().NumNUMANodes() - 1
-	if m.ClusterNodeOfNode(0) == m.ClusterNodeOfNode(remoteNUMA) {
+	if m.cnodeOfNUMA[0] == m.cnodeOfNUMA[remoteNUMA] {
 		t.Fatal("test setup: NUMA nodes 0 and last should be on different cluster nodes")
 	}
 	local, err := m.AllocOn("local", 1<<22, 0)

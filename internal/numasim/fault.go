@@ -64,7 +64,6 @@ func (m *Machine) ApplyFaultEvents(events []topology.FaultEvent) error {
 			}
 			m.ensureEdgeFaultFactors()
 			m.edgeFaultFactor[ev.Edge] = 0
-			m.hasSevered = true
 		default:
 			return fmt.Errorf("numasim: fault %v: unknown kind", ev)
 		}
@@ -133,19 +132,4 @@ func (m *Machine) CheckpointNode() int {
 		}
 	}
 	return 0
-}
-
-// severedPath reports whether the routed path between two live cluster nodes
-// crosses a severed edge: every edge of the path must be up for the access to
-// complete. Called from the pricing hot path only once a sever exists.
-func (m *Machine) severedPath(fromC, toC int) bool {
-	if fromC == toC {
-		return false
-	}
-	for _, e := range m.RoutedPathEdges(fromC, toC) {
-		if m.edgeFaultFactor[e] == 0 {
-			return true
-		}
-	}
-	return false
 }

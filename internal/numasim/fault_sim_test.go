@@ -108,7 +108,7 @@ func TestDeadNodeUnreachable(t *testing.T) {
 		t.Fatalf("transfer between survivors = %v", c)
 	}
 	// Checkpoint node: first NUMA node on a surviving cluster node.
-	if cp := m.CheckpointNode(); m.ClusterNodeDead(m.ClusterNodeOfNode(cp)) {
+	if cp := m.CheckpointNode(); m.ClusterNodeDead(m.cnodeOfNUMA[cp]) {
 		t.Fatalf("CheckpointNode %d is on a dead cluster node", cp)
 	}
 	// Migration out of the dead node prices the pull from the checkpoint,
@@ -148,9 +148,9 @@ func TestDegradedEdgeReducesBandwidth(t *testing.T) {
 	if degraded <= healthy {
 		t.Fatalf("degraded transfer %v not slower than healthy %v", degraded, healthy)
 	}
-	// The cached and reference bandwidth paths must agree under the fault.
-	if a, b := m.fabricBandwidth(0, 1, nil), m.fabricBandwidthWalk(0, 1, nil); a != b {
-		t.Fatalf("fabricBandwidth %v != fabricBandwidthWalk %v under degrade", a, b)
+	// The walk and the per-level oracle must agree under the fault.
+	if _, a := m.fabricWalk(0, 1, nil); a != 0.5*g.Edges()[nic0].BandwidthBytesPerSec {
+		t.Fatalf("walked bandwidth %v under degrade, want half the NIC's", a)
 	}
 	// A second degrade compounds.
 	if err := m.ApplyFaultEvents([]topology.FaultEvent{{Kind: topology.FaultDegradeEdge, Edge: nic0, Factor: 0.5}}); err != nil {

@@ -28,13 +28,15 @@
 // clock (ClockHz); CyclesToSeconds converts to simulated seconds.
 // Intra-machine charges derive from cache/memory latencies and bandwidths;
 // transfers that cross a cluster-node boundary charge network cycles
-// instead — the accumulated per-link latency of the actual hop path (NIC
-// links, plus rack uplinks across racks and pod uplinks across pods;
-// fabricLatencyCycles) and streaming at the bottleneck link bandwidth, each
-// link shared by its declared crossing streams (SetEdgeStreams). The
-// simulator prices whatever placement it is given; it does not optimize. The placement side optimizes a structural
-// byte×hop objective whose units never appear here — internal/comm's
-// package documentation records where the two models are known to diverge.
+// instead — the accumulated per-edge latency of the routed path over the
+// fabric graph (NIC links, plus rack uplinks across racks and pod uplinks
+// across pods; torus or dragonfly hops on a shaped fabric) and streaming at
+// the bottleneck edge bandwidth, each edge shared by its declared crossing
+// streams (SetEdgeStreams), both read off one walk of the path (fabricWalk).
+// The simulator prices whatever placement it is given; it does not optimize.
+// The placement side optimizes a structural byte×hop objective whose units
+// never appear here — internal/comm's package documentation records where
+// the two models are known to diverge.
 package numasim
 
 import (
@@ -125,42 +127,17 @@ type Machine struct {
 	cnodeOf []int
 	// cnodeOfNUMA[node] is the cluster-node index of each NUMA node.
 	cnodeOfNUMA []int
-	// fabricLevels[l] lists the link objects of fabric level l, innermost
-	// first: level 0 the cluster nodes (NIC links), level 1 the racks (ToR
-	// uplinks), level 2 the pods (pod uplinks) — see topology.FabricLevels.
-	// Nil on single-machine topologies.
-	fabricLevels [][]*topology.Object
-	// fabricGroupOf[l][c] is the index, within fabric level l, of cluster
-	// node c's ancestor (the identity at level 0). Two cluster nodes'
-	// hop path includes both endpoint links of every level where their
-	// group indices differ.
-	fabricGroupOf [][]int
-	// fabricLinkLat[l][g] and fabricLinkBW[l][g] are the latency and
-	// bandwidth attributes of link g at fabric level l, flattened out of the
-	// topology objects once at construction so the per-transfer pricing paths
-	// never chase object pointers.
-	fabricLinkLat [][]float64
-	fabricLinkBW  [][]float64
-	// fabricCumLat[c][d] is the cached fabric distance table: the summed
-	// latency of cluster node c's own-side links over fabric levels < d.
-	// Since the hop path between two nodes diverging at level d traverses
-	// both endpoint links of every level below d, its total latency is
-	// fabricCumLat[from][d] + fabricCumLat[to][d] — two lookups instead of a
-	// tree walk. Built once per topology in New.
-	fabricCumLat [][]float64
-	// fabricGraph is the routed fabric graph (topology.FabricGraph): the
-	// torus/dragonfly graph on a shaped fabric, the compiled tree otherwise.
-	// Nil on single-machine topologies. Shaped fabrics have no fabricLevels —
-	// they price along routed edge paths instead of the per-level tables.
+	// fabricGraph is the one fabric representation (topology.FabricGraph):
+	// the torus/dragonfly graph on a shaped fabric, the compiled tree
+	// otherwise. Nil on single-machine topologies.
 	fabricGraph *topology.FabricGraph
 	// edgeLat[e] and edgeBW[e] are the fabric graph's edge attributes,
-	// flattened once at construction for the pricing hot paths.
+	// flattened once at construction for the pricing walk.
 	edgeLat []float64
 	edgeBW  []float64
-	// levelEdge[l][g] is the fabric-graph edge id of link g at tree fabric
-	// level l — the bridge from the per-level pricing tables to the per-edge
-	// stream and fault storage. Empty on shaped fabrics.
-	levelEdge [][]int
+	// rackOf[c] is the rack index of cluster node c; nil on a fabric without
+	// a rack tier (flat or shaped), where every node counts as rack 0.
+	rackOf []int
 	// l3Share[pu] is the slice of the innermost shared cache a PU can count
 	// on, in bytes (cache size / PUs sharing it).
 	l3Share []int64
@@ -169,7 +146,7 @@ type Machine struct {
 	// only while every Proc is quiesced — before Run, or inside an epoch
 	// hook, which the barrier's lock edges order before any task's
 	// subsequent charge — so the pricing hot paths read them without taking
-	// mu. On a healthy machine all three stay at their zero values and every
+	// mu. On a healthy machine they stay at their zero values and every
 	// fault branch below is skipped, keeping no-fault pricing bit-identical.
 	//
 	// deadCNode[c] marks cluster node c unreachable (nil until a kill).
@@ -177,9 +154,6 @@ type Machine struct {
 	// edgeFaultFactor[e] is the remaining bandwidth fraction of fabric edge
 	// e: 1 healthy, (0,1) degraded, 0 severed. Nil until an edge fault.
 	edgeFaultFactor []float64
-	// hasSevered records that some edge factor is 0, so memCostCycles must
-	// check routed paths for unreachability.
-	hasSevered bool
 	// routingPolicy selects minimal or Valiant routing on the fabric graph.
 	// Like the fault state it only changes while the machine is quiesced,
 	// so pricing reads it without the lock. RouteMinimal (the zero value)
@@ -251,39 +225,6 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 			m.cnodeOfNUMA[n] = c.LevelIndex
 		}
 	}
-	if levels := topo.FabricLevels(); len(levels) > 0 {
-		m.fabricLevels = levels
-		m.fabricGroupOf = make([][]int, len(levels))
-		for l, lv := range levels {
-			kind := lv[0].Kind
-			m.fabricGroupOf[l] = make([]int, len(topo.ClusterNodes()))
-			for c, node := range topo.ClusterNodes() {
-				m.fabricGroupOf[l][c] = node.Ancestor(kind).LevelIndex
-			}
-		}
-		// Flatten the link attributes and build the per-node cumulative
-		// latency prefixes that turn the hop-path walk into table lookups.
-		m.fabricLinkLat = make([][]float64, len(levels))
-		m.fabricLinkBW = make([][]float64, len(levels))
-		for l, lv := range levels {
-			lat := make([]float64, len(lv))
-			bw := make([]float64, len(lv))
-			for g, link := range lv {
-				lat[g] = link.Attr.LatencyCycles
-				bw[g] = link.Attr.BandwidthBytesPerSec
-			}
-			m.fabricLinkLat[l] = lat
-			m.fabricLinkBW[l] = bw
-		}
-		m.fabricCumLat = make([][]float64, len(topo.ClusterNodes()))
-		for c := range m.fabricCumLat {
-			cum := make([]float64, len(levels)+1)
-			for l := range levels {
-				cum[l+1] = cum[l] + m.fabricLinkLat[l][m.fabricGroupOf[l][c]]
-			}
-			m.fabricCumLat[c] = cum
-		}
-	}
 	if g := topo.FabricGraph(); g != nil {
 		m.fabricGraph = g
 		m.edgeLat = make([]float64, g.NumEdges())
@@ -292,9 +233,11 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 			m.edgeLat[i] = e.LatencyCycles
 			m.edgeBW[i] = e.BandwidthBytesPerSec
 		}
-		m.levelEdge = make([][]int, g.NumLevels())
-		for l := range m.levelEdge {
-			m.levelEdge[l] = g.LevelEdges(l)
+		if topo.NumRacks() > 0 {
+			m.rackOf = make([]int, len(topo.ClusterNodes()))
+			for c, node := range topo.ClusterNodes() {
+				m.rackOf[c] = topo.RackOf(node).LevelIndex
+			}
 		}
 	}
 	for i := range m.accessors {
@@ -394,35 +337,9 @@ func (m *Machine) RemoteStreams() int {
 	return m.remoteStreams
 }
 
-// NumFabricLevels returns the number of link levels of the cluster fabric,
-// innermost first: 0 on a single machine, 1 on a flat (single-switch)
-// cluster (the NIC links), 2 with a rack tier (+ ToR uplinks), 3 with a pod
-// tier (+ pod uplinks). Shaped (torus/dragonfly) fabrics have no levels —
-// 0 here, with FabricGraph carrying the per-edge structure.
-func (m *Machine) NumFabricLevels() int { return len(m.fabricLevels) }
-
-// NumFabricEdges returns the number of edges of the routed fabric graph
-// (0 on a single machine).
-func (m *Machine) NumFabricEdges() int {
-	if m.fabricGraph == nil {
-		return 0
-	}
-	return m.fabricGraph.NumEdges()
-}
-
 // FabricGraph returns the routed fabric graph the machine prices
 // cross-node transfers along, or nil on a single machine.
 func (m *Machine) FabricGraph() *topology.FabricGraph { return m.fabricGraph }
-
-// FabricLevelSize returns the number of links at a fabric level (the number
-// of cluster nodes, racks, or pods).
-func (m *Machine) FabricLevelSize(level int) int { return len(m.fabricLevels[level]) }
-
-// FabricGroupOf returns the index, within the given fabric level, of the
-// group containing cluster node c (at level 0, c itself). Two cluster nodes'
-// transfer traverses both endpoint links of every level where their group
-// indices differ.
-func (m *Machine) FabricGroupOf(level, c int) int { return m.fabricGroupOf[level][c] }
 
 // SetEdgeStreams declares the per-edge fabric contention over the routed
 // fabric graph: counts[e] is the number of crossing streams touching edge e
@@ -465,169 +382,46 @@ func (m *Machine) EdgeStreams(e int) int {
 // machine).
 func (m *Machine) ClusterNodeOfPU(pu int) int { return m.cnodeOf[pu] }
 
-// ClusterNodeOfNode returns the cluster-node index of a NUMA node (0 on a
-// single machine).
-func (m *Machine) ClusterNodeOfNode(node int) int { return m.cnodeOfNUMA[node] }
-
-// RackOfClusterNode returns the rack index of a cluster node (0 on a
-// single-switch fabric, where every node hangs off one switch).
+// RackOfClusterNode returns the rack index of a cluster node (0 on a fabric
+// without a rack tier, where every node hangs off one switch).
 func (m *Machine) RackOfClusterNode(c int) int {
-	if len(m.fabricGroupOf) < 2 {
+	if m.rackOf == nil {
 		return 0
 	}
-	return m.fabricGroupOf[1][c]
+	return m.rackOf[c]
 }
 
 // SameRack reports whether two cluster nodes share a top-of-rack switch
-// (always true on a single-switch fabric).
+// (always true on a fabric without a rack tier).
 func (m *Machine) SameRack(fromC, toC int) bool {
-	return len(m.fabricGroupOf) < 2 || m.fabricGroupOf[1][fromC] == m.fabricGroupOf[1][toC]
+	return m.RackOfClusterNode(fromC) == m.RackOfClusterNode(toC)
 }
 
-// fabricDivergence returns the first fabric level at which two cluster
-// nodes share a group — the level their hop path turns around at. Group
-// containment is hierarchical, so every level below it contributes both
-// endpoint links to the path, and no level above it contributes any.
-// Returns len(fabricLevels) if the nodes share no fabric group at all.
-func (m *Machine) fabricDivergence(fromC, toC int) int {
-	for l := range m.fabricLevels {
-		if m.fabricGroupOf[l][fromC] == m.fabricGroupOf[l][toC] {
-			return l
+// fabricWalk prices the hop between two distinct cluster nodes with one walk
+// of their routed path (AppendRoutedPath): the summed edge latency — on a
+// tree fabric both endpoint links of every level below the one the nodes
+// share — and the bottleneck bandwidth, each edge's fault-degraded bandwidth
+// shared among the streams declared to cross it (SetEdgeStreams). A severed
+// edge makes the path unreachable: infinite latency, no bandwidth. The
+// stream counts are the caller's snapshot, taken under the machine lock it
+// already holds, so pricing takes the lock once.
+func (m *Machine) fabricWalk(fromC, toC int, streams []int) (lat, bw float64) {
+	var stack [16]int
+	bw = math.Inf(1)
+	for _, e := range m.AppendRoutedPath(stack[:0], fromC, toC) {
+		lat += m.edgeLat[e]
+		ebw := m.edgeBW[e]
+		if m.edgeFaultFactor != nil {
+			if m.edgeFaultFactor[e] == 0 {
+				return math.Inf(1), 0
+			}
+			ebw *= m.edgeFaultFactor[e]
+		}
+		if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
+			bw = b
 		}
 	}
-	return len(m.fabricLevels)
-}
-
-// fabricLatencyCycles prices the latency of the hop path between two
-// distinct cluster nodes: at every level where the nodes' groups differ, the
-// message traverses both endpoint links of that level (node → ToR and
-// ToR → node; across racks additionally ToR → spine and spine → ToR; across
-// pods the pod uplinks on top). On a single-switch fabric this is the
-// familiar two-link price. The per-level sums are precomputed in the
-// fabricCumLat distance table, so the price is two lookups at the
-// divergence level instead of a walk over the fabric tree.
-func (m *Machine) fabricLatencyCycles(fromC, toC int) float64 {
-	if len(m.fabricLevels) == 0 {
-		if m.routingPolicy == RouteValiant {
-			var lat float64
-			for _, e := range m.RoutedPathEdges(fromC, toC) {
-				lat += m.edgeLat[e]
-			}
-			return lat
-		}
-		// Shaped fabric: the routed-path latency cache inside the graph
-		// (pinned equal to the reference walk over Route).
-		return m.fabricGraph.PathLatency(fromC, toC)
-	}
-	cf, ct := m.fabricCumLat[fromC], m.fabricCumLat[toC]
-	for l := range m.fabricLevels {
-		if m.fabricGroupOf[l][fromC] == m.fabricGroupOf[l][toC] {
-			return cf[l] + ct[l]
-		}
-	}
-	d := len(m.fabricLevels)
-	return cf[d] + ct[d]
-}
-
-// fabricLatencyCyclesWalk is the reference implementation of
-// fabricLatencyCycles: it re-walks the fabric tree per call, reading the
-// link attributes off the topology objects. Kept (unexported) for the
-// cache-equality test and the cached-vs-walked benchmark.
-func (m *Machine) fabricLatencyCyclesWalk(fromC, toC int) float64 {
-	if len(m.fabricLevels) == 0 {
-		var lat float64
-		edges := m.fabricGraph.Edges()
-		for _, e := range m.routeWalk(fromC, toC) {
-			lat += edges[e].LatencyCycles
-		}
-		return lat
-	}
-	var lat float64
-	for l, links := range m.fabricLevels {
-		gf, gt := m.fabricGroupOf[l][fromC], m.fabricGroupOf[l][toC]
-		if gf == gt {
-			break
-		}
-		lat += links[gf].Attr.LatencyCycles + links[gt].Attr.LatencyCycles
-	}
-	return lat
-}
-
-// fabricBandwidth returns the bytes/second a stream between two distinct
-// cluster nodes can sustain: the bottleneck over the edges of its routed
-// path, each edge's bandwidth shared among the streams declared to cross it
-// (SetEdgeStreams). The stream-count state is passed in by the caller —
-// effectiveBandwidth snapshots it under the machine lock it already holds,
-// so the hot path takes the lock once. On tree fabrics the path includes,
-// at every fabric level where the endpoints' groups differ, both endpoint
-// links of that level, read from the flattened fabricLinkBW table and
-// addressed into the per-edge stream storage through levelEdge — the same
-// arithmetic the per-level model used. Shaped fabrics bottleneck over the
-// routed PathEdges.
-func (m *Machine) fabricBandwidth(fromC, toC int, streams []int) float64 {
-	bw := math.Inf(1)
-	if len(m.fabricLevels) == 0 {
-		for _, e := range m.RoutedPathEdges(fromC, toC) {
-			ebw := m.edgeBW[e]
-			if m.edgeFaultFactor != nil {
-				ebw *= m.edgeFaultFactor[e]
-			}
-			if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
-				bw = b
-			}
-		}
-		return bw
-	}
-	d := m.fabricDivergence(fromC, toC)
-	for l := 0; l < d; l++ {
-		gf, gt := m.fabricGroupOf[l][fromC], m.fabricGroupOf[l][toC]
-		for _, g := range [2]int{gf, gt} {
-			lbw := m.fabricLinkBW[l][g]
-			if m.edgeFaultFactor != nil {
-				lbw *= m.edgeFaultFactor[m.levelEdge[l][g]]
-			}
-			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g])); b < bw {
-				bw = b
-			}
-		}
-	}
-	return bw
-}
-
-// fabricBandwidthWalk is the reference implementation of fabricBandwidth,
-// reading the link attributes off the topology objects (or the graph's
-// uncached Route) per call. Kept (unexported) for the cache-equality test.
-func (m *Machine) fabricBandwidthWalk(fromC, toC int, streams []int) float64 {
-	bw := math.Inf(1)
-	if len(m.fabricLevels) == 0 {
-		edges := m.fabricGraph.Edges()
-		for _, e := range m.routeWalk(fromC, toC) {
-			ebw := edges[e].BandwidthBytesPerSec
-			if m.edgeFaultFactor != nil {
-				ebw *= m.edgeFaultFactor[e]
-			}
-			if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
-				bw = b
-			}
-		}
-		return bw
-	}
-	for l, links := range m.fabricLevels {
-		gf, gt := m.fabricGroupOf[l][fromC], m.fabricGroupOf[l][toC]
-		if gf == gt {
-			break
-		}
-		for _, g := range [2]int{gf, gt} {
-			lbw := links[g].Attr.BandwidthBytesPerSec
-			if m.edgeFaultFactor != nil {
-				lbw *= m.edgeFaultFactor[m.levelEdge[l][g]]
-			}
-			if b := shareLink(lbw, edgeStreamCount(streams, m.levelEdge[l][g])); b < bw {
-				bw = b
-			}
-		}
-	}
-	return bw
+	return lat, bw
 }
 
 // edgeStreamCount returns the contention degree of one fabric edge: its
@@ -647,14 +441,15 @@ func shareLink(bw float64, streams int) float64 {
 	return bw
 }
 
-// effectiveBandwidth returns the bytes/second a stream on pu can sustain
-// from the given node: the node's bandwidth divided by its contention
-// degree; remote streams are further capped by the hop-degraded link
-// bandwidth and by their share of the interconnect fabric. A stream that
-// crosses a cluster-node boundary is capped by the bottleneck fabric link on
-// its hop path — NICs and, across racks, uplinks, each shared by its
-// declared crossing streams — instead of the SMP interconnect model.
-func (m *Machine) effectiveBandwidth(pu, node int) float64 {
+// accessPrice returns the latency, in cycles, of an access from a PU to a
+// memory node and the bytes/second a stream between them can sustain: the
+// node's memory latency and its bandwidth divided by its contention degree,
+// and for a remote node either the ccNUMA model — the hop penalty on the
+// latency, the hop-degraded link bandwidth and a share of the interconnect
+// fabric — or, across a cluster-node boundary, network cycles instead: the
+// routed path's latency on top of the memory latency, capped by its
+// bottleneck edge (fabricWalk).
+func (m *Machine) accessPrice(pu, node int) (lat, bw float64) {
 	nodeObj := m.topo.NUMANodes()[node]
 	m.mu.Lock()
 	acc := m.accessors[node]
@@ -664,16 +459,20 @@ func (m *Machine) effectiveBandwidth(pu, node int) float64 {
 	// snapshot outside the lock is safe.
 	streams := m.edgeStreams
 	m.mu.Unlock()
-	bw := nodeObj.Attr.BandwidthBytesPerSec / float64(acc)
+	lat = nodeObj.Attr.LatencyCycles
+	bw = nodeObj.Attr.BandwidthBytesPerSec / float64(acc)
 	if m.nodeOf[pu] == node {
-		return bw
+		return lat, bw
 	}
 	if m.cnodeOf[pu] != m.cnodeOfNUMA[node] {
-		if link := m.fabricBandwidth(m.cnodeOf[pu], m.cnodeOfNUMA[node], streams); link < bw {
+		hopLat, link := m.fabricWalk(m.cnodeOf[pu], m.cnodeOfNUMA[node], streams)
+		if link < bw {
 			bw = link
 		}
-		return bw
+		return lat + hopLat, bw
 	}
+	local := m.topo.NUMANodes()[m.nodeOf[pu]]
+	lat *= 1 + float64(m.topo.HopDistance(local, nodeObj))/2
 	if link := m.topo.BandwidthBytesPerSec(m.topo.PU(pu), nodeObj); link < bw {
 		bw = link
 	}
@@ -682,25 +481,7 @@ func (m *Machine) effectiveBandwidth(pu, node int) float64 {
 			bw = share
 		}
 	}
-	return bw
-}
-
-// memLatencyCycles returns the access latency from a PU to a node. Crossing
-// a cluster-node boundary charges the fabric's per-link latency on top of
-// the target node's memory latency (network cycles instead of the ccNUMA
-// hop penalty).
-func (m *Machine) memLatencyCycles(pu, node int) float64 {
-	local := m.topo.NUMANodes()[m.nodeOf[pu]]
-	target := m.topo.NUMANodes()[node]
-	base := target.Attr.LatencyCycles
-	if local == target {
-		return base
-	}
-	if m.cnodeOf[pu] != m.cnodeOfNUMA[node] {
-		return base + m.fabricLatencyCycles(m.cnodeOf[pu], m.cnodeOfNUMA[node])
-	}
-	hops := m.topo.HopDistance(local, target)
-	return base * (1 + float64(hops)/2)
+	return lat, bw
 }
 
 // memCostCycles prices moving the given number of bytes between a PU and a
@@ -726,18 +507,14 @@ func (m *Machine) memCostCycles(pu, node int, bytes float64) float64 {
 			node = m.CheckpointNode()
 		}
 	}
-	if m.hasSevered && m.severedPath(m.cnodeOf[pu], m.cnodeOfNUMA[node]) {
-		// A severed routed path partitions two live nodes; unlike a kill,
-		// neither side's memory is lost, so there is no checkpoint to
-		// re-materialize from — the access cannot complete.
-		return math.Inf(1)
-	}
-	bw := m.effectiveBandwidth(pu, node)
+	// A severed routed path partitions two live nodes; unlike a kill, neither
+	// side's memory is lost, so there is no checkpoint to re-materialize from
+	// — the access cannot complete, and its latency prices to +Inf.
+	lat, bw := m.accessPrice(pu, node)
 	if bw <= 0 {
-		return m.memLatencyCycles(pu, node)
+		return lat
 	}
-	bytesPerCycle := bw / m.clockHz
-	return m.memLatencyCycles(pu, node) + bytes/bytesPerCycle
+	return lat + bytes/(bw/m.clockHz)
 }
 
 // TransferCost prices handing bytes produced on fromPU to a consumer on
@@ -749,8 +526,7 @@ func (m *Machine) memCostCycles(pu, node int, bytes float64) float64 {
 //   - remote: one memory round priced at the remote distance;
 //   - across a cluster-node boundary: the remote round charges network
 //     cycles — per-link fabric latency plus streaming at the link bandwidth
-//     — instead of cache or ccNUMA memory cycles (see memLatencyCycles and
-//     effectiveBandwidth).
+//     — instead of cache or ccNUMA memory cycles (see accessPrice).
 func (m *Machine) TransferCost(fromPU, toPU int, bytes float64) float64 {
 	if fromPU == toPU {
 		return 0

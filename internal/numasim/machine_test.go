@@ -70,9 +70,9 @@ func TestAccessors(t *testing.T) {
 
 func TestContentionScalesBandwidth(t *testing.T) {
 	m := paperMachine(t)
-	bw1 := m.effectiveBandwidth(0, 0)
+	_, bw1 := m.accessPrice(0, 0)
 	m.SetAccessors(0, 10)
-	bw10 := m.effectiveBandwidth(0, 0)
+	_, bw10 := m.accessPrice(0, 0)
 	if bw10 >= bw1 {
 		t.Fatalf("contention did not reduce bandwidth: %v -> %v", bw1, bw10)
 	}
@@ -89,7 +89,7 @@ func TestRemoteCostsMoreThanLocal(t *testing.T) {
 		t.Errorf("remote cost %v not above local %v", remote, local)
 	}
 	// Latency-only part also ordered.
-	if m.memLatencyCycles(0, 12) <= m.memLatencyCycles(0, 0) {
+	if far, _ := m.accessPrice(0, 12); far <= m.Topology().NUMANodes()[0].Attr.LatencyCycles {
 		t.Errorf("remote latency not above local")
 	}
 	if m.memCostCycles(0, 0, 0) != 0 {

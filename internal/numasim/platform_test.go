@@ -55,18 +55,14 @@ func TestPlatformHeterogeneousMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Nodes() != 2 || !p.Heterogeneous() {
-		t.Fatalf("nodes=%d heterogeneous=%v", p.Nodes(), p.Heterogeneous())
+	if p.Nodes() != 2 {
+		t.Fatalf("nodes=%d, want 2", p.Nodes())
 	}
 	if p.NodeCores(0) != 16 || p.NodeCores(1) != 4 {
 		t.Errorf("node cores %d/%d, want 16/4", p.NodeCores(0), p.NodeCores(1))
 	}
 	if got := p.Machine().Topology().NumCores(); got != 20 {
 		t.Errorf("fused machine has %d cores, want 20", got)
-	}
-	// Member machines expose their own shared-memory views.
-	if got := p.Node(1).Topology().NumCores(); got != 4 {
-		t.Errorf("member 1 view has %d cores, want 4", got)
 	}
 }
 
@@ -161,7 +157,7 @@ func TestSetLinkStreamsValidation(t *testing.T) {
 			bad()
 		}()
 	}
-	mach.SetEdgeStreams(make([]int, mach.NumFabricEdges()))
+	mach.SetEdgeStreams(make([]int, mach.FabricGraph().NumEdges()))
 }
 
 // TestPlatformFusedSpecRoundTrips pins that a platform's own fused spec —
@@ -177,9 +173,8 @@ func TestPlatformFusedSpecRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fused spec %q does not round-trip: %v", fused, err)
 	}
-	if again.Nodes() != orig.Nodes() || !again.Heterogeneous() {
-		t.Fatalf("round trip of %q: %d nodes hetero=%v, want %d/true",
-			fused, again.Nodes(), again.Heterogeneous(), orig.Nodes())
+	if again.Nodes() != orig.Nodes() {
+		t.Fatalf("round trip of %q: %d nodes, want %d", fused, again.Nodes(), orig.Nodes())
 	}
 	for i := 0; i < orig.Nodes(); i++ {
 		if again.NodeCores(i) != orig.NodeCores(i) {
@@ -197,14 +192,14 @@ func TestClusterFromSpecRejectsImposedRacksOnHetero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Racks() != 1 || !flat.Heterogeneous() {
-		t.Fatalf("Fabric.Racks restructured the platform: %d racks, heterogeneous=%v", flat.Racks(), flat.Heterogeneous())
+	if racks := flat.Machine().Topology().NumRacks(); racks != 0 || flat.NodeCores(0) == flat.NodeCores(1) {
+		t.Fatalf("Fabric.Racks restructured the platform: %d racks, node cores %d/%d", racks, flat.NodeCores(0), flat.NodeCores(1))
 	}
 	racked, err := NewPlatformAttrs("rack:2 node:{pack:2 core:8 | pack:1 core:4}", Fabric{}.Defaults(), Config{})
 	if err != nil {
 		t.Fatalf("rack tier in spec rejected: %v", err)
 	}
-	if racked.Racks() != 2 || !racked.Heterogeneous() {
-		t.Fatalf("rack tier in spec built %d racks, heterogeneous=%v", racked.Racks(), racked.Heterogeneous())
+	if racks := racked.Machine().Topology().NumRacks(); racks != 2 || racked.NodeCores(0) == racked.NodeCores(1) {
+		t.Fatalf("rack tier in spec built %d racks, node cores %d/%d", racks, racked.NodeCores(0), racked.NodeCores(1))
 	}
 }

@@ -33,16 +33,13 @@ func levelStreams(m *Machine, counts ...[]int) []int {
 
 func TestNewClusterRacks(t *testing.T) {
 	c := rackCluster(t)
-	if got := c.Racks(); got != 2 {
-		t.Fatalf("Racks = %d, want 2", got)
-	}
 	topo := c.Machine().Topology()
 	if topo.NumRacks() != 2 || topo.NumClusterNodes() != 4 {
 		t.Fatalf("fused shape: %d racks, %d nodes", topo.NumRacks(), topo.NumClusterNodes())
 	}
 	for node, wantRack := range []int{0, 0, 1, 1} {
-		if got := c.RackOfNode(node); got != wantRack {
-			t.Errorf("RackOfNode(%d) = %d, want %d", node, got, wantRack)
+		if got := c.Machine().RackOfClusterNode(node); got != wantRack {
+			t.Errorf("RackOfClusterNode(%d) = %d, want %d", node, got, wantRack)
 		}
 	}
 	if c.Machine().SameRack(0, 2) {
@@ -71,10 +68,10 @@ func TestClusterFromSpecRackTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Racks() != 2 || c.Nodes() != 4 {
-		t.Fatalf("shape: %d racks, %d nodes", c.Racks(), c.Nodes())
+	if racks := c.Machine().Topology().NumRacks(); racks != 2 || c.Nodes() != 4 {
+		t.Fatalf("shape: %d racks, %d nodes", racks, c.Nodes())
 	}
-	if got := len(c.FabricLevels()); got != 2 {
+	if got := c.Machine().FabricGraph().NumLevels(); got != 2 {
 		t.Errorf("%d fabric levels, want 2 (NICs and rack uplinks)", got)
 	}
 }

@@ -2,8 +2,10 @@ package numasim
 
 import "fmt"
 
-// RoutingPolicy selects how transfers are routed over a shaped fabric
-// (torus/dragonfly) when pricing latency and bandwidth.
+// RoutingPolicy selects how transfers are routed over the fabric graph when
+// pricing latency and bandwidth. A tree fabric has one path per node pair, so
+// a Valiant detour there only lengthens it; the policy is meant for shaped
+// (torus/dragonfly) fabrics.
 type RoutingPolicy int
 
 const (
@@ -57,8 +59,8 @@ func (m *Machine) RoutingPolicy() RoutingPolicy { return m.routingPolicy }
 // valiantVia picks the deterministic intermediate node of a pair: a
 // splitmix-style hash of the endpoints spread over all cluster nodes, so a
 // bundle of same-group streams fans out across intermediate groups while
-// identical runs price identically. ValiantRoute degrades to the minimal
-// route when the hash lands on an endpoint.
+// identical runs price identically. The route degrades to the minimal one
+// when the hash lands on an endpoint.
 func (m *Machine) valiantVia(fromC, toC int) int {
 	h := uint64(fromC+1)*0x9E3779B97F4A7C15 ^ uint64(toC+1)*0xBF58476D1CE4E5B9
 	h ^= h >> 33
@@ -67,27 +69,25 @@ func (m *Machine) valiantVia(fromC, toC int) int {
 	return int(h % uint64(m.fabricGraph.NumNodes()))
 }
 
-// routeWalk is the uncached counterpart of RoutedPathEdges, used by the
-// reference (walk) pricing implementations so the cache-equality tests
-// compare like against like under either policy.
-func (m *Machine) routeWalk(fromC, toC int) []int {
-	if m.routingPolicy == RouteValiant {
-		return m.fabricGraph.ValiantRoute(fromC, toC, m.valiantVia(fromC, toC))
-	}
-	return m.fabricGraph.Route(fromC, toC)
-}
-
-// RoutedPathEdges returns the edge path a transfer between two cluster nodes
-// is priced along under the active routing policy: the memoized minimal path
-// by default, the Valiant detour under RouteValiant. Nil without a fabric
-// graph. Contention derivations (placement.SetFabricContention) use this so
-// declared per-edge streams always match the paths pricing walks.
-func (m *Machine) RoutedPathEdges(fromC, toC int) []int {
-	if m.fabricGraph == nil {
-		return nil
+// AppendRoutedPath appends to buf the edge path a transfer between two
+// cluster nodes is priced along under the active routing policy — the
+// fabric graph's minimal path by default, under RouteValiant the minimal
+// path to the pair's intermediate node followed by the minimal path on to the
+// destination — and returns the extended slice; it allocates nothing while
+// buf has room. This is the one place the policy is read: pricing
+// (fabricWalk) and the contention derivation (placement.SetFabricContention)
+// both walk its result, so declared per-edge streams always match the paths
+// pricing walks. Returns buf unchanged without a fabric graph or for a node
+// with itself.
+func (m *Machine) AppendRoutedPath(buf []int, fromC, toC int) []int {
+	g := m.fabricGraph
+	if g == nil || fromC == toC {
+		return buf
 	}
 	if m.routingPolicy == RouteValiant {
-		return m.fabricGraph.ValiantRoute(fromC, toC, m.valiantVia(fromC, toC))
+		if via := m.valiantVia(fromC, toC); via != fromC && via != toC {
+			return g.AppendPath(g.AppendPath(buf, fromC, via), via, toC)
+		}
 	}
-	return m.fabricGraph.PathEdges(fromC, toC)
+	return g.AppendPath(buf, fromC, toC)
 }

@@ -43,7 +43,7 @@ func adversarialCost(t *testing.T, policy RoutingPolicy) (total float64, maxStre
 	counts := make([]int, m.FabricGraph().NumEdges())
 	for _, p := range pairs {
 		used := map[int]bool{}
-		for _, e := range m.RoutedPathEdges(p[0], p[1]) {
+		for _, e := range m.AppendRoutedPath(nil, p[0], p[1]) {
 			used[e] = true
 		}
 		for e := range used {
@@ -95,15 +95,16 @@ func TestMinimalPolicyIsDefaultAndBitStable(t *testing.T) {
 			if from == to {
 				continue
 			}
-			if got, want := m.fabricLatencyCycles(from, to), g.PathLatency(from, to); got != want {
+			if got, _ := m.fabricWalk(from, to, nil); got != g.PathLatency(from, to) {
+				want := g.PathLatency(from, to)
 				t.Fatalf("minimal latency (%d,%d) = %v, want cached %v", from, to, got, want)
 			}
 		}
 	}
 }
 
-// TestValiantLatencyMatchesWalk: the cached-vs-walk equality the fabric
-// cache test pins for minimal routing also holds under valiant.
+// TestValiantLatencyMatchesWalk: under valiant the walk prices the graph's
+// uncached ValiantRoute through the pair's intermediate node.
 func TestValiantLatencyMatchesWalk(t *testing.T) {
 	m := dragonflyMachine(t)
 	if err := m.SetRoutingPolicy(RouteValiant); err != nil {
@@ -111,7 +112,11 @@ func TestValiantLatencyMatchesWalk(t *testing.T) {
 	}
 	for from := 0; from < 8; from++ {
 		for to := 8; to < 16; to++ {
-			if got, want := m.fabricLatencyCycles(from, to), m.fabricLatencyCyclesWalk(from, to); got != want {
+			var want float64
+			for _, e := range m.FabricGraph().ValiantRoute(from, to, m.valiantVia(from, to)) {
+				want += m.FabricGraph().Edges()[e].LatencyCycles
+			}
+			if got, _ := m.fabricWalk(from, to, nil); got != want {
 				t.Fatalf("valiant latency (%d,%d) = %v, walk %v", from, to, got, want)
 			}
 		}

@@ -32,7 +32,7 @@ type Task struct {
 
 	proc *numasim.Proc
 
-	// iterations completed, maintained by EndIteration (diagnostics only).
+	// iterations completed, maintained by EndIteration (paces the epoch barrier).
 	iterations int
 }
 
@@ -110,9 +110,6 @@ func (t *Task) EndIteration() {
 		t.rt.epochArrive(t)
 	}
 }
-
-// Iterations returns the number of EndIteration calls so far.
-func (t *Task) Iterations() int { return t.iterations }
 
 // chargeControlEvent prices one lock transition handled by the task's
 // control thread. The cost grows with the distance between the computation

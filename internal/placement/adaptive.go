@@ -304,9 +304,9 @@ func (e *AdaptiveEngine) onEpoch(ep *orwl.Epoch) {
 	// per-NUMA-node accessor side (SetContention) needs no refresh — it
 	// charges the machine-wide average pressure, which depends only on the
 	// heavy-task and unbound counts, both unchanged by re-binding bound
-	// tasks. A no-op on single-machine topologies (NumFabricLevels is 0
-	// there), which keeps the A8 results bit-stable.
-	if e.mach.NumFabricLevels() > 0 || e.mach.FabricGraph() != nil {
+	// tasks. Skipped on single-machine topologies, which keeps the A8
+	// results bit-stable.
+	if e.mach.FabricGraph() != nil {
 		SetFabricContention(e.mach, e.assignmentLocked(), w)
 	}
 }
@@ -401,7 +401,7 @@ func (e *AdaptiveEngine) onFault(ep *orwl.Epoch, events []topology.FaultEvent) {
 	// the crossing streams run (evacuees), so the declared fabric contention
 	// is stale for every mode — the arms differ in placement decisions, not
 	// in pricing honesty.
-	if e.mach.NumFabricLevels() > 0 || e.mach.FabricGraph() != nil {
+	if e.mach.FabricGraph() != nil {
 		SetFabricContention(e.mach, e.assignmentLocked(), e.windowOrMatrix(ep))
 	}
 }

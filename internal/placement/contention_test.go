@@ -1,0 +1,172 @@
+package placement
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/numasim"
+	"repro/internal/topology"
+)
+
+// contentionEdge resolves a readable edge name to a fabric-graph edge id:
+// "nicN", "rackN" and "podN" address link N of a tree fabric's level 0, 1
+// and 2; "A-B" is the edge between two vertices of any fabric.
+func contentionEdge(t *testing.T, g *topology.FabricGraph, name string) int {
+	t.Helper()
+	var n, a, b int
+	for level, prefix := range []string{"nic", "rack", "pod"} {
+		if _, err := fmt.Sscanf(name, prefix+"%d", &n); err == nil {
+			return g.LevelEdges(level)[n]
+		}
+	}
+	if _, err := fmt.Sscanf(name, "%d-%d", &a, &b); err != nil {
+		t.Fatalf("edge name %q", name)
+	}
+	for e, edge := range g.Edges() {
+		if edge.A == min(a, b) && edge.B == max(a, b) {
+			return e
+		}
+	}
+	t.Fatalf("no edge %q", name)
+	return -1
+}
+
+// TestFabricContentionRule tables the one contention derivation over the
+// fabric graph. taskNode places task i on the first PU of a cluster node, -1
+// leaves it unbound; pairs lists the communicating task pairs. Every edge
+// is expected to carry `base` streams except the ones named in want.
+//
+// Tree fabrics count the own-side half of each routed path (the partner
+// counts the other half), and a bound task with an unbound partner its own
+// up-chain to the root only; a torus counts whole paths, and every edge for a
+// bound task with an unbound partner. An unbound task counts on every edge of
+// either; a task without traffic on none.
+func TestFabricContentionRule(t *testing.T) {
+	cases := []struct {
+		name     string
+		spec     string
+		taskNode []int
+		pairs    [][2]int
+		base     int
+		want     map[string]int
+	}{
+		{
+			name: "rack",
+			spec: "rack:2 node:2 pack:1 core:2 pu:1",
+			// t0 talks within its rack (t1) and across (t2); t3 roams and
+			// talks to t4; t5 is bound and silent.
+			taskNode: []int{0, 1, 2, -1, 3, 3},
+			pairs:    [][2]int{{0, 1}, {0, 2}, {3, 4}},
+			base:     1, // the unbound t3
+			want: map[string]int{
+				"nic0": 2, "nic1": 2, "nic2": 2, // t0, t1, t2: own NIC only
+				"rack0": 2, // t0's half of the cross-rack path
+				"nic3":  2, // t4: up-chain of node 3 ...
+				"rack1": 3, // ... plus t2's half
+			},
+		},
+		{
+			name: "pod-hetero",
+			spec: "pod:2 rack:2 node:2{pack:2 core:4 | pack:1 core:4}",
+			// t0 (node 0) talks across pods (t1, node 5) and inside its rack
+			// (t2, node 1); t3 (node 3) only talks to the unbound t4.
+			taskNode: []int{0, 5, 1, 3, -1},
+			pairs:    [][2]int{{0, 1}, {0, 2}, {3, 4}},
+			base:     1, // the unbound t4
+			want: map[string]int{
+				"nic0": 2, "rack0": 2, // t0's half: NIC, rack and pod uplink
+				"nic5": 2, "rack2": 2, "pod1": 2, // t1's half
+				"nic1": 2,             // t2
+				"nic3": 2, "rack1": 2, // t3: own up-chain, no other pod's link
+				"pod0": 3, // t0 and t3
+			},
+		},
+		{
+			name: "torus",
+			spec: "torus:3x3 pack:1 core:2 pu:1",
+			// Dimension-order routes: 0→4 goes 0,3,4 and 4→0 goes 4,1,0 — a
+			// task counts its whole path, so the two directions differ. t2 is
+			// bound with the unbound partner t3: both count everywhere.
+			taskNode: []int{0, 4, 8, -1, 7},
+			pairs:    [][2]int{{0, 1}, {2, 3}},
+			base:     2, // t2 and t3
+			want: map[string]int{
+				"0-3": 3, "3-4": 3, // t0
+				"4-1": 3, "1-0": 3, // t1
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plat, err := numasim.NewPlatform(c.spec, numasim.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mach := plat.Machine()
+			g := mach.FabricGraph()
+			firstPU := make([]int, plat.Nodes())
+			for pu := mach.Topology().NumPUs() - 1; pu >= 0; pu-- {
+				firstPU[mach.ClusterNodeOfPU(pu)] = pu
+			}
+			a := unboundControls(len(c.taskNode), "table")
+			for i, node := range c.taskNode {
+				a.TaskPU[i] = -1
+				if node >= 0 {
+					a.TaskPU[i] = firstPU[node]
+				}
+			}
+			m := comm.New(len(c.taskNode))
+			for _, p := range c.pairs {
+				m.AddSym(p[0], p[1], 1000)
+			}
+			SetFabricContention(mach, a, m)
+			want := make([]int, g.NumEdges())
+			for e := range want {
+				want[e] = c.base
+			}
+			for name, n := range c.want {
+				want[contentionEdge(t, g, name)] = n
+			}
+			for e, edge := range g.Edges() {
+				if got := mach.EdgeStreams(e); got != want[e] {
+					t.Errorf("edge %d (%d-%d): %d streams, want %d", e, edge.A, edge.B, got, want[e])
+				}
+			}
+		})
+	}
+}
+
+// TestRoundRobinNodesHeterogeneous is the regression test for the
+// homogeneous core arithmetic: on an 8-core and a 4-core member, tasks dealt
+// to node 1 used to land on cores 6 and 7 — still node 0.
+func TestRoundRobinNodesHeterogeneous(t *testing.T) {
+	plat, err := numasim.NewPlatform("node:{pack:2 core:4 | pack:1 core:4}", numasim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := plat.Machine()
+	// 10 tasks: node 1's four cores wrap once (tasks 1,3,5,7 then 9).
+	a, err := RoundRobinNodes{}.Assign(mach, comm.Ring(10, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPU := []int{0, 8, 1, 9, 2, 10, 3, 11, 4, 8}
+	for i, pu := range a.TaskPU {
+		if got, want := mach.ClusterNodeOfPU(pu), i%2; got != want {
+			t.Errorf("task %d on node %d, want %d", i, got, want)
+		}
+		if pu != wantPU[i] {
+			t.Errorf("task %d on PU %d, want %d", i, pu, wantPU[i])
+		}
+	}
+}
+
+// TestCapacityClasses pins the shared capacity→class numbering: first-seen
+// order over the groups, then the nodes.
+func TestCapacityClasses(t *testing.T) {
+	entity, leaf := capacityClasses([]int{8, 4, 8}, []int{4, 16, 8})
+	if fmt.Sprint(entity, leaf) != "[0 1 0] [1 2 0]" {
+		t.Errorf("classes %v %v, want [0 1 0] [1 2 0]", entity, leaf)
+	}
+}

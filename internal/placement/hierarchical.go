@@ -328,23 +328,7 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 // on a node of the same capacity.
 func matchGroupsToNodes(fabricTree *treematch.Tree, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, classed bool, opts treematch.Options) ([]int, error) {
 	if classed {
-		classOf := map[int]int{}
-		class := func(capacity int) int {
-			c, ok := classOf[capacity]
-			if !ok {
-				c = len(classOf)
-				classOf[capacity] = c
-			}
-			return c
-		}
-		entityClass := make([]int, len(groupCaps))
-		for g, c := range groupCaps {
-			entityClass[g] = class(c)
-		}
-		leafClass := make([]int, len(nodeCaps))
-		for n, c := range nodeCaps {
-			leafClass[n] = class(c)
-		}
+		entityClass, leafClass := capacityClasses(groupCaps, nodeCaps)
 		return treematch.AssignClassed(fabricTree, groupMatrix, entityClass, leafClass)
 	}
 	// Clustering, not distribution: spreading groups across racks is exactly
@@ -356,6 +340,24 @@ func matchGroupsToNodes(fabricTree *treematch.Tree, groupMatrix *comm.Matrix, gr
 		return nil, err
 	}
 	return mp.Assignment, nil
+}
+
+// capacityClasses numbers the distinct capacities in first-seen order
+// (groups first, then nodes) and returns each group's and each node's class:
+// a group sized for one capacity may only land on a node of that capacity.
+func capacityClasses(groupCaps, nodeCaps []int) (entityClass, leafClass []int) {
+	classOf := map[int]int{}
+	classes := func(caps []int) []int {
+		out := make([]int, len(caps))
+		for i, c := range caps {
+			if _, ok := classOf[c]; !ok {
+				classOf[c] = len(classOf)
+			}
+			out[i] = classOf[c]
+		}
+		return out
+	}
+	return classes(groupCaps), classes(nodeCaps)
 }
 
 // matchGroupsByDistance decides which cluster node each partition group runs
@@ -370,23 +372,7 @@ func matchGroupsByDistance(topo *topology.Topology, groupMatrix *comm.Matrix, gr
 	dist := topo.FabricGraph().LatencyMatrix()
 	var entityClass, leafClass []int
 	if classed {
-		classOf := map[int]int{}
-		class := func(capacity int) int {
-			c, ok := classOf[capacity]
-			if !ok {
-				c = len(classOf)
-				classOf[capacity] = c
-			}
-			return c
-		}
-		entityClass = make([]int, len(groupCaps))
-		for g, c := range groupCaps {
-			entityClass[g] = class(c)
-		}
-		leafClass = make([]int, len(nodeCaps))
-		for n, c := range nodeCaps {
-			leafClass[n] = class(c)
-		}
+		entityClass, leafClass = capacityClasses(groupCaps, nodeCaps)
 	}
 	var seeds [][]int
 	if shape := topo.FabricShape(); shape != nil && shape.Kind == "torus" && !classed {
@@ -474,15 +460,22 @@ func (RoundRobinNodes) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignmen
 		return nil, fmt.Errorf("placement: rr-nodes requires a machine")
 	}
 	topo := mach.Topology()
-	nodes := topo.NumClusterNodes()
 	cores := topo.NumCores()
-	coresPerNode := cores / nodes
+	// Per-node core capacities and first core indices in the fused machine's
+	// left-to-right core order: members may differ in size.
+	caps := make([]int, topo.NumClusterNodes())
+	for _, core := range topo.Cores() {
+		caps[mach.ClusterNodeOfPU(core.Children[0].OSIndex)]++
+	}
+	coreBase := make([]int, len(caps))
+	for n := 1; n < len(caps); n++ {
+		coreBase[n] = coreBase[n-1] + caps[n-1]
+	}
 	a := unboundControls(m.Order(), "rr-nodes")
 	for i := range a.TaskPU {
-		node := i % nodes
-		slot := i / nodes
-		core := node*coresPerNode + slot%coresPerNode
-		a.TaskPU[i] = firstPU(topo, core)
+		node := i % len(caps)
+		slot := i / len(caps)
+		a.TaskPU[i] = firstPU(topo, coreBase[node]+slot%caps[node])
 	}
 	a.VirtualArity = (m.Order() + cores - 1) / cores
 	return a, nil

@@ -343,132 +343,81 @@ func SetContention(mach *numasim.Machine, a *Assignment, heavy []bool) {
 }
 
 // SetFabricContention derives the cluster-fabric contention from an
-// assignment and the program's affinity matrix, per link and per fabric
-// level: every task that exchanges volume with a task placed on another
-// cluster node contributes one stream on its node's NIC link, and — at
-// every outer fabric level (rack uplinks, pod uplinks) where some partner
-// sits in a different group — one stream on its own group's uplink at that
-// level. The counts are declared with numasim.Machine.SetEdgeStreams, so a
-// transfer is capped by the most contended link on its path: partitions
-// that balance the crossing streams across NICs, racks and pods sustain
-// more bandwidth than ones that funnel them, even at equal total cut. An
-// unbound task on a multi-node machine roams and is counted on every link
-// of every level. A no-op on single-machine topologies.
+// assignment and the program's affinity matrix, per edge of the fabric
+// graph: every task that exchanges volume with a task placed on another
+// cluster node contributes one stream to the edges of the routed path
+// between their nodes (numasim.Machine.AppendRoutedPath, the path pricing
+// walks), however many partners share an edge. The counts are declared with
+// numasim.Machine.SetEdgeStreams, so a transfer is capped by the most
+// contended edge on its path: partitions that balance the crossing streams
+// across NICs, racks and pods sustain more bandwidth than ones that funnel
+// them, even at equal total cut.
+//
+// One rule depends on the fabric's shape. On a compiled tree every stream
+// enters and leaves through per-node and per-group links, so a task counts
+// only the own-side half of each path — its NIC and its own groups' uplinks,
+// up to the switch the path turns around at — and the partner counts the
+// other half; a bound task whose partner is unbound may stream anywhere and
+// counts its whole up-chain to the root switch. On a shaped (torus or
+// dragonfly) fabric the inner edges of a path belong to neither endpoint, so
+// a task counts the whole path, and with an unbound partner every edge. An
+// unbound task roams and is counted on every edge of either kind of fabric.
+// A no-op on single-machine topologies.
 func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
-	nodes := mach.Topology().NumClusterNodes()
-	levels := mach.NumFabricLevels()
-	if nodes <= 1 {
-		return
-	}
-	if levels == 0 {
-		setRoutedFabricContention(mach, a, m)
-		return
-	}
-	// One per-edge slice collects every level's streams: link g of fabric
-	// level l is edge levelEdges[l][g] of the fabric graph.
 	g := mach.FabricGraph()
-	counts := make([]int, g.NumEdges())
-	levelEdges := make([][]int, levels)
-	for l := range levelEdges {
-		levelEdges[l] = g.LevelEdges(l)
-	}
-	crossesAt := make([]bool, levels)
-	for i := 0; i < m.Order() && i < len(a.TaskPU); i++ {
-		partnerUnbound, hasTraffic := false, false
-		for l := range crossesAt {
-			crossesAt[l] = false
-		}
-		for j := 0; j < m.Order() && j < len(a.TaskPU); j++ {
-			if i == j || m.At(i, j)+m.At(j, i) == 0 {
-				continue
-			}
-			hasTraffic = true
-			pj := a.TaskPU[j]
-			if a.TaskPU[i] < 0 || pj < 0 {
-				partnerUnbound = true
-				continue
-			}
-			ci, cj := mach.ClusterNodeOfPU(a.TaskPU[i]), mach.ClusterNodeOfPU(pj)
-			for l := 0; l < levels && mach.FabricGroupOf(l, ci) != mach.FabricGroupOf(l, cj); l++ {
-				crossesAt[l] = true
-			}
-		}
-		switch {
-		case !hasTraffic:
-			// A task that exchanges no volume contributes no stream, bound
-			// or not.
-		case a.TaskPU[i] < 0:
-			// An unbound endpoint can stream over any link; count it on all
-			// of them.
-			for _, le := range levelEdges {
-				for _, e := range le {
-					counts[e]++
-				}
-			}
-		case crossesAt[0] || partnerUnbound:
-			// A bound task whose partner is unbound may end up streaming
-			// anywhere, so its own links at every level carry the stream.
-			ci := mach.ClusterNodeOfPU(a.TaskPU[i])
-			for l, le := range levelEdges {
-				if crossesAt[l] || partnerUnbound {
-					counts[le[mach.FabricGroupOf(l, ci)]]++
-				}
-			}
-		}
-	}
-	mach.SetEdgeStreams(counts)
-}
-
-// setRoutedFabricContention is the shaped-fabric (torus/dragonfly) arm of
-// SetFabricContention: with no level structure to address links by, streams
-// are counted per routed edge. Every task with cross-node traffic contributes
-// one stream to each edge on the routed path to any of its partners' nodes;
-// a task with an unbound endpoint (its own, or a partner's) may stream over
-// any link and is counted on every edge, the conservative reading of the
-// tree model's roaming rule. A no-op on fabrics without a routed graph.
-func setRoutedFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
-	g := mach.FabricGraph()
-	if g == nil {
+	if g == nil || g.NumNodes() <= 1 {
 		return
 	}
+	ownSide := g.Shape() == nil
 	counts := make([]int, g.NumEdges())
+	// used marks the edges the current task streams over, touched lists them
+	// so the marks are undone in O(path) rather than O(edges) per task.
 	used := make([]bool, g.NumEdges())
-	for i := 0; i < m.Order() && i < len(a.TaskPU); i++ {
-		partnerUnbound, hasTraffic := false, false
-		for e := range used {
-			used[e] = false
+	var path, touched []int
+	mark := func(path []int) {
+		for _, e := range path {
+			if !used[e] {
+				used[e] = true
+				touched = append(touched, e)
+			}
 		}
+	}
+	for i := 0; i < m.Order() && i < len(a.TaskPU); i++ {
+		pi := a.TaskPU[i]
+		everyEdge := false
 		for j := 0; j < m.Order() && j < len(a.TaskPU); j++ {
 			if i == j || m.At(i, j)+m.At(j, i) == 0 {
 				continue
 			}
-			hasTraffic = true
-			pj := a.TaskPU[j]
-			if a.TaskPU[i] < 0 || pj < 0 {
-				partnerUnbound = true
-				continue
+			switch pj := a.TaskPU[j]; {
+			case pi < 0 || (pj < 0 && !ownSide):
+				everyEdge = true
+			case pj < 0:
+				mark(g.AppendPath(path[:0], mach.ClusterNodeOfPU(pi), g.Root()))
+			default:
+				path = mach.AppendRoutedPath(path[:0], mach.ClusterNodeOfPU(pi), mach.ClusterNodeOfPU(pj))
+				if ownSide {
+					path = path[:len(path)/2]
+				}
+				mark(path)
 			}
-			ci, cj := mach.ClusterNodeOfPU(a.TaskPU[i]), mach.ClusterNodeOfPU(pj)
-			if ci == cj {
-				continue
-			}
-			for _, e := range mach.RoutedPathEdges(ci, cj) {
-				used[e] = true
+			if everyEdge {
+				break
 			}
 		}
-		switch {
-		case !hasTraffic:
-		case a.TaskPU[i] < 0 || partnerUnbound:
+		if everyEdge {
 			for e := range counts {
 				counts[e]++
 			}
-		default:
-			for e, u := range used {
-				if u {
-					counts[e]++
-				}
+		} else {
+			for _, e := range touched {
+				counts[e]++
 			}
 		}
+		for _, e := range touched {
+			used[e] = false
+		}
+		touched = touched[:0]
 	}
 	mach.SetEdgeStreams(counts)
 }

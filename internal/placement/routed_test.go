@@ -181,8 +181,8 @@ func TestHierarchicalTorusDistanceMatch(t *testing.T) {
 	for _, pair := range [][2]int{{0, 3}, {1, 2}} {
 		ni := mach.ClusterNodeOfPU(aware.TaskPU[pair[0]*c])
 		nj := mach.ClusterNodeOfPU(aware.TaskPU[pair[1]*c])
-		if len(g.PathEdges(ni, nj)) != 1 {
-			t.Errorf("partner blocks %v placed %d hops apart, want adjacent", pair, len(g.PathEdges(ni, nj)))
+		if hops := len(g.Route(ni, nj)); hops != 1 {
+			t.Errorf("partner blocks %v placed %d hops apart, want adjacent", pair, hops)
 		}
 	}
 }

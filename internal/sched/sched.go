@@ -112,9 +112,6 @@ type Options struct {
 	Policy Policy
 	Fit    Fit
 	Queue  QueuePolicy
-	// Match tunes the underlying placement heuristics (zero value is the
-	// engine's default portfolio).
-	Match treematch.Options
 	// Backfill lets queued jobs jump a blocked FIFO head when their whole
 	// modeled service fits inside the head's earliest-feasible-start
 	// window, so the head is never delayed (conservative backfill).
@@ -733,7 +730,7 @@ func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placem
 	if err != nil {
 		return nil, false, err
 	}
-	a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), s.opts.Match)
+	a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{})
 	if err != nil {
 		return nil, false, err
 	}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -151,7 +152,7 @@ type FabricGraph struct {
 	levelEdge [][]int
 
 	pathOnce sync.Once
-	paths    [][][]int32 // all-pairs edge paths, nil above pathCacheLimit
+	paths    [][][]int32 // all-pairs edge paths of a shaped fabric, nil above pathCacheLimit
 	latOnce  sync.Once
 	lat      [][]float64 // all-pairs path latency, nil above pathCacheLimit
 }
@@ -185,6 +186,16 @@ func (g *FabricGraph) LevelEdges(level int) []int {
 // shape).
 func (g *FabricGraph) NumLevels() int { return len(g.levelEdge) }
 
+// Root returns the root switch vertex of a compiled tree fabric (the last
+// vertex), or -1 on a non-tree shape. AppendPath(buf, node, Root()) is the
+// node's up-chain: its NIC link, then its rack's and pod's uplinks.
+func (g *FabricGraph) Root() int {
+	if g.shape != nil {
+		return -1
+	}
+	return g.vertices - 1
+}
+
 func (g *FabricGraph) addEdge(a, b int, lat, bw float64) {
 	if a > b {
 		a, b = b, a
@@ -211,20 +222,18 @@ func (g *FabricGraph) edgeBetween(a, b int) int {
 // uncached: dimension-order routing (shorter wrap direction, ties positive)
 // on a torus, minimal routing on a dragonfly, the up-down walk through the
 // lowest common ancestor on a compiled tree. The path for from == to is
-// empty. Route is the reference the cached PathEdges is pinned against.
+// empty. Route is the reference AppendPath is pinned against.
 func (g *FabricGraph) Route(from, to int) []int {
 	if from == to {
 		return nil
 	}
-	if g.shape != nil {
-		switch g.shape.Kind {
-		case "torus":
-			return g.torusRoute(from, to)
-		case "dragonfly":
-			return g.dragonflyRoute(from, to)
-		}
+	if g.shape == nil {
+		return g.appendTreePath(nil, from, to)
 	}
-	return g.treeRoute(from, to)
+	if g.shape.Kind == "torus" {
+		return g.torusRoute(from, to)
+	}
+	return g.dragonflyRoute(from, to)
 }
 
 // torusRoute walks the dimensions in order, each along the shorter wrap
@@ -325,37 +334,45 @@ func (g *FabricGraph) ValiantRoute(from, to, via int) []int {
 	return append(g.Route(from, via), g.Route(via, to)...)
 }
 
-// treeRoute climbs both endpoints to their lowest common ancestor,
-// emitting the from-side up edges innermost-first, then the to-side edges
+// appendTreePath appends the up-down walk through the lowest common
+// ancestor: the from-side up edges innermost-first, then the to-side edges
 // in descending order.
-func (g *FabricGraph) treeRoute(from, to int) []int {
-	var up, down []int
+func (g *FabricGraph) appendTreePath(buf []int, from, to int) []int {
 	a, b := from, to
-	for g.treeDepth[a] > g.treeDepth[b] {
-		up = append(up, g.treeUp[a])
-		a = g.treeParent[a]
-	}
-	for g.treeDepth[b] > g.treeDepth[a] {
-		down = append(down, g.treeUp[b])
-		b = g.treeParent[b]
-	}
 	for a != b {
-		up = append(up, g.treeUp[a])
-		down = append(down, g.treeUp[b])
-		a, b = g.treeParent[a], g.treeParent[b]
+		if g.treeDepth[a] >= g.treeDepth[b] {
+			a = g.treeParent[a]
+		} else {
+			b = g.treeParent[b]
+		}
 	}
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
+	for v := from; v != a; v = g.treeParent[v] {
+		buf = append(buf, g.treeUp[v])
 	}
-	return up
+	mid := len(buf)
+	for v := to; v != a; v = g.treeParent[v] {
+		buf = append(buf, g.treeUp[v])
+	}
+	slices.Reverse(buf[mid:])
+	return buf
 }
 
-// PathEdges returns the routed edge path between two cluster nodes. Paths
-// are memoized all-pairs up to pathCacheLimit nodes; larger graphs compute
-// each query with Route. The returned slice must not be modified.
-func (g *FabricGraph) PathEdges(from, to int) []int {
+// AppendPath appends the routed edge path between two cluster nodes to buf
+// and returns the extended slice — the one path primitive every pricing and
+// contention walk goes through. It allocates nothing while buf has room:
+// compiled trees climb treeUp/treeParent, shaped fabrics copy the route
+// memoized all-pairs up to pathCacheLimit nodes, and larger shaped fabrics
+// compute each query with Route. On a compiled tree either end may be any
+// vertex, switches included (see Root).
+func (g *FabricGraph) AppendPath(buf []int, from, to int) []int {
+	if from == to {
+		return buf
+	}
+	if g.shape == nil {
+		return g.appendTreePath(buf, from, to)
+	}
 	if g.nodes > pathCacheLimit {
-		return g.Route(from, to)
+		return append(buf, g.Route(from, to)...)
 	}
 	g.pathOnce.Do(func() {
 		g.paths = make([][][]int32, g.nodes)
@@ -371,20 +388,15 @@ func (g *FabricGraph) PathEdges(from, to int) []int {
 			}
 		}
 	})
-	p := g.paths[from][to]
-	if len(p) == 0 {
-		return nil
+	for _, e := range g.paths[from][to] {
+		buf = append(buf, int(e))
 	}
-	out := make([]int, len(p))
-	for i, e := range p {
-		out[i] = int(e)
-	}
-	return out
+	return buf
 }
 
 // PathLatency returns the summed latency, in cycles, of the routed path
 // between two cluster nodes. Memoized all-pairs up to pathCacheLimit nodes
-// and always equal to walking Route and summing edge latencies in path
+// and always equal to walking the path and summing edge latencies in path
 // order.
 func (g *FabricGraph) PathLatency(from, to int) float64 {
 	if g.nodes > pathCacheLimit {
@@ -403,8 +415,9 @@ func (g *FabricGraph) PathLatency(from, to int) float64 {
 }
 
 func (g *FabricGraph) pathLatencyWalk(from, to int) float64 {
+	var stack [16]int
 	sum := 0.0
-	for _, e := range g.Route(from, to) {
+	for _, e := range g.AppendPath(stack[:0], from, to) {
 		sum += g.edges[e].LatencyCycles
 	}
 	return sum

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -208,11 +209,34 @@ func TestTreeGraphCompilation(t *testing.T) {
 	}
 }
 
+// treePathOracle is the independent reference for a compiled tree's path: it
+// climbs the topology objects themselves, addressing each level's link
+// through LevelEdges.
+func treePathOracle(to *Topology, from, dst int) []int {
+	g := to.FabricGraph()
+	var up, down []int
+	a, b := to.ClusterNodes()[from], to.ClusterNodes()[dst]
+	for l := 0; a != b; l++ {
+		up = append(up, g.LevelEdges(l)[a.LevelIndex])
+		down = append(down, g.LevelEdges(l)[b.LevelIndex])
+		a, b = a.Parent, b.Parent
+	}
+	for i := len(down) - 1; i >= 0; i-- {
+		up = append(up, down[i])
+	}
+	return up
+}
+
+// TestPathCacheMatchesRoute pins the one path primitive: AppendPath equals
+// the uncached Route on shaped fabrics and the object-climbing oracle on
+// compiled trees, appends after whatever the buffer already holds, and
+// allocates nothing while the buffer has room.
 func TestPathCacheMatchesRoute(t *testing.T) {
 	for _, spec := range []string{
 		"torus:3x3 pack:1 core:1",
 		"torus:2x2x4 pack:1 core:1",
 		"dragonfly:2,4,2 pack:1 core:1",
+		"cluster:5 pack:1 core:2",
 		"pod:2 rack:2 node:2 pack:1 core:2",
 		"rack:2 node:2,3 pack:1 core:2",
 	} {
@@ -222,15 +246,43 @@ func TestPathCacheMatchesRoute(t *testing.T) {
 		}
 		g := to.FabricGraph()
 		n := g.NumNodes()
+		buf := make([]int, 0, 64)
 		for f := 0; f < n; f++ {
-			for to := 0; to < n; to++ {
-				if !reflect.DeepEqual(g.PathEdges(f, to), g.Route(f, to)) {
-					t.Fatalf("%s: PathEdges(%d,%d) != Route", spec, f, to)
+			for to2 := 0; to2 < n; to2++ {
+				want := g.Route(f, to2)
+				if g.Shape() == nil && f != to2 {
+					want = treePathOracle(to, f, to2)
 				}
-				if g.PathLatency(f, to) != g.pathLatencyWalk(f, to) {
-					t.Fatalf("%s: PathLatency(%d,%d) != walk", spec, f, to)
+				got := g.AppendPath(append(buf[:0], -7), f, to2)
+				if got[0] != -7 || !slices.Equal(got[1:], want) {
+					t.Fatalf("%s: AppendPath(%d,%d) = %v, want -7 then %v", spec, f, to2, got, want)
+				}
+				if g.PathLatency(f, to2) != g.pathLatencyWalk(f, to2) {
+					t.Fatalf("%s: PathLatency(%d,%d) != walk", spec, f, to2)
 				}
 			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { buf = g.AppendPath(buf[:0], 0, n-1) }); allocs != 0 {
+			t.Errorf("%s: AppendPath allocates %.0f times per call", spec, allocs)
+		}
+		if g.Shape() == nil {
+			if g.paths != nil {
+				t.Errorf("%s: a compiled tree built the all-pairs path cache", spec)
+			}
+			// The up-chain of a node is its own-side link at every level.
+			var want []int
+			for l := 0; l < g.NumLevels(); l++ {
+				o := to.ClusterNodes()[n-1]
+				for k := 0; k < l; k++ {
+					o = o.Parent
+				}
+				want = append(want, g.LevelEdges(l)[o.LevelIndex])
+			}
+			if got := g.AppendPath(nil, n-1, g.Root()); !slices.Equal(got, want) {
+				t.Errorf("%s: up-chain of node %d = %v, want %v", spec, n-1, got, want)
+			}
+		} else if g.Root() != -1 {
+			t.Errorf("%s: Root() = %d on a shaped fabric, want -1", spec, g.Root())
 		}
 		lm := g.LatencyMatrix()
 		for f := 0; f < n; f++ {

@@ -87,7 +87,7 @@ func (t *Topology) RenderFabric() string {
 		fmt.Fprintf(&b, "  links x%d: %.1f GB/s, %.0f cycles\n", c.count, c.bw/1e9, c.lat)
 	}
 	from, to := 0, g.NumNodes()-1
-	path := g.PathEdges(from, to)
+	path := g.AppendPath(nil, from, to)
 	fmt.Fprintf(&b, "  route %d -> %d:", from, to)
 	for _, e := range path {
 		ed := g.Edges()[e]

@@ -331,14 +331,10 @@ func normalize(levels []specLevel) []specLevel {
 	return levels
 }
 
-// canonicalSpec renders the normalized levels back into a spec string.
-func canonicalSpec(levels []specLevel) string {
-	return canonicalSpecShaped(levels, nil)
-}
-
-// canonicalSpecShaped is canonicalSpec with the cluster level rendered as
-// its fabric-shape token ("torus:4x4") when the fabric is non-tree, so
-// shaped specs round-trip through their normalized form.
+// canonicalSpecShaped renders the normalized levels back into a spec
+// string, the cluster level as its fabric-shape token ("torus:4x4") when
+// the fabric is non-tree, so shaped specs round-trip through their
+// normalized form.
 func canonicalSpecShaped(levels []specLevel, shape *FabricShape) string {
 	names := map[Kind]string{
 		Pod: "pod", Rack: "rack", Cluster: "cluster", Group: "group", Package: "pack",

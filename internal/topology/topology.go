@@ -135,9 +135,6 @@ type Object struct {
 	Attr Attr
 }
 
-// IsLeaf reports whether the object has no children.
-func (o *Object) IsLeaf() bool { return len(o.Children) == 0 }
-
 // String returns a short identifier such as "Package#3".
 func (o *Object) String() string {
 	return fmt.Sprintf("%s#%d", o.Kind, o.LevelIndex)

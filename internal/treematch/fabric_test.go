@@ -60,15 +60,15 @@ func TestFabricTreeNoCluster(t *testing.T) {
 	}
 }
 
-// TestPartitionAcrossMatrix: the emitted aggregated matrix is the quotient
-// of the affinity matrix over the returned groups.
+// TestPartitionAcrossMatrix: the aggregated matrix the weighted partition
+// emits is the quotient of the affinity matrix over the returned groups.
 func TestPartitionAcrossMatrix(t *testing.T) {
 	m := comm.New(6)
 	m.AddSym(0, 1, 10)
 	m.AddSym(2, 3, 10)
 	m.AddSym(4, 5, 10)
 	m.AddSym(1, 2, 1)
-	groups, agg, err := PartitionAcrossMatrix(m, 3, Options{})
+	groups, agg, err := PartitionAcrossWeightedMatrix(m, []int{2, 2, 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,9 +162,9 @@ func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, opt Options) 
 	// The node-level cut is the expensive one (every cut byte crosses the
 	// network), so refinement always runs here even when per-core grouping
 	// of a matrix this size would skip it.
-	passes := opt.refinePasses(0)
+	passes := partitionRefinePasses
 	refine := func(groups [][]int) [][]int {
-		if passes > 0 && k > 1 && per > 1 {
+		if k > 1 && per > 1 {
 			refineGroups(work, groups, passes)
 		}
 		return groups
@@ -276,13 +276,13 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 		return make([][]int, k), nil
 	}
 	sizes := weightedSizes(p, caps)
-	passes := opt.refinePasses(0)
+	passes := partitionRefinePasses
 	if p > multilevelMinOrder {
 		// Large instance: greedy seeding (heap-driven on sparse matrices)
 		// plus boundary-only refinement; the full-KL portfolio below is
 		// unaffordable at this order.
 		groups := greedySizedGroups(m, sizes)
-		if passes > 0 && k > 1 {
+		if k > 1 {
 			refineGroupsBoundary(m, groups, passes)
 		}
 		for _, g := range groups {
@@ -291,7 +291,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 		return groups, nil
 	}
 	refine := func(groups [][]int) [][]int {
-		if passes > 0 && k > 1 {
+		if k > 1 {
 			refineGroups(m, groups, passes)
 		}
 		return groups
@@ -559,24 +559,6 @@ func greedySizedGroupsHeap(m *comm.Matrix, sizes []int) [][]int {
 		out[gi] = g
 	}
 	return out
-}
-
-// PartitionAcrossMatrix runs PartitionAcross and additionally emits the
-// aggregated group-to-group matrix: entry (a,b) is the volume the tasks of
-// group a exchange with those of group b (the diagonal holds intra-group
-// volume). This matrix is what three-level placement treematch-maps onto the
-// fabric tree (FabricTree) to decide which cluster node — and hence which
-// rack — each group lands on.
-func PartitionAcrossMatrix(m *comm.Matrix, k int, opt Options) ([][]int, *comm.Matrix, error) {
-	groups, err := PartitionAcross(m, k, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	agg, err := m.Aggregate(groups)
-	if err != nil {
-		return nil, nil, err
-	}
-	return groups, agg, nil
 }
 
 // bisectPartition splits the given entities (len(ids) divisible by k) into k

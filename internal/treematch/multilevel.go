@@ -47,7 +47,7 @@ const (
 // PartitionAcross builds are; refinement quality, not correctness, would
 // suffer otherwise).
 func multilevelPartition(work *comm.Matrix, k, per int, opt Options) ([][]int, error) {
-	passes := opt.refinePasses(0)
+	passes := partitionRefinePasses
 
 	// Coarsening: heavy-edge perfect matchings keep every coarse vertex at
 	// uniform weight 2^level, so equal coarse groups expand to equal fine

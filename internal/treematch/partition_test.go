@@ -14,12 +14,17 @@ func TestNodeSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := NodeSubtree(topo, topology.Core)
+	trees, err := NodeSubtrees(topo, topology.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.Leaves(); got != 16 {
-		t.Fatalf("per-node subtree has %d leaves, want 16", got)
+	if len(trees) != 4 {
+		t.Fatalf("%d subtrees, want 4", len(trees))
+	}
+	for i, tree := range trees {
+		if tree.Leaves() != 16 || tree.Depth() != trees[0].Depth() {
+			t.Fatalf("subtree %d = %v, want 16 leaves shaped like %v", i, tree, trees[0])
+		}
 	}
 	// The subtree must not contain the cluster arity.
 	full, err := FromTopology(topo, topology.Core)
@@ -36,12 +41,12 @@ func TestNodeSubtreeSingleMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := NodeSubtree(topo, topology.Core)
+	trees, err := NodeSubtrees(topo, topology.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.Leaves(); got != 8 {
-		t.Fatalf("single-machine subtree has %d leaves, want 8", got)
+	if len(trees) != 1 || trees[0].Leaves() != 8 {
+		t.Fatalf("single-machine subtrees = %v, want one of 8 leaves", trees)
 	}
 }
 
@@ -50,7 +55,7 @@ func TestNodeSubtreeUnevenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NodeSubtree(topo, topology.Core); err == nil {
+	if _, err := NodeSubtrees(topo, topology.Core); err == nil {
 		t.Fatal("uneven cluster accepted")
 	}
 }
@@ -177,7 +182,7 @@ func TestPartitionAcrossWeightedConcurrentMatchesSequential(t *testing.T) {
 	m := comm.Random(24, 0.5, 2048, 3)
 	caps := []int{8, 4, 4}
 	sizes := weightedSizes(m.Order(), caps)
-	passes := Options{}.refinePasses(0)
+	passes := partitionRefinePasses
 	refine := func(groups [][]int) [][]int {
 		if passes > 0 && len(caps) > 1 {
 			refineGroups(m, groups, passes)

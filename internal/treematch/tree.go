@@ -154,37 +154,6 @@ func subtreeOf(root *topology.Object, toDepth int) (*Tree, error) {
 	return NewTree(arities)
 }
 
-// NodeSubtree derives the abstract balanced tree of one cluster node of a
-// clustered topology: the levels strictly below the cluster level down to
-// the objects of the given leaf kind. All cluster nodes must be identical
-// (the level-wide fan-out check covers every node's subtree). On a topology
-// without a cluster level it is equivalent to FromTopology: the whole
-// machine is the single node. Hierarchical two-level placement maps each
-// node's task group onto this subtree with the ordinary Algorithm 1.
-//
-// Deprecated: use NodeSubtrees, which additionally handles heterogeneous
-// platforms by returning one tree per node.
-func NodeSubtree(t *topology.Topology, leaf topology.Kind) (*Tree, error) {
-	clusterDepth := t.DepthOf(topology.Cluster)
-	if clusterDepth < 0 {
-		return FromTopology(t, leaf)
-	}
-	leafDepth := t.DepthOf(leaf)
-	if leafDepth < 0 {
-		return nil, fmt.Errorf("treematch: topology has no %v level", leaf)
-	}
-	tree, err := treeBetween(t, clusterDepth, leafDepth)
-	if err != nil {
-		return nil, err
-	}
-	nodes := len(t.ClusterNodes())
-	if tree.Leaves()*nodes != len(t.Level(leafDepth)) {
-		return nil, fmt.Errorf("treematch: internal error: %d abstract leaves per node for %d %v objects on %d nodes",
-			tree.Leaves(), len(t.Level(leafDepth)), leaf, nodes)
-	}
-	return tree, nil
-}
-
 // FabricTree derives the abstract balanced tree of the interconnect fabric
 // of a clustered topology: its leaves are the cluster nodes, its internal
 // levels the switch tiers above them (the machine root as the spine, racks
@@ -205,7 +174,7 @@ func FabricTree(t *topology.Topology) (*Tree, error) {
 	}
 	// treeBetween collapses arity-1 tiers, which only drop factors of 1, so
 	// the leaf count always equals the cluster-node count; the check is a
-	// defensive invariant, mirroring FromTopology and NodeSubtree.
+	// defensive invariant, mirroring FromTopology.
 	if tree.Leaves() != len(t.ClusterNodes()) {
 		return nil, fmt.Errorf("treematch: internal error: fabric tree has %d leaves for %d cluster nodes",
 			tree.Leaves(), len(t.ClusterNodes()))

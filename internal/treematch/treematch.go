@@ -8,13 +8,6 @@ import (
 
 // Options tunes the mapping algorithm. The zero value requests the defaults.
 type Options struct {
-	// RefinePasses bounds the pairwise-swap refinement inside
-	// GroupProcesses. 0 means the default (2); negative disables refinement.
-	RefinePasses int
-	// MaxRefineOrder disables refinement for matrices larger than this
-	// order, keeping the mapping of very large instances fast. 0 means the
-	// default (1024).
-	MaxRefineOrder int
 	// Distribute enables the paper's load-distribution requirement: when
 	// there are fewer computing entities than leaves, the tree is first
 	// restricted (Tree.Restrict) so that affine groups spread across the
@@ -30,22 +23,18 @@ type Options struct {
 	SFCDims []int
 }
 
-func (o Options) refinePasses(order int) int {
-	p := o.RefinePasses
-	if p == 0 {
-		p = 2
-	}
-	if p < 0 {
-		return 0
-	}
-	limit := o.MaxRefineOrder
-	if limit == 0 {
-		limit = 1024
-	}
-	if order > limit {
+// partitionRefinePasses bounds the pairwise-swap refinement of the
+// node-level partitions, whatever their order.
+const partitionRefinePasses = 2
+
+// refinePasses bounds the pairwise-swap refinement inside GroupProcesses
+// during the per-level mapping: one pass less for matrices above order 1024,
+// to keep the mapping of very large instances fast.
+func refinePasses(order int) int {
+	if order > 1024 {
 		return 1
 	}
-	return p
+	return partitionRefinePasses
 }
 
 // Mapping is the result of mapping a communication matrix onto a tree.
@@ -118,7 +107,7 @@ func MapMatrix(tree *Tree, m *comm.Matrix, opt Options) (*Mapping, error) {
 	var levels [][][]int
 	for depth := work.Depth() - 1; depth >= 1; depth-- {
 		arity := work.Arity(depth - 1)
-		groups := GroupProcesses(mat, arity, opt.refinePasses(mat.Order()))
+		groups := GroupProcesses(mat, arity, refinePasses(mat.Order()))
 		levels = append(levels, groups)
 		next := make([][]int, len(groups))
 		for gi, g := range groups {
