@@ -16,9 +16,8 @@ import "sync"
 //
 // A Window is safe for concurrent use.
 type Window struct {
-	mu    sync.Mutex
-	cur   *Matrix
-	spare *Matrix // recycled snapshot storage, see Recycle
+	mu  sync.Mutex
+	cur *Matrix
 }
 
 // NewWindow returns an empty window over n entities.
@@ -55,44 +54,20 @@ func (w *Window) Snapshot() *Matrix {
 // outside [0,1) are treated as 0.
 //
 // The accumulation decays in place — the backing storage of the window is
-// allocated once and reused across every epoch, instead of the
-// allocate-and-copy-O(n²) per epoch the window used to cost. The snapshot
-// reuses storage handed back via Recycle when available.
+// allocated once and reused across every epoch; only the snapshot is a copy.
 func (w *Window) Roll(decay float64) *Matrix {
 	if !(decay >= 0 && decay < 1) { // coerces NaN too, not only out-of-range
 		decay = 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var snap *Matrix
-	if s := w.spare; s != nil && s.n == w.cur.n && s.IsSparse() == w.cur.IsSparse() {
-		w.spare = nil
-		s.copyFrom(w.cur)
-		snap = s
-	} else {
-		snap = w.cur.Clone()
-	}
+	snap := w.cur.Clone()
 	if decay == 0 {
 		w.cur.zero()
 	} else {
 		w.cur.Scale(decay)
 	}
 	return snap
-}
-
-// Recycle hands a snapshot previously returned by Roll or Snapshot back to
-// the window, letting the next Roll reuse its storage instead of allocating.
-// The caller must no longer use the matrix afterwards. Recycling is strictly
-// optional: callers that retain their snapshots simply never recycle them.
-func (w *Window) Recycle(m *Matrix) {
-	if m == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.spare == nil && m != w.cur {
-		w.spare = m
-	}
-	w.mu.Unlock()
 }
 
 // zero clears every entry in place, keeping the allocated storage.
@@ -106,23 +81,5 @@ func (m *Matrix) zero() {
 	}
 	for i := range m.v {
 		m.v[i] = 0
-	}
-}
-
-// copyFrom overwrites m with the contents of src (same order and storage
-// mode), reusing m's storage where capacity allows.
-func (m *Matrix) copyFrom(src *Matrix) {
-	if src.rows != nil {
-		for i := range src.rows {
-			m.rows[i].cols = append(m.rows[i].cols[:0], src.rows[i].cols...)
-			m.rows[i].vals = append(m.rows[i].vals[:0], src.rows[i].vals...)
-		}
-	} else {
-		copy(m.v, src.v)
-	}
-	if src.labels != nil {
-		m.labels = append(m.labels[:0], src.labels...)
-	} else {
-		m.labels = nil
 	}
 }

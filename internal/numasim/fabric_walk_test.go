@@ -63,28 +63,18 @@ func oracleLeg(m *Machine, fromC, toC int, streams []int, lat, bw *float64) {
 	}
 }
 
-// fabricWalkOracle is the reference for fabricWalk under the machine's
-// routing policy: one minimal leg, or under RouteValiant the leg to the
-// pair's intermediate node followed by the leg on to the destination. A
-// severed edge anywhere on the route makes it unreachable (+Inf, 0).
+// fabricWalkOracle is the reference for fabricWalk: the one minimally routed
+// leg between the nodes. A severed edge anywhere on the route makes it
+// unreachable (+Inf, 0).
 //
 // The oracle's summation order — both endpoint links of a level together,
-// levels innermost first, legs in sequence — differs from the machine's path
-// order (up the from side, down the to side). Every link latency in the
-// model is integer-valued, so both orders are exact; should a non-integer
-// latency ever be introduced, the order of this oracle is the specification.
+// levels innermost first — differs from the machine's path order (up the
+// from side, down the to side). Every link latency in the model is
+// integer-valued, so both orders are exact; should a non-integer latency
+// ever be introduced, the order of this oracle is the specification.
 func fabricWalkOracle(m *Machine, fromC, toC int, streams []int) (lat, bw float64) {
 	bw = math.Inf(1)
-	via := fromC
-	if m.routingPolicy == RouteValiant {
-		via = m.valiantVia(fromC, toC)
-	}
-	if via == fromC || via == toC {
-		oracleLeg(m, fromC, toC, streams, &lat, &bw)
-	} else {
-		oracleLeg(m, fromC, via, streams, &lat, &bw)
-		oracleLeg(m, via, toC, streams, &lat, &bw)
-	}
+	oracleLeg(m, fromC, toC, streams, &lat, &bw)
 	if math.IsInf(lat, 1) {
 		return lat, 0
 	}
@@ -103,65 +93,60 @@ func walkPlatform(t testing.TB, spec string, def topology.Defaults) *Machine {
 // TestFabricWalkMatchesOracle is the differential test of the single pricing
 // walk: on every fabric, for every node pair, under undeclared, full and
 // mixed stream counts, on a healthy fabric, with degraded edges and with a
-// severed edge, under both routing policies, fabricWalk equals the oracle
-// bit for bit — and a hop the oracle finds severed prices a transfer to +Inf.
+// severed edge, fabricWalk equals the oracle bit for bit — and a hop the
+// oracle finds severed prices a transfer to +Inf.
 func TestFabricWalkMatchesOracle(t *testing.T) {
 	for _, spec := range fabricWalkSpecs {
-		for _, policy := range []RoutingPolicy{RouteMinimal, RouteValiant} {
-			for _, fault := range []string{"healthy", "degraded", "severed"} {
-				m := walkPlatform(t, spec, topology.DefaultAttrs())
-				if err := m.SetRoutingPolicy(policy); err != nil {
-					t.Fatal(err)
+		for _, fault := range []string{"healthy", "degraded", "severed"} {
+			m := walkPlatform(t, spec, topology.DefaultAttrs())
+			ne := m.fabricGraph.NumEdges()
+			var events []topology.FaultEvent
+			if fault != "healthy" {
+				events = append(events,
+					topology.FaultEvent{Kind: topology.FaultDegradeEdge, Edge: 0, Factor: 0.5},
+					topology.FaultEvent{Kind: topology.FaultDegradeEdge, Edge: ne - 1, Factor: 0.25})
+			}
+			if fault == "severed" {
+				events = append(events, topology.FaultEvent{Kind: topology.FaultSeverEdge, Edge: ne / 2})
+			}
+			if err := m.ApplyFaultEvents(events); err != nil {
+				t.Fatal(err)
+			}
+			full := make([]int, ne)
+			mixed := make([]int, ne)
+			for e := range full {
+				full[e] = 1 + e%3
+				if e%2 == 0 {
+					mixed[e] = full[e]
 				}
-				ne := m.fabricGraph.NumEdges()
-				var events []topology.FaultEvent
-				if fault != "healthy" {
-					events = append(events,
-						topology.FaultEvent{Kind: topology.FaultDegradeEdge, Edge: 0, Factor: 0.5},
-						topology.FaultEvent{Kind: topology.FaultDegradeEdge, Edge: ne - 1, Factor: 0.25})
-				}
-				if fault == "severed" {
-					events = append(events, topology.FaultEvent{Kind: topology.FaultSeverEdge, Edge: ne / 2})
-				}
-				if err := m.ApplyFaultEvents(events); err != nil {
-					t.Fatal(err)
-				}
-				full := make([]int, ne)
-				mixed := make([]int, ne)
-				for e := range full {
-					full[e] = 1 + e%3
-					if e%2 == 0 {
-						mixed[e] = full[e]
-					}
-				}
-				n := m.fabricGraph.NumNodes()
-				severedPairs := 0
-				for i, streams := range [][]int{nil, full, mixed} {
-					for from := 0; from < n; from++ {
-						for to := 0; to < n; to++ {
-							if from == to {
-								continue
-							}
-							lat, bw := m.fabricWalk(from, to, streams)
-							wantLat, wantBW := fabricWalkOracle(m, from, to, streams)
-							if lat != wantLat || bw != wantBW {
-								t.Fatalf("%s %v %s streams %d: fabricWalk(%d,%d) = (%v, %v), oracle (%v, %v)",
-									spec, policy, fault, i, from, to, lat, bw, wantLat, wantBW)
-							}
-							if math.IsInf(wantLat, 1) {
-								severedPairs++
-								// The consumer pulls from the producer's node, so a
-								// transfer to→from walks the hop from→to.
-								if c := m.TransferCost(firstPUOfNode(m, to), firstPUOfNode(m, from), 4096); !math.IsInf(c, 1) {
-									t.Fatalf("%s %v: transfer over the severed hop (%d,%d) = %v, want +Inf", spec, policy, from, to, c)
-								}
+			}
+			n := m.fabricGraph.NumNodes()
+			severedPairs := 0
+			for i, streams := range [][]int{nil, full, mixed} {
+				for from := 0; from < n; from++ {
+					for to := 0; to < n; to++ {
+						if from == to {
+							continue
+						}
+						lat, bw := m.fabricWalk(from, to, streams)
+						wantLat, wantBW := fabricWalkOracle(m, from, to, streams)
+						if lat != wantLat || bw != wantBW {
+							t.Fatalf("%s %s streams %d: fabricWalk(%d,%d) = (%v, %v), oracle (%v, %v)",
+								spec, fault, i, from, to, lat, bw, wantLat, wantBW)
+						}
+						if math.IsInf(wantLat, 1) {
+							severedPairs++
+							// The consumer pulls from the producer's node, so a
+							// transfer to→from walks the hop from→to.
+							if c := m.TransferCost(firstPUOfNode(m, to), firstPUOfNode(m, from), 4096); !math.IsInf(c, 1) {
+								t.Fatalf("%s: transfer over the severed hop (%d,%d) = %v, want +Inf", spec, from, to, c)
 							}
 						}
 					}
 				}
-				if (severedPairs > 0) != (fault == "severed") {
-					t.Errorf("%s %v %s: %d unreachable pairs", spec, policy, fault, severedPairs)
-				}
+			}
+			if (severedPairs > 0) != (fault == "severed") {
+				t.Errorf("%s %s: %d unreachable pairs", spec, fault, severedPairs)
 			}
 		}
 	}

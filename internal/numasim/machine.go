@@ -154,11 +154,6 @@ type Machine struct {
 	// edgeFaultFactor[e] is the remaining bandwidth fraction of fabric edge
 	// e: 1 healthy, (0,1) degraded, 0 severed. Nil until an edge fault.
 	edgeFaultFactor []float64
-	// routingPolicy selects minimal or Valiant routing on the fabric graph.
-	// Like the fault state it only changes while the machine is quiesced,
-	// so pricing reads it without the lock. RouteMinimal (the zero value)
-	// keeps pricing bit-identical to earlier revisions.
-	routingPolicy RoutingPolicy
 
 	mu sync.Mutex
 	// accessors[node] is the static contention degree of each memory node:
@@ -398,7 +393,7 @@ func (m *Machine) SameRack(fromC, toC int) bool {
 }
 
 // fabricWalk prices the hop between two distinct cluster nodes with one walk
-// of their routed path (AppendRoutedPath): the summed edge latency — on a
+// of their routed path (FabricGraph.AppendPath): the summed edge latency — on a
 // tree fabric both endpoint links of every level below the one the nodes
 // share — and the bottleneck bandwidth, each edge's fault-degraded bandwidth
 // shared among the streams declared to cross it (SetEdgeStreams). A severed
@@ -408,7 +403,7 @@ func (m *Machine) SameRack(fromC, toC int) bool {
 func (m *Machine) fabricWalk(fromC, toC int, streams []int) (lat, bw float64) {
 	var stack [16]int
 	bw = math.Inf(1)
-	for _, e := range m.AppendRoutedPath(stack[:0], fromC, toC) {
+	for _, e := range m.fabricGraph.AppendPath(stack[:0], fromC, toC) {
 		lat += m.edgeLat[e]
 		ebw := m.edgeBW[e]
 		if m.edgeFaultFactor != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/numasim"
 	"repro/internal/topology"
+	"repro/internal/treematch"
 )
 
 // contentionEdge resolves a readable edge name to a fabric-graph edge id:
@@ -168,5 +169,95 @@ func TestCapacityClasses(t *testing.T) {
 	entity, leaf := capacityClasses([]int{8, 4, 8}, []int{4, 16, 8})
 	if fmt.Sprint(entity, leaf) != "[0 1 0] [1 2 0]" {
 		t.Errorf("classes %v %v, want [0 1 0] [1 2 0]", entity, leaf)
+	}
+}
+
+// blockRing is the matching workload of TestMatchGroupsModels: one block of
+// tasks per entry of sizes, a heavy clique inside every block (so the
+// node-level partition recovers the blocks), and a medium ring over the
+// blocks in stride-3 order — block 3i talks to block 3(i+1), indices modulo
+// the block count — which the positional group→node order scatters across
+// the fabric. The block count must not be a multiple of 3.
+func blockRing(sizes []int) *comm.Matrix {
+	first := make([]int, len(sizes)+1)
+	for b, s := range sizes {
+		first[b+1] = first[b] + s
+	}
+	m := comm.New(first[len(sizes)])
+	for b, s := range sizes {
+		for i := 0; i < s; i++ {
+			for j := i + 1; j < s; j++ {
+				m.AddSym(first[b]+i, first[b]+j, 1000)
+			}
+		}
+	}
+	n := len(sizes)
+	for i := 0; i < n; i++ {
+		a, b := i*3%n, (i+1)*3%n
+		m.AddSym(first[a], first[b], 100)
+	}
+	return m
+}
+
+// TestMatchGroupsModels pins the group→node decision under every distance
+// model the matching stage is fed: none (flat fabric, positional order),
+// Algorithm 1 on a balanced fabric tree, tree hops under capacity classes,
+// routed latencies on an uneven tree, a torus (with its space-filling-curve
+// seed) and a dragonfly, and the latency submatrix of a fragmented free-slot
+// view. want is the cluster node of every task, block by block.
+func TestMatchGroupsModels(t *testing.T) {
+	cases := []struct {
+		name string
+		spec string
+		// free, when set, is the free-slot view handed to AssignFreeSlots:
+		// free[n] cores of node n, counted from the node's last core.
+		free []int
+		want string
+	}{
+		{name: "flat", spec: "cluster:4 pack:1 core:2 pu:1", want: "00112233"},
+		{name: "rack", spec: "rack:2 node:4 pack:1 core:2 pu:1", want: "0044112255336677"},
+		{name: "pod-hetero", spec: "pod:2 rack:2 node:2{pack:2 core:4 | pack:1 core:4}", want: "000000005555222222221111666666663333444444447777"},
+		{name: "uneven-rack", spec: "rack:2 node:2,3 pack:1 core:2 pu:1", want: "0033112244"},
+		{name: "torus", spec: "torus:4x4 pack:1 core:2 pu:1", want: "0099dd11aacc2266ff3355bb774488ee"},
+		{name: "dragonfly", spec: "dragonfly:2,2,2 pack:1 core:2 pu:1", want: "0055331166224477"},
+		{name: "free-slots", spec: "rack:2 node:4 pack:1 core:4 pu:1", free: []int{3, 1, 2, 3, 1, 2, 0, 3}, want: "000422333155777"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plat, err := numasim.NewPlatform(c.spec, numasim.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mach := plat.Machine()
+			var a *Assignment
+			if c.free == nil {
+				sizes := make([]int, plat.Nodes())
+				for n := range sizes {
+					sizes[n] = plat.NodeCores(n)
+				}
+				a, err = Hierarchical{}.Assign(mach, blockRing(sizes))
+			} else {
+				all := nodeCoreLists(mach)
+				free := make([][]int, len(all))
+				var sizes []int
+				for n, k := range c.free {
+					free[n] = all[n][len(all[n])-k:]
+					if k > 0 {
+						sizes = append(sizes, k)
+					}
+				}
+				a, err = AssignFreeSlots(mach, blockRing(sizes), free, treematch.Options{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ""
+			for _, pu := range a.TaskPU {
+				got += fmt.Sprintf("%x", mach.ClusterNodeOfPU(pu))
+			}
+			if got != c.want {
+				t.Errorf("task nodes %s, want %s", got, c.want)
+			}
+		})
 	}
 }

@@ -23,17 +23,13 @@ import (
 // node's own intra-machine tree from the group's sub-matrix. On a machine
 // without a cluster level it degrades to the plain TreeMatch policy.
 //
-// On a multi-switch fabric (a topology with a rack tier, and optionally a
-// pod tier above) placement is three-level: the aggregated group-to-group
-// matrix is itself matched onto the fabric tree, so groups that exchange
-// heavy residual volume land in the same rack (and pod) and only light
-// traffic crosses the uplinks. On homogeneous platforms the matching is the
-// unconstrained treematch mapping (treematch.MapMatrix); on heterogeneous
-// ones it is the capacity-class-constrained matching
-// (treematch.AssignClassed), because a group sized for an 8-core node can
-// only run on an 8-core node. On a flat single-switch fabric every
-// group-to-node assignment prices identically, so the matching is skipped
-// and group g runs on node g, which keeps the result deterministic.
+// On a multi-switch or shaped fabric placement is three-level: the
+// aggregated group-to-group matrix is itself matched onto the fabric
+// (matchFabric), so groups that exchange heavy residual volume land in the
+// same rack (and pod), or few hops apart, and only light traffic crosses the
+// uplinks. On a flat single-switch fabric every group-to-node assignment
+// prices identically, so the matching is skipped and group g runs on node g,
+// which keeps the result deterministic.
 //
 // Compared with running flat TreeMatch on the whole cluster tree, the
 // explicit top split optimizes the fabric cut directly instead of letting it
@@ -71,18 +67,17 @@ type Hierarchical struct {
 	// model of earlier revisions: shaped (torus/dragonfly) fabrics and
 	// uneven trees — which the balanced FabricTree cannot express — skip
 	// the matching and keep the positional group→node order. This is the
-	// "tree-matched" arm of ablation A13; the default routes such fabrics
-	// through the routed distance model (treematch.AssignByDistance over
-	// the fabric graph's latency matrix, with a space-filling-curve seed on
-	// tori) instead.
+	// "tree-matched" arm of ablation A13; the default matches such fabrics
+	// under the fabric graph's routed latencies (with a space-filling-curve
+	// seed on tori) instead.
 	TreeFabric bool
 	// Workers bounds the worker pool that runs the per-node Algorithm 1
 	// stage: the per-node mappings are independent (each works on its own
 	// sub-matrix against the shared read-only task matrix), so on a
-	// 1000-node placement they shard across CPUs. 0 means GOMAXPROCS;
-	// 1 forces the historical sequential order. Results are merged in
-	// group order regardless, so the assignment is identical at any
-	// worker count.
+	// 1000-node placement they shard across CPUs. 0 means GOMAXPROCS; a
+	// pool of 1 runs the nodes one after the other in group order. Results
+	// are merged in group order regardless, so the assignment is identical
+	// at any worker count.
 	Workers int
 }
 
@@ -109,20 +104,7 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	if err != nil {
 		return nil, err
 	}
-	// Per-node core capacities and each node's first core index in the fused
-	// machine's left-to-right core order.
-	caps := make([]int, nodes)
-	coreBase := make([]int, nodes)
-	hetero := false
-	for i, tree := range nodeTrees {
-		caps[i] = tree.Leaves()
-		if i > 0 {
-			coreBase[i] = coreBase[i-1] + caps[i-1]
-			if caps[i] != caps[0] {
-				hetero = true
-			}
-		}
-	}
+	caps, coreBase := nodeCores(mach)
 
 	// Level 1: split the task graph across the cluster nodes, minimizing
 	// the volume that must cross the fabric; group g is sized for node g's
@@ -139,9 +121,8 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	// portfolio. The tree-matched arm keeps the unmodified options so its
 	// partition — and everything downstream — reproduces the balanced-tree
 	// revisions exactly.
-	shape := topo.FabricShape()
 	partOpts := p.Options
-	if shape != nil && shape.Kind == "torus" && !p.TreeFabric && !p.NoFabricMatch {
+	if shape := topo.FabricShape(); shape != nil && shape.Kind == "torus" && !p.TreeFabric && !p.NoFabricMatch {
 		partOpts.SFCDims = shape.Dims
 	}
 	groups, groupMatrix, err := treematch.PartitionAcrossWeightedMatrix(m, partCaps, partOpts)
@@ -149,48 +130,10 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 		return nil, err
 	}
 
-	// Level 2 (multi-switch and shaped fabrics): match the aggregated group
-	// matrix onto the fabric, so groups with heavy residual traffic land
-	// close in the fabric's distance model. Balanced trees keep the
-	// established FabricTree matching, bit-stable with earlier revisions
-	// (groups with heavy residual traffic share a rack, and a pod). Shaped
-	// (torus/dragonfly) fabrics and uneven trees — which admit no balanced
-	// abstract tree and were previously skipped — now match through the
-	// routed distance model, with a space-filling-curve seed on tori;
-	// TreeFabric restores the old skip. On a flat single-switch fabric
-	// every group→node assignment prices identically, so the matching is
-	// skipped and the identity keeps A9 and older results bit-stable.
-	nodeOf := make([]int, len(groups))
-	for g := range nodeOf {
-		nodeOf[g] = g
-	}
-	if !p.NoFabricMatch && (topo.NumRacks() > 1 || topo.NumPods() > 1 || shape != nil) {
-		classed := hetero && !p.CapacityBlind
-		distanceMatch := false
-		if shape != nil {
-			distanceMatch = !p.TreeFabric
-		} else {
-			fabricTree, ferr := treematch.FabricTree(topo)
-			if ferr != nil && !errors.Is(ferr, treematch.ErrUneven) {
-				return nil, fmt.Errorf("placement: hierarchical fabric tree: %w", ferr)
-			}
-			if ferr == nil {
-				assignment, err := matchGroupsToNodes(fabricTree, groupMatrix, partCaps, caps, classed, p.Options)
-				if err != nil {
-					return nil, fmt.Errorf("placement: hierarchical fabric matching: %w", err)
-				}
-				copy(nodeOf, assignment)
-			} else {
-				distanceMatch = !p.TreeFabric
-			}
-		}
-		if distanceMatch {
-			assignment, err := matchGroupsByDistance(topo, groupMatrix, partCaps, caps, classed)
-			if err != nil {
-				return nil, fmt.Errorf("placement: hierarchical distance matching: %w", err)
-			}
-			copy(nodeOf, assignment)
-		}
+	// Level 2: decide which cluster node each group runs on.
+	nodeOf, err := p.matchFabric(topo, groupMatrix, partCaps, caps)
+	if err != nil {
+		return nil, fmt.Errorf("placement: hierarchical fabric matching: %w", err)
 	}
 	if p.SpreadDomains && topo.NumRacks() > 1 && topo.FabricGraph() != nil {
 		spreadCriticalPair(mach, topo, groupMatrix, partCaps, nodeOf)
@@ -225,19 +168,13 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	// intra-machine tree, including the control-thread adaptation. The
 	// per-node instances are independent, so they run across a bounded
 	// worker pool; results land in a per-group slot and are merged in group
-	// order below, which keeps the assignment bit-identical to a sequential
-	// run at any worker count.
+	// order below, which keeps the assignment bit-identical at any worker
+	// count.
 	type nodeMapResult struct {
 		res *treematch.Result
 		err error
 	}
 	results := make([]nodeMapResult, len(groups))
-	jobs := make([]int, 0, len(groups))
-	for g, group := range groups {
-		if len(group) > 0 {
-			jobs = append(jobs, g)
-		}
-	}
 	runNode := func(g int) nodeMapResult {
 		node := nodeOf[g]
 		sub, err := m.Submatrix(groups[g])
@@ -254,54 +191,35 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	feed := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(groups)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for g := range feed {
+				results[g] = runNode(g)
+			}
+		}()
 	}
-	if workers <= 1 {
-		for _, g := range jobs {
-			results[g] = runNode(g)
-		}
-	} else {
-		feed := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for g := range feed {
-					results[g] = runNode(g)
-				}
-			}()
-		}
-		for _, g := range jobs {
+	for g, group := range groups {
+		if len(group) > 0 {
 			feed <- g
 		}
-		close(feed)
-		wg.Wait()
 	}
+	close(feed)
+	wg.Wait()
 
 	nonEmpty := 0
 	for g, group := range groups {
 		if len(group) == 0 {
 			continue
 		}
-		node := nodeOf[g]
 		if results[g].err != nil {
 			return nil, results[g].err
 		}
 		res := results[g].res
-		for local, task := range group {
-			core := coreBase[node] + res.Assignment[local]
-			a.TaskPU[task] = firstPU(topo, core)
-			switch {
-			case res.Control[local] < 0:
-				a.ControlPU[task] = -1
-			case res.Strategy == treematch.ControlHyperthread:
-				a.ControlPU[task] = secondPU(topo, coreBase[node]+res.Control[local])
-			default:
-				a.ControlPU[task] = firstPU(topo, coreBase[node]+res.Control[local])
-			}
-		}
+		a.bindResult(topo, res, group, coreBase[nodeOf[g]])
 		// Nodes of different sizes may resolve the control threads
 		// differently; report the most conservative strategy in force on
 		// any node (hyperthread < spare-cores < unmapped), so the summary
@@ -320,26 +238,121 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	return a, nil
 }
 
-// matchGroupsToNodes decides which cluster node each partition group runs
-// on, given the fabric tree and the aggregated group-to-group matrix. On
-// homogeneous platforms (classed == false) this is the unconstrained
-// treematch mapping; on heterogeneous ones the capacity-class-constrained
-// matching, where group g (sized for capacity groupCaps[g]) may only land
-// on a node of the same capacity.
-func matchGroupsToNodes(fabricTree *treematch.Tree, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, classed bool, opts treematch.Options) ([]int, error) {
-	if classed {
-		entityClass, leafClass := capacityClasses(groupCaps, nodeCaps)
-		return treematch.AssignClassed(fabricTree, groupMatrix, entityClass, leafClass)
+// nodeCores returns every cluster node's core count and the level index of
+// its first core in the fused machine's left-to-right core order; members
+// may differ in size. A single machine is one node.
+func nodeCores(mach *numasim.Machine) (caps, coreBase []int) {
+	topo := mach.Topology()
+	caps = make([]int, topo.NumClusterNodes())
+	for _, core := range topo.Cores() {
+		caps[mach.ClusterNodeOfPU(core.Children[0].OSIndex)]++
 	}
-	// Clustering, not distribution: spreading groups across racks is exactly
-	// what the matching must avoid, so the tree is not restricted.
-	fabricOpts := opts
-	fabricOpts.Distribute = false
-	mp, err := treematch.MapMatrix(fabricTree, groupMatrix, fabricOpts)
-	if err != nil {
-		return nil, err
+	coreBase = make([]int, len(caps))
+	for n := 1; n < len(caps); n++ {
+		coreBase[n] = coreBase[n-1] + caps[n-1]
 	}
-	return mp.Assignment, nil
+	return caps, coreBase
+}
+
+// matchFabric is level 2 of Assign: it returns the cluster node of every
+// partition group. There are two matchers, and all this function does is
+// choose between them and, for the second, choose the distance model:
+//
+//   - a balanced fabric tree whose groups are all sized alike is the paper's
+//     own problem one level up, so Algorithm 1 (treematch.MapMatrix) groups
+//     the groups rack by rack (and pod by pod), bit-stable with the revisions
+//     that knew no other fabric;
+//   - a balanced tree under capacity classes — a group sized for an 8-core
+//     node can only run on an 8-core node, which level-by-level grouping
+//     cannot express — goes to matchGroups under the tree's hop distances;
+//   - a shaped (torus, dragonfly) fabric or an uneven tree, which admit no
+//     balanced abstract tree, go to matchGroups under the fabric graph's
+//     routed latencies, with the space-filling-curve embedding as a seed
+//     candidate on a torus without classes; TreeFabric skips these.
+//
+// On a flat single-switch fabric every group→node assignment prices
+// identically, so the matching is skipped and the positional order keeps A9
+// and older results bit-stable.
+func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int) ([]int, error) {
+	positional := make([]int, groupMatrix.Order())
+	for g := range positional {
+		positional[g] = g
+	}
+	shape := topo.FabricShape()
+	if p.NoFabricMatch || (topo.NumRacks() <= 1 && topo.NumPods() <= 1 && shape == nil) {
+		return positional, nil
+	}
+	var fabricTree *treematch.Tree
+	if shape == nil {
+		tree, err := treematch.FabricTree(topo)
+		switch {
+		case err == nil:
+			fabricTree = tree
+		case !errors.Is(err, treematch.ErrUneven):
+			return nil, err
+		}
+	}
+	classed := mixedCaps(groupCaps)
+	switch {
+	case fabricTree == nil && p.TreeFabric:
+		return positional, nil
+	case fabricTree != nil && !classed:
+		// Clustering, not distribution: spreading groups across racks is
+		// exactly what the matching must avoid, so the tree is not
+		// restricted.
+		fabricOpts := p.Options
+		fabricOpts.Distribute = false
+		mp, err := treematch.MapMatrix(fabricTree, groupMatrix, fabricOpts)
+		if err != nil {
+			return nil, err
+		}
+		return mp.Assignment, nil
+	case fabricTree != nil:
+		hops := func(a, b int) float64 { return float64(fabricTree.LeafDistance(a, b)) }
+		return matchGroups(hops, groupMatrix, groupCaps, nodeCaps)
+	}
+	latency := topo.FabricGraph().LatencyMatrix()
+	var seeds [][]int
+	if shape != nil && shape.Kind == "torus" && !classed {
+		if seed, err := treematch.SFCSeed(shape.Dims, groupMatrix); err == nil {
+			seeds = append(seeds, seed)
+		}
+	}
+	return matchGroups(func(a, b int) float64 { return latency[a][b] }, groupMatrix, groupCaps, nodeCaps, seeds...)
+}
+
+// matchGroups is the one group→node matching stage under a distance model:
+// it returns, for every partition group, the index of the node it runs on,
+// minimizing the group-to-group volume weighted by dist between the nodes
+// (treematch.AssignByDistance; each seed is a candidate assignment it may
+// improve on). Node b is whatever the caller's model indexes — a cluster
+// node of the whole fabric, or the b-th node of a free-slot view. When the
+// groups were sized for differing capacities the matching is constrained by
+// capacity class: a group may only land on a node of the capacity it was
+// sized for.
+func matchGroups(dist func(a, b int) float64, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, seeds ...[]int) ([]int, error) {
+	model := make([][]float64, groupMatrix.Order())
+	for a := range model {
+		model[a] = make([]float64, len(model))
+		for b := range model[a] {
+			model[a][b] = dist(a, b)
+		}
+	}
+	var entityClass, leafClass []int
+	if mixedCaps(groupCaps) {
+		entityClass, leafClass = capacityClasses(groupCaps, nodeCaps)
+	}
+	return treematch.AssignByDistance(model, groupMatrix, entityClass, leafClass, seeds...)
+}
+
+// mixedCaps reports whether the capacities differ from one another.
+func mixedCaps(caps []int) bool {
+	for _, c := range caps {
+		if c != caps[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // capacityClasses numbers the distinct capacities in first-seen order
@@ -358,29 +371,6 @@ func capacityClasses(groupCaps, nodeCaps []int) (entityClass, leafClass []int) {
 		return out
 	}
 	return classes(groupCaps), classes(nodeCaps)
-}
-
-// matchGroupsByDistance decides which cluster node each partition group runs
-// on through the routed distance model: the fabric graph's all-pairs latency
-// matrix prices every candidate, so shaped (torus/dragonfly) fabrics and
-// uneven trees — which the balanced FabricTree cannot express — get the same
-// traffic-aware group→node matching as balanced fabrics. On a homogeneous
-// torus the space-filling-curve embedding joins as a seed candidate; it wins
-// only when strictly cheaper. Heterogeneous platforms constrain the matching
-// by capacity class, exactly as matchGroupsToNodes does.
-func matchGroupsByDistance(topo *topology.Topology, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, classed bool) ([]int, error) {
-	dist := topo.FabricGraph().LatencyMatrix()
-	var entityClass, leafClass []int
-	if classed {
-		entityClass, leafClass = capacityClasses(groupCaps, nodeCaps)
-	}
-	var seeds [][]int
-	if shape := topo.FabricShape(); shape != nil && shape.Kind == "torus" && !classed {
-		if seed, err := treematch.SFCSeed(shape.Dims, groupMatrix); err == nil {
-			seeds = append(seeds, seed)
-		}
-	}
-	return treematch.AssignByDistance(dist, groupMatrix, entityClass, leafClass, seeds...)
 }
 
 // spreadCriticalPair implements Hierarchical.SpreadDomains: if the two most
@@ -461,16 +451,7 @@ func (RoundRobinNodes) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignmen
 	}
 	topo := mach.Topology()
 	cores := topo.NumCores()
-	// Per-node core capacities and first core indices in the fused machine's
-	// left-to-right core order: members may differ in size.
-	caps := make([]int, topo.NumClusterNodes())
-	for _, core := range topo.Cores() {
-		caps[mach.ClusterNodeOfPU(core.Children[0].OSIndex)]++
-	}
-	coreBase := make([]int, len(caps))
-	for n := 1; n < len(caps); n++ {
-		coreBase[n] = coreBase[n-1] + caps[n-1]
-	}
+	caps, coreBase := nodeCores(mach)
 	a := unboundControls(m.Order(), "rr-nodes")
 	for i := range a.TaskPU {
 		node := i % len(caps)

@@ -120,18 +120,32 @@ func (p TreeMatch) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment, e
 		Strategy:     res.Strategy,
 		VirtualArity: res.VirtualArity,
 	}
-	for i := 0; i < m.Order(); i++ {
-		a.TaskPU[i] = firstPU(topo, res.Assignment[i])
+	a.bindResult(topo, res, nil, 0)
+	return a, nil
+}
+
+// bindResult translates one Algorithm 1 result into PU bindings: entity i of
+// res is task tasks[i] (task i when tasks is nil), and its core slots count
+// from coreBase, the first core of the node the result was computed for.
+// Computation threads go to each core's first hyperthread; control threads
+// to the second one when the strategy is hyperthread pairing, to the first
+// one of their own core otherwise, and to the OS (-1) when unmapped.
+func (a *Assignment) bindResult(topo *topology.Topology, res *treematch.Result, tasks []int, coreBase int) {
+	for i, ctl := range res.Control {
+		task := i
+		if tasks != nil {
+			task = tasks[i]
+		}
+		a.TaskPU[task] = firstPU(topo, coreBase+res.Assignment[i])
 		switch {
-		case res.Control[i] < 0:
-			a.ControlPU[i] = -1
+		case ctl < 0:
+			a.ControlPU[task] = -1
 		case res.Strategy == treematch.ControlHyperthread:
-			a.ControlPU[i] = secondPU(topo, res.Control[i])
+			a.ControlPU[task] = secondPU(topo, coreBase+ctl)
 		default:
-			a.ControlPU[i] = firstPU(topo, res.Control[i])
+			a.ControlPU[task] = firstPU(topo, coreBase+ctl)
 		}
 	}
-	return a, nil
 }
 
 // Compact packs task i onto core i modulo the core count, filling sockets
@@ -346,7 +360,7 @@ func SetContention(mach *numasim.Machine, a *Assignment, heavy []bool) {
 // assignment and the program's affinity matrix, per edge of the fabric
 // graph: every task that exchanges volume with a task placed on another
 // cluster node contributes one stream to the edges of the routed path
-// between their nodes (numasim.Machine.AppendRoutedPath, the path pricing
+// between their nodes (topology.FabricGraph.AppendPath, the path pricing
 // walks), however many partners share an edge. The counts are declared with
 // numasim.Machine.SetEdgeStreams, so a transfer is capped by the most
 // contended edge on its path: partitions that balance the crossing streams
@@ -395,7 +409,7 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 			case pj < 0:
 				mark(g.AppendPath(path[:0], mach.ClusterNodeOfPU(pi), g.Root()))
 			default:
-				path = mach.AppendRoutedPath(path[:0], mach.ClusterNodeOfPU(pi), mach.ClusterNodeOfPU(pj))
+				path = g.AppendPath(path[:0], mach.ClusterNodeOfPU(pi), mach.ClusterNodeOfPU(pj))
 				if ownSide {
 					path = path[:len(path)/2]
 				}

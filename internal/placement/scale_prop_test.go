@@ -114,6 +114,10 @@ func TestHierarchicalSparseDenseAssignmentsEqual(t *testing.T) {
 	}
 }
 
+// TestHierarchicalWorkerCountInvariant: the worker pool is the only per-node
+// execution path, so a pool of one is the sequential order, and the
+// assignment is the same at 2 workers, at GOMAXPROCS (0) and with more
+// workers than groups.
 func TestHierarchicalWorkerCountInvariant(t *testing.T) {
 	for _, tc := range placementCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,12 +129,14 @@ func TestHierarchicalWorkerCountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Hierarchical{Workers: 8}.Assign(plat.Machine(), tc.m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("assignment depends on worker count")
+			for _, workers := range []int{2, 0, 8} {
+				par, err := Hierarchical{Workers: workers}.Assign(plat.Machine(), tc.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(seq, par) {
+					t.Errorf("assignment with %d workers differs from 1 worker", workers)
+				}
 			}
 		})
 	}

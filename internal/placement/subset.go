@@ -16,19 +16,19 @@ import (
 // node n; nodes outside the scheduler's chosen domain pass empty lists. The
 // same three levels apply — partition the task graph across the nodes that
 // hold free slots (group g sized for node g's free capacity), match groups to
-// nodes through the fabric's routed latency model, then map each group onto
-// its node's free cores by structural hop distance — so a job admitted into a
-// fragmented machine still lands with fabric- and cache-aware locality.
+// nodes (matchGroups) under the routed latencies between those nodes, then
+// map each group onto its node's free cores by structural hop distance — so a
+// job admitted into a fragmented machine still lands with fabric- and
+// cache-aware locality.
 func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts treematch.Options) (*Assignment, error) {
 	if mach == nil {
 		return nil, fmt.Errorf("placement: subset assignment requires a machine")
 	}
 	topo := mach.Topology()
-	nodes := topo.NumClusterNodes()
-	if len(free) != nodes {
-		return nil, fmt.Errorf("placement: free-slot view covers %d nodes, machine has %d", len(free), nodes)
+	nodeCaps, coreBase := nodeCores(mach)
+	if len(free) != len(nodeCaps) {
+		return nil, fmt.Errorf("placement: free-slot view covers %d nodes, machine has %d", len(free), len(nodeCaps))
 	}
-	numCores := topo.NumCores()
 	seen := make(map[int]bool)
 	var active []int // cluster nodes holding free slots, ascending
 	total := 0
@@ -40,14 +40,12 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 			return nil, fmt.Errorf("placement: free slots of node %d not ascending", n)
 		}
 		for _, c := range slots {
-			if c < 0 || c >= numCores {
-				return nil, fmt.Errorf("placement: free slot core %d out of range [0,%d)", c, numCores)
+			if c < coreBase[n] || c >= coreBase[n]+nodeCaps[n] {
+				return nil, fmt.Errorf("placement: free slot core %d is not on cluster node %d (cores [%d,%d))",
+					c, n, coreBase[n], coreBase[n]+nodeCaps[n])
 			}
 			if seen[c] {
 				return nil, fmt.Errorf("placement: free slot core %d listed twice", c)
-			}
-			if cn := topo.ClusterNodeOf(topo.Cores()[c]); cn != nil && cn != topo.ClusterNodes()[n] {
-				return nil, fmt.Errorf("placement: core %d is not on cluster node %d", c, n)
 			}
 			seen[c] = true
 		}
@@ -93,40 +91,17 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 		return nil, err
 	}
 
-	// Level 2: match groups to the active nodes through the routed latency
-	// model, restricted to the active submatrix. Uneven free capacities are
-	// the common case under churn, so the matching is capacity-classed
-	// exactly as Hierarchical's: group g may land only on a node with the
-	// same free capacity it was sized for.
-	nodeOf := make([]int, len(groups)) // group -> index into active
-	for g := range nodeOf {
-		nodeOf[g] = g
-	}
-	if fg := topo.FabricGraph(); fg != nil && len(active) > 1 {
-		full := fg.LatencyMatrix()
-		dist := make([][]float64, len(active))
-		for i, ni := range active {
-			dist[i] = make([]float64, len(active))
-			for j, nj := range active {
-				dist[i][j] = full[ni][nj]
-			}
-		}
-		classed := false
-		for _, c := range caps {
-			if c != caps[0] {
-				classed = true
-				break
-			}
-		}
-		var entityClass, leafClass []int
-		if classed {
-			entityClass, leafClass = capacityClasses(caps, caps)
-		}
-		assignment, err := treematch.AssignByDistance(dist, groupMatrix, entityClass, leafClass)
-		if err != nil {
-			return nil, fmt.Errorf("placement: subset fabric matching: %w", err)
-		}
-		copy(nodeOf, assignment)
+	// Level 2: match groups to the active nodes under the routed latencies
+	// between them, the active submatrix of the fabric's. Uneven free
+	// capacities are the common case under churn, and matchGroups then
+	// constrains the matching by capacity class exactly as for Hierarchical:
+	// group g may land only on a node with the same free capacity it was
+	// sized for.
+	latency := topo.FabricGraph().LatencyMatrix()
+	between := func(i, j int) float64 { return latency[active[i]][active[j]] }
+	nodeOf, err := matchGroups(between, groupMatrix, caps, caps) // group -> index into active
+	if err != nil {
+		return nil, fmt.Errorf("placement: subset fabric matching: %w", err)
 	}
 
 	// Level 3: map each group onto its node's free cores.

@@ -323,17 +323,6 @@ func (g *FabricGraph) dragonflyRoute(from, to int) []int {
 	return append(path, g.edgeBetween(cur, to))
 }
 
-// ValiantRoute is the contention-spreading alternative for dragonflies: a
-// minimal route to an intermediate node, then a minimal route to the
-// destination. It is provided for routing experiments; transfer pricing
-// uses the minimal Route.
-func (g *FabricGraph) ValiantRoute(from, to, via int) []int {
-	if via == from || via == to {
-		return g.Route(from, to)
-	}
-	return append(g.Route(from, via), g.Route(via, to)...)
-}
-
 // appendTreePath appends the up-down walk through the lowest common
 // ancestor: the from-side up edges innermost-first, then the to-side edges
 // in descending order.

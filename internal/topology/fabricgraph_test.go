@@ -147,15 +147,6 @@ func TestDragonflyRouting(t *testing.T) {
 			}
 		}
 	}
-	// Valiant routing through an intermediate node concatenates two minimal
-	// routes; a degenerate via falls back to the minimal route.
-	min, val := g.Route(0, 9), g.ValiantRoute(0, 9, 4)
-	if len(val) < len(min) {
-		t.Errorf("valiant route shorter than minimal: %d < %d", len(val), len(min))
-	}
-	if !reflect.DeepEqual(g.ValiantRoute(0, 9, 0), min) {
-		t.Errorf("degenerate valiant route differs from minimal")
-	}
 }
 
 func TestTreeGraphCompilation(t *testing.T) {

@@ -2,7 +2,6 @@ package treematch
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 )
@@ -14,211 +13,13 @@ import (
 // leafClass[leaf] == entityClass[g]. This is the capacity-aware group→node
 // matching of heterogeneous platforms — a group sized for an 8-core node
 // must land on an 8-core node, and within that constraint groups exchanging
-// heavy residual volume should share a rack (and a pod). On homogeneous
-// platforms every leaf is one class and MapMatrix's unconstrained matching
-// applies instead.
+// heavy residual volume should share a rack (and a pod).
 //
-// The search is exact branch-and-bound over class-preserving assignments
-// when the constrained permutation space is small (node counts of practical
-// fabrics), and falls back to the deterministic greedy solution beyond
-// classedSearchLimit permutations.
+// It is AssignByDistance under the tree's hop-distance model; the search,
+// its limits and its validation are documented there.
 func AssignClassed(tree *Tree, m *comm.Matrix, entityClass, leafClass []int) ([]int, error) {
-	p := m.Order()
-	if p != tree.Leaves() {
+	if p := m.Order(); p != tree.Leaves() {
 		return nil, fmt.Errorf("treematch: AssignClassed maps %d entities onto %d leaves", p, tree.Leaves())
 	}
-	if len(entityClass) != p || len(leafClass) != p {
-		return nil, fmt.Errorf("treematch: AssignClassed got %d entity classes and %d leaf classes for %d entities",
-			len(entityClass), len(leafClass), p)
-	}
-	entityPerClass := map[int]int{}
-	leavesPerClass := map[int]int{}
-	for i := 0; i < p; i++ {
-		entityPerClass[entityClass[i]]++
-		leavesPerClass[leafClass[i]]++
-	}
-	if len(entityPerClass) != len(leavesPerClass) {
-		return nil, fmt.Errorf("treematch: AssignClassed classes mismatch: %d entity classes, %d leaf classes",
-			len(entityPerClass), len(leavesPerClass))
-	}
-	for c, n := range entityPerClass {
-		if leavesPerClass[c] != n {
-			return nil, fmt.Errorf("treematch: AssignClassed class %d has %d entities but %d leaves", c, n, leavesPerClass[c])
-		}
-	}
-
-	// Pair affinity and per-entity totals, for the assignment order (most
-	// constrained — heaviest — first) and the cost increments.
-	aff := make([][]float64, p)
-	for i := range aff {
-		aff[i] = make([]float64, p)
-		for j := range aff[i] {
-			if i != j {
-				aff[i][j] = m.At(i, j) + m.At(j, i)
-			}
-		}
-	}
-	vol := make([]float64, p)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			vol[i] += aff[i][j]
-		}
-	}
-	// Affinity-attachment order: start from the heaviest entity and always
-	// continue with the unplaced entity most strongly tied to the placed
-	// set (ties towards total volume, then the lower index). Heavy partners
-	// are thereby placed back to back, so the incremental cost of the
-	// greedy pass — and the early pruning of the branch-and-bound — sees
-	// their edge the moment the second endpoint is placed, instead of
-	// placing both blindly and hoping refinement reunites them.
-	order := make([]int, 0, p)
-	placed := make([]bool, p)
-	score := make([]float64, p)
-	for len(order) < p {
-		pick := -1
-		for i := 0; i < p; i++ {
-			if placed[i] {
-				continue
-			}
-			if pick < 0 || score[i] > score[pick] ||
-				(score[i] == score[pick] && vol[i] > vol[pick]) {
-				pick = i
-			}
-		}
-		placed[pick] = true
-		order = append(order, pick)
-		for j := 0; j < p; j++ {
-			if !placed[j] {
-				score[j] += aff[pick][j]
-			}
-		}
-	}
-
-	// place[i] is the leaf of entity order[i]; incremental cost of placing e
-	// on leaf l is Σ over already-placed partners of aff × LeafDistance.
-	used := make([]bool, p)
-	assignment := make([]int, p)
-	increment := func(pos int, e, leaf int) float64 {
-		s := 0.0
-		for q := 0; q < pos; q++ {
-			partner := order[q]
-			if a := aff[e][partner]; a != 0 {
-				s += a * float64(tree.LeafDistance(leaf, assignment[partner]))
-			}
-		}
-		return s
-	}
-
-	// Greedy incumbent: cheapest class-compatible leaf per entity, ties
-	// towards the lower leaf index — then class-preserving pairwise-swap
-	// refinement. The greedy pass alone can fall into the identity when
-	// heavy partners are placed after each other (both unplaced, so their
-	// affinity never informs a choice); the swap pass pulls such partners
-	// back together.
-	for pos, e := range order {
-		bestLeaf, bestInc := -1, math.Inf(1)
-		for l := 0; l < p; l++ {
-			if used[l] || leafClass[l] != entityClass[e] {
-				continue
-			}
-			if inc := increment(pos, e, l); inc < bestInc {
-				bestLeaf, bestInc = l, inc
-			}
-		}
-		used[bestLeaf] = true
-		assignment[e] = bestLeaf
-	}
-	refineClassedSwaps(tree, aff, entityClass, assignment)
-	best := append([]int(nil), assignment...)
-	bestCost := Cost(tree, m, best)
-
-	space := 1.0
-	for _, n := range entityPerClass {
-		for f := 2; f <= n; f++ {
-			space *= float64(f)
-		}
-	}
-	if space > classedSearchLimit {
-		return best, nil
-	}
-
-	copy(assignment, best)
-	for i := range used {
-		used[i] = false
-	}
-	var rec func(pos int, cost float64)
-	rec = func(pos int, cost float64) {
-		if cost >= bestCost {
-			return // the increment is nonnegative, so the partial cost bounds
-		}
-		if pos == p {
-			bestCost = cost
-			copy(best, assignment)
-			return
-		}
-		e := order[pos]
-		for l := 0; l < p; l++ {
-			if used[l] || leafClass[l] != entityClass[e] {
-				continue
-			}
-			used[l] = true
-			assignment[e] = l
-			rec(pos+1, cost+increment(pos, e, l))
-			used[l] = false
-		}
-	}
-	rec(0, 0)
-	return best, nil
+	return AssignByDistance(tree.distanceMatrix(), m, entityClass, leafClass)
 }
-
-// refineClassedSwaps improves an assignment with pairwise swaps between
-// same-class entities (a bounded Kernighan–Lin pass on the leaf
-// permutation): swap the leaves of e1 and e2 whenever that strictly lowers
-// the hop-weighted cost. Each pass scans all same-class pairs once; the
-// distance between e1 and e2 themselves is swap-invariant, so only their
-// edges to third parties enter the delta.
-func refineClassedSwaps(tree *Tree, aff [][]float64, entityClass, assignment []int) {
-	p := len(assignment)
-	for pass := 0; pass < classedRefinePasses; pass++ {
-		improved := false
-		for e1 := 0; e1 < p; e1++ {
-			for e2 := e1 + 1; e2 < p; e2++ {
-				if entityClass[e1] != entityClass[e2] {
-					continue
-				}
-				l1, l2 := assignment[e1], assignment[e2]
-				delta := 0.0
-				for j := 0; j < p; j++ {
-					if j == e1 || j == e2 {
-						continue
-					}
-					lj := assignment[j]
-					if a := aff[e1][j]; a != 0 {
-						delta += a * float64(tree.LeafDistance(l2, lj)-tree.LeafDistance(l1, lj))
-					}
-					if a := aff[e2][j]; a != 0 {
-						delta += a * float64(tree.LeafDistance(l1, lj)-tree.LeafDistance(l2, lj))
-					}
-				}
-				if delta < -1e-12 {
-					assignment[e1], assignment[e2] = l2, l1
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			return
-		}
-	}
-}
-
-// classedRefinePasses bounds the swap refinement of the greedy incumbent.
-const classedRefinePasses = 8
-
-// classedSearchLimit bounds the constrained permutation space — the
-// product of the per-class factorials — the exact branch-and-bound of
-// AssignClassed walks; beyond it the refined greedy solution stands. Two
-// classes of 4 (A11's default shape, 576 permutations) or of 6 (518k) stay
-// under it; two classes of 8 (1.6e9) or a single class of 10 (3.6e6) fall
-// back.
-const classedSearchLimit = 3e6

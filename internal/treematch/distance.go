@@ -10,26 +10,40 @@ import (
 // AssignByDistance maps each entity of the matrix onto a distinct leaf,
 // minimizing the distance-weighted communication cost subject to an optional
 // class constraint: entity g may only occupy leaves with leafClass[leaf] ==
-// entityClass[g] (nil classes place no constraint). It is the generalization
-// of the balanced-tree matching to an arbitrary distance model: dist[a][b]
-// is any symmetric leaf-to-leaf distance — routed-path latencies of a torus
-// or dragonfly fabric, per-leaf-depth distances of an uneven tree — where
-// the tree matcher could only count hops in a balanced hierarchy.
+// entityClass[g] (nil classes place no constraint). It is the one matcher
+// beside Algorithm 1, for every target that is a distance model rather than
+// a balanced tree to be grouped level by level: dist[a][b] is any symmetric
+// leaf-to-leaf distance — the hops of a fabric tree whose leaves come in
+// capacity classes (AssignClassed), routed-path latencies of a torus or
+// dragonfly fabric or of an uneven tree, the latencies between the nodes of
+// a free-slot view, the hops between the free cores of one node. Every entry
+// must be finite and nonnegative — the greedy pass picks the cheapest leaf
+// and the branch-and-bound prunes on partial costs, and neither survives a
+// NaN, an infinite or a negative increment — so a model carrying an
+// unreachable pair is rejected with an error naming the pair.
 //
+// Entities are placed in affinity-attachment order (affinityOrder) on the
+// cheapest class-compatible free leaf, ties towards the lower leaf index.
 // Each optional seed is a complete candidate assignment (entity → leaf) that
-// enters the portfolio alongside the greedy solution; every candidate is
+// enters the portfolio alongside that greedy solution; every candidate is
 // improved by class-preserving pairwise-swap refinement and the cheapest
 // wins (ties towards the earlier candidate, greedy first). When the
-// constrained permutation space is small the exact branch-and-bound
-// tightens the incumbent further, exactly as in AssignClassed.
+// constrained permutation space — the product of the per-class factorials —
+// is at most classedSearchLimit, an exact branch-and-bound over the
+// class-preserving assignments tightens the incumbent further.
 func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds ...[]int) ([]int, error) {
 	p := m.Order()
 	if len(dist) != p {
 		return nil, fmt.Errorf("treematch: AssignByDistance maps %d entities over a %d-leaf distance matrix", p, len(dist))
 	}
-	for _, row := range dist {
+	for a, row := range dist {
 		if len(row) != p {
 			return nil, fmt.Errorf("treematch: AssignByDistance distance matrix is not square")
+		}
+		for b, d := range row {
+			if !(d >= 0) || math.IsInf(d, 1) {
+				return nil, fmt.Errorf("treematch: AssignByDistance distance between leaves %d and %d is %v, want finite and nonnegative", a, b, d)
+			}
 		}
 	}
 	if entityClass == nil {
@@ -61,8 +75,10 @@ func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 	aff, vol := pairAffinity(m)
 	order := affinityOrder(aff, vol)
 
-	// Greedy incumbent: place in affinity-attachment order on the cheapest
-	// class-compatible free leaf (ties towards the lower leaf index).
+	// Greedy incumbent. Alone it can fall into the identity when heavy
+	// partners are placed after each other (both unplaced, so their affinity
+	// never informs a choice); the swap pass pulls such partners back
+	// together.
 	used := make([]bool, p)
 	assignment := make([]int, p)
 	increment := func(pos int, e, leaf int) float64 {
@@ -179,6 +195,9 @@ func pairAffinity(m *comm.Matrix) (aff [][]float64, vol []float64) {
 // affinityOrder is the affinity-attachment placement order: start from the
 // heaviest entity and always continue with the unplaced entity most strongly
 // tied to the placed set (ties towards total volume, then the lower index).
+// Heavy partners are thereby placed back to back, so the incremental cost of
+// the greedy pass — and the early pruning of the branch-and-bound — sees
+// their edge the moment the second endpoint is placed.
 func affinityOrder(aff [][]float64, vol []float64) []int {
 	p := len(aff)
 	order := make([]int, 0, p)
@@ -207,11 +226,11 @@ func affinityOrder(aff [][]float64, vol []float64) []int {
 }
 
 // refineDistanceSwaps improves an assignment with pairwise swaps between
-// same-class entities, the distance-model analogue of refineClassedSwaps:
-// swap the leaves of e1 and e2 whenever that strictly lowers the
-// distance-weighted cost. The distance between e1 and e2 themselves is
-// swap-invariant under a symmetric model, so only their edges to third
-// parties enter the delta.
+// same-class entities (a bounded Kernighan–Lin pass on the leaf
+// permutation): swap the leaves of e1 and e2 whenever that strictly lowers
+// the distance-weighted cost. Each pass scans all same-class pairs once; the
+// distance between e1 and e2 themselves is swap-invariant under a symmetric
+// model, so only their edges to third parties enter the delta.
 func refineDistanceSwaps(dist [][]float64, aff [][]float64, entityClass, assignment []int) {
 	p := len(assignment)
 	for pass := 0; pass < classedRefinePasses; pass++ {
@@ -246,6 +265,17 @@ func refineDistanceSwaps(dist [][]float64, aff [][]float64, entityClass, assignm
 		}
 	}
 }
+
+// classedRefinePasses bounds the swap refinement of each candidate.
+const classedRefinePasses = 8
+
+// classedSearchLimit bounds the constrained permutation space — the
+// product of the per-class factorials — the exact branch-and-bound of
+// AssignByDistance walks; beyond it the refined incumbent stands. Two
+// classes of 4 (A11's default shape, 576 permutations) or of 6 (518k) stay
+// under it; two classes of 8 (1.6e9) or a single class of 10 (3.6e6) fall
+// back.
+const classedSearchLimit = 3e6
 
 // DistanceCost returns the distance-weighted communication cost of an
 // assignment under an arbitrary leaf distance model: the sum over all entity

@@ -1,12 +1,149 @@
 package treematch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/comm"
 )
+
+// The TreeMatch family of algorithms (Jeannot, Mercier & Tessier, TPDS
+// 2014) includes an exhaustive grouping for small instances: when the
+// number of ways to partition p entities into groups of size a is small,
+// the optimal partition can be found by branch-and-bound instead of the
+// greedy heuristic. This is that variant, kept as the brute-force oracle the
+// greedy grouping is measured against; no placement path calls it.
+
+// ExhaustiveLimit is the largest matrix order for which GroupProcessesOpt
+// considers exhaustive search affordable: the search walks the canonical
+// partition tree (first unassigned entity anchors each new group), which
+// for p = 12, a = 4 is 5775·280·1 ≈ 1.6M leaves — milliseconds.
+const ExhaustiveLimit = 12
+
+// GroupProcessesOpt returns a partition of the p entities of m into p/a
+// groups of size a that maximizes the intra-group communication volume
+// exactly, via branch-and-bound over canonical partitions. It panics under
+// the same conditions as GroupProcesses. Exponential in p: callers must
+// keep p at or below ExhaustiveLimit (tests enforce the constant).
+func GroupProcessesOpt(m *comm.Matrix, a int) [][]int {
+	p := m.Order()
+	if a <= 0 || p%a != 0 {
+		panic("treematch: GroupProcessesOpt requires a > 0 dividing the matrix order")
+	}
+	if a == 1 || a == p {
+		return GroupProcesses(m, a, 0) // single valid shape
+	}
+	// Pair affinity (both directions), precomputed.
+	aff := make([][]float64, p)
+	for i := range aff {
+		aff[i] = make([]float64, p)
+		for j := range aff[i] {
+			aff[i][j] = m.At(i, j) + m.At(j, i)
+		}
+	}
+	// Start from the greedy solution as the incumbent bound.
+	best := GroupProcesses(m, a, 2)
+	bestScore := intraVolume(m, best)
+
+	used := make([]bool, p)
+	var groups [][]int
+	var cur []int
+	var curScore float64
+
+	// maxPair is the largest pair affinity, used for an optimistic bound:
+	// each not-yet-grouped entity can contribute at most (a-1) maxPair.
+	var maxPair float64
+	for i := 0; i < p; i++ {
+		for j := i + 1; j < p; j++ {
+			if aff[i][j] > maxPair {
+				maxPair = aff[i][j]
+			}
+		}
+	}
+
+	var rec func(remaining int)
+	rec = func(remaining int) {
+		// Close a completed group before anything else, so the final group
+		// is recorded when the last entity has just been placed.
+		if len(cur) == a {
+			groups = append(groups, append([]int(nil), cur...))
+			save := cur
+			cur = nil
+			rec(remaining)
+			cur = save
+			groups = groups[:len(groups)-1]
+			return
+		}
+		if remaining == 0 {
+			if curScore > bestScore {
+				bestScore = curScore
+				best = make([][]int, len(groups))
+				for i, g := range groups {
+					best[i] = append([]int(nil), g...)
+				}
+			}
+			return
+		}
+		// Optimistic bound: each remaining entity can close at most (a-1)
+		// pairs of the maximum affinity (pairs between two remaining
+		// entities are counted twice, which keeps it an upper bound).
+		if curScore+float64(remaining)*float64(a-1)*maxPair <= bestScore {
+			return
+		}
+		if len(cur) == 0 {
+			// Canonical form: each new group is anchored by the smallest
+			// unused entity, which kills permutation symmetry.
+			anchor := -1
+			for i := 0; i < p; i++ {
+				if !used[i] {
+					anchor = i
+					break
+				}
+			}
+			used[anchor] = true
+			cur = append(cur, anchor)
+			rec(remaining - 1)
+			cur = cur[:0]
+			used[anchor] = false
+			return
+		}
+		// Extend the open group with any unused entity larger than the
+		// last member (members ascend: kills intra-group permutations).
+		last := cur[len(cur)-1]
+		for i := last + 1; i < p; i++ {
+			if used[i] {
+				continue
+			}
+			gain := 0.0
+			for _, u := range cur {
+				gain += aff[u][i]
+			}
+			used[i] = true
+			cur = append(cur, i)
+			curScore += gain
+			rec(remaining - 1)
+			curScore -= gain
+			cur = cur[:len(cur)-1]
+			used[i] = false
+		}
+	}
+	rec(p)
+	return best
+}
+
+// GroupQuality returns the intra-group volume of a partition divided by
+// the total (off-diagonal) volume: 1 means every byte stays inside a
+// group. Used to compare heuristic and optimal partitions.
+func GroupQuality(m *comm.Matrix, groups [][]int) float64 {
+	total := m.TotalVolume()
+	if total == 0 {
+		return 1
+	}
+	q := intraVolume(m, groups) / total
+	return math.Min(q, 1)
+}
 
 func TestGroupProcessesOptFindsPlantedPairs(t *testing.T) {
 	// Planted optimum: heavy pairs (0,3), (1,4), (2,5) under light noise.

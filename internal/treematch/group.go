@@ -318,8 +318,8 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 
 // PartitionAcrossWeightedMatrix runs PartitionAcrossWeighted and
 // additionally emits the aggregated group-to-group matrix, the input of the
-// capacity-constrained group→node matching (AssignClassed) on multi-switch
-// fabrics.
+// group→node matching (MapMatrix on a fabric tree, AssignByDistance under
+// any other distance model).
 func PartitionAcrossWeightedMatrix(m *comm.Matrix, caps []int, opt Options) ([][]int, *comm.Matrix, error) {
 	groups, err := PartitionAcrossWeighted(m, caps, opt)
 	if err != nil {

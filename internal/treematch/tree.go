@@ -301,6 +301,19 @@ func (t *Tree) LeafDistance(a, b int) int {
 	return 2 * (t.Depth() - 1 - t.LCADepth(a, b))
 }
 
+// distanceMatrix lowers the tree's hop distances into the distance-model
+// form AssignByDistance takes: entry [a][b] is LeafDistance(a, b).
+func (t *Tree) distanceMatrix() [][]float64 {
+	dist := make([][]float64, t.leaves)
+	for a := range dist {
+		dist[a] = make([]float64, t.leaves)
+		for b := range dist[a] {
+			dist[a][b] = float64(t.LeafDistance(a, b))
+		}
+	}
+	return dist
+}
+
 // String renders the arity list, e.g. "tree[24 8]" for the paper's machine.
 func (t *Tree) String() string {
 	return fmt.Sprintf("tree%v", t.arities)
