@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/topology"
 )
@@ -38,19 +37,8 @@ func main() {
 }
 
 // run renders the topology report for a spec onto w; it is the whole
-// command behind the flag parsing, separated so tests can drive it. Specs
-// are parsed through the platform grammar first, so heterogeneous
-// per-member forms render too; plain specs pass through unchanged.
+// command behind the flag parsing, separated so tests can drive it.
 func run(spec string, latency bool, w io.Writer) error {
-	if ps, err := topology.ParsePlatform(spec); err == nil {
-		if fused, err := ps.FusedSpec(); err == nil {
-			spec = fused
-		}
-	} else if strings.Contains(spec, "{") {
-		// Braced member lists exist only in the platform grammar; its error
-		// names the offending member, FromSpec's would not.
-		return err
-	}
 	topo, err := topology.FromSpec(spec)
 	if err != nil {
 		return err

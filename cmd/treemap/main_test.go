@@ -15,6 +15,7 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		{"stencil ok", options{topoSpec: "pack:4 core:4 pu:1", stencil: "4x4", dist: true}, ""},
 		{"ring ok", options{topoSpec: "pack:2 core:4 pu:2", ring: 8, controls: true, dist: true}, ""},
+		{"braced topo", options{topoSpec: "node:2{pack:2 core:4}", ring: 8}, ""},
 		{"no source", options{topoSpec: "pack:4 core:4 pu:1"}, "one of -matrix, -stencil, -ring is required"},
 		{"bad topo", options{topoSpec: "wat:3", ring: 4}, "unknown object kind"},
 		{"bad stencil shape", options{topoSpec: "pack:4 core:4 pu:1", stencil: "16"}, "bad -stencil"},

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/topology"
 )
 
 // flagDeclRe matches the name argument of flag.String(...), flag.BoolVar-style
@@ -188,6 +189,44 @@ func TestStudyRegistryInvariants(t *testing.T) {
 		}
 		if err := experiment.CheckOrderings(rows, s.Orderings); err != nil {
 			t.Errorf("study %s on its first cell: %v", s.Name, err)
+		}
+	}
+}
+
+// specFlagRe matches a spec quoted after one of the flags that take one;
+// specFenceRe a fenced block of spec examples, one per line.
+var (
+	specFlagRe  = regexp.MustCompile(`-(?:spec|topo|platform) "([^"<]+)"`)
+	specFenceRe = regexp.MustCompile("(?s)```spec\n(.*?)```")
+)
+
+// TestDocumentedSpecsBuild builds every topology spec the README and the
+// spec reference show: the ones quoted after -spec, -topo or -platform, and
+// every line of the ```spec example blocks (the spec, then two or more
+// spaces, then its description).
+func TestDocumentedSpecsBuild(t *testing.T) {
+	for _, path := range []string{"README.md", filepath.Join("docs", "TOPOLOGY_SPECS.md")} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var specs []string
+		for _, m := range specFlagRe.FindAllStringSubmatch(string(raw), -1) {
+			specs = append(specs, m[1])
+		}
+		for _, block := range specFenceRe.FindAllStringSubmatch(string(raw), -1) {
+			for _, line := range strings.Split(strings.TrimSpace(block[1]), "\n") {
+				spec, _, _ := strings.Cut(line, "  ")
+				specs = append(specs, spec)
+			}
+		}
+		if len(specs) == 0 {
+			t.Errorf("%s: no specs found; the guard is looking in the wrong place", path)
+		}
+		for _, spec := range specs {
+			if _, err := topology.FromSpec(spec); err != nil {
+				t.Errorf("%s shows spec %q, which does not build: %v", path, spec, err)
+			}
 		}
 	}
 }

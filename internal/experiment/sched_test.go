@@ -115,3 +115,24 @@ func TestSchedConfigValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestSchedBracedShape pins that a shape is validated by the grammar that
+// builds it: a braced heterogeneous platform passes Validate and runs a
+// cell.
+func TestSchedBracedShape(t *testing.T) {
+	cfg := SchedConfig{
+		Shapes: []string{"rack:2 node:{pack:1 core:4 | pack:1 core:2}"},
+		Seeds:  []int64{7},
+		Jobs:   6,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate() = %v", err)
+	}
+	res, err := RunSched("topo-aware", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 1 || res.Admitted == 0 {
+		t.Errorf("ran %d cells, admitted %d jobs; want 1 cell with admissions", len(res.Cells), res.Admitted)
+	}
+}

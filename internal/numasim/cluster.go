@@ -69,7 +69,7 @@ func (f Fabric) Defaults() topology.Defaults {
 //	rack:2 node:{pack:2 core:8 | pack:1 core:4}      heterogeneous members
 //	pod:2 rack:2 node:2{pack:2 core:4 | pack:1 core:4}   three switch tiers
 //
-// See topology.ParsePlatform for the grammar. A spec without fabric tiers
+// See topology.FromSpecAttrs for the grammar. A spec without fabric tiers
 // yields a single-node platform.
 func NewPlatform(spec string, cfg Config) (*Platform, error) {
 	return NewPlatformAttrs(spec, topology.DefaultAttrs(), cfg)
@@ -79,17 +79,9 @@ func NewPlatform(spec string, cfg Config) (*Platform, error) {
 // latencies and bandwidths per fabric tier, cache and memory constants for
 // the members).
 func NewPlatformAttrs(spec string, def topology.Defaults, cfg Config) (*Platform, error) {
-	ps, err := topology.ParsePlatform(spec)
+	fusedTopo, err := topology.FromSpecAttrs(spec, def)
 	if err != nil {
 		return nil, fmt.Errorf("numasim: platform spec: %w", err)
-	}
-	fusedSpec, err := ps.FusedSpec()
-	if err != nil {
-		return nil, fmt.Errorf("numasim: platform spec: %w", err)
-	}
-	fusedTopo, err := topology.FromSpecAttrs(fusedSpec, def)
-	if err != nil {
-		return nil, fmt.Errorf("numasim: fused platform spec: %w", err)
 	}
 	fused, err := New(fusedTopo, cfg)
 	if err != nil {

@@ -74,6 +74,12 @@ func (s *FabricShape) String() string {
 // computed per pair, so runaway products are rejected at parse time.
 const maxFabricNodes = 1 << 16
 
+// maxSpecObjects bounds the number of objects one spec may describe, so a
+// runaway count is a parse error instead of an allocation. The largest
+// platform of the S1 placement-latency tier (10 000 nodes of 8 cores,
+// 190 001 objects) fits 176 times over.
+const maxSpecObjects = 1 << 25
+
 // pathCacheLimit bounds the node count up to which a FabricGraph memoizes
 // all-pairs routes; larger graphs route on the fly (O(path) per query, no
 // quadratic storage).

@@ -290,55 +290,35 @@ func TestPathCacheMatchesRoute(t *testing.T) {
 }
 
 func TestPlatformShapeRoundTrip(t *testing.T) {
-	p, err := ParsePlatform("torus:2x3 pack:1 core:2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, top := parseAndBuild(t, "torus:2x3 pack:1 core:2")
 	if p.Fabric == nil || p.Nodes() != 6 {
 		t.Fatalf("Fabric=%v Nodes=%d, want torus/6", p.Fabric, p.Nodes())
 	}
-	fused, err := p.FusedSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fused := top.Spec()
 	if !strings.HasPrefix(fused, "torus:2x3 ") {
-		t.Fatalf("FusedSpec() = %q, want torus:2x3 prefix", fused)
+		t.Fatalf("Spec() = %q, want torus:2x3 prefix", fused)
 	}
-	p2, err := ParsePlatform(fused)
-	if err != nil {
-		t.Fatalf("re-parse %q: %v", fused, err)
-	}
-	fused2, err := p2.FusedSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused2 != fused {
-		t.Errorf("FusedSpec not stable: %q then %q", fused, fused2)
+	if _, top2 := parseAndBuild(t, fused); top2.Spec() != fused {
+		t.Errorf("spec not stable: %q then %q", fused, top2.Spec())
 	}
 
 	// Braced heterogeneous members cycle over the shape's nodes.
-	p, err = ParsePlatform("dragonfly:2,2,1{pack:1 core:4 | pack:1 core:2}")
-	if err != nil {
-		t.Fatal(err)
+	p, top = parseAndBuild(t, "dragonfly:2,2,1{pack:1 core:4 | pack:1 core:2}")
+	want := []string{"1/1/4/4", "1/1/2/2", "1/1/4/4", "1/1/2/2"}
+	if got := nodeShapes(top); p.Nodes() != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Nodes=%d shapes=%v, want 4 nodes of %v", p.Nodes(), got, want)
 	}
-	if p.Nodes() != 4 || p.Homogeneous() {
-		t.Fatalf("Nodes=%d Homogeneous=%v, want 4 heterogeneous", p.Nodes(), p.Homogeneous())
+	if _, top2 := parseAndBuild(t, top.Spec()); !reflect.DeepEqual(nodeShapes(top2), want) {
+		t.Errorf("members did not round-trip through %q: %v", top.Spec(), nodeShapes(top2))
 	}
-	fused, err = p.FusedSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err = ParsePlatform(fused)
-	if err != nil {
-		t.Fatalf("re-parse %q: %v", fused, err)
-	}
-	if !reflect.DeepEqual(p2.Members, p.Members) {
-		t.Errorf("members did not round-trip: %v vs %v", p2.Members, p.Members)
+	// An empty member tail is a 1-core node, as FromSpec has always built it.
+	_, top = parseAndBuild(t, "torus:2x2")
+	if got := nodeShapes(top); !reflect.DeepEqual(got, []string{"1/1/1", "1/1/1", "1/1/1", "1/1/1"}) {
+		t.Errorf("torus:2x2 built nodes %v, want four 1-core nodes", got)
 	}
 	// A shape tier cannot follow or carry tree tiers.
 	for _, bad := range []string{
 		"rack:2 torus:2x2 pack:1 core:2",
-		"torus:2x2",
 		"torus:2x2{pack:1 core:2} core:4",
 	} {
 		if _, err := ParsePlatform(bad); err == nil {

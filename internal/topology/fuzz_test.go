@@ -29,6 +29,8 @@ func FuzzParsePlatform(f *testing.F) {
 		"node:{} rack:",
 		"{{{}}}",
 		"torus:",
+		"pod:2,2 rack:1 cluster:1 pack:2",
+		"pod:1,2 rack:2 node:3 numa:3",
 	} {
 		f.Add(seed)
 	}
@@ -61,8 +63,13 @@ func FuzzParsePlatform(f *testing.F) {
 	})
 }
 
-// FuzzFromSpec checks that the single-machine/fused spec parser never
-// panics and that accepted topologies re-parse from their canonical Spec().
+// fuzzObjects bounds the tree a fuzz target builds per input — the work, not
+// a grammar property; the grammar's own bound is maxSpecObjects.
+const fuzzObjects = 1 << 16
+
+// FuzzFromSpec checks that no spec panics the parser or the tree builder,
+// that accepted topologies re-parse from their canonical Spec(), and that
+// the parsed platform renders exactly the built topology's Spec().
 func FuzzFromSpec(f *testing.F) {
 	for _, seed := range []string{
 		"pack:2 numa:1 l3:1 core:4 pu:2",
@@ -74,6 +81,9 @@ func FuzzFromSpec(f *testing.F) {
 		"torus:2x2 rack:2 core:4",
 		"core:0",
 		"torus:axb core:1",
+		"cluster:2 pack:2,2 core:4",
+		"core:2000000000",
+		"cluster:1000 core:2000",
 	} {
 		f.Add(seed)
 	}
@@ -81,11 +91,23 @@ func FuzzFromSpec(f *testing.F) {
 		if len(spec) > 256 {
 			return
 		}
+		p, perr := ParsePlatform(spec)
+		if perr == nil {
+			if _, objects, _ := walk(p.levels); objects > fuzzObjects {
+				return
+			}
+		}
 		to, err := FromSpec(spec)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("%q: ParsePlatform error %v but FromSpec error %v", spec, perr, err)
+		}
 		if err != nil {
 			return
 		}
 		canon := to.Spec()
+		if fused, _ := p.FusedSpec(); fused != canon {
+			t.Fatalf("%q: FusedSpec %q but built Spec %q", spec, fused, canon)
+		}
 		to2, err := FromSpec(canon)
 		if err != nil {
 			t.Fatalf("canonical spec %q of %q does not re-parse: %v", canon, spec, err)

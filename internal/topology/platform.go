@@ -2,34 +2,15 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
-// A platform spec describes a whole (possibly heterogeneous) cluster in one
-// string: the fabric tiers from the outside in — an optional pod tier, an
-// optional rack tier, and the node (cluster) tier — followed by the member
-// machines. Two member forms exist:
-//
-//	pod:2 rack:2 node:2 pack:2 core:8        every node identical
-//	rack:2 node:2,3 pack:2 core:8            uneven racks, identical nodes
-//	rack:2 node:{pack:2 core:8 | pack:1 core:4}   one machine spec per node
-//	rack:2 node:2{pack:2 core:8 | pack:1 core:4}  counts + cycling members
-//
-// In the brace form the member machine specs are listed left to right, "|"
-// separated; without explicit counts the node count is the number of members
-// listed (distributed evenly across the racks), and with counts the member
-// list cycles over the nodes in left-to-right order. All members must share
-// the same level-kind sequence after normalization (they may differ freely
-// in arity — an 8-core and a 4-core node mix, a node with an l3 level and
-// one without does not), because the fused simulation topology keeps levels
-// kind-homogeneous. A spec without a node tier describes a single-node
-// platform.
-//
-// PlatformSpec is the parsed form; FusedSpec renders the whole platform back
-// into one (uneven) FromSpec string for the fused simulation machine, and
-// Members holds the per-node machine specs for the per-node shared-memory
-// views.
+// PlatformSpec is a parsed spec string (see FromSpecAttrs for the grammar):
+// the fabric shape, if any, and the platform-wide levels FromSpecAttrs grows
+// into a tree.
 type PlatformSpec struct {
 	// Fabric is the non-tree fabric shape when the platform leads with a
 	// torus or dragonfly tier ("torus:4x4 pack:1 core:4",
@@ -37,587 +18,405 @@ type PlatformSpec struct {
 	// platform has no pod or rack tier — the shape is the whole fabric —
 	// and its node count is the shape's.
 	Fabric *FabricShape
-	// PodCounts lists the pods (one count; the pod tier hangs off the root).
-	// Empty when the fabric has no pod tier.
-	PodCounts []int
-	// RackCounts lists the racks per pod (or per machine root), one entry per
-	// pod when uneven. Empty when the fabric has no rack tier.
-	RackCounts []int
-	// NodeCounts lists the cluster nodes per rack (or per machine root), one
-	// entry per rack when uneven. Empty on a single-machine platform.
-	NodeCounts []int
-	// Members holds one normalized machine spec per cluster node, in
-	// left-to-right order.
-	Members []string
+	// levels are the levels below the machine root, outermost first, with
+	// the implicit numa, core and pu levels present, every member machine
+	// fused in, every count list checked against its parent count and
+	// uniform lists collapsed to their one count.
+	levels []specLevel
 }
 
-// Nodes returns the total number of cluster nodes of the platform.
-func (p *PlatformSpec) Nodes() int { return len(p.Members) }
-
-// Pods returns the total number of pods (0 without a pod tier).
-func (p *PlatformSpec) Pods() int {
-	n := 0
-	for _, c := range p.PodCounts {
-		n += c
-	}
-	return n
-}
-
-// Racks returns the total number of racks (0 without a rack tier). A single
-// rack count replicates per pod.
-func (p *PlatformSpec) Racks() int {
-	if len(p.RackCounts) == 0 {
-		return 0
-	}
-	if len(p.RackCounts) == 1 {
-		if pods := p.Pods(); pods > 0 {
-			return pods * p.RackCounts[0]
-		}
-		return p.RackCounts[0]
-	}
-	n := 0
-	for _, c := range p.RackCounts {
-		n += c
-	}
-	return n
-}
-
-// Homogeneous reports whether every member machine is identical.
-func (p *PlatformSpec) Homogeneous() bool {
-	for _, m := range p.Members[1:] {
-		if m != p.Members[0] {
-			return false
+// Nodes returns the total number of cluster nodes of the platform; a spec
+// without a node tier is one node.
+func (p *PlatformSpec) Nodes() int {
+	parents := 1
+	for _, l := range p.levels {
+		parents, _ = l.total(parents)
+		if l.kind == Cluster {
+			return parents
 		}
 	}
-	return true
+	return 1
 }
 
-// ParsePlatform parses a platform specification string. See PlatformSpec for
-// the grammar. Plain single-machine specs parse as single-node platforms,
-// and plain cluster specs ("cluster:4 pack:2 core:8", "rack:2 node:4
-// core:16") parse with identical members. The member tail is read as one
-// shared per-node machine spec first; when its uneven counts do not fit a
-// single machine, it is re-read as a fused spec whose comma lists are
-// per-parent across the whole platform — so FusedSpec output (e.g.
-// "rack:2 cluster:1 pack:2,1 numa:1 core:8,8,4 pu:1") round-trips back
-// into its heterogeneous members.
+// FusedSpec renders the platform as one canonical spec string: the fabric
+// tiers (the shape token on a shaped fabric), then — level by level — the
+// per-parent counts of every member machine in left-to-right order. It is
+// the Spec() of the topology FromSpec builds from the same string, and
+// parses back to itself. The error is always nil.
+func (p *PlatformSpec) FusedSpec() (string, error) { return p.canonical(), nil }
+
+var kindSpecNames = [numKinds]string{
+	Pod: "pod", Rack: "rack", Cluster: "cluster", Group: "group", Package: "pack",
+	NUMANode: "numa", L3: "l3", L2: "l2", L1: "l1", Core: "core", PU: "pu",
+}
+
+func (p *PlatformSpec) canonical() string {
+	parts := make([]string, len(p.levels))
+	for i, l := range p.levels {
+		if p.Fabric != nil && l.kind == Cluster {
+			parts[i] = p.Fabric.Token()
+			continue
+		}
+		cs := make([]string, len(l.counts))
+		for j, c := range l.counts {
+			cs[j] = strconv.Itoa(c)
+		}
+		parts[i] = kindSpecNames[l.kind] + ":" + strings.Join(cs, ",")
+	}
+	return strings.Join(parts, " ")
+}
+
+// ParsePlatform parses a specification string without building anything
+// whose size depends on the platform's node count; FromSpecAttrs, which
+// documents the grammar, grows the tree from the result.
 func ParsePlatform(spec string) (*PlatformSpec, error) {
-	tokens, err := tokenizePlatform(spec)
+	tokens, err := tokenize(spec)
 	if err != nil {
 		return nil, err
 	}
 	if len(tokens) == 0 {
-		return nil, fmt.Errorf("topology: empty platform spec")
+		return nil, fmt.Errorf("topology: empty spec")
 	}
-	p := &PlatformSpec{}
+
+	// The fabric tiers, outside in: one shape token, or pod, rack and the
+	// node tier. node is the token that opened the node tier, the only one
+	// that may carry member braces.
+	p := &PlatformSpec{Fabric: tokens[0].shape}
+	var fabric []specLevel
+	var node *specToken
 	i := 0
-	// A leading torus/dragonfly token replaces the tree tiers wholesale: the
-	// shape fixes the node count, and the rest of the spec (or a brace block)
-	// is the member machine spec.
-	if shape, braced, serr := fabricShapeToken(tokens[0]); serr != nil {
-		return nil, serr
-	} else if shape != nil {
-		p.Fabric = shape
-		p.NodeCounts = []int{shape.Nodes()}
-		rest := strings.Join(tokens[1:], " ")
-		var members []string
-		switch {
-		case len(braced) > 0 && rest != "":
-			return nil, fmt.Errorf("topology: tokens %q after a braced %s tier (the member specs are the braces' content)", rest, shape.Kind)
-		case len(braced) > 0:
-			members = braced
-		case rest == "":
-			return nil, fmt.Errorf("topology: %s tier without a member machine spec", shape.Kind)
-		default:
-			members = []string{rest}
-		}
-		if err := p.resolveCounts(members, true); err != nil {
-			return nil, err
-		}
-		if err := p.normalizeMembers(); err != nil {
-			if len(members) == 1 && strings.Contains(members[0], ",") && p.Nodes() > 1 {
-				if split, serr := splitFusedTail(p.Nodes(), members[0]); serr == nil {
-					p.Members = split
-					return p, p.normalizeMembers()
-				}
-			}
-			return nil, err
-		}
-		return p, nil
-	}
-	// Fabric tiers, outside in: pod, rack, then the node (cluster) token.
-	fabricCounts := func(tok string) ([]int, error) {
-		counts, members, err := tokenCounts(tok)
-		if err != nil {
-			return nil, err
-		}
-		if len(members) > 0 {
-			// Silently dropping a braced list here would discard the user's
-			// member specs; only the node tier carries members.
-			return nil, fmt.Errorf("topology: member braces belong on the node tier, not on %q", tok)
-		}
-		return counts, nil
-	}
-	if kindOfToken(tokens[i]) == Pod {
-		if p.PodCounts, err = fabricCounts(tokens[i]); err != nil {
-			return nil, err
-		}
-		i++
-		if i == len(tokens) || kindOfToken(tokens[i]) != Rack {
-			return nil, fmt.Errorf("topology: a pod tier requires a rack tier below it, as in %q", "pod:2 rack:2 node:2 pack:2 core:8")
-		}
-	}
-	if i < len(tokens) && kindOfToken(tokens[i]) == Rack {
-		if p.RackCounts, err = fabricCounts(tokens[i]); err != nil {
-			return nil, err
-		}
-		i++
-		if i == len(tokens) || !isNodeToken(tokens, i) {
-			return nil, fmt.Errorf("topology: a rack tier requires a node (cluster) tier below it, as in %q", "rack:2 node:4 pack:2 core:8")
-		}
-	}
-	var members []string
-	nodeTier := false
-	if i < len(tokens) && isNodeToken(tokens, i) {
-		nodeTier = true
-		counts, braced, err := tokenCounts(tokens[i])
-		if err != nil {
-			return nil, err
-		}
-		i++
-		rest := strings.Join(tokens[i:], " ")
-		switch {
-		case len(braced) > 0 && rest != "":
-			return nil, fmt.Errorf("topology: tokens %q after a braced node tier (the member specs are the braces' content)", rest)
-		case len(braced) > 0:
-			p.NodeCounts = counts
-			members = braced
-		case rest == "":
-			return nil, fmt.Errorf("topology: node tier without a member machine spec")
-		default:
-			p.NodeCounts = counts
-			members = []string{rest}
-		}
+	if p.Fabric != nil {
+		node = &tokens[0]
+		fabric = []specLevel{{Cluster, []int{p.Fabric.Nodes()}}}
+		i = 1
 	} else {
-		// No fabric tiers at all: the whole spec is one member machine.
-		members = []string{strings.Join(tokens[i:], " ")}
-	}
-
-	if len(p.RackCounts) > 1 && len(p.RackCounts) != p.Pods() {
-		return nil, fmt.Errorf("topology: rack tier lists %d counts for %d pods", len(p.RackCounts), p.Pods())
-	}
-	if err := p.resolveCounts(members, nodeTier); err != nil {
-		return nil, err
-	}
-	if err := p.normalizeMembers(); err != nil {
-		// A single shared member whose uneven counts do not fit one machine
-		// may be a *fused* spec (FusedSpec output, or FromSpec's global
-		// reading), whose comma lists are per-parent across the whole
-		// platform: split them back into per-node members so fused specs
-		// round-trip. The shared-member reading stays primary.
-		if len(members) == 1 && strings.Contains(members[0], ",") && p.Nodes() > 1 {
-			if split, serr := splitFusedTail(p.Nodes(), members[0]); serr == nil {
-				p.Members = split
-				return p, p.normalizeMembers()
+		for _, tier := range []Kind{Pod, Rack} {
+			if i < len(tokens) && tokens[i].kind == tier {
+				if tokens[i].members != nil {
+					return nil, fmt.Errorf("topology: member braces belong on the node tier, not on %q", tokens[i].text)
+				}
+				fabric = append(fabric, specLevel{tier, tokens[i].counts})
+				i++
 			}
 		}
+		if i < len(tokens) && opensNodeTier(tokens, i) {
+			node = &tokens[i]
+			fabric = append(fabric, specLevel{Cluster, node.counts})
+			i++
+		}
+	}
+
+	// The member machines: the braces' content, or the rest of the spec as
+	// the one machine every node shares.
+	braced := node != nil && node.members != nil
+	var members [][]specLevel
+	if !braced {
+		m, err := memberLevels(fabric, tokens[i:])
+		if err != nil {
+			return nil, err
+		}
+		members = [][]specLevel{m}
+	} else {
+		if i < len(tokens) {
+			return nil, fmt.Errorf("topology: token %q after the braced %s tier (the member specs are the braces' content)", tokens[i].text, node.name)
+		}
+		for mi, text := range node.members {
+			m, err := bracedMember(fabric, text)
+			if err == nil && mi > 0 && !slices.EqualFunc(m, members[0], func(a, b specLevel) bool { return a.kind == b.kind }) {
+				err = fmt.Errorf("topology: members must share one level-kind sequence, unlike member 0")
+			}
+			if err != nil {
+				return nil, fmt.Errorf("topology: platform member %d: %w", mi, err)
+			}
+			members = append(members, m)
+		}
+	}
+	if node == nil {
+		// No fabric at all: the spec is one machine.
+		p.levels = members[0]
+		return p, p.check()
+	}
+
+	// The node count: the node tier's list under the racks, or, for braces
+	// without counts, the number of members spread evenly over the racks.
+	tiers := fabric[:len(fabric)-1]
+	racks, _, err := walk(tiers)
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// resolveCounts reconciles the node-tier counts with the member list and
-// expands Members to one spec per node (cycling a braced list over explicit
-// counts). nodeTier reports whether the spec had an explicit node token —
-// a spec without one is a plain machine with no cluster tier, while
-// "node:{...}" with a single member is a 1-node cluster.
-func (p *PlatformSpec) resolveCounts(members []string, nodeTier bool) error {
-	racks := p.Racks()
-	if !nodeTier && len(p.RackCounts)+len(p.PodCounts) == 0 {
-		// Single machine, no fabric: one node, no cluster tier.
-		p.Members = members
-		return nil
-	}
-	total := 0
-	for _, c := range p.NodeCounts {
-		total += c
-	}
-	if len(p.NodeCounts) == 0 {
-		// Braced list without counts: the member count is the node count,
-		// distributed evenly across the racks when a rack tier exists.
-		total = len(members)
-		if racks > 0 {
-			if total%racks != 0 {
-				return fmt.Errorf("topology: %d node members do not distribute across %d racks; give explicit counts as in %q",
-					total, racks, "node:1,2{...}")
-			}
-			p.NodeCounts = []int{total / racks}
-		} else {
-			p.NodeCounts = []int{total}
+	if braced && p.Fabric == nil && node.counts == nil {
+		if len(members)%racks != 0 {
+			return nil, fmt.Errorf("topology: %d node members do not distribute across %d racks; give explicit counts as in %q",
+				len(members), racks, "node:1,2{...}")
 		}
+		fabric[len(tiers)].counts = []int{len(members) / racks}
 	}
-	if len(p.RackCounts) > 0 {
-		if len(p.NodeCounts) != 1 && len(p.NodeCounts) != racks {
-			return fmt.Errorf("topology: node tier lists %d counts for %d racks", len(p.NodeCounts), racks)
-		}
-	} else if len(p.NodeCounts) != 1 {
-		return fmt.Errorf("topology: node tier lists %d counts without a rack tier above", len(p.NodeCounts))
-	}
-	if len(p.NodeCounts) == 1 && racks > 0 {
-		total = p.NodeCounts[0] * racks
+	nodes, objects, err := walk(fabric)
+	if err != nil {
+		return nil, err
 	}
 	// A braced list shorter than the node count cycles; longer is an error
 	// (members would be silently dropped).
-	if len(members) > total {
-		return fmt.Errorf("topology: %d node members for %d nodes", len(members), total)
+	if len(members) > nodes {
+		return nil, fmt.Errorf("topology: %d node members for %d nodes", len(members), nodes)
 	}
-	p.Members = make([]string, total)
-	for i := range p.Members {
-		p.Members[i] = members[i%len(members)]
-	}
-	return nil
-}
 
-// normalizeMembers runs every member spec through the ordinary parser,
-// stores the normalized form, rejects members that themselves contain fabric
-// tiers, and checks that all members share one level-kind sequence.
-func (p *PlatformSpec) normalizeMembers() error {
-	var kinds0 []Kind
-	for i, m := range p.Members {
-		t, err := FromSpec(m)
+	// A comma list in a member holds one count per parent object of that
+	// member. When the nodes share one member and it does not fit that
+	// reading, its lists are read platform-wide — one count per parent
+	// across all the nodes, the form Spec() renders — and check has the
+	// verdict. The platform's object total follows from the members' by
+	// arithmetic, so an oversized platform is refused before fuse allocates
+	// its per-parent lists.
+	for mi, m := range members {
+		_, n, err := walk(m)
+		if err != nil && len(members) == 1 {
+			p.levels = append(fabric, m...)
+			return p, p.check()
+		}
 		if err != nil {
-			return fmt.Errorf("topology: platform member %d: %w", i, err)
+			return nil, fmt.Errorf("topology: platform member %d: %w", mi, err)
 		}
-		if len(t.ClusterNodes()) > 0 || t.NumRacks() > 0 || t.NumPods() > 0 {
-			return fmt.Errorf("topology: platform member %d %q contains a fabric tier of its own", i, m)
+		share := nodes / len(members)
+		if mi < nodes%len(members) {
+			share++
 		}
-		p.Members[i] = t.Spec()
-		kinds := memberKinds(t)
-		if i == 0 {
-			kinds0 = kinds
-		} else if !kindsEqual(kinds, kinds0) {
-			return fmt.Errorf("topology: platform members must share one level-kind sequence: member %d has %v, member 0 has %v",
-				i, kinds, kinds0)
+		if objects += share * n; objects > maxSpecObjects {
+			return nil, errTooLarge
 		}
 	}
-	return nil
+	p.levels = append(fabric, fuse(members, nodes)...)
+	return p, p.check()
 }
 
-// memberKinds lists a member topology's level kinds below the machine root.
-func memberKinds(t *Topology) []Kind {
-	kinds := make([]Kind, 0, t.Depth()-1)
-	for d := 1; d < t.Depth(); d++ {
-		kinds = append(kinds, t.LevelKind(d))
-	}
-	return kinds
-}
+var errTooLarge = fmt.Errorf("topology: spec describes more than %d objects", maxSpecObjects)
 
-func kindsEqual(a, b []Kind) bool {
-	if len(a) != len(b) {
-		return false
+// check validates every level's count list against its parent count, bounds
+// the platform's object total, and collapses uniform lists.
+func (p *PlatformSpec) check() error {
+	if _, _, err := walk(p.levels); err != nil {
+		return err
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// FusedSpec renders the platform as a single (possibly uneven) FromSpec
-// string for the fused simulation topology: the fabric tiers, then — level
-// by level — the per-parent counts of every member machine concatenated in
-// left-to-right order. Homogeneous levels collapse back to a single count,
-// so a homogeneous platform round-trips to the familiar
-// "cluster:N pack:P ..." form.
-func (p *PlatformSpec) FusedSpec() (string, error) {
-	var parts []string
-	emit := func(kind string, counts []int) {
+	for i, l := range p.levels {
 		uniform := true
-		for _, c := range counts[1:] {
-			if c != counts[0] {
-				uniform = false
-				break
-			}
+		for _, c := range l.counts {
+			uniform = uniform && c == l.counts[0]
 		}
 		if uniform {
-			parts = append(parts, fmt.Sprintf("%s:%d", kind, counts[0]))
-			return
-		}
-		cs := make([]string, len(counts))
-		for i, c := range counts {
-			cs[i] = strconv.Itoa(c)
-		}
-		parts = append(parts, kind+":"+strings.Join(cs, ","))
-	}
-	if len(p.PodCounts) > 0 {
-		emit("pod", p.PodCounts)
-	}
-	if len(p.RackCounts) > 0 {
-		emit("rack", p.RackCounts)
-	}
-	if p.Fabric != nil {
-		parts = append(parts, p.Fabric.Token())
-	} else if len(p.NodeCounts) > 0 || len(p.Members) > 1 || p.Racks() > 0 {
-		emit("cluster", p.NodeCounts)
-	} else {
-		// Single machine: the member spec is the whole topology.
-		return p.Members[0], nil
-	}
-
-	// Expand every member into explicit per-parent count lists, level by
-	// level, and concatenate them across members (the global parent order at
-	// each level is member 0's parents, then member 1's, and so on).
-	type level struct {
-		name   string
-		counts []int
-	}
-	var levels []level
-	for mi, m := range p.Members {
-		fields := strings.Fields(m)
-		parents := 1
-		for li, f := range fields {
-			name, counts, err := splitToken(f)
-			if err != nil {
-				return "", err
-			}
-			expanded := counts
-			if len(counts) == 1 && parents > 1 {
-				expanded = make([]int, parents)
-				for i := range expanded {
-					expanded[i] = counts[0]
-				}
-			} else if len(counts) != parents && len(counts) != 1 {
-				return "", fmt.Errorf("topology: member %d level %q lists %d counts for %d parents", mi, f, len(counts), parents)
-			}
-			if mi == 0 {
-				levels = append(levels, level{name: name})
-			} else if li >= len(levels) || levels[li].name != name {
-				return "", fmt.Errorf("topology: member %d level %q does not align with member 0", mi, f)
-			}
-			levels[li].counts = append(levels[li].counts, expanded...)
-			next := 0
-			for _, c := range expanded {
-				next += c
-			}
-			parents = next
+			p.levels[i].counts = l.counts[:1]
 		}
 	}
-	for _, lv := range levels {
-		emit(lv.name, lv.counts)
-	}
-	return strings.Join(parts, " "), nil
+	return nil
 }
 
-// splitFusedTail interprets the member tail of a fused spec: every comma
-// list holds one count per parent object across the *whole* platform, in
-// left-to-right node order (the inverse of FusedSpec's expansion). It
-// slices each level's counts back into per-node member specs, collapsing
-// uniform runs.
-func splitFusedTail(nodes int, tail string) ([]string, error) {
-	parents := make([]int, nodes)
-	tokens := make([][]string, nodes)
-	for i := range parents {
-		parents[i] = 1
-	}
-	for _, f := range strings.Fields(tail) {
-		name, counts, err := splitToken(f)
-		if err != nil {
-			return nil, err
+// walk descends levels from one root object, checking every count list
+// against the objects of the level above. It returns the number of objects
+// of the last level and of all levels together.
+func walk(levels []specLevel) (leaves, objects int, err error) {
+	leaves = 1
+	for _, l := range levels {
+		if leaves, err = l.total(leaves); err != nil {
+			return 0, 0, err
 		}
-		if len(counts) > 1 {
-			total := 0
-			for _, pn := range parents {
-				total += pn
-			}
-			if len(counts) != total {
-				return nil, fmt.Errorf("topology: fused level %q lists %d counts for %d parents", f, len(counts), total)
-			}
-		}
-		pos := 0
-		for i := range parents {
-			mine := counts
-			if len(counts) > 1 {
-				mine = counts[pos : pos+parents[i]]
-				pos += parents[i]
-			}
-			uniform := true
-			next := 0
-			for _, c := range mine {
-				next += c
-				if c != mine[0] {
-					uniform = false
-				}
-			}
-			if len(mine) == 1 {
-				next = mine[0] * parents[i]
-			}
-			tok := name + ":"
-			if uniform {
-				tok += strconv.Itoa(mine[0])
-			} else {
-				cs := make([]string, len(mine))
-				for j, c := range mine {
-					cs[j] = strconv.Itoa(c)
-				}
-				tok += strings.Join(cs, ",")
-			}
-			tokens[i] = append(tokens[i], tok)
-			parents[i] = next
+		if objects += leaves; objects > maxSpecObjects {
+			return 0, 0, errTooLarge
 		}
 	}
-	members := make([]string, nodes)
-	for i, ts := range tokens {
-		members[i] = strings.Join(ts, " ")
-	}
-	return members, nil
+	return leaves, objects, nil
 }
 
-// tokenizePlatform splits a platform spec on whitespace, keeping brace
-// blocks (which may contain spaces) attached to their token.
-func tokenizePlatform(spec string) ([]string, error) {
-	var tokens []string
-	var cur strings.Builder
-	depth := 0
-	for _, r := range spec {
+// fuse concatenates the member machines, cycling over the platform's nodes,
+// into platform-wide levels: each level lists the per-parent counts of
+// every node's member in left-to-right order. A level on which every member
+// has the same single count stays a single count, so a homogeneous platform
+// costs nothing per node. The members' lists have been checked by walk.
+func fuse(members [][]specLevel, nodes int) []specLevel {
+	fused := make([]specLevel, len(members[0]))
+	parents := make([]int, len(members)) // per member, at the current level
+	for mi := range parents {
+		parents[mi] = 1
+	}
+	for li := range fused {
+		first := members[0][li]
+		fused[li].kind = first.kind
+		uniform := true
+		for _, m := range members {
+			uniform = uniform && len(m[li].counts) == 1 && m[li].counts[0] == first.counts[0]
+		}
+		if uniform {
+			fused[li].counts = first.counts
+		} else {
+			for n := 0; n < nodes; n++ {
+				mi := n % len(members)
+				if l := members[mi][li]; len(l.counts) > 1 {
+					fused[li].counts = append(fused[li].counts, l.counts...)
+				} else {
+					for range parents[mi] {
+						fused[li].counts = append(fused[li].counts, l.counts[0])
+					}
+				}
+			}
+		}
+		for mi, m := range members {
+			parents[mi], _ = m[li].total(parents[mi])
+		}
+	}
+	return fused
+}
+
+// bracedMember is memberLevels for one member of a brace block, which is
+// tokenized only now: a brace block may not nest.
+func bracedMember(fabric []specLevel, text string) ([]specLevel, error) {
+	tokens, err := tokenize(text)
+	if err != nil {
+		return nil, err
+	}
+	return memberLevels(fabric, tokens)
+}
+
+// memberLevels turns the tokens of one member machine into its normalized
+// levels, and checks the order of the whole sequence below the machine
+// root: the fabric tiers, then the member's levels.
+func memberLevels(fabric []specLevel, tokens []specToken) ([]specLevel, error) {
+	levels := make([]specLevel, 0, len(tokens)+3)
+	for _, t := range tokens {
+		if t.shape != nil {
+			return nil, fmt.Errorf("topology: the %s fabric tier must be the first token of the spec", t.name)
+		}
+		if t.members != nil {
+			return nil, fmt.Errorf("topology: member braces belong on the node tier, not on %q", t.text)
+		}
+		levels = append(levels, specLevel{t.kind, t.counts})
+	}
+	levels = normalize(levels)
+
+	var seen [numKinds]bool
+	last := Machine
+	ordered := true
+	for _, l := range slices.Concat(fabric, levels) {
+		if seen[l.kind] {
+			return nil, fmt.Errorf("topology: kind %v appears twice", l.kind)
+		}
+		seen[l.kind] = true
+		ordered = ordered && l.kind > last
+		last = l.kind
+	}
+	switch {
+	case !ordered:
+		return nil, fmt.Errorf("topology: kinds must appear in root-to-leaf order (machine, pod, rack, cluster, group, pack, numa, l3, l2, l1, core, pu)")
+	case seen[Rack] && !seen[Cluster]:
+		return nil, fmt.Errorf("topology: a rack tier requires a node (cluster) tier below it, as in %q", "rack:2 node:4 pack:2 core:8")
+	case seen[Pod] && !seen[Rack]:
+		return nil, fmt.Errorf("topology: a pod tier requires a rack tier below it, as in %q", "pod:2 rack:2 node:2 pack:2 core:8")
+	}
+	return levels, nil
+}
+
+// specToken is one "name:value" token of a spec.
+type specToken struct {
+	text string // as written
+	name string // lower-cased kind or shape name
+	kind Kind   // unset on a shape token
+	// counts is the token's count list; nil on a shape token and on braces
+	// without counts ("node:{...}").
+	counts []int
+	shape  *FabricShape // torus and dragonfly tokens only
+	// members are the "|"-separated contents of the token's brace block,
+	// nil without one.
+	members []string
+}
+
+// opensNodeTier reports whether tokens[i], the first token after the pod
+// and rack tiers, is the cluster-node tier: "cluster" always; "node" —
+// elsewhere a NUMA level — when it carries a brace block, follows a pod or
+// rack tier, or precedes a level above the NUMA tier (a NUMA level above
+// groups or packages would be ill-ordered, so the reading is unambiguous).
+func opensNodeTier(tokens []specToken, i int) bool {
+	t := tokens[i]
+	if t.kind == Cluster {
+		return true
+	}
+	return t.name == "node" &&
+		(t.members != nil || i > 0 || i+1 < len(tokens) && tokens[i+1].kind < NUMANode)
+}
+
+// tokenize splits a spec on whitespace, keeping brace blocks (which may
+// contain spaces) attached to their token, and parses every token.
+func tokenize(spec string) ([]specToken, error) {
+	var tokens []specToken
+	depth, start := 0, -1
+	for i, r := range spec + " " { // the trailing space ends the last token
 		switch {
 		case r == '{':
 			depth++
-			cur.WriteRune(r)
 		case r == '}':
-			depth--
-			if depth < 0 {
-				return nil, fmt.Errorf("topology: unbalanced %q in platform spec", "}")
+			if depth--; depth < 0 {
+				return nil, fmt.Errorf("topology: unbalanced %q in spec", "}")
 			}
-			cur.WriteRune(r)
-		case depth == 0 && (r == ' ' || r == '\t' || r == '\n'):
-			if cur.Len() > 0 {
-				tokens = append(tokens, cur.String())
-				cur.Reset()
+		case depth == 0 && unicode.IsSpace(r):
+			if start >= 0 {
+				t, err := parseToken(spec[start:i])
+				if err != nil {
+					return nil, err
+				}
+				tokens = append(tokens, t)
+				start = -1
 			}
-		default:
-			cur.WriteRune(r)
+			continue
+		}
+		if start < 0 {
+			start = i
 		}
 	}
 	if depth != 0 {
-		return nil, fmt.Errorf("topology: unbalanced %q in platform spec", "{")
-	}
-	if cur.Len() > 0 {
-		tokens = append(tokens, cur.String())
+		return nil, fmt.Errorf("topology: unbalanced %q in spec", "{")
 	}
 	return tokens, nil
 }
 
-// fabricShapeToken parses a leading torus/dragonfly token, returning the
-// shape and any braced member list. A nil shape (with nil error) means the
-// token is not a shape tier at all.
-func fabricShapeToken(tok string) (*FabricShape, []string, error) {
-	name, val, ok := strings.Cut(tok, ":")
+// parseToken parses one token: "kind:c0,c1,...", a torus or dragonfly shape,
+// either optionally followed by a "{member | member}" block.
+func parseToken(text string) (specToken, error) {
+	name, val, ok := strings.Cut(text, ":")
 	if !ok {
-		return nil, nil, nil
+		return specToken{}, fmt.Errorf("topology: token %q is not of the form kind:count", text)
 	}
-	name = strings.ToLower(name)
-	if name != "torus" && name != "dragonfly" {
-		return nil, nil, nil
-	}
-	var members []string
+	t := specToken{text: text, name: strings.ToLower(name)}
 	if open := strings.IndexByte(val, '{'); open >= 0 {
 		if !strings.HasSuffix(val, "}") {
-			return nil, nil, fmt.Errorf("topology: malformed brace block in token %q", tok)
+			return t, fmt.Errorf("topology: malformed brace block in token %q", text)
 		}
-		for _, m := range strings.Split(val[open+1:len(val)-1], "|") {
-			m = strings.TrimSpace(m)
-			if m == "" {
-				return nil, nil, fmt.Errorf("topology: empty member spec in token %q", tok)
+		t.members = strings.Split(val[open+1:len(val)-1], "|")
+		for _, m := range t.members {
+			if strings.TrimSpace(m) == "" {
+				return t, fmt.Errorf("topology: empty member spec in token %q", text)
 			}
-			members = append(members, m)
 		}
 		val = val[:open]
 	}
-	s, err := parseFabricShape(name, val)
-	if err != nil {
-		return nil, nil, err
+	if t.name == "torus" || t.name == "dragonfly" {
+		var err error
+		t.shape, err = parseFabricShape(t.name, val)
+		return t, err
 	}
-	return s, members, nil
-}
-
-// kindOfToken returns the kind a token names, or -1 when it is not a plain
-// kind:count token.
-func kindOfToken(tok string) Kind {
-	name, _, ok := strings.Cut(tok, ":")
-	if !ok {
-		return -1
+	if t.kind, ok = kindTokens[t.name]; !ok {
+		return t, fmt.Errorf("topology: unknown object kind %q", name)
 	}
-	k, ok := kindTokens[strings.ToLower(name)]
-	if !ok {
-		return -1
+	if t.kind == Machine {
+		return t, fmt.Errorf("topology: the machine root is implicit and must not appear in the spec")
 	}
-	return k
-}
-
-// isNodeToken reports whether tokens[i] opens the cluster-node tier:
-// "cluster:..." always; "node:..." when it carries a brace block, follows a
-// rack tier (i > 0), or is followed by a machine level above the NUMA tier
-// (the same promotion FromSpec applies).
-func isNodeToken(tokens []string, i int) bool {
-	name, val, ok := strings.Cut(tokens[i], ":")
-	if !ok {
-		return false
-	}
-	switch strings.ToLower(name) {
-	case "cluster":
-		return true
-	case "node":
-		if strings.Contains(val, "{") || i > 0 {
-			return true
-		}
-		return i+1 < len(tokens) && LeadingNodeIsCluster(kindOfToken(tokens[i+1]))
-	}
-	return false
-}
-
-// tokenCounts parses one fabric-tier token into its count list and, for the
-// node tier, the braced member list.
-func tokenCounts(tok string) (counts []int, members []string, err error) {
-	_, val, _ := strings.Cut(tok, ":")
-	if open := strings.IndexByte(val, '{'); open >= 0 {
-		if !strings.HasSuffix(val, "}") {
-			return nil, nil, fmt.Errorf("topology: malformed brace block in token %q", tok)
-		}
-		for _, m := range strings.Split(val[open+1:len(val)-1], "|") {
-			m = strings.TrimSpace(m)
-			if m == "" {
-				return nil, nil, fmt.Errorf("topology: empty member spec in token %q", tok)
-			}
-			members = append(members, m)
-		}
-		val = val[:open]
-		if val == "" {
-			return nil, members, nil
-		}
+	if val == "" && t.members != nil {
+		return t, nil
 	}
 	for _, cs := range strings.Split(val, ",") {
 		n, err := strconv.Atoi(cs)
 		if err != nil || n <= 0 {
-			return nil, nil, fmt.Errorf("topology: invalid count in token %q", tok)
+			return t, fmt.Errorf("topology: invalid count in token %q", text)
 		}
-		counts = append(counts, n)
-	}
-	return counts, members, nil
-}
-
-// splitToken parses a "kind:counts" token of a normalized member spec.
-func splitToken(tok string) (name string, counts []int, err error) {
-	name, val, ok := strings.Cut(tok, ":")
-	if !ok {
-		return "", nil, fmt.Errorf("topology: token %q is not of the form kind:count", tok)
-	}
-	for _, cs := range strings.Split(val, ",") {
-		n, err := strconv.Atoi(cs)
-		if err != nil || n <= 0 {
-			return "", nil, fmt.Errorf("topology: invalid count in token %q", tok)
+		if n > maxSpecObjects {
+			return t, errTooLarge
 		}
-		counts = append(counts, n)
+		t.counts = append(t.counts, n)
 	}
-	return name, counts, nil
+	return t, nil
 }

@@ -1,11 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Defaults describes the physical constants used to attribute a synthetic
 // topology. The zero value is not useful; start from DefaultAttrs().
@@ -133,9 +128,10 @@ func FromSpec(spec string) (*Topology, error) {
 }
 
 // FromSpecAttrs builds a topology from a synthetic specification string, in
-// the style of hwloc's synthetic backend. The spec is a whitespace-separated
-// list of "kind:count" tokens ordered from just below the machine root down
-// towards the leaves:
+// the style of hwloc's synthetic backend: ParsePlatform parses it, grow
+// attaches the objects, build indexes the tree. The spec is a
+// whitespace-separated list of "kind:count" tokens ordered from just below
+// the machine root down towards the leaves:
 //
 //	pack:24 core:8 pu:1        the paper's 192-core machine
 //	pack:4 numa:2 l3:1 core:6 pu:2   a deeper, hyperthreaded machine
@@ -160,33 +156,28 @@ func FromSpec(spec string) (*Topology, error) {
 // A "core" level is likewise required and inserted (count 1) above the PUs
 // when missing. The machine root itself must not appear in the spec.
 //
-// A cluster of machines is expressed with a leading cluster level:
+// A platform of several machines leads with its fabric tiers, outside in —
+// an optional pod tier, an optional rack tier, the node (cluster) tier —
+// followed by the machine every node carries:
 //
-//	cluster:4 pack:2 core:8    four 16-core machines on a network fabric
-//	node:4 pack:2 core:8       the same (leading "node" before a group or
-//	                           package level denotes the cluster level)
+//	cluster:4 pack:2 core:8            four 16-core machines on one switch
+//	node:4 pack:2 core:8               the same
+//	rack:2 node:4 pack:2 core:8        two racks of four machines
+//	rack:2 node:2,3 pack:2 core:8      uneven racks
+//	pod:2 rack:2 node:2 pack:2 core:8  three switch tiers
 //
-// The spelling "node" normally denotes a NUMA node; it is promoted to the
-// cluster level only when it is the first token and a group or package level
-// follows (a NUMA level above sockets would be ill-ordered, so the
-// reinterpretation is unambiguous and backwards compatible), or when it
-// directly follows a rack level (see below).
+// The spelling "node" normally denotes a NUMA node; it is the cluster tier
+// as the first token when a group or package level follows (a NUMA level
+// above sockets would be ill-ordered, so the reading is unambiguous),
+// directly after a rack tier, and when it carries braces (below). Racks
+// carry the per-uplink (top-of-rack switch to spine) latency and bandwidth
+// in their attributes, pods the pod uplink's, cluster nodes the per-NIC
+// link's. A rack tier requires a node tier below it — "rack:2 core:8" is
+// rejected, because a rack of cores is not a fabric — and a pod tier a rack
+// tier. A node tier without machine tokens gives every node one core.
 //
-// A multi-switch fabric is expressed with a rack tier above the cluster
-// level:
-//
-//	rack:2 node:4 pack:2 core:8    two racks of four 16-core machines
-//	rack:2 cluster:4 core:16       the same node count, flat 16-core nodes
-//
-// Racks carry the per-uplink (top-of-rack switch to spine) latency and
-// bandwidth in their attributes, cluster nodes the per-NIC link attributes;
-// messages between nodes of the same rack traverse two NIC links, messages
-// between racks two NIC links plus two uplinks. A rack tier requires a
-// cluster (node) tier below it — "rack:2 core:8" is rejected, because a rack
-// of cores is not a fabric.
-//
-// A non-tree fabric is expressed with a leading torus or dragonfly tier in
-// place of the pod/rack/cluster tiers:
+// A leading torus or dragonfly token stands in place of the pod/rack/node
+// tiers as a non-tree fabric:
 //
 //	torus:4x4 pack:1 core:4        a 16-node 2-D torus
 //	torus:2x2x4 pack:1 core:4      a 16-node 3-D torus
@@ -194,106 +185,47 @@ func FromSpec(spec string) (*Topology, error) {
 //
 // The shape's node count becomes the cluster level; transfers between the
 // nodes are priced along routed edge paths of the FabricGraph (see
-// fabricgraph.go) instead of the per-level tree walk. The shape token must
-// lead the spec and cannot be combined with pod or rack tiers.
+// fabricgraph.go). The shape token must lead the spec and cannot be
+// combined with pod or rack tiers.
+//
+// Nodes that differ are listed on the node tier (or the shape token) in
+// braces, one machine spec per member, "|" separated:
+//
+//	rack:2 node:{pack:2 core:8 | pack:1 core:4}   one machine spec per node
+//	rack:2 node:2{pack:2 core:8 | pack:1 core:4}  counts + cycling members
+//
+// Without counts the node count is the number of members listed, spread
+// evenly over the racks; with counts the member list cycles over the nodes
+// in left-to-right order. All members must share one level-kind sequence
+// after normalization (they may differ freely in arity — an 8-core and a
+// 4-core node mix, a node with an l3 level and one without does not),
+// because the tree keeps levels kind-homogeneous.
+//
+// Below the node tier a comma list holds one count per parent object of the
+// member machine it is written in ("cluster:2 pack:2 core:4,2": every node
+// has a 4-core and a 2-core socket). When the nodes share one member and
+// that reading does not fit it, the lists are read platform-wide, one count
+// per parent object across all nodes in left-to-right order — the form
+// Spec() renders, so "rack:2 cluster:1 pack:2,1 numa:1 core:8,8,4 pu:1"
+// parses back into its two different nodes. With more than one node the two
+// readings never both fit.
+//
+// A spec may describe at most maxSpecObjects objects.
 func FromSpecAttrs(spec string, def Defaults) (*Topology, error) {
-	fields := strings.Fields(spec)
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("topology: empty spec")
-	}
-	var levels []specLevel
-	var names []string
-	var shape *FabricShape
-	for _, f := range fields {
-		parts := strings.SplitN(f, ":", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("topology: token %q is not of the form kind:count", f)
-		}
-		name := strings.ToLower(parts[0])
-		if name == "torus" || name == "dragonfly" {
-			// A non-tree fabric shape replaces the pod/rack/cluster tiers:
-			// it must lead the spec, and the node count it implies becomes
-			// the cluster level.
-			if len(levels) > 0 || shape != nil {
-				return nil, fmt.Errorf("topology: the %s fabric tier must be the first token of the spec", name)
-			}
-			s, err := parseFabricShape(name, parts[1])
-			if err != nil {
-				return nil, err
-			}
-			shape = s
-			levels = append(levels, specLevel{Cluster, []int{s.Nodes()}})
-			names = append(names, "cluster")
-			continue
-		}
-		kind, ok := kindTokens[name]
-		if !ok {
-			return nil, fmt.Errorf("topology: unknown object kind %q", parts[0])
-		}
-		if kind == Machine {
-			return nil, fmt.Errorf("topology: the machine root is implicit and must not appear in the spec")
-		}
-		var counts []int
-		for _, cs := range strings.Split(parts[1], ",") {
-			n, err := strconv.Atoi(cs)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("topology: invalid count in token %q", f)
-			}
-			counts = append(counts, n)
-		}
-		levels = append(levels, specLevel{kind, counts})
-		names = append(names, name)
-	}
-	// Promote a leading "node" to the cluster level when a group or package
-	// token follows ("node:4 pack:2 core:8" describes a 4-machine cluster),
-	// and any "node" directly after a rack level (under a rack, the node tier
-	// can only mean cluster nodes).
-	if names[0] == "node" && len(levels) > 1 && LeadingNodeIsCluster(levels[1].kind) {
-		levels[0].kind = Cluster
-	}
-	for i := 1; i < len(levels); i++ {
-		if names[i] == "node" && levels[i-1].kind == Rack {
-			levels[i].kind = Cluster
-		}
-	}
-	seen := map[Kind]bool{}
-	for _, l := range levels {
-		if seen[l.kind] {
-			return nil, fmt.Errorf("topology: kind %v appears twice", l.kind)
-		}
-		seen[l.kind] = true
-	}
-	if !sort.SliceIsSorted(levels, func(i, j int) bool { return levels[i].kind < levels[j].kind }) {
-		return nil, fmt.Errorf("topology: kinds must appear in root-to-leaf order (machine, pod, rack, cluster, group, pack, numa, l3, l2, l1, core, pu)")
-	}
-	if seen[Rack] && !seen[Cluster] {
-		return nil, fmt.Errorf("topology: a rack tier requires a node (cluster) tier below it, as in %q", "rack:2 node:4 pack:2 core:8")
-	}
-	if seen[Pod] && !seen[Rack] {
-		return nil, fmt.Errorf("topology: a pod tier requires a rack tier below it, as in %q", "pod:2 rack:2 node:2 pack:2 core:8")
-	}
-	levels = normalize(levels)
-
-	root := &Object{Kind: Machine, Attr: Attr{ClockHz: def.ClockHz}}
-	if err := grow(root, levels, def); err != nil {
+	p, err := ParsePlatform(spec)
+	if err != nil {
 		return nil, err
 	}
-	t := build(root, canonicalSpecShaped(levels, shape))
-	t.fabric = shape
+	root := &Object{Kind: Machine, Attr: Attr{ClockHz: def.ClockHz}}
+	grow(root, p.levels, def)
+	t := build(root, p.canonical())
+	t.fabric = p.Fabric
 	t.fabricDef = def
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
-
-// LeadingNodeIsCluster reports whether a leading "node" token denotes the
-// cluster tier rather than a NUMA level: exactly when the level that
-// follows sits above the NUMA tier (a NUMA level above groups or packages
-// would be ill-ordered, so the reinterpretation is unambiguous). The single
-// source of the promotion rule, shared by FromSpecAttrs and the platform
-// grammar (ParsePlatform).
-func LeadingNodeIsCluster(next Kind) bool { return next >= 0 && next < NUMANode }
 
 // normalize inserts the implicit numa, core and pu levels documented in
 // FromSpecAttrs.
@@ -331,40 +263,14 @@ func normalize(levels []specLevel) []specLevel {
 	return levels
 }
 
-// canonicalSpecShaped renders the normalized levels back into a spec
-// string, the cluster level as its fabric-shape token ("torus:4x4") when
-// the fabric is non-tree, so shaped specs round-trip through their
-// normalized form.
-func canonicalSpecShaped(levels []specLevel, shape *FabricShape) string {
-	names := map[Kind]string{
-		Pod: "pod", Rack: "rack", Cluster: "cluster", Group: "group", Package: "pack",
-		NUMANode: "numa", L3: "l3", L2: "l2", L1: "l1", Core: "core", PU: "pu",
-	}
-	parts := make([]string, len(levels))
-	for i, l := range levels {
-		if shape != nil && l.kind == Cluster {
-			parts[i] = shape.Token()
-			continue
-		}
-		cs := make([]string, len(l.counts))
-		for j, c := range l.counts {
-			cs[j] = strconv.Itoa(c)
-		}
-		parts[i] = fmt.Sprintf("%s:%s", names[l.kind], strings.Join(cs, ","))
-	}
-	return strings.Join(parts, " ")
-}
-
 // grow attaches children level by level. A level with a single count gives
 // every parent that many children; an uneven level lists one count per
-// parent, in left-to-right order.
-func grow(root *Object, levels []specLevel, def Defaults) error {
+// parent, in left-to-right order. ParsePlatform has checked the lists.
+func grow(root *Object, levels []specLevel, def Defaults) {
 	parents := []*Object{root}
 	for _, l := range levels {
-		if _, err := l.total(len(parents)); err != nil {
-			return err
-		}
-		var next []*Object
+		n, _ := l.total(len(parents))
+		next := make([]*Object, 0, n)
 		for pi, p := range parents {
 			n := l.counts[0]
 			if len(l.counts) > 1 {
@@ -378,7 +284,6 @@ func grow(root *Object, levels []specLevel, def Defaults) error {
 		}
 		parents = next
 	}
-	return nil
 }
 
 // attrFor returns the default physical attributes for an object kind.

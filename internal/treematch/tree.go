@@ -85,7 +85,7 @@ func FromTopology(t *topology.Topology, leaf topology.Kind) (*Tree, error) {
 	if depth < 0 {
 		return nil, fmt.Errorf("treematch: topology has no %v level", leaf)
 	}
-	tree, err := treeBetween(t, 0, depth)
+	tree, err := subtreeOf(t.Root(), depth)
 	if err != nil {
 		return nil, err
 	}
@@ -131,12 +131,17 @@ func NodeSubtrees(t *topology.Topology, leaf topology.Kind) ([]*Tree, error) {
 
 // subtreeOf builds the abstract balanced tree rooted at one topology object,
 // down to the given absolute depth: the per-depth fan-outs become the
-// arities (arity-1 levels collapsed), with every object at a depth required
-// to share its fan-out within this subtree only.
+// arities, with every object at a depth required to share its fan-out
+// within this subtree only. Levels of arity 1 are collapsed: they provide
+// no placement choice and contribute a factor of 1 to the leaf count.
 func subtreeOf(root *topology.Object, toDepth int) (*Tree, error) {
 	var arities []int
 	level := []*topology.Object{root}
 	for d := root.Depth; d < toDepth; d++ {
+		// TreeMatch's distance model needs a balanced tree. Uneven machines
+		// (comma counts in the spec) are rejected explicitly — a first-object
+		// arity product that happens to match the leaf count would otherwise
+		// model the wrong locality.
 		a := len(level[0].Children)
 		var next []*topology.Object
 		for _, o := range level {
@@ -168,11 +173,11 @@ func FabricTree(t *topology.Topology) (*Tree, error) {
 	if clusterDepth < 0 {
 		return nil, fmt.Errorf("treematch: topology has no cluster level, so no fabric tree")
 	}
-	tree, err := treeBetween(t, 0, clusterDepth)
+	tree, err := subtreeOf(t.Root(), clusterDepth)
 	if err != nil {
 		return nil, err
 	}
-	// treeBetween collapses arity-1 tiers, which only drop factors of 1, so
+	// subtreeOf collapses arity-1 tiers, which only drop factors of 1, so
 	// the leaf count always equals the cluster-node count; the check is a
 	// defensive invariant, mirroring FromTopology.
 	if tree.Leaves() != len(t.ClusterNodes()) {
@@ -180,32 +185,6 @@ func FabricTree(t *topology.Topology) (*Tree, error) {
 			tree.Leaves(), len(t.ClusterNodes()))
 	}
 	return tree, nil
-}
-
-// treeBetween builds the abstract tree spanned by the topology levels
-// [fromDepth, toDepth): the fan-outs of those levels become the arities,
-// with arity-1 levels collapsed (they provide no placement choice, and the
-// collapsed levels contribute a factor of 1 to the leaf count).
-func treeBetween(t *topology.Topology, fromDepth, toDepth int) (*Tree, error) {
-	var arities []int
-	for d := fromDepth; d < toDepth; d++ {
-		// TreeMatch's distance model needs a balanced tree: every object of
-		// a level must have the same fan-out. Uneven machines (representable
-		// since the spec grammar grew comma counts) are rejected explicitly —
-		// a first-object arity product that happens to match the leaf count
-		// would otherwise model the wrong locality.
-		a := t.Arity(d)
-		for _, o := range t.Level(d) {
-			if len(o.Children) != a {
-				return nil, fmt.Errorf("%w: %v has %d children, siblings have %d",
-					ErrUneven, o, len(o.Children), a)
-			}
-		}
-		if a > 1 {
-			arities = append(arities, a)
-		}
-	}
-	return NewTree(arities)
 }
 
 // Depth returns the number of levels including the leaf level; a tree with
