@@ -1,17 +1,13 @@
 // Command ablate runs the studies of the reproduction: the design choices of
-// the paper's placement module isolated one at a time (A1–A16, see DESIGN.md
-// §4 for the index) and the benchmark tiers (S1). The suite is declared once,
-// in internal/experiment's study registry; `ablate -h` lists the -exp names.
+// the paper's placement module isolated one at a time (A1–A16; the README's
+// experiment table is the index). The suite is declared once, in
+// internal/experiment's study registry; `ablate -h` lists the -exp names.
 //
-//	ablate                  # run every ablation at a reduced scale
-//	ablate -exp policies    # one study by name
-//	ablate -exp all,scale   # a comma-separated list; "all" may be a member
-//	ablate -full            # paper-scale matrix and iterations
+//	ablate                    # run every ablation at a reduced scale
+//	ablate -exp policies      # one study by name
+//	ablate -exp rack,hetero   # a comma-separated list; "all" may be a member
+//	ablate -full              # paper-scale matrix and iterations
 //
-// The scale study is a benchmark tier, not an ablation: it reports the
-// wall-clock latency of the placement pipeline itself on datacenter-scale
-// grids (tasks × nodes set by -scale-tasks/-scale-nodes), so it is excluded
-// from "all" and must be selected by name.
 // The fault ablation's failure schedule can be overridden from the command
 // line: -fault-kill "node@epoch", -fault-degrade "level:link:factor@epoch"
 // and -fault-sever "level:link@epoch" each accept a comma-separated list,
@@ -27,9 +23,10 @@
 // With -json the results are emitted as one machine-readable JSON document
 // on stdout — per-ablation rows with simulated seconds and cycle counts,
 // plus the asserted orderings and their verdicts — and the exit status is
-// non-zero when any asserted ordering is violated. The CI bench-smoke job
-// runs the tiers of bench/manifest.json this way and archives the documents
-// as the BENCH artifacts.
+// non-zero when any asserted ordering is violated. The document carries
+// simulated time only, so it is a pure function of (studies, configuration,
+// seed): bench/BENCH_*.json are committed -json documents and
+// TestBenchArtifacts regenerates each and requires identical bytes.
 package main
 
 import (
@@ -56,8 +53,6 @@ func main() {
 		cols         = flag.Int("cols", experiment.Reduced.Cols, "matrix columns (reduced scale)")
 		iters        = flag.Int("iters", experiment.Reduced.Iters, "iterations (reduced scale)")
 		cores        = flag.Int("cores", experiment.Reduced.Cores, "number of cores (reduced scale)")
-		scaleTasks   = flag.String("scale-tasks", "", "comma-separated task counts for -exp scale (default 10000,100000)")
-		scaleNodes   = flag.String("scale-nodes", "", "comma-separated cluster-node counts for -exp scale (default 100,1000,10000)")
 		faultKill    = flag.String("fault-kill", "", "comma-separated \"node@epoch\" node kills for -exp fault (any fault flag overrides the default correlated failure)")
 		faultDegrade = flag.String("fault-degrade", "", "comma-separated \"level:link:factor@epoch\" fabric-link degrades for -exp fault")
 		faultSever   = flag.String("fault-sever", "", "comma-separated \"level:link@epoch\" fabric-link severs for -exp fault")
@@ -80,12 +75,6 @@ func main() {
 		fail(err)
 	}
 	var o experiment.Overrides
-	if o.ScaleTasks, err = parseIntList(*scaleTasks); err != nil {
-		fail(fmt.Errorf("-scale-tasks: %v", err))
-	}
-	if o.ScaleNodes, err = parseIntList(*scaleNodes); err != nil {
-		fail(fmt.Errorf("-scale-nodes: %v", err))
-	}
 	if o.FaultEvents, err = parseFaultEvents(*faultKill, *faultDegrade, *faultSever); err != nil {
 		fail(err)
 	}
@@ -236,26 +225,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseIntList parses a comma-separated list of positive integers; an empty
-// string yields nil.
-func parseIntList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad count %q", part)
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("count %d must be positive", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // run executes the selected studies and renders them human-readable or as
 // the machine-readable JSON report. In JSON mode an ordering violation is
 // reported through the error return after the full document is written, so
@@ -280,11 +249,10 @@ func run(w io.Writer, cfg experiment.Config, o experiment.Overrides, exp string,
 		res := benchAblation{Exp: s.Name, ID: s.ID, Title: s.Title()}
 		for _, r := range rows {
 			res.Rows = append(res.Rows, benchRow{
-				Name:        r.Name,
-				Seconds:     r.Seconds,
-				Cycles:      experiment.SimCycles(r.Seconds),
-				Detail:      r.Detail,
-				WallSeconds: r.WallSeconds,
+				Name:    r.Name,
+				Seconds: r.Seconds,
+				Cycles:  experiment.SimCycles(r.Seconds),
+				Detail:  r.Detail,
 			})
 		}
 		for _, o := range s.Orderings {
@@ -312,7 +280,7 @@ func run(w io.Writer, cfg experiment.Config, o experiment.Overrides, exp string,
 }
 
 // benchSchema versions the JSON document; bump on incompatible changes.
-const benchSchema = "repro-bench/1"
+const benchSchema = "repro-bench/2"
 
 // benchReport is the machine-readable bench document of -json mode.
 type benchReport struct {
@@ -330,14 +298,12 @@ type benchAblation struct {
 	Orderings []benchOrdering `json:"orderings,omitempty"`
 }
 
-// benchRow is one configuration's simulated cost. Benchmark-tier rows carry
-// wall_seconds (real pipeline latency) instead of a simulated cost.
+// benchRow is one configuration's simulated cost.
 type benchRow struct {
-	Name        string  `json:"name"`
-	Seconds     float64 `json:"seconds"`
-	Cycles      float64 `json:"cycles"`
-	Detail      string  `json:"detail,omitempty"`
-	WallSeconds float64 `json:"wall_seconds,omitempty"`
+	Name    string  `json:"name"`
+	Seconds float64 `json:"seconds"`
+	Cycles  float64 `json:"cycles"`
+	Detail  string  `json:"detail,omitempty"`
 }
 
 // benchOrdering is one asserted relation and whether it held.

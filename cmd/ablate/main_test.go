@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,29 +64,32 @@ func TestSelectAblations(t *testing.T) {
 	for exp, want := range map[string]string{
 		"all":            ablations,
 		"shift,adaptive": "A8 A12", // report order, not list order
-		"scale":          "S1",
-		// "all" is a list member like any other: the benchmark tier the
-		// header says "must be selected by name" rides along when named.
-		"all,scale":   ablations + " S1",
-		"scale, all":  ablations + " S1",
+		// "all" is a list member like any other.
 		"all,shift":   ablations,
+		"shift, all":  ablations,
 		"shift,shift": "A12",
 	} {
 		if got := ids(exp); got != want {
 			t.Errorf("selector %q picks %q, want %q", exp, got, want)
 		}
 	}
-	for _, bad := range []string{"nonsense", "shift,nonsense", "all,nonsense", ",", ""} {
-		if _, err := experiment.SelectStudies(bad); err == nil {
+	// "scale" named the S1 placement-latency study, which simulated nothing;
+	// the benchmark module's place-scale workload measures that now.
+	for _, bad := range []string{"nonsense", "shift,nonsense", "all,nonsense", ",", "",
+		"scale", "all,scale", "scale, all"} {
+		_, err := experiment.SelectStudies(bad)
+		if err == nil {
 			t.Errorf("selector %q accepted", bad)
+		} else if !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("selector %q: error %q does not say \"unknown experiment\"", bad, err)
 		}
 	}
 }
 
 // TestRunJSONReport drives the machine-readable mode end to end on the A12
 // ablation: the report must carry the schema marker, per-row seconds and
-// cycle counts (consistent with each other), and the asserted orderings
-// with passing verdicts.
+// cycle counts (consistent with each other), the asserted orderings with
+// passing verdicts, and no host-clock reading.
 func TestRunJSONReport(t *testing.T) {
 	cfg := experiment.Config{Rows: 1024, Cols: 1024, Iters: 4, Cores: 16, Seed: 42}
 	if err := cfg.Validate(); err != nil {
@@ -99,8 +103,26 @@ func TestRunJSONReport(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if report.Schema != benchSchema {
-		t.Errorf("schema %q, want %q", report.Schema, benchSchema)
+	if report.Schema != "repro-bench/2" {
+		t.Errorf("schema %q, want repro-bench/2", report.Schema)
+	}
+	// repro-bench/2 rows are simulated time only: a row key beyond these four
+	// (the host-clock reading schema 1 carried, under any name) would make
+	// the document irreproducible bytes again.
+	var raw struct {
+		Ablations []struct{ Rows []map[string]any }
+	}
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range raw.Ablations {
+		for _, row := range a.Rows {
+			for key := range row {
+				if key != "name" && key != "seconds" && key != "cycles" && key != "detail" {
+					t.Errorf("row %v carries key %q; the host clock belongs to benchmark/ only", row["name"], key)
+				}
+			}
+		}
 	}
 	if report.Seed != 42 {
 		t.Errorf("seed %d, want 42", report.Seed)
@@ -345,6 +367,72 @@ func TestRunAllGolden(t *testing.T) {
 	}
 	if got := buf.String(); got != string(want) {
 		t.Errorf("ablate -exp all drifted from testdata/all.golden:\n%s", firstDiff(string(want), got))
+	}
+}
+
+// TestBenchArtifacts is the simulated-clock drift gate: every committed
+// bench/BENCH_*.json is a -json document generated with default flags, so it
+// names its own seed and studies; regenerating it through the run that main
+// calls must give the committed bytes. A moved cycle count, detail, title or
+// ordering verdict fails here, as does an artifact naming an unknown study;
+// an ordering violation fails as run's error.
+func TestBenchArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every bench artifact at the reduced scale (~3 s)")
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "bench", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no bench artifacts found (err %v); the gate is reading the wrong directory", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc benchReport
+			if err := json.Unmarshal(want, &doc); err != nil {
+				t.Fatalf("not a -json document: %v", err)
+			}
+			var exps []string
+			for _, a := range doc.Ablations {
+				exps = append(exps, a.Exp)
+			}
+			exp := strings.Join(exps, ",")
+			cfg := experiment.Reduced
+			cfg.Seed = doc.Seed
+			var buf bytes.Buffer
+			if err := run(&buf, cfg, experiment.Overrides{}, exp, true); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("simulated results drifted from the committed artifact:\n%s\nif the change is intended: go run ./cmd/ablate -exp %s -seed %d -json > bench/%s",
+					firstDiff(string(want), buf.String()), exp, doc.Seed, filepath.Base(path))
+			}
+		})
+	}
+}
+
+// TestRunJSONDeterministic states the house rule for the machine-readable
+// report: same studies, configuration and seed give the same bytes, run
+// after run and whatever GOMAXPROCS is.
+func TestRunJSONDeterministic(t *testing.T) {
+	report := func() string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := run(&buf, experiment.Reduced, experiment.Overrides{}, "rack,hetero,sched", true); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := report()
+	if again := report(); again != one {
+		t.Errorf("two runs at GOMAXPROCS 1 differ:\n%s", firstDiff(one, again))
+	}
+	runtime.GOMAXPROCS(runtime.NumCPU())
+	if wide := report(); wide != one {
+		t.Errorf("GOMAXPROCS %d differs from GOMAXPROCS 1:\n%s", runtime.NumCPU(), firstDiff(one, wide))
 	}
 }
 

@@ -124,8 +124,11 @@ func loadMatrix(file, stencil string, ring int) (*comm.Matrix, error) {
 func reportCost(w io.Writer, tree *treematch.Tree, m *comm.Matrix, assignment []int) {
 	tm := treematch.Cost(tree, m, assignment)
 	rr := treematch.Cost(tree, m, treematch.RoundRobin(tree, m.Order()))
-	fmt.Fprintf(w, "hop-weighted cost: treematch %.0f, round-robin %.0f (%.1f%% of baseline)\n",
-		tm, rr, 100*tm/rr)
+	fmt.Fprintf(w, "hop-weighted cost: treematch %.0f, round-robin %.0f", tm, rr)
+	if rr != 0 { // a matrix with no off-diagonal volume has no baseline to compare against
+		fmt.Fprintf(w, " (%.1f%% of baseline)", 100*tm/rr)
+	}
+	fmt.Fprintln(w)
 }
 
 func coreName(c int) string {

@@ -16,6 +16,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"stencil ok", options{topoSpec: "pack:4 core:4 pu:1", stencil: "4x4", dist: true}, ""},
 		{"ring ok", options{topoSpec: "pack:2 core:4 pu:2", ring: 8, controls: true, dist: true}, ""},
 		{"braced topo", options{topoSpec: "node:2{pack:2 core:4}", ring: 8}, ""},
+		{"one-task stencil", options{topoSpec: "pack:4 core:4 pu:1", stencil: "1x1"}, ""},
+		{"one-task ring", options{topoSpec: "pack:4 core:4 pu:1", ring: 1}, ""},
 		{"no source", options{topoSpec: "pack:4 core:4 pu:1"}, "one of -matrix, -stencil, -ring is required"},
 		{"bad topo", options{topoSpec: "wat:3", ring: 4}, "unknown object kind"},
 		{"bad stencil shape", options{topoSpec: "pack:4 core:4 pu:1", stencil: "16"}, "bad -stencil"},
@@ -30,6 +32,9 @@ func TestRunFlagValidation(t *testing.T) {
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
+				}
+				if strings.Contains(b.String(), "NaN") {
+					t.Errorf("report prints a NaN:\n%s", b.String())
 				}
 				return
 			}

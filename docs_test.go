@@ -2,13 +2,16 @@
 // documentation pages must not drift apart silently. The tests parse every
 // cmd/* main.go for flag declarations and assert the README mentions each
 // flag, pin the existence of the architecture and topology-spec docs and
-// their links from the README, and hold the study registry
-// (internal/experiment) against everything derived from it.
+// their links from the README, hold the study registry
+// (internal/experiment) against everything derived from it, and require
+// every Markdown file a Go comment cites to exist.
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -114,9 +117,10 @@ func studyTableRow(s experiment.Study) string {
 // consumers: names, ids and cell names are unique (cells are an ordered
 // slice, so BenchmarkAblation's sub-benchmark names are unique and come in
 // the same order on every run); every asserted ordering names rows its
-// study really emits on its first default cell, and holds there; every
-// bench/manifest.json tier resolves to registered studies; and the README
-// experiment table carries exactly the registry's row for every study.
+// study really emits on its first default cell, and holds there; and the
+// README experiment table carries exactly the registry's row for every
+// study. (The committed bench/ artifacts need no entry here: cmd/ablate's
+// TestBenchArtifacts globs them and regenerates each from its own contents.)
 func TestStudyRegistryInvariants(t *testing.T) {
 	studies := experiment.Studies()
 	names, ids := map[string]bool{}, map[string]bool{}
@@ -138,30 +142,8 @@ func TestStudyRegistryInvariants(t *testing.T) {
 				t.Errorf("study %s cell %s: %v", s.Name, c.Name, err)
 			}
 		}
-		if len(s.Cells) > 0 && s.Cells[0].Config != experiment.Reduced {
-			t.Errorf("study %s: first cell %+v is not the reduced default scale", s.Name, s.Cells[0].Config)
-		}
-		if len(s.Orderings) > 0 && len(s.Cells) == 0 {
-			t.Errorf("study %s asserts orderings but has no default cell to assert them on", s.Name)
-		}
-	}
-
-	var manifest struct {
-		Tiers []struct{ Exp, Artifact string }
-	}
-	raw, err := os.ReadFile(filepath.Join("bench", "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &manifest); err != nil {
-		t.Fatal(err)
-	}
-	if len(manifest.Tiers) == 0 {
-		t.Error("bench/manifest.json lists no tiers; the guard is reading the wrong file")
-	}
-	for _, tier := range manifest.Tiers {
-		if _, err := experiment.SelectStudies(tier.Exp); err != nil {
-			t.Errorf("bench/manifest.json tier %s: %v", tier.Artifact, err)
+		if len(s.Cells) == 0 || s.Cells[0].Config != experiment.Reduced {
+			t.Errorf("study %s: first cell of %+v is not the reduced default scale", s.Name, s.Cells)
 		}
 	}
 
@@ -190,6 +172,50 @@ func TestStudyRegistryInvariants(t *testing.T) {
 		if err := experiment.CheckOrderings(rows, s.Orderings); err != nil {
 			t.Errorf("study %s on its first cell: %v", s.Name, err)
 		}
+	}
+}
+
+// mdPathRe matches a Markdown file name or repository-relative path.
+var mdPathRe = regexp.MustCompile(`[\w./-]+\.md\b`)
+
+// TestGoCommentsCiteExistingDocs resolves every Markdown path named in a Go
+// comment (benchmark/ is its own module and keeps its own docs) against the
+// repository root, so a comment cannot send a reader to a file that was
+// never written or has been folded into another.
+func TestGoCommentsCiteExistingDocs(t *testing.T) {
+	cited := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				for _, md := range mdPathRe.FindAllString(c.Text, -1) {
+					cited++
+					if _, err := os.Stat(md); err != nil {
+						t.Errorf("%s cites %s, which does not exist", fset.Position(c.Pos()), md)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cited == 0 {
+		t.Error("no Markdown citation found in any Go comment; the guard is looking in the wrong place")
 	}
 }
 

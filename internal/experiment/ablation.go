@@ -14,15 +14,10 @@ type AblationRow struct {
 	Name    string
 	Seconds float64
 	Detail  string
-	// WallSeconds is the real (wall-clock) time a row took to compute,
-	// used by the benchmark tiers that measure the placement pipeline
-	// itself rather than a simulated program. Zero on simulation rows.
-	WallSeconds float64
 }
 
 // FormatAblation renders ablation rows with speedups relative to the first
-// row. Benchmark rows (simulated seconds zero, wall seconds set) render
-// their wall time instead of a speedup.
+// row.
 func FormatAblation(title string, rows []AblationRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
@@ -31,10 +26,6 @@ func FormatAblation(title string, rows []AblationRow) string {
 		base = rows[0].Seconds
 	}
 	for _, r := range rows {
-		if r.Seconds == 0 && r.WallSeconds > 0 {
-			fmt.Fprintf(&b, "  %-38s %9.3fs wall  %s\n", r.Name, r.WallSeconds, r.Detail)
-			continue
-		}
 		fmt.Fprintf(&b, "  %-22s %9.2fs  x%-5.2f %s\n", r.Name, r.Seconds, safeRatio(r.Seconds, base), r.Detail)
 	}
 	return b.String()
@@ -240,8 +231,8 @@ func AblationTopology(cfg Config) ([]AblationRow, error) {
 // hyperthreads and do not consume the spare cores) with few enough blocks
 // that there is room to spread. The decisive metric is structural — how
 // many NUMA nodes carry work — because the simulator's uniform contention
-// model deliberately averages per-node pressure (see DESIGN.md §5.2); the
-// Detail field records it alongside the simulated time.
+// model deliberately averages per-node pressure; the Detail field records
+// it alongside the simulated time.
 func AblationDistribution(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	cfg.SMT = true

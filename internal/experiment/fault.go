@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/placement"
 	"repro/internal/topology"
@@ -216,10 +215,6 @@ var faultArms = []arm[*placement.AdaptiveOptions]{
 type FaultResult struct {
 	Mode    string
 	Seconds float64
-	// WallSeconds is the real time the whole arm took (platform build,
-	// placement, simulated run including the mid-run evacuation): the
-	// bench-pipeline gate against a complexity blowup in the fault path.
-	WallSeconds float64
 	// Stats is the adaptive engine's decision record, including the fault
 	// epoch count, the forced evacuations and their modeled bill.
 	Stats placement.AdaptiveStats
@@ -252,7 +247,6 @@ func RunFault(mode string, cfg FaultConfig) (FaultResult, error) {
 }
 
 func runFault(a *placement.AdaptiveOptions, cfg FaultConfig) (FaultResult, error) {
-	start := time.Now()
 	cluster, err := RackCluster(cfg.RackConfig)
 	if err != nil {
 		return FaultResult{}, err
@@ -268,7 +262,7 @@ func runFault(a *placement.AdaptiveOptions, cfg FaultConfig) (FaultResult, error
 	if err != nil {
 		return FaultResult{}, err
 	}
-	return FaultResult{Seconds: run.seconds, WallSeconds: time.Since(start).Seconds(), Stats: run.stats}, nil
+	return FaultResult{Seconds: run.seconds, Stats: run.stats}, nil
 }
 
 // AblationFault (A14) compares the fault-handling arms on the rack-skewed
@@ -281,7 +275,7 @@ func AblationFault(cfg FaultConfig) ([]AblationRow, error) {
 	return sweep("fault", faultArms,
 		func(a *placement.AdaptiveOptions) (FaultResult, error) { return runFault(a, cfg) },
 		func(_ arm[*placement.AdaptiveOptions], res FaultResult) AblationRow {
-			return AblationRow{Seconds: res.Seconds, Detail: faultDetail(res.Stats), WallSeconds: res.WallSeconds}
+			return AblationRow{Seconds: res.Seconds, Detail: faultDetail(res.Stats)}
 		})
 }
 

@@ -5,7 +5,7 @@
 // strategy, oversubscription, block granularity, topology shape).
 //
 // Processing times are simulated seconds from the numasim virtual-time
-// engine (see DESIGN.md §2 for the substitution rationale): deterministic,
+// engine (see docs/ARCHITECTURE.md, "Determinism"): deterministic,
 // independent of the real Go scheduler, with constants calibrated to a
 // 2016-era 24-socket SMP.
 package experiment
@@ -56,7 +56,7 @@ type Config struct {
 	// OMPSerialFraction is the fraction of the OpenMP working set whose
 	// pages end up on node 0 (the master's node: serially-touched head of
 	// the allocation). The remainder is spread by the parallel first
-	// touches. Default 0.12 (calibrated in EXPERIMENTS.md).
+	// touches. Default 0.12.
 	OMPSerialFraction float64
 	// BlocksOverride forces the ORWL block count (default: Cores, one
 	// block per core, the paper's configuration at 192).

@@ -9,22 +9,17 @@ import (
 
 // The study registry: the one place a study of the suite is declared.
 // cmd/ablate's dispatch, its -exp usage and the JSON report's identities,
-// AblationOrderings, BenchmarkAblation, the README experiment-table guard
-// and the bench/manifest.json exp resolution are all derived from the
-// Studies table, so adding a study means adding one entry here (plus its arm
-// table and, when it is gated, one bench/manifest.json tier).
+// AblationOrderings, BenchmarkAblation and the README experiment-table guard
+// are all derived from the Studies table, so adding a study means adding one
+// entry here (plus its arm table and, when its rows are to be pinned, one
+// committed `ablate -exp <name> -json` document under bench/).
 
 // Study is one runnable study of the suite.
 type Study struct {
-	// Name is the -exp selector; ID the stable identifier in reports (A1…
-	// for the ablations, S1… for the benchmark tiers).
+	// Name is the -exp selector; ID the stable identifier in reports (A1…).
 	Name, ID string
 	// Desc says what the study compares; Title prefixes it with the ID.
 	Desc string
-	// ByNameOnly excludes the study from "all": the benchmark tiers measure
-	// real wall time rather than simulated program time and would dominate
-	// a full ablation run.
-	ByNameOnly bool
 	// Orderings are the relations between the study's rows that every
 	// consumer asserts — the test suite, BenchmarkAblation and cmd/ablate
 	// -json check the same statements, so a placement regression cannot pass
@@ -34,7 +29,7 @@ type Study struct {
 	Orderings []Ordering
 	// Cells are the default shape × seed configurations BenchmarkAblation
 	// sweeps, in order; the first is the reduced scale cmd/ablate runs by
-	// default. Empty for studies sized by their own flags.
+	// default.
 	Cells []Cell
 
 	run func(Config, Overrides) ([]AblationRow, error)
@@ -55,9 +50,6 @@ func (s Study) Run(cfg Config, o Overrides) ([]AblationRow, error) { return s.ru
 // Overrides carries cmd/ablate's study-specific flag values to the studies
 // they reshape. The zero value keeps every study's defaults.
 type Overrides struct {
-	// ScaleTasks and ScaleNodes replace the grid of the scale study
-	// (-scale-tasks, -scale-nodes).
-	ScaleTasks, ScaleNodes []int
 	// FaultEvents replaces the fault study's default correlated
 	// kill+degrade scenario (-fault-kill, -fault-degrade, -fault-sever).
 	FaultEvents []FaultEventSpec
@@ -209,13 +201,6 @@ var studies = []Study{
 			sc.PriorityClasses, sc.DefragThreshold = o.Sched2Priorities, o.Sched2DefragThreshold
 			return AblationSched2(sc)
 		}},
-	{Name: "scale", ID: "S1", Desc: "placement latency at datacenter scale (wall time)",
-		ByNameOnly: true,
-		run: func(c Config, o Overrides) ([]AblationRow, error) {
-			sc := ScaleConfigFrom(c)
-			sc.Tasks, sc.Nodes = o.ScaleTasks, o.ScaleNodes
-			return AblationScale(sc)
-		}},
 }
 
 // Studies returns the suite in report order.
@@ -223,8 +208,7 @@ func Studies() []Study { return append([]Study(nil), studies...) }
 
 // SelectStudies resolves an -exp value — one name, "all", or a
 // comma-separated list of either — against the suite, preserving report
-// order. "all" stands for every study not marked ByNameOnly; those run only
-// when named.
+// order. "all" stands for every study.
 func SelectStudies(exp string) ([]Study, error) {
 	want := map[string]bool{}
 	for _, name := range strings.Split(exp, ",") {
@@ -232,9 +216,9 @@ func SelectStudies(exp string) ([]Study, error) {
 		if name == "" {
 			continue
 		}
-		known := name == "all"
+		known := false
 		for _, s := range studies {
-			if s.Name == name || (name == "all" && !s.ByNameOnly) {
+			if s.Name == name || name == "all" {
 				want[s.Name], known = true, true
 			}
 		}
@@ -256,15 +240,11 @@ func SelectStudies(exp string) ([]Study, error) {
 
 // ExpUsage renders the -exp flag's usage from the registry.
 func ExpUsage() string {
-	var names, byName []string
+	var names []string
 	for _, s := range studies {
 		names = append(names, s.Name)
-		if s.ByNameOnly {
-			byName = append(byName, s.Name)
-		}
 	}
-	return fmt.Sprintf("study: %s, all (a comma-separated list selects several; all excludes %s)",
-		strings.Join(names, ", "), strings.Join(byName, ", "))
+	return fmt.Sprintf("study: %s, all (a comma-separated list selects several)", strings.Join(names, ", "))
 }
 
 // AblationOrderings returns the asserted orderings of one study, identified

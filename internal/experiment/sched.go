@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/numasim"
 	"repro/internal/sched"
@@ -231,8 +230,6 @@ type SchedResult struct {
 	// arrival summed over admitted jobs, converted at the default clock) —
 	// the ordering metric of both ablations.
 	Seconds float64
-	// WallSeconds is the real time the arm took, for the bench gate.
-	WallSeconds float64
 	// Admitted and Rejected total the grid's stream partition.
 	Admitted, Rejected int
 	// Backfills, Preemptions and DefragMigrations total the phase-2 policy
@@ -276,7 +273,6 @@ func runSchedCell(opts sched.Options, shape string, seed int64, cfg SchedConfig)
 
 // runSchedGrid executes one arm over the full shape × seed grid.
 func runSchedGrid(opts sched.Options, cfg SchedConfig) (SchedResult, error) {
-	start := time.Now()
 	var res SchedResult
 	var aggCycles, fragSum, utilSum float64
 	for _, shape := range cfg.Shapes {
@@ -300,7 +296,6 @@ func runSchedGrid(opts sched.Options, cfg SchedConfig) (SchedResult, error) {
 	res.Seconds = aggCycles / topology.DefaultAttrs().ClockHz
 	res.FragmentationAvg = fragSum / cells
 	res.BusyUtilization = utilSum / cells
-	res.WallSeconds = time.Since(start).Seconds()
 	return res, nil
 }
 
@@ -330,7 +325,7 @@ func ablationSched(study string, arms []arm[sched.Options], cfg SchedConfig, det
 	return sweep(study, arms,
 		func(opts sched.Options) (SchedResult, error) { return runSchedGrid(opts, cfg) },
 		func(_ arm[sched.Options], res SchedResult) AblationRow {
-			return AblationRow{Seconds: res.Seconds, Detail: detail(res), WallSeconds: res.WallSeconds}
+			return AblationRow{Seconds: res.Seconds, Detail: detail(res)}
 		})
 }
 

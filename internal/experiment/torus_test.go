@@ -24,9 +24,6 @@ func TestAblationTorus(t *testing.T) {
 				if r.Seconds <= 0 {
 					t.Errorf("dims=%v seed=%d: %s simulated %vs", dims, seed, r.Name, r.Seconds)
 				}
-				if r.WallSeconds <= 0 {
-					t.Errorf("dims=%v seed=%d: %s has no wall time; the bench tier cannot gate it", dims, seed, r.Name)
-				}
 			}
 			if err := CheckOrderings(rows, AblationOrderings("torus")); err != nil {
 				t.Errorf("dims=%v seed=%d: %v", dims, seed, err)
@@ -35,7 +32,9 @@ func TestAblationTorus(t *testing.T) {
 	}
 }
 
-// TestRunTorusDeterministic pins bit-reproducibility of every arm.
+// TestRunTorusDeterministic pins bit-reproducibility of every arm's
+// simulated time, and that the placement timer the benchmark module reads
+// (experiment.torus_place_ms) is filled in.
 func TestRunTorusDeterministic(t *testing.T) {
 	cfg := TorusConfig{Seed: 42}
 	for _, arm := range torusArms {
@@ -50,6 +49,9 @@ func TestRunTorusDeterministic(t *testing.T) {
 		}
 		if a.Seconds != b.Seconds {
 			t.Errorf("%s not deterministic: %v vs %v", mode, a.Seconds, b.Seconds)
+		}
+		if a.WallSeconds <= 0 {
+			t.Errorf("%s: placement timer reads %v, want > 0", mode, a.WallSeconds)
 		}
 	}
 }

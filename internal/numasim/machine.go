@@ -20,7 +20,7 @@
 // resulting makespan — the maximum of the final clocks — is deterministic
 // and independent of the real Go scheduler. Contention is modelled with
 // static per-node accessor counts derived from the placement, which keeps
-// the engine order-insensitive (see DESIGN.md §5.2).
+// the engine order-insensitive (see docs/ARCHITECTURE.md, "Determinism").
 //
 // # Units
 //
@@ -174,8 +174,7 @@ type Machine struct {
 	// boundPerPU counts bound Procs per PU. SMT compute inflation applies
 	// when at least two PUs of the same core are occupied (hyperthread
 	// sharing); several Procs time-multiplexed on one PU do not inflate —
-	// they overlap in virtual time, an optimistic but deliberate choice
-	// documented in DESIGN.md.
+	// they overlap in virtual time, an optimistic but deliberate choice.
 	boundPerPU []int
 	// pusOfCore lists the PU indices under each core.
 	pusOfCore [][]int

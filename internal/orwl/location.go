@@ -21,7 +21,7 @@
 // When a Runtime is attached to a numasim.Machine, every lock handoff and
 // data access also advances deterministic virtual clocks, so the same
 // program yields the simulated execution time of a chosen placement on a
-// chosen machine; see DESIGN.md §5.2.
+// chosen machine; see docs/ARCHITECTURE.md, "Data flow", step 6.
 package orwl
 
 import (

@@ -20,8 +20,7 @@
 //	internal/core       orchestration (machine + program + placement)
 //	internal/trace      lock-transition tracing
 //
-// The quickest entry points are below; see README.md for the architecture
-// and EXPERIMENTS.md for the paper-versus-measured record.
+// The quickest entry points are below; see README.md for the architecture.
 package repro
 
 import (
