@@ -29,7 +29,6 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 	if len(free) != len(nodeCaps) {
 		return nil, fmt.Errorf("placement: free-slot view covers %d nodes, machine has %d", len(free), len(nodeCaps))
 	}
-	seen := make(map[int]bool)
 	var active []int // cluster nodes holding free slots, ascending
 	total := 0
 	for n, slots := range free {
@@ -39,15 +38,16 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 		if !sort.IntsAreSorted(slots) {
 			return nil, fmt.Errorf("placement: free slots of node %d not ascending", n)
 		}
-		for _, c := range slots {
+		for i, c := range slots {
 			if c < coreBase[n] || c >= coreBase[n]+nodeCaps[n] {
 				return nil, fmt.Errorf("placement: free slot core %d is not on cluster node %d (cores [%d,%d))",
 					c, n, coreBase[n], coreBase[n]+nodeCaps[n])
 			}
-			if seen[c] {
+			// Ascending and inside the node's own range, so a repeat
+			// can only sit next to its original.
+			if i > 0 && c == slots[i-1] {
 				return nil, fmt.Errorf("placement: free slot core %d listed twice", c)
 			}
-			seen[c] = true
 		}
 		active = append(active, n)
 		total += len(slots)

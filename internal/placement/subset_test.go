@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -134,17 +135,18 @@ func TestAssignFreeSlotsErrors(t *testing.T) {
 		name string
 		m    *comm.Matrix
 		free [][]int
+		want string
 	}{
-		{"too-many-tasks", comm.Ring(5, 1), [][]int{all[0], all[1]}},
-		{"wrong-node", comm.Ring(2, 1), [][]int{all[1], nil}},
-		{"duplicate-slot", comm.Ring(2, 1), [][]int{{all[0][0], all[0][0]}, nil}},
-		{"short-view", comm.Ring(2, 1), [][]int{all[0]}},
-		{"out-of-range", comm.Ring(2, 1), [][]int{{99}, nil}},
+		{"too-many-tasks", comm.Ring(5, 1), [][]int{all[0], all[1]}, "exceed"},
+		{"wrong-node", comm.Ring(2, 1), [][]int{all[1], nil}, "not on cluster node"},
+		{"duplicate-slot", comm.Ring(2, 1), [][]int{{all[0][0], all[0][0]}, nil}, "listed twice"},
+		{"short-view", comm.Ring(2, 1), [][]int{all[0]}, "covers 1 nodes"},
+		{"out-of-range", comm.Ring(2, 1), [][]int{{99}, nil}, "not on cluster node"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := AssignFreeSlots(mach, tc.m, tc.free, treematch.Options{}); err == nil {
-				t.Fatalf("expected error")
+			if _, err := AssignFreeSlots(mach, tc.m, tc.free, treematch.Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
 		})
 	}

@@ -261,6 +261,17 @@ type jobState struct {
 	// resume carries the checkpoint of a preempted job awaiting restart;
 	// nil for jobs that are running fresh.
 	resume *resumeState
+	// m caches matrix(): every placement probe of the job reads the same one.
+	m *comm.Matrix
+}
+
+// matrix is the job's communication matrix, built from the pattern on the
+// first placement attempt — a job rejected as infeasible never pays for one.
+func (j *jobState) matrix() (_ *comm.Matrix, err error) {
+	if j.m == nil {
+		j.m, err = j.spec.Matrix()
+	}
+	return j.m, err
 }
 
 // departure orders the running set by (finish, seq) and carries everything a
@@ -658,7 +669,7 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 		if s.cap.FreeTotal() < spec.Tasks {
 			return nil, true, nil
 		}
-		return s.placeScatter(spec)
+		return s.placeScatter(j)
 	case TopoBlind:
 		tiers, err := s.tierLadder(spec)
 		if err != nil {
@@ -667,7 +678,7 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 		tier := tiers[len(tiers)-1] // required tier (or machine): preferred ignored
 		for d := range s.cap.Domains(tier) {
 			if s.cap.DomainFree(tier, d) >= spec.Tasks {
-				return s.placeSlotOrder(spec, tier, d)
+				return s.placeSlotOrder(j, tier, d)
 			}
 		}
 		return nil, true, nil
@@ -693,7 +704,7 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 				}
 			}
 			if best >= 0 {
-				return s.placeAware(spec, tier, best)
+				return s.placeAware(j, tier, best)
 			}
 		}
 		return nil, true, nil
@@ -703,7 +714,7 @@ func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
 // placeAware runs the affinity-aware intra-domain layout: choose the fewest
 // nodes (largest free counts first) that hold the job, then delegate to the
 // placement engine restricted to those free slots.
-func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placementResult, bool, error) {
+func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placementResult, bool, error) {
 	dom := s.cap.Domains(tier)[d]
 	nodes := append([]int(nil), dom.Nodes...)
 	sort.SliceStable(nodes, func(i, j int) bool {
@@ -716,7 +727,7 @@ func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placem
 	var chosen []int
 	got := 0
 	for _, n := range nodes {
-		if got >= spec.Tasks {
+		if got >= j.spec.Tasks {
 			break
 		}
 		if s.cap.NodeFree(n) == 0 {
@@ -726,7 +737,7 @@ func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placem
 		got += s.cap.NodeFree(n)
 	}
 	sort.Ints(chosen)
-	m, err := spec.Matrix()
+	m, err := j.matrix()
 	if err != nil {
 		return nil, false, err
 	}
@@ -734,32 +745,32 @@ func (s *Scheduler) placeAware(spec JobSpec, tier topology.Kind, d int) (*placem
 	if err != nil {
 		return nil, false, err
 	}
-	return s.finishPlacement(spec, m, a.TaskPU, tier, d)
+	return s.finishPlacement(m, a.TaskPU, tier, d)
 }
 
 // placeSlotOrder fills the domain's free slots in plain core order — the
 // topology-blind arm's layout.
-func (s *Scheduler) placeSlotOrder(spec JobSpec, tier topology.Kind, d int) (*placementResult, bool, error) {
+func (s *Scheduler) placeSlotOrder(j *jobState, tier topology.Kind, d int) (*placementResult, bool, error) {
 	dom := s.cap.Domains(tier)[d]
 	var slots []int
 	for _, n := range dom.Nodes {
 		slots = append(slots, s.cap.free[n]...)
 	}
 	sort.Ints(slots)
-	return s.placeOnSlots(spec, slots[:spec.Tasks], tier, d)
+	return s.placeOnSlots(j, slots[:j.spec.Tasks], tier, d)
 }
 
 // placeScatter deals the free slots round-robin across cluster nodes — the
 // classic load-balancing baseline that ignores topology entirely.
-func (s *Scheduler) placeScatter(spec JobSpec) (*placementResult, bool, error) {
+func (s *Scheduler) placeScatter(j *jobState) (*placementResult, bool, error) {
 	var slots []int
-	for depth := 0; len(slots) < spec.Tasks; depth++ {
+	for depth := 0; len(slots) < j.spec.Tasks; depth++ {
 		advanced := false
 		for n := range s.cap.free {
 			if depth < len(s.cap.free[n]) {
 				slots = append(slots, s.cap.free[n][depth])
 				advanced = true
-				if len(slots) == spec.Tasks {
+				if len(slots) == j.spec.Tasks {
 					break
 				}
 			}
@@ -769,40 +780,41 @@ func (s *Scheduler) placeScatter(spec JobSpec) (*placementResult, bool, error) {
 		}
 	}
 	tier := topology.Machine
-	return s.placeOnSlots(spec, slots, tier, 0)
+	return s.placeOnSlots(j, slots, tier, 0)
 }
 
 // placeOnSlots binds task i to slot i (identity layout).
-func (s *Scheduler) placeOnSlots(spec JobSpec, slots []int, tier topology.Kind, d int) (*placementResult, bool, error) {
-	m, err := spec.Matrix()
+func (s *Scheduler) placeOnSlots(j *jobState, slots []int, tier topology.Kind, d int) (*placementResult, bool, error) {
+	m, err := j.matrix()
 	if err != nil {
 		return nil, false, err
 	}
-	taskPU := make([]int, spec.Tasks)
+	taskPU := make([]int, j.spec.Tasks)
 	for t, core := range slots {
 		taskPU[t] = s.topo.Cores()[core].Children[0].OSIndex
 	}
-	return s.finishPlacement(spec, m, taskPU, tier, d)
+	return s.finishPlacement(m, taskPU, tier, d)
 }
 
 // finishPlacement prices the communication of a placement and packages the
 // result.
-func (s *Scheduler) finishPlacement(spec JobSpec, m *comm.Matrix, taskPU []int, tier topology.Kind, d int) (*placementResult, bool, error) {
-	cores := make([]int, len(taskPU))
-	nodes := map[int]bool{}
+func (s *Scheduler) finishPlacement(m *comm.Matrix, taskPU []int, tier topology.Kind, d int) (*placementResult, bool, error) {
+	sorted := make([]int, len(taskPU))
 	for t, pu := range taskPU {
 		core, ok := s.coreOfPU[pu]
 		if !ok {
 			return nil, false, fmt.Errorf("sched: task %d bound to unknown PU %d", t, pu)
 		}
-		cores[t] = core
-		nodes[s.cap.nodeOf[core]] = true
+		sorted[t] = core
 	}
-	sorted := append([]int(nil), cores...)
 	sort.Ints(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return nil, false, fmt.Errorf("sched: core %d assigned twice", sorted[i])
+	nodes := 0 // cores are numbered node by node, so each node is one run
+	for i, core := range sorted {
+		if i > 0 && core == sorted[i-1] {
+			return nil, false, fmt.Errorf("sched: core %d assigned twice", core)
+		}
+		if i == 0 || s.cap.nodeOf[core] != s.cap.nodeOf[sorted[i-1]] {
+			nodes++
 		}
 	}
 	commCycles := 0.0
@@ -819,7 +831,7 @@ func (s *Scheduler) finishPlacement(spec JobSpec, m *comm.Matrix, taskPU []int, 
 		comm:   commCycles,
 		tier:   tierName(tier),
 		domain: d,
-		nodes:  len(nodes),
+		nodes:  nodes,
 	}, false, nil
 }
 

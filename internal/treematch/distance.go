@@ -19,8 +19,10 @@ import (
 // a free-slot view, the hops between the free cores of one node. Every entry
 // must be finite and nonnegative — the greedy pass picks the cheapest leaf
 // and the branch-and-bound prunes on partial costs, and neither survives a
-// NaN, an infinite or a negative increment — so a model carrying an
-// unreachable pair is rejected with an error naming the pair.
+// NaN, an infinite or a negative increment — and dist[a][b] must equal
+// dist[b][a], which the swap refinement's delta takes for granted; a model
+// carrying an unreachable or asymmetric pair is rejected with an error naming
+// the pair.
 //
 // Entities are placed in affinity-attachment order (affinityOrder) on the
 // cheapest class-compatible free leaf, ties towards the lower leaf index.
@@ -30,46 +32,73 @@ import (
 // wins (ties towards the earlier candidate, greedy first). When the
 // constrained permutation space — the product of the per-class factorials —
 // is at most classedSearchLimit, an exact branch-and-bound over the
-// class-preserving assignments tightens the incumbent further.
+// class-preserving assignments tightens the incumbent further. The search
+// treats interchangeable leaves — twin classes, see searchTables — as one: at
+// each node it tries only the lowest unused leaf of every twin class.
+// Swapping two twins turns any completion it skips into one of bit-identical
+// cost that the ascending-leaf search reaches first, and only a strictly
+// cheaper completion replaces the incumbent, so the skipped subtrees could
+// never have been returned.
 func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds ...[]int) ([]int, error) {
+	best, _, err := assignByDistance(dist, m, entityClass, leafClass, seeds)
+	return best, err
+}
+
+// assignByDistance is AssignByDistance plus the number of nodes its exact
+// search visited (0 when the permutation space is past the limit).
+func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds [][]int) ([]int, int, error) {
 	p := m.Order()
 	if len(dist) != p {
-		return nil, fmt.Errorf("treematch: AssignByDistance maps %d entities over a %d-leaf distance matrix", p, len(dist))
+		return nil, 0, fmt.Errorf("treematch: AssignByDistance maps %d entities over a %d-leaf distance matrix", p, len(dist))
 	}
 	for a, row := range dist {
 		if len(row) != p {
-			return nil, fmt.Errorf("treematch: AssignByDistance distance matrix is not square")
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance distance matrix is not square")
 		}
 		for b, d := range row {
 			if !(d >= 0) || math.IsInf(d, 1) {
-				return nil, fmt.Errorf("treematch: AssignByDistance distance between leaves %d and %d is %v, want finite and nonnegative", a, b, d)
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance distance between leaves %d and %d is %v, want finite and nonnegative", a, b, d)
+			}
+			if b < a && d != dist[b][a] {
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance distance between leaves %d and %d is %v one way and %v back, want symmetric", b, a, dist[b][a], d)
 			}
 		}
 	}
-	if entityClass == nil {
+	// The constrained permutation space is the product of the per-class
+	// factorials; without classes that is one class of everybody, which
+	// needs no counting and one shared all-zero class slice.
+	space := 1.0
+	if entityClass == nil && leafClass == nil {
 		entityClass = make([]int, p)
-	}
-	if leafClass == nil {
-		leafClass = make([]int, p)
-	}
-	if len(entityClass) != p || len(leafClass) != p {
-		return nil, fmt.Errorf("treematch: AssignByDistance got %d entity classes and %d leaf classes for %d entities",
-			len(entityClass), len(leafClass), p)
-	}
-	entityPerClass := map[int]int{}
-	leavesPerClass := map[int]int{}
-	for i := 0; i < p; i++ {
-		entityPerClass[entityClass[i]]++
-		leavesPerClass[leafClass[i]]++
-	}
-	for c, n := range entityPerClass {
-		if leavesPerClass[c] != n {
-			return nil, fmt.Errorf("treematch: AssignByDistance class %d has %d entities but %d leaves", c, n, leavesPerClass[c])
+		leafClass = entityClass
+		space = factorial(p)
+	} else {
+		if entityClass == nil {
+			entityClass = make([]int, p)
 		}
-	}
-	if len(entityPerClass) != len(leavesPerClass) {
-		return nil, fmt.Errorf("treematch: AssignByDistance classes mismatch: %d entity classes, %d leaf classes",
-			len(entityPerClass), len(leavesPerClass))
+		if leafClass == nil {
+			leafClass = make([]int, p)
+		}
+		if len(entityClass) != p || len(leafClass) != p {
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance got %d entity classes and %d leaf classes for %d entities",
+				len(entityClass), len(leafClass), p)
+		}
+		entityPerClass := map[int]int{}
+		leavesPerClass := map[int]int{}
+		for i := 0; i < p; i++ {
+			entityPerClass[entityClass[i]]++
+			leavesPerClass[leafClass[i]]++
+		}
+		for c, n := range entityPerClass {
+			if leavesPerClass[c] != n {
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance class %d has %d entities but %d leaves", c, n, leavesPerClass[c])
+			}
+			space *= factorial(n)
+		}
+		if len(entityPerClass) != len(leavesPerClass) {
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance classes mismatch: %d entity classes, %d leaf classes",
+				len(entityPerClass), len(leavesPerClass))
+		}
 	}
 
 	aff, vol := pairAffinity(m)
@@ -112,16 +141,16 @@ func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 	// than the incumbent, so the greedy solution wins ties).
 	for si, seed := range seeds {
 		if len(seed) != p {
-			return nil, fmt.Errorf("treematch: AssignByDistance seed %d has %d entries for %d entities", si, len(seed), p)
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d has %d entries for %d entities", si, len(seed), p)
 		}
 		taken := make([]bool, p)
 		for e, l := range seed {
 			if l < 0 || l >= p || taken[l] {
-				return nil, fmt.Errorf("treematch: AssignByDistance seed %d is not a permutation of the leaves", si)
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d is not a permutation of the leaves", si)
 			}
 			taken[l] = true
 			if leafClass[l] != entityClass[e] {
-				return nil, fmt.Errorf("treematch: AssignByDistance seed %d places entity %d on a leaf of the wrong class", si, e)
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d places entity %d on a leaf of the wrong class", si, e)
 			}
 		}
 		cand := append([]int(nil), seed...)
@@ -131,22 +160,17 @@ func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 		}
 	}
 
-	space := 1.0
-	for _, n := range entityPerClass {
-		for f := 2; f <= n; f++ {
-			space *= float64(f)
-		}
-	}
 	if space > classedSearchLimit {
-		return best, nil
+		return best, 0, nil
 	}
-
-	copy(assignment, best)
 	for i := range used {
 		used[i] = false
 	}
+	off, partners, prevTwin := searchTables(dist, aff, order, leafClass)
+	nodes := 0
 	var rec func(pos int, cost float64)
 	rec = func(pos int, cost float64) {
+		nodes++
 		if cost >= bestCost {
 			return // the increment is nonnegative, so the partial cost bounds
 		}
@@ -156,18 +180,90 @@ func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 			return
 		}
 		e := order[pos]
-		for l := 0; l < p; l++ {
-			if used[l] || leafClass[l] != entityClass[e] {
+		affE, placed := aff[e], partners[off[pos]:off[pos+1]]
+		for l, prev := range prevTwin {
+			// Lowest-first choice and last-in-first-out release keep the
+			// used leaves of a twin class a prefix of it, so l is its
+			// lowest unused leaf exactly when the twin below is taken.
+			if used[l] || leafClass[l] != entityClass[e] || (prev >= 0 && !used[prev]) {
 				continue
+			}
+			inc := 0.0
+			for _, partner := range placed {
+				inc += affE[partner] * dist[l][assignment[partner]]
 			}
 			used[l] = true
 			assignment[e] = l
-			rec(pos+1, cost+increment(pos, e, l))
+			rec(pos+1, cost+inc)
 			used[l] = false
 		}
 	}
 	rec(0, 0)
-	return best, nil
+	return best, nodes, nil
+}
+
+// factorial is n! as a float64 (+Inf past 170).
+func factorial(n int) float64 {
+	f := 1.0
+	for k := 2; k <= n; k++ {
+		f *= float64(k)
+	}
+	return f
+}
+
+// searchTables lays out, in one block, what the exact search reads at every
+// node. partners[off[pos]:off[pos+1]] are the entities placed before
+// order[pos] that it has affinity with, in placement order: the terms of its
+// cost increment as the greedy pass sums them, without the zeros between.
+// prevTwin[l] is the next lower leaf of l's twin class, -1 for the lowest.
+//
+// Leaves l and t are twins when no assignment can tell them apart: they
+// carry the same class, stand at the same distance, either way, from every
+// third leaf, and dist[l][t] == dist[t][l]. The relation is transitive, so
+// the next lower twin is the first one met scanning down. The free cores
+// under one cache are twins; the nodes of a torus have none.
+func searchTables(dist, aff [][]float64, order, leafClass []int) (off, partners, prevTwin []int) {
+	p := len(order)
+	pairs := 0
+	for i, row := range aff {
+		for _, a := range row[:i] {
+			if a != 0 {
+				pairs++
+			}
+		}
+	}
+	block := make([]int, p+1+pairs+p)
+	off, partners, prevTwin = block[:p+1], block[p+1:p+1:p+1+pairs], block[p+1+pairs:]
+	for pos, e := range order {
+		for _, partner := range order[:pos] {
+			if aff[e][partner] != 0 {
+				partners = append(partners, partner)
+			}
+		}
+		off[pos+1] = len(partners)
+	}
+	for l := range prevTwin {
+		prevTwin[l] = -1
+		for t := l - 1; t >= 0 && prevTwin[l] < 0; t-- {
+			if isTwin(dist, leafClass, l, t) {
+				prevTwin[l] = t
+			}
+		}
+	}
+	return off, partners, prevTwin
+}
+
+// isTwin reports whether leaves l and t are twins (searchTables).
+func isTwin(dist [][]float64, leafClass []int, l, t int) bool {
+	if leafClass[l] != leafClass[t] || dist[l][t] != dist[t][l] {
+		return false
+	}
+	for x := range dist {
+		if x != l && x != t && (dist[l][x] != dist[t][x] || dist[x][l] != dist[x][t]) {
+			return false
+		}
+	}
+	return true
 }
 
 // pairAffinity symmetrizes the matrix into pairwise affinities and per-entity

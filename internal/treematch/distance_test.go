@@ -200,6 +200,8 @@ func TestAssignByDistanceSeedValidation(t *testing.T) {
 		{"NaN distance", [][]float64{{0, 1}, {nan, 0}}, m, nil, nil, "leaves 1 and 0 is NaN"},
 		{"-Inf distance", [][]float64{{0, math.Inf(-1)}, {1, 0}}, m, nil, nil, "leaves 0 and 1 is -Inf"},
 		{"negative distance", [][]float64{{0, 1}, {-2, 0}}, m, nil, nil, "leaves 1 and 0 is -2"},
+		// The swap refinement reads dist[a][b] for dist[b][a].
+		{"asymmetric distance", [][]float64{{0, 1, 2}, {1, 0, 3}, {2, 4, 0}}, chain, nil, nil, "leaves 1 and 2 is 3 one way and 4 back"},
 	} {
 		var seeds [][]int
 		if c.seed != nil {
