@@ -396,12 +396,13 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 			}
 		}
 	}
+	adj := m.SymmetricAdjacency(nil)
 	for i := 0; i < m.Order() && i < len(a.TaskPU); i++ {
 		pi := a.TaskPU[i]
 		everyEdge := false
-		for j := 0; j < m.Order() && j < len(a.TaskPU); j++ {
-			if i == j || m.At(i, j)+m.At(j, i) == 0 {
-				continue
+		for _, j := range adj.Col[adj.Off[i]:adj.Off[i+1]] {
+			if int(j) >= len(a.TaskPU) {
+				break
 			}
 			switch pj := a.TaskPU[j]; {
 			case pi < 0 || (pj < 0 && !ownSide):

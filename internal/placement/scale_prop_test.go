@@ -141,3 +141,37 @@ func TestHierarchicalWorkerCountInvariant(t *testing.T) {
 		})
 	}
 }
+
+// TestHierarchicalStencil80 keeps the 80×80 cliff closed in tier-1: with the
+// refinement pricing every pair of the 100 groups through m.At this one
+// placement took 56 s (90×90 took 0.4 s), so a return of the dense rescan is
+// a test timeout rather than a number nobody runs. Output-checked the way the
+// benchmark's place-scale workload is: every task once on a real PU, at most
+// 64 per node.
+func TestHierarchicalStencil80(t *testing.T) {
+	plat, err := numasim.NewPlatform("cluster:100 pack:1 core:8", numasim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := plat.Machine()
+	m := comm.Stencil2DSparse(80, 80, 64, 8)
+	a, err := Hierarchical{}.Assign(mach, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.TaskPU) != m.Order() {
+		t.Fatalf("placed %d tasks, want %d", len(a.TaskPU), m.Order())
+	}
+	perNode := make([]int, 100)
+	for task, pu := range a.TaskPU {
+		if pu < 0 || pu >= mach.Topology().NumPUs() {
+			t.Fatalf("task %d on PU %d, out of range", task, pu)
+		}
+		perNode[mach.ClusterNodeOfPU(pu)]++
+	}
+	for n, got := range perNode {
+		if got > 64 {
+			t.Errorf("node %d holds %d tasks, want at most 64", n, got)
+		}
+	}
+}

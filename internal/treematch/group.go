@@ -3,6 +3,7 @@ package treematch
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -156,8 +157,7 @@ func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 // unpadded entity count — work may carry zero-volume padding up to
 // k·ceil(orig/k), and the spectral candidate must know the difference.
 // Each candidate runs its own KL refinement, so the portfolio can be
-// evaluated concurrently — at 10k+ tasks the refinement passes dominate
-// PartitionAcross, and the candidates are independent by construction.
+// evaluated concurrently — the candidates are independent by construction.
 func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, opt Options) []partitionCandidate {
 	// The node-level cut is the expensive one (every cut byte crosses the
 	// network), so refinement always runs here even when per-core grouping
@@ -684,7 +684,9 @@ func coarsenPartition(m *comm.Matrix, k, passes int) ([][]int, error) {
 // zero-volume virtual entities). The heuristic is the one used by fast
 // TreeMatch variants: greedy affinity-ordered seeding followed by bounded
 // pairwise-swap refinement. It is deterministic: ties are broken towards the
-// lowest entity index.
+// lowest entity index. The refinement walks neighbour lists, so its cost
+// follows the nonzeros and the group pairs that share an edge, not p²·a; the
+// swaps are exactly those of the dense loop it replaced (see refineGroups).
 func GroupProcesses(m *comm.Matrix, a int, refinePasses int) [][]int {
 	p := m.Order()
 	if a <= 0 || p%a != 0 {
@@ -713,31 +715,199 @@ func greedyGroups(m *comm.Matrix, a, k int) [][]int {
 	return greedySizedGroups(m, sizes)
 }
 
+// refineScratch is the working memory of one refineGroups call: the
+// symmetrized adjacency plus one int32 and one float64 block the kernel carves
+// its tables from. Grow-only and kept between calls, because the scheduler's
+// admission path refines thousands of order-10 partitions per second and the
+// partition portfolio refines its candidates concurrently.
+type refineScratch struct {
+	adj comm.SymAdjacency
+	i32 []int32
+	f64 []float64
+}
+
+// refineIdle is the stack of scratches no call holds. Not a sync.Pool: the
+// collector empties one, so how often the tables are re-made would follow the
+// collector's timing rather than the calls. It holds at most as many entries
+// as calls ever ran at once.
+var refineIdle struct {
+	sync.Mutex
+	stack []*refineScratch
+}
+
+func getRefineScratch() *refineScratch {
+	refineIdle.Lock()
+	defer refineIdle.Unlock()
+	if n := len(refineIdle.stack); n > 0 {
+		sc := refineIdle.stack[n-1]
+		refineIdle.stack = refineIdle.stack[:n-1]
+		return sc
+	}
+	return new(refineScratch)
+}
+
+func putRefineScratch(sc *refineScratch) {
+	refineIdle.Lock()
+	refineIdle.stack = append(refineIdle.stack, sc)
+	refineIdle.Unlock()
+}
+
 // refineGroups improves the partition with pairwise swaps between groups
 // (a bounded Kernighan–Lin pass): swap x∈g1 with y∈g2 whenever that strictly
 // increases the intra-group volume. Each pass scans all group pairs once.
+// The groups must be disjoint.
+//
+// Exactness contract: it performs the swaps, in the order, of the dense
+// reference loop kept in refine_oracle_test.go, which prices every (x, y) of
+// every group pair as ((cx + cy) − ox) − oy, each term a sum of
+// w(e,u) = At(e,u) + At(u,e) over a group in position order. Here the same
+// sums run over the symmetrized adjacency, which only drops terms that are
+// zero — exact, since a float sum that starts at +0 never reaches −0 and
+// s + 0 == s otherwise. What is cached: each entity's own-group sum and each
+// group's minimum of it (rebuilt for the two groups a swap touches), and,
+// while a group pair is scanned, every member's neighbours in the other
+// group in position order with their sum. A pair (x, y) with no edge between
+// them reads cx and cy from those sums; one with an edge re-adds the two
+// lists without the partner. A group pair with no edge between it prices
+// every (x, y) at (0 − ox) − oy, which float rounding keeps monotone in ox
+// and oy, so it is skipped when the two minima already fail the threshold.
 func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
-	k := len(groups)
-	intra := func(e int, g []int, excl int) float64 {
+	sc := getRefineScratch()
+	defer putRefineScratch(sc)
+	adj := m.SymmetricAdjacency(&sc.adj)
+	off, col, w := adj.Off, adj.Col, adj.W
+	n, k := m.Order(), len(groups)
+	if ni := 4*n + 2 + k + len(col); cap(sc.i32) < ni {
+		sc.i32 = make([]int32, ni)
+	}
+	if nf := 3*n + k + len(col); cap(sc.f64) < nf {
+		sc.f64 = make([]float64, nf)
+	}
+	ib, fb := sc.i32, sc.f64
+	ints := func(c int) []int32 { s := ib[:c:c]; ib = ib[c:]; return s }
+	floats := func(c int) []float64 { s := fb[:c:c]; fb = fb[c:]; return s }
+	group, pos, mark := ints(n), ints(n), ints(k)
+	la, lb, lidx := ints(n+1), ints(n+1), ints(len(col))
+	own, minOwn := floats(n), floats(k)
+	crossA, crossB, lw := floats(n), floats(n), floats(len(col))
+
+	for e := range group {
+		group[e] = -1
+	}
+	for gi, g := range groups {
+		mark[gi] = 0
+		for i, e := range g {
+			group[e], pos[e] = int32(gi), int32(i)
+		}
+	}
+	// sumOwn rebuilds own[e] for the members of group g — their neighbours
+	// inside g, added in position order — and the group's minimum.
+	sumOwn := func(g int) {
+		for _, e := range groups[g] {
+			own[e] = 0
+		}
+		for _, u := range groups[g] {
+			for p := off[u]; p < off[u+1]; p++ {
+				if v := col[p]; group[v] == int32(g) {
+					own[v] += w[p]
+				}
+			}
+		}
+		minOwn[g] = math.Inf(1)
+		for _, e := range groups[g] {
+			if own[e] < minOwn[g] {
+				minOwn[g] = own[e]
+			}
+		}
+	}
+	for g := range groups {
+		sumOwn(g)
+	}
+	// listNeighbours lays out, for every member of group dst (by position),
+	// its neighbours in group src in src's position order: member i's list is
+	// lidx/lw[lo[i]:lo[i+1]], lidx the neighbour's position, and cross[i] the
+	// sum of the list. The adjacency pattern is symmetric, so the count from
+	// dst's rows is what the scatter from src's rows fills.
+	listNeighbours := func(src, dst int, lo []int32, base int32, cross []float64) {
+		lo[0] = base
+		for i, d := range groups[dst] {
+			lo[i+1], cross[i] = lo[i], 0
+			for p := off[d]; p < off[d+1]; p++ {
+				if group[col[p]] == int32(src) {
+					lo[i+1]++
+				}
+			}
+		}
+		for i, s := range groups[src] {
+			for p := off[s]; p < off[s+1]; p++ {
+				if d := col[p]; group[d] == int32(dst) {
+					q := lo[pos[d]]
+					lidx[q], lw[q] = int32(i), w[p]
+					lo[pos[d]]++
+					cross[pos[d]] += w[p]
+				}
+			}
+		}
+		copy(lo[1:], lo[:len(groups[dst])]) // the cursors ended one list on
+		lo[0] = base
+	}
+	sumExcept := func(lo, hi, skip int32) float64 {
 		var s float64
-		for _, u := range g {
-			if u != e && u != excl {
-				s += m.At(e, u) + m.At(u, e)
+		for q := lo; q < hi; q++ {
+			if lidx[q] != skip {
+				s += lw[q]
 			}
 		}
 		return s
 	}
+	// mark[g] == stamp: some member g1 had during this sweep has a neighbour
+	// in g. Never cleared on a swap: a stale mark costs a scan, not a result.
+	stamp := int32(0)
+	markGroups := func(e int) {
+		for p := off[e]; p < off[e+1]; p++ {
+			if g := group[col[p]]; g >= 0 {
+				mark[g] = stamp
+			}
+		}
+	}
 	for pass := 0; pass < passes; pass++ {
 		improved := false
 		for g1 := 0; g1 < k; g1++ {
+			stamp++
+			for _, x := range groups[g1] {
+				markGroups(x)
+			}
 			for g2 := g1 + 1; g2 < k; g2++ {
-				for xi := range groups[g1] {
-					for yi := range groups[g2] {
-						x, y := groups[g1][xi], groups[g2][yi]
-						gain := intra(x, groups[g2], y) + intra(y, groups[g1], x) -
-							intra(x, groups[g1], -1) - intra(y, groups[g2], -1)
-						if gain > 1e-12 {
-							groups[g1][xi], groups[g2][yi] = y, x
+				if mark[g2] != stamp && !(0-minOwn[g1]-minOwn[g2] > 1e-12) {
+					continue
+				}
+				a, b := groups[g1], groups[g2]
+				listPair := func() {
+					listNeighbours(g2, g1, la, 0, crossA)
+					listNeighbours(g1, g2, lb, la[len(a)], crossB)
+				}
+				listPair()
+				for xi := range a {
+					cur := la[xi]
+					for yi := range b {
+						x, y := a[xi], b[yi]
+						for cur < la[xi+1] && lidx[cur] < int32(yi) {
+							cur++
+						}
+						cx, cy := crossA[xi], crossB[yi]
+						if cur < la[xi+1] && lidx[cur] == int32(yi) {
+							cx = sumExcept(la[xi], la[xi+1], int32(yi))
+							cy = sumExcept(lb[yi], lb[yi+1], int32(xi))
+						}
+						if ((cx+cy)-own[x])-own[y] > 1e-12 {
+							a[xi], b[yi] = y, x
+							group[x], group[y] = int32(g2), int32(g1)
+							pos[x], pos[y] = int32(yi), int32(xi)
+							sumOwn(g1)
+							sumOwn(g2)
+							listPair()
+							markGroups(y)
+							cur = la[xi]
 							improved = true
 						}
 					}

@@ -34,12 +34,18 @@ func fiedlerVector(m *comm.Matrix) []float64 {
 	if n < 2 {
 		return nil
 	}
-	// Symmetrized weights and degrees, as per-row adjacency in ascending
-	// column order — the dense matvec already skipped zero weights, so the
-	// sparse adjacency walks the identical nonzero sequence and the
-	// iteration stays bit-reproducible across storage modes. Memory is
-	// O(nnz) instead of the dense n² weight array.
-	adjCol, adjW, deg := symmetrizedAdjacency(m)
+	// Symmetrized weights in ascending column order — the dense matvec
+	// already skipped zero weights, so the adjacency walks the identical
+	// nonzero sequence and the iteration (degree sums included) stays
+	// bit-reproducible across storage modes. Memory is O(nnz).
+	adj := m.SymmetricAdjacency(nil)
+	off, col, w := adj.Off, adj.Col, adj.W
+	deg := make([]float64, n)
+	for i := range deg {
+		for p := off[i]; p < off[i+1]; p++ {
+			deg[i] += w[p]
+		}
+	}
 	maxDeg := 0.0
 	for _, d := range deg {
 		if d > maxDeg {
@@ -60,10 +66,8 @@ func fiedlerVector(m *comm.Matrix) []float64 {
 		// y = (cI - L) x = c·x - deg·x + W·x
 		for i := 0; i < n; i++ {
 			s := (c - deg[i]) * x[i]
-			cols := adjCol[i]
-			ws := adjW[i]
-			for p, j := range cols {
-				s += ws[p] * x[j]
+			for p := off[i]; p < off[i+1]; p++ {
+				s += w[p] * x[col[p]]
 			}
 			y[i] = s
 		}
@@ -88,47 +92,6 @@ func fiedlerVector(m *comm.Matrix) []float64 {
 		x, y = y, x
 	}
 	return x
-}
-
-// symmetrizedAdjacency builds the per-row adjacency of the symmetrized
-// affinity graph: for each i, the columns j (ascending, j ≠ i) where
-// w(i,j) = At(i,j)+At(j,i) is nonzero, with the weights, plus the weighted
-// degree. Degrees accumulate in ascending-column order exactly as the dense
-// full-row loop did (absent columns contribute an exact +0 there).
-func symmetrizedAdjacency(m *comm.Matrix) (adjCol [][]int32, adjW [][]float64, deg []float64) {
-	n := m.Order()
-	cols := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		m.ForEachNeighbor(i, func(j int, v float64) {
-			if j == i {
-				return
-			}
-			cols[i] = append(cols[i], int32(j))
-			cols[j] = append(cols[j], int32(i))
-		})
-	}
-	adjCol = make([][]int32, n)
-	adjW = make([][]float64, n)
-	deg = make([]float64, n)
-	for i := 0; i < n; i++ {
-		cs := cols[i]
-		sort.Slice(cs, func(a, b int) bool { return cs[a] < cs[b] })
-		var d float64
-		for p, c := range cs {
-			if p > 0 && c == cs[p-1] {
-				continue // both directions stored: already handled
-			}
-			j := int(c)
-			w := m.At(i, j) + m.At(j, i)
-			d += w
-			if w != 0 {
-				adjCol[i] = append(adjCol[i], c)
-				adjW[i] = append(adjW[i], w)
-			}
-		}
-		deg[i] = d
-	}
-	return adjCol, adjW, deg
 }
 
 // spectralOrder returns the entity indices of the matrix sorted by Fiedler
