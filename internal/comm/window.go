@@ -22,7 +22,7 @@ type Window struct {
 
 // NewWindow returns an empty window over n entities.
 func NewWindow(n int) *Window {
-	return &Window{cur: New(n)}
+	return &Window{cur: NewSparse(n)}
 }
 
 // Order returns the number of entities the window tracks.

@@ -59,16 +59,25 @@ func TestWindowRollBadDecayResets(t *testing.T) {
 
 func TestWindowRollInPlace(t *testing.T) {
 	w := NewWindow(3)
-	before := &w.cur.v[0]
+	if !w.cur.IsSparse() {
+		t.Fatal("the window's backing matrix is dense")
+	}
 	w.AddSym(0, 1, 10)
+	col, val := &w.cur.rows[0].cols[0], &w.cur.rows[0].vals[0]
+	inPlace := func() bool { return &w.cur.rows[0].cols[0] == col && &w.cur.rows[0].vals[0] == val }
 	w.Roll(0)
-	if &w.cur.v[0] != before {
+	// A reset truncates the rows and keeps their arrays: the same traffic in
+	// the next epoch lands in the same storage.
+	w.AddSym(0, 1, 3)
+	if !inPlace() {
 		t.Error("Roll(0) reallocated the window's backing storage")
 	}
-	w.AddSym(0, 2, 3)
 	w.Roll(0.5)
-	if &w.cur.v[0] != before {
+	if !inPlace() {
 		t.Error("Roll(decay) reallocated the window's backing storage")
+	}
+	if got := w.Snapshot().At(1, 0); got != 1.5 {
+		t.Errorf("decayed window (1,0) = %v, want 1.5", got)
 	}
 }
 

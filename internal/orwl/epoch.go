@@ -149,9 +149,11 @@ func (rt *Runtime) completeEpochLocked() {
 			t.proc.AdvanceTo(max)
 		}
 	}
+	// Every running task is parked under es.mu and every other one has
+	// returned, so their traffic counters are quiescent.
 	var window *comm.Matrix
-	if rt.window != nil {
-		window = rt.window.Roll(es.decay)
+	if w := rt.feedWindow(); w != nil {
+		window = w.Roll(es.decay)
 	}
 	if es.hook != nil {
 		ep := &Epoch{rt: rt, index: index, tasks: tasks, window: window}

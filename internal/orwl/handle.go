@@ -35,6 +35,15 @@ func (s HandleState) String() string {
 // be called from the task's goroutine (handles are not shared between
 // tasks); the state field is nevertheless mutex-protected so that
 // diagnostics can inspect handles concurrently.
+//
+// A handle owns everything a lock handoff needs, so none allocates. Its two
+// request slots are used alternately: ReleaseAndRequest queues one while the
+// other is still held, and a slot is rewritten only after its previous
+// request left the FIFO under l.mu (see request). Its wake token is sent by
+// the grant and received by Acquire/TryAcquire; at most one request of a
+// handle is ever granted and unacquired, so one token of capacity suffices —
+// grantLocked asserts it, and cancelRequest drains the token of a request
+// that is withdrawn after its grant.
 type Handle struct {
 	task *Task
 	loc  *Location
@@ -52,7 +61,9 @@ type Handle struct {
 
 	mu    sync.Mutex
 	state HandleState
-	req   *request
+	req   *request // the current request: nil or one of slots
+	slots [2]request
+	wake  chan struct{} // capacity 1: the grant of req, until acquired
 }
 
 // Location returns the location the handle is bound to.
@@ -117,14 +128,20 @@ func (h *Handle) Acquire() error {
 	req := h.req
 	h.mu.Unlock()
 
-	<-req.ready
+	<-h.wake
+	h.completeAcquire(req)
+	return nil
+}
 
+// completeAcquire is the half of Acquire and TryAcquire that follows the
+// receipt of req's wake token.
+func (h *Handle) completeAcquire(req *request) {
 	h.mu.Lock()
 	h.state = Acquired
 	h.mu.Unlock()
 
 	if req.grantTask >= 0 && req.grantTask != h.task.id {
-		h.task.rt.recordComm(req.grantTask, h.task.id, h.vol)
+		h.task.recordComm(req.grantTask, h.vol)
 	}
 	if p := h.task.proc; p != nil {
 		p.AdvanceTo(req.grantClock)
@@ -139,7 +156,6 @@ func (h *Handle) Acquire() error {
 		h.task.chargeControlEvent()
 	}
 	h.task.rt.trace(h.task, "acquire", h.loc)
-	return nil
 }
 
 // TryAcquire is the non-blocking variant of Acquire (orwl_test in the C
@@ -160,11 +176,12 @@ func (h *Handle) TryAcquire() (bool, error) {
 	h.mu.Unlock()
 
 	select {
-	case <-req.ready:
+	case <-h.wake:
 	default:
 		return false, nil
 	}
-	return true, h.Acquire()
+	h.completeAcquire(req)
+	return true, nil
 }
 
 // AcquireRequest is the convenience composition Request-then-Acquire.
@@ -178,7 +195,7 @@ func (h *Handle) AcquireRequest() error {
 // Release gives the lock up and leaves the queue. The data becomes
 // available to the next request(s) in FIFO order.
 func (h *Handle) Release() error {
-	return h.release(nil)
+	return h.release(false)
 }
 
 // ReleaseAndRequest atomically enqueues a fresh request and then releases
@@ -187,16 +204,20 @@ func (h *Handle) Release() error {
 // task that participates in the steady-state cycle is already queued, so
 // the task keeps its position in the periodic schedule.
 func (h *Handle) ReleaseAndRequest() error {
-	return h.release(newRequest(h))
+	return h.release(true)
 }
 
-func (h *Handle) release(reinsert *request) error {
+func (h *Handle) release(again bool) error {
 	h.mu.Lock()
 	if h.state != Acquired {
 		h.mu.Unlock()
 		return fmt.Errorf("orwl: Release on non-acquired handle for %q (state %v)", h.loc.name, h.state)
 	}
 	old := h.req
+	var reinsert *request
+	if again {
+		reinsert = newRequest(h)
+	}
 	h.mu.Unlock()
 
 	clock, pu := 0.0, -2

@@ -13,6 +13,8 @@
 //     ReleaseAndRequest atomically enqueues a fresh request before releasing
 //     the held one, so a task keeps its relative position in the cyclic
 //     schedule across iterations — ORWL's liveness guarantee relies on it.
+//     A lock handoff allocates nothing: the handle owns its two request
+//     records and its one wake token (see Handle).
 //   - Task: a unit of execution owning a set of handles; the runtime inserts
 //     all initial requests in a canonical deterministic order before any
 //     task starts (two-phase initialization), which makes the whole
@@ -54,12 +56,15 @@ func (m Mode) String() string {
 	}
 }
 
-// request is one entry of a location's FIFO.
+// request is one entry of a location's FIFO. It lives in one of its handle's
+// two slots: every field is written by the owning task while the record is
+// outside the FIFO, and by whoever holds l.mu while it is queued — nobody
+// else ever sees it, so a slot may be rewritten as soon as remove or
+// cancelRequest has taken it out of the FIFO.
 type request struct {
 	h       *Handle
 	mode    Mode
-	granted bool
-	ready   chan struct{} // closed when granted
+	granted bool // guarded by l.mu; the grant also sends h.wake
 	// Virtual-time information captured at grant time.
 	grantClock float64
 	grantPU    int
@@ -219,7 +224,14 @@ func (l *Location) grantLocked() {
 		r.grantTask = l.frontierTask
 		r.fromMemory = l.frontierPU == -1
 		l.grants++
-		close(r.ready)
+		// A handle has at most one granted-and-unacquired request (Request
+		// needs Idle, ReleaseAndRequest needs Acquired, cancelRequest drains),
+		// so the capacity-1 token channel always has room.
+		select {
+		case r.h.wake <- struct{}{}:
+		default:
+			panic(fmt.Sprintf("orwl: second unacquired grant on the %s handle for %q", r.mode, l.name))
+		}
 	}
 	head := l.queue[0]
 	if head.mode == Write {
@@ -235,7 +247,14 @@ func (l *Location) grantLocked() {
 	}
 }
 
-// newRequest builds a fresh, unqueued request for a handle.
+// newRequest readies the handle's free slot as a fresh, unqueued request:
+// the slot h.req does not occupy, whose previous request left the FIFO at the
+// last release.
 func newRequest(h *Handle) *request {
-	return &request{h: h, mode: h.mode, ready: make(chan struct{}), grantPU: -1, grantTask: -1}
+	r := &h.slots[0]
+	if h.req == r {
+		r = &h.slots[1]
+	}
+	*r = request{h: h, mode: h.mode, grantPU: -1, grantTask: -1}
+	return r
 }

@@ -12,6 +12,14 @@ func buildRuntime() *Runtime {
 	return NewRuntime(Options{})
 }
 
+// granted reports whether the handle's queued request has been granted,
+// without consuming its wake token.
+func granted(h *Handle) bool {
+	h.loc.mu.Lock()
+	defer h.loc.mu.Unlock()
+	return h.req.granted
+}
+
 func TestModeAndStateStrings(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" {
 		t.Errorf("mode names: %v %v", Read, Write)
@@ -45,10 +53,8 @@ func TestWriteExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// h2 must not be granted while h1 holds the lock.
-	select {
-	case <-h2.req.ready:
+	if granted(h2) {
 		t.Fatalf("second writer granted while first holds the lock")
-	case <-time.After(10 * time.Millisecond):
 	}
 	if err := h1.Release(); err != nil {
 		t.Fatal(err)
@@ -88,9 +94,7 @@ func TestReadSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range readers {
-		select {
-		case <-r.req.ready:
-		default:
+		if !granted(r) {
 			t.Fatalf("reader %d not granted in the shared group", i)
 		}
 		if err := r.Acquire(); err != nil {
@@ -98,25 +102,17 @@ func TestReadSharing(t *testing.T) {
 		}
 	}
 	// Writer blocked until every reader releases.
-	select {
-	case <-w.req.ready:
+	if granted(w) {
 		t.Fatalf("writer granted while readers hold the lock")
-	default:
 	}
 	for i, r := range readers {
 		if err := r.Release(); err != nil {
 			t.Fatal(err)
 		}
-		granted := false
-		select {
-		case <-w.req.ready:
-			granted = true
-		default:
-		}
-		if i < len(readers)-1 && granted {
+		if i < len(readers)-1 && granted(w) {
 			t.Fatalf("writer granted after only %d releases", i+1)
 		}
-		if i == len(readers)-1 && !granted {
+		if i == len(readers)-1 && !granted(w) {
 			t.Fatalf("writer not granted after all readers released")
 		}
 	}
@@ -143,10 +139,8 @@ func TestReaderBehindWriterWaits(t *testing.T) {
 	if err := r.Request(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-r.req.ready:
+	if granted(r) {
 		t.Fatalf("reader granted past a queued writer (FIFO violated)")
-	default:
 	}
 	if err := w.Acquire(); err != nil {
 		t.Fatal(err)

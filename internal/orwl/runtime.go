@@ -65,15 +65,15 @@ type Runtime struct {
 	locations []*Location
 	tasks     []*Task
 
-	// measured accumulates the observed communication volumes between task
-	// pairs: every grant whose data was last released by another task
-	// records the handle volume against the (producer, consumer) pair.
-	measuredMu sync.Mutex
-	measured   map[[2]int]float64
-	// window accumulates the same observations over a bounded horizon; it
-	// is rolled at every epoch boundary so adaptive re-placement reacts to
-	// recent traffic rather than the run-to-date sum. Created by Run.
+	// window accumulates the observed communication volumes over a bounded
+	// horizon; it is rolled at every epoch boundary so adaptive re-placement
+	// reacts to recent traffic rather than the run-to-date sum. The grants
+	// themselves are counted per consumer task (Task.recordComm) and reach
+	// the window only where it is read (feedWindow). Created by Run.
 	window *comm.Window
+	// grantTap, when non-nil, sees every cross-task grant as it is recorded.
+	// Tests set it to feed the differential oracle; nothing else does.
+	grantTap func(from, to int, vol float64)
 
 	// epochs, when non-nil, holds the barrier state of ConfigureEpochs.
 	epochs *epochState
@@ -305,29 +305,30 @@ func (rt *Runtime) Run() error {
 // homeLocations moves every still-unhomed location region onto the NUMA
 // node of its first writer task (first reader when no task writes it).
 func (rt *Runtime) homeLocations(tasks []*Task) {
-	owner := make(map[*Location]*Task)
-	reader := make(map[*Location]*Task)
-	for _, t := range tasks {
-		for _, h := range t.handles {
-			if h.mode == Write {
-				if _, ok := owner[h.loc]; !ok {
-					owner[h.loc] = t
-				}
-			} else if _, ok := reader[h.loc]; !ok {
-				reader[h.loc] = t
-			}
-		}
-	}
 	rt.mu.Lock()
 	locations := append([]*Location(nil), rt.locations...)
 	rt.mu.Unlock()
+	// Indexed by Location.id.
+	owner := make([]*Task, len(locations))
+	reader := make([]*Task, len(locations))
+	for _, t := range tasks {
+		for _, h := range t.handles {
+			if h.mode == Write {
+				if owner[h.loc.id] == nil {
+					owner[h.loc.id] = t
+				}
+			} else if reader[h.loc.id] == nil {
+				reader[h.loc.id] = t
+			}
+		}
+	}
 	for _, l := range locations {
 		if l.region == nil || l.region.Home() >= 0 {
 			continue
 		}
-		t := owner[l]
+		t := owner[l.id]
 		if t == nil {
-			t = reader[l]
+			t = reader[l.id]
 		}
 		if t == nil || t.proc == nil {
 			continue
@@ -353,6 +354,13 @@ func (h *Handle) cancelRequest() error {
 			l.queue = append(l.queue[:i], l.queue[i+1:]...)
 			break
 		}
+	}
+	// A request granted and never acquired leaves its wake token behind:
+	// take it back, or the handle's next request would look granted before
+	// it is. Out of the FIFO, req cannot be granted after this.
+	select {
+	case <-h.wake:
+	default:
 	}
 	l.grantLocked()
 	l.mu.Unlock()
@@ -404,7 +412,7 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 	locations := append([]*Location(nil), rt.locations...)
 	rt.mu.Unlock()
 
-	m := comm.New(len(tasks))
+	m := comm.NewSparse(len(tasks))
 	for _, t := range tasks {
 		m.SetLabel(t.id, t.name)
 	}
@@ -413,10 +421,12 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 		mode Mode
 		vol  float64
 	}
-	byLoc := make(map[*Location][]endpoint, len(locations))
+	// Indexed by Location.id and walked in creation order, so a pair sharing
+	// several locations has its volumes summed in the same order every call.
+	byLoc := make([][]endpoint, len(locations))
 	for _, t := range tasks {
 		for _, h := range t.handles {
-			byLoc[h.loc] = append(byLoc[h.loc], endpoint{t.id, h.mode, h.vol})
+			byLoc[h.loc.id] = append(byLoc[h.loc.id], endpoint{t.id, h.mode, h.vol})
 		}
 	}
 	for _, eps := range byLoc {
@@ -442,21 +452,6 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 	return m
 }
 
-// recordComm accumulates one observed handoff of vol bytes from task `from`
-// to task `to`.
-func (rt *Runtime) recordComm(from, to int, vol float64) {
-	rt.measuredMu.Lock()
-	if rt.measured == nil {
-		rt.measured = make(map[[2]int]float64)
-	}
-	rt.measured[[2]int{from, to}] += vol
-	window := rt.window
-	rt.measuredMu.Unlock()
-	if window != nil {
-		window.AddSym(from, to, vol)
-	}
-}
-
 // MeasuredCommMatrix returns the communication matrix actually observed
 // during the run: for every lock grant whose protected data was last
 // released by a different task, the handle's volume is attributed to that
@@ -465,31 +460,54 @@ func (rt *Runtime) recordComm(from, to int, vol float64) {
 // placement module), the measured matrix validates the prediction — for an
 // iterative program running N steady-state iterations the measured matrix
 // converges to N times the per-iteration structural one.
+//
+// The volumes are counted by each consumer task's own goroutine, unlocked
+// (Task.recordComm). This method and MeasuredWindow read those counters, so
+// call them only when no task can be running: before or after Run, or from
+// inside an epoch hook. They are folded in task-id order, so the result does
+// not depend on how the goroutines interleaved.
 func (rt *Runtime) MeasuredCommMatrix() *comm.Matrix {
 	rt.mu.Lock()
-	n := len(rt.tasks)
-	rt.mu.Unlock()
-	m := comm.New(n)
-	rt.measuredMu.Lock()
-	for pair, vol := range rt.measured {
-		m.AddSym(pair[0], pair[1], vol)
+	defer rt.mu.Unlock()
+	m := comm.NewSparse(len(rt.tasks))
+	for _, t := range rt.tasks {
+		for _, c := range t.traffic {
+			m.AddSym(c.from, t.id, c.total)
+		}
 	}
-	rt.measuredMu.Unlock()
 	return m
+}
+
+// feedWindow moves what the tasks consumed since the last call from their
+// counters into the window, in task-id order, and returns the window (nil
+// before Run). Same calling condition as MeasuredCommMatrix.
+func (rt *Runtime) feedWindow() *comm.Window {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.window == nil {
+		return nil
+	}
+	for _, t := range rt.tasks {
+		for i := range t.traffic {
+			if c := &t.traffic[i]; c.sinceRoll != 0 {
+				rt.window.AddSym(c.from, t.id, c.sinceRoll)
+				c.sinceRoll = 0
+			}
+		}
+	}
+	return rt.window
 }
 
 // MeasuredWindow returns a snapshot of the windowed measured communication
 // matrix: the observations accumulated since the last epoch boundary (plus
 // whatever earlier epochs' decayed residue the ConfigureEpochs factor
-// keeps). Before Run it returns an empty matrix.
+// keeps). Before Run it returns an empty matrix. Same calling condition as
+// MeasuredCommMatrix.
 func (rt *Runtime) MeasuredWindow() *comm.Matrix {
-	rt.mu.Lock()
-	w, n := rt.window, len(rt.tasks)
-	rt.mu.Unlock()
-	if w == nil {
-		return comm.New(n)
+	if w := rt.feedWindow(); w != nil {
+		return w.Snapshot()
 	}
-	return w.Snapshot()
+	return comm.NewSparse(len(rt.Tasks()))
 }
 
 // trace dispatches a trace event when a hook is installed.

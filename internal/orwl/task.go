@@ -34,6 +34,38 @@ type Task struct {
 
 	// iterations completed, maintained by EndIteration (paces the epoch barrier).
 	iterations int
+
+	// traffic holds what this task consumed, one counter per producer in
+	// first-grant order. Only the task's goroutine writes it (recordComm);
+	// the runtime reads it when no task can be running — see
+	// Runtime.MeasuredCommMatrix.
+	traffic []trafficCounter
+}
+
+// trafficCounter accumulates the volume one task was granted out of the
+// releases of task from: over the whole run, and since the runtime last fed
+// the measured window.
+type trafficCounter struct {
+	from             int
+	total, sinceRoll float64
+}
+
+// recordComm accumulates one observed handoff of vol bytes from task `from`
+// to t. Called from t's goroutine on every cross-task grant, it touches
+// nothing another task writes. A task consumes from a handful of producers,
+// so the scan is short.
+func (t *Task) recordComm(from int, vol float64) {
+	if tap := t.rt.grantTap; tap != nil {
+		tap(from, t.id, vol)
+	}
+	for i := range t.traffic {
+		if c := &t.traffic[i]; c.from == from {
+			c.total += vol
+			c.sinceRoll += vol
+			return
+		}
+	}
+	t.traffic = append(t.traffic, trafficCounter{from: from, total: vol, sinceRoll: vol})
 }
 
 // ID returns the task's index within its runtime; the canonical
@@ -89,7 +121,7 @@ func (t *Task) NewHandleVol(loc *Location, mode Mode, vol float64, rank int) *Ha
 	if t.rt.state != stateBuilding {
 		panic("orwl: NewHandle after the runtime started")
 	}
-	h := &Handle{task: t, loc: loc, mode: mode, vol: vol, rank: rank, idx: len(t.handles)}
+	h := &Handle{task: t, loc: loc, mode: mode, vol: vol, rank: rank, idx: len(t.handles), wake: make(chan struct{}, 1)}
 	t.handles = append(t.handles, h)
 	return h
 }
