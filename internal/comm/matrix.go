@@ -335,41 +335,53 @@ func (m *Matrix) ExtendZero(order int) (*Matrix, error) {
 // Submatrix returns the restriction of the matrix to the given entities, in
 // the given order: entry (a,b) of the result is the volume between
 // entities ids[a] and ids[b]. Labels follow. Indices must be in range and
-// distinct. Hierarchical placement uses this to carve one cluster node's
-// task set out of the global affinity matrix.
+// distinct; the first offending id, in ids order, is the one reported.
+// Hierarchical placement uses this to carve one cluster node's task set out
+// of the global affinity matrix, one call per node from a worker pool.
 func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
-	seen := make([]bool, m.n)
-	for _, e := range ids {
+	pos := newPosIndex(len(ids))
+	for b, e := range ids {
 		if e < 0 || e >= m.n {
 			return nil, fmt.Errorf("comm: submatrix: entity %d out of range [0,%d)", e, m.n)
 		}
-		if seen[e] {
+		if !pos.insert(e, b) {
 			return nil, fmt.Errorf("comm: submatrix: entity %d appears twice", e)
 		}
-		seen[e] = true
 	}
 	var s *Matrix
 	if m.rows != nil {
 		s = NewSparse(len(ids))
-		newPos := make([]int32, m.n)
-		for i := range newPos {
-			newPos[i] = -1
-		}
-		for b, j := range ids {
-			newPos[j] = int32(b)
-		}
-		for a, i := range ids {
-			r := &m.rows[i]
-			var cols []int32
-			var vals []float64
-			for p, c := range r.cols {
-				if b := newPos[c]; b >= 0 {
-					cols = append(cols, b)
-					vals = append(vals, r.vals[p])
+		nnz := 0
+		for _, i := range ids {
+			for _, c := range m.rows[i].cols {
+				if pos.find(c) >= 0 {
+					nnz++
 				}
 			}
-			sort.Sort(&colValSorter{cols, vals})
-			s.rows[a] = sparseRow{cols: cols, vals: vals}
+		}
+		// One backing array per field; each row is capped to its own
+		// window, so growing one row reallocates it instead of overwriting
+		// the next.
+		cols, vals := make([]int32, nnz), make([]float64, nnz)
+		q := 0
+		for a, i := range ids {
+			r := &m.rows[i]
+			lo := q
+			for p, c := range r.cols {
+				if b := pos.find(c); b >= 0 {
+					cols[q], vals[q] = b, r.vals[p]
+					q++
+				}
+			}
+			s.rows[a] = sparseRow{cols: cols[lo:q:q], vals: vals[lo:q:q]}
+		}
+		if !rowSorted(ids) {
+			// The permutation scrambled the stored column order.
+			srt := new(colValSorter)
+			for a := range s.rows {
+				*srt = colValSorter{s.rows[a].cols, s.rows[a].vals}
+				sort.Sort(srt)
+			}
 		}
 	} else {
 		s = New(len(ids))
@@ -380,11 +392,58 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 		}
 	}
 	if m.labels != nil {
+		s.labels = make([]string, len(ids))
 		for a, i := range ids {
-			s.SetLabel(a, m.Label(i))
+			s.labels[a] = m.labels[i]
 		}
 	}
 	return s, nil
+}
+
+// posIndex maps the entities of one Submatrix call to their positions. It
+// is an open-addressing table at most a quarter full, sized by len(ids)
+// rather than by the order, so a call costs O(len(ids)) and shares nothing.
+// A slot holds entity+1 in its high half (0 marks it empty) and the
+// position in its low half.
+type posIndex struct {
+	slots []uint64
+	shift uint32 // home slot = the top log2(len(slots)) bits of the hash
+}
+
+func newPosIndex(n int) posIndex {
+	size, shift := 4, uint32(30)
+	for size < 4*n {
+		size, shift = size<<1, shift-1
+	}
+	return posIndex{make([]uint64, size), shift}
+}
+
+// slot returns the slot holding e, or the empty slot that ends its probe.
+func (t posIndex) slot(e int32) int {
+	mask := len(t.slots) - 1
+	h := int((uint32(e) * 0x9E3779B1) >> t.shift)
+	for t.slots[h] != 0 && int32(t.slots[h]>>32) != e+1 {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// insert records e at position b; false if e is already recorded.
+func (t posIndex) insert(e, b int) bool {
+	h := t.slot(int32(e))
+	if t.slots[h] != 0 {
+		return false
+	}
+	t.slots[h] = uint64(e+1)<<32 | uint64(b)
+	return true
+}
+
+// find returns e's position, or -1 if e is not in the call's ids.
+func (t posIndex) find(e int32) int32 {
+	if s := t.slots[t.slot(e)]; s != 0 {
+		return int32(uint32(s))
+	}
+	return -1
 }
 
 // MaxEntry returns the largest entry of the matrix (0 for an empty matrix;

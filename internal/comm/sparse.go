@@ -218,7 +218,8 @@ func (m *Matrix) ToSparse() *Matrix {
 }
 
 // colValSorter sorts a (cols, vals) pair slice by column. Used by Submatrix,
-// where the entity permutation scrambles the stored column order.
+// where the entity permutation scrambles the stored column order, and by
+// aggregateSparse, whose rows list groups in first-touch order.
 type colValSorter struct {
 	cols []int32
 	vals []float64
@@ -243,43 +244,49 @@ func rowSorted(ids []int) bool {
 
 // aggregateSparse is the sparse fast path of Aggregate, valid when every
 // group is in ascending entity order (all in-repo callers sort their groups).
-// Scanning rows in ascending entity order then visits each group's members in
-// that group's order, and ForEachNeighbor yields ascending columns, so every
-// output cell accumulates its contributions in exactly the order the dense
-// nested loop would — adding zero being exact, the results are bit-identical.
+// It builds output row a from group a alone: the members in ascending order,
+// each row's nonzeros in ascending column order, summed into a k-length
+// accumulator whose touched cells, sorted by column, become the row. Every
+// output cell thus accumulates its contributions in exactly the order the
+// dense nested loop would — adding zero being exact, the results are
+// bit-identical. A cell some nonzero touched is stored even when its sum is
+// zero.
 func (m *Matrix) aggregateSparse(groups [][]int) *Matrix {
+	k := len(groups)
 	grp := make([]int32, m.n)
 	for a, ga := range groups {
 		for _, e := range ga {
 			grp[e] = int32(a)
 		}
 	}
-	acc := make([]map[int32]float64, len(groups))
-	for i := 0; i < m.n; i++ {
-		a := grp[i]
-		if acc[a] == nil {
-			acc[a] = make(map[int32]float64)
+	acc := make([]float64, k)
+	seen := make([]bool, k)
+	var touched []int32
+	var srt colValSorter
+	agg := NewSparse(k)
+	for a, ga := range groups {
+		touched = touched[:0]
+		for _, i := range ga {
+			m.ForEachNeighbor(i, func(j int, v float64) {
+				b := grp[j]
+				if !seen[b] {
+					seen[b], acc[b] = true, 0
+					touched = append(touched, b)
+				}
+				acc[b] += v
+			})
 		}
-		cell := acc[a]
-		m.ForEachNeighbor(i, func(j int, v float64) {
-			cell[grp[j]] += v
-		})
-	}
-	agg := NewSparse(len(groups))
-	for a, cell := range acc {
-		if len(cell) == 0 {
+		if len(touched) == 0 {
 			continue
 		}
 		r := &agg.rows[a]
-		r.cols = make([]int32, 0, len(cell))
-		for b := range cell {
-			r.cols = append(r.cols, b)
-		}
-		sort.Slice(r.cols, func(x, y int) bool { return r.cols[x] < r.cols[y] })
-		r.vals = make([]float64, len(r.cols))
+		r.cols = append([]int32(nil), touched...)
+		r.vals = make([]float64, len(touched))
 		for p, b := range r.cols {
-			r.vals[p] = cell[b]
+			r.vals[p], seen[b] = acc[b], false
 		}
+		srt = colValSorter{r.cols, r.vals}
+		sort.Sort(&srt)
 	}
 	return agg
 }

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -122,6 +123,39 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 			if da.At(i, j) != sa.At(i, j) {
 				t.Fatalf("aggregate (%d,%d): dense %v sparse %v", i, j, da.At(i, j), sa.At(i, j))
 			}
+		}
+	}
+
+	// Non-integer, asymmetric volumes with explicit zeros, summed over
+	// scattered (but sorted) groups: any change in the per-cell summation
+	// order shows up in the low bits. Group counts straddle the row-listing
+	// switch between sorting and scanning.
+	rng := rand.New(rand.NewSource(25))
+	for c := 0; c < 40; c++ {
+		n := 8 + rng.Intn(400)
+		s := NewSparse(n)
+		for e := 0; e < 3*n; e++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			s.Set(i, j, rng.Float64()*1000-100)
+			if rng.Intn(6) == 0 {
+				s.Set(i, j, 0)
+			}
+		}
+		k := 1 + rng.Intn(n)
+		groups := make([][]int, k)
+		for e, g := range rng.Perm(n) {
+			groups[g%k] = append(groups[g%k], e) // ascending: e grows
+		}
+		sa, err := s.Aggregate(groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		da, err := s.ToDense().Aggregate(groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sa.IsSparse() || !sa.Equal(da, 0) {
+			t.Fatalf("case %d (n=%d k=%d): sparse aggregate differs from the dense nested loop", c, n, k)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package treematch
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -471,21 +470,49 @@ type affEntry struct {
 
 // affHeap is a max-heap by (affinity desc, entity index asc) — exactly the
 // tie-break of the full affinity scan, which takes the first strict maximum
-// scanning indices upward.
+// scanning indices upward. Typed rather than container/heap, which boxes
+// every pushed entry. The live entries of an epoch have distinct
+// (aff, e), so which one pops first does not depend on the heap's layout.
 type affHeap []affEntry
 
-func (h affHeap) Len() int { return len(h) }
-func (h affHeap) Less(i, j int) bool {
+func (h affHeap) less(i, j int) bool {
 	return h[i].aff > h[j].aff || (h[i].aff == h[j].aff && h[i].e < h[j].e)
 }
-func (h affHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *affHeap) Push(x interface{}) { *h = append(*h, x.(affEntry)) }
-func (h *affHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *affHeap) push(x affEntry) {
+	*h = append(*h, x)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *affHeap) pop() affEntry {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s
+	return top
 }
 
 // greedySizedGroupsHeap fills groups touching only the neighbors of each
@@ -532,12 +559,11 @@ func greedySizedGroupsHeap(m *comm.Matrix, sizes []int) [][]int {
 					affinity[j] = 0
 				}
 				affinity[j] += v + v // symmetric: At(last,j) + At(j,last)
-				heap.Push(&h, affEntry{affinity[j], j})
+				h.push(affEntry{affinity[j], j})
 			})
 			bestE := -1
-			for h.Len() > 0 {
-				top := h[0]
-				heap.Pop(&h)
+			for len(h) > 0 {
+				top := h.pop()
 				if grouped[top.e] || stamp[top.e] != epoch || affinity[top.e] != top.aff {
 					continue // stale entry
 				}

@@ -164,57 +164,38 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // up to maxSwapsPerPair best-gain swaps between their maxBoundaryCands most
 // promising boundary members. Group sizes are preserved (only swaps are
 // applied). The matrix is assumed symmetric.
+//
+// Exactness contract: it makes the swaps, in the order, of the map-and-At
+// reference kept in boundary_oracle_test.go. Each pair's cut adds the same
+// nonzeros in the same (row, column) order there and here (cutRanker), and
+// a swap is priced from D sums built the same way and a w(x, y) read from
+// the rows the D sums walk rather than from m.At (boundarySwapper).
+// Everything is sized once per call; no attempt allocates.
 func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 	k := len(groups)
 	if k < 2 || passes <= 0 {
 		return
 	}
 	n := m.Order()
-	group := make([]int, n)
+	group := make([]int32, n) // an entity in no group counts as group 0, as it always has
+	largest := 0
 	for gi, g := range groups {
 		for _, e := range g {
-			group[e] = gi
+			group[e] = int32(gi)
 		}
+		largest = max(largest, len(g))
 	}
-	type gpair struct{ a, b int }
+	var cr cutRanker
+	sw := newBoundarySwapper(n, largest)
 	for pass := 0; pass < passes; pass++ {
-		cut := make(map[gpair]float64)
-		for i := 0; i < n; i++ {
-			m.ForEachNeighbor(i, func(j int, v float64) {
-				gi, gj := group[i], group[j]
-				if j == i || gi == gj {
-					return
-				}
-				if gi > gj {
-					gi, gj = gj, gi
-				}
-				cut[gpair{gi, gj}] += v
-			})
-		}
-		if len(cut) == 0 {
+		pairs := cr.rank(m, group, k)
+		if len(pairs) == 0 {
 			return
-		}
-		pairs := make([]gpair, 0, len(cut))
-		for pr := range cut {
-			pairs = append(pairs, pr)
-		}
-		sort.Slice(pairs, func(x, y int) bool {
-			cx, cy := cut[pairs[x]], cut[pairs[y]]
-			if cx != cy {
-				return cx > cy
-			}
-			if pairs[x].a != pairs[y].a {
-				return pairs[x].a < pairs[y].a
-			}
-			return pairs[x].b < pairs[y].b
-		})
-		if len(pairs) > maxBoundaryPairs*k {
-			pairs = pairs[:maxBoundaryPairs*k]
 		}
 		improved := false
 		for _, pr := range pairs {
 			for s := 0; s < maxSwapsPerPair; s++ {
-				if !tryBestBoundarySwap(m, groups, group, pr.a, pr.b) {
+				if !sw.try(m, groups, group, pr.a, pr.b) {
 					break
 				}
 				improved = true
@@ -226,12 +207,177 @@ func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 	}
 }
 
-// boundaryD returns, for every member x of `members` (all in group own),
-// D(x) = W(x, other) − W(x, own): the cut improvement of moving x across,
-// ignoring the swap partner. Weights count both directions (v+v, symmetric).
-func boundaryD(m *comm.Matrix, members []int, group []int, own, other int) []float64 {
-	d := make([]float64, len(members))
-	for idx, x := range members {
+// cutRec is a cross-group nonzero v between groups a < b while cutRanker
+// buckets them, and the summed cut of the pair (a, b) once it has.
+type cutRec struct {
+	a, b int32
+	v    float64
+}
+
+// byCut orders pair cuts heaviest first, ties by (a, b). Pairs are unique,
+// so the order is strict: the first l pairs are one set however they were
+// selected, and sorting only them equals sorting all and truncating.
+type byCut []cutRec
+
+func (s byCut) Len() int { return len(s) }
+func (s byCut) Less(x, y int) bool {
+	if s[x].v != s[y].v {
+		return s[x].v > s[y].v
+	}
+	if s[x].a != s[y].a {
+		return s[x].a < s[y].a
+	}
+	return s[x].b < s[y].b
+}
+func (s byCut) Swap(x, y int) { s[x], s[y] = s[y], s[x] }
+
+// selectTop moves the first l records of s by byCut into s[:l], in no
+// particular order (quickselect around the middle record). Requires
+// 0 < l < len(s).
+func selectTop(s byCut, l int) {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		s.Swap(lo+(hi-lo)/2, hi)
+		p := lo
+		for i := lo; i < hi; i++ {
+			if s.Less(i, hi) {
+				s.Swap(i, p)
+				p++
+			}
+		}
+		s.Swap(p, hi)
+		switch {
+		case p == l-1:
+			return
+		case p < l-1:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+}
+
+// cutRanker is the working memory of rank, kept across the passes of one
+// refineGroupsBoundary call.
+type cutRanker struct {
+	// One pass's cross-group nonzeros in sweep order, then bucketed by a;
+	// the pairs are summed into byA in place.
+	recs, byA []cutRec
+	end       []int32 // after bucketing, bucket a is byA[end[a-1]:end[a]]
+	slot      []int32 // slot[b]: where pair (a, b) of the bucket being summed sits in the pairs
+}
+
+// rank returns the maxBoundaryPairs·k heaviest cut pairs in byCut order.
+// One sweep over the nonzeros records each cross-group entry under the
+// smaller group of its pair; a stable counting sort keeps every bucket in
+// sweep order, so summing bucket a pair by pair adds the terms of each cut
+// in the global (row, column) order a per-pair map would have.
+func (c *cutRanker) rank(m *comm.Matrix, group []int32, k int) []cutRec {
+	if c.end == nil {
+		// Every cross-group entry is a nonzero; a dense matrix would pay a
+		// sweep to count them, so it grows the buffer instead.
+		hint := m.Order()
+		if m.IsSparse() {
+			hint = m.NNZ()
+		}
+		c.end, c.slot, c.recs = make([]int32, k+1), make([]int32, k), make([]cutRec, 0, hint)
+	}
+	recs := c.recs[:0]
+	for i := 0; i < m.Order(); i++ {
+		gi := group[i]
+		m.ForEachNeighbor(i, func(j int, v float64) {
+			gj := group[j]
+			switch {
+			case j == i || gi == gj:
+			case gi < gj:
+				recs = append(recs, cutRec{gi, gj, v})
+			default:
+				recs = append(recs, cutRec{gj, gi, v})
+			}
+		})
+	}
+	c.recs = recs
+	if cap(c.byA) < len(recs) {
+		c.byA = make([]cutRec, len(recs))
+	}
+	byA, end := c.byA[:len(recs)], c.end
+	clear(end)
+	for _, r := range recs {
+		end[r.a+1]++
+	}
+	for a := 1; a <= k; a++ {
+		end[a] += end[a-1]
+	}
+	for _, r := range recs {
+		byA[end[r.a]] = r
+		end[r.a]++
+	}
+	// end[a] now closes bucket a. Pair p is appended while reading entry
+	// q ≥ p (every earlier pair took an earlier entry), so the pairs
+	// overwrite only entries already read. A stale slot from an earlier
+	// bucket or pass cannot name the current (a, b): pairs holds each pair
+	// at most once, and only bucket a appends pairs with that a.
+	pairs := byA[:0]
+	lo := int32(0)
+	for a := int32(0); a < int32(k); a++ {
+		for _, r := range byA[lo:end[a]] {
+			s := c.slot[r.b]
+			if int(s) >= len(pairs) || pairs[s].a != a || pairs[s].b != r.b {
+				s = int32(len(pairs))
+				c.slot[r.b] = s
+				pairs = append(pairs, cutRec{a, r.b, 0})
+			}
+			pairs[s].v += r.v
+		}
+		lo = end[a]
+	}
+	if l := maxBoundaryPairs * k; len(pairs) > l {
+		selectTop(pairs, l)
+		pairs = pairs[:l]
+	}
+	sort.Sort(byCut(pairs))
+	return pairs
+}
+
+// entry is one recorded nonzero (j, v) of a member's row.
+type entry struct {
+	j int32
+	v float64
+}
+
+// boundarySide is one group of the pair a swap attempt prices.
+type boundarySide struct {
+	members []int
+	// d[p] = D(members[p]) = W(x, other) − W(x, own): the cut improvement of
+	// moving the member across, ignoring the swap partner. Weights count
+	// both directions (v+v, symmetric).
+	d []float64
+	// The member at position p has its nonzeros into the other group at
+	// out[off[p]:off[p+1]], in column order.
+	off []int32
+	out []entry
+	// cand holds the positions of the maxBoundaryCands best members by
+	// (D desc, entity index asc); boundarySide sorts it.
+	cand []int
+}
+
+func (s *boundarySide) Len() int { return len(s.cand) }
+func (s *boundarySide) Less(p, q int) bool {
+	dp, dq := s.d[s.cand[p]], s.d[s.cand[q]]
+	if dp != dq {
+		return dp > dq
+	}
+	return s.members[s.cand[p]] < s.members[s.cand[q]]
+}
+func (s *boundarySide) Swap(p, q int) { s.cand[p], s.cand[q] = s.cand[q], s.cand[p] }
+
+// measure computes D and the candidate list of the members of group own
+// against group other, recording on the way the row entries a swap's w
+// needs.
+func (s *boundarySide) measure(m *comm.Matrix, members []int, group []int32, own, other int32) {
+	s.members = members
+	s.d, s.off, s.out = s.d[:len(members)], s.off[:len(members)+1], s.out[:0]
+	for p, x := range members {
 		var toOther, toOwn float64
 		m.ForEachNeighbor(x, func(u int, v float64) {
 			if u == x {
@@ -240,53 +386,99 @@ func boundaryD(m *comm.Matrix, members []int, group []int, own, other int) []flo
 			switch group[u] {
 			case other:
 				toOther += v + v
+				s.out = append(s.out, entry{int32(u), v})
 			case own:
 				toOwn += v + v
 			}
 		})
-		d[idx] = toOther - toOwn
+		s.d[p] = toOther - toOwn
+		s.off[p+1] = int32(len(s.out))
 	}
-	return d
+	s.cand = s.cand[:len(members)]
+	for p := range s.cand {
+		s.cand[p] = p
+	}
+	sort.Sort(s)
+	if len(s.cand) > maxBoundaryCands {
+		s.cand = s.cand[:maxBoundaryCands]
+	}
 }
 
-// topByD returns the positions of the maxBoundaryCands best members by
-// (D desc, entity index asc).
-func topByD(g []int, d []float64) []int {
-	idx := make([]int, len(g))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(p, q int) bool {
-		if d[idx[p]] != d[idx[q]] {
-			return d[idx[p]] > d[idx[q]]
+// boundarySwapper prices and applies the best swap of a group pair. The
+// gain of swapping x and y is D(x) + D(y) − 2·w(x,y), the standard KL
+// expression, with w(x, y) = At(x, y) + At(y, x) taken from the two
+// candidate blocks: xy[i·|candB|+j] = At(candA[i], candB[j]) and yx the
+// other direction, each scattered from the entries measure recorded. An
+// absent entry reads 0, as At reads it; a recorded one is the stored value.
+type boundarySwapper struct {
+	side [2]boundarySide
+	// slot[e] is e's position in its side's candidate list when e is a
+	// candidate of the attempt; stale otherwise, so it is checked (cand).
+	slot   []int32
+	xy, yx []float64
+}
+
+// cand reports the candidate position of entity u on side s, if u is one.
+func (sw *boundarySwapper) cand(s *boundarySide, u int32) (int, bool) {
+	c := int(sw.slot[u])
+	return c, c < len(s.cand) && s.members[s.cand[c]] == int(u)
+}
+
+// newBoundarySwapper sizes the swapper for an order-n matrix whose largest
+// group has the given size.
+func newBoundarySwapper(n, largest int) *boundarySwapper {
+	sw := &boundarySwapper{slot: make([]int32, n)}
+	for i := range sw.side {
+		sw.side[i] = boundarySide{
+			d:    make([]float64, largest),
+			off:  make([]int32, largest+1),
+			cand: make([]int, largest),
 		}
-		return g[idx[p]] < g[idx[q]]
-	})
-	if len(idx) > maxBoundaryCands {
-		idx = idx[:maxBoundaryCands]
 	}
-	return idx
+	c := min(largest, maxBoundaryCands)
+	sw.xy, sw.yx = make([]float64, c*c), make([]float64, c*c)
+	return sw
 }
 
-// tryBestBoundarySwap applies the single best positive-gain swap between
-// groups a and b, restricted to each side's top candidate list, and reports
-// whether it swapped. The gain of swapping x and y is
-// D(x) + D(y) − 2·w(x,y), the standard KL expression.
-func tryBestBoundarySwap(m *comm.Matrix, groups [][]int, group []int, a, b int) bool {
+// try applies the single best positive-gain swap between groups a and b,
+// restricted to each side's top candidate list, and reports whether it
+// swapped.
+func (sw *boundarySwapper) try(m *comm.Matrix, groups [][]int, group []int32, a, b int32) bool {
 	ga, gb := groups[a], groups[b]
-	da := boundaryD(m, ga, group, a, b)
-	db := boundaryD(m, gb, group, b, a)
-	candA := topByD(ga, da)
-	candB := topByD(gb, db)
+	A, B := &sw.side[0], &sw.side[1]
+	A.measure(m, ga, group, a, b)
+	B.measure(m, gb, group, b, a)
+	nb := len(B.cand)
+	xy, yx := sw.xy[:len(A.cand)*nb], sw.yx[:len(A.cand)*nb]
+	clear(xy)
+	clear(yx)
+	for i, xi := range A.cand {
+		sw.slot[ga[xi]] = int32(i)
+	}
+	for j, yi := range B.cand {
+		sw.slot[gb[yi]] = int32(j)
+	}
+	for i, xi := range A.cand {
+		for _, e := range A.out[A.off[xi]:A.off[xi+1]] {
+			if j, ok := sw.cand(B, e.j); ok {
+				xy[i*nb+j] = e.v
+			}
+		}
+	}
+	for j, yi := range B.cand {
+		for _, e := range B.out[B.off[yi]:B.off[yi+1]] {
+			if i, ok := sw.cand(A, e.j); ok {
+				yx[i*nb+j] = e.v
+			}
+		}
+	}
 	const eps = 1e-12
 	bestGain := eps
 	bestXi, bestYi := -1, -1
-	for _, xi := range candA {
-		x := ga[xi]
-		for _, yi := range candB {
-			y := gb[yi]
-			w := m.At(x, y) + m.At(y, x)
-			if gain := da[xi] + db[yi] - (w + w); gain > bestGain {
+	for i, xi := range A.cand {
+		for j, yi := range B.cand {
+			w := xy[i*nb+j] + yx[i*nb+j]
+			if gain := A.d[xi] + B.d[yi] - (w + w); gain > bestGain {
 				bestGain, bestXi, bestYi = gain, xi, yi
 			}
 		}
