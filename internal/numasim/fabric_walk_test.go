@@ -229,7 +229,7 @@ func TestLinkStreamsPriceIdenticallyPerEdge(t *testing.T) {
 						want = math.Min(want, links[g].Attr.BandwidthBytesPerSec/float64(counts[l][g]))
 					}
 				}
-				if _, got := m.fabricWalk(from, to, m.edgeStreams); got != want {
+				if _, got := m.fabricWalk(from, to, m.loadEdgeStreams()); got != want {
 					t.Errorf("%s: bandwidth(%d,%d) = %v, want the level-link bottleneck %v", spec, from, to, got, want)
 				}
 			}

@@ -8,7 +8,7 @@
 // kinds of costs against it:
 //
 //   - Compute: arithmetic, converted through a flops-per-cycle rate;
-//   - memory traffic (MemRead/MemWrite): bytes moved between the Proc's
+//   - memory traffic (MemRead, SweepWorkingSet): bytes moved between the Proc's
 //     current PU and the NUMA node holding a Region, priced by latency,
 //     distance-degraded bandwidth, and per-node contention;
 //   - transfers (TransferCost): the cost of handing data from one PU to
@@ -42,7 +42,7 @@ package numasim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -110,9 +110,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Machine is a simulated NUMA machine built over a hardware topology. After
-// setup (binding Procs, setting accessor counts) it is read-only and safe
-// for concurrent use by many Procs.
+// Machine is a simulated NUMA machine built over a hardware topology. It is
+// safe for concurrent use and takes no lock: its structure is fixed by New,
+// its fault state changes only while every Proc is quiesced (see below), and
+// its contention and occupancy state (SetAccessors, SetRemoteStreams,
+// SetEdgeStreams, bound Procs) is held in atomics, so a Machine may be priced
+// from one goroutine while another declares its contention or binds Procs on
+// it — as when two runtimes share one machine.
 type Machine struct {
 	topo *topology.Topology
 	cfg  Config
@@ -145,8 +149,8 @@ type Machine struct {
 	// Fault state, installed by ApplyFaultEvents. These fields are written
 	// only while every Proc is quiesced — before Run, or inside an epoch
 	// hook, which the barrier's lock edges order before any task's
-	// subsequent charge — so the pricing hot paths read them without taking
-	// mu. On a healthy machine they stay at their zero values and every
+	// subsequent charge — so the pricing hot paths read them as plain
+	// fields. On a healthy machine they stay at their zero values and every
 	// fault branch below is skipped, keeping no-fault pricing bit-identical.
 	//
 	// deadCNode[c] marks cluster node c unreachable (nil until a kill).
@@ -155,27 +159,26 @@ type Machine struct {
 	// e: 1 healthy, (0,1) degraded, 0 severed. Nil until an edge fault.
 	edgeFaultFactor []float64
 
-	mu sync.Mutex
 	// accessors[node] is the static contention degree of each memory node:
 	// how many execution streams hit it concurrently in steady state.
-	accessors []int
+	accessors []atomic.Int32
 	// remoteStreams is the static number of memory streams crossing the
 	// inter-socket fabric in steady state; they share
 	// cfg.InterconnectBandwidth.
-	remoteStreams int
-	// edgeStreams[e] is the number of crossing streams touching fabric-graph
-	// edge e; nil (nothing declared) leaves every edge uncontended. A
-	// transfer is capped by the most contended edge on its routed path, so
-	// balancing the crossing streams across the fabric recovers bandwidth
-	// that funnelling them through one edge loses. The slice is replaced
-	// wholesale on every update (copy-on-write), so a snapshot taken under
-	// the lock stays consistent outside it.
-	edgeStreams []int
+	remoteStreams atomic.Int32
+	// edgeStreams points at the per-edge crossing-stream counts: (*p)[e]
+	// streams touch fabric-graph edge e; nil (nothing declared) leaves every
+	// edge uncontended. A transfer is capped by the most contended edge on
+	// its routed path, so balancing the crossing streams across the fabric
+	// recovers bandwidth that funnelling them through one edge loses. Every
+	// update publishes a fresh slice (copy-on-write), so one Load is a
+	// consistent view of all edges.
+	edgeStreams atomic.Pointer[[]int]
 	// boundPerPU counts bound Procs per PU. SMT compute inflation applies
 	// when at least two PUs of the same core are occupied (hyperthread
 	// sharing); several Procs time-multiplexed on one PU do not inflate —
 	// they overlap in virtual time, an optimistic but deliberate choice.
-	boundPerPU []int
+	boundPerPU []atomic.Int32
 	// pusOfCore lists the PU indices under each core.
 	pusOfCore [][]int
 }
@@ -197,8 +200,8 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 		cnodeOf:     make([]int, topo.NumPUs()),
 		cnodeOfNUMA: make([]int, topo.NumNUMANodes()),
 		l3Share:     make([]int64, topo.NumPUs()),
-		accessors:   make([]int, topo.NumNUMANodes()),
-		boundPerPU:  make([]int, topo.NumPUs()),
+		accessors:   make([]atomic.Int32, topo.NumNUMANodes()),
+		boundPerPU:  make([]atomic.Int32, topo.NumPUs()),
 		pusOfCore:   make([][]int, topo.NumCores()),
 	}
 	if m.clockHz == 0 {
@@ -235,7 +238,7 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 		}
 	}
 	for i := range m.accessors {
-		m.accessors[i] = 1
+		m.accessors[i].Store(1)
 	}
 	return m, nil
 }
@@ -287,28 +290,20 @@ func (m *Machine) SetAccessors(node, count int) {
 	if count < 1 {
 		count = 1
 	}
-	m.mu.Lock()
-	m.accessors[node] = count
-	m.mu.Unlock()
+	m.accessors[node].Store(int32(count))
 }
 
 // Accessors returns the contention degree of a node.
-func (m *Machine) Accessors(node int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.accessors[node]
-}
+func (m *Machine) Accessors(node int) int { return int(m.accessors[node].Load()) }
 
 // ResetAccessors restores every node to contention degree 1 and clears the
 // remote-stream and per-edge fabric-stream counts.
 func (m *Machine) ResetAccessors() {
-	m.mu.Lock()
 	for i := range m.accessors {
-		m.accessors[i] = 1
+		m.accessors[i].Store(1)
 	}
-	m.remoteStreams = 0
-	m.edgeStreams = nil
-	m.mu.Unlock()
+	m.remoteStreams.Store(0)
+	m.edgeStreams.Store(nil)
 }
 
 // SetRemoteStreams declares how many memory streams cross the inter-socket
@@ -319,17 +314,11 @@ func (m *Machine) SetRemoteStreams(n int) {
 	if n < 0 {
 		n = 0
 	}
-	m.mu.Lock()
-	m.remoteStreams = n
-	m.mu.Unlock()
+	m.remoteStreams.Store(int32(n))
 }
 
 // RemoteStreams returns the declared fabric contention degree.
-func (m *Machine) RemoteStreams() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.remoteStreams
-}
+func (m *Machine) RemoteStreams() int { return int(m.remoteStreams.Load()) }
 
 // FabricGraph returns the routed fabric graph the machine prices
 // cross-node transfers along, or nil on a single machine.
@@ -353,23 +342,27 @@ func (m *Machine) SetEdgeStreams(counts []int) {
 		panic(fmt.Sprintf("numasim: SetEdgeStreams got %d counts for %d fabric edges",
 			len(counts), m.fabricGraph.NumEdges()))
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if counts == nil {
-		m.edgeStreams = nil
+		m.edgeStreams.Store(nil)
 		return
 	}
-	// Copy-on-write: effectiveBandwidth snapshots the slice under the lock
-	// and reads the snapshot outside, so in-place mutation would race.
-	m.edgeStreams = append([]int(nil), counts...)
+	// Copy-on-write: pricing reads the published slice without a lock, so
+	// it is never mutated in place.
+	own := append([]int(nil), counts...)
+	m.edgeStreams.Store(&own)
 }
 
 // EdgeStreams returns the declared crossing-stream count of fabric-graph
 // edge e (0 while nothing is declared).
-func (m *Machine) EdgeStreams(e int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return edgeStreamCount(m.edgeStreams, e)
+func (m *Machine) EdgeStreams(e int) int { return edgeStreamCount(m.loadEdgeStreams(), e) }
+
+// loadEdgeStreams returns the published per-edge stream counts, nil while
+// nothing is declared.
+func (m *Machine) loadEdgeStreams() []int {
+	if p := m.edgeStreams.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // ClusterNodeOfPU returns the cluster-node index of a PU (0 on a single
@@ -397,8 +390,7 @@ func (m *Machine) SameRack(fromC, toC int) bool {
 // share — and the bottleneck bandwidth, each edge's fault-degraded bandwidth
 // shared among the streams declared to cross it (SetEdgeStreams). A severed
 // edge makes the path unreachable: infinite latency, no bandwidth. The
-// stream counts are the caller's snapshot, taken under the machine lock it
-// already holds, so pricing takes the lock once.
+// stream counts are the caller's loadEdgeStreams view.
 func (m *Machine) fabricWalk(fromC, toC int, streams []int) (lat, bw float64) {
 	var stack [16]int
 	bw = math.Inf(1)
@@ -445,21 +437,13 @@ func shareLink(bw float64, streams int) float64 {
 // bottleneck edge (fabricWalk).
 func (m *Machine) accessPrice(pu, node int) (lat, bw float64) {
 	nodeObj := m.topo.NUMANodes()[node]
-	m.mu.Lock()
-	acc := m.accessors[node]
-	remote := m.remoteStreams
-	// Snapshot the fabric stream state in the same critical section; the
-	// slice is replaced wholesale, never mutated in place, so reading the
-	// snapshot outside the lock is safe.
-	streams := m.edgeStreams
-	m.mu.Unlock()
 	lat = nodeObj.Attr.LatencyCycles
-	bw = nodeObj.Attr.BandwidthBytesPerSec / float64(acc)
+	bw = nodeObj.Attr.BandwidthBytesPerSec / float64(m.accessors[node].Load())
 	if m.nodeOf[pu] == node {
 		return lat, bw
 	}
 	if m.cnodeOf[pu] != m.cnodeOfNUMA[node] {
-		hopLat, link := m.fabricWalk(m.cnodeOf[pu], m.cnodeOfNUMA[node], streams)
+		hopLat, link := m.fabricWalk(m.cnodeOf[pu], m.cnodeOfNUMA[node], m.loadEdgeStreams())
 		if link < bw {
 			bw = link
 		}
@@ -470,7 +454,7 @@ func (m *Machine) accessPrice(pu, node int) (lat, bw float64) {
 	if link := m.topo.BandwidthBytesPerSec(m.topo.PU(pu), nodeObj); link < bw {
 		bw = link
 	}
-	if remote > 0 {
+	if remote := m.remoteStreams.Load(); remote > 0 {
 		if share := m.cfg.InterconnectBandwidth / float64(remote); share < bw {
 			bw = share
 		}
@@ -607,11 +591,7 @@ func (m *Machine) CyclesToSeconds(cycles float64) float64 {
 }
 
 // bindPU registers a bound Proc on a PU (for SMT compute inflation).
-func (m *Machine) bindPU(pu, delta int) {
-	m.mu.Lock()
-	m.boundPerPU[pu] += delta
-	m.mu.Unlock()
-}
+func (m *Machine) bindPU(pu int, delta int32) { m.boundPerPU[pu].Add(delta) }
 
 // computeInflation returns the compute-cost factor for a PU:
 // SMTComputeInflation when at least two distinct PUs of the PU's core are
@@ -620,14 +600,12 @@ func (m *Machine) computeInflation(pu int) float64 {
 	if pu < 0 {
 		return 1
 	}
-	m.mu.Lock()
 	occupied := 0
 	for _, p := range m.pusOfCore[m.coreOf[pu]] {
-		if m.boundPerPU[p] > 0 {
+		if m.boundPerPU[p].Load() > 0 {
 			occupied++
 		}
 	}
-	m.mu.Unlock()
 	if occupied >= 2 {
 		return m.cfg.SMTComputeInflation
 	}

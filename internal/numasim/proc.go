@@ -3,7 +3,6 @@ package numasim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 )
 
 // Proc is a simulated execution context (one software thread) with a virtual
@@ -12,13 +11,18 @@ import (
 // simulated OS scheduler assigns it a PU and may migrate it whenever the
 // workload reaches a scheduling point (Reschedule).
 //
-// A Proc is not safe for concurrent use: it belongs to the single goroutine
-// that drives its task. Cross-Proc interactions (lock handoffs) go through
-// AdvanceTo with times published under external synchronization.
+// A Proc has no lock: it belongs to the single goroutine that drives its
+// task, and only that goroutine may call its methods while the task runs.
+// Any other goroutine may use it only while the owner is quiescent and a
+// synchronization edge orders the two — an ORWL epoch barrier clocks and
+// rebinds parked tasks under its own mutex, Makespan and Stats are read
+// after the run's goroutines have been joined, and an OpenMP team drives
+// all of its Procs from the caller's goroutine. Cross-Proc interactions
+// (lock handoffs) go through AdvanceTo with times published under the
+// location's lock.
 type Proc struct {
 	m *Machine
 
-	mu    sync.Mutex
 	pu    int  // current PU, -1 if not yet scheduled
 	bound bool // placement fixed by the mapping module
 	cold  bool // caches invalidated by a migration
@@ -62,39 +66,25 @@ func (m *Machine) NewUnboundProc(name string, seed int64) *Proc {
 func (p *Proc) Name() string { return p.name }
 
 // PU returns the PU the Proc currently runs on.
-func (p *Proc) PU() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pu
-}
+func (p *Proc) PU() int { return p.pu }
 
 // Bound reports whether the Proc was pinned by the placement module.
 func (p *Proc) Bound() bool { return p.bound }
 
 // Clock returns the Proc's virtual time in cycles.
-func (p *Proc) Clock() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.clock
-}
+func (p *Proc) Clock() float64 { return p.clock }
 
 // Seconds returns the Proc's virtual time in simulated seconds.
 func (p *Proc) Seconds() float64 { return p.m.CyclesToSeconds(p.Clock()) }
 
 // Stats returns a copy of the Proc's accounting counters.
-func (p *Proc) Stats() ProcStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
+func (p *Proc) Stats() ProcStats { return p.stats }
 
 // Compute charges the given number of floating-point operations.
 func (p *Proc) Compute(flops float64) {
 	if flops <= 0 {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	c := flops / p.m.cfg.FlopsPerCycle * p.m.computeInflation(p.pu)
 	p.clock += c
 	p.stats.ComputeCycles += c
@@ -105,47 +95,18 @@ func (p *Proc) ComputeCycles(cycles float64) {
 	if cycles <= 0 {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.clock += cycles
 	p.stats.ComputeCycles += cycles
 }
 
 // MemRead charges the cost of streaming the given number of bytes of the
-// region into the Proc. A cold Proc (just migrated) always pays the full
-// memory cost even for data it had cached before.
+// region into the Proc; its first access resolves a first-touch region's
+// home. The model prices reads and writes identically (write-allocate caches
+// move the same lines both ways).
 func (p *Proc) MemRead(r *Region, bytes float64) {
-	p.memAccess(r, bytes)
-}
-
-// MemWrite charges the cost of writing bytes to the region. The model
-// prices reads and writes identically (write-allocate caches move the same
-// lines both ways).
-func (p *Proc) MemWrite(r *Region, bytes float64) {
-	p.memAccess(r, bytes)
-}
-
-// SweepWorkingSet charges one full sweep over a working set of the region:
-// bytes scaled by the PU's cache miss factor, so sets that fit in the
-// Proc's cache share cost only their escaping fraction. A cold Proc pays
-// the full traffic once and becomes warm.
-func (p *Proc) SweepWorkingSet(r *Region, workingSet int64) {
-	p.mu.Lock()
-	factor := p.m.MissFactor(p.pu, workingSet)
-	if p.cold {
-		factor = 1
-		p.cold = false
-	}
-	p.mu.Unlock()
-	p.memAccess(r, float64(workingSet)*factor)
-}
-
-func (p *Proc) memAccess(r *Region, bytes float64) {
 	if bytes <= 0 {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	node := r.touch(p.pu)
 	var c float64
 	if node < 0 { // interleaved: average the cost over all nodes
@@ -162,21 +123,23 @@ func (p *Proc) memAccess(r *Region, bytes float64) {
 	p.stats.BytesMoved += bytes
 }
 
-// Touch resolves a first-touch region's home to this Proc's node without
-// charging any cost (the initialization loop's traffic is accounted by the
-// caller if it matters).
-func (p *Proc) Touch(r *Region) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r.touch(p.pu)
+// SweepWorkingSet charges one full sweep over a working set of the region:
+// bytes scaled by the PU's cache miss factor, so sets that fit in the
+// Proc's cache share cost only their escaping fraction. A cold Proc (just
+// migrated) pays the full traffic once and becomes warm.
+func (p *Proc) SweepWorkingSet(r *Region, workingSet int64) {
+	factor := p.m.MissFactor(p.pu, workingSet)
+	if p.cold {
+		factor = 1
+		p.cold = false
+	}
+	p.MemRead(r, float64(workingSet)*factor)
 }
 
 // AdvanceTo moves the Proc's clock forward to at least t cycles, recording
 // the difference as wait time. It never moves the clock backwards. Used for
 // lock grants: the new holder cannot proceed before the grant time.
 func (p *Proc) AdvanceTo(t float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if t > p.clock {
 		p.stats.WaitCycles += t - p.clock
 		p.clock = t
@@ -189,8 +152,6 @@ func (p *Proc) ChargeTransfer(cycles float64) {
 	if cycles <= 0 {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.clock += cycles
 	p.stats.TransferCycles += cycles
 }
@@ -200,8 +161,6 @@ func (p *Proc) ChargeTransfer(cycles float64) {
 // paying the migration penalty and losing cache warmth. The paper's NoBind
 // and OpenMP configurations call this at iteration boundaries.
 func (p *Proc) Reschedule(migrationProbability float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.bound || p.rng == nil {
 		return
 	}
@@ -245,8 +204,6 @@ func (p *Proc) move(pu int, charged bool) error {
 	if pu < 0 || pu >= p.m.topo.NumPUs() {
 		return fmt.Errorf("numasim: PU %d out of range [0,%d)", pu, p.m.topo.NumPUs())
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if pu == p.pu {
 		if !p.bound {
 			p.bound = true
@@ -279,9 +236,7 @@ func (p *Proc) MigrateRegion(r *Region) error {
 	if r.Policy() == Interleaved {
 		return fmt.Errorf("numasim: cannot re-home interleaved region %q", r.Name())
 	}
-	p.mu.Lock()
 	node := p.m.nodeOf[p.pu]
-	p.mu.Unlock()
 	old := r.Home()
 	if old == node {
 		return nil
@@ -298,8 +253,6 @@ func (p *Proc) MigrateRegion(r *Region) error {
 // when the task exits; required only when Procs are created and destroyed
 // repeatedly on one Machine.
 func (p *Proc) Release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.bound {
 		p.m.bindPU(p.pu, -1)
 		p.bound = false

@@ -52,9 +52,9 @@ func TestMemAccessCharges(t *testing.T) {
 	}
 	// Zero-byte access is free.
 	before := p.Clock()
-	p.MemWrite(local, 0)
+	p.MemRead(local, 0)
 	if p.Clock() != before {
-		t.Errorf("zero-byte write charged")
+		t.Errorf("zero-byte read charged")
 	}
 }
 
@@ -62,7 +62,7 @@ func TestFirstTouchSetsHome(t *testing.T) {
 	m := paperMachine(t)
 	p, _ := m.NewProc("t0", 100) // PU 100 lives on node 12
 	r := m.AllocFirstTouch("data", 1<<20)
-	p.Touch(r)
+	p.SweepWorkingSet(r, 1<<20)
 	if got := r.Home(); got != m.NodeOfPU(100) {
 		t.Errorf("home = %d, want %d", got, m.NodeOfPU(100))
 	}

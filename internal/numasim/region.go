@@ -2,7 +2,7 @@ package numasim
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Placement selects the memory-placement policy of a Region.
@@ -35,16 +35,24 @@ func (p Placement) String() string {
 }
 
 // Region is a simulated memory allocation with a home NUMA node. Regions
-// are created through the Machine allocators and are safe for concurrent
-// use: the home node is resolved at most once (first touch).
+// are created through the Machine allocators. Any number of Procs may access
+// one concurrently: the home is an atomic, resolved once by whichever first
+// touch wins. MoveTo also changes the policy, so it belongs to callers that
+// have the region to themselves — before a run, or inside an epoch barrier.
 type Region struct {
 	m      *Machine
 	name   string
 	bytes  int64
 	policy Placement
 
-	mu   sync.Mutex
-	home int // node index; -1 until first touch for FirstTouch regions
+	home atomic.Int32 // node index; -1 until first touch for FirstTouch regions
+}
+
+// newRegion allocates a region with the given policy and initial home.
+func newRegion(m *Machine, name string, bytes int64, policy Placement, home int) *Region {
+	r := &Region{m: m, name: name, bytes: bytes, policy: policy}
+	r.home.Store(int32(home))
+	return r
 }
 
 // AllocOn allocates a region with an explicit home node.
@@ -55,19 +63,19 @@ func (m *Machine) AllocOn(name string, bytes int64, node int) (*Region, error) {
 	if bytes < 0 {
 		return nil, fmt.Errorf("numasim: negative region size")
 	}
-	return &Region{m: m, name: name, bytes: bytes, policy: Explicit, home: node}, nil
+	return newRegion(m, name, bytes, Explicit, node), nil
 }
 
 // AllocFirstTouch allocates a region whose home is decided by the first
 // Proc that accesses it.
 func (m *Machine) AllocFirstTouch(name string, bytes int64) *Region {
-	return &Region{m: m, name: name, bytes: bytes, policy: FirstTouch, home: -1}
+	return newRegion(m, name, bytes, FirstTouch, -1)
 }
 
 // AllocInterleaved allocates a region whose pages are spread across all
 // NUMA nodes.
 func (m *Machine) AllocInterleaved(name string, bytes int64) *Region {
-	return &Region{m: m, name: name, bytes: bytes, policy: Interleaved, home: -1}
+	return newRegion(m, name, bytes, Interleaved, -1)
 }
 
 // Name returns the region's diagnostic name.
@@ -81,11 +89,7 @@ func (r *Region) Policy() Placement { return r.policy }
 
 // Home returns the region's NUMA node, or -1 when an untouched first-touch
 // region has no home yet. Interleaved regions report -1 (no single home).
-func (r *Region) Home() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.home
-}
+func (r *Region) Home() int { return int(r.home.Load()) }
 
 // touch resolves the home node on first access by the given PU's node and
 // returns the effective node for cost purposes (-1 for interleaved).
@@ -93,17 +97,19 @@ func (r *Region) touch(pu int) int {
 	if r.policy == Interleaved {
 		return -1
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.home < 0 && pu >= 0 {
-		r.home = r.m.nodeOf[pu]
+	if home := r.home.Load(); home >= 0 {
+		return int(home)
 	}
-	if r.home < 0 {
-		// Untouched region read by an unbound Proc: the OS will have
-		// placed it on node 0 (the classic serial-init pathology).
-		r.home = 0
+	// Untouched region read by an unscheduled Proc: the OS will have placed
+	// it on node 0 (the classic serial-init pathology).
+	node := int32(0)
+	if pu >= 0 {
+		node = int32(r.m.nodeOf[pu])
 	}
-	return r.home
+	if r.home.CompareAndSwap(-1, node) {
+		return int(node)
+	}
+	return int(r.home.Load()) // another first touch won
 }
 
 // MoveTo rehomes the region to an explicit node (simulating migrate_pages /
@@ -113,9 +119,7 @@ func (r *Region) MoveTo(node int) error {
 	if node < 0 || node >= r.m.topo.NumNUMANodes() {
 		return fmt.Errorf("numasim: node %d out of range", node)
 	}
-	r.mu.Lock()
-	r.home = node
+	r.home.Store(int32(node))
 	r.policy = Explicit
-	r.mu.Unlock()
 	return nil
 }

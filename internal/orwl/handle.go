@@ -1,9 +1,6 @@
 package orwl
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // HandleState is the lifecycle state of a handle.
 type HandleState int
@@ -31,10 +28,12 @@ func (s HandleState) String() string {
 	}
 }
 
-// Handle binds a task to a location with an access mode. All methods must
-// be called from the task's goroutine (handles are not shared between
-// tasks); the state field is nevertheless mutex-protected so that
-// diagnostics can inspect handles concurrently.
+// Handle binds a task to a location with an access mode. A handle has no
+// lock: its methods belong to the owner task's goroutine, or to any goroutine
+// while no task runs (Run's canonical insertion before the tasks start, its
+// clean-up after they are joined). A grant reaches it from another goroutine
+// only through l.mu and the wake token, each of which orders the granter's
+// writes before the owner's reads.
 //
 // A handle owns everything a lock handoff needs, so none allocates. Its two
 // request slots are used alternately: ReleaseAndRequest queues one while the
@@ -59,7 +58,6 @@ type Handle struct {
 	// idx is the creation index within the task, the canonical tiebreaker.
 	idx int
 
-	mu    sync.Mutex
 	state HandleState
 	req   *request // the current request: nil or one of slots
 	slots [2]request
@@ -73,35 +71,24 @@ func (h *Handle) Location() *Location { return h.loc }
 func (h *Handle) Mode() Mode { return h.mode }
 
 // State returns the handle's lifecycle state.
-func (h *Handle) State() HandleState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
+func (h *Handle) State() HandleState { return h.state }
 
 // Volume returns the per-iteration data volume attributed to the handle.
 func (h *Handle) Volume() float64 { return h.vol }
 
 // SetVolume changes the volume attributed to the handle's subsequent
-// acquires. It is meant to be called from the owning task's goroutine
-// (handles are never shared between tasks) when the application's
-// communication pattern shifts mid-run: both the transfer costs and the
-// measured communication window follow the new volume, which is how a
-// phase change becomes visible to epoch-based re-placement. The statically
-// extracted CommMatrix, in contrast, only ever sees the volumes declared at
-// build time.
-func (h *Handle) SetVolume(vol float64) {
-	h.mu.Lock()
-	h.vol = vol
-	h.mu.Unlock()
-}
+// acquires. It is meant to be called from the owning task's goroutine (see
+// Handle) when the application's communication pattern shifts mid-run: both
+// the transfer costs and the measured communication window follow the new
+// volume, which is how a phase change becomes visible to epoch-based
+// re-placement. The statically extracted CommMatrix, in contrast, only ever
+// sees the volumes declared at build time.
+func (h *Handle) SetVolume(vol float64) { h.vol = vol }
 
 // Request enqueues a lock request. The runtime performs the initial
 // canonical insertion itself during Run; tasks call Request directly only
 // for ad-hoc (non-iterative) protocols.
 func (h *Handle) Request() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.state != Idle {
 		return fmt.Errorf("orwl: Request on %s handle for %q in state %v", h.mode, h.loc.name, h.state)
 	}
@@ -116,29 +103,22 @@ func (h *Handle) Request() error {
 // time and charges the cost of moving the handle's data volume from
 // wherever the previous holder released it.
 func (h *Handle) Acquire() error {
-	h.mu.Lock()
 	if h.state == Acquired {
-		h.mu.Unlock()
 		return fmt.Errorf("orwl: Acquire on already-acquired handle for %q", h.loc.name)
 	}
 	if h.state != Requested {
-		h.mu.Unlock()
 		return fmt.Errorf("orwl: Acquire without Request on %q", h.loc.name)
 	}
-	req := h.req
-	h.mu.Unlock()
-
 	<-h.wake
-	h.completeAcquire(req)
+	h.completeAcquire()
 	return nil
 }
 
 // completeAcquire is the half of Acquire and TryAcquire that follows the
-// receipt of req's wake token.
-func (h *Handle) completeAcquire(req *request) {
-	h.mu.Lock()
+// receipt of h.req's wake token.
+func (h *Handle) completeAcquire() {
+	req := h.req
 	h.state = Acquired
-	h.mu.Unlock()
 
 	if req.grantTask >= 0 && req.grantTask != h.task.id {
 		h.task.recordComm(req.grantTask, h.vol)
@@ -163,24 +143,18 @@ func (h *Handle) completeAcquire(req *request) {
 // completes the acquisition exactly like Acquire when it has. A handle in
 // any state other than Requested returns an error.
 func (h *Handle) TryAcquire() (bool, error) {
-	h.mu.Lock()
 	if h.state == Acquired {
-		h.mu.Unlock()
 		return false, fmt.Errorf("orwl: TryAcquire on already-acquired handle for %q", h.loc.name)
 	}
 	if h.state != Requested {
-		h.mu.Unlock()
 		return false, fmt.Errorf("orwl: TryAcquire without Request on %q", h.loc.name)
 	}
-	req := h.req
-	h.mu.Unlock()
-
 	select {
 	case <-h.wake:
 	default:
 		return false, nil
 	}
-	h.completeAcquire(req)
+	h.completeAcquire()
 	return true, nil
 }
 
@@ -208,35 +182,26 @@ func (h *Handle) ReleaseAndRequest() error {
 }
 
 func (h *Handle) release(again bool) error {
-	h.mu.Lock()
 	if h.state != Acquired {
-		h.mu.Unlock()
 		return fmt.Errorf("orwl: Release on non-acquired handle for %q (state %v)", h.loc.name, h.state)
 	}
-	old := h.req
 	var reinsert *request
 	if again {
 		reinsert = newRequest(h)
 	}
-	h.mu.Unlock()
-
 	clock, pu := 0.0, -2
 	if p := h.task.proc; p != nil {
 		clock, pu = p.Clock(), p.PU()
 	}
-	if err := h.loc.remove(old, reinsert, clock, pu, h.task.id); err != nil {
+	if err := h.loc.remove(h.req, reinsert, clock, pu, h.task.id); err != nil {
 		return err
 	}
-
-	h.mu.Lock()
+	h.req = reinsert
 	if reinsert != nil {
-		h.req = reinsert
 		h.state = Requested
 	} else {
-		h.req = nil
 		h.state = Idle
 	}
-	h.mu.Unlock()
 	h.task.rt.trace(h.task, "release", h.loc)
 	return nil
 }
@@ -246,11 +211,8 @@ func (h *Handle) release(again bool) error {
 // a programming error that the C ORWL library turns into undefined
 // behaviour and that we surface as an error instead.
 func (h *Handle) Data() (interface{}, error) {
-	h.mu.Lock()
-	st := h.state
-	h.mu.Unlock()
-	if st != Acquired {
-		return nil, fmt.Errorf("orwl: Data access on %q outside the critical section (state %v)", h.loc.name, st)
+	if h.state != Acquired {
+		return nil, fmt.Errorf("orwl: Data access on %q outside the critical section (state %v)", h.loc.name, h.state)
 	}
 	h.loc.mu.Lock()
 	defer h.loc.mu.Unlock()

@@ -13,8 +13,9 @@
 //     ReleaseAndRequest atomically enqueues a fresh request before releasing
 //     the held one, so a task keeps its relative position in the cyclic
 //     schedule across iterations — ORWL's liveness guarantee relies on it.
-//     A lock handoff allocates nothing: the handle owns its two request
-//     records and its one wake token (see Handle).
+//     A lock handoff allocates nothing and takes one lock, the location's:
+//     the handle owns its two request records and its one wake token (see
+//     Handle).
 //   - Task: a unit of execution owning a set of handles; the runtime inserts
 //     all initial requests in a canonical deterministic order before any
 //     task starts (two-phase initialization), which makes the whole

@@ -341,9 +341,7 @@ func (rt *Runtime) homeLocations(tasks []*Task) {
 // cancelRequest withdraws a queued-but-never-acquired request, used to
 // clean up after the final ReleaseAndRequest of an iterative task.
 func (h *Handle) cancelRequest() error {
-	h.mu.Lock()
 	req := h.req
-	h.mu.Unlock()
 	if req == nil {
 		return nil
 	}
@@ -364,10 +362,8 @@ func (h *Handle) cancelRequest() error {
 	}
 	l.grantLocked()
 	l.mu.Unlock()
-	h.mu.Lock()
 	h.req = nil
 	h.state = Idle
-	h.mu.Unlock()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/numasim"
@@ -11,6 +12,11 @@ import (
 )
 
 func simRuntime(t *testing.T, spec string, seed int64) *Runtime {
+	t.Helper()
+	return NewRuntime(Options{Machine: simMachine(t, spec), Seed: seed})
+}
+
+func simMachine(t *testing.T, spec string) *numasim.Machine {
 	t.Helper()
 	top, err := topology.FromSpec(spec)
 	if err != nil {
@@ -20,7 +26,7 @@ func simRuntime(t *testing.T, spec string, seed int64) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewRuntime(Options{Machine: mach, Seed: seed})
+	return mach
 }
 
 // ringProgram builds n tasks passing values around a ring of locations:
@@ -208,6 +214,56 @@ func TestSimulatedTimeDeterministic(t *testing.T) {
 	}
 	if a <= 0 {
 		t.Errorf("makespan = %v", a)
+	}
+}
+
+// TestRuntimesShareMachine: two runtimes running at once on one Machine each
+// reach their solo makespan bit for bit. Their tasks sit on disjoint
+// packages, so neither prices the other's occupancy; under -race the test
+// also checks that one runtime's pricing and another's Proc binding on a
+// shared Machine are race-free.
+func TestRuntimesShareMachine(t *testing.T) {
+	const spec = "pack:2 l3:1 core:4 pu:2"
+	build := func(mach *numasim.Machine, k int) *Runtime {
+		rt := NewRuntime(Options{Machine: mach, Seed: int64(k)})
+		ringProgram(rt, 8, 20+10*k, 4096)
+		for i, task := range rt.Tasks() {
+			if err := rt.Bind(task, 8*k+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rt
+	}
+	var solo [2]float64
+	for k := range solo {
+		rt := build(simMachine(t, spec), k)
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		solo[k] = rt.MakespanCycles()
+	}
+	shared := simMachine(t, spec)
+	rts := [2]*Runtime{build(shared, 0), build(shared, 1)}
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k, rt := range rts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = rt.Run()
+		}()
+	}
+	wg.Wait()
+	for k, rt := range rts {
+		if errs[k] != nil {
+			t.Fatalf("runtime %d: %v", k, errs[k])
+		}
+		if got := rt.MakespanCycles(); got != solo[k] {
+			t.Errorf("runtime %d: makespan %v on the shared machine, %v solo", k, got, solo[k])
+		}
+	}
+	if solo[0] == solo[1] {
+		t.Errorf("both runtimes reached makespan %v: the programs should differ", solo[0])
 	}
 }
 
