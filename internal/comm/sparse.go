@@ -1,6 +1,6 @@
 package comm
 
-import "sort"
+import "slices"
 
 // Sparse storage mode. A Matrix is either dense (row-major []float64, the
 // historical representation) or sparse (per-row sorted adjacency, a CSR-style
@@ -43,6 +43,21 @@ func (r *sparseRow) at(j int) float64 {
 		return r.vals[p]
 	}
 	return 0
+}
+
+// walkTo reads column c from position p on: it returns the position past
+// column c, the entry there (0 if absent, as at reads it), and whether
+// every entry it stepped over in a column below c reads 0.
+func (r *sparseRow) walkTo(p, c int) (int, float64, bool) {
+	for ; p < len(r.cols) && int(r.cols[p]) < c; p++ {
+		if r.vals[p] != 0 {
+			return p, 0, false
+		}
+	}
+	if p < len(r.cols) && int(r.cols[p]) == c {
+		return p + 1, r.vals[p], true
+	}
+	return p, 0, true
 }
 
 func (r *sparseRow) set(j int, v float64) {
@@ -218,8 +233,7 @@ func (m *Matrix) ToSparse() *Matrix {
 }
 
 // colValSorter sorts a (cols, vals) pair slice by column. Used by Submatrix,
-// where the entity permutation scrambles the stored column order, and by
-// aggregateSparse, whose rows list groups in first-touch order.
+// where the entity permutation scrambles the stored column order.
 type colValSorter struct {
 	cols []int32
 	vals []float64
@@ -262,7 +276,6 @@ func (m *Matrix) aggregateSparse(groups [][]int) *Matrix {
 	acc := make([]float64, k)
 	seen := make([]bool, k)
 	var touched []int32
-	var srt colValSorter
 	agg := NewSparse(k)
 	for a, ga := range groups {
 		touched = touched[:0]
@@ -279,14 +292,13 @@ func (m *Matrix) aggregateSparse(groups [][]int) *Matrix {
 		if len(touched) == 0 {
 			continue
 		}
+		slices.Sort(touched)
 		r := &agg.rows[a]
 		r.cols = append([]int32(nil), touched...)
 		r.vals = make([]float64, len(touched))
 		for p, b := range r.cols {
 			r.vals[p], seen[b] = acc[b], false
 		}
-		srt = colValSorter{r.cols, r.vals}
-		sort.Sort(&srt)
 	}
 	return agg
 }

@@ -3,6 +3,7 @@ package comm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -128,8 +129,8 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 
 	// Non-integer, asymmetric volumes with explicit zeros, summed over
 	// scattered (but sorted) groups: any change in the per-cell summation
-	// order shows up in the low bits. Group counts straddle the row-listing
-	// switch between sorting and scanning.
+	// order shows up in the low bits. Group counts run from one group to one
+	// per entity, so output rows range from one cell to hundreds.
 	rng := rand.New(rand.NewSource(25))
 	for c := 0; c < 40; c++ {
 		n := 8 + rng.Intn(400)
@@ -145,6 +146,11 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 		groups := make([][]int, k)
 		for e, g := range rng.Perm(n) {
 			groups[g%k] = append(groups[g%k], e) // ascending: e grows
+		}
+		if c%4 == 0 { // unsorted groups: the nested loop, in both modes
+			for _, g := range groups {
+				slices.Reverse(g)
+			}
 		}
 		sa, err := s.Aggregate(groups)
 		if err != nil {

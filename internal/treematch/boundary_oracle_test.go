@@ -214,6 +214,26 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 		m := comm.RandomSparse(10000, 8, 100, seed)
 		checkBoundaryExact(t, fmt.Sprintf("place-scale random seed %d", seed), m, greedyGroups(m, 10, 1000), partitionRefinePasses)
 	}
+	// Four passes carry the memo of failed pairs forward three times.
+	random := comm.RandomSparse(10000, 8, 100, 1)
+	checkBoundaryExact(t, "place-scale random seed 1", random, greedyGroups(random, 10, 1000), 4)
+
+	// Both sides have maxD = 0, so the D-sum bound alone would call the pair
+	// hopeless, but the negative w(0, 3) makes swapping 0 and 3 gain 4: the
+	// bound must not fire while a recorded entry is negative.
+	mixed := comm.NewSparse(6)
+	for _, e := range []struct {
+		i, j int
+		v    float64
+	}{{0, 3, -1}, {0, 4, 1}, {4, 5, 1.5}, {3, 1, 1}, {1, 2, 1.5}} {
+		mixed.AddSym(e.i, e.j, e.v)
+	}
+	groups := [][]int{{0, 1, 2}, {3, 4, 5}}
+	checkBoundaryExact(t, "mixed signs", mixed, groups, 1)
+	refineGroupsBoundary(mixed, groups, 1)
+	if want := [][]int{{3, 1, 2}, {0, 4, 5}}; !reflect.DeepEqual(groups, want) {
+		t.Fatalf("mixed signs: got %v, want 0 and 3 swapped: %v", groups, want)
+	}
 
 	rng := rand.New(rand.NewSource(25))
 	for c := 0; c < 60; c++ {

@@ -1,6 +1,9 @@
 package treematch
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -169,7 +172,10 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // reference kept in boundary_oracle_test.go. Each pair's cut adds the same
 // nonzeros in the same (row, column) order there and here (cutRanker), and
 // a swap is priced from D sums built the same way and a w(x, y) read from
-// the rows the D sums walk rather than from m.At (boundarySwapper).
+// the rows the D sums walk rather than from m.At (boundarySwapper). An
+// attempt whose failure is certain is not priced at all: failMemo skips a
+// pair that failed before and has not changed since, and try stops at a
+// D-sum bound before it sorts or scatters anything.
 // Everything is sized once per call; no attempt allocates.
 func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 	k := len(groups)
@@ -187,24 +193,91 @@ func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 	}
 	var cr cutRanker
 	sw := newBoundarySwapper(n, largest)
+	memo := newFailMemo(k)
 	for pass := 0; pass < passes; pass++ {
+		memo.nextPass()
 		pairs := cr.rank(m, group, k)
 		if len(pairs) == 0 {
 			return
 		}
 		improved := false
 		for _, pr := range pairs {
-			for s := 0; s < maxSwapsPerPair; s++ {
-				if !sw.try(m, groups, group, pr.a, pr.b) {
-					break
-				}
+			if memo.fails(pr.a, pr.b) {
+				continue
+			}
+			s := 0
+			for s < maxSwapsPerPair && sw.try(m, groups, group, pr.a, pr.b) {
+				s++
+			}
+			if s > 0 {
 				improved = true
+				memo.ver[pr.a]++
+				memo.ver[pr.b]++
+			}
+			if s < maxSwapsPerPair {
+				memo.record(pr.a, pr.b)
 			}
 		}
 		if !improved {
 			return
 		}
 	}
+}
+
+// failMemo remembers the pairs whose last attempt found no swap. An
+// attempt reads groups a and b only through their member slices and
+// through whether an entity's label is a or b, and both change only when a
+// swap involves a or b: a swap between c and d rewrites slices c and d and
+// relabels entities between c and d alone. So a pair that failed at the
+// current versions of both groups fails again, and is skipped.
+type failMemo struct {
+	ver []uint32 // ver[g] changes whenever group g takes part in a swap
+	// prev holds the failures of the previous pass sorted by (a, b); cur
+	// collects this pass's, skipped pairs included, so that the pass after
+	// still sees them.
+	prev, cur []failRec
+}
+
+type failRec struct {
+	a, b   int32
+	va, vb uint32
+}
+
+func cmpFailRec(x, y failRec) int {
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.b, y.b)
+}
+
+// newFailMemo sizes the memo for k groups: a pass ranks at most
+// maxBoundaryPairs·k pairs, each recorded at most once.
+func newFailMemo(k int) *failMemo {
+	l := maxBoundaryPairs * k
+	return &failMemo{ver: make([]uint32, k), prev: make([]failRec, 0, l), cur: make([]failRec, 0, l)}
+}
+
+// fails reports whether the pair failed in the previous pass and neither
+// group has swapped since; if so it is recorded again for this pass.
+func (f *failMemo) fails(a, b int32) bool {
+	p, ok := slices.BinarySearchFunc(f.prev, failRec{a: a, b: b}, cmpFailRec)
+	if !ok || f.prev[p].va != f.ver[a] || f.prev[p].vb != f.ver[b] {
+		return false
+	}
+	f.cur = append(f.cur, f.prev[p])
+	return true
+}
+
+// record notes that the pair has just failed at the groups' current versions.
+func (f *failMemo) record(a, b int32) {
+	f.cur = append(f.cur, failRec{a, b, f.ver[a], f.ver[b]})
+}
+
+// nextPass makes the failures recorded so far the ones the new pass looks
+// up.
+func (f *failMemo) nextPass() {
+	slices.SortFunc(f.cur, cmpFailRec)
+	f.prev, f.cur = f.cur, f.prev[:0]
 }
 
 // cutRec is a cross-group nonzero v between groups a < b while cutRanker
@@ -352,12 +425,16 @@ type boundarySide struct {
 	// moving the member across, ignoring the swap partner. Weights count
 	// both directions (v+v, symmetric).
 	d []float64
+	// maxD is the largest D (-Inf with no members, NaN if any D is NaN),
+	// and neg whether any entry in out is negative.
+	maxD float64
+	neg  bool
 	// The member at position p has its nonzeros into the other group at
 	// out[off[p]:off[p+1]], in column order.
 	off []int32
 	out []entry
 	// cand holds the positions of the maxBoundaryCands best members by
-	// (D desc, entity index asc); boundarySide sorts it.
+	// (D desc, entity index asc); rank sorts it.
 	cand []int
 }
 
@@ -371,12 +448,12 @@ func (s *boundarySide) Less(p, q int) bool {
 }
 func (s *boundarySide) Swap(p, q int) { s.cand[p], s.cand[q] = s.cand[q], s.cand[p] }
 
-// measure computes D and the candidate list of the members of group own
-// against group other, recording on the way the row entries a swap's w
-// needs.
+// measure computes D of the members of group own against group other,
+// recording on the way the row entries a swap's w needs.
 func (s *boundarySide) measure(m *comm.Matrix, members []int, group []int32, own, other int32) {
 	s.members = members
 	s.d, s.off, s.out = s.d[:len(members)], s.off[:len(members)+1], s.out[:0]
+	s.maxD, s.neg = math.Inf(-1), false
 	for p, x := range members {
 		var toOther, toOwn float64
 		m.ForEachNeighbor(x, func(u int, v float64) {
@@ -387,14 +464,20 @@ func (s *boundarySide) measure(m *comm.Matrix, members []int, group []int32, own
 			case other:
 				toOther += v + v
 				s.out = append(s.out, entry{int32(u), v})
+				s.neg = s.neg || v < 0
 			case own:
 				toOwn += v + v
 			}
 		})
 		s.d[p] = toOther - toOwn
+		s.maxD = max(s.maxD, s.d[p])
 		s.off[p+1] = int32(len(s.out))
 	}
-	s.cand = s.cand[:len(members)]
+}
+
+// rank fills the candidate list from the D values measure computed.
+func (s *boundarySide) rank() {
+	s.cand = s.cand[:len(s.members)]
 	for p := range s.cand {
 		s.cand[p] = p
 	}
@@ -448,6 +531,16 @@ func (sw *boundarySwapper) try(m *comm.Matrix, groups [][]int, group []int32, a,
 	A, B := &sw.side[0], &sw.side[1]
 	A.measure(m, ga, group, a, b)
 	B.measure(m, gb, group, b, a)
+	const eps = 1e-12
+	// With no negative entry recorded, every w(x, y) is ≥ 0, and rounded
+	// addition and subtraction are monotone, so no gain exceeds
+	// maxD(A) + maxD(B). The sign guard is needed: a negative w raises a
+	// gain above that sum. A +Inf or NaN maximum makes the sum fail the test.
+	if !A.neg && !B.neg && A.maxD+B.maxD <= eps {
+		return false
+	}
+	A.rank()
+	B.rank()
 	nb := len(B.cand)
 	xy, yx := sw.xy[:len(A.cand)*nb], sw.yx[:len(A.cand)*nb]
 	clear(xy)
@@ -472,7 +565,6 @@ func (sw *boundarySwapper) try(m *comm.Matrix, groups [][]int, group []int32, a,
 			}
 		}
 	}
-	const eps = 1e-12
 	bestGain := eps
 	bestXi, bestYi := -1, -1
 	for i, xi := range A.cand {
