@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,6 +142,29 @@ func TestRunWorkloadFile(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 admitted") {
 		t.Errorf("report misses the admission count:\n%s", out)
+	}
+}
+
+// TestBackfillCliff keeps the backfill cliff closed in tier-1: 2000 jobs on a
+// 1000-node platform under -backfill, where placing every queued job to test
+// it against the head's window took 53 s (0.7 s without -backfill). The
+// output is pinned to the bytes that exhaustive probing printed.
+func TestBackfillCliff(t *testing.T) {
+	stream, err := buildStream(2000, 7, 1000, 0.3, "node", "rack", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := buildOptions("topo-aware", "best", "wait", true, false, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, "rack:25 node:40 pack:1 core:8", "", stream, opts); err != nil {
+		t.Fatal(err)
+	}
+	const want = "6419c50b2b00b5510b193a78c21ebf672b195dae1542bbbd72770c8dc48e6069"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("output SHA-256 %s, want %s", got, want)
 	}
 }
 

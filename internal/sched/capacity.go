@@ -13,7 +13,6 @@ import (
 // kept incrementally consistent as jobs bind and release slots. All queries
 // are O(1) or O(slots); Bind/Release are O(slots·log cores).
 type Capacity struct {
-	topo *topology.Topology
 	// free[n] lists the free core level-indices of cluster node n,
 	// ascending.
 	free [][]int
@@ -25,7 +24,13 @@ type Capacity struct {
 	domainOfNode map[topology.Kind][]int
 	// domainFree[tier][d] counts the free slots inside domain d of tier.
 	domainFree map[topology.Kind][]int
-	total      int
+	// tierOfNode and tierFree alias the two maps' slices in DomainTiers
+	// order, so adjust walks slices instead of ranging over a map.
+	tierOfNode, tierFree [][]int
+	// mark flags the cores checkSlots has seen in the current call; it is
+	// all false between calls.
+	mark  []bool
+	total int
 }
 
 // NewCapacity builds the index for an entirely free platform.
@@ -35,9 +40,9 @@ func NewCapacity(topo *topology.Topology) (*Capacity, error) {
 	}
 	nodes := topo.NumClusterNodes()
 	c := &Capacity{
-		topo:         topo,
 		free:         make([][]int, nodes),
 		nodeOf:       make([]int, topo.NumCores()),
+		mark:         make([]bool, topo.NumCores()),
 		domains:      map[topology.Kind][]topology.FabricDomain{},
 		domainOfNode: map[topology.Kind][]int{},
 		domainFree:   map[topology.Kind][]int{},
@@ -68,12 +73,11 @@ func NewCapacity(topo *topology.Topology) (*Capacity, error) {
 		}
 		c.domainOfNode[tier] = ofNode
 		c.domainFree[tier] = freeCount
+		c.tierOfNode = append(c.tierOfNode, ofNode)
+		c.tierFree = append(c.tierFree, freeCount)
 	}
 	return c, nil
 }
-
-// Tiers lists the platform's fabric tiers, narrowest first.
-func (c *Capacity) Tiers() []topology.Kind { return c.topo.DomainTiers() }
 
 // Domains returns the domains of one tier (the topology's enumeration).
 func (c *Capacity) Domains(tier topology.Kind) []topology.FabricDomain {
@@ -157,9 +161,14 @@ func (c *Capacity) Release(cores []int) error {
 	}
 	for _, core := range cores {
 		n := c.nodeOf[core]
+		// In place: a node's list never outgrows the capacity it was
+		// built with.
 		slots := c.free[n]
 		i := sort.SearchInts(slots, core)
-		c.free[n] = append(slots[:i], append([]int{core}, slots[i:]...)...)
+		slots = append(slots, 0)
+		copy(slots[i+1:], slots[i:])
+		slots[i] = core
+		c.free[n] = slots
 		c.adjust(n, +1)
 	}
 	return nil
@@ -168,15 +177,21 @@ func (c *Capacity) Release(cores []int) error {
 // checkSlots validates a Bind/Release argument before any mutation:
 // in-range, duplicate-free, and each slot in the expected state.
 func (c *Capacity) checkSlots(cores []int, wantFree bool) error {
-	seen := map[int]bool{}
+	defer func() { // leave mark all false, whichever way the check ends
+		for _, core := range cores {
+			if core >= 0 && core < len(c.mark) {
+				c.mark[core] = false
+			}
+		}
+	}()
 	for _, core := range cores {
 		if core < 0 || core >= len(c.nodeOf) {
 			return fmt.Errorf("sched: core %d out of range [0,%d)", core, len(c.nodeOf))
 		}
-		if seen[core] {
+		if c.mark[core] {
 			return fmt.Errorf("sched: core %d listed twice", core)
 		}
-		seen[core] = true
+		c.mark[core] = true
 		slots := c.free[c.nodeOf[core]]
 		i := sort.SearchInts(slots, core)
 		isFree := i < len(slots) && slots[i] == core
@@ -193,8 +208,8 @@ func (c *Capacity) checkSlots(cores []int, wantFree bool) error {
 // adjust applies a one-slot delta for node n to every aggregate count.
 func (c *Capacity) adjust(n, delta int) {
 	c.total += delta
-	for tier, ofNode := range c.domainOfNode {
-		c.domainFree[tier][ofNode[n]] += delta
+	for i, ofNode := range c.tierOfNode {
+		c.tierFree[i][ofNode[n]] += delta
 	}
 }
 

@@ -465,7 +465,10 @@ func within(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestCapacityRejectsBadSlots: double bind, foreign release, out-of-range.
+// TestCapacityRejectsBadSlots: double bind, foreign release, out-of-range,
+// duplicates. Each rejected call leaves the index as it was, and a valid Bind
+// of the cores it had already checked then succeeds — a check that kept any
+// of them marked would refuse that Bind as a duplicate.
 func TestCapacityRejectsBadSlots(t *testing.T) {
 	topo, err := topology.FromSpec("cluster:2 pack:1 core:4 pu:1")
 	if err != nil {
@@ -475,22 +478,72 @@ func TestCapacityRejectsBadSlots(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCapacity: %v", err)
 	}
-	if err := c.Bind([]int{0, 1}); err != nil {
-		t.Fatalf("bind: %v", err)
+	want, err := NewCapacity(topo) // bound by the valid calls only
+	if err != nil {
+		t.Fatalf("NewCapacity: %v", err)
 	}
-	if err := c.Bind([]int{1}); err == nil {
-		t.Fatal("double bind accepted")
+	bind := func(cores []int) {
+		t.Helper()
+		if err := c.Bind(cores); err != nil {
+			t.Fatalf("bind %v: %v", cores, err)
+		}
+		if err := want.Bind(cores); err != nil {
+			t.Fatalf("reference bind %v: %v", cores, err)
+		}
+		if got, w := c.Fingerprint(), want.Fingerprint(); got != w {
+			t.Fatalf("after bind %v:\n got  %s\n want %s", cores, got, w)
+		}
 	}
-	if err := c.Release([]int{2}); err == nil {
-		t.Fatal("release of free slot accepted")
-	}
-	if err := c.Bind([]int{99}); err == nil {
-		t.Fatal("out-of-range bind accepted")
-	}
-	if err := c.Bind([]int{2, 2}); err == nil {
-		t.Fatal("duplicate bind accepted")
+	bind([]int{0, 1})
+	for _, tc := range []struct {
+		name   string
+		bad    func() error
+		follow []int
+	}{
+		{"double bind", func() error { return c.Bind([]int{2, 1}) }, []int{2}},
+		{"release of free slot", func() error { return c.Release([]int{3}) }, []int{3}},
+		{"out-of-range bind", func() error { return c.Bind([]int{4, 5, 99}) }, []int{4, 5}},
+		{"duplicate bind", func() error { return c.Bind([]int{6, 7, 6}) }, []int{6, 7}},
+	} {
+		before := c.Fingerprint()
+		if err := tc.bad(); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+		if after := c.Fingerprint(); after != before {
+			t.Fatalf("%s changed the index:\n before %s\n after  %s", tc.name, before, after)
+		}
+		bind(tc.follow)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("index left inconsistent: %v", err)
+	}
+}
+
+// TestCapacityBindReleaseAllocs pins the index's hot path at zero
+// allocations: Bind and Release of a 16-core job on the sched-phase2
+// platform. Every defrag probe binds and releases twice per candidate.
+func TestCapacityBindReleaseAllocs(t *testing.T) {
+	topo, err := topology.FromSpec("pod:2 rack:2 node:2 pack:2 core:4 pu:1")
+	if err != nil {
+		t.Fatalf("FromSpec: %v", err)
+	}
+	c, err := NewCapacity(topo)
+	if err != nil {
+		t.Fatalf("NewCapacity: %v", err)
+	}
+	cores := make([]int, 16)
+	for i := range cores {
+		cores[i] = i
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Bind(cores); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Release(cores); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Bind+Release of 16 cores: %v allocations, want 0", allocs)
 	}
 }

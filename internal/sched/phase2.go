@@ -108,6 +108,13 @@ func (r *runLoop) backfill(head *jobState) error {
 	}
 	for i := 1; i < len(r.queue); {
 		k := r.queue[i]
+		// A fresh job's service is its work plus a sum of transfer costs,
+		// each ≥ 0, and rounding is monotone: work alone past the window
+		// settles it without a placement.
+		if k.resume == nil && k.spec.WorkCycles > window {
+			i++
+			continue
+		}
 		placed, _, err := r.s.tryPlace(k)
 		if err != nil {
 			return err
@@ -177,10 +184,9 @@ func (r *runLoop) preemptAttempt(head *jobState) (bool, error) {
 	// first within the lowest priority class, so a small low-priority job
 	// is evicted before a wide one.
 	refPU := -1
-	for n, count := range s.cap.nodeFreeCounts() {
-		if count > 0 {
-			slots := s.cap.FreeSlots([]int{n})
-			refPU = s.topo.Cores()[slots[n][0]].Children[0].OSIndex
+	for _, slots := range s.cap.free {
+		if len(slots) > 0 {
+			refPU = s.topo.Cores()[slots[0]].Children[0].OSIndex
 			break
 		}
 	}
@@ -331,8 +337,25 @@ func (r *runLoop) defragAttempt(head *jobState) (bool, error) {
 		bill   float64
 	}
 	var best *plan
+	// The head places after v's release exactly when some domain of its
+	// widest tier count-fits it then (the tiers nest, as in earliestStart),
+	// so v is counted back into each domain before anything is released.
+	tiers, _ := s.tierLadder(head.spec) // earliestStart already resolved it
+	tier := tiers[len(tiers)-1]
+	extra := make([]int, len(s.cap.Domains(tier)))
 	for i := range r.running {
 		v := &r.running[i]
+		for _, core := range v.cores {
+			extra[s.cap.DomainOfNode(tier, s.cap.NodeOf(core))]++
+		}
+		fits := false
+		for d, e := range extra {
+			fits = fits || s.cap.DomainFree(tier, d)+e >= head.spec.Tasks
+			extra[d] = 0
+		}
+		if !fits {
+			continue
+		}
 		if err := s.cap.Release(v.cores); err != nil {
 			return false, fmt.Errorf("sched: defrag probe release %s: %w", v.stat.Name, err)
 		}

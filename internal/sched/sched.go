@@ -263,6 +263,9 @@ type jobState struct {
 	resume *resumeState
 	// m caches matrix(): every placement probe of the job reads the same one.
 	m *comm.Matrix
+	// layouts memoizes placeAware's AssignFreeSlots layout (task → PU) by
+	// the bitset of the chosen nodes' free cores, which fixes its view.
+	layouts map[string][]int
 }
 
 // matrix is the job's communication matrix, built from the pattern on the
@@ -741,11 +744,28 @@ func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placeme
 	if err != nil {
 		return nil, false, err
 	}
-	a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{})
-	if err != nil {
-		return nil, false, err
+	// AssignFreeSlots is deterministic and, for this job in this Run, a
+	// function of its view alone; every chosen node has a free core, so the
+	// free-core bitset determines the view.
+	key := make([]byte, (len(s.cap.nodeOf)+7)/8)
+	for _, n := range chosen {
+		for _, c := range s.cap.free[n] {
+			key[c/8] |= 1 << (c % 8)
+		}
 	}
-	return s.finishPlacement(m, a.TaskPU, tier, d)
+	taskPU, ok := j.layouts[string(key)]
+	if !ok {
+		a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{})
+		if err != nil {
+			return nil, false, err
+		}
+		if j.layouts == nil {
+			j.layouts = map[string][]int{}
+		}
+		taskPU = a.TaskPU
+		j.layouts[string(key)] = taskPU
+	}
+	return s.finishPlacement(m, taskPU, tier, d)
 }
 
 // placeSlotOrder fills the domain's free slots in plain core order — the
