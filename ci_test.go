@@ -1,9 +1,18 @@
 // CI-style repository guards: a go vet pass over every package, a gofmt
-// formatting guard and a go.mod tidiness check.
+// formatting guard, a go.mod tidiness check and a guard against exported
+// names that only tests use.
 package repro
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
 	"os/exec"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -50,4 +59,200 @@ func TestGoModTidy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go mod tidy -diff reports drift (run `go mod tidy`):\n%s", out)
 	}
+}
+
+// testOnlyAllowed names the exported declarations under internal/ that only
+// tests use on purpose, keyed "package.Name" or "package.Type.Method", each
+// with the reason it stays.
+var testOnlyAllowed = map[string]string{
+	"comm.Matrix.Equal":                  "the comparator every differential test reads its verdict from",
+	"comm.Matrix.ToDense":                "the dense mode the sparse-matrix tests check against",
+	"comm.Random":                        "the seeded random matrices the partitioners and their oracles are fuzzed on",
+	"experiment.Studies":                 "the study registry, held against the README and the Go benchmarks",
+	"experiment.AblationOrderings":       "the orderings each study test asserts on its rows",
+	"numasim.Machine.Accessors":          "reads back the declared memory contention",
+	"numasim.Machine.RemoteStreams":      "reads back the declared inter-socket streams",
+	"numasim.Machine.EdgeStreams":        "reads back the declared per-edge fabric streams",
+	"numasim.Machine.EdgeFaultFactor":    "reads back what ApplyFaultEvents made of an edge: degrades compound, a sever is 0",
+	"numasim.Proc.Bound":                 "observes whether a Proc is pinned (MigrateTo pins, nobind leaves it roaming)",
+	"numasim.Proc.Name":                  "the diagnostic name NewProc and NewUnboundProc take, checked to be kept",
+	"orwl.Location.Grants":               "observes read-pair grant grouping in the stress tests",
+	"orwl.Location.QueueLen":             "observes that every queue drains",
+	"orwl.Runtime.MeasuredCommMatrix":    "the measured matrix, checked against the structural one and the old accounting",
+	"sched.Capacity.Fingerprint":         "checks that a probe restores the capacity index exactly",
+	"sched.JobSpec.Render":               "the fixed point of the job-spec grammar fuzz target",
+	"topology.Topology.CheckUltrametric": "the distance-model oracle of the topology tests",
+	"topology.PlatformSpec.Nodes":        "the parser's node count, checked against the built topology",
+	"topology.PaperMachine":              "the paper's 24×8 machine, the fixture of the topology and simulator tests",
+}
+
+// TestNoTestOnlyExports type-checks every non-test file of this module and
+// of the nested benchmark module, and fails on an exported func, method,
+// type, const or package var under internal/ that no non-test file uses:
+// such a name is a second path that only its tests keep alive. A method that
+// satisfies an interface the program names counts as used; testOnlyAllowed
+// lists the oracles and observers tests read on purpose.
+func TestNoTestOnlyExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the export census in -short mode")
+	}
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → non-test files
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := "repro"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkg += "/" + dir
+		}
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := files["repro/benchmark"]; !ok {
+		t.Fatal("benchmark module not found; the census would miss its uses")
+	}
+
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	imp := &repoImporter{fset: fset, files: files, info: info,
+		pkgs: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil)}
+	for path := range files {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	used := map[types.Object]bool{}
+	var ifaces []*types.Interface
+	seen := map[types.Type]bool{}
+	var noteIfaces func(types.Type)
+	noteIfaces = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch u := typ.Underlying().(type) {
+		case *types.Interface:
+			if u.NumMethods() > 0 {
+				ifaces = append(ifaces, u)
+			}
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					noteIfaces(tuple.At(i).Type())
+				}
+			}
+		}
+	}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		used[obj] = true
+		noteIfaces(obj.Type())
+	}
+	for _, tv := range info.Types {
+		noteIfaces(tv.Type)
+	}
+	fmtPkg, err := imp.std.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noteIfaces(fmtPkg.Scope().Lookup("Stringer").Type())
+	noteIfaces(types.Universe.Lookup("error").Type())
+	satisfies := func(recv types.Type, method string) bool {
+		for _, iface := range ifaces {
+			for i := 0; i < iface.NumMethods(); i++ {
+				if iface.Method(i).Name() == method &&
+					(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	var unused []string
+	allowed := map[string]bool{}
+	report := func(key string, obj types.Object) {
+		if _, ok := testOnlyAllowed[key]; ok {
+			allowed[key] = true
+			return
+		}
+		unused = append(unused, fset.Position(obj.Pos()).String()+": "+key)
+	}
+	for path, pkg := range imp.pkgs {
+		if !strings.Contains(path, "/internal/") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			key := pkg.Name() + "." + name
+			if obj.Exported() && !used[obj] {
+				report(key, obj)
+			}
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !used[m] && !satisfies(named, m.Name()) {
+					report(key+"."+m.Name(), m)
+				}
+			}
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s has no use outside tests: delete it, or allowlist it in testOnlyAllowed with the reason", u)
+	}
+	for key := range testOnlyAllowed {
+		if !allowed[key] {
+			t.Errorf("testOnlyAllowed lists %s, which is gone or has a non-test use: drop the entry", key)
+		}
+	}
+}
+
+// repoImporter type-checks the repository's packages from their non-test
+// files on first import, recording every use in one shared Info, and leaves
+// the standard library to std.
+type repoImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	std   types.Importer
+}
+
+func (r *repoImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := r.pkgs[path]; ok {
+		return pkg, nil
+	}
+	files, ok := r.files[path]
+	if !ok {
+		return r.std.Import(path)
+	}
+	pkg, err := (&types.Config{Importer: r}).Check(path, r.fset, files, r.info)
+	if err != nil {
+		return nil, err
+	}
+	r.pkgs[path] = pkg
+	return pkg, nil
 }

@@ -4,59 +4,23 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// WriteTo serializes the matrix in a simple text format compatible with the
-// inputs TreeMatch-style tools consume: a first line with the order n,
-// followed by n lines of n space-separated volumes. Labels are emitted as
-// trailing "# name" comments, one per row, when set. It returns the number
-// of bytes written.
-func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var total int64
-	n, err := fmt.Fprintf(bw, "%d\n", m.n)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			sep := " "
-			if j == 0 {
-				sep = ""
-			}
-			n, err = fmt.Fprintf(bw, "%s%g", sep, m.At(i, j))
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-		}
-		if m.labels != nil {
-			n, err = fmt.Fprintf(bw, "  # %s", m.labels[i])
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-		}
-		n, err = fmt.Fprintln(bw)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, bw.Flush()
-}
-
-// Read parses a matrix in the format produced by WriteTo. Blank lines and
-// lines starting with '#' are ignored; a trailing "# label" on a row sets
-// the row's entity label.
+// Read parses a matrix in the text format TreeMatch-style tools consume: a
+// first line with the order n, followed by n lines of n space-separated
+// volumes. Blank lines and lines starting with '#' are ignored; a trailing
+// "# label" on a row sets the row's entity label. Every volume must be
+// finite. The matrix is built only once all n rows have been read, so memory
+// follows the input, not the order its first line claims.
 func Read(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var m *Matrix
-	row := 0
+	n, rows := -1, 0
+	var v []float64
+	var labels []string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -67,41 +31,48 @@ func Read(r io.Reader) (*Matrix, error) {
 			label = strings.TrimSpace(line[idx+1:])
 			line = strings.TrimSpace(line[:idx])
 		}
-		if m == nil {
-			n, err := strconv.Atoi(line)
-			if err != nil || n < 0 {
+		if n < 0 {
+			order, err := strconv.Atoi(line)
+			if err != nil || order < 0 {
 				return nil, fmt.Errorf("comm: bad order line %q", line)
 			}
-			m = New(n)
+			n = order
 			continue
 		}
-		if row >= m.n {
-			return nil, fmt.Errorf("comm: more than %d rows", m.n)
+		if rows >= n {
+			return nil, fmt.Errorf("comm: more than %d rows", n)
 		}
 		fields := strings.Fields(line)
-		if len(fields) != m.n {
-			return nil, fmt.Errorf("comm: row %d has %d entries, want %d", row, len(fields), m.n)
+		if len(fields) != n {
+			return nil, fmt.Errorf("comm: row %d has %d entries, want %d", rows, len(fields), n)
 		}
 		for j, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
+			x, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return nil, fmt.Errorf("comm: row %d entry %d: %v", row, j, err)
+				return nil, fmt.Errorf("comm: row %d entry %d: %v", rows, j, err)
 			}
-			m.Set(row, j, v)
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("comm: row %d entry %d: volume %v is not finite", rows, j, x)
+			}
+			v = append(v, x)
 		}
-		if label != "" {
-			m.SetLabel(row, label)
-		}
-		row++
+		labels = append(labels, label)
+		rows++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if m == nil {
+	if n < 0 {
 		return nil, fmt.Errorf("comm: empty input")
 	}
-	if row != m.n {
-		return nil, fmt.Errorf("comm: got %d rows, want %d", row, m.n)
+	if rows != n {
+		return nil, fmt.Errorf("comm: got %d rows, want %d", rows, n)
+	}
+	m := &Matrix{n: n, v: v}
+	for i, label := range labels {
+		if label != "" {
+			m.SetLabel(i, label)
+		}
 	}
 	return m, nil
 }

@@ -186,38 +186,6 @@ func (m *Matrix) IsSymmetric() bool {
 	return true
 }
 
-// Symmetrize replaces the matrix with (M + Mᵀ)/2 in place and returns it.
-// TreeMatch assumes affinity is symmetric.
-func (m *Matrix) Symmetrize() *Matrix {
-	if m.rows != nil {
-		// Visit stored entries (snapshotting each row's columns first, since
-		// setting the mirror may grow other rows); pairs stored on either
-		// side get averaged, possibly twice — the second average of two
-		// equal values is exact, so the result is well-defined.
-		for i := range m.rows {
-			cols := append([]int32(nil), m.rows[i].cols...)
-			for _, c := range cols {
-				j := int(c)
-				if j == i {
-					continue
-				}
-				avg := (m.rows[i].at(j) + m.rows[j].at(i)) / 2
-				m.rows[i].set(j, avg)
-				m.rows[j].set(i, avg)
-			}
-		}
-		return m
-	}
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			avg := (m.At(i, j) + m.At(j, i)) / 2
-			m.Set(i, j, avg)
-			m.Set(j, i, avg)
-		}
-	}
-	return m
-}
-
 // TotalVolume returns the sum of all off-diagonal entries, i.e. twice the
 // total pairwise communication volume of a symmetric matrix. Both storage
 // modes accumulate the nonzero terms in the same (row-major) order, so the
@@ -443,29 +411,6 @@ func (t posIndex) find(e int32) int32 {
 		return int32(uint32(s))
 	}
 	return -1
-}
-
-// MaxEntry returns the largest entry of the matrix (0 for an empty matrix;
-// in sparse mode absent entries count as 0, so the result is never negative
-// for matrices with free slots).
-func (m *Matrix) MaxEntry() float64 {
-	var mx float64
-	if m.rows != nil {
-		for i := range m.rows {
-			for _, x := range m.rows[i].vals {
-				if x > mx {
-					mx = x
-				}
-			}
-		}
-		return mx
-	}
-	for _, x := range m.v {
-		if x > mx {
-			mx = x
-		}
-	}
-	return mx
 }
 
 // Scale multiplies every entry by f in place and returns the matrix. In

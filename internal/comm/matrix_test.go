@@ -1,8 +1,9 @@
 package comm
 
 import (
-	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -31,13 +32,6 @@ func TestBasicOps(t *testing.T) {
 	}
 	if m.IsSymmetric() {
 		t.Errorf("matrix with (0,1)=7,(1,0)=0 reported symmetric")
-	}
-	m.Symmetrize()
-	if !m.IsSymmetric() {
-		t.Errorf("Symmetrize did not symmetrize")
-	}
-	if got := m.At(0, 1); got != 3.5 {
-		t.Errorf("Symmetrize(0,1) = %v, want 3.5", got)
 	}
 }
 
@@ -191,13 +185,10 @@ func TestExtendZero(t *testing.T) {
 
 func TestScaleMaxEqual(t *testing.T) {
 	m := Ring(3, 5)
-	if m.MaxEntry() != 5 {
-		t.Errorf("MaxEntry = %v", m.MaxEntry())
-	}
 	c := m.Clone()
 	c.Scale(2)
-	if c.MaxEntry() != 10 {
-		t.Errorf("scaled MaxEntry = %v", c.MaxEntry())
+	if c.At(0, 1) != 10 || m.At(0, 1) != 5 {
+		t.Errorf("scaled entry = %v, original %v; want 10 and 5", c.At(0, 1), m.At(0, 1))
 	}
 	if c.Equal(m, 0.001) {
 		t.Errorf("scaled matrix equal to original")
@@ -210,39 +201,110 @@ func TestScaleMaxEqual(t *testing.T) {
 	}
 }
 
-func TestRoundTripIO(t *testing.T) {
-	m := Random(6, 0.5, 1e6, 42)
-	m.SetLabel(2, "two")
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := Read(&buf)
+func TestReadParsesText(t *testing.T) {
+	in := `# a comment line, then the order
+3
+0 1.5 0   # zero
+1.5 0 2e6
+
+0 2e6 -0.25 # two
+`
+	m, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if !got.Equal(m, 1e-9) {
-		t.Errorf("round trip changed entries")
+	want := New(3)
+	want.Set(0, 1, 1.5)
+	want.Set(1, 0, 1.5)
+	want.Set(1, 2, 2e6)
+	want.Set(2, 1, 2e6)
+	want.Set(2, 2, -0.25)
+	if !m.Equal(want, 0) {
+		t.Errorf("Read = \n%v, want\n%v", m, want)
 	}
-	if got.Label(2) != "two" {
-		t.Errorf("round trip lost label: %q", got.Label(2))
+	if m.Label(0) != "zero" || m.Label(1) != "t1" || m.Label(2) != "two" {
+		t.Errorf("labels = %q %q %q", m.Label(0), m.Label(1), m.Label(2))
+	}
+	if m, err := Read(strings.NewReader("0\n")); err != nil || m.Order() != 0 {
+		t.Errorf("Read of the empty matrix = %v, %v", m, err)
 	}
 }
 
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"x\n",
-		"2\n1 2\n",          // missing row
-		"2\n1 2 3\n4 5 6\n", // wrong width
-		"2\n1 a\n3 4\n",     // bad number
-		"1\n0\n0\n",         // extra row
+	cases := []struct{ name, in, want string }{
+		{"empty", "", "empty input"},
+		{"bad order", "x\n", "bad order"},
+		{"negative order", "-1\n", "bad order"},
+		{"missing row", "2\n1 2\n", "got 1 rows, want 2"},
+		{"wrong width", "2\n1 2 3\n4 5 6\n", "row 0 has 3 entries"},
+		{"bad number", "2\n1 a\n3 4\n", "row 0 entry 1"},
+		{"extra row", "1\n0\n0\n", "more than 1 rows"},
+		{"order beyond memory", "4000000000\n", "got 0 rows, want 4000000000"},
+		{"NaN", "2\n0 NaN\n1 0\n", "row 0 entry 1: volume NaN is not finite"},
+		{"Inf", "2\n0 1\n+Inf 0\n", "row 1 entry 0: volume +Inf is not finite"},
+		{"-Inf", "1\n-inf\n", "row 0 entry 0: volume -Inf is not finite"},
+		{"overflow", "1\n1e400\n", "row 0 entry 0"},
 	}
-	for _, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("Read(%q) succeeded, want error", in)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Read(strings.NewReader(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Read(%q) = %v, %v; want an error containing %q", tc.in, m, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReadMemoryFollowsInput: an order line alone must not allocate the
+// matrix it announces (order 4096 is 128 MiB dense).
+func TestReadMemoryFollowsInput(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(strings.NewReader("4096\n0 1\n")); err == nil {
+		t.Fatal("truncated input accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("Read of a two-line input allocated %d bytes", got)
+	}
+}
+
+// FuzzReadMatrix: Read never panics, and every matrix it accepts has as many
+// rows as its order and only finite entries.
+func FuzzReadMatrix(f *testing.F) {
+	for _, seed := range []string{
+		"2\n0 1\n1 0\n",
+		"3\n0 1 2 # a\n1 0 3\n2 3 0 # c\n",
+		"# comment\n1\n\n5\n",
+		"0\n",
+		"4000000000\n",
+		"2\n0 NaN\n1 0\n",
+		"1\n1e400\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := Read(strings.NewReader(in))
+		if err != nil {
+			return
 		}
-	}
+		n := 0
+		for _, line := range strings.Split(in, "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		if m.Order() != n-1 {
+			t.Fatalf("order %d from %d row lines", m.Order(), n-1)
+		}
+		for i := 0; i < m.Order(); i++ {
+			for j := 0; j < m.Order(); j++ {
+				if x := m.At(i, j); math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("entry (%d,%d) = %v", i, j, x)
+				}
+			}
+		}
+	})
 }
 
 func TestStringForms(t *testing.T) {

@@ -155,17 +155,6 @@ func Ring(n int, vol float64) *Matrix {
 	return m
 }
 
-// AllToAll builds a complete affinity graph where every pair exchanges vol.
-func AllToAll(n int, vol float64) *Matrix {
-	m := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.AddSym(i, j, vol)
-		}
-	}
-	return m
-}
-
 // Random builds a random symmetric matrix: each pair communicates with
 // probability density, with a volume uniform in [0, maxVol). The generator
 // is deterministic for a given seed.

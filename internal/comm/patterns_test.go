@@ -145,10 +145,6 @@ func TestRingAllToAllRandom(t *testing.T) {
 	if Ring(1, 3).TotalVolume() != 0 {
 		t.Errorf("degenerate ring has volume")
 	}
-	a := AllToAll(4, 1)
-	if got := a.TotalVolume(); got != 4*3*1 {
-		t.Errorf("all-to-all volume = %v, want 12", got)
-	}
 	m1 := Random(10, 0.5, 100, 9)
 	m2 := Random(10, 0.5, 100, 9)
 	if !m1.Equal(m2, 0) {

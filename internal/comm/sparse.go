@@ -135,26 +135,6 @@ func (m *Matrix) NNZ() int {
 	return nnz
 }
 
-// RowNNZ returns the number of nonzero entries of row i — exactly the number
-// of calls ForEachNeighbor(i, ·) makes.
-func (m *Matrix) RowNNZ(i int) int {
-	nnz := 0
-	if m.rows != nil {
-		for _, v := range m.rows[i].vals {
-			if v != 0 {
-				nnz++
-			}
-		}
-		return nnz
-	}
-	for _, v := range m.v[i*m.n : (i+1)*m.n] {
-		if v != 0 {
-			nnz++
-		}
-	}
-	return nnz
-}
-
 // ForEachNeighbor calls fn for every nonzero entry (i,j) of row i, in
 // ascending column order. The diagonal entry is included when nonzero
 // (aggregated matrices carry intra-group volume there). Both storage modes

@@ -15,7 +15,7 @@ func testMatrices(t *testing.T) map[string]*Matrix {
 		"stencil8x8":  Stencil2D(8, 8, 64, 8),
 		"stencil5x3":  Stencil2D(5, 3, 100, 10),
 		"ring17":      Ring(17, 3),
-		"alltoall9":   AllToAll(9, 2),
+		"complete9":   Random(9, 1, 2, 3),
 		"random64":    Random(64, 0.1, 1000, 42),
 		"lk23":        LK23OpLevel(3, 3, 16, 16, 8),
 		"empty":       New(12),
@@ -58,9 +58,6 @@ func TestSparseIterationMatchesDense(t *testing.T) {
 			t.Errorf("%s: NNZ sparse %d dense %d", name, got, want)
 		}
 		for i := 0; i < d.Order(); i++ {
-			if got, want := s.RowNNZ(i), d.RowNNZ(i); got != want {
-				t.Errorf("%s: RowNNZ(%d) sparse %d dense %d", name, i, got, want)
-			}
 			type ent struct {
 				j int
 				v float64
@@ -90,9 +87,6 @@ func TestSparseAccumulationsBitEqual(t *testing.T) {
 			if got, want := s.RowVolume(i), d.RowVolume(i); got != want {
 				t.Errorf("%s: RowVolume(%d) sparse %v dense %v", name, i, got, want)
 			}
-		}
-		if got, want := s.MaxEntry(), d.MaxEntry(); got != want {
-			t.Errorf("%s: MaxEntry sparse %v dense %v", name, got, want)
 		}
 		if got, want := s.IsSymmetric(), d.IsSymmetric(); got != want {
 			t.Errorf("%s: IsSymmetric sparse %v dense %v", name, got, want)
@@ -168,7 +162,7 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 
 func TestSparseSubmatrixExtendSymmetrize(t *testing.T) {
 	d := Random(40, 0.3, 500, 7)
-	d.Set(3, 9, 123) // break symmetry for Symmetrize coverage
+	d.Set(3, 9, 123) // an asymmetric entry
 	s := d.ToSparse()
 
 	ids := []int{5, 0, 17, 33, 12, 39, 2}
@@ -205,15 +199,6 @@ func TestSparseSubmatrixExtendSymmetrize(t *testing.T) {
 		if dx.Label(i) != sx.Label(i) {
 			t.Fatalf("extend label %d: dense %q sparse %q", i, dx.Label(i), sx.Label(i))
 		}
-	}
-
-	dsym := d.Clone().Symmetrize()
-	ssym := s.Clone().Symmetrize()
-	if !ssym.IsSymmetric() {
-		t.Error("sparse Symmetrize left an asymmetric matrix")
-	}
-	if !dsym.Equal(ssym, 0) {
-		t.Error("symmetrize differs across modes")
 	}
 
 	dscaled := d.Clone().Scale(0.25)
@@ -271,8 +256,8 @@ func TestSparseSetAddSemantics(t *testing.T) {
 	if count != 0 {
 		t.Errorf("ForEachNeighbor visited %d cancelled entries", count)
 	}
-	if s.RowNNZ(1) != 0 || s.NNZ() != 0 {
-		t.Errorf("cancelled entry counted: rownnz=%d nnz=%d", s.RowNNZ(1), s.NNZ())
+	if s.NNZ() != 0 {
+		t.Errorf("cancelled entry counted: nnz=%d", s.NNZ())
 	}
 	s.AddSym(0, 4, 2.5)
 	if s.At(0, 4) != 2.5 || s.At(4, 0) != 2.5 {

@@ -25,27 +25,12 @@ func NewWindow(n int) *Window {
 	return &Window{cur: NewSparse(n)}
 }
 
-// Order returns the number of entities the window tracks.
-func (w *Window) Order() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cur.Order()
-}
-
 // AddSym accumulates one observed exchange of vol bytes between entities i
 // and j onto both (i,j) and (j,i).
 func (w *Window) AddSym(i, j int, vol float64) {
 	w.mu.Lock()
 	w.cur.AddSym(i, j, vol)
 	w.mu.Unlock()
-}
-
-// Snapshot returns a copy of the current accumulation without rolling the
-// window.
-func (w *Window) Snapshot() *Matrix {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cur.Clone()
 }
 
 // Roll returns a snapshot of the accumulation and rolls the window forward:

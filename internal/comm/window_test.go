@@ -17,7 +17,7 @@ func TestWindowRollResets(t *testing.T) {
 	if got := snap.At(2, 1); got != 4 {
 		t.Errorf("snapshot (2,1) = %v, want 4 (symmetric)", got)
 	}
-	if got := w.Snapshot().TotalVolume(); got != 0 {
+	if got := w.cur.TotalVolume(); got != 0 {
 		t.Errorf("window not empty after Roll(0): total %v", got)
 	}
 
@@ -36,7 +36,7 @@ func TestWindowRollDecay(t *testing.T) {
 	w := NewWindow(2)
 	w.AddSym(0, 1, 8)
 	w.Roll(0.5)
-	if got := w.Snapshot().At(0, 1); got != 4 {
+	if got := w.cur.At(0, 1); got != 4 {
 		t.Errorf("decayed window (0,1) = %v, want 4", got)
 	}
 	w.AddSym(0, 1, 2)
@@ -51,7 +51,7 @@ func TestWindowRollBadDecayResets(t *testing.T) {
 		w := NewWindow(2)
 		w.AddSym(0, 1, 5)
 		w.Roll(decay)
-		if got := w.Snapshot().TotalVolume(); got != 0 {
+		if got := w.cur.TotalVolume(); got != 0 {
 			t.Errorf("Roll(%v) kept volume %v, want reset", decay, got)
 		}
 	}
@@ -76,7 +76,7 @@ func TestWindowRollInPlace(t *testing.T) {
 	if !inPlace() {
 		t.Error("Roll(decay) reallocated the window's backing storage")
 	}
-	if got := w.Snapshot().At(1, 0); got != 1.5 {
+	if got := w.cur.At(1, 0); got != 1.5 {
 		t.Errorf("decayed window (1,0) = %v, want 1.5", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestWindowConcurrentAdd(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := w.Snapshot().At(0, 1); got != 800 {
+	if got := w.cur.At(0, 1); got != 800 {
 		t.Errorf("concurrent accumulation = %v, want 800", got)
 	}
 }

@@ -91,9 +91,6 @@ func (s *System) Run(heavy []bool) error {
 	return s.rt.Run()
 }
 
-// Assignment returns the placement computed by Run (nil before Run).
-func (s *System) Assignment() *placement.Assignment { return s.assignment }
-
 // Seconds returns the simulated execution time of the program.
 func (s *System) Seconds() float64 { return s.rt.MakespanSeconds() }
 

@@ -31,8 +31,8 @@ func TestSystemEndToEnd(t *testing.T) {
 	if sys.Seconds() <= 0 {
 		t.Errorf("no simulated time")
 	}
-	if sys.Assignment() == nil || sys.Assignment().Policy != "treematch" {
-		t.Errorf("assignment = %+v", sys.Assignment())
+	if sys.assignment == nil || sys.assignment.Policy != "treematch" {
+		t.Errorf("assignment = %+v", sys.assignment)
 	}
 	res, err := prog.Result()
 	if err != nil {
@@ -85,10 +85,10 @@ func TestSystemNoBindPolicy(t *testing.T) {
 	if err := sys.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Assignment().Policy != "nobind" {
-		t.Errorf("policy = %s", sys.Assignment().Policy)
+	if sys.assignment.Policy != "nobind" {
+		t.Errorf("policy = %s", sys.assignment.Policy)
 	}
-	if task.PU() != -1 {
-		t.Errorf("nobind bound the task to %d", task.PU())
+	if task.Proc().Bound() {
+		t.Errorf("nobind bound the task to PU %d", task.Proc().PU())
 	}
 }

@@ -271,13 +271,6 @@ func AblationDistribution(cfg Config) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// NodesUsed extracts the node-spread metric from an A6 row's detail.
-func NodesUsed(r AblationRow) int {
-	var n int
-	fmt.Sscanf(r.Detail, "%d", &n)
-	return n
-}
-
 // AblationOMPSchedule (A7) sweeps the loop-scheduling policy of the OpenMP
 // baseline. The point the paper makes implicitly — that the baseline's
 // problem is affinity, not load balancing — shows here: no schedule

@@ -1,9 +1,20 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// armNamed returns the policy of a study's arm named mode.
+func armNamed[P any](t *testing.T, arms []arm[P], mode string) P {
+	t.Helper()
+	p, err := armPolicy("test", arms, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func ablCfg() Config {
 	return Config{Rows: 4096, Cols: 4096, Iters: 5, Cores: 32, Seed: 7}
@@ -162,6 +173,13 @@ func TestAblationOMPSchedule(t *testing.T) {
 	}
 }
 
+// nodesUsed reads the node-spread metric off an A6 row's detail.
+func nodesUsed(r AblationRow) int {
+	var n int
+	fmt.Sscanf(r.Detail, "%d", &n)
+	return n
+}
+
 func TestAblationDistribution(t *testing.T) {
 	rows, err := AblationDistribution(ablCfg())
 	if err != nil {
@@ -174,9 +192,9 @@ func TestAblationDistribution(t *testing.T) {
 	// The structural effect of the paper's distribution requirement: the
 	// restricted tree forces the tasks across more NUMA nodes than pure
 	// affinity clustering uses.
-	if NodesUsed(dist) <= NodesUsed(packed) {
+	if nodesUsed(dist) <= nodesUsed(packed) {
 		t.Errorf("distribution uses %d nodes, cluster-only %d; no spread",
-			NodesUsed(dist), NodesUsed(packed))
+			nodesUsed(dist), nodesUsed(packed))
 	}
 	if dist.Seconds <= 0 || packed.Seconds <= 0 {
 		t.Errorf("missing times: %+v", rows)

@@ -154,19 +154,8 @@ func clusterStencil(cfg ClusterConfig) func(*orwl.Runtime) error {
 	}
 }
 
-// RunCluster executes the multi-node stencil under one placement mode (see
-// clusterArms) and returns its simulated processing time.
-func RunCluster(mode string, cfg ClusterConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	a, err := armPolicy("cluster", clusterArms, mode)
-	if err != nil {
-		return Result{}, err
-	}
-	return runCluster(a, cfg.withDefaults())
-}
-
+// runCluster executes the multi-node stencil under one placement arm (see
+// clusterArms); cfg carries its defaults already.
 func runCluster(a clusterArm, cfg ClusterConfig) (Result, error) {
 	tasks := cfg.Nodes * cfg.CoresPerNode
 	var mach *numasim.Machine

@@ -41,7 +41,7 @@ func TestClusterConfigValidate(t *testing.T) {
 }
 
 func TestRunClusterUnknownMode(t *testing.T) {
-	if _, err := RunCluster("nope", testClusterCfg(2)); err == nil {
+	if _, err := armPolicy("cluster", clusterArms, "nope"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
@@ -90,14 +90,14 @@ func TestAblationCluster(t *testing.T) {
 }
 
 func TestRunClusterDeterministic(t *testing.T) {
-	cfg := testClusterCfg(2)
+	cfg := testClusterCfg(2).withDefaults()
 	for _, arm := range clusterArms {
 		mode := arm.name
-		a, err := RunCluster(mode, cfg)
+		a, err := runCluster(arm.policy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunCluster(mode, cfg)
+		b, err := runCluster(arm.policy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -213,16 +213,10 @@ var faultArms = []arm[*placement.AdaptiveOptions]{
 
 // FaultResult reports one fault-injection run.
 type FaultResult struct {
-	Mode    string
 	Seconds float64
 	// Stats is the adaptive engine's decision record, including the fault
 	// epoch count, the forced evacuations and their modeled bill.
 	Stats placement.AdaptiveStats
-}
-
-// String renders a one-line summary.
-func (r FaultResult) String() string {
-	return fmt.Sprintf("%-15s time=%8.3fs %s", r.Mode, r.Seconds, faultDetail(r.Stats))
 }
 
 // faultDetail renders the engine's fault-handling counters.
@@ -231,21 +225,8 @@ func faultDetail(st placement.AdaptiveStats) string {
 		st.FaultEpochs, st.Evacuations, st.Rebinds, st.CrossRackRebinds)
 }
 
-// RunFault executes the rack-skewed stencil under one fault-handling mode
-// (see faultArms).
-func RunFault(mode string, cfg FaultConfig) (FaultResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return FaultResult{}, err
-	}
-	a, err := armPolicy("fault", faultArms, mode)
-	if err != nil {
-		return FaultResult{}, err
-	}
-	res, err := runFault(a, cfg.withDefaults())
-	res.Mode = mode
-	return res, err
-}
-
+// runFault executes the rack-skewed stencil under one fault-handling arm
+// (see faultArms); cfg carries its defaults already.
 func runFault(a *placement.AdaptiveOptions, cfg FaultConfig) (FaultResult, error) {
 	cluster, err := RackCluster(cfg.RackConfig)
 	if err != nil {

@@ -79,7 +79,7 @@ func TestRunFaultEvacuates(t *testing.T) {
 	cfg := testFaultCfg()
 	for _, arm := range faultArms {
 		mode := arm.name
-		res, err := RunFault(mode, cfg)
+		res, err := runFault(arm.policy, cfg.withDefaults())
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -104,11 +104,11 @@ func TestRunFaultEvacuates(t *testing.T) {
 func TestRunFaultDeterministic(t *testing.T) {
 	for _, arm := range faultArms {
 		mode := arm.name
-		a, err := RunFault(mode, testFaultCfg())
+		a, err := runFault(arm.policy, testFaultCfg().withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunFault(mode, testFaultCfg())
+		b, err := runFault(arm.policy, testFaultCfg().withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestRunFaultDeterministic(t *testing.T) {
 func TestFaultNoScheduleMatchesRack(t *testing.T) {
 	cfg := testFaultCfg()
 	cfg.KillNode = -1
-	res, err := RunFault("fault-aware", cfg)
+	res, err := runFault(armNamed(t, faultArms, "fault-aware"), cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,6 @@ func TestFaultValidation(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-	}
-	if _, err := RunFault("nonsense", testFaultCfg()); err == nil ||
-		!strings.Contains(err.Error(), "unknown fault mode") {
-		t.Errorf("unknown mode accepted (err %v)", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/orwl"
 	"repro/internal/placement"
+	"repro/internal/topology"
 )
 
 func TestHeteroPlatformShape(t *testing.T) {
@@ -136,7 +137,7 @@ func TestHeteroAwarePlacement(t *testing.T) {
 			continue
 		}
 		na, np := topo.ClusterNodes()[nodeOfBlock[b]], topo.ClusterNodes()[nodeOfBlock[p]]
-		if topo.SamePod(na, np) {
+		if na.Ancestor(topology.Pod) == np.Ancestor(topology.Pod) {
 			t.Errorf("depth-blind pair blocks %d/%d unexpectedly share a pod", b, p)
 		}
 	}

@@ -55,8 +55,8 @@ var sched2Arms = []arm[sched.Options]{
 
 // SchedConfig parameterizes both scheduler ablations: a grid of platform
 // shapes × stream seeds, every cell replaying the same seeded workload under
-// each arm. The zero value is A15's grid; RunSched2 and AblationSched2 fill
-// unset fields with A16's defaults instead (see sched2Defaults).
+// each arm. The zero value is A15's grid; AblationSched2 fills unset fields
+// with A16's defaults instead (see sched2Defaults).
 type SchedConfig struct {
 	// Shapes are the platform specs of the grid (default: a two-rack and a
 	// two-pod machine, so the ordering is asserted on both a 2-tier and a
@@ -225,7 +225,6 @@ type SchedCell struct {
 
 // SchedResult reports one arm across the whole grid.
 type SchedResult struct {
-	Mode string
 	// Seconds is the grid total of aggregate job cycle time (finish −
 	// arrival summed over admitted jobs, converted at the default clock) —
 	// the ordering metric of both ablations.
@@ -240,13 +239,6 @@ type SchedResult struct {
 	FragmentationAvg, BusyUtilization float64
 	// Cells holds the per-cell reports, shape-major in grid order.
 	Cells []SchedCell
-}
-
-// String renders a one-line summary.
-func (r SchedResult) String() string {
-	return fmt.Sprintf("%-11s agg=%9.3fs admitted=%d rejected=%d backfills=%d preempts=%d defrags=%d frag=%.3f util=%.3f",
-		r.Mode, r.Seconds, r.Admitted, r.Rejected, r.Backfills, r.Preemptions, r.DefragMigrations,
-		r.FragmentationAvg, r.BusyUtilization)
 }
 
 // runSchedCell replays one seeded stream on one platform shape under one
@@ -299,21 +291,6 @@ func runSchedGrid(opts sched.Options, cfg SchedConfig) (SchedResult, error) {
 	return res, nil
 }
 
-// runSched is the single-arm entry point behind RunSched and RunSched2; cfg
-// carries the study's defaults already.
-func runSched(study string, arms []arm[sched.Options], mode string, cfg SchedConfig) (SchedResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return SchedResult{}, err
-	}
-	opts, err := armPolicy(study, arms, mode)
-	if err != nil {
-		return SchedResult{}, err
-	}
-	res, err := runSchedGrid(opts, cfg)
-	res.Mode = mode
-	return res, err
-}
-
 // ablationSched sweeps a scheduler study's arms over the grid, summed. The
 // per-cell ordering (each shape and seed separately) is asserted by the
 // experiment tests; the summed rows carry the same assertion into the bench
@@ -329,11 +306,6 @@ func ablationSched(study string, arms []arm[sched.Options], cfg SchedConfig, det
 		})
 }
 
-// RunSched executes one A15 policy arm over the full shape × seed grid.
-func RunSched(mode string, cfg SchedConfig) (SchedResult, error) {
-	return runSched("sched", schedArms, mode, cfg.withDefaults())
-}
-
 // AblationSched (A15) compares the scheduler policy arms: topo-aware <
 // topo-blind < first-fit on aggregate job cycle time.
 func AblationSched(cfg SchedConfig) ([]AblationRow, error) {
@@ -341,11 +313,6 @@ func AblationSched(cfg SchedConfig) ([]AblationRow, error) {
 		return fmt.Sprintf("admitted=%d rejected=%d frag=%.3f util=%.3f cells=%d",
 			res.Admitted, res.Rejected, res.FragmentationAvg, res.BusyUtilization, len(res.Cells))
 	})
-}
-
-// RunSched2 executes one A16 arm over the full shape × seed grid.
-func RunSched2(mode string, cfg SchedConfig) (SchedResult, error) {
-	return runSched("sched2", sched2Arms, mode, cfg.sched2Defaults())
 }
 
 // AblationSched2 (A16) compares the phase-2 policy stack: full (backfill +

@@ -74,15 +74,16 @@ func TestAblationSched2Rows(t *testing.T) {
 		t.Errorf("registered sched2 orderings violated: %v", err)
 	}
 
-	full, err := RunSched2("full", SchedConfig{})
+	cfg := SchedConfig{}.sched2Defaults()
+	full, err := runSchedGrid(armNamed(t, sched2Arms, "full"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := RunSched2("backfill", SchedConfig{})
+	bf, err := runSchedGrid(armNamed(t, sched2Arms, "backfill"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := RunSched2("fifo", SchedConfig{})
+	fifo, err := runSchedGrid(armNamed(t, sched2Arms, "fifo"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSched2ConfigValidate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.want == "" {
-				if _, err := RunSched2("greedy", tc.cfg); err == nil ||
+				if _, err := armPolicy("sched2", sched2Arms, "greedy"); err == nil ||
 					!strings.Contains(err.Error(), "unknown sched2 mode") {
 					t.Fatalf("unknown mode error = %v", err)
 				}

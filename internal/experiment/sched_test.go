@@ -73,11 +73,12 @@ func TestAblationSchedRows(t *testing.T) {
 	if err := CheckOrderings(rows, AblationOrderings("sched")); err != nil {
 		t.Errorf("registered sched orderings violated: %v", err)
 	}
-	aware, err := RunSched("topo-aware", SchedConfig{})
+	cfg := SchedConfig{}.withDefaults()
+	aware, err := runSchedGrid(armNamed(t, schedArms, "topo-aware"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := RunSched("first-fit", SchedConfig{})
+	first, err := runSchedGrid(armNamed(t, schedArms, "first-fit"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSchedConfigValidate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.want == "" {
-				if _, err := RunSched("round-robin", tc.cfg); err == nil ||
+				if _, err := armPolicy("sched", schedArms, "round-robin"); err == nil ||
 					!strings.Contains(err.Error(), "unknown sched mode") {
 					t.Fatalf("unknown mode error = %v", err)
 				}
@@ -128,7 +129,7 @@ func TestSchedBracedShape(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate() = %v", err)
 	}
-	res, err := RunSched("topo-aware", cfg)
+	res, err := runSchedGrid(armNamed(t, schedArms, "topo-aware"), cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,16 +107,10 @@ var shiftArms = []arm[*placement.AdaptiveOptions]{
 
 // ShiftResult reports one rack-crossing phase-shift run.
 type ShiftResult struct {
-	Mode    string
 	Seconds float64
 	// Stats is the adaptive engine's decision record (zero for static),
 	// including the intra-node / cross-node / cross-rack move split.
 	Stats placement.AdaptiveStats
-}
-
-// String renders a one-line summary.
-func (r ShiftResult) String() string {
-	return fmt.Sprintf("%-15s time=%8.3fs %s", r.Mode, r.Seconds, shiftDetail(r.Stats))
 }
 
 // shiftDetail renders the engine's decision counters with the cross-fabric
@@ -162,21 +156,8 @@ func shiftStencil(cfg ShiftConfig) blockStencil {
 	return s
 }
 
-// RunShift executes the rack-crossing phase-shift workload under one
-// placement mode (see shiftArms).
-func RunShift(mode string, cfg ShiftConfig) (ShiftResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return ShiftResult{}, err
-	}
-	a, err := armPolicy("shift", shiftArms, mode)
-	if err != nil {
-		return ShiftResult{}, err
-	}
-	res, err := runShift(a, cfg.withDefaults())
-	res.Mode = mode
-	return res, err
-}
-
+// runShift executes the rack-crossing phase-shift workload under one
+// placement arm (see shiftArms); cfg carries its defaults already.
 func runShift(a *placement.AdaptiveOptions, cfg ShiftConfig) (ShiftResult, error) {
 	cluster, err := RackCluster(cfg.RackConfig)
 	if err != nil {

@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func testShiftCfg() ShiftConfig {
 	return ShiftConfig{RackConfig: RackConfig{Seed: 42}}
@@ -75,7 +72,7 @@ func TestAblationShift(t *testing.T) {
 // moves, a subset of them cross-rack, and the modeled migration bill of
 // those moves is priced (non-zero) — dead code at cluster scale no more.
 func TestShiftFabricMovesCrossTheFabric(t *testing.T) {
-	res, err := RunShift("adaptive-fabric", testShiftCfg())
+	res, err := runShift(armNamed(t, shiftArms, "adaptive-fabric"), testShiftCfg().withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +112,7 @@ func TestShiftNoIntraNodeChurn(t *testing.T) {
 	cfg := testShiftCfg()
 	cfg.Racks, cfg.NodesPerRack = 2, 2
 	cfg.CoresPerNode, cfg.CoresPerSocket = 12, 12
-	res, err := RunShift("adaptive-fabric", cfg)
+	res, err := runShift(armNamed(t, shiftArms, "adaptive-fabric"), cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +130,11 @@ func TestShiftNoIntraNodeChurn(t *testing.T) {
 func TestRunShiftDeterministic(t *testing.T) {
 	for _, arm := range shiftArms {
 		mode := arm.name
-		a, err := RunShift(mode, testShiftCfg())
+		a, err := runShift(arm.policy, testShiftCfg().withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunShift(mode, testShiftCfg())
+		b, err := runShift(arm.policy, testShiftCfg().withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,10 +169,6 @@ func TestShiftValidation(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-	}
-	if _, err := RunShift("nonsense", testShiftCfg()); err == nil ||
-		!strings.Contains(err.Error(), "unknown shift mode") {
-		t.Errorf("unknown mode accepted (err %v)", err)
 	}
 }
 

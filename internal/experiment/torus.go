@@ -165,8 +165,7 @@ func TorusCluster(cfg TorusConfig) (*numasim.Platform, error) {
 var torusArms = []arm[placement.Policy]{
 	// The default hierarchical pipeline: on a shaped fabric the group→node
 	// matching runs through the routed distance model with the
-	// space-filling-curve seed (and the partitioner's portfolio gains the
-	// curve-chain candidate). The speedup base.
+	// space-filling-curve seed. The speedup base.
 	{"sfc", placement.Hierarchical{}},
 	// The balanced-tree model of earlier revisions: a shaped fabric admits
 	// no balanced abstract tree, so the matching is skipped and the

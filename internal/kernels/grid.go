@@ -94,12 +94,3 @@ func (g *Grid) MaxAbsDiff(o *Grid) float64 {
 	}
 	return mx
 }
-
-// Checksum returns the sum of ZA, a cheap fingerprint for regression tests.
-func (g *Grid) Checksum() float64 {
-	var s float64
-	for _, v := range g.ZA {
-		s += v
-	}
-	return s
-}

@@ -10,8 +10,8 @@ package kernels
 // The classic kernel sweeps in place (Gauss–Seidel style: updated rows feed
 // later rows within the same sweep). The ORWL block decomposition of the
 // paper exchanges halos once per iteration, which parallelizes the
-// two-buffer Jacobi variant; both are implemented here, and the parallel
-// implementations are validated element-wise against RunJacobi.
+// two-buffer Jacobi variant; that variant is the one implemented here, and
+// the parallel implementation is validated element-wise against RunJacobi.
 
 // Relax is the relaxation factor of Kernel 23.
 const Relax = 0.175
@@ -43,26 +43,6 @@ type Costs struct {
 // (ZA read+write and 5 coefficient arrays) of 8 bytes each.
 var LK23Costs = Costs{FlopsPerCell: 11, BytesPerCell: 8 * Streams}
 
-// StepGS performs one classic in-place (Gauss–Seidel) Kernel 23 sweep.
-func StepGS(g *Grid) {
-	za, c := g.ZA, g.Cols
-	for k := 1; k < g.Rows-1; k++ {
-		for j := 1; j < c-1; j++ {
-			i := k*c + j
-			qa := za[i+c]*g.ZR[i] + za[i-c]*g.ZB[i] + za[i+1]*g.ZU[i] + za[i-1]*g.ZV[i] + g.ZZ[i]
-			za[i] += Relax * (qa - za[i])
-		}
-	}
-}
-
-// RunGS runs iters in-place sweeps and returns g (modified in place).
-func RunGS(g *Grid, iters int) *Grid {
-	for it := 0; it < iters; it++ {
-		StepGS(g)
-	}
-	return g
-}
-
 // StepJacobi writes one two-buffer sweep of the given stencil into dst.ZA
 // from src.ZA. Boundary cells are copied unchanged. dst and src must have
 // the same shape and may not alias.
@@ -83,7 +63,7 @@ func StepJacobi(dst, src *Grid, cell CellFunc) {
 
 // RunJacobi runs iters two-buffer sweeps of the stencil starting from g and
 // returns the resulting grid; g itself is not modified. This is the
-// sequential reference the ORWL and OpenMP implementations must match
+// sequential reference the ORWL implementation must match
 // element-for-element.
 func RunJacobi(g *Grid, cell CellFunc, iters int) *Grid {
 	cur := g.Clone()

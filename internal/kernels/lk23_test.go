@@ -38,44 +38,6 @@ func TestCloneSharesCoefficients(t *testing.T) {
 	}
 }
 
-func TestStepGSConvergesAndKeepsBoundary(t *testing.T) {
-	g := NewGrid(16, 16, 7)
-	boundary := make([]float64, 16)
-	copy(boundary, g.ZA[:16])
-	prevDelta := math.Inf(1)
-	prev := g.Clone()
-	for it := 0; it < 5; it++ {
-		StepGS(g)
-		delta := g.MaxAbsDiff(prev)
-		if it > 0 && delta > prevDelta*1.5 {
-			t.Fatalf("iteration %d diverging: delta %v after %v", it, delta, prevDelta)
-		}
-		prevDelta = delta
-		prev = g.Clone()
-	}
-	for j, want := range boundary {
-		if g.ZA[j] != want {
-			t.Errorf("boundary cell %d changed: %v -> %v", j, want, g.ZA[j])
-		}
-	}
-}
-
-func TestRunGSChecksumRegression(t *testing.T) {
-	// Deterministic regression pin: the classic in-place kernel on the
-	// seed-1 16x16 grid. If this changes, the kernel arithmetic changed.
-	g := NewGrid(16, 16, 1)
-	RunGS(g, 10)
-	sum := g.Checksum()
-	ref := NewGrid(16, 16, 1)
-	RunGS(ref, 10)
-	if sum != ref.Checksum() {
-		t.Errorf("RunGS not deterministic: %v vs %v", sum, ref.Checksum())
-	}
-	if math.IsNaN(sum) || math.IsInf(sum, 0) {
-		t.Errorf("checksum degenerate: %v", sum)
-	}
-}
-
 func TestJacobiMatchesManualCell(t *testing.T) {
 	g := NewGrid(5, 5, 3)
 	next := RunJacobiLK23(g, 1)
@@ -94,17 +56,6 @@ func TestJacobiMatchesManualCell(t *testing.T) {
 	g2 := NewGrid(5, 5, 3)
 	if !g.Equal(g2, 0) {
 		t.Errorf("RunJacobi modified its input")
-	}
-}
-
-func TestJacobiDiffersFromGS(t *testing.T) {
-	// Sanity: the two sweep disciplines are genuinely different schemes.
-	g := NewGrid(8, 8, 9)
-	j := RunJacobiLK23(g, 3)
-	gs := g.Clone()
-	RunGS(gs, 3)
-	if j.Equal(gs, 0) {
-		t.Errorf("Jacobi and Gauss-Seidel coincide; sweep discipline lost")
 	}
 }
 

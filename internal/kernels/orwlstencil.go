@@ -410,12 +410,3 @@ func (p *Program) Result() (*Grid, error) {
 	}
 	return out, nil
 }
-
-// MainTask returns the main task of block (x,y).
-func (p *Program) MainTask(x, y int) *orwl.Task {
-	return p.RT.Tasks()[comm.LK23OpIndex(p.Opts.BX, x, y, comm.OpMain)]
-}
-
-// CommMatrix returns the affinity matrix the runtime extracted from the
-// program structure.
-func (p *Program) CommMatrix() *comm.Matrix { return p.RT.CommMatrix() }

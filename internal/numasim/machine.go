@@ -296,16 +296,6 @@ func (m *Machine) SetAccessors(node, count int) {
 // Accessors returns the contention degree of a node.
 func (m *Machine) Accessors(node int) int { return int(m.accessors[node].Load()) }
 
-// ResetAccessors restores every node to contention degree 1 and clears the
-// remote-stream and per-edge fabric-stream counts.
-func (m *Machine) ResetAccessors() {
-	for i := range m.accessors {
-		m.accessors[i].Store(1)
-	}
-	m.remoteStreams.Store(0)
-	m.edgeStreams.Store(nil)
-}
-
 // SetRemoteStreams declares how many memory streams cross the inter-socket
 // fabric in steady state; each remote access is additionally capped by an
 // equal share of Config.InterconnectBandwidth. Placement code derives this

@@ -62,10 +62,6 @@ func TestAccessors(t *testing.T) {
 	if m.Accessors(1) != 1 {
 		t.Errorf("negative accessors = %d, want 1", m.Accessors(1))
 	}
-	m.ResetAccessors()
-	if m.Accessors(0) != 1 {
-		t.Errorf("ResetAccessors left %d", m.Accessors(0))
-	}
 }
 
 func TestContentionScalesBandwidth(t *testing.T) {

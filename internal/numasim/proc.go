@@ -74,9 +74,6 @@ func (p *Proc) Bound() bool { return p.bound }
 // Clock returns the Proc's virtual time in cycles.
 func (p *Proc) Clock() float64 { return p.clock }
 
-// Seconds returns the Proc's virtual time in simulated seconds.
-func (p *Proc) Seconds() float64 { return p.m.CyclesToSeconds(p.Clock()) }
-
 // Stats returns a copy of the Proc's accounting counters.
 func (p *Proc) Stats() ProcStats { return p.stats }
 

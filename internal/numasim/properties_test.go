@@ -37,7 +37,6 @@ func TestMemCostMonotoneInContention(t *testing.T) {
 		}
 		prev = c
 	}
-	m.ResetAccessors()
 }
 
 // TestRemoteStreamsCapBandwidth: declaring fabric contention slows remote

@@ -154,8 +154,8 @@ func TestPerLinkFabricContention(t *testing.T) {
 }
 
 // TestFabricLinkStreamsRevert: the getter reads back the declared per-edge
-// counts, and both ways of clearing them — SetEdgeStreams(nil) and
-// ResetAccessors — restore the uncontended price and a zero reading.
+// counts, and SetEdgeStreams(nil) restores the uncontended price and a zero
+// reading.
 func TestFabricLinkStreamsRevert(t *testing.T) {
 	c := rackCluster(t)
 	m := c.Machine()
@@ -164,23 +164,18 @@ func TestFabricLinkStreamsRevert(t *testing.T) {
 
 	free := m.TransferCost(0, perNode, bytes)
 	nicOf2 := m.FabricGraph().LevelEdges(0)[2]
-	for _, clear := range []func(){
-		func() { m.SetEdgeStreams(nil) },
-		m.ResetAccessors,
-	} {
-		m.SetEdgeStreams(levelStreams(m, []int{6, 6, 6, 6}, []int{6, 6}))
-		if got := m.EdgeStreams(nicOf2); got != 6 {
-			t.Errorf("EdgeStreams(node 2's NIC) = %d, want the declared 6", got)
-		}
-		if got := m.TransferCost(0, perNode, bytes); got <= free {
-			t.Fatalf("6-stream transfer %.0f not above the uncontended %.0f", got, free)
-		}
-		clear()
-		if got := m.EdgeStreams(nicOf2); got != 0 {
-			t.Errorf("EdgeStreams after clearing = %d, want 0", got)
-		}
-		if got := m.TransferCost(0, perNode, bytes); got != free {
-			t.Errorf("transfer after clearing = %.0f, want the uncontended %.0f", got, free)
-		}
+	m.SetEdgeStreams(levelStreams(m, []int{6, 6, 6, 6}, []int{6, 6}))
+	if got := m.EdgeStreams(nicOf2); got != 6 {
+		t.Errorf("EdgeStreams(node 2's NIC) = %d, want the declared 6", got)
+	}
+	if got := m.TransferCost(0, perNode, bytes); got <= free {
+		t.Fatalf("6-stream transfer %.0f not above the uncontended %.0f", got, free)
+	}
+	m.SetEdgeStreams(nil)
+	if got := m.EdgeStreams(nicOf2); got != 0 {
+		t.Errorf("EdgeStreams after clearing = %d, want 0", got)
+	}
+	if got := m.TransferCost(0, perNode, bytes); got != free {
+		t.Errorf("transfer after clearing = %.0f, want the uncontended %.0f", got, free)
 	}
 }

@@ -1,33 +1,6 @@
 package omp
 
-import (
-	"testing"
-
-	"repro/internal/kernels"
-)
-
-// TestBoundTeamJacobiMatchesSequential: the affinity-aware team variant
-// used by ablations must also preserve the numerics.
-func TestBoundTeamJacobiMatchesSequential(t *testing.T) {
-	m := testMachine(t, "pack:2 core:4 pu:1")
-	team, err := NewBoundTeam(m, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := kernels.NewGrid(16, 12, 8)
-	region := m.AllocFirstTouch("grid", 1<<20)
-	got := Jacobi(team, g, g.Cell, kernels.LK23Costs, 4, Dynamic, 2, region)
-	want := kernels.RunJacobiLK23(g, 4)
-	if !got.Equal(want, 0) {
-		t.Errorf("bound-team Jacobi differs (max %g)", got.MaxAbsDiff(want))
-	}
-	// Bound threads never migrate.
-	for tid := 0; tid < team.Size(); tid++ {
-		if team.Proc(tid).Stats().Migrations != 0 {
-			t.Errorf("bound thread %d migrated", tid)
-		}
-	}
-}
+import "testing"
 
 // TestGuidedVirtualDeterministicAndCovering: guided scheduling under
 // virtual time is deterministic and covers the space exactly.
@@ -58,32 +31,6 @@ func TestGuidedVirtualDeterministicAndCovering(t *testing.T) {
 		if h1[i] != 3 || h2[i] != 3 {
 			t.Fatalf("index %d executed %d/%d times, want 3", i, h1[i], h2[i])
 		}
-	}
-}
-
-// TestBoundTeamSMTInflation: a bound team on both hyperthreads of a core
-// computes slower per thread than one spread across cores.
-func TestBoundTeamSMTInflation(t *testing.T) {
-	mShared := testMachine(t, "pack:1 core:2 pu:2")
-	shared, err := NewBoundTeam(mShared, []int{0, 1}) // same core
-	if err != nil {
-		t.Fatal(err)
-	}
-	mSpread := testMachine(t, "pack:1 core:2 pu:2")
-	spread, err := NewBoundTeam(mSpread, []int{0, 2}) // different cores
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := func(team *Team) {
-		team.ParallelFor(0, 2, 0, Static, func(lo, hi, tid int) {
-			team.Proc(tid).Compute(1e6)
-		})
-	}
-	body(shared)
-	body(spread)
-	if shared.MakespanCycles() <= spread.MakespanCycles() {
-		t.Errorf("hyperthread-shared team %v not slower than spread %v",
-			shared.MakespanCycles(), spread.MakespanCycles())
 	}
 }
 

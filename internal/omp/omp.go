@@ -6,8 +6,7 @@
 // The crucial property of this baseline — and the reason it falls behind on
 // large NUMA machines (paper Fig. 1) — is that it is affinity-blind: worker
 // threads are unbound, so the simulated OS re-places them at every parallel
-// region, while the data stays where it was first touched. The runtime can
-// also run with bound threads (NewBoundTeam) for ablation studies.
+// region, while the data stays where it was first touched.
 //
 // Execution modes mirror the ORWL runtime: with a numasim.Machine attached,
 // loops execute in deterministic virtual time (chunks are dispatched to the
@@ -55,9 +54,8 @@ type Team struct {
 	mach  *numasim.Machine
 	n     int
 	procs []*numasim.Proc
-	bound bool
-	// MigrationProbability applies at every parallel region for unbound
-	// teams (default 0.25, the same OS model as ORWL NoBind).
+	// MigrationProbability applies at every parallel region (default 0.25,
+	// the same OS model as ORWL NoBind).
 	MigrationProbability float64
 	// BarrierCycles is the per-thread cost of the implicit barrier ending
 	// each parallel region (default 2000 cycles, a typical centralized
@@ -80,26 +78,6 @@ func NewTeam(mach *numasim.Machine, n int, seed int64) (*Team, error) {
 	return t, nil
 }
 
-// NewBoundTeam creates a team whose threads are pinned to the given PUs
-// (an affinity-aware OpenMP, used by ablations; not the paper's baseline).
-func NewBoundTeam(mach *numasim.Machine, pus []int) (*Team, error) {
-	if mach == nil {
-		return nil, fmt.Errorf("omp: bound team requires a machine")
-	}
-	if len(pus) == 0 {
-		return nil, fmt.Errorf("omp: bound team needs at least one PU")
-	}
-	t := &Team{mach: mach, n: len(pus), bound: true, BarrierCycles: 2000}
-	for i, pu := range pus {
-		p, err := mach.NewProc(fmt.Sprintf("omp%d", i), pu)
-		if err != nil {
-			return nil, err
-		}
-		t.procs = append(t.procs, p)
-	}
-	return t, nil
-}
-
 // Size returns the number of threads in the team.
 func (t *Team) Size() int { return t.n }
 
@@ -111,9 +89,6 @@ func (t *Team) Proc(tid int) *numasim.Proc {
 	}
 	return t.procs[tid]
 }
-
-// Machine returns the attached machine, or nil.
-func (t *Team) Machine() *numasim.Machine { return t.mach }
 
 // MakespanCycles returns the maximum virtual clock over the team.
 func (t *Team) MakespanCycles() float64 { return numasim.Makespan(t.procs) }
@@ -185,8 +160,8 @@ func chunkList(lo, hi, chunk, n int, sched Schedule) [][2]int {
 // joins at an implicit barrier. With a machine attached the execution is
 // virtual-time deterministic: each chunk goes to the thread with the
 // earliest clock (ties to the lowest tid), and the barrier advances every
-// thread to the region's completion time. Unbound teams hit a scheduling
-// point at every region, where the simulated OS may migrate them.
+// thread to the region's completion time. Threads hit a scheduling point at
+// every region, where the simulated OS may migrate them.
 func (t *Team) ParallelFor(lo, hi, chunk int, sched Schedule, body Body) {
 	if hi <= lo {
 		return
@@ -201,11 +176,9 @@ func (t *Team) ParallelFor(lo, hi, chunk int, sched Schedule, body Body) {
 // virtualFor runs the loop in deterministic virtual time on the caller's
 // goroutine.
 func (t *Team) virtualFor(lo, hi, chunk int, sched Schedule, body Body) {
-	// Region entry is a scheduling point for unbound threads.
-	if !t.bound {
-		for _, p := range t.procs {
-			p.Reschedule(t.MigrationProbability)
-		}
+	// Region entry is a scheduling point for the unbound threads.
+	for _, p := range t.procs {
+		p.Reschedule(t.MigrationProbability)
 	}
 	chunks := chunkList(lo, hi, chunk, t.n, sched)
 	if sched == Static && chunk <= 0 {

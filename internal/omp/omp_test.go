@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/numasim"
 	"repro/internal/topology"
 )
@@ -35,15 +34,8 @@ func TestNewTeamErrors(t *testing.T) {
 	if _, err := NewTeam(nil, 0, 1); err == nil {
 		t.Errorf("zero-size team accepted")
 	}
-	if _, err := NewBoundTeam(nil, []int{0}); err == nil {
-		t.Errorf("bound team without machine accepted")
-	}
-	m := testMachine(t, "core:2")
-	if _, err := NewBoundTeam(m, nil); err == nil {
-		t.Errorf("bound team without PUs accepted")
-	}
-	if _, err := NewBoundTeam(m, []int{99}); err == nil {
-		t.Errorf("bound team with bad PU accepted")
+	if _, err := NewTeam(testMachine(t, "core:2"), -1, 1); err == nil {
+		t.Errorf("negative-size team accepted")
 	}
 }
 
@@ -120,10 +112,11 @@ func TestVirtualParallelForDeterministic(t *testing.T) {
 
 func TestVirtualBarrierSynchronizes(t *testing.T) {
 	m := testMachine(t, "core:4")
-	team, err := NewBoundTeam(m, []int{0, 1, 2, 3})
+	team, err := NewTeam(m, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	team.MigrationProbability = 0 // no migration penalty in the clocks
 	// One thread gets a much bigger chunk (static by index ranges of equal
 	// size, but the body cost varies by tid).
 	team.ParallelFor(0, 4, 0, Static, func(lo, hi, tid int) {
@@ -143,10 +136,11 @@ func TestVirtualBarrierSynchronizes(t *testing.T) {
 
 func TestEarliestClockDispatchBalances(t *testing.T) {
 	m := testMachine(t, "core:4")
-	team, err := NewBoundTeam(m, []int{0, 1, 2, 3})
+	team, err := NewTeam(m, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	team.MigrationProbability = 0 // no migration penalty in the clocks
 	// 16 equal chunks on 4 threads: every thread should get 4.
 	counts := make([]int, 4)
 	team.ParallelFor(0, 16, 1, Dynamic, func(lo, hi, tid int) {
@@ -157,69 +151,6 @@ func TestEarliestClockDispatchBalances(t *testing.T) {
 		if c != 4 {
 			t.Errorf("thread %d ran %d chunks, want 4 (dispatch unbalanced: %v)", tid, c, counts)
 		}
-	}
-}
-
-func TestJacobiMatchesSequential(t *testing.T) {
-	g := kernels.NewGrid(12, 10, 3)
-	want := kernels.RunJacobiLK23(g, 5)
-	for _, sched := range []Schedule{Static, Dynamic, Guided} {
-		// Real goroutine execution.
-		team, err := NewTeam(nil, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := Jacobi(team, g, g.Cell, kernels.LK23Costs, 5, sched, 2, nil)
-		if !got.Equal(want, 0) {
-			t.Errorf("%v: parallel Jacobi differs from sequential (max %g)",
-				sched, got.MaxAbsDiff(want))
-		}
-	}
-	// Virtual-time execution must give the same numbers too.
-	m := testMachine(t, "pack:2 core:2 pu:1")
-	team, err := NewTeam(m, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := m.AllocFirstTouch("grid", int64(12*10*8*kernels.Streams))
-	got := Jacobi(team, g, g.Cell, kernels.LK23Costs, 5, Static, 0, region)
-	if !got.Equal(want, 0) {
-		t.Errorf("virtual Jacobi differs from sequential (max %g)", got.MaxAbsDiff(want))
-	}
-	if team.MakespanSeconds() <= 0 {
-		t.Errorf("no simulated time accumulated")
-	}
-}
-
-func TestJacobiCostOnlyCharges(t *testing.T) {
-	m := testMachine(t, "pack:2 core:4 pu:1")
-	team, err := NewTeam(m, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region, err := m.AllocOn("grid", 1<<30, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	JacobiCostOnly(team, 1024, 1024, kernels.LK23Costs, 3, Static, 0, region)
-	if team.MakespanSeconds() <= 0 {
-		t.Errorf("cost-only run charged nothing")
-	}
-	// All traffic goes to node 0: remote threads must have paid more than
-	// a purely local run would.
-	mLocal := testMachine(t, "pack:1 core:8 pu:1")
-	teamLocal, err := NewBoundTeam(mLocal, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	regionLocal, err := mLocal.AllocOn("grid", 1<<30, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	JacobiCostOnly(teamLocal, 1024, 1024, kernels.LK23Costs, 3, Static, 0, regionLocal)
-	if team.MakespanCycles() <= teamLocal.MakespanCycles() {
-		t.Errorf("NUMA-remote unbound run (%v) not slower than all-local bound run (%v)",
-			team.MakespanCycles(), teamLocal.MakespanCycles())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/comm"
 )
@@ -39,10 +38,7 @@ type epochState struct {
 	active  int     // tasks started and not yet returned
 	arrived []*Task // tasks parked at the barrier
 	gen     int64   // incremented when a barrier opens
-	// index counts completed epochs. Atomic rather than es.mu-guarded so
-	// that Runtime.Epochs stays callable from inside an epoch hook, which
-	// runs with es.mu held.
-	index atomic.Int64
+	index   int     // completed epochs
 }
 
 // ConfigureEpochs enables epoch boundaries: every interval iterations all
@@ -80,16 +76,6 @@ func (rt *Runtime) ConfigureEpochs(interval int, decay float64, hook func(*Epoch
 	es.cond = sync.NewCond(&es.mu)
 	rt.epochs = es
 	return nil
-}
-
-// Epochs returns the number of completed epochs. Safe to call from inside
-// an epoch hook (it counts the running epoch as completed).
-func (rt *Runtime) Epochs() int {
-	es := rt.epochs
-	if es == nil {
-		return 0
-	}
-	return int(es.index.Load())
 }
 
 // epochArrive parks the task at the epoch barrier; the last arriving task
@@ -130,7 +116,8 @@ func (rt *Runtime) epochTaskDone() {
 // Called with es.mu held.
 func (rt *Runtime) completeEpochLocked() {
 	es := rt.epochs
-	index := int(es.index.Add(1))
+	es.index++
+	index := es.index
 	tasks := append([]*Task(nil), es.arrived...)
 	// es.arrived holds the tasks in real-time barrier-arrival order —
 	// scheduler noise. The hook's view must be canonical: any hook that
@@ -179,9 +166,6 @@ type Epoch struct {
 
 // Index returns the 1-based number of this epoch.
 func (e *Epoch) Index() int { return e.index }
-
-// Runtime returns the quiesced runtime.
-func (e *Epoch) Runtime() *Runtime { return e.rt }
 
 // Tasks returns the tasks parked at this epoch's barrier (tasks that
 // already returned are absent).

@@ -39,7 +39,7 @@ func (s HandleState) String() string {
 // request slots are used alternately: ReleaseAndRequest queues one while the
 // other is still held, and a slot is rewritten only after its previous
 // request left the FIFO under l.mu (see request). Its wake token is sent by
-// the grant and received by Acquire/TryAcquire; at most one request of a
+// the grant and received by Acquire; at most one request of a
 // handle is ever granted and unacquired, so one token of capacity suffices —
 // grantLocked asserts it, and cancelRequest drains the token of a request
 // that is withdrawn after its grant.
@@ -72,9 +72,6 @@ func (h *Handle) Mode() Mode { return h.mode }
 
 // State returns the handle's lifecycle state.
 func (h *Handle) State() HandleState { return h.state }
-
-// Volume returns the per-iteration data volume attributed to the handle.
-func (h *Handle) Volume() float64 { return h.vol }
 
 // SetVolume changes the volume attributed to the handle's subsequent
 // acquires. It is meant to be called from the owning task's goroutine (see
@@ -110,13 +107,6 @@ func (h *Handle) Acquire() error {
 		return fmt.Errorf("orwl: Acquire without Request on %q", h.loc.name)
 	}
 	<-h.wake
-	h.completeAcquire()
-	return nil
-}
-
-// completeAcquire is the half of Acquire and TryAcquire that follows the
-// receipt of h.req's wake token.
-func (h *Handle) completeAcquire() {
 	req := h.req
 	h.state = Acquired
 
@@ -136,34 +126,7 @@ func (h *Handle) completeAcquire() {
 		h.task.chargeControlEvent()
 	}
 	h.task.rt.trace(h.task, "acquire", h.loc)
-}
-
-// TryAcquire is the non-blocking variant of Acquire (orwl_test in the C
-// library): it reports whether the queued request has been granted, and
-// completes the acquisition exactly like Acquire when it has. A handle in
-// any state other than Requested returns an error.
-func (h *Handle) TryAcquire() (bool, error) {
-	if h.state == Acquired {
-		return false, fmt.Errorf("orwl: TryAcquire on already-acquired handle for %q", h.loc.name)
-	}
-	if h.state != Requested {
-		return false, fmt.Errorf("orwl: TryAcquire without Request on %q", h.loc.name)
-	}
-	select {
-	case <-h.wake:
-	default:
-		return false, nil
-	}
-	h.completeAcquire()
-	return true, nil
-}
-
-// AcquireRequest is the convenience composition Request-then-Acquire.
-func (h *Handle) AcquireRequest() error {
-	if err := h.Request(); err != nil {
-		return err
-	}
-	return h.Acquire()
+	return nil
 }
 
 // Release gives the lock up and leaves the queue. The data becomes

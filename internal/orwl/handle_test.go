@@ -54,7 +54,10 @@ func TestDataOutsideCriticalSection(t *testing.T) {
 	if _, err := h.Data(); err == nil {
 		t.Errorf("Data before acquire succeeded")
 	}
-	if err := h.AcquireRequest(); err != nil {
+	if err := h.Request(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Acquire(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Data(); err != nil {
@@ -73,7 +76,10 @@ func TestFloat64sTypeMismatch(t *testing.T) {
 	loc := rt.NewLocation("x", 8)
 	loc.SetData("not floats")
 	h := rt.AddTask("t", nil).NewHandle(loc, Read)
-	if err := h.AcquireRequest(); err != nil {
+	if err := h.Request(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Acquire(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Float64s(); err == nil || !strings.Contains(err.Error(), "not []float64") {
@@ -95,82 +101,15 @@ func TestHandleAccessors(t *testing.T) {
 	loc := rt.NewLocation("x", 128)
 	task := rt.AddTask("t", nil)
 	h := task.NewHandleVol(loc, Read, 32, 2)
-	if h.Location() != loc || h.Mode() != Read || h.Volume() != 32 {
-		t.Errorf("accessors wrong: %v %v %v", h.Location(), h.Mode(), h.Volume())
+	if h.Location() != loc || h.Mode() != Read || h.vol != 32 {
+		t.Errorf("accessors wrong: %v %v %v", h.Location(), h.Mode(), h.vol)
 	}
 	if h.State() != Idle {
 		t.Errorf("fresh state = %v", h.State())
 	}
 	hd := task.NewHandle(loc, Write)
-	if hd.Volume() != 128 {
-		t.Errorf("default volume = %v, want location size", hd.Volume())
-	}
-}
-
-func TestAcquireRequestComposition(t *testing.T) {
-	rt := buildRuntime()
-	loc := rt.NewLocation("x", 8)
-	h := rt.AddTask("t", nil).NewHandle(loc, Write)
-	if err := h.AcquireRequest(); err != nil {
-		t.Fatal(err)
-	}
-	if h.State() != Acquired {
-		t.Errorf("state = %v", h.State())
-	}
-	if err := h.AcquireRequest(); err == nil {
-		t.Errorf("AcquireRequest while acquired succeeded")
-	}
-	if err := h.Release(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTryAcquire(t *testing.T) {
-	rt := buildRuntime()
-	loc := rt.NewLocation("x", 8)
-	a := rt.AddTask("a", nil).NewHandle(loc, Write)
-	b := rt.AddTask("b", nil).NewHandle(loc, Write)
-
-	// Before Request: error.
-	if _, err := a.TryAcquire(); err == nil {
-		t.Errorf("TryAcquire without Request succeeded")
-	}
-	if err := a.Request(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Request(); err != nil {
-		t.Fatal(err)
-	}
-	// a is at the head: granted.
-	ok, err := a.TryAcquire()
-	if err != nil || !ok {
-		t.Fatalf("head TryAcquire = %v, %v", ok, err)
-	}
-	if a.State() != Acquired {
-		t.Errorf("state = %v", a.State())
-	}
-	// While acquired: error.
-	if _, err := a.TryAcquire(); err == nil {
-		t.Errorf("TryAcquire while acquired succeeded")
-	}
-	// b is behind a: not granted, no error, still requested.
-	ok, err = b.TryAcquire()
-	if err != nil || ok {
-		t.Fatalf("queued TryAcquire = %v, %v", ok, err)
-	}
-	if b.State() != Requested {
-		t.Errorf("b state = %v", b.State())
-	}
-	if err := a.Release(); err != nil {
-		t.Fatal(err)
-	}
-	// Now b succeeds.
-	ok, err = b.TryAcquire()
-	if err != nil || !ok {
-		t.Fatalf("TryAcquire after release = %v, %v", ok, err)
-	}
-	if err := b.Release(); err != nil {
-		t.Fatal(err)
+	if hd.vol != 128 {
+		t.Errorf("default volume = %v, want location size", hd.vol)
 	}
 }
 

@@ -107,9 +107,6 @@ func (l *Location) Name() string { return l.name }
 // Size returns the payload size in bytes used for cost accounting.
 func (l *Location) Size() int64 { return l.size }
 
-// ID returns the location's index within its runtime.
-func (l *Location) ID() int { return l.id }
-
 // Region returns the simulated memory region backing the location, or nil
 // when the runtime runs without a machine.
 func (l *Location) Region() *numasim.Region { return l.region }

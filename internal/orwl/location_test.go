@@ -261,7 +261,7 @@ func TestSetDataAndQueueLen(t *testing.T) {
 	rt := buildRuntime()
 	loc := rt.NewLocation("x", 64)
 	loc.SetData([]float64{1, 2, 3})
-	if loc.Size() != 64 || loc.Name() != "x" || loc.ID() != 0 {
+	if loc.Size() != 64 || loc.Name() != "x" || loc.id != 0 {
 		t.Errorf("location metadata wrong")
 	}
 	h := rt.AddTask("t", nil).NewHandle(loc, Read)

@@ -112,25 +112,6 @@ func (rt *Runtime) NewLocation(name string, sizeBytes int64) *Location {
 	return l
 }
 
-// NewLocationOn creates a location with an explicit home NUMA node.
-func (rt *Runtime) NewLocationOn(name string, sizeBytes int64, node int) (*Location, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.state != stateBuilding {
-		return nil, fmt.Errorf("orwl: NewLocationOn after the runtime started")
-	}
-	l := &Location{rt: rt, id: len(rt.locations), name: name, size: sizeBytes, frontierPU: -1, frontierTask: -1}
-	if rt.mach != nil {
-		r, err := rt.mach.AllocOn(name, sizeBytes, node)
-		if err != nil {
-			return nil, err
-		}
-		l.region = r
-	}
-	rt.locations = append(rt.locations, l)
-	return l, nil
-}
-
 // AddTask registers a task. Tasks are identified and canonically ordered by
 // their creation index.
 func (rt *Runtime) AddTask(name string, fn TaskFunc) *Task {
@@ -458,8 +439,8 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 // converges to N times the per-iteration structural one.
 //
 // The volumes are counted by each consumer task's own goroutine, unlocked
-// (Task.recordComm). This method and MeasuredWindow read those counters, so
-// call them only when no task can be running: before or after Run, or from
+// (Task.recordComm). This method and the epoch roll read those counters, so
+// call it only when no task can be running: before or after Run, or from
 // inside an epoch hook. They are folded in task-id order, so the result does
 // not depend on how the goroutines interleaved.
 func (rt *Runtime) MeasuredCommMatrix() *comm.Matrix {
@@ -492,18 +473,6 @@ func (rt *Runtime) feedWindow() *comm.Window {
 		}
 	}
 	return rt.window
-}
-
-// MeasuredWindow returns a snapshot of the windowed measured communication
-// matrix: the observations accumulated since the last epoch boundary (plus
-// whatever earlier epochs' decayed residue the ConfigureEpochs factor
-// keeps). Before Run it returns an empty matrix. Same calling condition as
-// MeasuredCommMatrix.
-func (rt *Runtime) MeasuredWindow() *comm.Matrix {
-	if w := rt.feedWindow(); w != nil {
-		return w.Snapshot()
-	}
-	return comm.NewSparse(len(rt.Tasks()))
 }
 
 // trace dispatches a trace event when a hook is installed.

@@ -429,20 +429,6 @@ func TestTraceHook(t *testing.T) {
 	}
 }
 
-func TestLocationOnExplicitNode(t *testing.T) {
-	rt := simRuntime(t, "pack:2 core:2 pu:1", 1)
-	loc, err := rt.NewLocationOn("x", 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc.Region().Home() != 1 {
-		t.Errorf("home = %d, want 1", loc.Region().Home())
-	}
-	if _, err := rt.NewLocationOn("bad", 64, 99); err == nil {
-		t.Errorf("bad node accepted")
-	}
-}
-
 func TestFirstTouchLocationPlacement(t *testing.T) {
 	rt := simRuntime(t, "pack:2 core:2 pu:1", 1)
 	loc := rt.NewLocation("x", 64)

@@ -85,12 +85,6 @@ func (t *Task) Handle(i int) *Handle { return t.handles[i] }
 // no machine attached. Kernels use it to charge compute and memory costs.
 func (t *Task) Proc() *numasim.Proc { return t.proc }
 
-// PU returns the PU the task is bound to, or -1 when unbound.
-func (t *Task) PU() int { return t.pu }
-
-// ControlPU returns the PU the task's control thread is bound to, or -1.
-func (t *Task) ControlPU() int { return t.ctlPU }
-
 // SetFunc installs the task body. Builders that need the task's handles
 // inside the closure create the task first, create the handles, then call
 // SetFunc; it must happen before the runtime starts.

@@ -116,16 +116,7 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 			partCaps[i] = 1
 		}
 	}
-	// On a torus headed for distance matching, declare the grid to the
-	// partitioner: the space-filling-curve chain candidate joins the
-	// portfolio. The tree-matched arm keeps the unmodified options so its
-	// partition — and everything downstream — reproduces the balanced-tree
-	// revisions exactly.
-	partOpts := p.Options
-	if shape := topo.FabricShape(); shape != nil && shape.Kind == "torus" && !p.TreeFabric && !p.NoFabricMatch {
-		partOpts.SFCDims = shape.Dims
-	}
-	groups, groupMatrix, err := treematch.PartitionAcrossWeightedMatrix(m, partCaps, partOpts)
+	groups, groupMatrix, err := treematch.PartitionAcrossWeightedMatrix(m, partCaps, p.Options)
 	if err != nil {
 		return nil, err
 	}

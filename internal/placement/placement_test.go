@@ -307,7 +307,6 @@ func TestSetContention(t *testing.T) {
 	}
 
 	// All unbound: same average pressure plus remote streams.
-	mach.ResetAccessors()
 	nb := unboundControls(8, "x")
 	for i := range nb.TaskPU {
 		nb.TaskPU[i] = -1
@@ -321,7 +320,6 @@ func TestSetContention(t *testing.T) {
 	}
 
 	// heavy mask: only even tasks count -> 4 streams over 4 nodes.
-	mach.ResetAccessors()
 	heavy := make([]bool, 8)
 	for i := 0; i < 8; i += 2 {
 		heavy[i] = true

@@ -92,19 +92,16 @@ func TestClusterStructure(t *testing.T) {
 	// PUs of different cluster nodes never share one; PUs of the same do.
 	pus := topo.PUs()
 	half := len(pus) / 2
-	if !topo.SameClusterNode(pus[0], pus[half-1]) {
+	if topo.ClusterNodeOf(pus[0]) != topo.ClusterNodeOf(pus[half-1]) {
 		t.Error("PUs of node 0 should share a cluster node")
 	}
-	if topo.SameClusterNode(pus[0], pus[half]) {
+	if topo.ClusterNodeOf(pus[0]) == topo.ClusterNodeOf(pus[half]) {
 		t.Error("PUs of different cluster nodes reported as sharing one")
 	}
 	// A single-machine topology reports everything on one node.
 	single, err := FromSpec("pack:2 core:4")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !single.SameClusterNode(single.PU(0), single.PU(single.NumPUs()-1)) {
-		t.Error("single machine should be one cluster node")
 	}
 	if single.NumClusterNodes() != 1 {
 		t.Error("single machine should report 1 cluster node")

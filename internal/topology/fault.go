@@ -70,14 +70,6 @@ type FaultSchedule struct {
 	Events []FaultEvent
 }
 
-// FaultState is the cumulative platform damage after some epoch: which
-// cluster nodes are dead and each fabric edge's remaining bandwidth fraction
-// (1 = healthy, 0 = severed).
-type FaultState struct {
-	DeadNodes  []bool
-	EdgeFactor []float64
-}
-
 // Validate checks the schedule against a platform topology: every event must
 // address an existing cluster node or fabric edge at an epoch >= 1, degrade
 // factors must lie in (0,1), no node may die twice, no edge may take two
@@ -151,56 +143,6 @@ func (s *FaultSchedule) EventsAt(epoch int) []FaultEvent {
 		}
 	}
 	return out
-}
-
-// MaxEpoch returns the latest epoch any event is scheduled for (0 when the
-// schedule is empty).
-func (s *FaultSchedule) MaxEpoch() int {
-	if s == nil {
-		return 0
-	}
-	mx := 0
-	for _, ev := range s.Events {
-		if ev.Epoch > mx {
-			mx = ev.Epoch
-		}
-	}
-	return mx
-}
-
-// StateAt replays the schedule up to and including the given epoch and
-// returns the cumulative damage. The schedule must have passed Validate.
-func (s *FaultSchedule) StateAt(t *Topology, epoch int) FaultState {
-	st := FaultState{DeadNodes: make([]bool, t.NumClusterNodes())}
-	if g := t.FabricGraph(); g != nil {
-		st.EdgeFactor = make([]float64, g.NumEdges())
-		for i := range st.EdgeFactor {
-			st.EdgeFactor[i] = 1
-		}
-	}
-	if s == nil {
-		return st
-	}
-	for _, ev := range s.chronological() {
-		if ev.Epoch > epoch {
-			break
-		}
-		switch ev.Kind {
-		case FaultKillNode:
-			if ev.Node >= 0 && ev.Node < len(st.DeadNodes) {
-				st.DeadNodes[ev.Node] = true
-			}
-		case FaultDegradeEdge:
-			if ev.Edge >= 0 && ev.Edge < len(st.EdgeFactor) {
-				st.EdgeFactor[ev.Edge] *= ev.Factor
-			}
-		case FaultSeverEdge:
-			if ev.Edge >= 0 && ev.Edge < len(st.EdgeFactor) {
-				st.EdgeFactor[ev.Edge] = 0
-			}
-		}
-	}
-	return st
 }
 
 // chronological returns the events sorted by epoch, stable in listed order —

@@ -135,7 +135,7 @@ func TestParsePlatformUnevenRacks(t *testing.T) {
 	if got := len(topo.ClusterNodes()); got != 5 {
 		t.Errorf("fused topology has %d cluster nodes, want 5", got)
 	}
-	racks := topo.Racks()
+	racks := topo.racks
 	if len(racks) != 2 || len(racks[0].Children) != 2 || len(racks[1].Children) != 3 {
 		t.Errorf("uneven racks not preserved: %v", topo.Spec())
 	}
@@ -197,13 +197,13 @@ func TestPodSpec(t *testing.T) {
 	if _, err := FromSpec("pod:2 node:2 pack:1 core:2"); err == nil {
 		t.Error("pod tier without rack tier accepted")
 	}
-	// SamePod / PodOf agree with the tree.
+	// The pod ancestors agree with the tree.
 	n0, n7 := topo.ClusterNodes()[0], topo.ClusterNodes()[7]
-	if topo.SamePod(n0, n7) {
+	if n0.Ancestor(Pod) == n7.Ancestor(Pod) {
 		t.Error("nodes 0 and 7 report the same pod on a 2-pod fabric")
 	}
-	if topo.PodOf(n0) == nil || topo.PodOf(n0).LevelIndex != 0 {
-		t.Error("PodOf(node 0) is not Pod#0")
+	if p := n0.Ancestor(Pod); p == nil || p.LevelIndex != 0 {
+		t.Error("node 0's pod is not Pod#0")
 	}
 }
 

@@ -332,14 +332,3 @@ func PaperMachine() *Topology {
 	}
 	return t
 }
-
-// PaperMachineSMT returns the paper's machine with 2-way hyperthreading
-// enabled, the configuration under which the control threads of the ORWL
-// runtime are bound to the co-hyperthread of their computation thread.
-func PaperMachineSMT() *Topology {
-	t, err := FromSpec("pack:24 l3:1 core:8 pu:2")
-	if err != nil {
-		panic("topology: PaperMachineSMT spec failed to parse: " + err.Error())
-	}
-	return t
-}

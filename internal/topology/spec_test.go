@@ -97,9 +97,6 @@ func TestLevelQueriesOutOfRange(t *testing.T) {
 	if top.Level(-1) != nil || top.Level(99) != nil {
 		t.Errorf("out-of-range Level not nil")
 	}
-	if top.Arity(-1) != 0 || top.Arity(99) != 0 {
-		t.Errorf("out-of-range Arity not 0")
-	}
 }
 
 func TestLatencyCyclesNoCacheTopology(t *testing.T) {

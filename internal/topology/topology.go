@@ -203,9 +203,6 @@ func (t *Topology) Level(depth int) []*Object {
 	return t.levels[depth]
 }
 
-// LevelKind returns the kind of the objects at the given depth.
-func (t *Topology) LevelKind(depth int) Kind { return t.levels[depth][0].Kind }
-
 // DepthOf returns the depth at which objects of kind k live, or -1 if the
 // topology has no such level.
 func (t *Topology) DepthOf(k Kind) int {
@@ -215,27 +212,6 @@ func (t *Topology) DepthOf(k Kind) int {
 		}
 	}
 	return -1
-}
-
-// Arity returns the number of children of the first object at the given
-// depth. On uneven topologies siblings at a level may differ; callers that
-// need a balanced tree (TreeMatch) verify that separately. The PU level has
-// arity 0.
-func (t *Topology) Arity(depth int) int {
-	if depth < 0 || depth >= len(t.levels) {
-		return 0
-	}
-	return len(t.levels[depth][0].Children)
-}
-
-// Arities returns the arity of every level from the root down to (and
-// including) the PU level, whose arity is 0. The slice has length Depth().
-func (t *Topology) Arities() []int {
-	a := make([]int, len(t.levels))
-	for d := range t.levels {
-		a[d] = t.Arity(d)
-	}
-	return a
 }
 
 // PUs returns the processing units in left-to-right order. The returned
@@ -281,22 +257,6 @@ func (t *Topology) NumClusterNodes() int {
 // single-machine topology.
 func (t *Topology) ClusterNodeOf(o *Object) *Object { return o.Ancestor(Cluster) }
 
-// SameClusterNode reports whether both objects sit in the same shared-memory
-// machine: always true on a single-machine topology, and true on a clustered
-// one exactly when the objects share a Cluster ancestor.
-func (t *Topology) SameClusterNode(a, b *Object) bool {
-	if len(t.clusters) == 0 {
-		return true
-	}
-	ca, cb := t.ClusterNodeOf(a), t.ClusterNodeOf(b)
-	return ca != nil && ca == cb
-}
-
-// Racks returns the rack (switch-group) objects in left-to-right order, or
-// an empty slice when the cluster fabric is flat (single switch) or the
-// topology is one machine.
-func (t *Topology) Racks() []*Object { return t.racks }
-
 // NumRacks returns the number of racks; a topology without a rack level is a
 // single-switch fabric and reports 0.
 func (t *Topology) NumRacks() int { return len(t.racks) }
@@ -305,39 +265,9 @@ func (t *Topology) NumRacks() int { return len(t.racks) }
 // fabric.
 func (t *Topology) RackOf(o *Object) *Object { return o.Ancestor(Rack) }
 
-// SameRack reports whether two objects hang under the same top-of-rack
-// switch: always true on a topology without a rack level (a flat fabric is
-// one big rack), and true otherwise exactly when they share a Rack ancestor.
-func (t *Topology) SameRack(a, b *Object) bool {
-	if len(t.racks) == 0 {
-		return true
-	}
-	ra, rb := t.RackOf(a), t.RackOf(b)
-	return ra != nil && ra == rb
-}
-
-// Pods returns the pod (core-switch-group) objects in left-to-right order,
-// or an empty slice when the fabric has at most two switch tiers.
-func (t *Topology) Pods() []*Object { return t.pods }
-
 // NumPods returns the number of pods; a topology without a pod level reports
 // 0 (a two-tier or flatter fabric).
 func (t *Topology) NumPods() int { return len(t.pods) }
-
-// PodOf returns the pod the object belongs to, or nil on a fabric without a
-// pod tier.
-func (t *Topology) PodOf(o *Object) *Object { return o.Ancestor(Pod) }
-
-// SamePod reports whether two objects hang under the same pod switch: always
-// true on a topology without a pod level, and true otherwise exactly when
-// they share a Pod ancestor.
-func (t *Topology) SamePod(a, b *Object) bool {
-	if len(t.pods) == 0 {
-		return true
-	}
-	pa, pb := t.PodOf(a), t.PodOf(b)
-	return pa != nil && pa == pb
-}
 
 // FabricLevels returns the per-level link objects of the cluster fabric,
 // innermost tier first: the cluster nodes (whose Attr carries the NIC link),
@@ -360,12 +290,6 @@ func (t *Topology) FabricLevels() [][]*Object {
 		out = append(out, t.levels[d])
 	}
 	return out
-}
-
-// SMT reports whether the topology has hyperthreading, i.e. cores with more
-// than one PU.
-func (t *Topology) SMT() bool {
-	return len(t.cores) > 0 && len(t.cores[0].Children) > 1
 }
 
 // SMTWays returns the number of hyperthreads per core a consumer may rely

@@ -28,14 +28,8 @@ func TestPaperMachineShape(t *testing.T) {
 	if got := len(top.Level(top.DepthOf(Package))); got != 24 {
 		t.Errorf("packages = %d, want 24", got)
 	}
-	if top.SMT() {
+	if top.SMTWays() != 1 {
 		t.Errorf("PaperMachine should not have SMT")
-	}
-	if !PaperMachineSMT().SMT() {
-		t.Errorf("PaperMachineSMT should have SMT")
-	}
-	if got := PaperMachineSMT().NumPUs(); got != 384 {
-		t.Errorf("SMT NumPUs = %d, want 384", got)
 	}
 }
 
@@ -100,20 +94,15 @@ func TestDepthAndArities(t *testing.T) {
 	if got := top.Depth(); got != 5 {
 		t.Fatalf("Depth = %d, want 5", got)
 	}
-	want := []int{2, 2, 4, 2, 0}
-	got := top.Arities()
-	if len(got) != len(want) {
-		t.Fatalf("Arities = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Arities[%d] = %d, want %d", i, got[i], want[i])
+	for d, want := range []int{2, 2, 4, 2, 0} {
+		if got := len(top.Level(d)[0].Children); got != want {
+			t.Errorf("arity of level %d = %d, want %d", d, got, want)
 		}
 	}
 	kinds := []Kind{Machine, Package, NUMANode, Core, PU}
 	for d, k := range kinds {
-		if top.LevelKind(d) != k {
-			t.Errorf("LevelKind(%d) = %v, want %v", d, top.LevelKind(d), k)
+		if got := top.Level(d)[0].Kind; got != k {
+			t.Errorf("level %d holds %v, want %v", d, got, k)
 		}
 		if top.DepthOf(k) != d {
 			t.Errorf("DepthOf(%v) = %d, want %d", k, top.DepthOf(k), d)

@@ -72,13 +72,6 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// Reset discards all recorded events.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = nil
-	r.mu.Unlock()
-}
-
 // TaskSummary aggregates the events of one task.
 type TaskSummary struct {
 	Task       string

@@ -212,7 +212,7 @@ func TestGroupProcessesOptPanics(t *testing.T) {
 }
 
 func TestGroupQualityBounds(t *testing.T) {
-	m := comm.AllToAll(4, 10)
+	m := allToAll(4, 10)
 	all := [][]int{{0, 1, 2, 3}}
 	if q := GroupQuality(m, all); q != 1 {
 		t.Errorf("single-group quality = %v, want 1", q)

@@ -93,7 +93,7 @@ func pickPartition(scored []scoredPartition) ([][]int, error) {
 // traffic that must cross the interconnect fabric. The matrix is padded with
 // zero-volume virtual entities up to k·ceil(p/k) internally; padding is
 // stripped from the result, so the last groups may come back smaller. Group
-// order is deterministic.
+// order is deterministic. No option changes the partition.
 //
 // No single grouping heuristic wins on every task graph: greedy k-way
 // seeding snakes through lattices, recursive bisection commits to a split
@@ -109,7 +109,7 @@ func pickPartition(scored []scoredPartition) ([][]int, error) {
 // goroutine per candidate; each builds and refines its own groups against
 // the read-only matrix) and the winner is picked in fixed portfolio order,
 // so the result is bit-identical to a sequential evaluation.
-func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
+func PartitionAcross(m *comm.Matrix, k int, _ Options) ([][]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcross needs at least 1 group, got %d", k)
 	}
@@ -133,9 +133,9 @@ func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 		// superlinear in the order; above the threshold the multilevel
 		// coarsening driver takes over. Below it nothing changes, keeping
 		// every pre-existing shape bit-identical.
-		best, err = multilevelPartition(work, k, per, opt)
+		best, err = multilevelPartition(work, k, per)
 	} else {
-		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per, opt), true))
+		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per), true))
 	}
 	if err != nil {
 		return nil, err
@@ -157,7 +157,7 @@ func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 // k·ceil(orig/k), and the spectral candidate must know the difference.
 // Each candidate runs its own KL refinement, so the portfolio can be
 // evaluated concurrently — the candidates are independent by construction.
-func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, opt Options) []partitionCandidate {
+func equalPartitionCandidates(work *comm.Matrix, orig, k, per int) []partitionCandidate {
 	// The node-level cut is the expensive one (every cut byte crosses the
 	// network), so refinement always runs here even when per-core grouping
 	// of a matrix this size would skip it.
@@ -219,15 +219,6 @@ func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, opt Options) 
 				return nil, err
 			}
 			return refine(groups), nil
-		})
-	}
-	// The chain candidate for grid (torus) fabrics: consecutive runs of the
-	// affinity chain, the shape a space-filling-curve embedding wants.
-	// Appended after the established candidates so ties keep their winners;
-	// gated on SFCDims so every non-grid portfolio stays unchanged.
-	if k > 1 && per > 1 && sfcCellCount(opt.SFCDims) == k {
-		cands = append(cands, func() ([][]int, error) {
-			return refine(chainPartition(work, k, per)), nil
 		})
 	}
 	return cands

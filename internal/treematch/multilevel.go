@@ -49,7 +49,7 @@ const (
 // sorted. The affinity matrix is assumed symmetric (the padded matrices
 // PartitionAcross builds are; refinement quality, not correctness, would
 // suffer otherwise).
-func multilevelPartition(work *comm.Matrix, k, per int, opt Options) ([][]int, error) {
+func multilevelPartition(work *comm.Matrix, k, per int) ([][]int, error) {
 	passes := partitionRefinePasses
 
 	// Coarsening: heavy-edge perfect matchings keep every coarse vertex at
@@ -78,7 +78,7 @@ func multilevelPartition(work *comm.Matrix, k, per int, opt Options) ([][]int, e
 	if mat.Order() <= coarsePortfolioMax {
 		var err error
 		groups, err = pickPartition(evalPartitionCandidates(
-			mat, equalPartitionCandidates(mat, mat.Order(), k, perCur, opt), true))
+			mat, equalPartitionCandidates(mat, mat.Order(), k, perCur), true))
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@ func partitionShapes() []struct {
 		{"stencil8x8-k2", comm.Stencil2D(8, 8, 64, 8), 2},
 		{"stencil5x7-k3-padded", comm.Stencil2D(5, 7, 100, 10), 3},
 		{"ring64-k8", comm.Ring(64, 3), 8},
-		{"alltoall32-k4", comm.AllToAll(32, 2), 4},
+		{"alltoall32-k4", allToAll(32, 2), 4},
 		{"random100-k5", comm.Random(100, 0.15, 1000, 42), 5},
 		{"random256-k8", comm.Random(256, 0.05, 500, 7), 8},
 		{"lk23-2x2-k4", comm.LK23OpLevel(2, 2, 16, 16, 8), 4},

@@ -151,7 +151,7 @@ func TestRefineGroupsMatchesOracle(t *testing.T) {
 		sizes []int
 	}{
 		{"dense random", comm.Random(24, 0.5, 2048, 3), equalSizes(4, 6)},
-		{"dense all-to-all", comm.AllToAll(12, 7), equalSizes(3, 4)},
+		{"dense all-to-all", allToAll(12, 7), equalSizes(3, 4)},
 		{"ring", comm.Ring(30, 5), equalSizes(5, 6)},
 		{"stencil 6x6 dense", comm.Stencil2D(6, 6, 64, 8), equalSizes(4, 9)},
 		{"stencil 8x8 sparse", comm.Stencil2DSparse(8, 8, 64, 8), equalSizes(8, 8)},

@@ -94,36 +94,6 @@ func snakeCells(dims []int) [][]int {
 	return out
 }
 
-// sfcCellCount returns the cell count of a grid, 0 for nil dims (so the
-// comparison against a group count can gate on "declared and matching").
-func sfcCellCount(dims []int) int {
-	if len(dims) == 0 {
-		return 0
-	}
-	total := 1
-	for _, d := range dims {
-		total *= d
-	}
-	return total
-}
-
-// chainPartition chops the affinity-attachment chain into k consecutive
-// runs of per entities each — the partition shape a space-filling-curve
-// embedding wants, since adjacent runs sit on adjacent curve stretches.
-func chainPartition(m *comm.Matrix, k, per int) [][]int {
-	aff, vol := pairAffinity(m)
-	chain := affinityOrder(aff, vol)
-	groups := make([][]int, k)
-	for i, e := range chain {
-		gi := i / per
-		if gi >= k {
-			gi = k - 1
-		}
-		groups[gi] = append(groups[gi], e)
-	}
-	return groups
-}
-
 // SFCSeed builds a candidate assignment (entity → grid cell, as row-major
 // indices) for AssignByDistance on a grid-like fabric: the entities are
 // chained by accumulated affinity (affinityOrder) and laid out along the

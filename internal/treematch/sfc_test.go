@@ -83,61 +83,3 @@ func TestSFCSeedChainsNeighbours(t *testing.T) {
 		seen[c] = true
 	}
 }
-
-func TestChainPartitionRuns(t *testing.T) {
-	m := comm.New(8)
-	for i := 0; i < 8; i++ {
-		m.Add(i, (i+1)%8, 10)
-	}
-	groups := chainPartition(m, 4, 2)
-	if len(groups) != 4 {
-		t.Fatalf("chainPartition made %d groups, want 4", len(groups))
-	}
-	total := 0
-	for _, g := range groups {
-		if len(g) != 2 {
-			t.Fatalf("group sizes %v, want 2 each", groups)
-		}
-		total += len(g)
-	}
-	if total != 8 {
-		t.Fatalf("groups cover %d entities, want 8", total)
-	}
-}
-
-// TestSFCDimsGateKeepsPortfolio pins that a nil SFCDims leaves the
-// PartitionAcross winner unchanged, and a matching SFCDims still returns a
-// valid equal partition.
-func TestSFCDimsGateKeepsPortfolio(t *testing.T) {
-	m := comm.New(16)
-	for i := 0; i < 16; i++ {
-		m.Add(i, (i+1)%16, 10)
-		m.Add(i, (i+5)%16, 3)
-	}
-	base, err := PartitionAcross(m, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := PartitionAcross(m, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gi := range base {
-		for ei := range base[gi] {
-			if base[gi][ei] != again[gi][ei] {
-				t.Fatalf("PartitionAcross not deterministic: %v vs %v", base, again)
-			}
-		}
-	}
-	gated, err := PartitionAcross(m, 4, Options{SFCDims: []int{2, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for _, g := range gated {
-		count += len(g)
-	}
-	if count != 16 {
-		t.Fatalf("gated partition covers %d entities, want 16", count)
-	}
-}

@@ -3,7 +3,6 @@ package treematch
 import (
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/topology"
 )
 
@@ -190,7 +189,7 @@ func TestMapWithDistributeSpreads(t *testing.T) {
 	// they pile onto as few subtrees as possible; with it they must spread
 	// over at least 3 sockets (restricted arity 4x2 gives ceil(6/2)=3).
 	tree := mustTree(t, 4, 4)
-	m := comm.AllToAll(6, 10)
+	m := allToAll(6, 10)
 	sockets := func(opt Options) int {
 		res, err := Map(Target{Tree: tree, SMTWays: 1}, m, opt)
 		if err != nil {

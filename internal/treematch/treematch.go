@@ -13,14 +13,6 @@ type Options struct {
 	// restricted (Tree.Restrict) so that affine groups spread across the
 	// NUMA nodes instead of piling onto one socket.
 	Distribute bool
-	// SFCDims, when non-nil, declares that the groups will be embedded onto
-	// a grid fabric with these dimensions (a torus). It gates the
-	// space-filling-curve machinery: PartitionAcross adds a chain-partition
-	// candidate (consecutive runs of the affinity chain, the curve-friendly
-	// shape) when the group count equals the cell count, and callers build
-	// the Hilbert/snake SFCSeed for the group→cell matching. Nil leaves
-	// every existing portfolio — and its winner — unchanged.
-	SFCDims []int
 }
 
 // partitionRefinePasses bounds the pairwise-swap refinement of the

@@ -8,6 +8,18 @@ import (
 	"repro/internal/comm"
 )
 
+// allToAll is the complete affinity graph on n entities, every pair
+// exchanging vol.
+func allToAll(n int, vol float64) *comm.Matrix {
+	m := comm.New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.AddSym(i, j, vol)
+		}
+	}
+	return m
+}
+
 func TestGroupProcessesPairs(t *testing.T) {
 	// Two obvious pairs: 0-1 heavy, 2-3 heavy, light cross traffic.
 	m := comm.New(4)
@@ -251,7 +263,7 @@ func TestTreeMatchBeatsRoundRobinOnStencil(t *testing.T) {
 
 func TestCostZeroWhenColocated(t *testing.T) {
 	tree := mustTree(t, 2)
-	m := comm.AllToAll(3, 5)
+	m := allToAll(3, 5)
 	all0 := []int{0, 0, 0}
 	if got := Cost(tree, m, all0); got != 0 {
 		t.Errorf("co-located cost = %v, want 0", got)
