@@ -19,7 +19,9 @@ import (
 // nodes (matchGroups) under the routed latencies between those nodes, then
 // map each group onto its node's free cores by structural hop distance — so a
 // job admitted into a fragmented machine still lands with fabric- and
-// cache-aware locality.
+// cache-aware locality. opts reaches the partition unchanged: a caller that
+// places one matrix under many views passes the same opts.Spectral memo
+// every time.
 func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts treematch.Options) (*Assignment, error) {
 	if mach == nil {
 		return nil, fmt.Errorf("placement: subset assignment requires a machine")

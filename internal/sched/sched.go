@@ -266,6 +266,9 @@ type jobState struct {
 	// layouts memoizes placeAware's AssignFreeSlots layout (task → PU) by
 	// the bitset of the chosen nodes' free cores, which fixes its view.
 	layouts map[string][]int
+	// spectral memoizes the spectral orders of m by entity subset: they do
+	// not depend on the view, so probes of other views reuse them.
+	spectral treematch.SpectralMemo
 }
 
 // matrix is the job's communication matrix, built from the pattern on the
@@ -755,7 +758,7 @@ func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placeme
 	}
 	taskPU, ok := j.layouts[string(key)]
 	if !ok {
-		a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{})
+		a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{Spectral: &j.spectral})
 		if err != nil {
 			return nil, false, err
 		}

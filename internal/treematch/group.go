@@ -93,7 +93,8 @@ func pickPartition(scored []scoredPartition) ([][]int, error) {
 // traffic that must cross the interconnect fabric. The matrix is padded with
 // zero-volume virtual entities up to k·ceil(p/k) internally; padding is
 // stripped from the result, so the last groups may come back smaller. Group
-// order is deterministic. No option changes the partition.
+// order is deterministic. No option changes the partition; opt.Spectral
+// only saves the spectral candidate work it has done before.
 //
 // No single grouping heuristic wins on every task graph: greedy k-way
 // seeding snakes through lattices, recursive bisection commits to a split
@@ -109,7 +110,7 @@ func pickPartition(scored []scoredPartition) ([][]int, error) {
 // goroutine per candidate; each builds and refines its own groups against
 // the read-only matrix) and the winner is picked in fixed portfolio order,
 // so the result is bit-identical to a sequential evaluation.
-func PartitionAcross(m *comm.Matrix, k int, _ Options) ([][]int, error) {
+func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcross needs at least 1 group, got %d", k)
 	}
@@ -135,7 +136,7 @@ func PartitionAcross(m *comm.Matrix, k int, _ Options) ([][]int, error) {
 		// every pre-existing shape bit-identical.
 		best, err = multilevelPartition(work, k, per)
 	} else {
-		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per), true))
+		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per, opt.Spectral), true))
 	}
 	if err != nil {
 		return nil, err
@@ -157,7 +158,8 @@ func PartitionAcross(m *comm.Matrix, k int, _ Options) ([][]int, error) {
 // k·ceil(orig/k), and the spectral candidate must know the difference.
 // Each candidate runs its own KL refinement, so the portfolio can be
 // evaluated concurrently — the candidates are independent by construction.
-func equalPartitionCandidates(work *comm.Matrix, orig, k, per int) []partitionCandidate {
+// memo (may be nil) serves the spectral candidate's orders.
+func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, memo *SpectralMemo) []partitionCandidate {
 	// The node-level cut is the expensive one (every cut byte crosses the
 	// network), so refinement always runs here even when per-core grouping
 	// of a matrix this size would skip it.
@@ -214,7 +216,7 @@ func equalPartitionCandidates(work *comm.Matrix, orig, k, per int) []partitionCa
 	// Fiedler direction.
 	if k%2 == 0 && per*k == orig && per > 1 {
 		cands = append(cands, func() ([][]int, error) {
-			groups, err := spectralPartition(work, identityIDs(p), k, passes)
+			groups, err := spectralPartition(work, identityIDs(p), k, passes, memo, new(spectralScratch))
 			if err != nil {
 				return nil, err
 			}
@@ -289,7 +291,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 	cands := []partitionCandidate{
 		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes)), nil },
 		func() ([][]int, error) {
-			groups, err := spectralPartitionSized(m, identityIDs(p), sizes)
+			groups, err := spectralPartitionSized(m, identityIDs(p), sizes, opt.Spectral, new(spectralScratch))
 			if err != nil {
 				return nil, err
 			}
@@ -585,13 +587,9 @@ func bisectPartition(m *comm.Matrix, ids []int, k, passes int) ([][]int, error) 
 	if k == 1 {
 		return [][]int{ids}, nil
 	}
-	sub := m
-	if !isIdentity(ids, m.Order()) {
-		var err error
-		sub, err = m.Submatrix(ids)
-		if err != nil {
-			return nil, err
-		}
+	sub, err := induced(m, ids)
+	if err != nil {
+		return nil, err
 	}
 	split := k
 	if k%2 == 0 {

@@ -78,7 +78,7 @@ func multilevelPartition(work *comm.Matrix, k, per int) ([][]int, error) {
 	if mat.Order() <= coarsePortfolioMax {
 		var err error
 		groups, err = pickPartition(evalPartitionCandidates(
-			mat, equalPartitionCandidates(mat, mat.Order(), k, perCur), true))
+			mat, equalPartitionCandidates(mat, mat.Order(), k, perCur, nil), true))
 		if err != nil {
 			return nil, err
 		}

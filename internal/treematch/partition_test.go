@@ -151,7 +151,7 @@ func TestPartitionAcrossConcurrentMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			seq, err := pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, m.Order(), k, per), false))
+			seq, err := pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, m.Order(), k, per, nil), false))
 			if err != nil {
 				t.Fatalf("%s k=%d sequential: %v", name, k, err)
 			}
@@ -192,7 +192,7 @@ func TestPartitionAcrossWeightedConcurrentMatchesSequential(t *testing.T) {
 	cands := []partitionCandidate{
 		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes)), nil },
 		func() ([][]int, error) {
-			groups, err := spectralPartitionSized(m, identityIDs(m.Order()), sizes)
+			groups, err := spectralPartitionSized(m, identityIDs(m.Order()), sizes, nil, new(spectralScratch))
 			if err != nil {
 				return nil, err
 			}
@@ -226,8 +226,8 @@ func TestSpectralCandidateSkippedOnPaddedMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded := equalPartitionCandidates(work, 30, 4, 8)
-	exact := equalPartitionCandidates(work, 32, 4, 8)
+	padded := equalPartitionCandidates(work, 30, 4, 8, nil)
+	exact := equalPartitionCandidates(work, 32, 4, 8, nil)
 	if len(exact) != len(padded)+1 {
 		t.Errorf("padded portfolio has %d candidates, exact %d; spectral must only join the exact one",
 			len(padded), len(exact))

@@ -13,6 +13,10 @@ type Options struct {
 	// restricted (Tree.Restrict) so that affine groups spread across the
 	// NUMA nodes instead of piling onto one socket.
 	Distribute bool
+	// Spectral, when set, memoizes the spectral partition candidates' orders
+	// across PartitionAcross/PartitionAcrossWeighted calls on one matrix.
+	// It saves work only: every partition is the one nil computes.
+	Spectral *SpectralMemo
 }
 
 // partitionRefinePasses bounds the pairwise-swap refinement of the
