@@ -131,6 +131,19 @@ func (r *refSched) flip(cores []int, toFree bool) error {
 	return nil
 }
 
+// refMatrix builds the job's matrix on first use, on the reference's own
+// goroutine: the reference never goes through Run's lookahead.
+func refMatrix(j *jobState) (*comm.Matrix, error) {
+	if j.m == nil {
+		m, err := j.spec.Matrix()
+		if err != nil {
+			return nil, err
+		}
+		j.m = m
+	}
+	return j.m, nil
+}
+
 func (r *refSched) tryPlace(j *jobState) (*placementResult, bool, error) {
 	spec := j.spec
 	switch r.opts.Policy {
@@ -198,7 +211,7 @@ func (r *refSched) placeAware(j *jobState, tier topology.Kind, d int) (*placemen
 		view[n] = r.nodeFree(n)
 		got += len(view[n])
 	}
-	m, err := j.matrix()
+	m, err := refMatrix(j)
 	if err != nil {
 		return nil, false, err
 	}
@@ -239,7 +252,7 @@ func (r *refSched) placeScatter(j *jobState) (*placementResult, bool, error) {
 }
 
 func (r *refSched) placeOnSlots(j *jobState, slots []int, tier topology.Kind, d int) (*placementResult, bool, error) {
-	m, err := j.matrix()
+	m, err := refMatrix(j)
 	if err != nil {
 		return nil, false, err
 	}
@@ -843,17 +856,19 @@ func diffAgainstReference(t *testing.T, spec string, opts Options, jobs []JobSpe
 	}
 }
 
-// TestSchedulerMatchesReference runs the A15 and A16 streams under their
-// arms, both benchmark streams, every invariant case, and a backfill window
-// a candidate's service meets exactly, through both schedulers at seeds 1
-// and 42.
-func TestSchedulerMatchesReference(t *testing.T) {
-	type tc struct {
-		name string
-		spec string
-		opts Options
-		jobs func(t *testing.T) []JobSpec
-	}
+// streamCase is one platform, option set and job stream a differential test
+// replays.
+type streamCase struct {
+	name string
+	spec string
+	opts Options
+	jobs func(t *testing.T) []JobSpec
+}
+
+// streamCases lists the A15 and A16 cells under their arms and both
+// benchmark streams at one seed, named "a15/SHAPE/ARM/SEED",
+// "a16/SHAPE/ARM/SEED", "sched-fifo/SEED" and "sched-phase2/SEED".
+func streamCases(seed int64) []streamCase {
 	stream := func(cfg StreamConfig, scramble int64) func(t *testing.T) []JobSpec {
 		return func(t *testing.T) []JobSpec {
 			jobs, err := GenerateStream(cfg)
@@ -871,47 +886,52 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		}
 	}
 	shapes := []string{"rack:2 node:4 pack:2 core:4 pu:1", "pod:2 rack:2 node:2 pack:2 core:4 pu:1"}
-	a16Sizes := []int{2, 3, 4, 6, 8, 12, 16}
-	var cases []tc
-	for _, seed := range []int64{1, 42} {
-		a15 := StreamConfig{Jobs: 40, Seed: seed, Churn: 4, ConstraintFraction: 0.3, PreferredTier: "node", RequiredTier: "rack"}
-		a16 := StreamConfig{Jobs: 48, Seed: seed, Sizes: a16Sizes, Churn: 12, ConstraintFraction: 0.35,
-			LongFraction: 0.2, LongFactor: 8, VolumeBytes: 4 << 10, PriorityClasses: 3,
-			PreferredTier: "node", RequiredTier: "rack"}
-		for _, shape := range shapes {
-			for _, arm := range []struct {
-				name string
-				o    Options
-			}{{"topo-aware", Options{Policy: TopoAware}}, {"topo-blind", Options{Policy: TopoBlind}}, {"first-fit", Options{Policy: FirstFit}}} {
-				cases = append(cases, tc{fmt.Sprintf("a15/%s/%s/%d", shape, arm.name, seed), shape, arm.o, stream(a15, 0)})
-			}
-			for _, arm := range []struct {
-				name string
-				o    Options
-			}{
-				{"full", Options{Policy: TopoAware, Backfill: true, Preempt: true, Defrag: true}},
-				{"backfill", Options{Policy: TopoAware, Backfill: true}},
-				{"fifo", Options{Policy: TopoAware}},
-			} {
-				cases = append(cases, tc{fmt.Sprintf("a16/%s/%s/%d", shape, arm.name, seed), shape, arm.o, stream(a16, 0)})
-			}
+	a15 := StreamConfig{Jobs: 40, Seed: seed, Churn: 4, ConstraintFraction: 0.3, PreferredTier: "node", RequiredTier: "rack"}
+	a16 := StreamConfig{Jobs: 48, Seed: seed, Sizes: []int{2, 3, 4, 6, 8, 12, 16}, Churn: 12, ConstraintFraction: 0.35,
+		LongFraction: 0.2, LongFactor: 8, VolumeBytes: 4 << 10, PriorityClasses: 3,
+		PreferredTier: "node", RequiredTier: "rack"}
+	var cases []streamCase
+	for _, shape := range shapes {
+		for _, arm := range []struct {
+			name string
+			o    Options
+		}{{"topo-aware", Options{Policy: TopoAware}}, {"topo-blind", Options{Policy: TopoBlind}}, {"first-fit", Options{Policy: FirstFit}}} {
+			cases = append(cases, streamCase{fmt.Sprintf("a15/%s/%s/%d", shape, arm.name, seed), shape, arm.o, stream(a15, 0)})
 		}
-		fifo := StreamConfig{Jobs: 800, Seed: seed, Churn: 4, ConstraintFraction: 0.3, PreferredTier: "node", RequiredTier: "rack"}
-		cases = append(cases, tc{fmt.Sprintf("sched-fifo/%d", seed), shapes[0], Options{Policy: TopoAware}, stream(fifo, 0)})
-		phase2 := a16
-		phase2.Jobs, phase2.Seed = 80, 1
-		cases = append(cases, tc{fmt.Sprintf("sched-phase2/%d", seed), shapes[1],
-			Options{Policy: TopoAware, Backfill: true, Preempt: true, Defrag: true}, stream(phase2, seed-1)})
+		for _, arm := range []struct {
+			name string
+			o    Options
+		}{
+			{"full", Options{Policy: TopoAware, Backfill: true, Preempt: true, Defrag: true}},
+			{"backfill", Options{Policy: TopoAware, Backfill: true}},
+			{"fifo", Options{Policy: TopoAware}},
+		} {
+			cases = append(cases, streamCase{fmt.Sprintf("a16/%s/%s/%d", shape, arm.name, seed), shape, arm.o, stream(a16, 0)})
+		}
 	}
+	fifo := StreamConfig{Jobs: 800, Seed: seed, Churn: 4, ConstraintFraction: 0.3, PreferredTier: "node", RequiredTier: "rack"}
+	cases = append(cases, streamCase{fmt.Sprintf("sched-fifo/%d", seed), shapes[0], Options{Policy: TopoAware}, stream(fifo, 0)})
+	phase2 := a16
+	phase2.Jobs, phase2.Seed = 80, 1
+	return append(cases, streamCase{fmt.Sprintf("sched-phase2/%d", seed), shapes[1],
+		Options{Policy: TopoAware, Backfill: true, Preempt: true, Defrag: true}, stream(phase2, seed-1)})
+}
+
+// TestSchedulerMatchesReference runs the A15 and A16 streams under their
+// arms, both benchmark streams, every invariant case, and a backfill window
+// a candidate's service meets exactly, through both schedulers at seeds 1
+// and 42.
+func TestSchedulerMatchesReference(t *testing.T) {
+	cases := append(streamCases(1), streamCases(42)...)
 	for _, ic := range invariantCases() {
 		ic := ic
-		cases = append(cases, tc{fmt.Sprintf("invariant/%s/%d", ic.name, ic.seed), ic.spec, ic.opts,
+		cases = append(cases, streamCase{fmt.Sprintf("invariant/%s/%d", ic.name, ic.seed), ic.spec, ic.opts,
 			func(t *testing.T) []JobSpec { return invariantStream(t, ic.seed) }})
 	}
 	// A one-task candidate (no edges, so no comm) whose work equals the
 	// head's window to the cycle: its service does not exceed the window,
 	// so it backfills.
-	cases = append(cases, tc{"backfill-window-edge", "rack:1 node:1 pack:1 core:2 pu:1", Options{Policy: TopoAware, Backfill: true},
+	cases = append(cases, streamCase{"backfill-window-edge", "rack:1 node:1 pack:1 core:2 pu:1", Options{Policy: TopoAware, Backfill: true},
 		func(*testing.T) []JobSpec {
 			return []JobSpec{
 				{Name: "long", ArriveCycles: 0, WorkCycles: 2e6, Tasks: 1},

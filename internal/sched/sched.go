@@ -135,7 +135,8 @@ type Options struct {
 
 // Scheduler is the online multi-tenant scheduler: one instance owns the
 // platform's free-capacity index and replays a workload stream through its
-// event loop. A Scheduler is single-goroutine; Run is not reentrant.
+// event loop. Run is not reentrant, and only its own lookahead goroutine
+// runs beside the loop.
 type Scheduler struct {
 	mach *numasim.Machine
 	topo *topology.Topology
@@ -261,8 +262,15 @@ type jobState struct {
 	// resume carries the checkpoint of a preempted job awaiting restart;
 	// nil for jobs that are running fresh.
 	resume *resumeState
-	// m caches matrix(): every placement probe of the job reads the same one.
-	m *comm.Matrix
+	// reason is infeasible's verdict, fixed before the loop starts: "" when
+	// the job can ever run on the platform.
+	reason string
+	// ready is closed by Run's lookahead once m and err are set (and, under
+	// TopoAware, the root spectral order is in spectral); every placement
+	// probe of the job reads the same m.
+	ready chan struct{}
+	m     *comm.Matrix
+	err   error
 	// layouts memoizes placeAware's AssignFreeSlots layout (task → PU) by
 	// the bitset of the chosen nodes' free cores, which fixes its view.
 	layouts map[string][]int
@@ -271,13 +279,40 @@ type jobState struct {
 	spectral treematch.SpectralMemo
 }
 
-// matrix is the job's communication matrix, built from the pattern on the
-// first placement attempt — a job rejected as infeasible never pays for one.
-func (j *jobState) matrix() (_ *comm.Matrix, err error) {
-	if j.m == nil {
-		j.m, err = j.spec.Matrix()
+// matrix is the job's communication matrix, as Run's lookahead built it from
+// the pattern — a job rejected as infeasible never pays for one.
+func (j *jobState) matrix() (*comm.Matrix, error) {
+	<-j.ready
+	return j.m, j.err
+}
+
+// lookaheadWindow bounds how many arrivals the lookahead runs ahead of the
+// loop, so a long stream never holds more than this many matrices the loop
+// has not reached yet.
+const lookaheadWindow = 16
+
+// lookahead builds every feasible job's matrix in arrival order and, under
+// TopoAware, warms its memo with the whole-matrix spectral order — the
+// partition portfolio's longest serial step — while the loop works on
+// earlier jobs. Both are pure functions of the spec, so only where the work
+// runs changes, never a bit of it. Each job takes a slot of window, which
+// the loop frees as it consumes the arrival; stop ends the walk.
+func (s *Scheduler) lookahead(order []*jobState, window chan<- struct{}, stop <-chan struct{}) {
+	var warm treematch.SpectralWarmer
+	for _, j := range order {
+		select {
+		case window <- struct{}{}:
+		case <-stop:
+			return
+		}
+		if j.reason == "" {
+			j.m, j.err = j.spec.Matrix()
+			if j.err == nil && s.opts.Policy == TopoAware {
+				warm.Warm(&j.spectral, j.m)
+			}
+		}
+		close(j.ready)
 	}
-	return j.m, err
 }
 
 // departure orders the running set by (finish, seq) and carries everything a
@@ -450,6 +485,8 @@ func (r *runLoop) drain() error {
 // report. Jobs are admitted FIFO in arrival order (ties broken by input
 // order); the virtual clock advances from arrival to departure events and
 // the free-capacity index binds and releases slots as jobs start and finish.
+// A lookahead goroutine prepares each job's matrix a few arrivals ahead of
+// the loop; Run stops and joins it before returning.
 func (s *Scheduler) Run(jobs []JobSpec) (*Report, error) {
 	rep := &Report{Policy: s.opts.Policy.String(), Jobs: make([]JobStat, len(jobs))}
 	states := make([]*jobState, len(jobs))
@@ -458,13 +495,25 @@ func (s *Scheduler) Run(jobs []JobSpec) (*Report, error) {
 			return nil, err
 		}
 		rep.Jobs[i] = JobStat{Name: spec.Name, Tasks: spec.Tasks, Priority: spec.Priority, ArriveCycles: spec.ArriveCycles}
-		states[i] = &jobState{spec: spec, seq: i, stat: &rep.Jobs[i], waitSince: spec.ArriveCycles}
+		states[i] = &jobState{spec: spec, seq: i, stat: &rep.Jobs[i], waitSince: spec.ArriveCycles,
+			reason: s.infeasible(spec), ready: make(chan struct{})}
 	}
 	order := make([]*jobState, len(states))
 	copy(order, states)
 	sort.SliceStable(order, func(i, j int) bool {
 		return order[i].spec.ArriveCycles < order[j].spec.ArriveCycles
 	})
+
+	window := make(chan struct{}, lookaheadWindow)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s.lookahead(order, window, stop)
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
 
 	r := &runLoop{s: s, rep: rep}
 	next := 0
@@ -490,9 +539,10 @@ func (s *Scheduler) Run(jobs []JobSpec) (*Report, error) {
 		for next < len(order) && order[next].spec.ArriveCycles == r.clock {
 			j := order[next]
 			next++
-			if reason := s.infeasible(j.spec); reason != "" {
+			<-window
+			if j.reason != "" {
 				j.stat.Rejected = true
-				j.stat.RejectReason = reason
+				j.stat.RejectReason = j.reason
 				rep.Rejected++
 				continue
 			}

@@ -148,15 +148,34 @@ func spectralOrder(m *comm.Matrix, sc *spectralScratch) []int {
 // are found by a linear scan: a caller that never repeats a subset pays one
 // append per order.
 //
-// Not safe for concurrent use, and it takes no lock: only the spectral
-// candidate's goroutine of one partition call touches it, and the
-// portfolio's WaitGroup orders one call's accesses before the next call's.
+// Not safe for concurrent use, and it takes no lock: one goroutine at a time
+// touches it, and a happens-before edge orders each one after the last. The
+// scheduler's lookahead warms a job's memo (SpectralWarmer) before it closes
+// the job's ready channel, and the job's partition calls read it only after
+// receiving from that channel. Within those calls only the spectral
+// candidate's goroutine of one call touches it, and the portfolio's
+// WaitGroup orders one call's accesses before the next call's.
 type SpectralMemo struct {
 	m       *comm.Matrix
 	entries []spectralEntry
 }
 
 type spectralEntry struct{ ids, order []int }
+
+// SpectralWarmer computes root spectral orders ahead of the partition calls
+// that read them, reusing one scratch for every matrix it warms. The zero
+// value is ready.
+type SpectralWarmer struct{ sc spectralScratch }
+
+// Warm puts the spectral order of the whole of m, the first order every
+// spectral candidate on m asks for, into memo, which binds to m. Orders
+// above multilevelMinOrder are skipped: no portfolio runs there.
+func (w *SpectralWarmer) Warm(memo *SpectralMemo, m *comm.Matrix) {
+	if m.Order() <= multilevelMinOrder {
+		// The identity subset induces m itself, so order cannot fail.
+		_, _ = memo.order(m, identityIDs(m.Order()), &w.sc)
+	}
+}
 
 // order returns spectralOrder of the submatrix ids induce on m, from the
 // memo when it holds it (a nil memo always computes). Neither ids nor the
