@@ -1,6 +1,6 @@
 // CI-style repository guards: a go vet pass over every package, a gofmt
-// formatting guard, a go.mod tidiness check and a guard against exported
-// names that only tests use.
+// formatting guard, a go.mod tidiness check, a guard against exported
+// names that only tests use and a ceiling on the non-test line count.
 package repro
 
 import (
@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -58,6 +59,48 @@ func TestGoModTidy(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("go mod tidy -diff reports drift (run `go mod tidy`):\n%s", out)
+	}
+}
+
+// nonTestLineCeiling is the most non-test Go lines the repository may hold
+// outside benchmark/. A change that grows past it re-pins it and says so.
+const nonTestLineCeiling = 13102
+
+// TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
+// way ROADMAP.md does — non-blank lines that are not // comments, as
+//
+//	find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | grep -vE '^\s*(//|$)' | wc -l
+//
+// prints them — logs the count and fails above nonTestLineCeiling.
+func TestNonTestLineCeiling(t *testing.T) {
+	count := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path == "benchmark" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(src), "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "//") {
+				count++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d non-test lines outside benchmark/ (ceiling %d)", count, nonTestLineCeiling)
+	if count > nonTestLineCeiling {
+		t.Errorf("%d non-test lines exceed the ceiling of %d: delete code, or re-pin nonTestLineCeiling and say why", count, nonTestLineCeiling)
 	}
 }
 

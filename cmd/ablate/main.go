@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -250,8 +251,8 @@ func run(w io.Writer, cfg experiment.Config, o experiment.Overrides, exp string,
 		for _, r := range rows {
 			res.Rows = append(res.Rows, benchRow{
 				Name:    r.Name,
-				Seconds: r.Seconds,
-				Cycles:  experiment.SimCycles(r.Seconds),
+				Seconds: simFloat(r.Seconds),
+				Cycles:  simFloat(experiment.SimCycles(r.Seconds)),
 				Detail:  r.Detail,
 			})
 		}
@@ -300,10 +301,23 @@ type benchAblation struct {
 
 // benchRow is one configuration's simulated cost.
 type benchRow struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-	Cycles  float64 `json:"cycles"`
-	Detail  string  `json:"detail,omitempty"`
+	Name    string   `json:"name"`
+	Seconds simFloat `json:"seconds"`
+	Cycles  simFloat `json:"cycles"`
+	Detail  string   `json:"detail,omitempty"`
+}
+
+// simFloat is a simulated figure of a report row. A JSON number cannot carry
+// the +Inf of a run that never finishes (a severed fabric that partitions
+// the platform), so a non-finite figure encodes as the string "+Inf", "-Inf"
+// or "NaN"; a finite one encodes as a plain number.
+type simFloat float64
+
+func (f simFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsInf(v, 0) || math.IsNaN(v) {
+		return json.Marshal(strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	return json.Marshal(float64(f))
 }
 
 // benchOrdering is one asserted relation and whether it held.

@@ -141,7 +141,7 @@ func TestRunJSONReport(t *testing.T) {
 		if r.Seconds <= 0 || r.Cycles <= 0 {
 			t.Errorf("row %s has non-positive cost: %+v", r.Name, r)
 		}
-		if want := experiment.SimCycles(r.Seconds); r.Cycles != want {
+		if want := simFloat(experiment.SimCycles(float64(r.Seconds))); r.Cycles != want {
 			t.Errorf("row %s cycles %v inconsistent with seconds (want %v)", r.Name, r.Cycles, want)
 		}
 	}
@@ -248,6 +248,61 @@ func TestRunFaultSemanticErrors(t *testing.T) {
 				t.Fatalf("run: got %v, want error containing %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestRunFaultSeverPartition drives a sever that partitions the platform:
+// rack 0's uplink goes at epoch 2, so every transfer across it prices +Inf
+// and no arm's run finishes. Text mode renders each row as "unbounded" with
+// no speedup; -json still writes the whole document, carrying the figures as
+// "+Inf" strings, and then fails through the violated ordering verdicts.
+func TestRunFaultSeverPartition(t *testing.T) {
+	cfg := experiment.Config{Rows: 1024, Cols: 1024, Iters: 4, Cores: 16, Seed: 42}
+	events, err := parseFaultEvents("", "", "1:0@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := experiment.Overrides{FaultEvents: events}
+	var text bytes.Buffer
+	if err := run(&text, cfg, o, "fault", false); err != nil {
+		t.Fatalf("text mode: %v", err)
+	}
+	rows := strings.Split(strings.TrimSpace(text.String()), "\n")[1:]
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want the 4 fault arms:\n%s", len(rows), text.String())
+	}
+	for _, row := range rows {
+		if !strings.Contains(row, " unbounded  x-     faults=1 ") {
+			t.Errorf("partitioned row %q does not render as unbounded with no speedup", row)
+		}
+	}
+
+	var buf bytes.Buffer
+	err = run(&buf, cfg, o, "fault", true)
+	if err == nil || !strings.Contains(err.Error(), "ordering violated") {
+		t.Fatalf("run -json: got %v, want the ordering violation", err)
+	}
+	var doc struct {
+		Ablations []struct {
+			Rows      []struct{ Seconds, Cycles any }
+			Orderings []benchOrdering
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if len(doc.Ablations) != 1 || len(doc.Ablations[0].Rows) != 4 {
+		t.Fatalf("report misses the fault rows:\n%s", buf.String())
+	}
+	for _, r := range doc.Ablations[0].Rows {
+		if r.Seconds != "+Inf" || r.Cycles != "+Inf" {
+			t.Errorf("row figures %v/%v, want \"+Inf\"/\"+Inf\"", r.Seconds, r.Cycles)
+		}
+	}
+	for _, v := range doc.Ablations[0].Orderings {
+		if v.OK {
+			t.Errorf("ordering %q holds between unbounded rows", v.Relation)
+		}
 	}
 }
 

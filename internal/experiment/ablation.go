@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/omp"
@@ -17,7 +18,9 @@ type AblationRow struct {
 }
 
 // FormatAblation renders ablation rows with speedups relative to the first
-// row.
+// row. A row whose run never finishes — a severed fabric that partitions the
+// platform prices its transfers +Inf — shows "unbounded" for its seconds, and
+// a speedup that is not a finite number shows "-".
 func FormatAblation(title string, rows []AblationRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
@@ -25,8 +28,17 @@ func FormatAblation(title string, rows []AblationRow) string {
 	if len(rows) > 0 {
 		base = rows[0].Seconds
 	}
+	finite := func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-22s %9.2fs  x%-5.2f %s\n", r.Name, r.Seconds, safeRatio(r.Seconds, base), r.Detail)
+		ratio := safeRatio(r.Seconds, base)
+		secs, speed := fmt.Sprintf("%9.2fs", r.Seconds), fmt.Sprintf("%-5.2f", ratio)
+		if !finite(r.Seconds) {
+			secs = fmt.Sprintf("%10s", "unbounded")
+		}
+		if !finite(ratio) {
+			speed = "-    "
+		}
+		fmt.Fprintf(&b, "  %-22s %s  x%s %s\n", r.Name, secs, speed, r.Detail)
 	}
 	return b.String()
 }

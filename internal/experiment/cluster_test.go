@@ -3,39 +3,37 @@ package experiment
 import (
 	"testing"
 
-	"repro/internal/numasim"
 	"repro/internal/orwl"
 	"repro/internal/placement"
 )
 
-// testClusterCfg is the reduced scale used by the cluster tests: 2 nodes of
+// testClusterCfg is the reduced scale used by the cluster tests: nodes of
 // 8 cores keep runtimes in milliseconds.
 func testClusterCfg(nodes int) ClusterConfig {
 	return ClusterConfig{
 		Nodes:          nodes,
 		CoresPerNode:   8,
 		CoresPerSocket: 4,
-		Iters:          10,
 		Seed:           42,
 	}
 }
 
+// TestClusterConfigValidate holds one row per check of the cluster
+// scenario builder.
 func TestClusterConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string
 		cfg     ClusterConfig
 		wantErr bool
 	}{
-		{"defaults", ClusterConfig{}, false},
 		{"two nodes", testClusterCfg(2), false},
-		{"one node", ClusterConfig{Nodes: 1}, true},
-		{"negative iters", ClusterConfig{Iters: -1}, true},
-		{"indivisible sockets", ClusterConfig{CoresPerNode: 10, CoresPerSocket: 4}, true},
-		{"negative halo", ClusterConfig{HaloBytes: -1}, true},
+		{"one node", ClusterConfig{Nodes: 1, CoresPerNode: 8, CoresPerSocket: 4}, true},
+		{"indivisible sockets", ClusterConfig{Nodes: 2, CoresPerNode: 10, CoresPerSocket: 4}, true},
+		{"no sockets", ClusterConfig{Nodes: 2, CoresPerNode: 8}, true},
 	}
 	for _, tc := range tests {
-		if err := tc.cfg.Validate(); (err != nil) != tc.wantErr {
-			t.Errorf("%s: Validate() = %v, wantErr %v", tc.name, err, tc.wantErr)
+		if _, err := tc.cfg.scenario(); (err != nil) != tc.wantErr {
+			t.Errorf("%s: scenario() = %v, wantErr %v", tc.name, err, tc.wantErr)
 		}
 	}
 }
@@ -90,19 +88,22 @@ func TestAblationCluster(t *testing.T) {
 }
 
 func TestRunClusterDeterministic(t *testing.T) {
-	cfg := testClusterCfg(2).withDefaults()
+	s, err := testClusterCfg(2).scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, arm := range clusterArms {
 		mode := arm.name
-		a, err := runCluster(arm.policy, cfg)
+		a, err := s.run(arm.policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := runCluster(arm.policy, cfg)
+		b, err := s.run(arm.policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Seconds != b.Seconds {
-			t.Errorf("%s not deterministic: %.9f vs %.9f", mode, a.Seconds, b.Seconds)
+		if a.seconds != b.seconds {
+			t.Errorf("%s not deterministic: %.9f vs %.9f", mode, a.seconds, b.seconds)
 		}
 	}
 }
@@ -114,14 +115,17 @@ func TestRunClusterDeterministic(t *testing.T) {
 // migrations are priced over the fabric — hysteresis must keep it from
 // thrashing.
 func TestClusterAdaptive(t *testing.T) {
-	cfg := testClusterCfg(2).withDefaults()
-	c, err := Cluster(cfg)
+	s, err := testClusterCfg(2).scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.platform()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := c.Machine()
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
-	if err := clusterStencil(cfg)(rt); err != nil {
+	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: s.seed})
+	if err := s.stencil.build(rt); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := placement.PlaceAdaptive(rt, placement.AdaptiveOptions{
@@ -146,21 +150,5 @@ func TestClusterAdaptive(t *testing.T) {
 	}
 	if st.Rebinds != 0 {
 		t.Errorf("stationary cluster stencil triggered %d rebinds; hysteresis should hold the hierarchical placement", st.Rebinds)
-	}
-}
-
-// TestClusterHonorsFabricRacks pins that the platform builder honors the
-// Fabric.Racks override: the nodes split evenly across that many
-// top-of-rack switches, and an uneven split is rejected.
-func TestClusterHonorsFabricRacks(t *testing.T) {
-	c, err := Cluster(ClusterConfig{Nodes: 4, Fabric: numasim.Fabric{Racks: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Machine().Topology().NumRacks(); got != 2 {
-		t.Fatalf("Fabric.Racks=2 built %d racks", got)
-	}
-	if _, err := Cluster(ClusterConfig{Nodes: 4, CoresPerNode: 12, CoresPerSocket: 6, Fabric: numasim.Fabric{Racks: 3}}); err == nil {
-		t.Error("4 nodes across 3 racks accepted")
 	}
 }

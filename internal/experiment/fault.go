@@ -43,119 +43,58 @@ type FaultEventSpec struct {
 
 // FaultConfig parameterizes one fault-injection run.
 type FaultConfig struct {
-	// RackConfig shapes the platform and the stencil exactly as in the A10
-	// rack scenario, with three defaults of its own: Iters 30, BlockBytes
-	// 1 MiB and NodesPerRack 4. The default rack is wider than A10's because
-	// a 2-node rack is degenerate for fault handling: with only 3 survivors
-	// every refuge choice doubles up the same way, and the arms cannot
-	// separate.
+	// RackConfig shapes the platform and the stencil as in the A10 rack
+	// scenario, with movedBlockBytes blocks.
 	RackConfig
-	// EpochIters is the re-placement interval (default 3).
-	EpochIters int
-	// KillNode is the cluster node that dies (default: node NodesPerRack,
-	// the first node of rack 1; -1 disables the default failure so only
-	// Events apply). KillEpoch is the 1-based epoch it dies at (default:
-	// the epoch closest to 2/5 of the run, matching A12's shift point).
-	KillNode, KillEpoch int
-	// DegradeFactor is the remaining bandwidth of the killed node's rack
-	// uplink after the correlated degrade (default 0.5; negative disables
-	// the degrade half of the default failure).
-	DegradeFactor float64
-	// Events overrides the default kill+degrade schedule entirely when
-	// non-nil (experiment coordinates; see FaultEventSpec).
+	// Events replaces the default failure when non-nil (experiment
+	// coordinates; see FaultEventSpec). The default is the correlated
+	// half-failure of a real incident: the first node of rack 1 dies —
+	// orphaning a whole block, whose evacuation across racks the uplink
+	// degrade then punishes — and its rack's uplink drops to half
+	// bandwidth, both at the epoch closest to 2/5 of the run (the A12 shift
+	// point), so the degraded phase dominates and recovery quality decides
+	// the ranking.
 	Events []FaultEventSpec
-	// Hysteresis and WindowDecay tune the adaptive engine.
-	Hysteresis, WindowDecay float64
 }
 
-func (c FaultConfig) withDefaults() FaultConfig {
-	if c.NodesPerRack == 0 {
-		c.NodesPerRack = 4
-	}
-	if c.Iters == 0 {
-		c.Iters = 30
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 1 << 20
-	}
-	c.RackConfig = c.RackConfig.withDefaults()
-	if c.EpochIters == 0 {
-		c.EpochIters = 3
-	}
-	if c.KillNode == 0 {
-		// The first node of rack 1: the kill orphans a whole block and the
-		// correlated uplink degrade punishes evacuating it across racks.
-		c.KillNode = c.NodesPerRack
-	}
-	if c.KillEpoch == 0 {
-		// The failure lands at 2/5 of the run — the A12 shift point — so the
-		// degraded phase dominates and recovery quality decides the ranking.
-		c.KillEpoch = max(c.Iters/c.EpochIters*2/5, 1)
-	}
-	if c.DegradeFactor == 0 {
-		c.DegradeFactor = 0.5
-	}
-	return c
-}
-
-// effectiveEvents returns the fault schedule in experiment coordinates: the
-// explicit Events override when set, else the default correlated failure —
-// KillNode dies at KillEpoch and its rack's uplink drops to DegradeFactor.
-func (c FaultConfig) effectiveEvents() []FaultEventSpec {
+// events returns the fault schedule in experiment coordinates.
+func (c FaultConfig) events() []FaultEventSpec {
 	if c.Events != nil {
 		return c.Events
 	}
-	if c.KillNode < 0 {
-		return nil
+	epoch := max(c.Iters/fabricEpochIters*2/5, 1)
+	return []FaultEventSpec{
+		{Epoch: epoch, Kind: topology.FaultKillNode, Node: c.NodesPerRack},
+		{Epoch: epoch, Kind: topology.FaultDegradeEdge, Level: 1, Link: 1, Factor: 0.5},
 	}
-	events := []FaultEventSpec{
-		{Epoch: c.KillEpoch, Kind: topology.FaultKillNode, Node: c.KillNode},
-	}
-	if c.DegradeFactor > 0 {
-		events = append(events, FaultEventSpec{
-			Epoch: c.KillEpoch, Kind: topology.FaultDegradeEdge,
-			Level: 1, Link: c.KillNode / c.NodesPerRack, Factor: c.DegradeFactor,
-		})
-	}
-	return events
 }
 
-// Validate rejects configurations the fault pipeline cannot run.
-func (c FaultConfig) Validate() error {
-	d := c.withDefaults()
-	if err := d.RackConfig.Validate(); err != nil {
-		return err
+// scenario builds the fault scenario: the rack scenario with its failure
+// schedule. Edge coordinates are resolved (and range-checked) against the
+// built platform by BuildFaultSchedule.
+func (c FaultConfig) scenario() (scenario, error) {
+	s, err := c.RackConfig.scenario()
+	if err != nil {
+		return scenario{}, err
 	}
-	if d.EpochIters < 1 {
-		return fmt.Errorf("experiment: epoch interval %d must be positive", d.EpochIters)
-	}
-	nodes := d.Racks * d.NodesPerRack
-	epochs := d.Iters / d.EpochIters
-	for _, ev := range d.effectiveEvents() {
-		if ev.Epoch < 1 {
-			return fmt.Errorf("experiment: fault epoch %d is not 1-based", ev.Epoch)
-		}
-		if ev.Epoch > epochs {
-			return fmt.Errorf("experiment: fault epoch %d beyond the run (%d iterations / %d per epoch = %d epochs)",
-				ev.Epoch, d.Iters, d.EpochIters, epochs)
-		}
-		switch ev.Kind {
-		case topology.FaultKillNode:
-			if ev.Node < 0 || ev.Node >= nodes {
-				return fmt.Errorf("experiment: fault kills unknown cluster node %d (have %d)", ev.Node, nodes)
-			}
-		case topology.FaultDegradeEdge:
-			if !(ev.Factor > 0 && ev.Factor < 1) {
-				return fmt.Errorf("experiment: degrade factor %v outside (0,1)", ev.Factor)
-			}
-		case topology.FaultSeverEdge:
-			// Edge coordinates are resolved (and range-checked) against the
-			// built platform by BuildFaultSchedule.
-		default:
-			return fmt.Errorf("experiment: unknown fault kind %d", ev.Kind)
+	s.stencil.blockBytes, s.faults = movedBlockBytes, c.events()
+	nodes, epochs := c.Racks*c.NodesPerRack, c.Iters/fabricEpochIters
+	for _, ev := range s.faults {
+		switch {
+		case ev.Epoch < 1:
+			return scenario{}, fmt.Errorf("experiment: fault epoch %d is not 1-based", ev.Epoch)
+		case ev.Epoch > epochs:
+			return scenario{}, fmt.Errorf("experiment: fault epoch %d beyond the run (%d iterations / %d per epoch = %d epochs)",
+				ev.Epoch, c.Iters, fabricEpochIters, epochs)
+		case ev.Kind == topology.FaultKillNode && (ev.Node < 0 || ev.Node >= nodes):
+			return scenario{}, fmt.Errorf("experiment: fault kills unknown cluster node %d (have %d)", ev.Node, nodes)
+		case ev.Kind == topology.FaultDegradeEdge && !(ev.Factor > 0 && ev.Factor < 1):
+			return scenario{}, fmt.Errorf("experiment: degrade factor %v outside (0,1)", ev.Factor)
+		case ev.Kind != topology.FaultKillNode && ev.Kind != topology.FaultDegradeEdge && ev.Kind != topology.FaultSeverEdge:
+			return scenario{}, fmt.Errorf("experiment: unknown fault kind %d", ev.Kind)
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // BuildFaultSchedule resolves experiment-coordinate fault specs against a
@@ -196,27 +135,26 @@ func BuildFaultSchedule(topo *topology.Topology, specs []FaultEventSpec) (*topol
 // faultArms are the arms of the fault ablation in report order. Every arm
 // runs the engine with hierarchical candidates; they differ in the initial
 // placement and in how the engine handles the failure.
-var faultArms = []arm[*placement.AdaptiveOptions]{
+var faultArms = []arm[fabricArm]{
 	// The engine evacuates the dead node's tasks next to their heaviest
 	// surviving partners under the degraded fabric prices, and keeps
 	// adapting afterwards. The speedup base.
-	{"fault-aware", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, FaultMode: placement.FaultAware}},
+	{"fault-aware", faultArm(placement.Hierarchical{}, placement.FaultAware)},
 	// fault-aware on top of a SpreadDomains initial placement (the critical
 	// block pair starts rack-separated).
-	{"spread", &placement.AdaptiveOptions{Base: placement.Hierarchical{SpreadDomains: true}, FaultMode: placement.FaultAware}},
+	{"spread", faultArm(placement.Hierarchical{SpreadDomains: true}, placement.FaultAware)},
 	// The engine evacuates first-fit in node order, then keeps adapting.
-	{"fault-blind", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, FaultMode: placement.FaultBlind}},
+	{"fault-blind", faultArm(placement.Hierarchical{}, placement.FaultBlind)},
 	// The one-shot placement with forced round-robin respawn of the orphans
 	// — no adaptation at all.
-	{"static-respawn", &placement.AdaptiveOptions{Base: placement.Hierarchical{}, FaultMode: placement.FaultRespawn}},
+	{"static-respawn", faultArm(placement.Hierarchical{}, placement.FaultRespawn)},
 }
 
-// FaultResult reports one fault-injection run.
-type FaultResult struct {
-	Seconds float64
-	// Stats is the adaptive engine's decision record, including the fault
-	// epoch count, the forced evacuations and their modeled bill.
-	Stats placement.AdaptiveStats
+// faultArm is the engine of one fault arm: the initial policy, hierarchical
+// candidates every fabricEpochIters iterations, and the failure handling.
+func faultArm(base placement.Policy, mode placement.FaultMode) fabricArm {
+	return fabricArm{adaptive: &placement.AdaptiveOptions{
+		Base: base, Candidate: placement.Hierarchical{}, EpochIters: fabricEpochIters, FaultMode: mode}}
 }
 
 // faultDetail renders the engine's fault-handling counters.
@@ -225,47 +163,23 @@ func faultDetail(st placement.AdaptiveStats) string {
 		st.FaultEpochs, st.Evacuations, st.Rebinds, st.CrossRackRebinds)
 }
 
-// runFault executes the rack-skewed stencil under one fault-handling arm
-// (see faultArms); cfg carries its defaults already.
-func runFault(a *placement.AdaptiveOptions, cfg FaultConfig) (FaultResult, error) {
-	cluster, err := RackCluster(cfg.RackConfig)
-	if err != nil {
-		return FaultResult{}, err
-	}
-	mach := cluster.Machine()
-	schedule, err := BuildFaultSchedule(mach.Topology(), cfg.effectiveEvents())
-	if err != nil {
-		return FaultResult{}, err
-	}
-	opts := tuned(a, cfg.EpochIters, cfg.Hysteresis, cfg.WindowDecay)
-	opts.Candidate, opts.Faults = placement.Hierarchical{}, schedule
-	run, err := runStencil(mach, cfg.Seed, rackStencil(cfg.RackConfig).build, nil, opts)
-	if err != nil {
-		return FaultResult{}, err
-	}
-	return FaultResult{Seconds: run.seconds, Stats: run.stats}, nil
-}
-
 // AblationFault (A14) compares the fault-handling arms on the rack-skewed
 // stencil with a mid-run correlated failure.
 func AblationFault(cfg FaultConfig) ([]AblationRow, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := cfg.scenario()
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	return sweep("fault", faultArms,
-		func(a *placement.AdaptiveOptions) (FaultResult, error) { return runFault(a, cfg) },
-		func(_ arm[*placement.AdaptiveOptions], res FaultResult) AblationRow {
-			return AblationRow{Seconds: res.Seconds, Detail: faultDetail(res.Stats)}
-		})
+	return s.sweep("fault", faultArms, func(_ fabricArm, r stencilRun) string { return faultDetail(r.stats) })
 }
 
 // FaultConfigFrom derives the fault configuration from the common ablation
-// Config: the A10 shape rule (RackConfigFrom) with a floor of 4 nodes per
-// rack — below that the kill leaves too few survivors for the refuge choice
-// to matter, see FaultConfig.
+// Config: the A10 shape rule (RackConfigFrom) with 30 iterations and a floor
+// of 4 nodes per rack. A 2-node rack is degenerate for fault handling: with
+// only 3 survivors every refuge choice doubles up the same way, and the arms
+// cannot separate.
 func FaultConfigFrom(cfg Config) FaultConfig {
 	rc := RackConfigFrom(cfg)
-	rc.NodesPerRack = max(rc.NodesPerRack, 4)
+	rc.NodesPerRack, rc.Iters = max(rc.NodesPerRack, 4), 30
 	return FaultConfig{RackConfig: rc}
 }

@@ -7,8 +7,31 @@ import (
 	"repro/internal/topology"
 )
 
+// testFaultCfg is the 2×4×8 fault shape at FaultConfigFrom's 30
+// iterations, under the default failure.
 func testFaultCfg() FaultConfig {
-	return FaultConfig{RackConfig: RackConfig{Seed: 42}}
+	return FaultConfig{RackConfig: RackConfig{Racks: 2, NodesPerRack: 4, CoresPerNode: 8, CoresPerSocket: 4, Iters: 30, Seed: 42}}
+}
+
+// faultCfg is testFaultCfg with one change applied.
+func faultCfg(change func(*FaultConfig)) FaultConfig {
+	c := testFaultCfg()
+	change(&c)
+	return c
+}
+
+// runFaultArm runs one fault arm on a configuration.
+func runFaultArm(t *testing.T, a fabricArm, cfg FaultConfig) stencilRun {
+	t.Helper()
+	s, err := cfg.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestAblationFault is the A14 acceptance property: on the rack-skewed
@@ -16,14 +39,14 @@ func testFaultCfg() FaultConfig {
 // uplink degrading), the fault-aware adaptive engine strictly beats the
 // fault-blind one, which strictly beats static-with-respawn, and the
 // spread-hardened initial placement also strictly beats static-with-respawn.
-// Asserted on the default 2×4×8 shape, on 2 racks of 6 nodes, and on
+// Asserted on the 2×4×8 shape, on 2 racks of 6 nodes, and on
 // narrower 4-core nodes, each under two scheduler seeds (every task is
 // bound, so the seconds must not depend on the seed at all).
 func TestAblationFault(t *testing.T) {
 	shapes := map[string]FaultConfig{
 		"2x4x8": testFaultCfg(),
-		"2x6x8": {RackConfig: RackConfig{NodesPerRack: 6, Seed: 42}},
-		"2x4x4": {RackConfig: RackConfig{CoresPerNode: 4, CoresPerSocket: 2, Seed: 42}},
+		"2x6x8": faultCfg(func(c *FaultConfig) { c.NodesPerRack = 6 }),
+		"2x4x4": faultCfg(func(c *FaultConfig) { c.CoresPerNode, c.CoresPerSocket = 4, 2 }),
 	}
 	for name, cfg := range shapes {
 		var prev map[string]float64
@@ -79,17 +102,13 @@ func TestRunFaultEvacuates(t *testing.T) {
 	cfg := testFaultCfg()
 	for _, arm := range faultArms {
 		mode := arm.name
-		res, err := runFault(arm.policy, cfg.withDefaults())
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		st := res.Stats
+		st := runFaultArm(t, arm.policy, cfg).stats
 		if st.FaultEpochs != 1 {
 			t.Errorf("%s: FaultEpochs = %d, want 1", mode, st.FaultEpochs)
 		}
-		if st.Evacuations != cfg.withDefaults().CoresPerNode {
+		if st.Evacuations != cfg.CoresPerNode {
 			t.Errorf("%s: %d evacuations, want the dead node's %d tasks",
-				mode, st.Evacuations, cfg.withDefaults().CoresPerNode)
+				mode, st.Evacuations, cfg.CoresPerNode)
 		}
 		if st.EvacuationCostCycles <= 0 {
 			t.Errorf("%s: evacuations committed unpriced (stats %+v)", mode, st)
@@ -104,58 +123,52 @@ func TestRunFaultEvacuates(t *testing.T) {
 func TestRunFaultDeterministic(t *testing.T) {
 	for _, arm := range faultArms {
 		mode := arm.name
-		a, err := runFault(arm.policy, testFaultCfg().withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := runFault(arm.policy, testFaultCfg().withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Seconds != b.Seconds || a.Stats != b.Stats {
-			t.Errorf("%s not deterministic: %v/%+v vs %v/%+v", mode, a.Seconds, a.Stats, b.Seconds, b.Stats)
+		a := runFaultArm(t, arm.policy, testFaultCfg())
+		b := runFaultArm(t, arm.policy, testFaultCfg())
+		if a.seconds != b.seconds || a.stats != b.stats {
+			t.Errorf("%s not deterministic: %v/%+v vs %v/%+v", mode, a.seconds, a.stats, b.seconds, b.stats)
 		}
 	}
 }
 
 // TestFaultNoScheduleMatchesRack pins the no-fault bit-stability criterion
-// end to end: the fault pipeline with the failure disabled (KillNode -1, no
-// events) runs the plain A10 stencil under an adaptive engine whose schedule
+// end to end: the fault pipeline with an empty schedule (Events non-nil but
+// empty) runs the plain A10 stencil under an adaptive engine whose schedule
 // is nil, and commits no evacuations and no fault epochs.
 func TestFaultNoScheduleMatchesRack(t *testing.T) {
-	cfg := testFaultCfg()
-	cfg.KillNode = -1
-	res, err := runFault(armNamed(t, faultArms, "fault-aware"), cfg.withDefaults())
-	if err != nil {
-		t.Fatal(err)
+	cfg := faultCfg(func(c *FaultConfig) { c.Events = []FaultEventSpec{} })
+	res := runFaultArm(t, armNamed(t, faultArms, "fault-aware"), cfg)
+	if res.stats.FaultEpochs != 0 || res.stats.Evacuations != 0 {
+		t.Errorf("disabled schedule still faulted: %+v", res.stats)
 	}
-	if res.Stats.FaultEpochs != 0 || res.Stats.Evacuations != 0 {
-		t.Errorf("disabled schedule still faulted: %+v", res.Stats)
-	}
-	if res.Seconds <= 0 {
-		t.Errorf("non-positive makespan %v", res.Seconds)
+	if res.seconds <= 0 {
+		t.Errorf("non-positive makespan %v", res.seconds)
 	}
 }
 
-// TestFaultValidation exercises the config error paths.
+// TestFaultValidation holds one row per check the fault scenario adds to
+// the rack scenario's (TestRackConfigValidate), plus one rack check
+// reaching it. The event checks guard the -fault-* flags of cmd/ablate.
 func TestFaultValidation(t *testing.T) {
+	events := func(evs ...FaultEventSpec) FaultConfig {
+		return faultCfg(func(c *FaultConfig) { c.Events = evs })
+	}
 	cases := []struct {
 		name string
 		cfg  FaultConfig
 		ok   bool
 	}{
-		{"defaults", FaultConfig{}, true},
-		{"one rack", FaultConfig{RackConfig: RackConfig{Racks: 1}}, false},
-		{"bad node shape", FaultConfig{RackConfig: RackConfig{CoresPerNode: 10, CoresPerSocket: 4}}, false},
-		{"epoch zero", FaultConfig{Events: []FaultEventSpec{{Epoch: 0, Kind: topology.FaultKillNode, Node: 1}}}, false},
-		{"epoch beyond run", FaultConfig{KillEpoch: 99}, false},
-		{"unknown node", FaultConfig{KillNode: 99}, false},
-		{"bad degrade factor", FaultConfig{DegradeFactor: 2}, false},
-		{"unknown kind", FaultConfig{Events: []FaultEventSpec{{Epoch: 1, Kind: topology.FaultKind(9)}}}, false},
-		{"events override", FaultConfig{Events: []FaultEventSpec{{Epoch: 1, Kind: topology.FaultKillNode, Node: 1}}}, true},
+		{"default failure", testFaultCfg(), true},
+		{"one rack", faultCfg(func(c *FaultConfig) { c.Racks = 1 }), false},
+		{"epoch zero", events(FaultEventSpec{Epoch: 0, Kind: topology.FaultKillNode, Node: 1}), false},
+		{"epoch beyond run", events(FaultEventSpec{Epoch: 99, Kind: topology.FaultKillNode, Node: 1}), false},
+		{"unknown node", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultKillNode, Node: 99}), false},
+		{"bad degrade factor", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultDegradeEdge, Level: 1, Link: 1, Factor: 2}), false},
+		{"unknown kind", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultKind(9)}), false},
+		{"events override", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultKillNode, Node: 1}), true},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		_, err := tc.cfg.scenario()
 		if tc.ok && err != nil {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		}
@@ -169,7 +182,7 @@ func TestFaultValidation(t *testing.T) {
 // link r is rack r's uplink, out-of-range coordinates fail, and the resolved
 // schedule passes topology validation.
 func TestBuildFaultSchedule(t *testing.T) {
-	cluster, err := RackCluster(RackConfig{Racks: 2, NodesPerRack: 2})
+	cluster, err := RackCluster(testRackCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,17 +217,17 @@ func TestBuildFaultSchedule(t *testing.T) {
 
 // TestFaultConfigFrom pins the shape derivation from the common ablation
 // config: 2 racks of 8-core nodes, scaled by the core budget, never below
-// the 4-node floor per rack.
+// the 4-node floor per rack, 30 iterations.
 func TestFaultConfigFrom(t *testing.T) {
 	cfg := FaultConfigFrom(Config{Cores: 96})
-	if cfg.Racks != 2 || cfg.NodesPerRack != 6 || cfg.CoresPerNode != 8 {
-		t.Errorf("96 cores derived %+v, want 2 racks x 6 nodes x 8 cores", cfg)
+	if cfg.Racks != 2 || cfg.NodesPerRack != 6 || cfg.CoresPerNode != 8 || cfg.Iters != 30 {
+		t.Errorf("96 cores derived %+v, want 2 racks x 6 nodes x 8 cores, 30 iterations", cfg)
 	}
 	small := FaultConfigFrom(Config{Cores: 8})
 	if small.NodesPerRack != 4 {
 		t.Errorf("8 cores derived %+v, want the 4-node floor per rack", small)
 	}
-	if err := small.Validate(); err != nil {
+	if _, err := small.scenario(); err != nil {
 		t.Errorf("derived config invalid: %v", err)
 	}
 }

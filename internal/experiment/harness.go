@@ -7,6 +7,7 @@ import (
 	"repro/internal/numasim"
 	"repro/internal/orwl"
 	"repro/internal/placement"
+	"repro/internal/topology"
 )
 
 // The harness every beyond-the-paper study runs through. The paper's
@@ -14,9 +15,10 @@ import (
 // placement → binding → run — and each study is that sequence with one stage
 // swapped, so the sequence is written once here: one stencil iteration body
 // (stencilTask), one node-block workload builder (blockStencil), one
-// place → contend → run tail (runStencil) and one arm sweep (sweep). A study
-// file declares only what it swaps: its platform, its extra reads, and its
-// arm table.
+// place → contend → run tail (runStencil) and one arm sweep (sweep). The
+// fabric studies (A9–A14) go one step further and share one scenario path
+// (scenario): a study file declares only its platform spec, its extra reads
+// and its arm table.
 
 // stencilTask installs the iteration body shared by every stencil-shaped
 // workload: each iteration acquires the reads in order, handing each straight
@@ -67,31 +69,36 @@ func releaseOrNext(h *orwl.Handle, last bool) error {
 	return h.ReleaseAndRequest()
 }
 
-// blockStencil is the workload family of the fabric studies (A10–A14): one
+// blockStencil is the workload family of the fabric studies (A9–A14): one
 // task per core, grouped into node-sized blocks. Task (b, slot) reads
-// haloBytes from its neighbours on the block's 2-row grid (one row when the
-// block is too narrow) — the heavy coupling that makes the blocks the
-// min-cut partition groups — then whatever extra adds, and writes its own
-// location. All volumes are whole bytes well below 2^53, so every
-// accumulated matrix entry is exact and a run is bit-deterministic
-// regardless of goroutine interleaving.
+// haloBytes from its neighbours on the block's grid — the heavy coupling
+// that makes the blocks the min-cut partition groups — then whatever extra
+// adds, and writes its own location. All volumes are whole bytes well below
+// 2^53, so every accumulated matrix entry is exact and a run is
+// bit-deterministic regardless of goroutine interleaving.
 type blockStencil struct {
-	sizes      []int // tasks per block, in block order
+	sizes []int // tasks per block, in block order
+	// width is the row length of every block's grid; 0 lays each block out
+	// in 2 rows (one row when the block is too narrow).
+	width      int
 	iters      int
 	blockBytes int64
 	haloBytes  float64
-	// extra creates the reads of task (b, slot) beyond the intra-block grid
-	// — the pair, wire and link exchanges a study is about — and returns
-	// them in acquisition order, with an optional top-of-iteration hook.
+	// extra, when non-nil, creates the reads of task (b, slot) beyond the
+	// intra-block grid — the pair, wire and link exchanges a study is about
+	// — and returns them in acquisition order, with an optional
+	// top-of-iteration hook.
 	extra func(task *orwl.Task, b, slot int, at locAt) ([]*orwl.Handle, func(it int))
 }
 
 // locAt returns the location of a slot of a block.
 type locAt func(b, slot int) *orwl.Location
 
-// build constructs the workload on the runtime; it cannot fail (the error
-// return matches runStencil's build hook).
+// build constructs the workload on the runtime (runStencil's build hook).
 func (s blockStencil) build(rt *orwl.Runtime) error {
+	if s.iters < 1 {
+		return fmt.Errorf("experiment: iteration count %d must be positive", s.iters)
+	}
 	base := make([]int, len(s.sizes)) // first task index of each block
 	var locs []*orwl.Location
 	for b, sz := range s.sizes {
@@ -102,7 +109,10 @@ func (s blockStencil) build(rt *orwl.Runtime) error {
 	}
 	at := locAt(func(b, slot int) *orwl.Location { return locs[base[b]+slot] })
 	for b, sz := range s.sizes {
-		gw := max(sz/2, 1)
+		gw := s.width
+		if gw == 0 {
+			gw = max(sz/2, 1)
+		}
 		for slot := 0; slot < sz; slot++ {
 			task := rt.AddTask(fmt.Sprintf("t%d.%d", b, slot), nil)
 			var reads []*orwl.Handle
@@ -114,13 +124,123 @@ func (s blockStencil) build(rt *orwl.Runtime) error {
 				}
 				reads = append(reads, task.NewHandleVol(at(b, ny*gw+nx), orwl.Read, s.haloBytes, 0))
 			}
-			more, before := s.extra(task, b, slot, at)
-			reads = append(reads, more...)
+			var before func(int)
+			if s.extra != nil {
+				var more []*orwl.Handle
+				more, before = s.extra(task, b, slot, at)
+				reads = append(reads, more...)
+			}
 			w := task.NewHandleVol(at(b, slot), orwl.Write, s.haloBytes, 1)
 			stencilTask(task, reads, w, s.iters, before)
 		}
 	}
 	return nil
+}
+
+// nodeSpec renders a member machine of cores cores in sockets of perSocket
+// cores, each socket one shared L3 and one NUMA node.
+func nodeSpec(cores, perSocket int) (string, error) {
+	if cores < 1 || perSocket < 1 || cores%perSocket != 0 {
+		return "", fmt.Errorf("experiment: invalid node shape %d cores / %d per socket", cores, perSocket)
+	}
+	return fmt.Sprintf("pack:%d l3:1 core:%d pu:1", cores/perSocket, perSocket), nil
+}
+
+// scenario is one fabric study (A9–A14) at one shape: the platform spec and
+// its link attributes, the workload and the failures to inject. A study
+// builds it once from its configuration; every arm runs it on a fresh
+// platform.
+type scenario struct {
+	spec  string
+	attrs topology.Defaults
+	// oneMachine is the spec of one shared-memory machine with the
+	// platform's core count, the fabric-free reference arm of A9.
+	oneMachine string
+	stencil    blockStencil
+	seed       int64
+	// faults is the failure schedule in experiment coordinates (A14),
+	// resolved against each arm's platform.
+	faults []FaultEventSpec
+}
+
+// fabricArm is what one arm of a fabric study swaps: the one-shot policy, or
+// the adaptive engine's options (its Base is then the initial policy), and
+// whether the arm runs on the scenario's one shared-memory machine.
+type fabricArm struct {
+	policy     placement.Policy
+	adaptive   *placement.AdaptiveOptions
+	oneMachine bool
+}
+
+// platform builds the scenario's simulated platform.
+func (s scenario) platform() (*numasim.Platform, error) {
+	return numasim.NewPlatformAttrs(s.spec, s.attrs, numasim.Config{})
+}
+
+// platformOf returns the platform of a scenario a configuration built, or
+// the build's error.
+func platformOf(s scenario, err error) (*numasim.Platform, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s.platform()
+}
+
+// run executes one arm on a fresh platform through runStencil.
+func (s scenario) run(a fabricArm) (stencilRun, error) {
+	if a.oneMachine {
+		s.spec = s.oneMachine
+	}
+	p, err := s.platform()
+	if err != nil {
+		return stencilRun{}, err
+	}
+	mach := p.Machine()
+	if len(s.faults) > 0 && a.adaptive != nil {
+		opts := *a.adaptive
+		if opts.Faults, err = BuildFaultSchedule(mach.Topology(), s.faults); err != nil {
+			return stencilRun{}, err
+		}
+		a.adaptive = &opts
+	}
+	return runStencil(mach, s.seed, s.stencil.build, a.policy, a.adaptive)
+}
+
+// runMode runs the arm named mode on the scenario, unless building the
+// scenario failed with err.
+func (s scenario) runMode(study string, arms []arm[fabricArm], mode string, err error) (stencilRun, error) {
+	if err != nil {
+		return stencilRun{}, err
+	}
+	a, err := armPolicy(study, arms, mode)
+	if err != nil {
+		return stencilRun{}, err
+	}
+	return s.run(a)
+}
+
+// result renders a run of the scenario as the Result of a bound ORWL run:
+// one task per core, one block per node (zero for a failed run).
+func (s scenario) result(r stencilRun) Result {
+	if r.a == nil {
+		return Result{}
+	}
+	tasks := 0
+	for _, sz := range s.stencil.sizes {
+		tasks += sz
+	}
+	return Result{
+		Impl: ORWLBind, Cores: tasks, Blocks: len(s.stencil.sizes), Tasks: tasks,
+		Seconds: r.seconds, Policy: r.a.Policy, Strategy: r.a.Strategy.String(),
+	}
+}
+
+// sweep runs every arm of a fabric study on the scenario, one row per arm;
+// detail renders an arm's Detail column.
+func (s scenario) sweep(study string, arms []arm[fabricArm], detail func(fabricArm, stencilRun) string) ([]AblationRow, error) {
+	return sweep(study, arms, s.run, func(a arm[fabricArm], r stencilRun) AblationRow {
+		return AblationRow{Seconds: r.seconds, Detail: detail(a.policy, r)}
+	})
 }
 
 // uniformBlocks returns the block sizes of a platform of identical nodes.
@@ -141,14 +261,6 @@ type stencilRun struct {
 	a *placement.Assignment
 	// stats is the adaptive engine's decision record (zero for one-shot arms).
 	stats placement.AdaptiveStats
-}
-
-// result renders the run as the Result of a bound ORWL arm.
-func (r stencilRun) result(cores, blocks int) Result {
-	return Result{
-		Impl: ORWLBind, Cores: cores, Blocks: blocks, Tasks: cores,
-		Seconds: r.seconds, Policy: r.a.Policy, Strategy: r.a.Strategy.String(),
-	}
 }
 
 // runStencil is the tail every stencil arm shares: a runtime on the machine,

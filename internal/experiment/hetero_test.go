@@ -9,9 +9,17 @@ import (
 	"repro/internal/topology"
 )
 
+// testHeteroCfg is the 2-pod, 2-racks-per-pod shape of the hetero tests.
+func testHeteroCfg() HeteroConfig {
+	return HeteroConfig{Pods: 2, RacksPerPod: 2, Iters: 20, Seed: 7}
+}
+
 func TestHeteroPlatformShape(t *testing.T) {
-	cfg := HeteroConfig{}
-	platform, err := HeteroPlatform(cfg)
+	s, err := testHeteroCfg().scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := HeteroPlatform(testHeteroCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +40,8 @@ func TestHeteroPlatformShape(t *testing.T) {
 	if levels := platform.Machine().FabricGraph().NumLevels(); levels != 3 {
 		t.Fatalf("%d fabric levels, want 3 (NIC, rack uplink, pod uplink)", levels)
 	}
-	if !strings.Contains(HeteroPlatformSpec(cfg), "node:2{") {
-		t.Errorf("platform spec %q lost the per-member braces", HeteroPlatformSpec(cfg))
+	if !strings.Contains(s.spec, "node:2{") {
+		t.Errorf("platform spec %q lost the per-member braces", s.spec)
 	}
 }
 
@@ -42,7 +50,7 @@ func TestHeteroPlatformShape(t *testing.T) {
 // placement strictly beats the capacity-blind variant, which strictly beats
 // the depth-blind one.
 func TestAblationHetero(t *testing.T) {
-	rows, err := AblationHetero(HeteroConfig{Seed: 7})
+	rows, err := AblationHetero(testHeteroCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +80,17 @@ func TestAblationHetero(t *testing.T) {
 // core count (no oversubscription), and the class-constrained fabric
 // matching co-locates every big/small pair under one top-of-rack switch.
 func TestHeteroAwarePlacement(t *testing.T) {
-	cfg := HeteroConfig{}.withDefaults()
-	platform, err := HeteroPlatform(cfg)
+	s, err := testHeteroCfg().scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := s.platform()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := platform.Machine()
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: 1})
-	if err := heteroStencil(cfg).build(rt); err != nil {
+	if err := s.stencil.build(rt); err != nil {
 		t.Fatal(err)
 	}
 	m := rt.CommMatrix()
@@ -91,8 +102,8 @@ func TestHeteroAwarePlacement(t *testing.T) {
 		t.Errorf("capacity-aware placement oversubscribes (virtual arity %d)", a.VirtualArity)
 	}
 	perNode := make([]int, platform.Nodes())
-	nodeOfBlock := make([]int, len(heteroBlockSizes(cfg)))
-	sizes := heteroBlockSizes(cfg)
+	sizes := s.stencil.sizes
+	nodeOfBlock := make([]int, len(sizes))
 	taskBlock := make([]int, m.Order())
 	{
 		i := 0
@@ -143,29 +154,30 @@ func TestHeteroAwarePlacement(t *testing.T) {
 	}
 }
 
+// TestHeteroConfigValidate holds one row per check of the hetero scenario
+// builder and of the stencil it builds.
 func TestHeteroConfigValidate(t *testing.T) {
 	for _, cfg := range []HeteroConfig{
-		{Pods: 1},
-		{Pods: 3},
-		{BigCores: 4, SmallCores: 4},
-		{BigCores: 6, CoresPerSocket: 4},
-		{Iters: -1},
+		{Pods: 1, RacksPerPod: 2, Iters: 20},
+		{Pods: 3, RacksPerPod: 2, Iters: 20},
+		{Pods: 2, RacksPerPod: 0, Iters: 20},
+		{Pods: 2, RacksPerPod: 2, Iters: 0},
 	} {
-		if err := cfg.Validate(); err == nil {
+		if _, err := RunHetero("aware", cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	if err := (HeteroConfig{}).Validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	if _, err := testHeteroCfg().scenario(); err != nil {
+		t.Errorf("test config rejected: %v", err)
 	}
 }
 
 func TestHeteroConfigFrom(t *testing.T) {
 	cfg := HeteroConfigFrom(Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 3})
-	if cfg.Pods != 2 || cfg.RacksPerPod != 2 {
-		t.Errorf("HeteroConfigFrom(48 cores) = %d pods x %d racks, want 2x2", cfg.Pods, cfg.RacksPerPod)
+	if cfg.Pods != 2 || cfg.RacksPerPod != 2 || cfg.Iters != 20 {
+		t.Errorf("HeteroConfigFrom(48 cores) = %d pods x %d racks, %d iterations, want 2x2, 20", cfg.Pods, cfg.RacksPerPod, cfg.Iters)
 	}
-	if err := cfg.Validate(); err != nil {
+	if _, err := cfg.scenario(); err != nil {
 		t.Errorf("derived config invalid: %v", err)
 	}
 }

@@ -27,9 +27,11 @@ type Study struct {
 	// (the paper-reproduction sweeps, where the interesting output is the
 	// whole curve) have none.
 	Orderings []Ordering
-	// Cells are the default shape × seed configurations BenchmarkAblation
-	// sweeps, in order; the first is the reduced scale cmd/ablate runs by
-	// default.
+	// Cells are the default shape × seed configurations of the study, in
+	// order; the first is the reduced scale cmd/ablate runs by default.
+	// Only tests read the rest: BenchmarkAblation (bench_test.go) sweeps
+	// every cell, and TestStudyRegistryInvariants (docs_test.go) asserts the
+	// Orderings on every cell in tier-1.
 	Cells []Cell
 
 	run func(Config, Overrides) ([]AblationRow, error)

@@ -2,8 +2,31 @@ package experiment
 
 import "testing"
 
-func testShiftCfg() ShiftConfig {
-	return ShiftConfig{RackConfig: RackConfig{Seed: 42}}
+// testShiftCfg is the 2×2×8 shift shape at ShiftConfigFrom's 30
+// iterations.
+func testShiftCfg() RackConfig {
+	return RackConfig{Racks: 2, NodesPerRack: 2, CoresPerNode: 8, CoresPerSocket: 4, Iters: 30, Seed: 42}
+}
+
+// shiftCfg is testShiftCfg with one change applied.
+func shiftCfg(change func(*RackConfig)) RackConfig {
+	c := testShiftCfg()
+	change(&c)
+	return c
+}
+
+// runShiftArm runs one shift arm on a configuration.
+func runShiftArm(t *testing.T, a fabricArm, cfg RackConfig) stencilRun {
+	t.Helper()
+	s, err := shiftScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestAblationShift is the A12 acceptance property: on the rack-crossing
@@ -15,11 +38,11 @@ func testShiftCfg() ShiftConfig {
 // under two scheduler seeds (every task is bound, so the seconds must not
 // depend on the seed at all).
 func TestAblationShift(t *testing.T) {
-	shapes := map[string]ShiftConfig{
+	shapes := map[string]RackConfig{
 		"2x2x8":  testShiftCfg(),
-		"4x2x8":  {RackConfig: RackConfig{Racks: 4, Seed: 42}},
-		"2x3x8":  {RackConfig: RackConfig{NodesPerRack: 3, Seed: 42}},
-		"2x2x12": {RackConfig: RackConfig{CoresPerNode: 12, CoresPerSocket: 6, Seed: 42}},
+		"4x2x8":  shiftCfg(func(c *RackConfig) { c.Racks = 4 }),
+		"2x3x8":  shiftCfg(func(c *RackConfig) { c.NodesPerRack = 3 }),
+		"2x2x12": shiftCfg(func(c *RackConfig) { c.CoresPerNode, c.CoresPerSocket = 12, 6 }),
 	}
 	for name, cfg := range shapes {
 		var prev map[string]float64
@@ -72,11 +95,7 @@ func TestAblationShift(t *testing.T) {
 // moves, a subset of them cross-rack, and the modeled migration bill of
 // those moves is priced (non-zero) — dead code at cluster scale no more.
 func TestShiftFabricMovesCrossTheFabric(t *testing.T) {
-	res, err := runShift(armNamed(t, shiftArms, "adaptive-fabric"), testShiftCfg().withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
+	st := runShiftArm(t, armNamed(t, shiftArms, "adaptive-fabric"), testShiftCfg()).stats
 	if st.Applied < 1 {
 		t.Fatalf("no epoch applied a re-placement (stats %+v)", st)
 	}
@@ -109,14 +128,8 @@ func TestShiftFabricMovesCrossTheFabric(t *testing.T) {
 // mapping in force, the fabric-aware arm's committed moves are exclusively
 // the cross-node recoveries the scenario is about.
 func TestShiftNoIntraNodeChurn(t *testing.T) {
-	cfg := testShiftCfg()
-	cfg.Racks, cfg.NodesPerRack = 2, 2
-	cfg.CoresPerNode, cfg.CoresPerSocket = 12, 12
-	res, err := runShift(armNamed(t, shiftArms, "adaptive-fabric"), cfg.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
+	cfg := shiftCfg(func(c *RackConfig) { c.CoresPerNode, c.CoresPerSocket = 12, 12 })
+	st := runShiftArm(t, armNamed(t, shiftArms, "adaptive-fabric"), cfg).stats
 	if st.Rebinds == 0 {
 		t.Fatalf("no moves committed; the witness is not exercising the engine (stats %+v)", st)
 	}
@@ -130,39 +143,31 @@ func TestShiftNoIntraNodeChurn(t *testing.T) {
 func TestRunShiftDeterministic(t *testing.T) {
 	for _, arm := range shiftArms {
 		mode := arm.name
-		a, err := runShift(arm.policy, testShiftCfg().withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := runShift(arm.policy, testShiftCfg().withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Seconds != b.Seconds || a.Stats != b.Stats {
-			t.Errorf("%s not deterministic: %v/%+v vs %v/%+v", mode, a.Seconds, a.Stats, b.Seconds, b.Stats)
+		a := runShiftArm(t, arm.policy, testShiftCfg())
+		b := runShiftArm(t, arm.policy, testShiftCfg())
+		if a.seconds != b.seconds || a.stats != b.stats {
+			t.Errorf("%s not deterministic: %v/%+v vs %v/%+v", mode, a.seconds, a.stats, b.seconds, b.stats)
 		}
 	}
 }
 
-// TestShiftValidation exercises the config error paths.
+// TestShiftValidation holds one row per check the shift scenario adds to
+// the rack scenario's (TestRackConfigValidate), plus one rack check
+// reaching it.
 func TestShiftValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  ShiftConfig
+		cfg  RackConfig
 		ok   bool
 	}{
-		{"defaults", ShiftConfig{}, true},
-		{"one rack", ShiftConfig{RackConfig: RackConfig{Racks: 1}}, false},
-		{"odd blocks", ShiftConfig{RackConfig: RackConfig{Racks: 3, NodesPerRack: 1}}, false},
-		{"two blocks", ShiftConfig{RackConfig: RackConfig{Racks: 2, NodesPerRack: 1}}, false},
-		{"indivisible sockets", ShiftConfig{RackConfig: RackConfig{CoresPerNode: 10, CoresPerSocket: 4}}, false},
-		{"one-core nodes", ShiftConfig{RackConfig: RackConfig{CoresPerNode: 1, CoresPerSocket: 1}}, false},
-		{"shift after end", ShiftConfig{RackConfig: RackConfig{Iters: 10}, ShiftAt: 10}, false},
-		{"negative pair volume", ShiftConfig{RackConfig: RackConfig{PairBytes: -1}}, false},
-		{"negative link volume", ShiftConfig{RackConfig: RackConfig{LinkBytes: -1}}, false},
+		{"2x2x8", testShiftCfg(), true},
+		{"one rack", shiftCfg(func(c *RackConfig) { c.Racks = 1 }), false},
+		{"two blocks", shiftCfg(func(c *RackConfig) { c.NodesPerRack = 1 }), false},
+		{"one-core nodes", shiftCfg(func(c *RackConfig) { c.CoresPerNode, c.CoresPerSocket = 1, 1 }), false},
+		{"one iteration", shiftCfg(func(c *RackConfig) { c.Iters = 1 }), false},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		_, err := shiftScenario(tc.cfg)
 		if tc.ok && err != nil {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		}
@@ -174,17 +179,17 @@ func TestShiftValidation(t *testing.T) {
 
 // TestShiftConfigFrom pins the shape derivation from the common ablation
 // config: 2 racks of 8-core nodes, scaled by the core budget, never below
-// the 4-block minimum both pairings need.
+// the 4-block minimum both pairings need, 30 iterations.
 func TestShiftConfigFrom(t *testing.T) {
 	cfg := ShiftConfigFrom(Config{Cores: 48})
-	if cfg.Racks != 2 || cfg.NodesPerRack != 3 || cfg.CoresPerNode != 8 {
-		t.Errorf("48 cores derived %+v, want 2 racks x 3 nodes x 8 cores", cfg)
+	if cfg.Racks != 2 || cfg.NodesPerRack != 3 || cfg.CoresPerNode != 8 || cfg.Iters != 30 {
+		t.Errorf("48 cores derived %+v, want 2 racks x 3 nodes x 8 cores, 30 iterations", cfg)
 	}
 	small := ShiftConfigFrom(Config{Cores: 8})
 	if small.NodesPerRack != 2 {
 		t.Errorf("8 cores derived %+v, want the 2-node floor per rack", small)
 	}
-	if err := small.Validate(); err != nil {
+	if _, err := shiftScenario(small); err != nil {
 		t.Errorf("derived config invalid: %v", err)
 	}
 }

@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/numasim"
 	"repro/internal/orwl"
 	"repro/internal/placement"
+	"repro/internal/topology"
 )
 
 // A13: torus halo exchange. A routed torus prices communication by hop
@@ -21,13 +24,13 @@ import (
 
 // TorusConfig parameterizes one torus halo-exchange run.
 type TorusConfig struct {
-	// Dims is the torus shape, every dimension at least 2 (default 4x4).
-	// The platform has one cluster node per cell.
+	// Dims is the torus shape, every dimension at least 2 and at least 4
+	// cells in all. The platform has one cluster node per cell.
 	Dims []int
-	// CoresPerNode and CoresPerSocket shape each member machine (defaults
-	// 4 and 4: single-socket nodes).
+	// CoresPerNode (at least 2, so the intra-block stencil exists) and
+	// CoresPerSocket shape each member machine.
 	CoresPerNode, CoresPerSocket int
-	// Iters is the iteration count (default 8).
+	// Iters is the iteration count.
 	Iters int
 	// Scramble seeds the deterministic shuffle that assigns block b its
 	// logical grid cell. A shuffle (rather than a coprime stride) is
@@ -38,64 +41,28 @@ type TorusConfig struct {
 	// scramble (identity layout — diagnostics only, every arm then starts
 	// adjacency-optimal).
 	Scramble int64
-	// BlockBytes is each task's working set (default 1 MiB).
-	BlockBytes int64
-	// HaloBytes is the per-iteration volume exchanged between grid
-	// neighbours inside a node-sized block (default 1 MiB): the heavy
-	// coupling that makes the blocks the min-cut partition groups, and the
-	// traffic an affinity-blind dealer pays over the fabric when it splits
-	// a block across nodes.
-	HaloBytes float64
-	// WireBytes is the per-iteration volume between slot-aligned tasks of
-	// logically adjacent blocks (default 96 KiB): the traffic whose hop
-	// count the block layout decides.
-	WireBytes float64
-	// Fabric overrides the interconnect parameters; zero fields keep the
-	// defaults (10GbE-class links on every torus edge).
-	Fabric numasim.Fabric
 	// Seed drives the simulated OS scheduler.
 	Seed int64
 }
 
-func (c TorusConfig) withDefaults() TorusConfig {
-	if len(c.Dims) == 0 {
-		c.Dims = []int{4, 4}
-	}
-	if c.CoresPerNode == 0 {
-		c.CoresPerNode = 4
-	}
-	if c.CoresPerSocket == 0 {
-		c.CoresPerSocket = 4
-	}
-	if c.Iters == 0 {
-		c.Iters = 8
-	}
-	if c.Scramble == 0 {
-		c.Scramble = 1
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 1 << 20
-	}
-	if c.HaloBytes == 0 {
-		c.HaloBytes = 1 << 20
-	}
-	if c.WireBytes == 0 {
-		c.WireBytes = 96 << 10
-	}
-	return c
-}
-
-func (c TorusConfig) cells() int {
-	n := 1
-	for _, d := range c.Dims {
-		n *= d
-	}
-	return n
-}
+// The per-iteration volumes of the torus halo exchange.
+const (
+	// torusBlockBytes is each task's working set.
+	torusBlockBytes = 1 << 20
+	// torusHaloBytes is the volume exchanged between grid neighbours inside
+	// a node-sized block: the heavy coupling that makes the blocks the
+	// min-cut partition groups, and the traffic an affinity-blind dealer
+	// pays over the fabric when it splits a block across nodes.
+	torusHaloBytes = 1 << 20
+	// torusWireBytes is the volume between slot-aligned tasks of logically
+	// adjacent blocks: the traffic whose hop count the block layout decides.
+	torusWireBytes = 96 << 10
+)
 
 // torusPerm is the deterministic block→cell shuffle (Fisher–Yates over a
 // self-contained xorshift generator, so the layout is bit-stable across
-// runs and toolchains). Negative seeds return the identity.
+// runs and toolchains). Seed 0 shuffles as seed 1; negative seeds return
+// the identity.
 func torusPerm(cells int, seed int64) []int {
 	perm := make([]int, cells)
 	for i := range perm {
@@ -104,6 +71,7 @@ func torusPerm(cells int, seed int64) []int {
 	if seed < 0 {
 		return perm
 	}
+	seed = max(seed, 1)
 	s := uint64(seed)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9
 	next := func() uint64 {
 		s ^= s << 13
@@ -118,62 +86,72 @@ func torusPerm(cells int, seed int64) []int {
 	return perm
 }
 
-// Validate rejects configurations the torus pipeline cannot run.
-func (c TorusConfig) Validate() error {
-	d := c.withDefaults()
-	cells := d.cells()
-	switch {
-	case len(d.Dims) == 0:
-		return fmt.Errorf("experiment: torus scenario needs at least one dimension")
-	case cells < 4:
-		return fmt.Errorf("experiment: torus scenario needs at least 4 cells, got %d", cells)
-	case d.CoresPerNode < 2 || d.CoresPerSocket < 1:
-		return fmt.Errorf("experiment: invalid node shape %d cores / %d per socket", d.CoresPerNode, d.CoresPerSocket)
-	case d.CoresPerNode%d.CoresPerSocket != 0:
-		return fmt.Errorf("experiment: %d cores per node not divisible into sockets of %d", d.CoresPerNode, d.CoresPerSocket)
-	case d.Iters < 1:
-		return fmt.Errorf("experiment: iteration count %d must be positive", d.Iters)
-	case d.BlockBytes < 0 || d.HaloBytes < 0 || d.WireBytes < 0:
-		return fmt.Errorf("experiment: negative volume in torus config")
-	}
-	for _, dim := range d.Dims {
-		if dim < 2 {
-			return fmt.Errorf("experiment: torus dimension %d below 2 (dims %v)", dim, d.Dims)
+// scenario builds the torus scenario: one member machine per torus cell,
+// NIC-class links on every torus edge, and the halo exchange on the shared
+// node-block workload (see blockStencil); block b sits on the logical grid
+// cell the Scramble shuffle deals it. Beyond its block's grid, task slot of
+// block b exchanges torusWireBytes with task slot of every logically
+// adjacent block (±1 per torus dimension of the blocks' scrambled cells,
+// wrapping).
+func (c TorusConfig) scenario() (scenario, error) {
+	cells := 1
+	dims := make([]string, len(c.Dims))
+	for i, d := range c.Dims {
+		if d < 2 {
+			return scenario{}, fmt.Errorf("experiment: torus dimension %d below 2 (dims %v)", d, c.Dims)
 		}
+		cells *= d
+		dims[i] = strconv.Itoa(d)
 	}
-	return nil
+	node, err := nodeSpec(c.CoresPerNode, c.CoresPerSocket)
+	switch {
+	case cells < 4:
+		return scenario{}, fmt.Errorf("experiment: torus scenario needs at least 4 cells, got %d", cells)
+	case c.CoresPerNode < 2:
+		return scenario{}, fmt.Errorf("experiment: torus nodes need at least 2 cores, got %d", c.CoresPerNode)
+	case err != nil:
+		return scenario{}, err
+	}
+	// cellOf scrambles block → logical cell; blockAt inverts it.
+	cellOf := torusPerm(cells, c.Scramble)
+	blockAt := make([]int, cells)
+	for b, cell := range cellOf {
+		blockAt[cell] = b
+	}
+	return scenario{
+		spec:  fmt.Sprintf("torus:%s %s", strings.Join(dims, "x"), node),
+		attrs: topology.DefaultAttrs(),
+		stencil: blockStencil{
+			sizes: uniformBlocks(cells, c.CoresPerNode),
+			iters: c.Iters, blockBytes: torusBlockBytes, haloBytes: torusHaloBytes,
+			extra: func(task *orwl.Task, b, slot int, at locAt) ([]*orwl.Handle, func(int)) {
+				var reads []*orwl.Handle
+				for _, cell := range torusNeighbors(c.Dims, cellOf[b]) {
+					reads = append(reads, task.NewHandleVol(at(blockAt[cell], slot), orwl.Read, torusWireBytes, 0))
+				}
+				return reads, nil
+			},
+		},
+		seed: c.Seed,
+	}, nil
 }
 
-// TorusCluster builds the simulated torus platform for a configuration via
-// the spec-driven platform path: one single-switch member machine per torus
-// cell, NIC-class links on every torus edge.
-func TorusCluster(cfg TorusConfig) (*numasim.Platform, error) {
-	cfg = cfg.withDefaults()
-	dims := ""
-	for i, d := range cfg.Dims {
-		if i > 0 {
-			dims += "x"
-		}
-		dims += fmt.Sprint(d)
-	}
-	spec := fmt.Sprintf("torus:%s pack:%d l3:1 core:%d pu:1",
-		dims, cfg.CoresPerNode/cfg.CoresPerSocket, cfg.CoresPerSocket)
-	return numasim.NewPlatformAttrs(spec, cfg.Fabric.Defaults(), numasim.Config{})
-}
+// TorusCluster builds the simulated torus platform of a configuration.
+func TorusCluster(cfg TorusConfig) (*numasim.Platform, error) { return platformOf(cfg.scenario()) }
 
 // torusArms are the placement arms of the torus ablation in report order.
-var torusArms = []arm[placement.Policy]{
+var torusArms = []arm[fabricArm]{
 	// The default hierarchical pipeline: on a shaped fabric the group→node
 	// matching runs through the routed distance model with the
 	// space-filling-curve seed. The speedup base.
-	{"sfc", placement.Hierarchical{}},
+	{"sfc", fabricArm{policy: placement.Hierarchical{}}},
 	// The balanced-tree model of earlier revisions: a shaped fabric admits
 	// no balanced abstract tree, so the matching is skipped and the
 	// partition keeps the positional group→node order — which inherits the
 	// scramble.
-	{"tree-matched", placement.Hierarchical{TreeFabric: true}},
+	{"tree-matched", fabricArm{policy: placement.Hierarchical{TreeFabric: true}}},
 	// The affinity-blind round-robin dealer.
-	{"rr", placement.RoundRobinNodes{}},
+	{"rr", fabricArm{policy: placement.RoundRobinNodes{}}},
 }
 
 // TorusResult reports one torus halo-exchange run.
@@ -222,89 +200,39 @@ func torusNeighbors(dims []int, cell int) []int {
 	return out
 }
 
-// torusStencil is the torus halo-exchange workload on the shared node-block
-// workload (see blockStencil); block b sits on the logical grid cell the
-// Scramble shuffle deals it. Beyond its block's grid, task slot of block b
-// exchanges WireBytes with task slot of every logically adjacent block (±1
-// per torus dimension of the blocks' scrambled cells, wrapping).
-func torusStencil(cfg TorusConfig) blockStencil {
-	blocks := cfg.cells()
-	// cellOf scrambles block → logical cell; blockAt inverts it.
-	cellOf := torusPerm(blocks, cfg.Scramble)
-	blockAt := make([]int, blocks)
-	for b, cell := range cellOf {
-		blockAt[cell] = b
-	}
-	return blockStencil{
-		sizes: uniformBlocks(blocks, cfg.CoresPerNode),
-		iters: cfg.Iters, blockBytes: cfg.BlockBytes, haloBytes: cfg.HaloBytes,
-		extra: func(task *orwl.Task, b, slot int, at locAt) ([]*orwl.Handle, func(int)) {
-			var reads []*orwl.Handle
-			for _, cell := range torusNeighbors(cfg.Dims, cellOf[b]) {
-				reads = append(reads, task.NewHandleVol(at(blockAt[cell], slot), orwl.Read, cfg.WireBytes, 0))
-			}
-			return reads, nil
-		},
-	}
-}
-
 // RunTorus executes the torus halo-exchange workload under one placement
 // mode ("sfc", "tree-matched" or "rr"; see torusArms).
 func RunTorus(mode string, cfg TorusConfig) (TorusResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return TorusResult{}, err
-	}
-	pol, err := armPolicy("torus", torusArms, mode)
-	if err != nil {
-		return TorusResult{}, err
-	}
-	res, err := runTorus(pol, cfg.withDefaults())
-	res.Mode = mode
-	return res, err
-}
-
-func runTorus(pol placement.Policy, cfg TorusConfig) (TorusResult, error) {
-	cluster, err := TorusCluster(cfg)
-	if err != nil {
-		return TorusResult{}, err
-	}
-	run, err := runStencil(cluster.Machine(), cfg.Seed, torusStencil(cfg).build, pol, nil)
-	if err != nil {
-		return TorusResult{}, err
-	}
-	return TorusResult{Seconds: run.seconds, WallSeconds: run.placeWall}, nil
+	s, err := cfg.scenario()
+	run, err := s.runMode("torus", torusArms, mode, err)
+	return TorusResult{Mode: mode, Seconds: run.seconds, WallSeconds: run.placeWall}, err
 }
 
 // AblationTorus (A13) compares the placement arms on the torus halo
 // exchange: routed distance matching with the space-filling-curve seed,
 // the balanced-tree-only matcher, and round-robin.
 func AblationTorus(cfg TorusConfig) ([]AblationRow, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := cfg.scenario()
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	detail := fmt.Sprintf("torus %v x %d cores, scramble %d", cfg.Dims, cfg.CoresPerNode, cfg.Scramble)
-	return sweep("torus", torusArms,
-		func(pol placement.Policy) (TorusResult, error) { return runTorus(pol, cfg) },
-		func(_ arm[placement.Policy], res TorusResult) AblationRow {
-			return AblationRow{Seconds: res.Seconds, Detail: detail}
-		})
+	return s.sweep("torus", torusArms, func(fabricArm, stencilRun) string { return detail })
 }
 
 // TorusConfigFrom derives the torus configuration from the common ablation
 // Config: a 4x4 torus with single-socket nodes scaled so the total core
 // count comes close to cfg.Cores (minimum 2 cores per node so the
-// intra-block stencil exists).
+// intra-block stencil exists), 8 iterations, scramble 1.
 func TorusConfigFrom(cfg Config) TorusConfig {
 	cfg = cfg.withDefaults()
-	per := cfg.Cores / 16
-	if per < 2 {
-		per = 2
-	}
+	per := max(cfg.Cores/16, 2)
 	return TorusConfig{
 		Dims:           []int{4, 4},
 		CoresPerNode:   per,
 		CoresPerSocket: per,
+		Iters:          8,
+		Scramble:       1,
 		Seed:           cfg.Seed,
 	}
 }

@@ -4,6 +4,11 @@ import (
 	"testing"
 )
 
+// torusCfg is the 4-core-node, 8-iteration torus of the tests.
+func torusCfg(dims []int, seed int64) TorusConfig {
+	return TorusConfig{Dims: dims, CoresPerNode: 4, CoresPerSocket: 4, Iters: 8, Scramble: 1, Seed: seed}
+}
+
 // TestAblationTorus asserts the A13 ordering — routed distance matching
 // with the space-filling-curve seed beats the balanced-tree-only matcher
 // (which skips shaped fabrics and inherits the scramble), which beats
@@ -12,7 +17,7 @@ import (
 func TestAblationTorus(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {2, 2, 4}} {
 		for _, seed := range []int64{7, 42} {
-			cfg := TorusConfig{Dims: dims, Seed: seed}
+			cfg := torusCfg(dims, seed)
 			rows, err := AblationTorus(cfg)
 			if err != nil {
 				t.Fatalf("dims=%v seed=%d: %v", dims, seed, err)
@@ -36,7 +41,7 @@ func TestAblationTorus(t *testing.T) {
 // simulated time, and that the placement timer the benchmark module reads
 // (experiment.torus_place_ms) is filled in.
 func TestRunTorusDeterministic(t *testing.T) {
-	cfg := TorusConfig{Seed: 42}
+	cfg := torusCfg([]int{4, 4}, 42)
 	for _, arm := range torusArms {
 		mode := arm.name
 		a, err := RunTorus(mode, cfg)
@@ -61,11 +66,13 @@ func TestRunTorusDeterministic(t *testing.T) {
 // adjacency-optimal and the tree-matched arm runs faster than its own
 // scrambled configuration — the gap the distance matcher recovers.
 func TestTorusScrambleMatters(t *testing.T) {
-	scrambled, err := RunTorus("tree-matched", TorusConfig{Seed: 7})
+	cfg := torusCfg([]int{4, 4}, 7)
+	scrambled, err := RunTorus("tree-matched", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	identity, err := RunTorus("tree-matched", TorusConfig{Seed: 7, Scramble: -1})
+	cfg.Scramble = -1
+	identity, err := RunTorus("tree-matched", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +82,30 @@ func TestTorusScrambleMatters(t *testing.T) {
 	}
 }
 
-// TestTorusValidation exercises the config error paths.
+// TestTorusValidation holds one row per check of the torus scenario
+// builder and of the stencil it builds.
 func TestTorusValidation(t *testing.T) {
+	with := func(change func(*TorusConfig)) TorusConfig {
+		c := torusCfg([]int{4, 4}, 7)
+		change(&c)
+		return c
+	}
 	cases := []struct {
 		name string
 		cfg  TorusConfig
 		ok   bool
 	}{
-		{"defaults", TorusConfig{}, true},
-		{"3-D", TorusConfig{Dims: []int{2, 2, 4}}, true},
-		{"degenerate dim", TorusConfig{Dims: []int{1, 4}}, false},
-		{"too small", TorusConfig{Dims: []int{2}}, false},
-		{"one-core nodes", TorusConfig{CoresPerNode: 1, CoresPerSocket: 1}, false},
-		{"indivisible sockets", TorusConfig{CoresPerNode: 6, CoresPerSocket: 4}, false},
-		{"negative volume", TorusConfig{WireBytes: -1}, false},
+		{"4x4", torusCfg([]int{4, 4}, 7), true},
+		{"3-D", torusCfg([]int{2, 2, 4}, 7), true},
+		{"degenerate dim", torusCfg([]int{1, 4}, 7), false},
+		{"too small", torusCfg([]int{2}, 7), false},
+		{"no dims", torusCfg(nil, 7), false},
+		{"one-core nodes", with(func(c *TorusConfig) { c.CoresPerNode, c.CoresPerSocket = 1, 1 }), false},
+		{"indivisible sockets", with(func(c *TorusConfig) { c.CoresPerNode = 6 }), false},
+		{"zero iters", with(func(c *TorusConfig) { c.Iters = 0 }), false},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		_, err := RunTorus("rr", tc.cfg)
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
@@ -99,7 +113,7 @@ func TestTorusValidation(t *testing.T) {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
 	}
-	if _, err := RunTorus("bogus", TorusConfig{}); err == nil {
+	if _, err := RunTorus("bogus", torusCfg([]int{4, 4}, 7)); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
@@ -108,14 +122,18 @@ func TestTorusValidation(t *testing.T) {
 // Config.
 func TestTorusConfigFrom(t *testing.T) {
 	cfg := TorusConfigFrom(Config{Cores: 192})
-	if got := cfg.cells() * cfg.CoresPerNode; got != 192 {
+	s, err := cfg.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.stencil.sizes) * cfg.CoresPerNode; got != 192 {
 		t.Errorf("192-core request produced %d cores", got)
 	}
 	small := TorusConfigFrom(Config{Cores: 8})
 	if small.CoresPerNode < 2 {
 		t.Errorf("small request produced %d cores per node, need >= 2 for the stencil", small.CoresPerNode)
 	}
-	if err := small.Validate(); err != nil {
+	if _, err := small.scenario(); err != nil {
 		t.Errorf("derived config invalid: %v", err)
 	}
 }

@@ -22,44 +22,6 @@ type Platform struct {
 	nodeCores []int
 }
 
-// Fabric is the link-parameter override block of the experiment configs: the
-// NIC and rack-uplink attributes of a flat or racked interconnect. Zero
-// fields take the defaults of topology.DefaultAttrs (a 2016-era
-// 10-Gigabit-Ethernet class network with 2×10GbE-class rack uplinks). The
-// fabric's shape lives in the platform spec; Defaults turns the overrides
-// into the attributes NewPlatformAttrs takes. It cannot describe a pod tier.
-type Fabric struct {
-	// LinkBandwidthBytesPerSec is the bandwidth of one fabric (NIC) link.
-	LinkBandwidthBytesPerSec float64
-	// Racks splits the cluster nodes across that many top-of-rack switches
-	// (each rack gets an equal share of the nodes; the node count must be
-	// divisible). 0 or 1 keeps the flat single-switch fabric. A message
-	// between nodes in different racks traverses two NIC links plus two rack
-	// uplinks.
-	Racks int
-	// UplinkLatencyCycles is the latency of one rack uplink (top-of-rack
-	// switch to spine) in CPU cycles.
-	UplinkLatencyCycles float64
-	// UplinkBandwidthBytesPerSec is the bandwidth of one rack uplink, shared
-	// by every stream leaving the rack.
-	UplinkBandwidthBytesPerSec float64
-}
-
-// Defaults merges the fabric's non-zero fields onto topology.DefaultAttrs.
-func (f Fabric) Defaults() topology.Defaults {
-	def := topology.DefaultAttrs()
-	if f.LinkBandwidthBytesPerSec > 0 {
-		def.NetBandwidth = f.LinkBandwidthBytesPerSec
-	}
-	if f.UplinkLatencyCycles > 0 {
-		def.UplinkLatencyCycles = f.UplinkLatencyCycles
-	}
-	if f.UplinkBandwidthBytesPerSec > 0 {
-		def.UplinkBandwidth = f.UplinkBandwidthBytesPerSec
-	}
-	return def
-}
-
 // NewPlatform builds a platform from a full topology spec with default link
 // attributes. The spec names the fabric tiers from the outside in and the
 // member machines, which may differ per node:

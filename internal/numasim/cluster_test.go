@@ -48,7 +48,7 @@ func TestClusterRejectsNestedClusterSpec(t *testing.T) {
 }
 
 func TestClusterFromSpec(t *testing.T) {
-	c, err := NewPlatformAttrs("node:2 pack:2 core:4", Fabric{}.Defaults(), Config{})
+	c, err := NewPlatformAttrs("node:2 pack:2 core:4", topology.DefaultAttrs(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestClusterFromSpec(t *testing.T) {
 		t.Fatalf("platform shape: nodes=%d cores=%d", c.Nodes(), c.Machine().Topology().NumCores())
 	}
 	// A plain machine spec yields a single-node platform.
-	c, err = NewPlatformAttrs("pack:2 core:4", Fabric{}.Defaults(), Config{})
+	c, err = NewPlatformAttrs("pack:2 core:4", topology.DefaultAttrs(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,16 @@ func TestMigrationCostCrossesFabric(t *testing.T) {
 // TestFabricParametersBite: halving the link bandwidth raises the cross-node
 // transfer cost; the intra-node cost is untouched.
 func TestFabricParametersBite(t *testing.T) {
-	fast, err := NewPlatformAttrs("cluster:2 pack:1 core:4", Fabric{LinkBandwidthBytesPerSec: 8e9}.Defaults(), Config{})
+	withNet := func(bw float64) topology.Defaults {
+		def := topology.DefaultAttrs()
+		def.NetBandwidth = bw
+		return def
+	}
+	fast, err := NewPlatformAttrs("cluster:2 pack:1 core:4", withNet(8e9), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewPlatformAttrs("cluster:2 pack:1 core:4", Fabric{LinkBandwidthBytesPerSec: 1e9}.Defaults(), Config{})
+	slow, err := NewPlatformAttrs("cluster:2 pack:1 core:4", withNet(1e9), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

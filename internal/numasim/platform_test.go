@@ -19,7 +19,7 @@ func TestPlatformUnevenRacks(t *testing.T) {
 			return NewPlatform("rack:2 node:2,3 pack:1 core:4", Config{})
 		}},
 		{"NewPlatformAttrs", func() (*Platform, error) {
-			return NewPlatformAttrs("rack:2 node:2,3 pack:1 core:4", Fabric{}.Defaults(), Config{})
+			return NewPlatformAttrs("rack:2 node:2,3 pack:1 core:4", topology.DefaultAttrs(), Config{})
 		}},
 	} {
 		p, err := build.make()
@@ -67,10 +67,10 @@ func TestPlatformHeterogeneousMembers(t *testing.T) {
 }
 
 // TestNewClusterWrapperMatchesPlatform: the "cluster" spelling of the node
-// tier under an all-zero Fabric override block builds the same platform as
-// the "node" spelling under the default attributes.
+// tier under explicit default attributes builds the same platform as the
+// "node" spelling under NewPlatform's defaults.
 func TestNewClusterWrapperMatchesPlatform(t *testing.T) {
-	viaWrapper, err := NewPlatformAttrs("rack:2 cluster:2 pack:1 core:4", Fabric{}.Defaults(), Config{})
+	viaWrapper, err := NewPlatformAttrs("rack:2 cluster:2 pack:1 core:4", topology.DefaultAttrs(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,18 +184,10 @@ func TestPlatformFusedSpecRoundTrips(t *testing.T) {
 }
 
 // TestClusterFromSpecRejectsImposedRacksOnHetero: the spec alone shapes the
-// fabric. Fabric.Racks never restructures a heterogeneous member list (it
-// only carries link attributes into Defaults), so the platform stays flat
-// and heterogeneous; the rack tier belongs in the spec.
+// fabric, so the rack tier of a heterogeneous member list belongs in the
+// spec, and the members keep their own shapes under it.
 func TestClusterFromSpecRejectsImposedRacksOnHetero(t *testing.T) {
-	flat, err := NewPlatformAttrs("node:{pack:2 core:8 | pack:1 core:4}", Fabric{Racks: 2}.Defaults(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if racks := flat.Machine().Topology().NumRacks(); racks != 0 || flat.NodeCores(0) == flat.NodeCores(1) {
-		t.Fatalf("Fabric.Racks restructured the platform: %d racks, node cores %d/%d", racks, flat.NodeCores(0), flat.NodeCores(1))
-	}
-	racked, err := NewPlatformAttrs("rack:2 node:{pack:2 core:8 | pack:1 core:4}", Fabric{}.Defaults(), Config{})
+	racked, err := NewPlatformAttrs("rack:2 node:{pack:2 core:8 | pack:1 core:4}", topology.DefaultAttrs(), Config{})
 	if err != nil {
 		t.Fatalf("rack tier in spec rejected: %v", err)
 	}

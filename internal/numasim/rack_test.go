@@ -64,7 +64,7 @@ func TestNewClusterRacksIndivisible(t *testing.T) {
 }
 
 func TestClusterFromSpecRackTier(t *testing.T) {
-	c, err := NewPlatformAttrs("rack:2 node:2 pack:1 core:4", Fabric{}.Defaults(), Config{})
+	c, err := NewPlatformAttrs("rack:2 node:2 pack:1 core:4", topology.DefaultAttrs(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
