@@ -64,7 +64,7 @@ func TestGoModTidy(t *testing.T) {
 
 // nonTestLineCeiling is the most non-test Go lines the repository may hold
 // outside benchmark/. A change that grows past it re-pins it and says so.
-const nonTestLineCeiling = 13102
+const nonTestLineCeiling = 12939
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as
@@ -109,7 +109,6 @@ func TestNonTestLineCeiling(t *testing.T) {
 // with the reason it stays.
 var testOnlyAllowed = map[string]string{
 	"comm.Matrix.Equal":                  "the comparator every differential test reads its verdict from",
-	"comm.Matrix.ToDense":                "the dense mode the sparse-matrix tests check against",
 	"comm.Random":                        "the seeded random matrices the partitioners and their oracles are fuzzed on",
 	"experiment.Studies":                 "the study registry, held against the README and the Go benchmarks",
 	"experiment.AblationOrderings":       "the orderings each study test asserts on its rows",

@@ -113,7 +113,7 @@ func loadMatrix(file, stencil string, ring int) (*comm.Matrix, error) {
 		if err1 != nil || err2 != nil || bx < 1 || by < 1 {
 			return nil, fmt.Errorf("bad -stencil %q", stencil)
 		}
-		return comm.Stencil2D(bx, by, 1000, 10), nil
+		return comm.Stencil2DSparse(bx, by, 1000, 10), nil
 	case ring > 0:
 		return comm.Ring(ring, 1000), nil
 	default:

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -100,5 +101,27 @@ func TestRunMatrixFile(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "matrix: order 3, total volume 20") {
 		t.Errorf("unexpected matrix report:\n%s", b.String())
+	}
+}
+
+// TestGeneratorMemoryFollowsNonzeros builds the -ring and -stencil matrices
+// through loadMatrix and bounds what they allocate: a few nonzeros per row,
+// where an order-by-order array of the same matrices would take 128 MB and
+// 134 MB.
+func TestGeneratorMemoryFollowsNonzeros(t *testing.T) {
+	for _, c := range []struct {
+		stencil string
+		ring    int
+	}{{ring: 4000}, {stencil: "64x64"}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := loadMatrix("", c.stencil, c.ring)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("-ring %d -stencil %q: order %d allocated %d bytes, want <= 8 MiB", c.ring, c.stencil, m.Order(), got)
+		}
 	}
 }

@@ -27,9 +27,6 @@ func TestSymmetricAdjacencyMatchesAt(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(12)
 		m := New(n)
-		if seed%2 == 0 {
-			m = NewSparse(n)
-		}
 		for e := rng.Intn(3 * (n + 1)); e > 0 && n > 0; e-- {
 			i, j, v := rng.Intn(n), rng.Intn(n), float64(rng.Intn(7)-3)
 			switch rng.Intn(4) {
@@ -37,7 +34,7 @@ func TestSymmetricAdjacencyMatchesAt(t *testing.T) {
 				m.Set(i, j, v) // one direction, diagonal included
 			case 1:
 				m.Set(i, j, v+0.5)
-				m.Set(i, j, 0) // explicit zero in sparse mode
+				m.Set(i, j, 0) // a stored zero
 			case 2:
 				m.Set(i, j, v)
 				m.Set(j, i, -v) // a pair that cancels

@@ -13,13 +13,14 @@ import (
 // first line with the order n, followed by n lines of n space-separated
 // volumes. Blank lines and lines starting with '#' are ignored; a trailing
 // "# label" on a row sets the row's entity label. Every volume must be
-// finite. The matrix is built only once all n rows have been read, so memory
-// follows the input, not the order its first line claims.
+// finite. Each row keeps only its nonzeros, and the matrix is built only
+// once all n rows have been read, so memory follows the input's nonzeros,
+// not the order its first line claims.
 func Read(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	n, rows := -1, 0
-	var v []float64
+	n := -1
+	var rows []sparseRow
 	var labels []string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -39,25 +40,29 @@ func Read(r io.Reader) (*Matrix, error) {
 			n = order
 			continue
 		}
-		if rows >= n {
+		i := len(rows)
+		if i >= n {
 			return nil, fmt.Errorf("comm: more than %d rows", n)
 		}
 		fields := strings.Fields(line)
 		if len(fields) != n {
-			return nil, fmt.Errorf("comm: row %d has %d entries, want %d", rows, len(fields), n)
+			return nil, fmt.Errorf("comm: row %d has %d entries, want %d", i, len(fields), n)
 		}
+		var row sparseRow
 		for j, f := range fields {
 			x, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return nil, fmt.Errorf("comm: row %d entry %d: %v", rows, j, err)
+				return nil, fmt.Errorf("comm: row %d entry %d: %v", i, j, err)
 			}
 			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("comm: row %d entry %d: volume %v is not finite", rows, j, x)
+				return nil, fmt.Errorf("comm: row %d entry %d: volume %v is not finite", i, j, x)
 			}
-			v = append(v, x)
+			if math.Float64bits(x) != 0 { // +0 is what an absent entry reads; -0 is kept
+				row.cols, row.vals = append(row.cols, int32(j)), append(row.vals, x)
+			}
 		}
+		rows = append(rows, row)
 		labels = append(labels, label)
-		rows++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -65,10 +70,10 @@ func Read(r io.Reader) (*Matrix, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("comm: empty input")
 	}
-	if rows != n {
-		return nil, fmt.Errorf("comm: got %d rows, want %d", rows, n)
+	if len(rows) != n {
+		return nil, fmt.Errorf("comm: got %d rows, want %d", len(rows), n)
 	}
-	m := &Matrix{n: n, v: v}
+	m := &Matrix{n: n, rows: rows}
 	for i, label := range labels {
 		if label != "" {
 			m.SetLabel(i, label)

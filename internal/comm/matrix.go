@@ -9,6 +9,15 @@
 // also provides synthetic generators for the workloads used in the paper's
 // evaluation and in tests.
 //
+// # Storage
+//
+// A Matrix has one storage: a sorted adjacency per row, so memory follows
+// the nonzero entries, not the square of the order. ForEachNeighbor visits
+// a row's nonzeros in ascending column order — the order a loop over every
+// column reading At meets them — so a float sum driven by it adds the same
+// terms in the same order as that loop, and the partitioners stay
+// bit-reproducible whichever way they walk a row.
+//
 // # The structural matrix is not the runtime's bill
 //
 // The extracted matrix is structural: it attributes a pairwise volume
@@ -36,78 +45,52 @@ import (
 	"sort"
 )
 
-// Matrix is a square communication matrix. The zero value is unusable; use
-// New (dense) or NewSparse. Methods panic on out-of-range indices, mirroring
-// slice semantics. Exactly one of v and rows is non-nil; see sparse.go for
-// the sparse mode and the bit-reproducibility contract shared by both.
+// Matrix is a square communication matrix, stored as one sorted adjacency
+// per row (see sparse.go), so memory follows the nonzero entries. The zero
+// value is unusable; use New. Methods panic on out-of-range indices,
+// mirroring slice semantics.
 type Matrix struct {
 	n      int
-	v      []float64   // dense mode: row-major, length n*n
-	rows   []sparseRow // sparse mode: per-row sorted adjacency, length n
+	rows   []sparseRow // per-row sorted adjacency, length n
 	labels []string    // optional entity names, length n when present
 }
 
-// New returns an order-n zero matrix.
+// New returns an order-n zero matrix. Memory grows with the number of
+// nonzero entries, not with n².
 func New(n int) *Matrix {
 	if n < 0 {
 		panic("comm: negative matrix order")
 	}
-	return &Matrix{n: n, v: make([]float64, n*n)}
+	return &Matrix{n: n, rows: make([]sparseRow, n)}
 }
 
 // Order returns the number of computing entities (the matrix dimension).
 func (m *Matrix) Order() int { return m.n }
 
-// At returns the volume exchanged between entities i and j. In sparse mode
-// this is a binary search over row i's nonzeros; hot loops should prefer
-// ForEachNeighbor.
-func (m *Matrix) At(i, j int) float64 {
-	if m.rows != nil {
-		if i < 0 || i >= m.n || j < 0 || j >= m.n {
-			panic("comm: index out of range")
-		}
-		return m.rows[i].at(j)
+// row returns row i after checking that (i,j) is in range.
+func (m *Matrix) row(i, j int) *sparseRow {
+	if i < 0 || i >= m.n || j < 0 || j >= m.n {
+		panic("comm: index out of range")
 	}
-	return m.v[i*m.n+j]
+	return &m.rows[i]
 }
+
+// At returns the volume exchanged between entities i and j: a binary search
+// over row i's nonzeros, so hot loops should prefer ForEachNeighbor.
+func (m *Matrix) At(i, j int) float64 { return m.row(i, j).at(j) }
 
 // Set assigns the volume exchanged between entities i and j.
-func (m *Matrix) Set(i, j int, vol float64) {
-	if m.rows != nil {
-		if i < 0 || i >= m.n || j < 0 || j >= m.n {
-			panic("comm: index out of range")
-		}
-		m.rows[i].set(j, vol)
-		return
-	}
-	m.v[i*m.n+j] = vol
-}
+func (m *Matrix) Set(i, j int, vol float64) { m.row(i, j).set(j, vol) }
 
 // Add accumulates volume onto entry (i,j).
-func (m *Matrix) Add(i, j int, vol float64) {
-	if m.rows != nil {
-		if i < 0 || i >= m.n || j < 0 || j >= m.n {
-			panic("comm: index out of range")
-		}
-		m.rows[i].add(j, vol)
-		return
-	}
-	m.v[i*m.n+j] += vol
-}
+func (m *Matrix) Add(i, j int, vol float64) { m.row(i, j).add(j, vol) }
 
 // AddSym accumulates volume onto both (i,j) and (j,i), the natural operation
 // when recording one message of the given size between two entities.
 func (m *Matrix) AddSym(i, j int, vol float64) {
-	if m.rows != nil {
-		m.Add(i, j, vol)
-		if i != j {
-			m.Add(j, i, vol)
-		}
-		return
-	}
-	m.v[i*m.n+j] += vol
+	m.Add(i, j, vol)
 	if i != j {
-		m.v[j*m.n+i] += vol
+		m.Add(j, i, vol)
 	}
 }
 
@@ -130,17 +113,11 @@ func (m *Matrix) SetLabel(i int, s string) {
 	m.labels[i] = s
 }
 
-// Clone returns a deep copy of the matrix, preserving the storage mode.
+// Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
-	var c *Matrix
-	if m.rows != nil {
-		c = NewSparse(m.n)
-		for i := range m.rows {
-			c.rows[i] = m.rows[i].clone()
-		}
-	} else {
-		c = New(m.n)
-		copy(c.v, m.v)
+	c := New(m.n)
+	for i := range m.rows {
+		c.rows[i] = m.rows[i].clone()
 	}
 	if m.labels != nil {
 		c.labels = append([]string(nil), m.labels...)
@@ -150,46 +127,35 @@ func (m *Matrix) Clone() *Matrix {
 
 // IsSymmetric reports whether the matrix equals its transpose exactly.
 func (m *Matrix) IsSymmetric() bool {
-	if m.rows != nil {
-		// Each stored entry (i, j) above the diagonal is compared with its
-		// mirror (j, i). Rows are visited in ascending order, so the mirrors
-		// asked of row j arrive in ascending column order, and next[j] walks
-		// row j once instead of searching it. A below-diagonal entry nobody
-		// asks for, stepped over or left when row i's own turn comes, has
-		// an absent mirror, which reads 0. The diagonal is passed over.
-		// Pairs with neither side stored are trivially 0 == 0.
-		next := make([]int32, m.n)
-		for i := range m.rows {
-			r := &m.rows[i]
-			p, _, ok := r.walkTo(int(next[i]), i)
-			if !ok {
-				return false
-			}
-			for ; p < len(r.cols); p++ {
-				j := int(r.cols[p])
-				q, mirror, ok := m.rows[j].walkTo(int(next[j]), i)
-				if !ok || mirror != r.vals[p] {
-					return false
-				}
-				next[j] = int32(q)
-			}
+	// Each stored entry (i, j) above the diagonal is compared with its
+	// mirror (j, i). Rows are visited in ascending order, so the mirrors
+	// asked of row j arrive in ascending column order, and next[j] walks
+	// row j once instead of searching it. A below-diagonal entry nobody
+	// asks for, stepped over or left when row i's own turn comes, has an
+	// absent mirror, which reads 0. The diagonal is passed over. Pairs with
+	// neither side stored are trivially 0 == 0.
+	next := make([]int32, m.n)
+	for i := range m.rows {
+		r := &m.rows[i]
+		p, _, ok := r.walkTo(int(next[i]), i)
+		if !ok {
+			return false
 		}
-		return true
-	}
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if m.At(i, j) != m.At(j, i) {
+		for ; p < len(r.cols); p++ {
+			j := int(r.cols[p])
+			q, mirror, ok := m.rows[j].walkTo(int(next[j]), i)
+			if !ok || mirror != r.vals[p] {
 				return false
 			}
+			next[j] = int32(q)
 		}
 	}
 	return true
 }
 
 // TotalVolume returns the sum of all off-diagonal entries, i.e. twice the
-// total pairwise communication volume of a symmetric matrix. Both storage
-// modes accumulate the nonzero terms in the same (row-major) order, so the
-// result is bit-identical across them.
+// total pairwise communication volume of a symmetric matrix, accumulated in
+// row-major order.
 func (m *Matrix) TotalVolume() float64 {
 	var s float64
 	for i := 0; i < m.n; i++ {
@@ -237,20 +203,18 @@ func (m *Matrix) Aggregate(groups [][]int) (*Matrix, error) {
 			return nil, fmt.Errorf("comm: aggregate: entity %d not covered by any group", e)
 		}
 	}
-	var agg *Matrix
-	switch {
-	case m.rows == nil:
-		agg = New(len(groups))
-	case !slices.ContainsFunc(groups, func(g []int) bool { return !rowSorted(g) }):
-		return m.aggregateSparse(groups), nil
-	default:
-		// Unsorted groups on a sparse matrix take the dense nested loop
-		// below, paying At's binary search for every entity pair: 3.7 s
-		// for a 10 000-entity degree-8 random graph in 1 000 groups on a
-		// 2-vCPU host, against 11 ms with the groups sorted. Every in-repo
-		// caller sorts its groups first.
-		agg = NewSparse(len(groups))
+	if !slices.ContainsFunc(groups, func(g []int) bool { return !rowSorted(g) }) {
+		return m.aggregateSorted(groups), nil
 	}
+	// Unsorted groups take the nested loop below, paying At's binary search
+	// for every entity pair: 3.7 s for a 10 000-entity degree-8 random graph
+	// in 1 000 groups on a 2-vCPU host, against 11 ms with the groups
+	// sorted. One caller takes this path: with equal capacities,
+	// treematch.PartitionAcrossWeightedMatrix passes PartitionAcross's
+	// groups on unsorted (`ablate -exp all` makes 175 such calls, orders 6
+	// to 64, most through placement.AssignFreeSlots). Sorting them there
+	// would reorder each cell's float sum and could move non-integer volumes.
+	agg := New(len(groups))
 	for a, ga := range groups {
 		for b, gb := range groups {
 			var s float64
@@ -273,17 +237,9 @@ func (m *Matrix) ExtendZero(order int) (*Matrix, error) {
 	if order < m.n {
 		return nil, fmt.Errorf("comm: cannot extend order %d down to %d", m.n, order)
 	}
-	var e *Matrix
-	if m.rows != nil {
-		e = NewSparse(order)
-		for i := range m.rows {
-			e.rows[i] = m.rows[i].clone()
-		}
-	} else {
-		e = New(order)
-		for i := 0; i < m.n; i++ {
-			copy(e.v[i*order:i*order+m.n], m.v[i*m.n:(i+1)*m.n])
-		}
+	e := New(order)
+	for i := range m.rows {
+		e.rows[i] = m.rows[i].clone()
 	}
 	if m.labels != nil || order > m.n {
 		e.labels = make([]string, order)
@@ -315,47 +271,36 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 			return nil, fmt.Errorf("comm: submatrix: entity %d appears twice", e)
 		}
 	}
-	var s *Matrix
-	if m.rows != nil {
-		s = NewSparse(len(ids))
-		nnz := 0
-		for _, i := range ids {
-			for _, c := range m.rows[i].cols {
-				if pos.find(c) >= 0 {
-					nnz++
-				}
+	s := New(len(ids))
+	nnz := 0
+	for _, i := range ids {
+		for _, c := range m.rows[i].cols {
+			if pos.find(c) >= 0 {
+				nnz++
 			}
 		}
-		// One backing array per field; each row is capped to its own
-		// window, so growing one row reallocates it instead of overwriting
-		// the next.
-		cols, vals := make([]int32, nnz), make([]float64, nnz)
-		q := 0
-		for a, i := range ids {
-			r := &m.rows[i]
-			lo := q
-			for p, c := range r.cols {
-				if b := pos.find(c); b >= 0 {
-					cols[q], vals[q] = b, r.vals[p]
-					q++
-				}
-			}
-			s.rows[a] = sparseRow{cols: cols[lo:q:q], vals: vals[lo:q:q]}
-		}
-		if !rowSorted(ids) {
-			// The permutation scrambled the stored column order.
-			srt := new(colValSorter)
-			for a := range s.rows {
-				*srt = colValSorter{s.rows[a].cols, s.rows[a].vals}
-				sort.Sort(srt)
+	}
+	// One backing array per field; each row is capped to its own window, so
+	// growing one row reallocates it instead of overwriting the next.
+	cols, vals := make([]int32, nnz), make([]float64, nnz)
+	q := 0
+	for a, i := range ids {
+		r := &m.rows[i]
+		lo := q
+		for p, c := range r.cols {
+			if b := pos.find(c); b >= 0 {
+				cols[q], vals[q] = b, r.vals[p]
+				q++
 			}
 		}
-	} else {
-		s = New(len(ids))
-		for a, i := range ids {
-			for b, j := range ids {
-				s.Set(a, b, m.At(i, j))
-			}
+		s.rows[a] = sparseRow{cols: cols[lo:q:q], vals: vals[lo:q:q]}
+	}
+	if !rowSorted(ids) {
+		// The permutation scrambled the stored column order.
+		srt := new(colValSorter)
+		for a := range s.rows {
+			*srt = colValSorter{s.rows[a].cols, s.rows[a].vals}
+			sort.Sort(srt)
 		}
 	}
 	if m.labels != nil {
@@ -413,39 +358,24 @@ func (t posIndex) find(e int32) int32 {
 	return -1
 }
 
-// Scale multiplies every entry by f in place and returns the matrix. In
-// sparse mode only stored entries are scaled (absent zeros stay zero, so a
-// non-finite f does not materialize NaNs the dense mode would produce).
+// Scale multiplies every entry by f in place and returns the matrix. Only
+// stored entries are scaled: absent zeros stay zero, so a non-finite f does
+// not materialize NaNs.
 func (m *Matrix) Scale(f float64) *Matrix {
-	if m.rows != nil {
-		for i := range m.rows {
-			vals := m.rows[i].vals
-			for p := range vals {
-				vals[p] *= f
-			}
+	for i := range m.rows {
+		vals := m.rows[i].vals
+		for p := range vals {
+			vals[p] *= f
 		}
-		return m
-	}
-	for i := range m.v {
-		m.v[i] *= f
 	}
 	return m
 }
 
 // Equal reports whether two matrices have the same order and entries within
-// the given absolute tolerance. Matrices of different storage modes compare
-// by value (at O(n²) cost via At).
+// the given absolute tolerance, comparing every cell through At.
 func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 	if m.n != o.n {
 		return false
-	}
-	if m.rows == nil && o.rows == nil {
-		for i := range m.v {
-			if math.Abs(m.v[i]-o.v[i]) > tol {
-				return false
-			}
-		}
-		return true
 	}
 	for i := 0; i < m.n; i++ {
 		for j := 0; j < m.n; j++ {

@@ -68,23 +68,31 @@ func TestTotalAndRowVolume(t *testing.T) {
 
 func TestAggregate(t *testing.T) {
 	m := Ring(4, 1) // 0-1-2-3-0
-	agg, err := m.Aggregate([][]int{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if agg.Order() != 2 {
-		t.Fatalf("order = %d", agg.Order())
-	}
-	// Internal volume of {0,1}: edge 0-1 counted in both directions = 2.
-	if got := agg.At(0, 0); got != 2 {
-		t.Errorf("internal volume = %v, want 2", got)
-	}
-	// Cross volume: edges 1-2 and 3-0, both directions = 2 per direction sum.
-	if got := agg.At(0, 1); got != 2 {
-		t.Errorf("cross volume = %v, want 2", got)
-	}
-	if !agg.IsSymmetric() {
-		t.Errorf("aggregate of symmetric matrix not symmetric")
+	// Sorted groups take the row sweep, unsorted ones the nested At loop;
+	// both must give the same quotient.
+	for _, groups := range [][][]int{
+		{{0, 1}, {2, 3}},
+		{{1, 0}, {3, 2}},
+		{{0, 1}, {3, 2}},
+	} {
+		agg, err := m.Aggregate(groups)
+		if err != nil {
+			t.Fatalf("Aggregate(%v): %v", groups, err)
+		}
+		if agg.Order() != 2 {
+			t.Fatalf("Aggregate(%v): order = %d", groups, agg.Order())
+		}
+		// Internal volume of {0,1}: edge 0-1 counted in both directions = 2.
+		if got := agg.At(0, 0); got != 2 {
+			t.Errorf("Aggregate(%v): internal volume = %v, want 2", groups, got)
+		}
+		// Cross volume: edges 1-2 and 3-0, both directions = 2 per direction sum.
+		if got := agg.At(0, 1); got != 2 {
+			t.Errorf("Aggregate(%v): cross volume = %v, want 2", groups, got)
+		}
+		if !agg.IsSymmetric() {
+			t.Errorf("Aggregate(%v): aggregate of symmetric matrix not symmetric", groups)
+		}
 	}
 }
 

@@ -5,24 +5,14 @@ import (
 	"math/rand"
 )
 
-// Stencil2D builds the block-level affinity matrix of a bx×by block grid
-// with 8-neighbour (Moore) connectivity: edge-adjacent blocks exchange
+// Stencil2DSparse builds the block-level affinity matrix of a bx×by block
+// grid with 8-neighbour (Moore) connectivity: edge-adjacent blocks exchange
 // edgeVol bytes per iteration, diagonally adjacent blocks exchange cornerVol
 // bytes. Entity index of block (x,y) is y*bx+x; labels are "b(x,y)". The
-// grid does not wrap (the paper's LK23 matrix has open boundaries).
-func Stencil2D(bx, by int, edgeVol, cornerVol float64) *Matrix {
-	return fillStencil2D(New(bx*by), bx, by, edgeVol, cornerVol)
-}
-
-// Stencil2DSparse is Stencil2D in sparse storage: identical entries and
-// labels, O(bx·by) memory instead of O((bx·by)²). This is the generator the
-// scale benchmark tier uses — a 100k-task stencil is ~800k nonzeros versus
-// an 80 GB dense matrix.
+// grid does not wrap (the paper's LK23 matrix has open boundaries). Memory
+// is O(bx·by): a 100k-task stencil is ~800k nonzeros.
 func Stencil2DSparse(bx, by int, edgeVol, cornerVol float64) *Matrix {
-	return fillStencil2D(NewSparse(bx*by), bx, by, edgeVol, cornerVol)
-}
-
-func fillStencil2D(m *Matrix, bx, by int, edgeVol, cornerVol float64) *Matrix {
+	m := New(bx * by)
 	id := func(x, y int) int { return y*bx + x }
 	for y := 0; y < by; y++ {
 		for x := 0; x < bx; x++ {
@@ -171,16 +161,16 @@ func Random(n int, density, maxVol float64, seed int64) *Matrix {
 	return m
 }
 
-// RandomSparse builds a random symmetric bounded-degree matrix in sparse
-// storage: every entity draws `degree` partners uniformly at random (self
-// pairs and duplicate draws accumulate onto the same pair; self loops are
-// skipped), each exchange uniform in [0, maxVol). Unlike Random, generation
-// is O(n·degree) — per-pair coin flips would need O(n²) draws — so it scales
-// to the 100k-task inputs of the scale benchmark tier. Deterministic for a
+// RandomSparse builds a random symmetric bounded-degree matrix: every
+// entity draws `degree` partners uniformly at random (self pairs and
+// duplicate draws accumulate onto the same pair; self loops are skipped),
+// each exchange uniform in [0, maxVol). Unlike Random, generation is
+// O(n·degree) — per-pair coin flips would need O(n²) draws — so it scales to
+// the 100k-task inputs of the scale benchmark tier. Deterministic for a
 // given seed.
 func RandomSparse(n, degree int, maxVol float64, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
-	m := NewSparse(n)
+	m := New(n)
 	for i := 0; i < n; i++ {
 		for d := 0; d < degree; d++ {
 			j := rng.Intn(n)

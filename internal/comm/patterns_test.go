@@ -5,7 +5,7 @@ import (
 )
 
 func TestStencil2DStructure(t *testing.T) {
-	m := Stencil2D(3, 3, 100, 1)
+	m := Stencil2DSparse(3, 3, 100, 1)
 	if m.Order() != 9 {
 		t.Fatalf("order = %d", m.Order())
 	}
@@ -42,7 +42,7 @@ func TestStencil2DStructure(t *testing.T) {
 }
 
 func TestStencil2DDegrees(t *testing.T) {
-	m := Stencil2D(4, 4, 1, 1)
+	m := Stencil2DSparse(4, 4, 1, 1)
 	deg := func(i int) int {
 		d := 0
 		for j := 0; j < m.Order(); j++ {

@@ -2,17 +2,16 @@ package comm
 
 import "slices"
 
-// Sparse storage mode. A Matrix is either dense (row-major []float64, the
-// historical representation) or sparse (per-row sorted adjacency, a CSR-style
-// layout split per row so single-entry updates stay cheap). Both modes expose
-// the same method set and — crucially for the partitioners, which must stay
-// bit-reproducible — the same iteration order: ForEachNeighbor visits entries
-// in ascending column order and skips zero values in both modes, so every
-// float accumulation driven by it sees the same operands in the same order
-// regardless of representation.
+// Storage. A Matrix holds one sparseRow per entity: a CSR-style layout
+// split per row, so single-entry updates stay cheap and memory follows the
+// nonzeros (a stencil has O(1) of them per row, where a row-major n² array
+// would need 8 TB at 1M tasks).
 //
-// Stencil-class workloads have O(1) nonzeros per row, so the sparse mode
-// turns the O(n²) memory wall of dense matrices (8 TB at 1M tasks) into O(n).
+// The partitioners must stay bit-reproducible, so the iteration order is
+// part of the contract: ForEachNeighbor visits a row's entries in ascending
+// column order and skips zero values, and every float accumulation driven
+// by it sees the same operands in the same order as a loop over all columns
+// reading At would.
 
 // sparseRow is one matrix row in ascending column order. Explicit zeros may
 // be stored (Set(i,j,0) on an existing entry); iteration skips them, so they
@@ -101,35 +100,14 @@ func (r *sparseRow) clone() sparseRow {
 	}
 }
 
-// NewSparse returns an order-n zero matrix in sparse mode. Memory grows with
-// the number of nonzero entries instead of n².
-func NewSparse(n int) *Matrix {
-	if n < 0 {
-		panic("comm: negative matrix order")
-	}
-	return &Matrix{n: n, rows: make([]sparseRow, n)}
-}
-
-// IsSparse reports whether the matrix uses the sparse representation.
-func (m *Matrix) IsSparse() bool { return m.rows != nil }
-
-// NNZ returns the number of nonzero entries (explicit zeros in sparse
-// storage are not counted; for a dense matrix the full storage is scanned).
+// NNZ returns the number of nonzero entries (stored zeros are not counted).
 func (m *Matrix) NNZ() int {
 	nnz := 0
-	if m.rows != nil {
-		for i := range m.rows {
-			for _, v := range m.rows[i].vals {
-				if v != 0 {
-					nnz++
-				}
+	for i := range m.rows {
+		for _, v := range m.rows[i].vals {
+			if v != 0 {
+				nnz++
 			}
-		}
-		return nnz
-	}
-	for _, v := range m.v {
-		if v != 0 {
-			nnz++
 		}
 	}
 	return nnz
@@ -137,79 +115,15 @@ func (m *Matrix) NNZ() int {
 
 // ForEachNeighbor calls fn for every nonzero entry (i,j) of row i, in
 // ascending column order. The diagonal entry is included when nonzero
-// (aggregated matrices carry intra-group volume there). Both storage modes
-// yield the identical (j, v) sequence, which is what keeps sparse-path float
-// accumulations bit-identical to the dense path. fn must not mutate the
-// matrix.
+// (aggregated matrices carry intra-group volume there). fn must not mutate
+// the matrix.
 func (m *Matrix) ForEachNeighbor(i int, fn func(j int, v float64)) {
-	if m.rows != nil {
-		r := &m.rows[i]
-		for p, c := range r.cols {
-			if v := r.vals[p]; v != 0 {
-				fn(int(c), v)
-			}
-		}
-		return
-	}
-	row := m.v[i*m.n : (i+1)*m.n]
-	for j, v := range row {
-		if v != 0 {
-			fn(j, v)
+	r := &m.rows[i]
+	for p, c := range r.cols {
+		if v := r.vals[p]; v != 0 {
+			fn(int(c), v)
 		}
 	}
-}
-
-// ToDense returns a dense-mode copy of the matrix (a plain Clone when the
-// matrix is already dense).
-func (m *Matrix) ToDense() *Matrix {
-	if m.rows == nil {
-		return m.Clone()
-	}
-	d := New(m.n)
-	for i := range m.rows {
-		r := &m.rows[i]
-		for p, c := range r.cols {
-			d.v[i*m.n+int(c)] = r.vals[p]
-		}
-	}
-	if m.labels != nil {
-		d.labels = append([]string(nil), m.labels...)
-	}
-	return d
-}
-
-// ToSparse returns a sparse-mode copy of the matrix (a plain Clone when the
-// matrix is already sparse).
-func (m *Matrix) ToSparse() *Matrix {
-	if m.rows != nil {
-		return m.Clone()
-	}
-	s := NewSparse(m.n)
-	for i := 0; i < m.n; i++ {
-		row := m.v[i*m.n : (i+1)*m.n]
-		nnz := 0
-		for _, v := range row {
-			if v != 0 {
-				nnz++
-			}
-		}
-		if nnz == 0 {
-			continue
-		}
-		r := &s.rows[i]
-		r.cols = make([]int32, 0, nnz)
-		r.vals = make([]float64, 0, nnz)
-		for j, v := range row {
-			if v != 0 {
-				r.cols = append(r.cols, int32(j))
-				r.vals = append(r.vals, v)
-			}
-		}
-	}
-	if m.labels != nil {
-		s.labels = append([]string(nil), m.labels...)
-	}
-	return s
 }
 
 // colValSorter sorts a (cols, vals) pair slice by column. Used by Submatrix,
@@ -236,16 +150,15 @@ func rowSorted(ids []int) bool {
 	return true
 }
 
-// aggregateSparse is the sparse fast path of Aggregate, valid when every
-// group is in ascending entity order (all in-repo callers sort their groups).
-// It builds output row a from group a alone: the members in ascending order,
-// each row's nonzeros in ascending column order, summed into a k-length
-// accumulator whose touched cells, sorted by column, become the row. Every
-// output cell thus accumulates its contributions in exactly the order the
-// dense nested loop would — adding zero being exact, the results are
-// bit-identical. A cell some nonzero touched is stored even when its sum is
-// zero.
-func (m *Matrix) aggregateSparse(groups [][]int) *Matrix {
+// aggregateSorted is the fast path of Aggregate, valid when every group is
+// in ascending entity order. It builds output row a from group a alone: the
+// members in ascending order, each row's nonzeros in ascending column order,
+// summed into a k-length accumulator whose touched cells, sorted by column,
+// become the row. Every output cell thus accumulates its contributions in
+// exactly the order Aggregate's nested At loop would — adding zero being
+// exact, the results are bit-identical. A cell some nonzero touched is
+// stored even when its sum is zero.
+func (m *Matrix) aggregateSorted(groups [][]int) *Matrix {
 	k := len(groups)
 	grp := make([]int32, m.n)
 	for a, ga := range groups {
@@ -256,7 +169,7 @@ func (m *Matrix) aggregateSparse(groups [][]int) *Matrix {
 	acc := make([]float64, k)
 	seen := make([]bool, k)
 	var touched []int32
-	agg := NewSparse(k)
+	agg := New(k)
 	for a, ga := range groups {
 		touched = touched[:0]
 		for _, i := range ga {

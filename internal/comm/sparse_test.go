@@ -1,139 +1,140 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// testMatrices returns dense/sparse pairs with identical entries, covering
-// the generator shapes the partitioners consume.
+// testMatrices covers the generator shapes the partitioners consume, plus
+// asymmetric, negative and stored-zero entries.
 func testMatrices(t *testing.T) map[string]*Matrix {
 	t.Helper()
 	return map[string]*Matrix{
-		"stencil8x8":  Stencil2D(8, 8, 64, 8),
-		"stencil5x3":  Stencil2D(5, 3, 100, 10),
+		"stencil8x8":  Stencil2DSparse(8, 8, 64, 8),
+		"stencil5x3":  Stencil2DSparse(5, 3, 100, 10),
 		"ring17":      Ring(17, 3),
 		"complete9":   Random(9, 1, 2, 3),
 		"random64":    Random(64, 0.1, 1000, 42),
 		"lk23":        LK23OpLevel(3, 3, 16, 16, 8),
 		"empty":       New(12),
 		"asymmetric":  func() *Matrix { m := New(6); m.Set(0, 3, 5); m.Set(3, 0, 2); m.Set(5, 1, 7); return m }(),
+		"storedzero":  func() *Matrix { m := New(5); m.Set(4, 1, 2); m.Set(4, 1, 0); m.AddSym(0, 4, -1.5); return m }(),
 		"zeroorder":   New(0),
 		"singleentry": New(1),
 	}
 }
 
-func TestSparseRoundTrip(t *testing.T) {
-	for name, d := range testMatrices(t) {
-		s := d.ToSparse()
-		if !s.IsSparse() {
-			t.Fatalf("%s: ToSparse not sparse", name)
-		}
-		if d.IsSparse() {
-			t.Fatalf("%s: dense original claims sparse", name)
-		}
-		back := s.ToDense()
-		if !d.Equal(back, 0) {
-			t.Errorf("%s: dense→sparse→dense round trip changed entries", name)
-		}
-		if !d.Equal(s, 0) {
-			t.Errorf("%s: cross-mode Equal failed", name)
-		}
-		for i := 0; i < d.Order(); i++ {
-			for j := 0; j < d.Order(); j++ {
-				if d.At(i, j) != s.At(i, j) {
-					t.Fatalf("%s: At(%d,%d) dense %v sparse %v", name, i, j, d.At(i, j), s.At(i, j))
-				}
-			}
+// atSum adds At(i, j) over i in rows, then j in cols, in the given orders:
+// the nested loop that defines a quotient cell.
+func atSum(m *Matrix, rows, cols []int) float64 {
+	var s float64
+	for _, i := range rows {
+		for _, j := range cols {
+			s += m.At(i, j)
 		}
 	}
+	return s
 }
 
+// TestSparseIterationMatchesDense checks ForEachNeighbor and NNZ against a
+// scan of every column through At.
 func TestSparseIterationMatchesDense(t *testing.T) {
-	for name, d := range testMatrices(t) {
-		s := d.ToSparse()
-		if got, want := s.NNZ(), d.NNZ(); got != want {
-			t.Errorf("%s: NNZ sparse %d dense %d", name, got, want)
+	type ent struct {
+		j int
+		v float64
+	}
+	for name, m := range testMatrices(t) {
+		nnz := 0
+		for i := 0; i < m.Order(); i++ {
+			var want, got []ent
+			for j := 0; j < m.Order(); j++ {
+				if v := m.At(i, j); v != 0 {
+					want = append(want, ent{j, v})
+				}
+			}
+			nnz += len(want)
+			m.ForEachNeighbor(i, func(j int, v float64) { got = append(got, ent{j, v}) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s row %d: ForEachNeighbor %v, At scan %v", name, i, got, want)
+			}
 		}
-		for i := 0; i < d.Order(); i++ {
-			type ent struct {
-				j int
-				v float64
+		if got := m.NNZ(); got != nnz {
+			t.Errorf("%s: NNZ %d, At scan %d", name, got, nnz)
+		}
+	}
+}
+
+// TestSparseAccumulationsBitEqual holds TotalVolume, RowVolume and
+// IsSymmetric to the every-column loops that define them.
+func TestSparseAccumulationsBitEqual(t *testing.T) {
+	for name, m := range testMatrices(t) {
+		var total float64 // one running sum in row-major order, not row totals
+		sym := true
+		for i := 0; i < m.Order(); i++ {
+			var row float64
+			for j := 0; j < m.Order(); j++ {
+				if j != i {
+					row += m.At(i, j)
+					total += m.At(i, j)
+				}
+				sym = sym && m.At(i, j) == m.At(j, i)
 			}
-			var dseq, sseq []ent
-			d.ForEachNeighbor(i, func(j int, v float64) { dseq = append(dseq, ent{j, v}) })
-			s.ForEachNeighbor(i, func(j int, v float64) { sseq = append(sseq, ent{j, v}) })
-			if len(dseq) != len(sseq) {
-				t.Fatalf("%s row %d: neighbor count dense %d sparse %d", name, i, len(dseq), len(sseq))
+			if got := m.RowVolume(i); got != row {
+				t.Errorf("%s: RowVolume(%d) %v, want %v", name, i, got, row)
 			}
-			for p := range dseq {
-				if dseq[p] != sseq[p] {
-					t.Fatalf("%s row %d pos %d: dense %+v sparse %+v", name, i, p, dseq[p], sseq[p])
+		}
+		if got := m.TotalVolume(); got != total {
+			t.Errorf("%s: TotalVolume %v, want %v", name, got, total)
+		}
+		if got := m.IsSymmetric(); got != sym {
+			t.Errorf("%s: IsSymmetric %v, want %v", name, got, sym)
+		}
+	}
+}
+
+// TestSparseAggregateBitEqual checks every cell of Aggregate against the
+// nested At loop over its two groups, for sorted groups (aggregateSorted)
+// and unsorted ones (the nested loop itself).
+func TestSparseAggregateBitEqual(t *testing.T) {
+	check := func(name string, m *Matrix, groups [][]int) {
+		t.Helper()
+		agg, err := m.Aggregate(groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agg.Order() != len(groups) {
+			t.Fatalf("%s: order %d, want %d", name, agg.Order(), len(groups))
+		}
+		for a, ga := range groups {
+			for b, gb := range groups {
+				if got, want := agg.At(a, b), atSum(m, ga, gb); got != want {
+					t.Fatalf("%s: cell (%d,%d) = %v, nested loop %v", name, a, b, got, want)
 				}
 			}
 		}
 	}
-}
-
-func TestSparseAccumulationsBitEqual(t *testing.T) {
-	for name, d := range testMatrices(t) {
-		s := d.ToSparse()
-		if got, want := s.TotalVolume(), d.TotalVolume(); got != want {
-			t.Errorf("%s: TotalVolume sparse %v dense %v", name, got, want)
-		}
-		for i := 0; i < d.Order(); i++ {
-			if got, want := s.RowVolume(i), d.RowVolume(i); got != want {
-				t.Errorf("%s: RowVolume(%d) sparse %v dense %v", name, i, got, want)
-			}
-		}
-		if got, want := s.IsSymmetric(), d.IsSymmetric(); got != want {
-			t.Errorf("%s: IsSymmetric sparse %v dense %v", name, got, want)
-		}
-	}
-}
-
-func TestSparseAggregateBitEqual(t *testing.T) {
-	d := Stencil2D(8, 8, 64, 8)
-	s := d.ToSparse()
 	groups := make([][]int, 16)
 	for i := 0; i < 64; i++ {
-		g := i / 4
-		groups[g] = append(groups[g], i)
+		groups[i/4] = append(groups[i/4], i)
 	}
-	da, err := d.Aggregate(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, err := s.Aggregate(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sa.IsSparse() {
-		t.Fatal("sparse aggregate should stay sparse")
-	}
-	for i := 0; i < 16; i++ {
-		for j := 0; j < 16; j++ {
-			if da.At(i, j) != sa.At(i, j) {
-				t.Fatalf("aggregate (%d,%d): dense %v sparse %v", i, j, da.At(i, j), sa.At(i, j))
-			}
-		}
-	}
+	check("stencil8x8", Stencil2DSparse(8, 8, 64, 8), groups)
 
 	// Non-integer, asymmetric volumes with explicit zeros, summed over
-	// scattered (but sorted) groups: any change in the per-cell summation
-	// order shows up in the low bits. Group counts run from one group to one
-	// per entity, so output rows range from one cell to hundreds.
+	// scattered groups: any change in the per-cell summation order shows up
+	// in the low bits. Group counts run from one group to one per entity,
+	// so output rows range from one cell to hundreds.
 	rng := rand.New(rand.NewSource(25))
 	for c := 0; c < 40; c++ {
 		n := 8 + rng.Intn(400)
-		s := NewSparse(n)
+		m := New(n)
 		for e := 0; e < 3*n; e++ {
 			i, j := rng.Intn(n), rng.Intn(n)
-			s.Set(i, j, rng.Float64()*1000-100)
+			m.Set(i, j, rng.Float64()*1000-100)
 			if rng.Intn(6) == 0 {
-				s.Set(i, j, 0)
+				m.Set(i, j, 0)
 			}
 		}
 		k := 1 + rng.Intn(n)
@@ -141,92 +142,102 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 		for e, g := range rng.Perm(n) {
 			groups[g%k] = append(groups[g%k], e) // ascending: e grows
 		}
-		if c%4 == 0 { // unsorted groups: the nested loop, in both modes
+		switch c % 4 {
+		case 0: // unsorted groups: the nested loop
 			for _, g := range groups {
 				slices.Reverse(g)
 			}
+		case 1: // one group out of order, the rest sorted
+			g := groups[rng.Intn(k)]
+			rng.Shuffle(len(g), func(x, y int) { g[x], g[y] = g[y], g[x] })
 		}
-		sa, err := s.Aggregate(groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, err := s.ToDense().Aggregate(groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sa.IsSparse() || !sa.Equal(da, 0) {
-			t.Fatalf("case %d (n=%d k=%d): sparse aggregate differs from the dense nested loop", c, n, k)
-		}
+		check(fmt.Sprintf("case %d (n=%d k=%d)", c, n, k), m, groups)
 	}
 }
 
+// TestSparseSubmatrixExtendSymmetrize checks Submatrix, ExtendZero and Scale
+// entry by entry against lookups in the source matrix.
 func TestSparseSubmatrixExtendSymmetrize(t *testing.T) {
-	d := Random(40, 0.3, 500, 7)
-	d.Set(3, 9, 123) // an asymmetric entry
-	s := d.ToSparse()
+	m := Random(40, 0.3, 500, 7)
+	m.Set(3, 9, 123) // an asymmetric entry
+	m.SetLabel(5, "five")
 
-	ids := []int{5, 0, 17, 33, 12, 39, 2}
-	dsub, err := d.Submatrix(ids)
+	ids := []int{5, 0, 17, 33, 12, 39, 3, 9}
+	sub, err := m.Submatrix(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssub, err := s.Submatrix(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ssub.IsSparse() {
-		t.Fatal("sparse submatrix should stay sparse")
-	}
-	if !dsub.Equal(ssub, 0) {
-		t.Error("submatrix differs across modes")
-	}
-
-	dx, err := d.ExtendZero(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sx, err := s.ExtendZero(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sx.IsSparse() {
-		t.Fatal("sparse extend should stay sparse")
-	}
-	if !dx.Equal(sx, 0) {
-		t.Error("extend differs across modes")
-	}
-	for i := 0; i < 50; i++ {
-		if dx.Label(i) != sx.Label(i) {
-			t.Fatalf("extend label %d: dense %q sparse %q", i, dx.Label(i), sx.Label(i))
+	for a, i := range ids {
+		for b, j := range ids {
+			if got, want := sub.At(a, b), m.At(i, j); got != want {
+				t.Fatalf("submatrix (%d,%d) = %v, want m(%d,%d) = %v", a, b, got, i, j, want)
+			}
+		}
+		if sub.Label(a) != m.Label(i) {
+			t.Errorf("submatrix label %d = %q, want %q", a, sub.Label(a), m.Label(i))
 		}
 	}
 
-	dscaled := d.Clone().Scale(0.25)
-	sscaled := s.Clone().Scale(0.25)
-	if !dscaled.Equal(sscaled, 0) {
-		t.Error("scale differs across modes")
+	x, err := m.ExtendZero(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		for j := 0; j < 50; j++ {
+			var want float64
+			if i < 40 && j < 40 {
+				want = m.At(i, j)
+			}
+			if got := x.At(i, j); got != want {
+				t.Fatalf("extend (%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
+		want := fmt.Sprintf("v%d", i)
+		if i < 40 {
+			want = m.Label(i)
+		}
+		if x.Label(i) != want {
+			t.Fatalf("extend label %d = %q, want %q", i, x.Label(i), want)
+		}
+	}
+
+	scaled := m.Clone().Scale(0.25)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			if got, want := scaled.At(i, j), m.At(i, j)*0.25; got != want {
+				t.Fatalf("scale (%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	if m.At(3, 9) != 123 {
+		t.Error("scaling a clone changed the original")
 	}
 }
 
 func TestSparseGenerators(t *testing.T) {
-	d := Stencil2D(7, 5, 64, 8)
-	s := Stencil2DSparse(7, 5, 64, 8)
-	if !s.IsSparse() {
-		t.Fatal("Stencil2DSparse not sparse")
-	}
-	if !d.Equal(s, 0) {
-		t.Error("Stencil2DSparse entries differ from Stencil2D")
-	}
-	for i := 0; i < d.Order(); i++ {
-		if d.Label(i) != s.Label(i) {
-			t.Fatalf("label %d: dense %q sparse %q", i, d.Label(i), s.Label(i))
+	const bx, by = 7, 5
+	s := Stencil2DSparse(bx, by, 64, 8)
+	for i := 0; i < bx*by; i++ {
+		xi, yi := i%bx, i/bx
+		if want := fmt.Sprintf("b(%d,%d)", xi, yi); s.Label(i) != want {
+			t.Fatalf("label %d = %q, want %q", i, s.Label(i), want)
+		}
+		for j := 0; j < bx*by; j++ {
+			dx, dy := j%bx-xi, j/bx-yi
+			var want float64
+			switch dx*dx + dy*dy {
+			case 1:
+				want = 64
+			case 2:
+				want = 8
+			}
+			if got := s.At(i, j); got != want {
+				t.Fatalf("stencil (%d,%d) = %v, want %v", i, j, got, want)
+			}
 		}
 	}
 
 	r := RandomSparse(1000, 4, 100, 11)
-	if !r.IsSparse() {
-		t.Fatal("RandomSparse not sparse")
-	}
 	if !r.IsSymmetric() {
 		t.Error("RandomSparse not symmetric")
 	}
@@ -241,7 +252,7 @@ func TestSparseGenerators(t *testing.T) {
 }
 
 func TestSparseSetAddSemantics(t *testing.T) {
-	s := NewSparse(5)
+	s := New(5)
 	s.Set(1, 2, 0) // setting an absent entry to zero must not materialize it
 	if s.NNZ() != 0 {
 		t.Errorf("Set(.,.,0) materialized an entry: nnz=%d", s.NNZ())

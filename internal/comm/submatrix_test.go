@@ -86,24 +86,23 @@ func TestSubmatrixMatchesAt(t *testing.T) {
 // in ids order, the range check before the duplicate check — and that a
 // failed call does not disturb the next one.
 func TestSubmatrixErrorPrecedence(t *testing.T) {
-	for _, m := range []*Matrix{New(3), NewSparse(3)} {
-		for _, c := range []struct {
-			ids  []int
-			want string
-		}{
-			{[]int{1, 1, -5}, "comm: submatrix: entity 1 appears twice"},
-			{[]int{-5, 1, 1}, "comm: submatrix: entity -5 out of range [0,3)"},
-			{[]int{0, 2, 3, 2}, "comm: submatrix: entity 3 out of range [0,3)"},
-			{[]int{2, 0, 2, 7}, "comm: submatrix: entity 2 appears twice"},
-		} {
-			_, err := m.Submatrix(c.ids)
-			if err == nil || err.Error() != c.want {
-				t.Errorf("sparse=%v Submatrix(%v): error %v, want %q", m.IsSparse(), c.ids, err, c.want)
-			}
+	m := New(3)
+	for _, c := range []struct {
+		ids  []int
+		want string
+	}{
+		{[]int{1, 1, -5}, "comm: submatrix: entity 1 appears twice"},
+		{[]int{-5, 1, 1}, "comm: submatrix: entity -5 out of range [0,3)"},
+		{[]int{0, 2, 3, 2}, "comm: submatrix: entity 3 out of range [0,3)"},
+		{[]int{2, 0, 2, 7}, "comm: submatrix: entity 2 appears twice"},
+	} {
+		_, err := m.Submatrix(c.ids)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Submatrix(%v): error %v, want %q", c.ids, err, c.want)
 		}
-		if s, err := m.Submatrix([]int{2, 1, 0}); err != nil || s.Order() != 3 {
-			t.Errorf("sparse=%v: valid call after failed ones: order %v, err %v", m.IsSparse(), s, err)
-		}
+	}
+	if s, err := m.Submatrix([]int{2, 1, 0}); err != nil || s.Order() != 3 {
+		t.Errorf("valid call after failed ones: order %v, err %v", s, err)
 	}
 }
 

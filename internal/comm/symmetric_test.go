@@ -7,8 +7,7 @@ import (
 	"testing"
 )
 
-// oracleIsSymmetric is the sparse branch of IsSymmetric as it stood before
-// the cursor walk: every stored off-diagonal entry is compared with its
+// oracleIsSymmetric is IsSymmetric as it stood before the cursor walk: every stored off-diagonal entry is compared with its
 // mirror, read by a binary search of the mirror's row. Kept verbatim as the
 // reference the walk must agree with.
 func oracleIsSymmetric(m *Matrix) bool {
@@ -24,13 +23,13 @@ func oracleIsSymmetric(m *Matrix) bool {
 	return true
 }
 
-// checkIsSymmetric requires the cursor walk, the oracle and the dense mode
-// to agree on m, and returns their verdict.
+// checkIsSymmetric requires the cursor walk and the oracle to agree on m,
+// and returns their verdict.
 func checkIsSymmetric(t *testing.T, name string, m *Matrix) bool {
 	t.Helper()
-	got, want, dense := m.IsSymmetric(), oracleIsSymmetric(m), m.ToDense().IsSymmetric()
-	if got != want || dense != want {
-		t.Fatalf("%s: IsSymmetric %v, oracle %v, dense %v", name, got, want, dense)
+	got, want := m.IsSymmetric(), oracleIsSymmetric(m)
+	if got != want {
+		t.Fatalf("%s: IsSymmetric %v, oracle %v", name, got, want)
 	}
 	return got
 }
@@ -92,7 +91,7 @@ func TestIsSymmetricCases(t *testing.T) {
 		{"NaN on one side", 3, func(m *Matrix) { m.Set(2, 0, nan) }, false},
 	}
 	for _, c := range cases {
-		m := NewSparse(c.n)
+		m := New(c.n)
 		c.build(m)
 		if got := checkIsSymmetric(t, c.name, m); got != c.want {
 			t.Errorf("%s: IsSymmetric %v, want %v", c.name, got, c.want)
@@ -107,7 +106,7 @@ func TestIsSymmetricMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for c := 0; c < 300; c++ {
 		n := 1 + rng.Intn(80)
-		m := NewSparse(n)
+		m := New(n)
 		for e := 0; e < 2*n; e++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			m.AddSym(i, j, float64(1+rng.Intn(3)))
@@ -131,7 +130,7 @@ func TestIsSymmetricMatchesOracle(t *testing.T) {
 		}
 		checkIsSymmetric(t, name+" perturbed", m)
 	}
-	// Too large for a dense copy: the walk against the oracle alone.
+	// The place-scale input.
 	r := RandomSparse(10000, 8, 100, 1)
 	if !r.IsSymmetric() || !oracleIsSymmetric(r) {
 		t.Fatal("place-scale random: reported asymmetric")
@@ -144,15 +143,15 @@ func TestIsSymmetricMatchesOracle(t *testing.T) {
 
 // FuzzIsSymmetric decodes the input into a small sparse matrix, two bytes
 // per entry (the entry's shape and a small signed volume, as
-// FuzzRefineGroupsBoundaryExact draws them), and requires the cursor walk,
-// the oracle and the dense mode to agree.
+// FuzzRefineGroupsBoundaryExact draws them), and requires the cursor walk
+// and the oracle to agree.
 func FuzzIsSymmetric(f *testing.F) {
 	f.Add(uint8(5), []byte{0x04, 0x0b, 0x09, 0x13, 0x02, 0x1a})
 	f.Add(uint8(9), []byte{0x10, 0x21, 0x05, 0x3c, 0x1e, 0x08, 0x23, 0x17})
 	f.Add(uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, order uint8, data []byte) {
 		n := int(order) % 48
-		m := NewSparse(n)
+		m := New(n)
 		for e := 0; n > 0 && 2*e+1 < len(data); e++ {
 			shape, b := data[2*e], data[2*e+1]
 			i, j := int(shape>>2)%n, int(b>>3)%n

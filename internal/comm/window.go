@@ -22,7 +22,7 @@ type Window struct {
 
 // NewWindow returns an empty window over n entities.
 func NewWindow(n int) *Window {
-	return &Window{cur: NewSparse(n)}
+	return &Window{cur: New(n)}
 }
 
 // AddSym accumulates one observed exchange of vol bytes between entities i
@@ -57,14 +57,8 @@ func (w *Window) Roll(decay float64) *Matrix {
 
 // zero clears every entry in place, keeping the allocated storage.
 func (m *Matrix) zero() {
-	if m.rows != nil {
-		for i := range m.rows {
-			m.rows[i].cols = m.rows[i].cols[:0]
-			m.rows[i].vals = m.rows[i].vals[:0]
-		}
-		return
-	}
-	for i := range m.v {
-		m.v[i] = 0
+	for i := range m.rows {
+		m.rows[i].cols = m.rows[i].cols[:0]
+		m.rows[i].vals = m.rows[i].vals[:0]
 	}
 }

@@ -59,9 +59,6 @@ func TestWindowRollBadDecayResets(t *testing.T) {
 
 func TestWindowRollInPlace(t *testing.T) {
 	w := NewWindow(3)
-	if !w.cur.IsSparse() {
-		t.Fatal("the window's backing matrix is dense")
-	}
 	w.AddSym(0, 1, 10)
 	col, val := &w.cur.rows[0].cols[0], &w.cur.rows[0].vals[0]
 	inPlace := func() bool { return &w.cur.rows[0].cols[0] == col && &w.cur.rows[0].vals[0] == val }

@@ -389,7 +389,7 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 	locations := append([]*Location(nil), rt.locations...)
 	rt.mu.Unlock()
 
-	m := comm.NewSparse(len(tasks))
+	m := comm.New(len(tasks))
 	for _, t := range tasks {
 		m.SetLabel(t.id, t.name)
 	}
@@ -446,7 +446,7 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 func (rt *Runtime) MeasuredCommMatrix() *comm.Matrix {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	m := comm.NewSparse(len(rt.tasks))
+	m := comm.New(len(rt.tasks))
 	for _, t := range rt.tasks {
 		for _, c := range t.traffic {
 			m.AddSym(c.from, t.id, c.total)

@@ -34,7 +34,7 @@ func interNodeCut(mach *numasim.Machine, m *comm.Matrix, taskPU []int) float64 {
 
 func TestHierarchicalValidAssignment(t *testing.T) {
 	mach := clusterMachine(t, 4, "pack:2 l3:1 core:6")
-	m := comm.Stencil2D(8, 6, 1000, 10) // 48 tasks on 48 cores
+	m := comm.Stencil2DSparse(8, 6, 1000, 10) // 48 tasks on 48 cores
 	a, err := Hierarchical{}.Assign(mach, m)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestHierarchicalValidAssignment(t *testing.T) {
 // across nodes.
 func TestHierarchicalBeatsFlatAndRR(t *testing.T) {
 	mach := clusterMachine(t, 4, "pack:2 l3:1 core:6")
-	m := comm.Stencil2D(8, 6, 1000, 10)
+	m := comm.Stencil2DSparse(8, 6, 1000, 10)
 
 	hier, err := Hierarchical{}.Assign(mach, m)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestHierarchicalBeatsFlatAndRR(t *testing.T) {
 
 func TestHierarchicalSingleMachineFallsBack(t *testing.T) {
 	mach := machine(t, "pack:2 l3:1 core:4")
-	m := comm.Stencil2D(4, 2, 1000, 10)
+	m := comm.Stencil2DSparse(4, 2, 1000, 10)
 	a, err := Hierarchical{}.Assign(mach, m)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestHierarchicalSingleMachineFallsBack(t *testing.T) {
 
 func TestHierarchicalOversubscription(t *testing.T) {
 	mach := clusterMachine(t, 2, "pack:1 l3:1 core:4")
-	m := comm.Stencil2D(4, 4, 1000, 10) // 16 tasks on 8 cores
+	m := comm.Stencil2DSparse(4, 4, 1000, 10) // 16 tasks on 8 cores
 	a, err := Hierarchical{}.Assign(mach, m)
 	if err != nil {
 		t.Fatal(err)

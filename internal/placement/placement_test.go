@@ -56,7 +56,7 @@ func TestPoliciesRequireMachine(t *testing.T) {
 
 func TestTreeMatchAssignClustersStencil(t *testing.T) {
 	mach := machine(t, "pack:4 l3:1 core:4 pu:1")
-	m := comm.Stencil2D(4, 4, 1000, 10)
+	m := comm.Stencil2DSparse(4, 4, 1000, 10)
 	a, err := TreeMatch{}.Assign(mach, m)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func TestAssignFreeSlotsRespectsSubset(t *testing.T) {
 	free[2] = all[2][:2]
 	free[3] = all[3]
 
-	m := comm.Stencil2D(3, 2, 64, 8)
+	m := comm.Stencil2DSparse(3, 2, 64, 8)
 	a, err := AssignFreeSlots(mach, m, free, treematch.Options{})
 	if err != nil {
 		t.Fatalf("AssignFreeSlots: %v", err)

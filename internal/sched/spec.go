@@ -170,7 +170,7 @@ func (s JobSpec) Matrix() (*comm.Matrix, error) {
 	}
 	switch kind {
 	case "ring":
-		return comm.Ring(s.Tasks, s.VolumeBytes).ToSparse(), nil
+		return comm.Ring(s.Tasks, s.VolumeBytes), nil
 	case "stencil":
 		return comm.Stencil2DSparse(int(a), int(b), s.VolumeBytes, s.VolumeBytes/8), nil
 	case "stencil@":
@@ -188,7 +188,7 @@ func (s JobSpec) Matrix() (*comm.Matrix, error) {
 // topology-aware scheduler arm from the slot-order arms.
 func scrambledStencil(w, h int, vol float64, seed int64) *comm.Matrix {
 	perm := rand.New(rand.NewSource(seed)).Perm(w * h)
-	m := comm.NewSparse(w * h)
+	m := comm.New(w * h)
 	id := func(x, y int) int { return perm[y*w+x] }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {

@@ -168,7 +168,7 @@ func checkBoundaryExact(t *testing.T, name string, m *comm.Matrix, groups [][]in
 // volumes, explicit stored zeros, vertices left isolated, and — small
 // integers half the time — plenty of exact cut and gain ties.
 func randomBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
-	m := comm.NewSparse(n)
+	m := comm.New(n)
 	integer := rng.Intn(2) == 0
 	val := func() float64 {
 		if integer {
@@ -221,7 +221,7 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 	// Both sides have maxD = 0, so the D-sum bound alone would call the pair
 	// hopeless, but the negative w(0, 3) makes swapping 0 and 3 gain 4: the
 	// bound must not fire while a recorded entry is negative.
-	mixed := comm.NewSparse(6)
+	mixed := comm.New(6)
 	for _, e := range []struct {
 		i, j int
 		v    float64
@@ -318,7 +318,7 @@ func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		m := comm.NewSparse(n)
+		m := comm.New(n)
 		at := func(i int) byte { return data[i%len(data)] }
 		for e := 0; 2*e+1 < len(data) && e < 6*n; e++ {
 			shape, b := at(2*e), at(2*e+1)

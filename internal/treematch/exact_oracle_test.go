@@ -250,14 +250,14 @@ func TestExactSearchMatchesOracle(t *testing.T) {
 			continue
 		}
 		dist := coreHops(t, node, cores)
-		pair := comm.NewSparse(2)
+		pair := comm.New(2)
 		pair.AddSym(0, 1, 7)
-		scrambled := comm.NewSparse(k)
+		scrambled := comm.New(k)
 		for i := 0; i < k; i++ {
 			scrambled.AddSym(i*3%k, (i*3+1)%k, float64(10+i))
 		}
 		for name, m := range map[string]*comm.Matrix{
-			"ring": comm.Ring(k, 100).ToSparse(), "pair+dummies": zeroPadded(t, pair, k), "scrambled": scrambled,
+			"ring": comm.Ring(k, 100), "pair+dummies": zeroPadded(t, pair, k), "scrambled": scrambled,
 		} {
 			fast, naive := requireOracle(t, name, dist, m, nil, nil)
 			pruned = pruned || fast < naive
@@ -449,7 +449,7 @@ func FuzzAssignByDistanceExact(f *testing.F) {
 		if mode&2 != 0 {
 			seeds = append(seeds, classedPerm(rand.New(rand.NewSource(int64(next()))), classes, classes, p))
 		}
-		m := comm.NewSparse(p)
+		m := comm.New(p)
 		for len(data) >= 3 {
 			i, j, v := next()%p, next()%p, next()
 			if i != j {

@@ -270,7 +270,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 	sizes := weightedSizes(p, caps)
 	passes := partitionRefinePasses
 	if p > multilevelMinOrder {
-		// Large instance: greedy seeding (heap-driven on sparse matrices)
+		// Large instance: greedy seeding (heap-driven on symmetric matrices)
 		// plus boundary-only refinement; the full-KL portfolio below is
 		// unaffordable at this order.
 		groups := greedySizedGroups(m, sizes)
@@ -360,12 +360,12 @@ func weightedSizes(p int, caps []int) []int {
 // has exactly sizes[g] members.
 //
 // Two implementations produce bit-identical groups: a heap-driven one that
-// only touches the neighbors of added members (O(nnz·log n), the one sparse
-// matrices need — the historical full-scan fill is O(p²) per group and
-// unusable at 100k tasks), and the full-scan one, kept for matrices the heap
-// argument does not cover (asymmetric or negative affinity).
+// only touches the neighbors of added members (O(nnz·log n) — the full-scan
+// fill is O(p²) per group and unusable at 100k tasks), and the full-scan
+// one, kept for matrices the heap argument does not cover (asymmetric or
+// negative affinity, which comm.Read accepts).
 func greedySizedGroups(m *comm.Matrix, sizes []int) [][]int {
-	if m.IsSparse() && symmetricNonNegative(m) {
+	if symmetricNonNegative(m) {
 		return greedySizedGroupsHeap(m, sizes)
 	}
 	return greedySizedGroupsScan(m, sizes)

@@ -347,13 +347,8 @@ type cutRanker struct {
 // in the global (row, column) order a per-pair map would have.
 func (c *cutRanker) rank(m *comm.Matrix, group []int32, k int) []cutRec {
 	if c.end == nil {
-		// Every cross-group entry is a nonzero; a dense matrix would pay a
-		// sweep to count them, so it grows the buffer instead.
-		hint := m.Order()
-		if m.IsSparse() {
-			hint = m.NNZ()
-		}
-		c.end, c.slot, c.recs = make([]int32, k+1), make([]int32, k), make([]cutRec, 0, hint)
+		// Every cross-group entry is a nonzero.
+		c.end, c.slot, c.recs = make([]int32, k+1), make([]int32, k), make([]cutRec, 0, m.NNZ())
 	}
 	recs := c.recs[:0]
 	for i := 0; i < m.Order(); i++ {

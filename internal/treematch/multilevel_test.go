@@ -8,7 +8,7 @@ import (
 	"repro/internal/comm"
 )
 
-// partitionShapes are the ≤256-entity inputs the sparse/dense bit-equality
+// partitionShapes are the ≤256-entity inputs the heap/scan bit-equality
 // guarantee is pinned on: every existing generator family, odd and even k,
 // padded and unpadded orders.
 func partitionShapes() []struct {
@@ -21,9 +21,9 @@ func partitionShapes() []struct {
 		m    *comm.Matrix
 		k    int
 	}{
-		{"stencil16x16-k4", comm.Stencil2D(16, 16, 64, 8), 4},
-		{"stencil8x8-k2", comm.Stencil2D(8, 8, 64, 8), 2},
-		{"stencil5x7-k3-padded", comm.Stencil2D(5, 7, 100, 10), 3},
+		{"stencil16x16-k4", comm.Stencil2DSparse(16, 16, 64, 8), 4},
+		{"stencil8x8-k2", comm.Stencil2DSparse(8, 8, 64, 8), 2},
+		{"stencil5x7-k3-padded", comm.Stencil2DSparse(5, 7, 100, 10), 3},
 		{"ring64-k8", comm.Ring(64, 3), 8},
 		{"alltoall32-k4", allToAll(32, 2), 4},
 		{"random100-k5", comm.Random(100, 0.15, 1000, 42), 5},
@@ -33,52 +33,50 @@ func partitionShapes() []struct {
 	}
 }
 
-// TestPartitionAcrossSparseDenseBitEqual pins the acceptance criterion:
-// the sparse path produces bit-identical partitions to the dense path on
-// every existing test shape.
+// checkHeapMatchesScan requires greedySizedGroupsHeap to return exactly the
+// groups of greedySizedGroupsScan, member order included. greedySizedGroups
+// picks the heap for every symmetric non-negative matrix and the scan for the
+// rest, so the scan is the heap's oracle.
+func checkHeapMatchesScan(t *testing.T, name string, m *comm.Matrix, sizes []int) {
+	t.Helper()
+	if !symmetricNonNegative(m) {
+		t.Fatalf("%s: outside the heap's precondition", name)
+	}
+	heap, scan := greedySizedGroupsHeap(m, sizes), greedySizedGroupsScan(m, sizes)
+	if !reflect.DeepEqual(heap, scan) {
+		t.Errorf("%s sizes %v: heap fill differs from the scan\nheap: %v\nscan: %v", name, sizes, heap, scan)
+	}
+}
+
+// TestPartitionAcrossSparseDenseBitEqual holds the heap fill to the scan
+// fill on the sizes PartitionAcross seeds with: k equal groups over the
+// zero-padded matrix.
 func TestPartitionAcrossSparseDenseBitEqual(t *testing.T) {
 	for _, sh := range partitionShapes() {
-		dg, err := PartitionAcross(sh.m, sh.k, Options{})
+		per := (sh.m.Order() + sh.k - 1) / sh.k
+		work, err := sh.m.ExtendZero(per * sh.k)
 		if err != nil {
-			t.Fatalf("%s dense: %v", sh.name, err)
+			t.Fatal(err)
 		}
-		sg, err := PartitionAcross(sh.m.ToSparse(), sh.k, Options{})
-		if err != nil {
-			t.Fatalf("%s sparse: %v", sh.name, err)
-		}
-		if !reflect.DeepEqual(dg, sg) {
-			t.Errorf("%s: sparse partition differs from dense\ndense:  %v\nsparse: %v", sh.name, dg, sg)
-		}
+		checkHeapMatchesScan(t, sh.name, work, equalSizes(sh.k, per))
 	}
 }
 
+// TestPartitionAcrossWeightedSparseDenseBitEqual is the same check on the
+// sizes PartitionAcrossWeighted apportions to unequal capacities.
 func TestPartitionAcrossWeightedSparseDenseBitEqual(t *testing.T) {
-	caps := [][]int{
-		{8, 4, 4, 2},
-		{16, 8},
-		{3, 3, 3}, // equal: PartitionAcross path
-		{5, 7, 11},
-	}
 	for _, sh := range partitionShapes() {
-		if sh.m.Order() > 101 {
-			continue // the weighted portfolio re-runs full KL per cap set; keep CI fast
-		}
-		for ci, cap := range caps {
-			dg, err := PartitionAcrossWeighted(sh.m, cap, Options{})
-			if err != nil {
-				t.Fatalf("%s caps%d dense: %v", sh.name, ci, err)
-			}
-			sg, err := PartitionAcrossWeighted(sh.m.ToSparse(), cap, Options{})
-			if err != nil {
-				t.Fatalf("%s caps%d sparse: %v", sh.name, ci, err)
-			}
-			if !reflect.DeepEqual(dg, sg) {
-				t.Errorf("%s caps %v: sparse weighted partition differs from dense", sh.name, cap)
-			}
+		for _, caps := range [][]int{{8, 4, 4, 2}, {16, 8}, {5, 7, 11}, {1, 30}, {3, 1, 1, 1, 1, 9}} {
+			checkHeapMatchesScan(t, sh.name, sh.m, weightedSizes(sh.m.Order(), caps))
 		}
 	}
 }
 
+// TestGroupProcessesSparseDenseBitEqual is the same check on GroupProcesses'
+// groups of a, and on the aggregated matrix they induce, whose diagonal
+// carries the intra-group volume — when it is exactly symmetric: summing
+// non-integer volumes in another order can leave cells (a,b) and (b,a) a
+// rounding apart, and such a matrix takes the scan.
 func TestGroupProcessesSparseDenseBitEqual(t *testing.T) {
 	for _, sh := range partitionShapes() {
 		p := sh.m.Order()
@@ -86,10 +84,17 @@ func TestGroupProcessesSparseDenseBitEqual(t *testing.T) {
 			if p%a != 0 {
 				continue
 			}
-			dg := GroupProcesses(sh.m, a, 2)
-			sg := GroupProcesses(sh.m.ToSparse(), a, 2)
-			if !reflect.DeepEqual(dg, sg) {
-				t.Errorf("%s a=%d: sparse GroupProcesses differs from dense", sh.name, a)
+			name := fmt.Sprintf("%s a=%d", sh.name, a)
+			checkHeapMatchesScan(t, name, sh.m, equalSizes(p/a, a))
+			if p/a%2 != 0 {
+				continue
+			}
+			agg, err := sh.m.Aggregate(GroupProcesses(sh.m, a, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if symmetricNonNegative(agg) {
+				checkHeapMatchesScan(t, name+" aggregated", agg, equalSizes(p/a/2, 2))
 			}
 		}
 	}
@@ -196,7 +201,7 @@ func TestHeavyEdgeMatchingIsPerfect(t *testing.T) {
 	for _, m := range []*comm.Matrix{
 		comm.Stencil2DSparse(8, 8, 64, 8),
 		comm.RandomSparse(100, 2, 10, 1),
-		comm.NewSparse(10), // all isolated: leftover pairing only
+		comm.New(10), // all isolated: leftover pairing only
 	} {
 		pairs := heavyEdgeMatching(m)
 		n := m.Order()
@@ -250,18 +255,4 @@ func BenchmarkPartitionAcrossSparse(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkPartitionAcrossDense(b *testing.B) {
-	// Same workload in dense storage: quantifies what the sparse
-	// representation saves at identical partition quality (the two paths
-	// are bit-identical).
-	m := comm.Stencil2D(72, 72, 64, 8)
-	b.Run("order5184", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := PartitionAcross(m, 8, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

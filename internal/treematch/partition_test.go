@@ -64,7 +64,7 @@ func TestPartitionAcrossLattice(t *testing.T) {
 	// An 8x4 lattice with uniform edges: the optimal 4-way partition cuts
 	// 12 edges (4 vertical 2x4 stripes). The portfolio partitioner must
 	// find a 12-edge cut.
-	m := comm.Stencil2D(8, 4, 1000, 0)
+	m := comm.Stencil2DSparse(8, 4, 1000, 0)
 	groups, err := PartitionAcross(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func TestPartitionAcrossDegenerate(t *testing.T) {
 // drives the identical portfolio through the same scorer one by one.)
 func TestPartitionAcrossConcurrentMatchesSequential(t *testing.T) {
 	matrices := map[string]*comm.Matrix{
-		"lattice8x8": comm.Stencil2D(8, 8, 100, 0),
-		"lattice6x4": comm.Stencil2D(6, 4, 100, 10),
+		"lattice8x8": comm.Stencil2DSparse(8, 8, 100, 0),
+		"lattice6x4": comm.Stencil2DSparse(6, 4, 100, 10),
 		"ring30":     comm.Ring(30, 64),
 		"random24":   comm.Random(24, 0.4, 1000, 7),
 		"random36":   comm.Random(36, 0.25, 512, 11),

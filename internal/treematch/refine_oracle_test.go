@@ -88,15 +88,12 @@ func equalSizes(k, a int) []int {
 	return sizes
 }
 
-// randomRefineMatrix draws the shapes the kernel has to stay exact on: either
-// storage mode, one-directional and mirrored entries, negative volumes,
-// explicit stored zeros, and — values being small integers half the time —
+// randomRefineMatrix draws the shapes the kernel has to stay exact on:
+// one-directional and mirrored entries, negative volumes, explicit stored
+// zeros, and — values being small integers half the time —
 // plenty of exact gain ties.
 func randomRefineMatrix(rng *rand.Rand, n int) *comm.Matrix {
 	m := comm.New(n)
-	if rng.Intn(2) == 0 {
-		m = comm.NewSparse(n)
-	}
 	density := []float64{0.05, 0.2, 0.6, 1}[rng.Intn(4)]
 	integer, negative := rng.Intn(2) == 0, rng.Intn(3) == 0
 	val := func() float64 {
@@ -117,7 +114,7 @@ func randomRefineMatrix(rng *rand.Rand, n int) *comm.Matrix {
 			switch rng.Intn(4) {
 			case 0: // one direction only
 				m.Set(i, j, val())
-			case 1: // stored, then zeroed: an explicit zero in sparse mode
+			case 1: // stored, then zeroed: an explicit stored zero
 				m.Set(i, j, val())
 				m.Set(i, j, 0)
 			case 2: // cancels its mirror exactly
@@ -153,8 +150,8 @@ func TestRefineGroupsMatchesOracle(t *testing.T) {
 		{"dense random", comm.Random(24, 0.5, 2048, 3), equalSizes(4, 6)},
 		{"dense all-to-all", allToAll(12, 7), equalSizes(3, 4)},
 		{"ring", comm.Ring(30, 5), equalSizes(5, 6)},
-		{"stencil 6x6 dense", comm.Stencil2D(6, 6, 64, 8), equalSizes(4, 9)},
-		{"stencil 8x8 sparse", comm.Stencil2DSparse(8, 8, 64, 8), equalSizes(8, 8)},
+		{"stencil 6x6", comm.Stencil2DSparse(6, 6, 64, 8), equalSizes(4, 9)},
+		{"stencil 8x8", comm.Stencil2DSparse(8, 8, 64, 8), equalSizes(8, 8)},
 		{"stencil 12x12 pairs", comm.Stencil2DSparse(12, 12, 64, 8), equalSizes(72, 2)},
 		{"random sparse", comm.RandomSparse(96, 4, 1000, 5), equalSizes(12, 8)},
 		{"bisection shape", comm.RandomSparse(128, 6, 1000, 9), equalSizes(2, 64)},
@@ -192,7 +189,7 @@ func TestRefineGroupsMatchesOracle(t *testing.T) {
 // with no edge between it still swaps: members that are repelled by their own
 // group gain by leaving it, whoever they are traded for.
 func TestRefineGroupsNegativeOwnSums(t *testing.T) {
-	m := comm.NewSparse(8)
+	m := comm.New(8)
 	m.AddSym(0, 1, -5)
 	m.AddSym(4, 5, -3)
 	m.AddSym(2, 3, 1)
@@ -223,18 +220,15 @@ func TestRefineGroupsQuick(t *testing.T) {
 // gain ties, cancelling mirrors and explicit zeros are all one mutation away)
 // and a partition, and requires the kernel and the oracle to agree.
 func FuzzRefineGroupsExact(f *testing.F) {
-	f.Add(uint8(9), uint8(3), true, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add(uint8(12), uint8(2), false, []byte{0x13, 0xf2, 0x21, 0x07, 0x33, 0x81, 0x40, 0x02})
-	f.Add(uint8(16), uint8(5), true, []byte{0xff, 0x01, 0x80, 0x7f, 0x10, 0x20, 0x30, 0x41, 0x52, 0x63})
-	f.Fuzz(func(t *testing.T, order, k uint8, sparse bool, data []byte) {
+	f.Add(uint8(9), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(uint8(12), uint8(2), []byte{0x13, 0xf2, 0x21, 0x07, 0x33, 0x81, 0x40, 0x02})
+	f.Add(uint8(16), uint8(5), []byte{0xff, 0x01, 0x80, 0x7f, 0x10, 0x20, 0x30, 0x41, 0x52, 0x63})
+	f.Fuzz(func(t *testing.T, order, k uint8, data []byte) {
 		n, ng := 2+int(order)%23, 2+int(k)%5
 		if len(data) == 0 {
 			return
 		}
 		m := comm.New(n)
-		if sparse {
-			m = comm.NewSparse(n)
-		}
 		at := func(i int) byte { return data[i%len(data)] }
 		for e := 0; 2*e+1 < len(data) && e < 4*n; e++ {
 			shape, b := at(2*e), at(2*e+1)

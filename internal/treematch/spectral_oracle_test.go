@@ -151,8 +151,8 @@ func (ps *fiedlerPaths) checkSplits(t *testing.T, name string, m *comm.Matrix) {
 // signs, and values whose degree sums overflow or vanish.
 var fiedlerWeights = []float64{0, 1, -1, 2, 3, 0.5, -0.25, 7, 64, 4096, 1e-300, 1e300, -1e300, math.MaxFloat64, 1e10, -8}
 
-// FuzzFiedlerVector decodes an order up to 24 (the high bit of the first
-// byte picks dense storage) and then one entry per three bytes (row, column,
+// FuzzFiedlerVector decodes an order up to 24 (the low seven bits of the
+// first byte) and then one entry per three bytes (row, column,
 // weight index), and requires fiedlerVector to match the oracle. The seeds
 // reach each path: a fixed point, an alternation that starts on either
 // parity, and all 400 sweeps.
@@ -168,10 +168,7 @@ func FuzzFiedlerVector(f *testing.F) {
 			return
 		}
 		n := int(data[0]&0x7f) % 25
-		m := comm.NewSparse(n)
-		if data[0]&0x80 != 0 {
-			m = comm.New(n)
-		}
+		m := comm.New(n)
 		for rec := data[1:]; len(rec) >= 3 && n > 0; rec = rec[3:] {
 			m.Set(int(rec[0])%n, int(rec[1])%n, fiedlerWeights[int(rec[2])%len(fiedlerWeights)])
 		}
@@ -250,21 +247,16 @@ func TestSpectralMemoMatchesFresh(t *testing.T) {
 }
 
 // TestSpectralAllocs pins the scratch the recursion shares: a sized spectral
-// partition of a 16-task stencil, three Fiedler calls, allocates 45 times
-// (41 dense), where building each call its own adjacency and vectors took 66
-// (62).
+// partition of a 16-task stencil, three Fiedler calls, allocates 45 times,
+// where building each call its own adjacency and vectors took 66.
 func TestSpectralAllocs(t *testing.T) {
-	for _, c := range []struct {
-		m     *comm.Matrix
-		limit float64
-	}{{comm.Stencil2DSparse(4, 4, 64, 8), 45}, {comm.Stencil2D(4, 4, 64, 8), 41}} {
-		run := func() {
-			if _, err := spectralPartitionSized(c.m, identityIDs(16), []int{5, 4, 4, 3}, nil, new(spectralScratch)); err != nil {
-				t.Fatal(err)
-			}
+	m := comm.Stencil2DSparse(4, 4, 64, 8)
+	run := func() {
+		if _, err := spectralPartitionSized(m, identityIDs(16), []int{5, 4, 4, 3}, nil, new(spectralScratch)); err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(20, run); allocs > c.limit {
-			t.Errorf("sparse=%v: %v allocations per sized partition, want <= %v", c.m.IsSparse(), allocs, c.limit)
-		}
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs > 45 {
+		t.Errorf("%v allocations per sized partition, want <= 45", allocs)
 	}
 }

@@ -222,7 +222,7 @@ func TestTreeMatchBeatsRoundRobinOnStencil(t *testing.T) {
 	// The paper's claim in miniature: for a stencil matrix on a NUMA-ish
 	// tree, TreeMatch must cut the hop-weighted cost well below round-robin.
 	tree := mustTree(t, 4, 4) // 4 sockets × 4 cores
-	m := comm.Stencil2D(4, 4, 1000, 10)
+	m := comm.Stencil2DSparse(4, 4, 1000, 10)
 	mp, err := MapMatrix(tree, m, Options{})
 	if err != nil {
 		t.Fatalf("MapMatrix: %v", err)

@@ -14,7 +14,7 @@ import (
 // energy barrier, and coarsening stops at a center-block optimum (180); the
 // spectral-bisection candidate must reach the quadrant cut.
 func TestPartitionAcrossQuadrants(t *testing.T) {
-	m := comm.Stencil2D(8, 8, 1, 0)
+	m := comm.Stencil2DSparse(8, 8, 1, 0)
 	groups, err := PartitionAcross(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestPartitionAcrossWeighted(t *testing.T) {
 }
 
 func TestPartitionAcrossWeightedEqualMatchesUnweighted(t *testing.T) {
-	m := comm.Stencil2D(8, 4, 1000, 0)
+	m := comm.Stencil2DSparse(8, 4, 1000, 0)
 	w, err := PartitionAcrossWeighted(m, []int{6, 6, 6, 6}, Options{})
 	if err != nil {
 		t.Fatal(err)
