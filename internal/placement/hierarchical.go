@@ -116,18 +116,35 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 			partCaps[i] = 1
 		}
 	}
-	groups, groupMatrix, err := treematch.PartitionAcrossWeightedMatrix(m, partCaps, p.Options)
+	groups, err := treematch.PartitionAcrossWeighted(m, partCaps, p.Options)
 	if err != nil {
 		return nil, err
 	}
 
-	// Level 2: decide which cluster node each group runs on.
-	nodeOf, err := p.matchFabric(topo, groupMatrix, partCaps, caps)
-	if err != nil {
-		return nil, fmt.Errorf("placement: hierarchical fabric matching: %w", err)
+	// Level 2: decide which cluster node each group runs on. A flat
+	// single-switch fabric skips the matching (every group→node assignment
+	// prices alike), and the positional order keeps A9 and older results
+	// bit-stable. The group-to-group matrix is built only for the stages
+	// that read it.
+	nodeOf := make([]int, len(groups))
+	for g := range nodeOf {
+		nodeOf[g] = g
 	}
-	if p.SpreadDomains && topo.NumRacks() > 1 && topo.FabricGraph() != nil {
-		spreadCriticalPair(mach, topo, groupMatrix, partCaps, nodeOf)
+	match := !p.NoFabricMatch && (topo.NumRacks() > 1 || topo.NumPods() > 1 || topo.FabricShape() != nil)
+	spread := p.SpreadDomains && topo.NumRacks() > 1 && topo.FabricGraph() != nil
+	if match || spread {
+		groupMatrix, err := m.Aggregate(groups)
+		if err != nil {
+			return nil, err
+		}
+		if match {
+			if nodeOf, err = p.matchFabric(topo, groupMatrix, nodeOf, partCaps, caps); err != nil {
+				return nil, fmt.Errorf("placement: hierarchical fabric matching: %w", err)
+			}
+		}
+		if spread {
+			spreadCriticalPair(mach, topo, groupMatrix, partCaps, nodeOf)
+		}
 	}
 
 	a := &Assignment{
@@ -259,20 +276,12 @@ func nodeCores(mach *numasim.Machine) (caps, coreBase []int) {
 //   - a shaped (torus, dragonfly) fabric or an uneven tree, which admit no
 //     balanced abstract tree, go to matchGroups under the fabric graph's
 //     routed latencies, with the space-filling-curve embedding as a seed
-//     candidate on a torus without classes; TreeFabric skips these.
+//     candidate on a torus without classes; TreeFabric skips these and
+//     returns positional, the group→node identity.
 //
-// On a flat single-switch fabric every group→node assignment prices
-// identically, so the matching is skipped and the positional order keeps A9
-// and older results bit-stable.
-func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int) ([]int, error) {
-	positional := make([]int, groupMatrix.Order())
-	for g := range positional {
-		positional[g] = g
-	}
+// Assign calls it only off a flat single-switch fabric.
+func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Matrix, positional, groupCaps, nodeCaps []int) ([]int, error) {
 	shape := topo.FabricShape()
-	if p.NoFabricMatch || (topo.NumRacks() <= 1 && topo.NumPods() <= 1 && shape == nil) {
-		return positional, nil
-	}
 	var fabricTree *treematch.Tree
 	if shape == nil {
 		tree, err := treematch.FabricTree(topo)

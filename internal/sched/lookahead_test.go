@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -95,5 +96,31 @@ func TestRunJoinsLookahead(t *testing.T) {
 			t.Fatalf("%d cores free after the failed Run, want 4: it failed on another job than the fourth", free)
 		}
 		check("a Run that failed mid-stream")
+	}
+}
+
+// TestReseededMatrixMatchesFresh builds scrambled stencils the way the
+// lookahead does — one generator, re-seeded per job and left mid-stream
+// between jobs — and requires each to equal JobSpec.Matrix's build from a
+// fresh source, a repeated seed and a plain stencil included.
+func TestReseededMatrixMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(0))
+	for i, p := range []struct {
+		tasks   int
+		pattern string
+	}{{16, "stencil:4x4@3"}, {15, "stencil:3x5@7"}, {16, "stencil:8x2@11"}, {6, "stencil:3x2"}, {16, "stencil:4x4@3"}} {
+		spec := JobSpec{Name: fmt.Sprintf("j%d", i), Tasks: p.tasks, Pattern: p.pattern, VolumeBytes: 64}
+		got, err := spec.matrix(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := spec.Matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the re-seeded generator's matrix differs from a fresh source's", p.pattern)
+		}
+		rng.Int63() // leave the source mid-stream for the next job
 	}
 }

@@ -143,7 +143,8 @@ func (r *runLoop) backfill(head *jobState) error {
 //   - the machine holds enough total free slots for the head, so every
 //     victim can re-place immediately after the head binds — eviction
 //     trades the head's long wait for the victims' migration bills, never
-//     for a second queue stall;
+//     for a second queue stall (intervene's free-total gate checks this
+//     before either attempt runs);
 //   - the head's modeled wait saving (its earliest feasible start without
 //     intervention) exceeds the victims' estimated checkpoint/respawn bill.
 //
@@ -156,9 +157,6 @@ func (r *runLoop) preemptAttempt(head *jobState) (bool, error) {
 	}
 	if head.spec.Required == "" || head.spec.Priority <= 0 {
 		return false, nil
-	}
-	if s.cap.FreeTotal() < head.spec.Tasks {
-		return false, nil // victims could not all restart right away
 	}
 	tiers, err := s.tierLadder(head.spec)
 	if err != nil {

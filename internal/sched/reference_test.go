@@ -289,7 +289,7 @@ func (r *refSched) finishPlacement(m *comm.Matrix, taskPU []int, tier topology.K
 		})
 	}
 	return &placementResult{cores: cores, taskPU: append([]int(nil), taskPU...), comm: commCycles,
-		tier: tierName(tier), domain: d, nodes: len(nodes)}, false, nil
+		tier: tierNames[tier], domain: d, nodes: len(nodes)}, false, nil
 }
 
 func (r *refSched) infeasible(spec JobSpec) string {
@@ -315,7 +315,7 @@ func (r *refSched) infeasible(spec JobSpec) string {
 		}
 	}
 	if spec.Tasks > max {
-		return fmt.Sprintf("%d tasks exceed the %d-core capacity of every %s domain", spec.Tasks, max, tierName(widest))
+		return fmt.Sprintf("%d tasks exceed the %d-core capacity of every %s domain", spec.Tasks, max, tierNames[widest])
 	}
 	return ""
 }
@@ -962,51 +962,64 @@ func FuzzSchedulerRun(f *testing.F) {
 	for _, bits := range []byte{0x24, 0x54, 0xfc} {
 		f.Add(append([]byte{0x0d, bits}, split...))
 	}
+	// A head blocked one free core short of its task count, and one blocked
+	// with exactly its task count free (intervene's free-total gate).
+	for _, c := range gateBoundaryCases {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
-			return
+		if spec, opts, jobs, ok := decodeFuzzRun(data); ok {
+			diffAgainstReference(t, spec, opts, jobs)
 		}
-		shape, bits := data[0], data[1]
-		pods, racks := 1+int(shape>>5)%2, 1+int(shape>>3)%2
-		nodes, cores := 1+int(shape>>1)%3, 2+int(shape)%2*2
-		spec := fmt.Sprintf("rack:%d node:%d pack:1 core:%d pu:1", racks, nodes, cores)
-		if pods > 1 {
-			spec = fmt.Sprintf("pod:%d %s", pods, spec)
-		}
-		total := pods * racks * nodes * cores
-		opts := Options{
-			Policy:   Policy(int(bits) % 3),
-			Fit:      Fit(bits >> 2 & 1),
-			Queue:    QueuePolicy(bits >> 3 & 1),
-			Backfill: bits&0x10 != 0, Preempt: bits&0x20 != 0, Defrag: bits&0x40 != 0,
-		}
-		if bits&0x80 != 0 {
-			opts.DefragThreshold = 0.3
-		}
-		tiers := []string{"", "node", "rack", "pod", "machine"}
-		var jobs []JobSpec
-		arrive := 0.0
-		for i, rec := 0, data[2:]; len(rec) >= 5 && i < 24; i, rec = i+1, rec[5:] {
-			// Arrivals and work sit on a 1e4-cycle grid so that windows
-			// and services can meet exactly.
-			arrive += float64(rec[0]%8) * 1e4
-			tasks := 1 + int(rec[2])%min(total, 12)
-			j := JobSpec{
-				Name: fmt.Sprintf("j%02d", i), ArriveCycles: arrive, WorkCycles: float64(rec[1]) * 1e4, Tasks: tasks,
-				VolumeBytes: float64(rec[3]>>2) * 256, Priority: int(rec[4]>>6) % 3,
-				Required: tiers[int(rec[4])%5], Preferred: tiers[int(rec[4]>>3)%3],
-			}
-			switch rec[3] % 3 {
-			case 1:
-				j.Pattern = fmt.Sprintf("stencil:%dx1@%d", tasks, rec[0])
-			case 2:
-				j.Pattern = fmt.Sprintf("random:%d@%d", 1+int(rec[2]>>4)%tasks, rec[1])
-			}
-			if j.Validate() != nil {
-				j.Preferred = ""
-			}
-			jobs = append(jobs, j)
-		}
-		diffAgainstReference(t, spec, opts, jobs)
 	})
+}
+
+// decodeFuzzRun decodes FuzzSchedulerRun's input: a platform shape byte, an
+// option byte, then five bytes per job (at most 24 jobs). ok is false when
+// the input is too short to name a platform.
+func decodeFuzzRun(data []byte) (spec string, opts Options, jobs []JobSpec, ok bool) {
+	if len(data) < 2 {
+		return "", Options{}, nil, false
+	}
+	shape, bits := data[0], data[1]
+	pods, racks := 1+int(shape>>5)%2, 1+int(shape>>3)%2
+	nodes, cores := 1+int(shape>>1)%3, 2+int(shape)%2*2
+	spec = fmt.Sprintf("rack:%d node:%d pack:1 core:%d pu:1", racks, nodes, cores)
+	if pods > 1 {
+		spec = fmt.Sprintf("pod:%d %s", pods, spec)
+	}
+	total := pods * racks * nodes * cores
+	opts = Options{
+		Policy:   Policy(int(bits) % 3),
+		Fit:      Fit(bits >> 2 & 1),
+		Queue:    QueuePolicy(bits >> 3 & 1),
+		Backfill: bits&0x10 != 0, Preempt: bits&0x20 != 0, Defrag: bits&0x40 != 0,
+	}
+	if bits&0x80 != 0 {
+		opts.DefragThreshold = 0.3
+	}
+	tiers := []string{"", "node", "rack", "pod", "machine"}
+	arrive := 0.0
+	for i, rec := 0, data[2:]; len(rec) >= 5 && i < 24; i, rec = i+1, rec[5:] {
+		// Arrivals and work sit on a 1e4-cycle grid so that windows
+		// and services can meet exactly.
+		arrive += float64(rec[0]%8) * 1e4
+		tasks := 1 + int(rec[2])%min(total, 12)
+		j := JobSpec{
+			Name: fmt.Sprintf("j%02d", i), ArriveCycles: arrive, WorkCycles: float64(rec[1]) * 1e4, Tasks: tasks,
+			VolumeBytes: float64(rec[3]>>2) * 256, Priority: int(rec[4]>>6) % 3,
+			Required: tiers[int(rec[4])%5], Preferred: tiers[int(rec[4]>>3)%3],
+		}
+		switch rec[3] % 3 {
+		case 1:
+			j.Pattern = fmt.Sprintf("stencil:%dx1@%d", tasks, rec[0])
+		case 2:
+			j.Pattern = fmt.Sprintf("random:%d@%d", 1+int(rec[2]>>4)%tasks, rec[1])
+		}
+		if j.Validate() != nil {
+			j.Preferred = ""
+		}
+		jobs = append(jobs, j)
+	}
+	return spec, opts, jobs, true
 }

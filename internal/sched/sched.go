@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 
@@ -146,6 +147,10 @@ type Scheduler struct {
 	coreOfPU map[int]int
 	// nodeCores counts the total core slots of every cluster node.
 	nodeCores []int
+	// tryPlaces and placements count one Run's probe work: tryPlace calls,
+	// and engine placements (misses of placeAware's layout memo). Run
+	// resets them; they measure the work without a host clock.
+	tryPlaces, placements int
 }
 
 // New builds a scheduler for the machine.
@@ -299,6 +304,7 @@ const lookaheadWindow = 16
 // the loop frees as it consumes the arrival; stop ends the walk.
 func (s *Scheduler) lookahead(order []*jobState, window chan<- struct{}, stop <-chan struct{}) {
 	var warm treematch.SpectralWarmer
+	rng := rand.New(rand.NewSource(0)) // re-seeded for every scrambled stencil
 	for _, j := range order {
 		select {
 		case window <- struct{}{}:
@@ -306,7 +312,7 @@ func (s *Scheduler) lookahead(order []*jobState, window chan<- struct{}, stop <-
 			return
 		}
 		if j.reason == "" {
-			j.m, j.err = j.spec.Matrix()
+			j.m, j.err = j.spec.matrix(rng)
 			if j.err == nil && s.opts.Policy == TopoAware {
 				warm.Warm(&j.spectral, j.m)
 			}
@@ -435,8 +441,9 @@ func (r *runLoop) depart(d departure) error {
 // drain places as much of the FIFO queue as capacity allows. When the head
 // is blocked the phase-2 policies get a shot in escalating order of cost:
 // defragment (move one running job, nobody loses time unpaid), preempt
-// (evict strictly-lower-priority jobs, they pay checkpoint/respawn), and
-// finally backfill jobs that provably cannot delay the head.
+// (evict strictly-lower-priority jobs, they pay checkpoint/respawn) — both
+// behind intervene's free-total gate — and finally backfill jobs that
+// provably cannot delay the head.
 func (r *runLoop) drain() error {
 	for len(r.queue) > 0 {
 		j := r.queue[0]
@@ -452,19 +459,12 @@ func (r *runLoop) drain() error {
 				r.queue = r.queue[1:]
 				continue
 			}
-			moved, err := r.defragAttempt(j)
-			if err != nil {
-				return err
-			}
-			if moved {
-				continue // compaction opened the head's domain: retry it
-			}
-			opened, err := r.preemptAttempt(j)
+			opened, err := r.intervene(j)
 			if err != nil {
 				return err
 			}
 			if opened {
-				continue // eviction opened the head's domain: retry it
+				continue // compaction or eviction opened the head's domain: retry it
 			}
 			if r.s.opts.Backfill {
 				if err := r.backfill(j); err != nil {
@@ -481,6 +481,25 @@ func (r *runLoop) drain() error {
 	return nil
 }
 
+// intervene runs the blocked head's defrag, then its preemption attempt,
+// behind one free-total gate. A running job holds one core per task, so
+// releasing a candidate v adds T_v free cores and binding the head takes
+// T_h: FreeTotal + T_v − T_h cores remain, fewer than T_v exactly when
+// FreeTotal < T_h. Then no defrag candidate can re-place, and no preemption
+// victim could restart at once, so neither attempt can commit and both are
+// skipped unprobed. A head whose matrix fails still fails Run with the same
+// error, read when the head is finally placed.
+func (r *runLoop) intervene(head *jobState) (bool, error) {
+	if r.s.cap.FreeTotal() < head.spec.Tasks {
+		return false, nil
+	}
+	moved, err := r.defragAttempt(head)
+	if err != nil || moved {
+		return moved, err
+	}
+	return r.preemptAttempt(head)
+}
+
 // Run replays the workload stream through the event loop and returns the
 // report. Jobs are admitted FIFO in arrival order (ties broken by input
 // order); the virtual clock advances from arrival to departure events and
@@ -489,6 +508,7 @@ func (r *runLoop) drain() error {
 // the loop; Run stops and joins it before returning.
 func (s *Scheduler) Run(jobs []JobSpec) (*Report, error) {
 	rep := &Report{Policy: s.opts.Policy.String(), Jobs: make([]JobStat, len(jobs))}
+	s.tryPlaces, s.placements = 0, 0
 	states := make([]*jobState, len(jobs))
 	for i, spec := range jobs {
 		if err := spec.Validate(); err != nil {
@@ -616,7 +636,7 @@ func (s *Scheduler) infeasible(spec JobSpec) string {
 		}
 	}
 	if spec.Tasks > max {
-		return fmt.Sprintf("%d tasks exceed the %d-core capacity of every %s domain", spec.Tasks, max, tierName(widest))
+		return fmt.Sprintf("%d tasks exceed the %d-core capacity of every %s domain", spec.Tasks, max, tierNames[widest])
 	}
 	return ""
 }
@@ -630,39 +650,22 @@ func (s *Scheduler) domainCapacity(tier topology.Kind, d int) int {
 	return total
 }
 
-// tierName maps a topology kind back to the constraint grammar's name.
-func tierName(k topology.Kind) string {
-	switch k {
-	case topology.Cluster:
-		return "node"
-	case topology.Rack:
-		return "rack"
-	case topology.Pod:
-		return "pod"
-	}
-	return "machine"
-}
+// tierNames maps each fabric tier to the constraint grammar's name.
+var tierNames = map[topology.Kind]string{topology.Cluster: "node", topology.Rack: "rack", topology.Pod: "pod", topology.Machine: "machine"}
 
 // tierKind resolves a constraint tier name against the platform, erroring on
 // tiers the platform does not have.
 func (s *Scheduler) tierKind(name string) (topology.Kind, error) {
-	var k topology.Kind
-	switch name {
-	case "node":
-		k = topology.Cluster
-	case "rack":
-		k = topology.Rack
-	case "pod":
-		k = topology.Pod
-	case "machine", "":
+	if name == "" {
 		return topology.Machine, nil
-	default:
-		return 0, fmt.Errorf("unknown tier %q", name)
 	}
-	for _, have := range s.topo.DomainTiers() {
-		if have == k {
+	for _, k := range s.topo.DomainTiers() {
+		if tierNames[k] == name {
 			return k, nil
 		}
+	}
+	if _, ok := tierWidth[name]; !ok {
+		return 0, fmt.Errorf("unknown tier %q", name)
 	}
 	return 0, fmt.Errorf("platform has no %s tier", name)
 }
@@ -719,6 +722,7 @@ type placementResult struct {
 // allowed domain currently fits: full distinguishes "no capacity in the
 // allowed tiers" for the queue policy.
 func (s *Scheduler) tryPlace(j *jobState) (*placementResult, bool, error) {
+	s.tryPlaces++
 	spec := j.spec
 	switch s.opts.Policy {
 	case FirstFit:
@@ -808,6 +812,7 @@ func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placeme
 	}
 	taskPU, ok := j.layouts[string(key)]
 	if !ok {
+		s.placements++
 		a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{Spectral: &j.spectral})
 		if err != nil {
 			return nil, false, err
@@ -852,8 +857,7 @@ func (s *Scheduler) placeScatter(j *jobState) (*placementResult, bool, error) {
 			return nil, true, nil
 		}
 	}
-	tier := topology.Machine
-	return s.placeOnSlots(j, slots, tier, 0)
+	return s.placeOnSlots(j, slots, topology.Machine, 0)
 }
 
 // placeOnSlots binds task i to slot i (identity layout).
@@ -902,7 +906,7 @@ func (s *Scheduler) finishPlacement(m *comm.Matrix, taskPU []int, tier topology.
 		cores:  sorted,
 		taskPU: append([]int(nil), taskPU...),
 		comm:   commCycles,
-		tier:   tierName(tier),
+		tier:   tierNames[tier],
 		domain: d,
 		nodes:  nodes,
 	}, false, nil

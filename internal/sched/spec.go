@@ -149,32 +149,31 @@ func parsePattern(pattern string, tasks int) (kind string, a, b int64, err error
 	return "", 0, 0, fmt.Errorf("unknown pattern %q", pattern)
 }
 
-// stencilSeed extracts the scramble seed of a "stencil:WxH@SEED" pattern.
-func stencilSeed(pattern string) int64 {
-	at := strings.IndexByte(pattern, '@')
-	if at < 0 {
-		return 0
-	}
-	seed, _ := strconv.ParseInt(pattern[at+1:], 10, 64)
-	return seed
-}
-
 // Matrix builds the job's sparse communication matrix from its pattern.
-func (s JobSpec) Matrix() (*comm.Matrix, error) {
+func (s JobSpec) Matrix() (*comm.Matrix, error) { return s.matrix(nil) }
+
+// matrix is Matrix with a generator to re-seed for a scrambled stencil's
+// numbering, so a caller building many matrices allocates one source, not
+// one per job; nil allocates a fresh one. Seeding resets the whole source
+// state, so the numbering is the same either way.
+func (s JobSpec) matrix(rng *rand.Rand) (*comm.Matrix, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	kind, a, b, err := parsePattern(s.Pattern, s.Tasks)
-	if err != nil {
-		return nil, err
-	}
+	kind, a, b, _ := parsePattern(s.Pattern, s.Tasks) // Validate parsed it
 	switch kind {
 	case "ring":
 		return comm.Ring(s.Tasks, s.VolumeBytes), nil
 	case "stencil":
 		return comm.Stencil2DSparse(int(a), int(b), s.VolumeBytes, s.VolumeBytes/8), nil
 	case "stencil@":
-		return scrambledStencil(int(a), int(b), s.VolumeBytes, stencilSeed(s.Pattern)), nil
+		_, scramble, _ := strings.Cut(s.Pattern, "@")
+		if seed, _ := strconv.ParseInt(scramble, 10, 64); rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed)
+		}
+		return scrambledStencil(int(a), int(b), s.VolumeBytes, rng), nil
 	case "random":
 		return comm.RandomSparse(s.Tasks, int(a), s.VolumeBytes, b), nil
 	}
@@ -185,9 +184,9 @@ func (s JobSpec) Matrix() (*comm.Matrix, error) {
 // permutation of the grid: neighbors in the grid are far apart in index, so
 // slot-order placement scatters the heavy edges while affinity-aware
 // placement recovers the grid. This is the workload that separates the
-// topology-aware scheduler arm from the slot-order arms.
-func scrambledStencil(w, h int, vol float64, seed int64) *comm.Matrix {
-	perm := rand.New(rand.NewSource(seed)).Perm(w * h)
+// topology-aware scheduler arm from the slot-order arms. rng comes seeded.
+func scrambledStencil(w, h int, vol float64, rng *rand.Rand) *comm.Matrix {
+	perm := rng.Perm(w * h)
 	m := comm.New(w * h)
 	id := func(x, y int) int { return perm[y*w+x] }
 	for y := 0; y < h; y++ {
