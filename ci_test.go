@@ -1,6 +1,7 @@
 // CI-style repository guards: a go vet pass over every package, a gofmt
-// formatting guard, a go.mod tidiness check, a guard against exported
-// names that only tests use and a ceiling on the non-test line count.
+// formatting guard, a go.mod tidiness check, a guard against fused
+// multiply-add instructions, a guard against exported names that only
+// tests use and a ceiling on the non-test line count.
 package repro
 
 import (
@@ -13,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -62,9 +64,49 @@ func TestGoModTidy(t *testing.T) {
 	}
 }
 
+// fusedOp matches one fused multiply-add instruction in the compiler's -S
+// listing, on every GOARCH that has them (arm64, ppc64le, s390x, riscv64,
+// loong64), and captures its source position.
+var fusedOp = regexp.MustCompile(`\(([^()\s]+\.go:\d+)\)\s+(FN?M(?:ADD|SUB)[SD]?)\s`)
+
+// TestNoFusedMultiplyAdd keeps "same seed, same bytes" true on every GOARCH.
+// The Go spec lets the compiler fuse x*y + z into one instruction that
+// rounds once; amd64 never does, the architectures above do, and a fused
+// product moves simulated cycles, costs and digests by an ulp. An explicit
+// float64(x*y) conversion rounds, which forbids the fusion. The test
+// cross-compiles every package of the module with -S and fails on any fused
+// instruction, naming its file and line. It checks arm64 unless
+// REPRO_FMA_GOARCH lists other architectures, comma-separated.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the cross-compiled FMA scan in -short mode")
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arches := "arm64"
+	if env := os.Getenv("REPRO_FMA_GOARCH"); env != "" {
+		arches = env
+	}
+	for _, arch := range strings.Split(arches, ",") {
+		// -a: a cached package would print no listing.
+		cmd := exec.Command("go", "build", "-a", "-gcflags=repro/...=-S", "./...")
+		cmd.Env = append(os.Environ(), "GOARCH="+arch, "CGO_ENABLED=0")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GOARCH=%s go build failed: %v\n%s", arch, err, out)
+		}
+		for _, m := range fusedOp.FindAllStringSubmatch(string(out), -1) {
+			pos, _ := filepath.Rel(wd, m[1])
+			t.Errorf("GOARCH=%s: %s at %s: wrap the product in float64(...)", arch, m[2], pos)
+		}
+	}
+}
+
 // nonTestLineCeiling is the most non-test Go lines the repository may hold
 // outside benchmark/. A change that grows past it re-pins it and says so.
-const nonTestLineCeiling = 12929
+const nonTestLineCeiling = 12987
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as

@@ -39,10 +39,10 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Matrix is a square communication matrix, stored as one sorted adjacency
@@ -80,10 +80,10 @@ func (m *Matrix) row(i, j int) *sparseRow {
 func (m *Matrix) At(i, j int) float64 { return m.row(i, j).at(j) }
 
 // Set assigns the volume exchanged between entities i and j.
-func (m *Matrix) Set(i, j int, vol float64) { m.row(i, j).set(j, vol) }
+func (m *Matrix) Set(i, j int, vol float64) { m.row(i, j).put(j, vol, false) }
 
 // Add accumulates volume onto entry (i,j).
-func (m *Matrix) Add(i, j int, vol float64) { m.row(i, j).add(j, vol) }
+func (m *Matrix) Add(i, j int, vol float64) { m.row(i, j).put(j, vol, true) }
 
 // AddSym accumulates volume onto both (i,j) and (j,i), the natural operation
 // when recording one message of the given size between two entities.
@@ -116,9 +116,7 @@ func (m *Matrix) SetLabel(i int, s string) {
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.n)
-	for i := range m.rows {
-		c.rows[i] = m.rows[i].clone()
-	}
+	packRows(c.rows, m.rows)
 	if m.labels != nil {
 		c.labels = append([]string(nil), m.labels...)
 	}
@@ -238,9 +236,7 @@ func (m *Matrix) ExtendZero(order int) (*Matrix, error) {
 		return nil, fmt.Errorf("comm: cannot extend order %d down to %d", m.n, order)
 	}
 	e := New(order)
-	for i := range m.rows {
-		e.rows[i] = m.rows[i].clone()
-	}
+	packRows(e.rows, m.rows)
 	if m.labels != nil || order > m.n {
 		e.labels = make([]string, order)
 		for i := range e.labels {
@@ -296,11 +292,23 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 		s.rows[a] = sparseRow{cols: cols[lo:q:q], vals: vals[lo:q:q]}
 	}
 	if !rowSorted(ids) {
-		// The permutation scrambled the stored column order.
-		srt := new(colValSorter)
+		// The permutation scrambled the stored column order; a row's
+		// columns are distinct, so sorting by column alone is exact.
+		type colVal struct {
+			c int32
+			v float64
+		}
+		var buf []colVal
 		for a := range s.rows {
-			*srt = colValSorter{s.rows[a].cols, s.rows[a].vals}
-			sort.Sort(srt)
+			r := &s.rows[a]
+			buf = buf[:0]
+			for p, c := range r.cols {
+				buf = append(buf, colVal{c, r.vals[p]})
+			}
+			slices.SortFunc(buf, func(x, y colVal) int { return cmp.Compare(x.c, y.c) })
+			for p, e := range buf {
+				r.cols[p], r.vals[p] = e.c, e.v
+			}
 		}
 	}
 	if m.labels != nil {

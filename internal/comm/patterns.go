@@ -37,6 +37,7 @@ func Stencil2DSparse(bx, by int, edgeVol, cornerVol float64) *Matrix {
 			}
 		}
 	}
+	packRows(m.rows, m.rows)
 	return m
 }
 
@@ -181,5 +182,6 @@ func RandomSparse(n, degree int, maxVol float64, seed int64) *Matrix {
 			m.AddSym(i, j, vol)
 		}
 	}
+	packRows(m.rows, m.rows)
 	return m
 }

@@ -59,44 +59,41 @@ func (r *sparseRow) walkTo(p, c int) (int, float64, bool) {
 	return p, 0, true
 }
 
-func (r *sparseRow) set(j int, v float64) {
-	p, ok := r.find(j)
-	if ok {
-		r.vals[p] = v
-		return
-	}
-	if v == 0 {
-		return // don't materialize zeros
-	}
-	r.cols = append(r.cols, 0)
-	r.vals = append(r.vals, 0)
-	copy(r.cols[p+1:], r.cols[p:])
-	copy(r.vals[p+1:], r.vals[p:])
-	r.cols[p] = int32(j)
-	r.vals[p] = v
-}
-
-func (r *sparseRow) add(j int, v float64) {
-	p, ok := r.find(j)
-	if ok {
+// put stores v at column j (add: adds it to the stored value). An absent
+// column is inserted only for a nonzero v: zeros are not materialized.
+func (r *sparseRow) put(j int, v float64, add bool) {
+	switch p, ok := r.find(j); {
+	case ok && add:
 		r.vals[p] += v
-		return
+	case ok:
+		r.vals[p] = v
+	case v != 0:
+		r.cols = append(r.cols, 0)
+		r.vals = append(r.vals, 0)
+		copy(r.cols[p+1:], r.cols[p:])
+		copy(r.vals[p+1:], r.vals[p:])
+		r.cols[p] = int32(j)
+		r.vals[p] = v
 	}
-	if v == 0 {
-		return
-	}
-	r.cols = append(r.cols, 0)
-	r.vals = append(r.vals, 0)
-	copy(r.cols[p+1:], r.cols[p:])
-	copy(r.vals[p+1:], r.vals[p:])
-	r.cols[p] = int32(j)
-	r.vals[p] = v
 }
 
-func (r *sparseRow) clone() sparseRow {
-	return sparseRow{
-		cols: append([]int32(nil), r.cols...),
-		vals: append([]float64(nil), r.vals...),
+// packRows copies the rows of src into dst[:len(src)], in one backing
+// array per field; each row is capped to its own window, so growing one row
+// reallocates it instead of overwriting the next. dst may be src: the sweeps
+// over a matrix built in bulk then stream through memory instead of chasing
+// separately allocated rows.
+func packRows(dst, src []sparseRow) {
+	nnz := 0
+	for i := range src {
+		nnz += len(src[i].cols)
+	}
+	cols, vals := make([]int32, nnz), make([]float64, nnz)
+	q := 0
+	for i := range src {
+		lo := q
+		q += copy(cols[q:], src[i].cols)
+		copy(vals[lo:], src[i].vals)
+		dst[i] = sparseRow{cols: cols[lo:q:q], vals: vals[lo:q:q]}
 	}
 }
 
@@ -124,20 +121,6 @@ func (m *Matrix) ForEachNeighbor(i int, fn func(j int, v float64)) {
 			fn(int(c), v)
 		}
 	}
-}
-
-// colValSorter sorts a (cols, vals) pair slice by column. Used by Submatrix,
-// where the entity permutation scrambles the stored column order.
-type colValSorter struct {
-	cols []int32
-	vals []float64
-}
-
-func (s *colValSorter) Len() int           { return len(s.cols) }
-func (s *colValSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *colValSorter) Swap(i, j int) {
-	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }
 
 // rowSorted reports whether ids is strictly ascending.

@@ -9,7 +9,7 @@ package kernels
 // different compute/traffic ratio than Kernel 23.
 func HeatCell(alpha float64) CellFunc {
 	return func(c, n, s, e, w float64, _, _ int) float64 {
-		return c + alpha*(n+s+e+w-4*c)
+		return c + float64(alpha*(n+s+e+w-float64(4*c)))
 	}
 }
 

@@ -22,8 +22,8 @@ const Relax = 0.175
 // gj. It is the CellFunc of the LK23 stencil.
 func (g *Grid) Cell(c, n, s, e, w float64, gk, gj int) float64 {
 	i := g.Idx(gk, gj)
-	qa := s*g.ZR[i] + n*g.ZB[i] + e*g.ZU[i] + w*g.ZV[i] + g.ZZ[i]
-	return c + Relax*(qa-c)
+	qa := float64(s*g.ZR[i]) + float64(n*g.ZB[i]) + float64(e*g.ZU[i]) + float64(w*g.ZV[i]) + g.ZZ[i]
+	return c + float64(Relax*(qa-c))
 }
 
 // CellFunc is a 5-point stencil update: new centre value from the old

@@ -440,7 +440,7 @@ func (m *Machine) accessPrice(pu, node int) (lat, bw float64) {
 		return lat + hopLat, bw
 	}
 	local := m.topo.NUMANodes()[m.nodeOf[pu]]
-	lat *= 1 + float64(m.topo.HopDistance(local, nodeObj))/2
+	lat *= 1 + float64(float64(m.topo.HopDistance(local, nodeObj))/2)
 	if link := m.topo.BandwidthBytesPerSec(m.topo.PU(pu), nodeObj); link < bw {
 		bw = link
 	}
@@ -571,7 +571,7 @@ func (m *Machine) MissFactor(pu int, workingSet int64) float64 {
 	if ratio >= 1 {
 		return 1
 	}
-	f := m.cfg.MinCacheMissFactor + (1-m.cfg.MinCacheMissFactor)*ratio
+	f := m.cfg.MinCacheMissFactor + float64((1-m.cfg.MinCacheMissFactor)*ratio)
 	return f
 }
 

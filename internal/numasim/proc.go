@@ -82,7 +82,7 @@ func (p *Proc) Compute(flops float64) {
 	if flops <= 0 {
 		return
 	}
-	c := flops / p.m.cfg.FlopsPerCycle * p.m.computeInflation(p.pu)
+	c := float64(flops / p.m.cfg.FlopsPerCycle * p.m.computeInflation(p.pu))
 	p.clock += c
 	p.stats.ComputeCycles += c
 }

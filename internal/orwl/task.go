@@ -165,7 +165,7 @@ func (t *Task) chargeControlEvent() {
 			mult = 4
 		}
 	}
-	p.ComputeCycles(base * mult)
+	p.ComputeCycles(float64(base * mult))
 }
 
 // String renders the task for diagnostics.

@@ -405,7 +405,7 @@ func spreadCriticalPair(mach *numasim.Machine, topo *topology.Topology, groupMat
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if v := groupMatrix.At(i, j) + groupMatrix.At(j, i); v > 0 {
-					c += v * dist[assign[i]][assign[j]]
+					c += float64(v * dist[assign[i]][assign[j]])
 				}
 			}
 		}

@@ -379,7 +379,7 @@ func (r *runLoop) weight() float64 {
 // advance moves the clock to t, accruing time-weighted fragmentation.
 func (r *runLoop) advance(t float64) {
 	if t > r.clock {
-		r.fragInt += r.weight() * (t - r.clock)
+		r.fragInt += float64(r.weight() * (t - r.clock))
 		r.clock = t
 	}
 }
@@ -390,7 +390,7 @@ func (r *runLoop) advance(t float64) {
 func (r *runLoop) closeSegment(d *departure, at float64) {
 	delta := at - d.lastStart
 	d.stat.ServiceCycles += delta
-	r.busy += float64(d.stat.Tasks) * delta
+	r.busy += float64(float64(d.stat.Tasks) * delta)
 }
 
 // dispatch commits a placement: binds the slots, prices the service
@@ -611,7 +611,7 @@ func (s *Scheduler) serviceOf(j *jobState, placed *placementResult) (svc, respaw
 	for t, old := range rs.oldPUs {
 		respawn += s.mach.MigrationCostCycles(old, placed.taskPU[t], ws)
 	}
-	svc = rs.remaining + (placed.comm-rs.comm)*rs.remFrac + respawn
+	svc = rs.remaining + float64((placed.comm-rs.comm)*rs.remFrac) + respawn
 	return svc, respawn
 }
 

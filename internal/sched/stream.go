@@ -129,10 +129,10 @@ func GenerateStream(cfg StreamConfig) ([]JobSpec, error) {
 	mean := cfg.WorkCycles / cfg.Churn
 	jobs := make([]JobSpec, 0, cfg.Jobs)
 	for i := 0; i < cfg.Jobs; i++ {
-		arrive += rng.ExpFloat64() * mean
+		arrive += float64(rng.ExpFloat64() * mean)
 		tasks := cfg.Sizes[rng.Intn(len(cfg.Sizes))]
 		w, h := squarestDims(tasks)
-		work := math.Floor(cfg.WorkCycles * (0.5 + rng.Float64()))
+		work := math.Floor(cfg.WorkCycles * (0.5 + float64(rng.Float64())))
 		if cfg.LongFraction > 0 && rng.Float64() < cfg.LongFraction {
 			work = math.Floor(work * cfg.LongFactor)
 		}

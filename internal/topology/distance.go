@@ -50,7 +50,7 @@ func (t *Topology) LatencyCycles(from, to *Object) float64 {
 		return base
 	}
 	hops := t.HopDistance(nf, nt)
-	return base * (1 + float64(hops)/2)
+	return base * (1 + float64(float64(hops)/2))
 }
 
 // LatencyMatrix returns the PU-to-PU latency matrix in cycles, built with

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -151,15 +152,19 @@ func oracleTryBestBoundarySwap(m *comm.Matrix, groups [][]int, group []int, a, b
 	return true
 }
 
-// checkBoundaryExact runs the kernel and the oracle from the same start and
-// requires slice-equal groups (member order included).
+// checkBoundaryExact runs the oracle and, on 1, 2 and 4 workers, the
+// kernel from the same start and requires slice-equal groups (member order
+// included).
 func checkBoundaryExact(t *testing.T, name string, m *comm.Matrix, groups [][]int, passes int) {
 	t.Helper()
-	got, want := cloneGroups(groups), cloneGroups(groups)
-	refineGroupsBoundary(m, got, passes)
+	want := cloneGroups(groups)
 	oracleRefineGroupsBoundary(m, want, passes)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s, %d passes: kernel and oracle disagree\n got %v\nwant %v", name, passes, got, want)
+	for _, workers := range []int{1, 2, 4} {
+		got := cloneGroups(groups)
+		refineBoundary(m, got, passes, workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %d passes, %d workers: kernel and oracle disagree\n got %v\nwant %v", name, passes, workers, got, want)
+		}
 	}
 }
 
@@ -257,6 +262,29 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 	big := randomBoundaryMatrix(rng, 400)
 	checkBoundaryExact(t, "groups above the candidate cap", big, greedyGroups(big, 100, 4), 3)
 
+	// Entities in no group count as group 0: 80 of 400 are left out of 40
+	// groups, so the pairs with group 0 read them. The first pass ranks at
+	// least 64 pairs, enough for every worker count to share levels.
+	sparse := comm.RandomSparse(400, 4, 100, 9)
+	perm := rand.New(rand.NewSource(9)).Perm(400)
+	partial := make([][]int, 40)
+	label := make([]int32, 400)
+	for gi := range partial {
+		partial[gi] = perm[8*gi : 8*gi+8]
+		for _, e := range partial[gi] {
+			label[e] = int32(gi)
+		}
+	}
+	var cw crew
+	cw.hire(1)
+	var cr cutRanker
+	cr.init(sparse, label, len(partial), 1)
+	if pairs := cr.rank(&cw); len(pairs) < 64 || !slices.ContainsFunc(pairs, func(p cutRec) bool { return p.a == 0 }) {
+		t.Fatalf("entities in no group: %d ranked pairs, want ≥ 64 with some involving group 0", len(pairs))
+	}
+	cw.stop()
+	checkBoundaryExact(t, "entities in no group", sparse, partial, 3)
+
 	dense := comm.Random(60, 0.3, 1000, 5)
 	dense.Set(3, 7, 11.5) // asymmetric
 	checkBoundaryExact(t, "dense", dense, greedyGroups(dense, 6, 10), 3)
@@ -287,19 +315,25 @@ func TestRankCutsBitEqual(t *testing.T) {
 				cut[gpair{min(gi, gj), max(gi, gj)}] += v
 			})
 		}
-		want := make(byCut, 0, len(cut))
+		want := make([]cutRec, 0, len(cut))
 		for pr, v := range cut {
 			want = append(want, cutRec{pr.a, pr.b, v})
 		}
-		sort.Sort(want)
+		slices.SortFunc(want, byCut)
 		if len(want) > maxBoundaryPairs*k {
 			want = want[:maxBoundaryPairs*k]
 		}
-		var cr cutRanker
-		for pass := 0; pass < 2; pass++ { // the second pass reuses every buffer
-			if got := cr.rank(m, group, k); !reflect.DeepEqual([]cutRec(got), []cutRec(want)) {
-				t.Fatalf("case %d pass %d (n=%d k=%d): ranking differs\n got %v\nwant %v", c, pass, n, k, got, want)
+		for _, workers := range []int{1, 2, 3} {
+			var cw crew
+			cw.hire(workers)
+			var cr cutRanker
+			cr.init(m, group, k, workers)
+			for pass := 0; pass < 2; pass++ { // the second pass reuses every buffer
+				if got := cr.rank(&cw); !reflect.DeepEqual(got, want) {
+					t.Fatalf("case %d pass %d (n=%d k=%d, %d workers): ranking differs\n got %v\nwant %v", c, pass, n, k, workers, got, want)
+				}
 			}
+			cw.stop()
 		}
 	}
 }
@@ -307,8 +341,9 @@ func TestRankCutsBitEqual(t *testing.T) {
 // FuzzRefineGroupsBoundaryExact decodes the input into a small sparse matrix
 // (two bytes per entry: the entry's shape and a small signed volume, so cut
 // and gain ties, explicit zeros and one-directional entries are all one
-// mutation away) and a data-driven partition of uneven group sizes, and
-// requires the kernel and the oracle to agree.
+// mutation away) and a data-driven partition of uneven group sizes that
+// leaves some entities in no group, and requires the kernel, on 1, 2 and 4
+// workers, and the oracle to agree.
 func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 	f.Add(uint8(9), uint8(3), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(uint8(12), uint8(2), uint8(2), []byte{0x13, 0xf2, 0x21, 0x07, 0x33, 0x81, 0x40, 0x02})
@@ -338,27 +373,32 @@ func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 		}
 		groups := make([][]int, ng)
 		for e := 0; e < n; e++ {
-			g := int(at(e)+at(e+len(data)/2)) % ng
-			groups[g] = append(groups[g], (e+int(order))%n)
+			if g := int(at(e)+at(e+len(data)/2)) % (ng + 1); g < ng {
+				groups[g] = append(groups[g], (e+int(order))%n)
+			}
 		}
 		checkBoundaryExact(t, "fuzz", m, groups, 1+int(passes)%4)
 	})
 }
 
 // TestRefineGroupsBoundaryAllocs pins that the pass allocates per call, not
-// per pair or per swap attempt: a 2000-entity random graph in 200 groups
-// ranks 800 pairs per pass and makes well over a thousand attempts.
+// per pair, level or swap attempt: a 2000-entity random graph in 200 groups
+// ranks 800 pairs per pass in dozens of levels and makes well over a
+// thousand attempts. The second worker adds its own swapper, failure buffer
+// and goroutine, once per call.
 func TestRefineGroupsBoundaryAllocs(t *testing.T) {
 	m := comm.RandomSparse(2000, 8, 100, 3)
 	start := greedyGroups(m, 10, 200)
 	groups := cloneGroups(start)
-	run := func() {
-		for gi := range start {
-			copy(groups[gi], start[gi])
+	for _, workers := range []int{1, 2} {
+		run := func() {
+			for gi := range start {
+				copy(groups[gi], start[gi])
+			}
+			refineBoundary(m, groups, partitionRefinePasses, workers)
 		}
-		refineGroupsBoundary(m, groups, partitionRefinePasses)
-	}
-	if allocs := testing.AllocsPerRun(10, run); allocs > 40 {
-		t.Errorf("%v allocations per call, want ≤ 40 whatever the pair and attempt counts", allocs)
+		if allocs := testing.AllocsPerRun(10, run); allocs > 40 {
+			t.Errorf("%d workers: %v allocations per call, want ≤ 40 whatever the pair, level and attempt counts", workers, allocs)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package treematch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/comm"
 )
@@ -93,11 +93,7 @@ func Map(target Target, m *comm.Matrix, opt Options) (*Result, error) {
 	if opt.Distribute && tasks > 0 && tasks < work.Leaves() {
 		want := tasks
 		if target.SMTWays < 2 && work.Leaves() > tasks {
-			nCtl := work.Leaves() - tasks
-			if nCtl > tasks {
-				nCtl = tasks
-			}
-			want = tasks + nCtl
+			want = tasks + min(work.Leaves()-tasks, tasks)
 		}
 		var err error
 		work, err = work.Restrict(want)
@@ -123,19 +119,12 @@ func Map(target Target, m *comm.Matrix, opt Options) (*Result, error) {
 	// Case 2: spare cores. Extend the matrix with control entities so they
 	// are mapped onto the spare cores near their tasks.
 	if cores > tasks {
-		spare := cores - tasks
-		nCtl := spare
-		if nCtl > tasks {
-			nCtl = tasks
-		}
+		nCtl := min(cores-tasks, tasks)
 		// Give the spare slots to the tasks that communicate the most:
 		// their control threads move the most data.
-		byVolume := make([]int, tasks)
-		for i := range byVolume {
-			byVolume[i] = i
-		}
-		sort.SliceStable(byVolume, func(a, b int) bool {
-			return m.RowVolume(byVolume[a]) > m.RowVolume(byVolume[b])
+		byVolume := identityIDs(tasks)
+		slices.SortStableFunc(byVolume, func(a, b int) int {
+			return descending(m.RowVolume(a), m.RowVolume(b))
 		})
 		ext, err := m.ExtendZero(tasks + nCtl)
 		if err != nil {

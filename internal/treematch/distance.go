@@ -115,7 +115,7 @@ func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 		for q := 0; q < pos; q++ {
 			partner := order[q]
 			if a := aff[e][partner]; a != 0 {
-				s += a * dist[leaf][assignment[partner]]
+				s += float64(a * dist[leaf][assignment[partner]])
 			}
 		}
 		return s
@@ -190,7 +190,7 @@ func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 			}
 			inc := 0.0
 			for _, partner := range placed {
-				inc += affE[partner] * dist[l][assignment[partner]]
+				inc += float64(affE[partner] * dist[l][assignment[partner]])
 			}
 			used[l] = true
 			assignment[e] = l
@@ -344,10 +344,10 @@ func refineDistanceSwaps(dist [][]float64, aff [][]float64, entityClass, assignm
 					}
 					lj := assignment[j]
 					if a := aff[e1][j]; a != 0 {
-						delta += a * (dist[l2][lj] - dist[l1][lj])
+						delta += float64(a * (dist[l2][lj] - dist[l1][lj]))
 					}
 					if a := aff[e2][j]; a != 0 {
-						delta += a * (dist[l1][lj] - dist[l2][lj])
+						delta += float64(a * (dist[l1][lj] - dist[l2][lj]))
 					}
 				}
 				if delta < -1e-12 {
@@ -382,7 +382,7 @@ func DistanceCost(dist [][]float64, m *comm.Matrix, assignment []int) float64 {
 	for i := 0; i < m.Order(); i++ {
 		m.ForEachNeighbor(i, func(j int, v float64) {
 			if j != i {
-				s += v * dist[assignment[i]][assignment[j]]
+				s += float64(v * dist[assignment[i]][assignment[j]])
 			}
 		})
 	}

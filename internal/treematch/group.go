@@ -1,9 +1,10 @@
 package treematch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/comm"
@@ -226,6 +227,31 @@ func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, memo *Spectra
 	return cands
 }
 
+// expand replaces every member e of every group by the entities cover[e]
+// stands for, in order: the inverse of one aggregation step.
+func expand(groups, cover [][]int) [][]int {
+	out := make([][]int, len(groups))
+	for gi, g := range groups {
+		for _, e := range g {
+			out[gi] = append(out[gi], cover[e]...)
+		}
+	}
+	return out
+}
+
+// relabel maps every member e of every group to ids[e]: groups of a
+// sub-matrix back to the entities it was induced from.
+func relabel(groups [][]int, ids []int) [][]int {
+	out := make([][]int, len(groups))
+	for gi, g := range groups {
+		out[gi] = make([]int, len(g))
+		for i, e := range g {
+			out[gi][i] = ids[e]
+		}
+	}
+	return out
+}
+
 // identityIDs returns the identity entity list 0..n-1.
 func identityIDs(n int) []int {
 	ids := make([]int, n)
@@ -278,7 +304,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 			refineGroupsBoundary(m, groups, passes)
 		}
 		for _, g := range groups {
-			sort.Ints(g)
+			slices.Sort(g)
 		}
 		return groups, nil
 	}
@@ -303,7 +329,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 		return nil, err
 	}
 	for _, g := range best {
-		sort.Ints(g)
+		slices.Sort(g)
 	}
 	return best, nil
 }
@@ -341,11 +367,8 @@ func weightedSizes(p int, caps []int) []int {
 		rem[g] = p * c % total
 		assigned += sizes[g]
 	}
-	order := make([]int, len(caps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return rem[order[a]] > rem[order[b]] })
+	order := identityIDs(len(caps))
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rem[b], rem[a]) })
 	for i := 0; i < p-assigned; i++ {
 		sizes[order[i]]++
 	}
@@ -432,6 +455,20 @@ func greedySizedGroupsScan(m *comm.Matrix, sizes []int) [][]int {
 	return out
 }
 
+// descending orders float keys largest first with the comparisons of the
+// `x > y` less function it stands for: the sorts only ask whether a
+// comparison is negative, and it is exactly when x > y, so a NaN key lands
+// where that less function put it.
+func descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case y > x:
+		return 1
+	}
+	return 0
+}
+
 // greedyOrders computes the seed order (entities by descending row volume,
 // stable, so ties stay in index order) and the build order (groups by
 // descending target size) shared by both greedy implementations.
@@ -443,13 +480,10 @@ func greedyOrders(m *comm.Matrix, sizes []int) (seedOrder, buildOrder []int) {
 		seedOrder[i] = i
 		vol[i] = m.RowVolume(i)
 	}
-	sort.SliceStable(seedOrder, func(x, y int) bool { return vol[seedOrder[x]] > vol[seedOrder[y]] })
+	slices.SortStableFunc(seedOrder, func(x, y int) int { return descending(vol[x], vol[y]) })
 
-	buildOrder = make([]int, len(sizes))
-	for i := range buildOrder {
-		buildOrder[i] = i
-	}
-	sort.SliceStable(buildOrder, func(a, b int) bool { return sizes[buildOrder[a]] > sizes[buildOrder[b]] })
+	buildOrder = identityIDs(len(sizes))
+	slices.SortStableFunc(buildOrder, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
 	return seedOrder, buildOrder
 }
 
@@ -522,7 +556,7 @@ func greedySizedGroupsHeap(m *comm.Matrix, sizes []int) [][]int {
 	grouped := make([]bool, p)
 	affinity := make([]float64, p)
 	stamp := make([]int, p) // epoch an affinity value belongs to; 0 = never
-	h := make(affHeap, 0, 64)
+	h := make(affHeap, 0, min(64, p))
 	out := make([][]int, len(sizes))
 	next := 0 // cursor into seedOrder
 	low := 0  // globally lowest ungrouped entity (grouped is monotone)
@@ -595,22 +629,12 @@ func bisectPartition(m *comm.Matrix, ids []int, k, passes int) ([][]int, error) 
 	if k%2 == 0 {
 		split = 2
 	}
-	local := GroupProcesses(sub, len(ids)/split, passes)
+	local := relabel(GroupProcesses(sub, len(ids)/split, passes), ids)
 	if split == k {
-		out := make([][]int, k)
-		for gi, g := range local {
-			for _, e := range g {
-				out[gi] = append(out[gi], ids[e])
-			}
-		}
-		return out, nil
+		return local, nil
 	}
 	var out [][]int
-	for _, g := range local {
-		half := make([]int, len(g))
-		for i, e := range g {
-			half[i] = ids[e]
-		}
+	for _, half := range local {
 		deeper, err := bisectPartition(m, half, k/2, passes)
 		if err != nil {
 			return nil, err
@@ -629,14 +653,7 @@ func mergeFinePartition(m *comm.Matrix, k, passes int) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs := GroupProcesses(agg, 2, passes)
-	out := make([][]int, k)
-	for gi, pr := range pairs {
-		for _, f := range pr {
-			out[gi] = append(out[gi], fine[f]...)
-		}
-	}
-	return out, nil
+	return expand(GroupProcesses(agg, 2, passes), fine), nil
 }
 
 // isIdentity reports whether ids is exactly 0..n-1, in which case a
@@ -666,27 +683,14 @@ func coarsenPartition(m *comm.Matrix, k, passes int) ([][]int, error) {
 	mat := m
 	for mat.Order() > 4*k && mat.Order()%2 == 0 && (mat.Order()/2)%k == 0 {
 		pairs := GroupProcesses(mat, 2, passes)
-		next := make([][]int, len(pairs))
-		for gi, g := range pairs {
-			for _, e := range g {
-				next[gi] = append(next[gi], cover[e]...)
-			}
-		}
 		var err error
 		mat, err = mat.Aggregate(pairs)
 		if err != nil {
 			return nil, err
 		}
-		cover = next
+		cover = expand(pairs, cover)
 	}
-	coarse := GroupProcesses(mat, mat.Order()/k, passes)
-	out := make([][]int, k)
-	for gi, g := range coarse {
-		for _, e := range g {
-			out[gi] = append(out[gi], cover[e]...)
-		}
-	}
-	return out, nil
+	return expand(GroupProcesses(mat, mat.Order()/k, passes), cover), nil
 }
 
 // GroupProcesses partitions the p entities of the matrix into p/a groups of
@@ -713,7 +717,7 @@ func GroupProcesses(m *comm.Matrix, a int, refinePasses int) [][]int {
 		refineGroups(m, groups, refinePasses)
 	}
 	for _, g := range groups {
-		sort.Ints(g)
+		slices.Sort(g)
 	}
 	return groups
 }
@@ -970,12 +974,7 @@ func crossingStats(m *comm.Matrix, groups [][]int) (total, peak int) {
 			perGroup[group[i]]++
 		}
 	}
-	for _, c := range perGroup {
-		if c > peak {
-			peak = c
-		}
-	}
-	return total, peak
+	return total, slices.Max(perGroup)
 }
 
 // intraVolume returns the total communication volume kept inside the groups

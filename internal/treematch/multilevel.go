@@ -3,8 +3,9 @@ package treematch
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
-	"sort"
+	"sync/atomic"
 
 	"repro/internal/comm"
 )
@@ -91,19 +92,11 @@ func multilevelPartition(work *comm.Matrix, k, per int) ([][]int, error) {
 	// polish the boundary at every level, the fine one included.
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
-		expanded := make([][]int, len(groups))
-		for gi, g := range groups {
-			eg := make([]int, 0, 2*len(g))
-			for _, e := range g {
-				eg = append(eg, lv.pairs[e]...)
-			}
-			expanded[gi] = eg
-		}
-		groups = expanded
+		groups = expand(groups, lv.pairs)
 		refineGroupsBoundary(lv.mat, groups, passes)
 	}
 	for _, g := range groups {
-		sort.Ints(g)
+		slices.Sort(g)
 	}
 	return groups, nil
 }
@@ -176,50 +169,188 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // attempt whose failure is certain is not priced at all: failMemo skips a
 // pair that failed before and has not changed since, and try stops at a
 // D-sum bound before it sorts or scatters anything.
-// Everything is sized once per call; no attempt allocates.
+//
+// The work runs on runtime.GOMAXPROCS(0) workers (crew), started once per
+// call. The ranked pairs run in dependency levels (boundaryRun.schedule):
+// an attempt on (a, b) reads and writes only the member slices of a and b
+// and which entities are labelled a or b, the argument failMemo rests on,
+// so pairs that share no group commute, and every group's final slice,
+// member order included, is the one the ranked order produces. Each worker
+// reads those labels from its own stamps (boundarySwapper.mark), never
+// from a slice another worker writes. The cut sweep splits the rows into
+// one consecutive range per worker (cutRanker).
+// Everything is sized once per call; no attempt or level allocates.
 func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
+	refineBoundary(m, groups, passes, runtime.GOMAXPROCS(0))
+}
+
+// refineBoundary is refineGroupsBoundary on the given number of workers.
+func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int) {
 	k := len(groups)
 	if k < 2 || passes <= 0 {
 		return
 	}
 	n := m.Order()
-	group := make([]int32, n) // an entity in no group counts as group 0, as it always has
+	r := &boundaryRun{m: m, groups: groups, group: make([]int32, n), ws: make([]boundarySwapper, workers)}
+	r.memo.init(k)
 	largest := 0
 	for gi, g := range groups {
 		for _, e := range g {
-			group[e] = int32(gi)
+			r.group[e] = int32(gi) + 1
 		}
 		largest = max(largest, len(g))
 	}
-	var cr cutRanker
-	sw := newBoundarySwapper(n, largest)
-	memo := newFailMemo(k)
+	for e := range r.group {
+		// An entity in no group counts as group 0, as it always has.
+		if r.group[e]--; r.group[e] < 0 {
+			r.group[e], r.orphans = 0, append(r.orphans, e)
+		}
+	}
+	for w := range r.ws {
+		r.ws[w].init(n, largest, k)
+	}
+	r.crew.hire(workers)
+	defer r.crew.stop()
+	r.ranker.init(m, r.group, k, workers)
+	r.last, r.order = make([]int32, k), make([]levelPair, 0, maxBoundaryPairs*k)
 	for pass := 0; pass < passes; pass++ {
-		memo.nextPass()
-		pairs := cr.rank(m, group, k)
+		r.memo.nextPass(r.ws)
+		pairs := r.ranker.rank(&r.crew)
 		if len(pairs) == 0 {
 			return
 		}
-		improved := false
-		for _, pr := range pairs {
-			if memo.fails(pr.a, pr.b) {
-				continue
+		r.schedule(pairs)
+		r.improved.Store(false)
+		for lo := 0; lo < len(r.order); {
+			hi := lo + 1
+			for hi < len(r.order) && r.order[hi].lvl == r.order[lo].lvl {
+				hi++
 			}
-			s := 0
-			for s < maxSwapsPerPair && sw.try(m, groups, group, pr.a, pr.b) {
-				s++
-			}
-			if s > 0 {
-				improved = true
-				memo.ver[pr.a]++
-				memo.ver[pr.b]++
-			}
-			if s < maxSwapsPerPair {
-				memo.record(pr.a, pr.b)
+			r.level, lo = r.order[lo:hi], hi
+			r.next.Store(0)
+			if len(r.level) == 1 {
+				r.work(0)
+			} else {
+				r.crew.do(r)
 			}
 		}
-		if !improved {
+		if !r.improved.Load() {
 			return
+		}
+	}
+}
+
+// crew runs one job for each of its workers at once: worker 0 on the
+// calling goroutine, the others on helper goroutines that live from hire
+// to stop.
+type crew struct {
+	workers int
+	job     job           // the running job, set before its indices are sent
+	index   chan int      // hands a helper the worker index it runs the job for
+	done    chan struct{} // one per finished index, then one per exited helper
+}
+
+// job is worker w's share of a crew's work.
+type job interface{ work(w int) }
+
+// hire sizes the crew and starts its workers-1 helpers.
+func (c *crew) hire(workers int) {
+	c.workers, c.index, c.done = workers, make(chan int), make(chan struct{})
+	for range workers - 1 {
+		go func() {
+			for w := range c.index {
+				c.job.work(w)
+				c.done <- struct{}{}
+			}
+			c.done <- struct{}{}
+		}()
+	}
+}
+
+// do runs j for every worker and returns when all are done.
+func (c *crew) do(j job) {
+	c.job = j
+	for w := 1; w < c.workers; w++ {
+		c.index <- w
+	}
+	j.work(0)
+	for w := 1; w < c.workers; w++ {
+		<-c.done
+	}
+}
+
+// stop ends the helpers and returns once they have exited.
+func (c *crew) stop() {
+	close(c.index)
+	for w := 1; w < c.workers; w++ {
+		<-c.done
+	}
+}
+
+// boundaryRun is the state the workers of one refineGroupsBoundary call
+// share. Within a level each group belongs to one worker, which alone reads
+// and writes its member slice, its members' labels in group and its
+// memo.ver entry.
+type boundaryRun struct {
+	m       *comm.Matrix
+	groups  [][]int
+	group   []int32 // group[e] is e's group; cutRanker reads it between passes
+	orphans []int   // the entities in no group, which count as group 0
+	memo    failMemo
+	crew    crew
+	ranker  cutRanker
+	ws      []boundarySwapper // one per worker
+	last    []int32           // last[g]: the last level a pair of group g took
+	order   []levelPair       // this pass's ranked pairs, by level
+	level   []levelPair       // the running level
+	next    atomic.Int32      // the next unclaimed pair of the running level
+	// improved records that some pair of the pass swapped.
+	improved atomic.Bool
+}
+
+// levelPair is a ranked pair and its dependency level.
+type levelPair struct{ lvl, a, b int32 }
+
+// schedule orders one pass's ranked pairs by dependency level: a pair's
+// level is one more than the last level either of its groups took, so a
+// pair follows every earlier-ranked pair it shares a group with, and two
+// pairs of one level share no group. Each level stays in ranked order.
+func (r *boundaryRun) schedule(pairs []cutRec) {
+	clear(r.last)
+	r.order = r.order[:0]
+	for _, pr := range pairs {
+		lv := max(r.last[pr.a], r.last[pr.b]) + 1
+		r.last[pr.a], r.last[pr.b] = lv, lv
+		r.order = append(r.order, levelPair{lv, pr.a, pr.b})
+	}
+	slices.SortStableFunc(r.order, func(x, y levelPair) int { return cmp.Compare(x.lvl, y.lvl) })
+}
+
+// work has worker w claim pairs of the running level, and make each one's
+// swaps, until none is left.
+func (r *boundaryRun) work(w int) {
+	sw, f := &r.ws[w], &r.memo
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.level) {
+			return
+		}
+		a, b := r.level[i].a, r.level[i].b
+		if rec, ok := f.fails(a, b); ok {
+			sw.fails = append(sw.fails, rec)
+			continue
+		}
+		s := 0
+		for s < maxSwapsPerPair && sw.try(r, a, b) {
+			s++
+		}
+		if s > 0 {
+			r.improved.Store(true)
+			f.ver[a]++
+			f.ver[b]++
+		}
+		if s < maxSwapsPerPair {
+			sw.fails = append(sw.fails, failRec{a, b, f.ver[a], f.ver[b]})
 		}
 	}
 }
@@ -232,10 +363,10 @@ func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 // current versions of both groups fails again, and is skipped.
 type failMemo struct {
 	ver []uint32 // ver[g] changes whenever group g takes part in a swap
-	// prev holds the failures of the previous pass sorted by (a, b); cur
-	// collects this pass's, skipped pairs included, so that the pass after
-	// still sees them.
-	prev, cur []failRec
+	// prev holds the failures of the previous pass sorted by (a, b). The
+	// workers record this pass's, skipped pairs included, so that the pass
+	// after still sees them.
+	prev []failRec
 }
 
 type failRec struct {
@@ -250,34 +381,32 @@ func cmpFailRec(x, y failRec) int {
 	return cmp.Compare(x.b, y.b)
 }
 
-// newFailMemo sizes the memo for k groups: a pass ranks at most
+// init sizes the memo for k groups: a pass ranks at most
 // maxBoundaryPairs·k pairs, each recorded at most once.
-func newFailMemo(k int) *failMemo {
-	l := maxBoundaryPairs * k
-	return &failMemo{ver: make([]uint32, k), prev: make([]failRec, 0, l), cur: make([]failRec, 0, l)}
+func (f *failMemo) init(k int) {
+	*f = failMemo{ver: make([]uint32, k), prev: make([]failRec, 0, maxBoundaryPairs*k)}
 }
 
 // fails reports whether the pair failed in the previous pass and neither
-// group has swapped since; if so it is recorded again for this pass.
-func (f *failMemo) fails(a, b int32) bool {
+// group has swapped since, and if so the record to carry into this pass.
+func (f *failMemo) fails(a, b int32) (failRec, bool) {
 	p, ok := slices.BinarySearchFunc(f.prev, failRec{a: a, b: b}, cmpFailRec)
 	if !ok || f.prev[p].va != f.ver[a] || f.prev[p].vb != f.ver[b] {
-		return false
+		return failRec{}, false
 	}
-	f.cur = append(f.cur, f.prev[p])
-	return true
+	return f.prev[p], true
 }
 
-// record notes that the pair has just failed at the groups' current versions.
-func (f *failMemo) record(a, b int32) {
-	f.cur = append(f.cur, failRec{a, b, f.ver[a], f.ver[b]})
-}
-
-// nextPass makes the failures recorded so far the ones the new pass looks
-// up.
-func (f *failMemo) nextPass() {
-	slices.SortFunc(f.cur, cmpFailRec)
-	f.prev, f.cur = f.cur, f.prev[:0]
+// nextPass makes the failures the workers recorded so far the ones the new
+// pass looks up. Pairs are unique within a pass, so the sorted records do
+// not depend on which worker recorded which.
+func (f *failMemo) nextPass(ws []boundarySwapper) {
+	f.prev = f.prev[:0]
+	for i := range ws {
+		f.prev = append(f.prev, ws[i].fails...)
+		ws[i].fails = ws[i].fails[:0]
+	}
+	slices.SortFunc(f.prev, cmpFailRec)
 }
 
 // cutRec is a cross-group nonzero v between groups a < b while cutRanker
@@ -290,35 +419,32 @@ type cutRec struct {
 // byCut orders pair cuts heaviest first, ties by (a, b). Pairs are unique,
 // so the order is strict: the first l pairs are one set however they were
 // selected, and sorting only them equals sorting all and truncating.
-type byCut []cutRec
-
-func (s byCut) Len() int { return len(s) }
-func (s byCut) Less(x, y int) bool {
-	if s[x].v != s[y].v {
-		return s[x].v > s[y].v
+func byCut(x, y cutRec) int {
+	if x.v != y.v {
+		return descending(x.v, y.v)
 	}
-	if s[x].a != s[y].a {
-		return s[x].a < s[y].a
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
 	}
-	return s[x].b < s[y].b
+	return cmp.Compare(x.b, y.b)
 }
-func (s byCut) Swap(x, y int) { s[x], s[y] = s[y], s[x] }
 
 // selectTop moves the first l records of s by byCut into s[:l], in no
 // particular order (quickselect around the middle record). Requires
 // 0 < l < len(s).
-func selectTop(s byCut, l int) {
+func selectTop(s []cutRec, l int) {
 	lo, hi := 0, len(s)-1
 	for lo < hi {
-		s.Swap(lo+(hi-lo)/2, hi)
+		mid := lo + (hi-lo)/2
+		s[mid], s[hi] = s[hi], s[mid]
 		p := lo
 		for i := lo; i < hi; i++ {
-			if s.Less(i, hi) {
-				s.Swap(i, p)
+			if byCut(s[i], s[hi]) < 0 {
+				s[i], s[p] = s[p], s[i]
 				p++
 			}
 		}
-		s.Swap(p, hi)
+		s[p], s[hi] = s[hi], s[p]
 		switch {
 		case p == l-1:
 			return
@@ -333,58 +459,73 @@ func selectTop(s byCut, l int) {
 // cutRanker is the working memory of rank, kept across the passes of one
 // refineGroupsBoundary call.
 type cutRanker struct {
-	// One pass's cross-group nonzeros in sweep order, then bucketed by a;
-	// the pairs are summed into byA in place.
-	recs, byA []cutRec
-	end       []int32 // after bucketing, bucket a is byA[end[a-1]:end[a]]
-	slot      []int32 // slot[b]: where pair (a, b) of the bucket being summed sits in the pairs
+	m     *comm.Matrix
+	group []int32
+	// One pass's cross-group nonzeros bucketed by a; the pairs are summed
+	// into byA in place.
+	byA  []cutRec
+	slot []int32 // slot[b]: where pair (a, b) of the bucket being summed sits in the pairs
+	// at[w·k+a] counts worker w's entries of bucket a, then is the next
+	// position they fill; once filled, the last worker's close the buckets.
+	at      []int32
+	workers int
+	fill    bool // whether work counts or files
+}
+
+// init sizes the ranker for k groups of the order-n matrix and the given
+// number of workers; group is read afresh at every rank.
+func (c *cutRanker) init(m *comm.Matrix, group []int32, k, workers int) {
+	ints := make([]int32, (1+workers)*k)
+	*c = cutRanker{m: m, group: group, slot: ints[:k:k], at: ints[k:], workers: workers}
+}
+
+// work sweeps worker w's share of the rows, in order, and counts (!fill)
+// or files under the smaller group of its pair (fill) every cross-group
+// entry.
+func (c *cutRanker) work(w int) {
+	k, n, fill := len(c.slot), c.m.Order(), c.fill
+	at := c.at[w*k : (w+1)*k]
+	for i := w * n / c.workers; i < (w+1)*n/c.workers; i++ {
+		gi := c.group[i]
+		c.m.ForEachNeighbor(i, func(j int, v float64) {
+			gj := c.group[j]
+			if j == i || gi == gj {
+				return
+			}
+			a := min(gi, gj)
+			if fill {
+				c.byA[at[a]] = cutRec{a, max(gi, gj), v}
+			}
+			at[a]++
+		})
+	}
 }
 
 // rank returns the maxBoundaryPairs·k heaviest cut pairs in byCut order.
-// One sweep over the nonzeros records each cross-group entry under the
-// smaller group of its pair; a stable counting sort keeps every bucket in
-// sweep order, so summing bucket a pair by pair adds the terms of each cut
-// in the global (row, column) order a per-pair map would have.
-func (c *cutRanker) rank(m *comm.Matrix, group []int32, k int) []cutRec {
-	if c.end == nil {
-		// Every cross-group entry is a nonzero.
-		c.end, c.slot, c.recs = make([]int32, k+1), make([]int32, k), make([]cutRec, 0, m.NNZ())
+// The workers sweep consecutive row ranges, once to count each bucket's
+// entries and once to file them; worker w's share of bucket a follows the
+// shares of the workers before it, so every bucket holds its entries in
+// global (row, column) order, and summing bucket a pair by pair adds the
+// terms of each cut in the order a per-pair map would have.
+func (c *cutRanker) rank(cw *crew) []cutRec {
+	clear(c.at)
+	c.fill = false
+	cw.do(c)
+	k, pos := len(c.slot), int32(0)
+	for a := range k {
+		for w := a; w < len(c.at); w += k {
+			c.at[w], pos = pos, pos+c.at[w]
+		}
 	}
-	recs := c.recs[:0]
-	for i := 0; i < m.Order(); i++ {
-		gi := group[i]
-		m.ForEachNeighbor(i, func(j int, v float64) {
-			gj := group[j]
-			switch {
-			case j == i || gi == gj:
-			case gi < gj:
-				recs = append(recs, cutRec{gi, gj, v})
-			default:
-				recs = append(recs, cutRec{gj, gi, v})
-			}
-		})
-	}
-	c.recs = recs
-	if cap(c.byA) < len(recs) {
-		c.byA = make([]cutRec, len(recs))
-	}
-	byA, end := c.byA[:len(recs)], c.end
-	clear(end)
-	for _, r := range recs {
-		end[r.a+1]++
-	}
-	for a := 1; a <= k; a++ {
-		end[a] += end[a-1]
-	}
-	for _, r := range recs {
-		byA[end[r.a]] = r
-		end[r.a]++
-	}
-	// end[a] now closes bucket a. Pair p is appended while reading entry
-	// q ≥ p (every earlier pair took an earlier entry), so the pairs
-	// overwrite only entries already read. A stale slot from an earlier
-	// bucket or pass cannot name the current (a, b): pairs holds each pair
-	// at most once, and only bucket a appends pairs with that a.
+	c.byA = slices.Grow(c.byA[:0], int(pos))[:pos]
+	c.fill = true
+	cw.do(c)
+	byA, end := c.byA, c.at[len(c.at)-k:]
+	// Bucket a is now byA[end[a-1]:end[a]]. Pair p is appended while
+	// reading entry q ≥ p (every earlier pair took an earlier entry), so
+	// the pairs overwrite only entries already read. A stale slot from an
+	// earlier bucket or pass cannot name the current (a, b): pairs holds
+	// each pair at most once, and only bucket a appends pairs with that a.
 	pairs := byA[:0]
 	lo := int32(0)
 	for a := int32(0); a < int32(k); a++ {
@@ -403,7 +544,7 @@ func (c *cutRanker) rank(m *comm.Matrix, group []int32, k int) []cutRec {
 		selectTop(pairs, l)
 		pairs = pairs[:l]
 	}
-	sort.Sort(byCut(pairs))
+	slices.SortFunc(pairs, byCut)
 	return pairs
 }
 
@@ -433,19 +574,10 @@ type boundarySide struct {
 	cand []int
 }
 
-func (s *boundarySide) Len() int { return len(s.cand) }
-func (s *boundarySide) Less(p, q int) bool {
-	dp, dq := s.d[s.cand[p]], s.d[s.cand[q]]
-	if dp != dq {
-		return dp > dq
-	}
-	return s.members[s.cand[p]] < s.members[s.cand[q]]
-}
-func (s *boundarySide) Swap(p, q int) { s.cand[p], s.cand[q] = s.cand[q], s.cand[p] }
-
 // measure computes D of the members of group own against group other,
-// recording on the way the row entries a swap's w needs.
-func (s *boundarySide) measure(m *comm.Matrix, members []int, group []int32, own, other int32) {
+// recording on the way the row entries a swap's w needs. mark labels the
+// entities of the two groups with own and other.
+func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own, other int32) {
 	s.members = members
 	s.d, s.off, s.out = s.d[:len(members)], s.off[:len(members)+1], s.out[:0]
 	s.maxD, s.neg = math.Inf(-1), false
@@ -455,7 +587,7 @@ func (s *boundarySide) measure(m *comm.Matrix, members []int, group []int32, own
 			if u == x {
 				return
 			}
-			switch group[u] {
+			switch mark[u] {
 			case other:
 				toOther += v + v
 				s.out = append(s.out, entry{int32(u), v})
@@ -476,7 +608,12 @@ func (s *boundarySide) rank() {
 	for p := range s.cand {
 		s.cand[p] = p
 	}
-	sort.Sort(s)
+	slices.SortFunc(s.cand, func(p, q int) int {
+		if dp, dq := s.d[p], s.d[q]; dp != dq {
+			return descending(dp, dq)
+		}
+		return cmp.Compare(s.members[p], s.members[q])
+	})
 	if len(s.cand) > maxBoundaryCands {
 		s.cand = s.cand[:maxBoundaryCands]
 	}
@@ -488,12 +625,19 @@ func (s *boundarySide) rank() {
 // candidate blocks: xy[i·|candB|+j] = At(candA[i], candB[j]) and yx the
 // other direction, each scattered from the entries measure recorded. An
 // absent entry reads 0, as At reads it; a recorded one is the stored value.
+// Each worker owns one swapper.
 type boundarySwapper struct {
 	side [2]boundarySide
 	// slot[e] is e's position in its side's candidate list when e is a
 	// candidate of the attempt; stale otherwise, so it is checked (cand).
 	slot   []int32
 	xy, yx []float64
+	// mark[e] is epoch when e counts as group a of the attempt and epoch+1
+	// when as b; an older value is neither. Private to the swapper, so an
+	// attempt never reads a label another worker writes.
+	mark  []int32
+	epoch int32
+	fails []failRec // the failures this worker recorded in the pass
 }
 
 // cand reports the candidate position of entity u on side s, if u is one.
@@ -502,30 +646,41 @@ func (sw *boundarySwapper) cand(s *boundarySide, u int32) (int, bool) {
 	return c, c < len(s.cand) && s.members[s.cand[c]] == int(u)
 }
 
-// newBoundarySwapper sizes the swapper for an order-n matrix whose largest
-// group has the given size.
-func newBoundarySwapper(n, largest int) *boundarySwapper {
-	sw := &boundarySwapper{slot: make([]int32, n)}
+// init sizes the swapper for an order-n matrix in k groups whose largest
+// has the given size, in one backing array per element type.
+func (sw *boundarySwapper) init(n, largest, k int) {
+	c := min(largest, maxBoundaryCands)
+	fs := make([]float64, 2*largest+2*c*c)
+	is := make([]int32, 2*n+2*(largest+1))
+	cs := make([]int, 2*largest)
+	*sw = boundarySwapper{slot: is[:n:n], mark: is[n : 2*n : 2*n], xy: fs[: c*c : c*c], yx: fs[c*c : 2*c*c : 2*c*c]}
+	sw.fails = make([]failRec, 0, maxBoundaryPairs*k)
+	fs, is = fs[2*c*c:], is[2*n:]
 	for i := range sw.side {
 		sw.side[i] = boundarySide{
-			d:    make([]float64, largest),
-			off:  make([]int32, largest+1),
-			cand: make([]int, largest),
+			d:    fs[i*largest : (i+1)*largest : (i+1)*largest],
+			off:  is[i*(largest+1) : (i+1)*(largest+1) : (i+1)*(largest+1)],
+			cand: cs[i*largest : (i+1)*largest : (i+1)*largest],
 		}
 	}
-	c := min(largest, maxBoundaryCands)
-	sw.xy, sw.yx = make([]float64, c*c), make([]float64, c*c)
-	return sw
 }
 
 // try applies the single best positive-gain swap between groups a and b,
 // restricted to each side's top candidate list, and reports whether it
 // swapped.
-func (sw *boundarySwapper) try(m *comm.Matrix, groups [][]int, group []int32, a, b int32) bool {
-	ga, gb := groups[a], groups[b]
+func (sw *boundarySwapper) try(r *boundaryRun, a, b int32) bool {
+	ga, gb := r.groups[a], r.groups[b]
+	if sw.epoch >= math.MaxInt32-2 {
+		clear(sw.mark)
+		sw.epoch = 0
+	}
+	sw.epoch += 2
+	la, lb := sw.epoch, sw.epoch+1
+	sw.stamp(ga, a, la, r.orphans)
+	sw.stamp(gb, b, lb, r.orphans)
 	A, B := &sw.side[0], &sw.side[1]
-	A.measure(m, ga, group, a, b)
-	B.measure(m, gb, group, b, a)
+	A.measure(r.m, ga, sw.mark, la, lb)
+	B.measure(r.m, gb, sw.mark, lb, la)
 	const eps = 1e-12
 	// With no negative entry recorded, every w(x, y) is ≥ 0, and rounded
 	// addition and subtraction are monotone, so no gain exceeds
@@ -575,6 +730,19 @@ func (sw *boundarySwapper) try(m *comm.Matrix, groups [][]int, group []int32, a,
 	}
 	x, y := ga[bestXi], gb[bestYi]
 	ga[bestXi], gb[bestYi] = y, x
-	group[x], group[y] = b, a
+	r.group[x], r.group[y] = b, a
 	return true
+}
+
+// stamp labels the members of group g, and for group 0 the entities in no
+// group, with label.
+func (sw *boundarySwapper) stamp(members []int, g int32, label int32, orphans []int) {
+	for _, e := range members {
+		sw.mark[e] = label
+	}
+	if g == 0 {
+		for _, e := range orphans {
+			sw.mark[e] = label
+		}
+	}
 }

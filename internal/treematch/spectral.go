@@ -3,7 +3,6 @@ package treematch
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/comm"
 )
@@ -81,7 +80,7 @@ func fiedlerVector(m *comm.Matrix, sc *spectralScratch) []float64 {
 	c := 2*maxDeg + 1
 	for i, d := range diag {
 		diag[i] = c - d
-		x[i] = float64(i) - float64(n-1)/2
+		x[i] = float64(i) - float64(float64(n-1)/2)
 	}
 	for it := 0; it < fiedlerIters; it++ {
 		// y = (cI - L) x = c·x - deg·x + W·x, summed for the mean as it goes.
@@ -89,7 +88,7 @@ func fiedlerVector(m *comm.Matrix, sc *spectralScratch) []float64 {
 		for i := 0; i < n; i++ {
 			s := diag[i] * x[i]
 			for p := off[i]; p < off[i+1]; p++ {
-				s += w[p] * x[col[p]]
+				s += float64(w[p] * x[col[p]])
 			}
 			y[i] = s
 			mean += s
@@ -99,7 +98,7 @@ func fiedlerVector(m *comm.Matrix, sc *spectralScratch) []float64 {
 		norm := 0.0
 		for i := range y {
 			y[i] -= mean
-			norm += y[i] * y[i]
+			norm += float64(y[i] * y[i])
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-300 {
@@ -134,7 +133,7 @@ func spectralOrder(m *comm.Matrix, sc *spectralScratch) []int {
 	if f == nil {
 		return order
 	}
-	sort.SliceStable(order, func(a, b int) bool { return f[order[a]] < f[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return descending(f[b], f[a]) })
 	return order
 }
 
@@ -240,14 +239,7 @@ func spectralPartition(m *comm.Matrix, ids []int, k, passes int, memo *SpectralM
 		if err != nil {
 			return nil, err
 		}
-		local := GroupProcesses(sub, len(ids)/k, passes)
-		out := make([][]int, k)
-		for gi, g := range local {
-			for _, e := range g {
-				out[gi] = append(out[gi], ids[e])
-			}
-		}
-		return out, nil
+		return relabel(GroupProcesses(sub, len(ids)/k, passes), ids), nil
 	}
 	order, err := memo.order(m, ids, sc)
 	if err != nil {

@@ -105,13 +105,7 @@ func MapMatrix(tree *Tree, m *comm.Matrix, opt Options) (*Mapping, error) {
 		arity := work.Arity(depth - 1)
 		groups := GroupProcesses(mat, arity, refinePasses(mat.Order()))
 		levels = append(levels, groups)
-		next := make([][]int, len(groups))
-		for gi, g := range groups {
-			for _, e := range g {
-				next[gi] = append(next[gi], cur[e]...)
-			}
-		}
-		cur = next
+		cur = expand(groups, cur)
 		var err error
 		mat, err = mat.Aggregate(groups)
 		if err != nil {
@@ -146,15 +140,7 @@ func MapMatrix(tree *Tree, m *comm.Matrix, opt Options) (*Mapping, error) {
 // distance between their leaves. Lower is better; zero means all
 // communication stays on single leaves.
 func Cost(tree *Tree, m *comm.Matrix, assignment []int) float64 {
-	var s float64
-	for i := 0; i < m.Order(); i++ {
-		m.ForEachNeighbor(i, func(j int, v float64) {
-			if j != i {
-				s += v * float64(tree.LeafDistance(assignment[i], assignment[j]))
-			}
-		})
-	}
-	return s
+	return DistanceCost(tree.distanceMatrix(), m, assignment)
 }
 
 // RoundRobin returns the trivial assignment entity i → leaf i mod Leaves(),
