@@ -1,7 +1,8 @@
 // CI-style repository guards: a go vet pass over every package, a gofmt
 // formatting guard, a go.mod tidiness check, a guard against fused
 // multiply-add instructions, a guard against exported names that only
-// tests use and a ceiling on the non-test line count.
+// tests use, a guard against exported fields no caller sets and a ceiling
+// on the non-test line count.
 package repro
 
 import (
@@ -106,7 +107,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 
 // nonTestLineCeiling is the most non-test Go lines the repository may hold
 // outside benchmark/. A change that grows past it re-pins it and says so.
-const nonTestLineCeiling = 12987
+const nonTestLineCeiling = 12848
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as
@@ -180,47 +181,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the export census in -short mode")
 	}
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path → non-test files
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		pkg := "repro"
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			pkg += "/" + dir
-		}
-		files[pkg] = append(files[pkg], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := files["repro/benchmark"]; !ok {
-		t.Fatal("benchmark module not found; the census would miss its uses")
-	}
-
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
-	imp := &repoImporter{fset: fset, files: files, info: info,
-		pkgs: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil)}
-	for path := range files {
-		if _, err := imp.Import(path); err != nil {
-			t.Fatal(err)
-		}
-	}
+	imp := loadRepo(t)
+	info := imp.info
 
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
@@ -279,7 +241,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			allowed[key] = true
 			return
 		}
-		unused = append(unused, fset.Position(obj.Pos()).String()+": "+key)
+		unused = append(unused, imp.fset.Position(obj.Pos()).String()+": "+key)
 	}
 	for path, pkg := range imp.pkgs {
 		if !strings.Contains(path, "/internal/") {
@@ -312,6 +274,198 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("testOnlyAllowed lists %s, which is gone or has a non-test use: drop the entry", key)
 		}
 	}
+}
+
+// unsetAllowed names the exported struct fields under internal/ that no
+// non-test file writes on purpose, keyed "package.Type.Field", each with the
+// reason it stays.
+var unsetAllowed = map[string]string{}
+
+// TestNoUnsetFields fails on an exported field of an exported struct under
+// internal/ that no non-test file of this module or of benchmark/ writes:
+// such a field is a setting every caller leaves at its default, so it is a
+// constant. A write is a keyed composite-literal element, an unkeyed
+// literal of the struct, or an assignment or ++/-- to the field; a write
+// inside an if whose condition compares that same field with a constant is
+// its own default and does not count.
+func TestNoUnsetFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the field census in -short mode")
+	}
+	imp := loadRepo(t)
+	info := imp.info
+	written := map[*types.Var]bool{}
+	fieldOf := func(e ast.Expr) *types.Var {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+			return s.Obj().(*types.Var)
+		}
+		return nil
+	}
+	isConst := func(e ast.Expr) bool {
+		tv := info.Types[e]
+		return tv.Value != nil || tv.IsNil()
+	}
+	// guards holds, for each enclosing if, the fields its condition
+	// compares with a constant.
+	var guards []map[*types.Var]bool
+	write := func(v *types.Var) {
+		if v == nil {
+			return
+		}
+		for _, g := range guards {
+			if g[v] {
+				return
+			}
+		}
+		written[v] = true
+	}
+	var walk func(n ast.Node) bool
+	walk = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			if n.Init != nil {
+				ast.Inspect(n.Init, walk)
+			}
+			tested := map[*types.Var]bool{}
+			ast.Inspect(n.Cond, func(c ast.Node) bool {
+				if b, ok := c.(*ast.BinaryExpr); ok {
+					for _, pair := range [][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+						if v := fieldOf(pair[0]); v != nil && isConst(pair[1]) {
+							tested[v] = true
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(n.Cond, walk)
+			guards = append(guards, tested)
+			ast.Inspect(n.Body, walk)
+			guards = guards[:len(guards)-1]
+			if n.Else != nil {
+				ast.Inspect(n.Else, walk)
+			}
+			return false
+		case *ast.CompositeLit:
+			st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						write(v)
+					}
+				} else {
+					write(st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(fieldOf(lhs))
+			}
+		case *ast.IncDecStmt:
+			write(fieldOf(n.X))
+		}
+		return true
+	}
+	for _, files := range imp.files {
+		for _, f := range files {
+			ast.Inspect(f, walk)
+		}
+	}
+
+	var unset []string
+	allowed := map[string]bool{}
+	for path, pkg := range imp.pkgs {
+		if !strings.Contains(path, "/internal/") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !obj.Exported() {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || written[f] {
+					continue
+				}
+				key := pkg.Name() + "." + name + "." + f.Name()
+				if _, ok := unsetAllowed[key]; ok {
+					allowed[key] = true
+					continue
+				}
+				unset = append(unset, imp.fset.Position(f.Pos()).String()+": "+key)
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is never written outside tests: make it a constant, or allowlist it in unsetAllowed with the reason", u)
+	}
+	for key := range unsetAllowed {
+		if !allowed[key] {
+			t.Errorf("unsetAllowed lists %s, which is gone or now written: drop the entry", key)
+		}
+	}
+}
+
+// loadRepo type-checks every non-test file of this module and of the
+// nested benchmark module, recording uses and field selections in one
+// shared Info.
+func loadRepo(t *testing.T) *repoImporter {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → non-test files
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := "repro"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkg += "/" + dir
+		}
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := files["repro/benchmark"]; !ok {
+		t.Fatal("benchmark module not found; the census would miss its uses")
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	imp := &repoImporter{fset: fset, files: files, info: info,
+		pkgs: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil)}
+	for path := range files {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return imp
 }
 
 // repoImporter type-checks the repository's packages from their non-test

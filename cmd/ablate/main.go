@@ -97,7 +97,7 @@ func buildSched2Overrides(o *experiment.Overrides, priorities int, defragThresho
 	if priorities < 0 || priorities > 100 {
 		return fmt.Errorf("-sched2-priorities: class count %d outside [0,100]", priorities)
 	}
-	if defragThreshold < 0 || defragThreshold > 1 {
+	if !(defragThreshold >= 0 && defragThreshold <= 1) { // rejects NaN too
 		return fmt.Errorf("-sched2-defrag-threshold: weight %v outside [0,1]", defragThreshold)
 	}
 	o.Sched2Priorities, o.Sched2DefragThreshold = priorities, defragThreshold

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -382,6 +383,7 @@ func TestBuildSched2Overrides(t *testing.T) {
 		{name: "priorities above hundred", priorities: 101, wantErr: "-sched2-priorities"},
 		{name: "threshold above one", threshold: 1.5, wantErr: "-sched2-defrag-threshold"},
 		{name: "negative threshold", threshold: -0.1, wantErr: "-sched2-defrag-threshold"},
+		{name: "NaN threshold", threshold: math.NaN(), wantErr: "-sched2-defrag-threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,7 +85,7 @@ func buildOptions(policy, fit, queue string, backfill, preempt, defrag bool, def
 	if opts.Queue, err = sched.ParseQueuePolicy(queue); err != nil {
 		return sched.Options{}, fmt.Errorf("-queue: %v", err)
 	}
-	if defragThr < 0 || defragThr > 1 {
+	if !(defragThr >= 0 && defragThr <= 1) { // rejects NaN too
 		return sched.Options{}, fmt.Errorf("-defrag-threshold: weight %v outside [0,1]", defragThr)
 	}
 	opts.Backfill = backfill

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,6 +37,8 @@ func TestBuildOptionsValidation(t *testing.T) {
 		{name: "unknown queue", policy: "topo-aware", fit: "best", queue: "drop", wantErr: "-queue"},
 		{name: "threshold above one", policy: "topo-aware", fit: "best", queue: "wait",
 			defragThr: 1.5, wantErr: "-defrag-threshold"},
+		{name: "NaN threshold", policy: "topo-aware", fit: "best", queue: "wait",
+			defragThr: math.NaN(), wantErr: "-defrag-threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

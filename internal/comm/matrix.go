@@ -366,19 +366,6 @@ func (t posIndex) find(e int32) int32 {
 	return -1
 }
 
-// Scale multiplies every entry by f in place and returns the matrix. Only
-// stored entries are scaled: absent zeros stay zero, so a non-finite f does
-// not materialize NaNs.
-func (m *Matrix) Scale(f float64) *Matrix {
-	for i := range m.rows {
-		vals := m.rows[i].vals
-		for p := range vals {
-			vals[p] *= f
-		}
-	}
-	return m
-}
-
 // Equal reports whether two matrices have the same order and entries within
 // the given absolute tolerance, comparing every cell through At.
 func (m *Matrix) Equal(o *Matrix, tol float64) bool {

@@ -191,18 +191,21 @@ func TestExtendZero(t *testing.T) {
 	}
 }
 
-func TestScaleMaxEqual(t *testing.T) {
+func TestMatrixEqual(t *testing.T) {
 	m := Ring(3, 5)
 	c := m.Clone()
-	c.Scale(2)
-	if c.At(0, 1) != 10 || m.At(0, 1) != 5 {
-		t.Errorf("scaled entry = %v, original %v; want 10 and 5", c.At(0, 1), m.At(0, 1))
+	if !c.Equal(m, 0) {
+		t.Errorf("clone not equal to the original")
+	}
+	c.Set(0, 1, 10)
+	if m.At(0, 1) != 5 {
+		t.Errorf("setting a clone changed the original: %v", m.At(0, 1))
 	}
 	if c.Equal(m, 0.001) {
-		t.Errorf("scaled matrix equal to original")
+		t.Errorf("changed matrix equal to original")
 	}
-	if !c.Equal(m.Clone().Scale(2), 1e-12) {
-		t.Errorf("identical matrices not equal")
+	if !c.Equal(m, 5) {
+		t.Errorf("matrices within the tolerance not equal")
 	}
 	if m.Equal(New(2), 1) {
 		t.Errorf("different orders reported equal")

@@ -155,8 +155,8 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 	}
 }
 
-// TestSparseSubmatrixExtendSymmetrize checks Submatrix, ExtendZero and Scale
-// entry by entry against lookups in the source matrix.
+// TestSparseSubmatrixExtendSymmetrize checks Submatrix and ExtendZero entry
+// by entry against lookups in the source matrix.
 func TestSparseSubmatrixExtendSymmetrize(t *testing.T) {
 	m := Random(40, 0.3, 500, 7)
 	m.Set(3, 9, 123) // an asymmetric entry
@@ -199,18 +199,6 @@ func TestSparseSubmatrixExtendSymmetrize(t *testing.T) {
 		if x.Label(i) != want {
 			t.Fatalf("extend label %d = %q, want %q", i, x.Label(i), want)
 		}
-	}
-
-	scaled := m.Clone().Scale(0.25)
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 40; j++ {
-			if got, want := scaled.At(i, j), m.At(i, j)*0.25; got != want {
-				t.Fatalf("scale (%d,%d) = %v, want %v", i, j, got, want)
-			}
-		}
-	}
-	if m.At(3, 9) != 123 {
-		t.Error("scaling a clone changed the original")
 	}
 }
 

@@ -4,14 +4,12 @@ import "sync"
 
 // Window accumulates communication volumes over a bounded horizon: the
 // runtime feeds it every observed handoff, and at each epoch boundary the
-// placement engine takes a snapshot and rolls the window forward. Rolling
-// either clears the accumulation (decay 0, a hard per-epoch window) or
-// scales it by a decay factor in (0,1), an exponentially weighted moving
-// sum that favours recent traffic without forgetting the past outright.
+// placement engine takes a snapshot and rolls the window forward, which
+// clears the accumulation: a hard per-epoch window.
 //
 // Where Runtime.MeasuredCommMatrix grows without bound over a run — and
 // therefore converges to the time-averaged pattern, hiding phase changes —
-// a Window sees mostly the traffic since the previous epoch, which is what
+// a Window sees only the traffic since the previous epoch, which is what
 // an adaptive re-placement decision must react to.
 //
 // A Window is safe for concurrent use.
@@ -33,25 +31,16 @@ func (w *Window) AddSym(i, j int, vol float64) {
 	w.mu.Unlock()
 }
 
-// Roll returns a snapshot of the accumulation and rolls the window forward:
-// every entry is scaled by decay, so 0 resets the window entirely and a
-// factor in (0,1) keeps a decayed memory of earlier epochs. Decay values
-// outside [0,1) are treated as 0.
+// Roll returns a snapshot of the accumulation and resets the window.
 //
-// The accumulation decays in place — the backing storage of the window is
-// allocated once and reused across every epoch; only the snapshot is a copy.
-func (w *Window) Roll(decay float64) *Matrix {
-	if !(decay >= 0 && decay < 1) { // coerces NaN too, not only out-of-range
-		decay = 0
-	}
+// The accumulation is cleared in place — the backing storage of the window
+// is allocated once and reused across every epoch; only the snapshot is a
+// copy.
+func (w *Window) Roll() *Matrix {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	snap := w.cur.Clone()
-	if decay == 0 {
-		w.cur.zero()
-	} else {
-		w.cur.Scale(decay)
-	}
+	w.cur.zero()
 	return snap
 }
 

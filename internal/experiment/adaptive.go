@@ -25,20 +25,6 @@ type PhaseShiftConfig struct {
 	// task runs per core. The task count must be even and at least 4 for
 	// the opposite pairing to be well defined.
 	Cores, CoresPerSocket int
-	// Iters is the total iteration count (default 48); the pattern shifts
-	// after ShiftAt iterations (default Iters/2).
-	Iters, ShiftAt int
-	// BlockBytes is each task's working set (default 4 MiB): the data it
-	// sweeps per iteration and drags along when migrated.
-	BlockBytes int64
-	// HaloBytes is the per-iteration volume exchanged with each active
-	// partner (default 1 MiB). Inactive partners exchange 8 bytes.
-	HaloBytes float64
-	// EpochIters is the re-placement interval (default 4).
-	EpochIters int
-	// Hysteresis and WindowDecay tune the adaptive engine (see
-	// placement.AdaptiveOptions).
-	Hysteresis, WindowDecay float64
 	// Seed drives the simulated OS scheduler (unused while all tasks stay
 	// bound, but kept for symmetry with Config).
 	Seed int64
@@ -51,23 +37,21 @@ func (c PhaseShiftConfig) withDefaults() PhaseShiftConfig {
 	if c.CoresPerSocket == 0 {
 		c.CoresPerSocket = 8
 	}
-	if c.Iters == 0 {
-		c.Iters = 48
-	}
-	if c.ShiftAt == 0 {
-		c.ShiftAt = c.Iters / 2
-	}
-	if c.BlockBytes == 0 {
-		c.BlockBytes = 4 << 20
-	}
-	if c.HaloBytes == 0 {
-		c.HaloBytes = 1 << 20
-	}
-	if c.EpochIters == 0 {
-		c.EpochIters = 4
-	}
 	return c
 }
+
+// The phase-shift run: phaseShiftIters iterations, the pattern shifting
+// after phaseShiftAt; each task sweeps a phaseShiftBlockBytes working set
+// (dragged along when migrated) and exchanges phaseShiftHaloBytes per
+// iteration with each active partner; the engine re-decides every
+// phaseShiftEpochIters iterations.
+const (
+	phaseShiftIters      = 48
+	phaseShiftAt         = phaseShiftIters / 2
+	phaseShiftBlockBytes = 4 << 20
+	phaseShiftHaloBytes  = 1 << 20
+	phaseShiftEpochIters = 4
+)
 
 // PhaseShiftResult reports one phase-shift run.
 type PhaseShiftResult struct {
@@ -102,21 +86,21 @@ func buildPhaseShift(rt *orwl.Runtime, cfg PhaseShiftConfig) error {
 	}
 	locs := make([]*orwl.Location, n)
 	for i := 0; i < n; i++ {
-		locs[i] = rt.NewLocation(fmt.Sprintf("blk%d", i), cfg.BlockBytes)
+		locs[i] = rt.NewLocation(fmt.Sprintf("blk%d", i), phaseShiftBlockBytes)
 	}
 	for i := 0; i < n; i++ {
 		task := rt.AddTask(fmt.Sprintf("p%d", i), nil)
-		rL := task.NewHandleVol(locs[(i+n-1)%n], orwl.Read, cfg.HaloBytes, 0)
-		rR := task.NewHandleVol(locs[(i+1)%n], orwl.Read, cfg.HaloBytes, 0)
+		rL := task.NewHandleVol(locs[(i+n-1)%n], orwl.Read, phaseShiftHaloBytes, 0)
+		rR := task.NewHandleVol(locs[(i+1)%n], orwl.Read, phaseShiftHaloBytes, 0)
 		rO := task.NewHandleVol(locs[(i+n/2)%n], orwl.Read, phaseShiftEps, 0)
-		w := task.NewHandleVol(locs[i], orwl.Write, cfg.HaloBytes, 1)
-		stencilTask(task, []*orwl.Handle{rL, rR, rO}, w, cfg.Iters, func(it int) {
-			if it == cfg.ShiftAt {
+		w := task.NewHandleVol(locs[i], orwl.Write, phaseShiftHaloBytes, 1)
+		stencilTask(task, []*orwl.Handle{rL, rR, rO}, w, phaseShiftIters, func(it int) {
+			if it == phaseShiftAt {
 				// The communication pattern rotates: ring partners go
 				// quiet, the opposite task becomes the heavy partner.
 				rL.SetVolume(phaseShiftEps)
 				rR.SetVolume(phaseShiftEps)
-				rO.SetVolume(cfg.HaloBytes)
+				rO.SetVolume(phaseShiftHaloBytes)
 			}
 		})
 	}
@@ -151,7 +135,7 @@ func runPhaseShift(adaptive *placement.AdaptiveOptions, cfg PhaseShiftConfig) (P
 		return PhaseShiftResult{}, err
 	}
 	run, err := runStencil(mach, cfg.Seed, func(rt *orwl.Runtime) error { return buildPhaseShift(rt, cfg) },
-		placement.TreeMatch{}, tuned(adaptive, cfg.EpochIters, cfg.Hysteresis, cfg.WindowDecay))
+		placement.TreeMatch{}, tuned(adaptive, phaseShiftEpochIters))
 	if err != nil {
 		return PhaseShiftResult{}, err
 	}

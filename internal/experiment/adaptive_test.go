@@ -140,7 +140,6 @@ func TestConfigValidate(t *testing.T) {
 		{Cores: -1},
 		{CoresPerSocket: -1},
 		{BlocksOverride: -1},
-		{OMPSerialFraction: 2},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -305,14 +305,14 @@ func runStencil(mach *numasim.Machine, seed int64, build func(*orwl.Runtime) err
 	return res, nil
 }
 
-// tuned returns an arm's engine options with the run's epoch interval and
-// hysteresis knobs filled in; nil (a one-shot arm) stays nil.
-func tuned(tmpl *placement.AdaptiveOptions, epochIters int, hysteresis, windowDecay float64) *placement.AdaptiveOptions {
+// tuned returns an arm's engine options with the run's epoch interval
+// filled in; nil (a one-shot arm) stays nil.
+func tuned(tmpl *placement.AdaptiveOptions, epochIters int) *placement.AdaptiveOptions {
 	if tmpl == nil {
 		return nil
 	}
 	opts := *tmpl
-	opts.EpochIters, opts.Hysteresis, opts.WindowDecay = epochIters, hysteresis, windowDecay
+	opts.EpochIters = epochIters
 	return &opts
 }
 

@@ -53,11 +53,6 @@ type Config struct {
 	SMT bool
 	// Seed drives the simulated OS scheduler for unbound threads.
 	Seed int64
-	// OMPSerialFraction is the fraction of the OpenMP working set whose
-	// pages end up on node 0 (the master's node: serially-touched head of
-	// the allocation). The remainder is spread by the parallel first
-	// touches. Default 0.12.
-	OMPSerialFraction float64
 	// BlocksOverride forces the ORWL block count (default: Cores, one
 	// block per core, the paper's configuration at 192).
 	BlocksOverride int
@@ -82,9 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.CoresPerSocket == 0 {
 		c.CoresPerSocket = 8
 	}
-	if c.OMPSerialFraction == 0 {
-		c.OMPSerialFraction = 0.12
-	}
 	return c
 }
 
@@ -106,8 +98,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiment: cores per socket %d must be positive", d.CoresPerSocket)
 	case d.BlocksOverride < 0:
 		return fmt.Errorf("experiment: block count %d must not be negative", d.BlocksOverride)
-	case d.OMPSerialFraction < 0 || d.OMPSerialFraction > 1:
-		return fmt.Errorf("experiment: OMP serial fraction %v outside [0,1]", d.OMPSerialFraction)
 	}
 	return nil
 }
@@ -278,6 +268,11 @@ func runOMP(cfg Config) (Result, error) {
 	return runOMPSchedule(cfg, omp.Static)
 }
 
+// ompSerialFraction is the fraction of the OpenMP working set whose pages
+// end up on node 0 (the master's node: serially-touched head of the
+// allocation). The remainder is spread by the parallel first touches.
+const ompSerialFraction = 0.12
+
 // runOMPSchedule is runOMP under an explicit loop schedule (static is the
 // figure's baseline; the A7 ablation sweeps the others).
 func runOMPSchedule(cfg Config, sched omp.Schedule) (Result, error) {
@@ -291,12 +286,11 @@ func runOMPSchedule(cfg Config, sched omp.Schedule) (Result, error) {
 	}
 	nodes := mach.Topology().NumNUMANodes()
 	totalBytes := float64(cfg.Rows) * float64(cfg.Cols) * kernels.LK23Costs.BytesPerCell
-	f := cfg.OMPSerialFraction
-	head, err := mach.AllocOn("lk23-head", int64(totalBytes*f), 0)
+	head, err := mach.AllocOn("lk23-head", int64(totalBytes*ompSerialFraction), 0)
 	if err != nil {
 		return Result{}, err
 	}
-	body := mach.AllocInterleaved("lk23-body", int64(totalBytes*(1-f)))
+	body := mach.AllocInterleaved("lk23-body", int64(totalBytes*(1-ompSerialFraction)))
 
 	// Static contention: every thread streams the head region on node 0;
 	// the interleaved body spreads the remaining streams evenly; threads
@@ -324,8 +318,8 @@ func runOMPSchedule(cfg Config, sched omp.Schedule) (Result, error) {
 			p := team.Proc(tid)
 			cells := float64((hi - lo) * cfg.Cols)
 			p.Compute(costs.FlopsPerCell * cells)
-			p.MemRead(head, f*costs.BytesPerCell*cells)
-			p.MemRead(body, (1-f)*costs.BytesPerCell*cells)
+			p.MemRead(head, ompSerialFraction*costs.BytesPerCell*cells)
+			p.MemRead(body, (1-ompSerialFraction)*costs.BytesPerCell*cells)
 		})
 	}
 	res := Result{

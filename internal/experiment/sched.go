@@ -21,7 +21,7 @@ import (
 // compounds over arrivals, departures and re-use of freed capacity; its arms
 // differ only in the scheduler policy. A16 (sched2) keeps A15's
 // topology-aware placement fixed and varies the queueing policies layered on
-// top of it, on a harsher stream (see sched2Defaults).
+// top of it, on a harsher stream (see sched2Stream).
 
 // schedArms are the arms of A15 in report order.
 var schedArms = []arm[sched.Options]{
@@ -53,34 +53,22 @@ var sched2Arms = []arm[sched.Options]{
 	{"fifo", sched.Options{Policy: sched.TopoAware}},
 }
 
-// SchedConfig parameterizes both scheduler ablations: a grid of platform
-// shapes × stream seeds, every cell replaying the same seeded workload under
-// each arm. The zero value is A15's grid; AblationSched2 fills unset fields
-// with A16's defaults instead (see sched2Defaults).
+// SchedConfig parameterizes both scheduler ablations: each study's job
+// stream replayed on every schedShapes × Seeds grid cell under each arm.
+// Seeds are required; every other field overrides the study's stream or
+// scheduler options, and its zero value keeps the study's.
 type SchedConfig struct {
-	// Shapes are the platform specs of the grid (default: a two-rack and a
-	// two-pod machine, so the ordering is asserted on both a 2-tier and a
-	// 3-tier domain ladder).
-	Shapes []string
-	// Seeds are the stream seeds of the grid (default 7 and 42).
+	// Seeds are the stream seeds of the grid.
 	Seeds []int64
-	// Stream knobs (see sched.StreamConfig); zero values pick that package's
-	// defaults, except the constraint knobs, which default here to 0.3 of
-	// jobs preferring a node and requiring a rack.
+	// Jobs, Churn, ConstraintFraction and PriorityClasses replace the
+	// study stream's knobs (see sched.StreamConfig) when non-zero.
 	Jobs               int
-	Sizes              []int
 	Churn              float64
 	ConstraintFraction float64
 	PriorityClasses    int
-	PreferredTier      string
-	RequiredTier       string
-	WorkCycles         float64
-	VolumeBytes        float64
-	LongFraction       float64
-	LongFactor         float64
 	// DefragThreshold arms the defragmentation of A16's full arm
-	// (fragmentation weight in [0,1]; negative means 0 = always armed when
-	// the head is blocked).
+	// (fragmentation weight in [0,1]; 0 = always armed when the head is
+	// blocked).
 	DefragThreshold float64
 	// Fit and Queue select the domain scoring rule and the full-required
 	// policy of every arm (defaults: best-fit, wait).
@@ -88,132 +76,74 @@ type SchedConfig struct {
 	Queue sched.QueuePolicy
 }
 
-func (c SchedConfig) withDefaults() SchedConfig {
-	if c.Shapes == nil {
-		c.Shapes = []string{
-			"rack:2 node:4 pack:2 core:4 pu:1",
-			"pod:2 rack:2 node:2 pack:2 core:4 pu:1",
-		}
-	}
-	if c.Seeds == nil {
-		c.Seeds = []int64{7, 42}
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 40
-	}
-	if c.Churn == 0 {
-		c.Churn = 4
-	}
-	if c.ConstraintFraction == 0 {
-		c.ConstraintFraction = 0.3
-	}
-	if c.PreferredTier == "" {
-		c.PreferredTier = "node"
-	}
-	if c.RequiredTier == "" {
-		c.RequiredTier = "rack"
-	}
-	if c.DefragThreshold < 0 {
-		c.DefragThreshold = 0
-	}
-	return c
+// schedShapes are the platform specs of both studies' grids: a two-rack and
+// a two-pod machine, so the ordering is asserted on both a 2-tier and a
+// 3-tier domain ladder.
+var schedShapes = []string{
+	"rack:2 node:4 pack:2 core:4 pu:1",
+	"pod:2 rack:2 node:2 pack:2 core:4 pu:1",
 }
 
-// sched2Defaults fills unset fields with A16's stream, harsher than A15's:
-// higher churn (deeper queues give backfill windows to fill) and a priority
-// mix in which the required-constrained jobs outrank the unconstrained
-// background (so preemption has lawful victims). Whatever it leaves unset
-// takes the common defaults.
-func (c SchedConfig) sched2Defaults() SchedConfig {
-	if c.Seeds == nil {
-		c.Seeds = []int64{8, 37}
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 48
-	}
-	if c.Sizes == nil {
-		// A16's mix skews smaller than A15's: the short tail is what
-		// backfill packs into a blocked head's window, and cheap
-		// low-priority victims are what makes preemption affordable.
-		c.Sizes = []int{2, 3, 4, 6, 8, 12, 16}
-	}
-	if c.Churn == 0 {
-		c.Churn = 12
-	}
-	if c.ConstraintFraction == 0 {
-		c.ConstraintFraction = 0.35
-	}
-	if c.LongFraction == 0 {
-		// A heavy tail of 8x-long residents is what opens real
-		// earliest-start windows behind a blocked head: without it, free
-		// capacity churns every few hundred thousand cycles and the
-		// conservative backfill window almost never fits a whole job.
-		c.LongFraction = 0.2
-	}
-	if c.LongFactor == 0 {
-		c.LongFactor = 8
-	}
-	if c.VolumeBytes == 0 {
-		// Smaller halos than A15's 64KiB keep working sets — and with
-		// them the checkpoint/migration bills — small enough that
-		// preemption and defragmentation can actually pay for
-		// themselves against the 50k-cycle-per-task migration floor.
-		c.VolumeBytes = 4 << 10
-	}
-	if c.PriorityClasses == 0 {
-		c.PriorityClasses = 3
-	}
-	return c.withDefaults()
+// schedStream is A15's job stream: jobs of 2e6 mean work cycles, 0.3 of
+// them preferring a node and requiring a rack; the sched package's defaults
+// fill the rest (sizes 4–16, 64KiB halos).
+var schedStream = sched.StreamConfig{
+	Jobs: 40, WorkCycles: 2e6, Churn: 4, ConstraintFraction: 0.3,
+	PreferredTier: "node", RequiredTier: "rack",
 }
 
-// streamConfig builds the generator configuration of one grid cell.
-func (c SchedConfig) streamConfig(seed int64) sched.StreamConfig {
-	return sched.StreamConfig{
-		Jobs:               c.Jobs,
-		Seed:               seed,
-		Sizes:              c.Sizes,
-		WorkCycles:         c.WorkCycles,
-		VolumeBytes:        c.VolumeBytes,
-		Churn:              c.Churn,
-		ConstraintFraction: c.ConstraintFraction,
-		LongFraction:       c.LongFraction,
-		LongFactor:         c.LongFactor,
-		PreferredTier:      c.PreferredTier,
-		RequiredTier:       c.RequiredTier,
-		PriorityClasses:    c.PriorityClasses,
+// sched2Stream is A16's job stream, harsher than A15's: higher churn
+// (deeper queues give backfill windows to fill) and a priority mix in which
+// the required-constrained jobs outrank the unconstrained background (so
+// preemption has lawful victims). Its size mix skews smaller — the short
+// tail is what backfill packs into a blocked head's window, and cheap
+// low-priority victims are what makes preemption affordable. A heavy tail
+// of 8x-long residents opens real earliest-start windows behind a blocked
+// head: without it, free capacity churns every few hundred thousand cycles
+// and the conservative backfill window almost never fits a whole job.
+// Halos smaller than A15's 64KiB keep working sets — and with them the
+// checkpoint/migration bills — small enough that preemption and
+// defragmentation can pay for themselves against the 50k-cycle-per-task
+// migration floor.
+var sched2Stream = sched.StreamConfig{
+	Jobs: 48, Sizes: []int{2, 3, 4, 6, 8, 12, 16}, WorkCycles: 2e6, VolumeBytes: 4 << 10,
+	Churn: 12, ConstraintFraction: 0.35, LongFraction: 0.2, LongFactor: 8,
+	PreferredTier: "node", RequiredTier: "rack", PriorityClasses: 3,
+}
+
+// stream is one grid cell's generator configuration: the study's stream at
+// the cell's seed, with the knobs c sets.
+func (c SchedConfig) stream(study sched.StreamConfig, seed int64) sched.StreamConfig {
+	study.Seed = seed
+	if c.Jobs != 0 {
+		study.Jobs = c.Jobs
 	}
+	if c.Churn != 0 {
+		study.Churn = c.Churn
+	}
+	if c.ConstraintFraction != 0 {
+		study.ConstraintFraction = c.ConstraintFraction
+	}
+	if c.PriorityClasses != 0 {
+		study.PriorityClasses = c.PriorityClasses
+	}
+	return study
 }
 
 // Validate rejects configurations the scheduler pipeline cannot run, before
-// any cell runs.
+// any cell runs. Both study streams are valid, so the knobs c sets decide:
+// they are checked on A15's.
 func (c SchedConfig) Validate() error {
-	d := c.withDefaults()
-	if len(d.Shapes) == 0 {
-		return fmt.Errorf("experiment: sched needs at least one platform shape")
-	}
-	for _, spec := range d.Shapes {
-		if _, err := topology.FromSpec(spec); err != nil {
-			return fmt.Errorf("experiment: sched shape %q: %w", spec, err)
-		}
-	}
-	if len(d.Seeds) == 0 {
+	if len(c.Seeds) == 0 {
 		return fmt.Errorf("experiment: sched needs at least one stream seed")
 	}
-	for _, seed := range d.Seeds {
-		if err := d.streamConfig(seed).Validate(); err != nil {
-			return err
-		}
+	if err := c.stream(schedStream, 0).Validate(); err != nil {
+		return err
 	}
-	if d.DefragThreshold > 1 {
-		return fmt.Errorf("experiment: sched defrag threshold %v out of range [0,1]", d.DefragThreshold)
+	if !(c.DefragThreshold >= 0 && c.DefragThreshold <= 1) { // rejects NaN too
+		return fmt.Errorf("experiment: sched defrag threshold %v out of range [0,1]", c.DefragThreshold)
 	}
-	// The generator's constraint tiers are validated per job; probe them
-	// here so a misspelled tier fails up front.
-	probe := sched.JobSpec{
-		Name: "probe", Tasks: 1,
-		Preferred: d.PreferredTier, Required: d.RequiredTier,
-	}
-	return probe.Validate()
+	return nil
 }
 
 // SchedCell is one (shape, seed) grid cell's scheduler report.
@@ -243,8 +173,8 @@ type SchedResult struct {
 
 // runSchedCell replays one seeded stream on one platform shape under one
 // arm's scheduler options and returns the scheduler's report.
-func runSchedCell(opts sched.Options, shape string, seed int64, cfg SchedConfig) (*sched.Report, error) {
-	jobs, err := sched.GenerateStream(cfg.streamConfig(seed))
+func runSchedCell(opts sched.Options, shape string, stream sched.StreamConfig, cfg SchedConfig) (*sched.Report, error) {
+	jobs, err := sched.GenerateStream(stream)
 	if err != nil {
 		return nil, err
 	}
@@ -263,13 +193,14 @@ func runSchedCell(opts sched.Options, shape string, seed int64, cfg SchedConfig)
 	return s.Run(jobs)
 }
 
-// runSchedGrid executes one arm over the full shape × seed grid.
-func runSchedGrid(opts sched.Options, cfg SchedConfig) (SchedResult, error) {
+// runSchedGrid executes one arm over the full shape × seed grid of a
+// study's stream.
+func runSchedGrid(opts sched.Options, study sched.StreamConfig, cfg SchedConfig) (SchedResult, error) {
 	var res SchedResult
 	var aggCycles, fragSum, utilSum float64
-	for _, shape := range cfg.Shapes {
+	for _, shape := range schedShapes {
 		for _, seed := range cfg.Seeds {
-			rep, err := runSchedCell(opts, shape, seed, cfg)
+			rep, err := runSchedCell(opts, shape, cfg.stream(study, seed), cfg)
 			if err != nil {
 				return SchedResult{}, fmt.Errorf("shape %q seed %d: %w", shape, seed, err)
 			}
@@ -295,12 +226,12 @@ func runSchedGrid(opts sched.Options, cfg SchedConfig) (SchedResult, error) {
 // per-cell ordering (each shape and seed separately) is asserted by the
 // experiment tests; the summed rows carry the same assertion into the bench
 // pipeline.
-func ablationSched(study string, arms []arm[sched.Options], cfg SchedConfig, detail func(SchedResult) string) ([]AblationRow, error) {
+func ablationSched(study string, arms []arm[sched.Options], stream sched.StreamConfig, cfg SchedConfig, detail func(SchedResult) string) ([]AblationRow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return sweep(study, arms,
-		func(opts sched.Options) (SchedResult, error) { return runSchedGrid(opts, cfg) },
+		func(opts sched.Options) (SchedResult, error) { return runSchedGrid(opts, stream, cfg) },
 		func(_ arm[sched.Options], res SchedResult) AblationRow {
 			return AblationRow{Seconds: res.Seconds, Detail: detail(res)}
 		})
@@ -309,7 +240,7 @@ func ablationSched(study string, arms []arm[sched.Options], cfg SchedConfig, det
 // AblationSched (A15) compares the scheduler policy arms: topo-aware <
 // topo-blind < first-fit on aggregate job cycle time.
 func AblationSched(cfg SchedConfig) ([]AblationRow, error) {
-	return ablationSched("sched", schedArms, cfg.withDefaults(), func(res SchedResult) string {
+	return ablationSched("sched", schedArms, schedStream, cfg, func(res SchedResult) string {
 		return fmt.Sprintf("admitted=%d rejected=%d frag=%.3f util=%.3f cells=%d",
 			res.Admitted, res.Rejected, res.FragmentationAvg, res.BusyUtilization, len(res.Cells))
 	})
@@ -318,7 +249,7 @@ func AblationSched(cfg SchedConfig) ([]AblationRow, error) {
 // AblationSched2 (A16) compares the phase-2 policy stack: full (backfill +
 // preemption + defrag) < backfill-only < fifo on aggregate job cycle time.
 func AblationSched2(cfg SchedConfig) ([]AblationRow, error) {
-	return ablationSched("sched2", sched2Arms, cfg.sched2Defaults(), func(res SchedResult) string {
+	return ablationSched("sched2", sched2Arms, sched2Stream, cfg, func(res SchedResult) string {
 		return fmt.Sprintf("admitted=%d rejected=%d backfills=%d preempts=%d defrags=%d frag=%.3f util=%.3f cells=%d",
 			res.Admitted, res.Rejected, res.Backfills, res.Preemptions, res.DefragMigrations,
 			res.FragmentationAvg, res.BusyUtilization, len(res.Cells))
@@ -328,15 +259,14 @@ func AblationSched2(cfg SchedConfig) ([]AblationRow, error) {
 // SchedConfigFrom derives the A15 configuration from the common ablation
 // Config: the grid shapes are fixed (the arms must separate on known domain
 // ladders, not track the A1 core count), and the stream seeds derive from
-// cfg.Seed so -seed still varies the workload.
+// cfg.Seed so -seed still varies the workload (the reduced scale's seed 7
+// gives seeds 7 and 42).
 func SchedConfigFrom(cfg Config) SchedConfig {
-	cfg = cfg.withDefaults()
 	return SchedConfig{Seeds: []int64{cfg.Seed, cfg.Seed + 35}}
 }
 
-// Sched2ConfigFrom derives the A16 configuration the same way (the default
-// ablation seed 7 reproduces the default A16 grid seeds 8 and 37).
+// Sched2ConfigFrom derives the A16 configuration the same way (seed 7 gives
+// seeds 8 and 37).
 func Sched2ConfigFrom(cfg Config) SchedConfig {
-	cfg = cfg.withDefaults()
 	return SchedConfig{Seeds: []int64{cfg.Seed + 1, cfg.Seed + 30}}
 }

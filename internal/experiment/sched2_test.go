@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -13,16 +14,16 @@ func TestAblationSched2Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	cfg := SchedConfig{}.sched2Defaults()
-	if len(cfg.Shapes) < 2 || len(cfg.Seeds) < 2 {
-		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(cfg.Shapes), len(cfg.Seeds))
+	cfg := Sched2ConfigFrom(Reduced)
+	if len(schedShapes) < 2 || len(cfg.Seeds) < 2 {
+		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(schedShapes), len(cfg.Seeds))
 	}
-	for _, shape := range cfg.Shapes {
+	for _, shape := range schedShapes {
 		for _, seed := range cfg.Seeds {
 			agg := map[string]float64{}
 			for _, arm := range sched2Arms {
 				mode := arm.name
-				rep, err := runSchedCell(arm.policy, shape, seed, cfg)
+				rep, err := runSchedCell(arm.policy, shape, cfg.stream(sched2Stream, seed), cfg)
 				if err != nil {
 					t.Fatalf("%s shape %q seed %d: %v", mode, shape, seed, err)
 				}
@@ -51,7 +52,7 @@ func TestAblationSched2Rows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	rows, err := AblationSched2(SchedConfig{})
+	rows, err := AblationSched2(Sched2ConfigFrom(Reduced))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +75,16 @@ func TestAblationSched2Rows(t *testing.T) {
 		t.Errorf("registered sched2 orderings violated: %v", err)
 	}
 
-	cfg := SchedConfig{}.sched2Defaults()
-	full, err := runSchedGrid(armNamed(t, sched2Arms, "full"), cfg)
+	cfg := Sched2ConfigFrom(Reduced)
+	full, err := runSchedGrid(armNamed(t, sched2Arms, "full"), sched2Stream, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := runSchedGrid(armNamed(t, sched2Arms, "backfill"), cfg)
+	bf, err := runSchedGrid(armNamed(t, sched2Arms, "backfill"), sched2Stream, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := runSchedGrid(armNamed(t, sched2Arms, "fifo"), cfg)
+	fifo, err := runSchedGrid(armNamed(t, sched2Arms, "fifo"), sched2Stream, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +109,16 @@ func TestAblationSched2Rows(t *testing.T) {
 
 // TestSched2ConfigValidate rejects broken grids before any cell runs.
 func TestSched2ConfigValidate(t *testing.T) {
+	seeds := []int64{7}
 	cases := []struct {
 		name string
 		cfg  SchedConfig
 		want string
 	}{
-		{"bad shape", SchedConfig{Shapes: []string{"nonsense"}}, "shape"},
-		{"bad tier", SchedConfig{RequiredTier: "closet"}, "tier"},
-		{"negative churn", SchedConfig{Churn: -1}, "churn"},
-		{"threshold above one", SchedConfig{DefragThreshold: 1.5}, "threshold"},
-		{"bad long fraction", SchedConfig{LongFraction: 2}, "long fraction"},
+		{"no seeds", SchedConfig{}, "seed"},
+		{"negative churn", SchedConfig{Seeds: seeds, Churn: -1}, "churn"},
+		{"threshold above one", SchedConfig{Seeds: seeds, DefragThreshold: 1.5}, "threshold"},
+		{"NaN threshold", SchedConfig{Seeds: seeds, DefragThreshold: math.NaN()}, "threshold"},
 		{"bad mode reaches RunSched2", SchedConfig{}, ""},
 	}
 	for _, tc := range cases {
@@ -129,7 +130,7 @@ func TestSched2ConfigValidate(t *testing.T) {
 				}
 				return
 			}
-			err := tc.cfg.sched2Defaults().Validate()
+			err := tc.cfg.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate() = %v, want mention of %q", err, tc.want)
 			}

@@ -14,16 +14,16 @@ func TestAblationSchedOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	cfg := SchedConfig{}.withDefaults()
-	if len(cfg.Shapes) < 2 || len(cfg.Seeds) < 2 {
-		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(cfg.Shapes), len(cfg.Seeds))
+	cfg := SchedConfigFrom(Reduced)
+	if len(schedShapes) < 2 || len(cfg.Seeds) < 2 {
+		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(schedShapes), len(cfg.Seeds))
 	}
-	for _, shape := range cfg.Shapes {
+	for _, shape := range schedShapes {
 		for _, seed := range cfg.Seeds {
 			agg := map[string]float64{}
 			for _, arm := range schedArms {
 				mode := arm.name
-				rep, err := runSchedCell(arm.policy, shape, seed, cfg)
+				rep, err := runSchedCell(arm.policy, shape, cfg.stream(schedStream, seed), cfg)
 				if err != nil {
 					t.Fatalf("%s shape %q seed %d: %v", mode, shape, seed, err)
 				}
@@ -52,7 +52,7 @@ func TestAblationSchedRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	rows, err := AblationSched(SchedConfig{})
+	rows, err := AblationSched(SchedConfigFrom(Reduced))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,12 @@ func TestAblationSchedRows(t *testing.T) {
 	if err := CheckOrderings(rows, AblationOrderings("sched")); err != nil {
 		t.Errorf("registered sched orderings violated: %v", err)
 	}
-	cfg := SchedConfig{}.withDefaults()
-	aware, err := runSchedGrid(armNamed(t, schedArms, "topo-aware"), cfg)
+	cfg := SchedConfigFrom(Reduced)
+	aware, err := runSchedGrid(armNamed(t, schedArms, "topo-aware"), schedStream, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := runSchedGrid(armNamed(t, schedArms, "first-fit"), cfg)
+	first, err := runSchedGrid(armNamed(t, schedArms, "first-fit"), schedStream, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,14 @@ func TestAblationSchedRows(t *testing.T) {
 
 // TestSchedConfigValidate rejects broken grids before any cell runs.
 func TestSchedConfigValidate(t *testing.T) {
+	seeds := []int64{7}
 	cases := []struct {
 		name string
 		cfg  SchedConfig
 		want string
 	}{
-		{"bad shape", SchedConfig{Shapes: []string{"nonsense"}}, "shape"},
-		{"bad tier", SchedConfig{RequiredTier: "closet"}, "tier"},
-		{"negative churn", SchedConfig{Churn: -1}, "churn"},
+		{"no seeds", SchedConfig{}, "seed"},
+		{"negative churn", SchedConfig{Seeds: seeds, Churn: -1}, "churn"},
 		{"bad mode reaches RunSched", SchedConfig{}, ""},
 	}
 	for _, tc := range cases {
@@ -117,23 +117,16 @@ func TestSchedConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSchedBracedShape pins that a shape is validated by the grammar that
-// builds it: a braced heterogeneous platform passes Validate and runs a
-// cell.
+// TestSchedBracedShape pins that the cell runner builds its platform with
+// the grammar: a braced heterogeneous shape runs a stream.
 func TestSchedBracedShape(t *testing.T) {
-	cfg := SchedConfig{
-		Shapes: []string{"rack:2 node:{pack:1 core:4 | pack:1 core:2}"},
-		Seeds:  []int64{7},
-		Jobs:   6,
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Validate() = %v", err)
-	}
-	res, err := runSchedGrid(armNamed(t, schedArms, "topo-aware"), cfg.withDefaults())
+	cfg := SchedConfig{Jobs: 6}
+	rep, err := runSchedCell(armNamed(t, schedArms, "topo-aware"),
+		"rack:2 node:{pack:1 core:4 | pack:1 core:2}", cfg.stream(schedStream, 7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 1 || res.Admitted == 0 {
-		t.Errorf("ran %d cells, admitted %d jobs; want 1 cell with admissions", len(res.Cells), res.Admitted)
+	if rep.Admitted == 0 {
+		t.Errorf("admitted no jobs on the braced shape")
 	}
 }

@@ -24,9 +24,10 @@ type BuildOptions struct {
 	Grid *Grid
 	// Cell is the stencil update; required when Grid is non-nil.
 	Cell CellFunc
-	// ElemBytes is the element size (default 8, double precision).
-	ElemBytes int
 }
+
+// elemBytes is the element size: double precision.
+const elemBytes = 8
 
 // Program is a built ORWL stencil: the paper's §III decomposition. Task IDs
 // follow comm.LK23OpIndex, so the runtime's extracted affinity matrix is
@@ -95,9 +96,6 @@ func stripLen(b Block, d comm.Frontier) int {
 // opts.BX×opts.BY blocks on the given runtime. Placement (Bind/BindControl)
 // is applied by the caller between Build and RT.Run.
 func Build(rt *orwl.Runtime, rows, cols int, opts BuildOptions) (*Program, error) {
-	if opts.ElemBytes == 0 {
-		opts.ElemBytes = 8
-	}
 	if opts.Iters <= 0 {
 		return nil, fmt.Errorf("kernels: Iters must be positive")
 	}
@@ -115,7 +113,6 @@ func Build(rt *orwl.Runtime, rows, cols int, opts BuildOptions) (*Program, error
 		return nil, err
 	}
 	p := &Program{RT: rt, Part: part, Opts: opts, rows: rows, cols: cols}
-	eb := int64(opts.ElemBytes)
 
 	// Locations first: every block's interior plus its eight frontier
 	// export locations, in block-major order.
@@ -126,7 +123,7 @@ func Build(rt *orwl.Runtime, rows, cols int, opts BuildOptions) (*Program, error
 		p.FrontierLoc[y] = make([][]*orwl.Location, opts.BX)
 		for x := 0; x < opts.BX; x++ {
 			b := part.Block(x, y)
-			locB := rt.NewLocation(fmt.Sprintf("B(%d,%d)", x, y), int64(b.Cells())*eb)
+			locB := rt.NewLocation(fmt.Sprintf("B(%d,%d)", x, y), int64(b.Cells())*elemBytes)
 			p.BlockLoc[y][x] = locB
 			if opts.Grid != nil {
 				buf := make([]float64, b.Cells())
@@ -138,7 +135,7 @@ func Build(rt *orwl.Runtime, rows, cols int, opts BuildOptions) (*Program, error
 			frontiers := make([]*orwl.Location, 8)
 			for d := comm.OpN; d <= comm.OpSW; d++ {
 				n := stripLen(b, d)
-				loc := rt.NewLocation(fmt.Sprintf("F(%d,%d).%v", x, y, d), int64(n)*eb)
+				loc := rt.NewLocation(fmt.Sprintf("F(%d,%d).%v", x, y, d), int64(n)*elemBytes)
 				if opts.Grid != nil {
 					loc.SetData(make([]float64, n))
 				}
@@ -179,9 +176,8 @@ func (p *Program) neighbour(x, y int, d comm.Frontier) (int, int, bool) {
 // neighbours export toward it.
 func (p *Program) addMainTask(x, y int) {
 	b := p.Part.Block(x, y)
-	eb := float64(p.Opts.ElemBytes)
 	task := p.RT.AddTask(fmt.Sprintf("b(%d,%d).main", x, y), nil)
-	wB := task.NewHandleVol(p.BlockLoc[y][x], orwl.Write, float64(b.Cells())*eb, 1)
+	wB := task.NewHandleVol(p.BlockLoc[y][x], orwl.Write, float64(b.Cells())*elemBytes, 1)
 
 	// Read handles on the neighbours' frontiers pointing at this block,
 	// in fixed direction order.
@@ -199,7 +195,7 @@ func (p *Program) addMainTask(x, y int) {
 		exp := opposite(d) // the neighbour's op that exports toward us
 		loc := p.FrontierLoc[ny][nx][int(exp)-1]
 		n := stripLen(p.Part.Block(nx, ny), exp)
-		h := task.NewHandleVol(loc, orwl.Read, float64(n)*eb, 1)
+		h := task.NewHandleVol(loc, orwl.Read, float64(n)*elemBytes, 1)
 		halos = append(halos, haloIn{d, h, n})
 	}
 
@@ -263,11 +259,10 @@ func (p *Program) addMainTask(x, y int) {
 // interior and exports the d-side strip into its own location.
 func (p *Program) addFrontierTask(x, y int, d comm.Frontier) {
 	b := p.Part.Block(x, y)
-	eb := float64(p.Opts.ElemBytes)
 	n := stripLen(b, d)
 	task := p.RT.AddTask(fmt.Sprintf("b(%d,%d).%v", x, y, d), nil)
-	rB := task.NewHandleVol(p.BlockLoc[y][x], orwl.Read, float64(n)*eb, 0)
-	wF := task.NewHandleVol(p.FrontierLoc[y][x][int(d)-1], orwl.Write, float64(n)*eb, 0)
+	rB := task.NewHandleVol(p.BlockLoc[y][x], orwl.Read, float64(n)*elemBytes, 0)
+	wF := task.NewHandleVol(p.FrontierLoc[y][x][int(d)-1], orwl.Write, float64(n)*elemBytes, 0)
 
 	realMode := p.Opts.Grid != nil
 	var strip []float64

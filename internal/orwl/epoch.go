@@ -30,7 +30,6 @@ import (
 // epoch-enabled runtime.
 type epochState struct {
 	interval int
-	decay    float64
 	hook     func(*Epoch)
 
 	mu      sync.Mutex
@@ -45,21 +44,13 @@ type epochState struct {
 // running tasks quiesce at a barrier, the runtime snapshots (and rolls) the
 // windowed measured communication matrix, and hook — when non-nil — may
 // inspect the window and rebind tasks through the Epoch it receives. The
-// window rolls with the given decay factor (0 = hard reset per epoch; see
-// comm.Window). Must be called before Run.
-//
-// The decay must lie in [0,1): comm.Window.Roll coerces anything else to 0,
-// so a caller passing 1.0 ("never forget") would silently get a full reset
-// — the opposite semantics. That foot-gun is rejected here instead.
+// window resets every epoch (see comm.Window). Must be called before Run.
 //
 // Epoch-enabled programs must be uniform: every task calls EndIteration
 // once per iteration, holding no lock grants at that point.
-func (rt *Runtime) ConfigureEpochs(interval int, decay float64, hook func(*Epoch)) error {
+func (rt *Runtime) ConfigureEpochs(interval int, hook func(*Epoch)) error {
 	if interval < 1 {
 		return fmt.Errorf("orwl: epoch interval %d must be at least 1", interval)
-	}
-	if !(decay >= 0 && decay < 1) { // rejects NaN too
-		return fmt.Errorf("orwl: window decay %v outside [0,1): 0 resets the window per epoch, a factor below 1 keeps a decayed memory; 1 (never forget) is the unbounded MeasuredCommMatrix, not a window", decay)
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -72,7 +63,7 @@ func (rt *Runtime) ConfigureEpochs(interval int, decay float64, hook func(*Epoch
 		// any signal.
 		return fmt.Errorf("orwl: epochs already configured")
 	}
-	es := &epochState{interval: interval, decay: decay, hook: hook}
+	es := &epochState{interval: interval, hook: hook}
 	es.cond = sync.NewCond(&es.mu)
 	rt.epochs = es
 	return nil
@@ -140,7 +131,7 @@ func (rt *Runtime) completeEpochLocked() {
 	// returned, so their traffic counters are quiescent.
 	var window *comm.Matrix
 	if w := rt.feedWindow(); w != nil {
-		window = w.Roll(es.decay)
+		window = w.Roll()
 	}
 	if es.hook != nil {
 		ep := &Epoch{rt: rt, index: index, tasks: tasks, window: window}
@@ -172,8 +163,7 @@ func (e *Epoch) Index() int { return e.index }
 func (e *Epoch) Tasks() []*Task { return append([]*Task(nil), e.tasks...) }
 
 // Window returns the windowed measured communication matrix accumulated
-// since the previous epoch (decayed per the ConfigureEpochs factor), or nil
-// when the runtime has no machine attached.
+// since the previous epoch, or nil when the runtime has no machine attached.
 func (e *Epoch) Window() *comm.Matrix { return e.window }
 
 // check validates that the epoch is still open and the PU in range.

@@ -65,7 +65,7 @@ func TestEpochHookFiresAtBoundaries(t *testing.T) {
 	rt := NewRuntime(Options{Machine: mach})
 	epochRing(t, rt, 4, 12, 1024)
 	var indices []int
-	if err := rt.ConfigureEpochs(3, 0, func(e *Epoch) {
+	if err := rt.ConfigureEpochs(3, func(e *Epoch) {
 		indices = append(indices, e.Index())
 		if got := len(e.Tasks()); got != 4 {
 			t.Errorf("epoch %d: %d tasks at the barrier, want 4", e.Index(), got)
@@ -99,7 +99,7 @@ func TestEpochWindowResetsBetweenEpochs(t *testing.T) {
 	rt := NewRuntime(Options{Machine: mach})
 	epochRing(t, rt, 3, 8, vol)
 	var windows []float64
-	if err := rt.ConfigureEpochs(4, 0, func(e *Epoch) {
+	if err := rt.ConfigureEpochs(4, func(e *Epoch) {
 		windows = append(windows, e.Window().TotalVolume())
 	}); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestEpochRebindMovesTaskAndData(t *testing.T) {
 	epochRing(t, rt, 2, 6, 4096)
 	tasks := rt.Tasks()
 	rebound := false
-	if err := rt.ConfigureEpochs(2, 0, func(e *Epoch) {
+	if err := rt.ConfigureEpochs(2, func(e *Epoch) {
 		if rebound {
 			return
 		}
@@ -189,7 +189,7 @@ func TestEpochRebindChargedVsFree(t *testing.T) {
 		epochRing(t, rt, 2, 8, 1<<16)
 		tasks := rt.Tasks()
 		moved := false
-		if err := rt.ConfigureEpochs(2, 0, func(e *Epoch) {
+		if err := rt.ConfigureEpochs(2, func(e *Epoch) {
 			if moved {
 				return
 			}
@@ -227,7 +227,7 @@ func TestEpochDeterminism(t *testing.T) {
 		mach := epochMachine(t)
 		rt := NewRuntime(Options{Machine: mach, Seed: 11})
 		epochRing(t, rt, 6, 12, 8192)
-		if err := rt.ConfigureEpochs(3, 0.5, func(e *Epoch) {
+		if err := rt.ConfigureEpochs(3, func(e *Epoch) {
 			// Rotate every task one core to the right each epoch: constant
 			// churn, still deterministic.
 			for i, task := range e.Tasks() {
@@ -259,14 +259,14 @@ func TestEpochDeterminism(t *testing.T) {
 
 func TestConfigureEpochsValidation(t *testing.T) {
 	rt := NewRuntime(Options{})
-	if err := rt.ConfigureEpochs(0, 0, nil); err == nil {
+	if err := rt.ConfigureEpochs(0, nil); err == nil {
 		t.Errorf("interval 0 accepted")
 	}
 	rt1 := NewRuntime(Options{})
-	if err := rt1.ConfigureEpochs(2, 0, nil); err != nil {
+	if err := rt1.ConfigureEpochs(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt1.ConfigureEpochs(3, 0, nil); err == nil {
+	if err := rt1.ConfigureEpochs(3, nil); err == nil {
 		t.Errorf("second ConfigureEpochs silently replaced the first")
 	}
 	rt2 := NewRuntime(Options{})
@@ -274,7 +274,7 @@ func TestConfigureEpochsValidation(t *testing.T) {
 	if err := rt2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt2.ConfigureEpochs(1, 0, nil); err == nil {
+	if err := rt2.ConfigureEpochs(1, nil); err == nil {
 		t.Errorf("ConfigureEpochs after Run accepted")
 	}
 }
@@ -310,7 +310,7 @@ func TestEpochWindowSurvivesCrossNodeRebind(t *testing.T) {
 	// decide from after the move.
 	moved := false
 	var postMove *comm.Matrix
-	err = rt.ConfigureEpochs(4, 0, func(ep *Epoch) {
+	err = rt.ConfigureEpochs(4, func(ep *Epoch) {
 		switch ep.Index() {
 		case 1:
 			for _, task := range ep.Tasks() {

@@ -129,55 +129,54 @@ func TestMeasuredMatchesOracle(t *testing.T) {
 	}
 	const iters = 13 // one iteration past the last epoch of either interval
 	for _, prog := range programs {
-		for _, decay := range []float64{0, 0.5} {
-			for _, interval := range []int{1, 3} {
-				t.Run(fmt.Sprintf("%s/decay=%v/every=%d", prog.name, decay, interval), func(t *testing.T) {
-					reads, vols := prog.build()
-					n := len(reads)
-					rt := simRuntime(t, "pack:2 l3:1 core:4 pu:1", 1)
-					oracleProgram(rt, reads, vols, iters)
-					for _, task := range rt.Tasks() {
-						if err := rt.Bind(task, task.ID()%8); err != nil {
-							t.Fatal(err)
-						}
-					}
-					oracle := &measuredOracle{window: comm.NewWindow(n)}
-					rt.grantTap = oracle.recordComm
-					epochs := 0
-					err := rt.ConfigureEpochs(interval, decay, func(ep *Epoch) {
-						epochs++
-						if want := oracle.window.Roll(decay); !ep.Window().Equal(want, 0) {
-							t.Errorf("epoch %d: window differs from the oracle's", ep.Index())
-						}
-						// The hook is one of the two places the counters may
-						// be read from.
-						if !rt.MeasuredCommMatrix().Equal(oracle.MeasuredCommMatrix(n), 0) {
-							t.Errorf("epoch %d: MeasuredCommMatrix differs from the oracle's", ep.Index())
-						}
-						if ep.Index() == 2 {
-							if err := ep.Rebind(ep.Tasks()[0], 7); err != nil {
-								t.Error(err)
-							}
-						}
-					})
-					if err != nil {
+		for _, interval := range []int{1, 3} {
+			// The window resets every epoch: decay 0.
+			t.Run(fmt.Sprintf("%s/decay=0/every=%d", prog.name, interval), func(t *testing.T) {
+				reads, vols := prog.build()
+				n := len(reads)
+				rt := simRuntime(t, "pack:2 l3:1 core:4 pu:1", 1)
+				oracleProgram(rt, reads, vols, iters)
+				for _, task := range rt.Tasks() {
+					if err := rt.Bind(task, task.ID()%8); err != nil {
 						t.Fatal(err)
 					}
-					if err := rt.Run(); err != nil {
-						t.Fatal(err)
+				}
+				oracle := &measuredOracle{window: comm.NewWindow(n)}
+				rt.grantTap = oracle.recordComm
+				epochs := 0
+				err := rt.ConfigureEpochs(interval, func(ep *Epoch) {
+					epochs++
+					if want := oracle.window.Roll(); !ep.Window().Equal(want, 0) {
+						t.Errorf("epoch %d: window differs from the oracle's", ep.Index())
 					}
-					if epochs != iters/interval {
-						t.Errorf("%d epochs ran, want %d", epochs, iters/interval)
+					// The hook is one of the two places the counters may
+					// be read from.
+					if !rt.MeasuredCommMatrix().Equal(oracle.MeasuredCommMatrix(n), 0) {
+						t.Errorf("epoch %d: MeasuredCommMatrix differs from the oracle's", ep.Index())
 					}
-					measured := rt.MeasuredCommMatrix()
-					if !measured.Equal(oracle.MeasuredCommMatrix(n), 0) {
-						t.Errorf("MeasuredCommMatrix differs from the oracle's")
-					}
-					if measured.TotalVolume() == 0 {
-						t.Errorf("the run recorded no traffic")
+					if ep.Index() == 2 {
+						if err := ep.Rebind(ep.Tasks()[0], 7); err != nil {
+							t.Error(err)
+						}
 					}
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if epochs != iters/interval {
+					t.Errorf("%d epochs ran, want %d", epochs, iters/interval)
+				}
+				measured := rt.MeasuredCommMatrix()
+				if !measured.Equal(oracle.MeasuredCommMatrix(n), 0) {
+					t.Errorf("MeasuredCommMatrix differs from the oracle's")
+				}
+				if measured.TotalVolume() == 0 {
+					t.Errorf("the run recorded no traffic")
+				}
+			})
 		}
 	}
 }

@@ -18,17 +18,8 @@ type Options struct {
 	// lock handoffs and memory accesses are priced, and MakespanSeconds
 	// reports the simulated execution time.
 	Machine *numasim.Machine
-	// MigrationProbability is the chance that the simulated OS migrates an
-	// unbound task at each EndIteration. Defaults to 0.25.
-	MigrationProbability float64
 	// Seed drives the simulated OS scheduler for unbound tasks.
 	Seed int64
-	// ControlEventCycles is the base cost of one lock transition handled by
-	// a task's control thread (scaled by the control thread's distance; see
-	// Task.chargeControlEvent). Defaults to 10000 cycles (~4.4 µs at
-	// 2.27 GHz): an on-core wakeup of the control thread through a shared
-	// cache line. The unmapped 6× case then models a ~26 µs OS wakeup.
-	ControlEventCycles float64
 	// Trace, when non-nil, receives one event per acquire/release.
 	Trace func(TraceEvent)
 }
@@ -42,6 +33,17 @@ type TraceEvent struct {
 	// Clock is the task's virtual time in cycles (0 without a machine).
 	Clock float64
 }
+
+// migrationProbability is the chance that the simulated OS migrates an
+// unbound task at each EndIteration.
+const migrationProbability = 0.25
+
+// controlEventCycles is the base cost of one lock transition handled by a
+// task's control thread (scaled by the control thread's distance; see
+// Task.chargeControlEvent): 10000 cycles (~4.4 µs at 2.27 GHz), an on-core
+// wakeup of the control thread through a shared cache line. The unmapped
+// 6× case then models a ~26 µs OS wakeup.
+const controlEventCycles = 10_000
 
 type runtimeState int
 
@@ -83,12 +85,6 @@ type Runtime struct {
 
 // NewRuntime creates an empty runtime.
 func NewRuntime(opts Options) *Runtime {
-	if opts.MigrationProbability == 0 {
-		opts.MigrationProbability = 0.25
-	}
-	if opts.ControlEventCycles == 0 {
-		opts.ControlEventCycles = 10_000
-	}
 	return &Runtime{opts: opts, mach: opts.Machine}
 }
 

@@ -130,7 +130,7 @@ func (t *Task) NewHandleVol(loc *Location, mode Mode, vol float64, rank int) *Ha
 func (t *Task) EndIteration() {
 	t.iterations++
 	if t.proc != nil {
-		t.proc.Reschedule(t.rt.opts.MigrationProbability)
+		t.proc.Reschedule(migrationProbability)
 	}
 	if es := t.rt.epochs; es != nil && t.iterations%es.interval == 0 {
 		t.rt.epochArrive(t)
@@ -151,7 +151,6 @@ func (t *Task) chargeControlEvent() {
 	if p == nil {
 		return
 	}
-	base := t.rt.opts.ControlEventCycles
 	mult := 6.0
 	if t.ctlPU >= 0 {
 		topo := t.rt.mach.Topology()
@@ -165,7 +164,7 @@ func (t *Task) chargeControlEvent() {
 			mult = 4
 		}
 	}
-	p.ComputeCycles(float64(base * mult))
+	p.ComputeCycles(float64(controlEventCycles * mult))
 }
 
 // String renders the task for diagnostics.

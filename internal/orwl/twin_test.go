@@ -54,12 +54,11 @@ func twinAttrs() topology.Defaults {
 }
 
 const (
-	twinV     = 1 << 20  // location size = handle volume, bytes
-	twinK     = 3        // iterations per task
-	twinF     = 250_000  // A's per-iteration flops (1 flop/cycle)
-	twinG     = 125_000  // B's per-iteration flops
-	twinCtl   = 1000     // Options.ControlEventCycles
-	twinCtlMu = 6 * 1000 // one control event: 6× (control threads unmapped)
+	twinV     = 1 << 20                // location size = handle volume, bytes
+	twinK     = 3                      // iterations per task
+	twinF     = 250_000                // A's per-iteration flops (1 flop/cycle)
+	twinG     = 125_000                // B's per-iteration flops
+	twinCtlMu = 6 * controlEventCycles // one control event: 6× (control threads unmapped)
 )
 
 // twinMakespan runs the ping-pong on the given platform with A and B bound
@@ -70,7 +69,7 @@ func twinMakespan(t *testing.T, spec string, puA, puB int) float64 {
 	if err != nil {
 		t.Fatalf("NewPlatformAttrs(%q): %v", spec, err)
 	}
-	rt := NewRuntime(Options{Machine: p.Machine(), ControlEventCycles: twinCtl})
+	rt := NewRuntime(Options{Machine: p.Machine()})
 	loc := rt.NewLocation("halo", twinV)
 
 	body := func(flops float64) func(*Task) error {

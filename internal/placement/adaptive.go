@@ -49,17 +49,6 @@ type AdaptiveOptions struct {
 	// EpochIters is the number of iterations between re-placement
 	// decisions. Required (>= 1).
 	EpochIters int
-	// Hysteresis scales the modeled migration cost a candidate mapping must
-	// beat before it is applied: the predicted per-epoch gain must exceed
-	// Hysteresis × (migration penalty + region re-homing pulls). Higher
-	// values mean calmer placement; 0 defaults to 1 (the candidate must
-	// recoup the migration bill within one epoch).
-	Hysteresis float64
-	// WindowDecay is the comm.Window decay factor: 0 resets the observation
-	// window every epoch, a factor in (0,1) keeps an exponentially decayed
-	// memory of earlier epochs. Values outside [0,1) are rejected by
-	// PlaceAdaptive.
-	WindowDecay float64
 	// FreeMigration applies every strictly improving candidate without
 	// charging migration: the oracle configuration, an upper bound on what
 	// adaptivity could gain. Never use it to report real results.
@@ -143,9 +132,6 @@ func PlaceAdaptive(rt *orwl.Runtime, opts AdaptiveOptions) (*AdaptiveEngine, err
 	if opts.EpochIters < 1 {
 		return nil, fmt.Errorf("placement: adaptive EpochIters %d must be at least 1", opts.EpochIters)
 	}
-	if !(opts.WindowDecay >= 0 && opts.WindowDecay < 1) { // rejects NaN too
-		return nil, fmt.Errorf("placement: adaptive WindowDecay %v outside [0,1)", opts.WindowDecay)
-	}
 	if opts.FaultMode < FaultAware || opts.FaultMode > FaultRespawn {
 		return nil, fmt.Errorf("placement: unknown FaultMode %d", opts.FaultMode)
 	}
@@ -159,9 +145,6 @@ func PlaceAdaptive(rt *orwl.Runtime, opts AdaptiveOptions) (*AdaptiveEngine, err
 	}
 	if opts.Candidate == nil {
 		opts.Candidate = opts.Base
-	}
-	if opts.Hysteresis == 0 {
-		opts.Hysteresis = 1
 	}
 	a, err := Place(rt, opts.Base)
 	if err != nil {
@@ -182,7 +165,7 @@ func PlaceAdaptive(rt *orwl.Runtime, opts AdaptiveOptions) (*AdaptiveEngine, err
 			}
 		}
 	}
-	if err := rt.ConfigureEpochs(opts.EpochIters, opts.WindowDecay, e.onEpoch); err != nil {
+	if err := rt.ConfigureEpochs(opts.EpochIters, e.onEpoch); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -254,7 +237,9 @@ func (e *AdaptiveEngine) onEpoch(ep *orwl.Epoch) {
 			migCost += e.mach.Config().MigrationPenaltyCycles
 		}
 	}
-	threshold := e.opts.Hysteresis * migCost
+	// The candidate must recoup the migration bill (penalty + region
+	// re-homing pulls) within one epoch.
+	threshold := migCost
 	if e.opts.FreeMigration {
 		threshold = 0
 	}

@@ -1,8 +1,6 @@
 package placement
 
 import (
-	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -170,28 +168,5 @@ func TestAdaptiveControlRebindsPriced(t *testing.T) {
 	// cheap enough to apply.)
 	if st.Applied != 0 {
 		t.Errorf("control-heavy candidate applied %d times, want 0 (stats %+v)", st.Applied, st)
-	}
-}
-
-// TestPlaceAdaptiveRejectsBadDecay covers the WindowDecay boundaries: 1.0
-// ("never forget") used to be silently coerced to 0 (forget everything) deep
-// inside comm.Window.Roll; now both PlaceAdaptive and ConfigureEpochs reject
-// anything outside [0,1).
-func TestPlaceAdaptiveRejectsBadDecay(t *testing.T) {
-	build := func() *orwl.Runtime {
-		return orwl.NewRuntime(orwl.Options{Machine: machine(t, "pack:1 core:4 pu:1")})
-	}
-	for _, bad := range []float64{1, 1.5, -0.1, math.NaN()} {
-		_, err := PlaceAdaptive(build(), AdaptiveOptions{EpochIters: 1, WindowDecay: bad})
-		if err == nil || !strings.Contains(err.Error(), "WindowDecay") {
-			t.Errorf("decay %v: error = %v, want WindowDecay validation", bad, err)
-		}
-	}
-	for _, ok := range []float64{0, 0.5, 0.999} {
-		rt := build()
-		rt.AddTask("t", nil)
-		if _, err := PlaceAdaptive(rt, AdaptiveOptions{EpochIters: 1, WindowDecay: ok}); err != nil {
-			t.Errorf("decay %v rejected: %v", ok, err)
-		}
 	}
 }

@@ -36,11 +36,6 @@ import (
 // emerge from bottom-up core-level grouping, and keeps the per-node
 // instances small.
 type Hierarchical struct {
-	// Options tunes the underlying grouping heuristic at all levels.
-	Options treematch.Options
-	// NoDistribute disables the per-node NUMA distribution step, mirroring
-	// TreeMatch.NoDistribute.
-	NoDistribute bool
 	// NoFabricMatch disables the group→node matching on multi-switch
 	// fabrics, pinning partition group g to cluster node g as on a flat
 	// fabric. This is the fabric-blind (depth-blind) arm of ablations A10
@@ -92,7 +87,7 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	topo := mach.Topology()
 	nodes := len(topo.ClusterNodes())
 	if nodes <= 1 {
-		a, err := TreeMatch{Options: p.Options, NoDistribute: p.NoDistribute}.Assign(mach, m)
+		a, err := TreeMatch{}.Assign(mach, m)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +111,7 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 			partCaps[i] = 1
 		}
 	}
-	groups, err := treematch.PartitionAcrossWeighted(m, partCaps, p.Options)
+	groups, err := treematch.PartitionAcrossWeighted(m, partCaps, treematch.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +149,6 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 		Strategy:     treematch.ControlHyperthread,
 		VirtualArity: 1,
 	}
-	opts := p.Options
-	opts.Distribute = !p.NoDistribute
 	// Per-node SMT ways: the fused machine's global minimum would deny
 	// hyperthread control pairing on a node all of whose cores are
 	// 2-threaded just because some *other* member is not — each node's
@@ -189,7 +182,8 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 		if err != nil {
 			return nodeMapResult{err: err}
 		}
-		res, err := treematch.Map(treematch.Target{Tree: nodeTrees[node], SMTWays: ways[node]}, sub, opts)
+		res, err := treematch.Map(treematch.Target{Tree: nodeTrees[node], SMTWays: ways[node]}, sub,
+			treematch.Options{Distribute: true})
 		if err != nil {
 			return nodeMapResult{err: fmt.Errorf("placement: hierarchical node %d: %w", node, err)}
 		}
@@ -300,9 +294,7 @@ func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Mat
 		// Clustering, not distribution: spreading groups across racks is
 		// exactly what the matching must avoid, so the tree is not
 		// restricted.
-		fabricOpts := p.Options
-		fabricOpts.Distribute = false
-		mp, err := treematch.MapMatrix(fabricTree, groupMatrix, fabricOpts)
+		mp, err := treematch.MapMatrix(fabricTree, groupMatrix, treematch.Options{})
 		if err != nil {
 			return nil, err
 		}

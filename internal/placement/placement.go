@@ -81,8 +81,6 @@ func secondPU(topo *topology.Topology, core int) int {
 // tree, with the distribution requirement ("distribute threads over NUMA
 // nodes") enabled by default.
 type TreeMatch struct {
-	// Options tunes the underlying grouping heuristic.
-	Options treematch.Options
 	// NoDistribute disables the tree-restriction distribution step, for
 	// the ablation that isolates its contribution.
 	NoDistribute bool
@@ -105,11 +103,10 @@ func (p TreeMatch) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment, e
 	if err != nil {
 		return nil, err
 	}
-	opts := p.Options
-	opts.Distribute = !p.NoDistribute
 	// The per-core minimum (not the first core's fan-out) decides whether
 	// hyperthread pairing is available: see topology.SMTWays.
-	res, err := treematch.Map(treematch.Target{Tree: tree, SMTWays: topo.SMTWays()}, m, opts)
+	res, err := treematch.Map(treematch.Target{Tree: tree, SMTWays: topo.SMTWays()}, m,
+		treematch.Options{Distribute: !p.NoDistribute})
 	if err != nil {
 		return nil, err
 	}
