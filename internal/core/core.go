@@ -75,7 +75,7 @@ func (s *System) Runtime() *orwl.Runtime { return s.rt }
 
 // Run places the program with the system's policy (extracting the affinity
 // matrix from the runtime, exactly the paper's pipeline), derives the
-// static contention model, and executes the program. heavy marks the tasks
+// static memory and fabric contention model, and executes the program. heavy marks the tasks
 // with a dominant per-iteration working set (nil: all of them).
 func (s *System) Run(heavy []bool) error {
 	if s.ran {
@@ -88,6 +88,7 @@ func (s *System) Run(heavy []bool) error {
 	}
 	s.assignment = a
 	placement.SetContention(s.mach, a, heavy)
+	placement.SetFabricContention(s.mach, a, s.rt.CommMatrix())
 	return s.rt.Run()
 }
 

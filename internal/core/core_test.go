@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -90,5 +91,46 @@ func TestSystemNoBindPolicy(t *testing.T) {
 	}
 	if task.Proc().Bound() {
 		t.Errorf("nobind bound the task to PU %d", task.Proc().PU())
+	}
+}
+
+// TestSystemRunDeclaresFabricContention pins that Run prices a cluster's
+// fabric from the placement: a 4-task ring cannot be split over two 2-core
+// nodes without crossing the fabric, so some edge must carry a stream.
+func TestSystemRunDeclaresFabricContention(t *testing.T) {
+	sys, err := NewSystem(Options{TopologySpec: "cluster:2 pack:1 core:2 pu:1", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := sys.Runtime()
+	const n, vol = 4, 1 << 10
+	locs := make([]*orwl.Location, n)
+	for i := range locs {
+		locs[i] = rt.NewLocation(fmt.Sprintf("l%d", i), vol)
+	}
+	for i := range locs {
+		task := rt.AddTask(fmt.Sprintf("t%d", i), func(task *orwl.Task) error {
+			for _, h := range task.Handles() {
+				if err := h.Acquire(); err != nil {
+					return err
+				}
+				if err := h.Release(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		task.NewHandleVol(locs[(i+1)%n], orwl.Read, vol, 0)
+		task.NewHandleVol(locs[i], orwl.Write, vol, 1)
+	}
+	if err := sys.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	mach, streams := sys.Machine(), 0
+	for e := 0; e < mach.FabricGraph().NumEdges(); e++ {
+		streams += mach.EdgeStreams(e)
+	}
+	if streams == 0 {
+		t.Errorf("no fabric edge carries a stream after Run on a two-node cluster")
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/comm"
+	"repro/internal/numasim"
 	"repro/internal/omp"
-	"repro/internal/orwl"
 	"repro/internal/placement"
 )
 
@@ -43,42 +44,41 @@ func FormatAblation(title string, rows []AblationRow) string {
 	return b.String()
 }
 
+// lk23Sweep runs a paper ablation's arm table through sweep, one row per arm
+// named as the arm; detail renders an arm's Detail column.
+func lk23Sweep(study string, arms []arm[lk23Arm], detail func(lk23Arm, Result) string) ([]AblationRow, error) {
+	return sweep(study, "", arms, lk23Arm.run, func(a arm[lk23Arm], r Result) AblationRow {
+		return AblationRow{Seconds: r.Seconds, Detail: detail(a.policy, r)}
+	})
+}
+
+// bound is the ORWL-bind arm of cfg placed with pol.
+func bound(cfg Config, pol placement.Policy) lk23Arm {
+	cfg.Policy = pol
+	return lk23Arm{impl: ORWLBind, cfg: cfg}
+}
+
 // AblationPolicies (A1) compares the placement policies on the full LK23
 // configuration: the paper's TreeMatch against compact, scatter, random and
 // the unbound baseline.
 func AblationPolicies(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	policies := []placement.Policy{
-		placement.TreeMatch{},
-		placement.Compact{},
-		placement.Scatter{},
-		placement.Random{Seed: cfg.Seed + 1},
-		placement.NoBind{},
-	}
-	var rows []AblationRow
-	for _, pol := range policies {
-		c := cfg
-		impl := ORWLBind
-		if pol.Name() == "nobind" {
-			impl = ORWLNoBind
-		} else {
-			c.Policy = pol
-		}
-		res, err := Run(impl, c)
-		if err != nil {
-			return nil, fmt.Errorf("ablation policies, %s: %w", pol.Name(), err)
-		}
-		rows = append(rows, AblationRow{Name: pol.Name(), Seconds: res.Seconds})
-	}
-	return rows, nil
+	return lk23Sweep("policies", []arm[lk23Arm]{
+		{"treematch", bound(cfg, placement.TreeMatch{})},
+		{"compact", bound(cfg, placement.Compact{})},
+		{"scatter", bound(cfg, placement.Scatter{})},
+		{"random", bound(cfg, placement.Random{Seed: cfg.Seed + 1})},
+		{"nobind", lk23Arm{impl: ORWLNoBind, cfg: cfg}},
+	}, func(lk23Arm, Result) string { return "" })
 }
 
 // AblationControlThreads (A2) isolates the paper's control-thread
 // adaptation: the same LK23 program with TreeMatch binding under the
 // strategies of Algorithm 1 — hyperthread pairing (on an SMT machine),
 // spare cores (few enough blocks that cores are spare), and unmapped
-// control threads. For each scenario the "unmapped" variant rebinds only
-// the control threads, so the difference is purely their placement.
+// control threads. For each scenario the "unmapped" variant differs only in
+// leaving the control threads to the OS, so the difference is purely their
+// placement.
 //
 // Control-thread placement is a per-lock-transition effect, invisible under
 // a workload whose iterations stream tens of megabytes per block; the
@@ -87,74 +87,34 @@ func AblationPolicies(cfg Config) ([]AblationRow, error) {
 // matching the regimes where the paper's adaptation pays.
 func AblationControlThreads(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	cfg.Rows = cfg.Rows / 16
-	if cfg.Rows < 1024 {
-		cfg.Rows = 1024
-	}
-	cfg.Cols = cfg.Cols / 16
-	if cfg.Cols < 1024 {
-		cfg.Cols = 1024
-	}
-	var rows []AblationRow
-
-	// Scenario 1: SMT machine, control threads on co-hyperthreads vs
-	// released to the OS.
-	for _, unbindCtl := range []bool{false, true} {
-		smt := cfg
-		smt.SMT = true
-		res, err := runORWLControlVariant(smt, unbindCtl)
-		if err != nil {
-			return nil, err
-		}
-		name := "smt/hyperthread"
-		if unbindCtl {
-			name = "smt/unmapped"
-		}
-		rows = append(rows, AblationRow{Name: name, Seconds: res.Seconds, Detail: res.Strategy})
-	}
-
-	// Scenario 2: no SMT and few enough blocks that the 9 operations per
-	// block leave cores spare (tasks = 9·blocks < cores): the spare cores
-	// take the control threads vs releasing them.
-	for _, unbindCtl := range []bool{false, true} {
-		spare := cfg
-		spare.BlocksOverride = cfg.Cores / 16
-		if spare.BlocksOverride == 0 {
-			spare.BlocksOverride = 1
-		}
-		res, err := runORWLControlVariant(spare, unbindCtl)
-		if err != nil {
-			return nil, err
-		}
-		name := "spare/mapped"
-		if unbindCtl {
-			name = "spare/unmapped"
-		}
-		rows = append(rows, AblationRow{Name: name, Seconds: res.Seconds, Detail: res.Strategy})
-	}
-	return rows, nil
+	cfg.Rows, cfg.Cols = max(cfg.Rows/16, 1024), max(cfg.Cols/16, 1024)
+	// Scenario 1: an SMT machine, whose control threads ride the
+	// co-hyperthreads. Scenario 2: no SMT and few enough blocks that the 9
+	// operations per block leave cores spare (tasks = 9·blocks < cores), so
+	// the spare cores take the control threads.
+	smt, spare := cfg, cfg
+	smt.SMT = true
+	spare.BlocksOverride = max(cfg.Cores/16, 1)
+	return lk23Sweep("control", []arm[lk23Arm]{
+		{"smt/hyperthread", bound(smt, placement.TreeMatch{})},
+		{"smt/unmapped", bound(smt, unmappedControls{})},
+		{"spare/mapped", bound(spare, placement.TreeMatch{})},
+		{"spare/unmapped", bound(spare, unmappedControls{})},
+	}, func(_ lk23Arm, r Result) string { return r.Strategy })
 }
 
-// runORWLControlVariant runs an ORWL-bind LK23 and optionally strips the
-// control-thread bindings after placement.
-func runORWLControlVariant(cfg Config, unbindCtl bool) (Result, error) {
-	mach, err := Machine(cfg)
-	if err != nil {
-		return Result{}, err
+// unmappedControls is TreeMatch with every control thread left to the OS.
+type unmappedControls struct{ placement.TreeMatch }
+
+// Assign implements placement.Policy.
+func (p unmappedControls) Assign(mach *numasim.Machine, m *comm.Matrix) (*placement.Assignment, error) {
+	a, err := p.TreeMatch.Assign(mach, m)
+	if err == nil {
+		for i := range a.ControlPU {
+			a.ControlPU[i] = -1
+		}
 	}
-	res, _, err := runLK23(mach, cfg, ORWLBind, func(rt *orwl.Runtime) (*placement.Assignment, error) {
-		a, err := placement.Place(rt, placement.TreeMatch{})
-		if err != nil || !unbindCtl {
-			return a, err
-		}
-		for _, t := range rt.Tasks() {
-			if err := rt.BindControl(t, -1); err != nil {
-				return nil, err
-			}
-		}
-		return a, nil
-	})
-	return res, err
+	return a, err
 }
 
 // AblationOversubscription (A3) exercises the paper's oversubscription
@@ -163,21 +123,15 @@ func runORWLControlVariant(cfg Config, unbindCtl bool) (Result, error) {
 // together; the run must stay correct and the overhead bounded.
 func AblationOversubscription(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
+	var arms []arm[lk23Arm]
 	for _, factor := range []int{1, 2, 4} {
 		c := cfg
 		c.BlocksOverride = cfg.Cores * factor
-		res, err := Run(ORWLBind, c)
-		if err != nil {
-			return nil, fmt.Errorf("ablation oversubscription x%d: %w", factor, err)
-		}
-		rows = append(rows, AblationRow{
-			Name:    fmt.Sprintf("blocks=%dx cores", factor),
-			Seconds: res.Seconds,
-			Detail:  fmt.Sprintf("%d tasks on %d cores", res.Tasks, res.Cores),
-		})
+		arms = append(arms, arm[lk23Arm]{fmt.Sprintf("blocks=%dx cores", factor), lk23Arm{impl: ORWLBind, cfg: c}})
 	}
-	return rows, nil
+	return lk23Sweep("oversub", arms, func(_ lk23Arm, r Result) string {
+		return fmt.Sprintf("%d tasks on %d cores", r.Tasks, r.Cores)
+	})
 }
 
 // AblationGranularity (A4) sweeps the block grid at fixed machine size:
@@ -185,25 +139,19 @@ func AblationOversubscription(cfg Config) ([]AblationRow, error) {
 // protocol and halo overhead.
 func AblationGranularity(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
+	var arms []arm[lk23Arm]
 	for _, blocks := range []int{cfg.Cores / 4, cfg.Cores / 2, cfg.Cores, cfg.Cores * 2} {
 		if blocks < 1 {
 			continue
 		}
 		c := cfg
 		c.BlocksOverride = blocks
-		res, err := Run(ORWLBind, c)
-		if err != nil {
-			return nil, fmt.Errorf("ablation granularity %d blocks: %w", blocks, err)
-		}
-		bx, by := BlockGrid(blocks)
-		rows = append(rows, AblationRow{
-			Name:    fmt.Sprintf("%d blocks", blocks),
-			Seconds: res.Seconds,
-			Detail:  fmt.Sprintf("grid %dx%d", bx, by),
-		})
+		arms = append(arms, arm[lk23Arm]{fmt.Sprintf("%d blocks", blocks), lk23Arm{impl: ORWLBind, cfg: c}})
 	}
-	return rows, nil
+	return lk23Sweep("granularity", arms, func(_ lk23Arm, r Result) string {
+		bx, by := BlockGrid(r.Blocks)
+		return fmt.Sprintf("grid %dx%d", bx, by)
+	})
 }
 
 // topologyCases are the machine shapes of the topology ablation: three
@@ -219,21 +167,13 @@ var topologyCases = []struct{ name, spec string }{
 // module adapts to the tree shape it is given.
 func AblationTopology(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
+	var arms []arm[lk23Arm]
 	for _, tc := range topologyCases {
 		for _, impl := range []Impl{ORWLBind, ORWLNoBind} {
-			res, err := runORWLOnSpec(impl, cfg, tc.spec)
-			if err != nil {
-				return nil, fmt.Errorf("ablation topology %s, %s: %w", tc.name, impl, err)
-			}
-			rows = append(rows, AblationRow{
-				Name:    fmt.Sprintf("%s/%s", tc.name, impl),
-				Seconds: res.Seconds,
-				Detail:  res.Strategy,
-			})
+			arms = append(arms, arm[lk23Arm]{fmt.Sprintf("%s/%s", tc.name, impl), lk23Arm{impl: impl, cfg: cfg, spec: tc.spec}})
 		}
 	}
-	return rows, nil
+	return lk23Sweep("topology", arms, func(_ lk23Arm, r Result) string { return r.Strategy })
 }
 
 // AblationDistribution (A6) isolates the distribution requirement of the
@@ -247,71 +187,46 @@ func AblationTopology(cfg Config) ([]AblationRow, error) {
 // it alongside the simulated time.
 func AblationDistribution(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	cfg.SMT = true
-	cfg.BlocksOverride = cfg.Cores / 16
-	if cfg.BlocksOverride < 1 {
-		cfg.BlocksOverride = 1
+	cfg.SMT, cfg.BlocksOverride = true, max(cfg.Cores/16, 1)
+	arms := []arm[placement.Policy]{
+		{"distribute", placement.TreeMatch{}},
+		{"cluster-only", placement.TreeMatch{NoDistribute: true}},
 	}
-	var rows []AblationRow
-	for _, noDist := range []bool{false, true} {
-		c := cfg
-		c.Policy = placement.TreeMatch{NoDistribute: noDist}
-		res, a, err := runORWLWithAssignment(ORWLBind, c)
+	return sweep("distribute", "", arms, func(pol placement.Policy) (AblationRow, error) {
+		mach, err := Machine(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("ablation distribution: %w", err)
+			return AblationRow{}, err
 		}
-		mach, err := Machine(c)
+		res, run, err := runLK23(mach, cfg, ORWLBind, pol, nil)
 		if err != nil {
-			return nil, err
+			return AblationRow{}, err
 		}
 		nodes := map[int]bool{}
-		for _, pu := range a.TaskPU {
+		for _, pu := range run.a.TaskPU {
 			if pu >= 0 {
 				nodes[mach.NodeOfPU(pu)] = true
 			}
 		}
-		name := "distribute"
-		if noDist {
-			name = "cluster-only"
-		}
-		rows = append(rows, AblationRow{
-			Name:    name,
-			Seconds: res.Seconds,
-			Detail:  fmt.Sprintf("%d NUMA nodes carry tasks", len(nodes)),
-		})
-	}
-	return rows, nil
+		return AblationRow{Seconds: res.Seconds, Detail: fmt.Sprintf("%d NUMA nodes carry tasks", len(nodes))}, nil
+	}, func(_ arm[placement.Policy], r AblationRow) AblationRow { return r })
 }
 
 // AblationOMPSchedule (A7) sweeps the loop-scheduling policy of the OpenMP
-// baseline. The point the paper makes implicitly — that the baseline's
-// problem is affinity, not load balancing — shows here: no schedule
-// rescues OpenMP, because the cost is where the pages are, not how the
-// rows are dealt out.
+// baseline against the bound ORWL reference. The point the paper makes
+// implicitly — that the baseline's problem is affinity, not load balancing
+// — shows here: no schedule rescues OpenMP, because the cost is where the
+// pages are, not how the rows are dealt out.
 func AblationOMPSchedule(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	var rows []AblationRow
+	var arms []arm[lk23Arm]
 	for _, sched := range []omp.Schedule{omp.Static, omp.Dynamic, omp.Guided} {
-		res, err := runOMPSchedule(cfg, sched)
-		if err != nil {
-			return nil, fmt.Errorf("ablation omp schedule %v: %w", sched, err)
+		arms = append(arms, arm[lk23Arm]{"omp/" + sched.String(), lk23Arm{impl: OpenMP, cfg: cfg, sched: sched}})
+	}
+	arms = append(arms, arm[lk23Arm]{"orwl-bind", lk23Arm{impl: ORWLBind, cfg: cfg}})
+	return lk23Sweep("ompsched", arms, func(a lk23Arm, _ Result) string {
+		if a.impl == ORWLBind {
+			return "reference"
 		}
-		rows = append(rows, AblationRow{Name: "omp/" + sched.String(), Seconds: res.Seconds})
-	}
-	bind, err := Run(ORWLBind, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{Name: "orwl-bind", Seconds: bind.Seconds, Detail: "reference"})
-	return rows, nil
-}
-
-// runORWLOnSpec is runORWL with an explicit topology spec.
-func runORWLOnSpec(impl Impl, cfg Config, spec string) (Result, error) {
-	mach, err := machineFromSpec(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	res, _, err := runLK23(mach, cfg, impl, oneShot(impl, cfg))
-	return res, err
+		return ""
+	})
 }

@@ -134,8 +134,8 @@ func runPhaseShift(adaptive *placement.AdaptiveOptions, cfg PhaseShiftConfig) (P
 	if err != nil {
 		return PhaseShiftResult{}, err
 	}
-	run, err := runStencil(mach, cfg.Seed, func(rt *orwl.Runtime) error { return buildPhaseShift(rt, cfg) },
-		placement.TreeMatch{}, tuned(adaptive, phaseShiftEpochIters))
+	run, err := runProgram(mach, cfg.Seed, func(rt *orwl.Runtime) ([]bool, error) { return nil, buildPhaseShift(rt, cfg) },
+		placement.TreeMatch{}, adaptive)
 	if err != nil {
 		return PhaseShiftResult{}, err
 	}
@@ -146,8 +146,8 @@ func runPhaseShift(adaptive *placement.AdaptiveOptions, cfg PhaseShiftConfig) (P
 // entry is the engine-less one-shot pipeline.
 var phaseShiftArms = []arm[*placement.AdaptiveOptions]{
 	{"static", nil},
-	{"adaptive", &placement.AdaptiveOptions{Base: placement.TreeMatch{}}},
-	{"oracle", &placement.AdaptiveOptions{Base: placement.TreeMatch{}, FreeMigration: true}},
+	{"adaptive", &placement.AdaptiveOptions{Base: placement.TreeMatch{}, EpochIters: phaseShiftEpochIters}},
+	{"oracle", &placement.AdaptiveOptions{Base: placement.TreeMatch{}, EpochIters: phaseShiftEpochIters, FreeMigration: true}},
 }
 
 // RunAdaptive executes the standard (stationary) LK23 configuration under
@@ -164,21 +164,8 @@ func RunAdaptive(cfg Config, opts placement.AdaptiveOptions) (Result, placement.
 	if err != nil {
 		return Result{}, placement.AdaptiveStats{}, err
 	}
-	var eng *placement.AdaptiveEngine
-	res, _, err := runLK23(mach, cfg, ORWLBind, func(rt *orwl.Runtime) (*placement.Assignment, error) {
-		var err error
-		if eng, err = placement.PlaceAdaptive(rt, opts); err != nil {
-			return nil, err
-		}
-		return eng.Assignment(), nil
-	})
-	if err != nil {
-		return Result{}, placement.AdaptiveStats{}, err
-	}
-	if err := eng.Err(); err != nil {
-		return Result{}, placement.AdaptiveStats{}, err
-	}
-	return res, eng.Stats(), nil
+	res, run, err := runLK23(mach, cfg, ORWLBind, nil, &opts)
+	return res, run.stats, err
 }
 
 // AblationAdaptive (A8) compares one-shot static placement against the
@@ -192,7 +179,7 @@ func AblationAdaptive(cfg Config) ([]AblationRow, error) {
 		CoresPerSocket: cfg.CoresPerSocket,
 		Seed:           cfg.Seed,
 	}.withDefaults()
-	rows, err := sweep("phase", phaseShiftArms,
+	rows, err := sweep("adaptive", "phase/", phaseShiftArms,
 		func(adaptive *placement.AdaptiveOptions) (PhaseShiftResult, error) {
 			return runPhaseShift(adaptive, ps)
 		},

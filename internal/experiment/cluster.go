@@ -82,7 +82,7 @@ func AblationCluster(cfg ClusterConfig) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.sweep("cluster", clusterArms, func(a fabricArm, _ stencilRun) string {
+	return s.sweep("cluster", clusterArms, func(a fabricArm, _ programRun) string {
 		if a.oneMachine {
 			return fmt.Sprintf("1 machine x %d cores", cfg.Nodes*cfg.CoresPerNode)
 		}

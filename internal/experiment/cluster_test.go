@@ -125,7 +125,7 @@ func TestClusterAdaptive(t *testing.T) {
 	}
 	mach := c.Machine()
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: s.seed})
-	if err := s.stencil.build(rt); err != nil {
+	if _, err := s.stencil.build(rt); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := placement.PlaceAdaptive(rt, placement.AdaptiveOptions{

@@ -170,7 +170,7 @@ func AblationFault(cfg FaultConfig) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.sweep("fault", faultArms, func(_ fabricArm, r stencilRun) string { return faultDetail(r.stats) })
+	return s.sweep("fault", faultArms, func(_ fabricArm, r programRun) string { return faultDetail(r.stats) })
 }
 
 // FaultConfigFrom derives the fault configuration from the common ablation

@@ -21,7 +21,7 @@ func faultCfg(change func(*FaultConfig)) FaultConfig {
 }
 
 // runFaultArm runs one fault arm on a configuration.
-func runFaultArm(t *testing.T, a fabricArm, cfg FaultConfig) stencilRun {
+func runFaultArm(t *testing.T, a fabricArm, cfg FaultConfig) programRun {
 	t.Helper()
 	s, err := cfg.scenario()
 	if err != nil {

@@ -10,15 +10,16 @@ import (
 	"repro/internal/topology"
 )
 
-// The harness every beyond-the-paper study runs through. The paper's
-// pipeline is one fixed sequence — ORWL program → communication matrix →
-// placement → binding → run — and each study is that sequence with one stage
-// swapped, so the sequence is written once here: one stencil iteration body
+// The harness every study of the suite runs through. The paper's pipeline is
+// one fixed sequence — ORWL program → communication matrix → placement →
+// binding → run — and each study is that sequence with one stage swapped, so
+// the sequence is written once here: one stencil iteration body
 // (stencilTask), one node-block workload builder (blockStencil), one
-// place → contend → run tail (runStencil) and one arm sweep (sweep). The
-// fabric studies (A9–A14) go one step further and share one scenario path
-// (scenario): a study file declares only its platform spec, its extra reads
-// and its arm table.
+// place → contend → run tail (runProgram) and one arm sweep (sweep). The
+// paper ablations (A1–A8) and Figure 1 build the LK23 program on the tail
+// (lk23.go:runLK23); the fabric studies (A9–A14) go one step further and
+// share one scenario path (scenario): a study file declares only its
+// platform spec, its extra reads and its arm table.
 
 // stencilTask installs the iteration body shared by every stencil-shaped
 // workload: each iteration acquires the reads in order, handing each straight
@@ -94,10 +95,11 @@ type blockStencil struct {
 // locAt returns the location of a slot of a block.
 type locAt func(b, slot int) *orwl.Location
 
-// build constructs the workload on the runtime (runStencil's build hook).
-func (s blockStencil) build(rt *orwl.Runtime) error {
+// build constructs the workload on the runtime (runProgram's build hook);
+// every task is heavy.
+func (s blockStencil) build(rt *orwl.Runtime) ([]bool, error) {
 	if s.iters < 1 {
-		return fmt.Errorf("experiment: iteration count %d must be positive", s.iters)
+		return nil, fmt.Errorf("experiment: iteration count %d must be positive", s.iters)
 	}
 	base := make([]int, len(s.sizes)) // first task index of each block
 	var locs []*orwl.Location
@@ -134,7 +136,7 @@ func (s blockStencil) build(rt *orwl.Runtime) error {
 			stencilTask(task, reads, w, s.iters, before)
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // nodeSpec renders a member machine of cores cores in sockets of perSocket
@@ -186,42 +188,42 @@ func platformOf(s scenario, err error) (*numasim.Platform, error) {
 	return s.platform()
 }
 
-// run executes one arm on a fresh platform through runStencil.
-func (s scenario) run(a fabricArm) (stencilRun, error) {
+// run executes one arm on a fresh platform through runProgram.
+func (s scenario) run(a fabricArm) (programRun, error) {
 	if a.oneMachine {
 		s.spec = s.oneMachine
 	}
 	p, err := s.platform()
 	if err != nil {
-		return stencilRun{}, err
+		return programRun{}, err
 	}
 	mach := p.Machine()
 	if len(s.faults) > 0 && a.adaptive != nil {
 		opts := *a.adaptive
 		if opts.Faults, err = BuildFaultSchedule(mach.Topology(), s.faults); err != nil {
-			return stencilRun{}, err
+			return programRun{}, err
 		}
 		a.adaptive = &opts
 	}
-	return runStencil(mach, s.seed, s.stencil.build, a.policy, a.adaptive)
+	return runProgram(mach, s.seed, s.stencil.build, a.policy, a.adaptive)
 }
 
 // runMode runs the arm named mode on the scenario, unless building the
 // scenario failed with err.
-func (s scenario) runMode(study string, arms []arm[fabricArm], mode string, err error) (stencilRun, error) {
+func (s scenario) runMode(study string, arms []arm[fabricArm], mode string, err error) (programRun, error) {
 	if err != nil {
-		return stencilRun{}, err
+		return programRun{}, err
 	}
 	a, err := armPolicy(study, arms, mode)
 	if err != nil {
-		return stencilRun{}, err
+		return programRun{}, err
 	}
 	return s.run(a)
 }
 
 // result renders a run of the scenario as the Result of a bound ORWL run:
 // one task per core, one block per node (zero for a failed run).
-func (s scenario) result(r stencilRun) Result {
+func (s scenario) result(r programRun) Result {
 	if r.a == nil {
 		return Result{}
 	}
@@ -237,8 +239,8 @@ func (s scenario) result(r stencilRun) Result {
 
 // sweep runs every arm of a fabric study on the scenario, one row per arm;
 // detail renders an arm's Detail column.
-func (s scenario) sweep(study string, arms []arm[fabricArm], detail func(fabricArm, stencilRun) string) ([]AblationRow, error) {
-	return sweep(study, arms, s.run, func(a arm[fabricArm], r stencilRun) AblationRow {
+func (s scenario) sweep(study string, arms []arm[fabricArm], detail func(fabricArm, programRun) string) ([]AblationRow, error) {
+	return sweep(study, study+"/", arms, s.run, func(a arm[fabricArm], r programRun) AblationRow {
 		return AblationRow{Seconds: r.seconds, Detail: detail(a.policy, r)}
 	})
 }
@@ -252,8 +254,8 @@ func uniformBlocks(blocks, size int) []int {
 	return sizes
 }
 
-// stencilRun is what the shared tail reports about one arm.
-type stencilRun struct {
+// programRun is what the shared tail reports about one arm.
+type programRun struct {
 	seconds float64
 	// placeWall is the real time the placement call alone took.
 	placeWall float64
@@ -263,20 +265,22 @@ type stencilRun struct {
 	stats placement.AdaptiveStats
 }
 
-// runStencil is the tail every stencil arm shares: a runtime on the machine,
-// the program built on it, placed — one-shot with pol, or through the
-// epoch-based engine when adaptive is non-nil (its Base is then the initial
-// policy) — the memory and fabric contention declared from the placement,
-// and the run.
-func runStencil(mach *numasim.Machine, seed int64, build func(*orwl.Runtime) error, pol placement.Policy, adaptive *placement.AdaptiveOptions) (stencilRun, error) {
+// runProgram is the tail every arm shares: a runtime on the machine, the
+// program build constructs on it (build returns the heavy-task mask of
+// placement.SetContention, nil for every task), placed — one-shot with pol,
+// or through the epoch-based engine when adaptive is non-nil (its Base is
+// then the initial policy) — the memory contention declared from the
+// placement, the fabric contention too when the machine spans several fabric
+// nodes, and the run.
+func runProgram(mach *numasim.Machine, seed int64, build func(*orwl.Runtime) ([]bool, error), pol placement.Policy, adaptive *placement.AdaptiveOptions) (programRun, error) {
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: seed})
-	if err := build(rt); err != nil {
-		return stencilRun{}, err
+	heavy, err := build(rt)
+	if err != nil {
+		return programRun{}, err
 	}
 	var (
-		res stencilRun
+		res programRun
 		eng *placement.AdaptiveEngine
-		err error
 	)
 	start := time.Now()
 	if adaptive != nil {
@@ -287,33 +291,24 @@ func runStencil(mach *numasim.Machine, seed int64, build func(*orwl.Runtime) err
 		res.a, err = placement.Place(rt, pol)
 	}
 	if err != nil {
-		return stencilRun{}, err
+		return programRun{}, err
 	}
 	res.placeWall = time.Since(start).Seconds()
-	placement.SetContention(mach, res.a, nil)
-	placement.SetFabricContention(mach, res.a, rt.CommMatrix())
+	placement.SetContention(mach, res.a, heavy)
+	if g := mach.FabricGraph(); g != nil && g.NumNodes() > 1 {
+		placement.SetFabricContention(mach, res.a, rt.CommMatrix())
+	}
 	if err := rt.Run(); err != nil {
-		return stencilRun{}, err
+		return programRun{}, err
 	}
 	res.seconds = rt.MakespanSeconds()
 	if eng != nil {
 		if err := eng.Err(); err != nil {
-			return stencilRun{}, err
+			return programRun{}, err
 		}
 		res.stats = eng.Stats()
 	}
 	return res, nil
-}
-
-// tuned returns an arm's engine options with the run's epoch interval
-// filled in; nil (a one-shot arm) stays nil.
-func tuned(tmpl *placement.AdaptiveOptions, epochIters int) *placement.AdaptiveOptions {
-	if tmpl == nil {
-		return nil
-	}
-	opts := *tmpl
-	opts.EpochIters = epochIters
-	return &opts
 }
 
 // arm is one row of a study: the name the report prints and the one thing
@@ -335,9 +330,11 @@ func armPolicy[P any](study string, arms []arm[P], mode string) (P, error) {
 }
 
 // sweep runs every arm of a study in report order (the first arm is the
-// speedup base) and renders one row per arm, named "study/arm". run executes
-// one arm; row turns its result into the row's seconds, detail and wall time.
-func sweep[P, R any](study string, arms []arm[P], run func(P) (R, error), row func(arm[P], R) AblationRow) ([]AblationRow, error) {
+// speedup base) and renders one row per arm, named prefix + arm name (the
+// paper ablations A1–A7 pass an empty prefix: their rows carry none). run
+// executes one arm; row turns its result into the row's seconds and detail.
+// An error names the study and the arm.
+func sweep[P, R any](study, prefix string, arms []arm[P], run func(P) (R, error), row func(arm[P], R) AblationRow) ([]AblationRow, error) {
 	rows := make([]AblationRow, 0, len(arms))
 	for _, a := range arms {
 		res, err := run(a.policy)
@@ -345,7 +342,7 @@ func sweep[P, R any](study string, arms []arm[P], run func(P) (R, error), row fu
 			return nil, fmt.Errorf("ablation %s, %s: %w", study, a.name, err)
 		}
 		r := row(a, res)
-		r.Name = study + "/" + a.name
+		r.Name = prefix + a.name
 		rows = append(rows, r)
 	}
 	return rows, nil

@@ -154,7 +154,7 @@ func AblationHetero(cfg HeteroConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	detail := fmt.Sprintf("%d pods x %d racks x (%d+%d) cores", cfg.Pods, cfg.RacksPerPod, heteroBigCores, heteroSmallCores)
-	return s.sweep("hetero", heteroArms, func(fabricArm, stencilRun) string { return detail })
+	return s.sweep("hetero", heteroArms, func(fabricArm, programRun) string { return detail })
 }
 
 // HeteroConfigFrom derives the hetero configuration from the common ablation

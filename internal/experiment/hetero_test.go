@@ -90,7 +90,7 @@ func TestHeteroAwarePlacement(t *testing.T) {
 	}
 	mach := platform.Machine()
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: 1})
-	if err := s.stencil.build(rt); err != nil {
+	if _, err := s.stencil.build(rt); err != nil {
 		t.Fatal(err)
 	}
 	m := rt.CommMatrix()

@@ -1,8 +1,13 @@
 // Package experiment reproduces the paper's evaluation: the Livermore
 // Kernel 23 benchmark (Figure 1) comparing ORWL with topology-aware binding
-// against ORWL without binding and against an OpenMP-style baseline, plus
-// ablation studies for each design choice (placement policy, control-thread
-// strategy, oversubscription, block granularity, topology shape).
+// against ORWL without binding and against an OpenMP-style baseline, plus the
+// sixteen studies of the registry (registry.go): the paper ablations A1–A8
+// (placement policy, control-thread strategy, oversubscription, block
+// granularity, topology shape, NUMA distribution, OpenMP loop schedule,
+// adaptive re-placement), the fabric studies A9–A14 (multi-node, rack tier,
+// heterogeneous pod tier, cross-fabric shift, torus, fault injection) and the
+// scheduler studies A15–A16. Every ORWL arm runs through one tail and one
+// sweep (harness.go).
 //
 // Processing times are simulated seconds from the numasim virtual-time
 // engine (see docs/ARCHITECTURE.md, "Determinism"): deterministic,
@@ -164,108 +169,100 @@ func BlockGrid(n int) (bx, by int) {
 	return n, 1
 }
 
-// runLK23 is the tail every cost-only ORWL LK23 arm shares: the block
-// program (paper §III decomposition; BlocksOverride blocks, default one per
-// core) built on a runtime over the machine, placed by place, the memory
-// contention of the main operations declared from the placement, and the
-// run. It also returns the placement place computed, for structural
-// inspection by the ablations.
-func runLK23(mach *numasim.Machine, cfg Config, impl Impl, place func(*orwl.Runtime) (*placement.Assignment, error)) (Result, *placement.Assignment, error) {
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: cfg.Seed})
+// runLK23 is the paper's LK23 block program (paper §III decomposition;
+// BlocksOverride blocks, default one per core) run on the machine through
+// runProgram, placed with pol or by the adaptive engine, with the memory
+// contention of its main operations; it maps the run to its Result.
+func runLK23(mach *numasim.Machine, cfg Config, impl Impl, pol placement.Policy, adaptive *placement.AdaptiveOptions) (Result, programRun, error) {
 	blocks := cfg.BlocksOverride
 	if blocks == 0 {
 		blocks = mach.Topology().NumCores()
 	}
 	bx, by := BlockGrid(blocks)
-	prog, err := kernels.Build(rt, cfg.Rows, cfg.Cols, kernels.BuildOptions{
-		BX: bx, BY: by, Iters: cfg.Iters, Costs: kernels.LK23Costs,
-	})
+	var prog *kernels.Program
+	run, err := runProgram(mach, cfg.Seed, func(rt *orwl.Runtime) ([]bool, error) {
+		var err error
+		if prog, err = kernels.Build(rt, cfg.Rows, cfg.Cols, kernels.BuildOptions{
+			BX: bx, BY: by, Iters: cfg.Iters, Costs: kernels.LK23Costs,
+		}); err != nil {
+			return nil, err
+		}
+		// The heavy memory streams are the main operations: one per block,
+		// sweeping the block's working set each iteration. Frontier
+		// operations only move strips.
+		heavy := make([]bool, len(prog.Tasks))
+		for i := range heavy {
+			heavy[i] = i%9 == 0
+		}
+		return heavy, nil
+	}, pol, adaptive)
 	if err != nil {
-		return Result{}, nil, err
-	}
-	a, err := place(rt)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	// The heavy memory streams are the main operations: one per block,
-	// sweeping the block's working set each iteration. Frontier operations
-	// only move strips.
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	placement.SetContention(mach, a, heavy)
-	if err := rt.Run(); err != nil {
-		return Result{}, nil, err
+		return Result{}, programRun{}, err
 	}
 	res := Result{
 		Impl:     impl,
 		Cores:    mach.Topology().NumCores(),
 		Blocks:   blocks,
 		Tasks:    len(prog.Tasks),
-		Seconds:  rt.MakespanSeconds(),
-		Policy:   a.Policy,
-		Strategy: a.Strategy.String(),
+		Seconds:  run.seconds,
+		Policy:   run.a.Policy,
+		Strategy: run.a.Strategy.String(),
 	}
 	for _, t := range prog.Tasks {
 		res.Migrations += t.Proc().Stats().Migrations
 	}
-	return res, a, nil
-}
-
-// oneShot places with the implementation's policy: cfg.Policy (default
-// TreeMatch) for ORWLBind, all threads left to the OS otherwise.
-func oneShot(impl Impl, cfg Config) func(*orwl.Runtime) (*placement.Assignment, error) {
-	var pol placement.Policy = placement.NoBind{}
-	if impl == ORWLBind {
-		if pol = cfg.Policy; pol == nil {
-			pol = placement.TreeMatch{}
-		}
-	}
-	return func(rt *orwl.Runtime) (*placement.Assignment, error) { return placement.Place(rt, pol) }
+	return res, run, nil
 }
 
 // Run executes one LK23 configuration with the given implementation and
 // returns its simulated processing time.
 func Run(impl Impl, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	return lk23Arm{impl: impl, cfg: cfg.withDefaults()}.run()
+}
+
+// lk23Arm is one run of the paper's benchmark: the implementation, its
+// configuration, the topology spec of the machine when it is not the
+// configuration's own (Machine), and the OpenMP baseline's loop schedule.
+type lk23Arm struct {
+	impl  Impl
+	cfg   Config
+	spec  string
+	sched omp.Schedule
+}
+
+// run executes the arm. A bound ORWL run places with cfg.Policy (default
+// TreeMatch), an unbound one leaves every thread to the OS.
+func (a lk23Arm) run() (Result, error) {
+	if err := a.cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg = cfg.withDefaults()
-	switch impl {
-	case ORWLBind, ORWLNoBind:
-		return runORWL(impl, cfg)
-	case OpenMP:
-		return runOMP(cfg)
+	var pol placement.Policy = placement.NoBind{}
+	switch a.impl {
+	case ORWLBind:
+		if pol = a.cfg.Policy; pol == nil {
+			pol = placement.TreeMatch{}
+		}
+	case ORWLNoBind, OpenMP:
 	default:
-		return Result{}, fmt.Errorf("experiment: unknown implementation %q", impl)
+		return Result{}, fmt.Errorf("experiment: unknown implementation %q", a.impl)
 	}
-}
-
-// runORWL executes the cost-only ORWL program under the configured
-// placement.
-func runORWL(impl Impl, cfg Config) (Result, error) {
-	res, _, err := runORWLWithAssignment(impl, cfg)
-	return res, err
-}
-
-// runORWLWithAssignment is runORWL, additionally returning the computed
-// placement for structural inspection by the ablations.
-func runORWLWithAssignment(impl Impl, cfg Config) (Result, *placement.Assignment, error) {
-	mach, err := Machine(cfg)
+	var (
+		mach *numasim.Machine
+		err  error
+	)
+	if a.spec == "" {
+		mach, err = Machine(a.cfg)
+	} else {
+		mach, err = machineFromSpec(a.spec)
+	}
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
-	return runLK23(mach, cfg, impl, oneShot(impl, cfg))
-}
-
-// runOMP executes the cost-only OpenMP baseline: Cores unbound threads
-// sweeping the matrix row-wise with an implicit barrier per iteration.
-// Memory placement models a realistic affinity-blind allocation: a
-// serially-touched head of the arrays on node 0 plus a body spread across
-// the nodes by the parallel first touches.
-func runOMP(cfg Config) (Result, error) {
-	return runOMPSchedule(cfg, omp.Static)
+	if a.impl == OpenMP {
+		return runOMP(mach, a.cfg, a.sched)
+	}
+	res, _, err := runLK23(mach, a.cfg, a.impl, pol, nil)
+	return res, err
 }
 
 // ompSerialFraction is the fraction of the OpenMP working set whose pages
@@ -273,13 +270,13 @@ func runOMP(cfg Config) (Result, error) {
 // allocation). The remainder is spread by the parallel first touches.
 const ompSerialFraction = 0.12
 
-// runOMPSchedule is runOMP under an explicit loop schedule (static is the
-// figure's baseline; the A7 ablation sweeps the others).
-func runOMPSchedule(cfg Config, sched omp.Schedule) (Result, error) {
-	mach, err := Machine(cfg)
-	if err != nil {
-		return Result{}, err
-	}
+// runOMP executes the cost-only OpenMP baseline on the machine: Cores
+// unbound threads sweeping the matrix row-wise under the loop schedule
+// (static is the figure's baseline; the A7 ablation sweeps the others), with
+// an implicit barrier per iteration. Memory placement models a realistic
+// affinity-blind allocation: a serially-touched head of the arrays on node 0
+// plus a body spread across the nodes by the parallel first touches.
+func runOMP(mach *numasim.Machine, cfg Config, sched omp.Schedule) (Result, error) {
 	team, err := omp.NewTeam(mach, cfg.Cores, cfg.Seed)
 	if err != nil {
 		return Result{}, err

@@ -143,7 +143,7 @@ func AblationRack(cfg RackConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	detail := fmt.Sprintf("%d racks x %d nodes x %d cores", cfg.Racks, cfg.NodesPerRack, cfg.CoresPerNode)
-	return s.sweep("rack", rackArms, func(fabricArm, stencilRun) string { return detail })
+	return s.sweep("rack", rackArms, func(fabricArm, programRun) string { return detail })
 }
 
 // RackConfigFrom derives the rack configuration from the common ablation

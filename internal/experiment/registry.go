@@ -83,11 +83,11 @@ func (o Overrides) sched(sc SchedConfig) SchedConfig {
 // that every asserted ordering holds.
 var Reduced = Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 7}
 
-// atCores is the reduced scale at another core count and seed, the knob the
-// fabric studies derive their platform shape from.
-func atCores(cores int, seed int64) Config {
+// atCores is the reduced scale at another core count, the knob the fabric
+// studies derive their platform shape from, at seed 42.
+func atCores(cores int) Config {
 	c := Reduced
-	c.Cores, c.Seed = cores, seed
+	c.Cores, c.Seed = cores, 42
 	return c
 }
 
@@ -140,14 +140,14 @@ var studies = []Study{
 			{Before: "cluster/hierarchical", After: "cluster/flat"},
 			{Before: "cluster/hierarchical", After: "cluster/rr-nodes", Strict: true},
 		},
-		Cells: []Cell{reducedCell, {"2x4", atCores(8, 42)}},
+		Cells: []Cell{reducedCell, {"2x4", atCores(8)}},
 		run:   derived(ClusterConfigFrom, AblationCluster)},
 	{Name: "rack", ID: "A10", Desc: "rack-tier fabric (fabric-aware vs fabric-blind vs flat treematch)",
 		Orderings: []Ordering{
 			{Before: "rack/rack-aware", After: "rack/rack-blind", Strict: true},
 			{Before: "rack/rack-blind", After: "rack/flat", Strict: true},
 		},
-		Cells: []Cell{reducedCell, {"2x2x8", atCores(32, 42)}},
+		Cells: []Cell{reducedCell, {"2x2x8", atCores(32)}},
 		run:   derived(RackConfigFrom, AblationRack)},
 	{Name: "hetero", ID: "A11", Desc: "heterogeneous pod-tier platform (aware vs capacity-blind vs depth-blind)",
 		Orderings: []Ordering{
@@ -162,14 +162,14 @@ var studies = []Study{
 			{Before: "shift/adaptive-flat", After: "shift/static", Strict: true},
 			{Before: "shift/oracle", After: "shift/adaptive-fabric"},
 		},
-		Cells: []Cell{reducedCell, {"2x2x8", atCores(32, 42)}},
+		Cells: []Cell{reducedCell, {"2x2x8", atCores(32)}},
 		run:   derived(ShiftConfigFrom, AblationShift)},
 	{Name: "torus", ID: "A13", Desc: "torus halo exchange on the routed fabric (sfc vs tree-matched vs rr)",
 		Orderings: []Ordering{
 			{Before: "torus/sfc", After: "torus/tree-matched", Strict: true},
 			{Before: "torus/tree-matched", After: "torus/rr", Strict: true},
 		},
-		Cells: []Cell{reducedCell, {"4x4x4", atCores(64, 42)}},
+		Cells: []Cell{reducedCell, {"4x4x4", atCores(64)}},
 		run:   derived(TorusConfigFrom, AblationTorus)},
 	{Name: "fault", ID: "A14", Desc: "fault injection and mid-run resilience (fault-aware vs spread vs fault-blind vs static-respawn)",
 		Orderings: []Ordering{
@@ -177,7 +177,7 @@ var studies = []Study{
 			{Before: "fault/fault-blind", After: "fault/static-respawn", Strict: true},
 			{Before: "fault/spread", After: "fault/static-respawn", Strict: true},
 		},
-		Cells: []Cell{reducedCell, {"2x6x8", atCores(96, 42)}},
+		Cells: []Cell{reducedCell, {"2x6x8", atCores(96)}},
 		run: func(c Config, o Overrides) ([]AblationRow, error) {
 			fc := FaultConfigFrom(c)
 			fc.Events = o.FaultEvents

@@ -230,7 +230,7 @@ func ablationSched(study string, arms []arm[sched.Options], stream sched.StreamC
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return sweep(study, arms,
+	return sweep(study, study+"/", arms,
 		func(opts sched.Options) (SchedResult, error) { return runSchedGrid(opts, stream, cfg) },
 		func(_ arm[sched.Options], res SchedResult) AblationRow {
 			return AblationRow{Seconds: res.Seconds, Detail: detail(res)}

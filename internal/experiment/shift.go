@@ -120,7 +120,7 @@ func AblationShift(cfg RackConfig) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.sweep("shift", shiftArms, func(a fabricArm, r stencilRun) string {
+	return s.sweep("shift", shiftArms, func(a fabricArm, r programRun) string {
 		if a.adaptive == nil {
 			return fmt.Sprintf("%d racks x %d nodes x %d cores", cfg.Racks, cfg.NodesPerRack, cfg.CoresPerNode)
 		}

@@ -16,7 +16,7 @@ func shiftCfg(change func(*RackConfig)) RackConfig {
 }
 
 // runShiftArm runs one shift arm on a configuration.
-func runShiftArm(t *testing.T, a fabricArm, cfg RackConfig) stencilRun {
+func runShiftArm(t *testing.T, a fabricArm, cfg RackConfig) programRun {
 	t.Helper()
 	s, err := shiftScenario(cfg)
 	if err != nil {

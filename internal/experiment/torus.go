@@ -217,7 +217,7 @@ func AblationTorus(cfg TorusConfig) ([]AblationRow, error) {
 		return nil, err
 	}
 	detail := fmt.Sprintf("torus %v x %d cores, scramble %d", cfg.Dims, cfg.CoresPerNode, cfg.Scramble)
-	return s.sweep("torus", torusArms, func(fabricArm, stencilRun) string { return detail })
+	return s.sweep("torus", torusArms, func(fabricArm, programRun) string { return detail })
 }
 
 // TorusConfigFrom derives the torus configuration from the common ablation
