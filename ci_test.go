@@ -107,7 +107,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 
 // nonTestLineCeiling is the most non-test Go lines the repository may hold
 // outside benchmark/. A change that grows past it re-pins it and says so.
-const nonTestLineCeiling = 12741
+const nonTestLineCeiling = 12704
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as

@@ -82,9 +82,22 @@ func run(opts options, w io.Writer) error {
 		return nil
 	}
 
-	mp, err := treematch.MapMatrix(tree, m, opt)
+	// Distribution without control threads: map onto a tree restricted to
+	// the task count, as Map does, and take each leaf back to the machine.
+	work := tree
+	if opts.dist && 0 < m.Order() && m.Order() < tree.Leaves() {
+		if work, err = tree.Restrict(m.Order()); err != nil {
+			return err
+		}
+	}
+	mp, err := treematch.MapMatrix(work, m, opt)
 	if err != nil {
 		return err
+	}
+	for i, leaf := range mp.Assignment {
+		if mp.Assignment[i], err = treematch.EmbedLeaf(tree, work, leaf); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(w, "virtual arity: %d\n", mp.VirtualArity)
 	for i, core := range mp.Assignment {

@@ -3,7 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -85,6 +87,30 @@ func TestRunGoldenControls(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunDistributeSpreadsRing maps a 4-task ring onto 4 packages of 4
+// cores: -distribute spreads it over all four packages, and without it the
+// ring packs onto one.
+func TestRunDistributeSpreadsRing(t *testing.T) {
+	core := regexp.MustCompile(`-> core (\d+) `)
+	for _, c := range []struct {
+		dist bool
+		want int
+	}{{true, 4}, {false, 1}} {
+		var b strings.Builder
+		if err := run(options{topoSpec: "pack:4 core:4 pu:1", ring: 4, dist: c.dist}, &b); err != nil {
+			t.Fatal(err)
+		}
+		packages := map[int]bool{}
+		for _, match := range core.FindAllStringSubmatch(b.String(), -1) {
+			n, _ := strconv.Atoi(match[1])
+			packages[n/4] = true
+		}
+		if len(packages) != c.want {
+			t.Errorf("-distribute=%v: ring on %d packages, want %d:\n%s", c.dist, len(packages), c.want, b.String())
 		}
 	}
 }

@@ -32,8 +32,9 @@
 // can differ in makespan when one spreads a location's readers over more
 // nodes (observed concretely on 8×8 stencils split four ways, where an
 // equal-cut slab layout beats a lower-cut center-block layout). The
-// measured epoch window (Window) narrows the gap — it records granted
-// handoffs, not declarations — but per-pair attribution remains pairwise.
+// runtime's measured matrices (the run-to-date one and each epoch's window)
+// narrow the gap — they record granted handoffs, not declarations — but
+// per-pair attribution remains pairwise.
 // Reconciling the two models is an open ROADMAP item ("Structural matrix vs
 // runtime charges").
 package comm
@@ -111,16 +112,6 @@ func (m *Matrix) SetLabel(i int, s string) {
 		}
 	}
 	m.labels[i] = s
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.n)
-	packRows(c.rows, m.rows)
-	if m.labels != nil {
-		c.labels = append([]string(nil), m.labels...)
-	}
-	return c
 }
 
 // IsSymmetric reports whether the matrix equals its transpose exactly.

@@ -41,10 +41,11 @@ type epochState struct {
 }
 
 // ConfigureEpochs enables epoch boundaries: every interval iterations all
-// running tasks quiesce at a barrier, the runtime snapshots (and rolls) the
-// windowed measured communication matrix, and hook — when non-nil — may
-// inspect the window and rebind tasks through the Epoch it receives. The
-// window resets every epoch (see comm.Window). Must be called before Run.
+// running tasks quiesce at a barrier, the runtime folds what each task was
+// granted since the previous epoch into the epoch's window, and hook — when
+// non-nil — may inspect the window and rebind tasks through the Epoch it
+// receives. Each window holds one epoch's traffic only (Epoch.Window). Must
+// be called before Run.
 //
 // Epoch-enabled programs must be uniform: every task calls EndIteration
 // once per iteration, holding no lock grants at that point.
@@ -103,8 +104,8 @@ func (rt *Runtime) epochTaskDone() {
 
 // completeEpochLocked runs one epoch: synchronize the participants' virtual
 // clocks (a barrier is not free — nobody leaves before the slowest task
-// arrives), roll the communication window, run the hook, open the barrier.
-// Called with es.mu held.
+// arrives), fold the epoch's communication window, run the hook, open the
+// barrier. Called with es.mu held.
 func (rt *Runtime) completeEpochLocked() {
 	es := rt.epochs
 	es.index++
@@ -129,10 +130,7 @@ func (rt *Runtime) completeEpochLocked() {
 	}
 	// Every running task is parked under es.mu and every other one has
 	// returned, so their traffic counters are quiescent.
-	var window *comm.Matrix
-	if w := rt.feedWindow(); w != nil {
-		window = w.Roll()
-	}
+	window := rt.foldTraffic(true)
 	if es.hook != nil {
 		ep := &Epoch{rt: rt, index: index, tasks: tasks, window: window}
 		es.hook(ep)
@@ -162,8 +160,9 @@ func (e *Epoch) Index() int { return e.index }
 // already returned are absent).
 func (e *Epoch) Tasks() []*Task { return append([]*Task(nil), e.tasks...) }
 
-// Window returns the windowed measured communication matrix accumulated
-// since the previous epoch, or nil when the runtime has no machine attached.
+// Window returns the measured communication matrix of the traffic granted
+// since the previous epoch: never nil, of the runtime's task count, with or
+// without a machine attached.
 func (e *Epoch) Window() *comm.Matrix { return e.window }
 
 // check validates that the epoch is still open and the PU in range.

@@ -130,6 +130,31 @@ func TestEpochWindowResetsBetweenEpochs(t *testing.T) {
 	}
 }
 
+// TestEpochWindowWithoutMachine runs the epoch hook on a runtime with no
+// machine attached: the window is still there, of the runtime's task count.
+func TestEpochWindowWithoutMachine(t *testing.T) {
+	rt := NewRuntime(Options{})
+	epochRing(t, rt, 3, 4, 512)
+	epochs := 0
+	if err := rt.ConfigureEpochs(2, func(e *Epoch) {
+		epochs++
+		w := e.Window()
+		if w == nil {
+			t.Errorf("epoch %d: nil window", e.Index())
+		} else if w.Order() != 3 || w.TotalVolume() == 0 {
+			t.Errorf("epoch %d: window of order %d with volume %v, want order 3 with traffic", e.Index(), w.Order(), w.TotalVolume())
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if epochs != 2 {
+		t.Errorf("hook fired %d times, want 2", epochs)
+	}
+}
+
 func TestEpochRebindMovesTaskAndData(t *testing.T) {
 	mach := epochMachine(t)
 	rt := NewRuntime(Options{Machine: mach})

@@ -10,26 +10,34 @@ import (
 )
 
 // measuredOracle is the traffic accounting the runtime had before the
-// per-task counters, moved here verbatim: one runtime-wide map and one
-// Window.AddSym per grant, both in goroutine arrival order. Runtime.grantTap
-// feeds it the grants of the run under test.
+// per-task counters: one runtime-wide map and one window matrix, both fed
+// under one lock in goroutine arrival order, the window replaced by an empty
+// one at every epoch. Runtime.grantTap feeds it the grants of the run under
+// test.
 type measuredOracle struct {
 	measuredMu sync.Mutex
 	measured   map[[2]int]float64
-	window     *comm.Window
+	window     *comm.Matrix
 }
 
 func (rt *measuredOracle) recordComm(from, to int, vol float64) {
 	rt.measuredMu.Lock()
+	defer rt.measuredMu.Unlock()
 	if rt.measured == nil {
 		rt.measured = make(map[[2]int]float64)
 	}
 	rt.measured[[2]int{from, to}] += vol
-	window := rt.window
-	rt.measuredMu.Unlock()
-	if window != nil {
-		window.AddSym(from, to, vol)
-	}
+	rt.window.AddSym(from, to, vol)
+}
+
+// roll returns the window accumulated since the previous roll and starts an
+// empty one.
+func (rt *measuredOracle) roll() *comm.Matrix {
+	rt.measuredMu.Lock()
+	defer rt.measuredMu.Unlock()
+	w := rt.window
+	rt.window = comm.New(w.Order())
+	return w
 }
 
 func (rt *measuredOracle) MeasuredCommMatrix(n int) *comm.Matrix {
@@ -81,8 +89,8 @@ func oracleProgram(rt *Runtime, reads [][]int, vols [][]float64, iters int) {
 }
 
 // TestMeasuredMatchesOracle is the differential test of the per-task traffic
-// counters: MeasuredCommMatrix and the window of every epoch must equal, to the last bit, what the old global accounting makes of the
-// same grants.
+// counters: MeasuredCommMatrix and the window of every epoch must equal, to
+// the last bit, what the old global accounting makes of the same grants.
 func TestMeasuredMatchesOracle(t *testing.T) {
 	ring := func(n int) (reads [][]int, vols [][]float64) {
 		for i := 0; i < n; i++ {
@@ -130,7 +138,7 @@ func TestMeasuredMatchesOracle(t *testing.T) {
 	const iters = 13 // one iteration past the last epoch of either interval
 	for _, prog := range programs {
 		for _, interval := range []int{1, 3} {
-			// The window resets every epoch: decay 0.
+			// The window resets every epoch.
 			t.Run(fmt.Sprintf("%s/decay=0/every=%d", prog.name, interval), func(t *testing.T) {
 				reads, vols := prog.build()
 				n := len(reads)
@@ -141,12 +149,12 @@ func TestMeasuredMatchesOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				oracle := &measuredOracle{window: comm.NewWindow(n)}
+				oracle := &measuredOracle{window: comm.New(n)}
 				rt.grantTap = oracle.recordComm
 				epochs := 0
 				err := rt.ConfigureEpochs(interval, func(ep *Epoch) {
 					epochs++
-					if want := oracle.window.Roll(); !ep.Window().Equal(want, 0) {
+					if want := oracle.roll(); !ep.Window().Equal(want, 0) {
 						t.Errorf("epoch %d: window differs from the oracle's", ep.Index())
 					}
 					// The hook is one of the two places the counters may

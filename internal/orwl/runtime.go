@@ -67,12 +67,6 @@ type Runtime struct {
 	locations []*Location
 	tasks     []*Task
 
-	// window accumulates the observed communication volumes over a bounded
-	// horizon; it is rolled at every epoch boundary so adaptive re-placement
-	// reacts to recent traffic rather than the run-to-date sum. The grants
-	// themselves are counted per consumer task (Task.recordComm) and reach
-	// the window only where it is read (feedWindow). Created by Run.
-	window *comm.Window
 	// grantTap, when non-nil, sees every cross-task grant as it is recorded.
 	// Tests set it to feed the differential oracle; nothing else does.
 	grantTap func(from, to int, vol float64)
@@ -178,7 +172,6 @@ func (rt *Runtime) Run() error {
 	}
 	rt.state = stateRunning
 	tasks := append([]*Task(nil), rt.tasks...)
-	rt.window = comm.NewWindow(len(tasks))
 	if rt.epochs != nil {
 		rt.epochs.active = len(tasks)
 	}
@@ -435,40 +428,33 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 // converges to N times the per-iteration structural one.
 //
 // The volumes are counted by each consumer task's own goroutine, unlocked
-// (Task.recordComm). This method and the epoch roll read those counters, so
-// call it only when no task can be running: before or after Run, or from
-// inside an epoch hook. They are folded in task-id order, so the result does
-// not depend on how the goroutines interleaved.
-func (rt *Runtime) MeasuredCommMatrix() *comm.Matrix {
+// (Task.recordComm). This method and the epoch barrier read those counters,
+// so call it only when no task can be running: before or after Run, or from
+// inside an epoch hook.
+func (rt *Runtime) MeasuredCommMatrix() *comm.Matrix { return rt.foldTraffic(false) }
+
+// foldTraffic folds the tasks' traffic counters into a fresh matrix, in
+// task-id order, so the result does not depend on how the goroutines
+// interleaved: the run-to-date totals, or (roll) what each task consumed
+// since the previous roll, which it resets — the epoch's window. Same
+// calling condition as MeasuredCommMatrix.
+func (rt *Runtime) foldTraffic(roll bool) *comm.Matrix {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	m := comm.New(len(rt.tasks))
 	for _, t := range rt.tasks {
-		for _, c := range t.traffic {
-			m.AddSym(c.from, t.id, c.total)
-		}
-	}
-	return m
-}
-
-// feedWindow moves what the tasks consumed since the last call from their
-// counters into the window, in task-id order, and returns the window (nil
-// before Run). Same calling condition as MeasuredCommMatrix.
-func (rt *Runtime) feedWindow() *comm.Window {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.window == nil {
-		return nil
-	}
-	for _, t := range rt.tasks {
 		for i := range t.traffic {
-			if c := &t.traffic[i]; c.sinceRoll != 0 {
-				rt.window.AddSym(c.from, t.id, c.sinceRoll)
-				c.sinceRoll = 0
+			c := &t.traffic[i]
+			v := c.total
+			if roll {
+				v, c.sinceRoll = c.sinceRoll, 0
+			}
+			if v != 0 {
+				m.AddSym(c.from, t.id, v)
 			}
 		}
 	}
-	return rt.window
+	return m
 }
 
 // trace dispatches a trace event when a hook is installed.

@@ -43,8 +43,8 @@ type Task struct {
 }
 
 // trafficCounter accumulates the volume one task was granted out of the
-// releases of task from: over the whole run, and since the runtime last fed
-// the measured window.
+// releases of task from: over the whole run, and since the last epoch
+// barrier folded it into a window.
 type trafficCounter struct {
 	from             int
 	total, sinceRoll float64

@@ -188,7 +188,7 @@ func (e *AdaptiveEngine) onEpoch(ep *orwl.Epoch) {
 		return
 	}
 	w := ep.Window()
-	if w == nil || w.TotalVolume() == 0 {
+	if w.TotalVolume() == 0 {
 		e.stats.Skipped++
 		return
 	}
@@ -320,7 +320,7 @@ func (e *AdaptiveEngine) classifyMove(from, to int) {
 // statically extracted matrix when nothing has been observed yet — a fault
 // at the very first epoch still needs affinities to steer the evacuation.
 func (e *AdaptiveEngine) windowOrMatrix(ep *orwl.Epoch) *comm.Matrix {
-	if w := ep.Window(); w != nil && w.TotalVolume() > 0 {
+	if w := ep.Window(); w.TotalVolume() > 0 {
 		return w
 	}
 	return e.rt.CommMatrix()
