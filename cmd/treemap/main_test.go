@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -127,6 +128,31 @@ func TestRunMatrixFile(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "matrix: order 3, total volume 20") {
 		t.Errorf("unexpected matrix report:\n%s", b.String())
+	}
+}
+
+// TestNegativeVolumeExitsCleanly runs the built command on a matrix file
+// with a negative volume: it exits non-zero with one line naming the row and
+// the entry, and no panic.
+func TestNegativeVolumeExitsCleanly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the command build in -short mode")
+	}
+	dir := t.TempDir()
+	bin, matrix := filepath.Join(dir, "treemap"), filepath.Join(dir, "neg.txt")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build failed: %v\n%s", err, out)
+	}
+	if err := os.WriteFile(matrix, []byte("3\n0 -5 1\n-5 0 2\n1 2 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-matrix", matrix).CombinedOutput()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("treemap -matrix neg.txt: %v, want a non-zero exit\n%s", err, out)
+	}
+	want := "treemap: comm: row 0 entry 1: volume -5 is negative\n"
+	if string(out) != want {
+		t.Errorf("treemap -matrix neg.txt printed %q, want %q", out, want)
 	}
 }
 

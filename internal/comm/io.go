@@ -13,9 +13,9 @@ import (
 // first line with the order n, followed by n lines of n space-separated
 // volumes. Blank lines and lines starting with '#' are ignored; a trailing
 // "# label" on a row sets the row's entity label. Every volume must be
-// finite. Each row keeps only its nonzeros, and the matrix is built only
-// once all n rows have been read, so memory follows the input's nonzeros,
-// not the order its first line claims.
+// finite and not negative (-0 is accepted). Each row keeps only its
+// nonzeros, and the matrix is built only once all n rows have been read, so
+// memory follows the input's nonzeros, not the order its first line claims.
 func Read(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -56,6 +56,9 @@ func Read(r io.Reader) (*Matrix, error) {
 			}
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return nil, fmt.Errorf("comm: row %d entry %d: volume %v is not finite", i, j, x)
+			}
+			if x < 0 {
+				return nil, fmt.Errorf("comm: row %d entry %d: volume %v is negative", i, j, x)
 			}
 			if math.Float64bits(x) != 0 { // +0 is what an absent entry reads; -0 is kept
 				row.cols, row.vals = append(row.cols, int32(j)), append(row.vals, x)

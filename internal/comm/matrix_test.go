@@ -207,10 +207,10 @@ func TestMatrixEqual(t *testing.T) {
 func TestReadParsesText(t *testing.T) {
 	in := `# a comment line, then the order
 3
-0 1.5 0   # zero
+-0 1.5 0   # zero
 1.5 0 2e6
 
-0 2e6 -0.25 # two
+0 2e6 0.25 # two
 `
 	m, err := Read(strings.NewReader(in))
 	if err != nil {
@@ -221,9 +221,12 @@ func TestReadParsesText(t *testing.T) {
 	want.Set(1, 0, 1.5)
 	want.Set(1, 2, 2e6)
 	want.Set(2, 1, 2e6)
-	want.Set(2, 2, -0.25)
+	want.Set(2, 2, 0.25)
 	if !m.Equal(want, 0) {
 		t.Errorf("Read = \n%v, want\n%v", m, want)
+	}
+	if !math.Signbit(m.At(0, 0)) {
+		t.Errorf("-0 read as %v", m.At(0, 0))
 	}
 	if m.Label(0) != "zero" || m.Label(1) != "t1" || m.Label(2) != "two" {
 		t.Errorf("labels = %q %q %q", m.Label(0), m.Label(1), m.Label(2))
@@ -242,11 +245,13 @@ func TestReadErrors(t *testing.T) {
 		{"wrong width", "2\n1 2 3\n4 5 6\n", "row 0 has 3 entries"},
 		{"bad number", "2\n1 a\n3 4\n", "row 0 entry 1"},
 		{"extra row", "1\n0\n0\n", "more than 1 rows"},
-		{"order beyond memory", "4000000000\n", "got 0 rows, want 4000000000"},
+		{"order beyond memory", "2000000000\n", "got 0 rows, want 2000000000"},
 		{"NaN", "2\n0 NaN\n1 0\n", "row 0 entry 1: volume NaN is not finite"},
 		{"Inf", "2\n0 1\n+Inf 0\n", "row 1 entry 0: volume +Inf is not finite"},
 		{"-Inf", "1\n-inf\n", "row 0 entry 0: volume -Inf is not finite"},
 		{"overflow", "1\n1e400\n", "row 0 entry 0"},
+		{"negative", "3\n0 -5 1\n-5 0 2\n1 2 0\n", "row 0 entry 1: volume -5 is negative"},
+		{"tiny negative", "1\n-1e-300\n", "row 0 entry 0: volume -1e-300 is negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -273,7 +278,7 @@ func TestReadMemoryFollowsInput(t *testing.T) {
 }
 
 // FuzzReadMatrix: Read never panics, and every matrix it accepts has as many
-// rows as its order and only finite entries.
+// rows as its order and only finite entries, none of them negative.
 func FuzzReadMatrix(f *testing.F) {
 	for _, seed := range []string{
 		"2\n0 1\n1 0\n",
@@ -283,6 +288,8 @@ func FuzzReadMatrix(f *testing.F) {
 		"4000000000\n",
 		"2\n0 NaN\n1 0\n",
 		"1\n1e400\n",
+		"3\n0 -5 1\n-5 0 2\n1 2 0\n",
+		"2\n-0 1\n1 -0\n",
 	} {
 		f.Add(seed)
 	}
@@ -302,7 +309,7 @@ func FuzzReadMatrix(f *testing.F) {
 		}
 		for i := 0; i < m.Order(); i++ {
 			for j := 0; j < m.Order(); j++ {
-				if x := m.At(i, j); math.IsNaN(x) || math.IsInf(x, 0) {
+				if x := m.At(i, j); math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
 					t.Fatalf("entry (%d,%d) = %v", i, j, x)
 				}
 			}

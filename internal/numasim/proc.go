@@ -27,9 +27,10 @@ type Proc struct {
 	bound bool // placement fixed by the mapping module
 	cold  bool // caches invalidated by a migration
 	clock float64
-	rng   *rand.Rand
+	rng   *rand.Rand // draws from src
 	name  string
 	stats ProcStats
+	src   *replaySource // the simulated OS scheduler's stream, nil if created bound
 }
 
 // ProcStats accumulates per-Proc accounting, exposed for tests and traces.
@@ -55,9 +56,12 @@ func (m *Machine) NewProc(name string, pu int) (*Proc, error) {
 // NewUnboundProc creates a Proc managed by the simulated OS scheduler: it
 // starts on a seed-determined PU and migrates to a new uniformly random PU
 // at every Reschedule call, modelling an affinity-blind runtime. The seed
-// makes runs reproducible.
+// makes runs reproducible: the Proc draws the stream of
+// rand.New(rand.NewSource(seed)), replayed without its register (rng.go).
 func (m *Machine) NewUnboundProc(name string, seed int64) *Proc {
-	p := &Proc{m: m, pu: -1, bound: false, name: name, rng: rand.New(rand.NewSource(seed))}
+	src := new(replaySource)
+	src.Seed(seed)
+	p := &Proc{m: m, pu: -1, bound: false, name: name, src: src, rng: rand.New(src)}
 	p.pu = p.rng.Intn(m.topo.NumPUs())
 	return p
 }

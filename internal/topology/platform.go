@@ -181,6 +181,9 @@ func ParsePlatform(spec string) (*PlatformSpec, error) {
 		if mi < nodes%len(members) {
 			share++
 		}
+		if n > 0 && share > maxSpecObjects/n { // share·n may not fit a 32-bit int
+			return nil, errTooLarge
+		}
 		if objects += share * n; objects > maxSpecObjects {
 			return nil, errTooLarge
 		}

@@ -209,11 +209,15 @@ func TestPodSpec(t *testing.T) {
 
 // TestSpecObjectBound pins that a spec describing more than maxSpecObjects
 // objects is a parse error, whichever token carries the runaway count, and
-// that the bound leaves the datacenter-tier platforms alone.
+// that the bound leaves the datacenter-tier platforms alone. Every input
+// exceeds the bound on 32- and 64-bit ints alike, including products and
+// sums that wrap a 32-bit int to a small count.
 func TestSpecObjectBound(t *testing.T) {
 	for _, spec := range []string{
 		"core:2000000000",
-		"core:9000000000000000000",
+		"pack:65536 core:65536 pu:65536",
+		"pack:128 core:" + strings.Repeat("33554432,", 127) + "33554432",
+		"cluster:65536{core:65535 | core:1}",
 		"cluster:2000000000 core:2",
 		"cluster:100000 core:1000",
 		"pack:4096 core:4096 pu:2",

@@ -89,9 +89,13 @@ type specLevel struct {
 }
 
 // total returns the number of objects this level creates under nParents
-// parents, or an error when an uneven count list does not match.
+// parents, or an error when an uneven count list does not match or the level
+// alone exceeds maxSpecObjects.
 func (l specLevel) total(nParents int) (int, error) {
 	if len(l.counts) == 1 {
+		if nParents > maxSpecObjects/l.counts[0] { // the product may not fit a 32-bit int
+			return 0, errTooLarge
+		}
 		return nParents * l.counts[0], nil
 	}
 	if len(l.counts) != nParents {
@@ -99,7 +103,9 @@ func (l specLevel) total(nParents int) (int, error) {
 	}
 	n := 0
 	for _, c := range l.counts {
-		n += c
+		if n += c; n > maxSpecObjects {
+			return 0, errTooLarge
+		}
 	}
 	return n, nil
 }

@@ -385,8 +385,9 @@ func weightedSizes(p int, caps []int) []int {
 // Two implementations produce bit-identical groups: a heap-driven one that
 // only touches the neighbors of added members (O(nnz·log n) — the full-scan
 // fill is O(p²) per group and unusable at 100k tasks), and the full-scan
-// one, kept for matrices the heap argument does not cover (asymmetric or
-// negative affinity, which comm.Read accepts).
+// one, kept for matrices the heap argument does not cover: asymmetric ones,
+// which comm.Read accepts, and negative affinity, which only a caller that
+// sets entries itself can build.
 func greedySizedGroups(m *comm.Matrix, sizes []int) [][]int {
 	if symmetricNonNegative(m) {
 		return greedySizedGroupsHeap(m, sizes)
