@@ -1,11 +1,12 @@
 // CI-style repository guards: a go vet pass over every package, a gofmt
 // formatting guard, a go.mod tidiness check, a guard against fused
-// multiply-add instructions, a guard against exported names that only
+// multiply-add instructions, a 386-against-amd64 diff of cmd/ablate, a guard against exported names that only
 // tests use, a guard against exported fields no caller sets and a ceiling
 // on the non-test line count.
 package repro
 
 import (
+	"bytes"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -16,6 +17,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -105,9 +107,45 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	}
 }
 
+// TestAblateSameBytesOn386 is the 32-bit half of "same seed, same bytes":
+// it builds cmd/ablate natively and with GOARCH=386, runs every study as a
+// JSON document at two seeds on both binaries, and requires identical
+// stdout. It executes the 386 binary, so it runs only on linux/amd64.
+func TestAblateSameBytesOn386(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the 386 ablate diff in -short mode")
+	}
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("needs linux/amd64 to execute a 386 binary, have %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, arch := range []string{"amd64", "386"} {
+		bins[arch] = filepath.Join(dir, "ablate-"+arch)
+		cmd := exec.Command("go", "build", "-o", bins[arch], "./cmd/ablate")
+		cmd.Env = append(os.Environ(), "GOARCH="+arch, "CGO_ENABLED=0")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("GOARCH=%s go build ./cmd/ablate: %v\n%s", arch, err, out)
+		}
+	}
+	for _, seed := range []string{"7", "42"} {
+		var outs [2][]byte
+		for i, arch := range []string{"amd64", "386"} {
+			out, err := exec.Command(bins[arch], "-exp", "all", "-json", "-seed", seed).Output()
+			if err != nil {
+				t.Fatalf("GOARCH=%s ablate -seed %s: %v", arch, seed, err)
+			}
+			outs[i] = out
+		}
+		if !bytes.Equal(outs[0], outs[1]) {
+			t.Errorf("ablate -exp all -json -seed %s: the 386 build prints other bytes than the amd64 build", seed)
+		}
+	}
+}
+
 // nonTestLineCeiling is the most non-test Go lines the repository may hold
 // outside benchmark/. A change that grows past it re-pins it and says so.
-const nonTestLineCeiling = 12782
+const nonTestLineCeiling = 12756
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as
@@ -168,7 +206,6 @@ var testOnlyAllowed = map[string]string{
 	"sched.JobSpec.Render":               "the fixed point of the job-spec grammar fuzz target",
 	"topology.Topology.CheckUltrametric": "the distance-model oracle of the topology tests",
 	"topology.PlatformSpec.Nodes":        "the parser's node count, checked against the built topology",
-	"topology.PaperMachine":              "the paper's 24×8 machine, the fixture of the topology and simulator tests",
 }
 
 // TestNoTestOnlyExports type-checks every non-test file of this module and

@@ -3,8 +3,9 @@
 // cmd/* main.go for flag declarations and assert the README mentions each
 // flag, pin the existence of the architecture and topology-spec docs and
 // their links from the README, hold the study registry
-// (internal/experiment) against everything derived from it, and require
-// every Markdown file a Go comment cites to exist.
+// (internal/experiment) against everything derived from it, require every
+// Markdown file a Go comment cites to exist, and every Go file, identifier
+// and internal package the documentation cites.
 package repro
 
 import (
@@ -217,6 +218,92 @@ func TestGoCommentsCiteExistingDocs(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Error("no Markdown citation found in any Go comment; the guard is looking in the wrong place")
+	}
+}
+
+// codeCiteRe matches a backticked Go file citation, `path.go` or
+// `path.go:Name`; pkgCiteRe a backticked internal package directory.
+var (
+	codeCiteRe = regexp.MustCompile("`([\\w./-]+\\.go)(?::([\\w./]+))?`")
+	pkgCiteRe  = regexp.MustCompile("`(internal/[\\w/]+)`")
+)
+
+// TestDocsCiteExistingCode resolves every code citation in README.md and
+// docs/*.md. A cited `path.go` must be the trailing path of a Go file of the
+// repository (benchmark/out aside); with `path.go:Name` one such file must
+// also contain Name as a word, every dotted part of it, where a
+// sub-benchmark or list suffix after "/" is ignored. A cited `internal/pkg`
+// must be a directory.
+func TestDocsCiteExistingCode(t *testing.T) {
+	var goFiles []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == filepath.Join("benchmark", "out") || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			goFiles = append(goFiles, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declares := func(files []string, name string) bool {
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := true
+			for _, part := range strings.Split(name, ".") {
+				found = found && regexp.MustCompile(`\b`+regexp.QuoteMeta(part)+`\b`).Match(src)
+			}
+			if found {
+				return true
+			}
+		}
+		return false
+	}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, doc := range append([]string{"README.md"}, docs...) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(raw), "\n") {
+			for _, m := range codeCiteRe.FindAllStringSubmatch(line, -1) {
+				cited++
+				var files []string
+				for _, f := range goFiles {
+					if f == m[1] || strings.HasSuffix(f, "/"+m[1]) {
+						files = append(files, f)
+					}
+				}
+				name, _, _ := strings.Cut(m[2], "/")
+				switch {
+				case len(files) == 0:
+					t.Errorf("%s:%d cites %s, which does not exist", doc, n+1, m[1])
+				case name != "" && !declares(files, name):
+					t.Errorf("%s:%d cites %s:%s, but no %s contains %s", doc, n+1, m[1], m[2], m[1], name)
+				}
+			}
+			for _, m := range pkgCiteRe.FindAllStringSubmatch(line, -1) {
+				cited++
+				if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+					t.Errorf("%s:%d cites %s, which is not a directory", doc, n+1, m[1])
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Error("no code citation found in README.md or docs/; the guard is looking in the wrong place")
 	}
 }
 

@@ -49,11 +49,7 @@ func run(pol placement.Policy, validate bool) float64 {
 		log.Fatal(err)
 	}
 	// Main operations carry the heavy per-iteration working sets.
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	if err := sys.Run(heavy); err != nil {
+	if err := sys.Run(prog.Heavy()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(sys.Report())

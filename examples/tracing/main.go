@@ -33,11 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	if err := sys.Run(heavy); err != nil {
+	if err := sys.Run(prog.Heavy()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(sys.Report())

@@ -123,21 +123,17 @@ func TestClusterAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := c.Machine()
-	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: s.seed})
+	rt := orwl.NewRuntime(orwl.Options{Machine: c.Machine(), Seed: s.seed})
 	if _, err := s.stencil.build(rt); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := placement.PlaceAdaptive(rt, placement.AdaptiveOptions{
 		Base:       placement.Hierarchical{},
 		EpochIters: 2,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := eng.Assignment()
-	placement.SetContention(mach, a, nil)
-	placement.SetFabricContention(mach, a, rt.CommMatrix())
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,8 @@ func uniformBlocks(blocks, size int) []int {
 // programRun is what the shared tail reports about one arm.
 type programRun struct {
 	seconds float64
-	// placeWall is the real time the placement call alone took.
+	// placeWall is the real time the placement call took, contention
+	// declaration included.
 	placeWall float64
 	// a is the placement in force when the run started.
 	a *placement.Assignment
@@ -269,9 +270,8 @@ type programRun struct {
 // program build constructs on it (build returns the heavy-task mask of
 // placement.SetContention, nil for every task), placed — one-shot with pol,
 // or through the epoch-based engine when adaptive is non-nil (its Base is
-// then the initial policy) — the memory contention declared from the
-// placement, the fabric contention too when the machine spans several fabric
-// nodes, and the run.
+// then the initial policy), which also declares the contention the placement
+// implies — and the run.
 func runProgram(mach *numasim.Machine, seed int64, build func(*orwl.Runtime) ([]bool, error), pol placement.Policy, adaptive *placement.AdaptiveOptions) (programRun, error) {
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: seed})
 	heavy, err := build(rt)
@@ -284,20 +284,16 @@ func runProgram(mach *numasim.Machine, seed int64, build func(*orwl.Runtime) ([]
 	)
 	start := time.Now()
 	if adaptive != nil {
-		if eng, err = placement.PlaceAdaptive(rt, *adaptive); err == nil {
+		if eng, err = placement.PlaceAdaptive(rt, *adaptive, heavy); err == nil {
 			res.a = eng.Assignment()
 		}
 	} else {
-		res.a, err = placement.Place(rt, pol)
+		res.a, err = placement.Place(rt, pol, heavy)
 	}
 	if err != nil {
 		return programRun{}, err
 	}
 	res.placeWall = time.Since(start).Seconds()
-	placement.SetContention(mach, res.a, heavy)
-	if g := mach.FabricGraph(); g != nil && g.NumNodes() > 1 {
-		placement.SetFabricContention(mach, res.a, rt.CommMatrix())
-	}
 	if err := rt.Run(); err != nil {
 		return programRun{}, err
 	}

@@ -187,14 +187,7 @@ func runLK23(mach *numasim.Machine, cfg Config, impl Impl, pol placement.Policy,
 		}); err != nil {
 			return nil, err
 		}
-		// The heavy memory streams are the main operations: one per block,
-		// sweeping the block's working set each iteration. Frontier
-		// operations only move strips.
-		heavy := make([]bool, len(prog.Tasks))
-		for i := range heavy {
-			heavy[i] = i%9 == 0
-		}
-		return heavy, nil
+		return prog.Heavy(), nil
 	}, pol, adaptive)
 	if err != nil {
 		return Result{}, programRun{}, err

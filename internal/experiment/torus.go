@@ -158,9 +158,10 @@ var torusArms = []arm[fabricArm]{
 type TorusResult struct {
 	Mode    string
 	Seconds float64
-	// WallSeconds is the real time the placement call took. It reaches no
-	// row and no bench artifact; the benchmark module's fabric-stencil
-	// workload reads it as experiment.torus_place_ms.
+	// WallSeconds is the real time the placement call took, declaring the
+	// contention the placement implies included. It reaches no row and no
+	// bench artifact; the benchmark module's fabric-stencil workload reads
+	// it as experiment.torus_place_ms.
 	WallSeconds float64
 }
 

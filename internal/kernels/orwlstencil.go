@@ -405,3 +405,14 @@ func (p *Program) Result() (*Grid, error) {
 	}
 	return out, nil
 }
+
+// Heavy is the heavy-task mask of placement.SetContention: the main
+// operations, one per block, sweep the block's working set every iteration,
+// while frontier operations only move strips.
+func (p *Program) Heavy() []bool {
+	heavy := make([]bool, len(p.Tasks))
+	for i := range heavy {
+		heavy[i] = i%comm.OpsPerBlock == int(comm.OpMain)
+	}
+	return heavy
+}

@@ -121,11 +121,12 @@ type AdaptiveEngine struct {
 
 // PlaceAdaptive runs the full adaptive pipeline on an ORWL program: the
 // base policy places the tasks from the statically extracted affinity
-// matrix exactly like Place, and the runtime is configured so that every
-// opts.EpochIters iterations the engine re-decides the placement from the
-// measured communication window. Call before rt.Run; inspect the engine
-// (Stats, Err, Assignment) after the run returns.
-func PlaceAdaptive(rt *orwl.Runtime, opts AdaptiveOptions) (*AdaptiveEngine, error) {
+// matrix exactly like Place, which declares the contention of the heavy
+// tasks, and the runtime is configured so that every opts.EpochIters
+// iterations the engine re-decides the placement from the measured
+// communication window. Call before rt.Run; inspect the engine (Stats, Err,
+// Assignment) after the run returns.
+func PlaceAdaptive(rt *orwl.Runtime, opts AdaptiveOptions, heavy []bool) (*AdaptiveEngine, error) {
 	if rt.Machine() == nil {
 		return nil, fmt.Errorf("placement: adaptive placement requires a machine")
 	}
@@ -146,7 +147,7 @@ func PlaceAdaptive(rt *orwl.Runtime, opts AdaptiveOptions) (*AdaptiveEngine, err
 	if opts.Candidate == nil {
 		opts.Candidate = opts.Base
 	}
-	a, err := Place(rt, opts.Base)
+	a, err := Place(rt, opts.Base, heavy)
 	if err != nil {
 		return nil, err
 	}
@@ -289,11 +290,9 @@ func (e *AdaptiveEngine) onEpoch(ep *orwl.Epoch) {
 	// per-NUMA-node accessor side (SetContention) needs no refresh — it
 	// charges the machine-wide average pressure, which depends only on the
 	// heavy-task and unbound counts, both unchanged by re-binding bound
-	// tasks. Skipped on single-machine topologies, which keeps the A8
+	// tasks. A no-op on single-machine topologies, which keeps the A8
 	// results bit-stable.
-	if e.mach.FabricGraph() != nil {
-		SetFabricContention(e.mach, e.assignmentLocked(), w)
-	}
+	SetFabricContention(e.mach, e.assignmentLocked(), w)
 }
 
 // classifyMove counts one committed move in the fabric-level split. A
@@ -386,9 +385,7 @@ func (e *AdaptiveEngine) onFault(ep *orwl.Epoch, events []topology.FaultEvent) {
 	// the crossing streams run (evacuees), so the declared fabric contention
 	// is stale for every mode — the arms differ in placement decisions, not
 	// in pricing honesty.
-	if e.mach.FabricGraph() != nil {
-		SetFabricContention(e.mach, e.assignmentLocked(), e.windowOrMatrix(ep))
-	}
+	SetFabricContention(e.mach, e.assignmentLocked(), e.windowOrMatrix(ep))
 }
 
 // patchDeadSlots rewrites candidate slots that landed on dead cluster nodes

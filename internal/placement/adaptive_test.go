@@ -97,7 +97,7 @@ func TestAdaptiveStationaryHoldsStill(t *testing.T) {
 	mach := machine(t, "pack:2 l3:1 core:4 pu:1")
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach})
 	adaptiveRing(rt, 8, 12, 1<<20)
-	eng, err := PlaceAdaptive(rt, AdaptiveOptions{EpochIters: 3})
+	eng, err := PlaceAdaptive(rt, AdaptiveOptions{EpochIters: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestAdaptiveStationaryHoldsStill(t *testing.T) {
 
 func TestPlaceAdaptiveValidation(t *testing.T) {
 	rt := orwl.NewRuntime(orwl.Options{})
-	if _, err := PlaceAdaptive(rt, AdaptiveOptions{EpochIters: 1}); err == nil {
+	if _, err := PlaceAdaptive(rt, AdaptiveOptions{EpochIters: 1}, nil); err == nil {
 		t.Errorf("adaptive placement accepted a machine-less runtime")
 	}
 	mach := machine(t, "pack:2 l3:1 core:2 pu:1")
 	rt2 := orwl.NewRuntime(orwl.Options{Machine: mach})
 	adaptiveRing(rt2, 2, 2, 64)
-	if _, err := PlaceAdaptive(rt2, AdaptiveOptions{}); err == nil {
+	if _, err := PlaceAdaptive(rt2, AdaptiveOptions{}, nil); err == nil {
 		t.Errorf("adaptive placement accepted EpochIters 0")
 	}
 }

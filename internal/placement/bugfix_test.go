@@ -148,7 +148,7 @@ func TestAdaptiveControlRebindsPriced(t *testing.T) {
 	eng, err := PlaceAdaptive(rt, AdaptiveOptions{
 		Base:       controlShuffler{calls: &calls},
 		EpochIters: 2,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

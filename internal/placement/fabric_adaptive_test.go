@@ -76,7 +76,7 @@ func TestAdaptiveFabricMoveAccounting(t *testing.T) {
 	mach := machine(t, "rack:2 node:2 pack:1 l3:1 core:2 pu:1")
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach})
 	miniShift(rt, 16, 4, 1<<20, 1<<22)
-	eng, err := PlaceAdaptive(rt, AdaptiveOptions{Base: Hierarchical{}, EpochIters: 4})
+	eng, err := PlaceAdaptive(rt, AdaptiveOptions{Base: Hierarchical{}, EpochIters: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAdaptiveRefreshesFabricContention(t *testing.T) {
 	mach := machine(t, "rack:2 node:2 pack:1 l3:1 core:2 pu:1")
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach})
 	miniShift(rt, 16, 4, 1<<20, 1<<22)
-	eng, err := PlaceAdaptive(rt, AdaptiveOptions{Base: Hierarchical{}, EpochIters: 4})
+	eng, err := PlaceAdaptive(rt, AdaptiveOptions{Base: Hierarchical{}, EpochIters: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAdaptiveSingleMachineStatsUnchanged(t *testing.T) {
 	mach := machine(t, "pack:2 l3:1 core:4 pu:1")
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach})
 	adaptiveRing(rt, 8, 12, 1<<20)
-	eng, err := PlaceAdaptive(rt, AdaptiveOptions{EpochIters: 3, FreeMigration: true})
+	eng, err := PlaceAdaptive(rt, AdaptiveOptions{EpochIters: 3, FreeMigration: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestAdaptiveUnboundBaseOnCluster(t *testing.T) {
 	miniShift(rt, 8, 4, 1<<20, 1<<22)
 	eng, err := PlaceAdaptive(rt, AdaptiveOptions{
 		Base: unboundFirst{Scatter{}}, Candidate: Hierarchical{}, EpochIters: 2, FreeMigration: true,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestAdaptiveUnbindingCandidateDoesNotPanic(t *testing.T) {
 	miniShift(rt, 8, 4, 1<<20, 1<<22)
 	eng, err := PlaceAdaptive(rt, AdaptiveOptions{
 		Base: Hierarchical{}, Candidate: NoBind{}, EpochIters: 2,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func runFaultShift(t *testing.T, spec string, opts AdaptiveOptions) *AdaptiveEng
 	mach := machine(t, spec)
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach})
 	miniShift(rt, 16, 100, 1<<20, 1<<22) // shiftAt past iters: steady traffic
-	eng, err := PlaceAdaptive(rt, opts)
+	eng, err := PlaceAdaptive(rt, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAdaptiveDegradeKeepsRunning(t *testing.T) {
 		Faults: &topology.FaultSchedule{Events: []topology.FaultEvent{
 			{Epoch: 2, Kind: topology.FaultDegradeEdge, Edge: nic, Factor: 0.25},
 		}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPlaceAdaptiveRejectsBadFaultConfig(t *testing.T) {
 			mach := machine(t, "rack:2 node:2 pack:1 l3:1 core:2 pu:1")
 			rt := orwl.NewRuntime(orwl.Options{Machine: mach})
 			miniShift(rt, 8, 100, 1<<20, 1<<22)
-			_, err := PlaceAdaptive(rt, tc.opts)
+			_, err := PlaceAdaptive(rt, tc.opts, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("PlaceAdaptive: got %v, want error containing %q", err, tc.wantErr)
 			}

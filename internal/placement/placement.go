@@ -306,15 +306,20 @@ func Apply(rt *orwl.Runtime, a *Assignment) error {
 
 // Place runs the paper's full pipeline on an ORWL program: extract the
 // affinity matrix from the runtime, compute the placement with the policy,
-// and apply it. It returns the assignment for inspection.
-func Place(rt *orwl.Runtime, pol Policy) (*Assignment, error) {
-	a, err := pol.Assign(rt.Machine(), rt.CommMatrix())
+// apply it, and declare the memory and fabric contention the placement
+// implies (SetContention with heavy, SetFabricContention with the same
+// matrix). It returns the assignment for inspection.
+func Place(rt *orwl.Runtime, pol Policy, heavy []bool) (*Assignment, error) {
+	m := rt.CommMatrix()
+	a, err := pol.Assign(rt.Machine(), m)
 	if err != nil {
 		return nil, err
 	}
 	if err := Apply(rt, a); err != nil {
 		return nil, err
 	}
+	SetContention(rt.Machine(), a, heavy)
+	SetFabricContention(rt.Machine(), a, m)
 	return a, nil
 }
 

@@ -213,6 +213,63 @@ func TestOversubscriptionVirtualArity(t *testing.T) {
 	}
 }
 
+// TestPlaceDeclaresContention pins that Place leaves the machine's
+// contention state exactly as the explicit sequence Assign → Apply →
+// SetContention → SetFabricContention does, on a cluster and on an SMP,
+// bound and unbound.
+func TestPlaceDeclaresContention(t *testing.T) {
+	setup := func(spec string) (*numasim.Machine, *orwl.Runtime, []bool) {
+		mach := machine(t, spec)
+		rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: 1})
+		prog, err := kernels.Build(rt, 8, 8, kernels.BuildOptions{BX: 2, BY: 2, Iters: 1, Costs: kernels.LK23Costs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mach, rt, prog.Heavy()
+	}
+	for _, spec := range []string{"cluster:2 pack:1 core:2 pu:1", "pack:2 core:2 pu:1"} {
+		for _, pol := range []Policy{TreeMatch{}, NoBind{}} {
+			got, rt, heavy := setup(spec)
+			if _, err := Place(rt, pol, heavy); err != nil {
+				t.Fatal(err)
+			}
+			want, rt, heavy := setup(spec)
+			a, err := pol.Assign(want, rt.CommMatrix())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Apply(rt, a); err != nil {
+				t.Fatal(err)
+			}
+			SetContention(want, a, heavy)
+			SetFabricContention(want, a, rt.CommMatrix())
+
+			name := spec + "/" + pol.Name()
+			for n := 0; n < want.Topology().NumNUMANodes(); n++ {
+				if g, w := got.Accessors(n), want.Accessors(n); g != w {
+					t.Errorf("%s: node %d accessors %d, want %d", name, n, g, w)
+				}
+			}
+			if g, w := got.RemoteStreams(), want.RemoteStreams(); g != w {
+				t.Errorf("%s: remote streams %d, want %d", name, g, w)
+			}
+			if want.FabricGraph() == nil {
+				continue
+			}
+			streams := 0
+			for e := 0; e < want.FabricGraph().NumEdges(); e++ {
+				streams += want.EdgeStreams(e)
+				if g, w := got.EdgeStreams(e), want.EdgeStreams(e); g != w {
+					t.Errorf("%s: edge %d streams %d, want %d", name, e, g, w)
+				}
+			}
+			if streams == 0 {
+				t.Errorf("%s: no fabric edge carries a stream; the comparison is vacuous", name)
+			}
+		}
+	}
+}
+
 func TestApplyAndPlace(t *testing.T) {
 	mach := machine(t, "pack:2 l3:1 core:4 pu:1")
 	rt := orwl.NewRuntime(orwl.Options{Machine: mach, Seed: 1})
@@ -223,7 +280,7 @@ func TestApplyAndPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Place(rt, TreeMatch{})
+	a, err := Place(rt, TreeMatch{}, nil)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
 	}

@@ -2,6 +2,7 @@ package treematch
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -282,4 +283,36 @@ func TestRoundRobinShape(t *testing.T) {
 			t.Errorf("rr[%d] = %d", i, leaf)
 		}
 	}
+}
+
+// FuzzMapReadMatrix fuzzes what `treemap -matrix` does with a file: every
+// matrix comm.Read accepts, asymmetric ones included, must map onto a
+// 16-leaf tree without panicking. It lives here rather than beside
+// comm's FuzzReadMatrix, whose inputs seed it, because comm cannot import
+// treematch.
+func FuzzMapReadMatrix(f *testing.F) {
+	for _, seed := range []string{
+		"2\n0 1\n1 0\n",
+		"3\n0 1 2 # a\n1 0 3\n2 3 0 # c\n",
+		"# comment\n1\n\n5\n",
+		"0\n",
+		"4000000000\n",
+		"2\n0 NaN\n1 0\n",
+		"1\n1e400\n",
+		"3\n0 -5 1\n-5 0 2\n1 2 0\n",
+		"2\n-0 1\n1 -0\n",
+	} {
+		f.Add(seed)
+	}
+	tree, err := NewTree([]int{2, 2, 2, 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := comm.Read(strings.NewReader(in))
+		if err != nil || m.Order() > 32 {
+			return
+		}
+		_, _ = MapMatrix(tree, m, Options{})
+	})
 }

@@ -1,4 +1,4 @@
-package core
+package repro
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 )
 
 func TestSystemEndToEnd(t *testing.T) {
-	sys, err := NewSystem(Options{TopologySpec: "pack:2 l3:1 core:4 pu:1", Seed: 3})
+	sys, err := NewSystem(SystemOptions{TopologySpec: "pack:2 l3:1 core:4 pu:1", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +22,7 @@ func TestSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy := make([]bool, len(prog.Tasks))
-	for i := range heavy {
-		heavy[i] = i%9 == 0
-	}
-	if err := sys.Run(heavy); err != nil {
+	if err := sys.Run(prog.Heavy()); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Seconds() <= 0 {
@@ -40,7 +36,7 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := kernels.RunJacobiLK23(g, 3); !res.Equal(want, 0) {
-		t.Errorf("numerics changed by the core pipeline")
+		t.Errorf("numerics changed by the facade pipeline")
 	}
 	rep := sys.Report()
 	for _, want := range []string{"machine:", "treematch", "simulated time"} {
@@ -54,7 +50,7 @@ func TestSystemEndToEnd(t *testing.T) {
 }
 
 func TestSystemDefaults(t *testing.T) {
-	sys, err := NewSystem(Options{})
+	sys, err := NewSystem(SystemOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +60,13 @@ func TestSystemDefaults(t *testing.T) {
 }
 
 func TestSystemBadSpec(t *testing.T) {
-	if _, err := NewSystem(Options{TopologySpec: "bogus:1"}); err == nil {
+	if _, err := NewSystem(SystemOptions{TopologySpec: "bogus:1"}); err == nil {
 		t.Errorf("bad spec accepted")
 	}
 }
 
 func TestSystemNoBindPolicy(t *testing.T) {
-	sys, err := NewSystem(Options{TopologySpec: "pack:2 core:2 pu:1", Policy: placement.NoBind{}, Seed: 1})
+	sys, err := NewSystem(SystemOptions{TopologySpec: "pack:2 core:2 pu:1", Policy: placement.NoBind{}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +94,7 @@ func TestSystemNoBindPolicy(t *testing.T) {
 // fabric from the placement: a 4-task ring cannot be split over two 2-core
 // nodes without crossing the fabric, so some edge must carry a stream.
 func TestSystemRunDeclaresFabricContention(t *testing.T) {
-	sys, err := NewSystem(Options{TopologySpec: "cluster:2 pack:1 core:2 pu:1", Seed: 1})
+	sys, err := NewSystem(SystemOptions{TopologySpec: "cluster:2 pack:1 core:2 pu:1", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
