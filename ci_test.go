@@ -145,7 +145,9 @@ func TestAblateSameBytesOn386(t *testing.T) {
 
 // nonTestLineCeiling is the most non-test Go lines the repository may hold
 // outside benchmark/. A change that grows past it re-pins it and says so.
-const nonTestLineCeiling = 12756
+// 12756 → 12779: the ORWL handoff's grant flag and waiting handshake, and
+// the canonical handle list and CommMatrix's endpoint lists sized up front.
+const nonTestLineCeiling = 12779
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as

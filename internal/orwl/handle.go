@@ -1,6 +1,9 @@
 package orwl
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // HandleState is the lifecycle state of a handle.
 type HandleState int
@@ -32,36 +35,36 @@ func (s HandleState) String() string {
 // lock: its methods belong to the owner task's goroutine, or to any goroutine
 // while no task runs (Run's canonical insertion before the tasks start, its
 // clean-up after they are joined). A grant reaches it from another goroutine
-// only through l.mu and the wake token, each of which orders the granter's
-// writes before the owner's reads.
+// only through l.mu, then the request's granted flag or the task's wake
+// token, each of which orders the granter's writes before the owner's reads.
 //
 // A handle owns everything a lock handoff needs, so none allocates. Its two
 // request slots are used alternately: ReleaseAndRequest queues one while the
 // other is still held, and a slot is rewritten only after its previous
-// request left the FIFO under l.mu (see request). Its wake token is sent by
-// the grant and received by Acquire; at most one request of a
-// handle is ever granted and unacquired, so one token of capacity suffices —
-// grantLocked asserts it, and cancelRequest drains the token of a request
-// that is withdrawn after its grant.
+// request left the FIFO under l.mu (see request). Acquire returns at once on
+// a request already granted; otherwise it raises waiting and parks on the
+// task's wake channel, and the granter sends there only when it takes
+// waiting back down. A task waits on one handle at a time, so one token of
+// capacity per task suffices — grantLocked asserts it.
 type Handle struct {
 	task *Task
 	loc  *Location
-	mode Mode
+	req  *request // the current request: nil or one of slots
 	// vol is the data volume, in bytes, that one iteration of the task
 	// moves through this handle; it feeds both the affinity matrix and the
 	// virtual-time transfer costs. Defaults to the location size.
-	vol float64
+	vol  float64
+	mode Mode
 	// rank orders the initial canonical request insertion: lower ranks are
 	// inserted first on each location. It lets iterative applications pick
 	// which side of a producer/consumer pair starts the cycle.
-	rank int
-	// idx is the creation index within the task, the canonical tiebreaker.
-	idx int
-
+	rank  int
 	state HandleState
-	req   *request // the current request: nil or one of slots
-	slots [2]request
-	wake  chan struct{} // capacity 1: the grant of req, until acquired
+	// idx is the creation index within the task, the canonical tiebreaker.
+	idx int32
+	// waiting is set while the owner is parked in Acquire on req.
+	waiting atomic.Bool
+	slots   [2]request
 }
 
 // Location returns the location the handle is bound to.
@@ -106,12 +109,21 @@ func (h *Handle) Acquire() error {
 	if h.state != Requested {
 		return fmt.Errorf("orwl: Acquire without Request on %q", h.loc.name)
 	}
-	<-h.wake
 	req := h.req
+	if !req.granted.Load() {
+		// Raise waiting, then look again: with sequentially consistent
+		// atomics either this load sees the grant or the granter sees
+		// waiting. If both did, whichever lowers waiting first decides
+		// whether a token is sent, and the owner takes it.
+		h.waiting.Store(true)
+		if !req.granted.Load() || !h.waiting.CompareAndSwap(true, false) {
+			<-h.task.wake
+		}
+	}
 	h.state = Acquired
 
-	if req.grantTask >= 0 && req.grantTask != h.task.id {
-		h.task.recordComm(req.grantTask, h.vol)
+	if from := int(req.grantTask); from >= 0 && from != h.task.id {
+		h.task.recordComm(from, h.vol)
 	}
 	if p := h.task.proc; p != nil {
 		p.AdvanceTo(req.grantClock)
@@ -120,7 +132,7 @@ func (h *Handle) Acquire() error {
 				p.MemRead(h.loc.region, h.vol)
 			}
 		} else {
-			cost := h.task.rt.mach.TransferCost(req.grantPU, p.PU(), h.vol)
+			cost := h.task.rt.mach.TransferCost(int(req.grantPU), p.PU(), h.vol)
 			p.ChargeTransfer(cost)
 		}
 		h.task.chargeControlEvent()

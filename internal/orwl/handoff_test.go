@@ -1,7 +1,11 @@
 package orwl
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // TestHandoffAllocs pins the cost of the steady-state lock handoff: two
@@ -64,9 +68,10 @@ func TestHandoffAllocs(t *testing.T) {
 }
 
 // TestHandoffProtocols scripts ad-hoc (non-iterative) protocols against the
-// request slots and the wake token of a handle: each step names a handle,
-// an operation, and for "try" (acquire only if the token is there) and
-// "granted" the expected answer.
+// request slots and the grant flag of a handle: each step names a handle,
+// an operation, and for "try" (acquire only if granted and not yet
+// acquired) and "granted" the expected answer. Every task runs alone on the
+// test goroutine, so none ever parks and no script may leave a wake token.
 func TestHandoffProtocols(t *testing.T) {
 	type step struct {
 		h, op string
@@ -78,7 +83,7 @@ func TestHandoffProtocols(t *testing.T) {
 		steps   []step
 	}{
 		{
-			// Both slots and the one token of a, reused across two requests.
+			// Both slots of a, reused across two requests.
 			name:    "poll-until-granted-then-again",
 			handles: map[string]Mode{"a": Write, "b": Write},
 			steps: []step{
@@ -114,7 +119,7 @@ func TestHandoffProtocols(t *testing.T) {
 		},
 		{
 			// The final ReleaseAndRequest of an iterative task is granted at
-			// once and then withdrawn by Run: its token must go with it, or
+			// once and then withdrawn by Run: its grant must go with it, or
 			// the next request would be acquired while b holds the lock.
 			name:    "granted-then-cancelled",
 			handles: map[string]Mode{"a": Write, "b": Write},
@@ -128,7 +133,7 @@ func TestHandoffProtocols(t *testing.T) {
 			},
 		},
 		{
-			// Withdrawing a request that was never granted leaves no token
+			// Withdrawing a request that was never granted leaves no grant
 			// behind either, and grants whoever waited behind it.
 			name:    "cancelled-while-waiting",
 			handles: map[string]Mode{"a": Write, "b": Write, "c": Write},
@@ -158,16 +163,16 @@ func TestHandoffProtocols(t *testing.T) {
 					err = h.Request()
 				case "acquire":
 					// A step that would block is a bug of the script or of the
-					// token accounting; fail instead of hanging the suite.
+					// grant accounting; fail instead of hanging the suite.
 					if !granted(h) {
 						t.Fatalf("step %d: %s acquire would block", i, s.h)
 					}
 					err = h.Acquire()
 				case "try":
 					// A non-blocking acquire: it takes the lock exactly when
-					// the wake token is there.
-					if ok := len(h.wake) == 1; ok != s.want {
-						t.Fatalf("step %d: %s holds a wake token = %v, want %v", i, s.h, ok, s.want)
+					// the request is granted and not yet acquired.
+					if ok := h.State() == Requested && h.req.granted.Load(); ok != s.want {
+						t.Fatalf("step %d: %s granted and unacquired = %v, want %v", i, s.h, ok, s.want)
 					} else if ok {
 						err = h.Acquire()
 					}
@@ -192,10 +197,162 @@ func TestHandoffProtocols(t *testing.T) {
 				t.Errorf("queue not empty at the end: %d", loc.QueueLen())
 			}
 			for name, h := range handles {
-				if h.State() != Idle || len(h.wake) != 0 {
-					t.Errorf("%s ends in state %v with %d token(s)", name, h.State(), len(h.wake))
+				if h.State() != Idle || len(h.task.wake) != 0 {
+					t.Errorf("%s ends in state %v with %d token(s)", name, h.State(), len(h.task.wake))
 				}
 			}
 		})
+	}
+}
+
+// TestOneTokenPerTask: a task parked on its first handle while a grant on
+// its second lands gets no token for the second (nobody waits on it), and
+// is woken exactly once, by the grant it waits for. So one token of
+// capacity per task suffices however many handles the task holds.
+func TestOneTokenPerTask(t *testing.T) {
+	rt := buildRuntime()
+	x, y := rt.NewLocation("x", 8), rt.NewLocation("y", 8)
+	owner, other := rt.AddTask("owner", nil), rt.AddTask("other", nil)
+	ox, oy := owner.NewHandle(x, Write), owner.NewHandle(y, Write)
+	ux, uy := other.NewHandle(x, Write), other.NewHandle(y, Write)
+	for _, h := range []*Handle{ux, uy, ox, oy} {
+		if err := h.Request(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range []*Handle{ux, uy} {
+		if err := h.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, h := range []*Handle{ox, oy} {
+			if err := h.Acquire(); err != nil {
+				done <- err
+				return
+			}
+		}
+		for _, h := range []*Handle{ox, oy} {
+			if err := h.Release(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for !ox.waiting.Load() {
+		runtime.Gosched()
+	}
+	if err := uy.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if !oy.req.granted.Load() || oy.waiting.Load() || len(owner.wake) != 0 {
+		t.Fatalf("grant on the second handle: granted %v, waiting %v, %d token(s); want granted, no waiter, no token",
+			oy.req.granted.Load(), oy.waiting.Load(), len(owner.wake))
+	}
+	if err := ux.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []*Task{owner, other} {
+		if len(task.wake) != 0 {
+			t.Errorf("%s ends with a wake token", task)
+		}
+	}
+	if x.QueueLen() != 0 || y.QueueLen() != 0 {
+		t.Errorf("queues not empty: %d, %d", x.QueueLen(), y.QueueLen())
+	}
+}
+
+// TestHandoffPingPong: two writers alternate on one location for many
+// rounds. Between rounds each spins for a pseudo-random while outside the
+// lock, so a task often arrives after its grant (the flag path) and the
+// other task's release often lands while it is raising waiting (the race
+// the re-read of granted closes). A lost wake-up hangs Run, which fails the
+// test after a minute; a doubled token trips grantLocked's assertion or the
+// final check.
+func TestHandoffPingPong(t *testing.T) {
+	const rounds = 20000
+	rt := buildRuntime()
+	loc := rt.NewLocation("ball", 8)
+	loc.SetData([]float64{0})
+	spun := make([]int, 2) // keeps the spin loops' sums live
+	for i := 0; i < 2; i++ {
+		task := rt.AddTask(fmt.Sprintf("p%d", i), func(task *Task) error {
+			h := task.Handle(0)
+			x, spin := uint32(task.ID()+1), 0
+			for r := 0; r < rounds; r++ {
+				if err := h.Acquire(); err != nil {
+					return err
+				}
+				v, err := h.Float64s()
+				if err != nil {
+					return err
+				}
+				// The FIFO alternates the two tasks: p0 sees even counts.
+				if int(v[0])%2 != task.ID() {
+					return fmt.Errorf("round %d: count %v out of turn", r, v[0])
+				}
+				v[0]++
+				if err := releaseOrNext(h, r == rounds-1); err != nil {
+					return err
+				}
+				x ^= x << 13
+				x ^= x >> 17
+				x ^= x << 5
+				for k := 0; k < int(x%20000); k++ {
+					spin += k
+				}
+			}
+			spun[task.ID()] = spin
+			return nil
+		})
+		task.NewHandle(loc, Write)
+	}
+	done := make(chan error, 1)
+	go func() { done <- rt.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("ping-pong still running after a minute: a wake-up was lost")
+	}
+	if got := loc.PeekData().([]float64)[0]; got != 2*rounds {
+		t.Errorf("count = %v, want %d", got, 2*rounds)
+	}
+	for _, task := range rt.Tasks() {
+		if len(task.wake) != 0 {
+			t.Errorf("%s ends with a wake token", task)
+		}
+	}
+}
+
+// TestHandleFootprint pins what a handle and a task cost to create: a
+// 144-byte Handle holding its two 40-byte request slots (64-bit ports), one
+// allocation per NewHandleVol, and two per AddTask (the Task and its wake
+// channel). Appends to the runtime's and the task's lists amortise below one
+// allocation per call, which AllocsPerRun's integer average drops.
+func TestHandleFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if got := unsafe.Sizeof(Handle{}); got != 144 {
+			t.Errorf("Handle is %d bytes, want 144", got)
+		}
+		if got := unsafe.Sizeof(request{}); got != 40 {
+			t.Errorf("request is %d bytes, want 40", got)
+		}
+	}
+	rt := buildRuntime()
+	loc := rt.NewLocation("x", 8)
+	if n := testing.AllocsPerRun(200, func() { rt.AddTask("t", nil) }); n != 2 {
+		t.Errorf("AddTask: %v allocations, want 2", n)
+	}
+	task := rt.AddTask("t", nil)
+	if n := testing.AllocsPerRun(200, func() { task.NewHandleVol(loc, Read, 8, 0) }); n != 1 {
+		t.Errorf("NewHandleVol: %v allocations, want 1", n)
 	}
 }

@@ -14,8 +14,9 @@
 //     the held one, so a task keeps its relative position in the cyclic
 //     schedule across iterations — ORWL's liveness guarantee relies on it.
 //     A lock handoff allocates nothing and takes one lock, the location's:
-//     the handle owns its two request records and its one wake token (see
-//     Handle).
+//     the handle owns its two request records, a grant is a flag the owner
+//     reads, and only an owner already parked in Acquire is woken, through
+//     its task's one token channel (see Handle).
 //   - Task: a unit of execution owning a set of handles; the runtime inserts
 //     all initial requests in a canonical deterministic order before any
 //     task starts (two-phase initialization), which makes the whole
@@ -30,6 +31,7 @@ package orwl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/numasim"
 )
@@ -61,15 +63,18 @@ func (m Mode) String() string {
 // two slots: every field is written by the owning task while the record is
 // outside the FIFO, and by whoever holds l.mu while it is queued — nobody
 // else ever sees it, so a slot may be rewritten as soon as remove or
-// cancelRequest has taken it out of the FIFO.
+// cancelRequest has taken it out of the FIFO. The owner reads the grant
+// fields without l.mu once it has seen granted set (see Handle.Acquire).
 type request struct {
-	h       *Handle
-	mode    Mode
-	granted bool // guarded by l.mu; the grant also sends h.wake
+	h *Handle
 	// Virtual-time information captured at grant time.
 	grantClock float64
-	grantPU    int
-	grantTask  int  // ID of the last releasing task, -1 if none
+	mode       Mode
+	grantPU    int32
+	grantTask  int32 // ID of the last releasing task, -1 if none
+	// granted is stored under l.mu after every grant field, so an owner that
+	// loads it set reads them complete.
+	granted    atomic.Bool
 	fromMemory bool // first grant: data comes from the region, not a holder
 }
 
@@ -175,7 +180,7 @@ func (l *Location) remove(r *request, reinsert *request, releaseClock float64, r
 	if idx < 0 {
 		return fmt.Errorf("orwl: release of a request not in the queue of %q", l.name)
 	}
-	if !r.granted {
+	if !r.granted.Load() {
 		return fmt.Errorf("orwl: release of a non-granted request on %q", l.name)
 	}
 	if reinsert != nil {
@@ -213,22 +218,24 @@ func (l *Location) grantLocked() {
 		return
 	}
 	grant := func(r *request) {
-		if r.granted {
+		if r.granted.Load() {
 			return
 		}
-		r.granted = true
 		r.grantClock = l.frontier
-		r.grantPU = l.frontierPU
-		r.grantTask = l.frontierTask
+		r.grantPU = int32(l.frontierPU)
+		r.grantTask = int32(l.frontierTask)
 		r.fromMemory = l.frontierPU == -1
+		r.granted.Store(true)
 		l.grants++
-		// A handle has at most one granted-and-unacquired request (Request
-		// needs Idle, ReleaseAndRequest needs Acquired, cancelRequest drains),
-		// so the capacity-1 token channel always has room.
-		select {
-		case r.h.wake <- struct{}{}:
-		default:
-			panic(fmt.Sprintf("orwl: second unacquired grant on the %s handle for %q", r.mode, l.name))
+		// Only an owner parked in Acquire on this handle gets a token. A task
+		// parks on one handle at a time and takes its token before it
+		// returns, so the capacity-1 channel always has room.
+		if r.h.waiting.CompareAndSwap(true, false) {
+			select {
+			case r.h.task.wake <- struct{}{}:
+			default:
+				panic(fmt.Sprintf("orwl: second wake token for %s on the %s handle for %q", r.h.task, r.mode, l.name))
+			}
 		}
 	}
 	head := l.queue[0]

@@ -13,11 +13,9 @@ func buildRuntime() *Runtime {
 }
 
 // granted reports whether the handle's queued request has been granted,
-// without consuming its wake token.
+// without acquiring it.
 func granted(h *Handle) bool {
-	h.loc.mu.Lock()
-	defer h.loc.mu.Unlock()
-	return h.req.granted
+	return h.req.granted.Load()
 }
 
 func TestModeAndStateStrings(t *testing.T) {

@@ -110,7 +110,7 @@ func (rt *Runtime) AddTask(name string, fn TaskFunc) *Task {
 	if rt.state != stateBuilding {
 		panic("orwl: AddTask after the runtime started")
 	}
-	t := &Task{rt: rt, id: len(rt.tasks), name: name, fn: fn, pu: -1, ctlPU: -1}
+	t := &Task{rt: rt, id: len(rt.tasks), name: name, fn: fn, pu: -1, ctlPU: -1, wake: make(chan struct{}, 1)}
 	rt.tasks = append(rt.tasks, t)
 	return t
 }
@@ -131,29 +131,31 @@ func (rt *Runtime) Locations() []*Location {
 
 // Bind pins a task's computation thread to a PU (the effect of the paper's
 // placement module). Must be called before Run; pass -1 to leave the task
-// to the simulated OS scheduler (the NoBind configuration).
+// to the simulated OS scheduler (the NoBind configuration). Any other PU
+// outside the attached machine, or below -1, is an error.
 func (rt *Runtime) Bind(t *Task, pu int) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.state != stateBuilding {
 		return fmt.Errorf("orwl: Bind after the runtime started")
 	}
-	if rt.mach != nil && pu >= rt.mach.Topology().NumPUs() {
-		return fmt.Errorf("orwl: PU %d out of range", pu)
+	if pu < -1 || rt.mach != nil && pu >= rt.mach.Topology().NumPUs() {
+		return fmt.Errorf("orwl: PU %d out of range for %s", pu, t)
 	}
 	t.pu = pu
 	return nil
 }
 
 // BindControl pins a task's control thread to a PU; -1 leaves it to the OS.
+// It rejects the same PUs as Bind.
 func (rt *Runtime) BindControl(t *Task, pu int) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.state != stateBuilding {
 		return fmt.Errorf("orwl: BindControl after the runtime started")
 	}
-	if rt.mach != nil && pu >= rt.mach.Topology().NumPUs() {
-		return fmt.Errorf("orwl: PU %d out of range", pu)
+	if pu < -1 || rt.mach != nil && pu >= rt.mach.Topology().NumPUs() {
+		return fmt.Errorf("orwl: PU %d out of range for %s", pu, t)
 	}
 	t.ctlPU = pu
 	return nil
@@ -206,7 +208,11 @@ func (rt *Runtime) Run() error {
 	// Phase 1: canonical initial request insertion. This is the "global
 	// initialization following a canonical order" that guarantees liveness:
 	// every location's FIFO starts in the same relative order on every run.
-	var initial []*Handle
+	n := 0
+	for _, t := range tasks {
+		n += len(t.handles)
+	}
+	initial := make([]*Handle, 0, n)
 	for _, t := range tasks {
 		initial = append(initial, t.handles...)
 	}
@@ -323,13 +329,6 @@ func (h *Handle) cancelRequest() error {
 			break
 		}
 	}
-	// A request granted and never acquired leaves its wake token behind:
-	// take it back, or the handle's next request would look granted before
-	// it is. Out of the FIFO, req cannot be granted after this.
-	select {
-	case <-h.wake:
-	default:
-	}
 	l.grantLocked()
 	l.mu.Unlock()
 	h.req = nil
@@ -389,7 +388,19 @@ func (rt *Runtime) CommMatrix() *comm.Matrix {
 	}
 	// Indexed by Location.id and walked in creation order, so a pair sharing
 	// several locations has its volumes summed in the same order every call.
+	// Each list is cut from one array at its counted length, then filled.
 	byLoc := make([][]endpoint, len(locations))
+	count, n := make([]int, len(locations)), 0
+	for _, t := range tasks {
+		n += len(t.handles)
+		for _, h := range t.handles {
+			count[h.loc.id]++
+		}
+	}
+	all := make([]endpoint, n)
+	for i, c := range count {
+		byLoc[i], all = all[:0:c], all[c:]
+	}
 	for _, t := range tasks {
 		for _, h := range t.handles {
 			byLoc[h.loc.id] = append(byLoc[h.loc.id], endpoint{t.id, h.mode, h.vol})

@@ -168,6 +168,41 @@ func TestLeftoverRequestDrained(t *testing.T) {
 	}
 }
 
+// TestBindRejectsNegativePU: -1 is the one negative target (unbound, or an
+// unmapped control thread); anything below it is an error naming the task
+// and the PU, with or without a machine.
+func TestBindRejectsNegativePU(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bind func(*Runtime, *Task, int) error
+	}{
+		{"Bind", (*Runtime).Bind},
+		{"BindControl", (*Runtime).BindControl},
+	} {
+		for _, withMachine := range []bool{false, true} {
+			for _, pu := range []int{-1, -2, -5, -7} {
+				rt := buildRuntime()
+				if withMachine {
+					rt = simRuntime(t, "pack:2 core:2 pu:1", 1)
+				}
+				task := rt.AddTask("t", nil)
+				err := tc.bind(rt, task, pu)
+				if pu == -1 {
+					if err != nil {
+						t.Errorf("%s(-1), machine=%v: %v", tc.name, withMachine, err)
+					}
+					continue
+				}
+				if err == nil {
+					t.Errorf("%s(%d), machine=%v accepted", tc.name, pu, withMachine)
+				} else if msg := err.Error(); !strings.Contains(msg, task.String()) || !strings.Contains(msg, fmt.Sprint(pu)) {
+					t.Errorf("%s(%d): error %q must name %s and the PU", tc.name, pu, msg, task)
+				}
+			}
+		}
+	}
+}
+
 func TestBindValidation(t *testing.T) {
 	rt := simRuntime(t, "pack:2 core:2 pu:1", 1)
 	task := rt.AddTask("t", func(task *Task) error { return nil })

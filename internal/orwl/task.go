@@ -31,6 +31,9 @@ type Task struct {
 	ctlPU int
 
 	proc *numasim.Proc
+	// wake carries a grant to the task while it is parked in Acquire;
+	// capacity 1, since the task parks on one handle at a time (see Handle).
+	wake chan struct{}
 
 	// iterations completed, maintained by EndIteration (paces the epoch barrier).
 	iterations int
@@ -115,7 +118,7 @@ func (t *Task) NewHandleVol(loc *Location, mode Mode, vol float64, rank int) *Ha
 	if t.rt.state != stateBuilding {
 		panic("orwl: NewHandle after the runtime started")
 	}
-	h := &Handle{task: t, loc: loc, mode: mode, vol: vol, rank: rank, idx: len(t.handles), wake: make(chan struct{}, 1)}
+	h := &Handle{task: t, loc: loc, mode: mode, vol: vol, rank: rank, idx: int32(len(t.handles))}
 	t.handles = append(t.handles, h)
 	return h
 }
