@@ -147,7 +147,9 @@ func TestAblateSameBytesOn386(t *testing.T) {
 // outside benchmark/. A change that grows past it re-pins it and says so.
 // 12756 → 12779: the ORWL handoff's grant flag and waiting handshake, and
 // the canonical handle list and CommMatrix's endpoint lists sized up front.
-const nonTestLineCeiling = 12779
+// 12779 → 12743: one greedy fill, the full scan and its dispatch moved to
+// the test oracle, net of the ORWL runtime's volume and size checks.
+const nonTestLineCeiling = 12743
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as

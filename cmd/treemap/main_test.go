@@ -131,6 +131,25 @@ func TestRunMatrixFile(t *testing.T) {
 	}
 }
 
+// TestRunGoldenAsymmetric maps an asymmetric matrix file with fractional
+// volumes, explicit zeros, -0 and diagonal entries: the greedy fill walks its
+// symmetrised adjacency. The golden was recorded with the every-entity scan
+// fill (the oracle in internal/treematch), so it pins the fill to the scan
+// end to end.
+func TestRunGoldenAsymmetric(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "asymmetric.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := run(options{topoSpec: "pack:4 core:4 pu:1", matrixF: filepath.Join("testdata", "asymmetric.txt"), dist: true}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("treemap -matrix testdata/asymmetric.txt differs from testdata/asymmetric.golden:\n%s", b.String())
+	}
+}
+
 // TestNegativeVolumeExitsCleanly runs the built command on a matrix file
 // with a negative volume: it exits non-zero with one line naming the row and
 // the entry, and no panic.

@@ -4,18 +4,23 @@
 // flag, pin the existence of the architecture and topology-spec docs and
 // their links from the README, hold the study registry
 // (internal/experiment) against everything derived from it, require every
-// Markdown file a Go comment cites to exist, and every Go file, identifier
-// and internal package the documentation cites.
+// Markdown file a Go comment cites to exist, every Go file, identifier
+// and internal package the documentation cites, and a row of the panic
+// audit for every function that calls panic.
 package repro
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -342,5 +347,83 @@ func TestDocumentedSpecsBuild(t *testing.T) {
 				t.Errorf("%s shows spec %q, which does not build: %v", path, spec, err)
 			}
 		}
+	}
+}
+
+// panicRowRe matches a row of the panic audit in docs/ARCHITECTURE.md:
+// | `pkg/file.go:Func` | count | kind | reason |.
+var panicRowRe = regexp.MustCompile("^\\| `([\\w./-]+\\.go):([\\w.]+)` \\| (\\d+) \\| (unreachable invariant|build-time API misuse) \\| .+ \\|$")
+
+// TestPanicAuditCoversEveryPanic holds the panic audit in
+// docs/ARCHITECTURE.md against the code: every function of a non-test Go
+// file outside benchmark/ that calls panic has one row, keyed by its path
+// below internal/ and its name (Type.Method for a method), with the number
+// of panic calls in its body and whether each is an unreachable invariant or
+// build-time API misuse; and every row names such a function.
+func TestPanicAuditCoversEveryPanic(t *testing.T) {
+	found := map[string]int{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				name = typ.(*ast.Ident).Name + "." + name
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+						found[strings.TrimPrefix(filepath.ToSlash(path), "internal/")+":"+name]++
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	audited := map[string]int{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if m := panicRowRe.FindStringSubmatch(line); m != nil {
+			audited[m[1]+":"+m[2]], _ = strconv.Atoi(m[3])
+		}
+	}
+	for _, site := range slices.Sorted(maps.Keys(found)) {
+		if n := found[site]; audited[site] != n {
+			t.Errorf("%s calls panic %d times; the audit in docs/ARCHITECTURE.md lists %d: add or fix its row", site, n, audited[site])
+		}
+	}
+	for _, site := range slices.Sorted(maps.Keys(audited)) {
+		if found[site] == 0 {
+			t.Errorf("the audit in docs/ARCHITECTURE.md lists %s, which calls no panic: drop its row", site)
+		}
+	}
+	if len(found) == 0 {
+		t.Error("no panic found in the code; the guard is looking in the wrong place")
 	}
 }

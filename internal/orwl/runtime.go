@@ -87,12 +87,16 @@ func (rt *Runtime) Machine() *numasim.Machine { return rt.mach }
 
 // NewLocation creates a location whose backing memory follows the
 // first-touch policy: it ends up on the NUMA node of the first task that
-// accesses it, exactly like the C library's location buffers.
+// accesses it, exactly like the C library's location buffers. A negative
+// size panics, as a call after the runtime started does.
 func (rt *Runtime) NewLocation(name string, sizeBytes int64) *Location {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.state != stateBuilding {
 		panic("orwl: NewLocation after the runtime started")
+	}
+	if sizeBytes < 0 {
+		panic(fmt.Sprintf("orwl: location %q has size %d, want ≥ 0", name, sizeBytes))
 	}
 	l := &Location{rt: rt, id: len(rt.locations), name: name, size: sizeBytes, frontierPU: -1, frontierTask: -1}
 	if rt.mach != nil {

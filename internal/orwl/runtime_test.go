@@ -3,6 +3,7 @@ package orwl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -495,5 +496,46 @@ func TestMakespanWithoutMachine(t *testing.T) {
 	}
 	if rt.MakespanSeconds() != 0 || rt.MakespanCycles() != 0 {
 		t.Errorf("machine-less makespan non-zero")
+	}
+}
+
+// TestBuildRejectsBadVolumes holds the two entrances of a volume into the
+// runtime: NewHandleVol panics on a negative or non-finite volume and
+// NewLocation on a negative size (NewHandle takes its volume from the size),
+// each naming the task or location and the value. Zero and -0 are volumes.
+func TestBuildRejectsBadVolumes(t *testing.T) {
+	handle := func(vol float64) func(rt *Runtime) {
+		return func(rt *Runtime) { rt.AddTask("w", nil).NewHandleVol(rt.NewLocation("l", 8), Read, vol, 0) }
+	}
+	location := func(size int64) func(rt *Runtime) {
+		return func(rt *Runtime) { rt.AddTask("w", nil).NewHandle(rt.NewLocation("l", size), Write) }
+	}
+	const badVol = `orwl: task#0(w) declares volume %s on "l", want a finite volume ≥ 0`
+	for _, c := range []struct {
+		name  string
+		build func(rt *Runtime)
+		want  string // "" accepts
+	}{
+		{"volume -5", handle(-5), fmt.Sprintf(badVol, "-5")},
+		{"volume NaN", handle(math.NaN()), fmt.Sprintf(badVol, "NaN")},
+		{"volume +Inf", handle(math.Inf(1)), fmt.Sprintf(badVol, "+Inf")},
+		{"volume -Inf", handle(math.Inf(-1)), fmt.Sprintf(badVol, "-Inf")},
+		{"size -1", location(-1), `orwl: location "l" has size -1, want ≥ 0`},
+		{"volume 0", handle(0), ""},
+		{"volume -0", handle(math.Copysign(0, -1)), ""},
+		{"size 0", location(0), ""},
+	} {
+		got := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			c.build(NewRuntime(Options{}))
+			return ""
+		}()
+		if got != c.want {
+			t.Errorf("%s: panic %q, want %q", c.name, got, c.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package orwl
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/numasim"
 	"repro/internal/topology"
@@ -111,12 +112,16 @@ func (t *Task) NewHandle(loc *Location, mode Mode) *Handle {
 // moved through the handle per iteration, used for affinity extraction and
 // transfer costs) and the canonical rank (lower ranks insert their initial
 // request earlier on the location's FIFO; ties break by task ID, then by
-// handle creation order).
+// handle creation order). A negative or non-finite volume panics, as a call
+// after the runtime started does: volumes are bytes.
 func (t *Task) NewHandleVol(loc *Location, mode Mode, vol float64, rank int) *Handle {
 	t.rt.mu.Lock()
 	defer t.rt.mu.Unlock()
 	if t.rt.state != stateBuilding {
 		panic("orwl: NewHandle after the runtime started")
+	}
+	if !(vol >= 0) || math.IsInf(vol, 1) {
+		panic(fmt.Sprintf("orwl: %s declares volume %v on %q, want a finite volume ≥ 0", t, vol, loc.name))
 	}
 	h := &Handle{task: t, loc: loc, mode: mode, vol: vol, rank: rank, idx: int32(len(t.handles))}
 	t.handles = append(t.handles, h)

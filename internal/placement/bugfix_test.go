@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/comm"
@@ -169,4 +170,29 @@ func TestAdaptiveControlRebindsPriced(t *testing.T) {
 	if st.Applied != 0 {
 		t.Errorf("control-heavy candidate applied %d times, want 0 (stats %+v)", st.Applied, st)
 	}
+}
+
+// TestNegativeHandleVolumeStopsInORWL builds a program whose task declares a
+// read handle of volume -5 on a location other tasks write, then places it.
+// The volume is rejected where it enters the runtime, naming the task, the
+// location and the value; it never reaches the matrix the placement groups.
+func TestNegativeHandleVolumeStopsInORWL(t *testing.T) {
+	rt := orwl.NewRuntime(orwl.Options{Machine: machine(t, "pack:2 core:2 pu:1")})
+	loc := rt.NewLocation("shared", 1<<10)
+	var tasks []*orwl.Task
+	for i := 0; i < 4; i++ {
+		task := rt.AddTask(fmt.Sprintf("t%d", i), nil)
+		task.NewHandle(rt.NewLocation(fmt.Sprintf("own%d", i), 1<<10), orwl.Write)
+		tasks = append(tasks, task)
+	}
+	tasks[0].NewHandle(loc, orwl.Write)
+	defer func() {
+		const want = `orwl: task#1(t1) declares volume -5 on "shared", want a finite volume ≥ 0`
+		if got := fmt.Sprint(recover()); got != want {
+			t.Errorf("panic %q, want %q", got, want)
+		}
+	}()
+	tasks[1].NewHandleVol(loc, orwl.Read, -5, 0)
+	_, err := Place(rt, TreeMatch{}, nil)
+	t.Fatalf("a handle of volume -5 reached Place (err %v)", err)
 }

@@ -296,9 +296,8 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 	sizes := weightedSizes(p, caps)
 	passes := partitionRefinePasses
 	if p > multilevelMinOrder {
-		// Large instance: greedy seeding (heap-driven on symmetric matrices)
-		// plus boundary-only refinement; the full-KL portfolio below is
-		// unaffordable at this order.
+		// Large instance: greedy seeding plus boundary-only refinement; the
+		// full-KL portfolio below is unaffordable at this order.
 		groups := greedySizedGroups(m, sizes)
 		if k > 1 {
 			refineGroupsBoundary(m, groups, passes)
@@ -379,81 +378,105 @@ func weightedSizes(p int, caps []int) []int {
 // groups are built largest-first (big groups constrain the solution most,
 // so they pick coherent chunks before the leftovers fragment), each seeded
 // with the heaviest-communicating ungrouped entity and filled by strongest
-// affinity to the group so far. The returned slice is positional: result[g]
-// has exactly sizes[g] members.
+// affinity to the group so far — the sum, over its members in order, of
+// w(last, j) = At(last, j) + At(j, last), ties broken towards the lowest
+// entity index. The returned slice is positional: result[g] has exactly
+// sizes[g] members.
 //
-// Two implementations produce bit-identical groups: a heap-driven one that
-// only touches the neighbors of added members (O(nnz·log n) — the full-scan
-// fill is O(p²) per group and unusable at 100k tasks), and the full-scan
-// one, kept for matrices the heap argument does not cover: asymmetric ones,
-// which comm.Read accepts, and negative affinity, which only a caller that
-// sets entries itself can build.
+// Only the neighbours of each added member are touched (O(nnz·log n); a
+// scan of every entity per member is O(p²) per group and unusable at 100k
+// tasks). A symmetric matrix walks row last with w = v + v; any other walks
+// its symmetrised adjacency, whose W is that sum exactly. Volumes are not
+// negative and both walks skip zeros, so a touched affinity is positive and
+// every untouched entity ties at 0: the groups are bit for bit those of the
+// every-entity scan kept as the oracle in greedy_oracle_test.go. (Negative
+// volumes, which no entrance admits, still get a partition, not the scan's.)
 func greedySizedGroups(m *comm.Matrix, sizes []int) [][]int {
-	if symmetricNonNegative(m) {
-		return greedySizedGroupsHeap(m, sizes)
-	}
-	return greedySizedGroupsScan(m, sizes)
-}
-
-// symmetricNonNegative reports whether the matrix is exactly symmetric with
-// no negative entries — the precondition under which the heap-based greedy
-// fill provably matches the full-scan fill bit for bit.
-func symmetricNonNegative(m *comm.Matrix) bool {
-	neg := false
-	for i := 0; i < m.Order() && !neg; i++ {
-		m.ForEachNeighbor(i, func(_ int, v float64) {
-			if v < 0 {
-				neg = true
-			}
-		})
-	}
-	return !neg && m.IsSymmetric()
-}
-
-// greedySizedGroupsScan is the reference full-scan implementation: the
-// affinity of every ungrouped entity is updated and scanned per added
-// member, ties broken towards the lowest entity index.
-func greedySizedGroupsScan(m *comm.Matrix, sizes []int) [][]int {
 	p := m.Order()
 	seedOrder, buildOrder := greedyOrders(m, sizes)
-
-	grouped := make([]bool, p)
-	affinity := make([]float64, p)
+	var adj *comm.SymAdjacency
+	if !m.IsSymmetric() {
+		adj = m.SymmetricAdjacency(nil)
+	}
+	f := affinityFill{
+		grouped:  make([]bool, p),
+		affinity: make([]float64, p),
+		stamp:    make([]int, p),
+		h:        make(affHeap, 0, min(64, p)),
+	}
 	out := make([][]int, len(sizes))
-	next := 0
+	next := 0 // cursor into seedOrder
 	for _, gi := range buildOrder {
 		a := sizes[gi]
 		if a == 0 {
 			continue
 		}
-		for next < p && grouped[seedOrder[next]] {
+		for next < p && f.grouped[seedOrder[next]] {
 			next++
 		}
 		seed := seedOrder[next]
+		f.epoch++
+		f.h = f.h[:0]
 		g := make([]int, 0, a)
 		g = append(g, seed)
-		grouped[seed] = true
-		for i := range affinity {
-			affinity[i] = 0
-		}
+		f.grouped[seed] = true
 		for len(g) < a {
 			last := g[len(g)-1]
-			bestE, bestAff := -1, -1.0
-			for i := 0; i < p; i++ {
-				if grouped[i] {
-					continue
-				}
-				affinity[i] += m.At(last, i) + m.At(i, last)
-				if affinity[i] > bestAff {
-					bestE, bestAff = i, affinity[i]
+			if adj == nil {
+				m.ForEachNeighbor(last, func(j int, v float64) { f.add(j, v+v) })
+			} else {
+				for q := adj.Off[last]; q < adj.Off[last+1]; q++ {
+					f.add(int(adj.Col[q]), adj.W[q])
 				}
 			}
-			g = append(g, bestE)
-			grouped[bestE] = true
+			e := f.pick()
+			g = append(g, e)
+			f.grouped[e] = true
 		}
 		out[gi] = g
 	}
 	return out
+}
+
+// affinityFill is the state of one greedySizedGroups call: the grouped
+// entities, and the affinities to the group being filled with a lazy heap
+// over them.
+type affinityFill struct {
+	grouped  []bool
+	affinity []float64
+	stamp    []int // group (epoch) an affinity belongs to; 0 = never
+	epoch    int
+	h        affHeap
+	low      int // lowest ungrouped entity (grouped is monotone)
+}
+
+// add credits w to ungrouped entity j's affinity to the group.
+func (f *affinityFill) add(j int, w float64) {
+	if f.grouped[j] {
+		return
+	}
+	if f.stamp[j] != f.epoch {
+		f.stamp[j], f.affinity[j] = f.epoch, 0
+	}
+	f.affinity[j] += w
+	f.h.push(affEntry{f.affinity[j], j})
+}
+
+// pick returns the ungrouped entity of highest affinity, the lowest index
+// among equals: the first heap entry of an ungrouped entity, or — no
+// ungrouped entity touched, so every affinity is 0 — the lowest ungrouped
+// entity. Affinities only grow, so an entity's newest entry pops before the
+// stale ones, which it leaves behind grouped.
+func (f *affinityFill) pick() int {
+	for len(f.h) > 0 {
+		if top := f.h.pop(); !f.grouped[top.e] {
+			return top.e
+		}
+	}
+	for f.grouped[f.low] {
+		f.low++
+	}
+	return f.low
 }
 
 // descending orders float keys largest first with the comparisons of the
@@ -472,7 +495,7 @@ func descending(x, y float64) int {
 
 // greedyOrders computes the seed order (entities by descending row volume,
 // stable, so ties stay in index order) and the build order (groups by
-// descending target size) shared by both greedy implementations.
+// descending target size) of the greedy fill and its oracle.
 func greedyOrders(m *comm.Matrix, sizes []int) (seedOrder, buildOrder []int) {
 	p := m.Order()
 	vol := make([]float64, p)
@@ -488,19 +511,19 @@ func greedyOrders(m *comm.Matrix, sizes []int) (seedOrder, buildOrder []int) {
 	return seedOrder, buildOrder
 }
 
-// affEntry is one lazy heap entry of greedySizedGroupsHeap: the affinity an
-// entity had when pushed. Entries go stale when the affinity grows or the
-// entity is grouped; stale entries are discarded on pop.
+// affEntry is one lazy heap entry of the greedy fill: the affinity an entity
+// had when pushed. Entries go stale when the affinity grows or the entity is
+// grouped; stale entries are discarded on pop.
 type affEntry struct {
 	aff float64
 	e   int
 }
 
 // affHeap is a max-heap by (affinity desc, entity index asc) — exactly the
-// tie-break of the full affinity scan, which takes the first strict maximum
-// scanning indices upward. Typed rather than container/heap, which boxes
-// every pushed entry. The live entries of an epoch have distinct
-// (aff, e), so which one pops first does not depend on the heap's layout.
+// tie-break of a scan that takes the first strict maximum scanning indices
+// upward. Typed rather than container/heap, which boxes every pushed entry.
+// Two live entries of a group are equal in (aff, e) or ordered by it, so
+// what pops first does not depend on the heap's layout.
 type affHeap []affEntry
 
 func (h affHeap) less(i, j int) bool {
@@ -541,78 +564,6 @@ func (h *affHeap) pop() affEntry {
 	}
 	*h = s
 	return top
-}
-
-// greedySizedGroupsHeap fills groups touching only the neighbors of each
-// added member. For a symmetric non-negative matrix it is bit-identical to
-// the full scan: affinities accumulate the same terms in the same member
-// order (v + v here equals At(last,i) + At(i,last) there); entities never
-// touched keep affinity exactly 0, and since touched affinities are strictly
-// positive, the scan's all-zero tie — the lowest ungrouped index — is
-// reproduced by a monotone fallback cursor.
-func greedySizedGroupsHeap(m *comm.Matrix, sizes []int) [][]int {
-	p := m.Order()
-	seedOrder, buildOrder := greedyOrders(m, sizes)
-
-	grouped := make([]bool, p)
-	affinity := make([]float64, p)
-	stamp := make([]int, p) // epoch an affinity value belongs to; 0 = never
-	h := make(affHeap, 0, min(64, p))
-	out := make([][]int, len(sizes))
-	next := 0 // cursor into seedOrder
-	low := 0  // globally lowest ungrouped entity (grouped is monotone)
-	epoch := 0
-	for _, gi := range buildOrder {
-		a := sizes[gi]
-		if a == 0 {
-			continue
-		}
-		for next < p && grouped[seedOrder[next]] {
-			next++
-		}
-		seed := seedOrder[next]
-		epoch++
-		h = h[:0]
-		g := make([]int, 0, a)
-		g = append(g, seed)
-		grouped[seed] = true
-		for len(g) < a {
-			last := g[len(g)-1]
-			m.ForEachNeighbor(last, func(j int, v float64) {
-				if j == last || grouped[j] {
-					return
-				}
-				if stamp[j] != epoch {
-					stamp[j] = epoch
-					affinity[j] = 0
-				}
-				affinity[j] += v + v // symmetric: At(last,j) + At(j,last)
-				h.push(affEntry{affinity[j], j})
-			})
-			bestE := -1
-			for len(h) > 0 {
-				top := h.pop()
-				if grouped[top.e] || stamp[top.e] != epoch || affinity[top.e] != top.aff {
-					continue // stale entry
-				}
-				bestE = top.e
-				break
-			}
-			if bestE == -1 {
-				// Nothing with positive affinity left: the scan would pick
-				// the lowest ungrouped index (affinity 0 beats its initial
-				// -1 threshold at the first ungrouped entity).
-				for low < p && grouped[low] {
-					low++
-				}
-				bestE = low
-			}
-			g = append(g, bestE)
-			grouped[bestE] = true
-		}
-		out[gi] = g
-	}
-	return out
 }
 
 // bisectPartition splits the given entities (len(ids) divisible by k) into k
