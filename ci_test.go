@@ -149,7 +149,12 @@ func TestAblateSameBytesOn386(t *testing.T) {
 // the canonical handle list and CommMatrix's endpoint lists sized up front.
 // 12779 → 12743: one greedy fill, the full scan and its dispatch moved to
 // the test oracle, net of the ORWL runtime's volume and size checks.
-const nonTestLineCeiling = 12743
+// 12743 → 12818: the per-worker working set of the per-node Algorithm 1 —
+// comm.Storage with SubmatrixIn, AggregateIn and PadView, the Mapper with
+// its flat leaf order, and the greedy fill's reusable tables — net of the
+// per-entity label formatting, the per-entity cover slices and the
+// spare-core case's control-entity map it replaced.
+const nonTestLineCeiling = 12818
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as
@@ -194,6 +199,7 @@ func TestNonTestLineCeiling(t *testing.T) {
 // with the reason it stays.
 var testOnlyAllowed = map[string]string{
 	"comm.Matrix.Equal":                  "the comparator every differential test reads its verdict from",
+	"comm.Matrix.Set":                    "writes one entry, explicit zeros included: how the oracles' tests build exact matrices",
 	"comm.Random":                        "the seeded random matrices the partitioners and their oracles are fuzzed on",
 	"experiment.Studies":                 "the study registry, held against the README and the Go benchmarks",
 	"experiment.AblationOrderings":       "the orderings each study test asserts on its rows",

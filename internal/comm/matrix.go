@@ -53,7 +53,8 @@ import (
 type Matrix struct {
 	n      int
 	rows   []sparseRow // per-row sorted adjacency, length n
-	labels []string    // optional entity names, length n when present
+	labels []string    // names of the first len(labels) entities
+	pad    int         // the last pad entities are zero padding (ExtendZero, PadView)
 }
 
 // New returns an order-n zero matrix. Memory grows with the number of
@@ -95,21 +96,26 @@ func (m *Matrix) AddSym(i, j int, vol float64) {
 	}
 }
 
-// Label returns the name of entity i, or "t<i>" when no labels were set.
+// Label returns the name of entity i: the one SetLabel gave it, or else
+// "v<i>" for zero padding and "t<i>" for any other entity.
 func (m *Matrix) Label(i int) string {
-	if m.labels == nil {
-		return fmt.Sprintf("t%d", i)
+	m.row(i, i) // range check
+	switch {
+	case i < len(m.labels):
+		return m.labels[i]
+	case i >= m.n-m.pad:
+		return fmt.Sprintf("v%d", i)
 	}
-	return m.labels[i]
+	return fmt.Sprintf("t%d", i)
 }
 
-// SetLabel names entity i.
+// SetLabel names entity i. Entities below i that have no name yet get
+// their default one, so Label reads the same for them afterwards.
 func (m *Matrix) SetLabel(i int, s string) {
-	if m.labels == nil {
-		m.labels = make([]string, m.n)
-		for k := range m.labels {
-			m.labels[k] = fmt.Sprintf("t%d", k)
-		}
+	m.row(i, i) // range check
+	m.labels = slices.Grow(m.labels, m.n-len(m.labels))
+	for len(m.labels) <= i {
+		m.labels = append(m.labels, m.Label(len(m.labels)))
 	}
 	m.labels[i] = s
 }
@@ -169,13 +175,78 @@ func (m *Matrix) RowVolume(i int) float64 {
 	return s
 }
 
+// Storage is caller-owned memory that a derived matrix (a sub-matrix, an
+// aggregate, a padding view) is built into, so that a loop deriving one
+// matrix per step — one cluster node's sub-matrix, one tree level's
+// aggregate — reuses it instead of allocating afresh. SubmatrixIn,
+// AggregateIn and PadView return a matrix that lives in the storage and is
+// valid until the storage is next used; Submatrix and Aggregate are the
+// same calls into a Storage of their own. The zero value is ready. A
+// Storage must not be used by two goroutines at once.
+type Storage struct {
+	m      Matrix
+	cols   []int32
+	vals   []float64
+	labels []string
+	// Scratch: Submatrix's position table and row sort buffer; Aggregate's
+	// coverage marks, group of every entity, cell sums and touched cells.
+	slots   []uint64
+	pairs   []colVal
+	seen    []bool
+	grp     []int32
+	acc     []float64
+	touched []int32
+}
+
+// colVal is one stored entry of a row, for sorting rows by column.
+type colVal struct {
+	c int32
+	v float64
+}
+
+// grow returns s resized to n, reusing its array when it is large enough;
+// the contents are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reset makes the storage's matrix an order-n matrix of stale rows, which
+// the caller overwrites every one of, with room for nnz cells in st.cols
+// and st.vals.
+func (st *Storage) reset(n, nnz int) *Matrix {
+	st.cols, st.vals = grow(st.cols, nnz), grow(st.vals, nnz)
+	st.m = Matrix{n: n, rows: grow(st.m.rows, n)}
+	return &st.m
+}
+
+// detach returns a copy of a matrix built into a Storage on the caller's
+// stack, so the result outlives the scratch and keeps none of it.
+func detach(s *Matrix, err error) (*Matrix, error) {
+	if err != nil {
+		return nil, err
+	}
+	c := *s
+	return &c, nil
+}
+
 // Aggregate builds the quotient matrix over a partition of the entities:
 // entry (a,b) of the result is the total volume between the entities of
 // groups[a] and those of groups[b]; diagonal entries accumulate the volume
 // internal to each group. Every entity index must appear in exactly one
 // group. This is the AggregateComMatrix step of the paper's Algorithm 1.
 func (m *Matrix) Aggregate(groups [][]int) (*Matrix, error) {
-	seen := make([]bool, m.n)
+	var st Storage
+	return detach(m.AggregateIn(&st, groups))
+}
+
+// AggregateIn is Aggregate built into st (see Storage).
+func (m *Matrix) AggregateIn(st *Storage, groups [][]int) (*Matrix, error) {
+	seen := grow(st.seen, m.n)
+	st.seen = seen
+	clear(seen)
 	for _, g := range groups {
 		for _, e := range g {
 			if e < 0 || e >= m.n {
@@ -192,8 +263,13 @@ func (m *Matrix) Aggregate(groups [][]int) (*Matrix, error) {
 			return nil, fmt.Errorf("comm: aggregate: entity %d not covered by any group", e)
 		}
 	}
+	// A cell is stored only if some nonzero entry falls in it: at most k²
+	// cells, and no more than the nonzero entries.
+	k := len(groups)
+	agg := st.reset(k, int(min(int64(m.NNZ()), int64(k)*int64(k))))
 	if !slices.ContainsFunc(groups, func(g []int) bool { return !rowSorted(g) }) {
-		return m.aggregateSorted(groups), nil
+		m.aggregateSorted(st, groups)
+		return agg, nil
 	}
 	// Unsorted groups take the nested loop below, paying At's binary search
 	// for every entity pair: 3.7 s for a 10 000-entity degree-8 random graph
@@ -203,8 +279,10 @@ func (m *Matrix) Aggregate(groups [][]int) (*Matrix, error) {
 	// groups on unsorted (`ablate -exp all` makes 175 such calls, orders 6
 	// to 64, most through placement.AssignFreeSlots). Sorting them there
 	// would reorder each cell's float sum and could move non-integer volumes.
-	agg := New(len(groups))
+	// A zero sum is not stored, as Set would not store it.
+	q := 0
 	for a, ga := range groups {
+		lo := q
 		for b, gb := range groups {
 			var s float64
 			for _, i := range ga {
@@ -212,44 +290,70 @@ func (m *Matrix) Aggregate(groups [][]int) (*Matrix, error) {
 					s += m.At(i, j)
 				}
 			}
-			agg.Set(a, b, s)
+			if s != 0 {
+				st.cols[q], st.vals[q] = int32(b), s
+				q++
+			}
 		}
+		agg.rows[a] = sparseRow{cols: st.cols[lo:q:q], vals: st.vals[lo:q:q]}
 	}
 	return agg, nil
 }
 
 // ExtendZero returns a copy of the matrix grown to the given larger order;
 // the new rows and columns are zero. Used when virtual entities (spare
-// slots, unmapped control threads) must be represented. Labels of the new
-// entities default to "v<i>".
+// slots, unmapped control threads) must be represented, and written to
+// afterwards; PadView is the read-only form. The new entities are named
+// "v<i>" (see Label).
 func (m *Matrix) ExtendZero(order int) (*Matrix, error) {
 	if order < m.n {
 		return nil, fmt.Errorf("comm: cannot extend order %d down to %d", m.n, order)
 	}
 	e := New(order)
 	packRows(e.rows, m.rows)
-	if m.labels != nil || order > m.n {
-		e.labels = make([]string, order)
-		for i := range e.labels {
-			switch {
-			case i < m.n:
-				e.labels[i] = m.Label(i)
-			default:
-				e.labels[i] = fmt.Sprintf("v%d", i)
-			}
-		}
-	}
+	e.labels = slices.Clone(m.labels)
+	e.pad = m.pad + order - m.n
 	return e, nil
 }
 
+// PadView returns the matrix grown to the given larger order with zero rows
+// and columns, built into st (see Storage): a view whose rows share m's
+// storage, so it costs one row table instead of a copy of every entry. It
+// carries no labels. Neither the view nor m may be written while the view
+// is in use.
+func (m *Matrix) PadView(st *Storage, order int) (*Matrix, error) {
+	if order < m.n {
+		return nil, fmt.Errorf("comm: cannot pad order %d down to %d", m.n, order)
+	}
+	v := st.reset(order, 0)
+	for i, r := range m.rows {
+		// Capped, so an insert through the view could not reach m's rows.
+		v.rows[i] = sparseRow{cols: r.cols[:len(r.cols):len(r.cols)], vals: r.vals[:len(r.vals):len(r.vals)]}
+	}
+	clear(v.rows[m.n:])
+	v.pad = m.pad + order - m.n
+	return v, nil
+}
+
 // Submatrix returns the restriction of the matrix to the given entities, in
-// the given order: entry (a,b) of the result is the volume between
-// entities ids[a] and ids[b]. Labels follow. Indices must be in range and
-// distinct; the first offending id, in ids order, is the one reported.
-// Hierarchical placement uses this to carve one cluster node's task set out
-// of the global affinity matrix, one call per node from a worker pool.
+// the given order: entry (a,b) of the result is the volume between entities
+// ids[a] and ids[b]. A matrix with names or padding passes entity ids[a]'s
+// name on to entity a. The ids must be in range and distinct; the error
+// names the first that is not, in ids order.
+//
+// The result is built into fresh storage; SubmatrixIn builds it into a
+// caller's Storage instead. Hierarchical placement carves each cluster
+// node's task set out of the task matrix this way, every worker of its pool
+// into one Storage it reuses node after node. Either way a call costs
+// O(len(ids)) plus the stored entries of the ids' rows, not the order.
 func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
-	pos := newPosIndex(len(ids))
+	var st Storage
+	return detach(m.SubmatrixIn(&st, ids))
+}
+
+// SubmatrixIn is Submatrix built into st (see Storage).
+func (m *Matrix) SubmatrixIn(st *Storage, ids []int) (*Matrix, error) {
+	pos := st.posIndex(len(ids))
 	for b, e := range ids {
 		if e < 0 || e >= m.n {
 			return nil, fmt.Errorf("comm: submatrix: entity %d out of range [0,%d)", e, m.n)
@@ -258,7 +362,6 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 			return nil, fmt.Errorf("comm: submatrix: entity %d appears twice", e)
 		}
 	}
-	s := New(len(ids))
 	nnz := 0
 	for _, i := range ids {
 		for _, c := range m.rows[i].cols {
@@ -269,7 +372,8 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 	}
 	// One backing array per field; each row is capped to its own window, so
 	// growing one row reallocates it instead of overwriting the next.
-	cols, vals := make([]int32, nnz), make([]float64, nnz)
+	s := st.reset(len(ids), nnz)
+	cols, vals := st.cols, st.vals
 	q := 0
 	for a, i := range ids {
 		r := &m.rows[i]
@@ -285,14 +389,9 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 	if !rowSorted(ids) {
 		// The permutation scrambled the stored column order; a row's
 		// columns are distinct, so sorting by column alone is exact.
-		type colVal struct {
-			c int32
-			v float64
-		}
-		var buf []colVal
 		for a := range s.rows {
 			r := &s.rows[a]
-			buf = buf[:0]
+			buf := st.pairs[:0]
 			for p, c := range r.cols {
 				buf = append(buf, colVal{c, r.vals[p]})
 			}
@@ -300,12 +399,14 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 			for p, e := range buf {
 				r.cols[p], r.vals[p] = e.c, e.v
 			}
+			st.pairs = buf
 		}
 	}
-	if m.labels != nil {
-		s.labels = make([]string, len(ids))
+	if m.labels != nil || m.pad > 0 {
+		s.labels = grow(st.labels, len(ids))
+		st.labels = s.labels
 		for a, i := range ids {
-			s.labels[a] = m.labels[i]
+			s.labels[a] = m.Label(i)
 		}
 	}
 	return s, nil
@@ -313,20 +414,23 @@ func (m *Matrix) Submatrix(ids []int) (*Matrix, error) {
 
 // posIndex maps the entities of one Submatrix call to their positions. It
 // is an open-addressing table at most a quarter full, sized by len(ids)
-// rather than by the order, so a call costs O(len(ids)) and shares nothing.
-// A slot holds entity+1 in its high half (0 marks it empty) and the
-// position in its low half.
+// rather than by the order, so a call costs O(len(ids)); its slots live in
+// the call's Storage. A slot holds entity+1 in its high half (0 marks it
+// empty) and the position in its low half.
 type posIndex struct {
 	slots []uint64
 	shift uint32 // home slot = the top log2(len(slots)) bits of the hash
 }
 
-func newPosIndex(n int) posIndex {
+// posIndex returns an empty position table for n entities in st's slots.
+func (st *Storage) posIndex(n int) posIndex {
 	size, shift := 4, uint32(30)
 	for size < 4*n {
 		size, shift = size<<1, shift-1
 	}
-	return posIndex{make([]uint64, size), shift}
+	st.slots = grow(st.slots, size)
+	clear(st.slots)
+	return posIndex{st.slots, shift}
 }
 
 // slot returns the slot holding e, or the empty slot that ends its probe.

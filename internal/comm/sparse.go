@@ -134,25 +134,27 @@ func rowSorted(ids []int) bool {
 }
 
 // aggregateSorted is the fast path of Aggregate, valid when every group is
-// in ascending entity order. It builds output row a from group a alone: the
-// members in ascending order, each row's nonzeros in ascending column order,
-// summed into a k-length accumulator whose touched cells, sorted by column,
-// become the row. Every output cell thus accumulates its contributions in
-// exactly the order Aggregate's nested At loop would — adding zero being
-// exact, the results are bit-identical. A cell some nonzero touched is
-// stored even when its sum is zero.
-func (m *Matrix) aggregateSorted(groups [][]int) *Matrix {
+// in ascending entity order; it fills the rows of st's matrix, whose cells
+// st.cols and st.vals have room for. It builds output row a from group a
+// alone: the members in ascending order, each row's nonzeros in ascending
+// column order, summed into a k-length accumulator whose touched cells,
+// sorted by column, become the row. Every output cell thus accumulates its
+// contributions in exactly the order Aggregate's nested At loop would —
+// adding zero being exact, the results are bit-identical. A cell some
+// nonzero touched is stored even when its sum is zero.
+func (m *Matrix) aggregateSorted(st *Storage, groups [][]int) {
 	k := len(groups)
-	grp := make([]int32, m.n)
+	grp := grow(st.grp, m.n)
 	for a, ga := range groups {
 		for _, e := range ga {
 			grp[e] = int32(a)
 		}
 	}
-	acc := make([]float64, k)
-	seen := make([]bool, k)
-	var touched []int32
-	agg := New(k)
+	acc := grow(st.acc, k)
+	seen := grow(st.seen, k)
+	clear(seen)
+	touched := st.touched[:0]
+	agg, q := &st.m, 0
 	for a, ga := range groups {
 		touched = touched[:0]
 		for _, i := range ga {
@@ -165,16 +167,13 @@ func (m *Matrix) aggregateSorted(groups [][]int) *Matrix {
 				acc[b] += v
 			})
 		}
-		if len(touched) == 0 {
-			continue
-		}
 		slices.Sort(touched)
-		r := &agg.rows[a]
-		r.cols = append([]int32(nil), touched...)
-		r.vals = make([]float64, len(touched))
-		for p, b := range r.cols {
-			r.vals[p], seen[b] = acc[b], false
+		lo := q
+		for _, b := range touched {
+			st.cols[q], st.vals[q], seen[b] = b, acc[b], false
+			q++
 		}
+		agg.rows[a] = sparseRow{cols: st.cols[lo:q:q], vals: st.vals[lo:q:q]}
 	}
-	return agg
+	st.grp, st.acc, st.seen, st.touched = grp, acc, seen, touched
 }

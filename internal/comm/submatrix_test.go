@@ -158,7 +158,7 @@ func TestSubmatrixConcurrent(t *testing.T) {
 // TestSubmatrixAllocs pins a warmed call to the storage of its result — the
 // matrix, its row table and one backing array each for columns and values —
 // plus its len(ids)-sized position table: no order-sized scratch, nothing
-// per row.
+// per row. Built into a caller's warmed Storage, a call allocates nothing.
 func TestSubmatrixAllocs(t *testing.T) {
 	m := RandomSparse(5000, 8, 100, 1)
 	ids := make([]int, 0, 81)
@@ -175,5 +175,15 @@ func TestSubmatrixAllocs(t *testing.T) {
 	})
 	if allocs > 5 {
 		t.Errorf("%v allocations per warmed Submatrix, want ≤ 5", allocs)
+	}
+	// Into a storage that has held a call as large: nothing, sorted or not.
+	var st Storage
+	for _, ids := range [][]int{ids, {4000, 7, 129, 68}} {
+		if _, err := m.SubmatrixIn(&st, ids); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { m.SubmatrixIn(&st, ids) }); allocs != 0 {
+			t.Errorf("%v allocations per SubmatrixIn into warmed storage, want 0", allocs)
+		}
 	}
 }

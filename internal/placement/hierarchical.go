@@ -170,25 +170,10 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	// per-node instances are independent, so they run across a bounded
 	// worker pool; results land in a per-group slot and are merged in group
 	// order below, which keeps the assignment bit-identical at any worker
-	// count.
-	type nodeMapResult struct {
-		res *treematch.Result
-		err error
-	}
-	results := make([]nodeMapResult, len(groups))
-	runNode := func(g int) nodeMapResult {
-		node := nodeOf[g]
-		sub, err := m.Submatrix(groups[g])
-		if err != nil {
-			return nodeMapResult{err: err}
-		}
-		res, err := treematch.Map(treematch.Target{Tree: nodeTrees[node], SMTWays: ways[node]}, sub,
-			treematch.Options{Distribute: true})
-		if err != nil {
-			return nodeMapResult{err: fmt.Errorf("placement: hierarchical node %d: %w", node, err)}
-		}
-		return nodeMapResult{res: res}
-	}
+	// count. Each worker carves every sub-matrix into its own storage and
+	// maps it with its own Mapper, so it reuses one working set for all the
+	// nodes it maps; the results share none of it.
+	results, errs := make([]*treematch.Result, len(groups)), make([]error, len(groups))
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -199,8 +184,18 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var st comm.Storage
+			var mapper treematch.Mapper
 			for g := range feed {
-				results[g] = runNode(g)
+				node := nodeOf[g]
+				sub, err := m.SubmatrixIn(&st, groups[g])
+				if err == nil {
+					results[g], err = mapper.Map(treematch.Target{Tree: nodeTrees[node], SMTWays: ways[node]}, sub,
+						treematch.Options{Distribute: true})
+				}
+				if err != nil {
+					errs[g] = fmt.Errorf("placement: hierarchical node %d: %w", node, err)
+				}
 			}
 		}()
 	}
@@ -217,10 +212,10 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 		if len(group) == 0 {
 			continue
 		}
-		if results[g].err != nil {
-			return nil, results[g].err
+		if errs[g] != nil {
+			return nil, errs[g]
 		}
-		res := results[g].res
+		res := results[g]
 		a.bindResult(topo, res, group, coreBase[nodeOf[g]])
 		// Nodes of different sizes may resolve the control threads
 		// differently; report the most conservative strategy in force on

@@ -129,9 +129,10 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 
 // mapOntoFreeCores maps m's tasks onto a subset of the given free cores of a
 // single cluster node, minimizing bytes x structural hop distance. The task
-// matrix is zero-extended to the slot count so the matcher chooses which free
-// cores to occupy — dummy tasks absorb the leftover slots — and the returned
-// slice gives each real task's core level index.
+// matrix is padded with zero rows to the slot count (a read-only view) so the
+// matcher chooses which free cores to occupy — dummy tasks absorb the
+// leftover slots — and the returned slice gives each real task's core level
+// index.
 func mapOntoFreeCores(mach *numasim.Machine, m *comm.Matrix, slots []int) ([]int, error) {
 	p := m.Order()
 	if p > len(slots) {
@@ -141,7 +142,7 @@ func mapOntoFreeCores(mach *numasim.Machine, m *comm.Matrix, slots []int) ([]int
 	ext := m
 	if p < len(slots) {
 		var err error
-		ext, err = m.ExtendZero(len(slots))
+		ext, err = m.PadView(new(comm.Storage), len(slots))
 		if err != nil {
 			return nil, err
 		}

@@ -75,7 +75,15 @@ type Result struct {
 // binding it close to the task is worth that much volume. This reproduces
 // the paper's intent ("control and communication threads of ORWL [are taken]
 // into account") without requiring runtime-specific constants.
+//
+// Map is new(Mapper).Map; a caller that maps many matrices keeps a Mapper.
 func Map(target Target, m *comm.Matrix, opt Options) (*Result, error) {
+	return new(Mapper).Map(target, m, opt)
+}
+
+// Map is the package-level Map in the mapper's working set. The Result
+// shares none of it.
+func (w *Mapper) Map(target Target, m *comm.Matrix, opt Options) (*Result, error) {
 	if target.Tree == nil {
 		return nil, fmt.Errorf("treematch: nil target tree")
 	}
@@ -106,7 +114,7 @@ func Map(target Target, m *comm.Matrix, opt Options) (*Result, error) {
 	// Case 1: hyperthreading. Map only the computation tasks onto cores;
 	// every control thread rides the co-hyperthread of its task's core.
 	if target.SMTWays >= 2 {
-		mp, err := MapMatrix(work, m, opt)
+		mp, err := w.mapMatrix(work, m)
 		if err != nil {
 			return nil, err
 		}
@@ -114,6 +122,13 @@ func Map(target Target, m *comm.Matrix, opt Options) (*Result, error) {
 		ctl := make([]int, tasks)
 		copy(ctl, mp.Assignment)
 		return &Result{Mapping: mp, Control: ctl, Strategy: ControlHyperthread}, nil
+	}
+
+	// Cases 2 and 3 leave the control threads the mapping does not place to
+	// the OS (-1).
+	ctl := make([]int, tasks)
+	for i := range ctl {
+		ctl[i] = -1
 	}
 
 	// Case 2: spare cores. Extend the matrix with control entities so they
@@ -130,47 +145,26 @@ func Map(target Target, m *comm.Matrix, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctlEntity := make(map[int]int, nCtl) // task -> control entity index
-		for k := 0; k < nCtl; k++ {
-			task := byVolume[k]
-			e := tasks + k
-			ctlEntity[task] = e
-			ext.SetLabel(e, m.Label(task)+".ctl")
-			ext.AddSym(task, e, m.RowVolume(task))
+		for k, task := range byVolume[:nCtl] {
+			ext.AddSym(task, tasks+k, m.RowVolume(task)) // control entity tasks+k
 		}
-		mp, err := MapMatrix(work, ext, opt)
+		mp, err := w.mapMatrix(work, ext)
 		if err != nil {
 			return nil, err
 		}
 		embedMapping(target.Tree, work, mp)
-		res := &Result{
-			Mapping: &Mapping{
-				Assignment:   mp.Assignment[:tasks],
-				Slot:         mp.Slot[:tasks],
-				VirtualArity: mp.VirtualArity,
-				Levels:       mp.Levels,
-			},
-			Control:  make([]int, tasks),
-			Strategy: ControlSpareCores,
+		for k, task := range byVolume[:nCtl] {
+			ctl[task] = mp.Assignment[tasks+k]
 		}
-		for i := range res.Control {
-			res.Control[i] = -1
-		}
-		for task, e := range ctlEntity {
-			res.Control[task] = mp.Assignment[e]
-		}
-		return res, nil
+		mp.Assignment, mp.Slot = mp.Assignment[:tasks], mp.Slot[:tasks]
+		return &Result{Mapping: mp, Control: ctl, Strategy: ControlSpareCores}, nil
 	}
 
 	// Case 3: nothing left for the control threads; the OS schedules them.
-	mp, err := MapMatrix(work, m, opt)
+	mp, err := w.mapMatrix(work, m)
 	if err != nil {
 		return nil, err
 	}
 	embedMapping(target.Tree, work, mp)
-	ctl := make([]int, tasks)
-	for i := range ctl {
-		ctl[i] = -1
-	}
 	return &Result{Mapping: mp, Control: ctl, Strategy: ControlUnmapped}, nil
 }

@@ -16,7 +16,7 @@ import (
 // included, on every non-negative matrix.
 func greedySizedGroupsScan(m *comm.Matrix, sizes []int) [][]int {
 	p := m.Order()
-	seedOrder, buildOrder := greedyOrders(m, sizes)
+	seedOrder, buildOrder := greedyOrders(m, sizes, new(affinityFill))
 
 	grouped := make([]bool, p)
 	affinity := make([]float64, p)
@@ -78,7 +78,7 @@ func symmetricNonNegative(m *comm.Matrix) bool {
 // adjacency (false).
 func checkFillMatchesScan(t *testing.T, name string, m *comm.Matrix, sizes []int) (rows bool) {
 	t.Helper()
-	fill, scan := greedySizedGroups(m, sizes), greedySizedGroupsScan(m, sizes)
+	fill, scan := greedySizedGroups(m, sizes, new(affinityFill)), greedySizedGroupsScan(m, sizes)
 	if !reflect.DeepEqual(fill, scan) {
 		t.Errorf("%s sizes %v: greedy fill differs from the scan\nfill: %v\nscan: %v", name, sizes, fill, scan)
 	}

@@ -123,7 +123,7 @@ func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 	work := m
 	if per*k > p {
 		var err error
-		work, err = m.ExtendZero(per * k)
+		work, err = m.PadView(new(comm.Storage), per*k)
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +298,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 	if p > multilevelMinOrder {
 		// Large instance: greedy seeding plus boundary-only refinement; the
 		// full-KL portfolio below is unaffordable at this order.
-		groups := greedySizedGroups(m, sizes)
+		groups := greedySizedGroups(m, sizes, new(affinityFill))
 		if k > 1 {
 			refineGroupsBoundary(m, groups, passes)
 		}
@@ -314,7 +314,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 		return groups
 	}
 	cands := []partitionCandidate{
-		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes)), nil },
+		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes, new(affinityFill))), nil },
 		func() ([][]int, error) {
 			groups, err := spectralPartitionSized(m, identityIDs(p), sizes, opt.Spectral, new(spectralScratch))
 			if err != nil {
@@ -391,19 +391,25 @@ func weightedSizes(p int, caps []int) []int {
 // every untouched entity ties at 0: the groups are bit for bit those of the
 // every-entity scan kept as the oracle in greedy_oracle_test.go. (Negative
 // volumes, which no entrance admits, still get a partition, not the scan's.)
-func greedySizedGroups(m *comm.Matrix, sizes []int) [][]int {
+//
+// f is the fill's working memory, which a Mapper keeps between calls. The
+// groups never share it: they are windows of one array per call, each
+// capped so that appending to a group reallocates it.
+func greedySizedGroups(m *comm.Matrix, sizes []int, f *affinityFill) [][]int {
 	p := m.Order()
-	seedOrder, buildOrder := greedyOrders(m, sizes)
+	seedOrder, buildOrder := greedyOrders(m, sizes, f)
 	var adj *comm.SymAdjacency
 	if !m.IsSymmetric() {
-		adj = m.SymmetricAdjacency(nil)
+		adj = m.SymmetricAdjacency(&f.adj)
 	}
-	f := affinityFill{
-		grouped:  make([]bool, p),
-		affinity: make([]float64, p),
-		stamp:    make([]int, p),
-		h:        make(affHeap, 0, min(64, p)),
+	f.grouped = grow(f.grouped, p)
+	clear(f.grouped)
+	f.affinity, f.stamp = grow(f.affinity, p), grow(f.stamp, p)
+	if f.h == nil {
+		f.h = make(affHeap, 0, min(64, p))
 	}
+	f.low = 0
+	members := make([]int, 0, p) // the sizes add up to at most p
 	out := make([][]int, len(sizes))
 	next := 0 // cursor into seedOrder
 	for _, gi := range buildOrder {
@@ -417,11 +423,11 @@ func greedySizedGroups(m *comm.Matrix, sizes []int) [][]int {
 		seed := seedOrder[next]
 		f.epoch++
 		f.h = f.h[:0]
-		g := make([]int, 0, a)
-		g = append(g, seed)
+		lo := len(members)
+		members = append(members, seed)
 		f.grouped[seed] = true
-		for len(g) < a {
-			last := g[len(g)-1]
+		for len(members)-lo < a {
+			last := members[len(members)-1]
 			if adj == nil {
 				m.ForEachNeighbor(last, func(j int, v float64) { f.add(j, v+v) })
 			} else {
@@ -430,17 +436,18 @@ func greedySizedGroups(m *comm.Matrix, sizes []int) [][]int {
 				}
 			}
 			e := f.pick()
-			g = append(g, e)
+			members = append(members, e)
 			f.grouped[e] = true
 		}
-		out[gi] = g
+		out[gi] = members[lo:len(members):len(members)]
 	}
 	return out
 }
 
-// affinityFill is the state of one greedySizedGroups call: the grouped
-// entities, and the affinities to the group being filled with a lazy heap
-// over them.
+// affinityFill is the working memory of greedySizedGroups: the grouped
+// entities, the affinities to the group being filled with a lazy heap over
+// them, and the orders and adjacency the fill walks. Stamps only ever hold
+// epochs of calls already made, so a reused fill needs no clearing of them.
 type affinityFill struct {
 	grouped  []bool
 	affinity []float64
@@ -448,6 +455,20 @@ type affinityFill struct {
 	epoch    int
 	h        affHeap
 	low      int // lowest ungrouped entity (grouped is monotone)
+
+	sizes       []int     // greedyGroups' uniform sizes
+	vol         []float64 // row volumes, the seed order's key
+	seed, build []int     // seed and build orders
+	adj         comm.SymAdjacency
+}
+
+// grow returns s resized to n, reusing its array when it is large enough;
+// the contents are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // add credits w to ungrouped entity j's affinity to the group.
@@ -495,19 +516,23 @@ func descending(x, y float64) int {
 
 // greedyOrders computes the seed order (entities by descending row volume,
 // stable, so ties stay in index order) and the build order (groups by
-// descending target size) of the greedy fill and its oracle.
-func greedyOrders(m *comm.Matrix, sizes []int) (seedOrder, buildOrder []int) {
+// descending target size) of the greedy fill and its oracle, in f's memory.
+func greedyOrders(m *comm.Matrix, sizes []int, f *affinityFill) (seedOrder, buildOrder []int) {
 	p := m.Order()
-	vol := make([]float64, p)
-	seedOrder = make([]int, p)
+	vol := grow(f.vol, p)
+	seedOrder = grow(f.seed, p)
 	for i := range seedOrder {
 		seedOrder[i] = i
 		vol[i] = m.RowVolume(i)
 	}
 	slices.SortStableFunc(seedOrder, func(x, y int) int { return descending(vol[x], vol[y]) })
 
-	buildOrder = identityIDs(len(sizes))
+	buildOrder = grow(f.build, len(sizes))
+	for i := range buildOrder {
+		buildOrder[i] = i
+	}
 	slices.SortStableFunc(buildOrder, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
+	f.vol, f.seed, f.build = vol, seedOrder, buildOrder
 	return seedOrder, buildOrder
 }
 
@@ -659,12 +684,17 @@ func coarsenPartition(m *comm.Matrix, k, passes int) ([][]int, error) {
 // follows the nonzeros and the group pairs that share an edge, not p²·a; the
 // swaps are exactly those of the dense loop it replaced (see refineGroups).
 func GroupProcesses(m *comm.Matrix, a int, refinePasses int) [][]int {
+	return groupProcesses(m, a, refinePasses, new(affinityFill))
+}
+
+// groupProcesses is GroupProcesses in the greedy fill's memory f.
+func groupProcesses(m *comm.Matrix, a int, refinePasses int, f *affinityFill) [][]int {
 	p := m.Order()
 	if a <= 0 || p%a != 0 {
 		panic("treematch: GroupProcesses requires a > 0 dividing the matrix order")
 	}
 	k := p / a
-	groups := greedyGroups(m, a, k)
+	groups := f.uniform(m, a, k)
 	if refinePasses > 0 && k > 1 && a > 1 {
 		refineGroups(m, groups, refinePasses)
 	}
@@ -678,12 +708,15 @@ func GroupProcesses(m *comm.Matrix, a int, refinePasses int) [][]int {
 // entity and fills it with the ungrouped entities that have the strongest
 // affinity to the group so far. It is the uniform-size special case of
 // greedySizedGroups (the classic TreeMatch ordering).
-func greedyGroups(m *comm.Matrix, a, k int) [][]int {
-	sizes := make([]int, k)
-	for i := range sizes {
-		sizes[i] = a
+func greedyGroups(m *comm.Matrix, a, k int) [][]int { return new(affinityFill).uniform(m, a, k) }
+
+// uniform is greedyGroups in f's memory.
+func (f *affinityFill) uniform(m *comm.Matrix, a, k int) [][]int {
+	f.sizes = grow(f.sizes, k)
+	for i := range f.sizes {
+		f.sizes[i] = a
 	}
-	return greedySizedGroups(m, sizes)
+	return greedySizedGroups(m, f.sizes, f)
 }
 
 // refineScratch is the working memory of one refineGroups call: the

@@ -190,7 +190,7 @@ func TestPartitionAcrossWeightedConcurrentMatchesSequential(t *testing.T) {
 		return groups
 	}
 	cands := []partitionCandidate{
-		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes)), nil },
+		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes, new(affinityFill))), nil },
 		func() ([][]int, error) {
 			groups, err := spectralPartitionSized(m, identityIDs(m.Order()), sizes, nil, new(spectralScratch))
 			if err != nil {

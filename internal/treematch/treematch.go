@@ -52,6 +52,20 @@ type Mapping struct {
 	Levels [][][]int
 }
 
+// Mapper runs Algorithm 1 with a working set it keeps from one call to the
+// next: the padding view, every level's aggregate, the greedy fill's tables
+// and the leaf order. A worker that maps many small matrices —
+// placement.Hierarchical's pool maps one per cluster node — so allocates
+// little beyond each result, and a result never shares the working set.
+// The zero value is ready; a Mapper must not be used by two goroutines at
+// once.
+type Mapper struct {
+	pad        comm.Storage
+	aggs       [2]comm.Storage // the aggregate over level l's groups is in aggs[l%2]
+	flat, next []int           // leaf order of the padded entities, double-buffered
+	fill       affinityFill
+}
+
 // MapMatrix runs the core of Algorithm 1 (lines 2–8): oversubscription
 // management, bottom-up affinity grouping with matrix aggregation, and the
 // final matching of the group hierarchy to the tree. It maps every entity of
@@ -62,6 +76,11 @@ type Mapping struct {
 // virtual entities up to the number of (virtual) leaves, and the padding is
 // stripped from the result.
 func MapMatrix(tree *Tree, m *comm.Matrix, opt Options) (*Mapping, error) {
+	return new(Mapper).mapMatrix(tree, m)
+}
+
+// mapMatrix is MapMatrix in the mapper's working set.
+func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 	p := m.Order()
 	if p == 0 {
 		return &Mapping{VirtualArity: 1}, nil
@@ -82,44 +101,57 @@ func MapMatrix(tree *Tree, m *comm.Matrix, opt Options) (*Mapping, error) {
 
 	// Pad the matrix with zero-communication entities so that its order
 	// equals the number of leaves; this keeps every level's group size
-	// exact, as the algorithm assumes.
-	padded := m
+	// exact, as the algorithm assumes. Nothing writes the padded matrix, so
+	// a view sharing m's rows serves.
+	mat := m
 	if p < work.Leaves() {
 		var err error
-		padded, err = m.ExtendZero(work.Leaves())
+		mat, err = m.PadView(&w.pad, work.Leaves())
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	// Lines 3–7: group from the leaves up, aggregating after each level.
-	// current[i] holds the ordered list of original entities covered by
-	// entity i of the working matrix.
-	cur := make([][]int, padded.Order())
-	for i := range cur {
-		cur[i] = []int{i}
+	// Every group at a level has the level's arity, so each entity of the
+	// working matrix covers span padded entities: entity i stands for
+	// flat[i*span : (i+1)*span], in leaf order.
+	n := mat.Order()
+	flat, next := grow(w.flat, n), grow(w.next, n)
+	for i := range flat {
+		flat[i] = i
 	}
-	mat := padded
-	var levels [][][]int
+	span := 1
+	levels := make([][][]int, 0, work.Depth()-1)
 	for depth := work.Depth() - 1; depth >= 1; depth-- {
 		arity := work.Arity(depth - 1)
-		groups := GroupProcesses(mat, arity, refinePasses(mat.Order()))
+		groups := groupProcesses(mat, arity, refinePasses(mat.Order()), &w.fill)
 		levels = append(levels, groups)
-		cur = expand(groups, cur)
+		q := 0
+		for _, g := range groups {
+			for _, e := range g {
+				q += copy(next[q:], flat[e*span:(e+1)*span])
+			}
+		}
+		flat, next = next, flat
+		span *= arity
+		if depth == 1 {
+			break // the root's aggregate is never read
+		}
 		var err error
-		mat, err = mat.Aggregate(groups)
+		mat, err = mat.AggregateIn(&w.aggs[len(levels)%2], groups)
 		if err != nil {
 			return nil, err
 		}
 	}
+	w.flat, w.next = flat, next
 
 	// MapGroups (line 8): after the loop a single group remains; its
-	// flattened left-to-right order is exactly the leaf order of the tree,
-	// because each group of size `arity` fills one subtree.
-	if len(cur) != 1 {
-		return nil, fmt.Errorf("treematch: internal error: %d root groups", len(cur))
+	// left-to-right order is exactly the leaf order of the tree, because
+	// each group of size `arity` fills one subtree.
+	if span != n {
+		return nil, fmt.Errorf("treematch: internal error: %d root groups", n/span)
 	}
-	flat := cur[0]
 	res := &Mapping{
 		Assignment:   make([]int, p),
 		Slot:         make([]int, p),
