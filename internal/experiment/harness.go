@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/numasim"
 	"repro/internal/orwl"
 	"repro/internal/placement"
@@ -41,7 +42,7 @@ func stencilTask(task *orwl.Task, reads []*orwl.Handle, w *orwl.Handle, iters in
 				if err := h.Acquire(); err != nil {
 					return err
 				}
-				if err := releaseOrNext(h, last); err != nil {
+				if err := h.ReleaseOrNext(last); err != nil {
 					return err
 				}
 			}
@@ -49,25 +50,16 @@ func stencilTask(task *orwl.Task, reads []*orwl.Handle, w *orwl.Handle, iters in
 				return err
 			}
 			if p := t.Proc(); p != nil {
-				p.Compute(11 * cells)
+				p.Compute(kernels.LK23Costs.FlopsPerCell * cells)
 				p.SweepWorkingSet(region, block)
 			}
-			if err := releaseOrNext(w, last); err != nil {
+			if err := w.ReleaseOrNext(last); err != nil {
 				return err
 			}
 			t.EndIteration()
 		}
 		return nil
 	})
-}
-
-// releaseOrNext releases the handle on the last iteration and re-requests
-// it (the iterative ORWL primitive) otherwise.
-func releaseOrNext(h *orwl.Handle, last bool) error {
-	if last {
-		return h.Release()
-	}
-	return h.ReleaseAndRequest()
 }
 
 // blockStencil is the workload family of the fabric studies (A9–A14): one

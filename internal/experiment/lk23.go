@@ -285,13 +285,12 @@ func runOMP(mach *numasim.Machine, cfg Config, sched omp.Schedule) (Result, erro
 	// Static contention: every thread streams the head region on node 0;
 	// the interleaved body spreads the remaining streams evenly; threads
 	// roam, so most body accesses cross the fabric.
-	mach.SetAccessors(0, cfg.Cores)
-	for n := 1; n < nodes; n++ {
-		mach.SetAccessors(n, (cfg.Cores+nodes-1)/nodes)
+	accessors := make([]int, nodes)
+	for n := range accessors {
+		accessors[n] = (cfg.Cores + nodes - 1) / nodes
 	}
-	if nodes > 1 {
-		mach.SetRemoteStreams(cfg.Cores * (nodes - 1) / nodes)
-	}
+	accessors[0] = cfg.Cores
+	mach.Declare(numasim.Contention{Accessors: accessors, Remote: cfg.Cores * (nodes - 1) / nodes})
 
 	costs := kernels.LK23Costs
 	chunk := 0

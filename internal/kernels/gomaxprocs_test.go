@@ -43,7 +43,7 @@ func TestSimulationIndependentOfGOMAXPROCS(t *testing.T) {
 				}
 			}
 		}
-		mach.SetRemoteStreams(top.NumPUs())
+		mach.Declare(numasim.Contention{Remote: top.NumPUs()})
 		if err := rt.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -228,7 +228,7 @@ func (p *Program) addMainTask(x, y int) {
 					}
 					copy(haloBuf[hi.d], src)
 				}
-				if err := releaseOrNext(hi.h, last); err != nil {
+				if err := hi.h.ReleaseOrNext(last); err != nil {
 					return err
 				}
 			}
@@ -244,7 +244,7 @@ func (p *Program) addMainTask(x, y int) {
 				proc.Compute(costs.FlopsPerCell * cells)
 				proc.SweepWorkingSet(p.BlockLoc[y][x].Region(), int64(costs.BytesPerCell*cells))
 			}
-			if err := releaseOrNext(wB, last); err != nil {
+			if err := wB.ReleaseOrNext(last); err != nil {
 				return err
 			}
 			// After the final release: EndIteration is an epoch barrier
@@ -283,7 +283,7 @@ func (p *Program) addFrontierTask(x, y int, d comm.Frontier) {
 				}
 				extractStrip(b, za, d, strip)
 			}
-			if err := releaseOrNext(rB, last); err != nil {
+			if err := rB.ReleaseOrNext(last); err != nil {
 				return err
 			}
 			if err := wF.Acquire(); err != nil {
@@ -299,7 +299,7 @@ func (p *Program) addFrontierTask(x, y int, d comm.Frontier) {
 			if proc := t.Proc(); proc != nil {
 				proc.ComputeCycles(float64(n)) // strip copy
 			}
-			if err := releaseOrNext(wF, last); err != nil {
+			if err := wF.ReleaseOrNext(last); err != nil {
 				return err
 			}
 			t.EndIteration()
@@ -373,15 +373,6 @@ func (p *Program) computeBlock(b Block, za, scratch []float64, halo map[comm.Fro
 			scratch[i] = cell(za[i], n, s, e, w, gk, gj)
 		}
 	}
-}
-
-// releaseOrNext releases the handle after the final iteration and
-// re-requests it (the iterative ORWL primitive) otherwise.
-func releaseOrNext(h *orwl.Handle, last bool) error {
-	if last {
-		return h.Release()
-	}
-	return h.ReleaseAndRequest()
 }
 
 // Result assembles the final grid from the block payloads after RT.Run has

@@ -40,7 +40,10 @@ func oracleLeg(m *Machine, fromC, toC int, streams []int, lat, bw *float64) {
 			}
 			linkBW *= m.edgeFaultFactor[e]
 		}
-		*bw = math.Min(*bw, shareLink(linkBW, edgeStreamCount(streams, e)))
+		if streams != nil {
+			linkBW = shareLink(linkBW, streams[e])
+		}
+		*bw = math.Min(*bw, linkBW)
 	}
 	g := m.fabricGraph
 	levels := m.topo.FabricLevels()
@@ -204,11 +207,12 @@ func TestLinkStreamsPriceIdenticallyPerEdge(t *testing.T) {
 				counts[l][i] = 1 + (l+i)%4
 			}
 		}
-		m.SetEdgeStreams(levelStreams(m, counts...))
+		m.Declare(Contention{Edges: levelStreams(m, counts...)})
+		declared := m.Contention().Edges
 		for l := range counts {
 			for i, e := range m.FabricGraph().LevelEdges(l) {
-				if got := m.EdgeStreams(e); got != counts[l][i] {
-					t.Fatalf("%s: EdgeStreams(level %d link %d) = %d, want %d", spec, l, i, got, counts[l][i])
+				if got := declared[e]; got != counts[l][i] {
+					t.Fatalf("%s: Edges[level %d link %d] = %d, want %d", spec, l, i, got, counts[l][i])
 				}
 			}
 		}
@@ -229,7 +233,7 @@ func TestLinkStreamsPriceIdenticallyPerEdge(t *testing.T) {
 						want = math.Min(want, links[g].Attr.BandwidthBytesPerSec/float64(counts[l][g]))
 					}
 				}
-				if _, got := m.fabricWalk(from, to, m.loadEdgeStreams()); got != want {
+				if _, got := m.fabricWalk(from, to, declared); got != want {
 					t.Errorf("%s: bandwidth(%d,%d) = %v, want the level-link bottleneck %v", spec, from, to, got, want)
 				}
 			}
@@ -251,7 +255,7 @@ func TestCrossNodeTransferCostAllocatesNothing(t *testing.T) {
 	} {
 		m := walkPlatform(t, spec, topology.DefaultAttrs())
 		n := m.fabricGraph.NumNodes()
-		m.SetEdgeStreams(make([]int, m.fabricGraph.NumEdges()))
+		m.Declare(Contention{Edges: make([]int, m.fabricGraph.NumEdges())})
 		from, to := firstPUOfNode(m, 0), firstPUOfNode(m, n-1)
 		m.TransferCost(from, to, 4096) // fill the graph's route memo
 		if allocs := testing.AllocsPerRun(100, func() { m.TransferCost(from, to, 4096) }); allocs != 0 {

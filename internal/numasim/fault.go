@@ -9,12 +9,13 @@ import (
 // ApplyFaultEvents installs scheduled platform failures into the machine's
 // pricing: a killed cluster node becomes unreachable (accesses touching it
 // price to +Inf, see memCostCycles), a degraded fabric edge keeps its latency
-// but loses bandwidth (the factor feeds the same per-edge contention model as
-// SetEdgeStreams), and a severed edge makes every routed path through it
-// unreachable.
+// but loses bandwidth (the factor scales the edge's bandwidth before its
+// declared streams, Contention.Edges, share it), and a severed edge makes
+// every routed path through it unreachable.
 //
-// The fault fields are deliberately not behind the machine mutex: they may
-// only be written while every Proc is quiesced — before the runtime starts,
+// Unlike the declared Contention, which Declare publishes as one atomic
+// snapshot, the fault fields are plain fields: they may only be written
+// while every Proc is quiesced — before the runtime starts,
 // or inside an epoch hook, where the barrier orders the write before any
 // task's subsequent charge. The adaptive engine's fault handling is the
 // intended caller. Until the first call, pricing is bit-identical to a

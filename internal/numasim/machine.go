@@ -32,7 +32,7 @@
 // fabric graph (NIC links, plus rack uplinks across racks and pod uplinks
 // across pods; torus or dragonfly hops on a shaped fabric) and streaming at
 // the bottleneck edge bandwidth, each edge shared by its declared crossing
-// streams (SetEdgeStreams), both read off one walk of the path (fabricWalk).
+// streams (Contention.Edges), both read off one walk of the path (fabricWalk).
 // The simulator prices whatever placement it is given; it does not optimize.
 // The placement side optimizes a structural byte×hop objective whose units
 // never appear here — internal/comm's package documentation records where
@@ -42,6 +42,7 @@ package numasim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/topology"
@@ -69,7 +70,7 @@ type Config struct {
 	MinCacheMissFactor float64
 	// InterconnectBandwidth is the aggregate bandwidth, in bytes/second, of
 	// the machine's inter-socket fabric. Every remote memory stream shares
-	// it (see SetRemoteStreams); 2011-era 24-socket SMPs sustained a few
+	// it (see Contention.Remote); 2011-era 24-socket SMPs sustained a few
 	// GB/s per socket of cross-traffic, ~55 GB/s machine-wide.
 	InterconnectBandwidth float64
 }
@@ -112,11 +113,12 @@ func (c Config) withDefaults() Config {
 
 // Machine is a simulated NUMA machine built over a hardware topology. It is
 // safe for concurrent use and takes no lock: its structure is fixed by New,
-// its fault state changes only while every Proc is quiesced (see below), and
-// its contention and occupancy state (SetAccessors, SetRemoteStreams,
-// SetEdgeStreams, bound Procs) is held in atomics, so a Machine may be priced
-// from one goroutine while another declares its contention or binds Procs on
-// it — as when two runtimes share one machine.
+// its fault state changes only while every Proc is quiesced (see below), its
+// declared contention is one immutable Contention snapshot behind an atomic
+// pointer (Declare), and its bound-Proc counts are atomics, so a Machine may
+// be priced from one goroutine while another declares its contention or binds
+// Procs on it — as when two runtimes share one machine. Every price reads one
+// snapshot, never a mix of two declarations.
 type Machine struct {
 	topo *topology.Topology
 	cfg  Config
@@ -159,21 +161,10 @@ type Machine struct {
 	// e: 1 healthy, (0,1) degraded, 0 severed. Nil until an edge fault.
 	edgeFaultFactor []float64
 
-	// accessors[node] is the static contention degree of each memory node:
-	// how many execution streams hit it concurrently in steady state.
-	accessors []atomic.Int32
-	// remoteStreams is the static number of memory streams crossing the
-	// inter-socket fabric in steady state; they share
-	// cfg.InterconnectBandwidth.
-	remoteStreams atomic.Int32
-	// edgeStreams points at the per-edge crossing-stream counts: (*p)[e]
-	// streams touch fabric-graph edge e; nil (nothing declared) leaves every
-	// edge uncontended. A transfer is capped by the most contended edge on
-	// its routed path, so balancing the crossing streams across the fabric
-	// recovers bandwidth that funnelling them through one edge loses. Every
-	// update publishes a fresh slice (copy-on-write), so one Load is a
-	// consistent view of all edges.
-	edgeStreams atomic.Pointer[[]int]
+	// contention is the declared steady-state contention, replaced whole by
+	// Declare and never mutated, so one Load is a consistent view of the
+	// memory, interconnect and fabric streams.
+	contention atomic.Pointer[Contention]
 	// boundPerPU counts bound Procs per PU. SMT compute inflation applies
 	// when at least two PUs of the same core are occupied (hyperthread
 	// sharing); several Procs time-multiplexed on one PU do not inflate —
@@ -200,7 +191,6 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 		cnodeOf:     make([]int, topo.NumPUs()),
 		cnodeOfNUMA: make([]int, topo.NumNUMANodes()),
 		l3Share:     make([]int64, topo.NumPUs()),
-		accessors:   make([]atomic.Int32, topo.NumNUMANodes()),
 		boundPerPU:  make([]atomic.Int32, topo.NumPUs()),
 		pusOfCore:   make([][]int, topo.NumCores()),
 	}
@@ -237,9 +227,7 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 			}
 		}
 	}
-	for i := range m.accessors {
-		m.accessors[i].Store(1)
-	}
+	m.Declare(Contention{})
 	return m, nil
 }
 
@@ -282,78 +270,73 @@ func (m *Machine) ClockHz() float64 { return m.clockHz }
 // NodeOfPU returns the NUMA node index local to the given PU.
 func (m *Machine) NodeOfPU(pu int) int { return m.nodeOf[pu] }
 
-// SetAccessors declares the static contention degree of a memory node: the
-// number of execution streams that hit it concurrently in steady state. The
-// node's bandwidth is shared equally among them. Placement code calls this
-// once the task layout is known; the default is 1 (no contention).
-func (m *Machine) SetAccessors(node, count int) {
-	if count < 1 {
-		count = 1
-	}
-	m.accessors[node].Store(int32(count))
+// Contention is the steady-state contention a placement declares on a
+// Machine: how many streams share each memory node, the inter-socket fabric
+// and each fabric edge. A Machine prices against one declaration at a time
+// (Declare); the default declares none.
+type Contention struct {
+	// Accessors[node] is the number of execution streams that hit NUMA node
+	// node concurrently; the node's bandwidth is shared equally among them.
+	// Counts below 1 read as 1; nil means 1 on every node.
+	Accessors []int
+	// Remote is the number of memory streams crossing the inter-socket
+	// fabric; each remote access is additionally capped by an equal share of
+	// Config.InterconnectBandwidth. 0 (or below) disables the cap.
+	Remote int
+	// Edges[e] is the number of crossing streams touching edge e of
+	// FabricGraph().Edges(). A transfer is capped by the most contended edge
+	// on its routed path, so a placement that balances the crossing streams
+	// across the fabric sustains more bandwidth than one that funnels them
+	// through a single edge, even at equal total cut. Nil leaves every edge
+	// uncontended. On tree fabrics FabricGraph().LevelEdges(l) maps the links
+	// of fabric level l (NICs, rack uplinks, pod uplinks) to edge ids.
+	Edges []int
 }
 
-// Accessors returns the contention degree of a node.
-func (m *Machine) Accessors(node int) int { return int(m.accessors[node].Load()) }
-
-// SetRemoteStreams declares how many memory streams cross the inter-socket
-// fabric in steady state; each remote access is additionally capped by an
-// equal share of Config.InterconnectBandwidth. Placement code derives this
-// from the task layout; 0 disables the cap.
-func (m *Machine) SetRemoteStreams(n int) {
-	if n < 0 {
-		n = 0
+// Declare publishes c as the machine's contention, replacing the previous
+// declaration whole; Declare keeps its own copy of c's slices. Placement
+// code calls it once the task layout is known. A mis-sized slice panics (a
+// programming error, like an out-of-range index): Accessors must be nil or
+// hold one count per NUMA node, Edges nil or one count per fabric edge —
+// none on a single machine — since zero-filling missing entries would
+// silently model them as uncontended. A caller that changes part of the
+// declaration reads it with Contention and declares the result; two such
+// callers must not run concurrently, or one loses the other's change.
+func (m *Machine) Declare(c Contention) {
+	if c.Accessors != nil && len(c.Accessors) != len(m.cnodeOfNUMA) {
+		panic(fmt.Sprintf("numasim: Declare got %d accessor counts for %d NUMA nodes",
+			len(c.Accessors), len(m.cnodeOfNUMA)))
 	}
-	m.remoteStreams.Store(int32(n))
+	if c.Edges != nil && len(c.Edges) != len(m.edgeBW) {
+		panic(fmt.Sprintf("numasim: Declare got %d edge counts for %d fabric edges",
+			len(c.Edges), len(m.edgeBW)))
+	}
+	own := Contention{
+		Accessors: make([]int, len(m.cnodeOfNUMA)),
+		Remote:    max(c.Remote, 0),
+		Edges:     slices.Clone(c.Edges),
+	}
+	for n := range own.Accessors {
+		own.Accessors[n] = 1
+		if c.Accessors != nil {
+			own.Accessors[n] = max(c.Accessors[n], 1)
+		}
+	}
+	m.contention.Store(&own)
 }
 
-// RemoteStreams returns the declared fabric contention degree.
-func (m *Machine) RemoteStreams() int { return int(m.remoteStreams.Load()) }
+// Contention returns the declared contention, with one accessor count per
+// NUMA node. Its slices are the caller's own.
+func (m *Machine) Contention() Contention {
+	c := *m.contention.Load()
+	c.Accessors = slices.Clone(c.Accessors)
+	c.Edges = slices.Clone(c.Edges)
+	return c
+}
 
 // FabricGraph returns the routed fabric graph the machine prices
 // cross-node transfers along, or nil on a single machine.
 func (m *Machine) FabricGraph() *topology.FabricGraph { return m.fabricGraph }
-
-// SetEdgeStreams declares the per-edge fabric contention over the routed
-// fabric graph: counts[e] is the number of crossing streams touching edge e
-// of FabricGraph().Edges(). A transfer is capped by the most contended edge
-// on its routed path, so a placement that balances the crossing streams
-// across the fabric sustains more bandwidth than one that funnels them
-// through a single edge, even at equal total cut. Passing nil clears every
-// count (no contention). A mis-sized slice panics (a programming error, like
-// an out-of-range index): zero-filling missing edges would silently model
-// them as uncontended. On tree fabrics FabricGraph().LevelEdges(l) maps the
-// links of fabric level l (NICs, rack uplinks, pod uplinks) to edge ids.
-func (m *Machine) SetEdgeStreams(counts []int) {
-	if m.fabricGraph == nil {
-		panic("numasim: SetEdgeStreams on a single-machine topology (no fabric)")
-	}
-	if counts != nil && len(counts) != m.fabricGraph.NumEdges() {
-		panic(fmt.Sprintf("numasim: SetEdgeStreams got %d counts for %d fabric edges",
-			len(counts), m.fabricGraph.NumEdges()))
-	}
-	if counts == nil {
-		m.edgeStreams.Store(nil)
-		return
-	}
-	// Copy-on-write: pricing reads the published slice without a lock, so
-	// it is never mutated in place.
-	own := append([]int(nil), counts...)
-	m.edgeStreams.Store(&own)
-}
-
-// EdgeStreams returns the declared crossing-stream count of fabric-graph
-// edge e (0 while nothing is declared).
-func (m *Machine) EdgeStreams(e int) int { return edgeStreamCount(m.loadEdgeStreams(), e) }
-
-// loadEdgeStreams returns the published per-edge stream counts, nil while
-// nothing is declared.
-func (m *Machine) loadEdgeStreams() []int {
-	if p := m.edgeStreams.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
 
 // ClusterNodeOfPU returns the cluster-node index of a PU (0 on a single
 // machine).
@@ -378,9 +361,9 @@ func (m *Machine) SameRack(fromC, toC int) bool {
 // of their routed path (FabricGraph.AppendPath): the summed edge latency — on a
 // tree fabric both endpoint links of every level below the one the nodes
 // share — and the bottleneck bandwidth, each edge's fault-degraded bandwidth
-// shared among the streams declared to cross it (SetEdgeStreams). A severed
-// edge makes the path unreachable: infinite latency, no bandwidth. The
-// stream counts are the caller's loadEdgeStreams view.
+// shared among the streams declared to cross it (Contention.Edges, nil for
+// none). A severed edge makes the path unreachable: infinite latency, no
+// bandwidth.
 func (m *Machine) fabricWalk(fromC, toC int, streams []int) (lat, bw float64) {
 	var stack [16]int
 	bw = math.Inf(1)
@@ -393,20 +376,14 @@ func (m *Machine) fabricWalk(fromC, toC int, streams []int) (lat, bw float64) {
 			}
 			ebw *= m.edgeFaultFactor[e]
 		}
-		if b := shareLink(ebw, edgeStreamCount(streams, e)); b < bw {
-			bw = b
+		if streams != nil {
+			ebw = shareLink(ebw, streams[e])
+		}
+		if ebw < bw {
+			bw = ebw
 		}
 	}
 	return lat, bw
-}
-
-// edgeStreamCount returns the contention degree of one fabric edge: its
-// declared count, 0 while nothing is declared.
-func edgeStreamCount(streams []int, e int) int {
-	if streams == nil {
-		return 0
-	}
-	return streams[e]
 }
 
 // shareLink divides a link's bandwidth among its crossing streams.
@@ -428,12 +405,13 @@ func shareLink(bw float64, streams int) float64 {
 func (m *Machine) accessPrice(pu, node int) (lat, bw float64) {
 	nodeObj := m.topo.NUMANodes()[node]
 	lat = nodeObj.Attr.LatencyCycles
-	bw = nodeObj.Attr.BandwidthBytesPerSec / float64(m.accessors[node].Load())
+	c := m.contention.Load()
+	bw = nodeObj.Attr.BandwidthBytesPerSec / float64(c.Accessors[node])
 	if m.nodeOf[pu] == node {
 		return lat, bw
 	}
 	if m.cnodeOf[pu] != m.cnodeOfNUMA[node] {
-		hopLat, link := m.fabricWalk(m.cnodeOf[pu], m.cnodeOfNUMA[node], m.loadEdgeStreams())
+		hopLat, link := m.fabricWalk(m.cnodeOf[pu], m.cnodeOfNUMA[node], c.Edges)
 		if link < bw {
 			bw = link
 		}
@@ -444,8 +422,8 @@ func (m *Machine) accessPrice(pu, node int) (lat, bw float64) {
 	if link := m.topo.BandwidthBytesPerSec(m.topo.PU(pu), nodeObj); link < bw {
 		bw = link
 	}
-	if remote := m.remoteStreams.Load(); remote > 0 {
-		if share := m.cfg.InterconnectBandwidth / float64(remote); share < bw {
+	if c.Remote > 0 {
+		if share := m.cfg.InterconnectBandwidth / float64(c.Remote); share < bw {
 			bw = share
 		}
 	}

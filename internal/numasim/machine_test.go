@@ -51,23 +51,35 @@ func TestNewMachine(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	m := paperMachine(t)
-	if m.Accessors(0) != 1 {
-		t.Errorf("default accessors = %d", m.Accessors(0))
+	c := m.Contention()
+	if len(c.Accessors) != 24 || c.Accessors[0] != 1 || c.Remote != 0 || c.Edges != nil {
+		t.Errorf("default contention = %+v", c)
 	}
-	m.SetAccessors(0, 8)
-	if m.Accessors(0) != 8 {
-		t.Errorf("accessors = %d", m.Accessors(0))
+	c.Accessors[0], c.Accessors[1] = 8, -2 // clamps to 1
+	m.Declare(c)
+	if got := m.Contention().Accessors; got[0] != 8 || got[1] != 1 {
+		t.Errorf("accessors = %d, %d, want 8, 1", got[0], got[1])
 	}
-	m.SetAccessors(1, -2) // clamps to 1
-	if m.Accessors(1) != 1 {
-		t.Errorf("negative accessors = %d, want 1", m.Accessors(1))
+	c.Accessors[0] = 3 // the declaration is Declare's own copy
+	if got := m.Contention().Accessors[0]; got != 8 {
+		t.Errorf("accessors after editing the declared slice = %d, want 8", got)
+	}
+	m.Contention().Accessors[0] = 5 // so is each read
+	if got := m.Contention().Accessors[0]; got != 8 {
+		t.Errorf("accessors after editing a read = %d, want 8", got)
+	}
+	m.Declare(Contention{Remote: 2}) // nil accessors: 1 on every node
+	if got := m.Contention(); got.Accessors[0] != 1 || got.Remote != 2 {
+		t.Errorf("contention after a nil-accessor declaration = %+v", got)
 	}
 }
 
 func TestContentionScalesBandwidth(t *testing.T) {
 	m := paperMachine(t)
 	_, bw1 := m.accessPrice(0, 0)
-	m.SetAccessors(0, 10)
+	c := m.Contention()
+	c.Accessors[0] = 10
+	m.Declare(c)
 	_, bw10 := m.accessPrice(0, 0)
 	if bw10 >= bw1 {
 		t.Fatalf("contention did not reduce bandwidth: %v -> %v", bw1, bw10)

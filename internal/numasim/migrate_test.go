@@ -202,7 +202,7 @@ func TestMigrationCostNetworkPriced(t *testing.T) {
 	}
 	// Declared uplink contention must raise the cross-rack bill: the pull
 	// streams at the bottleneck link's shared bandwidth.
-	m.SetEdgeStreams(levelStreams(m, []int{1, 1, 1, 1}, []int{8, 8}))
+	m.Declare(Contention{Edges: levelStreams(m, []int{1, 1, 1, 1}, []int{8, 8})})
 	contended := m.MigrationCostCycles(0, 4, ws)
 	if !(crossRack < contended) {
 		t.Errorf("uplink contention did not raise the cross-rack migration bill: %.0f vs %.0f", crossRack, contended)

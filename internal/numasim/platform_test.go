@@ -142,22 +142,28 @@ func TestSetLinkStreamsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []func(){
-		func() { mach.SetEdgeStreams([]int{1, 1, 1, 1}) },          // NICs only
-		func() { mach.SetEdgeStreams(make([]int, 7)) },             // one too many
-		func() { mach.SetEdgeStreams([]int{}) },                    // empty is not nil
-		func() { single.Machine().SetEdgeStreams(make([]int, 1)) }, // no fabric
+	for _, bad := range []struct {
+		m *Machine
+		c Contention
+	}{
+		{mach, Contention{Edges: []int{1, 1, 1, 1}}},          // NICs only
+		{mach, Contention{Edges: make([]int, 7)}},             // one too many
+		{mach, Contention{Edges: []int{}}},                    // empty is not nil
+		{mach, Contention{Accessors: []int{1, 1, 1}}},         // one NUMA node short
+		{mach, Contention{Accessors: []int{}}},                // empty is not nil
+		{single.Machine(), Contention{Edges: make([]int, 1)}}, // no fabric
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("mis-sized SetEdgeStreams did not panic")
+					t.Errorf("mis-sized declaration %+v did not panic", bad.c)
 				}
 			}()
-			bad()
+			bad.m.Declare(bad.c)
 		}()
 	}
-	mach.SetEdgeStreams(make([]int, mach.FabricGraph().NumEdges()))
+	mach.Declare(Contention{Accessors: make([]int, 4), Edges: make([]int, mach.FabricGraph().NumEdges())})
+	single.Machine().Declare(Contention{}) // nil edges: no fabric needed
 }
 
 // TestPlatformFusedSpecRoundTrips pins that a platform's own fused spec —

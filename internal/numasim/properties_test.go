@@ -30,7 +30,9 @@ func TestMemCostMonotoneInContention(t *testing.T) {
 	m := paperMachine(t)
 	prev := 0.0
 	for acc := 1; acc <= 32; acc *= 2 {
-		m.SetAccessors(5, acc)
+		decl := m.Contention()
+		decl.Accessors[5] = acc
+		m.Declare(decl)
 		c := m.memCostCycles(0, 5, 1<<20)
 		if c < prev {
 			t.Errorf("cost decreased with contention at %d accessors: %v < %v", acc, c, prev)
@@ -45,7 +47,7 @@ func TestRemoteStreamsCapBandwidth(t *testing.T) {
 	m := paperMachine(t)
 	localBefore := m.memCostCycles(0, 0, 1<<22)
 	remoteBefore := m.memCostCycles(0, 12, 1<<22)
-	m.SetRemoteStreams(200)
+	m.Declare(Contention{Remote: 200})
 	localAfter := m.memCostCycles(0, 0, 1<<22)
 	remoteAfter := m.memCostCycles(0, 12, 1<<22)
 	if localAfter != localBefore {
@@ -54,9 +56,12 @@ func TestRemoteStreamsCapBandwidth(t *testing.T) {
 	if remoteAfter <= remoteBefore {
 		t.Errorf("remote cost did not grow under fabric contention: %v vs %v", remoteAfter, remoteBefore)
 	}
-	m.SetRemoteStreams(-1) // clamps to 0
-	if m.RemoteStreams() != 0 {
-		t.Errorf("negative remote streams = %d", m.RemoteStreams())
+	m.Declare(Contention{Remote: -1}) // clamps to 0
+	if got := m.Contention().Remote; got != 0 {
+		t.Errorf("negative remote streams = %d", got)
+	}
+	if got := m.memCostCycles(0, 12, 1<<22); got != remoteBefore {
+		t.Errorf("remote cost with the cap cleared = %v, want %v", got, remoteBefore)
 	}
 }
 
@@ -89,8 +94,9 @@ func TestTransferCostMonotoneInDistance(t *testing.T) {
 func TestDeterministicAcrossMachines(t *testing.T) {
 	run := func() float64 {
 		m := paperMachine(t)
-		m.SetAccessors(0, 4)
-		m.SetRemoteStreams(10)
+		c := m.Contention()
+		c.Accessors[0], c.Remote = 4, 10
+		m.Declare(c)
 		p, err := m.NewProc("t", 3)
 		if err != nil {
 			t.Fatal(err)

@@ -124,7 +124,7 @@ func TestPerLinkFabricContention(t *testing.T) {
 	free := m.TransferCost(0, perNode, bytes)
 
 	// 8 streams all hitting node 1's NIC; nodes 0/2/3 uncontended.
-	m.SetEdgeStreams(levelStreams(m, []int{1, 8, 1, 1}, []int{1, 1}))
+	m.Declare(Contention{Edges: levelStreams(m, []int{1, 8, 1, 1}, []int{1, 1})})
 	hot := m.TransferCost(0, perNode, bytes)            // into the hot NIC
 	cold := m.TransferCost(2*perNode, 3*perNode, bytes) // rack 1, both NICs cold
 	if hot <= free {
@@ -135,7 +135,7 @@ func TestPerLinkFabricContention(t *testing.T) {
 	}
 
 	// Uplink contention throttles only rack-crossing transfers.
-	m.SetEdgeStreams(levelStreams(m, []int{1, 1, 1, 1}, []int{8, 8}))
+	m.Declare(Contention{Edges: levelStreams(m, []int{1, 1, 1, 1}, []int{8, 8})})
 	intra := m.TransferCost(0, perNode, bytes)
 	cross := m.TransferCost(0, 2*perNode, bytes)
 	if intra != free {
@@ -147,14 +147,14 @@ func TestPerLinkFabricContention(t *testing.T) {
 	}
 
 	// Clearing the counts restores the uncontended fabric.
-	m.SetEdgeStreams(nil)
+	m.Declare(Contention{})
 	if got := m.TransferCost(0, perNode, bytes); got != free {
 		t.Errorf("after reset transfer = %.0f, want %.0f", got, free)
 	}
 }
 
-// TestFabricLinkStreamsRevert: the getter reads back the declared per-edge
-// counts, and SetEdgeStreams(nil) restores the uncontended price and a zero
+// TestFabricLinkStreamsRevert: Contention reads back the declared per-edge
+// counts, and declaring nil edges restores the uncontended price and a nil
 // reading.
 func TestFabricLinkStreamsRevert(t *testing.T) {
 	c := rackCluster(t)
@@ -164,16 +164,19 @@ func TestFabricLinkStreamsRevert(t *testing.T) {
 
 	free := m.TransferCost(0, perNode, bytes)
 	nicOf2 := m.FabricGraph().LevelEdges(0)[2]
-	m.SetEdgeStreams(levelStreams(m, []int{6, 6, 6, 6}, []int{6, 6}))
-	if got := m.EdgeStreams(nicOf2); got != 6 {
-		t.Errorf("EdgeStreams(node 2's NIC) = %d, want the declared 6", got)
+	counts := levelStreams(m, []int{6, 6, 6, 6}, []int{6, 6})
+	m.Declare(Contention{Edges: counts})
+	counts[nicOf2] = 1               // Declare keeps its own copy
+	m.Contention().Edges[nicOf2] = 1 // and each read is the caller's
+	if got := m.Contention().Edges[nicOf2]; got != 6 {
+		t.Errorf("Edges[node 2's NIC] = %d, want the declared 6", got)
 	}
 	if got := m.TransferCost(0, perNode, bytes); got <= free {
 		t.Fatalf("6-stream transfer %.0f not above the uncontended %.0f", got, free)
 	}
-	m.SetEdgeStreams(nil)
-	if got := m.EdgeStreams(nicOf2); got != 0 {
-		t.Errorf("EdgeStreams after clearing = %d, want 0", got)
+	m.Declare(Contention{})
+	if got := m.Contention().Edges; got != nil {
+		t.Errorf("Edges after clearing = %v, want nil", got)
 	}
 	if got := m.TransferCost(0, perNode, bytes); got != free {
 		t.Errorf("transfer after clearing = %.0f, want the uncontended %.0f", got, free)

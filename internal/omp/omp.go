@@ -8,15 +8,13 @@
 // threads are unbound, so the simulated OS re-places them at every parallel
 // region, while the data stays where it was first touched.
 //
-// Execution modes mirror the ORWL runtime: with a numasim.Machine attached,
-// loops execute in deterministic virtual time (chunks are dispatched to the
-// worker with the earliest clock, exactly what a work-stealing runtime
-// converges to); without a machine, loops run on real goroutines.
+// Loops execute in deterministic virtual time on a numasim.Machine: chunks
+// are dispatched to the worker with the earliest clock, exactly what a
+// work-stealing runtime converges to.
 package omp
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/numasim"
 )
@@ -63,17 +61,18 @@ type Team struct {
 	BarrierCycles float64
 }
 
-// NewTeam creates a team of n unbound threads, the plain OpenMP
-// configuration of the paper. mach may be nil for real execution.
+// NewTeam creates a team of n unbound threads on mach, the plain OpenMP
+// configuration of the paper.
 func NewTeam(mach *numasim.Machine, n int, seed int64) (*Team, error) {
+	if mach == nil {
+		return nil, fmt.Errorf("omp: nil machine")
+	}
 	if n <= 0 {
 		return nil, fmt.Errorf("omp: team size %d must be positive", n)
 	}
 	t := &Team{mach: mach, n: n, MigrationProbability: 0.25, BarrierCycles: 2000}
-	if mach != nil {
-		for i := 0; i < n; i++ {
-			t.procs = append(t.procs, mach.NewUnboundProc(fmt.Sprintf("omp%d", i), seed+int64(i)*104729))
-		}
+	for i := 0; i < n; i++ {
+		t.procs = append(t.procs, mach.NewUnboundProc(fmt.Sprintf("omp%d", i), seed+int64(i)*104729))
 	}
 	return t, nil
 }
@@ -81,25 +80,15 @@ func NewTeam(mach *numasim.Machine, n int, seed int64) (*Team, error) {
 // Size returns the number of threads in the team.
 func (t *Team) Size() int { return t.n }
 
-// Proc returns thread tid's simulated execution context (nil without a
-// machine). Loop bodies use it to charge compute and memory costs.
-func (t *Team) Proc(tid int) *numasim.Proc {
-	if t.procs == nil {
-		return nil
-	}
-	return t.procs[tid]
-}
+// Proc returns thread tid's simulated execution context. Loop bodies use it
+// to charge compute and memory costs.
+func (t *Team) Proc(tid int) *numasim.Proc { return t.procs[tid] }
 
 // MakespanCycles returns the maximum virtual clock over the team.
 func (t *Team) MakespanCycles() float64 { return numasim.Makespan(t.procs) }
 
 // MakespanSeconds returns the simulated execution time in seconds.
-func (t *Team) MakespanSeconds() float64 {
-	if t.mach == nil {
-		return 0
-	}
-	return t.mach.CyclesToSeconds(t.MakespanCycles())
-}
+func (t *Team) MakespanSeconds() float64 { return t.mach.CyclesToSeconds(t.MakespanCycles()) }
 
 // Body is a loop body invoked on half-open index ranges [lo, hi) with the
 // executing thread's id.
@@ -111,14 +100,11 @@ func chunkList(lo, hi, chunk, n int, sched Schedule) [][2]int {
 	switch sched {
 	case Static:
 		if chunk <= 0 {
-			// One contiguous range per thread.
+			// One contiguous range per thread, in tid order; with fewer
+			// iterations than threads some ranges are empty.
 			total := hi - lo
 			for i := 0; i < n; i++ {
-				a := lo + i*total/n
-				b := lo + (i+1)*total/n
-				if a < b {
-					chunks = append(chunks, [2]int{a, b})
-				}
+				chunks = append(chunks, [2]int{lo + i*total/n, lo + (i+1)*total/n})
 			}
 			return chunks
 		}
@@ -157,25 +143,16 @@ func chunkList(lo, hi, chunk, n int, sched Schedule) [][2]int {
 }
 
 // ParallelFor executes body over [lo, hi) with the given schedule, then
-// joins at an implicit barrier. With a machine attached the execution is
-// virtual-time deterministic: each chunk goes to the thread with the
-// earliest clock (ties to the lowest tid), and the barrier advances every
-// thread to the region's completion time. Threads hit a scheduling point at
-// every region, where the simulated OS may migrate them.
+// joins at an implicit barrier, in deterministic virtual time on the
+// caller's goroutine: a chunk-less static schedule runs thread tid's range
+// on tid, every other chunk goes to the thread with the earliest clock (ties
+// to the lowest tid), and the barrier advances every thread to the region's
+// completion time. Threads hit a scheduling point at every region, where the
+// simulated OS may migrate them.
 func (t *Team) ParallelFor(lo, hi, chunk int, sched Schedule, body Body) {
 	if hi <= lo {
 		return
 	}
-	if t.mach != nil {
-		t.virtualFor(lo, hi, chunk, sched, body)
-		return
-	}
-	t.realFor(lo, hi, chunk, sched, body)
-}
-
-// virtualFor runs the loop in deterministic virtual time on the caller's
-// goroutine.
-func (t *Team) virtualFor(lo, hi, chunk int, sched Schedule, body Body) {
 	// Region entry is a scheduling point for the unbound threads.
 	for _, p := range t.procs {
 		p.Reschedule(t.MigrationProbability)
@@ -184,7 +161,9 @@ func (t *Team) virtualFor(lo, hi, chunk int, sched Schedule, body Body) {
 	if sched == Static && chunk <= 0 {
 		// chunkList produced exactly one range per thread, in tid order.
 		for tid, c := range chunks {
-			body(c[0], c[1], tid)
+			if c[0] < c[1] {
+				body(c[0], c[1], tid)
+			}
 		}
 	} else {
 		for _, c := range chunks {
@@ -206,42 +185,4 @@ func (t *Team) virtualFor(lo, hi, chunk int, sched Schedule, body Body) {
 		p.AdvanceTo(join)
 		p.ComputeCycles(t.BarrierCycles)
 	}
-}
-
-// realFor runs the loop on real goroutines (no virtual time).
-func (t *Team) realFor(lo, hi, chunk int, sched Schedule, body Body) {
-	chunks := chunkList(lo, hi, chunk, t.n, sched)
-	if sched == Static && chunk <= 0 {
-		var wg sync.WaitGroup
-		for tid, c := range chunks {
-			wg.Add(1)
-			go func(tid int, c [2]int) {
-				defer wg.Done()
-				body(c[0], c[1], tid)
-			}(tid, c)
-		}
-		wg.Wait()
-		return
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for tid := 0; tid < t.n; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if next >= len(chunks) {
-					mu.Unlock()
-					return
-				}
-				c := chunks[next]
-				next++
-				mu.Unlock()
-				body(c[0], c[1], tid)
-			}
-		}(tid)
-	}
-	wg.Wait()
 }

@@ -1,7 +1,7 @@
 package omp
 
 import (
-	"sync"
+	"slices"
 	"testing"
 
 	"repro/internal/numasim"
@@ -31,7 +31,10 @@ func TestScheduleString(t *testing.T) {
 }
 
 func TestNewTeamErrors(t *testing.T) {
-	if _, err := NewTeam(nil, 0, 1); err == nil {
+	if _, err := NewTeam(nil, 2, 1); err == nil {
+		t.Errorf("team without a machine accepted")
+	}
+	if _, err := NewTeam(testMachine(t, "core:2"), 0, 1); err == nil {
 		t.Errorf("zero-size team accepted")
 	}
 	if _, err := NewTeam(testMachine(t, "core:2"), -1, 1); err == nil {
@@ -66,20 +69,17 @@ func TestChunkList(t *testing.T) {
 	}
 }
 
-func TestRealParallelForCovers(t *testing.T) {
-	team, err := NewTeam(nil, 4, 1)
+func TestParallelForCovers(t *testing.T) {
+	team, err := NewTeam(testMachine(t, "core:4"), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sched := range []Schedule{Static, Dynamic, Guided} {
 		hit := make([]int, 100)
-		var mu sync.Mutex
 		team.ParallelFor(0, 100, 7, sched, func(lo, hi, tid int) {
-			mu.Lock()
 			for i := lo; i < hi; i++ {
 				hit[i]++
 			}
-			mu.Unlock()
 		})
 		for i, h := range hit {
 			if h != 1 {
@@ -89,6 +89,23 @@ func TestRealParallelForCovers(t *testing.T) {
 	}
 	// Empty range is a no-op.
 	team.ParallelFor(5, 5, 0, Static, func(lo, hi, tid int) { t.Errorf("body called on empty range") })
+}
+
+// TestStaticFewerIterationsThanThreads: a chunk-less static loop runs each
+// thread's own range on that thread, so with fewer iterations than threads
+// the non-empty ranges land where the split put them, not on tids 0, 1, ….
+func TestStaticFewerIterationsThanThreads(t *testing.T) {
+	team, err := NewTeam(testMachine(t, "core:4"), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][3]int
+	team.ParallelFor(0, 2, 0, Static, func(lo, hi, tid int) {
+		got = append(got, [3]int{lo, hi, tid})
+	})
+	if want := [][3]int{{0, 1, 1}, {1, 2, 3}}; !slices.Equal(got, want) {
+		t.Errorf("static ranges (lo, hi, tid) = %v, want %v", got, want)
+	}
 }
 
 func TestVirtualParallelForDeterministic(t *testing.T) {

@@ -156,6 +156,13 @@ func (h *Handle) ReleaseAndRequest() error {
 	return h.release(true)
 }
 
+// ReleaseOrNext ends one iteration of an iterative task: it releases the
+// handle after the final iteration (last) and re-requests it otherwise
+// (ReleaseAndRequest).
+func (h *Handle) ReleaseOrNext(last bool) error {
+	return h.release(!last)
+}
+
 func (h *Handle) release(again bool) error {
 	if h.state != Acquired {
 		return fmt.Errorf("orwl: Release on non-acquired handle for %q (state %v)", h.loc.name, h.state)

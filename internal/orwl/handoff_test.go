@@ -297,7 +297,7 @@ func TestHandoffPingPong(t *testing.T) {
 					return fmt.Errorf("round %d: count %v out of turn", r, v[0])
 				}
 				v[0]++
-				if err := releaseOrNext(h, r == rounds-1); err != nil {
+				if err := h.ReleaseOrNext(r == rounds-1); err != nil {
 					return err
 				}
 				x ^= x << 13

@@ -77,7 +77,7 @@ func oracleProgram(rt *Runtime, reads [][]int, vols [][]float64, iters int) {
 					if err := h.Acquire(); err != nil {
 						return err
 					}
-					if err := releaseOrNext(h, it == iters-1); err != nil {
+					if err := h.ReleaseOrNext(it == iters-1); err != nil {
 						return err
 					}
 				}

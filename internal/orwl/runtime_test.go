@@ -57,7 +57,7 @@ func ringProgram(rt *Runtime, n, iters int, size int64) []*Location {
 					return err
 				}
 				v := in[0]
-				if err := releaseOrNext(r, last); err != nil {
+				if err := r.ReleaseOrNext(last); err != nil {
 					return err
 				}
 				if err := w.Acquire(); err != nil {
@@ -74,7 +74,7 @@ func ringProgram(rt *Runtime, n, iters int, size int64) []*Location {
 					p.SweepWorkingSet(w.Location().Region(), w.Location().Size())
 				}
 				task.EndIteration()
-				if err := releaseOrNext(w, last); err != nil {
+				if err := w.ReleaseOrNext(last); err != nil {
 					return err
 				}
 			}
@@ -84,15 +84,6 @@ func ringProgram(rt *Runtime, n, iters int, size int64) []*Location {
 		task.NewHandleVol(locs[i], Write, 8, 1)
 	}
 	return locs
-}
-
-// releaseOrNext releases the handle at the end of the final iteration and
-// re-requests it otherwise.
-func releaseOrNext(h *Handle, last bool) error {
-	if last {
-		return h.Release()
-	}
-	return h.ReleaseAndRequest()
 }
 
 func TestRingProgramNoMachine(t *testing.T) {

@@ -46,7 +46,7 @@ func TestManyTasksManyLocations(t *testing.T) {
 							south = v[0]
 						}
 						atomic.AddInt64(&grants, 1)
-						if err := releaseOrNext(r, last); err != nil {
+						if err := r.ReleaseOrNext(last); err != nil {
 							return err
 						}
 					}
@@ -59,7 +59,7 @@ func TestManyTasksManyLocations(t *testing.T) {
 					}
 					v[0] = (east + south) / 2
 					atomic.AddInt64(&grants, 1)
-					if err := releaseOrNext(rw, last); err != nil {
+					if err := rw.ReleaseOrNext(last); err != nil {
 						return err
 					}
 				}

@@ -129,8 +129,9 @@ func TestFabricContentionRule(t *testing.T) {
 			for name, n := range c.want {
 				want[contentionEdge(t, g, name)] = n
 			}
+			declared := mach.Contention().Edges
 			for e, edge := range g.Edges() {
-				if got := mach.EdgeStreams(e); got != want[e] {
+				if got := declared[e]; got != want[e] {
 					t.Errorf("edge %d (%d-%d): %d streams, want %d", e, edge.A, edge.B, got, want[e])
 				}
 			}

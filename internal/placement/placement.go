@@ -16,10 +16,10 @@
 // rack-crossing residual (see treematch.PartitionAcross and
 // treematch.FabricTree). The policies themselves never handle cycles. The
 // bridge to priced time is the contention derivation applied after a
-// placement is chosen: SetContention declares per-NUMA-node accessor
-// counts, and SetFabricContention the per-link crossing stream counts at
-// every fabric level (NICs, rack uplinks, pod uplinks); the simulator
-// (internal/numasim) then charges CPU cycles —
+// placement is chosen, one numasim.Contention per machine: SetContention
+// declares its per-NUMA-node accessor counts, and SetFabricContention its
+// per-link crossing stream counts at every fabric level (NICs, rack uplinks,
+// pod uplinks); the simulator (internal/numasim) then charges CPU cycles —
 // network cycles for fabric paths — against those declarations. Whether the
 // structural optimum coincides with the priced optimum is not guaranteed;
 // internal/comm's package documentation spells out where the two diverge.
@@ -323,10 +323,11 @@ func Place(rt *orwl.Runtime, pol Policy, heavy []bool) (*Assignment, error) {
 	return a, nil
 }
 
-// SetContention derives the static contention model of the machine from an
-// assignment. heavy[i] marks the tasks with a significant per-iteration
-// working set (for LK23, the main operations; frontier ops move only
-// strips); nil means all tasks are heavy.
+// SetContention derives the memory half of the machine's declared
+// contention (numasim.Contention's Accessors and Remote) from an assignment,
+// keeping the declared fabric edges. heavy[i] marks the tasks with a
+// significant per-iteration working set (for LK23, the main operations;
+// frontier ops move only strips); nil means all tasks are heavy.
 //
 // Every memory node is charged the machine-wide average pressure — total
 // heavy streams divided by the node count — because the data of an
@@ -347,24 +348,22 @@ func SetContention(mach *numasim.Machine, a *Assignment, heavy []bool) {
 			unbound++
 		}
 	}
-	perNode := (total + nodes - 1) / nodes
-	for n := 0; n < nodes; n++ {
-		mach.SetAccessors(n, perNode)
+	c := mach.Contention()
+	for n := range c.Accessors {
+		c.Accessors[n] = (total + nodes - 1) / nodes
 	}
-	remote := 0
-	if nodes > 1 {
-		remote = unbound * (nodes - 1) / nodes
-	}
-	mach.SetRemoteStreams(remote)
+	c.Remote = unbound * (nodes - 1) / nodes
+	mach.Declare(c)
 }
 
-// SetFabricContention derives the cluster-fabric contention from an
-// assignment and the program's affinity matrix, per edge of the fabric
-// graph: every task that exchanges volume with a task placed on another
+// SetFabricContention derives the fabric half of the machine's declared
+// contention (numasim.Contention.Edges) from an assignment and the program's
+// affinity matrix, keeping the declared memory streams, per edge of the
+// fabric graph: every task that exchanges volume with a task placed on another
 // cluster node contributes one stream to the edges of the routed path
 // between their nodes (topology.FabricGraph.AppendPath, the path pricing
-// walks), however many partners share an edge. The counts are declared with
-// numasim.Machine.SetEdgeStreams, so a transfer is capped by the most
+// walks), however many partners share an edge. The counts are declared as
+// numasim.Contention.Edges, so a transfer is capped by the most
 // contended edge on its path: partitions that balance the crossing streams
 // across NICs, racks and pods sustain more bandwidth than ones that funnel
 // them, even at equal total cut.
@@ -436,5 +435,7 @@ func SetFabricContention(mach *numasim.Machine, a *Assignment, m *comm.Matrix) {
 		}
 		touched = touched[:0]
 	}
-	mach.SetEdgeStreams(counts)
+	c := mach.Contention()
+	c.Edges = counts
+	mach.Declare(c)
 }

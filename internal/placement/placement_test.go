@@ -245,21 +245,25 @@ func TestPlaceDeclaresContention(t *testing.T) {
 			SetFabricContention(want, a, rt.CommMatrix())
 
 			name := spec + "/" + pol.Name()
-			for n := 0; n < want.Topology().NumNUMANodes(); n++ {
-				if g, w := got.Accessors(n), want.Accessors(n); g != w {
+			gc, wc := got.Contention(), want.Contention()
+			for n, w := range wc.Accessors {
+				if g := gc.Accessors[n]; g != w {
 					t.Errorf("%s: node %d accessors %d, want %d", name, n, g, w)
 				}
 			}
-			if g, w := got.RemoteStreams(), want.RemoteStreams(); g != w {
+			if g, w := gc.Remote, wc.Remote; g != w {
 				t.Errorf("%s: remote streams %d, want %d", name, g, w)
 			}
 			if want.FabricGraph() == nil {
 				continue
 			}
+			if len(gc.Edges) != len(wc.Edges) {
+				t.Fatalf("%s: %d edge counts declared, want %d", name, len(gc.Edges), len(wc.Edges))
+			}
 			streams := 0
-			for e := 0; e < want.FabricGraph().NumEdges(); e++ {
-				streams += want.EdgeStreams(e)
-				if g, w := got.EdgeStreams(e), want.EdgeStreams(e); g != w {
+			for e, w := range wc.Edges {
+				streams += w
+				if g := gc.Edges[e]; g != w {
 					t.Errorf("%s: edge %d streams %d, want %d", name, e, g, w)
 				}
 			}
@@ -354,13 +358,13 @@ func TestSetContention(t *testing.T) {
 		a.TaskPU[i] = i
 	}
 	SetContention(mach, a, nil)
-	for n := 0; n < 4; n++ {
-		if got := mach.Accessors(n); got != 2 {
+	for n, got := range mach.Contention().Accessors {
+		if got != 2 {
 			t.Errorf("node %d accessors = %d, want 2", n, got)
 		}
 	}
-	if mach.RemoteStreams() != 0 {
-		t.Errorf("bound layout has remote streams: %d", mach.RemoteStreams())
+	if got := mach.Contention().Remote; got != 0 {
+		t.Errorf("bound layout has remote streams: %d", got)
 	}
 
 	// All unbound: same average pressure plus remote streams.
@@ -369,10 +373,10 @@ func TestSetContention(t *testing.T) {
 		nb.TaskPU[i] = -1
 	}
 	SetContention(mach, nb, nil)
-	if got := mach.Accessors(0); got != 2 {
+	if got := mach.Contention().Accessors[0]; got != 2 {
 		t.Errorf("unbound accessors = %d, want 2 (8 tasks / 4 nodes)", got)
 	}
-	if got := mach.RemoteStreams(); got != 6 {
+	if got := mach.Contention().Remote; got != 6 {
 		t.Errorf("remote streams = %d, want 6 (8 * 3/4)", got)
 	}
 
@@ -382,7 +386,7 @@ func TestSetContention(t *testing.T) {
 		heavy[i] = true
 	}
 	SetContention(mach, a, heavy)
-	if got := mach.Accessors(0); got != 1 {
+	if got := mach.Contention().Accessors[0]; got != 1 {
 		t.Errorf("masked accessors = %d, want 1", got)
 	}
 }

@@ -21,7 +21,7 @@ func rackMachine(t *testing.T) *numasim.Machine {
 // linkStreams reads the declared stream count of link i at tree-fabric level
 // `level` (0: cluster node i's NIC, 1: rack i's uplink).
 func linkStreams(mach *numasim.Machine, level, i int) int {
-	return mach.EdgeStreams(mach.FabricGraph().LevelEdges(level)[i])
+	return mach.Contention().Edges[mach.FabricGraph().LevelEdges(level)[i]]
 }
 
 // pairBlockMatrix builds 4 blocks of `c` tasks with heavy intra-block

@@ -122,9 +122,9 @@ func TestSystemRunDeclaresFabricContention(t *testing.T) {
 	if err := sys.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	mach, streams := sys.Machine(), 0
-	for e := 0; e < mach.FabricGraph().NumEdges(); e++ {
-		streams += mach.EdgeStreams(e)
+	streams := 0
+	for _, n := range sys.Machine().Contention().Edges {
+		streams += n
 	}
 	if streams == 0 {
 		t.Errorf("no fabric edge carries a stream after Run on a two-node cluster")
