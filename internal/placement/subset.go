@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -23,6 +24,27 @@ import (
 // places one matrix under many views passes the same opts.Spectral memo
 // every time.
 func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts treematch.Options) (*Assignment, error) {
+	return new(SlotMapper).Assign(mach, m, free, opts)
+}
+
+// SlotMapper is AssignFreeSlots with a working set it keeps from one call to
+// the next: the active nodes and their capacities, the storage of each
+// group's sub-matrix and of its padding view, the free cores' distance table
+// (one flat block behind row headers) and the distance matcher's tables. The
+// online scheduler's event loop keeps one and places every job it admits
+// through it. The zero value is ready; a SlotMapper must not be used by two
+// goroutines at once, and an Assignment it returns never shares its working
+// set.
+type SlotMapper struct {
+	active, caps []int
+	sub, pad     comm.Storage
+	cells        []float64
+	dist         [][]float64
+	mapper       treematch.Mapper
+}
+
+// Assign is AssignFreeSlots in the mapper's working set.
+func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts treematch.Options) (*Assignment, error) {
 	if mach == nil {
 		return nil, fmt.Errorf("placement: subset assignment requires a machine")
 	}
@@ -31,7 +53,7 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 	if len(free) != len(nodeCaps) {
 		return nil, fmt.Errorf("placement: free-slot view covers %d nodes, machine has %d", len(free), len(nodeCaps))
 	}
-	var active []int // cluster nodes holding free slots, ascending
+	active := s.active[:0] // cluster nodes holding free slots, ascending
 	total := 0
 	for n, slots := range free {
 		if len(slots) == 0 {
@@ -54,25 +76,18 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 		active = append(active, n)
 		total += len(slots)
 	}
+	s.active = active
 	p := m.Order()
-	if p == 0 {
-		return &Assignment{Policy: "subset", TaskPU: []int{}, ControlPU: []int{}}, nil
-	}
 	if p > total {
 		return nil, fmt.Errorf("placement: %d tasks exceed %d free slots", p, total)
 	}
-
-	a := &Assignment{
-		Policy:    "subset",
-		TaskPU:    make([]int, p),
-		ControlPU: make([]int, p),
-	}
-	for t := range a.ControlPU {
-		a.ControlPU[t] = -1
+	a := unboundControls(p, "subset")
+	if p == 0 {
+		return a, nil
 	}
 
 	if len(active) == 1 {
-		local, err := mapOntoFreeCores(mach, m, free[active[0]])
+		local, err := s.mapOntoFreeCores(mach, m, free[active[0]])
 		if err != nil {
 			return nil, err
 		}
@@ -84,10 +99,11 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 
 	// Level 1: split the task graph across the nodes with free slots, group
 	// g sized for active node g's free capacity.
-	caps := make([]int, len(active))
-	for i, n := range active {
-		caps[i] = len(free[n])
+	caps := s.caps[:0]
+	for _, n := range active {
+		caps = append(caps, len(free[n]))
 	}
+	s.caps = caps
 	groups, groupMatrix, err := treematch.PartitionAcrossWeightedMatrix(m, caps, opts)
 	if err != nil {
 		return nil, err
@@ -112,11 +128,11 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 			continue
 		}
 		node := active[nodeOf[g]]
-		sub, err := m.Submatrix(tasks)
+		sub, err := m.SubmatrixIn(&s.sub, tasks)
 		if err != nil {
 			return nil, err
 		}
-		local, err := mapOntoFreeCores(mach, sub, free[node])
+		local, err := s.mapOntoFreeCores(mach, sub, free[node])
 		if err != nil {
 			return nil, err
 		}
@@ -133,37 +149,37 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 // matcher chooses which free cores to occupy — dummy tasks absorb the
 // leftover slots — and the returned slice gives each real task's core level
 // index.
-func mapOntoFreeCores(mach *numasim.Machine, m *comm.Matrix, slots []int) ([]int, error) {
-	p := m.Order()
-	if p > len(slots) {
-		return nil, fmt.Errorf("placement: %d tasks exceed %d free cores on node", p, len(slots))
+func (s *SlotMapper) mapOntoFreeCores(mach *numasim.Machine, m *comm.Matrix, slots []int) ([]int, error) {
+	p, n := m.Order(), len(slots)
+	if p > n {
+		return nil, fmt.Errorf("placement: %d tasks exceed %d free cores on node", p, n)
 	}
 	topo := mach.Topology()
 	ext := m
-	if p < len(slots) {
+	if p < n {
 		var err error
-		ext, err = m.PadView(new(comm.Storage), len(slots))
+		ext, err = m.PadView(&s.pad, n)
 		if err != nil {
 			return nil, err
 		}
 	}
-	dist := make([][]float64, len(slots))
+	s.cells, s.dist = slices.Grow(s.cells[:0], n*n)[:n*n], slices.Grow(s.dist[:0], n)[:n]
 	for i, ci := range slots {
-		dist[i] = make([]float64, len(slots))
+		row := s.cells[i*n : (i+1)*n]
 		for j, cj := range slots {
-			if i == j {
-				continue
+			row[j] = 0
+			if i != j {
+				row[j] = float64(topo.HopDistance(topo.Cores()[ci], topo.Cores()[cj]))
 			}
-			dist[i][j] = float64(topo.HopDistance(topo.Cores()[ci], topo.Cores()[cj]))
 		}
+		s.dist[i] = row
 	}
-	assignment, err := treematch.AssignByDistance(dist, ext, nil, nil)
+	out, err := s.mapper.AssignByDistance(s.dist, ext, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("placement: subset intra-node matching: %w", err)
 	}
-	out := make([]int, p)
-	for t := 0; t < p; t++ {
-		out[t] = slots[assignment[t]]
+	for t := range out[:p] {
+		out[t] = slots[out[t]]
 	}
-	return out, nil
+	return out[:p], nil
 }

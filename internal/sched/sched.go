@@ -151,6 +151,9 @@ type Scheduler struct {
 	// and engine placements (misses of placeAware's layout memo). Run
 	// resets them; they measure the work without a host clock.
 	tryPlaces, placements int
+	// slots is placeAware's working set, reused by every placement of
+	// every Run; only the loop goroutine touches it.
+	slots placement.SlotMapper
 }
 
 // New builds a scheduler for the machine.
@@ -813,7 +816,7 @@ func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placeme
 	taskPU, ok := j.layouts[string(key)]
 	if !ok {
 		s.placements++
-		a, err := placement.AssignFreeSlots(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{Spectral: &j.spectral})
+		a, err := s.slots.Assign(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{Spectral: &j.spectral})
 		if err != nil {
 			return nil, false, err
 		}

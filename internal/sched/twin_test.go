@@ -1,0 +1,204 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+)
+
+// The analytical twin: streams small enough to schedule by hand, run through
+// the full scheduler (capacity index, placement engine, phase-2 policies),
+// with EXACT equality required between the closed form and Report. Every job
+// carries vol=0, so its layout prices no communication (CommCycles is
+// checked to be 0) and a fresh job's service equals its work: every start,
+// finish and wait follows from arrivals, works and the capacity alone. All
+// cycle counts are integers well inside float64's exact range, so each sum
+// is exact whatever its order.
+
+// requireStat fails unless job i of the report started, finished and waited
+// as the closed form says, with no communication priced.
+func requireStat(t *testing.T, rep *Report, i int, start, finish, wait float64) {
+	t.Helper()
+	st := rep.Jobs[i]
+	if st.Rejected || st.StartCycles != start || st.FinishCycles != finish || st.WaitCycles != wait || st.CommCycles != 0 {
+		t.Errorf("%s: start %v finish %v wait %v comm %v, want start %v finish %v wait %v comm 0",
+			st.Name, st.StartCycles, st.FinishCycles, st.WaitCycles, st.CommCycles, start, finish, wait)
+	}
+}
+
+// TestTwinLadder runs a deterministic ladder on a uniform platform of two
+// 4-core nodes: job i (4 tasks, one node's worth) arrives at i·A and works
+// W = 3A. Each node is one server of a FIFO queue, so
+//
+//	start_i = i·A                   for i < 2
+//	start_i = finish_{i−2}          for i ≥ 2   (the node job i−2 frees)
+//
+// which solves to start_i = (i mod 2)·A + 3A·⌊i/2⌋ and wait_i = start_i − i·A
+// = A·⌊i/2⌋: every second arrival adds one A of queueing. The makespan is
+// start_{N−1} + W, the busy slot-cycles N·4·W, and the fragmentation 0 — the
+// free cores always sit in whole nodes, and both nodes are never free at
+// once while the clock runs.
+func TestTwinLadder(t *testing.T) {
+	const (
+		n = 9
+		a = 1000.0
+		w = 3 * a
+	)
+	jobs := make([]JobSpec, n)
+	for i := range jobs {
+		jobs[i] = JobSpec{Name: fmt.Sprintf("j%d", i), ArriveCycles: float64(i) * a, WorkCycles: w, Tasks: 4, Pattern: "ring"}
+	}
+	mach := schedMachine(t, "rack:1 node:2 pack:1 core:4 pu:1")
+	rep := mustRun(t, mach, Options{Policy: TopoAware}, jobs)
+	var waits, aggregate float64
+	for i := 0; i < n; i++ {
+		start := float64(i%2)*a + 3*a*float64(i/2)
+		wait := a * float64(i/2)
+		requireStat(t, rep, i, start, start+w, wait)
+		waits += wait
+		aggregate += wait + w
+	}
+	makespan := float64((n-1)%2)*a + 3*a*float64((n-1)/2) + w
+	busy := float64(n * 4 * w)
+	if rep.Admitted != n || rep.Rejected != 0 || rep.MakespanCycles != makespan || rep.WaitCycles != waits ||
+		rep.AggregateCycles != aggregate || rep.BusyUtilization != busy/(8*makespan) ||
+		rep.FragmentationAvg != 0 || rep.AvgSpread != 1 {
+		t.Errorf("report %+v, want %d admitted, makespan %v, wait %v, aggregate %v, utilization %v, no fragmentation, spread 1",
+			rep, n, makespan, waits, aggregate, busy/(8*makespan))
+	}
+}
+
+// TestTwinInterventionGate pins intervene's free-total gate on both sides of
+// its boundary, on gateBoundaryCases' shape: four long jobs bind two cores
+// of node 0, two or three of node 1 and all four of nodes 2 and 3 at cycle
+// 0, and a four-task node-required head arrives at H, blocked. Releasing a
+// running job v adds T_v free cores and binding the head takes T_h = 4, so
+// FreeTotal + T_v − T_h cores are left for v to re-place on.
+//
+//   - FreeTotal = T_h − 1 = 3: fewer than T_v remain for every v, the gate
+//     skips both attempts, and the head starts when a node first empties —
+//     node 1, at its job's finish W1 — and finishes at W1 + Wh.
+//   - FreeTotal = T_h = 4: exactly T_v remain for v = node 0's job, which
+//     moves to node 1 (node 1's job bills the same, and ties go to the lower
+//     sequence), and the head starts at H. With vol=0 the move prices no
+//     communication, so its bill is the migration of two tasks between the
+//     nodes, and v finishes at W0 + bill.
+func TestTwinInterventionGate(t *testing.T) {
+	const (
+		h                      = 1e4
+		w0, w1, w2, w3, wh     = 5e7, 3e7, 8e7, 9e7, 2e6
+		spec                   = "rack:2 node:2 pack:1 core:4 pu:1"
+		headTasks, node1Before = 4, 3
+	)
+	opts := Options{Policy: TopoAware, Fit: WorstFit, Backfill: true, Preempt: true, Defrag: true}
+	stream := func(node1 int) []JobSpec {
+		return []JobSpec{
+			{Name: "n0", WorkCycles: w0, Tasks: 2, Required: "node"},
+			{Name: "n1", WorkCycles: w1, Tasks: node1, Required: "node"},
+			{Name: "n2", WorkCycles: w2, Tasks: 4, Required: "node"},
+			{Name: "n3", WorkCycles: w3, Tasks: 4, Required: "node"},
+			{Name: "head", ArriveCycles: h, WorkCycles: wh, Tasks: headTasks, Required: "node", Priority: 1},
+		}
+	}
+
+	rep := mustRun(t, schedMachine(t, spec), opts, stream(node1Before))
+	requireStat(t, rep, 0, 0, w0, 0)
+	requireStat(t, rep, 1, 0, w1, 0)
+	requireStat(t, rep, 4, w1, w1+wh, w1-h)
+	if rep.DefragMigrations != 0 || rep.Preemptions != 0 || rep.Backfills != 0 || rep.MakespanCycles != w3 {
+		t.Errorf("free total T_h−1: %d moves, %d preemptions, %d backfills, makespan %v; want none and %v",
+			rep.DefragMigrations, rep.Preemptions, rep.Backfills, rep.MakespanCycles, w3)
+	}
+
+	mach := schedMachine(t, spec)
+	rep = mustRun(t, mach, opts, stream(2))
+	moved := rep.Jobs[0]
+	if rep.DefragMigrations != 1 || rep.Preemptions != 0 || len(moved.Segments) != 2 {
+		t.Fatalf("free total T_h: %d moves, %d preemptions, node 0's job in %d segments; want 1, 0, 2",
+			rep.DefragMigrations, rep.Preemptions, len(moved.Segments))
+	}
+	from, to := moved.Segments[0].Cores, moved.Segments[1].Cores
+	pu := func(core int) int { return mach.Topology().Cores()[core].Children[0].OSIndex }
+	bill := 0.0
+	for i := range from {
+		bill += mach.MigrationCostCycles(pu(from[i]), pu(to[i]), 0)
+	}
+	if bill <= 0 || rep.DefragCostCycles != bill || mach.ClusterNodeOfPU(pu(to[0])) != 1 {
+		t.Errorf("defrag bill %v onto node %d, want %v > 0 onto node 1", rep.DefragCostCycles, mach.ClusterNodeOfPU(pu(to[0])), bill)
+	}
+	requireStat(t, rep, 0, 0, w0+bill, 0)
+	requireStat(t, rep, 4, h, h+wh, 0)
+	if moved.ServiceCycles != h+(w0+bill-h) {
+		t.Errorf("moved job served %v cycles, want %v", moved.ServiceCycles, h+(w0+bill-h))
+	}
+}
+
+// TestTwinBackfillWindow pins conservative backfill's algebra on a two-class
+// stream, on two 4-core nodes. A 4-task job works until L; an 8-task head,
+// arriving at 100, needs both nodes, so its earliest start is L and at clock
+// c its window is L − c. Behind it alternate short jobs (2 tasks, work S)
+// and long ones (2 tasks, work Lw), one per 100 cycles from 200:
+//
+//   - a short job arriving at c ≤ 400 has S ≤ L − c, so it jumps: it starts
+//     at c and finishes at c + S ≤ L;
+//   - a long job has Lw > L − c, so it waits for the head: it starts at the
+//     head's finish L + Wh.
+//
+// The head starts at L bit for bit with and without the short jobs, and
+// without backfill every job behind the head starts at L + Wh.
+func TestTwinBackfillWindow(t *testing.T) {
+	const (
+		l, wh, s, lw = 10000.0, 3000.0, 5000.0, 20000.0
+		spec         = "rack:1 node:2 pack:1 core:4 pu:1"
+	)
+	stream := func(withShort bool) []JobSpec {
+		jobs := []JobSpec{
+			{Name: "long", WorkCycles: l, Tasks: 4},
+			{Name: "head", ArriveCycles: 100, WorkCycles: wh, Tasks: 8},
+		}
+		for k, at := range []float64{200, 300, 400, 500} {
+			if k%2 == 1 {
+				jobs = append(jobs, JobSpec{Name: fmt.Sprintf("L%d", k), ArriveCycles: at, WorkCycles: lw, Tasks: 2})
+			} else if withShort {
+				jobs = append(jobs, JobSpec{Name: fmt.Sprintf("S%d", k), ArriveCycles: at, WorkCycles: s, Tasks: 2})
+			}
+		}
+		return jobs
+	}
+
+	rep := mustRun(t, schedMachine(t, spec), Options{Policy: TopoAware, Backfill: true}, stream(true))
+	requireStat(t, rep, 0, 0, l, 0)
+	requireStat(t, rep, 1, l, l+wh, l-100)
+	for i := 2; i < len(rep.Jobs); i++ {
+		at := rep.Jobs[i].ArriveCycles
+		if i%2 == 0 { // short: jumps
+			requireStat(t, rep, i, at, at+s, 0)
+		} else {
+			requireStat(t, rep, i, l+wh, l+wh+lw, l+wh-at)
+		}
+		if rep.Jobs[i].Backfilled != (i%2 == 0) {
+			t.Errorf("%s: backfilled %v", rep.Jobs[i].Name, rep.Jobs[i].Backfilled)
+		}
+	}
+	if rep.Backfills != 2 {
+		t.Errorf("%d backfills, want the 2 short jobs", rep.Backfills)
+	}
+
+	without := mustRun(t, schedMachine(t, spec), Options{Policy: TopoAware, Backfill: true}, stream(false))
+	if without.Jobs[1].StartCycles != rep.Jobs[1].StartCycles || without.Jobs[1].FinishCycles != rep.Jobs[1].FinishCycles {
+		t.Errorf("head runs [%v, %v) without the short jobs, [%v, %v) with them",
+			without.Jobs[1].StartCycles, without.Jobs[1].FinishCycles, rep.Jobs[1].StartCycles, rep.Jobs[1].FinishCycles)
+	}
+
+	fifo := mustRun(t, schedMachine(t, spec), Options{Policy: TopoAware}, stream(true))
+	requireStat(t, fifo, 1, l, l+wh, l-100)
+	for i := 2; i < len(fifo.Jobs); i++ {
+		at, work := fifo.Jobs[i].ArriveCycles, lw
+		if i%2 == 0 {
+			work = s
+		}
+		requireStat(t, fifo, i, l+wh, l+wh+work, l+wh-at)
+	}
+	if fifo.Backfills != 0 {
+		t.Errorf("%d backfills with backfill off", fifo.Backfills)
+	}
+}

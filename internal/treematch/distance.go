@@ -40,13 +40,43 @@ import (
 // cheaper completion replaces the incumbent, so the skipped subtrees could
 // never have been returned.
 func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds ...[]int) ([]int, error) {
-	best, _, err := assignByDistance(dist, m, entityClass, leafClass, seeds)
+	best, _, err := new(Mapper).assignByDistance(dist, m, entityClass, leafClass, seeds)
 	return best, err
 }
 
+// AssignByDistance is the package's AssignByDistance in the mapper's working
+// set; the result is the caller's.
+func (w *Mapper) AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds ...[]int) ([]int, error) {
+	best, _, err := w.assignByDistance(dist, m, entityClass, leafClass, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return append([]int(nil), best...), nil
+}
+
+// distanceSet is the distance matcher's working set, which a Mapper keeps
+// between calls: the pair affinities (one p×p block behind row headers),
+// the volumes, the placement order and its scores, the greedy and search
+// assignments, the shared zero class slice, searchTables' block — and the
+// exact search's state, so the search recurses in a method, not a closure.
+type distanceSet struct {
+	cells                         []float64
+	aff                           [][]float64
+	vol, score                    []float64
+	order, assignment, best, cand []int
+	zeros, block                  []int
+	placed, used                  []bool
+	dist                          [][]float64
+	entityClass, leafClass        []int
+	off, partners, prevTwin       []int
+	bestCost                      float64
+	nodes                         int
+}
+
 // assignByDistance is AssignByDistance plus the number of nodes its exact
-// search visited (0 when the permutation space is past the limit).
-func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds [][]int) ([]int, int, error) {
+// search visited (0 when the permutation space is past the limit). The
+// returned assignment is the working set's.
+func (w *Mapper) assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds [][]int) ([]int, int, error) {
 	p := m.Order()
 	if len(dist) != p {
 		return nil, 0, fmt.Errorf("treematch: AssignByDistance maps %d entities over a %d-leaf distance matrix", p, len(dist))
@@ -67,17 +97,19 @@ func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 	// The constrained permutation space is the product of the per-class
 	// factorials; without classes that is one class of everybody, which
 	// needs no counting and one shared all-zero class slice.
+	d := &w.match
+	d.zeros = grow(d.zeros, p)
+	clear(d.zeros)
 	space := 1.0
 	if entityClass == nil && leafClass == nil {
-		entityClass = make([]int, p)
-		leafClass = entityClass
+		entityClass, leafClass = d.zeros, d.zeros
 		space = factorial(p)
 	} else {
 		if entityClass == nil {
-			entityClass = make([]int, p)
+			entityClass = d.zeros
 		}
 		if leafClass == nil {
-			leafClass = make([]int, p)
+			leafClass = d.zeros
 		}
 		if len(entityClass) != p || len(leafClass) != p {
 			return nil, 0, fmt.Errorf("treematch: AssignByDistance got %d entity classes and %d leaf classes for %d entities",
@@ -101,15 +133,16 @@ func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 		}
 	}
 
-	aff, vol := pairAffinity(m)
-	order := affinityOrder(aff, vol)
+	aff, vol := d.pairAffinity(m)
+	order := d.affinityOrder(aff, vol)
 
 	// Greedy incumbent. Alone it can fall into the identity when heavy
 	// partners are placed after each other (both unplaced, so their affinity
 	// never informs a choice); the swap pass pulls such partners back
 	// together.
-	used := make([]bool, p)
-	assignment := make([]int, p)
+	d.used, d.assignment = grow(d.used, p), grow(d.assignment, p)
+	used, assignment := d.used, d.assignment
+	clear(used)
 	increment := func(pos int, e, leaf int) float64 {
 		s := 0.0
 		for q := 0; q < pos; q++ {
@@ -134,7 +167,9 @@ func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 		assignment[e] = bestLeaf
 	}
 	refineDistanceSwaps(dist, aff, entityClass, assignment)
-	best := append([]int(nil), assignment...)
+	d.best = grow(d.best, p)
+	best := d.best
+	copy(best, assignment)
 	bestCost := DistanceCost(dist, m, best)
 
 	// Seed candidates: refine each and keep the cheapest (strictly better
@@ -143,63 +178,66 @@ func assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass [
 		if len(seed) != p {
 			return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d has %d entries for %d entities", si, len(seed), p)
 		}
-		taken := make([]bool, p)
+		clear(used) // the leaves the seed takes
 		for e, l := range seed {
-			if l < 0 || l >= p || taken[l] {
+			if l < 0 || l >= p || used[l] {
 				return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d is not a permutation of the leaves", si)
 			}
-			taken[l] = true
+			used[l] = true
 			if leafClass[l] != entityClass[e] {
 				return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d places entity %d on a leaf of the wrong class", si, e)
 			}
 		}
-		cand := append([]int(nil), seed...)
-		refineDistanceSwaps(dist, aff, entityClass, cand)
-		if c := DistanceCost(dist, m, cand); c < bestCost {
-			best, bestCost = cand, c
+		d.cand = append(d.cand[:0], seed...)
+		refineDistanceSwaps(dist, aff, entityClass, d.cand)
+		if c := DistanceCost(dist, m, d.cand); c < bestCost {
+			copy(best, d.cand)
+			bestCost = c
 		}
 	}
 
 	if space > classedSearchLimit {
 		return best, 0, nil
 	}
-	for i := range used {
-		used[i] = false
+	clear(used)
+	d.searchTables(dist, aff, order, leafClass)
+	d.dist, d.entityClass, d.leafClass = dist, entityClass, leafClass
+	d.bestCost, d.nodes = bestCost, 0
+	d.search(0, 0)
+	d.dist, d.entityClass, d.leafClass = nil, nil, nil
+	return best, d.nodes, nil
+}
+
+// search is the exact branch-and-bound below position pos of the placement
+// order, the partial assignment costing cost.
+func (d *distanceSet) search(pos int, cost float64) {
+	d.nodes++
+	if cost >= d.bestCost {
+		return // the increment is nonnegative, so the partial cost bounds
 	}
-	off, partners, prevTwin := searchTables(dist, aff, order, leafClass)
-	nodes := 0
-	var rec func(pos int, cost float64)
-	rec = func(pos int, cost float64) {
-		nodes++
-		if cost >= bestCost {
-			return // the increment is nonnegative, so the partial cost bounds
-		}
-		if pos == p {
-			bestCost = cost
-			copy(best, assignment)
-			return
-		}
-		e := order[pos]
-		affE, placed := aff[e], partners[off[pos]:off[pos+1]]
-		for l, prev := range prevTwin {
-			// Lowest-first choice and last-in-first-out release keep the
-			// used leaves of a twin class a prefix of it, so l is its
-			// lowest unused leaf exactly when the twin below is taken.
-			if used[l] || leafClass[l] != entityClass[e] || (prev >= 0 && !used[prev]) {
-				continue
-			}
-			inc := 0.0
-			for _, partner := range placed {
-				inc += float64(affE[partner] * dist[l][assignment[partner]])
-			}
-			used[l] = true
-			assignment[e] = l
-			rec(pos+1, cost+inc)
-			used[l] = false
-		}
+	if pos == len(d.order) {
+		d.bestCost = cost
+		copy(d.best, d.assignment)
+		return
 	}
-	rec(0, 0)
-	return best, nodes, nil
+	e := d.order[pos]
+	affE, placed := d.aff[e], d.partners[d.off[pos]:d.off[pos+1]]
+	for l, prev := range d.prevTwin {
+		// Lowest-first choice and last-in-first-out release keep the
+		// used leaves of a twin class a prefix of it, so l is its
+		// lowest unused leaf exactly when the twin below is taken.
+		if d.used[l] || d.leafClass[l] != d.entityClass[e] || (prev >= 0 && !d.used[prev]) {
+			continue
+		}
+		inc := 0.0
+		for _, partner := range placed {
+			inc += float64(affE[partner] * d.dist[l][d.assignment[partner]])
+		}
+		d.used[l] = true
+		d.assignment[e] = l
+		d.search(pos+1, cost+inc)
+		d.used[l] = false
+	}
 }
 
 // factorial is n! as a float64 (+Inf past 170).
@@ -211,8 +249,8 @@ func factorial(n int) float64 {
 	return f
 }
 
-// searchTables lays out, in one block, what the exact search reads at every
-// node. partners[off[pos]:off[pos+1]] are the entities placed before
+// searchTables lays out, in the working set's block, what the exact search
+// reads at every node. partners[off[pos]:off[pos+1]] are the entities placed before
 // order[pos] that it has affinity with, in placement order: the terms of its
 // cost increment as the greedy pass sums them, without the zeros between.
 // prevTwin[l] is the next lower leaf of l's twin class, -1 for the lowest.
@@ -222,7 +260,7 @@ func factorial(n int) float64 {
 // third leaf, and dist[l][t] == dist[t][l]. The relation is transitive, so
 // the next lower twin is the first one met scanning down. The free cores
 // under one cache are twins; the nodes of a torus have none.
-func searchTables(dist, aff [][]float64, order, leafClass []int) (off, partners, prevTwin []int) {
+func (d *distanceSet) searchTables(dist, aff [][]float64, order, leafClass []int) {
 	p := len(order)
 	pairs := 0
 	for i, row := range aff {
@@ -232,8 +270,10 @@ func searchTables(dist, aff [][]float64, order, leafClass []int) (off, partners,
 			}
 		}
 	}
-	block := make([]int, p+1+pairs+p)
-	off, partners, prevTwin = block[:p+1], block[p+1:p+1:p+1+pairs], block[p+1+pairs:]
+	d.block = grow(d.block, p+1+pairs+p)
+	block := d.block
+	off, partners, prevTwin := block[:p+1], block[p+1:p+1:p+1+pairs], block[p+1+pairs:]
+	off[0] = 0
 	for pos, e := range order {
 		for _, partner := range order[:pos] {
 			if aff[e][partner] != 0 {
@@ -250,7 +290,7 @@ func searchTables(dist, aff [][]float64, order, leafClass []int) (off, partners,
 			}
 		}
 	}
-	return off, partners, prevTwin
+	d.off, d.partners, d.prevTwin = off, partners, prevTwin
 }
 
 // isTwin reports whether leaves l and t are twins (searchTables).
@@ -267,19 +307,21 @@ func isTwin(dist [][]float64, leafClass []int, l, t int) bool {
 }
 
 // pairAffinity symmetrizes the matrix into pairwise affinities and per-entity
-// total volumes.
-func pairAffinity(m *comm.Matrix) (aff [][]float64, vol []float64) {
+// total volumes, every cell of the working set's tables rewritten.
+func (d *distanceSet) pairAffinity(m *comm.Matrix) (aff [][]float64, vol []float64) {
 	p := m.Order()
-	aff = make([][]float64, p)
+	d.cells, d.aff, d.vol = grow(d.cells, p*p), grow(d.aff, p), grow(d.vol, p)
+	aff, vol = d.aff, d.vol
 	for i := range aff {
-		aff[i] = make([]float64, p)
+		aff[i] = d.cells[i*p : (i+1)*p]
 		for j := range aff[i] {
+			aff[i][j] = 0
 			if i != j {
 				aff[i][j] = m.At(i, j) + m.At(j, i)
 			}
 		}
 	}
-	vol = make([]float64, p)
+	clear(vol)
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
 			vol[i] += aff[i][j]
@@ -294,11 +336,12 @@ func pairAffinity(m *comm.Matrix) (aff [][]float64, vol []float64) {
 // Heavy partners are thereby placed back to back, so the incremental cost of
 // the greedy pass — and the early pruning of the branch-and-bound — sees
 // their edge the moment the second endpoint is placed.
-func affinityOrder(aff [][]float64, vol []float64) []int {
+func (d *distanceSet) affinityOrder(aff [][]float64, vol []float64) []int {
 	p := len(aff)
-	order := make([]int, 0, p)
-	placed := make([]bool, p)
-	score := make([]float64, p)
+	d.placed, d.score = grow(d.placed, p), grow(d.score, p)
+	order, placed, score := d.order[:0], d.placed, d.score
+	clear(placed)
+	clear(score)
 	for len(order) < p {
 		pick := -1
 		for i := 0; i < p; i++ {
@@ -318,6 +361,7 @@ func affinityOrder(aff [][]float64, vol []float64) []int {
 			}
 		}
 	}
+	d.order = order
 	return order
 }
 

@@ -1,6 +1,7 @@
 package treematch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -32,8 +33,8 @@ func oracleAssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafC
 		entityPerClass[entityClass[i]]++
 	}
 
-	aff, vol := pairAffinity(m)
-	order := affinityOrder(aff, vol)
+	aff, vol := freshPairAffinity(m)
+	order := freshAffinityOrder(aff, vol)
 
 	used := make([]bool, p)
 	assignment := make([]int, p)
@@ -113,11 +114,253 @@ func oracleAssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafC
 	return best, nodes
 }
 
+// freshAssignByDistance is the distance matcher as it stood before a Mapper
+// kept its tables: every call allocates its affinities, order, assignments
+// and search tables anew, and the search recurses in a closure. It is the
+// oracle a reused Mapper must match bit for bit; it returns the search's
+// node count as assignByDistance does.
+func freshAssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds [][]int) ([]int, int, error) {
+	p := m.Order()
+	if len(dist) != p {
+		return nil, 0, fmt.Errorf("treematch: AssignByDistance maps %d entities over a %d-leaf distance matrix", p, len(dist))
+	}
+	for a, row := range dist {
+		if len(row) != p {
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance distance matrix is not square")
+		}
+		for b, d := range row {
+			if !(d >= 0) || math.IsInf(d, 1) {
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance distance between leaves %d and %d is %v, want finite and nonnegative", a, b, d)
+			}
+			if b < a && d != dist[b][a] {
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance distance between leaves %d and %d is %v one way and %v back, want symmetric", b, a, dist[b][a], d)
+			}
+		}
+	}
+	// The constrained permutation space is the product of the per-class
+	// factorials; without classes that is one class of everybody, which
+	// needs no counting and one shared all-zero class slice.
+	space := 1.0
+	if entityClass == nil && leafClass == nil {
+		entityClass = make([]int, p)
+		leafClass = entityClass
+		space = factorial(p)
+	} else {
+		if entityClass == nil {
+			entityClass = make([]int, p)
+		}
+		if leafClass == nil {
+			leafClass = make([]int, p)
+		}
+		if len(entityClass) != p || len(leafClass) != p {
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance got %d entity classes and %d leaf classes for %d entities",
+				len(entityClass), len(leafClass), p)
+		}
+		entityPerClass := map[int]int{}
+		leavesPerClass := map[int]int{}
+		for i := 0; i < p; i++ {
+			entityPerClass[entityClass[i]]++
+			leavesPerClass[leafClass[i]]++
+		}
+		for c, n := range entityPerClass {
+			if leavesPerClass[c] != n {
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance class %d has %d entities but %d leaves", c, n, leavesPerClass[c])
+			}
+			space *= factorial(n)
+		}
+		if len(entityPerClass) != len(leavesPerClass) {
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance classes mismatch: %d entity classes, %d leaf classes",
+				len(entityPerClass), len(leavesPerClass))
+		}
+	}
+
+	aff, vol := freshPairAffinity(m)
+	order := freshAffinityOrder(aff, vol)
+
+	// Greedy incumbent. Alone it can fall into the identity when heavy
+	// partners are placed after each other (both unplaced, so their affinity
+	// never informs a choice); the swap pass pulls such partners back
+	// together.
+	used := make([]bool, p)
+	assignment := make([]int, p)
+	increment := func(pos int, e, leaf int) float64 {
+		s := 0.0
+		for q := 0; q < pos; q++ {
+			partner := order[q]
+			if a := aff[e][partner]; a != 0 {
+				s += float64(a * dist[leaf][assignment[partner]])
+			}
+		}
+		return s
+	}
+	for pos, e := range order {
+		bestLeaf, bestInc := -1, math.Inf(1)
+		for l := 0; l < p; l++ {
+			if used[l] || leafClass[l] != entityClass[e] {
+				continue
+			}
+			if inc := increment(pos, e, l); inc < bestInc {
+				bestLeaf, bestInc = l, inc
+			}
+		}
+		used[bestLeaf] = true
+		assignment[e] = bestLeaf
+	}
+	refineDistanceSwaps(dist, aff, entityClass, assignment)
+	best := append([]int(nil), assignment...)
+	bestCost := DistanceCost(dist, m, best)
+
+	// Seed candidates: refine each and keep the cheapest (strictly better
+	// than the incumbent, so the greedy solution wins ties).
+	for si, seed := range seeds {
+		if len(seed) != p {
+			return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d has %d entries for %d entities", si, len(seed), p)
+		}
+		taken := make([]bool, p)
+		for e, l := range seed {
+			if l < 0 || l >= p || taken[l] {
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d is not a permutation of the leaves", si)
+			}
+			taken[l] = true
+			if leafClass[l] != entityClass[e] {
+				return nil, 0, fmt.Errorf("treematch: AssignByDistance seed %d places entity %d on a leaf of the wrong class", si, e)
+			}
+		}
+		cand := append([]int(nil), seed...)
+		refineDistanceSwaps(dist, aff, entityClass, cand)
+		if c := DistanceCost(dist, m, cand); c < bestCost {
+			best, bestCost = cand, c
+		}
+	}
+
+	if space > classedSearchLimit {
+		return best, 0, nil
+	}
+	for i := range used {
+		used[i] = false
+	}
+	off, partners, prevTwin := freshSearchTables(dist, aff, order, leafClass)
+	nodes := 0
+	var rec func(pos int, cost float64)
+	rec = func(pos int, cost float64) {
+		nodes++
+		if cost >= bestCost {
+			return // the increment is nonnegative, so the partial cost bounds
+		}
+		if pos == p {
+			bestCost = cost
+			copy(best, assignment)
+			return
+		}
+		e := order[pos]
+		affE, placed := aff[e], partners[off[pos]:off[pos+1]]
+		for l, prev := range prevTwin {
+			// Lowest-first choice and last-in-first-out release keep the
+			// used leaves of a twin class a prefix of it, so l is its
+			// lowest unused leaf exactly when the twin below is taken.
+			if used[l] || leafClass[l] != entityClass[e] || (prev >= 0 && !used[prev]) {
+				continue
+			}
+			inc := 0.0
+			for _, partner := range placed {
+				inc += float64(affE[partner] * dist[l][assignment[partner]])
+			}
+			used[l] = true
+			assignment[e] = l
+			rec(pos+1, cost+inc)
+			used[l] = false
+		}
+	}
+	rec(0, 0)
+	return best, nodes, nil
+}
+
+// freshSearchTables is searchTables in a block of its own.
+func freshSearchTables(dist, aff [][]float64, order, leafClass []int) (off, partners, prevTwin []int) {
+	p := len(order)
+	pairs := 0
+	for i, row := range aff {
+		for _, a := range row[:i] {
+			if a != 0 {
+				pairs++
+			}
+		}
+	}
+	block := make([]int, p+1+pairs+p)
+	off, partners, prevTwin = block[:p+1], block[p+1:p+1:p+1+pairs], block[p+1+pairs:]
+	for pos, e := range order {
+		for _, partner := range order[:pos] {
+			if aff[e][partner] != 0 {
+				partners = append(partners, partner)
+			}
+		}
+		off[pos+1] = len(partners)
+	}
+	for l := range prevTwin {
+		prevTwin[l] = -1
+		for t := l - 1; t >= 0 && prevTwin[l] < 0; t-- {
+			if isTwin(dist, leafClass, l, t) {
+				prevTwin[l] = t
+			}
+		}
+	}
+	return off, partners, prevTwin
+}
+
+// freshPairAffinity is pairAffinity into fresh tables.
+func freshPairAffinity(m *comm.Matrix) (aff [][]float64, vol []float64) {
+	p := m.Order()
+	aff = make([][]float64, p)
+	for i := range aff {
+		aff[i] = make([]float64, p)
+		for j := range aff[i] {
+			if i != j {
+				aff[i][j] = m.At(i, j) + m.At(j, i)
+			}
+		}
+	}
+	vol = make([]float64, p)
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			vol[i] += aff[i][j]
+		}
+	}
+	return aff, vol
+}
+
+// freshAffinityOrder is affinityOrder with fresh order, marks and scores.
+func freshAffinityOrder(aff [][]float64, vol []float64) []int {
+	p := len(aff)
+	order := make([]int, 0, p)
+	placed := make([]bool, p)
+	score := make([]float64, p)
+	for len(order) < p {
+		pick := -1
+		for i := 0; i < p; i++ {
+			if placed[i] {
+				continue
+			}
+			if pick < 0 || score[i] > score[pick] ||
+				(score[i] == score[pick] && vol[i] > vol[pick]) {
+				pick = i
+			}
+		}
+		placed[pick] = true
+		order = append(order, pick)
+		for j := 0; j < p; j++ {
+			if !placed[j] {
+				score[j] += aff[pick][j]
+			}
+		}
+	}
+	return order
+}
+
 // requireOracle fails unless the fast search and the oracle return the same
 // assignment, and returns the two node counts.
 func requireOracle(t *testing.T, name string, dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds ...[]int) (fast, naive int) {
 	t.Helper()
-	got, fast, err := assignByDistance(dist, m, entityClass, leafClass, seeds)
+	got, fast, err := new(Mapper).assignByDistance(dist, m, entityClass, leafClass, seeds)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -162,8 +405,9 @@ func twinChains(dist [][]float64, leafClass []int) []int {
 	for i := range order {
 		order[i], aff[i] = i, make([]float64, p)
 	}
-	_, _, prevTwin := searchTables(dist, aff, order, leafClass)
-	return prevTwin
+	var d distanceSet
+	d.searchTables(dist, aff, order, leafClass)
+	return d.prevTwin
 }
 
 func treeHops(t *testing.T, arities []int) [][]float64 {
@@ -458,4 +702,66 @@ func FuzzAssignByDistanceExact(f *testing.F) {
 		}
 		requireOracle(t, "fuzz", dist, m, classes, classes, seeds...)
 	})
+}
+
+// TestMapperAssignByDistanceMatchesFresh runs random instances through one
+// Mapper — orders that grow and shrink between 2 and 11 (past the exact
+// search's limit), with and without classes, with several seeds each, tie-rich
+// and tie-free distances, and a rejected seed between them — and requires
+// every assignment and search-node count to equal the fresh matcher's, and no
+// result to change while the Mapper maps on.
+func TestMapperAssignByDistanceMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var w Mapper
+	type kept struct{ got, want []int }
+	var all []kept
+	orders := []int{2, 5, 9, 11, 8, 3, 7, 11, 4, 2, 10, 6}
+	for round := 0; round < 12; round++ {
+		for _, p := range orders {
+			dist := randomSymmetric(rng, p, round%3)
+			m := comm.RandomSparse(p, 1+round%3, 50, rng.Int63())
+			var entityClass, leafClass []int
+			if round%2 == 1 {
+				entityClass, leafClass = make([]int, p), make([]int, p)
+				for i := range entityClass {
+					entityClass[i] = i % 2
+					leafClass[p-1-i] = i % 2
+				}
+				if round%4 == 3 {
+					entityClass = nil // one class, named on one side only
+					clear(leafClass)
+				}
+			}
+			var seeds [][]int
+			for k := 0; k < round%4; k++ {
+				seeds = append(seeds, classedPerm(rng, entityClass, leafClass, p))
+			}
+			if round%5 == 4 {
+				if _, _, err := w.assignByDistance(dist, m, entityClass, leafClass, [][]int{make([]int, p)}); err == nil && p > 1 {
+					t.Fatalf("order %d: a seed of one repeated leaf was accepted", p)
+				}
+			}
+			got, nodes, err := w.assignByDistance(dist, m, entityClass, leafClass, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantNodes, err := freshAssignByDistance(dist, m, entityClass, leafClass, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || nodes != wantNodes {
+				t.Fatalf("round %d, order %d: Mapper gives %v after %d nodes, fresh %v after %d", round, p, got, nodes, want, wantNodes)
+			}
+			exported, err := w.AssignByDistance(dist, m, entityClass, leafClass, seeds...)
+			if err != nil || !reflect.DeepEqual(exported, want) {
+				t.Fatalf("round %d, order %d: AssignByDistance method gives %v (%v), fresh %v", round, p, exported, err, want)
+			}
+			all = append(all, kept{exported, want})
+		}
+	}
+	for i, k := range all {
+		if !reflect.DeepEqual(k.got, k.want) {
+			t.Fatalf("result %d changed after the Mapper matched on", i)
+		}
+	}
 }

@@ -107,8 +107,9 @@ func SFCSeed(dims []int, m *comm.Matrix) ([]int, error) {
 	if m.Order() != total {
 		return nil, fmt.Errorf("treematch: SFCSeed maps %d entities onto a %d-cell grid", m.Order(), total)
 	}
-	aff, vol := pairAffinity(m)
-	chain := affinityOrder(aff, vol)
+	var ds distanceSet
+	aff, vol := ds.pairAffinity(m)
+	chain := ds.affinityOrder(aff, vol)
 	curve := SFCOrder(dims)
 	seed := make([]int, total)
 	for k, e := range chain {

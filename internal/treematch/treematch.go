@@ -52,11 +52,14 @@ type Mapping struct {
 	Levels [][][]int
 }
 
-// Mapper runs Algorithm 1 with a working set it keeps from one call to the
-// next: the padding view, every level's aggregate, the greedy fill's tables
-// and the leaf order. A worker that maps many small matrices —
-// placement.Hierarchical's pool maps one per cluster node — so allocates
-// little beyond each result, and a result never shares the working set.
+// Mapper runs Algorithm 1 and the distance matcher with a working set it
+// keeps from one call to the next: the padding view, every level's
+// aggregate, the greedy fill's tables and the leaf order, and
+// AssignByDistance's affinity, order, assignment and search tables. A worker
+// that maps many small matrices — placement.Hierarchical's pool maps one per
+// cluster node, the scheduler's placement.SlotMapper one per admitted job —
+// so allocates little beyond each result, and a result never shares the
+// working set.
 // The zero value is ready; a Mapper must not be used by two goroutines at
 // once.
 type Mapper struct {
@@ -64,6 +67,7 @@ type Mapper struct {
 	aggs       [2]comm.Storage // the aggregate over level l's groups is in aggs[l%2]
 	flat, next []int           // leaf order of the padded entities, double-buffered
 	fill       affinityFill
+	match      distanceSet
 }
 
 // MapMatrix runs the core of Algorithm 1 (lines 2–8): oversubscription
