@@ -18,8 +18,6 @@ import (
 // member's subtree of it (treematch.NodeSubtrees).
 type Platform struct {
 	fused *Machine
-	// nodeCores[i] is the number of physical cores of the i-th member.
-	nodeCores []int
 }
 
 // NewPlatform builds a platform from a full topology spec with default link
@@ -49,11 +47,7 @@ func NewPlatformAttrs(spec string, def topology.Defaults, cfg Config) (*Platform
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{fused: fused, nodeCores: make([]int, fusedTopo.NumClusterNodes())}
-	for _, core := range fusedTopo.Cores() {
-		p.nodeCores[fused.ClusterNodeOfPU(core.Children[0].OSIndex)]++
-	}
-	return p, nil
+	return &Platform{fused: fused}, nil
 }
 
 // Machine returns the fused platform-wide simulation machine the runtime
@@ -62,8 +56,11 @@ func NewPlatformAttrs(spec string, def topology.Defaults, cfg Config) (*Platform
 func (c *Platform) Machine() *Machine { return c.fused }
 
 // Nodes returns the number of cluster nodes.
-func (c *Platform) Nodes() int { return len(c.nodeCores) }
+func (c *Platform) Nodes() int { return c.fused.topo.NumClusterNodes() }
 
 // NodeCores returns the number of physical cores of the i-th member, the
 // capacity weight of capacity-aware partitioning.
-func (c *Platform) NodeCores(i int) int { return c.nodeCores[i] }
+func (c *Platform) NodeCores(i int) int {
+	lo, hi := c.fused.topo.NodeCores(i)
+	return hi - lo
+}

@@ -40,6 +40,55 @@ func TestClusterShape(t *testing.T) {
 	}
 }
 
+// TestNodeLayout pins the topology's node layout on every fabric shape, and
+// CoreOfPU against each PU's core: cluster node n holds the cores
+// [lo, hi) that NodeCores reports, the sizes in node order are the
+// members', and every core of the range sits on that node.
+func TestNodeLayout(t *testing.T) {
+	for _, c := range []struct {
+		name, spec string
+		sizes      []int
+	}{
+		{"uneven racks", "rack:2 node:2,3 pack:2 core:2", []int{4, 4, 4, 4, 4}},
+		{"heterogeneous members", "rack:2 node:2{pack:2 core:4 | pack:1 core:2}", []int{8, 2, 8, 2}},
+		{"torus", "torus:2x3 pack:1 core:4", []int{4, 4, 4, 4, 4, 4}},
+		{"dragonfly", "dragonfly:2,2,1{pack:1 core:4 | pack:1 core:2}", []int{4, 2, 4, 2}},
+		{"SMT", "cluster:2{pack:2 core:2 pu:2 | pack:1 core:3 pu:2,1,1}", []int{4, 3}},
+		{"single machine", "pack:2 numa:1 l3:1 core:4 pu:2", []int{8}},
+	} {
+		plat, err := NewPlatform(c.spec, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		topo := plat.Machine().Topology()
+		if plat.Nodes() != len(c.sizes) {
+			t.Fatalf("%s: %d nodes, want %d", c.name, plat.Nodes(), len(c.sizes))
+		}
+		next := 0
+		for n, size := range c.sizes {
+			lo, hi := topo.NodeCores(n)
+			if lo != next || hi-lo != size || plat.NodeCores(n) != size {
+				t.Fatalf("%s: node %d holds cores [%d,%d) (Platform says %d), want %d from %d",
+					c.name, n, lo, hi, plat.NodeCores(n), size, next)
+			}
+			for core := lo; core < hi; core++ {
+				if got := plat.Machine().ClusterNodeOfPU(topo.Cores()[core].Children[0].OSIndex); got != n {
+					t.Fatalf("%s: core %d in node %d's range is on node %d", c.name, core, n, got)
+				}
+			}
+			next = hi
+		}
+		if next != topo.NumCores() {
+			t.Fatalf("%s: the ranges end at core %d of %d", c.name, next, topo.NumCores())
+		}
+		for pu := range topo.NumPUs() {
+			if got, want := plat.Machine().CoreOfPU(pu), topo.PU(pu).Ancestor(topology.Core).LevelIndex; got != want {
+				t.Fatalf("%s: CoreOfPU(%d) = %d, want %d", c.name, pu, got, want)
+			}
+		}
+	}
+}
+
 func TestClusterRejectsNestedClusterSpec(t *testing.T) {
 	_, err := NewPlatform("cluster:2 cluster:2 core:4", Config{})
 	if err == nil || !strings.Contains(err.Error(), "platform spec") {

@@ -338,6 +338,9 @@ func (m *Machine) Contention() Contention {
 // cross-node transfers along, or nil on a single machine.
 func (m *Machine) FabricGraph() *topology.FabricGraph { return m.fabricGraph }
 
+// CoreOfPU returns the level index of the core a PU belongs to.
+func (m *Machine) CoreOfPU(pu int) int { return m.coreOf[pu] }
+
 // ClusterNodeOfPU returns the cluster-node index of a PU (0 on a single
 // machine).
 func (m *Machine) ClusterNodeOfPU(pu int) int { return m.cnodeOf[pu] }

@@ -443,9 +443,6 @@ func (e *AdaptiveEngine) patchDeadSlots(cand *Assignment, live []*orwl.Task, w *
 func (e *AdaptiveEngine) survivorSlots(ids []int, taskPU []int, live []*orwl.Task, w *comm.Matrix) ([]int, error) {
 	topo := e.mach.Topology()
 	numC := topo.NumClusterNodes()
-	if numC == 0 {
-		numC = 1
-	}
 	// Candidate PUs per surviving node: every core's first hyperthread
 	// first, so evacuees take whole cores before doubling up on siblings.
 	puOrder := make([][]int, numC)

@@ -164,6 +164,41 @@ func TestRoundRobinNodesHeterogeneous(t *testing.T) {
 	}
 }
 
+// TestRoundRobinNodesArity requires rr-nodes' VirtualArity to equal the most
+// tasks any PU holds. It used to divide the task count by the machine's
+// cores, which on uneven nodes reported 1 while the small node's PUs held
+// several tasks each.
+func TestRoundRobinNodesArity(t *testing.T) {
+	for _, c := range []struct {
+		spec  string
+		tasks int
+		want  int
+	}{
+		{"cluster:2{pack:1 core:8 | pack:1 core:2}", 10, 3},
+		{"node:{pack:2 core:4 | pack:1 core:4}", 10, 2},
+		{"cluster:2 pack:1 core:4", 9, 2},
+		{"cluster:3 pack:1 core:2", 6, 1},
+		{"pack:2 core:2", 5, 2},
+	} {
+		plat, err := numasim.NewPlatform(c.spec, numasim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := RoundRobinNodes{}.Assign(plat.Machine(), comm.Ring(c.tasks, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		perPU, most := map[int]int{}, 0
+		for _, pu := range a.TaskPU {
+			perPU[pu]++
+			most = max(most, perPU[pu])
+		}
+		if most != c.want || a.VirtualArity != most {
+			t.Errorf("%s, %d tasks: VirtualArity %d, a PU holds %d tasks, want %d", c.spec, c.tasks, a.VirtualArity, most, c.want)
+		}
+	}
+}
+
 // TestCapacityClasses pins the shared capacity→class numbering: first-seen
 // order over the groups, then the nodes.
 func TestCapacityClasses(t *testing.T) {

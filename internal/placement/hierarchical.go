@@ -99,7 +99,11 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	if err != nil {
 		return nil, err
 	}
-	caps, coreBase := nodeCores(mach)
+	caps := make([]int, nodes)
+	for n := range caps {
+		lo, hi := topo.NodeCores(n)
+		caps[n] = hi - lo
+	}
 
 	// Level 1: split the task graph across the cluster nodes, minimizing
 	// the volume that must cross the fabric; group g is sized for node g's
@@ -154,15 +158,11 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	// 2-threaded just because some *other* member is not — each node's
 	// bindings should reflect its own hardware.
 	ways := make([]int, nodes)
-	for _, c := range topo.Cores() {
-		n := topo.ClusterNodeOf(c).LevelIndex
-		if w := len(c.Children); ways[n] == 0 || w < ways[n] {
-			ways[n] = w
-		}
-	}
-	for i := range ways {
-		if ways[i] < 1 {
-			ways[i] = 1
+	for n := range ways {
+		lo, hi := topo.NodeCores(n)
+		ways[n] = len(topo.Cores()[lo].Children)
+		for _, c := range topo.Cores()[lo:hi] {
+			ways[n] = min(ways[n], len(c.Children))
 		}
 	}
 	// Bottom level: the ordinary Algorithm 1 on each node's sub-matrix and
@@ -216,7 +216,8 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 			return nil, errs[g]
 		}
 		res := results[g]
-		a.bindResult(topo, res, group, coreBase[nodeOf[g]])
+		lo, _ := topo.NodeCores(nodeOf[g])
+		a.bindResult(topo, res, group, lo)
 		// Nodes of different sizes may resolve the control threads
 		// differently; report the most conservative strategy in force on
 		// any node (hyperthread < spare-cores < unmapped), so the summary
@@ -233,22 +234,6 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 		a.Strategy = treematch.ControlUnmapped
 	}
 	return a, nil
-}
-
-// nodeCores returns every cluster node's core count and the level index of
-// its first core in the fused machine's left-to-right core order; members
-// may differ in size. A single machine is one node.
-func nodeCores(mach *numasim.Machine) (caps, coreBase []int) {
-	topo := mach.Topology()
-	caps = make([]int, topo.NumClusterNodes())
-	for _, core := range topo.Cores() {
-		caps[mach.ClusterNodeOfPU(core.Children[0].OSIndex)]++
-	}
-	coreBase = make([]int, len(caps))
-	for n := 1; n < len(caps); n++ {
-		coreBase[n] = coreBase[n-1] + caps[n-1]
-	}
-	return caps, coreBase
 }
 
 // matchFabric is level 2 of Assign: it returns the cluster node of every
@@ -437,14 +422,17 @@ func (RoundRobinNodes) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignmen
 		return nil, fmt.Errorf("placement: rr-nodes requires a machine")
 	}
 	topo := mach.Topology()
-	cores := topo.NumCores()
-	caps, coreBase := nodeCores(mach)
+	nodes := topo.NumClusterNodes()
 	a := unboundControls(m.Order(), "rr-nodes")
 	for i := range a.TaskPU {
-		node := i % len(caps)
-		slot := i / len(caps)
-		a.TaskPU[i] = firstPU(topo, coreBase[node]+slot%caps[node])
+		lo, hi := topo.NodeCores(i % nodes)
+		a.TaskPU[i] = firstPU(topo, lo+(i/nodes)%(hi-lo))
 	}
-	a.VirtualArity = (m.Order() + cores - 1) / cores
+	// Node n is dealt ⌈(order−n)/nodes⌉ tasks over its own cores.
+	for n := range min(nodes, m.Order()) {
+		lo, hi := topo.NodeCores(n)
+		dealt := (m.Order() - n + nodes - 1) / nodes
+		a.VirtualArity = max(a.VirtualArity, (dealt+hi-lo-1)/(hi-lo))
+	}
 	return a, nil
 }

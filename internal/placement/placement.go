@@ -201,13 +201,9 @@ func scatterOrder(topo *topology.Topology) []int {
 	packs := topo.Level(topo.DepthOf(topology.Package))
 	var queues [][]int
 	if len(packs) > 0 {
-		index := make(map[*topology.Object]int, len(packs))
-		for i, p := range packs {
-			index[p] = i
-		}
 		queues = make([][]int, len(packs))
 		for c, core := range cores {
-			i := index[core.Ancestor(topology.Package)]
+			i := core.Ancestor(topology.Package).LevelIndex
 			queues[i] = append(queues[i], c)
 		}
 	} else {

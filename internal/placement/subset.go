@@ -49,9 +49,8 @@ func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int,
 		return nil, fmt.Errorf("placement: subset assignment requires a machine")
 	}
 	topo := mach.Topology()
-	nodeCaps, coreBase := nodeCores(mach)
-	if len(free) != len(nodeCaps) {
-		return nil, fmt.Errorf("placement: free-slot view covers %d nodes, machine has %d", len(free), len(nodeCaps))
+	if len(free) != topo.NumClusterNodes() {
+		return nil, fmt.Errorf("placement: free-slot view covers %d nodes, machine has %d", len(free), topo.NumClusterNodes())
 	}
 	active := s.active[:0] // cluster nodes holding free slots, ascending
 	total := 0
@@ -62,10 +61,10 @@ func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int,
 		if !sort.IntsAreSorted(slots) {
 			return nil, fmt.Errorf("placement: free slots of node %d not ascending", n)
 		}
+		lo, hi := topo.NodeCores(n)
 		for i, c := range slots {
-			if c < coreBase[n] || c >= coreBase[n]+nodeCaps[n] {
-				return nil, fmt.Errorf("placement: free slot core %d is not on cluster node %d (cores [%d,%d))",
-					c, n, coreBase[n], coreBase[n]+nodeCaps[n])
+			if c < lo || c >= hi {
+				return nil, fmt.Errorf("placement: free slot core %d is not on cluster node %d (cores [%d,%d))", c, n, lo, hi)
 			}
 			// Ascending and inside the node's own range, so a repeat
 			// can only sit next to its original.

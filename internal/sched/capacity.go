@@ -47,17 +47,12 @@ func NewCapacity(topo *topology.Topology) (*Capacity, error) {
 		domainOfNode: map[topology.Kind][]int{},
 		domainFree:   map[topology.Kind][]int{},
 	}
-	nodeIdx := map[*topology.Object]int{}
-	for i, node := range topo.ClusterNodes() {
-		nodeIdx[node] = i
-	}
-	for ci, core := range topo.Cores() {
-		n := 0
-		if cn := topo.ClusterNodeOf(core); cn != nil {
-			n = nodeIdx[cn]
+	for n := range c.free {
+		lo, hi := topo.NodeCores(n)
+		for ci := lo; ci < hi; ci++ {
+			c.nodeOf[ci] = n
+			c.free[n] = append(c.free[n], ci)
 		}
-		c.nodeOf[ci] = n
-		c.free[n] = append(c.free[n], ci)
 	}
 	c.total = topo.NumCores()
 	for _, tier := range topo.DomainTiers() {

@@ -85,12 +85,13 @@ func TestRunJoinsLookahead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		// The last node's last PU no longer maps back to a core, so the
-		// fourth job's placement fails and Run returns with 60 arrivals to go.
-		cores := s.topo.Cores()
-		delete(s.coreOfPU, cores[len(cores)-1].Children[0].OSIndex)
-		if _, err := s.Run(bad); err == nil || !strings.Contains(err.Error(), "unknown PU") {
-			t.Fatalf("Run returned %v, want the unknown-PU error", err)
+		// The last node's last core leaves its free list but not the free
+		// counts, so the fourth job is sent to node 3, its placement finds
+		// three free cores for four tasks, and Run returns with 60 arrivals
+		// to go.
+		s.cap.free[3] = s.cap.free[3][:3]
+		if _, err := s.Run(bad); err == nil || !strings.Contains(err.Error(), "4 tasks exceed 3 free slots") {
+			t.Fatalf("Run returned %v, want the free-slot error", err)
 		}
 		if free := s.Capacity().FreeTotal(); free != 4 {
 			t.Fatalf("%d cores free after the failed Run, want 4: it failed on another job than the fourth", free)

@@ -143,10 +143,6 @@ type Scheduler struct {
 	topo *topology.Topology
 	cap  *Capacity
 	opts Options
-	// coreOfPU maps a PU OS index back to its core level index.
-	coreOfPU map[int]int
-	// nodeCores counts the total core slots of every cluster node.
-	nodeCores []int
 	// tryPlaces and placements count one Run's probe work: tryPlace calls,
 	// and engine placements (misses of placeAware's layout memo). Run
 	// resets them; they measure the work without a host clock.
@@ -166,15 +162,7 @@ func New(mach *numasim.Machine, opts Options) (*Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	coreOfPU := map[int]int{}
-	nodeCores := make([]int, topo.NumClusterNodes())
-	for ci, core := range topo.Cores() {
-		for _, pu := range core.Children {
-			coreOfPU[pu.OSIndex] = ci
-		}
-		nodeCores[cap.nodeOf[ci]]++
-	}
-	return &Scheduler{mach: mach, topo: topo, cap: cap, opts: opts, coreOfPU: coreOfPU, nodeCores: nodeCores}, nil
+	return &Scheduler{mach: mach, topo: topo, cap: cap, opts: opts}, nil
 }
 
 // Capacity exposes the live free-capacity index (read-only use).
@@ -280,7 +268,8 @@ type jobState struct {
 	m     *comm.Matrix
 	err   error
 	// layouts memoizes placeAware's AssignFreeSlots layout (task → PU) by
-	// the bitset of the chosen nodes' free cores, which fixes its view.
+	// the bitset of the chosen nodes' free cores, which fixes its view; it
+	// stays nil unless a phase-2 policy (backfill, preempt, defrag) is on.
 	layouts map[string][]int
 	// spectral memoizes the spectral orders of m by entity subset: they do
 	// not depend on the view, so probes of other views reuse them.
@@ -648,7 +637,8 @@ func (s *Scheduler) infeasible(spec JobSpec) string {
 func (s *Scheduler) domainCapacity(tier topology.Kind, d int) int {
 	total := 0
 	for _, n := range s.cap.Domains(tier)[d].Nodes {
-		total += s.nodeCores[n]
+		lo, hi := s.topo.NodeCores(n)
+		total += hi - lo
 	}
 	return total
 }
@@ -820,11 +810,15 @@ func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placeme
 		if err != nil {
 			return nil, false, err
 		}
-		if j.layouts == nil {
-			j.layouts = map[string][]int{}
-		}
 		taskPU = a.TaskPU
-		j.layouts[string(key)] = taskPU
+		// Only the phase-2 policies probe a job again: without them a job
+		// that places is dispatched, so it reaches placeAware once.
+		if s.opts.Backfill || s.opts.Preempt || s.opts.Defrag {
+			if j.layouts == nil {
+				j.layouts = map[string][]int{}
+			}
+			j.layouts[string(key)] = taskPU
+		}
 	}
 	return s.finishPlacement(m, taskPU, tier, d)
 }
@@ -881,11 +875,10 @@ func (s *Scheduler) placeOnSlots(j *jobState, slots []int, tier topology.Kind, d
 func (s *Scheduler) finishPlacement(m *comm.Matrix, taskPU []int, tier topology.Kind, d int) (*placementResult, bool, error) {
 	sorted := make([]int, len(taskPU))
 	for t, pu := range taskPU {
-		core, ok := s.coreOfPU[pu]
-		if !ok {
+		if pu < 0 || pu >= s.topo.NumPUs() {
 			return nil, false, fmt.Errorf("sched: task %d bound to unknown PU %d", t, pu)
 		}
-		sorted[t] = core
+		sorted[t] = s.mach.CoreOfPU(pu)
 	}
 	sort.Ints(sorted)
 	nodes := 0 // cores are numbered node by node, so each node is one run

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/numasim"
+	"repro/internal/topology"
 )
 
 func schedMachine(t *testing.T, spec string) *numasim.Machine {
@@ -181,5 +182,27 @@ func TestSchedulerWorkloadRoundTrip(t *testing.T) {
 		if parsed[i] != jobs[i] {
 			t.Fatalf("job %d round-trip mismatch:\n  %+v\n  %+v", i, jobs[i], parsed[i])
 		}
+	}
+}
+
+// TestFinishPlacementRejectsUnknownPU: a layout naming a PU outside the
+// machine is an error, on both sides of the range, never an index panic.
+func TestFinishPlacementRejectsUnknownPU(t *testing.T) {
+	mach := schedMachine(t, "rack:1 node:2 pack:1 core:2 pu:1")
+	s, err := New(mach, Options{Policy: TopoAware})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	m, err := JobSpec{Name: "j", Tasks: 2, Pattern: "ring"}.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pu := range []int{-1, mach.Topology().NumPUs()} {
+		if _, _, err := s.finishPlacement(m, []int{0, pu}, topology.Machine, 0); err == nil || !strings.Contains(err.Error(), "unknown PU") {
+			t.Errorf("PU %d: %v, want the unknown-PU error", pu, err)
+		}
+	}
+	if _, _, err := s.finishPlacement(m, []int{0, mach.Topology().NumPUs() - 1}, topology.Machine, 0); err != nil {
+		t.Errorf("the last PU: %v", err)
 	}
 }

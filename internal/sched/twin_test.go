@@ -202,3 +202,62 @@ func TestTwinBackfillWindow(t *testing.T) {
 		t.Errorf("%d backfills with backfill off", fifo.Backfills)
 	}
 }
+
+// TestTwinPreemptThreshold pins preemption's commit rule — the head's wait
+// saving must exceed the victims' bill — on both sides of its boundary, on
+// two 4-core nodes under worst fit. From cycle 0 a low-priority unconstrained
+// job v (2 tasks, work Wv) runs on node 0 and a node-required job b (2 tasks,
+// work Wb) on node 1; a 4-task node-required head of priority 1 arrives at
+// H, blocked with 4 cores free in total. Left alone it starts when b leaves,
+// so its wait saving is Wb − H. Evicting v opens node 0, and with vol=0 the
+// bill is v's checkpoint writes and respawn pulls,
+// 2·(CheckpointCostCycles + MigrationCostCycles), as priced by any two PUs.
+//
+//   - Wb = H + bill: the saving equals the bill, nothing is evicted, and the
+//     head runs on node 1 from Wb.
+//   - Wb = H + bill + 1: v is evicted at H, the head runs on node 0 from H,
+//     and v resumes on node 1 at once, paying its respawn: it finishes at
+//     Wv + bill.
+func TestTwinPreemptThreshold(t *testing.T) {
+	const (
+		h, wv, wh = 1e4, 5e7, 2e6
+		spec      = "rack:1 node:2 pack:1 core:4 pu:1"
+	)
+	opts := Options{Policy: TopoAware, Fit: WorstFit, Preempt: true}
+	stream := func(wb float64) []JobSpec {
+		return []JobSpec{
+			{Name: "v", WorkCycles: wv, Tasks: 2},
+			{Name: "b", WorkCycles: wb, Tasks: 2, Required: "node"},
+			{Name: "head", ArriveCycles: h, WorkCycles: wh, Tasks: 4, Required: "node", Priority: 1},
+		}
+	}
+	mach := schedMachine(t, spec)
+	bill := 2 * (mach.CheckpointCostCycles(0, 0) + mach.MigrationCostCycles(0, 1, 0))
+	if bill <= 0 {
+		t.Fatalf("bill %v, want > 0", bill)
+	}
+
+	rep := mustRun(t, mach, opts, stream(h+bill))
+	requireStat(t, rep, 0, 0, wv, 0)
+	requireStat(t, rep, 1, 0, h+bill, 0)
+	requireStat(t, rep, 2, h+bill, h+bill+wh, bill)
+	if rep.Preemptions != 0 || rep.RespawnCycles != 0 {
+		t.Errorf("saving = bill: %d preemptions, respawn %v; want none", rep.Preemptions, rep.RespawnCycles)
+	}
+
+	mach = schedMachine(t, spec)
+	rep = mustRun(t, mach, opts, stream(h+bill+1))
+	requireStat(t, rep, 0, 0, wv+bill, 0)
+	requireStat(t, rep, 1, 0, h+bill+1, 0)
+	requireStat(t, rep, 2, h, h+wh, 0)
+	v := rep.Jobs[0]
+	if rep.Preemptions != 1 || rep.RespawnCycles != bill || len(v.Segments) != 2 {
+		t.Fatalf("saving = bill + 1: %d preemptions, respawn %v, v in %d segments; want 1, %v, 2",
+			rep.Preemptions, rep.RespawnCycles, len(v.Segments), bill)
+	}
+	nodeOf := func(core int) int { return mach.ClusterNodeOfPU(mach.Topology().Cores()[core].Children[0].OSIndex) }
+	if first, second := v.Segments[0], v.Segments[1]; first.FinishCycles != h || second.StartCycles != h ||
+		nodeOf(first.Cores[0]) != 0 || nodeOf(second.Cores[0]) != 1 {
+		t.Errorf("v ran %+v then %+v; want node 0 until %v, then node 1", first, second, h)
+	}
+}

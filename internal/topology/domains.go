@@ -63,21 +63,14 @@ func (t *Topology) groupDomains(tier Kind, parents []*Object) []FabricDomain {
 	if len(parents) == 0 {
 		return nil
 	}
-	index := make(map[*Object]int, len(parents))
-	for i, p := range parents {
-		index[p] = i
-	}
 	out := make([]FabricDomain, len(parents))
 	for i := range out {
 		out[i] = FabricDomain{Tier: tier, Index: i}
 	}
 	for n, node := range t.ClusterNodes() {
-		p := node.Ancestor(tier)
-		if p == nil {
-			continue
+		if p := node.Ancestor(tier); p != nil {
+			out[p.LevelIndex].Nodes = append(out[p.LevelIndex].Nodes, n)
 		}
-		i := index[p]
-		out[i].Nodes = append(out[i].Nodes, n)
 	}
 	return out
 }

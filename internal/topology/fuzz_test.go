@@ -67,9 +67,33 @@ func FuzzParsePlatform(f *testing.F) {
 // a grammar property; the grammar's own bound is maxSpecObjects.
 const fuzzObjects = 1 << 16
 
+// checkNodeLayout requires NodeCores to tile [0, NumCores) in node order
+// and every core to lie in the range of its own cluster node (node 0 on a
+// single machine).
+func checkNodeLayout(t *testing.T, to *Topology) {
+	t.Helper()
+	next := 0
+	for n := 0; n < to.NumClusterNodes(); n++ {
+		lo, hi := to.NodeCores(n)
+		if lo != next || hi <= lo {
+			t.Fatalf("%q: node %d holds cores [%d,%d), want a non-empty range from %d", to.Spec(), n, lo, hi, next)
+		}
+		for c := lo; c < hi; c++ {
+			if node := to.ClusterNodeOf(to.Cores()[c]); node != nil && node.LevelIndex != n {
+				t.Fatalf("%q: core %d is in node %d's range but on node %d", to.Spec(), c, n, node.LevelIndex)
+			}
+		}
+		next = hi
+	}
+	if next != to.NumCores() {
+		t.Fatalf("%q: the node ranges end at core %d of %d", to.Spec(), next, to.NumCores())
+	}
+}
+
 // FuzzFromSpec checks that no spec panics the parser or the tree builder,
-// that accepted topologies re-parse from their canonical Spec(), and that
-// the parsed platform renders exactly the built topology's Spec().
+// that accepted topologies re-parse from their canonical Spec(), that the
+// parsed platform renders exactly the built topology's Spec(), and that the
+// node layout tiles the cores (checkNodeLayout).
 func FuzzFromSpec(f *testing.F) {
 	for _, seed := range []string{
 		"pack:2 numa:1 l3:1 core:4 pu:2",
@@ -84,6 +108,9 @@ func FuzzFromSpec(f *testing.F) {
 		"cluster:2 pack:2,2 core:4",
 		"core:2000000000",
 		"cluster:1000 core:2000",
+		"rack:2 node:{pack:2 core:4 | pack:1 core:2}",
+		"dragonfly:2,2,1{pack:1 core:4 | pack:1 core:2}",
+		"cluster:2 pack:1 core:2 pu:2,1",
 	} {
 		f.Add(seed)
 	}
@@ -108,6 +135,7 @@ func FuzzFromSpec(f *testing.F) {
 		if fused, _ := p.FusedSpec(); fused != canon {
 			t.Fatalf("%q: FusedSpec %q but built Spec %q", spec, fused, canon)
 		}
+		checkNodeLayout(t, to)
 		to2, err := FromSpec(canon)
 		if err != nil {
 			t.Fatalf("canonical spec %q of %q does not re-parse: %v", canon, spec, err)

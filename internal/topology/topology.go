@@ -165,6 +165,9 @@ type Topology struct {
 	racks    []*Object
 	pods     []*Object
 	spec     string // the normalized spec the topology was built from
+	// nodeBase[n] is the level index of cluster node n's first core, and
+	// its last entry the core count: cores are numbered node by node.
+	nodeBase []int
 
 	// fabric is the non-tree fabric shape (torus/dragonfly) the cluster
 	// tier was declared with, nil for tree fabrics; fabricDef keeps the
@@ -252,6 +255,11 @@ func (t *Topology) NumClusterNodes() int {
 	}
 	return len(t.clusters)
 }
+
+// NodeCores returns the level indices [lo, hi) of cluster node n's cores.
+// Cores are numbered node by node, so the ranges tile [0, NumCores) in node
+// order; a topology without a cluster level is node 0 holding every core.
+func (t *Topology) NodeCores(n int) (lo, hi int) { return t.nodeBase[n], t.nodeBase[n+1] }
 
 // ClusterNodeOf returns the cluster node the object belongs to, or nil on a
 // single-machine topology.
@@ -463,6 +471,17 @@ func build(root *Object, spec string) *Topology {
 		case Pod:
 			t.pods = lv
 		}
+	}
+	t.nodeBase = make([]int, t.NumClusterNodes()+1)
+	for _, core := range t.cores {
+		if node := core.Ancestor(Cluster); node != nil {
+			t.nodeBase[node.LevelIndex+1]++
+		} else {
+			t.nodeBase[1]++
+		}
+	}
+	for n := 1; n < len(t.nodeBase); n++ {
+		t.nodeBase[n] += t.nodeBase[n-1]
 	}
 	return t
 }
