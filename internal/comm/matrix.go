@@ -274,11 +274,12 @@ func (m *Matrix) AggregateIn(st *Storage, groups [][]int) (*Matrix, error) {
 	// Unsorted groups take the nested loop below, paying At's binary search
 	// for every entity pair: 3.7 s for a 10 000-entity degree-8 random graph
 	// in 1 000 groups on a 2-vCPU host, against 11 ms with the groups
-	// sorted. One caller takes this path: with equal capacities,
-	// treematch.PartitionAcrossWeightedMatrix passes PartitionAcross's
-	// groups on unsorted (`ablate -exp all` makes 175 such calls, orders 6
-	// to 64, most through placement.AssignFreeSlots). Sorting them there
-	// would reorder each cell's float sum and could move non-integer volumes.
+	// sorted. The equal-capacity partitions take this path: with equal
+	// capacities, treematch.PartitionAcrossWeightedMatrix and
+	// placement.SlotMapper.Assign aggregate PartitionAcross's groups
+	// unsorted (`ablate -exp all` makes 175 such calls, orders 6 to 64,
+	// most through placement.AssignFreeSlots). Sorting them there would
+	// reorder each cell's float sum and could move non-integer volumes.
 	// A zero sum is not stored, as Set would not store it.
 	q := 0
 	for a, ga := range groups {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/comm"
@@ -301,20 +302,43 @@ func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Mat
 // node of the whole fabric, or the b-th node of a free-slot view. When the
 // groups were sized for differing capacities the matching is constrained by
 // capacity class: a group may only land on a node of the capacity it was
-// sized for.
+// sized for. It runs in fresh memory; matchGroupsIn is the same stage in a
+// caller's.
 func matchGroups(dist func(a, b int) float64, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, seeds ...[]int) ([]int, error) {
-	model := make([][]float64, groupMatrix.Order())
-	for a := range model {
-		model[a] = make([]float64, len(model))
-		for b := range model[a] {
-			model[a][b] = dist(a, b)
-		}
-	}
+	var model distTable
+	return matchGroupsIn(new(treematch.Mapper), &model, dist, groupMatrix, groupCaps, nodeCaps, seeds...)
+}
+
+// matchGroupsIn is matchGroups with the model built in t and matched by w
+// (Mapper.AssignByDistance); the result is the caller's.
+func matchGroupsIn(w *treematch.Mapper, t *distTable, dist func(a, b int) float64, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, seeds ...[]int) ([]int, error) {
+	model := t.fill(groupMatrix.Order(), dist)
 	var entityClass, leafClass []int
 	if mixedCaps(groupCaps) {
 		entityClass, leafClass = capacityClasses(groupCaps, nodeCaps)
 	}
-	return treematch.AssignByDistance(model, groupMatrix, entityClass, leafClass, seeds...)
+	return w.AssignByDistance(model, groupMatrix, entityClass, leafClass, seeds...)
+}
+
+// distTable is a square distance table: one flat block behind row headers,
+// kept from one fill to the next.
+type distTable struct {
+	cells []float64
+	rows  [][]float64
+}
+
+// fill makes the table n×n with entry (a, b) = dist(a, b) and returns its
+// rows, which are valid until the next fill.
+func (t *distTable) fill(n int, dist func(a, b int) float64) [][]float64 {
+	t.cells, t.rows = slices.Grow(t.cells[:0], n*n)[:n*n], slices.Grow(t.rows[:0], n)[:n]
+	for a := range t.rows {
+		row := t.cells[a*n : (a+1)*n : (a+1)*n]
+		for b := range row {
+			row[b] = dist(a, b)
+		}
+		t.rows[a] = row
+	}
+	return t.rows
 }
 
 // mixedCaps reports whether the capacities differ from one another.

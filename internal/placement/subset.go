@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -28,22 +27,25 @@ func AssignFreeSlots(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts t
 }
 
 // SlotMapper is AssignFreeSlots with a working set it keeps from one call to
-// the next: the active nodes and their capacities, the storage of each
-// group's sub-matrix and of its padding view, the free cores' distance table
-// (one flat block behind row headers) and the distance matcher's tables. The
-// online scheduler's event loop keeps one and places every job it admits
-// through it. The zero value is ready; a SlotMapper must not be used by two
-// goroutines at once, and an Assignment it returns never shares its working
-// set.
+// the next: the active nodes and their capacities, the storage of the group
+// matrix, of each group's sub-matrix and of its padding view, one distance
+// table (the node model of level 2, then each node's free-core hops) and a
+// treematch.Mapper, which runs the partition portfolio and the distance
+// matcher in its own kept sets. The online scheduler's event loop keeps one
+// and places every job it admits through it, so the whole placement runs on
+// the loop's goroutine. The zero value is ready; a SlotMapper must not be
+// used by two goroutines at once, and an Assignment it returns never shares
+// its working set.
 type SlotMapper struct {
-	active, caps []int
-	sub, pad     comm.Storage
-	cells        []float64
-	dist         [][]float64
-	mapper       treematch.Mapper
+	active, caps  []int
+	agg, sub, pad comm.Storage
+	table         distTable
+	mapper        treematch.Mapper
 }
 
-// Assign is AssignFreeSlots in the mapper's working set.
+// Assign is AssignFreeSlots in the mapper's working set. It neither writes
+// free nor keeps any of it, so a caller may pass views of its own live
+// lists.
 func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts treematch.Options) (*Assignment, error) {
 	if mach == nil {
 		return nil, fmt.Errorf("placement: subset assignment requires a machine")
@@ -103,7 +105,11 @@ func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int,
 		caps = append(caps, len(free[n]))
 	}
 	s.caps = caps
-	groups, groupMatrix, err := treematch.PartitionAcrossWeightedMatrix(m, caps, opts)
+	groups, err := s.mapper.PartitionAcrossWeighted(m, caps, opts)
+	if err != nil {
+		return nil, err
+	}
+	groupMatrix, err := m.AggregateIn(&s.agg, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +122,7 @@ func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int,
 	// sized for.
 	latency := topo.FabricGraph().LatencyMatrix()
 	between := func(i, j int) float64 { return latency[active[i]][active[j]] }
-	nodeOf, err := matchGroups(between, groupMatrix, caps, caps) // group -> index into active
+	nodeOf, err := matchGroupsIn(&s.mapper, &s.table, between, groupMatrix, caps, caps) // group -> index into active
 	if err != nil {
 		return nil, fmt.Errorf("placement: subset fabric matching: %w", err)
 	}
@@ -162,18 +168,14 @@ func (s *SlotMapper) mapOntoFreeCores(mach *numasim.Machine, m *comm.Matrix, slo
 			return nil, err
 		}
 	}
-	s.cells, s.dist = slices.Grow(s.cells[:0], n*n)[:n*n], slices.Grow(s.dist[:0], n)[:n]
-	for i, ci := range slots {
-		row := s.cells[i*n : (i+1)*n]
-		for j, cj := range slots {
-			row[j] = 0
-			if i != j {
-				row[j] = float64(topo.HopDistance(topo.Cores()[ci], topo.Cores()[cj]))
-			}
+	cores := topo.Cores()
+	dist := s.table.fill(n, func(i, j int) float64 {
+		if i == j {
+			return 0
 		}
-		s.dist[i] = row
-	}
-	out, err := s.mapper.AssignByDistance(s.dist, ext, nil, nil)
+		return float64(topo.HopDistance(cores[slots[i]], cores[slots[j]]))
+	})
+	out, err := s.mapper.AssignByDistance(dist, ext, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("placement: subset intra-node matching: %w", err)
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -130,6 +131,20 @@ func (c *Capacity) FreeSlots(nodes []int) [][]int {
 		out[n] = append([]int(nil), c.free[n]...)
 	}
 	return out
+}
+
+// freeView is FreeSlots without the copies, built in view's memory: the
+// entries of the requested nodes are the index's own lists, capped so that
+// an append copies them. It is valid until the next Bind or Release, and no
+// one may write through it; placement.SlotMapper.Assign only reads its
+// argument and keeps none of it.
+func (c *Capacity) freeView(view [][]int, nodes []int) [][]int {
+	view = slices.Grow(view[:0], len(c.free))[:len(c.free)]
+	clear(view)
+	for _, n := range nodes {
+		view[n] = slices.Clip(c.free[n])
+	}
+	return view
 }
 
 // Bind removes the given core slots from the free index; every slot must

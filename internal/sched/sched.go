@@ -148,8 +148,10 @@ type Scheduler struct {
 	// resets them; they measure the work without a host clock.
 	tryPlaces, placements int
 	// slots is placeAware's working set, reused by every placement of
-	// every Run; only the loop goroutine touches it.
+	// every Run, and view the free-slot view it hands it; only the loop
+	// goroutine touches them.
 	slots placement.SlotMapper
+	view  [][]int
 }
 
 // New builds a scheduler for the machine.
@@ -665,7 +667,8 @@ func (s *Scheduler) tierKind(name string) (topology.Kind, error) {
 
 // tierLadder lists the tiers a job may be placed at, narrowest first:
 // from its preferred tier (default: narrowest) widening up to its required
-// tier (default: the whole machine).
+// tier (default: the whole machine). The list is a read-only window of the
+// topology's shared DomainTiers, capped so that an append copies it.
 func (s *Scheduler) tierLadder(spec JobSpec) ([]topology.Kind, error) {
 	all := s.topo.DomainTiers()
 	lo, hi := 0, len(all)-1
@@ -686,7 +689,7 @@ func (s *Scheduler) tierLadder(spec JobSpec) ([]topology.Kind, error) {
 	if lo > hi {
 		lo = hi
 	}
-	return all[lo : hi+1], nil
+	return all[lo : hi+1 : hi+1], nil
 }
 
 func tierIndex(tiers []topology.Kind, k topology.Kind) int {
@@ -806,7 +809,10 @@ func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placeme
 	taskPU, ok := j.layouts[string(key)]
 	if !ok {
 		s.placements++
-		a, err := s.slots.Assign(s.mach, m, s.cap.FreeSlots(chosen), treematch.Options{Spectral: &j.spectral})
+		// The view shares the capacity's lists; nothing binds or releases
+		// while Assign reads it.
+		s.view = s.cap.freeView(s.view, chosen)
+		a, err := s.slots.Assign(s.mach, m, s.view, treematch.Options{Spectral: &j.spectral})
 		if err != nil {
 			return nil, false, err
 		}

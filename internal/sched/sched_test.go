@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -204,5 +205,35 @@ func TestFinishPlacementRejectsUnknownPU(t *testing.T) {
 	}
 	if _, _, err := s.finishPlacement(m, []int{0, mach.Topology().NumPUs() - 1}, topology.Machine, 0); err != nil {
 		t.Errorf("the last PU: %v", err)
+	}
+}
+
+// TestTierLadderAllocs pins the tier ladder every tryPlace resolves to no
+// allocation: the tiers are the topology's, built once, and the ladder is
+// a capped window of them, so an append cannot write into the shared list.
+func TestTierLadderAllocs(t *testing.T) {
+	s, err := New(schedMachine(t, "pod:2 rack:2 node:2 pack:1 core:2 pu:1"), Options{Policy: TopoAware})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Name: "j", Tasks: 2, Preferred: "node", Required: "rack"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.tierLadder(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per tierLadder, want 0", allocs)
+	}
+	ladder, err := s.tierLadder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []topology.Kind{topology.Cluster, topology.Rack}; !slices.Equal(ladder, want) {
+		t.Fatalf("ladder %v, want %v", ladder, want)
+	}
+	_ = append(ladder, topology.Core)
+	if all := s.topo.DomainTiers(); !slices.Equal(all, []topology.Kind{topology.Cluster, topology.Rack, topology.Pod, topology.Machine}) {
+		t.Errorf("an append to the ladder changed the topology's tiers to %v", all)
 	}
 }

@@ -261,3 +261,100 @@ func TestTwinPreemptThreshold(t *testing.T) {
 		t.Errorf("v ran %+v then %+v; want node 0 until %v, then node 1", first, second, h)
 	}
 }
+
+// peakQueue is the longest queue the jobs formed: the queue only grows when
+// a job arrives, and right after the events at clock t it holds the jobs
+// that have arrived by t and start after it.
+func peakQueue(arrive, start []float64) int {
+	peak := 0
+	for _, t := range arrive {
+		q := 0
+		for j := range arrive {
+			if arrive[j] <= t && start[j] > t {
+				q++
+			}
+		}
+		peak = max(peak, q)
+	}
+	return peak
+}
+
+// TestTwinDDc runs the deterministic D/D/c queue on c 4-core nodes: job i
+// (4 tasks, one node's worth, vol=0) arrives at i·A and its service is S.
+// Each node is one server and departures come in start order, so job i
+// takes the node job i−c leaves: start_i = max(i·A, start_{i−c} + S).
+//
+//   - S ≥ c·A: the servers never idle once the queue forms, and the
+//     recursion solves to wait_i = ⌊i/c⌋·(S − c·A), start_i = i·A + wait_i.
+//     Right after job i arrives the queue holds the jobs j ≤ i still
+//     waiting, those with ⌊j/c⌋·(S − c·A) > (i − j)·A; for the last arrival
+//     of the run below (c = 3, S − c·A = 2A, 12 jobs) that is jobs 8–11: a
+//     peak of 4. S = c·A is the boundary: a node frees exactly as the next
+//     job arrives, and departures go first, so nobody waits.
+//   - S < c·A: a node is always free at an arrival, so every wait is 0 and
+//     no queue forms; over the arrival window N·A the slots are busy
+//     N·4·S / (4c·N·A) = S/(c·A) of the time.
+func TestTwinDDc(t *testing.T) {
+	const (
+		c = 3
+		a = 1000.0
+	)
+	spec := fmt.Sprintf("rack:1 node:%d pack:1 core:4 pu:1", c)
+	run := func(n int, s float64) *Report {
+		jobs := make([]JobSpec, n)
+		for i := range jobs {
+			jobs[i] = JobSpec{Name: fmt.Sprintf("j%d", i), ArriveCycles: float64(i) * a, WorkCycles: s, Tasks: 4, Pattern: "ring"}
+		}
+		rep := mustRun(t, schedMachine(t, spec), Options{Policy: TopoAware}, jobs)
+		if rep.Admitted != n || rep.Rejected != 0 {
+			t.Fatalf("S = %v: %d admitted, %d rejected; want all %d", s, rep.Admitted, rep.Rejected, n)
+		}
+		return rep
+	}
+	queue := func(rep *Report) int {
+		arrive, start := make([]float64, len(rep.Jobs)), make([]float64, len(rep.Jobs))
+		for i, st := range rep.Jobs {
+			arrive[i], start[i] = st.ArriveCycles, st.StartCycles
+		}
+		return peakQueue(arrive, start)
+	}
+
+	for _, tc := range []struct {
+		s    float64
+		peak int
+	}{{c*a + 2*a, 4}, {c * a, 0}} {
+		const n = 12
+		rep := run(n, tc.s)
+		var waits, last float64
+		for i := 0; i < n; i++ {
+			wait := float64(i/c) * (tc.s - c*a)
+			start := float64(i)*a + wait
+			requireStat(t, rep, i, start, start+tc.s, wait)
+			waits += wait
+			last = start
+		}
+		makespan := last + tc.s
+		busy := float64(n * 4 * tc.s)
+		if rep.MakespanCycles != makespan || rep.WaitCycles != waits || rep.BusyUtilization != busy/(float64(4*c)*makespan) {
+			t.Errorf("S = %v: makespan %v wait %v utilization %v, want %v %v %v",
+				tc.s, rep.MakespanCycles, rep.WaitCycles, rep.BusyUtilization, makespan, waits, busy/(float64(4*c)*makespan))
+		}
+		if got := queue(rep); got != tc.peak {
+			t.Errorf("S = %v: peak queue %d, want %d", tc.s, got, tc.peak)
+		}
+	}
+
+	const n, s = 9, 2 * a // S < c·A
+	rep := run(n, s)
+	var served float64
+	for i := 0; i < n; i++ {
+		requireStat(t, rep, i, float64(i)*a, float64(i)*a+s, 0)
+		served += float64(rep.Jobs[i].Tasks) * rep.Jobs[i].ServiceCycles
+	}
+	if u := served / (float64(4*c) * (n * a)); u != s/(c*a) {
+		t.Errorf("utilization over the arrival window %v, want S/(c·A) = %v", u, s/(c*a))
+	}
+	if got := queue(rep); rep.WaitCycles != 0 || got != 0 {
+		t.Errorf("S < c·A: total wait %v, peak queue %d; want no queue", rep.WaitCycles, got)
+	}
+}

@@ -78,14 +78,7 @@ func (t *Topology) groupDomains(tier Kind, parents []*Object) []FabricDomain {
 // DomainTiers lists the fabric tiers this platform actually has, narrowest
 // first: always Cluster and Machine, plus Rack and Pod when present. The
 // scheduler widens a job's candidate tier along this order during
-// preferred-constraint fallback.
-func (t *Topology) DomainTiers() []Kind {
-	tiers := []Kind{Cluster}
-	if t.NumRacks() > 0 {
-		tiers = append(tiers, Rack)
-	}
-	if t.NumPods() > 0 {
-		tiers = append(tiers, Pod)
-	}
-	return append(tiers, Machine)
-}
+// preferred-constraint fallback. The list is built once, with the topology,
+// and shared by every caller: read-only. It is capped at its length, so an
+// append copies it rather than writing into it.
+func (t *Topology) DomainTiers() []Kind { return t.tiers }

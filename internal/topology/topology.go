@@ -22,6 +22,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -168,6 +169,8 @@ type Topology struct {
 	// nodeBase[n] is the level index of cluster node n's first core, and
 	// its last entry the core count: cores are numbered node by node.
 	nodeBase []int
+	// tiers is DomainTiers' list, capped at its length.
+	tiers []Kind
 
 	// fabric is the non-tree fabric shape (torus/dragonfly) the cluster
 	// tier was declared with, nil for tree fabrics; fabricDef keeps the
@@ -483,5 +486,13 @@ func build(root *Object, spec string) *Topology {
 	for n := 1; n < len(t.nodeBase); n++ {
 		t.nodeBase[n] += t.nodeBase[n-1]
 	}
+	t.tiers = append(make([]Kind, 0, 4), Cluster)
+	if len(t.racks) > 0 {
+		t.tiers = append(t.tiers, Rack)
+	}
+	if len(t.pods) > 0 {
+		t.tiers = append(t.tiers, Pod)
+	}
+	t.tiers = slices.Clip(append(t.tiers, Machine))
 	return t
 }

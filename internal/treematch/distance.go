@@ -40,7 +40,7 @@ import (
 // cheaper completion replaces the incumbent, so the skipped subtrees could
 // never have been returned.
 func AssignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds ...[]int) ([]int, error) {
-	best, _, err := new(Mapper).assignByDistance(dist, m, entityClass, leafClass, seeds)
+	best, _, err := new(distanceSet).assign(dist, m, entityClass, leafClass, seeds)
 	return best, err
 }
 
@@ -77,6 +77,11 @@ type distanceSet struct {
 // search visited (0 when the permutation space is past the limit). The
 // returned assignment is the working set's.
 func (w *Mapper) assignByDistance(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds [][]int) ([]int, int, error) {
+	return w.match.assign(dist, m, entityClass, leafClass, seeds)
+}
+
+// assign is assignByDistance in d.
+func (d *distanceSet) assign(dist [][]float64, m *comm.Matrix, entityClass, leafClass []int, seeds [][]int) ([]int, int, error) {
 	p := m.Order()
 	if len(dist) != p {
 		return nil, 0, fmt.Errorf("treematch: AssignByDistance maps %d entities over a %d-leaf distance matrix", p, len(dist))
@@ -97,7 +102,6 @@ func (w *Mapper) assignByDistance(dist [][]float64, m *comm.Matrix, entityClass,
 	// The constrained permutation space is the product of the per-class
 	// factorials; without classes that is one class of everybody, which
 	// needs no counting and one shared all-zero class slice.
-	d := &w.match
 	d.zeros = grow(d.zeros, p)
 	clear(d.zeros)
 	space := 1.0

@@ -114,7 +114,7 @@ func TestPartitionAcrossBalancedStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, peak := crossingStats(m, groups)
+	_, peak := crossingStats(m, groups, new(crossingTables))
 	if peak > 6 {
 		t.Errorf("most exposed group sends %d streams, want a balanced partition (<= 6)", peak)
 	}

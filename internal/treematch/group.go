@@ -10,81 +10,159 @@ import (
 	"repro/internal/comm"
 )
 
-// partitionCandidate is one deterministic grouping heuristic of the
-// portfolio, KL refinement included: it builds its groups from scratch on
-// every call and touches the shared matrix read-only, so candidates can be
-// evaluated concurrently.
-type partitionCandidate func() ([][]int, error)
+// candidate names one deterministic grouping heuristic of the partition
+// portfolio. A candidate builds its groups from scratch, KL refinement
+// included, in the candidateSet it is run in, and reads the matrix only, so
+// candidates in sets of their own can run concurrently.
+type candidate uint8
 
-// scoredPartition is one evaluated candidate: its groups plus the exact
-// quality metrics the best-pick compares (intra-group volume, crossing
-// streams in total and for the most exposed group).
-type scoredPartition struct {
+const (
+	directCandidate        candidate = iota // k-way greedy grouping
+	bisectCandidate                         // recursive bisection
+	coarsenCandidate                        // pair, aggregate, partition the coarse graph, expand
+	mergeCandidate                          // split finer, then merge pairs
+	spectralCandidate                       // recursive spectral bisection
+	greedySizedCandidate                    // the capacity-weighted greedy fill
+	spectralSizedCandidate                  // the capacity-weighted spectral split
+)
+
+// candidateSet is the working memory candidates run in, reused by each one
+// after the other: the greedy fill's tables, the spectral iteration's
+// scratch, the storages of the induced sub-matrices and of the aggregates
+// (coarsening alternates between two), and crossingStats' tables. A
+// candidate's groups never live in it. The zero value is ready.
+type candidateSet struct {
+	fill     affinityFill
+	spectral spectralScratch
+	sub      comm.Storage
+	aggs     [2]comm.Storage
+	cross    crossingTables
+}
+
+// portfolio is one partition problem and its candidates, in the fixed
+// order the best-pick breaks ties in.
+type portfolio struct {
+	work *comm.Matrix
+	// Equal capacities: k groups of exactly per entities (work is padded to
+	// k·per). Weighted: sizes[g] is the exact size of group g.
+	k, per int
+	sizes  []int
+	memo   *SpectralMemo
+	list   [5]candidate
+	n      int
+}
+
+func (p *portfolio) add(c candidate) { p.list[p.n], p.n = c, p.n+1 }
+
+// candidates lists the portfolio's candidates in order.
+func (p *portfolio) candidates() []candidate { return p.list[:p.n] }
+
+// score is one evaluated candidate: its groups plus the exact quality
+// metrics the best-pick compares (intra-group volume, crossing streams in
+// total and for the most exposed group).
+type score struct {
 	groups        [][]int
 	intra         float64
 	streams, peak int
 	err           error
 }
 
-// scorePartition runs one candidate and measures it.
-func scorePartition(m *comm.Matrix, c partitionCandidate) scoredPartition {
-	groups, err := c()
-	if err != nil {
-		return scoredPartition{err: err}
-	}
-	s, peak := crossingStats(m, groups)
-	return scoredPartition{groups: groups, intra: intraVolume(m, groups), streams: s, peak: peak}
-}
-
-// evalPartitionCandidates evaluates the portfolio — one goroutine per
-// candidate when concurrent — and returns the per-candidate scores in the
-// portfolio's fixed order. Every candidate builds and refines its own
-// groups and reads the shared matrix only, so the concurrent evaluation is
-// race-free and candidate order carries all the determinism.
-func evalPartitionCandidates(m *comm.Matrix, cands []partitionCandidate, concurrent bool) []scoredPartition {
-	scored := make([]scoredPartition, len(cands))
-	if !concurrent {
-		for i, c := range cands {
-			scored[i] = scorePartition(m, c)
-		}
-		return scored
-	}
-	var wg sync.WaitGroup
-	for i, c := range cands {
-		wg.Add(1)
-		go func(i int, c partitionCandidate) {
-			defer wg.Done()
-			scored[i] = scorePartition(m, c)
-		}(i, c)
-	}
-	wg.Wait()
-	return scored
-}
-
-// pickPartition selects the winning candidate by the exact measured cut:
-// maximum intra-group volume first (the total is fixed, so that is the
+// beats reports whether s wins over the best so far by the exact measured
+// cut: maximum intra-group volume first (the total is fixed, so that is the
 // minimum cut); among equal cuts the partition whose most exposed group
 // sends the fewest streams across the boundary, then the fewest crossing
 // entities overall — per-link fabric contention is set by the most
 // contended NIC, so balancing the crossing streams matters even at equal
-// cut volume. Candidates are compared in portfolio order, so the result is
-// bit-identical whether the portfolio was evaluated sequentially or
-// concurrently.
-func pickPartition(scored []scoredPartition) ([][]int, error) {
-	var best [][]int
-	bestIntra := -1.0
-	bestStreams, bestPeak := 0, 0
-	for _, sc := range scored {
-		if sc.err != nil {
-			return nil, sc.err
+// cut volume.
+func (s *score) beats(best *score) bool {
+	return s.intra > best.intra ||
+		(s.intra == best.intra && (s.peak < best.peak || (s.peak == best.peak && s.streams < best.streams)))
+}
+
+// run builds candidate c's groups in cs and refines them.
+func (p *portfolio) run(c candidate, cs *candidateSet) ([][]int, error) {
+	// The node-level cut is the expensive one (every cut byte crosses the
+	// network), so refinement always runs here even when per-core grouping
+	// of a matrix this size would skip it.
+	w, passes := p.work, partitionRefinePasses
+	var groups [][]int
+	var err error
+	switch c {
+	case directCandidate:
+		// Built unrefined: the KL passes run once, below.
+		groups = groupProcesses(w, p.per, 0, &cs.fill)
+	case bisectCandidate:
+		groups, err = bisectPartition(w, identityIDs(w.Order()), p.k, passes, cs)
+	case coarsenCandidate:
+		groups, err = coarsenPartition(w, p.k, passes, cs)
+	case mergeCandidate:
+		groups, err = mergeFinePartition(w, p.k, passes, cs)
+	case spectralCandidate:
+		groups, err = spectralPartition(w, identityIDs(w.Order()), p.k, passes, p.memo, cs)
+	case greedySizedCandidate:
+		groups = greedySizedGroups(w, p.sizes, &cs.fill)
+	case spectralSizedCandidate:
+		groups, err = spectralPartitionSized(w, identityIDs(w.Order()), p.sizes, p.memo, cs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p.k > 1 && (p.sizes != nil || p.per > 1) {
+		refineGroups(w, groups, passes)
+	}
+	return groups, nil
+}
+
+// evaluate runs candidate c in cs and scores it.
+func (p *portfolio) evaluate(c candidate, cs *candidateSet) score {
+	groups, err := p.run(c, cs)
+	if err != nil {
+		return score{err: err}
+	}
+	s, peak := crossingStats(p.work, groups, &cs.cross)
+	return score{groups: groups, intra: intraVolume(p.work, groups), streams: s, peak: peak}
+}
+
+// pick returns the winning candidate's groups, or the first error in
+// portfolio order. With a set the candidates run in it one after another
+// on the calling goroutine, each compared with the best so far as soon as
+// it is scored; nothing of a candidate's groups lives in the set, so
+// holding the best costs no copy. Without one every candidate runs on a
+// goroutine and in a set of its own first. Either way the comparisons are
+// the same, in portfolio order, so the winner is too.
+func (p *portfolio) pick(cs *candidateSet) ([][]int, error) {
+	cands := p.candidates()
+	var scores []score
+	if cs == nil {
+		// The goroutines share a copy, so that p itself does not escape.
+		all, shared := make([]score, len(cands)), *p
+		var wg sync.WaitGroup
+		for i, c := range cands {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				all[i] = shared.evaluate(c, new(candidateSet))
+			}()
 		}
-		if sc.intra > bestIntra ||
-			(sc.intra == bestIntra && (sc.peak < bestPeak || (sc.peak == bestPeak && sc.streams < bestStreams))) {
-			bestIntra, bestStreams, bestPeak = sc.intra, sc.streams, sc.peak
-			best = sc.groups
+		wg.Wait()
+		scores = all
+	}
+	best := score{intra: -1}
+	for i, c := range cands {
+		var s score
+		if cs == nil {
+			s = scores[i]
+		} else {
+			s = p.evaluate(c, cs)
+		}
+		if s.err != nil {
+			return nil, s.err
+		}
+		if s.beats(&best) {
+			best = s
 		}
 	}
-	return best, nil
+	return best.groups, nil
 }
 
 // PartitionAcross partitions the entities of the matrix into k groups of
@@ -108,10 +186,18 @@ func pickPartition(scored []scoredPartition) ([][]int, error) {
 // lattices, where the others stop at slab or center-block local optima) —
 // KL-refines each at the fine level, and keeps the one with the smallest
 // cut, measured exactly. The candidates are evaluated concurrently (one
-// goroutine per candidate; each builds and refines its own groups against
-// the read-only matrix) and the winner is picked in fixed portfolio order,
-// so the result is bit-identical to a sequential evaluation.
+// goroutine and working set per candidate; each builds and refines its own
+// groups against the read-only matrix) and the winner is picked in fixed
+// portfolio order, so the result is bit-identical to a sequential
+// evaluation — the one Mapper.PartitionAcrossWeighted runs.
 func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
+	return partitionEqual(m, k, opt, nil, nil)
+}
+
+// partitionEqual is PartitionAcross with the padding view in pad and the
+// portfolio run in cs, one candidate after another. A nil pad is fresh
+// storage; a nil cs runs the candidates concurrently, each in a fresh set.
+func partitionEqual(m *comm.Matrix, k int, opt Options, pad *comm.Storage, cs *candidateSet) ([][]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcross needs at least 1 group, got %d", k)
 	}
@@ -122,9 +208,11 @@ func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 	per := (p + k - 1) / k
 	work := m
 	if per*k > p {
+		if pad == nil {
+			pad = new(comm.Storage)
+		}
 		var err error
-		work, err = m.PadView(new(comm.Storage), per*k)
-		if err != nil {
+		if work, err = m.PadView(pad, per*k); err != nil {
 			return nil, err
 		}
 	}
@@ -137,64 +225,42 @@ func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 		// every pre-existing shape bit-identical.
 		best, err = multilevelPartition(work, k, per)
 	} else {
-		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per, opt.Spectral), true))
+		pf := equalPortfolio(work, p, k, per, opt.Spectral)
+		best, err = pf.pick(cs)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]int, k)
+	// Strip the padding into one array of the p real entities; a group of
+	// padding alone stays nil.
+	flat, out := make([]int, 0, p), make([][]int, k)
 	for gi, g := range best {
+		lo := len(flat)
 		for _, e := range g {
 			if e < p {
-				out[gi] = append(out[gi], e)
+				flat = append(flat, e)
 			}
+		}
+		if len(flat) > lo {
+			out[gi] = flat[lo:len(flat):len(flat)]
 		}
 	}
 	return out, nil
 }
 
-// equalPartitionCandidates assembles the equal-capacity portfolio in its
-// fixed order (the order pickPartition breaks ties in). orig is the
-// unpadded entity count — work may carry zero-volume padding up to
-// k·ceil(orig/k), and the spectral candidate must know the difference.
-// Each candidate runs its own KL refinement, so the portfolio can be
-// evaluated concurrently — the candidates are independent by construction.
+// equalPortfolio assembles the equal-capacity portfolio in its fixed order.
+// orig is the unpadded entity count — work may carry zero-volume padding up
+// to k·ceil(orig/k), and the spectral candidate must know the difference.
 // memo (may be nil) serves the spectral candidate's orders.
-func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, memo *SpectralMemo) []partitionCandidate {
-	// The node-level cut is the expensive one (every cut byte crosses the
-	// network), so refinement always runs here even when per-core grouping
-	// of a matrix this size would skip it.
-	passes := partitionRefinePasses
-	refine := func(groups [][]int) [][]int {
-		if k > 1 && per > 1 {
-			refineGroups(work, groups, passes)
-		}
-		return groups
-	}
-	p := work.Order()
-	// The direct candidate is built unrefined (refine runs the KL passes
-	// once, afterwards; GroupProcesses would otherwise run them twice).
-	cands := []partitionCandidate{
-		func() ([][]int, error) { return refine(GroupProcesses(work, per, 0)), nil },
-	}
+func equalPortfolio(work *comm.Matrix, orig, k, per int, memo *SpectralMemo) portfolio {
+	p := portfolio{work: work, k: k, per: per, memo: memo}
+	p.add(directCandidate)
 	// For odd k the bisection degenerates to the direct k-way grouping at
 	// its top level, so the candidate would be a duplicate.
 	if k%2 == 0 {
-		cands = append(cands, func() ([][]int, error) {
-			groups, err := bisectPartition(work, identityIDs(p), k, passes)
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		})
+		p.add(bisectCandidate)
 	}
-	cands = append(cands, func() ([][]int, error) {
-		groups, err := coarsenPartition(work, k, passes)
-		if err != nil {
-			return nil, err
-		}
-		return refine(groups), nil
-	})
+	p.add(coarsenCandidate)
 	// Split-finer-then-merge: partition into 2k half-size groups first, then
 	// pair-merge them by aggregated affinity. The fine groups come out
 	// compact, so the merged partition tends towards blocky shapes whose
@@ -202,13 +268,7 @@ func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, memo *Spectra
 	// k-way grouping and recursive bisection miss when an equal-cut slice
 	// partition exists.
 	if k > 1 && per%2 == 0 && per > 1 {
-		cands = append(cands, func() ([][]int, error) {
-			groups, err := mergeFinePartition(work, k, passes)
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		})
+		p.add(mergeCandidate)
 	}
 	// Spectral bisection, considered last so that ties keep the portfolio's
 	// established winners. Only without padding (per·k equals the unpadded
@@ -216,15 +276,9 @@ func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, memo *Spectra
 	// Laplacian component dominates the power iteration and drowns the
 	// Fiedler direction.
 	if k%2 == 0 && per*k == orig && per > 1 {
-		cands = append(cands, func() ([][]int, error) {
-			groups, err := spectralPartition(work, identityIDs(p), k, passes, memo, new(spectralScratch))
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		})
+		p.add(spectralCandidate)
 	}
-	return cands
+	return p
 }
 
 // expand replaces every member e of every group by the entities cover[e]
@@ -273,6 +327,23 @@ func identityIDs(n int) []int {
 // portfolio included. Group order is deterministic and positional: group g
 // always carries the size derived from caps[g].
 func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
+	return partitionWeighted(m, caps, opt, nil, nil)
+}
+
+// PartitionAcrossWeighted is the package's PartitionAcrossWeighted, equal
+// capacities included, in the mapper's working set: the padding view, and
+// one candidateSet the portfolio's candidates run in one after another, on
+// the calling goroutine. The candidates, their order, their refinement and
+// their use of opt.Spectral are the package function's, and so is every
+// group; above multilevelMinOrder the multilevel driver runs as it does
+// there. The result is the caller's.
+func (w *Mapper) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
+	return partitionWeighted(m, caps, opt, &w.pad, &w.cand)
+}
+
+// partitionWeighted is PartitionAcrossWeighted with pad and cs as in
+// partitionEqual.
+func partitionWeighted(m *comm.Matrix, caps []int, opt Options, pad *comm.Storage, cs *candidateSet) ([][]int, error) {
 	k := len(caps)
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcrossWeighted needs at least 1 capacity, got %d", k)
@@ -287,45 +358,29 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 		}
 	}
 	if equal {
-		return PartitionAcross(m, k, opt)
+		return partitionEqual(m, k, opt, pad, cs)
 	}
 	p := m.Order()
 	if p == 0 {
 		return make([][]int, k), nil
 	}
 	sizes := weightedSizes(p, caps)
-	passes := partitionRefinePasses
+	var best [][]int
 	if p > multilevelMinOrder {
 		// Large instance: greedy seeding plus boundary-only refinement; the
 		// full-KL portfolio below is unaffordable at this order.
-		groups := greedySizedGroups(m, sizes, new(affinityFill))
+		best = greedySizedGroups(m, sizes, new(affinityFill))
 		if k > 1 {
-			refineGroupsBoundary(m, groups, passes)
+			refineGroupsBoundary(m, best, partitionRefinePasses)
 		}
-		for _, g := range groups {
-			slices.Sort(g)
+	} else {
+		pf := portfolio{work: m, k: k, sizes: sizes, memo: opt.Spectral}
+		pf.add(greedySizedCandidate)
+		pf.add(spectralSizedCandidate)
+		var err error
+		if best, err = pf.pick(cs); err != nil {
+			return nil, err
 		}
-		return groups, nil
-	}
-	refine := func(groups [][]int) [][]int {
-		if k > 1 {
-			refineGroups(m, groups, passes)
-		}
-		return groups
-	}
-	cands := []partitionCandidate{
-		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes, new(affinityFill))), nil },
-		func() ([][]int, error) {
-			groups, err := spectralPartitionSized(m, identityIDs(p), sizes, opt.Spectral, new(spectralScratch))
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		},
-	}
-	best, err := pickPartition(evalPartitionCandidates(m, cands, true))
-	if err != nil {
-		return nil, err
 	}
 	for _, g := range best {
 		slices.Sort(g)
@@ -592,13 +647,13 @@ func (h *affHeap) pop() affEntry {
 }
 
 // bisectPartition splits the given entities (len(ids) divisible by k) into k
-// equal groups by recursive bisection on the sub-matrix they induce. Odd
-// factors fall back to direct grouping at that level.
-func bisectPartition(m *comm.Matrix, ids []int, k, passes int) ([][]int, error) {
+// equal groups by recursive bisection on the sub-matrix they induce, in cs.
+// Odd factors fall back to direct grouping at that level.
+func bisectPartition(m *comm.Matrix, ids []int, k, passes int, cs *candidateSet) ([][]int, error) {
 	if k == 1 {
 		return [][]int{ids}, nil
 	}
-	sub, err := induced(m, ids)
+	sub, err := induced(m, ids, &cs.sub)
 	if err != nil {
 		return nil, err
 	}
@@ -606,13 +661,13 @@ func bisectPartition(m *comm.Matrix, ids []int, k, passes int) ([][]int, error) 
 	if k%2 == 0 {
 		split = 2
 	}
-	local := relabel(GroupProcesses(sub, len(ids)/split, passes), ids)
+	local := relabel(groupProcesses(sub, len(ids)/split, passes, &cs.fill), ids)
 	if split == k {
 		return local, nil
 	}
 	var out [][]int
 	for _, half := range local {
-		deeper, err := bisectPartition(m, half, k/2, passes)
+		deeper, err := bisectPartition(m, half, k/2, passes, cs)
 		if err != nil {
 			return nil, err
 		}
@@ -623,14 +678,14 @@ func bisectPartition(m *comm.Matrix, ids []int, k, passes int) ([][]int, error) 
 
 // mergeFinePartition is the split-finer-then-merge candidate: 2k fine groups
 // of half the capacity, aggregated into a 2k-order matrix, then paired into
-// the final k groups by affinity.
-func mergeFinePartition(m *comm.Matrix, k, passes int) ([][]int, error) {
-	fine := GroupProcesses(m, m.Order()/(2*k), passes)
-	agg, err := m.Aggregate(fine)
+// the final k groups by affinity; it runs in cs.
+func mergeFinePartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int, error) {
+	fine := groupProcesses(m, m.Order()/(2*k), passes, &cs.fill)
+	agg, err := m.AggregateIn(&cs.aggs[0], fine)
 	if err != nil {
 		return nil, err
 	}
-	return expand(GroupProcesses(agg, 2, passes), fine), nil
+	return expand(groupProcesses(agg, 2, passes, &cs.fill), fine), nil
 }
 
 // isIdentity reports whether ids is exactly 0..n-1, in which case a
@@ -651,23 +706,24 @@ func isIdentity(ids []int, n int) bool {
 // strongest-affine entities and aggregate, until the coarse order is within
 // a small multiple of k, then partition the coarse graph and expand. The
 // coarse entities carry the accumulated affinity structure, so the final
-// grouping sees block-level weights instead of uniform lattice edges.
-func coarsenPartition(m *comm.Matrix, k, passes int) ([][]int, error) {
+// grouping sees block-level weights instead of uniform lattice edges. The
+// coarse matrices alternate between cs's two aggregate storages.
+func coarsenPartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int, error) {
 	cover := make([][]int, m.Order())
 	for i := range cover {
 		cover[i] = []int{i}
 	}
 	mat := m
-	for mat.Order() > 4*k && mat.Order()%2 == 0 && (mat.Order()/2)%k == 0 {
-		pairs := GroupProcesses(mat, 2, passes)
+	for level := 0; mat.Order() > 4*k && mat.Order()%2 == 0 && (mat.Order()/2)%k == 0; level++ {
+		pairs := groupProcesses(mat, 2, passes, &cs.fill)
 		var err error
-		mat, err = mat.Aggregate(pairs)
+		mat, err = mat.AggregateIn(&cs.aggs[level%2], pairs)
 		if err != nil {
 			return nil, err
 		}
 		cover = expand(pairs, cover)
 	}
-	return expand(GroupProcesses(mat, mat.Order()/k, passes), cover), nil
+	return expand(groupProcesses(mat, mat.Order()/k, passes, &cs.fill), cover), nil
 }
 
 // GroupProcesses partitions the p entities of the matrix into p/a groups of
@@ -924,21 +980,31 @@ func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 	}
 }
 
+// crossingTables is crossingStats' working memory: every entity's group,
+// whether it crosses, and the crossing count of every group.
+type crossingTables struct {
+	group, perGroup []int
+	crossing        []bool
+}
+
 // crossingStats counts the entities with at least one positive-volume edge
 // leaving their group — the streams a partition sends across the fabric —
 // in total and for the most exposed single group (the bottleneck NIC under
 // per-link contention). A single sweep over the nonzero entries marks both
 // endpoints of every positive cross-group pair; the counts are integers, so
-// the result is exactly the one the historical O(n²) scan produced.
-func crossingStats(m *comm.Matrix, groups [][]int) (total, peak int) {
+// the result is exactly the one the historical O(n²) scan produced. The
+// tables live in t.
+func crossingStats(m *comm.Matrix, groups [][]int, t *crossingTables) (total, peak int) {
 	n := m.Order()
-	group := make([]int, n)
+	group := grow(t.group, n)
+	clear(group)
 	for gi, g := range groups {
 		for _, e := range g {
 			group[e] = gi
 		}
 	}
-	crossing := make([]bool, n)
+	crossing := grow(t.crossing, n)
+	clear(crossing)
 	for i := 0; i < n; i++ {
 		m.ForEachNeighbor(i, func(j int, v float64) {
 			if j == i || group[i] == group[j] || (crossing[i] && crossing[j]) {
@@ -952,13 +1018,15 @@ func crossingStats(m *comm.Matrix, groups [][]int) (total, peak int) {
 			}
 		})
 	}
-	perGroup := make([]int, len(groups))
+	perGroup := grow(t.perGroup, len(groups))
+	clear(perGroup)
 	for i, c := range crossing {
 		if c {
 			total++
 			perGroup[group[i]]++
 		}
 	}
+	t.group, t.crossing, t.perGroup = group, crossing, perGroup
 	return total, slices.Max(perGroup)
 }
 

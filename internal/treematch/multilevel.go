@@ -78,9 +78,8 @@ func multilevelPartition(work *comm.Matrix, k, per int) ([][]int, error) {
 	var groups [][]int
 	if mat.Order() <= coarsePortfolioMax {
 		var err error
-		groups, err = pickPartition(evalPartitionCandidates(
-			mat, equalPartitionCandidates(mat, mat.Order(), k, perCur, nil), true))
-		if err != nil {
+		pf := equalPortfolio(mat, mat.Order(), k, perCur, nil)
+		if groups, err = pf.pick(nil); err != nil {
 			return nil, err
 		}
 	} else {

@@ -2,6 +2,7 @@ package treematch
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -192,7 +193,7 @@ func TestPartitionAcrossWeightedConcurrentMatchesSequential(t *testing.T) {
 	cands := []partitionCandidate{
 		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes, new(affinityFill))), nil },
 		func() ([][]int, error) {
-			groups, err := spectralPartitionSized(m, identityIDs(m.Order()), sizes, nil, new(spectralScratch))
+			groups, err := spectralPartitionSized(m, identityIDs(m.Order()), sizes, nil, new(candidateSet))
 			if err != nil {
 				return nil, err
 			}
@@ -226,10 +227,11 @@ func TestSpectralCandidateSkippedOnPaddedMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded := equalPartitionCandidates(work, 30, 4, 8, nil)
-	exact := equalPartitionCandidates(work, 32, 4, 8, nil)
-	if len(exact) != len(padded)+1 {
-		t.Errorf("padded portfolio has %d candidates, exact %d; spectral must only join the exact one",
-			len(padded), len(exact))
+	padded := equalPortfolio(work, 30, 4, 8, nil)
+	exact := equalPortfolio(work, 32, 4, 8, nil)
+	if exact.n != padded.n+1 || slices.Contains(padded.candidates(), spectralCandidate) ||
+		exact.candidates()[exact.n-1] != spectralCandidate {
+		t.Errorf("padded portfolio %v, exact %v; spectral must only join the exact one, last",
+			padded.candidates(), exact.candidates())
 	}
 }

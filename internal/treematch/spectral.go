@@ -22,10 +22,10 @@ import (
 // below the sort's tie threshold.
 const fiedlerIters = 400
 
-// spectralScratch is the working memory of one spectral candidate, passed
-// down its recursion: the symmetrized adjacency and the power iteration's
-// vectors. Grow-only; the root level is the largest, so the levels below it
-// allocate nothing here.
+// spectralScratch is the spectral candidates' working memory, part of the
+// candidateSet passed down their recursion: the symmetrized adjacency and
+// the power iteration's vectors. Grow-only; the root level is the largest,
+// so the levels below it allocate nothing here.
 type spectralScratch struct {
 	adj comm.SymAdjacency
 	f64 []float64
@@ -151,9 +151,11 @@ func spectralOrder(m *comm.Matrix, sc *spectralScratch) []int {
 // touches it, and a happens-before edge orders each one after the last. The
 // scheduler's lookahead warms a job's memo (SpectralWarmer) before it closes
 // the job's ready channel, and the job's partition calls read it only after
-// receiving from that channel. Within those calls only the spectral
-// candidate's goroutine of one call touches it, and the portfolio's
-// WaitGroup orders one call's accesses before the next call's.
+// receiving from that channel. Within one call only the spectral candidate
+// touches it: on the calling goroutine when a Mapper runs the portfolio one
+// candidate after another, so program order ties one call to the next; on
+// that candidate's goroutine in the package functions, whose WaitGroup
+// orders one call's accesses before the next call's.
 type SpectralMemo struct {
 	m       *comm.Matrix
 	entries []spectralEntry
@@ -164,7 +166,7 @@ type spectralEntry struct{ ids, order []int }
 // SpectralWarmer computes root spectral orders ahead of the partition calls
 // that read them, reusing one scratch for every matrix it warms. The zero
 // value is ready.
-type SpectralWarmer struct{ sc spectralScratch }
+type SpectralWarmer struct{ cs candidateSet }
 
 // Warm puts the spectral order of the whole of m, the first order every
 // spectral candidate on m asks for, into memo, which binds to m. Orders
@@ -172,14 +174,14 @@ type SpectralWarmer struct{ sc spectralScratch }
 func (w *SpectralWarmer) Warm(memo *SpectralMemo, m *comm.Matrix) {
 	if m.Order() <= multilevelMinOrder {
 		// The identity subset induces m itself, so order cannot fail.
-		_, _ = memo.order(m, identityIDs(m.Order()), &w.sc)
+		_, _ = memo.order(m, identityIDs(m.Order()), &w.cs)
 	}
 }
 
 // order returns spectralOrder of the submatrix ids induce on m, from the
-// memo when it holds it (a nil memo always computes). Neither ids nor the
-// result may be modified afterwards.
-func (memo *SpectralMemo) order(m *comm.Matrix, ids []int, sc *spectralScratch) ([]int, error) {
+// memo when it holds it (a nil memo always computes), computing it in cs.
+// Neither ids nor the result may be modified afterwards.
+func (memo *SpectralMemo) order(m *comm.Matrix, ids []int, cs *candidateSet) ([]int, error) {
 	if memo != nil && memo.m == nil {
 		memo.m = m
 	}
@@ -191,24 +193,24 @@ func (memo *SpectralMemo) order(m *comm.Matrix, ids []int, sc *spectralScratch) 
 			}
 		}
 	}
-	sub, err := induced(m, ids)
+	sub, err := induced(m, ids, &cs.sub)
 	if err != nil {
 		return nil, err
 	}
-	order := spectralOrder(sub, sc)
+	order := spectralOrder(sub, &cs.spectral)
 	if use {
 		memo.entries = append(memo.entries, spectralEntry{ids, order})
 	}
 	return order, nil
 }
 
-// induced is the submatrix ids induce on m, or m itself when ids is
-// exactly 0..m.Order()-1.
-func induced(m *comm.Matrix, ids []int) (*comm.Matrix, error) {
+// induced is the submatrix ids induce on m, built into st (valid until st
+// is next used), or m itself when ids is exactly 0..m.Order()-1.
+func induced(m *comm.Matrix, ids []int, st *comm.Storage) (*comm.Matrix, error) {
 	if isIdentity(ids, m.Order()) {
 		return m, nil
 	}
-	return m.Submatrix(ids)
+	return m.SubmatrixIn(st, ids)
 }
 
 // splitByOrder deals ids in the given order: the first cut go to lo, the
@@ -228,29 +230,29 @@ func splitByOrder(ids, order []int, cut int) (lo, hi []int) {
 // spectralPartition is the spectral-bisection candidate of the equal-
 // capacity portfolio: recursively halve the entities at the Fiedler
 // median, falling back to direct grouping when a level's factor is odd.
-// len(ids) must be divisible by k.
-func spectralPartition(m *comm.Matrix, ids []int, k, passes int, memo *SpectralMemo, sc *spectralScratch) ([][]int, error) {
+// len(ids) must be divisible by k. It runs in cs.
+func spectralPartition(m *comm.Matrix, ids []int, k, passes int, memo *SpectralMemo, cs *candidateSet) ([][]int, error) {
 	if k == 1 {
 		return [][]int{append([]int(nil), ids...)}, nil
 	}
 	if k%2 != 0 {
 		// No even split available: group the remaining entities directly.
-		sub, err := induced(m, ids)
+		sub, err := induced(m, ids, &cs.sub)
 		if err != nil {
 			return nil, err
 		}
-		return relabel(GroupProcesses(sub, len(ids)/k, passes), ids), nil
+		return relabel(groupProcesses(sub, len(ids)/k, passes, &cs.fill), ids), nil
 	}
-	order, err := memo.order(m, ids, sc)
+	order, err := memo.order(m, ids, cs)
 	if err != nil {
 		return nil, err
 	}
 	lo, hi := splitByOrder(ids, order, len(ids)/2)
-	left, err := spectralPartition(m, lo, k/2, passes, memo, sc)
+	left, err := spectralPartition(m, lo, k/2, passes, memo, cs)
 	if err != nil {
 		return nil, err
 	}
-	right, err := spectralPartition(m, hi, k/2, passes, memo, sc)
+	right, err := spectralPartition(m, hi, k/2, passes, memo, cs)
 	if err != nil {
 		return nil, err
 	}
@@ -261,8 +263,8 @@ func spectralPartition(m *comm.Matrix, ids []int, k, passes int, memo *SpectralM
 // partitioner: recursively split the target-size list into two contiguous
 // runs of nearly equal total, and the entities at the matching Fiedler
 // rank. sizes[g] is the exact size group g must come out with; the group
-// order of the result matches the order of sizes.
-func spectralPartitionSized(m *comm.Matrix, ids []int, sizes []int, memo *SpectralMemo, sc *spectralScratch) ([][]int, error) {
+// order of the result matches the order of sizes. It runs in cs.
+func spectralPartitionSized(m *comm.Matrix, ids []int, sizes []int, memo *SpectralMemo, cs *candidateSet) ([][]int, error) {
 	if len(sizes) == 1 {
 		return [][]int{append([]int(nil), ids...)}, nil
 	}
@@ -280,16 +282,16 @@ func spectralPartitionSized(m *comm.Matrix, ids []int, sizes []int, memo *Spectr
 			bestGap, split, prefix = gap, g+1, run
 		}
 	}
-	order, err := memo.order(m, ids, sc)
+	order, err := memo.order(m, ids, cs)
 	if err != nil {
 		return nil, err
 	}
 	lo, hi := splitByOrder(ids, order, prefix)
-	left, err := spectralPartitionSized(m, lo, sizes[:split], memo, sc)
+	left, err := spectralPartitionSized(m, lo, sizes[:split], memo, cs)
 	if err != nil {
 		return nil, err
 	}
-	right, err := spectralPartitionSized(m, hi, sizes[split:], memo, sc)
+	right, err := spectralPartitionSized(m, hi, sizes[split:], memo, cs)
 	if err != nil {
 		return nil, err
 	}

@@ -229,11 +229,11 @@ func TestSpectralMemoMatchesFresh(t *testing.T) {
 	before := len(memo.entries)
 	for _, caps := range views {
 		sizes := weightedSizes(b.Order(), caps)
-		got, err := spectralPartitionSized(b, identityIDs(b.Order()), sizes, &memo, new(spectralScratch))
+		got, err := spectralPartitionSized(b, identityIDs(b.Order()), sizes, &memo, new(candidateSet))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := spectralPartitionSized(b, identityIDs(b.Order()), sizes, nil, new(spectralScratch))
+		want, err := spectralPartitionSized(b, identityIDs(b.Order()), sizes, nil, new(candidateSet))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestSpectralMemoMatchesFresh(t *testing.T) {
 func TestSpectralAllocs(t *testing.T) {
 	m := comm.Stencil2DSparse(4, 4, 64, 8)
 	run := func() {
-		if _, err := spectralPartitionSized(m, identityIDs(16), []int{5, 4, 4, 3}, nil, new(spectralScratch)); err != nil {
+		if _, err := spectralPartitionSized(m, identityIDs(16), []int{5, 4, 4, 3}, nil, new(candidateSet)); err != nil {
 			t.Fatal(err)
 		}
 	}

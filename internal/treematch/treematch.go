@@ -52,22 +52,26 @@ type Mapping struct {
 	Levels [][][]int
 }
 
-// Mapper runs Algorithm 1 and the distance matcher with a working set it
-// keeps from one call to the next: the padding view, every level's
-// aggregate, the greedy fill's tables and the leaf order, and
-// AssignByDistance's affinity, order, assignment and search tables. A worker
-// that maps many small matrices — placement.Hierarchical's pool maps one per
-// cluster node, the scheduler's placement.SlotMapper one per admitted job —
-// so allocates little beyond each result, and a result never shares the
+// Mapper runs Algorithm 1, the partition portfolio and the distance
+// matcher with a working set it keeps from one call to the next: the
+// padding view, the leaf order, one candidateSet (the greedy fill's tables,
+// the spectral scratch, the induced sub-matrices' and the aggregates'
+// storage, the crossing tables), and AssignByDistance's affinity, order,
+// assignment and search tables. A worker that maps many small matrices —
+// placement.Hierarchical's pool maps one per cluster node, the scheduler's
+// placement.SlotMapper partitions and maps one per admitted job — so
+// allocates little beyond each result, and a result never shares the
 // working set.
 // The zero value is ready; a Mapper must not be used by two goroutines at
 // once.
 type Mapper struct {
 	pad        comm.Storage
-	aggs       [2]comm.Storage // the aggregate over level l's groups is in aggs[l%2]
-	flat, next []int           // leaf order of the padded entities, double-buffered
-	fill       affinityFill
-	match      distanceSet
+	flat, next []int // leaf order of the padded entities, double-buffered
+	// Algorithm 1 groups each level in cand.fill and puts the aggregate
+	// over level l's groups in cand.aggs[l%2]; the portfolio's candidates
+	// run in all of it.
+	cand  candidateSet
+	match distanceSet
 }
 
 // MapMatrix runs the core of Algorithm 1 (lines 2–8): oversubscription
@@ -129,7 +133,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 	levels := make([][][]int, 0, work.Depth()-1)
 	for depth := work.Depth() - 1; depth >= 1; depth-- {
 		arity := work.Arity(depth - 1)
-		groups := groupProcesses(mat, arity, refinePasses(mat.Order()), &w.fill)
+		groups := groupProcesses(mat, arity, refinePasses(mat.Order()), &w.cand.fill)
 		levels = append(levels, groups)
 		q := 0
 		for _, g := range groups {
@@ -143,7 +147,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 			break // the root's aggregate is never read
 		}
 		var err error
-		mat, err = mat.AggregateIn(&w.aggs[len(levels)%2], groups)
+		mat, err = mat.AggregateIn(&w.cand.aggs[len(levels)%2], groups)
 		if err != nil {
 			return nil, err
 		}
