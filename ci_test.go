@@ -164,14 +164,16 @@ func TestAblateSameBytesOn386(t *testing.T) {
 // 12784 → 12759: the node layout is built once, by topology.NodeCores, and
 // placement, the scheduler, its capacity index and Platform stop rebuilding
 // it; three object→index maps read LevelIndex instead.
-// 12759 → 12814: the scheduler's levels 1 and 2 in the loop's working set —
-// the portfolio's candidates as named heuristics run in one candidateSet
-// (sequentially in a Mapper, each in a fresh set on its own goroutine in
-// the package functions), the crossing tables, the kept model block
-// matchGroupsIn shares with level 3, the capacity's free-list view and the
-// tier list built with the topology — net of the candidate closures, the
-// score list and the per-call model rows moved to the test oracle.
-const nonTestLineCeiling = 12814
+// 12759 → 12808: the scheduler's levels 1 and 2 in the loop's working set —
+// the portfolio's candidates as named heuristics run in a Mapper's kept
+// candidate sets (one after another below concurrentMinOrder, one
+// goroutine each from it on; a fresh Mapper's in the package functions),
+// the crossing tables, the kept model block matchGroupsIn shares with
+// level 3, the capacity's free-list view and the tier list built with the
+// topology — net of the candidate closures, the score list and the
+// per-call model rows moved to the test oracle, and of the PartitionAcross
+// and GroupProcesses wrappers.
+const nonTestLineCeiling = 12808
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as
@@ -218,8 +220,6 @@ var testOnlyAllowed = map[string]string{
 	"comm.Matrix.Equal":                  "the comparator every differential test reads its verdict from",
 	"comm.Matrix.Set":                    "writes one entry, explicit zeros included: how the oracles' tests build exact matrices",
 	"comm.Random":                        "the seeded random matrices the partitioners and their oracles are fuzzed on",
-	"treematch.GroupProcesses":           "Algorithm 1's grouping step in fresh memory: the portfolio oracle's direct candidate and the grouping tests call it",
-	"treematch.PartitionAcross":          "the equal-capacity cut PartitionAcrossWeighted runs for equal capacities, by the name the partition tests and docs use",
 	"experiment.Studies":                 "the study registry, held against the README and the Go benchmarks",
 	"experiment.AblationOrderings":       "the orderings each study test asserts on its rows",
 	"numasim.Machine.EdgeFaultFactor":    "reads back what ApplyFaultEvents made of an edge: degrades compound, a sever is 0",

@@ -276,7 +276,7 @@ func (m *Matrix) AggregateIn(st *Storage, groups [][]int) (*Matrix, error) {
 	// in 1 000 groups on a 2-vCPU host, against 11 ms with the groups
 	// sorted. The equal-capacity partitions take this path: with equal
 	// capacities, treematch.PartitionAcrossWeightedMatrix and
-	// placement.SlotMapper.Assign aggregate PartitionAcross's groups
+	// placement.SlotMapper.Assign aggregate the equal cut's groups
 	// unsorted (`ablate -exp all` makes 175 such calls, orders 6 to 64,
 	// most through placement.AssignFreeSlots). Sorting them there would
 	// reorder each cell's float sum and could move non-integer volumes.

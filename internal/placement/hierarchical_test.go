@@ -176,7 +176,7 @@ func TestPartitionAcross(t *testing.T) {
 		}
 	}
 	m.AddSym(3, 4, 1)
-	groups, err := treematch.PartitionAcross(m, 2, treematch.Options{})
+	groups, err := treematch.PartitionAcrossWeighted(m, []int{4, 4}, treematch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

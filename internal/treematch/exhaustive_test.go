@@ -25,7 +25,7 @@ const ExhaustiveLimit = 12
 // GroupProcessesOpt returns a partition of the p entities of m into p/a
 // groups of size a that maximizes the intra-group communication volume
 // exactly, via branch-and-bound over canonical partitions. It panics under
-// the same conditions as GroupProcesses. Exponential in p: callers must
+// the same conditions as groupProcesses. Exponential in p: callers must
 // keep p at or below ExhaustiveLimit (tests enforce the constant).
 func GroupProcessesOpt(m *comm.Matrix, a int) [][]int {
 	p := m.Order()
@@ -33,7 +33,7 @@ func GroupProcessesOpt(m *comm.Matrix, a int) [][]int {
 		panic("treematch: GroupProcessesOpt requires a > 0 dividing the matrix order")
 	}
 	if a == 1 || a == p {
-		return GroupProcesses(m, a, 0) // single valid shape
+		return groupProcesses(m, a, 0, new(affinityFill)) // single valid shape
 	}
 	// Pair affinity (both directions), precomputed.
 	aff := make([][]float64, p)
@@ -44,7 +44,7 @@ func GroupProcessesOpt(m *comm.Matrix, a int) [][]int {
 		}
 	}
 	// Start from the greedy solution as the incumbent bound.
-	best := GroupProcesses(m, a, 2)
+	best := groupProcesses(m, a, 2, new(affinityFill))
 	bestScore := intraVolume(m, best)
 
 	used := make([]bool, p)
@@ -174,7 +174,7 @@ func TestGreedyNearOptimal(t *testing.T) {
 		p := a * (ExhaustiveLimit / a) // <= ExhaustiveLimit
 		m := comm.Random(p, 0.7, 100, seed)
 		opt := intraVolume(m, GroupProcessesOpt(m, a))
-		heu := intraVolume(m, GroupProcesses(m, a, 2))
+		heu := intraVolume(m, groupProcesses(m, a, 2, new(affinityFill)))
 		if opt == 0 {
 			return heu == 0
 		}
@@ -230,7 +230,7 @@ func BenchmarkGroupProcessesGreedy(b *testing.B) {
 	m := comm.Random(ExhaustiveLimit, 0.7, 100, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GroupProcesses(m, 3, 2)
+		groupProcesses(m, 3, 2, new(affinityFill))
 	}
 }
 

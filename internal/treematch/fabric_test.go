@@ -110,7 +110,7 @@ func TestPartitionAcrossBalancedStreams(t *testing.T) {
 			}
 		}
 	}
-	groups, err := PartitionAcross(m, 4, Options{})
+	groups, err := partitionAcross(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,27 @@ type candidateSet struct {
 	cross    crossingTables
 }
 
+// maxCandidates bounds a portfolio's candidates.
+const maxCandidates = 5
+
+// candidateSets holds the sets a portfolio runs in: the first for its
+// candidates one after another, and one per candidate when they run at
+// once, made on the first such run, so a caller that only partitions small
+// matrices carries one set.
+type candidateSets struct {
+	first candidateSet
+	each  []candidateSet
+}
+
+// concurrentMinOrder is the matrix order from which the portfolio runs its
+// candidates on goroutines of their own. Below it the fan-out costs more
+// than it overlaps: on 2 vCPUs of an Intel Xeon the package partitioner
+// ties at order 24 (538 µs concurrent, 569 one after another), while at
+// order 32 the concurrent run is 22 % faster and at 256 it is 43 % faster.
+// The scheduler's jobs (2–16 tasks) stay below it; the fabric studies' and
+// Hierarchical's node-level cuts lie above it.
+const concurrentMinOrder = 32
+
 // portfolio is one partition problem and its candidates, in the fixed
 // order the best-pick breaks ties in.
 type portfolio struct {
@@ -48,7 +69,7 @@ type portfolio struct {
 	k, per int
 	sizes  []int
 	memo   *SpectralMemo
-	list   [5]candidate
+	list   [maxCandidates]candidate
 	n      int
 }
 
@@ -124,36 +145,26 @@ func (p *portfolio) evaluate(c candidate, cs *candidateSet) score {
 }
 
 // pick returns the winning candidate's groups, or the first error in
-// portfolio order. With a set the candidates run in it one after another
-// on the calling goroutine, each compared with the best so far as soon as
-// it is scored; nothing of a candidate's groups lives in the set, so
-// holding the best costs no copy. Without one every candidate runs on a
-// goroutine and in a set of its own first. Either way the comparisons are
-// the same, in portfolio order, so the winner is too.
-func (p *portfolio) pick(cs *candidateSet) ([][]int, error) {
-	cands := p.candidates()
+// portfolio order. Below concurrentMinOrder the candidates run one after
+// another in sets.first on the calling goroutine, each compared with the
+// best so far as soon as it is scored; from it on candidate i runs in
+// sets.each[i] on a goroutine of its own, and the scores are compared once
+// all are in.
+// Either way the comparisons are the same, in portfolio order, so the
+// winner is too; nothing of a candidate's groups lives in a set, so holding
+// the best costs no copy.
+func (p *portfolio) pick(sets *candidateSets) ([][]int, error) {
 	var scores []score
-	if cs == nil {
-		// The goroutines share a copy, so that p itself does not escape.
-		all, shared := make([]score, len(cands)), *p
-		var wg sync.WaitGroup
-		for i, c := range cands {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				all[i] = shared.evaluate(c, new(candidateSet))
-			}()
-		}
-		wg.Wait()
-		scores = all
+	if p.work.Order() >= concurrentMinOrder {
+		scores = p.evaluateAll(sets)
 	}
 	best := score{intra: -1}
-	for i, c := range cands {
+	for i, c := range p.candidates() {
 		var s score
-		if cs == nil {
+		if scores != nil {
 			s = scores[i]
 		} else {
-			s = p.evaluate(c, cs)
+			s = p.evaluate(c, &sets.first)
 		}
 		if s.err != nil {
 			return nil, s.err
@@ -165,15 +176,34 @@ func (p *portfolio) pick(cs *candidateSet) ([][]int, error) {
 	return best.groups, nil
 }
 
-// PartitionAcross partitions the entities of the matrix into k groups of
-// equal capacity ceil(p/k), minimizing the communication volume cut between
-// groups. This is the top stage of hierarchical two-level placement: the
-// groups become the per-cluster-node task sets, so the cut is exactly the
-// traffic that must cross the interconnect fabric. The matrix is padded with
-// zero-volume virtual entities up to k·ceil(p/k) internally; padding is
-// stripped from the result, so the last groups may come back smaller. Group
-// order is deterministic. No option changes the partition; opt.Spectral
-// only saves the spectral candidate work it has done before.
+// evaluateAll scores candidate i in sets.each[i], all at once, one
+// goroutine each. It works on a copy of the portfolio, so that the caller's
+// does not escape.
+func (p portfolio) evaluateAll(sets *candidateSets) []score {
+	scores := make([]score, p.n)
+	sets.each = grow(sets.each, maxCandidates)
+	var wg sync.WaitGroup
+	for i, c := range p.candidates() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scores[i] = p.evaluate(c, &sets.each[i])
+		}()
+	}
+	wg.Wait()
+	return scores
+}
+
+// partitionEqual is the equal-capacity cut: the entities of the matrix in
+// k ≥ 1 groups of capacity ceil(p/k), minimizing the communication volume
+// cut between groups. This is the top stage of hierarchical two-level
+// placement: the groups become the per-cluster-node task sets, so the cut
+// is exactly the traffic that must cross the interconnect fabric. The
+// matrix is padded with zero-volume virtual entities up to k·ceil(p/k) in
+// w's padding storage; padding is stripped from the result, so the last
+// groups may come back smaller. Group order is deterministic. No option
+// changes the partition; opt.Spectral only saves the spectral candidate
+// work it has done before.
 //
 // No single grouping heuristic wins on every task graph: greedy k-way
 // seeding snakes through lattices, recursive bisection commits to a split
@@ -185,22 +215,10 @@ func (p *portfolio) pick(cs *candidateSet) ([][]int, error) {
 // geometry-free candidate that finds the quadrant partitions of square
 // lattices, where the others stop at slab or center-block local optima) —
 // KL-refines each at the fine level, and keeps the one with the smallest
-// cut, measured exactly. The candidates are evaluated concurrently (one
-// goroutine and working set per candidate; each builds and refines its own
-// groups against the read-only matrix) and the winner is picked in fixed
-// portfolio order, so the result is bit-identical to a sequential
-// evaluation — the one Mapper.PartitionAcrossWeighted runs.
-func PartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
-	return partitionEqual(m, k, opt, nil, nil)
-}
-
-// partitionEqual is PartitionAcross with the padding view in pad and the
-// portfolio run in cs, one candidate after another. A nil pad is fresh
-// storage; a nil cs runs the candidates concurrently, each in a fresh set.
-func partitionEqual(m *comm.Matrix, k int, opt Options, pad *comm.Storage, cs *candidateSet) ([][]int, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("treematch: PartitionAcross needs at least 1 group, got %d", k)
-	}
+// cut, measured exactly. The candidates run in w's candidate sets — one
+// after another, or concurrently from concurrentMinOrder on (see pick) —
+// and the winner is picked in fixed portfolio order.
+func (w *Mapper) partitionEqual(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 	p := m.Order()
 	if p == 0 {
 		return make([][]int, k), nil
@@ -208,11 +226,8 @@ func partitionEqual(m *comm.Matrix, k int, opt Options, pad *comm.Storage, cs *c
 	per := (p + k - 1) / k
 	work := m
 	if per*k > p {
-		if pad == nil {
-			pad = new(comm.Storage)
-		}
 		var err error
-		if work, err = m.PadView(pad, per*k); err != nil {
+		if work, err = m.PadView(&w.pad, per*k); err != nil {
 			return nil, err
 		}
 	}
@@ -223,10 +238,10 @@ func partitionEqual(m *comm.Matrix, k int, opt Options, pad *comm.Storage, cs *c
 		// superlinear in the order; above the threshold the multilevel
 		// coarsening driver takes over. Below it nothing changes, keeping
 		// every pre-existing shape bit-identical.
-		best, err = multilevelPartition(work, k, per)
+		best, err = multilevelPartition(work, k, per, &w.cand)
 	} else {
 		pf := equalPortfolio(work, p, k, per, opt.Spectral)
-		best, err = pf.pick(cs)
+		best, err = pf.pick(&w.cand)
 	}
 	if err != nil {
 		return nil, err
@@ -323,27 +338,20 @@ func identityIDs(n int) []int {
 // heterogeneous platforms: caps[g] is the core count of the cluster node
 // group g is destined for, so an 8-core node receives twice the tasks of a
 // 4-core node instead of the equal share that would oversubscribe the small
-// node. With equal capacities it is exactly PartitionAcross, candidate
-// portfolio included. Group order is deterministic and positional: group g
-// always carries the size derived from caps[g].
+// node. With equal capacities it is the equal cut of partitionEqual,
+// candidate portfolio included. Group order is deterministic and
+// positional: group g always carries the size derived from caps[g]. It runs
+// in a fresh Mapper.
 func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
-	return partitionWeighted(m, caps, opt, nil, nil)
+	return new(Mapper).PartitionAcrossWeighted(m, caps, opt)
 }
 
 // PartitionAcrossWeighted is the package's PartitionAcrossWeighted, equal
 // capacities included, in the mapper's working set: the padding view, and
-// one candidateSet the portfolio's candidates run in one after another, on
-// the calling goroutine. The candidates, their order, their refinement and
-// their use of opt.Spectral are the package function's, and so is every
-// group; above multilevelMinOrder the multilevel driver runs as it does
-// there. The result is the caller's.
+// the candidate sets the portfolio runs in (see pick). A Mapper kept
+// between calls allocates little beyond the groups it returns, which are
+// the caller's.
 func (w *Mapper) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
-	return partitionWeighted(m, caps, opt, &w.pad, &w.cand)
-}
-
-// partitionWeighted is PartitionAcrossWeighted with pad and cs as in
-// partitionEqual.
-func partitionWeighted(m *comm.Matrix, caps []int, opt Options, pad *comm.Storage, cs *candidateSet) ([][]int, error) {
 	k := len(caps)
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcrossWeighted needs at least 1 capacity, got %d", k)
@@ -358,7 +366,7 @@ func partitionWeighted(m *comm.Matrix, caps []int, opt Options, pad *comm.Storag
 		}
 	}
 	if equal {
-		return partitionEqual(m, k, opt, pad, cs)
+		return w.partitionEqual(m, k, opt)
 	}
 	p := m.Order()
 	if p == 0 {
@@ -369,7 +377,7 @@ func partitionWeighted(m *comm.Matrix, caps []int, opt Options, pad *comm.Storag
 	if p > multilevelMinOrder {
 		// Large instance: greedy seeding plus boundary-only refinement; the
 		// full-KL portfolio below is unaffordable at this order.
-		best = greedySizedGroups(m, sizes, new(affinityFill))
+		best = greedySizedGroups(m, sizes, &w.cand.first.fill)
 		if k > 1 {
 			refineGroupsBoundary(m, best, partitionRefinePasses)
 		}
@@ -378,7 +386,7 @@ func partitionWeighted(m *comm.Matrix, caps []int, opt Options, pad *comm.Storag
 		pf.add(greedySizedCandidate)
 		pf.add(spectralSizedCandidate)
 		var err error
-		if best, err = pf.pick(cs); err != nil {
+		if best, err = pf.pick(&w.cand); err != nil {
 			return nil, err
 		}
 	}
@@ -726,7 +734,7 @@ func coarsenPartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int,
 	return expand(groupProcesses(mat, mat.Order()/k, passes, &cs.fill), cover), nil
 }
 
-// GroupProcesses partitions the p entities of the matrix into p/a groups of
+// groupProcesses partitions the p entities of the matrix into p/a groups of
 // exactly a entities each, trying to maximize the communication volume kept
 // inside groups (equivalently, to minimize the volume cut between groups).
 // This is the GroupProcesses step of Algorithm 1: the groups formed at one
@@ -739,11 +747,7 @@ func coarsenPartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int,
 // lowest entity index. The refinement walks neighbour lists, so its cost
 // follows the nonzeros and the group pairs that share an edge, not p²·a; the
 // swaps are exactly those of the dense loop it replaced (see refineGroups).
-func GroupProcesses(m *comm.Matrix, a int, refinePasses int) [][]int {
-	return groupProcesses(m, a, refinePasses, new(affinityFill))
-}
-
-// groupProcesses is GroupProcesses in the greedy fill's memory f.
+// The greedy fill runs in f's memory.
 func groupProcesses(m *comm.Matrix, a int, refinePasses int, f *affinityFill) [][]int {
 	p := m.Order()
 	if a <= 0 || p%a != 0 {
@@ -779,7 +783,7 @@ func (f *affinityFill) uniform(m *comm.Matrix, a, k int) [][]int {
 // symmetrized adjacency plus one int32 and one float64 block the kernel carves
 // its tables from. Grow-only and kept between calls, because the scheduler's
 // admission path refines thousands of order-10 partitions per second and the
-// partition portfolio refines its candidates concurrently.
+// per-node pool of placement.Hierarchical refines on several goroutines at once.
 type refineScratch struct {
 	adj comm.SymAdjacency
 	i32 []int32

@@ -47,7 +47,7 @@ func mapMatrixOracle(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 	var levels [][][]int
 	for depth := work.Depth() - 1; depth >= 1; depth-- {
 		arity := work.Arity(depth - 1)
-		groups := GroupProcesses(mat, arity, refinePasses(mat.Order()))
+		groups := groupProcesses(mat, arity, refinePasses(mat.Order()), new(affinityFill))
 		levels = append(levels, groups)
 		cur = expand(groups, cur)
 		var err error

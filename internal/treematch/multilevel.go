@@ -10,9 +10,10 @@ import (
 	"repro/internal/comm"
 )
 
-// Multilevel outer driver of PartitionAcross. Above multilevelMinOrder the
-// candidate portfolio is unaffordable — greedy fill, KL refinement and the
-// spectral iteration are all superlinear in the fine order — so the
+// Multilevel outer driver of the equal-capacity cut (partitionEqual). Above
+// multilevelMinOrder the candidate portfolio is unaffordable — greedy fill,
+// KL refinement and the spectral iteration are all superlinear in the fine
+// order — so the
 // partitioner switches to the classic multilevel scheme instead: coarsen the
 // graph by heavy-edge matching until groups would hold at most
 // coarsePerTarget coarse vertices, partition the coarse graph (with the full
@@ -25,7 +26,7 @@ import (
 // ties break towards lower indices or earlier portfolio/cut positions, and
 // no map iteration order ever reaches a result.
 const (
-	// multilevelMinOrder is the padded order above which PartitionAcross
+	// multilevelMinOrder is the padded order above which partitionEqual
 	// switches from the candidate portfolio to the multilevel driver. All
 	// pre-existing test shapes sit far below it, so their partitions are
 	// unchanged bit for bit.
@@ -48,9 +49,9 @@ const (
 // multilevelPartition partitions the (padded) matrix into k groups of
 // exactly per entities. Requires per·k == work.Order(). Groups come back
 // sorted. The affinity matrix is assumed symmetric (the padded matrices
-// PartitionAcross builds are; refinement quality, not correctness, would
-// suffer otherwise).
-func multilevelPartition(work *comm.Matrix, k, per int) ([][]int, error) {
+// partitionEqual builds are; refinement quality, not correctness, would
+// suffer otherwise). The coarse portfolio runs in sets.
+func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([][]int, error) {
 	passes := partitionRefinePasses
 
 	// Coarsening: heavy-edge perfect matchings keep every coarse vertex at
@@ -79,7 +80,7 @@ func multilevelPartition(work *comm.Matrix, k, per int) ([][]int, error) {
 	if mat.Order() <= coarsePortfolioMax {
 		var err error
 		pf := equalPortfolio(mat, mat.Order(), k, perCur, nil)
-		if groups, err = pf.pick(nil); err != nil {
+		if groups, err = pf.pick(sets); err != nil {
 			return nil, err
 		}
 	} else {

@@ -34,7 +34,7 @@ func partitionShapes() []struct {
 }
 
 // TestGreedyFillMatchesScanEqualPadded holds the greedy fill to the scan on
-// the sizes PartitionAcross seeds with: k equal groups over the zero-padded
+// the sizes the equal cut seeds with: k equal groups over the zero-padded
 // matrix.
 func TestGreedyFillMatchesScanEqualPadded(t *testing.T) {
 	for _, sh := range partitionShapes() {
@@ -58,7 +58,7 @@ func TestGreedyFillMatchesScanWeighted(t *testing.T) {
 }
 
 // TestGreedyFillMatchesScanGroupsAndAggregates is the same check on
-// GroupProcesses' groups of a, and on the aggregated matrix they induce,
+// groupProcesses' groups of a, and on the aggregated matrix they induce,
 // whose diagonal carries the intra-group volume. Summing non-integer volumes
 // in another order leaves some aggregates' cells (a,b) and (b,a) a rounding
 // apart: the fill walks their symmetrised adjacency, and the test fails
@@ -76,7 +76,7 @@ func TestGreedyFillMatchesScanGroupsAndAggregates(t *testing.T) {
 			if p/a%2 != 0 {
 				continue
 			}
-			agg, err := sh.m.Aggregate(GroupProcesses(sh.m, a, 2))
+			agg, err := sh.m.Aggregate(groupProcesses(sh.m, a, 2, new(affinityFill)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,13 +119,13 @@ func checkPartitionInvariants(t *testing.T, groups [][]int, p int, sizes []int) 
 	}
 }
 
-// TestMultilevelPartitionInvariants drives PartitionAcross above the
+// TestMultilevelPartitionInvariants drives the equal cut above the
 // multilevel threshold and checks exact cover, equal sizes, determinism,
 // and that the cut beats a strided baseline on a lattice.
 func TestMultilevelPartitionInvariants(t *testing.T) {
 	m := comm.Stencil2DSparse(80, 80, 64, 8) // 6400 > multilevelMinOrder
 	const k = 8
-	groups, err := PartitionAcross(m, k, Options{})
+	groups, err := partitionAcross(m, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMultilevelPartitionInvariants(t *testing.T) {
 	}
 	checkPartitionInvariants(t, groups, 6400, sizes)
 
-	again, err := PartitionAcross(m, k, Options{})
+	again, err := partitionAcross(m, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMultilevelPartitionOddPerStopsCoarsening(t *testing.T) {
 	// driver must go straight to greedy seeding + boundary refinement.
 	m := comm.RandomSparse(5000, 4, 100, 3)
 	const k = 8
-	groups, err := PartitionAcross(m, k, Options{})
+	groups, err := partitionAcross(m, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkPartitionAcrossSparse(b *testing.B) {
 		m := comm.Stencil2DSparse(side, side, 64, 8)
 		b.Run(fmt.Sprintf("order%d", side*side), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := PartitionAcross(m, 8, Options{}); err != nil {
+				if _, err := partitionAcross(m, 8, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,13 +13,17 @@ import (
 )
 
 // The partition portfolio as it stood before a Mapper ran it in a kept
-// working set: one closure per candidate, every candidate evaluated (on a
-// goroutine of its own, or one by one) in fresh memory, all scores collected
-// and the winner picked over the whole list. oraclePartitionAcross and
-// oraclePartitionAcrossWeighted drive it exactly as PartitionAcross and
-// PartitionAcrossWeighted did; it is the oracle Mapper.PartitionAcrossWeighted
-// and the package functions must match group for group, member order
-// included.
+// working set: one closure per candidate, every candidate evaluated on a
+// goroutine of its own (or one by one), all scores collected and the winner
+// picked over the whole list. The candidates are the bodies they had then,
+// in fresh memory at every step: every induced sub-matrix and aggregate is
+// built anew, every grouping gets a fresh greedy fill and every spectral
+// order a fresh scratch, so no reuse of a candidateSet's storage inside a
+// candidate is shared with the production path. The spectral memo only
+// saves work, so the oracle computes every order. oraclePartitionAcross
+// and oraclePartitionAcrossWeighted drive the portfolio as PartitionAcross
+// and PartitionAcrossWeighted did; Mapper.PartitionAcrossWeighted and the
+// package function must match them group for group, member order included.
 
 // partitionCandidate is one deterministic grouping heuristic of the
 // portfolio, KL refinement included: it builds its groups from scratch on
@@ -90,62 +94,204 @@ func pickPartition(scored []scoredPartition) ([][]int, error) {
 	return best, nil
 }
 
-// equalPartitionCandidates assembles the equal-capacity portfolio in its
-// fixed order, each candidate in fresh memory. orig is the unpadded entity
-// count; memo (may be nil) serves the spectral candidate's orders.
-func equalPartitionCandidates(work *comm.Matrix, orig, k, per int, memo *SpectralMemo) []partitionCandidate {
-	passes := partitionRefinePasses
-	refine := func(groups [][]int) [][]int {
-		if k > 1 && per > 1 {
-			refineGroups(work, groups, passes)
-		}
-		return groups
+// oracleGroup is Algorithm 1's grouping step in a fresh greedy fill.
+func oracleGroup(m *comm.Matrix, a, passes int) [][]int {
+	return groupProcesses(m, a, passes, new(affinityFill))
+}
+
+// oracleInduced is the sub-matrix ids induce on m in fresh storage, or m
+// itself when ids is 0..m.Order()-1.
+func oracleInduced(m *comm.Matrix, ids []int) (*comm.Matrix, error) {
+	if isIdentity(ids, m.Order()) {
+		return m, nil
 	}
-	p := work.Order()
-	cands := []partitionCandidate{
-		func() ([][]int, error) { return refine(GroupProcesses(work, per, 0)), nil },
+	return m.Submatrix(ids)
+}
+
+// oracleBisect is the recursive-bisection candidate: k equal groups of ids
+// by bisecting the sub-matrix they induce; odd factors group directly.
+func oracleBisect(m *comm.Matrix, ids []int, k, passes int) ([][]int, error) {
+	if k == 1 {
+		return [][]int{ids}, nil
 	}
+	sub, err := oracleInduced(m, ids)
+	if err != nil {
+		return nil, err
+	}
+	split := k
 	if k%2 == 0 {
-		cands = append(cands, func() ([][]int, error) {
-			groups, err := bisectPartition(work, identityIDs(p), k, passes, new(candidateSet))
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		})
+		split = 2
 	}
-	cands = append(cands, func() ([][]int, error) {
-		groups, err := coarsenPartition(work, k, passes, new(candidateSet))
+	local := relabel(oracleGroup(sub, len(ids)/split, passes), ids)
+	if split == k {
+		return local, nil
+	}
+	var out [][]int
+	for _, half := range local {
+		deeper, err := oracleBisect(m, half, k/2, passes)
 		if err != nil {
 			return nil, err
 		}
-		return refine(groups), nil
-	})
+		out = append(out, deeper...)
+	}
+	return out, nil
+}
+
+// oracleMergeFine is the split-finer-then-merge candidate: 2k fine groups,
+// aggregated, paired by affinity.
+func oracleMergeFine(m *comm.Matrix, k, passes int) ([][]int, error) {
+	fine := oracleGroup(m, m.Order()/(2*k), passes)
+	agg, err := m.Aggregate(fine)
+	if err != nil {
+		return nil, err
+	}
+	return expand(oracleGroup(agg, 2, passes), fine), nil
+}
+
+// oracleCoarsen is the coarsening candidate: pair and aggregate until the
+// coarse order is within 4k, partition the coarse graph and expand.
+func oracleCoarsen(m *comm.Matrix, k, passes int) ([][]int, error) {
+	cover := make([][]int, m.Order())
+	for i := range cover {
+		cover[i] = []int{i}
+	}
+	mat := m
+	for mat.Order() > 4*k && mat.Order()%2 == 0 && (mat.Order()/2)%k == 0 {
+		pairs := oracleGroup(mat, 2, passes)
+		var err error
+		if mat, err = mat.Aggregate(pairs); err != nil {
+			return nil, err
+		}
+		cover = expand(pairs, cover)
+	}
+	return expand(oracleGroup(mat, mat.Order()/k, passes), cover), nil
+}
+
+// oracleSpectralOrder is the Fiedler order of the sub-matrix ids induce.
+func oracleSpectralOrder(m *comm.Matrix, ids []int) ([]int, error) {
+	sub, err := oracleInduced(m, ids)
+	if err != nil {
+		return nil, err
+	}
+	return spectralOrder(sub, new(spectralScratch)), nil
+}
+
+// oracleSpectral is the spectral-bisection candidate: halve ids at the
+// Fiedler median, grouping directly when a level's factor is odd.
+func oracleSpectral(m *comm.Matrix, ids []int, k, passes int) ([][]int, error) {
+	if k == 1 {
+		return [][]int{append([]int(nil), ids...)}, nil
+	}
+	if k%2 != 0 {
+		sub, err := oracleInduced(m, ids)
+		if err != nil {
+			return nil, err
+		}
+		return relabel(oracleGroup(sub, len(ids)/k, passes), ids), nil
+	}
+	order, err := oracleSpectralOrder(m, ids)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := splitByOrder(ids, order, len(ids)/2)
+	left, err := oracleSpectral(m, lo, k/2, passes)
+	if err != nil {
+		return nil, err
+	}
+	right, err := oracleSpectral(m, hi, k/2, passes)
+	if err != nil {
+		return nil, err
+	}
+	return append(left, right...), nil
+}
+
+// oracleSpectralSized is the capacity-weighted spectral candidate: split
+// the size list where its prefix total is closest to half, and ids at the
+// matching Fiedler rank.
+func oracleSpectralSized(m *comm.Matrix, ids, sizes []int) ([][]int, error) {
+	if len(sizes) == 1 {
+		return [][]int{append([]int(nil), ids...)}, nil
+	}
+	total := 0
+	for _, s := range sizes {
+		total += s
+	}
+	split, prefix, bestGap := 1, sizes[0], math.Inf(1)
+	run := 0
+	for g := 0; g < len(sizes)-1; g++ {
+		run += sizes[g]
+		if gap := math.Abs(float64(2*run - total)); gap < bestGap {
+			bestGap, split, prefix = gap, g+1, run
+		}
+	}
+	order, err := oracleSpectralOrder(m, ids)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := splitByOrder(ids, order, prefix)
+	left, err := oracleSpectralSized(m, lo, sizes[:split])
+	if err != nil {
+		return nil, err
+	}
+	right, err := oracleSpectralSized(m, hi, sizes[split:])
+	if err != nil {
+		return nil, err
+	}
+	return append(left, right...), nil
+}
+
+// equalPartitionCandidates assembles the equal-capacity portfolio in its
+// fixed order. orig is the unpadded entity count.
+func equalPartitionCandidates(work *comm.Matrix, orig, k, per int) []partitionCandidate {
+	passes := partitionRefinePasses
+	refined := func(groups [][]int, err error) ([][]int, error) {
+		if err != nil {
+			return nil, err
+		}
+		if k > 1 && per > 1 {
+			refineGroups(work, groups, passes)
+		}
+		return groups, nil
+	}
+	p := work.Order()
+	cands := []partitionCandidate{
+		func() ([][]int, error) { return refined(oracleGroup(work, per, 0), nil) },
+	}
+	if k%2 == 0 {
+		cands = append(cands, func() ([][]int, error) { return refined(oracleBisect(work, identityIDs(p), k, passes)) })
+	}
+	cands = append(cands, func() ([][]int, error) { return refined(oracleCoarsen(work, k, passes)) })
 	if k > 1 && per%2 == 0 && per > 1 {
-		cands = append(cands, func() ([][]int, error) {
-			groups, err := mergeFinePartition(work, k, passes, new(candidateSet))
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		})
+		cands = append(cands, func() ([][]int, error) { return refined(oracleMergeFine(work, k, passes)) })
 	}
 	if k%2 == 0 && per*k == orig && per > 1 {
-		cands = append(cands, func() ([][]int, error) {
-			groups, err := spectralPartition(work, identityIDs(p), k, passes, memo, new(candidateSet))
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		})
+		cands = append(cands, func() ([][]int, error) { return refined(oracleSpectral(work, identityIDs(p), k, passes)) })
 	}
 	return cands
+}
+
+// weightedPartitionCandidates assembles the capacity-weighted portfolio:
+// the greedy fill, then the spectral split, each refined.
+func weightedPartitionCandidates(m *comm.Matrix, sizes []int) []partitionCandidate {
+	refined := func(groups [][]int, err error) ([][]int, error) {
+		if err != nil {
+			return nil, err
+		}
+		if len(sizes) > 1 {
+			refineGroups(m, groups, partitionRefinePasses)
+		}
+		return groups, nil
+	}
+	return []partitionCandidate{
+		func() ([][]int, error) { return refined(greedySizedGroups(m, sizes, new(affinityFill)), nil) },
+		func() ([][]int, error) { return refined(oracleSpectralSized(m, identityIDs(m.Order()), sizes)) },
+	}
 }
 
 // oraclePartitionAcross is PartitionAcross as it stood: fresh padding, the
 // concurrent portfolio (or the multilevel driver), padding stripped by
 // appending.
-func oraclePartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
+func oraclePartitionAcross(m *comm.Matrix, k int) ([][]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcross needs at least 1 group, got %d", k)
 	}
@@ -165,9 +311,9 @@ func oraclePartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) 
 	var best [][]int
 	var err error
 	if work.Order() > multilevelMinOrder {
-		best, err = multilevelPartition(work, k, per)
+		best, err = multilevelPartition(work, k, per, new(candidateSets))
 	} else {
-		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per, opt.Spectral), true))
+		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per), true))
 	}
 	if err != nil {
 		return nil, err
@@ -184,7 +330,7 @@ func oraclePartitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) 
 }
 
 // oraclePartitionAcrossWeighted is PartitionAcrossWeighted as it stood.
-func oraclePartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
+func oraclePartitionAcrossWeighted(m *comm.Matrix, caps []int) ([][]int, error) {
 	k := len(caps)
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcrossWeighted needs at least 1 capacity, got %d", k)
@@ -199,43 +345,24 @@ func oraclePartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][
 		}
 	}
 	if equal {
-		return oraclePartitionAcross(m, k, opt)
+		return oraclePartitionAcross(m, k)
 	}
 	p := m.Order()
 	if p == 0 {
 		return make([][]int, k), nil
 	}
 	sizes := weightedSizes(p, caps)
-	passes := partitionRefinePasses
+	var best [][]int
 	if p > multilevelMinOrder {
-		groups := greedySizedGroups(m, sizes, new(affinityFill))
+		best = greedySizedGroups(m, sizes, new(affinityFill))
 		if k > 1 {
-			refineGroupsBoundary(m, groups, passes)
+			refineGroupsBoundary(m, best, partitionRefinePasses)
 		}
-		for _, g := range groups {
-			slices.Sort(g)
+	} else {
+		var err error
+		if best, err = pickPartition(evalPartitionCandidates(m, weightedPartitionCandidates(m, sizes), true)); err != nil {
+			return nil, err
 		}
-		return groups, nil
-	}
-	refine := func(groups [][]int) [][]int {
-		if k > 1 {
-			refineGroups(m, groups, passes)
-		}
-		return groups
-	}
-	cands := []partitionCandidate{
-		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes, new(affinityFill))), nil },
-		func() ([][]int, error) {
-			groups, err := spectralPartitionSized(m, identityIDs(p), sizes, opt.Spectral, new(candidateSet))
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		},
-	}
-	best, err := pickPartition(evalPartitionCandidates(m, cands, true))
-	if err != nil {
-		return nil, err
 	}
 	for _, g := range best {
 		slices.Sort(g)
@@ -270,7 +397,8 @@ type partitionCase struct {
 
 // partitionCases covers equal and mixed capacities, padded and exact
 // equal splits, odd and even group counts, symmetric and asymmetric,
-// lattice, ring and random matrices, and the degenerate orders.
+// lattice, ring and random matrices, orders on both sides of
+// concurrentMinOrder, and the degenerate orders.
 func partitionCases() []partitionCase {
 	asym := comm.RandomSparse(14, 3, 50, 9)
 	asym.Add(0, 5, 7) // one direction only
@@ -291,12 +419,14 @@ func partitionCases() []partitionCase {
 		{"empty", comm.New(0), []int{4, 2}, false},
 		{"stencil8x2-k8", comm.Stencil2DSparse(8, 2, 4096, 512), []int{2, 2, 2, 2, 2, 2, 2, 2}, true},
 		{"random24-8+4+4", comm.Random(24, 0.5, 2048, 3), []int{8, 4, 4}, true},
+		{"random40-8+4+4-concurrent", comm.Random(40, 0.3, 2048, 4), []int{8, 4, 4}, true},
 	}
 }
 
 // requirePartitionOracle fails unless w partitions c as the oracle does, and
-// returns the groups. With memo set both sides get a memo of their own (the
-// Mapper's one kept across its calls on c.m, given), and must still match.
+// returns the groups. With c.memo set the Mapper reads and fills memo, kept
+// across its calls on c.m, and must still match the oracle, which computes
+// every spectral order.
 func requirePartitionOracle(t *testing.T, w *Mapper, c partitionCase, memo *SpectralMemo, st *comm.Storage) [][]int {
 	t.Helper()
 	var opt Options
@@ -307,11 +437,7 @@ func requirePartitionOracle(t *testing.T, w *Mapper, c partitionCase, memo *Spec
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	var oracleOpt Options
-	if c.memo {
-		oracleOpt.Spectral = new(SpectralMemo)
-	}
-	want, err := oraclePartitionAcrossWeighted(c.m, c.caps, oracleOpt)
+	want, err := oraclePartitionAcrossWeighted(c.m, c.caps)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", c.name, err)
 	}
@@ -368,7 +494,7 @@ func TestMapperPartitionMatchesOracle(t *testing.T) {
 		}
 	}
 	for i, c := range cases {
-		want, err := oraclePartitionAcrossWeighted(c.m, c.caps, Options{})
+		want, err := oraclePartitionAcrossWeighted(c.m, c.caps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,23 +504,28 @@ func TestMapperPartitionMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestMapperPartitionAllocs pins a warmed Mapper's portfolio: the 4×3
-// stencil split 8 + 6 that TestSlotMapperAllocs' two-node case partitions,
-// and a 16-task 2 + 2 + 4 + 8 split with the spectral memo warm. The
-// package function, one fresh set per candidate, makes 40 and 42
-// allocations (44 and 46 when every step took fresh memory); what remains
-// here is the group sizes, each candidate's groups and the spectral
-// recursion's id lists, none of which the set holds.
+// TestMapperPartitionAllocs pins a warmed Mapper's portfolio and the
+// package function's, which runs on a fresh Mapper: the 4×3 stencil split
+// 8 + 6 that TestSlotMapperAllocs' two-node case partitions and a 16-task
+// 2 + 2 + 4 + 8 split with the spectral memo warm, both run one candidate
+// after another, and the 8×8 lattice into 4, whose candidates run
+// concurrently, each in its own kept set. What remains warmed is the group
+// sizes, each candidate's groups, the spectral recursion's id lists and the
+// goroutines, none of which a set holds; the package function also grows
+// the fresh sets, and makes the concurrent ones. Before the sets, the package function made 44, 46 and
+// 440 allocations. The counts are amd64's; 386 makes as many for the first
+// two and 223 / 317 for the lattice.
 func TestMapperPartitionAllocs(t *testing.T) {
 	for _, pin := range []struct {
-		name string
-		m    *comm.Matrix
-		caps []int
-		memo bool
-		most float64
+		name        string
+		m           *comm.Matrix
+		caps        []int
+		memo        bool
+		most, fresh float64
 	}{
-		{"stencil4x3-8+6", comm.Stencil2DSparse(4, 3, 4096, 512), []int{8, 6}, false, 15},
-		{"stencil4x4-2+2+4+8-memo", comm.Stencil2DSparse(4, 4, 4096, 512), []int{2, 2, 4, 8}, true, 23},
+		{"stencil4x3-8+6", comm.Stencil2DSparse(4, 3, 4096, 512), []int{8, 6}, false, 15, 33},
+		{"stencil4x4-2+2+4+8-memo", comm.Stencil2DSparse(4, 4, 4096, 512), []int{2, 2, 4, 8}, true, 23, 35},
+		{"lattice8x8-k4-concurrent", comm.Stencil2DSparse(8, 8, 100, 0), []int{16, 16, 16, 16}, false, 255, 349},
 	} {
 		var w Mapper
 		var opt Options
@@ -413,9 +544,12 @@ func TestMapperPartitionAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocations warmed, %.0f in fresh sets", pin.name, allocs, fresh)
+		t.Logf("%s: %.0f allocations warmed, %.0f on a fresh Mapper", pin.name, allocs, fresh)
 		if allocs > pin.most {
 			t.Errorf("%s: %.0f allocations per warmed call, want <= %.0f", pin.name, allocs, pin.most)
+		}
+		if fresh > pin.fresh {
+			t.Errorf("%s: %.0f allocations per package call, want <= %.0f", pin.name, fresh, pin.fresh)
 		}
 	}
 }

@@ -10,6 +10,12 @@ import (
 	"repro/internal/topology"
 )
 
+// partitionAcross is the equal-capacity cut through the package entrance:
+// PartitionAcrossWeighted over k equal capacities.
+func partitionAcross(m *comm.Matrix, k int, opt Options) ([][]int, error) {
+	return PartitionAcrossWeighted(m, slices.Repeat([]int{1}, k), opt)
+}
+
 func TestNodeSubtree(t *testing.T) {
 	topo, err := topology.FromSpec("node:4 pack:2 core:8")
 	if err != nil {
@@ -66,7 +72,7 @@ func TestPartitionAcrossLattice(t *testing.T) {
 	// 12 edges (4 vertical 2x4 stripes). The portfolio partitioner must
 	// find a 12-edge cut.
 	m := comm.Stencil2DSparse(8, 4, 1000, 0)
-	groups, err := PartitionAcross(m, 4, Options{})
+	groups, err := partitionAcross(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +92,7 @@ func TestPartitionAcrossLattice(t *testing.T) {
 func TestPartitionAcrossUnevenOrder(t *testing.T) {
 	// 10 entities across 4 groups: capacity ceil(10/4)=3, padding stripped.
 	m := comm.Ring(10, 100)
-	groups, err := PartitionAcross(m, 4, Options{})
+	groups, err := partitionAcross(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,26 +119,27 @@ func TestPartitionAcrossUnevenOrder(t *testing.T) {
 }
 
 func TestPartitionAcrossDegenerate(t *testing.T) {
-	if _, err := PartitionAcross(comm.New(4), 0, Options{}); err == nil {
+	if _, err := partitionAcross(comm.New(4), 0, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	groups, err := PartitionAcross(comm.New(0), 3, Options{})
+	groups, err := partitionAcross(comm.New(0), 3, Options{})
 	if err != nil || len(groups) != 3 {
 		t.Errorf("empty matrix: groups=%v err=%v", groups, err)
 	}
 	// k=1: everything in one group.
-	groups, err = PartitionAcross(comm.Ring(5, 10), 1, Options{})
+	groups, err = partitionAcross(comm.Ring(5, 10), 1, Options{})
 	if err != nil || len(groups) != 1 || len(groups[0]) != 5 {
 		t.Errorf("k=1: groups=%v err=%v", groups, err)
 	}
 }
 
-// TestPartitionAcrossConcurrentMatchesSequential pins that the concurrent
-// candidate-portfolio evaluation is bit-identical to a sequential pass over
-// the same portfolio: the candidates are independent and the best-pick runs
-// in fixed candidate order, so parallelism must not be observable in the
-// result. (PartitionAcross evaluates concurrently; the sequential arm here
-// drives the identical portfolio through the same scorer one by one.)
+// TestPartitionAcrossConcurrentMatchesSequential pins that the oracle's
+// portfolio evaluated one candidate after another, the same evaluated one
+// goroutine per candidate, and the package function — one after another
+// below concurrentMinOrder, concurrently from it, so the orders here fall
+// on both sides — are bit-identical: the candidates are independent and
+// the best-pick runs in fixed candidate order, so parallelism must not be
+// observable in the result.
 func TestPartitionAcrossConcurrentMatchesSequential(t *testing.T) {
 	matrices := map[string]*comm.Matrix{
 		"lattice8x8": comm.Stencil2DSparse(8, 8, 100, 0),
@@ -152,67 +159,66 @@ func TestPartitionAcrossConcurrentMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			seq, err := pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, m.Order(), k, per, nil), false))
-			if err != nil {
-				t.Fatalf("%s k=%d sequential: %v", name, k, err)
-			}
-			conc, err := PartitionAcross(m, k, Options{})
+			conc, err := pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, m.Order(), k, per), true))
 			if err != nil {
 				t.Fatalf("%s k=%d concurrent: %v", name, k, err)
 			}
-			// Strip the padding from the sequential result the same way
-			// PartitionAcross does before comparing.
+			seq, err := pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, m.Order(), k, per), false))
+			if err != nil {
+				t.Fatalf("%s k=%d sequential: %v", name, k, err)
+			}
+			if !reflect.DeepEqual(seq, conc) {
+				t.Errorf("%s k=%d: oracle sequential %v != concurrent %v", name, k, seq, conc)
+			}
+			got, err := partitionAcross(m, k, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Strip the padding from the concurrent result the way the
+			// partitioner does before comparing.
 			want := make([][]int, k)
-			for gi, g := range seq {
+			for gi, g := range conc {
 				for _, e := range g {
 					if e < m.Order() {
 						want[gi] = append(want[gi], e)
 					}
 				}
 			}
-			if !reflect.DeepEqual(conc, want) {
-				t.Errorf("%s k=%d: concurrent %v != sequential %v", name, k, conc, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s k=%d: package function %v != oracle %v", name, k, got, want)
 			}
 		}
 	}
 }
 
 // TestPartitionAcrossWeightedConcurrentMatchesSequential is the same pin for
-// the capacity-weighted portfolio.
+// the capacity-weighted portfolio, on one order below concurrentMinOrder
+// and one above.
 func TestPartitionAcrossWeightedConcurrentMatchesSequential(t *testing.T) {
-	m := comm.Random(24, 0.5, 2048, 3)
-	caps := []int{8, 4, 4}
-	sizes := weightedSizes(m.Order(), caps)
-	passes := partitionRefinePasses
-	refine := func(groups [][]int) [][]int {
-		if passes > 0 && len(caps) > 1 {
-			refineGroups(m, groups, passes)
+	for _, m := range []*comm.Matrix{comm.Random(24, 0.5, 2048, 3), comm.Random(40, 0.3, 2048, 4)} {
+		caps := []int{8, 4, 4}
+		sizes := weightedSizes(m.Order(), caps)
+		conc, err := pickPartition(evalPartitionCandidates(m, weightedPartitionCandidates(m, sizes), true))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return groups
-	}
-	cands := []partitionCandidate{
-		func() ([][]int, error) { return refine(greedySizedGroups(m, sizes, new(affinityFill))), nil },
-		func() ([][]int, error) {
-			groups, err := spectralPartitionSized(m, identityIDs(m.Order()), sizes, nil, new(candidateSet))
-			if err != nil {
-				return nil, err
-			}
-			return refine(groups), nil
-		},
-	}
-	seq, err := pickPartition(evalPartitionCandidates(m, cands, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range seq {
-		sort.Ints(g)
-	}
-	conc, err := PartitionAcrossWeighted(m, caps, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(conc, seq) {
-		t.Errorf("concurrent %v != sequential %v", conc, seq)
+		seq, err := pickPartition(evalPartitionCandidates(m, weightedPartitionCandidates(m, sizes), false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, conc) {
+			t.Errorf("order %d: oracle sequential %v != concurrent %v", m.Order(), seq, conc)
+		}
+		for _, g := range conc {
+			sort.Ints(g)
+		}
+		got, err := PartitionAcrossWeighted(m, caps, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, conc) {
+			t.Errorf("order %d: package function %v != oracle %v", m.Order(), got, conc)
+		}
 	}
 }
 

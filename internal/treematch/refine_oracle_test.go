@@ -164,7 +164,7 @@ func TestRefineGroupsMatchesOracle(t *testing.T) {
 			checkRefineExact(t, c.name, c.m, shuffledGroups(rng, c.m.Order(), c.sizes))
 		}
 	}
-	// Zero-volume padding entities, the way PartitionAcross and Map extend a
+	// Zero-volume padding entities, the way the partitioners and Map extend a
 	// matrix: the greedy seeding puts them wherever room is left.
 	for _, p := range []int{13, 30, 61} {
 		m, err := comm.Stencil2DSparse(p, 1, 64, 0).ExtendZero(64)

@@ -151,11 +151,11 @@ func spectralOrder(m *comm.Matrix, sc *spectralScratch) []int {
 // touches it, and a happens-before edge orders each one after the last. The
 // scheduler's lookahead warms a job's memo (SpectralWarmer) before it closes
 // the job's ready channel, and the job's partition calls read it only after
-// receiving from that channel. Within one call only the spectral candidate
-// touches it: on the calling goroutine when a Mapper runs the portfolio one
-// candidate after another, so program order ties one call to the next; on
-// that candidate's goroutine in the package functions, whose WaitGroup
-// orders one call's accesses before the next call's.
+// receiving from that channel. Within a call only the spectral candidate
+// touches it: on the calling goroutine when the portfolio runs its
+// candidates one after another, so program order ties one call to the
+// next; on that candidate's goroutine from concurrentMinOrder on, where the
+// portfolio's WaitGroup orders one call's accesses before the next call's.
 type SpectralMemo struct {
 	m       *comm.Matrix
 	entries []spectralEntry

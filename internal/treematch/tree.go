@@ -16,7 +16,7 @@
 // The package optimizes a structural objective: minimize the sum over all
 // entity pairs of (declared volume in bytes) × (tree hop distance between
 // the assigned leaves) — see Cost. The node-level partitioner
-// (PartitionAcross) minimizes the cut volume in bytes, preferring, among
+// (PartitionAcrossWeighted) minimizes the cut volume in bytes, preferring, among
 // equal cuts, the partition whose most exposed group sends the fewest
 // crossing streams. Nothing in this package is priced in cycles: hop
 // distances are dimensionless tree metrics, and how many cycles a byte at a

@@ -14,7 +14,7 @@ type Options struct {
 	// NUMA nodes instead of piling onto one socket.
 	Distribute bool
 	// Spectral, when set, memoizes the spectral partition candidates' orders
-	// across PartitionAcross/PartitionAcrossWeighted calls on one matrix.
+	// across PartitionAcrossWeighted calls on one matrix.
 	// It saves work only: every partition is the one nil computes.
 	Spectral *SpectralMemo
 }
@@ -23,7 +23,7 @@ type Options struct {
 // node-level partitions, whatever their order.
 const partitionRefinePasses = 2
 
-// refinePasses bounds the pairwise-swap refinement inside GroupProcesses
+// refinePasses bounds the pairwise-swap refinement inside groupProcesses
 // during the per-level mapping: one pass less for matrices above order 1024,
 // to keep the mapping of very large instances fast.
 func refinePasses(order int) int {
@@ -67,10 +67,10 @@ type Mapping struct {
 type Mapper struct {
 	pad        comm.Storage
 	flat, next []int // leaf order of the padded entities, double-buffered
-	// Algorithm 1 groups each level in cand.fill and puts the aggregate
-	// over level l's groups in cand.aggs[l%2]; the portfolio's candidates
-	// run in all of it.
-	cand  candidateSet
+	// Algorithm 1 groups each level in cand.first.fill and puts the
+	// aggregate over level l's groups in cand.first.aggs[l%2]; the
+	// portfolio's candidates run in all of cand.
+	cand  candidateSets
 	match distanceSet
 }
 
@@ -133,7 +133,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 	levels := make([][][]int, 0, work.Depth()-1)
 	for depth := work.Depth() - 1; depth >= 1; depth-- {
 		arity := work.Arity(depth - 1)
-		groups := groupProcesses(mat, arity, refinePasses(mat.Order()), &w.cand.fill)
+		groups := groupProcesses(mat, arity, refinePasses(mat.Order()), &w.cand.first.fill)
 		levels = append(levels, groups)
 		q := 0
 		for _, g := range groups {
@@ -147,7 +147,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 			break // the root's aggregate is never read
 		}
 		var err error
-		mat, err = mat.AggregateIn(&w.cand.aggs[len(levels)%2], groups)
+		mat, err = mat.AggregateIn(&w.cand.first.aggs[len(levels)%2], groups)
 		if err != nil {
 			return nil, err
 		}

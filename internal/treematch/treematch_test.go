@@ -27,7 +27,7 @@ func TestGroupProcessesPairs(t *testing.T) {
 	m.AddSym(0, 1, 100)
 	m.AddSym(2, 3, 100)
 	m.AddSym(1, 2, 1)
-	groups := GroupProcesses(m, 2, 2)
+	groups := groupProcesses(m, 2, 2, new(affinityFill))
 	if len(groups) != 2 {
 		t.Fatalf("groups = %v", groups)
 	}
@@ -53,8 +53,8 @@ func TestGroupProcessesRefinementHelps(t *testing.T) {
 	// chord. Whatever greedy does, refinement must not make it worse.
 	m := comm.Ring(8, 10)
 	m.AddSym(0, 4, 50)
-	g0 := GroupProcesses(m, 4, 0)
-	g2 := GroupProcesses(m, 4, 3)
+	g0 := groupProcesses(m, 4, 0, new(affinityFill))
+	g2 := groupProcesses(m, 4, 3, new(affinityFill))
 	if intraVolume(m, g2) < intraVolume(m, g0) {
 		t.Errorf("refinement decreased intra volume: %v -> %v",
 			intraVolume(m, g0), intraVolume(m, g2))
@@ -67,7 +67,7 @@ func TestGroupProcessesPanics(t *testing.T) {
 			t.Errorf("no panic for non-dividing arity")
 		}
 	}()
-	GroupProcesses(comm.New(5), 2, 0)
+	groupProcesses(comm.New(5), 2, 0, new(affinityFill))
 }
 
 // TestGroupProcessesPartition checks, property-style, that the output is
@@ -77,7 +77,7 @@ func TestGroupProcessesPartition(t *testing.T) {
 		a := []int{2, 3, 4}[int(aSel)%3]
 		p := a * 6
 		m := comm.Random(p, 0.4, 100, seed)
-		groups := GroupProcesses(m, a, 1)
+		groups := groupProcesses(m, a, 1, new(affinityFill))
 		if len(groups) != 6 {
 			return false
 		}

@@ -15,7 +15,7 @@ import (
 // spectral-bisection candidate must reach the quadrant cut.
 func TestPartitionAcrossQuadrants(t *testing.T) {
 	m := comm.Stencil2DSparse(8, 8, 1, 0)
-	groups, err := PartitionAcross(m, 4, Options{})
+	groups, err := partitionAcross(m, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPartitionAcrossWeightedEqualMatchesUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := PartitionAcross(m, 4, Options{})
+	u, err := oraclePartitionAcross(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestPartitionAcrossWeightedEqualMatchesUnweighted(t *testing.T) {
 	}
 	for g := range w {
 		if len(w[g]) != len(u[g]) {
-			t.Fatalf("equal-capacity weighted partition differs from PartitionAcross: %v vs %v", w, u)
+			t.Fatalf("equal-capacity weighted partition differs from the unweighted oracle: %v vs %v", w, u)
 		}
 		for i := range w[g] {
 			if w[g][i] != u[g][i] {
-				t.Fatalf("equal-capacity weighted partition differs from PartitionAcross: %v vs %v", w, u)
+				t.Fatalf("equal-capacity weighted partition differs from the unweighted oracle: %v vs %v", w, u)
 			}
 		}
 	}
