@@ -173,7 +173,14 @@ func TestAblateSameBytesOn386(t *testing.T) {
 // topology — net of the candidate closures, the score list and the
 // per-call model rows moved to the test oracle, and of the PartitionAcross
 // and GroupProcesses wrappers.
-const nonTestLineCeiling = 12808
+// 12808 → 13073: the boundary refinement's group-by-group ranking of
+// symmetric matrices (per-worker term buffers, the pair sum over entries
+// and mirrors, a bounded heap, the fall-back on a NaN cut) beside the
+// buffered one it keeps for the rest; the scheduler's typed departure heap
+// in place of container/heap; the greedy seed order's keyed sort; the
+// partitioner split out of the Mapper with storages made on first use; and
+// SlotMapper.AssignTasks.
+const nonTestLineCeiling = 13073
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as

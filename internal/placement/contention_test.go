@@ -110,7 +110,7 @@ func TestFabricContentionRule(t *testing.T) {
 			for pu := mach.Topology().NumPUs() - 1; pu >= 0; pu-- {
 				firstPU[mach.ClusterNodeOfPU(pu)] = pu
 			}
-			a := unboundControls(len(c.taskNode), "table")
+			a := unboundControls(make([]int, len(c.taskNode)), "table")
 			for i, node := range c.taskNode {
 				a.TaskPU[i] = -1
 				if node >= 0 {

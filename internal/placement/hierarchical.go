@@ -306,16 +306,20 @@ func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Mat
 // caller's.
 func matchGroups(dist func(a, b int) float64, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, seeds ...[]int) ([]int, error) {
 	var model distTable
-	return matchGroupsIn(new(treematch.Mapper), &model, dist, groupMatrix, groupCaps, nodeCaps, seeds...)
+	return matchGroupsIn(nil, &model, dist, groupMatrix, groupCaps, nodeCaps, seeds...)
 }
 
 // matchGroupsIn is matchGroups with the model built in t and matched by w
-// (Mapper.AssignByDistance); the result is the caller's.
+// (Mapper.AssignByDistance), or by the package's AssignByDistance in fresh
+// memory when w is nil; the result is the caller's.
 func matchGroupsIn(w *treematch.Mapper, t *distTable, dist func(a, b int) float64, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int, seeds ...[]int) ([]int, error) {
 	model := t.fill(groupMatrix.Order(), dist)
 	var entityClass, leafClass []int
 	if mixedCaps(groupCaps) {
 		entityClass, leafClass = capacityClasses(groupCaps, nodeCaps)
+	}
+	if w == nil {
+		return treematch.AssignByDistance(model, groupMatrix, entityClass, leafClass, seeds...)
 	}
 	return w.AssignByDistance(model, groupMatrix, entityClass, leafClass, seeds...)
 }
@@ -447,7 +451,7 @@ func (RoundRobinNodes) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignmen
 	}
 	topo := mach.Topology()
 	nodes := topo.NumClusterNodes()
-	a := unboundControls(m.Order(), "rr-nodes")
+	a := unboundControls(make([]int, m.Order()), "rr-nodes")
 	for i := range a.TaskPU {
 		lo, hi := topo.NodeCores(i % nodes)
 		a.TaskPU[i] = firstPU(topo, lo+(i/nodes)%(hi-lo))

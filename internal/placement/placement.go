@@ -158,7 +158,7 @@ func (Compact) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment, error
 		return nil, fmt.Errorf("placement: compact requires a machine")
 	}
 	topo := mach.Topology()
-	a := unboundControls(m.Order(), "compact")
+	a := unboundControls(make([]int, m.Order()), "compact")
 	for i := range a.TaskPU {
 		a.TaskPU[i] = firstPU(topo, i%topo.NumCores())
 	}
@@ -185,7 +185,7 @@ func (Scatter) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment, error
 	}
 	topo := mach.Topology()
 	order := scatterOrder(topo)
-	a := unboundControls(m.Order(), "scatter")
+	a := unboundControls(make([]int, m.Order()), "scatter")
 	for i := range a.TaskPU {
 		a.TaskPU[i] = firstPU(topo, order[i%len(order)])
 	}
@@ -240,7 +240,7 @@ func (p Random) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment, erro
 	topo := mach.Topology()
 	rng := rand.New(rand.NewSource(p.Seed))
 	perm := rng.Perm(topo.NumCores())
-	a := unboundControls(m.Order(), "random")
+	a := unboundControls(make([]int, m.Order()), "random")
 	for i := range a.TaskPU {
 		a.TaskPU[i] = firstPU(topo, perm[i%len(perm)])
 	}
@@ -257,7 +257,7 @@ func (NoBind) Name() string { return "nobind" }
 
 // Assign implements Policy.
 func (NoBind) Assign(_ *numasim.Machine, m *comm.Matrix) (*Assignment, error) {
-	a := unboundControls(m.Order(), "nobind")
+	a := unboundControls(make([]int, m.Order()), "nobind")
 	for i := range a.TaskPU {
 		a.TaskPU[i] = -1
 	}
@@ -265,13 +265,13 @@ func (NoBind) Assign(_ *numasim.Machine, m *comm.Matrix) (*Assignment, error) {
 	return a, nil
 }
 
-// unboundControls builds an assignment skeleton with every control thread
-// unmapped.
-func unboundControls(order int, policy string) *Assignment {
+// unboundControls builds an assignment of the given task PUs with every
+// control thread unmapped.
+func unboundControls(taskPU []int, policy string) *Assignment {
 	a := &Assignment{
 		Policy:       policy,
-		TaskPU:       make([]int, order),
-		ControlPU:    make([]int, order),
+		TaskPU:       taskPU,
+		ControlPU:    make([]int, len(taskPU)),
 		Strategy:     treematch.ControlUnmapped,
 		VirtualArity: 1,
 	}

@@ -343,7 +343,7 @@ func TestApplyAndPlace(t *testing.T) {
 func TestApplyOrderMismatch(t *testing.T) {
 	rt := orwl.NewRuntime(orwl.Options{})
 	rt.AddTask("a", nil)
-	a := unboundControls(3, "x")
+	a := unboundControls(make([]int, 3), "x")
 	if err := Apply(rt, a); err == nil {
 		t.Errorf("order mismatch accepted")
 	}
@@ -353,7 +353,7 @@ func TestSetContention(t *testing.T) {
 	mach := machine(t, "pack:4 core:4 pu:1")
 	// 8 heavy bound tasks: uniform average pressure of 2 per node, no
 	// fabric crossings.
-	a := unboundControls(8, "x")
+	a := unboundControls(make([]int, 8), "x")
 	for i := 0; i < 8; i++ {
 		a.TaskPU[i] = i
 	}
@@ -368,7 +368,7 @@ func TestSetContention(t *testing.T) {
 	}
 
 	// All unbound: same average pressure plus remote streams.
-	nb := unboundControls(8, "x")
+	nb := unboundControls(make([]int, 8), "x")
 	for i := range nb.TaskPU {
 		nb.TaskPU[i] = -1
 	}

@@ -47,6 +47,16 @@ type SlotMapper struct {
 // free nor keeps any of it, so a caller may pass views of its own live
 // lists.
 func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts treematch.Options) (*Assignment, error) {
+	taskPU, err := s.AssignTasks(mach, m, free, opts)
+	if err != nil {
+		return nil, err
+	}
+	return unboundControls(taskPU, "subset"), nil
+}
+
+// AssignTasks is Assign without the control-thread report: it returns the
+// PU of every task, in a slice of the caller's.
+func (s *SlotMapper) AssignTasks(mach *numasim.Machine, m *comm.Matrix, free [][]int, opts treematch.Options) ([]int, error) {
 	if mach == nil {
 		return nil, fmt.Errorf("placement: subset assignment requires a machine")
 	}
@@ -82,9 +92,9 @@ func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int,
 	if p > total {
 		return nil, fmt.Errorf("placement: %d tasks exceed %d free slots", p, total)
 	}
-	a := unboundControls(p, "subset")
+	taskPU := make([]int, p)
 	if p == 0 {
-		return a, nil
+		return taskPU, nil
 	}
 
 	if len(active) == 1 {
@@ -93,9 +103,9 @@ func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int,
 			return nil, err
 		}
 		for t, c := range local {
-			a.TaskPU[t] = firstPU(topo, c)
+			taskPU[t] = firstPU(topo, c)
 		}
-		return a, nil
+		return taskPU, nil
 	}
 
 	// Level 1: split the task graph across the nodes with free slots, group
@@ -142,10 +152,10 @@ func (s *SlotMapper) Assign(mach *numasim.Machine, m *comm.Matrix, free [][]int,
 			return nil, err
 		}
 		for i, task := range tasks {
-			a.TaskPU[task] = firstPU(topo, local[i])
+			taskPU[task] = firstPU(topo, local[i])
 		}
 	}
-	return a, nil
+	return taskPU, nil
 }
 
 // mapOntoFreeCores maps m's tasks onto a subset of the given free cores of a

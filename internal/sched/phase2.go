@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -303,7 +302,7 @@ func (r *runLoop) preemptAttempt(head *jobState) (bool, error) {
 		}
 	}
 	r.running = kept
-	heap.Init(&r.running)
+	r.running.init()
 	rest := append([]*jobState(nil), r.queue[1:]...)
 	r.queue = append(append([]*jobState{head}, requeue...), rest...)
 	return true, nil
@@ -431,6 +430,6 @@ func (r *runLoop) defragAttempt(head *jobState) (bool, error) {
 	v.service += best.bill
 	v.lastStart = r.clock
 	v.finish = newFinish
-	heap.Fix(&r.running, best.idx)
+	r.running.fix(best.idx)
 	return true, nil
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -333,6 +332,10 @@ type departure struct {
 	stat                     *JobStat
 }
 
+// departureHeap is a min-heap of departures by (finish, seq). Typed rather
+// than through container/heap, whose Pop boxes every departure it returns;
+// its steps are container/heap's, so the running set is laid out as that
+// package laid it out. Len, Less and Swap serve sort.Sort as well.
 type departureHeap []departure
 
 func (h departureHeap) Len() int { return len(h) }
@@ -343,8 +346,64 @@ func (h departureHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h departureHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *departureHeap) Push(x any)   { *h = append(*h, x.(departure)) }
-func (h *departureHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
+
+func (h *departureHeap) push(d departure) {
+	*h = append(*h, d)
+	h.up(len(*h) - 1)
+}
+
+func (h *departureHeap) pop() departure {
+	s := *h
+	n := len(s) - 1
+	s.Swap(0, n)
+	s.down(0, n)
+	*h = s[:n]
+	return s[n]
+}
+
+// init establishes the heap order over the whole slice.
+func (h departureHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+// fix restores the heap order after departure i's key changed.
+func (h departureHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
+func (h departureHeap) up(j int) {
+	for {
+		i := (j - 1) / 2
+		if i == j || !h.Less(j, i) {
+			break
+		}
+		h.Swap(i, j)
+		j = i
+	}
+}
+
+func (h departureHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.Less(j2, j) {
+			j = j2
+		}
+		if !h.Less(j, i) {
+			break
+		}
+		h.Swap(i, j)
+		i = j
+	}
+	return i > i0
+}
 
 // runLoop is one Run invocation's mutable event-loop state. The phase-2
 // policies (phase2.go) are methods on it: they inspect the queue and the
@@ -416,7 +475,7 @@ func (r *runLoop) dispatch(j *jobState, placed *placementResult, backfilled bool
 		r.rep.Backfills++
 	}
 	j.resume = nil
-	heap.Push(&r.running, departure{
+	r.running.push(departure{
 		finish: st.FinishCycles, seq: j.seq, job: j, cores: placed.cores,
 		taskPU: placed.taskPU, comm: placed.comm, service: svc, lastStart: r.clock, stat: st,
 	})
@@ -531,12 +590,12 @@ func (s *Scheduler) Run(jobs []JobSpec) (*Report, error) {
 
 	r := &runLoop{s: s, rep: rep}
 	next := 0
-	for next < len(order) || r.running.Len() > 0 {
+	for next < len(order) || len(r.running) > 0 {
 		tArr, tDep := math.Inf(1), math.Inf(1)
 		if next < len(order) {
 			tArr = order[next].spec.ArriveCycles
 		}
-		if r.running.Len() > 0 {
+		if len(r.running) > 0 {
 			tDep = r.running[0].finish
 		}
 		t := tArr
@@ -544,8 +603,8 @@ func (s *Scheduler) Run(jobs []JobSpec) (*Report, error) {
 			t = tDep
 		}
 		r.advance(t)
-		for r.running.Len() > 0 && r.running[0].finish == r.clock {
-			d := heap.Pop(&r.running).(departure)
+		for len(r.running) > 0 && r.running[0].finish == r.clock {
+			d := r.running.pop()
 			if err := r.depart(d); err != nil {
 				return nil, err
 			}
@@ -812,11 +871,10 @@ func (s *Scheduler) placeAware(j *jobState, tier topology.Kind, d int) (*placeme
 		// The view shares the capacity's lists; nothing binds or releases
 		// while Assign reads it.
 		s.view = s.cap.freeView(s.view, chosen)
-		a, err := s.slots.Assign(s.mach, m, s.view, treematch.Options{Spectral: &j.spectral})
+		taskPU, err = s.slots.AssignTasks(s.mach, m, s.view, treematch.Options{Spectral: &j.spectral})
 		if err != nil {
 			return nil, false, err
 		}
-		taskPU = a.TaskPU
 		// Only the phase-2 policies probe a job again: without them a job
 		// that places is dispatched, so it reaches placeAware once.
 		if s.opts.Backfill || s.opts.Preempt || s.opts.Defrag {
@@ -877,7 +935,8 @@ func (s *Scheduler) placeOnSlots(j *jobState, slots []int, tier topology.Kind, d
 }
 
 // finishPlacement prices the communication of a placement and packages the
-// result.
+// result, which keeps taskPU: no task layout is written once made, so the
+// result, its departure and the job's layout memo share one.
 func (s *Scheduler) finishPlacement(m *comm.Matrix, taskPU []int, tier topology.Kind, d int) (*placementResult, bool, error) {
 	sorted := make([]int, len(taskPU))
 	for t, pu := range taskPU {
@@ -906,7 +965,7 @@ func (s *Scheduler) finishPlacement(m *comm.Matrix, taskPU []int, tier topology.
 	}
 	return &placementResult{
 		cores:  sorted,
-		taskPU: append([]int(nil), taskPU...),
+		taskPU: taskPU,
 		comm:   commCycles,
 		tier:   tierNames[tier],
 		domain: d,

@@ -2,10 +2,13 @@ package treematch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -152,20 +155,28 @@ func oracleTryBestBoundarySwap(m *comm.Matrix, groups [][]int, group []int, a, b
 	return true
 }
 
-// checkBoundaryExact runs the oracle and, on 1, 2 and 4 workers, the
+// checkBoundaryExact runs the oracle and, on 1, 2, 3 and 4 workers, the
 // kernel from the same start and requires slice-equal groups (member order
-// included).
-func checkBoundaryExact(t *testing.T, name string, m *comm.Matrix, groups [][]int, passes int) {
+// included): ranking through the buffer always, and group by group too when
+// the matrix is symmetric. It reports whether it took the second path.
+func checkBoundaryExact(t *testing.T, name string, m *comm.Matrix, groups [][]int, passes int) bool {
 	t.Helper()
 	want := cloneGroups(groups)
 	oracleRefineGroupsBoundary(m, want, passes)
-	for _, workers := range []int{1, 2, 4} {
-		got := cloneGroups(groups)
-		refineBoundary(m, got, passes, workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s, %d passes, %d workers: kernel and oracle disagree\n got %v\nwant %v", name, passes, workers, got, want)
+	symmetric := m.IsSymmetric()
+	for _, byGroup := range []bool{false, true} {
+		if byGroup && !symmetric {
+			break
+		}
+		for _, workers := range []int{1, 2, 3, 4} {
+			got := cloneGroups(groups)
+			refineBoundary(m, got, passes, workers, byGroup)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d passes, %d workers, group by group %v: kernel and oracle disagree\n got %v\nwant %v", name, passes, workers, byGroup, got, want)
+			}
 		}
 	}
+	return symmetric
 }
 
 // randomBoundaryMatrix draws a sparse matrix with the shapes the ranking and
@@ -209,6 +220,47 @@ func randomBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
 	return m
 }
 
+// symmetricBoundaryMatrix draws a matrix equal to its transpose with the
+// shapes the group-by-group ranking must stay exact on: negative and
+// non-integer volumes, explicit zeros stored on one side only, diagonal
+// entries, vertices left isolated, and — small integers half the time —
+// plenty of exact cut and gain ties.
+func symmetricBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
+	m := comm.New(n)
+	integer := rng.Intn(2) == 0
+	val := func() float64 {
+		v := rng.Float64() * 1000
+		if integer {
+			v = float64(1 + rng.Intn(3))
+		}
+		if rng.Intn(4) == 0 {
+			v = -v
+		}
+		return v
+	}
+	degree := 1 + rng.Intn(6)
+	for i := 0; i < n; i++ {
+		if rng.Intn(8) == 0 {
+			continue
+		}
+		for d := 0; d < degree; d++ {
+			j := rng.Intn(n)
+			switch v := val(); {
+			case j == i:
+				m.Set(i, i, v)
+			case rng.Intn(5) == 0: // stored, then zeroed: an explicit zero
+				m.Set(i, j, v)
+				m.Set(i, j, 0)
+				m.Set(j, i, 0)
+			default:
+				m.Set(i, j, v)
+				m.Set(j, i, v)
+			}
+		}
+	}
+	return m
+}
+
 func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 	// Both halves of the place-scale benchmark, from the greedy seeding the
 	// multilevel driver refines: neither coarsens (per 81 is odd, per 10 is
@@ -235,12 +287,12 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 	}
 	groups := [][]int{{0, 1, 2}, {3, 4, 5}}
 	checkBoundaryExact(t, "mixed signs", mixed, groups, 1)
-	refineGroupsBoundary(mixed, groups, 1)
+	refineGroupsBoundary(mixed, groups, 1, true)
 	if want := [][]int{{3, 1, 2}, {0, 4, 5}}; !reflect.DeepEqual(groups, want) {
 		t.Fatalf("mixed signs: got %v, want 0 and 3 swapped: %v", groups, want)
 	}
 
-	rng := rand.New(rand.NewSource(25))
+	rng, srng := rand.New(rand.NewSource(25)), rand.New(rand.NewSource(26))
 	for c := 0; c < 60; c++ {
 		n := 4 + rng.Intn(120)
 		divisors := []int{}
@@ -256,6 +308,17 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 		k := divisors[rng.Intn(len(divisors))]
 		m := randomBoundaryMatrix(rng, n)
 		checkBoundaryExact(t, fmt.Sprintf("random case %d (n=%d k=%d)", c, n, k), m, greedyGroups(m, n/k, k), 1+rng.Intn(4))
+		// The same shape symmetric, from the greedy seeding and with a
+		// tenth of the entities left out of their groups.
+		sym := symmetricBoundaryMatrix(srng, n)
+		start := greedyGroups(sym, n/k, k)
+		if !checkBoundaryExact(t, fmt.Sprintf("symmetric case %d (n=%d k=%d)", c, n, k), sym, start, 1+srng.Intn(4)) {
+			t.Fatalf("symmetric case %d: the matrix is not symmetric", c)
+		}
+		for gi, g := range start {
+			start[gi] = slices.DeleteFunc(g, func(int) bool { return srng.Intn(10) == 0 })
+		}
+		checkBoundaryExact(t, fmt.Sprintf("symmetric case %d with orphans", c), sym, start, 1+srng.Intn(4))
 	}
 
 	// Candidate lists are capped: groups larger than maxBoundaryCands.
@@ -275,15 +338,20 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 			label[e] = int32(gi)
 		}
 	}
-	var cw crew
-	cw.hire(1)
-	var cr cutRanker
-	cr.init(sparse, label, len(partial), 1)
-	if pairs := cr.rank(&cw); len(pairs) < 64 || !slices.ContainsFunc(pairs, func(p cutRec) bool { return p.a == 0 }) {
-		t.Fatalf("entities in no group: %d ranked pairs, want ≥ 64 with some involving group 0", len(pairs))
+	orphans := perm[8*len(partial):]
+	for _, byGroup := range []bool{false, true} {
+		var cw crew
+		cw.hire(1)
+		var cr cutRanker
+		cr.init(sparse, label, partial, orphans, 1, byGroup)
+		if pairs := cr.rank(&cw); len(pairs) < 64 || !slices.ContainsFunc(pairs, func(p cutRec) bool { return p.a == 0 }) {
+			t.Fatalf("entities in no group, group by group %v: %d ranked pairs, want ≥ 64 with some involving group 0", byGroup, len(pairs))
+		}
+		cw.stop()
 	}
-	cw.stop()
-	checkBoundaryExact(t, "entities in no group", sparse, partial, 3)
+	if !checkBoundaryExact(t, "entities in no group", sparse, partial, 3) {
+		t.Fatal("entities in no group: the matrix is not symmetric")
+	}
 
 	dense := comm.Random(60, 0.3, 1000, 5)
 	dense.Set(3, 7, 11.5) // asymmetric
@@ -293,19 +361,31 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 // TestRankCutsBitEqual pins the summation order of the cut ranking itself:
 // swaps only notice a reordered sum when two cuts come within an ulp of each
 // other, so each ranked cut is compared bit for bit with the per-pair map
-// sum of the oracle, and the ranking with the oracle's full sort.
+// sum of the oracle, and the ranking with the oracle's full sort. Every
+// other case is symmetric, and those are ranked both ways; either way the
+// ranker must have summed every cross-group entry once.
 func TestRankCutsBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for c := 0; c < 30; c++ {
+	for c := 0; c < 60; c++ {
 		n := 20 + rng.Intn(200)
 		k := 2 + rng.Intn(n/2)
 		m := randomBoundaryMatrix(rng, n)
-		group := make([]int32, n)
+		if c%2 == 1 {
+			if m = symmetricBoundaryMatrix(rng, n); !m.IsSymmetric() {
+				t.Fatalf("case %d: the matrix is not symmetric", c)
+			}
+		}
+		group, groups := make([]int32, n), make([][]int, k)
 		for e := range group {
 			group[e] = int32(rng.Intn(k))
+			groups[group[e]] = append(groups[group[e]], e)
+		}
+		for _, g := range groups { // member order is a swap's, not sorted
+			rng.Shuffle(len(g), func(i, j int) { g[i], g[j] = g[j], g[i] })
 		}
 		type gpair struct{ a, b int32 }
 		cut := make(map[gpair]float64)
+		terms := 0
 		for i := 0; i < n; i++ {
 			m.ForEachNeighbor(i, func(j int, v float64) {
 				gi, gj := group[i], group[j]
@@ -313,6 +393,7 @@ func TestRankCutsBitEqual(t *testing.T) {
 					return
 				}
 				cut[gpair{min(gi, gj), max(gi, gj)}] += v
+				terms++
 			})
 		}
 		want := make([]cutRec, 0, len(cut))
@@ -323,18 +404,107 @@ func TestRankCutsBitEqual(t *testing.T) {
 		if len(want) > maxBoundaryPairs*k {
 			want = want[:maxBoundaryPairs*k]
 		}
-		for _, workers := range []int{1, 2, 3} {
+		for _, byGroup := range []bool{false, true} {
+			if byGroup && c%2 == 0 {
+				break
+			}
+			for _, workers := range []int{1, 2, 3} {
+				var cw crew
+				cw.hire(workers)
+				var cr cutRanker
+				cr.init(m, group, groups, nil, workers, byGroup)
+				for pass := 0; pass < 2; pass++ { // the second pass reuses every buffer
+					if got := cr.rank(&cw); !reflect.DeepEqual(got, want) {
+						t.Fatalf("case %d pass %d (n=%d k=%d, %d workers, group by group %v): ranking differs\n got %v\nwant %v", c, pass, n, k, workers, byGroup, got, want)
+					}
+					if cr.summed != terms {
+						t.Fatalf("case %d pass %d (%d workers, group by group %v): %d terms summed, want the %d cross-group entries", c, pass, workers, byGroup, cr.summed, terms)
+					}
+				}
+				cw.stop()
+			}
+		}
+	}
+}
+
+// TestRankCutsNaNFallsBack: opposite infinities sum to a NaN cut, which
+// byCut orders with nothing, so the heaps would keep pairs the selection
+// does not; ranking group by group must then give the buffer's ranking,
+// bit for bit, on every worker count.
+func TestRankCutsNaNFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nans := 0
+	for c := 0; c < 40; c++ {
+		n := 20 + rng.Intn(60)
+		k := 2 + rng.Intn(6)
+		m := symmetricBoundaryMatrix(rng, n)
+		for range 1 + rng.Intn(4) {
+			i, j := rng.Intn(n), rng.Intn(n)
+			v := math.Inf(1 - 2*rng.Intn(2))
+			m.Set(i, j, v)
+			m.Set(j, i, v)
+		}
+		if !m.IsSymmetric() {
+			t.Fatalf("case %d: the matrix is not symmetric", c)
+		}
+		group, groups := make([]int32, n), make([][]int, k)
+		for e := range group {
+			group[e] = int32(rng.Intn(k))
+			groups[group[e]] = append(groups[group[e]], e)
+		}
+		rank := func(workers int, byGroup bool) (string, bool) {
 			var cw crew
 			cw.hire(workers)
+			defer cw.stop()
 			var cr cutRanker
-			cr.init(m, group, k, workers)
-			for pass := 0; pass < 2; pass++ { // the second pass reuses every buffer
-				if got := cr.rank(&cw); !reflect.DeepEqual(got, want) {
-					t.Fatalf("case %d pass %d (n=%d k=%d, %d workers): ranking differs\n got %v\nwant %v", c, pass, n, k, workers, got, want)
-				}
-			}
-			cw.stop()
+			cr.init(m, group, groups, nil, workers, byGroup)
+			return fmt.Sprint(cr.rank(&cw)), byGroup && !cr.symmetric
 		}
+		want, _ := rank(1, false)
+		for _, workers := range []int{1, 2, 3} {
+			got, fell := rank(workers, true)
+			if got != want {
+				t.Fatalf("case %d, %d workers: group by group %s, buffered %s", c, workers, got, want)
+			}
+			if fell != strings.Contains(want, "NaN") {
+				t.Fatalf("case %d, %d workers: fell back %v on ranking %s", c, workers, fell, want)
+			}
+			if fell {
+				nans++
+			}
+		}
+	}
+	if nans == 0 {
+		t.Fatal("no case summed a NaN cut")
+	}
+}
+
+// TestRankCutsPlaceScaleTerms pins the terms each ranking of place-scale's
+// random half (seed 1, greedy seeding, two passes) adds up: every
+// cross-group entry once, 142 102 before the first pass's swaps and 142 006
+// after, whether the buffer files them or each group's rows yield them.
+func TestRankCutsPlaceScaleTerms(t *testing.T) {
+	m := comm.RandomSparse(10000, 8, 100, 1)
+	groups := greedyGroups(m, 10, 1000)
+	for pass, want := range []int{142102, 142006} {
+		label := make([]int32, m.Order())
+		for gi, g := range groups {
+			for _, e := range g {
+				label[e] = int32(gi)
+			}
+		}
+		for _, byGroup := range []bool{false, true} {
+			var cw crew
+			cw.hire(2)
+			var cr cutRanker
+			cr.init(m, label, groups, nil, 2, byGroup)
+			cr.rank(&cw)
+			cw.stop()
+			if cr.summed != want {
+				t.Errorf("pass %d, group by group %v: %d terms summed, want %d", pass+1, byGroup, cr.summed, want)
+			}
+		}
+		refineBoundary(m, groups, 1, 2, true) // the first pass's swaps
 	}
 }
 
@@ -342,18 +512,28 @@ func TestRankCutsBitEqual(t *testing.T) {
 // (two bytes per entry: the entry's shape and a small signed volume, so cut
 // and gain ties, explicit zeros and one-directional entries are all one
 // mutation away) and a data-driven partition of uneven group sizes that
-// leaves some entities in no group, and requires the kernel, on 1, 2 and 4
-// workers, and the oracle to agree.
+// leaves some entities in no group, and requires the kernel, on 1, 2, 3 and
+// 4 workers, and the oracle to agree. The top bit of passes symmetrises the
+// matrix — every entry is mirrored as it is set — so that the group-by-group
+// ranking runs too; the decoded matrices are rarely symmetric otherwise.
 func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 	f.Add(uint8(9), uint8(3), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(uint8(12), uint8(2), uint8(2), []byte{0x13, 0xf2, 0x21, 0x07, 0x33, 0x81, 0x40, 0x02})
 	f.Add(uint8(30), uint8(5), uint8(4), []byte{0xff, 0x01, 0x80, 0x7f, 0x10, 0x20, 0x30, 0x41, 0x52, 0x63})
+	f.Add(uint8(21), uint8(4), uint8(0x81), []byte{0x10, 0x2d, 0x25, 0x4e, 0x3a, 0x97, 0x0f, 0x68, 0x51, 0xb3, 0x46, 0x0a, 0x77, 0xdc, 0x5c, 0x31})
 	f.Fuzz(func(t *testing.T, order, k, passes uint8, data []byte) {
 		n, ng := 4+int(order)%60, 2+int(k)%6
 		if len(data) == 0 {
 			return
 		}
 		m := comm.New(n)
+		set := m.Set
+		if passes&0x80 != 0 {
+			set = func(i, j int, v float64) {
+				m.Set(i, j, v)
+				m.Set(j, i, v)
+			}
+		}
 		at := func(i int) byte { return data[i%len(data)] }
 		for e := 0; 2*e+1 < len(data) && e < 6*n; e++ {
 			shape, b := at(2*e), at(2*e+1)
@@ -361,12 +541,12 @@ func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 			v := float64(int(b&7) - 3)
 			switch shape & 3 {
 			case 0:
-				m.Set(i, j, v)
+				set(i, j, v)
 			case 1:
-				m.Set(i, j, v+0.5)
-				m.Set(i, j, 0)
+				set(i, j, v+0.5)
+				set(i, j, 0)
 			case 2:
-				m.Set(i, j, v+0.25)
+				set(i, j, v+0.25)
 			default:
 				m.AddSym(i, j, v)
 			}
@@ -377,7 +557,9 @@ func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 				groups[g] = append(groups[g], (e+int(order))%n)
 			}
 		}
-		checkBoundaryExact(t, "fuzz", m, groups, 1+int(passes)%4)
+		if symmetric := checkBoundaryExact(t, "fuzz", m, groups, 1+int(passes)%4); passes&0x80 != 0 && !symmetric {
+			t.Fatal("the symmetrised matrix is not symmetric")
+		}
 	})
 }
 
@@ -395,10 +577,38 @@ func TestRefineGroupsBoundaryAllocs(t *testing.T) {
 			for gi := range start {
 				copy(groups[gi], start[gi])
 			}
-			refineBoundary(m, groups, partitionRefinePasses, workers)
+			refineBoundary(m, groups, partitionRefinePasses, workers, true)
 		}
 		if allocs := testing.AllocsPerRun(10, run); allocs > 40 {
 			t.Errorf("%d workers: %v allocations per call, want ≤ 40 whatever the pair, level and attempt counts", workers, allocs)
 		}
+	}
+}
+
+// TestRefineGroupsBoundaryBytes pins the bytes of one call on place-scale's
+// random half (seed 1, from the greedy seeding, two workers). Ranked group
+// by group it holds no cross-group nonzero beyond one group's; the buffer
+// of all of them (142 336 records, 2.28 MB) made 2.68 MB per call.
+func TestRefineGroupsBoundaryBytes(t *testing.T) {
+	m := comm.RandomSparse(10000, 8, 100, 1)
+	start := greedyGroups(m, 10, 1000)
+	groups := cloneGroups(start)
+	symmetric := m.IsSymmetric() // the greedy seeding's answer, not the call's work
+	run := func() {
+		for gi := range start {
+			copy(groups[gi], start[gi])
+		}
+		refineBoundary(m, groups, partitionRefinePasses, 2, symmetric)
+	}
+	run()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 800_000 {
+		t.Errorf("%d bytes per call, want ≤ 0.8 MB", got)
 	}
 }

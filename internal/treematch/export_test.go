@@ -27,3 +27,7 @@ func (ps *fiedlerPaths) CheckSplits(t *testing.T, name string, m *comm.Matrix) {
 func (ps *fiedlerPaths) Counts() (fixed, alternating, full, noSplit int) {
 	return ps.fixed, ps.alternating, ps.full, ps.noSplit
 }
+
+// greedyGroups is the greedy grouping of k groups of a entities in a fresh
+// fill: the seeding the multilevel driver refines, for the differentials.
+func greedyGroups(m *comm.Matrix, a, k int) [][]int { return new(affinityFill).uniform(m, a, k) }

@@ -1,9 +1,11 @@
 package treematch
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -16,7 +18,7 @@ import (
 // included, on every non-negative matrix.
 func greedySizedGroupsScan(m *comm.Matrix, sizes []int) [][]int {
 	p := m.Order()
-	seedOrder, buildOrder := greedyOrders(m, sizes, new(affinityFill))
+	seedOrder, buildOrder := greedyOrdersStable(m, sizes)
 
 	grouped := make([]bool, p)
 	affinity := make([]float64, p)
@@ -55,6 +57,79 @@ func greedySizedGroupsScan(m *comm.Matrix, sizes []int) [][]int {
 		out[gi] = g
 	}
 	return out
+}
+
+// greedyOrdersStable is greedyOrders as it stood before the seed order
+// took the index as its last key: both orders by stable sorts, the seed
+// order by descending row volume, the build order by descending size.
+func greedyOrdersStable(m *comm.Matrix, sizes []int) (seedOrder, buildOrder []int) {
+	vol := make([]float64, m.Order())
+	seedOrder = identityIDs(m.Order())
+	for i := range vol {
+		vol[i] = m.RowVolume(i)
+	}
+	slices.SortStableFunc(seedOrder, func(x, y int) int { return descending(vol[x], vol[y]) })
+	buildOrder = identityIDs(len(sizes))
+	slices.SortStableFunc(buildOrder, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
+	return seedOrder, buildOrder
+}
+
+// TestGreedyOrdersMatchStable holds greedyOrders to the stable sorts on row
+// volumes with ties (small integers), signed zeros, +Inf (a row of
+// MaxFloat64 entries) and NaN (a NaN entry, or +Inf and -Inf in one row),
+// reusing one fill; every kind must occur.
+func TestGreedyOrdersMatchStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	kinds := map[string]int{}
+	var f affinityFill
+	for c := 0; c < 400; c++ {
+		n := 1 + rng.Intn(300)
+		m := comm.New(n)
+		for range rng.Intn(3 * n) {
+			i, j := rng.Intn(n), rng.Intn(n)
+			switch v := float64(rng.Intn(4)); rng.Intn(12) {
+			case 0:
+				m.Set(i, j, math.MaxFloat64)
+			case 1:
+				m.Set(i, j, math.NaN())
+			case 2:
+				m.Set(i, j, math.Inf(1-2*rng.Intn(2)))
+			case 3:
+				m.Set(i, j, math.Copysign(0, -1))
+			case 4:
+				m.Set(i, j, -v)
+			default:
+				m.Set(i, j, v)
+			}
+		}
+		sizes := make([]int, 1+rng.Intn(20))
+		for g := range sizes {
+			sizes[g] = rng.Intn(5)
+		}
+		wantSeed, wantBuild := greedyOrdersStable(m, sizes)
+		seed, build := greedyOrders(m, sizes, &f)
+		if !slices.Equal(seed, wantSeed) || !slices.Equal(build, wantBuild) {
+			t.Fatalf("case %d (n=%d): orders differ from the stable sorts\nseed  %v\nwant  %v\nbuild %v\nwant  %v", c, n, seed, wantSeed, build, wantBuild)
+		}
+		seen := map[float64]bool{}
+		for i := range n {
+			switch v := m.RowVolume(i); {
+			case math.IsNaN(v):
+				kinds["NaN"]++
+			case math.IsInf(v, 1):
+				kinds["+Inf"]++
+			case seen[v]:
+				kinds["tie"]++
+			default:
+				seen[v] = true
+			}
+		}
+	}
+	for _, k := range []string{"NaN", "+Inf", "tie"} {
+		if kinds[k] == 0 {
+			t.Errorf("no row volume of kind %s", k)
+		}
+	}
 }
 
 // symmetricNonNegative reports whether the matrix is exactly symmetric with

@@ -34,9 +34,26 @@ const (
 type candidateSet struct {
 	fill     affinityFill
 	spectral spectralScratch
-	sub      comm.Storage
-	aggs     [2]comm.Storage
+	sub      *comm.Storage
+	aggs     [2]*comm.Storage
 	cross    crossingTables
+}
+
+// storage returns *st, made on first use, so that a working set carries
+// only the storages its calls have needed.
+func storage(st **comm.Storage) *comm.Storage {
+	if *st == nil {
+		*st = new(comm.Storage)
+	}
+	return *st
+}
+
+// partitioner is the working set of the node-level partition, the part of
+// a Mapper that PartitionAcrossWeighted uses: the padding view's storage
+// and the candidate sets the portfolio runs in. The zero value is ready.
+type partitioner struct {
+	pad  *comm.Storage
+	cand candidateSets
 }
 
 // maxCandidates bounds a portfolio's candidates.
@@ -218,7 +235,7 @@ func (p portfolio) evaluateAll(sets *candidateSets) []score {
 // cut, measured exactly. The candidates run in w's candidate sets — one
 // after another, or concurrently from concurrentMinOrder on (see pick) —
 // and the winner is picked in fixed portfolio order.
-func (w *Mapper) partitionEqual(m *comm.Matrix, k int, opt Options) ([][]int, error) {
+func (w *partitioner) partitionEqual(m *comm.Matrix, k int, opt Options) ([][]int, error) {
 	p := m.Order()
 	if p == 0 {
 		return make([][]int, k), nil
@@ -227,7 +244,7 @@ func (w *Mapper) partitionEqual(m *comm.Matrix, k int, opt Options) ([][]int, er
 	work := m
 	if per*k > p {
 		var err error
-		if work, err = m.PadView(&w.pad, per*k); err != nil {
+		if work, err = m.PadView(storage(&w.pad), per*k); err != nil {
 			return nil, err
 		}
 	}
@@ -297,12 +314,23 @@ func equalPortfolio(work *comm.Matrix, orig, k, per int, memo *SpectralMemo) por
 }
 
 // expand replaces every member e of every group by the entities cover[e]
-// stands for, in order: the inverse of one aggregation step.
+// stands for, in order: the inverse of one aggregation step. The groups are
+// capped windows of one array; a group that covers nothing stays nil.
 func expand(groups, cover [][]int) [][]int {
-	out := make([][]int, len(groups))
-	for gi, g := range groups {
+	n := 0
+	for _, g := range groups {
 		for _, e := range g {
-			out[gi] = append(out[gi], cover[e]...)
+			n += len(cover[e])
+		}
+	}
+	flat, out := make([]int, 0, n), make([][]int, len(groups))
+	for gi, g := range groups {
+		lo := len(flat)
+		for _, e := range g {
+			flat = append(flat, cover[e]...)
+		}
+		if len(flat) > lo {
+			out[gi] = flat[lo:len(flat):len(flat)]
 		}
 	}
 	return out
@@ -341,9 +369,9 @@ func identityIDs(n int) []int {
 // node. With equal capacities it is the equal cut of partitionEqual,
 // candidate portfolio included. Group order is deterministic and
 // positional: group g always carries the size derived from caps[g]. It runs
-// in a fresh Mapper.
+// in fresh memory: a partitioner, the part of a Mapper a partition uses.
 func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
-	return new(Mapper).PartitionAcrossWeighted(m, caps, opt)
+	return new(partitioner).PartitionAcrossWeighted(m, caps, opt)
 }
 
 // PartitionAcrossWeighted is the package's PartitionAcrossWeighted, equal
@@ -351,7 +379,7 @@ func PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, 
 // the candidate sets the portfolio runs in (see pick). A Mapper kept
 // between calls allocates little beyond the groups it returns, which are
 // the caller's.
-func (w *Mapper) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
+func (w *partitioner) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options) ([][]int, error) {
 	k := len(caps)
 	if k < 1 {
 		return nil, fmt.Errorf("treematch: PartitionAcrossWeighted needs at least 1 capacity, got %d", k)
@@ -377,9 +405,10 @@ func (w *Mapper) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Options
 	if p > multilevelMinOrder {
 		// Large instance: greedy seeding plus boundary-only refinement; the
 		// full-KL portfolio below is unaffordable at this order.
-		best = greedySizedGroups(m, sizes, &w.cand.first.fill)
+		fill := &w.cand.first.fill
+		best = greedySizedGroups(m, sizes, fill)
 		if k > 1 {
-			refineGroupsBoundary(m, best, partitionRefinePasses)
+			refineGroupsBoundary(m, best, partitionRefinePasses, fill.symmetric)
 		}
 	} else {
 		pf := portfolio{work: m, k: k, sizes: sizes, memo: opt.Spectral}
@@ -437,14 +466,14 @@ func weightedSizes(p int, caps []int) []int {
 	return sizes
 }
 
-// greedySizedGroups is greedyGroups generalized to per-group target sizes:
-// groups are built largest-first (big groups constrain the solution most,
-// so they pick coherent chunks before the leftovers fragment), each seeded
-// with the heaviest-communicating ungrouped entity and filled by strongest
-// affinity to the group so far — the sum, over its members in order, of
-// w(last, j) = At(last, j) + At(j, last), ties broken towards the lowest
-// entity index. The returned slice is positional: result[g] has exactly
-// sizes[g] members.
+// greedySizedGroups is the greedy grouping (uniform) generalized to
+// per-group target sizes: groups are built largest-first (big groups
+// constrain the solution most, so they pick coherent chunks before the
+// leftovers fragment), each seeded with the heaviest-communicating
+// ungrouped entity and filled by strongest affinity to the group so far —
+// the sum, over its members in order, of w(last, j) = At(last, j) +
+// At(j, last), ties broken towards the lowest entity index. The returned
+// slice is positional: result[g] has exactly sizes[g] members.
 //
 // Only the neighbours of each added member are touched (O(nnz·log n); a
 // scan of every entity per member is O(p²) per group and unusable at 100k
@@ -462,8 +491,9 @@ func greedySizedGroups(m *comm.Matrix, sizes []int, f *affinityFill) [][]int {
 	p := m.Order()
 	seedOrder, buildOrder := greedyOrders(m, sizes, f)
 	var adj *comm.SymAdjacency
-	if !m.IsSymmetric() {
-		adj = m.SymmetricAdjacency(&f.adj)
+	if f.symmetric = m.IsSymmetric(); !f.symmetric {
+		f.adj = m.SymmetricAdjacency(f.adj)
+		adj = f.adj
 	}
 	f.grouped = grow(f.grouped, p)
 	clear(f.grouped)
@@ -519,10 +549,14 @@ type affinityFill struct {
 	h        affHeap
 	low      int // lowest ungrouped entity (grouped is monotone)
 
-	sizes       []int     // greedyGroups' uniform sizes
-	vol         []float64 // row volumes, the seed order's key
-	seed, build []int     // seed and build orders
-	adj         comm.SymAdjacency
+	// symmetric records m.IsSymmetric() of the last fill's matrix, for
+	// the boundary refinement that follows it on the same matrix.
+	symmetric bool
+
+	sizes       []int              // uniform's sizes
+	vol         []float64          // row volumes, the seed order's key
+	seed, build []int              // seed and build orders
+	adj         *comm.SymAdjacency // made on the first asymmetric matrix
 }
 
 // grow returns s resized to n, reusing its array when it is large enough;
@@ -579,16 +613,30 @@ func descending(x, y float64) int {
 
 // greedyOrders computes the seed order (entities by descending row volume,
 // stable, so ties stay in index order) and the build order (groups by
-// descending target size) of the greedy fill and its oracle, in f's memory.
+// descending target size, stable) of the greedy fill, in f's memory. The
+// seed order is sorted with the index as the last key, which is the stable
+// order in O(n log n) as long as the volumes are ordered; a NaN volume ties
+// with every other, which no key reproduces, so then the stable sort runs.
 func greedyOrders(m *comm.Matrix, sizes []int, f *affinityFill) (seedOrder, buildOrder []int) {
 	p := m.Order()
 	vol := grow(f.vol, p)
 	seedOrder = grow(f.seed, p)
+	nan := false
 	for i := range seedOrder {
 		seedOrder[i] = i
 		vol[i] = m.RowVolume(i)
+		nan = nan || vol[i] != vol[i]
 	}
-	slices.SortStableFunc(seedOrder, func(x, y int) int { return descending(vol[x], vol[y]) })
+	if nan {
+		slices.SortStableFunc(seedOrder, func(x, y int) int { return descending(vol[x], vol[y]) })
+	} else {
+		slices.SortFunc(seedOrder, func(x, y int) int {
+			if c := descending(vol[x], vol[y]); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+	}
 
 	buildOrder = grow(f.build, len(sizes))
 	for i := range buildOrder {
@@ -689,7 +737,7 @@ func bisectPartition(m *comm.Matrix, ids []int, k, passes int, cs *candidateSet)
 // the final k groups by affinity; it runs in cs.
 func mergeFinePartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int, error) {
 	fine := groupProcesses(m, m.Order()/(2*k), passes, &cs.fill)
-	agg, err := m.AggregateIn(&cs.aggs[0], fine)
+	agg, err := m.AggregateIn(storage(&cs.aggs[0]), fine)
 	if err != nil {
 		return nil, err
 	}
@@ -717,15 +765,15 @@ func isIdentity(ids []int, n int) bool {
 // grouping sees block-level weights instead of uniform lattice edges. The
 // coarse matrices alternate between cs's two aggregate storages.
 func coarsenPartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int, error) {
-	cover := make([][]int, m.Order())
+	cover, ids := make([][]int, m.Order()), identityIDs(m.Order())
 	for i := range cover {
-		cover[i] = []int{i}
+		cover[i] = ids[i : i+1 : i+1]
 	}
 	mat := m
 	for level := 0; mat.Order() > 4*k && mat.Order()%2 == 0 && (mat.Order()/2)%k == 0; level++ {
 		pairs := groupProcesses(mat, 2, passes, &cs.fill)
 		var err error
-		mat, err = mat.AggregateIn(&cs.aggs[level%2], pairs)
+		mat, err = mat.AggregateIn(storage(&cs.aggs[level%2]), pairs)
 		if err != nil {
 			return nil, err
 		}
@@ -764,13 +812,11 @@ func groupProcesses(m *comm.Matrix, a int, refinePasses int, f *affinityFill) []
 	return groups
 }
 
-// greedyGroups seeds each group with the heaviest-communicating ungrouped
-// entity and fills it with the ungrouped entities that have the strongest
-// affinity to the group so far. It is the uniform-size special case of
-// greedySizedGroups (the classic TreeMatch ordering).
-func greedyGroups(m *comm.Matrix, a, k int) [][]int { return new(affinityFill).uniform(m, a, k) }
-
-// uniform is greedyGroups in f's memory.
+// uniform seeds each of k groups of a entities with the
+// heaviest-communicating ungrouped entity and fills it with the ungrouped
+// entities that have the strongest affinity to the group so far, in f's
+// memory: the uniform-size special case of greedySizedGroups (the classic
+// TreeMatch ordering).
 func (f *affinityFill) uniform(m *comm.Matrix, a, k int) [][]int {
 	f.sizes = grow(f.sizes, k)
 	for i := range f.sizes {

@@ -48,9 +48,16 @@ const (
 
 // multilevelPartition partitions the (padded) matrix into k groups of
 // exactly per entities. Requires per·k == work.Order(). Groups come back
-// sorted. The affinity matrix is assumed symmetric (the padded matrices
-// partitionEqual builds are; refinement quality, not correctness, would
-// suffer otherwise). The coarse portfolio runs in sets.
+// sorted. Refinement quality, not correctness, assumes a symmetric affinity
+// matrix. partitionEqual's padding view (PadView) is symmetric exactly when
+// its input is, as the generated task graphs and ORWL's matrices are, but
+// a user's matrix file need not be, and the aggregates of coarsening round
+// each cell's two directions in different orders, so they can differ in
+// the last bit. Each matrix the boundary refinement reads is therefore
+// tested (IsSymmetric, by the greedy fill on the coarsest one): a
+// symmetric one is ranked group by group, any other through the buffer of
+// its cross-group nonzeros (cutRanker). The coarse portfolio and the greedy
+// fill run in sets.
 func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([][]int, error) {
 	passes := partitionRefinePasses
 
@@ -84,8 +91,9 @@ func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([]
 			return nil, err
 		}
 	} else {
-		groups = greedyGroups(mat, perCur, k)
-		refineGroupsBoundary(mat, groups, passes)
+		fill := &sets.first.fill
+		groups = fill.uniform(mat, perCur, k)
+		refineGroupsBoundary(mat, groups, passes, fill.symmetric)
 	}
 
 	// Uncoarsening: expand each coarse vertex into its matched pair and
@@ -93,7 +101,7 @@ func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([]
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
 		groups = expand(groups, lv.pairs)
-		refineGroupsBoundary(lv.mat, groups, passes)
+		refineGroupsBoundary(lv.mat, groups, passes, lv.mat.IsSymmetric())
 	}
 	for _, g := range groups {
 		slices.Sort(g)
@@ -159,7 +167,8 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // every adjacent group pair; the maxBoundaryPairs·k heaviest pairs each get
 // up to maxSwapsPerPair best-gain swaps between their maxBoundaryCands most
 // promising boundary members. Group sizes are preserved (only swaps are
-// applied). The matrix is assumed symmetric.
+// applied). Its gains read the matrix as symmetric (a value-asymmetric
+// one gets a partition, not a better one).
 //
 // Exactness contract: it makes the swaps, in the order, of the map-and-At
 // reference kept in boundary_oracle_test.go. Each pair's cut adds the same
@@ -170,6 +179,11 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // pair that failed before and has not changed since, and try stops at a
 // D-sum bound before it sorts or scatters anything.
 //
+// symmetric must be m.IsSymmetric(); a caller that seeded the groups with
+// the greedy fill on m passes the fill's answer (affinityFill.symmetric)
+// rather than testing m again. It lets the ranking walk group by group
+// instead of buffering every cross-group nonzero (cutRanker).
+//
 // The work runs on runtime.GOMAXPROCS(0) workers (crew), started once per
 // call. The ranked pairs run in dependency levels (boundaryRun.schedule):
 // an attempt on (a, b) reads and writes only the member slices of a and b
@@ -177,15 +191,16 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // so pairs that share no group commute, and every group's final slice,
 // member order included, is the one the ranked order produces. Each worker
 // reads those labels from its own stamps (boundarySwapper.mark), never
-// from a slice another worker writes. The cut sweep splits the rows into
-// one consecutive range per worker (cutRanker).
+// from a slice another worker writes. The cut sweep splits the groups, or
+// on a matrix that is not symmetric the rows, among the workers
+// (cutRanker).
 // Everything is sized once per call; no attempt or level allocates.
-func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
-	refineBoundary(m, groups, passes, runtime.GOMAXPROCS(0))
+func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int, symmetric bool) {
+	refineBoundary(m, groups, passes, runtime.GOMAXPROCS(0), symmetric)
 }
 
 // refineBoundary is refineGroupsBoundary on the given number of workers.
-func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int) {
+func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int, symmetric bool) {
 	k := len(groups)
 	if k < 2 || passes <= 0 {
 		return
@@ -211,7 +226,7 @@ func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int) {
 	}
 	r.crew.hire(workers)
 	defer r.crew.stop()
-	r.ranker.init(m, r.group, k, workers)
+	r.ranker.init(m, r.group, groups, r.orphans, workers, symmetric)
 	r.last, r.order = make([]int32, k), make([]levelPair, 0, maxBoundaryPairs*k)
 	for pass := 0; pass < passes; pass++ {
 		r.memo.nextPass(r.ws)
@@ -457,33 +472,98 @@ func selectTop(s []cutRec, l int) {
 }
 
 // cutRanker is the working memory of rank, kept across the passes of one
-// refineGroupsBoundary call.
+// refineGroupsBoundary call. It ranks one of two ways, and both add every
+// cut's terms in global (row, column) order, the order a per-pair map over
+// a row-major sweep adds them in.
+//
+// Buffered, for any matrix: the workers sweep consecutive row ranges, once
+// to count each bucket's entries and once to file every cross-group
+// nonzero under the smaller group of its pair, in byA (rankRows).
+//
+// Group by group, for a matrix equal to its transpose: the terms of pair
+// (a, b), a < b, are the entries of a's rows into b and their mirrors, the
+// entries of b's rows into a, so group a's own rows hold them all. The
+// workers take the groups in turn, and each keeps the heaviest pairs it
+// has summed in a bounded heap (rankGroups); nothing larger than one
+// group's terms is buffered.
 type cutRanker struct {
 	m     *comm.Matrix
-	group []int32
-	// One pass's cross-group nonzeros bucketed by a; the pairs are summed
-	// into byA in place.
+	group []int32 // group[e] is e's group
+	// The members of every group, and the entities in no group, which
+	// count as group 0; read group by group.
+	groups    [][]int
+	orphans   []int
+	k         int
+	workers   int
+	symmetric bool
+	summed    int // the terms the last rank added up
+	// Buffered: one pass's cross-group nonzeros bucketed by a; the pairs
+	// are summed into byA in place.
 	byA  []cutRec
 	slot []int32 // slot[b]: where pair (a, b) of the bucket being summed sits in the pairs
 	// at[w·k+a] counts worker w's entries of bucket a, then is the next
 	// position they fill; once filled, the last worker's close the buckets.
-	at      []int32
-	workers int
-	fill    bool // whether work counts or files
+	at   []int32
+	fill bool // whether work counts or files
+	// Group by group: the workers' heaps, worker w's a window of top.
+	top    []cutRec
+	sweeps []groupSweep
 }
 
-// init sizes the ranker for k groups of the order-n matrix and the given
-// number of workers; group is read afresh at every rank.
-func (c *cutRanker) init(m *comm.Matrix, group []int32, k, workers int) {
-	ints := make([]int32, (1+workers)*k)
-	*c = cutRanker{m: m, group: group, slot: ints[:k:k], at: ints[k:], workers: workers}
+// init sizes the ranker for the groups of the matrix and the given number
+// of workers; the labels and member lists are read afresh at every rank.
+// symmetric is m.IsSymmetric(), and chooses the way it ranks.
+func (c *cutRanker) init(m *comm.Matrix, group []int32, groups [][]int, orphans []int, workers int, symmetric bool) {
+	k := len(groups)
+	*c = cutRanker{m: m, group: group, groups: groups, orphans: orphans, k: k, workers: workers, symmetric: symmetric}
+	if !symmetric {
+		return
+	}
+	ints := make([]int32, 2*workers*k)
+	c.top = make([]cutRec, workers*maxBoundaryPairs*k)
+	c.sweeps = make([]groupSweep, workers)
+	terms := make([]cutTerm, 4*workers*sweepTerms)
+	for w := range c.sweeps {
+		s, t := &c.sweeps[w], terms[4*w*sweepTerms:]
+		s.count, s.partners = ints[2*w*k:(2*w+1)*k:(2*w+1)*k], ints[(2*w+1)*k:(2*w+1)*k:(2*w+2)*k]
+		s.terms, s.byB, s.both = t[:0:sweepTerms], t[sweepTerms:2*sweepTerms:2*sweepTerms], t[2*sweepTerms:2*sweepTerms:4*sweepTerms]
+	}
 }
 
-// work sweeps worker w's share of the rows, in order, and counts (!fill)
-// or files under the smaller group of its pair (fill) every cross-group
-// entry.
+// sweepTerms is the room for one group's terms a worker starts with, ample
+// for place-scale's groups; a group with more grows it, once per doubling.
+const sweepTerms = 256
+
+// work is worker w's share of a sweep: its rows, or its groups.
 func (c *cutRanker) work(w int) {
-	k, n, fill := len(c.slot), c.m.Order(), c.fill
+	if c.symmetric {
+		c.sweeps[w].sweep(c, w)
+	} else {
+		c.sweepRows(w)
+	}
+}
+
+// rank returns the maxBoundaryPairs·k heaviest cut pairs in byCut order.
+func (c *cutRanker) rank(cw *crew) []cutRec {
+	var pairs []cutRec
+	if c.symmetric {
+		pairs = c.rankGroups(cw)
+	} else {
+		pairs = c.rankRows(cw)
+	}
+	if l := maxBoundaryPairs * c.k; len(pairs) > l {
+		selectTop(pairs, l)
+		pairs = pairs[:l]
+	}
+	slices.SortFunc(pairs, byCut)
+	return pairs
+}
+
+// sweepRows sweeps worker w's share of the rows, in order, and counts
+// (!fill) or files under the smaller group of its pair (fill) every
+// cross-group entry.
+func (c *cutRanker) sweepRows(w int) {
+	k, n, fill := c.k, c.m.Order(), c.fill
 	at := c.at[w*k : (w+1)*k]
 	for i := w * n / c.workers; i < (w+1)*n/c.workers; i++ {
 		gi := c.group[i]
@@ -501,17 +581,19 @@ func (c *cutRanker) work(w int) {
 	}
 }
 
-// rank returns the maxBoundaryPairs·k heaviest cut pairs in byCut order.
-// The workers sweep consecutive row ranges, once to count each bucket's
-// entries and once to file them; worker w's share of bucket a follows the
-// shares of the workers before it, so every bucket holds its entries in
-// global (row, column) order, and summing bucket a pair by pair adds the
-// terms of each cut in the order a per-pair map would have.
-func (c *cutRanker) rank(cw *crew) []cutRec {
+// rankRows returns every cut pair, summed from byA. Worker w's share of
+// bucket a follows the shares of the workers before it, so every bucket
+// holds its entries in global (row, column) order, and summing bucket a
+// pair by pair adds the terms of each cut in that order.
+func (c *cutRanker) rankRows(cw *crew) []cutRec {
+	if c.at == nil {
+		ints := make([]int32, (1+c.workers)*c.k)
+		c.slot, c.at = ints[:c.k:c.k], ints[c.k:]
+	}
 	clear(c.at)
 	c.fill = false
 	cw.do(c)
-	k, pos := len(c.slot), int32(0)
+	k, pos := c.k, int32(0)
 	for a := range k {
 		for w := a; w < len(c.at); w += k {
 			c.at[w], pos = pos, pos+c.at[w]
@@ -520,6 +602,7 @@ func (c *cutRanker) rank(cw *crew) []cutRec {
 	c.byA = slices.Grow(c.byA[:0], int(pos))[:pos]
 	c.fill = true
 	cw.do(c)
+	c.summed = int(pos)
 	byA, end := c.byA, c.at[len(c.at)-k:]
 	// Bucket a is now byA[end[a-1]:end[a]]. Pair p is appended while
 	// reading entry q ≥ p (every earlier pair took an earlier entry), so
@@ -540,12 +623,174 @@ func (c *cutRanker) rank(cw *crew) []cutRec {
 		}
 		lo = end[a]
 	}
-	if l := maxBoundaryPairs * k; len(pairs) > l {
-		selectTop(pairs, l)
-		pairs = pairs[:l]
-	}
-	slices.SortFunc(pairs, byCut)
 	return pairs
+}
+
+// rankGroups returns the workers' heaps one after another: every pair that
+// is among the l heaviest is among the l heaviest its worker summed, so
+// they hold the l heaviest of all. That rests on byCut being a strict
+// order, which a NaN cut (opposite infinities summed) breaks; from such a
+// cut on the ranker files through the buffer, whose selection it then is.
+func (c *cutRanker) rankGroups(cw *crew) []cutRec {
+	cw.do(c)
+	for w := range c.sweeps {
+		if c.sweeps[w].nan {
+			c.symmetric = false
+			return c.rankRows(cw)
+		}
+	}
+	pairs, l := c.top[:0], maxBoundaryPairs*c.k
+	c.summed = 0
+	for w := range c.sweeps {
+		s := &c.sweeps[w]
+		// Worker w's heap starts at w·l, at or past the pairs' end.
+		pairs = append(pairs, c.top[w*l:w*l+s.heap]...)
+		c.summed += s.summed
+	}
+	return pairs
+}
+
+// cutTerm is the entry v of row x, column u.
+type cutTerm struct {
+	x, u int32
+	v    float64
+}
+
+// groupSweep is one worker's memory for ranking group by group.
+type groupSweep struct {
+	terms []cutTerm // the group's entries into later groups
+	byB   []cutTerm // the same, partner by partner
+	both  []cutTerm // one partner's terms and their mirrors; never over 2·len(byB)
+	// count[b] counts the terms with partner b, then is the end of b's run
+	// in byB; back to 0 once the group is done.
+	count    []int32
+	partners []int32 // the group's later partners, first seen first (at most k)
+	heap     int     // the pairs in the worker's window of top
+	summed   int
+	nan      bool // whether some cut was NaN
+}
+
+// sweep sums the cut of every pair (a, b), b > a, for worker w's groups a,
+// and keeps the heaviest in its window of c.top.
+func (s *groupSweep) sweep(c *cutRanker, w int) {
+	l := maxBoundaryPairs * c.k
+	top := c.top[w*l : w*l : (w+1)*l]
+	s.summed, s.nan = 0, false
+	for a := int32(w); a < int32(c.k); a += int32(c.workers) {
+		s.terms, s.partners = s.terms[:0], s.partners[:0]
+		s.collect(c, a, c.groups[a])
+		if a == 0 {
+			s.collect(c, a, c.orphans)
+		}
+		// A counting sort by partner.
+		end := int32(0)
+		for _, b := range s.partners {
+			s.count[b], end = end, end+s.count[b]
+		}
+		if cap(s.byB) < len(s.terms) {
+			s.byB, s.both = make([]cutTerm, cap(s.terms)), make([]cutTerm, 0, 2*cap(s.terms))
+		}
+		s.byB = s.byB[:len(s.terms)]
+		for _, t := range s.terms {
+			b := c.group[t.u]
+			s.byB[s.count[b]] = t
+			s.count[b]++
+		}
+		start := int32(0)
+		for _, b := range s.partners {
+			run := s.byB[start:s.count[b]]
+			start, s.count[b] = s.count[b], 0
+			v := s.cut(run)
+			s.nan = s.nan || v != v
+			top = offer(top, cutRec{a, b, v})
+		}
+		s.summed += 2 * len(s.terms)
+	}
+	s.heap = len(top)
+}
+
+// collect appends the entries of the members' rows into groups after a.
+func (s *groupSweep) collect(c *cutRanker, a int32, members []int) {
+	for _, x := range members {
+		c.m.ForEachNeighbor(x, func(u int, v float64) {
+			b := c.group[u]
+			if b <= a {
+				return
+			}
+			if s.count[b] == 0 {
+				s.partners = append(s.partners, b)
+			}
+			s.count[b]++
+			s.terms = append(s.terms, cutTerm{int32(x), int32(u), v})
+		})
+	}
+}
+
+// cut sums the terms of run, one pair's entries from the rows of its
+// smaller group, and their mirrors, in global (row, column) order.
+func (s *groupSweep) cut(run []cutTerm) float64 {
+	if len(run) == 1 {
+		// 0 + v is v (v is not zero), and the mirror adds v again.
+		return run[0].v + run[0].v
+	}
+	both := append(s.both[:0], run...)
+	for _, t := range run {
+		both = append(both, cutTerm{t.u, t.x, t.v})
+	}
+	slices.SortFunc(both, func(p, q cutTerm) int {
+		if p.x != q.x {
+			return cmp.Compare(p.x, q.x)
+		}
+		return cmp.Compare(p.u, q.u)
+	})
+	s.both = both
+	var v float64
+	for _, t := range both {
+		v += t.v
+	}
+	return v
+}
+
+// offer adds r to h, which keeps the cap(h) first by byCut of the pairs
+// offered: a plain list until it is full, then a heap with the last of them
+// at the root.
+func offer(h []cutRec, r cutRec) []cutRec {
+	if len(h) < cap(h) {
+		if h = append(h, r); len(h) == cap(h) {
+			for i := len(h)/2 - 1; i >= 0; i-- {
+				siftDown(h, i)
+			}
+		}
+	} else if after(h[0], r) {
+		h[0] = r
+		siftDown(h, 0)
+	}
+	return h
+}
+
+// siftDown moves h[i] below every child it comes before by byCut.
+func siftDown(h []cutRec, i int) {
+	r := h[i]
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j+1 < len(h) && after(h[j+1], h[j]) {
+			j++
+		}
+		if !after(h[j], r) {
+			break
+		}
+		h[i], i = h[j], j
+	}
+	h[i] = r
+}
+
+// after reports whether pair x comes after pair y by byCut, for cuts that
+// are not NaN.
+func after(x, y cutRec) bool {
+	return x.v < y.v || (x.v == y.v && (x.a > y.a || (x.a == y.a && x.b > y.b)))
 }
 
 // entry is one recorded nonzero (j, v) of a member's row.

@@ -227,7 +227,7 @@ func TestRefineGroupsBoundaryPreservesSizesAndImproves(t *testing.T) {
 		groups[e%k] = append(groups[e%k], e)
 	}
 	before := intraVolume(m, groups)
-	refineGroupsBoundary(m, groups, 4)
+	refineGroupsBoundary(m, groups, 4, true)
 	checkPartitionInvariants(t, groups, 1600, []int{400, 400, 400, 400})
 	if after := intraVolume(m, groups); after < before {
 		t.Errorf("boundary refinement worsened the cut: %v -> %v", before, after)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -356,7 +357,7 @@ func oraclePartitionAcrossWeighted(m *comm.Matrix, caps []int) ([][]int, error) 
 	if p > multilevelMinOrder {
 		best = greedySizedGroups(m, sizes, new(affinityFill))
 		if k > 1 {
-			refineGroupsBoundary(m, best, partitionRefinePasses)
+			refineGroupsBoundary(m, best, partitionRefinePasses, false)
 		}
 	} else {
 		var err error
@@ -512,9 +513,11 @@ func TestMapperPartitionMatchesOracle(t *testing.T) {
 // concurrently, each in its own kept set. What remains warmed is the group
 // sizes, each candidate's groups, the spectral recursion's id lists and the
 // goroutines, none of which a set holds; the package function also grows
-// the fresh sets, and makes the concurrent ones. Before the sets, the package function made 44, 46 and
-// 440 allocations. The counts are amd64's; 386 makes as many for the first
-// two and 223 / 317 for the lattice.
+// the fresh sets, makes the concurrent ones and, on first use, a set's
+// storages. Before the sets, the package function made 44, 46 and 440
+// allocations; before expand and the coarsening's cover took one array
+// each, the lattice made 255 warmed and 349 fresh. amd64 and 386 make as
+// many.
 func TestMapperPartitionAllocs(t *testing.T) {
 	for _, pin := range []struct {
 		name        string
@@ -523,9 +526,9 @@ func TestMapperPartitionAllocs(t *testing.T) {
 		memo        bool
 		most, fresh float64
 	}{
-		{"stencil4x3-8+6", comm.Stencil2DSparse(4, 3, 4096, 512), []int{8, 6}, false, 15, 33},
-		{"stencil4x4-2+2+4+8-memo", comm.Stencil2DSparse(4, 4, 4096, 512), []int{2, 2, 4, 8}, true, 23, 35},
-		{"lattice8x8-k4-concurrent", comm.Stencil2DSparse(8, 8, 100, 0), []int{16, 16, 16, 16}, false, 255, 349},
+		{"stencil4x3-8+6", comm.Stencil2DSparse(4, 3, 4096, 512), []int{8, 6}, false, 14, 32},
+		{"stencil4x4-2+2+4+8-memo", comm.Stencil2DSparse(4, 4, 4096, 512), []int{2, 2, 4, 8}, true, 20, 32},
+		{"lattice8x8-k4-concurrent", comm.Stencil2DSparse(8, 8, 100, 0), []int{16, 16, 16, 16}, false, 77, 176},
 	} {
 		var w Mapper
 		var opt Options
@@ -551,6 +554,32 @@ func TestMapperPartitionAllocs(t *testing.T) {
 		if fresh > pin.fresh {
 			t.Errorf("%s: %.0f allocations per package call, want <= %.0f", pin.name, fresh, pin.fresh)
 		}
+	}
+}
+
+// TestPartitionAcrossWeightedBytes pins the package call's bytes on the
+// 4×3 stencil split 8 + 6 (placement.Hierarchical and
+// PartitionAcrossWeightedMatrix make one per placement). It runs in a
+// partitioner, whose storages are made on first use, not in a whole Mapper:
+// 4.5 KB, where the Mapper made it 6.3 KB and the per-candidate sets
+// before it 4.6 KB.
+func TestPartitionAcrossWeightedBytes(t *testing.T) {
+	m := comm.Stencil2DSparse(4, 3, 4096, 512)
+	call := func() {
+		if _, err := PartitionAcrossWeighted(m, []int{8, 6}, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 4600 {
+		t.Errorf("%d bytes per package call, want ≤ 4600", got)
 	}
 }
 

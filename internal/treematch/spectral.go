@@ -204,19 +204,21 @@ func (memo *SpectralMemo) order(m *comm.Matrix, ids []int, cs *candidateSet) ([]
 	return order, nil
 }
 
-// induced is the submatrix ids induce on m, built into st (valid until st
-// is next used), or m itself when ids is exactly 0..m.Order()-1.
-func induced(m *comm.Matrix, ids []int, st *comm.Storage) (*comm.Matrix, error) {
+// induced is the submatrix ids induce on m, built into *st (made on first
+// use; valid until it is next used), or m itself when ids is exactly
+// 0..m.Order()-1.
+func induced(m *comm.Matrix, ids []int, st **comm.Storage) (*comm.Matrix, error) {
 	if isIdentity(ids, m.Order()) {
 		return m, nil
 	}
-	return m.SubmatrixIn(st, ids)
+	return m.SubmatrixIn(storage(st), ids)
 }
 
 // splitByOrder deals ids in the given order: the first cut go to lo, the
-// rest to hi.
+// rest to hi, two windows of one array (lo capped at its length).
 func splitByOrder(ids, order []int, cut int) (lo, hi []int) {
-	lo, hi = make([]int, cut), make([]int, len(ids)-cut)
+	both := make([]int, len(ids))
+	lo, hi = both[:cut:cut], both[cut:]
 	for i, e := range order {
 		if i < cut {
 			lo[i] = ids[e]

@@ -247,9 +247,10 @@ func TestSpectralMemoMatchesFresh(t *testing.T) {
 }
 
 // TestSpectralAllocs pins the candidate set the recursion shares: a sized
-// spectral partition of a 16-task stencil, three Fiedler calls, allocates 32
-// times, where building each call its own adjacency and vectors took 66, and
-// each sub-matrix its own storage 45.
+// spectral partition of a 16-task stencil, three Fiedler calls, allocates 30
+// times (one of them the sub-matrix storage, made on first use), where
+// building each call its own adjacency and vectors took 66, each sub-matrix
+// its own storage 45, and each split two id lists 32.
 func TestSpectralAllocs(t *testing.T) {
 	m := comm.Stencil2DSparse(4, 4, 64, 8)
 	run := func() {
@@ -257,7 +258,7 @@ func TestSpectralAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if allocs := testing.AllocsPerRun(20, run); allocs > 32 {
-		t.Errorf("%v allocations per sized partition, want <= 32", allocs)
+	if allocs := testing.AllocsPerRun(20, run); allocs > 30 {
+		t.Errorf("%v allocations per sized partition, want <= 30", allocs)
 	}
 }

@@ -65,13 +65,13 @@ type Mapping struct {
 // The zero value is ready; a Mapper must not be used by two goroutines at
 // once.
 type Mapper struct {
-	pad        comm.Storage
+	// The padding view and the candidate sets. Algorithm 1 groups each
+	// level in cand.first.fill and puts the aggregate over level l's groups
+	// in cand.first.aggs[l%2]; the portfolio's candidates run in all of
+	// cand.
+	partitioner
 	flat, next []int // leaf order of the padded entities, double-buffered
-	// Algorithm 1 groups each level in cand.first.fill and puts the
-	// aggregate over level l's groups in cand.first.aggs[l%2]; the
-	// portfolio's candidates run in all of cand.
-	cand  candidateSets
-	match distanceSet
+	match      distanceSet
 }
 
 // MapMatrix runs the core of Algorithm 1 (lines 2–8): oversubscription
@@ -114,7 +114,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 	mat := m
 	if p < work.Leaves() {
 		var err error
-		mat, err = m.PadView(&w.pad, work.Leaves())
+		mat, err = m.PadView(storage(&w.pad), work.Leaves())
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 			break // the root's aggregate is never read
 		}
 		var err error
-		mat, err = mat.AggregateIn(&w.cand.first.aggs[len(levels)%2], groups)
+		mat, err = mat.AggregateIn(storage(&w.cand.first.aggs[len(levels)%2]), groups)
 		if err != nil {
 			return nil, err
 		}
