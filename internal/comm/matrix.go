@@ -18,6 +18,15 @@
 // terms in the same order as that loop, and the partitioners stay
 // bit-reproducible whichever way they walk a row.
 //
+// # Symmetry
+//
+// Every Matrix equals its transpose bit for bit, so the partitioners read
+// the affinity of a pair as v + v from one row. AddSym is the only writer
+// and adds the same volume to both cells; Read adds half of each
+// off-diagonal entry of a file to both of its cells; Aggregate copies each
+// cell above the diagonal onto its mirror; Submatrix, PadView and
+// ExtendZero copy what is there. Volumes are finite and not negative.
+//
 // # The structural matrix is not the runtime's bill
 //
 // The extracted matrix is structural: it attributes a pairwise volume
@@ -81,18 +90,19 @@ func (m *Matrix) row(i, j int) *sparseRow {
 // over row i's nonzeros, so hot loops should prefer ForEachNeighbor.
 func (m *Matrix) At(i, j int) float64 { return m.row(i, j).at(j) }
 
-// Set assigns the volume exchanged between entities i and j.
-func (m *Matrix) Set(i, j int, vol float64) { m.row(i, j).put(j, vol, false) }
-
-// Add accumulates volume onto entry (i,j).
-func (m *Matrix) Add(i, j int, vol float64) { m.row(i, j).put(j, vol, true) }
-
 // AddSym accumulates volume onto both (i,j) and (j,i), the natural operation
-// when recording one message of the given size between two entities.
+// when recording one message of the given size between two entities. It is
+// the only writer of a matrix, so every matrix equals its transpose bit for
+// bit: the two cells see the same additions in the same order. It panics on
+// a negative, NaN or infinite volume, as the ORWL runtime's volume
+// declarations do.
 func (m *Matrix) AddSym(i, j int, vol float64) {
-	m.Add(i, j, vol)
+	if vol < 0 || math.IsNaN(vol) || math.IsInf(vol, 0) {
+		panic(fmt.Sprintf("comm: AddSym(%d, %d) volume %v, want a finite volume ≥ 0", i, j, vol))
+	}
+	m.row(i, j).put(j, vol)
 	if i != j {
-		m.Add(j, i, vol)
+		m.rows[j].put(i, vol)
 	}
 }
 
@@ -118,34 +128,6 @@ func (m *Matrix) SetLabel(i int, s string) {
 		m.labels = append(m.labels, m.Label(len(m.labels)))
 	}
 	m.labels[i] = s
-}
-
-// IsSymmetric reports whether the matrix equals its transpose exactly.
-func (m *Matrix) IsSymmetric() bool {
-	// Each stored entry (i, j) above the diagonal is compared with its
-	// mirror (j, i). Rows are visited in ascending order, so the mirrors
-	// asked of row j arrive in ascending column order, and next[j] walks
-	// row j once instead of searching it. A below-diagonal entry nobody
-	// asks for, stepped over or left when row i's own turn comes, has an
-	// absent mirror, which reads 0. The diagonal is passed over. Pairs with
-	// neither side stored are trivially 0 == 0.
-	next := make([]int32, m.n)
-	for i := range m.rows {
-		r := &m.rows[i]
-		p, _, ok := r.walkTo(int(next[i]), i)
-		if !ok {
-			return false
-		}
-		for ; p < len(r.cols); p++ {
-			j := int(r.cols[p])
-			q, mirror, ok := m.rows[j].walkTo(int(next[j]), i)
-			if !ok || mirror != r.vals[p] {
-				return false
-			}
-			next[j] = int32(q)
-		}
-	}
-	return true
 }
 
 // TotalVolume returns the sum of all off-diagonal entries, i.e. twice the
@@ -269,19 +251,25 @@ func (m *Matrix) AggregateIn(st *Storage, groups [][]int) (*Matrix, error) {
 	agg := st.reset(k, int(min(int64(m.NNZ()), int64(k)*int64(k))))
 	if !slices.ContainsFunc(groups, func(g []int) bool { return !rowSorted(g) }) {
 		m.aggregateSorted(st, groups)
-		return agg, nil
+	} else {
+		m.aggregateNested(st, groups)
 	}
-	// Unsorted groups take the nested loop below, paying At's binary search
-	// for every entity pair: 3.7 s for a 10 000-entity degree-8 random graph
-	// in 1 000 groups on a 2-vCPU host, against 11 ms with the groups
-	// sorted. The equal-capacity partitions take this path: with equal
+	agg.mirror()
+	return agg, nil
+}
+
+// aggregateNested is Aggregate for groups in any order, into st's matrix.
+func (m *Matrix) aggregateNested(st *Storage, groups [][]int) {
+	// The nested loop pays At's binary search for every entity pair: 3.7 s
+	// for a 10 000-entity degree-8 random graph in 1 000 groups on a 2-vCPU
+	// host, against 11 ms with the groups sorted. The equal-capacity partitions take this path: with equal
 	// capacities, treematch.PartitionAcrossWeightedMatrix and
 	// placement.SlotMapper.Assign aggregate the equal cut's groups
 	// unsorted (`ablate -exp all` makes 175 such calls, orders 6 to 64,
 	// most through placement.AssignFreeSlots). Sorting them there would
 	// reorder each cell's float sum and could move non-integer volumes.
-	// A zero sum is not stored, as Set would not store it.
-	q := 0
+	// A cell no entry falls in sums to zero and is not stored.
+	agg, q := &st.m, 0
 	for a, ga := range groups {
 		lo := q
 		for b, gb := range groups {
@@ -298,7 +286,23 @@ func (m *Matrix) AggregateIn(st *Storage, groups [][]int) (*Matrix, error) {
 		}
 		agg.rows[a] = sparseRow{cols: st.cols[lo:q:q], vals: st.vals[lo:q:q]}
 	}
-	return agg, nil
+}
+
+// mirror copies every cell above the diagonal onto its mirror below it. An
+// aggregate adds a cell's terms in the order its own row meets them, which
+// differs between the two directions, so they can differ in the last bit;
+// after mirror the aggregate equals its transpose, as every matrix does.
+// The cell pattern is already symmetric, so each mirror is found.
+func (m *Matrix) mirror() {
+	for b := range m.rows {
+		r := &m.rows[b]
+		for p, a := range r.cols {
+			if int(a) >= b {
+				break
+			}
+			r.vals[p] = m.rows[a].at(b)
+		}
+	}
 }
 
 // ExtendZero returns a copy of the matrix grown to the given larger order;

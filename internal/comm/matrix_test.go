@@ -1,9 +1,11 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,13 +16,10 @@ func TestBasicOps(t *testing.T) {
 	if m.Order() != 3 {
 		t.Fatalf("Order = %d", m.Order())
 	}
-	m.Set(0, 1, 5)
-	m.Add(0, 1, 2)
-	if got := m.At(0, 1); got != 7 {
-		t.Errorf("At(0,1) = %v, want 7", got)
-	}
-	if got := m.At(1, 0); got != 0 {
-		t.Errorf("At(1,0) = %v, want 0 before AddSym", got)
+	m.AddSym(0, 1, 5)
+	m.AddSym(1, 0, 2)
+	if m.At(0, 1) != 7 || m.At(1, 0) != 7 {
+		t.Errorf("AddSym accumulated %v and %v, want 7", m.At(0, 1), m.At(1, 0))
 	}
 	m.AddSym(1, 2, 3)
 	if m.At(1, 2) != 3 || m.At(2, 1) != 3 {
@@ -30,9 +29,65 @@ func TestBasicOps(t *testing.T) {
 	if m.At(2, 2) != 4 {
 		t.Errorf("AddSym on diagonal doubled: %v", m.At(2, 2))
 	}
-	if m.IsSymmetric() {
-		t.Errorf("matrix with (0,1)=7,(1,0)=0 reported symmetric")
+	m.AddSym(0, 2, 0)
+	if m.NNZ() != 5 {
+		t.Errorf("NNZ = %d after adding a zero, want 5: a zero is not stored", m.NNZ())
 	}
+}
+
+// TestAddSymRejectsInvalidVolumes: AddSym, the only writer of a matrix,
+// panics on a volume that is negative or not finite, with the volume in
+// the message, and stores nothing; the control rows are accepted.
+func TestAddSymRejectsInvalidVolumes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		vol   float64
+		valid bool
+	}{
+		{"negative", -1, false},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+		{"control zero", 0, true},
+		{"control negative zero", math.Copysign(0, -1), true},
+		{"control largest", math.MaxFloat64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(2)
+			defer func() {
+				r := recover()
+				switch {
+				case tc.valid && r != nil:
+					t.Fatalf("AddSym(0, 1, %v) panicked: %v", tc.vol, r)
+				case !tc.valid && r == nil:
+					t.Fatalf("AddSym(0, 1, %v) accepted", tc.vol)
+				case !tc.valid && !strings.Contains(fmt.Sprint(r), fmt.Sprint(tc.vol)):
+					t.Fatalf("AddSym(0, 1, %v) panicked with %q, which does not name the volume", tc.vol, r)
+				}
+				want := 0
+				if tc.valid && tc.vol != 0 {
+					want = 2
+				}
+				if m.NNZ() != want {
+					t.Fatalf("AddSym(0, 1, %v) left %d entries, want %d", tc.vol, m.NNZ(), want)
+				}
+			}()
+			m.AddSym(0, 1, tc.vol)
+		})
+	}
+}
+
+// transposeExact reports the first cell (i, j), in row-major order, whose
+// bits differ from those of (j, i), if any.
+func transposeExact(m *Matrix) (i, j int, ok bool) {
+	for i := 0; i < m.Order(); i++ {
+		for j := 0; j < m.Order(); j++ {
+			if math.Float64bits(m.At(i, j)) != math.Float64bits(m.At(j, i)) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
 }
 
 func TestLabels(t *testing.T) {
@@ -55,7 +110,7 @@ func TestTotalAndRowVolume(t *testing.T) {
 	if got := m.RowVolume(0); got != 20 {
 		t.Errorf("RowVolume(0) = %v, want 20", got)
 	}
-	m.Set(0, 0, 99) // diagonal must not count
+	m.AddSym(0, 0, 99) // diagonal must not count
 	if got := m.TotalVolume(); got != 80 {
 		t.Errorf("TotalVolume with diagonal = %v, want 80", got)
 	}
@@ -85,8 +140,8 @@ func TestAggregate(t *testing.T) {
 		if got := agg.At(0, 1); got != 2 {
 			t.Errorf("Aggregate(%v): cross volume = %v, want 2", groups, got)
 		}
-		if !agg.IsSymmetric() {
-			t.Errorf("Aggregate(%v): aggregate of symmetric matrix not symmetric", groups)
+		if i, j, ok := transposeExact(agg); !ok {
+			t.Errorf("Aggregate(%v): cells (%d,%d) and (%d,%d) differ", groups, i, j, j, i)
 		}
 	}
 }
@@ -192,7 +247,7 @@ func TestMatrixEqual(t *testing.T) {
 	if !c.Equal(m, 0) {
 		t.Errorf("two equal rings not equal")
 	}
-	c.Set(0, 1, 10)
+	c.AddSym(0, 1, 5)
 	if c.Equal(m, 0.001) {
 		t.Errorf("changed matrix equal to original")
 	}
@@ -217,22 +272,45 @@ func TestReadParsesText(t *testing.T) {
 		t.Fatalf("Read: %v", err)
 	}
 	want := New(3)
-	want.Set(0, 1, 1.5)
-	want.Set(1, 0, 1.5)
-	want.Set(1, 2, 2e6)
-	want.Set(2, 1, 2e6)
-	want.Set(2, 2, 0.25)
+	want.AddSym(0, 1, 1.5)
+	want.AddSym(1, 2, 2e6)
+	want.AddSym(2, 2, 0.25)
 	if !m.Equal(want, 0) {
 		t.Errorf("Read = \n%v, want\n%v", m, want)
 	}
-	if !math.Signbit(m.At(0, 0)) {
-		t.Errorf("-0 read as %v", m.At(0, 0))
+	if m.NNZ() != want.NNZ() {
+		t.Errorf("Read stored %d entries, want %d: -0 is read as absent", m.NNZ(), want.NNZ())
 	}
 	if m.Label(0) != "zero" || m.Label(1) != "t1" || m.Label(2) != "two" {
 		t.Errorf("labels = %q %q %q", m.Label(0), m.Label(1), m.Label(2))
 	}
 	if m, err := Read(strings.NewReader("0\n")); err != nil || m.Order() != 0 {
 		t.Errorf("Read of the empty matrix = %v, %v", m, err)
+	}
+}
+
+// TestReadSymmetrises: a file that is not symmetric is read as its
+// symmetric form, each off-diagonal entry split evenly over its two cells
+// and the diagonal kept whole, so every pair's affinity S(i,j) + S(j,i) is
+// the file's a(i,j) + a(j,i).
+func TestReadSymmetrises(t *testing.T) {
+	m, err := Read(strings.NewReader("3\n0 1 0\n3 0 0.5\n0.1 0 7\n"))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	for _, c := range []struct {
+		i, j int
+		want float64
+	}{
+		{0, 1, 2}, {1, 0, 2}, {1, 2, 0.25}, {2, 1, 0.25}, {0, 2, 0.05}, {2, 0, 0.05},
+		{0, 0, 0}, {1, 1, 0}, {2, 2, 7},
+	} {
+		if got := m.At(c.i, c.j); got != c.want {
+			t.Errorf("At(%d,%d) = %v, want %v", c.i, c.j, got, c.want)
+		}
+	}
+	if got := m.At(0, 2) + m.At(2, 0); got != 0.1 {
+		t.Errorf("affinity of (0,2) = %v, want the file's 0.1", got)
 	}
 }
 
@@ -278,7 +356,9 @@ func TestReadMemoryFollowsInput(t *testing.T) {
 }
 
 // FuzzReadMatrix: Read never panics, and every matrix it accepts has as many
-// rows as its order and only finite entries, none of them negative.
+// rows as its order and only finite entries, none of them negative; it
+// equals its transpose bit for bit, and where halving the file's volumes is
+// exact, S(i,j) + S(j,i) == a(i,j) + a(j,i) (a -0 in the file reads 0).
 func FuzzReadMatrix(f *testing.F) {
 	for _, seed := range []string{
 		"2\n0 1\n1 0\n",
@@ -290,6 +370,9 @@ func FuzzReadMatrix(f *testing.F) {
 		"1\n1e400\n",
 		"3\n0 -5 1\n-5 0 2\n1 2 0\n",
 		"2\n-0 1\n1 -0\n",
+		"3\n0 1 0\n3 0 0.5\n0.1 0 7\n",
+		"2\n0 1.7976931348623157e308\n1.7976931348623157e308 0\n",
+		"2\n0 5e-324\n0 0\n",
 	} {
 		f.Add(seed)
 	}
@@ -314,7 +397,46 @@ func FuzzReadMatrix(f *testing.F) {
 				}
 			}
 		}
+		if i, j, ok := transposeExact(m); !ok {
+			t.Fatalf("cells (%d,%d) and (%d,%d) differ: %v and %v", i, j, j, i, m.At(i, j), m.At(j, i))
+		}
+		a := readVolumes(in)
+		exact := func(v float64) bool { return v/2*2 == v }
+		for i := range a {
+			for j := range a {
+				if !exact(a[i][j]) || !exact(a[j][i]) {
+					continue
+				}
+				if got, want := m.At(i, j)+m.At(j, i), a[i][j]+a[j][i]; got != want {
+					t.Fatalf("affinity of (%d,%d) = %v, want the file's %v + %v = %v", i, j, got, a[i][j], a[j][i], want)
+				}
+			}
+		}
 	})
+}
+
+// readVolumes parses the rows of a text matrix that Read accepted, as they
+// stand in the file.
+func readVolumes(in string) [][]float64 {
+	var rows [][]float64
+	header := true
+	for _, line := range strings.Split(in, "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if header {
+			header = false
+			continue
+		}
+		row := make([]float64, len(fields))
+		for j, f := range fields {
+			row[j], _ = strconv.ParseFloat(f, 64)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 func TestStringForms(t *testing.T) {

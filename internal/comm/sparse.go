@@ -9,13 +9,12 @@ import "slices"
 //
 // The partitioners must stay bit-reproducible, so the iteration order is
 // part of the contract: ForEachNeighbor visits a row's entries in ascending
-// column order and skips zero values, and every float accumulation driven
+// column order, and every float accumulation driven
 // by it sees the same operands in the same order as a loop over all columns
 // reading At would.
 
-// sparseRow is one matrix row in ascending column order. Explicit zeros may
-// be stored (Set(i,j,0) on an existing entry); iteration skips them, so they
-// are semantically invisible.
+// sparseRow is one matrix row in ascending column order. AddSym adds only
+// volumes ≥ 0 and never stores a zero, so every stored value is positive.
 type sparseRow struct {
 	cols []int32
 	vals []float64
@@ -44,29 +43,12 @@ func (r *sparseRow) at(j int) float64 {
 	return 0
 }
 
-// walkTo reads column c from position p on: it returns the position past
-// column c, the entry there (0 if absent, as at reads it), and whether
-// every entry it stepped over in a column below c reads 0.
-func (r *sparseRow) walkTo(p, c int) (int, float64, bool) {
-	for ; p < len(r.cols) && int(r.cols[p]) < c; p++ {
-		if r.vals[p] != 0 {
-			return p, 0, false
-		}
-	}
-	if p < len(r.cols) && int(r.cols[p]) == c {
-		return p + 1, r.vals[p], true
-	}
-	return p, 0, true
-}
-
-// put stores v at column j (add: adds it to the stored value). An absent
-// column is inserted only for a nonzero v: zeros are not materialized.
-func (r *sparseRow) put(j int, v float64, add bool) {
+// put adds v to column j. An absent column is inserted only for a nonzero
+// v: zeros are not materialized.
+func (r *sparseRow) put(j int, v float64) {
 	switch p, ok := r.find(j); {
-	case ok && add:
-		r.vals[p] += v
 	case ok:
-		r.vals[p] = v
+		r.vals[p] += v
 	case v != 0:
 		r.cols = append(r.cols, 0)
 		r.vals = append(r.vals, 0)
@@ -97,15 +79,11 @@ func packRows(dst, src []sparseRow) {
 	}
 }
 
-// NNZ returns the number of nonzero entries (stored zeros are not counted).
+// NNZ returns the number of nonzero entries.
 func (m *Matrix) NNZ() int {
 	nnz := 0
 	for i := range m.rows {
-		for _, v := range m.rows[i].vals {
-			if v != 0 {
-				nnz++
-			}
-		}
+		nnz += len(m.rows[i].cols)
 	}
 	return nnz
 }
@@ -117,9 +95,7 @@ func (m *Matrix) NNZ() int {
 func (m *Matrix) ForEachNeighbor(i int, fn func(j int, v float64)) {
 	r := &m.rows[i]
 	for p, c := range r.cols {
-		if v := r.vals[p]; v != 0 {
-			fn(int(c), v)
-		}
+		fn(int(c), r.vals[p])
 	}
 }
 
@@ -140,8 +116,7 @@ func rowSorted(ids []int) bool {
 // column order, summed into a k-length accumulator whose touched cells,
 // sorted by column, become the row. Every output cell thus accumulates its
 // contributions in exactly the order Aggregate's nested At loop would —
-// adding zero being exact, the results are bit-identical. A cell some
-// nonzero touched is stored even when its sum is zero.
+// adding zero being exact, the results are bit-identical.
 func (m *Matrix) aggregateSorted(st *Storage, groups [][]int) {
 	k := len(groups)
 	grp := grow(st.grp, m.n)

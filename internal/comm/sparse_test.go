@@ -9,7 +9,7 @@ import (
 )
 
 // testMatrices covers the generator shapes the partitioners consume, plus
-// asymmetric, negative and stored-zero entries.
+// diagonal entries and pairs written from both ends.
 func testMatrices(t *testing.T) map[string]*Matrix {
 	t.Helper()
 	return map[string]*Matrix{
@@ -20,8 +20,8 @@ func testMatrices(t *testing.T) map[string]*Matrix {
 		"random64":    Random(64, 0.1, 1000, 42),
 		"lk23":        LK23OpLevel(3, 3, 16, 16, 8),
 		"empty":       New(12),
-		"asymmetric":  func() *Matrix { m := New(6); m.Set(0, 3, 5); m.Set(3, 0, 2); m.Set(5, 1, 7); return m }(),
-		"storedzero":  func() *Matrix { m := New(5); m.Set(4, 1, 2); m.Set(4, 1, 0); m.AddSym(0, 4, -1.5); return m }(),
+		"bothends":    func() *Matrix { m := New(6); m.AddSym(0, 3, 5); m.AddSym(3, 0, 2); m.AddSym(5, 1, 7); return m }(),
+		"diagonal":    func() *Matrix { m := New(5); m.AddSym(4, 4, 2); m.AddSym(4, 1, 0); m.AddSym(0, 4, 1.5); return m }(),
 		"zeroorder":   New(0),
 		"singleentry": New(1),
 	}
@@ -67,12 +67,11 @@ func TestSparseIterationMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSparseAccumulationsBitEqual holds TotalVolume, RowVolume and
-// IsSymmetric to the every-column loops that define them.
+// TestSparseAccumulationsBitEqual holds TotalVolume and RowVolume to the
+// every-column loops that define them, and every matrix to its transpose.
 func TestSparseAccumulationsBitEqual(t *testing.T) {
 	for name, m := range testMatrices(t) {
 		var total float64 // one running sum in row-major order, not row totals
-		sym := true
 		for i := 0; i < m.Order(); i++ {
 			var row float64
 			for j := 0; j < m.Order(); j++ {
@@ -80,7 +79,6 @@ func TestSparseAccumulationsBitEqual(t *testing.T) {
 					row += m.At(i, j)
 					total += m.At(i, j)
 				}
-				sym = sym && m.At(i, j) == m.At(j, i)
 			}
 			if got := m.RowVolume(i); got != row {
 				t.Errorf("%s: RowVolume(%d) %v, want %v", name, i, got, row)
@@ -89,15 +87,16 @@ func TestSparseAccumulationsBitEqual(t *testing.T) {
 		if got := m.TotalVolume(); got != total {
 			t.Errorf("%s: TotalVolume %v, want %v", name, got, total)
 		}
-		if got := m.IsSymmetric(); got != sym {
-			t.Errorf("%s: IsSymmetric %v, want %v", name, got, sym)
+		if i, j, ok := transposeExact(m); !ok {
+			t.Errorf("%s: cells (%d,%d) and (%d,%d) differ", name, i, j, j, i)
 		}
 	}
 }
 
 // TestSparseAggregateBitEqual checks every cell of Aggregate against the
 // nested At loop over its two groups, for sorted groups (aggregateSorted)
-// and unsorted ones (the nested loop itself).
+// and unsorted ones (the nested loop itself). A cell below the diagonal is
+// its mirror's loop.
 func TestSparseAggregateBitEqual(t *testing.T) {
 	check := func(name string, m *Matrix, groups [][]int) {
 		t.Helper()
@@ -108,9 +107,9 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 		if agg.Order() != len(groups) {
 			t.Fatalf("%s: order %d, want %d", name, agg.Order(), len(groups))
 		}
-		for a, ga := range groups {
-			for b, gb := range groups {
-				if got, want := agg.At(a, b), atSum(m, ga, gb); got != want {
+		for a := range groups {
+			for b := range groups {
+				if got, want := agg.At(a, b), atSum(m, groups[min(a, b)], groups[max(a, b)]); got != want {
 					t.Fatalf("%s: cell (%d,%d) = %v, nested loop %v", name, a, b, got, want)
 				}
 			}
@@ -122,7 +121,7 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 	}
 	check("stencil8x8", Stencil2DSparse(8, 8, 64, 8), groups)
 
-	// Non-integer, asymmetric volumes with explicit zeros, summed over
+	// Non-integer volumes, pairs written from both ends, summed over
 	// scattered groups: any change in the per-cell summation order shows up
 	// in the low bits. Group counts run from one group to one per entity,
 	// so output rows range from one cell to hundreds.
@@ -131,11 +130,7 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 		n := 8 + rng.Intn(400)
 		m := New(n)
 		for e := 0; e < 3*n; e++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			m.Set(i, j, rng.Float64()*1000-100)
-			if rng.Intn(6) == 0 {
-				m.Set(i, j, 0)
-			}
+			m.AddSym(rng.Intn(n), rng.Intn(n), rng.Float64()*1000)
 		}
 		k := 1 + rng.Intn(n)
 		groups := make([][]int, k)
@@ -155,11 +150,44 @@ func TestSparseAggregateBitEqual(t *testing.T) {
 	}
 }
 
+// TestAggregateMirrorsCells: the two directions of an aggregate cell add
+// the same terms in different orders, and on random256 in groups of four
+// some pairs differ in the last bit. Aggregate keeps the cell above the
+// diagonal on both sides, for sorted and for unsorted groups.
+func TestAggregateMirrorsCells(t *testing.T) {
+	m := Random(256, 0.05, 500, 7)
+	sorted, reversed := make([][]int, 64), make([][]int, 64)
+	for i := 0; i < 256; i++ {
+		sorted[i/4] = append(sorted[i/4], i)
+		reversed[i/4] = append([]int{i}, reversed[i/4]...)
+	}
+	differ := 0
+	for a := range sorted {
+		for b := a + 1; b < len(sorted); b++ {
+			if atSum(m, sorted[a], sorted[b]) != atSum(m, sorted[b], sorted[a]) {
+				differ++
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("no aggregate cell's two directions differ; the case no longer exercises the mirror")
+	}
+	for name, groups := range map[string][][]int{"sorted": sorted, "reversed": reversed} {
+		agg, err := m.Aggregate(groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, j, ok := transposeExact(agg); !ok {
+			t.Errorf("%s: cells (%d,%d) and (%d,%d) differ: %v and %v", name, i, j, j, i, agg.At(i, j), agg.At(j, i))
+		}
+	}
+}
+
 // TestSparseSubmatrixExtendSymmetrize checks Submatrix and ExtendZero entry
 // by entry against lookups in the source matrix.
 func TestSparseSubmatrixExtendSymmetrize(t *testing.T) {
 	m := Random(40, 0.3, 500, 7)
-	m.Set(3, 9, 123) // an asymmetric entry
+	m.AddSym(3, 9, 123)
 	m.SetLabel(5, "five")
 
 	ids := []int{5, 0, 17, 33, 12, 39, 3, 9}
@@ -226,7 +254,7 @@ func TestSparseGenerators(t *testing.T) {
 	}
 
 	r := RandomSparse(1000, 4, 100, 11)
-	if !r.IsSymmetric() {
+	if _, _, ok := transposeExact(r); !ok {
 		t.Error("RandomSparse not symmetric")
 	}
 	r2 := RandomSparse(1000, 4, 100, 11)
@@ -239,28 +267,22 @@ func TestSparseGenerators(t *testing.T) {
 	}
 }
 
+// TestSparseSetAddSemantics: a write of zero never stores an entry, whether
+// the cell is absent or already holds a volume, and AddSym, the one writer
+// that sets and adds, mirrors every entry.
 func TestSparseSetAddSemantics(t *testing.T) {
 	s := New(5)
-	s.Set(1, 2, 0) // setting an absent entry to zero must not materialize it
+	s.AddSym(1, 2, 0) // adding zero to an absent entry must not materialize it
 	if s.NNZ() != 0 {
-		t.Errorf("Set(.,.,0) materialized an entry: nnz=%d", s.NNZ())
-	}
-	s.Add(1, 2, 3)
-	s.Add(1, 2, -3) // stored zero: invisible to iteration
-	if got := s.At(1, 2); got != 0 {
-		t.Errorf("At after cancelling adds = %v", got)
-	}
-	count := 0
-	s.ForEachNeighbor(1, func(int, float64) { count++ })
-	if count != 0 {
-		t.Errorf("ForEachNeighbor visited %d cancelled entries", count)
-	}
-	if s.NNZ() != 0 {
-		t.Errorf("cancelled entry counted: nnz=%d", s.NNZ())
+		t.Errorf("AddSym(.,.,0) materialized an entry: nnz=%d", s.NNZ())
 	}
 	s.AddSym(0, 4, 2.5)
 	if s.At(0, 4) != 2.5 || s.At(4, 0) != 2.5 {
 		t.Error("AddSym did not mirror")
+	}
+	s.AddSym(4, 0, 0)
+	if s.At(0, 4) != 2.5 || s.NNZ() != 2 {
+		t.Errorf("adding zero to a stored entry changed it: %v, nnz=%d", s.At(0, 4), s.NNZ())
 	}
 	if math.Abs(s.TotalVolume()-5) > 0 {
 		t.Errorf("TotalVolume = %v, want 5", s.TotalVolume())

@@ -11,7 +11,7 @@ import (
 // sameMatrix requires two matrices to be stored alike bit for bit: order,
 // padding, every entity's name, and every row's columns and values,
 // explicit zeros included. A row must also be capped to its own entries, so
-// that growing it through Set reallocates instead of overwriting the next.
+// that growing it through AddSym reallocates instead of overwriting the next.
 func sameMatrix(t *testing.T, what string, got, want *Matrix) {
 	t.Helper()
 	if got.n != want.n || got.pad != want.pad || (got.labels == nil) != (want.labels == nil) {
@@ -52,10 +52,10 @@ func labelled(m *Matrix) *Matrix {
 func TestStorageStaleMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	big := RandomSparse(3000, 8, 100, 4)
-	asym := Random(60, 0.3, 7.3, 2) // non-integer volumes
-	for i := 0; i < asym.n; i += 7 {
-		asym.Add(i, (i*13+5)%asym.n, 0.1) // asymmetric entries
-		asym.Set(i, i, 0)                 // diagonal, stored only where present
+	frac := Random(60, 0.3, 7.3, 2) // non-integer volumes
+	for i := 0; i < frac.n; i += 7 {
+		frac.AddSym(i, (i*13+5)%frac.n, 0.1)
+		frac.AddSym(i, i, 0.25) // diagonal entries
 	}
 	padded, _ := big.ExtendZero(3100)
 	var st Storage
@@ -87,9 +87,10 @@ func TestStorageStaleMatchesFresh(t *testing.T) {
 		}
 		for a := range groups { // the definition, cell by cell
 			for b := range groups {
+				// A cell below the diagonal is its mirror's sum.
 				var s float64
-				for _, i := range groups[a] {
-					for _, j := range groups[b] {
+				for _, i := range groups[min(a, b)] {
+					for _, j := range groups[max(a, b)] {
 						s += m.At(i, j)
 					}
 				}
@@ -139,12 +140,12 @@ func TestStorageStaleMatchesFresh(t *testing.T) {
 	sub(big, rng.Perm(3000)[:900])                       // large again, unlabelled
 	sub(padded, append(rng.Perm(3000)[:20], 3050, 3001)) // padding names follow
 	agg(big, groupsOf(3000, 300, true))
-	sub(labelled(asym), rng.Perm(60)[:12])
-	agg(asym, groupsOf(60, 6, false)) // the nested-loop path
-	agg(asym, groupsOf(60, 70, true)) // more groups than entities, some empty
-	pad(asym, 64)
+	sub(labelled(frac), rng.Perm(60)[:12])
+	agg(frac, groupsOf(60, 6, false)) // the nested-loop path
+	agg(frac, groupsOf(60, 70, true)) // more groups than entities, some empty
+	pad(frac, 64)
 	sub(big, nil)
-	agg(asym, groupsOf(60, 4, true))
+	agg(frac, groupsOf(60, 4, true))
 	pad(big, 3000)
 	sub(big, rng.Perm(3000)[:1000])
 }

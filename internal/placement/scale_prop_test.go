@@ -164,7 +164,8 @@ func TestHierarchicalStencil80(t *testing.T) {
 // oversubscribed per-node mappings on one reused working set. Before the
 // pool's workers kept their sub-matrix storage and Mapper it cost 2 019, and
 // 937 (881 on 386) before expand and the coarsening's cover took one array
-// each; it costs 471 on amd64 (463 on 386). The bound leaves a little room
+// each, and 471 (463 on 386) while every fill tested the matrix's symmetry;
+// it costs 423 on amd64. The bound leaves a little room
 // because the portfolio's concurrent candidates can, in an unlucky run,
 // need one more refinement scratch than any run before (two more were seen
 // under -race).
@@ -180,7 +181,7 @@ func TestHierarchicalSequentialAllocs(t *testing.T) {
 		}
 	}
 	place()
-	if allocs := testing.AllocsPerRun(5, place); allocs > 485 {
-		t.Errorf("%v allocations per placement, want ≤ 485", allocs)
+	if allocs := testing.AllocsPerRun(5, place); allocs > 437 {
+		t.Errorf("%v allocations per placement, want ≤ 437", allocs)
 	}
 }

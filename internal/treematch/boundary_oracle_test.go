@@ -2,13 +2,11 @@ package treematch
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -157,34 +155,26 @@ func oracleTryBestBoundarySwap(m *comm.Matrix, groups [][]int, group []int, a, b
 
 // checkBoundaryExact runs the oracle and, on 1, 2, 3 and 4 workers, the
 // kernel from the same start and requires slice-equal groups (member order
-// included): ranking through the buffer always, and group by group too when
-// the matrix is symmetric. It reports whether it took the second path.
-func checkBoundaryExact(t *testing.T, name string, m *comm.Matrix, groups [][]int, passes int) bool {
+// included).
+func checkBoundaryExact(t *testing.T, name string, m *comm.Matrix, groups [][]int, passes int) {
 	t.Helper()
 	want := cloneGroups(groups)
 	oracleRefineGroupsBoundary(m, want, passes)
-	symmetric := m.IsSymmetric()
-	for _, byGroup := range []bool{false, true} {
-		if byGroup && !symmetric {
-			break
-		}
-		for _, workers := range []int{1, 2, 3, 4} {
-			got := cloneGroups(groups)
-			refineBoundary(m, got, passes, workers, byGroup)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, %d passes, %d workers, group by group %v: kernel and oracle disagree\n got %v\nwant %v", name, passes, workers, byGroup, got, want)
-			}
+	for _, workers := range []int{1, 2, 3, 4} {
+		got := cloneGroups(groups)
+		refineBoundary(m, got, passes, workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %d passes, %d workers: kernel and oracle disagree\n got %v\nwant %v", name, passes, workers, got, want)
 		}
 	}
-	return symmetric
 }
 
 // randomBoundaryMatrix draws a sparse matrix with the shapes the ranking and
-// the pricing must stay exact on: one-directional entries, non-integer
-// volumes, explicit stored zeros, vertices left isolated, and — small
+// the pricing must stay exact on, read in its symmetric form: one-directional
+// and unequal pairs, non-integer volumes, vertices left isolated, and — small
 // integers half the time — plenty of exact cut and gain ties.
 func randomBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
-	m := comm.New(n)
+	a := denseZero(n)
 	integer := rng.Intn(2) == 0
 	val := func() float64 {
 		if integer {
@@ -205,26 +195,27 @@ func randomBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
 			}
 			switch rng.Intn(4) {
 			case 0: // one direction only
-				m.Set(i, j, val())
-			case 1: // stored, then zeroed: an explicit zero
-				m.Set(i, j, val())
-				m.Set(i, j, 0)
-			case 2: // asymmetric both ways
-				m.Set(i, j, val())
-				m.Set(j, i, val())
+				a[i][j] = val()
+			case 1: // zeroed, clearing an earlier draw
+				val()
+				a[i][j] = 0
+			case 2: // unequal both ways
+				a[i][j] = val()
+				a[j][i] = val()
 			default:
-				m.AddSym(i, j, val())
+				v := val()
+				a[i][j] += v
+				a[j][i] += v
 			}
 		}
 	}
-	return m
+	return symmetricForm(a)
 }
 
-// symmetricBoundaryMatrix draws a matrix equal to its transpose with the
-// shapes the group-by-group ranking must stay exact on: negative and
-// non-integer volumes, explicit zeros stored on one side only, diagonal
-// entries, vertices left isolated, and — small integers half the time —
-// plenty of exact cut and gain ties.
+// symmetricBoundaryMatrix draws a matrix through AddSym alone with the
+// shapes the ranking must stay exact on: non-integer volumes, pairs added
+// to more than once, diagonal entries, vertices left isolated, and — small
+// integers half the time — plenty of exact cut and gain ties.
 func symmetricBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
 	m := comm.New(n)
 	integer := rng.Intn(2) == 0
@@ -232,9 +223,6 @@ func symmetricBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
 		v := rng.Float64() * 1000
 		if integer {
 			v = float64(1 + rng.Intn(3))
-		}
-		if rng.Intn(4) == 0 {
-			v = -v
 		}
 		return v
 	}
@@ -245,16 +233,8 @@ func symmetricBoundaryMatrix(rng *rand.Rand, n int) *comm.Matrix {
 		}
 		for d := 0; d < degree; d++ {
 			j := rng.Intn(n)
-			switch v := val(); {
-			case j == i:
-				m.Set(i, i, v)
-			case rng.Intn(5) == 0: // stored, then zeroed: an explicit zero
-				m.Set(i, j, v)
-				m.Set(i, j, 0)
-				m.Set(j, i, 0)
-			default:
-				m.Set(i, j, v)
-				m.Set(j, i, v)
+			if v := val(); rng.Intn(5) != 0 {
+				m.AddSym(i, j, v)
 			}
 		}
 	}
@@ -275,23 +255,6 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 	random := comm.RandomSparse(10000, 8, 100, 1)
 	checkBoundaryExact(t, "place-scale random seed 1", random, greedyGroups(random, 10, 1000), 4)
 
-	// Both sides have maxD = 0, so the D-sum bound alone would call the pair
-	// hopeless, but the negative w(0, 3) makes swapping 0 and 3 gain 4: the
-	// bound must not fire while a recorded entry is negative.
-	mixed := comm.New(6)
-	for _, e := range []struct {
-		i, j int
-		v    float64
-	}{{0, 3, -1}, {0, 4, 1}, {4, 5, 1.5}, {3, 1, 1}, {1, 2, 1.5}} {
-		mixed.AddSym(e.i, e.j, e.v)
-	}
-	groups := [][]int{{0, 1, 2}, {3, 4, 5}}
-	checkBoundaryExact(t, "mixed signs", mixed, groups, 1)
-	refineGroupsBoundary(mixed, groups, 1, true)
-	if want := [][]int{{3, 1, 2}, {0, 4, 5}}; !reflect.DeepEqual(groups, want) {
-		t.Fatalf("mixed signs: got %v, want 0 and 3 swapped: %v", groups, want)
-	}
-
 	rng, srng := rand.New(rand.NewSource(25)), rand.New(rand.NewSource(26))
 	for c := 0; c < 60; c++ {
 		n := 4 + rng.Intn(120)
@@ -308,13 +271,11 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 		k := divisors[rng.Intn(len(divisors))]
 		m := randomBoundaryMatrix(rng, n)
 		checkBoundaryExact(t, fmt.Sprintf("random case %d (n=%d k=%d)", c, n, k), m, greedyGroups(m, n/k, k), 1+rng.Intn(4))
-		// The same shape symmetric, from the greedy seeding and with a
-		// tenth of the entities left out of their groups.
+		// The same shape drawn through AddSym, from the greedy seeding and
+		// with a tenth of the entities left out of their groups.
 		sym := symmetricBoundaryMatrix(srng, n)
 		start := greedyGroups(sym, n/k, k)
-		if !checkBoundaryExact(t, fmt.Sprintf("symmetric case %d (n=%d k=%d)", c, n, k), sym, start, 1+srng.Intn(4)) {
-			t.Fatalf("symmetric case %d: the matrix is not symmetric", c)
-		}
+		checkBoundaryExact(t, fmt.Sprintf("symmetric case %d (n=%d k=%d)", c, n, k), sym, start, 1+srng.Intn(4))
 		for gi, g := range start {
 			start[gi] = slices.DeleteFunc(g, func(int) bool { return srng.Intn(10) == 0 })
 		}
@@ -339,31 +300,27 @@ func TestRefineGroupsBoundaryMatchesOracle(t *testing.T) {
 		}
 	}
 	orphans := perm[8*len(partial):]
-	for _, byGroup := range []bool{false, true} {
-		var cw crew
-		cw.hire(1)
-		var cr cutRanker
-		cr.init(sparse, label, partial, orphans, 1, byGroup)
-		if pairs := cr.rank(&cw); len(pairs) < 64 || !slices.ContainsFunc(pairs, func(p cutRec) bool { return p.a == 0 }) {
-			t.Fatalf("entities in no group, group by group %v: %d ranked pairs, want ≥ 64 with some involving group 0", byGroup, len(pairs))
-		}
-		cw.stop()
+	var cw crew
+	cw.hire(1)
+	var cr cutRanker
+	cr.init(sparse, label, partial, orphans, 1)
+	if pairs := cr.rank(&cw); len(pairs) < 64 || !slices.ContainsFunc(pairs, func(p cutRec) bool { return p.a == 0 }) {
+		t.Fatalf("entities in no group: %d ranked pairs, want ≥ 64 with some involving group 0", len(pairs))
 	}
-	if !checkBoundaryExact(t, "entities in no group", sparse, partial, 3) {
-		t.Fatal("entities in no group: the matrix is not symmetric")
-	}
+	cw.stop()
+	checkBoundaryExact(t, "entities in no group", sparse, partial, 3)
 
 	dense := comm.Random(60, 0.3, 1000, 5)
-	dense.Set(3, 7, 11.5) // asymmetric
+	dense.AddSym(3, 7, 11.5)
 	checkBoundaryExact(t, "dense", dense, greedyGroups(dense, 6, 10), 3)
 }
 
 // TestRankCutsBitEqual pins the summation order of the cut ranking itself:
 // swaps only notice a reordered sum when two cuts come within an ulp of each
 // other, so each ranked cut is compared bit for bit with the per-pair map
-// sum of the oracle, and the ranking with the oracle's full sort. Every
-// other case is symmetric, and those are ranked both ways; either way the
-// ranker must have summed every cross-group entry once.
+// sum of the oracle, and the ranking with the oracle's full sort. The cases
+// alternate between the two generators, and the ranker must have summed
+// every cross-group entry once.
 func TestRankCutsBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for c := 0; c < 60; c++ {
@@ -371,9 +328,7 @@ func TestRankCutsBitEqual(t *testing.T) {
 		k := 2 + rng.Intn(n/2)
 		m := randomBoundaryMatrix(rng, n)
 		if c%2 == 1 {
-			if m = symmetricBoundaryMatrix(rng, n); !m.IsSymmetric() {
-				t.Fatalf("case %d: the matrix is not symmetric", c)
-			}
+			m = symmetricBoundaryMatrix(rng, n)
 		}
 		group, groups := make([]int32, n), make([][]int, k)
 		for e := range group {
@@ -404,85 +359,28 @@ func TestRankCutsBitEqual(t *testing.T) {
 		if len(want) > maxBoundaryPairs*k {
 			want = want[:maxBoundaryPairs*k]
 		}
-		for _, byGroup := range []bool{false, true} {
-			if byGroup && c%2 == 0 {
-				break
-			}
-			for _, workers := range []int{1, 2, 3} {
-				var cw crew
-				cw.hire(workers)
-				var cr cutRanker
-				cr.init(m, group, groups, nil, workers, byGroup)
-				for pass := 0; pass < 2; pass++ { // the second pass reuses every buffer
-					if got := cr.rank(&cw); !reflect.DeepEqual(got, want) {
-						t.Fatalf("case %d pass %d (n=%d k=%d, %d workers, group by group %v): ranking differs\n got %v\nwant %v", c, pass, n, k, workers, byGroup, got, want)
-					}
-					if cr.summed != terms {
-						t.Fatalf("case %d pass %d (%d workers, group by group %v): %d terms summed, want the %d cross-group entries", c, pass, workers, byGroup, cr.summed, terms)
-					}
-				}
-				cw.stop()
-			}
-		}
-	}
-}
-
-// TestRankCutsNaNFallsBack: opposite infinities sum to a NaN cut, which
-// byCut orders with nothing, so the heaps would keep pairs the selection
-// does not; ranking group by group must then give the buffer's ranking,
-// bit for bit, on every worker count.
-func TestRankCutsNaNFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	nans := 0
-	for c := 0; c < 40; c++ {
-		n := 20 + rng.Intn(60)
-		k := 2 + rng.Intn(6)
-		m := symmetricBoundaryMatrix(rng, n)
-		for range 1 + rng.Intn(4) {
-			i, j := rng.Intn(n), rng.Intn(n)
-			v := math.Inf(1 - 2*rng.Intn(2))
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-		if !m.IsSymmetric() {
-			t.Fatalf("case %d: the matrix is not symmetric", c)
-		}
-		group, groups := make([]int32, n), make([][]int, k)
-		for e := range group {
-			group[e] = int32(rng.Intn(k))
-			groups[group[e]] = append(groups[group[e]], e)
-		}
-		rank := func(workers int, byGroup bool) (string, bool) {
+		for _, workers := range []int{1, 2, 3} {
 			var cw crew
 			cw.hire(workers)
-			defer cw.stop()
 			var cr cutRanker
-			cr.init(m, group, groups, nil, workers, byGroup)
-			return fmt.Sprint(cr.rank(&cw)), byGroup && !cr.symmetric
+			cr.init(m, group, groups, nil, workers)
+			for pass := 0; pass < 2; pass++ { // the second pass reuses every buffer
+				if got := cr.rank(&cw); !reflect.DeepEqual(got, want) {
+					t.Fatalf("case %d pass %d (n=%d k=%d, %d workers): ranking differs\n got %v\nwant %v", c, pass, n, k, workers, got, want)
+				}
+				if cr.summed != terms {
+					t.Fatalf("case %d pass %d (%d workers): %d terms summed, want the %d cross-group entries", c, pass, workers, cr.summed, terms)
+				}
+			}
+			cw.stop()
 		}
-		want, _ := rank(1, false)
-		for _, workers := range []int{1, 2, 3} {
-			got, fell := rank(workers, true)
-			if got != want {
-				t.Fatalf("case %d, %d workers: group by group %s, buffered %s", c, workers, got, want)
-			}
-			if fell != strings.Contains(want, "NaN") {
-				t.Fatalf("case %d, %d workers: fell back %v on ranking %s", c, workers, fell, want)
-			}
-			if fell {
-				nans++
-			}
-		}
-	}
-	if nans == 0 {
-		t.Fatal("no case summed a NaN cut")
 	}
 }
 
 // TestRankCutsPlaceScaleTerms pins the terms each ranking of place-scale's
 // random half (seed 1, greedy seeding, two passes) adds up: every
 // cross-group entry once, 142 102 before the first pass's swaps and 142 006
-// after, whether the buffer files them or each group's rows yield them.
+// after.
 func TestRankCutsPlaceScaleTerms(t *testing.T) {
 	m := comm.RandomSparse(10000, 8, 100, 1)
 	groups := greedyGroups(m, 10, 1000)
@@ -493,29 +391,26 @@ func TestRankCutsPlaceScaleTerms(t *testing.T) {
 				label[e] = int32(gi)
 			}
 		}
-		for _, byGroup := range []bool{false, true} {
-			var cw crew
-			cw.hire(2)
-			var cr cutRanker
-			cr.init(m, label, groups, nil, 2, byGroup)
-			cr.rank(&cw)
-			cw.stop()
-			if cr.summed != want {
-				t.Errorf("pass %d, group by group %v: %d terms summed, want %d", pass+1, byGroup, cr.summed, want)
-			}
+		var cw crew
+		cw.hire(2)
+		var cr cutRanker
+		cr.init(m, label, groups, nil, 2)
+		cr.rank(&cw)
+		cw.stop()
+		if cr.summed != want {
+			t.Errorf("pass %d: %d terms summed, want %d", pass+1, cr.summed, want)
 		}
-		refineBoundary(m, groups, 1, 2, true) // the first pass's swaps
+		refineBoundary(m, groups, 1, 2) // the first pass's swaps
 	}
 }
 
 // FuzzRefineGroupsBoundaryExact decodes the input into a small sparse matrix
-// (two bytes per entry: the entry's shape and a small signed volume, so cut
-// and gain ties, explicit zeros and one-directional entries are all one
-// mutation away) and a data-driven partition of uneven group sizes that
+// (two bytes per entry: the entry's shape and a small volume, so cut and gain
+// ties and one-directional entries are all one mutation away), read in its
+// symmetric form, and a data-driven partition of uneven group sizes that
 // leaves some entities in no group, and requires the kernel, on 1, 2, 3 and
-// 4 workers, and the oracle to agree. The top bit of passes symmetrises the
-// matrix — every entry is mirrored as it is set — so that the group-by-group
-// ranking runs too; the decoded matrices are rarely symmetric otherwise.
+// 4 workers, and the oracle to agree. The top bit of passes mirrors every
+// entry as it is set, so that both halves of a pair hold the same volume.
 func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 	f.Add(uint8(9), uint8(3), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(uint8(12), uint8(2), uint8(2), []byte{0x13, 0xf2, 0x21, 0x07, 0x33, 0x81, 0x40, 0x02})
@@ -526,40 +421,38 @@ func FuzzRefineGroupsBoundaryExact(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		m := comm.New(n)
-		set := m.Set
-		if passes&0x80 != 0 {
-			set = func(i, j int, v float64) {
-				m.Set(i, j, v)
-				m.Set(j, i, v)
+		a := denseZero(n)
+		set := func(i, j int, v float64) {
+			a[i][j] = v
+			if passes&0x80 != 0 {
+				a[j][i] = v
 			}
 		}
 		at := func(i int) byte { return data[i%len(data)] }
 		for e := 0; 2*e+1 < len(data) && e < 6*n; e++ {
 			shape, b := at(2*e), at(2*e+1)
 			i, j := int(shape>>2)%n, int(b>>3)%n
-			v := float64(int(b&7) - 3)
+			v := float64(b & 7)
 			switch shape & 3 {
 			case 0:
 				set(i, j, v)
 			case 1:
-				set(i, j, v+0.5)
 				set(i, j, 0)
 			case 2:
 				set(i, j, v+0.25)
 			default:
-				m.AddSym(i, j, v)
+				a[i][j] += v
+				a[j][i] += v
 			}
 		}
+		m := symmetricForm(a)
 		groups := make([][]int, ng)
 		for e := 0; e < n; e++ {
 			if g := int(at(e)+at(e+len(data)/2)) % (ng + 1); g < ng {
 				groups[g] = append(groups[g], (e+int(order))%n)
 			}
 		}
-		if symmetric := checkBoundaryExact(t, "fuzz", m, groups, 1+int(passes)%4); passes&0x80 != 0 && !symmetric {
-			t.Fatal("the symmetrised matrix is not symmetric")
-		}
+		checkBoundaryExact(t, "fuzz", m, groups, 1+int(passes)%4)
 	})
 }
 
@@ -577,7 +470,7 @@ func TestRefineGroupsBoundaryAllocs(t *testing.T) {
 			for gi := range start {
 				copy(groups[gi], start[gi])
 			}
-			refineBoundary(m, groups, partitionRefinePasses, workers, true)
+			refineBoundary(m, groups, partitionRefinePasses, workers)
 		}
 		if allocs := testing.AllocsPerRun(10, run); allocs > 40 {
 			t.Errorf("%d workers: %v allocations per call, want ≤ 40 whatever the pair, level and attempt counts", workers, allocs)
@@ -593,12 +486,11 @@ func TestRefineGroupsBoundaryBytes(t *testing.T) {
 	m := comm.RandomSparse(10000, 8, 100, 1)
 	start := greedyGroups(m, 10, 1000)
 	groups := cloneGroups(start)
-	symmetric := m.IsSymmetric() // the greedy seeding's answer, not the call's work
 	run := func() {
 		for gi := range start {
 			copy(groups[gi], start[gi])
 		}
-		refineBoundary(m, groups, partitionRefinePasses, 2, symmetric)
+		refineBoundary(m, groups, partitionRefinePasses, 2)
 	}
 	run()
 	const runs = 3
@@ -610,5 +502,44 @@ func TestRefineGroupsBoundaryBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 800_000 {
 		t.Errorf("%d bytes per call, want ≤ 0.8 MB", got)
+	}
+}
+
+// TestRefineBoundaryBytesByWorkers records what a call on place-scale's
+// random half (seed 1, from the greedy seeding) costs at 1, 2, 4 and 8
+// workers, which are goroutines. Every worker is given its swapper (two
+// order-n label tables and a failure buffer) and its ranking heap whether
+// it takes work or not, so the bytes grow with the worker count; the pins
+// are the measured curve (0.40, 0.65, 1.13 and 2.08 MB on amd64; the
+// allocation count moves by a few with which worker takes which group),
+// for a change that sizes the tables by the work to tighten.
+func TestRefineBoundaryBytesByWorkers(t *testing.T) {
+	m := comm.RandomSparse(10000, 8, 100, 1)
+	start := greedyGroups(m, 10, 1000)
+	groups := cloneGroups(start)
+	for _, pin := range []struct {
+		workers       int
+		bytes, allocs uint64
+	}{{1, 420_000, 26}, {2, 670_000, 40}, {4, 1_170_000, 66}, {8, 2_150_000, 110}} {
+		run := func() {
+			for gi := range start {
+				copy(groups[gi], start[gi])
+			}
+			refineBoundary(m, groups, partitionRefinePasses, pin.workers)
+		}
+		run()
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%d workers: %d bytes, %d allocations per call", pin.workers, bytes, allocs)
+		if bytes > pin.bytes || allocs > pin.allocs {
+			t.Errorf("%d workers: %d bytes and %d allocations per call, want ≤ %d and ≤ %d", pin.workers, bytes, allocs, pin.bytes, pin.allocs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package treematch
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/comm"
@@ -146,7 +147,9 @@ func (w *Mapper) Map(target Target, m *comm.Matrix, opt Options) (*Result, error
 			return nil, err
 		}
 		for k, task := range byVolume[:nCtl] {
-			ext.AddSym(task, tasks+k, m.RowVolume(task)) // control entity tasks+k
+			// Control entity tasks+k; a row volume that overflowed to +Inf
+			// is kept the largest volume AddSym takes.
+			ext.AddSym(task, tasks+k, min(m.RowVolume(task), math.MaxFloat64))
 		}
 		mp, err := w.mapMatrix(work, ext)
 		if err != nil {

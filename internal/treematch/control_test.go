@@ -1,6 +1,7 @@
 package treematch
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/comm"
@@ -143,5 +144,25 @@ func TestControlStrategyString(t *testing.T) {
 	}
 	if ControlStrategy(9).String() == "" {
 		t.Errorf("out-of-range strategy empty")
+	}
+}
+
+// TestMapSpareCoresOverflowingRow: a task whose row volume overflows to
+// +Inf still gets its control entity, weighted with the largest volume
+// AddSym takes, instead of a rejected infinite one.
+func TestMapSpareCoresOverflowingRow(t *testing.T) {
+	tree := mustTree(t, 2, 4) // 8 cores, 3 tasks -> 3 spare cores
+	m := comm.New(3)
+	m.AddSym(0, 1, math.MaxFloat64)
+	m.AddSym(0, 2, math.MaxFloat64)
+	if !math.IsInf(m.RowVolume(0), 1) {
+		t.Fatalf("row volume %v, want +Inf", m.RowVolume(0))
+	}
+	res, err := Map(Target{Tree: tree, SMTWays: 1}, m, Options{})
+	if err != nil {
+		t.Fatalf("Map: %v", err)
+	}
+	if res.Strategy != ControlSpareCores || res.Control[0] < 0 {
+		t.Fatalf("strategy %v, control of task 0 on %d: want it on a spare core", res.Strategy, res.Control[0])
 	}
 }

@@ -310,20 +310,23 @@ func isTwin(dist [][]float64, leafClass []int, l, t int) bool {
 	return true
 }
 
-// pairAffinity symmetrizes the matrix into pairwise affinities and per-entity
-// total volumes, every cell of the working set's tables rewritten.
+// pairAffinity turns the matrix into pairwise affinities w(i,j) =
+// At(i,j) + At(j,i), which is v + v since the matrix equals its transpose, and
+// per-entity total volumes, every cell of the working set's tables
+// rewritten.
 func (d *distanceSet) pairAffinity(m *comm.Matrix) (aff [][]float64, vol []float64) {
 	p := m.Order()
 	d.cells, d.aff, d.vol = grow(d.cells, p*p), grow(d.aff, p), grow(d.vol, p)
 	aff, vol = d.aff, d.vol
 	for i := range aff {
-		aff[i] = d.cells[i*p : (i+1)*p]
-		for j := range aff[i] {
-			aff[i][j] = 0
-			if i != j {
-				aff[i][j] = m.At(i, j) + m.At(j, i)
+		row := d.cells[i*p : (i+1)*p]
+		aff[i] = row
+		clear(row)
+		m.ForEachNeighbor(i, func(j int, v float64) {
+			if j != i {
+				row[j] = v + v
 			}
-		}
+		})
 	}
 	clear(vol)
 	for i := 0; i < p; i++ {

@@ -15,9 +15,9 @@ func ringMatrix(t *testing.T, n int) *comm.Matrix {
 	t.Helper()
 	m := comm.New(n)
 	for i := 0; i < n; i++ {
-		m.Add(i, (i+1)%n, 100)
+		m.AddSym(i, (i+1)%n, 50)
 	}
-	m.Add(0, n/2, 1)
+	m.AddSym(0, n/2, 0.5)
 	return m
 }
 
@@ -27,9 +27,9 @@ func ringMatrix(t *testing.T, n int) *comm.Matrix {
 func strideRingMatrix(n int) *comm.Matrix {
 	m := comm.New(n)
 	for i := 0; i < n; i++ {
-		m.Add(i*3%n, (i+1)*3%n, 100)
+		m.AddSym(i*3%n, (i+1)*3%n, 50)
 	}
-	m.Add(0, n/2, 1)
+	m.AddSym(0, n/2, 0.5)
 	return m
 }
 
@@ -163,8 +163,8 @@ func TestAssignByDistanceUneven(t *testing.T) {
 	g := topo.FabricGraph()
 	dist := g.LatencyMatrix()
 	m := comm.New(5)
-	m.Add(0, 1, 1000) // heavy pair
-	m.Add(2, 3, 1)
+	m.AddSym(0, 1, 500) // heavy pair
+	m.AddSym(2, 3, 0.5)
 	got, err := AssignByDistance(dist, m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +178,11 @@ func TestAssignByDistanceUneven(t *testing.T) {
 func TestAssignByDistanceSeedValidation(t *testing.T) {
 	dist := [][]float64{{0, 1}, {1, 0}}
 	m := comm.New(2)
-	m.Add(0, 1, 5)
+	m.AddSym(0, 1, 2.5)
 	inf, nan := math.Inf(1), math.NaN()
 	chain := comm.New(3)
-	chain.Add(0, 1, 5)
-	chain.Add(1, 2, 5)
+	chain.AddSym(0, 1, 2.5)
+	chain.AddSym(1, 2, 2.5)
 	for _, c := range []struct {
 		name    string
 		dist    [][]float64

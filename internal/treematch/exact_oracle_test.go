@@ -532,7 +532,7 @@ func TestExactSearchMatchesOracle(t *testing.T) {
 		for _, classes := range [][]int{interleaved, blocked} {
 			stride := comm.New(p) // 5 is coprime to 8 and to 12
 			for i := 0; i < p; i++ {
-				stride.Add(i*5%p, (i+1)*5%p, 100)
+				stride.AddSym(i*5%p, (i+1)*5%p, 50)
 			}
 			for _, m := range []*comm.Matrix{stride, comm.RandomSparse(p, 3, 100, 5)} {
 				requireOracle(t, c.name, dist, m, classes, classes)
@@ -555,7 +555,7 @@ func TestExactSearchMatchesOracle(t *testing.T) {
 	}
 	torusRing := comm.New(9)
 	for i := 0; i < 9; i++ {
-		torusRing.Add(i*2%9, (i+1)*2%9, 100)
+		torusRing.AddSym(i*2%9, (i+1)*2%9, 50)
 	}
 	requireOracle(t, "torus", torus, torusRing, nil, nil)
 	requireOracle(t, "torus seeded", torus, torusRing, nil, nil, rng.Perm(9))
@@ -697,7 +697,7 @@ func FuzzAssignByDistanceExact(f *testing.F) {
 		for len(data) >= 3 {
 			i, j, v := next()%p, next()%p, next()
 			if i != j {
-				m.Add(i, j, float64(v)/3)
+				m.AddSym(i, j, float64(v)/6)
 			}
 		}
 		requireOracle(t, "fuzz", dist, m, classes, classes, seeds...)

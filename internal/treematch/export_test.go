@@ -1,6 +1,7 @@
 package treematch
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/comm"
@@ -31,3 +32,44 @@ func (ps *fiedlerPaths) Counts() (fixed, alternating, full, noSplit int) {
 // greedyGroups is the greedy grouping of k groups of a entities in a fresh
 // fill: the seeding the multilevel driver refines, for the differentials.
 func greedyGroups(m *comm.Matrix, a, k int) [][]int { return new(affinityFill).uniform(m, a, k) }
+
+// symmetricForm is the matrix comm.Read makes of a file holding a: each
+// off-diagonal volume adds half of itself to both of its cells and a
+// diagonal one is kept whole, in row-major order. The oracles' cases are
+// drawn as a, one-directional and unequal pairs included, and read through
+// it, so S(i,j) + S(j,i) is a(i,j) + a(j,i).
+func symmetricForm(a [][]float64) *comm.Matrix {
+	m := comm.New(len(a))
+	for i, row := range a {
+		for j, v := range row {
+			if i == j {
+				m.AddSym(i, i, v)
+			} else {
+				m.AddSym(i, j, v/2)
+			}
+		}
+	}
+	return m
+}
+
+// denseZero returns an n×n zero table for symmetricForm.
+func denseZero(n int) [][]float64 {
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n)
+	}
+	return a
+}
+
+// equalsTranspose reports whether every cell of m has the bits of its
+// mirror.
+func equalsTranspose(m *comm.Matrix) bool {
+	for i := 0; i < m.Order(); i++ {
+		for j := 0; j < i; j++ {
+			if math.Float64bits(m.At(i, j)) != math.Float64bits(m.At(j, i)) {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -64,17 +64,19 @@ func TestFiedlerVectorMatchesOracle(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			m := comm.RandomSparse(n, 3, 100, seed)
 			ps.Check(t, "random sparse", m)
-			// Flip the sign of every other stored entry.
-			mixed, flip := comm.New(n), false
+			// Every other pair a third as heavy: non-integer weights.
+			mixed, third := comm.New(n), false
 			for i := 0; i < n; i++ {
 				m.ForEachNeighbor(i, func(j int, v float64) {
-					if flip = !flip; flip {
-						v = -v
+					if j > i {
+						if third = !third; third {
+							v /= 3
+						}
+						mixed.AddSym(i, j, v)
 					}
-					mixed.Set(i, j, v)
 				})
 			}
-			ps.Check(t, "random sparse mixed-sign", mixed)
+			ps.Check(t, "random sparse reweighted", mixed)
 		}
 	}
 	for _, m := range []*comm.Matrix{comm.New(0), comm.New(1), comm.Ring(2, 10), comm.New(2), comm.New(7), comm.New(5)} {

@@ -3,7 +3,6 @@ package treematch
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -408,7 +407,7 @@ func (w *partitioner) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Op
 		fill := &w.cand.first.fill
 		best = greedySizedGroups(m, sizes, fill)
 		if k > 1 {
-			refineGroupsBoundary(m, best, partitionRefinePasses, fill.symmetric)
+			refineGroupsBoundary(m, best, partitionRefinePasses)
 		}
 	} else {
 		pf := portfolio{work: m, k: k, sizes: sizes, memo: opt.Spectral}
@@ -477,12 +476,11 @@ func weightedSizes(p int, caps []int) []int {
 //
 // Only the neighbours of each added member are touched (O(nnz·log n); a
 // scan of every entity per member is O(p²) per group and unusable at 100k
-// tasks). A symmetric matrix walks row last with w = v + v; any other walks
-// its symmetrised adjacency, whose W is that sum exactly. Volumes are not
-// negative and both walks skip zeros, so a touched affinity is positive and
-// every untouched entity ties at 0: the groups are bit for bit those of the
-// every-entity scan kept as the oracle in greedy_oracle_test.go. (Negative
-// volumes, which no entrance admits, still get a partition, not the scan's.)
+// tasks). The matrix equals its transpose, so the walk of row last with
+// w = v + v reads that sum exactly. Volumes are positive, so a touched
+// affinity is positive and every untouched entity ties at 0: the groups are
+// bit for bit those of the every-entity scan kept as the oracle in
+// greedy_oracle_test.go.
 //
 // f is the fill's working memory, which a Mapper keeps between calls. The
 // groups never share it: they are windows of one array per call, each
@@ -490,11 +488,6 @@ func weightedSizes(p int, caps []int) []int {
 func greedySizedGroups(m *comm.Matrix, sizes []int, f *affinityFill) [][]int {
 	p := m.Order()
 	seedOrder, buildOrder := greedyOrders(m, sizes, f)
-	var adj *comm.SymAdjacency
-	if f.symmetric = m.IsSymmetric(); !f.symmetric {
-		f.adj = m.SymmetricAdjacency(f.adj)
-		adj = f.adj
-	}
 	f.grouped = grow(f.grouped, p)
 	clear(f.grouped)
 	f.affinity, f.stamp = grow(f.affinity, p), grow(f.stamp, p)
@@ -520,14 +513,7 @@ func greedySizedGroups(m *comm.Matrix, sizes []int, f *affinityFill) [][]int {
 		members = append(members, seed)
 		f.grouped[seed] = true
 		for len(members)-lo < a {
-			last := members[len(members)-1]
-			if adj == nil {
-				m.ForEachNeighbor(last, func(j int, v float64) { f.add(j, v+v) })
-			} else {
-				for q := adj.Off[last]; q < adj.Off[last+1]; q++ {
-					f.add(int(adj.Col[q]), adj.W[q])
-				}
-			}
+			m.ForEachNeighbor(members[len(members)-1], func(j int, v float64) { f.add(j, v+v) })
 			e := f.pick()
 			members = append(members, e)
 			f.grouped[e] = true
@@ -539,7 +525,7 @@ func greedySizedGroups(m *comm.Matrix, sizes []int, f *affinityFill) [][]int {
 
 // affinityFill is the working memory of greedySizedGroups: the grouped
 // entities, the affinities to the group being filled with a lazy heap over
-// them, and the orders and adjacency the fill walks. Stamps only ever hold
+// them, and the orders the fill walks. Stamps only ever hold
 // epochs of calls already made, so a reused fill needs no clearing of them.
 type affinityFill struct {
 	grouped  []bool
@@ -549,14 +535,9 @@ type affinityFill struct {
 	h        affHeap
 	low      int // lowest ungrouped entity (grouped is monotone)
 
-	// symmetric records m.IsSymmetric() of the last fill's matrix, for
-	// the boundary refinement that follows it on the same matrix.
-	symmetric bool
-
-	sizes       []int              // uniform's sizes
-	vol         []float64          // row volumes, the seed order's key
-	seed, build []int              // seed and build orders
-	adj         *comm.SymAdjacency // made on the first asymmetric matrix
+	sizes       []int     // uniform's sizes
+	vol         []float64 // row volumes, the seed order's key
+	seed, build []int     // seed and build orders
 }
 
 // grow returns s resized to n, reusing its array when it is large enough;
@@ -615,28 +596,22 @@ func descending(x, y float64) int {
 // stable, so ties stay in index order) and the build order (groups by
 // descending target size, stable) of the greedy fill, in f's memory. The
 // seed order is sorted with the index as the last key, which is the stable
-// order in O(n log n) as long as the volumes are ordered; a NaN volume ties
-// with every other, which no key reproduces, so then the stable sort runs.
+// order: row volumes are sums of volumes ≥ 0, never NaN, so they are
+// ordered.
 func greedyOrders(m *comm.Matrix, sizes []int, f *affinityFill) (seedOrder, buildOrder []int) {
 	p := m.Order()
 	vol := grow(f.vol, p)
 	seedOrder = grow(f.seed, p)
-	nan := false
 	for i := range seedOrder {
 		seedOrder[i] = i
 		vol[i] = m.RowVolume(i)
-		nan = nan || vol[i] != vol[i]
 	}
-	if nan {
-		slices.SortStableFunc(seedOrder, func(x, y int) int { return descending(vol[x], vol[y]) })
-	} else {
-		slices.SortFunc(seedOrder, func(x, y int) int {
-			if c := descending(vol[x], vol[y]); c != 0 {
-				return c
-			}
-			return cmp.Compare(x, y)
-		})
-	}
+	slices.SortFunc(seedOrder, func(x, y int) int {
+		if c := descending(vol[x], vol[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
 
 	buildOrder = grow(f.build, len(sizes))
 	for i := range buildOrder {
@@ -873,14 +848,14 @@ func putRefineScratch(sc *refineScratch) {
 // w(e,u) = At(e,u) + At(u,e) over a group in position order. Here the same
 // sums run over the symmetrized adjacency, which only drops terms that are
 // zero — exact, since a float sum that starts at +0 never reaches −0 and
-// s + 0 == s otherwise. What is cached: each entity's own-group sum and each
-// group's minimum of it (rebuilt for the two groups a swap touches), and,
-// while a group pair is scanned, every member's neighbours in the other
-// group in position order with their sum. A pair (x, y) with no edge between
-// them reads cx and cy from those sums; one with an edge re-adds the two
-// lists without the partner. A group pair with no edge between it prices
-// every (x, y) at (0 − ox) − oy, which float rounding keeps monotone in ox
-// and oy, so it is skipped when the two minima already fail the threshold.
+// s + 0 == s otherwise. What is cached: each entity's own-group sum
+// (rebuilt for the two groups a swap touches), and, while a group pair is
+// scanned, every member's neighbours in the other group in position order
+// with their sum. A pair (x, y) with no edge between them reads cx and cy
+// from those sums; one with an edge re-adds the two lists without the
+// partner. A group pair with no edge between it prices every (x, y) at
+// (0 − ox) − oy, never positive for own sums of volumes ≥ 0, so it is
+// skipped.
 func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 	sc := getRefineScratch()
 	defer putRefineScratch(sc)
@@ -890,7 +865,7 @@ func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 	if ni := 4*n + 2 + k + len(col); cap(sc.i32) < ni {
 		sc.i32 = make([]int32, ni)
 	}
-	if nf := 3*n + k + len(col); cap(sc.f64) < nf {
+	if nf := 3*n + len(col); cap(sc.f64) < nf {
 		sc.f64 = make([]float64, nf)
 	}
 	ib, fb := sc.i32, sc.f64
@@ -898,7 +873,7 @@ func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 	floats := func(c int) []float64 { s := fb[:c:c]; fb = fb[c:]; return s }
 	group, pos, mark := ints(n), ints(n), ints(k)
 	la, lb, lidx := ints(n+1), ints(n+1), ints(len(col))
-	own, minOwn := floats(n), floats(k)
+	own := floats(n)
 	crossA, crossB, lw := floats(n), floats(n), floats(len(col))
 
 	for e := range group {
@@ -911,7 +886,7 @@ func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 		}
 	}
 	// sumOwn rebuilds own[e] for the members of group g — their neighbours
-	// inside g, added in position order — and the group's minimum.
+	// inside g, added in position order.
 	sumOwn := func(g int) {
 		for _, e := range groups[g] {
 			own[e] = 0
@@ -921,12 +896,6 @@ func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 				if v := col[p]; group[v] == int32(g) {
 					own[v] += w[p]
 				}
-			}
-		}
-		minOwn[g] = math.Inf(1)
-		for _, e := range groups[g] {
-			if own[e] < minOwn[g] {
-				minOwn[g] = own[e]
 			}
 		}
 	}
@@ -988,7 +957,7 @@ func refineGroups(m *comm.Matrix, groups [][]int, passes int) {
 				markGroups(x)
 			}
 			for g2 := g1 + 1; g2 < k; g2++ {
-				if mark[g2] != stamp && !(0-minOwn[g1]-minOwn[g2] > 1e-12) {
+				if mark[g2] != stamp {
 					continue
 				}
 				a, b := groups[g1], groups[g2]
@@ -1040,10 +1009,11 @@ type crossingTables struct {
 // crossingStats counts the entities with at least one positive-volume edge
 // leaving their group — the streams a partition sends across the fabric —
 // in total and for the most exposed single group (the bottleneck NIC under
-// per-link contention). A single sweep over the nonzero entries marks both
-// endpoints of every positive cross-group pair; the counts are integers, so
-// the result is exactly the one the historical O(n²) scan produced. The
-// tables live in t.
+// per-link contention). A single sweep over the nonzero entries marks every
+// entity whose row leaves its group, both endpoints of a cross-group pair
+// since the matrix equals its transpose; the counts are integers, so the
+// result is exactly the one the historical O(n²) scan produced. The tables
+// live in t.
 func crossingStats(m *comm.Matrix, groups [][]int, t *crossingTables) (total, peak int) {
 	n := m.Order()
 	group := grow(t.group, n)
@@ -1056,15 +1026,9 @@ func crossingStats(m *comm.Matrix, groups [][]int, t *crossingTables) (total, pe
 	crossing := grow(t.crossing, n)
 	clear(crossing)
 	for i := 0; i < n; i++ {
-		m.ForEachNeighbor(i, func(j int, v float64) {
-			if j == i || group[i] == group[j] || (crossing[i] && crossing[j]) {
-				return
-			}
-			// Pairs with either direction stored are the only ones whose
-			// volume sum can be positive.
-			if v+m.At(j, i) > 0 {
+		m.ForEachNeighbor(i, func(j int, _ float64) {
+			if j != i && group[i] != group[j] {
 				crossing[i] = true
-				crossing[j] = true
 			}
 		})
 	}

@@ -108,8 +108,8 @@ func mapperCases(t *testing.T) []mapperCase {
 	asym := func(n int, seed int64) *comm.Matrix {
 		m := comm.Random(n, 0.3, 9.7, seed)
 		r := rand.New(rand.NewSource(seed))
-		for k := 0; k < n; k++ {
-			m.Add(r.Intn(n), r.Intn(n), r.Float64()*3)
+		for k := 0; k < n; k++ { // one-directional volumes, in their symmetric form
+			m.AddSym(r.Intn(n), r.Intn(n), r.Float64()*3/2)
 		}
 		return m
 	}
@@ -205,9 +205,9 @@ func TestMapperReuseMatchesFresh(t *testing.T) {
 // breadth-first walk meets, in descending order, so carving has to sort
 // every row), cut into the worker's storage and mapped onto a pack:1 core:8
 // node by its warmed Mapper. Before the working set was kept this
-// cost 139 allocations (10 in Submatrix, 129 in Map); what
-// remains is the result, the per-level groups the result keeps, the
-// oversubscribed tree and IsSymmetric's cursor table.
+// cost 139 allocations (10 in Submatrix, 129 in Map), and 17 while every
+// fill tested the matrix's symmetry; what remains is the result, the
+// per-level groups the result keeps and the oversubscribed tree.
 func TestMapperNodeAllocs(t *testing.T) {
 	topo, err := topology.FromSpec("pack:1 core:8")
 	if err != nil {
@@ -239,7 +239,7 @@ func TestMapperNodeAllocs(t *testing.T) {
 		}
 	}
 	node()
-	if allocs := testing.AllocsPerRun(50, node); allocs > 17 {
-		t.Errorf("%v allocations per warmed node, want ≤ 17", allocs)
+	if allocs := testing.AllocsPerRun(50, node); allocs > 15 {
+		t.Errorf("%v allocations per warmed node, want ≤ 15", allocs)
 	}
 }

@@ -48,16 +48,7 @@ const (
 
 // multilevelPartition partitions the (padded) matrix into k groups of
 // exactly per entities. Requires per·k == work.Order(). Groups come back
-// sorted. Refinement quality, not correctness, assumes a symmetric affinity
-// matrix. partitionEqual's padding view (PadView) is symmetric exactly when
-// its input is, as the generated task graphs and ORWL's matrices are, but
-// a user's matrix file need not be, and the aggregates of coarsening round
-// each cell's two directions in different orders, so they can differ in
-// the last bit. Each matrix the boundary refinement reads is therefore
-// tested (IsSymmetric, by the greedy fill on the coarsest one): a
-// symmetric one is ranked group by group, any other through the buffer of
-// its cross-group nonzeros (cutRanker). The coarse portfolio and the greedy
-// fill run in sets.
+// sorted. The coarse portfolio and the greedy fill run in sets.
 func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([][]int, error) {
 	passes := partitionRefinePasses
 
@@ -93,7 +84,7 @@ func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([]
 	} else {
 		fill := &sets.first.fill
 		groups = fill.uniform(mat, perCur, k)
-		refineGroupsBoundary(mat, groups, passes, fill.symmetric)
+		refineGroupsBoundary(mat, groups, passes)
 	}
 
 	// Uncoarsening: expand each coarse vertex into its matched pair and
@@ -101,7 +92,7 @@ func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([]
 	for li := len(levels) - 1; li >= 0; li-- {
 		lv := levels[li]
 		groups = expand(groups, lv.pairs)
-		refineGroupsBoundary(lv.mat, groups, passes, lv.mat.IsSymmetric())
+		refineGroupsBoundary(lv.mat, groups, passes)
 	}
 	for _, g := range groups {
 		slices.Sort(g)
@@ -167,8 +158,7 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // every adjacent group pair; the maxBoundaryPairs·k heaviest pairs each get
 // up to maxSwapsPerPair best-gain swaps between their maxBoundaryCands most
 // promising boundary members. Group sizes are preserved (only swaps are
-// applied). Its gains read the matrix as symmetric (a value-asymmetric
-// one gets a partition, not a better one).
+// applied).
 //
 // Exactness contract: it makes the swaps, in the order, of the map-and-At
 // reference kept in boundary_oracle_test.go. Each pair's cut adds the same
@@ -179,11 +169,6 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // pair that failed before and has not changed since, and try stops at a
 // D-sum bound before it sorts or scatters anything.
 //
-// symmetric must be m.IsSymmetric(); a caller that seeded the groups with
-// the greedy fill on m passes the fill's answer (affinityFill.symmetric)
-// rather than testing m again. It lets the ranking walk group by group
-// instead of buffering every cross-group nonzero (cutRanker).
-//
 // The work runs on runtime.GOMAXPROCS(0) workers (crew), started once per
 // call. The ranked pairs run in dependency levels (boundaryRun.schedule):
 // an attempt on (a, b) reads and writes only the member slices of a and b
@@ -191,16 +176,15 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // so pairs that share no group commute, and every group's final slice,
 // member order included, is the one the ranked order produces. Each worker
 // reads those labels from its own stamps (boundarySwapper.mark), never
-// from a slice another worker writes. The cut sweep splits the groups, or
-// on a matrix that is not symmetric the rows, among the workers
-// (cutRanker).
+// from a slice another worker writes. The cut sweep splits the groups
+// among the workers (cutRanker).
 // Everything is sized once per call; no attempt or level allocates.
-func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int, symmetric bool) {
-	refineBoundary(m, groups, passes, runtime.GOMAXPROCS(0), symmetric)
+func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
+	refineBoundary(m, groups, passes, runtime.GOMAXPROCS(0))
 }
 
 // refineBoundary is refineGroupsBoundary on the given number of workers.
-func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int, symmetric bool) {
+func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int) {
 	k := len(groups)
 	if k < 2 || passes <= 0 {
 		return
@@ -226,7 +210,7 @@ func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int, symmetr
 	}
 	r.crew.hire(workers)
 	defer r.crew.stop()
-	r.ranker.init(m, r.group, groups, r.orphans, workers, symmetric)
+	r.ranker.init(m, r.group, groups, r.orphans, workers)
 	r.last, r.order = make([]int32, k), make([]levelPair, 0, maxBoundaryPairs*k)
 	for pass := 0; pass < passes; pass++ {
 		r.memo.nextPass(r.ws)
@@ -424,8 +408,7 @@ func (f *failMemo) nextPass(ws []boundarySwapper) {
 	slices.SortFunc(f.prev, cmpFailRec)
 }
 
-// cutRec is a cross-group nonzero v between groups a < b while cutRanker
-// buckets them, and the summed cut of the pair (a, b) once it has.
+// cutRec is the summed cut v of the group pair (a, b), a < b.
 type cutRec struct {
 	a, b int32
 	v    float64
@@ -472,53 +455,32 @@ func selectTop(s []cutRec, l int) {
 }
 
 // cutRanker is the working memory of rank, kept across the passes of one
-// refineGroupsBoundary call. It ranks one of two ways, and both add every
-// cut's terms in global (row, column) order, the order a per-pair map over
-// a row-major sweep adds them in.
-//
-// Buffered, for any matrix: the workers sweep consecutive row ranges, once
-// to count each bucket's entries and once to file every cross-group
-// nonzero under the smaller group of its pair, in byA (rankRows).
-//
-// Group by group, for a matrix equal to its transpose: the terms of pair
-// (a, b), a < b, are the entries of a's rows into b and their mirrors, the
-// entries of b's rows into a, so group a's own rows hold them all. The
-// workers take the groups in turn, and each keeps the heaviest pairs it
-// has summed in a bounded heap (rankGroups); nothing larger than one
-// group's terms is buffered.
+// refineGroupsBoundary call. Every cut adds its terms in global (row,
+// column) order, the order a per-pair map over a row-major sweep adds them
+// in. The matrix equals its transpose, so the terms of pair (a, b), a < b,
+// are the entries of a's rows into b and their mirrors, the entries of b's
+// rows into a: group a's own rows hold them all. The workers take the
+// groups in turn, and each keeps the heaviest pairs it has summed in a
+// bounded heap; nothing larger than one group's terms is buffered.
 type cutRanker struct {
 	m     *comm.Matrix
 	group []int32 // group[e] is e's group
 	// The members of every group, and the entities in no group, which
 	// count as group 0; read group by group.
-	groups    [][]int
-	orphans   []int
-	k         int
-	workers   int
-	symmetric bool
-	summed    int // the terms the last rank added up
-	// Buffered: one pass's cross-group nonzeros bucketed by a; the pairs
-	// are summed into byA in place.
-	byA  []cutRec
-	slot []int32 // slot[b]: where pair (a, b) of the bucket being summed sits in the pairs
-	// at[w·k+a] counts worker w's entries of bucket a, then is the next
-	// position they fill; once filled, the last worker's close the buckets.
-	at   []int32
-	fill bool // whether work counts or files
-	// Group by group: the workers' heaps, worker w's a window of top.
-	top    []cutRec
-	sweeps []groupSweep
+	groups  [][]int
+	orphans []int
+	k       int
+	workers int
+	summed  int      // the terms the last rank added up
+	top     []cutRec // the workers' heaps, worker w's a window of it
+	sweeps  []groupSweep
 }
 
 // init sizes the ranker for the groups of the matrix and the given number
 // of workers; the labels and member lists are read afresh at every rank.
-// symmetric is m.IsSymmetric(), and chooses the way it ranks.
-func (c *cutRanker) init(m *comm.Matrix, group []int32, groups [][]int, orphans []int, workers int, symmetric bool) {
+func (c *cutRanker) init(m *comm.Matrix, group []int32, groups [][]int, orphans []int, workers int) {
 	k := len(groups)
-	*c = cutRanker{m: m, group: group, groups: groups, orphans: orphans, k: k, workers: workers, symmetric: symmetric}
-	if !symmetric {
-		return
-	}
+	*c = cutRanker{m: m, group: group, groups: groups, orphans: orphans, k: k, workers: workers}
 	ints := make([]int32, 2*workers*k)
 	c.top = make([]cutRec, workers*maxBoundaryPairs*k)
 	c.sweeps = make([]groupSweep, workers)
@@ -534,111 +496,16 @@ func (c *cutRanker) init(m *comm.Matrix, group []int32, groups [][]int, orphans 
 // for place-scale's groups; a group with more grows it, once per doubling.
 const sweepTerms = 256
 
-// work is worker w's share of a sweep: its rows, or its groups.
-func (c *cutRanker) work(w int) {
-	if c.symmetric {
-		c.sweeps[w].sweep(c, w)
-	} else {
-		c.sweepRows(w)
-	}
-}
+// work is worker w's share of a sweep: its groups.
+func (c *cutRanker) work(w int) { c.sweeps[w].sweep(c, w) }
 
-// rank returns the maxBoundaryPairs·k heaviest cut pairs in byCut order.
+// rank returns the maxBoundaryPairs·k heaviest cut pairs in byCut order:
+// the workers' heaps one after another. Every pair that is among the l
+// heaviest is among the l heaviest its worker summed, so they hold the l
+// heaviest of all; that rests on byCut being a strict order, which it is,
+// a cut of volumes ≥ 0 never being NaN.
 func (c *cutRanker) rank(cw *crew) []cutRec {
-	var pairs []cutRec
-	if c.symmetric {
-		pairs = c.rankGroups(cw)
-	} else {
-		pairs = c.rankRows(cw)
-	}
-	if l := maxBoundaryPairs * c.k; len(pairs) > l {
-		selectTop(pairs, l)
-		pairs = pairs[:l]
-	}
-	slices.SortFunc(pairs, byCut)
-	return pairs
-}
-
-// sweepRows sweeps worker w's share of the rows, in order, and counts
-// (!fill) or files under the smaller group of its pair (fill) every
-// cross-group entry.
-func (c *cutRanker) sweepRows(w int) {
-	k, n, fill := c.k, c.m.Order(), c.fill
-	at := c.at[w*k : (w+1)*k]
-	for i := w * n / c.workers; i < (w+1)*n/c.workers; i++ {
-		gi := c.group[i]
-		c.m.ForEachNeighbor(i, func(j int, v float64) {
-			gj := c.group[j]
-			if j == i || gi == gj {
-				return
-			}
-			a := min(gi, gj)
-			if fill {
-				c.byA[at[a]] = cutRec{a, max(gi, gj), v}
-			}
-			at[a]++
-		})
-	}
-}
-
-// rankRows returns every cut pair, summed from byA. Worker w's share of
-// bucket a follows the shares of the workers before it, so every bucket
-// holds its entries in global (row, column) order, and summing bucket a
-// pair by pair adds the terms of each cut in that order.
-func (c *cutRanker) rankRows(cw *crew) []cutRec {
-	if c.at == nil {
-		ints := make([]int32, (1+c.workers)*c.k)
-		c.slot, c.at = ints[:c.k:c.k], ints[c.k:]
-	}
-	clear(c.at)
-	c.fill = false
 	cw.do(c)
-	k, pos := c.k, int32(0)
-	for a := range k {
-		for w := a; w < len(c.at); w += k {
-			c.at[w], pos = pos, pos+c.at[w]
-		}
-	}
-	c.byA = slices.Grow(c.byA[:0], int(pos))[:pos]
-	c.fill = true
-	cw.do(c)
-	c.summed = int(pos)
-	byA, end := c.byA, c.at[len(c.at)-k:]
-	// Bucket a is now byA[end[a-1]:end[a]]. Pair p is appended while
-	// reading entry q ≥ p (every earlier pair took an earlier entry), so
-	// the pairs overwrite only entries already read. A stale slot from an
-	// earlier bucket or pass cannot name the current (a, b): pairs holds
-	// each pair at most once, and only bucket a appends pairs with that a.
-	pairs := byA[:0]
-	lo := int32(0)
-	for a := int32(0); a < int32(k); a++ {
-		for _, r := range byA[lo:end[a]] {
-			s := c.slot[r.b]
-			if int(s) >= len(pairs) || pairs[s].a != a || pairs[s].b != r.b {
-				s = int32(len(pairs))
-				c.slot[r.b] = s
-				pairs = append(pairs, cutRec{a, r.b, 0})
-			}
-			pairs[s].v += r.v
-		}
-		lo = end[a]
-	}
-	return pairs
-}
-
-// rankGroups returns the workers' heaps one after another: every pair that
-// is among the l heaviest is among the l heaviest its worker summed, so
-// they hold the l heaviest of all. That rests on byCut being a strict
-// order, which a NaN cut (opposite infinities summed) breaks; from such a
-// cut on the ranker files through the buffer, whose selection it then is.
-func (c *cutRanker) rankGroups(cw *crew) []cutRec {
-	cw.do(c)
-	for w := range c.sweeps {
-		if c.sweeps[w].nan {
-			c.symmetric = false
-			return c.rankRows(cw)
-		}
-	}
 	pairs, l := c.top[:0], maxBoundaryPairs*c.k
 	c.summed = 0
 	for w := range c.sweeps {
@@ -647,6 +514,11 @@ func (c *cutRanker) rankGroups(cw *crew) []cutRec {
 		pairs = append(pairs, c.top[w*l:w*l+s.heap]...)
 		c.summed += s.summed
 	}
+	if len(pairs) > l {
+		selectTop(pairs, l)
+		pairs = pairs[:l]
+	}
+	slices.SortFunc(pairs, byCut)
 	return pairs
 }
 
@@ -667,7 +539,6 @@ type groupSweep struct {
 	partners []int32 // the group's later partners, first seen first (at most k)
 	heap     int     // the pairs in the worker's window of top
 	summed   int
-	nan      bool // whether some cut was NaN
 }
 
 // sweep sums the cut of every pair (a, b), b > a, for worker w's groups a,
@@ -675,7 +546,7 @@ type groupSweep struct {
 func (s *groupSweep) sweep(c *cutRanker, w int) {
 	l := maxBoundaryPairs * c.k
 	top := c.top[w*l : w*l : (w+1)*l]
-	s.summed, s.nan = 0, false
+	s.summed = 0
 	for a := int32(w); a < int32(c.k); a += int32(c.workers) {
 		s.terms, s.partners = s.terms[:0], s.partners[:0]
 		s.collect(c, a, c.groups[a])
@@ -700,9 +571,7 @@ func (s *groupSweep) sweep(c *cutRanker, w int) {
 		for _, b := range s.partners {
 			run := s.byB[start:s.count[b]]
 			start, s.count[b] = s.count[b], 0
-			v := s.cut(run)
-			s.nan = s.nan || v != v
-			top = offer(top, cutRec{a, b, v})
+			top = offer(top, cutRec{a, b, s.cut(run)})
 		}
 		s.summed += 2 * len(s.terms)
 	}
@@ -787,8 +656,7 @@ func siftDown(h []cutRec, i int) {
 	h[i] = r
 }
 
-// after reports whether pair x comes after pair y by byCut, for cuts that
-// are not NaN.
+// after reports whether pair x comes after pair y by byCut.
 func after(x, y cutRec) bool {
 	return x.v < y.v || (x.v == y.v && (x.a > y.a || (x.a == y.a && x.b > y.b)))
 }
@@ -806,10 +674,8 @@ type boundarySide struct {
 	// moving the member across, ignoring the swap partner. Weights count
 	// both directions (v+v, symmetric).
 	d []float64
-	// maxD is the largest D (-Inf with no members, NaN if any D is NaN),
-	// and neg whether any entry in out is negative.
+	// maxD is the largest D (-Inf with no members, NaN if any D is NaN).
 	maxD float64
-	neg  bool
 	// The member at position p has its nonzeros into the other group at
 	// out[off[p]:off[p+1]], in column order.
 	off []int32
@@ -825,7 +691,7 @@ type boundarySide struct {
 func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own, other int32) {
 	s.members = members
 	s.d, s.off, s.out = s.d[:len(members)], s.off[:len(members)+1], s.out[:0]
-	s.maxD, s.neg = math.Inf(-1), false
+	s.maxD = math.Inf(-1)
 	for p, x := range members {
 		var toOther, toOwn float64
 		m.ForEachNeighbor(x, func(u int, v float64) {
@@ -836,7 +702,6 @@ func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own,
 			case other:
 				toOther += v + v
 				s.out = append(s.out, entry{int32(u), v})
-				s.neg = s.neg || v < 0
 			case own:
 				toOwn += v + v
 			}
@@ -866,17 +731,17 @@ func (s *boundarySide) rank() {
 
 // boundarySwapper prices and applies the best swap of a group pair. The
 // gain of swapping x and y is D(x) + D(y) − 2·w(x,y), the standard KL
-// expression, with w(x, y) = At(x, y) + At(y, x) taken from the two
-// candidate blocks: xy[i·|candB|+j] = At(candA[i], candB[j]) and yx the
-// other direction, each scattered from the entries measure recorded. An
-// absent entry reads 0, as At reads it; a recorded one is the stored value.
-// Each worker owns one swapper.
+// expression, with w(x, y) = At(x, y) + At(y, x) = v + v taken from the
+// candidate block xy[i·|candB|+j] = At(candA[i], candB[j]), scattered from
+// the entries measure recorded on side A (the matrix equals its transpose,
+// so B's rows hold the same values). An absent entry reads 0, as At reads
+// it; a recorded one is the stored value. Each worker owns one swapper.
 type boundarySwapper struct {
 	side [2]boundarySide
-	// slot[e] is e's position in its side's candidate list when e is a
-	// candidate of the attempt; stale otherwise, so it is checked (cand).
-	slot   []int32
-	xy, yx []float64
+	// slot[e] is e's position in side B's candidate list when e is one of
+	// them; stale otherwise, so it is checked (cand).
+	slot []int32
+	xy   []float64
 	// mark[e] is epoch when e counts as group a of the attempt and epoch+1
 	// when as b; an older value is neither. Private to the swapper, so an
 	// attempt never reads a label another worker writes.
@@ -895,12 +760,12 @@ func (sw *boundarySwapper) cand(s *boundarySide, u int32) (int, bool) {
 // has the given size, in one backing array per element type.
 func (sw *boundarySwapper) init(n, largest, k int) {
 	c := min(largest, maxBoundaryCands)
-	fs := make([]float64, 2*largest+2*c*c)
+	fs := make([]float64, 2*largest+c*c)
 	is := make([]int32, 2*n+2*(largest+1))
 	cs := make([]int, 2*largest)
-	*sw = boundarySwapper{slot: is[:n:n], mark: is[n : 2*n : 2*n], xy: fs[: c*c : c*c], yx: fs[c*c : 2*c*c : 2*c*c]}
+	*sw = boundarySwapper{slot: is[:n:n], mark: is[n : 2*n : 2*n], xy: fs[: c*c : c*c]}
 	sw.fails = make([]failRec, 0, maxBoundaryPairs*k)
-	fs, is = fs[2*c*c:], is[2*n:]
+	fs, is = fs[c*c:], is[2*n:]
 	for i := range sw.side {
 		sw.side[i] = boundarySide{
 			d:    fs[i*largest : (i+1)*largest : (i+1)*largest],
@@ -927,22 +792,17 @@ func (sw *boundarySwapper) try(r *boundaryRun, a, b int32) bool {
 	A.measure(r.m, ga, sw.mark, la, lb)
 	B.measure(r.m, gb, sw.mark, lb, la)
 	const eps = 1e-12
-	// With no negative entry recorded, every w(x, y) is ≥ 0, and rounded
-	// addition and subtraction are monotone, so no gain exceeds
-	// maxD(A) + maxD(B). The sign guard is needed: a negative w raises a
-	// gain above that sum. A +Inf or NaN maximum makes the sum fail the test.
-	if !A.neg && !B.neg && A.maxD+B.maxD <= eps {
+	// Every w(x, y) is ≥ 0, and rounded addition and subtraction are
+	// monotone, so no gain exceeds maxD(A) + maxD(B). A +Inf or NaN maximum
+	// makes the sum fail the test.
+	if A.maxD+B.maxD <= eps {
 		return false
 	}
 	A.rank()
 	B.rank()
 	nb := len(B.cand)
-	xy, yx := sw.xy[:len(A.cand)*nb], sw.yx[:len(A.cand)*nb]
+	xy := sw.xy[:len(A.cand)*nb]
 	clear(xy)
-	clear(yx)
-	for i, xi := range A.cand {
-		sw.slot[ga[xi]] = int32(i)
-	}
 	for j, yi := range B.cand {
 		sw.slot[gb[yi]] = int32(j)
 	}
@@ -953,18 +813,11 @@ func (sw *boundarySwapper) try(r *boundaryRun, a, b int32) bool {
 			}
 		}
 	}
-	for j, yi := range B.cand {
-		for _, e := range B.out[B.off[yi]:B.off[yi+1]] {
-			if i, ok := sw.cand(A, e.j); ok {
-				yx[i*nb+j] = e.v
-			}
-		}
-	}
 	bestGain := eps
 	bestXi, bestYi := -1, -1
 	for i, xi := range A.cand {
 		for j, yi := range B.cand {
-			w := xy[i*nb+j] + yx[i*nb+j]
+			w := xy[i*nb+j] + xy[i*nb+j]
 			if gain := A.d[xi] + B.d[yi] - (w + w); gain > bestGain {
 				bestGain, bestXi, bestYi = gain, xi, yi
 			}

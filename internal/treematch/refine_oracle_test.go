@@ -88,21 +88,18 @@ func equalSizes(k, a int) []int {
 	return sizes
 }
 
-// randomRefineMatrix draws the shapes the kernel has to stay exact on:
-// one-directional and mirrored entries, negative volumes, explicit stored
-// zeros, and — values being small integers half the time —
-// plenty of exact gain ties.
+// randomRefineMatrix draws the shapes the kernel has to stay exact on,
+// read in their symmetric form: one-directional, unequal and mirrored
+// pairs, and — values being small integers half the time — plenty of exact
+// gain ties.
 func randomRefineMatrix(rng *rand.Rand, n int) *comm.Matrix {
-	m := comm.New(n)
+	a := denseZero(n)
 	density := []float64{0.05, 0.2, 0.6, 1}[rng.Intn(4)]
-	integer, negative := rng.Intn(2) == 0, rng.Intn(3) == 0
+	integer := rng.Intn(2) == 0
 	val := func() float64 {
 		v := rng.Float64() * 1000
 		if integer {
 			v = float64(1 + rng.Intn(3))
-		}
-		if negative && rng.Intn(3) == 0 {
-			v = -v
 		}
 		return v
 	}
@@ -113,20 +110,21 @@ func randomRefineMatrix(rng *rand.Rand, n int) *comm.Matrix {
 			}
 			switch rng.Intn(4) {
 			case 0: // one direction only
-				m.Set(i, j, val())
-			case 1: // stored, then zeroed: an explicit stored zero
-				m.Set(i, j, val())
-				m.Set(i, j, 0)
-			case 2: // cancels its mirror exactly
-				v := val()
-				m.Set(i, j, v)
-				m.Set(j, i, -v)
+				a[i][j] = val()
+			case 1: // zeroed, clearing an earlier draw
+				val()
+				a[i][j] = 0
+			case 2: // unequal both ways
+				a[i][j] = val()
+				a[j][i] = val()
 			default:
-				m.AddSym(i, j, val())
+				v := val()
+				a[i][j] += v
+				a[j][i] += v
 			}
 		}
 	}
-	return m
+	return symmetricForm(a)
 }
 
 func randomRefineCase(rng *rand.Rand) (*comm.Matrix, [][]int) {
@@ -185,23 +183,6 @@ func TestRefineGroupsMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRefineGroupsNegativeOwnSums pins the one case in which a group pair
-// with no edge between it still swaps: members that are repelled by their own
-// group gain by leaving it, whoever they are traded for.
-func TestRefineGroupsNegativeOwnSums(t *testing.T) {
-	m := comm.New(8)
-	m.AddSym(0, 1, -5)
-	m.AddSym(4, 5, -3)
-	m.AddSym(2, 3, 1)
-	groups := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	checkRefineExact(t, "repelled", m, groups)
-	got := cloneGroups(groups)
-	refineGroups(m, got, 1)
-	if reflect.DeepEqual(got, groups) {
-		t.Fatal("the repelled members stayed put; the case no longer exercises the no-edge path")
-	}
-}
-
 func TestRefineGroupsQuick(t *testing.T) {
 	prop := func(seed int64) bool {
 		m, groups := randomRefineCase(rand.New(rand.NewSource(seed)))
@@ -228,25 +209,26 @@ func FuzzRefineGroupsExact(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		m := comm.New(n)
+		a := denseZero(n)
 		at := func(i int) byte { return data[i%len(data)] }
 		for e := 0; 2*e+1 < len(data) && e < 4*n; e++ {
 			shape, b := at(2*e), at(2*e+1)
 			i, j := int(shape>>2)%n, int(b>>3)%n
-			v := float64(int(b&7) - 3)
+			v := float64(b & 7)
 			switch shape & 3 {
 			case 0:
-				m.Set(i, j, v)
+				a[i][j] = v
 			case 1:
-				m.Set(i, j, v+0.5)
-				m.Set(i, j, 0)
+				a[i][j] = 0
 			case 2:
-				m.Set(i, j, v)
-				m.Set(j, i, -v)
+				a[i][j] = v
+				a[j][i] = v / 3
 			default:
-				m.AddSym(i, j, v)
+				a[i][j] += v
+				a[j][i] += v
 			}
 		}
+		m := symmetricForm(a)
 		// Deal the entities round-robin from a data-driven rotation; the
 		// group a byte names takes the entity, so sizes come out uneven.
 		groups := make([][]int, ng)

@@ -66,7 +66,7 @@ func TestSFCSeedChainsNeighbours(t *testing.T) {
 	dims := []int{4, 4}
 	m := comm.New(16)
 	for i := 0; i < 16; i++ {
-		m.Add(i, (i+1)%16, 100)
+		m.AddSym(i, (i+1)%16, 50)
 	}
 	seed, err := SFCSeed(dims, m)
 	if err != nil {

@@ -67,8 +67,8 @@ func TestPartitionAcrossWeighted(t *testing.T) {
 	clique := func(ids []int) {
 		for _, i := range ids {
 			for _, j := range ids {
-				if i != j {
-					m.Set(i, j, 10)
+				if i < j {
+					m.AddSym(i, j, 10)
 				}
 			}
 		}
