@@ -63,7 +63,7 @@ func BenchmarkAblation(b *testing.B) {
 				var rows []experiment.AblationRow
 				var err error
 				for i := 0; i < b.N; i++ {
-					rows, err = s.Run(cell.Config, experiment.Overrides{})
+					rows, err = s.Run(cell.Config)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -12,8 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
-	"repro/internal/sched"
-	"repro/internal/topology"
 )
 
 func TestBuildConfigValidation(t *testing.T) {
@@ -97,7 +95,7 @@ func TestRunJSONReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, cfg, experiment.Overrides{}, "shift", true); err != nil {
+	if err := run(&buf, cfg, "shift", true); err != nil {
 		t.Fatalf("run -json: %v\n%s", err, buf.String())
 	}
 	var report benchReport
@@ -156,153 +154,38 @@ func TestRunJSONReport(t *testing.T) {
 	}
 }
 
-// TestParseFaultEvents drives the fault-schedule flag syntax through its
-// edge cases: every malformed entry must produce a clean flag-layer error
-// (never a panic or a silently dropped entry), and well-formed entries must
-// land in experiment coordinates exactly.
-func TestParseFaultEvents(t *testing.T) {
-	cases := []struct {
-		name                 string
-		kill, degrade, sever string
-		want                 []experiment.FaultEventSpec
-		wantErr              string
-	}{
-		{name: "all empty", want: nil},
-		{name: "one kill", kill: "4@2", want: []experiment.FaultEventSpec{
-			{Epoch: 2, Kind: topology.FaultKillNode, Node: 4},
-		}},
-		{name: "kill list with spaces", kill: " 4@2 , 5@3 ", want: []experiment.FaultEventSpec{
-			{Epoch: 2, Kind: topology.FaultKillNode, Node: 4},
-			{Epoch: 3, Kind: topology.FaultKillNode, Node: 5},
-		}},
-		{name: "degrade", degrade: "1:0:0.5@2", want: []experiment.FaultEventSpec{
-			{Epoch: 2, Kind: topology.FaultDegradeEdge, Level: 1, Link: 0, Factor: 0.5},
-		}},
-		{name: "sever", sever: "0:3@4", want: []experiment.FaultEventSpec{
-			{Epoch: 4, Kind: topology.FaultSeverEdge, Level: 0, Link: 3},
-		}},
-		{name: "kill and degrade combine", kill: "4@2", degrade: "1:1:0.25@2", want: []experiment.FaultEventSpec{
-			{Epoch: 2, Kind: topology.FaultKillNode, Node: 4},
-			{Epoch: 2, Kind: topology.FaultDegradeEdge, Level: 1, Link: 1, Factor: 0.25},
-		}},
-		{name: "kill without epoch", kill: "4", wantErr: "no @epoch"},
-		{name: "kill bad node", kill: "x@2", wantErr: "bad node"},
-		{name: "kill bad epoch", kill: "4@x", wantErr: "bad epoch"},
-		{name: "kill epoch zero", kill: "4@0", wantErr: "not 1-based"},
-		{name: "kill negative epoch", kill: "4@-1", wantErr: "not 1-based"},
-		{name: "kill too many fields", kill: "4:1@2", wantErr: "want 1"},
-		{name: "degrade missing factor", degrade: "1:0@2", wantErr: "want 3"},
-		{name: "degrade bad factor", degrade: "1:0:x@2", wantErr: "bad level:link:factor"},
-		{name: "sever missing link", sever: "0@1", wantErr: "want 2"},
-		{name: "sever bad link", sever: "0:x@1", wantErr: "bad level:link"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseFaultEvents(tc.kill, tc.degrade, tc.sever)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("got %v / err %v, want error containing %q", got, err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if len(got) != len(tc.want) {
-				t.Fatalf("parsed %+v, want %+v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Errorf("event %d = %+v, want %+v", i, got[i], tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-// TestRunFaultSemanticErrors pins that syntactically valid fault flags whose
-// entries cannot apply to the built platform fail with a clean error from
-// the experiment layer — an unknown node id, an epoch beyond the run, and
-// two conflicting events on one link at one epoch.
-func TestRunFaultSemanticErrors(t *testing.T) {
-	cfg := experiment.Config{Rows: 1024, Cols: 1024, Iters: 4, Cores: 16, Seed: 42}
-	cases := []struct {
-		name                 string
-		kill, degrade, sever string
-		wantErr              string
-	}{
-		{name: "unknown node", kill: "99@1", wantErr: "unknown cluster node"},
-		{name: "epoch beyond run", kill: "4@50", wantErr: "beyond the run"},
-		{name: "degrade factor out of range", degrade: "1:0:1.5@1", wantErr: "outside (0,1)"},
-		{name: "unknown fabric level", sever: "9:0@1", wantErr: "fabric level"},
-		{name: "conflicting events", degrade: "1:0:0.5@1", sever: "1:0@1", wantErr: "conflicting"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			events, err := parseFaultEvents(tc.kill, tc.degrade, tc.sever)
-			if err != nil {
-				t.Fatalf("flag layer rejected %q/%q/%q: %v", tc.kill, tc.degrade, tc.sever, err)
-			}
-			var buf bytes.Buffer
-			err = run(&buf, cfg, experiment.Overrides{FaultEvents: events}, "fault", false)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("run: got %v, want error containing %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestRunFaultSeverPartition drives a sever that partitions the platform:
-// rack 0's uplink goes at epoch 2, so every transfer across it prices +Inf
-// and no arm's run finishes. Text mode renders each row as "unbounded" with
-// no speedup; -json still writes the whole document, carrying the figures as
-// "+Inf" strings, and then fails through the violated ordering verdicts.
+// TestRunFaultSeverPartition pins how the report carries a fault run that
+// never finishes: a sever that partitions the platform prices every
+// transfer across it +Inf, so every arm's row has +Inf seconds. Text mode
+// renders each row as "unbounded" with no speedup; -json carries the
+// figures as "+Inf" strings, which a JSON number cannot hold, and no strict
+// ordering holds between the rows.
 func TestRunFaultSeverPartition(t *testing.T) {
-	cfg := experiment.Config{Rows: 1024, Cols: 1024, Iters: 4, Cores: 16, Seed: 42}
-	events, err := parseFaultEvents("", "", "1:0@2")
-	if err != nil {
-		t.Fatal(err)
+	inf := math.Inf(1)
+	rows := []experiment.AblationRow{
+		{Name: "fault/fault-aware", Seconds: inf, Detail: "faults=1"},
+		{Name: "fault/static-respawn", Seconds: inf, Detail: "faults=1"},
 	}
-	o := experiment.Overrides{FaultEvents: events}
-	var text bytes.Buffer
-	if err := run(&text, cfg, o, "fault", false); err != nil {
-		t.Fatalf("text mode: %v", err)
-	}
-	rows := strings.Split(strings.TrimSpace(text.String()), "\n")[1:]
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want the 4 fault arms:\n%s", len(rows), text.String())
-	}
-	for _, row := range rows {
-		if !strings.Contains(row, " unbounded  x-     faults=1 ") {
+	text := experiment.FormatAblation("A14: partitioned", rows)
+	for _, row := range strings.Split(strings.TrimSpace(text), "\n")[1:] {
+		if !strings.Contains(row, " unbounded  x-     faults=1") {
 			t.Errorf("partitioned row %q does not render as unbounded with no speedup", row)
 		}
 	}
-
-	var buf bytes.Buffer
-	err = run(&buf, cfg, o, "fault", true)
-	if err == nil || !strings.Contains(err.Error(), "ordering violated") {
-		t.Fatalf("run -json: got %v, want the ordering violation", err)
+	strict := []experiment.Ordering{{Before: rows[0].Name, After: rows[1].Name, Strict: true}}
+	if experiment.CheckOrderings(rows, strict) == nil {
+		t.Errorf("ordering %v holds between unbounded rows", strict[0])
 	}
-	var doc struct {
-		Ablations []struct {
-			Rows      []struct{ Seconds, Cycles any }
-			Orderings []benchOrdering
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{{inf, `"+Inf"`}, {math.Inf(-1), `"-Inf"`}, {math.NaN(), `"NaN"`}} {
+		got, err := json.Marshal(benchRow{Name: "r", Seconds: simFloat(c.v), Cycles: simFloat(experiment.SimCycles(c.v))})
+		if err != nil {
+			t.Fatalf("%v: %v", c.v, err)
 		}
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc.Ablations) != 1 || len(doc.Ablations[0].Rows) != 4 {
-		t.Fatalf("report misses the fault rows:\n%s", buf.String())
-	}
-	for _, r := range doc.Ablations[0].Rows {
-		if r.Seconds != "+Inf" || r.Cycles != "+Inf" {
-			t.Errorf("row figures %v/%v, want \"+Inf\"/\"+Inf\"", r.Seconds, r.Cycles)
-		}
-	}
-	for _, v := range doc.Ablations[0].Orderings {
-		if v.OK {
-			t.Errorf("ordering %q holds between unbounded rows", v.Relation)
+		if want := `{"name":"r","seconds":` + c.want + `,"cycles":` + c.want + `}`; string(got) != want {
+			t.Errorf("%v encodes as %s, want %s", c.v, got, want)
 		}
 	}
 }
@@ -311,97 +194,12 @@ func TestRunFaultSeverPartition(t *testing.T) {
 func TestRunHumanReport(t *testing.T) {
 	cfg := experiment.Config{Rows: 1024, Cols: 1024, Iters: 4, Cores: 16, Seed: 42}
 	var buf bytes.Buffer
-	if err := run(&buf, cfg, experiment.Overrides{}, "shift", false); err != nil {
+	if err := run(&buf, cfg, "shift", false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "A12") || !strings.Contains(out, "shift/adaptive-fabric") {
 		t.Errorf("human report misses the A12 rows:\n%s", out)
-	}
-}
-
-// TestBuildSchedOverrides drives the -sched-* flag validation: malformed
-// values must fail at the flag layer with a message naming the flag, and
-// well-formed values must land in the override set exactly.
-func TestBuildSchedOverrides(t *testing.T) {
-	cases := []struct {
-		name        string
-		jobs        int
-		churn       float64
-		constraints float64
-		fit, queue  string
-		wantFit     sched.Fit
-		wantQueue   sched.QueuePolicy
-		wantErr     string
-	}{
-		{name: "all defaults", wantFit: sched.BestFit, wantQueue: sched.QueueWait},
-		{name: "explicit knobs", jobs: 20, churn: 8, constraints: 0.5,
-			fit: "worst", queue: "reject", wantFit: sched.WorstFit, wantQueue: sched.QueueReject},
-		{name: "best fit by name", fit: "best", wantFit: sched.BestFit, wantQueue: sched.QueueWait},
-		{name: "negative jobs", jobs: -1, wantErr: "-sched-jobs"},
-		{name: "negative churn", churn: -0.5, wantErr: "-sched-churn"},
-		{name: "constraints above one", constraints: 1.5, wantErr: "-sched-constraints"},
-		{name: "unknown fit", fit: "snuggest", wantErr: "-sched-fit"},
-		{name: "unknown queue", queue: "drop", wantErr: "-sched-queue"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var o experiment.Overrides
-			err := buildSchedOverrides(&o, tc.jobs, tc.churn, tc.constraints, tc.fit, tc.queue)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if o.SchedJobs != tc.jobs || o.SchedChurn != tc.churn || o.SchedConstraints != tc.constraints {
-				t.Errorf("overrides %+v, want jobs=%d churn=%v constraints=%v",
-					o, tc.jobs, tc.churn, tc.constraints)
-			}
-			if o.SchedFit != tc.wantFit || o.SchedQueue != tc.wantQueue {
-				t.Errorf("fit/queue = %v/%v, want %v/%v", o.SchedFit, o.SchedQueue, tc.wantFit, tc.wantQueue)
-			}
-		})
-	}
-}
-
-// TestBuildSched2Overrides drives the -sched2-* flag validation the same
-// way: out-of-range values name the flag, valid values land verbatim.
-func TestBuildSched2Overrides(t *testing.T) {
-	cases := []struct {
-		name       string
-		priorities int
-		threshold  float64
-		wantErr    string
-	}{
-		{name: "all defaults"},
-		{name: "explicit knobs", priorities: 5, threshold: 0.4},
-		{name: "negative priorities", priorities: -1, wantErr: "-sched2-priorities"},
-		{name: "priorities above hundred", priorities: 101, wantErr: "-sched2-priorities"},
-		{name: "threshold above one", threshold: 1.5, wantErr: "-sched2-defrag-threshold"},
-		{name: "negative threshold", threshold: -0.1, wantErr: "-sched2-defrag-threshold"},
-		{name: "NaN threshold", threshold: math.NaN(), wantErr: "-sched2-defrag-threshold"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var o experiment.Overrides
-			err := buildSched2Overrides(&o, tc.priorities, tc.threshold)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if o.Sched2Priorities != tc.priorities || o.Sched2DefragThreshold != tc.threshold {
-				t.Errorf("overrides %+v, want priorities=%d threshold=%v", o, tc.priorities, tc.threshold)
-			}
-		})
 	}
 }
 
@@ -419,7 +217,7 @@ func TestRunAllGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, experiment.Reduced, experiment.Overrides{}, "all", false); err != nil {
+	if err := run(&buf, experiment.Reduced, "all", false); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != string(want) {
@@ -459,7 +257,7 @@ func TestBenchArtifacts(t *testing.T) {
 			cfg := experiment.Reduced
 			cfg.Seed = doc.Seed
 			var buf bytes.Buffer
-			if err := run(&buf, cfg, experiment.Overrides{}, exp, true); err != nil {
+			if err := run(&buf, cfg, exp, true); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
@@ -477,7 +275,7 @@ func TestRunJSONDeterministic(t *testing.T) {
 	report := func() string {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := run(&buf, experiment.Reduced, experiment.Overrides{}, "rack,hetero,sched", true); err != nil {
+		if err := run(&buf, experiment.Reduced, "rack,hetero,sched", true); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -18,8 +18,10 @@
 // Without -workload, a stream is generated from the seeded workload model
 // (-jobs, -seed, -churn, -constraints, -preferred, -required, plus
 // -priorities and -long-fraction for the phase-2 mix); the same generator
-// drives the A15 and A16 ablations, so a CLI run reproduces any ablation
-// cell exactly. The phase-2 policies are opt-in: -backfill enables
+// drives the A15 and A16 ablations, and with its defaults and a -policy,
+// -platform and -seed a CLI run reproduces any A15 cell exactly
+// (TestReproducesAblationSched). A16's stream sets sizes and volumes that
+// no flag reaches. The phase-2 policies are opt-in: -backfill enables
 // conservative backfill, -preempt priority preemption, and -defrag
 // migration-based defragmentation gated at -defrag-threshold.
 package main

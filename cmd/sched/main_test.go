@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiment"
+	"repro/internal/numasim"
 	"repro/internal/sched"
+	"repro/internal/topology"
 )
 
 func TestBuildOptionsValidation(t *testing.T) {
@@ -193,5 +196,52 @@ func TestRunErrors(t *testing.T) {
 				t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestReproducesAblationSched runs the reduced A15 grid — both shapes,
+// stream seeds 7 and 42, the three policies — through the command's own
+// flag path at its default stream flags, and requires each policy's summed
+// aggregate job time to equal the A15 row exactly.
+func TestReproducesAblationSched(t *testing.T) {
+	rows, err := experiment.AblationSched(experiment.SchedConfigFrom(experiment.Reduced))
+	if err != nil || len(rows) != 3 {
+		t.Fatalf("A15: %d rows, %v", len(rows), err)
+	}
+	for _, row := range rows {
+		policy := strings.TrimPrefix(row.Name, "sched/")
+		opts, err := buildOptions(policy, "best", "wait", false, false, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var agg float64
+		for _, shape := range []string{"rack:2 node:4 pack:2 core:4 pu:1", "pod:2 rack:2 node:2 pack:2 core:4 pu:1"} {
+			for _, seed := range []int64{7, 42} {
+				stream, err := buildStream(40, seed, 4, 0.3, "node", "rack", 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs, err := loadJobs("", stream)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plat, err := numasim.NewPlatform(shape, numasim.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := sched.New(plat.Machine(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s.Run(jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agg += rep.AggregateCycles
+			}
+		}
+		if got := agg / topology.DefaultAttrs().ClockHz; got != row.Seconds {
+			t.Errorf("%s: the command's grid sums to %v s, A15 reports %v s", policy, got, row.Seconds)
+		}
 	}
 }

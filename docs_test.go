@@ -32,13 +32,11 @@ import (
 // declarations included.
 var flagDeclRe = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint|Float64|Duration)(?:Var)?\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
 
-func TestREADMEDocumentsCommandFlags(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(readme)
-
+// declaredFlags parses every cmd/*/main.go for its flag declarations, in
+// declaration order, keyed by command name; a command without flags has no
+// key.
+func declaredFlags(t *testing.T) map[string][]string {
+	t.Helper()
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -46,23 +44,78 @@ func TestREADMEDocumentsCommandFlags(t *testing.T) {
 	if len(mains) == 0 {
 		t.Fatal("no cmd/*/main.go found; the guard is looking in the wrong place")
 	}
+	out := map[string][]string{}
 	for _, main := range mains {
 		src, err := os.ReadFile(main)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decls := flagDeclRe.FindAllStringSubmatch(string(src), -1)
-		if len(decls) == 0 {
-			continue
-		}
 		cmd := filepath.Base(filepath.Dir(main))
+		for _, d := range flagDeclRe.FindAllStringSubmatch(string(src), -1) {
+			out[cmd] = append(out[cmd], d[1])
+		}
+	}
+	return out
+}
+
+func TestREADMEDocumentsCommandFlags(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(readme)
+	declared := declaredFlags(t)
+	for _, cmd := range slices.Sorted(maps.Keys(declared)) {
 		if !strings.Contains(doc, "cmd/"+cmd) {
 			t.Errorf("README does not mention cmd/%s, which declares flags", cmd)
 			continue
 		}
-		for _, d := range decls {
-			if !strings.Contains(doc, "-"+d[1]) {
-				t.Errorf("README does not document flag -%s of cmd/%s", d[1], cmd)
+		for _, name := range declared[cmd] {
+			if !strings.Contains(doc, "-"+name) {
+				t.Errorf("README does not document flag -%s of cmd/%s", name, cmd)
+			}
+		}
+	}
+}
+
+var (
+	// flagRowRe matches a row of the README's Command flags table, and
+	// rowFlagRe a flag the row lists.
+	flagRowRe = regexp.MustCompile("(?m)^\\| `cmd/(\\w+)` \\|(.*)$")
+	rowFlagRe = regexp.MustCompile("`-([\\w-]+)`")
+	// goRunRe matches a `go run ./cmd/X …` invocation up to a comment, a
+	// closing backtick or the end of its line, and runFlagRe a flag it
+	// passes.
+	goRunRe   = regexp.MustCompile("go run \\./cmd/(\\w+)([^#`\\n]*)")
+	runFlagRe = regexp.MustCompile(`(?:^|[\s\[])-([A-Za-z][\w-]*)`)
+)
+
+// TestREADMEFlagsAreDeclared is the reverse of
+// TestREADMEDocumentsCommandFlags: every flag that the Command flags row of
+// cmd/X lists, or that a `go run ./cmd/X …` line passes, is declared by
+// cmd/X, so deleting a flag cannot leave its documentation behind.
+func TestREADMEFlagsAreDeclared(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(readme)
+	declared := declaredFlags(t)
+	rows := flagRowRe.FindAllStringSubmatch(doc, -1)
+	if len(rows) == 0 {
+		t.Fatal("README has no Command flags row; the guard is reading the wrong table")
+	}
+	for _, row := range rows {
+		for _, f := range rowFlagRe.FindAllStringSubmatch(row[2], -1) {
+			if !slices.Contains(declared[row[1]], f[1]) {
+				t.Errorf("README's Command flags row of cmd/%s lists -%s, which cmd/%s does not declare", row[1], f[1], row[1])
+			}
+		}
+	}
+	for _, run := range goRunRe.FindAllStringSubmatch(doc, -1) {
+		for _, f := range runFlagRe.FindAllStringSubmatch(run[2], -1) {
+			if !slices.Contains(declared[run[1]], f[1]) {
+				t.Errorf("README runs %q with -%s, which cmd/%s does not declare", strings.TrimSpace(run[0]), f[1], run[1])
 			}
 		}
 	}
@@ -171,7 +224,7 @@ func TestStudyRegistryInvariants(t *testing.T) {
 			continue
 		}
 		for _, c := range s.Cells {
-			rows, err := s.Run(c.Config, experiment.Overrides{})
+			rows, err := s.Run(c.Config)
 			if err == nil {
 				err = experiment.CheckOrderings(rows, s.Orderings)
 			}

@@ -131,49 +131,26 @@ func TestRunFaultDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultNoScheduleMatchesRack pins the no-fault bit-stability criterion
-// end to end: the fault pipeline with an empty schedule (Events non-nil but
-// empty) runs the plain A10 stencil under an adaptive engine whose schedule
-// is nil, and commits no evacuations and no fault epochs.
-func TestFaultNoScheduleMatchesRack(t *testing.T) {
-	cfg := faultCfg(func(c *FaultConfig) { c.Events = []FaultEventSpec{} })
-	res := runFaultArm(t, armNamed(t, faultArms, "fault-aware"), cfg)
-	if res.stats.FaultEpochs != 0 || res.stats.Evacuations != 0 {
-		t.Errorf("disabled schedule still faulted: %+v", res.stats)
-	}
-	if res.seconds <= 0 {
-		t.Errorf("non-positive makespan %v", res.seconds)
-	}
-}
-
 // TestFaultValidation holds one row per check the fault scenario adds to
 // the rack scenario's (TestRackConfigValidate), plus one rack check
-// reaching it. The event checks guard the -fault-* flags of cmd/ablate.
+// reaching it.
 func TestFaultValidation(t *testing.T) {
-	events := func(evs ...FaultEventSpec) FaultConfig {
-		return faultCfg(func(c *FaultConfig) { c.Events = evs })
-	}
 	cases := []struct {
 		name string
 		cfg  FaultConfig
-		ok   bool
+		want string
 	}{
-		{"default failure", testFaultCfg(), true},
-		{"one rack", faultCfg(func(c *FaultConfig) { c.Racks = 1 }), false},
-		{"epoch zero", events(FaultEventSpec{Epoch: 0, Kind: topology.FaultKillNode, Node: 1}), false},
-		{"epoch beyond run", events(FaultEventSpec{Epoch: 99, Kind: topology.FaultKillNode, Node: 1}), false},
-		{"unknown node", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultKillNode, Node: 99}), false},
-		{"bad degrade factor", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultDegradeEdge, Level: 1, Link: 1, Factor: 2}), false},
-		{"unknown kind", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultKind(9)}), false},
-		{"events override", events(FaultEventSpec{Epoch: 1, Kind: topology.FaultKillNode, Node: 1}), true},
+		{"default failure", testFaultCfg(), ""},
+		{"one rack", faultCfg(func(c *FaultConfig) { c.Racks = 1 }), "rack"},
+		{"epoch beyond run", faultCfg(func(c *FaultConfig) { c.Iters = fabricEpochIters - 1 }), "beyond the run"},
 	}
 	for _, tc := range cases {
 		_, err := tc.cfg.scenario()
-		if tc.ok && err != nil {
+		if tc.want == "" && err != nil {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		}
-		if !tc.ok && err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/sched"
 )
 
 // The study registry: the one place a study of the suite is declared.
@@ -12,7 +10,10 @@ import (
 // AblationOrderings, BenchmarkAblation and the README experiment-table guard
 // are all derived from the Studies table, so adding a study means adding one
 // entry here (plus its arm table and, when its rows are to be pinned, one
-// committed `ablate -exp <name> -json` document under bench/).
+// committed `ablate -exp <name> -json` document under bench/). A study's
+// whole configuration is its entry: it runs on the common Config alone
+// (scale and seed), from which a study with its own configuration type
+// derives that with the ConfigFrom it names; no caller reshapes one study.
 
 // Study is one runnable study of the suite.
 type Study struct {
@@ -34,7 +35,7 @@ type Study struct {
 	// Orderings on every cell in tier-1.
 	Cells []Cell
 
-	run func(Config, Overrides) ([]AblationRow, error)
+	run func(Config) ([]AblationRow, error)
 }
 
 // Cell is one named shape × seed configuration of a study.
@@ -47,36 +48,7 @@ type Cell struct {
 func (s Study) Title() string { return s.ID + ": " + s.Desc }
 
 // Run executes the study at the given scale.
-func (s Study) Run(cfg Config, o Overrides) ([]AblationRow, error) { return s.run(cfg, o) }
-
-// Overrides carries cmd/ablate's study-specific flag values to the studies
-// they reshape. The zero value keeps every study's defaults.
-type Overrides struct {
-	// FaultEvents replaces the fault study's default correlated
-	// kill+degrade scenario (-fault-kill, -fault-degrade, -fault-sever).
-	FaultEvents []FaultEventSpec
-	// The Sched fields reshape the job stream and set the domain scoring
-	// rule and required-tier-full policy of both scheduler studies
-	// (-sched-jobs, -sched-churn, -sched-constraints, -sched-fit,
-	// -sched-queue).
-	SchedJobs        int
-	SchedChurn       float64
-	SchedConstraints float64
-	SchedFit         sched.Fit
-	SchedQueue       sched.QueuePolicy
-	// Sched2Priorities and Sched2DefragThreshold set the priority-class
-	// count of the sched2 stream and the fragmentation weight arming its
-	// defragmentation (-sched2-priorities, -sched2-defrag-threshold).
-	Sched2Priorities      int
-	Sched2DefragThreshold float64
-}
-
-// sched applies the -sched-* overrides to a scheduler-study configuration.
-func (o Overrides) sched(sc SchedConfig) SchedConfig {
-	sc.Jobs, sc.Churn, sc.ConstraintFraction = o.SchedJobs, o.SchedChurn, o.SchedConstraints
-	sc.Fit, sc.Queue = o.SchedFit, o.SchedQueue
-	return sc
-}
+func (s Study) Run(cfg Config) ([]AblationRow, error) { return s.run(cfg) }
 
 // Reduced is the scale cmd/ablate runs by default and the first cell of
 // every study: small enough that the whole suite takes seconds, large enough
@@ -98,40 +70,35 @@ var (
 	paperCells = []Cell{reducedCell, {"paper", Config{Seed: 42}}}
 )
 
-// configOnly adapts a study that takes no overrides.
-func configOnly(run func(Config) ([]AblationRow, error)) func(Config, Overrides) ([]AblationRow, error) {
-	return func(c Config, _ Overrides) ([]AblationRow, error) { return run(c) }
-}
-
 // derived adapts a study that runs on its own configuration type, derived
-// from the common one, and takes no overrides.
-func derived[C any](from func(Config) C, run func(C) ([]AblationRow, error)) func(Config, Overrides) ([]AblationRow, error) {
-	return func(c Config, _ Overrides) ([]AblationRow, error) { return run(from(c)) }
+// from the common one.
+func derived[C any](from func(Config) C, run func(C) ([]AblationRow, error)) func(Config) ([]AblationRow, error) {
+	return func(c Config) ([]AblationRow, error) { return run(from(c)) }
 }
 
 // studies is the suite in report order.
 var studies = []Study{
 	{Name: "policies", ID: "A1", Desc: "placement policies (LK23, blocks = cores)",
-		Cells: paperCells, run: configOnly(AblationPolicies)},
+		Cells: paperCells, run: AblationPolicies},
 	{Name: "control", ID: "A2", Desc: "control-thread strategies",
-		Cells: paperCells, run: configOnly(AblationControlThreads)},
+		Cells: paperCells, run: AblationControlThreads},
 	{Name: "oversub", ID: "A3", Desc: "oversubscription (blocks vs cores)",
-		Cells: paperCells, run: configOnly(AblationOversubscription)},
+		Cells: paperCells, run: AblationOversubscription},
 	{Name: "granularity", ID: "A4", Desc: "block granularity",
-		Cells: paperCells, run: configOnly(AblationGranularity)},
+		Cells: paperCells, run: AblationGranularity},
 	{Name: "topology", ID: "A5", Desc: "topology shapes (192 cores each)",
-		Cells: paperCells, run: configOnly(AblationTopology)},
+		Cells: paperCells, run: AblationTopology},
 	{Name: "distribute", ID: "A6", Desc: "NUMA distribution (cluster + distribute vs cluster only)",
-		Cells: paperCells, run: configOnly(AblationDistribution)},
+		Cells: paperCells, run: AblationDistribution},
 	{Name: "ompsched", ID: "A7", Desc: "OpenMP loop schedules vs bound ORWL",
-		Cells: paperCells, run: configOnly(AblationOMPSchedule)},
+		Cells: paperCells, run: AblationOMPSchedule},
 	{Name: "adaptive", ID: "A8", Desc: "adaptive re-placement (static vs epoch feedback vs oracle)",
 		Orderings: []Ordering{
 			{Before: "phase/adaptive", After: "phase/static", Strict: true},
 			{Before: "phase/oracle", After: "phase/adaptive"},
 		},
 		Cells: []Cell{reducedCell},
-		run:   configOnly(AblationAdaptive)},
+		run:   AblationAdaptive},
 	{Name: "cluster", ID: "A9", Desc: "multi-node placement (hierarchical vs flat vs rr-nodes vs one big node)",
 		// Strict against the affinity-blind baseline; flat treematch can tie
 		// exactly when both policies find the same optimal partition (the
@@ -178,31 +145,21 @@ var studies = []Study{
 			{Before: "fault/spread", After: "fault/static-respawn", Strict: true},
 		},
 		Cells: []Cell{reducedCell, {"2x6x8", atCores(96)}},
-		run: func(c Config, o Overrides) ([]AblationRow, error) {
-			fc := FaultConfigFrom(c)
-			fc.Events = o.FaultEvents
-			return AblationFault(fc)
-		}},
+		run:   derived(FaultConfigFrom, AblationFault)},
 	{Name: "sched", ID: "A15", Desc: "online multi-tenant scheduler (topo-aware vs topo-blind vs first-fit)",
 		Orderings: []Ordering{
 			{Before: "sched/topo-aware", After: "sched/topo-blind", Strict: true},
 			{Before: "sched/topo-blind", After: "sched/first-fit", Strict: true},
 		},
 		Cells: []Cell{reducedCell},
-		run: func(c Config, o Overrides) ([]AblationRow, error) {
-			return AblationSched(o.sched(SchedConfigFrom(c)))
-		}},
+		run:   derived(SchedConfigFrom, AblationSched)},
 	{Name: "sched2", ID: "A16", Desc: "phase-2 scheduler policies (backfill + preemption + defrag vs backfill-only vs fifo)",
 		Orderings: []Ordering{
 			{Before: "sched2/full", After: "sched2/backfill", Strict: true},
 			{Before: "sched2/backfill", After: "sched2/fifo", Strict: true},
 		},
 		Cells: []Cell{reducedCell},
-		run: func(c Config, o Overrides) ([]AblationRow, error) {
-			sc := o.sched(Sched2ConfigFrom(c))
-			sc.PriorityClasses, sc.DefragThreshold = o.Sched2Priorities, o.Sched2DefragThreshold
-			return AblationSched2(sc)
-		}},
+		run:   derived(Sched2ConfigFrom, AblationSched2)},
 }
 
 // Studies returns the suite in report order.

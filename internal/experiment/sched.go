@@ -55,25 +55,11 @@ var sched2Arms = []arm[sched.Options]{
 
 // SchedConfig parameterizes both scheduler ablations: each study's job
 // stream replayed on every schedShapes × Seeds grid cell under each arm.
-// Seeds are required; every other field overrides the study's stream or
-// scheduler options, and its zero value keeps the study's.
+// Every arm keeps the sched.Options defaults it does not name: best fit,
+// waiting on a full required tier and a defragmentation threshold of 0.
 type SchedConfig struct {
 	// Seeds are the stream seeds of the grid.
 	Seeds []int64
-	// Jobs, Churn, ConstraintFraction and PriorityClasses replace the
-	// study stream's knobs (see sched.StreamConfig) when non-zero.
-	Jobs               int
-	Churn              float64
-	ConstraintFraction float64
-	PriorityClasses    int
-	// DefragThreshold arms the defragmentation of A16's full arm
-	// (fragmentation weight in [0,1]; 0 = always armed when the head is
-	// blocked).
-	DefragThreshold float64
-	// Fit and Queue select the domain scoring rule and the full-required
-	// policy of every arm (defaults: best-fit, wait).
-	Fit   sched.Fit
-	Queue sched.QueuePolicy
 }
 
 // schedShapes are the platform specs of both studies' grids: a two-rack and
@@ -111,37 +97,11 @@ var sched2Stream = sched.StreamConfig{
 	PreferredTier: "node", RequiredTier: "rack", PriorityClasses: 3,
 }
 
-// stream is one grid cell's generator configuration: the study's stream at
-// the cell's seed, with the knobs c sets.
-func (c SchedConfig) stream(study sched.StreamConfig, seed int64) sched.StreamConfig {
-	study.Seed = seed
-	if c.Jobs != 0 {
-		study.Jobs = c.Jobs
-	}
-	if c.Churn != 0 {
-		study.Churn = c.Churn
-	}
-	if c.ConstraintFraction != 0 {
-		study.ConstraintFraction = c.ConstraintFraction
-	}
-	if c.PriorityClasses != 0 {
-		study.PriorityClasses = c.PriorityClasses
-	}
-	return study
-}
-
 // Validate rejects configurations the scheduler pipeline cannot run, before
-// any cell runs. Both study streams are valid, so the knobs c sets decide:
-// they are checked on A15's.
+// any cell runs.
 func (c SchedConfig) Validate() error {
 	if len(c.Seeds) == 0 {
 		return fmt.Errorf("experiment: sched needs at least one stream seed")
-	}
-	if err := c.stream(schedStream, 0).Validate(); err != nil {
-		return err
-	}
-	if !(c.DefragThreshold >= 0 && c.DefragThreshold <= 1) { // rejects NaN too
-		return fmt.Errorf("experiment: sched defrag threshold %v out of range [0,1]", c.DefragThreshold)
 	}
 	return nil
 }
@@ -173,7 +133,7 @@ type SchedResult struct {
 
 // runSchedCell replays one seeded stream on one platform shape under one
 // arm's scheduler options and returns the scheduler's report.
-func runSchedCell(opts sched.Options, shape string, stream sched.StreamConfig, cfg SchedConfig) (*sched.Report, error) {
+func runSchedCell(opts sched.Options, shape string, stream sched.StreamConfig) (*sched.Report, error) {
 	jobs, err := sched.GenerateStream(stream)
 	if err != nil {
 		return nil, err
@@ -181,10 +141,6 @@ func runSchedCell(opts sched.Options, shape string, stream sched.StreamConfig, c
 	plat, err := numasim.NewPlatform(shape, numasim.Config{})
 	if err != nil {
 		return nil, err
-	}
-	opts.Fit, opts.Queue = cfg.Fit, cfg.Queue
-	if opts.Defrag {
-		opts.DefragThreshold = cfg.DefragThreshold
 	}
 	s, err := sched.New(plat.Machine(), opts)
 	if err != nil {
@@ -200,7 +156,8 @@ func runSchedGrid(opts sched.Options, study sched.StreamConfig, cfg SchedConfig)
 	var aggCycles, fragSum, utilSum float64
 	for _, shape := range schedShapes {
 		for _, seed := range cfg.Seeds {
-			rep, err := runSchedCell(opts, shape, cfg.stream(study, seed), cfg)
+			study.Seed = seed
+			rep, err := runSchedCell(opts, shape, study)
 			if err != nil {
 				return SchedResult{}, fmt.Errorf("shape %q seed %d: %w", shape, seed, err)
 			}

@@ -21,9 +21,11 @@ func TestAblationSchedOrdering(t *testing.T) {
 	for _, shape := range schedShapes {
 		for _, seed := range cfg.Seeds {
 			agg := map[string]float64{}
+			stream := schedStream
+			stream.Seed = seed
 			for _, arm := range schedArms {
 				mode := arm.name
-				rep, err := runSchedCell(arm.policy, shape, cfg.stream(schedStream, seed), cfg)
+				rep, err := runSchedCell(arm.policy, shape, stream)
 				if err != nil {
 					t.Fatalf("%s shape %q seed %d: %v", mode, shape, seed, err)
 				}
@@ -90,14 +92,12 @@ func TestAblationSchedRows(t *testing.T) {
 
 // TestSchedConfigValidate rejects broken grids before any cell runs.
 func TestSchedConfigValidate(t *testing.T) {
-	seeds := []int64{7}
 	cases := []struct {
 		name string
 		cfg  SchedConfig
 		want string
 	}{
 		{"no seeds", SchedConfig{}, "seed"},
-		{"negative churn", SchedConfig{Seeds: seeds, Churn: -1}, "churn"},
 		{"bad mode reaches RunSched", SchedConfig{}, ""},
 	}
 	for _, tc := range cases {
@@ -120,9 +120,10 @@ func TestSchedConfigValidate(t *testing.T) {
 // TestSchedBracedShape pins that the cell runner builds its platform with
 // the grammar: a braced heterogeneous shape runs a stream.
 func TestSchedBracedShape(t *testing.T) {
-	cfg := SchedConfig{Jobs: 6}
+	stream := schedStream
+	stream.Jobs, stream.Seed = 6, 7
 	rep, err := runSchedCell(armNamed(t, schedArms, "topo-aware"),
-		"rack:2 node:{pack:1 core:4 | pack:1 core:2}", cfg.stream(schedStream, 7), cfg)
+		"rack:2 node:{pack:1 core:4 | pack:1 core:2}", stream)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -769,16 +769,17 @@ func (e *AdaptiveEngine) assignmentLocked() *Assignment {
 // volume between their PUs. It is the objective the adaptive engine
 // minimizes when comparing the current mapping with a candidate; only
 // differences matter, so the omitted per-node contention effects cancel.
+// It walks each row's nonzeros above the diagonal, a pair's volume being
+// v + v (the matrix equals its transpose), so it adds the terms a loop over
+// every pair reading At would add, in the same order, in O(nnz).
 func MappingCost(mach *numasim.Machine, m *comm.Matrix, taskPU []int) float64 {
 	var s float64
 	for i := 0; i < m.Order(); i++ {
-		for j := i + 1; j < m.Order(); j++ {
-			vol := m.At(i, j) + m.At(j, i)
-			if vol == 0 {
-				continue
+		m.ForEachNeighbor(i, func(j int, v float64) {
+			if j > i {
+				s += mach.TransferCost(taskPU[i], taskPU[j], v+v)
 			}
-			s += mach.TransferCost(taskPU[i], taskPU[j], vol)
-		}
+		})
 	}
 	return s
 }

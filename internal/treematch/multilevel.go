@@ -677,7 +677,7 @@ type boundarySide struct {
 	// maxD is the largest D (-Inf with no members, NaN if any D is NaN).
 	maxD float64
 	// The member at position p has its nonzeros into the other group at
-	// out[off[p]:off[p+1]], in column order.
+	// out[off[p]:off[p+1]], in column order. Only side A records them.
 	off []int32
 	out []entry
 	// cand holds the positions of the maxBoundaryCands best members by
@@ -686,11 +686,11 @@ type boundarySide struct {
 }
 
 // measure computes D of the members of group own against group other,
-// recording on the way the row entries a swap's w needs. mark labels the
-// entities of the two groups with own and other.
-func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own, other int32) {
+// recording on the way, when record is set, the row entries a swap's w
+// needs. mark labels the entities of the two groups with own and other.
+func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own, other int32, record bool) {
 	s.members = members
-	s.d, s.off, s.out = s.d[:len(members)], s.off[:len(members)+1], s.out[:0]
+	s.d, s.out = s.d[:len(members)], s.out[:0]
 	s.maxD = math.Inf(-1)
 	for p, x := range members {
 		var toOther, toOwn float64
@@ -701,14 +701,18 @@ func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own,
 			switch mark[u] {
 			case other:
 				toOther += v + v
-				s.out = append(s.out, entry{int32(u), v})
+				if record {
+					s.out = append(s.out, entry{int32(u), v})
+				}
 			case own:
 				toOwn += v + v
 			}
 		})
 		s.d[p] = toOther - toOwn
 		s.maxD = max(s.maxD, s.d[p])
-		s.off[p+1] = int32(len(s.out))
+		if record {
+			s.off[p+1] = int32(len(s.out))
+		}
 	}
 }
 
@@ -761,18 +765,18 @@ func (sw *boundarySwapper) cand(s *boundarySide, u int32) (int, bool) {
 func (sw *boundarySwapper) init(n, largest, k int) {
 	c := min(largest, maxBoundaryCands)
 	fs := make([]float64, 2*largest+c*c)
-	is := make([]int32, 2*n+2*(largest+1))
+	is := make([]int32, 2*n+largest+1)
 	cs := make([]int, 2*largest)
 	*sw = boundarySwapper{slot: is[:n:n], mark: is[n : 2*n : 2*n], xy: fs[: c*c : c*c]}
 	sw.fails = make([]failRec, 0, maxBoundaryPairs*k)
-	fs, is = fs[c*c:], is[2*n:]
+	fs = fs[c*c:]
 	for i := range sw.side {
 		sw.side[i] = boundarySide{
 			d:    fs[i*largest : (i+1)*largest : (i+1)*largest],
-			off:  is[i*(largest+1) : (i+1)*(largest+1) : (i+1)*(largest+1)],
 			cand: cs[i*largest : (i+1)*largest : (i+1)*largest],
 		}
 	}
+	sw.side[0].off = is[2*n:]
 }
 
 // try applies the single best positive-gain swap between groups a and b,
@@ -789,8 +793,8 @@ func (sw *boundarySwapper) try(r *boundaryRun, a, b int32) bool {
 	sw.stamp(ga, a, la, r.orphans)
 	sw.stamp(gb, b, lb, r.orphans)
 	A, B := &sw.side[0], &sw.side[1]
-	A.measure(r.m, ga, sw.mark, la, lb)
-	B.measure(r.m, gb, sw.mark, lb, la)
+	A.measure(r.m, ga, sw.mark, la, lb, true)
+	B.measure(r.m, gb, sw.mark, lb, la, false)
 	const eps = 1e-12
 	// Every w(x, y) is ≥ 0, and rounded addition and subtraction are
 	// monotone, so no gain exceeds maxD(A) + maxD(B). A +Inf or NaN maximum
