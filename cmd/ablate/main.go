@@ -8,10 +8,13 @@
 //	ablate -exp rack,hetero   # a comma-separated list; "all" may be a member
 //	ablate -full              # paper-scale matrix and iterations
 //
-// With -json the results are emitted as one machine-readable JSON document
-// on stdout — per-ablation rows with simulated seconds and cycle counts,
-// plus the asserted orderings and their verdicts — and the exit status is
-// non-zero when any asserted ordering is violated. The document carries
+// The human-readable report follows each study's rows with one
+// "violated: <relation>" line per asserted ordering they break, and exits
+// 0 all the same. With -json the results are emitted as one
+// machine-readable JSON document on stdout — per-ablation rows with
+// simulated seconds and cycle counts, plus the asserted orderings and
+// their verdicts — and the exit status is non-zero when any asserted
+// ordering is violated. The document carries
 // simulated time only, so it is a pure function of (studies, configuration,
 // seed): bench/BENCH_*.json are committed -json documents and
 // TestBenchArtifacts regenerates each and requires identical bytes.
@@ -69,8 +72,7 @@ func run(w io.Writer, cfg experiment.Config, exp string, asJSON bool) error {
 			return fmt.Errorf("%s: %v", s.Name, err)
 		}
 		if !asJSON {
-			fmt.Fprint(w, experiment.FormatAblation(s.Title(), rows))
-			fmt.Fprintln(w)
+			writeStudy(w, s.Title(), rows, s.Orderings)
 			continue
 		}
 		res := benchAblation{Exp: s.Name, ID: s.ID, Title: s.Title()}
@@ -104,6 +106,18 @@ func run(w io.Writer, cfg experiment.Config, exp string, asJSON bool) error {
 		}
 	}
 	return nil
+}
+
+// writeStudy renders one study's rows human-readable, then one
+// "violated: <relation>" line for each asserted ordering the rows break.
+func writeStudy(w io.Writer, title string, rows []experiment.AblationRow, orderings []experiment.Ordering) {
+	fmt.Fprint(w, experiment.FormatAblation(title, rows))
+	for _, o := range orderings {
+		if experiment.CheckOrderings(rows, []experiment.Ordering{o}) != nil {
+			fmt.Fprintf(w, "violated: %s\n", o)
+		}
+	}
+	fmt.Fprintln(w)
 }
 
 // benchSchema versions the JSON document; bump on incompatible changes.

@@ -203,6 +203,23 @@ func TestRunHumanReport(t *testing.T) {
 	}
 }
 
+// TestWriteStudyNamesViolations forces a violation: the text report
+// follows the study's rows with one line per broken ordering and none for
+// the orderings that hold.
+func TestWriteStudyNamesViolations(t *testing.T) {
+	rows := []experiment.AblationRow{{Name: "x/slow", Seconds: 2}, {Name: "x/fast", Seconds: 1}}
+	var buf bytes.Buffer
+	writeStudy(&buf, "AX · forced", rows, []experiment.Ordering{
+		{Before: "x/fast", After: "x/slow", Strict: true},
+		{Before: "x/slow", After: "x/fast", Strict: true},
+		{Before: "x/slow", After: "x/fast"},
+	})
+	want := experiment.FormatAblation("AX · forced", rows) + "violated: x/slow < x/fast\nviolated: x/slow <= x/fast\n\n"
+	if got := buf.String(); got != want {
+		t.Errorf("text report:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestRunAllGolden pins the whole human-readable report: the stdout of
 // `ablate -exp all` at the default scale and seed is deterministic, and
 // testdata/all.golden was generated before the study registry and the

@@ -88,6 +88,10 @@ func (m *Matrix) NNZ() int {
 	return nnz
 }
 
+// RowNNZ returns the stored entries of row i, the calls ForEachNeighbor(i)
+// makes.
+func (m *Matrix) RowNNZ(i int) int { return len(m.rows[i].cols) }
+
 // ForEachNeighbor calls fn for every nonzero entry (i,j) of row i, in
 // ascending column order. The diagonal entry is included when nonzero
 // (aggregated matrices carry intra-group volume there). fn must not mutate

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/comm"
@@ -183,5 +184,46 @@ func TestHierarchicalSequentialAllocs(t *testing.T) {
 	place()
 	if allocs := testing.AllocsPerRun(5, place); allocs > 437 {
 		t.Errorf("%v allocations per placement, want ≤ 437", allocs)
+	}
+}
+
+// TestHierarchicalAssignBytes pins the bytes of TestHierarchicalSequentialAllocs'
+// placement at pools of 1, 2 and 4 workers. Its level-1 portfolio lies
+// below multilevelMinOrder, so GOMAXPROCS sizes nothing in it; a pool
+// worker that takes a node keeps its own sub-matrix storage and Mapper
+// (about 5.5 KB for these 10-task nodes). Which workers take nodes is the
+// scheduler's choice, so each pin is the fewest bytes of ten placements,
+// and bounds the run in which every worker takes one. Measured on amd64:
+// 134 632, 140 040 and 150 936 bytes at GOMAXPROCS 2; 139 352, 144 920
+// and 156 056 while every node built its own tree and the padding strip
+// copied the groups.
+func TestHierarchicalAssignBytes(t *testing.T) {
+	plat, err := numasim.NewPlatform("cluster:8 pack:1 core:8", numasim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := comm.RandomSparse(80, 8, 100, 1)
+	for _, pin := range []struct {
+		workers int
+		bytes   uint64
+	}{{1, 137_000}, {2, 143_000}, {4, 154_000}} {
+		place := func() {
+			if _, err := (Hierarchical{Workers: pin.workers}).Assign(plat.Machine(), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		place()
+		fewest := ^uint64(0)
+		for range 10 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			place()
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%d workers: %d bytes per placement", pin.workers, fewest)
+		if fewest > pin.bytes {
+			t.Errorf("%d workers: %d bytes per placement, want ≤ %d", pin.workers, fewest, pin.bytes)
+		}
 	}
 }

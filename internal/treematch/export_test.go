@@ -2,6 +2,8 @@ package treematch
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/comm"
@@ -72,4 +74,23 @@ func equalsTranspose(m *comm.Matrix) bool {
 		}
 	}
 	return true
+}
+
+// perCall returns the fewest bytes and allocations one call of fn cost in
+// runs calls after a first, warming one, with the collector off. The
+// fewest are what fn itself asks for: the runtime only adds, as when a
+// goroutine finds no exited one, or no channel-wait record, to reuse on its
+// processor (a collection empties the record caches).
+func perCall(runs int, fn func()) (bytes, allocs uint64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fn()
+	bytes, allocs = math.MaxUint64, math.MaxUint64
+	var before, after runtime.MemStats
+	for range runs {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		bytes, allocs = min(bytes, after.TotalAlloc-before.TotalAlloc), min(allocs, after.Mallocs-before.Mallocs)
+	}
+	return bytes, allocs
 }

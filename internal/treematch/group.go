@@ -262,21 +262,23 @@ func (w *partitioner) partitionEqual(m *comm.Matrix, k int, opt Options) ([][]in
 	if err != nil {
 		return nil, err
 	}
-	// Strip the padding into one array of the p real entities; a group of
-	// padding alone stays nil.
-	flat, out := make([]int, 0, p), make([][]int, k)
+	// Strip the padding in place, each group capped at its real entities;
+	// a group of padding alone becomes nil. Both branches build their
+	// groups for this call (no candidate's groups live in a candidate set),
+	// so no copy is needed.
 	for gi, g := range best {
-		lo := len(flat)
+		kept := g[:0]
 		for _, e := range g {
 			if e < p {
-				flat = append(flat, e)
+				kept = append(kept, e)
 			}
 		}
-		if len(flat) > lo {
-			out[gi] = flat[lo:len(flat):len(flat)]
+		best[gi] = nil
+		if len(kept) > 0 {
+			best[gi] = kept[:len(kept):len(kept)]
 		}
 	}
-	return out, nil
+	return best, nil
 }
 
 // equalPortfolio assembles the equal-capacity portfolio in its fixed order.
@@ -490,7 +492,7 @@ func greedySizedGroups(m *comm.Matrix, sizes []int, f *affinityFill) [][]int {
 	seedOrder, buildOrder := greedyOrders(m, sizes, f)
 	f.grouped = grow(f.grouped, p)
 	clear(f.grouped)
-	f.affinity, f.stamp = grow(f.affinity, p), grow(f.stamp, p)
+	f.stamp = grow(f.stamp, p)
 	if f.h == nil {
 		f.h = make(affHeap, 0, min(64, p))
 	}
@@ -528,16 +530,18 @@ func greedySizedGroups(m *comm.Matrix, sizes []int, f *affinityFill) [][]int {
 // them, and the orders the fill walks. Stamps only ever hold
 // epochs of calls already made, so a reused fill needs no clearing of them.
 type affinityFill struct {
-	grouped  []bool
+	grouped []bool
+	// affinity[j] is j's affinity to the group being filled, read only
+	// where stamp[j] is the group's epoch, and set to 0 first; before the
+	// fill it holds the row volumes, the seed order's key.
 	affinity []float64
 	stamp    []int // group (epoch) an affinity belongs to; 0 = never
 	epoch    int
 	h        affHeap
 	low      int // lowest ungrouped entity (grouped is monotone)
 
-	sizes       []int     // uniform's sizes
-	vol         []float64 // row volumes, the seed order's key
-	seed, build []int     // seed and build orders
+	sizes       []int // uniform's sizes
+	seed, build []int // seed and build orders
 }
 
 // grow returns s resized to n, reusing its array when it is large enough;
@@ -594,13 +598,14 @@ func descending(x, y float64) int {
 
 // greedyOrders computes the seed order (entities by descending row volume,
 // stable, so ties stay in index order) and the build order (groups by
-// descending target size, stable) of the greedy fill, in f's memory. The
+// descending target size, stable) of the greedy fill, in f's memory, the
+// row volumes in its affinity table, which the fill then overwrites. The
 // seed order is sorted with the index as the last key, which is the stable
 // order: row volumes are sums of volumes ≥ 0, never NaN, so they are
 // ordered.
 func greedyOrders(m *comm.Matrix, sizes []int, f *affinityFill) (seedOrder, buildOrder []int) {
 	p := m.Order()
-	vol := grow(f.vol, p)
+	vol := grow(f.affinity, p)
 	seedOrder = grow(f.seed, p)
 	for i := range seedOrder {
 		seedOrder[i] = i
@@ -618,7 +623,7 @@ func greedyOrders(m *comm.Matrix, sizes []int, f *affinityFill) (seedOrder, buil
 		buildOrder[i] = i
 	}
 	slices.SortStableFunc(buildOrder, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
-	f.vol, f.seed, f.build = vol, seedOrder, buildOrder
+	f.affinity, f.seed, f.build = vol, seedOrder, buildOrder
 	return seedOrder, buildOrder
 }
 

@@ -174,11 +174,15 @@ func heavyEdgeMatching(m *comm.Matrix) [][]int {
 // an attempt on (a, b) reads and writes only the member slices of a and b
 // and which entities are labelled a or b, the argument failMemo rests on,
 // so pairs that share no group commute, and every group's final slice,
-// member order included, is the one the ranked order produces. Each worker
-// reads those labels from its own stamps (boundarySwapper.mark), never
-// from a slice another worker writes. The cut sweep splits the groups
-// among the workers (cutRanker).
-// Everything is sized once per call; no attempt or level allocates.
+// member order included, is the one the ranked order produces. The labels
+// are one table (boundaryRun.group) that attempts read atomically and a
+// swap writes atomically: an attempt on (a, b) may read the label of a
+// neighbour that another worker is moving between its own c and d, and it
+// reads c or d, before or after, never a or b, so its outcome does not
+// depend on the timing. The cut sweep splits the groups among the workers
+// (cutRanker).
+// Everything is sized once per call, by the order, the groups and the
+// longest row; no attempt or level allocates.
 func refineGroupsBoundary(m *comm.Matrix, groups [][]int, passes int) {
 	refineBoundary(m, groups, passes, runtime.GOMAXPROCS(0))
 }
@@ -190,12 +194,13 @@ func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int) {
 		return
 	}
 	n := m.Order()
-	r := &boundaryRun{m: m, groups: groups, group: make([]int32, n), ws: make([]boundarySwapper, workers)}
+	labels := make([]int32, 2*n)
+	r := &boundaryRun{m: m, groups: groups, group: labels[:n:n], pos: labels[n:], ws: make([]boundarySwapper, workers)}
 	r.memo.init(k)
 	largest := 0
 	for gi, g := range groups {
-		for _, e := range g {
-			r.group[e] = int32(gi) + 1
+		for i, e := range g {
+			r.group[e], r.pos[e] = int32(gi)+1, int32(i)
 		}
 		largest = max(largest, len(g))
 	}
@@ -205,15 +210,15 @@ func refineBoundary(m *comm.Matrix, groups [][]int, passes, workers int) {
 			r.group[e], r.orphans = 0, append(r.orphans, e)
 		}
 	}
-	for w := range r.ws {
-		r.ws[w].init(n, largest, k)
-	}
 	r.crew.hire(workers)
 	defer r.crew.stop()
 	r.ranker.init(m, r.group, groups, r.orphans, workers)
+	for w := range r.ws {
+		r.ws[w].init(largest, r.ranker.sweeps[w].both)
+	}
 	r.last, r.order = make([]int32, k), make([]levelPair, 0, maxBoundaryPairs*k)
 	for pass := 0; pass < passes; pass++ {
-		r.memo.nextPass(r.ws)
+		r.memo.nextPass()
 		pairs := r.ranker.rank(&r.crew)
 		if len(pairs) == 0 {
 			return
@@ -287,22 +292,25 @@ func (c *crew) stop() {
 }
 
 // boundaryRun is the state the workers of one refineGroupsBoundary call
-// share. Within a level each group belongs to one worker, which alone reads
-// and writes its member slice, its members' labels in group and its
-// memo.ver entry.
+// share. Within a level each group belongs to one worker, which alone
+// writes its member slice, its members' labels and positions and its
+// memo.ver entry, and alone reads the positions.
 type boundaryRun struct {
-	m       *comm.Matrix
-	groups  [][]int
-	group   []int32 // group[e] is e's group; cutRanker reads it between passes
-	orphans []int   // the entities in no group, which count as group 0
-	memo    failMemo
-	crew    crew
-	ranker  cutRanker
-	ws      []boundarySwapper // one per worker
-	last    []int32           // last[g]: the last level a pair of group g took
-	order   []levelPair       // this pass's ranked pairs, by level
-	level   []levelPair       // the running level
-	next    atomic.Int32      // the next unclaimed pair of the running level
+	m      *comm.Matrix
+	groups [][]int
+	// group[e] is e's group, loaded and stored atomically while pairs run;
+	// cutRanker reads it between passes. pos[e] is e's index in its
+	// group's member slice.
+	group, pos []int32
+	orphans    []int // the entities in no group, which count as group 0
+	memo       failMemo
+	crew       crew
+	ranker     cutRanker
+	ws         []boundarySwapper // one per worker
+	last       []int32           // last[g]: the last level a pair of group g took
+	order      []levelPair       // this pass's ranked pairs, by level
+	level      []levelPair       // the running level
+	next       atomic.Int32      // the next unclaimed pair of the running level
 	// improved records that some pair of the pass swapped.
 	improved atomic.Bool
 }
@@ -336,7 +344,7 @@ func (r *boundaryRun) work(w int) {
 		}
 		a, b := r.level[i].a, r.level[i].b
 		if rec, ok := f.fails(a, b); ok {
-			sw.fails = append(sw.fails, rec)
+			f.record(rec)
 			continue
 		}
 		s := 0
@@ -349,7 +357,7 @@ func (r *boundaryRun) work(w int) {
 			f.ver[b]++
 		}
 		if s < maxSwapsPerPair {
-			sw.fails = append(sw.fails, failRec{a, b, f.ver[a], f.ver[b]})
+			f.record(failRec{a, b, f.ver[a], f.ver[b]})
 		}
 	}
 }
@@ -361,11 +369,13 @@ func (r *boundaryRun) work(w int) {
 // relabels entities between c and d alone. So a pair that failed at the
 // current versions of both groups fails again, and is skipped.
 type failMemo struct {
-	ver []uint32 // ver[g] changes whenever group g takes part in a swap
-	// prev holds the failures of the previous pass sorted by (a, b). The
-	// workers record this pass's, skipped pairs included, so that the pass
-	// after still sees them.
-	prev []failRec
+	ver  []uint32  // ver[g] changes whenever group g takes part in a swap
+	prev []failRec // the failures of the previous pass, sorted by (a, b)
+	// log holds this pass's failures, skipped pairs included, so that the
+	// pass after still sees them; a worker claims a record's slot with
+	// logged.
+	log    []failRec
+	logged atomic.Int32
 }
 
 type failRec struct {
@@ -383,8 +393,13 @@ func cmpFailRec(x, y failRec) int {
 // init sizes the memo for k groups: a pass ranks at most
 // maxBoundaryPairs·k pairs, each recorded at most once.
 func (f *failMemo) init(k int) {
-	*f = failMemo{ver: make([]uint32, k), prev: make([]failRec, 0, maxBoundaryPairs*k)}
+	l := maxBoundaryPairs * k
+	recs := make([]failRec, 2*l)
+	f.ver, f.prev, f.log = make([]uint32, k), recs[:0:l], recs[l:]
 }
+
+// record logs a failure of the running pass.
+func (f *failMemo) record(rec failRec) { f.log[f.logged.Add(1)-1] = rec }
 
 // fails reports whether the pair failed in the previous pass and neither
 // group has swapped since, and if so the record to carry into this pass.
@@ -396,15 +411,12 @@ func (f *failMemo) fails(a, b int32) (failRec, bool) {
 	return f.prev[p], true
 }
 
-// nextPass makes the failures the workers recorded so far the ones the new
+// nextPass makes the failures the workers logged so far the ones the new
 // pass looks up. Pairs are unique within a pass, so the sorted records do
-// not depend on which worker recorded which.
-func (f *failMemo) nextPass(ws []boundarySwapper) {
-	f.prev = f.prev[:0]
-	for i := range ws {
-		f.prev = append(f.prev, ws[i].fails...)
-		ws[i].fails = ws[i].fails[:0]
-	}
+// not depend on which worker logged which, or in which slot.
+func (f *failMemo) nextPass() {
+	f.prev, f.log = f.log[:f.logged.Load()], f.prev[:cap(f.prev)]
+	f.logged.Store(0)
 	slices.SortFunc(f.prev, cmpFailRec)
 }
 
@@ -461,7 +473,9 @@ func selectTop(s []cutRec, l int) {
 // are the entries of a's rows into b and their mirrors, the entries of b's
 // rows into a: group a's own rows hold them all. The workers take the
 // groups in turn, and each keeps the heaviest pairs it has summed in a
-// bounded heap; nothing larger than one group's terms is buffered.
+// bounded heap; nothing larger than one group's terms is buffered, and the
+// buffers are sized for the most any group can hold, so no sweep grows
+// them.
 type cutRanker struct {
 	m     *comm.Matrix
 	group []int32 // group[e] is e's group
@@ -479,22 +493,33 @@ type cutRanker struct {
 // init sizes the ranker for the groups of the matrix and the given number
 // of workers; the labels and member lists are read afresh at every rank.
 func (c *cutRanker) init(m *comm.Matrix, group []int32, groups [][]int, orphans []int, workers int) {
-	k := len(groups)
+	k, largest := len(groups), 0
+	for _, g := range groups {
+		largest = max(largest, len(g))
+	}
+	n := entryBound(m, largest, len(orphans))
 	*c = cutRanker{m: m, group: group, groups: groups, orphans: orphans, k: k, workers: workers}
 	ints := make([]int32, 2*workers*k)
 	c.top = make([]cutRec, workers*maxBoundaryPairs*k)
 	c.sweeps = make([]groupSweep, workers)
-	terms := make([]cutTerm, 4*workers*sweepTerms)
+	terms := make([]cutTerm, 4*workers*n)
 	for w := range c.sweeps {
-		s, t := &c.sweeps[w], terms[4*w*sweepTerms:]
+		s, t := &c.sweeps[w], terms[4*w*n:]
 		s.count, s.partners = ints[2*w*k:(2*w+1)*k:(2*w+1)*k], ints[(2*w+1)*k:(2*w+1)*k:(2*w+2)*k]
-		s.terms, s.byB, s.both = t[:0:sweepTerms], t[sweepTerms:2*sweepTerms:2*sweepTerms], t[2*sweepTerms:2*sweepTerms:4*sweepTerms]
+		s.terms, s.byB, s.both = t[:0:n], t[n:2*n:2*n], t[2*n:2*n:4*n]
 	}
 }
 
-// sweepTerms is the room for one group's terms a worker starts with, ample
-// for place-scale's groups; a group with more grows it, once per doubling.
-const sweepTerms = 256
+// entryBound bounds the row entries of any group of at most largest
+// members, with the given number of entities in no group added to it:
+// neither more than every entry nor than the longest row each.
+func entryBound(m *comm.Matrix, largest, orphans int) int {
+	all, longest := 0, 0
+	for i := range m.Order() {
+		all, longest = all+m.RowNNZ(i), max(longest, m.RowNNZ(i))
+	}
+	return min(all, (largest+orphans)*longest)
+}
 
 // work is worker w's share of a sweep: its groups.
 func (c *cutRanker) work(w int) { c.sweeps[w].sweep(c, w) }
@@ -532,7 +557,9 @@ type cutTerm struct {
 type groupSweep struct {
 	terms []cutTerm // the group's entries into later groups
 	byB   []cutTerm // the same, partner by partner
-	both  []cutTerm // one partner's terms and their mirrors; never over 2·len(byB)
+	// both holds one partner's terms and their mirrors, never over
+	// 2·len(byB); while pairs run, the worker's swapper records into it.
+	both []cutTerm
 	// count[b] counts the terms with partner b, then is the end of b's run
 	// in byB; back to 0 once the group is done.
 	count    []int32
@@ -557,9 +584,6 @@ func (s *groupSweep) sweep(c *cutRanker, w int) {
 		end := int32(0)
 		for _, b := range s.partners {
 			s.count[b], end = end, end+s.count[b]
-		}
-		if cap(s.byB) < len(s.terms) {
-			s.byB, s.both = make([]cutTerm, cap(s.terms)), make([]cutTerm, 0, 2*cap(s.terms))
 		}
 		s.byB = s.byB[:len(s.terms)]
 		for _, t := range s.terms {
@@ -661,12 +685,6 @@ func after(x, y cutRec) bool {
 	return x.v < y.v || (x.v == y.v && (x.a > y.a || (x.a == y.a && x.b > y.b)))
 }
 
-// entry is one recorded nonzero (j, v) of a member's row.
-type entry struct {
-	j int32
-	v float64
-}
-
 // boundarySide is one group of the pair a swap attempt prices.
 type boundarySide struct {
 	members []int
@@ -679,7 +697,7 @@ type boundarySide struct {
 	// The member at position p has its nonzeros into the other group at
 	// out[off[p]:off[p+1]], in column order. Only side A records them.
 	off []int32
-	out []entry
+	out []cutTerm
 	// cand holds the positions of the maxBoundaryCands best members by
 	// (D desc, entity index asc); rank sorts it.
 	cand []int
@@ -687,8 +705,9 @@ type boundarySide struct {
 
 // measure computes D of the members of group own against group other,
 // recording on the way, when record is set, the row entries a swap's w
-// needs. mark labels the entities of the two groups with own and other.
-func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own, other int32, record bool) {
+// needs. group labels the entities; it is loaded atomically, as other
+// workers relabel entities of groups other than own and other.
+func (s *boundarySide) measure(m *comm.Matrix, members []int, group []int32, own, other int32, record bool) {
 	s.members = members
 	s.d, s.out = s.d[:len(members)], s.out[:0]
 	s.maxD = math.Inf(-1)
@@ -698,11 +717,11 @@ func (s *boundarySide) measure(m *comm.Matrix, members []int, mark []int32, own,
 			if u == x {
 				return
 			}
-			switch mark[u] {
+			switch atomic.LoadInt32(&group[u]) {
 			case other:
 				toOther += v + v
 				if record {
-					s.out = append(s.out, entry{int32(u), v})
+					s.out = append(s.out, cutTerm{int32(x), int32(u), v})
 				}
 			case own:
 				toOwn += v + v
@@ -736,47 +755,37 @@ func (s *boundarySide) rank() {
 // boundarySwapper prices and applies the best swap of a group pair. The
 // gain of swapping x and y is D(x) + D(y) − 2·w(x,y), the standard KL
 // expression, with w(x, y) = At(x, y) + At(y, x) = v + v taken from the
-// candidate block xy[i·|candB|+j] = At(candA[i], candB[j]), scattered from
-// the entries measure recorded on side A (the matrix equals its transpose,
-// so B's rows hold the same values). An absent entry reads 0, as At reads
-// it; a recorded one is the stored value. Each worker owns one swapper.
+// candidate row xy[j] = At(candA[i], candB[j]) of the i being priced,
+// scattered from the entries measure recorded on side A (the matrix equals
+// its transpose, so B's rows hold the same values). An absent entry reads
+// 0, as At reads it; a recorded one is the stored value. Each worker owns
+// one swapper.
 type boundarySwapper struct {
 	side [2]boundarySide
-	// slot[e] is e's position in side B's candidate list when e is one of
-	// them; stale otherwise, so it is checked (cand).
-	slot []int32
 	xy   []float64
-	// mark[e] is epoch when e counts as group a of the attempt and epoch+1
-	// when as b; an older value is neither. Private to the swapper, so an
-	// attempt never reads a label another worker writes.
-	mark  []int32
-	epoch int32
-	fails []failRec // the failures this worker recorded in the pass
+	// at[p] is the candidate index of side B's member at position p when it
+	// is one of them; stale otherwise, so it is checked against the member.
+	at []int32
 }
 
-// cand reports the candidate position of entity u on side s, if u is one.
-func (sw *boundarySwapper) cand(s *boundarySide, u int32) (int, bool) {
-	c := int(sw.slot[u])
-	return c, c < len(s.cand) && s.members[s.cand[c]] == int(u)
-}
-
-// init sizes the swapper for an order-n matrix in k groups whose largest
-// has the given size, in one backing array per element type.
-func (sw *boundarySwapper) init(n, largest, k int) {
+// init sizes the swapper for groups of at most largest members, in one
+// backing array per element type. Side A records into out, which must hold
+// any group's row entries: the worker's sweep buffer, which is idle while
+// pairs run.
+func (sw *boundarySwapper) init(largest int, out []cutTerm) {
 	c := min(largest, maxBoundaryCands)
-	fs := make([]float64, 2*largest+c*c)
-	is := make([]int32, 2*n+largest+1)
+	fs := make([]float64, 2*largest+c)
+	is := make([]int32, 2*largest+1)
 	cs := make([]int, 2*largest)
-	*sw = boundarySwapper{slot: is[:n:n], mark: is[n : 2*n : 2*n], xy: fs[: c*c : c*c]}
-	sw.fails = make([]failRec, 0, maxBoundaryPairs*k)
-	fs = fs[c*c:]
+	*sw = boundarySwapper{at: is[:largest:largest], xy: fs[:c:c]}
+	fs = fs[c:]
 	for i := range sw.side {
 		sw.side[i] = boundarySide{
 			d:    fs[i*largest : (i+1)*largest : (i+1)*largest],
 			cand: cs[i*largest : (i+1)*largest : (i+1)*largest],
 		}
 	}
-	sw.side[0].off = is[2*n:]
+	sw.side[0].off, sw.side[0].out = is[largest:], out
 }
 
 // try applies the single best positive-gain swap between groups a and b,
@@ -784,17 +793,9 @@ func (sw *boundarySwapper) init(n, largest, k int) {
 // swapped.
 func (sw *boundarySwapper) try(r *boundaryRun, a, b int32) bool {
 	ga, gb := r.groups[a], r.groups[b]
-	if sw.epoch >= math.MaxInt32-2 {
-		clear(sw.mark)
-		sw.epoch = 0
-	}
-	sw.epoch += 2
-	la, lb := sw.epoch, sw.epoch+1
-	sw.stamp(ga, a, la, r.orphans)
-	sw.stamp(gb, b, lb, r.orphans)
 	A, B := &sw.side[0], &sw.side[1]
-	A.measure(r.m, ga, sw.mark, la, lb, true)
-	B.measure(r.m, gb, sw.mark, lb, la, false)
+	A.measure(r.m, ga, r.group, a, b, true)
+	B.measure(r.m, gb, r.group, b, a, false)
 	const eps = 1e-12
 	// Every w(x, y) is ≥ 0, and rounded addition and subtraction are
 	// monotone, so no gain exceeds maxD(A) + maxD(B). A +Inf or NaN maximum
@@ -804,24 +805,23 @@ func (sw *boundarySwapper) try(r *boundaryRun, a, b int32) bool {
 	}
 	A.rank()
 	B.rank()
-	nb := len(B.cand)
-	xy := sw.xy[:len(A.cand)*nb]
-	clear(xy)
+	xy := sw.xy[:len(B.cand)]
 	for j, yi := range B.cand {
-		sw.slot[gb[yi]] = int32(j)
-	}
-	for i, xi := range A.cand {
-		for _, e := range A.out[A.off[xi]:A.off[xi+1]] {
-			if j, ok := sw.cand(B, e.j); ok {
-				xy[i*nb+j] = e.v
-			}
-		}
+		sw.at[yi] = int32(j)
 	}
 	bestGain := eps
 	bestXi, bestYi := -1, -1
-	for i, xi := range A.cand {
+	for _, xi := range A.cand {
+		clear(xy)
+		// e.u is labelled b, so the attempt owns its position; an entity
+		// in no group has position 0, which names some other member.
+		for _, e := range A.out[A.off[xi]:A.off[xi+1]] {
+			if j := int(sw.at[r.pos[e.u]]); j < len(B.cand) && gb[B.cand[j]] == int(e.u) {
+				xy[j] = e.v
+			}
+		}
 		for j, yi := range B.cand {
-			w := xy[i*nb+j] + xy[i*nb+j]
+			w := xy[j] + xy[j]
 			if gain := A.d[xi] + B.d[yi] - (w + w); gain > bestGain {
 				bestGain, bestXi, bestYi = gain, xi, yi
 			}
@@ -832,19 +832,8 @@ func (sw *boundarySwapper) try(r *boundaryRun, a, b int32) bool {
 	}
 	x, y := ga[bestXi], gb[bestYi]
 	ga[bestXi], gb[bestYi] = y, x
-	r.group[x], r.group[y] = b, a
+	atomic.StoreInt32(&r.group[x], b)
+	atomic.StoreInt32(&r.group[y], a)
+	r.pos[x], r.pos[y] = int32(bestYi), int32(bestXi)
 	return true
-}
-
-// stamp labels the members of group g, and for group 0 the entities in no
-// group, with label.
-func (sw *boundarySwapper) stamp(members []int, g int32, label int32, orphans []int) {
-	for _, e := range members {
-		sw.mark[e] = label
-	}
-	if g == 0 {
-		for _, e := range orphans {
-			sw.mark[e] = label
-		}
-	}
 }

@@ -183,6 +183,71 @@ func TestPartitionAcrossWeightedLargeSparse(t *testing.T) {
 	}
 }
 
+// oracleStripPadding is partitionEqual's padding strip as it stood before it
+// stripped in place: the p real entities copied into one array, each group
+// a capped window of it, a group of padding alone nil.
+func oracleStripPadding(best [][]int, p int) [][]int {
+	flat, out := make([]int, 0, p), make([][]int, len(best))
+	for gi, g := range best {
+		lo := len(flat)
+		for _, e := range g {
+			if e < p {
+				flat = append(flat, e)
+			}
+		}
+		if len(flat) > lo {
+			out[gi] = flat[lo:len(flat):len(flat)]
+		}
+	}
+	return out
+}
+
+// TestPartitionEqualStripsLikeCopy holds the in-place strip to the copying
+// one on padded inputs above multilevelMinOrder: partitionEqual's groups
+// must be the multilevel partition of the padded matrix as the oracle
+// strips it, each capped at its length, with the groups of padding alone
+// nil (at least 100 of them in the random case).
+func TestPartitionEqualStripsLikeCopy(t *testing.T) {
+	for _, c := range []struct {
+		m       *comm.Matrix
+		k, nils int
+	}{
+		{comm.RandomSparse(4100, 8, 100, 1), 1000, 100}, // per 5: 900 padding entities
+		{comm.Stencil2DSparse(70, 60, 64, 8), 11, 0},    // per 382, coarsened once: 2 padding entities
+	} {
+		p := c.m.Order()
+		per := (p + c.k - 1) / c.k
+		padded, err := c.m.ExtendZero(per * c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, err := multilevelPartition(padded, c.k, per, new(candidateSets))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracleStripPadding(best, p)
+		got, err := new(partitioner).partitionEqual(c.m, c.k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %d into %d: in-place strip differs from the copying one", p, c.k)
+		}
+		nils := 0
+		for gi, g := range got {
+			if g == nil {
+				nils++
+			}
+			if cap(g) != len(g) {
+				t.Errorf("order %d into %d: group %d has capacity %d beyond its %d members", p, c.k, gi, cap(g), len(g))
+			}
+		}
+		if nils < c.nils {
+			t.Errorf("order %d into %d: %d groups of padding alone, want ≥ %d", p, c.k, nils, c.nils)
+		}
+	}
+}
+
 func TestHeavyEdgeMatchingIsPerfect(t *testing.T) {
 	for _, m := range []*comm.Matrix{
 		comm.Stencil2DSparse(8, 8, 64, 8),

@@ -558,29 +558,75 @@ func TestMapperPartitionAllocs(t *testing.T) {
 	}
 }
 
-// TestPartitionAcrossWeightedBytes pins the package call's bytes on the
-// 4×3 stencil split 8 + 6 (placement.Hierarchical and
-// PartitionAcrossWeightedMatrix make one per placement). It runs in a
-// partitioner, whose storages are made on first use, not in a whole Mapper:
-// 3.4 KB, where the symmetry test of every fill made it 4.5 KB, the Mapper
-// 6.3 KB and the per-candidate sets before it 4.6 KB.
+// TestPartitionAcrossWeightedBytes pins the package call's bytes
+// (placement.Hierarchical and PartitionAcrossWeightedMatrix make one per
+// placement), which runs in a partitioner whose storages are made on first
+// use, not in a whole Mapper. The 4×3 stencil split 8 + 6 runs its
+// candidates one after another: 3.3 KB, where the fill's own volume table
+// made it 3.4 KB, the symmetry test of every fill 4.5 KB, the Mapper
+// 6.3 KB and the per-candidate sets before it 4.6 KB. The 8×8 lattice into 4 lies above concurrentMinOrder, so its
+// five candidates run at once, each in a set of its own: 59.0 KB, where
+// the fill's own volume table and the padding strip's copy made it
+// 61.7 KB.
 func TestPartitionAcrossWeightedBytes(t *testing.T) {
-	m := comm.Stencil2DSparse(4, 3, 4096, 512)
-	call := func() {
-		if _, err := PartitionAcrossWeighted(m, []int{8, 6}, Options{}); err != nil {
-			t.Fatal(err)
+	for _, pin := range []struct {
+		name  string
+		m     *comm.Matrix
+		caps  []int
+		bytes uint64
+	}{
+		{"stencil4x3-8+6", comm.Stencil2DSparse(4, 3, 4096, 512), []int{8, 6}, 3500},
+		{"lattice8x8-k4-concurrent", comm.Stencil2DSparse(8, 8, 100, 0), []int{16, 16, 16, 16}, 60_000},
+	} {
+		got, _ := perCall(20, func() {
+			if _, err := PartitionAcrossWeighted(pin.m, pin.caps, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d bytes", pin.name, got)
+		if got > pin.bytes {
+			t.Errorf("%s: %d bytes per package call, want ≤ %d", pin.name, got, pin.bytes)
 		}
 	}
-	call()
-	const runs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		call()
-	}
-	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 3500 {
-		t.Errorf("%d bytes per package call, want ≤ 3500", got)
+}
+
+// TestPartitionPlaceScaleBytes pins the package call on both halves of
+// place-scale: the stencil's 8100 tasks over 100 nodes of 8 cores and the
+// random graph's 10 000 over 1000, each through the greedy fill and
+// boundary KL on GOMAXPROCS workers. The pins are per GOMAXPROCS, 1, 2 or
+// 4 (other values skip). Measured on amd64, the stencil costs 0.43, 0.48
+// and 0.59 MB and the random graph 0.75, 0.85 and 1.04 MB; with a pair of
+// order-n label tables and a failure buffer per boundary-KL worker, the
+// fill's volume table and the strip's copy they cost 0.60, 0.74 and
+// 1.03 MB and 0.98, 1.22 and 1.70 MB.
+func TestPartitionPlaceScaleBytes(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, pin := range []struct {
+		name  string
+		m     *comm.Matrix
+		nodes int
+		bytes map[int]uint64
+	}{
+		{"stencil", comm.Stencil2DSparse(90, 90, 64, 8), 100, map[int]uint64{1: 435_000, 2: 490_000, 4: 595_000}},
+		{"random", comm.RandomSparse(10000, 8, 100, 1), 1000, map[int]uint64{1: 760_000, 2: 855_000, 4: 1_045_000}},
+	} {
+		want, ok := pin.bytes[procs]
+		if !ok {
+			t.Skipf("pinned at GOMAXPROCS 1, 2 and 4, not %d", procs)
+		}
+		caps := make([]int, pin.nodes)
+		for i := range caps {
+			caps[i] = 8
+		}
+		got, _ := perCall(3, func() {
+			if _, err := PartitionAcrossWeighted(pin.m, caps, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s at GOMAXPROCS %d: %d bytes", pin.name, procs, got)
+		if got > want {
+			t.Errorf("%s at GOMAXPROCS %d: %d bytes per call, want ≤ %d", pin.name, procs, got, want)
+		}
 	}
 }
 

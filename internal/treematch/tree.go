@@ -29,6 +29,7 @@ package treematch
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -104,6 +105,7 @@ func FromTopology(t *topology.Topology, leaf topology.Kind) (*Tree, error) {
 // onto. On a topology without a cluster level the whole machine is the
 // single node. Capacity-aware hierarchical placement maps each node's task
 // group onto that node's own subtree with the ordinary Algorithm 1.
+// Consecutive nodes of equal arities share one Tree, which is immutable.
 func NodeSubtrees(t *topology.Topology, leaf topology.Kind) ([]*Tree, error) {
 	clusterDepth := t.DepthOf(topology.Cluster)
 	if clusterDepth < 0 {
@@ -119,9 +121,11 @@ func NodeSubtrees(t *topology.Topology, leaf topology.Kind) ([]*Tree, error) {
 	}
 	nodes := t.ClusterNodes()
 	trees := make([]*Tree, len(nodes))
+	var w balanceWalk
+	var tree *Tree
 	for i, node := range nodes {
-		tree, err := subtreeOf(node, leafDepth)
-		if err != nil {
+		var err error
+		if tree, err = w.tree(node, leafDepth, tree); err != nil {
 			return nil, fmt.Errorf("treematch: cluster node %d: %w", i, err)
 		}
 		trees[i] = tree
@@ -135,28 +139,43 @@ func NodeSubtrees(t *topology.Topology, leaf topology.Kind) ([]*Tree, error) {
 // within this subtree only. Levels of arity 1 are collapsed: they provide
 // no placement choice and contribute a factor of 1 to the leaf count.
 func subtreeOf(root *topology.Object, toDepth int) (*Tree, error) {
-	var arities []int
-	level := []*topology.Object{root}
+	return new(balanceWalk).tree(root, toDepth, nil)
+}
+
+// balanceWalk is subtreeOf's walk, with the level buffers and arities a
+// caller deriving many subtrees reuses.
+type balanceWalk struct {
+	level, next []*topology.Object
+	arities     []int
+}
+
+// tree is subtreeOf(root, toDepth), or prev when that has the same
+// arities.
+func (w *balanceWalk) tree(root *topology.Object, toDepth int, prev *Tree) (*Tree, error) {
+	w.level, w.arities = append(w.level[:0], root), w.arities[:0]
 	for d := root.Depth; d < toDepth; d++ {
 		// TreeMatch's distance model needs a balanced tree. Uneven machines
 		// (comma counts in the spec) are rejected explicitly — a first-object
 		// arity product that happens to match the leaf count would otherwise
 		// model the wrong locality.
-		a := len(level[0].Children)
-		var next []*topology.Object
-		for _, o := range level {
+		a := len(w.level[0].Children)
+		w.next = w.next[:0]
+		for _, o := range w.level {
 			if len(o.Children) != a {
 				return nil, fmt.Errorf("%w: %v has %d children, siblings have %d",
 					ErrUneven, o, len(o.Children), a)
 			}
-			next = append(next, o.Children...)
+			w.next = append(w.next, o.Children...)
 		}
 		if a > 1 {
-			arities = append(arities, a)
+			w.arities = append(w.arities, a)
 		}
-		level = next
+		w.level, w.next = w.next, w.level
 	}
-	return NewTree(arities)
+	if prev != nil && slices.Equal(prev.arities, w.arities) {
+		return prev, nil
+	}
+	return NewTree(w.arities)
 }
 
 // FabricTree derives the abstract balanced tree of the interconnect fabric

@@ -1,6 +1,7 @@
 package treematch
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -180,6 +181,52 @@ func TestNodeSubtrees(t *testing.T) {
 	}
 	if _, err := NodeSubtrees(unevenTopo, topology.Core); err == nil {
 		t.Error("uneven per-node subtree accepted")
+	}
+}
+
+// TestNodeSubtreesMatchPerNodeWalk holds NodeSubtrees to subtreeOf on every
+// node, arity for arity, on uniform and heterogeneous platforms, and
+// requires consecutive nodes of equal arities to share one tree.
+func TestNodeSubtreesMatchPerNodeWalk(t *testing.T) {
+	for _, spec := range []string{
+		"cluster:6 pack:2 core:4",
+		"node:{pack:2 core:8 | pack:1 core:4}",
+		"pod:2 rack:2 node:2{pack:2 core:4 | pack:1 core:4}",
+		"rack:2 node:{pack:2 core:4 | pack:2 core:4 | pack:2 core:2 | pack:1 core:2 pu:2 | pack:2 core:4 | pack:2 core:4}",
+	} {
+		ps, err := topology.ParsePlatform(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, err := ps.FusedSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := topology.FromSpec(fused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NodeSubtrees(topo, topology.Core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := topo.ClusterNodes()
+		if len(got) != len(nodes) {
+			t.Fatalf("%s: %d trees for %d nodes", spec, len(got), len(nodes))
+		}
+		for i, node := range nodes {
+			want, err := subtreeOf(node, topo.DepthOf(topology.Core))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got[i].Arities(), want.Arities()) || got[i].Leaves() != want.Leaves() {
+				t.Errorf("%s node %d: tree %v, the node's own walk gives %v", spec, i, got[i], want)
+			}
+			if i > 0 && slices.Equal(got[i].Arities(), got[i-1].Arities()) != (got[i] == got[i-1]) {
+				t.Errorf("%s nodes %d and %d: equal arities %v, shared tree %v", spec, i-1, i,
+					slices.Equal(got[i].Arities(), got[i-1].Arities()), got[i] == got[i-1])
+			}
+		}
 	}
 }
 
