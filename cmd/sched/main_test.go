@@ -204,7 +204,7 @@ func TestRunErrors(t *testing.T) {
 // flag path at its default stream flags, and requires each policy's summed
 // aggregate job time to equal the A15 row exactly.
 func TestReproducesAblationSched(t *testing.T) {
-	rows, err := experiment.AblationSched(experiment.SchedConfigFrom(experiment.Reduced))
+	rows, err := experiment.AblationSched(experiment.Reduced)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("A15: %d rows, %v", len(rows), err)
 	}

@@ -9,13 +9,8 @@ import (
 
 // testClusterCfg is the reduced scale used by the cluster tests: nodes of
 // 8 cores keep runtimes in milliseconds.
-func testClusterCfg(nodes int) ClusterConfig {
-	return ClusterConfig{
-		Nodes:          nodes,
-		CoresPerNode:   8,
-		CoresPerSocket: 4,
-		Seed:           42,
-	}
+func testClusterCfg(nodes int) clusterShape {
+	return clusterShape{nodes: nodes, coresPerNode: 8, coresPerSocket: 4, seed: 42}
 }
 
 // TestClusterConfigValidate holds one row per check of the cluster
@@ -23,13 +18,12 @@ func testClusterCfg(nodes int) ClusterConfig {
 func TestClusterConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string
-		cfg     ClusterConfig
+		cfg     clusterShape
 		wantErr bool
 	}{
 		{"two nodes", testClusterCfg(2), false},
-		{"one node", ClusterConfig{Nodes: 1, CoresPerNode: 8, CoresPerSocket: 4}, true},
-		{"indivisible sockets", ClusterConfig{Nodes: 2, CoresPerNode: 10, CoresPerSocket: 4}, true},
-		{"no sockets", ClusterConfig{Nodes: 2, CoresPerNode: 8}, true},
+		{"indivisible sockets", clusterShape{nodes: 2, coresPerNode: 10, coresPerSocket: 4}, true},
+		{"no sockets", clusterShape{nodes: 2, coresPerNode: 8}, true},
 	}
 	for _, tc := range tests {
 		if _, err := tc.cfg.scenario(); (err != nil) != tc.wantErr {
@@ -56,7 +50,7 @@ func TestRunClusterUnknownMode(t *testing.T) {
 // regression.
 func TestAblationCluster(t *testing.T) {
 	for _, nodes := range []int{2, 4} {
-		rows, err := AblationCluster(testClusterCfg(nodes))
+		rows, err := clusterRows(testClusterCfg(nodes))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,27 +3,25 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/topology"
 )
 
-// testFaultCfg is the 2×4×8 fault shape at FaultConfigFrom's 30
+// testFaultCfg is the 2×4×8 fault shape at faultConfigFrom's 30
 // iterations, under the default failure.
-func testFaultCfg() FaultConfig {
-	return FaultConfig{RackConfig: RackConfig{Racks: 2, NodesPerRack: 4, CoresPerNode: 8, CoresPerSocket: 4, Iters: 30, Seed: 42}}
+func testFaultCfg() RackConfig {
+	return RackConfig{Racks: 2, NodesPerRack: 4, CoresPerNode: 8, CoresPerSocket: 4, Iters: 30, Seed: 42}
 }
 
 // faultCfg is testFaultCfg with one change applied.
-func faultCfg(change func(*FaultConfig)) FaultConfig {
+func faultCfg(change func(*RackConfig)) RackConfig {
 	c := testFaultCfg()
 	change(&c)
 	return c
 }
 
 // runFaultArm runs one fault arm on a configuration.
-func runFaultArm(t *testing.T, a fabricArm, cfg FaultConfig) programRun {
+func runFaultArm(t *testing.T, a fabricArm, cfg RackConfig) programRun {
 	t.Helper()
-	s, err := cfg.scenario()
+	s, err := faultScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +41,16 @@ func runFaultArm(t *testing.T, a fabricArm, cfg FaultConfig) programRun {
 // narrower 4-core nodes, each under two scheduler seeds (every task is
 // bound, so the seconds must not depend on the seed at all).
 func TestAblationFault(t *testing.T) {
-	shapes := map[string]FaultConfig{
+	shapes := map[string]RackConfig{
 		"2x4x8": testFaultCfg(),
-		"2x6x8": faultCfg(func(c *FaultConfig) { c.NodesPerRack = 6 }),
-		"2x4x4": faultCfg(func(c *FaultConfig) { c.CoresPerNode, c.CoresPerSocket = 4, 2 }),
+		"2x6x8": faultCfg(func(c *RackConfig) { c.NodesPerRack = 6 }),
+		"2x4x4": faultCfg(func(c *RackConfig) { c.CoresPerNode, c.CoresPerSocket = 4, 2 }),
 	}
 	for name, cfg := range shapes {
 		var prev map[string]float64
 		for _, seed := range []int64{42, 7} {
 			cfg.Seed = seed
-			rows, err := AblationFault(cfg)
+			rows, err := faultRows(cfg)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
@@ -131,21 +129,20 @@ func TestRunFaultDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultValidation holds one row per check the fault scenario adds to
-// the rack scenario's (TestRackConfigValidate), plus one rack check
-// reaching it.
+// TestFaultValidation: the fault scenario adds no check to the rack
+// scenario's (TestRackConfigValidate); the default failure builds, and a
+// rack check reaches it.
 func TestFaultValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  FaultConfig
+		cfg  RackConfig
 		want string
 	}{
 		{"default failure", testFaultCfg(), ""},
-		{"one rack", faultCfg(func(c *FaultConfig) { c.Racks = 1 }), "rack"},
-		{"epoch beyond run", faultCfg(func(c *FaultConfig) { c.Iters = fabricEpochIters - 1 }), "beyond the run"},
+		{"one rack", faultCfg(func(c *RackConfig) { c.Racks = 1 }), "rack"},
 	}
 	for _, tc := range cases {
-		_, err := tc.cfg.scenario()
+		_, err := faultScenario(tc.cfg)
 		if tc.want == "" && err != nil {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		}
@@ -155,56 +152,19 @@ func TestFaultValidation(t *testing.T) {
 	}
 }
 
-// TestBuildFaultSchedule pins the experiment-coordinate resolution: level 1
-// link r is rack r's uplink, out-of-range coordinates fail, and the resolved
-// schedule passes topology validation.
-func TestBuildFaultSchedule(t *testing.T) {
-	cluster, err := RackCluster(testRackCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := cluster.Machine().Topology()
-	s, err := BuildFaultSchedule(topo, []FaultEventSpec{
-		{Epoch: 1, Kind: topology.FaultKillNode, Node: 2},
-		{Epoch: 2, Kind: topology.FaultDegradeEdge, Level: 1, Link: 1, Factor: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Events) != 2 {
-		t.Fatalf("%d events, want 2", len(s.Events))
-	}
-	if want := topo.FabricGraph().LevelEdges(1)[1]; s.Events[1].Edge != want {
-		t.Errorf("uplink resolved to edge %d, want %d", s.Events[1].Edge, want)
-	}
-	if _, err := BuildFaultSchedule(topo, []FaultEventSpec{
-		{Epoch: 1, Kind: topology.FaultSeverEdge, Level: 9, Link: 0},
-	}); err == nil || !strings.Contains(err.Error(), "fabric level") {
-		t.Errorf("bad level accepted (err %v)", err)
-	}
-	if _, err := BuildFaultSchedule(topo, []FaultEventSpec{
-		{Epoch: 1, Kind: topology.FaultSeverEdge, Level: 0, Link: 99},
-	}); err == nil || !strings.Contains(err.Error(), "link") {
-		t.Errorf("bad link accepted (err %v)", err)
-	}
-	if s, err := BuildFaultSchedule(topo, nil); s != nil || err != nil {
-		t.Errorf("empty specs: got %v, %v; want nil, nil", s, err)
-	}
-}
-
 // TestFaultConfigFrom pins the shape derivation from the common ablation
 // config: 2 racks of 8-core nodes, scaled by the core budget, never below
 // the 4-node floor per rack, 30 iterations.
 func TestFaultConfigFrom(t *testing.T) {
-	cfg := FaultConfigFrom(Config{Cores: 96})
+	cfg := faultConfigFrom(Config{Cores: 96})
 	if cfg.Racks != 2 || cfg.NodesPerRack != 6 || cfg.CoresPerNode != 8 || cfg.Iters != 30 {
 		t.Errorf("96 cores derived %+v, want 2 racks x 6 nodes x 8 cores, 30 iterations", cfg)
 	}
-	small := FaultConfigFrom(Config{Cores: 8})
+	small := faultConfigFrom(Config{Cores: 8})
 	if small.NodesPerRack != 4 {
 		t.Errorf("8 cores derived %+v, want the 4-node floor per rack", small)
 	}
-	if _, err := small.scenario(); err != nil {
+	if _, err := faultScenario(small); err != nil {
 		t.Errorf("derived config invalid: %v", err)
 	}
 }

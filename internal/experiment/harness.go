@@ -152,9 +152,8 @@ type scenario struct {
 	oneMachine string
 	stencil    blockStencil
 	seed       int64
-	// faults is the failure schedule in experiment coordinates (A14),
-	// resolved against each arm's platform.
-	faults []FaultEventSpec
+	// faults builds the failure schedule (A14) against each arm's fabric.
+	faults func(*topology.FabricGraph) *topology.FaultSchedule
 }
 
 // fabricArm is what one arm of a fabric study swaps: the one-shot policy, or
@@ -190,11 +189,9 @@ func (s scenario) run(a fabricArm) (programRun, error) {
 		return programRun{}, err
 	}
 	mach := p.Machine()
-	if len(s.faults) > 0 && a.adaptive != nil {
+	if s.faults != nil && a.adaptive != nil {
 		opts := *a.adaptive
-		if opts.Faults, err = BuildFaultSchedule(mach.Topology(), s.faults); err != nil {
-			return programRun{}, err
-		}
+		opts.Faults = s.faults(mach.Topology().FabricGraph())
 		a.adaptive = &opts
 	}
 	return runProgram(mach, s.seed, s.stencil.build, a.policy, a.adaptive)

@@ -148,7 +148,10 @@ func RunHetero(mode string, cfg HeteroConfig) (Result, error) {
 
 // AblationHetero (A11) compares the placement arms on the heterogeneous
 // pod-tier stencil.
-func AblationHetero(cfg HeteroConfig) ([]AblationRow, error) {
+func AblationHetero(cfg Config) ([]AblationRow, error) { return heteroRows(heteroConfigFrom(cfg)) }
+
+// heteroRows runs the hetero ablation on one shape.
+func heteroRows(cfg HeteroConfig) ([]AblationRow, error) {
 	s, err := cfg.scenario()
 	if err != nil {
 		return nil, err
@@ -157,14 +160,14 @@ func AblationHetero(cfg HeteroConfig) ([]AblationRow, error) {
 	return s.sweep("hetero", heteroArms, func(fabricArm, programRun) string { return detail })
 }
 
-// HeteroConfigFrom derives the hetero configuration from the common ablation
+// heteroConfigFrom derives the hetero configuration from the common ablation
 // Config: 2 pods of fixed big+small racks, the rack count scaled so the
 // total core count comes close to cfg.Cores (each rack carries
 // heteroBigCores+heteroSmallCores = 12 cores; the Detail column of every
 // A11 row prints the effective shape), 20 iterations. The node shapes stay
 // fixed because the scenario's volume ratios are calibrated per node; scale
 // comes from more racks per pod, which is also how real pods grow.
-func HeteroConfigFrom(cfg Config) HeteroConfig {
+func heteroConfigFrom(cfg Config) HeteroConfig {
 	cfg = cfg.withDefaults()
 	return HeteroConfig{
 		Pods:        2,

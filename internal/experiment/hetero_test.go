@@ -37,7 +37,7 @@ func TestHeteroPlatformShape(t *testing.T) {
 			t.Errorf("node %d has %d cores, want %d", i, got, want)
 		}
 	}
-	if levels := platform.Machine().FabricGraph().NumLevels(); levels != 3 {
+	if levels := len(topo.FabricLevels()); levels != 3 {
 		t.Fatalf("%d fabric levels, want 3 (NIC, rack uplink, pod uplink)", levels)
 	}
 	if !strings.Contains(s.spec, "node:2{") {
@@ -50,7 +50,7 @@ func TestHeteroPlatformShape(t *testing.T) {
 // placement strictly beats the capacity-blind variant, which strictly beats
 // the depth-blind one.
 func TestAblationHetero(t *testing.T) {
-	rows, err := AblationHetero(testHeteroCfg())
+	rows, err := heteroRows(testHeteroCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +173,9 @@ func TestHeteroConfigValidate(t *testing.T) {
 }
 
 func TestHeteroConfigFrom(t *testing.T) {
-	cfg := HeteroConfigFrom(Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 3})
+	cfg := heteroConfigFrom(Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 3})
 	if cfg.Pods != 2 || cfg.RacksPerPod != 2 || cfg.Iters != 20 {
-		t.Errorf("HeteroConfigFrom(48 cores) = %d pods x %d racks, %d iterations, want 2x2, 20", cfg.Pods, cfg.RacksPerPod, cfg.Iters)
+		t.Errorf("heteroConfigFrom(48 cores) = %d pods x %d racks, %d iterations, want 2x2, 20", cfg.Pods, cfg.RacksPerPod, cfg.Iters)
 	}
 	if _, err := cfg.scenario(); err != nil {
 		t.Errorf("derived config invalid: %v", err)

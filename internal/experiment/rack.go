@@ -137,7 +137,10 @@ func RunRack(mode string, cfg RackConfig) (Result, error) {
 }
 
 // AblationRack (A10) compares the placement arms on the rack-skewed stencil.
-func AblationRack(cfg RackConfig) ([]AblationRow, error) {
+func AblationRack(cfg Config) ([]AblationRow, error) { return rackRows(rackConfigFrom(cfg)) }
+
+// rackRows runs the rack ablation on one shape.
+func rackRows(cfg RackConfig) ([]AblationRow, error) {
 	s, err := cfg.scenario()
 	if err != nil {
 		return nil, err
@@ -146,13 +149,13 @@ func AblationRack(cfg RackConfig) ([]AblationRow, error) {
 	return s.sweep("rack", rackArms, func(fabricArm, programRun) string { return detail })
 }
 
-// RackConfigFrom derives the rack configuration from the common ablation
+// rackConfigFrom derives the rack configuration from the common ablation
 // Config: 2 racks of fixed 8-core nodes, the node count scaled so the total
 // core count comes close to cfg.Cores (the Detail column of every A10 row
 // prints the effective shape), 20 iterations. The node shape stays fixed
 // because the scenario's volume ratios are calibrated per node; scale comes
 // from more nodes per rack, which is also how real racks grow.
-func RackConfigFrom(cfg Config) RackConfig {
+func rackConfigFrom(cfg Config) RackConfig {
 	cfg = cfg.withDefaults()
 	return RackConfig{
 		Racks:          2,

@@ -58,7 +58,7 @@ func TestAblationRack(t *testing.T) {
 		"2x3x8": rackCfg(func(c *RackConfig) { c.NodesPerRack = 3 }),
 	}
 	for name, cfg := range shapes {
-		rows, err := AblationRack(cfg)
+		rows, err := rackRows(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -126,11 +126,11 @@ func TestRackClusterShape(t *testing.T) {
 
 // TestRackConfigFrom pins the shape derivation used by cmd/ablate.
 func TestRackConfigFrom(t *testing.T) {
-	cfg := RackConfigFrom(Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 7})
+	cfg := rackConfigFrom(Config{Rows: 4096, Cols: 4096, Iters: 10, Cores: 48, Seed: 7})
 	if cfg.Racks != 2 || cfg.NodesPerRack != 3 || cfg.CoresPerNode != 8 || cfg.Iters != 20 {
 		t.Errorf("48 cores → %dx%dx%d, %d iterations, want 2x3x8, 20", cfg.Racks, cfg.NodesPerRack, cfg.CoresPerNode, cfg.Iters)
 	}
-	small := RackConfigFrom(Config{Rows: 1024, Cols: 1024, Iters: 1, Cores: 8, Seed: 7})
+	small := rackConfigFrom(Config{Rows: 1024, Cols: 1024, Iters: 1, Cores: 8, Seed: 7})
 	if small.NodesPerRack != 1 {
 		t.Errorf("8 cores → %d nodes per rack, want the 1-node floor", small.NodesPerRack)
 	}

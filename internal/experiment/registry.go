@@ -11,9 +11,9 @@ import (
 // are all derived from the Studies table, so adding a study means adding one
 // entry here (plus its arm table and, when its rows are to be pinned, one
 // committed `ablate -exp <name> -json` document under bench/). A study's
-// whole configuration is its entry: it runs on the common Config alone
-// (scale and seed), from which a study with its own configuration type
-// derives that with the ConfigFrom it names; no caller reshapes one study.
+// whole configuration is its entry: every study is an AblationX that runs on
+// the common Config alone (scale and seed) and derives any shape of its own
+// from it; no caller reshapes one study.
 
 // Study is one runnable study of the suite.
 type Study struct {
@@ -24,9 +24,8 @@ type Study struct {
 	// Orderings are the relations between the study's rows that every
 	// consumer asserts — the test suite, BenchmarkAblation and cmd/ablate
 	// -json check the same statements, so a placement regression cannot pass
-	// one gate and slip through another. Studies without a pinned ordering
-	// (the paper-reproduction sweeps, where the interesting output is the
-	// whole curve) have none.
+	// one gate and slip through another. A study whose row names differ per
+	// cell (A4's block counts) has none.
 	Orderings []Ordering
 	// Cells are the default shape × seed configurations of the study, in
 	// order; the first is the reduced scale cmd/ablate runs by default.
@@ -70,27 +69,49 @@ var (
 	paperCells = []Cell{reducedCell, {"paper", Config{Seed: 42}}}
 )
 
-// derived adapts a study that runs on its own configuration type, derived
-// from the common one.
-func derived[C any](from func(Config) C, run func(C) ([]AblationRow, error)) func(Config) ([]AblationRow, error) {
-	return func(c Config) ([]AblationRow, error) { return run(from(c)) }
-}
-
 // studies is the suite in report order.
 var studies = []Study{
 	{Name: "policies", ID: "A1", Desc: "placement policies (LK23, blocks = cores)",
+		// compact and nobind are not ordered: at the reduced scale the
+		// unbound run beats compact by a few hundred cycles.
+		Orderings: []Ordering{
+			{Before: "treematch", After: "compact", Strict: true},
+			{Before: "treematch", After: "scatter", Strict: true},
+			{Before: "treematch", After: "random", Strict: true},
+			{Before: "treematch", After: "nobind", Strict: true},
+		},
 		Cells: paperCells, run: AblationPolicies},
 	{Name: "control", ID: "A2", Desc: "control-thread strategies",
+		Orderings: []Ordering{
+			{Before: "smt/hyperthread", After: "smt/unmapped", Strict: true},
+			{Before: "spare/mapped", After: "spare/unmapped", Strict: true},
+		},
 		Cells: paperCells, run: AblationControlThreads},
 	{Name: "oversub", ID: "A3", Desc: "oversubscription (blocks vs cores)",
-		Cells: paperCells, run: AblationOversubscription},
+		// 4x against 2x cores flips between the cells.
+		Orderings: []Ordering{{Before: "blocks=2x cores", After: "blocks=1x cores", Strict: true}},
+		Cells:     paperCells, run: AblationOversubscription},
+	// A4's rows are named by block count, which differs per cell, so no
+	// ordering can name them on every cell.
 	{Name: "granularity", ID: "A4", Desc: "block granularity",
 		Cells: paperCells, run: AblationGranularity},
 	{Name: "topology", ID: "A5", Desc: "topology shapes (192 cores each)",
+		Orderings: []Ordering{
+			{Before: "flat-24x8/orwl-bind", After: "flat-24x8/orwl-nobind", Strict: true},
+			{Before: "numa-4x6x8/orwl-bind", After: "numa-4x6x8/orwl-nobind", Strict: true},
+			{Before: "deep-2x2x3x16/orwl-bind", After: "deep-2x2x3x16/orwl-nobind", Strict: true},
+		},
 		Cells: paperCells, run: AblationTopology},
 	{Name: "distribute", ID: "A6", Desc: "NUMA distribution (cluster + distribute vs cluster only)",
-		Cells: paperCells, run: AblationDistribution},
+		// The two tie at the reduced scale.
+		Orderings: []Ordering{{Before: "distribute", After: "cluster-only"}},
+		Cells:     paperCells, run: AblationDistribution},
 	{Name: "ompsched", ID: "A7", Desc: "OpenMP loop schedules vs bound ORWL",
+		Orderings: []Ordering{
+			{Before: "orwl-bind", After: "omp/static", Strict: true},
+			{Before: "omp/static", After: "omp/guided", Strict: true},
+			{Before: "omp/guided", After: "omp/dynamic", Strict: true},
+		},
 		Cells: paperCells, run: AblationOMPSchedule},
 	{Name: "adaptive", ID: "A8", Desc: "adaptive re-placement (static vs epoch feedback vs oracle)",
 		Orderings: []Ordering{
@@ -108,21 +129,21 @@ var studies = []Study{
 			{Before: "cluster/hierarchical", After: "cluster/rr-nodes", Strict: true},
 		},
 		Cells: []Cell{reducedCell, {"2x4", atCores(8)}},
-		run:   derived(ClusterConfigFrom, AblationCluster)},
+		run:   AblationCluster},
 	{Name: "rack", ID: "A10", Desc: "rack-tier fabric (fabric-aware vs fabric-blind vs flat treematch)",
 		Orderings: []Ordering{
 			{Before: "rack/rack-aware", After: "rack/rack-blind", Strict: true},
 			{Before: "rack/rack-blind", After: "rack/flat", Strict: true},
 		},
 		Cells: []Cell{reducedCell, {"2x2x8", atCores(32)}},
-		run:   derived(RackConfigFrom, AblationRack)},
+		run:   AblationRack},
 	{Name: "hetero", ID: "A11", Desc: "heterogeneous pod-tier platform (aware vs capacity-blind vs depth-blind)",
 		Orderings: []Ordering{
 			{Before: "hetero/aware", After: "hetero/capacity-blind", Strict: true},
 			{Before: "hetero/capacity-blind", After: "hetero/depth-blind", Strict: true},
 		},
 		Cells: []Cell{reducedCell},
-		run:   derived(HeteroConfigFrom, AblationHetero)},
+		run:   AblationHetero},
 	{Name: "shift", ID: "A12", Desc: "cross-fabric adaptive migration (static vs adaptive-flat vs adaptive-fabric vs oracle)",
 		Orderings: []Ordering{
 			{Before: "shift/adaptive-fabric", After: "shift/adaptive-flat", Strict: true},
@@ -130,14 +151,14 @@ var studies = []Study{
 			{Before: "shift/oracle", After: "shift/adaptive-fabric"},
 		},
 		Cells: []Cell{reducedCell, {"2x2x8", atCores(32)}},
-		run:   derived(ShiftConfigFrom, AblationShift)},
+		run:   AblationShift},
 	{Name: "torus", ID: "A13", Desc: "torus halo exchange on the routed fabric (sfc vs tree-matched vs rr)",
 		Orderings: []Ordering{
 			{Before: "torus/sfc", After: "torus/tree-matched", Strict: true},
 			{Before: "torus/tree-matched", After: "torus/rr", Strict: true},
 		},
 		Cells: []Cell{reducedCell, {"4x4x4", atCores(64)}},
-		run:   derived(TorusConfigFrom, AblationTorus)},
+		run:   AblationTorus},
 	{Name: "fault", ID: "A14", Desc: "fault injection and mid-run resilience (fault-aware vs spread vs fault-blind vs static-respawn)",
 		Orderings: []Ordering{
 			{Before: "fault/fault-aware", After: "fault/fault-blind", Strict: true},
@@ -145,21 +166,21 @@ var studies = []Study{
 			{Before: "fault/spread", After: "fault/static-respawn", Strict: true},
 		},
 		Cells: []Cell{reducedCell, {"2x6x8", atCores(96)}},
-		run:   derived(FaultConfigFrom, AblationFault)},
+		run:   AblationFault},
 	{Name: "sched", ID: "A15", Desc: "online multi-tenant scheduler (topo-aware vs topo-blind vs first-fit)",
 		Orderings: []Ordering{
 			{Before: "sched/topo-aware", After: "sched/topo-blind", Strict: true},
 			{Before: "sched/topo-blind", After: "sched/first-fit", Strict: true},
 		},
 		Cells: []Cell{reducedCell},
-		run:   derived(SchedConfigFrom, AblationSched)},
+		run:   AblationSched},
 	{Name: "sched2", ID: "A16", Desc: "phase-2 scheduler policies (backfill + preemption + defrag vs backfill-only vs fifo)",
 		Orderings: []Ordering{
 			{Before: "sched2/full", After: "sched2/backfill", Strict: true},
 			{Before: "sched2/backfill", After: "sched2/fifo", Strict: true},
 		},
 		Cells: []Cell{reducedCell},
-		run:   derived(Sched2ConfigFrom, AblationSched2)},
+		run:   AblationSched2},
 }
 
 // Studies returns the suite in report order.

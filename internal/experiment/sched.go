@@ -53,18 +53,15 @@ var sched2Arms = []arm[sched.Options]{
 	{"fifo", sched.Options{Policy: sched.TopoAware}},
 }
 
-// SchedConfig parameterizes both scheduler ablations: each study's job
-// stream replayed on every schedShapes × Seeds grid cell under each arm.
-// Every arm keeps the sched.Options defaults it does not name: best fit,
-// waiting on a full required tier and a defragmentation threshold of 0.
-type SchedConfig struct {
-	// Seeds are the stream seeds of the grid.
-	Seeds []int64
-}
+// Both scheduler ablations replay each study's job stream on every
+// schedShapes × stream seed grid cell under each arm. Every arm keeps the
+// sched.Options defaults it does not name: best fit, waiting on a full
+// required tier and a defragmentation threshold of 0.
 
 // schedShapes are the platform specs of both studies' grids: a two-rack and
 // a two-pod machine, so the ordering is asserted on both a 2-tier and a
-// 3-tier domain ladder.
+// 3-tier domain ladder. The shapes are fixed (the arms must separate on
+// known domain ladders, not track the A1 core count).
 var schedShapes = []string{
 	"rack:2 node:4 pack:2 core:4 pu:1",
 	"pod:2 rack:2 node:2 pack:2 core:4 pu:1",
@@ -95,15 +92,6 @@ var sched2Stream = sched.StreamConfig{
 	Jobs: 48, Sizes: []int{2, 3, 4, 6, 8, 12, 16}, WorkCycles: 2e6, VolumeBytes: 4 << 10,
 	Churn: 12, ConstraintFraction: 0.35, LongFraction: 0.2, LongFactor: 8,
 	PreferredTier: "node", RequiredTier: "rack", PriorityClasses: 3,
-}
-
-// Validate rejects configurations the scheduler pipeline cannot run, before
-// any cell runs.
-func (c SchedConfig) Validate() error {
-	if len(c.Seeds) == 0 {
-		return fmt.Errorf("experiment: sched needs at least one stream seed")
-	}
-	return nil
 }
 
 // SchedCell is one (shape, seed) grid cell's scheduler report.
@@ -151,11 +139,11 @@ func runSchedCell(opts sched.Options, shape string, stream sched.StreamConfig) (
 
 // runSchedGrid executes one arm over the full shape × seed grid of a
 // study's stream.
-func runSchedGrid(opts sched.Options, study sched.StreamConfig, cfg SchedConfig) (SchedResult, error) {
+func runSchedGrid(opts sched.Options, study sched.StreamConfig, seeds []int64) (SchedResult, error) {
 	var res SchedResult
 	var aggCycles, fragSum, utilSum float64
 	for _, shape := range schedShapes {
-		for _, seed := range cfg.Seeds {
+		for _, seed := range seeds {
 			study.Seed = seed
 			rep, err := runSchedCell(opts, shape, study)
 			if err != nil {
@@ -183,12 +171,9 @@ func runSchedGrid(opts sched.Options, study sched.StreamConfig, cfg SchedConfig)
 // per-cell ordering (each shape and seed separately) is asserted by the
 // experiment tests; the summed rows carry the same assertion into the bench
 // pipeline.
-func ablationSched(study string, arms []arm[sched.Options], stream sched.StreamConfig, cfg SchedConfig, detail func(SchedResult) string) ([]AblationRow, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func ablationSched(study string, arms []arm[sched.Options], stream sched.StreamConfig, seeds []int64, detail func(SchedResult) string) ([]AblationRow, error) {
 	return sweep(study, study+"/", arms,
-		func(opts sched.Options) (SchedResult, error) { return runSchedGrid(opts, stream, cfg) },
+		func(opts sched.Options) (SchedResult, error) { return runSchedGrid(opts, stream, seeds) },
 		func(_ arm[sched.Options], res SchedResult) AblationRow {
 			return AblationRow{Seconds: res.Seconds, Detail: detail(res)}
 		})
@@ -196,8 +181,8 @@ func ablationSched(study string, arms []arm[sched.Options], stream sched.StreamC
 
 // AblationSched (A15) compares the scheduler policy arms: topo-aware <
 // topo-blind < first-fit on aggregate job cycle time.
-func AblationSched(cfg SchedConfig) ([]AblationRow, error) {
-	return ablationSched("sched", schedArms, schedStream, cfg, func(res SchedResult) string {
+func AblationSched(cfg Config) ([]AblationRow, error) {
+	return ablationSched("sched", schedArms, schedStream, schedSeeds(cfg), func(res SchedResult) string {
 		return fmt.Sprintf("admitted=%d rejected=%d frag=%.3f util=%.3f cells=%d",
 			res.Admitted, res.Rejected, res.FragmentationAvg, res.BusyUtilization, len(res.Cells))
 	})
@@ -205,25 +190,19 @@ func AblationSched(cfg SchedConfig) ([]AblationRow, error) {
 
 // AblationSched2 (A16) compares the phase-2 policy stack: full (backfill +
 // preemption + defrag) < backfill-only < fifo on aggregate job cycle time.
-func AblationSched2(cfg SchedConfig) ([]AblationRow, error) {
-	return ablationSched("sched2", sched2Arms, sched2Stream, cfg, func(res SchedResult) string {
+func AblationSched2(cfg Config) ([]AblationRow, error) {
+	return ablationSched("sched2", sched2Arms, sched2Stream, sched2Seeds(cfg), func(res SchedResult) string {
 		return fmt.Sprintf("admitted=%d rejected=%d backfills=%d preempts=%d defrags=%d frag=%.3f util=%.3f cells=%d",
 			res.Admitted, res.Rejected, res.Backfills, res.Preemptions, res.DefragMigrations,
 			res.FragmentationAvg, res.BusyUtilization, len(res.Cells))
 	})
 }
 
-// SchedConfigFrom derives the A15 configuration from the common ablation
-// Config: the grid shapes are fixed (the arms must separate on known domain
-// ladders, not track the A1 core count), and the stream seeds derive from
-// cfg.Seed so -seed still varies the workload (the reduced scale's seed 7
-// gives seeds 7 and 42).
-func SchedConfigFrom(cfg Config) SchedConfig {
-	return SchedConfig{Seeds: []int64{cfg.Seed, cfg.Seed + 35}}
-}
+// schedSeeds are A15's stream seeds. They derive from cfg.Seed so -seed
+// still varies the workload: the reduced scale's seed 7 gives seeds 7 and
+// 42.
+func schedSeeds(cfg Config) []int64 { return []int64{cfg.Seed, cfg.Seed + 35} }
 
-// Sched2ConfigFrom derives the A16 configuration the same way (seed 7 gives
+// sched2Seeds are A16's stream seeds, derived the same way (seed 7 gives
 // seeds 8 and 37).
-func Sched2ConfigFrom(cfg Config) SchedConfig {
-	return SchedConfig{Seeds: []int64{cfg.Seed + 1, cfg.Seed + 30}}
-}
+func sched2Seeds(cfg Config) []int64 { return []int64{cfg.Seed + 1, cfg.Seed + 30} }

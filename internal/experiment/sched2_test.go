@@ -13,12 +13,12 @@ func TestAblationSched2Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	cfg := Sched2ConfigFrom(Reduced)
-	if len(schedShapes) < 2 || len(cfg.Seeds) < 2 {
-		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(schedShapes), len(cfg.Seeds))
+	seeds := sched2Seeds(Reduced)
+	if len(schedShapes) < 2 || len(seeds) < 2 {
+		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(schedShapes), len(seeds))
 	}
 	for _, shape := range schedShapes {
-		for _, seed := range cfg.Seeds {
+		for _, seed := range seeds {
 			agg := map[string]float64{}
 			stream := sched2Stream
 			stream.Seed = seed
@@ -53,7 +53,7 @@ func TestAblationSched2Rows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	rows, err := AblationSched2(Sched2ConfigFrom(Reduced))
+	rows, err := AblationSched2(Reduced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +76,16 @@ func TestAblationSched2Rows(t *testing.T) {
 		t.Errorf("registered sched2 orderings violated: %v", err)
 	}
 
-	cfg := Sched2ConfigFrom(Reduced)
-	full, err := runSchedGrid(armNamed(t, sched2Arms, "full"), sched2Stream, cfg)
+	seeds := sched2Seeds(Reduced)
+	full, err := runSchedGrid(armNamed(t, sched2Arms, "full"), sched2Stream, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := runSchedGrid(armNamed(t, sched2Arms, "backfill"), sched2Stream, cfg)
+	bf, err := runSchedGrid(armNamed(t, sched2Arms, "backfill"), sched2Stream, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, err := runSchedGrid(armNamed(t, sched2Arms, "fifo"), sched2Stream, cfg)
+	fifo, err := runSchedGrid(armNamed(t, sched2Arms, "fifo"), sched2Stream, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,29 +108,14 @@ func TestAblationSched2Rows(t *testing.T) {
 	}
 }
 
-// TestSched2ConfigValidate rejects broken grids before any cell runs.
+// TestSched2ConfigValidate rejects a broken grid before any cell runs. The
+// seeds derive from Config.Seed and cannot be empty, so the one check left
+// is a mode no arm of the study names.
 func TestSched2ConfigValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  SchedConfig
-		want string
-	}{
-		{"no seeds", SchedConfig{}, "seed"},
-		{"bad mode reaches RunSched2", SchedConfig{}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.want == "" {
-				if _, err := armPolicy("sched2", sched2Arms, "greedy"); err == nil ||
-					!strings.Contains(err.Error(), "unknown sched2 mode") {
-					t.Fatalf("unknown mode error = %v", err)
-				}
-				return
-			}
-			err := tc.cfg.Validate()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate() = %v, want mention of %q", err, tc.want)
-			}
-		})
-	}
+	t.Run("bad mode reaches RunSched2", func(t *testing.T) {
+		if _, err := armPolicy("sched2", sched2Arms, "greedy"); err == nil ||
+			!strings.Contains(err.Error(), "unknown sched2 mode") {
+			t.Fatalf("unknown mode error = %v", err)
+		}
+	})
 }

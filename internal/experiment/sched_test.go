@@ -14,12 +14,12 @@ func TestAblationSchedOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	cfg := SchedConfigFrom(Reduced)
-	if len(schedShapes) < 2 || len(cfg.Seeds) < 2 {
-		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(schedShapes), len(cfg.Seeds))
+	seeds := schedSeeds(Reduced)
+	if len(schedShapes) < 2 || len(seeds) < 2 {
+		t.Fatalf("default grid %dx%d, want at least 2 shapes x 2 seeds", len(schedShapes), len(seeds))
 	}
 	for _, shape := range schedShapes {
-		for _, seed := range cfg.Seeds {
+		for _, seed := range seeds {
 			agg := map[string]float64{}
 			stream := schedStream
 			stream.Seed = seed
@@ -54,7 +54,7 @@ func TestAblationSchedRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell scheduler grid in -short mode")
 	}
-	rows, err := AblationSched(SchedConfigFrom(Reduced))
+	rows, err := AblationSched(Reduced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func TestAblationSchedRows(t *testing.T) {
 	if err := CheckOrderings(rows, AblationOrderings("sched")); err != nil {
 		t.Errorf("registered sched orderings violated: %v", err)
 	}
-	cfg := SchedConfigFrom(Reduced)
-	aware, err := runSchedGrid(armNamed(t, schedArms, "topo-aware"), schedStream, cfg)
+	seeds := schedSeeds(Reduced)
+	aware, err := runSchedGrid(armNamed(t, schedArms, "topo-aware"), schedStream, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := runSchedGrid(armNamed(t, schedArms, "first-fit"), schedStream, cfg)
+	first, err := runSchedGrid(armNamed(t, schedArms, "first-fit"), schedStream, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,31 +90,16 @@ func TestAblationSchedRows(t *testing.T) {
 	}
 }
 
-// TestSchedConfigValidate rejects broken grids before any cell runs.
+// TestSchedConfigValidate rejects a broken grid before any cell runs. The
+// seeds derive from Config.Seed and cannot be empty, so the one check left
+// is a mode no arm of the study names.
 func TestSchedConfigValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  SchedConfig
-		want string
-	}{
-		{"no seeds", SchedConfig{}, "seed"},
-		{"bad mode reaches RunSched", SchedConfig{}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.want == "" {
-				if _, err := armPolicy("sched", schedArms, "round-robin"); err == nil ||
-					!strings.Contains(err.Error(), "unknown sched mode") {
-					t.Fatalf("unknown mode error = %v", err)
-				}
-				return
-			}
-			err := tc.cfg.Validate()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate() = %v, want mention of %q", err, tc.want)
-			}
-		})
-	}
+	t.Run("bad mode reaches RunSched", func(t *testing.T) {
+		if _, err := armPolicy("sched", schedArms, "round-robin"); err == nil ||
+			!strings.Contains(err.Error(), "unknown sched mode") {
+			t.Fatalf("unknown mode error = %v", err)
+		}
+	})
 }
 
 // TestSchedBracedShape pins that the cell runner builds its platform with

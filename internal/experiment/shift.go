@@ -115,7 +115,10 @@ func shiftDetail(st placement.AdaptiveStats) string {
 // AblationShift (A12) compares the placement arms on the rack-crossing
 // phase shift: static hierarchical, the adaptive engine with flat and with
 // fabric-aware candidates, and the free-migration oracle.
-func AblationShift(cfg RackConfig) ([]AblationRow, error) {
+func AblationShift(cfg Config) ([]AblationRow, error) { return shiftRows(shiftConfigFrom(cfg)) }
+
+// shiftRows runs the shift ablation on one shape.
+func shiftRows(cfg RackConfig) ([]AblationRow, error) {
 	s, err := shiftScenario(cfg)
 	if err != nil {
 		return nil, err
@@ -128,11 +131,11 @@ func AblationShift(cfg RackConfig) ([]AblationRow, error) {
 	})
 }
 
-// ShiftConfigFrom derives the shift configuration from the common ablation
-// Config: the A10 shape rule (RackConfigFrom) with a floor of 2 nodes per
+// shiftConfigFrom derives the shift configuration from the common ablation
+// Config: the A10 shape rule (rackConfigFrom) with a floor of 2 nodes per
 // rack so both phases' pairings exist, and 30 iterations.
-func ShiftConfigFrom(cfg Config) RackConfig {
-	rc := RackConfigFrom(cfg)
+func shiftConfigFrom(cfg Config) RackConfig {
+	rc := rackConfigFrom(cfg)
 	rc.NodesPerRack, rc.Iters = max(rc.NodesPerRack, 2), 30
 	return rc
 }

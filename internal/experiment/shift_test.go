@@ -2,7 +2,7 @@ package experiment
 
 import "testing"
 
-// testShiftCfg is the 2×2×8 shift shape at ShiftConfigFrom's 30
+// testShiftCfg is the 2×2×8 shift shape at shiftConfigFrom's 30
 // iterations.
 func testShiftCfg() RackConfig {
 	return RackConfig{Racks: 2, NodesPerRack: 2, CoresPerNode: 8, CoresPerSocket: 4, Iters: 30, Seed: 42}
@@ -48,7 +48,7 @@ func TestAblationShift(t *testing.T) {
 		var prev map[string]float64
 		for _, seed := range []int64{42, 7} {
 			cfg.Seed = seed
-			rows, err := AblationShift(cfg)
+			rows, err := shiftRows(cfg)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
@@ -181,11 +181,11 @@ func TestShiftValidation(t *testing.T) {
 // config: 2 racks of 8-core nodes, scaled by the core budget, never below
 // the 4-block minimum both pairings need, 30 iterations.
 func TestShiftConfigFrom(t *testing.T) {
-	cfg := ShiftConfigFrom(Config{Cores: 48})
+	cfg := shiftConfigFrom(Config{Cores: 48})
 	if cfg.Racks != 2 || cfg.NodesPerRack != 3 || cfg.CoresPerNode != 8 || cfg.Iters != 30 {
 		t.Errorf("48 cores derived %+v, want 2 racks x 3 nodes x 8 cores, 30 iterations", cfg)
 	}
-	small := ShiftConfigFrom(Config{Cores: 8})
+	small := shiftConfigFrom(Config{Cores: 8})
 	if small.NodesPerRack != 2 {
 		t.Errorf("8 cores derived %+v, want the 2-node floor per rack", small)
 	}

@@ -19,8 +19,8 @@ import (
 // cells with a coprime stride, so the positional group→node order (the
 // balanced-tree model's only option on a shaped fabric) inherits the
 // scramble, and compares three arms: the routed distance matcher with its
-// space-filling-curve seed, the tree-only matcher (which skips shaped
-// fabrics), and the affinity-blind round-robin dealer.
+// space-filling-curve seed, the positional order, and the affinity-blind
+// round-robin dealer.
 
 // TorusConfig parameterizes one torus halo-exchange run.
 type TorusConfig struct {
@@ -145,11 +145,10 @@ var torusArms = []arm[fabricArm]{
 	// matching runs through the routed distance model with the
 	// space-filling-curve seed. The speedup base.
 	{"sfc", fabricArm{policy: placement.Hierarchical{}}},
-	// The balanced-tree model of earlier revisions: a shaped fabric admits
-	// no balanced abstract tree, so the matching is skipped and the
-	// partition keeps the positional group→node order — which inherits the
-	// scramble.
-	{"tree-matched", fabricArm{policy: placement.Hierarchical{TreeFabric: true}}},
+	// The positional group→node order, all a balanced-tree matcher can do
+	// on a shaped fabric, which admits no balanced abstract tree. It
+	// inherits the scramble.
+	{"tree-matched", fabricArm{policy: placement.Hierarchical{NoFabricMatch: true}}},
 	// The affinity-blind round-robin dealer.
 	{"rr", fabricArm{policy: placement.RoundRobinNodes{}}},
 }
@@ -211,8 +210,11 @@ func RunTorus(mode string, cfg TorusConfig) (TorusResult, error) {
 
 // AblationTorus (A13) compares the placement arms on the torus halo
 // exchange: routed distance matching with the space-filling-curve seed,
-// the balanced-tree-only matcher, and round-robin.
-func AblationTorus(cfg TorusConfig) ([]AblationRow, error) {
+// the positional group→node order, and round-robin.
+func AblationTorus(cfg Config) ([]AblationRow, error) { return torusRows(torusConfigFrom(cfg)) }
+
+// torusRows runs the torus ablation on one shape.
+func torusRows(cfg TorusConfig) ([]AblationRow, error) {
 	s, err := cfg.scenario()
 	if err != nil {
 		return nil, err
@@ -221,11 +223,11 @@ func AblationTorus(cfg TorusConfig) ([]AblationRow, error) {
 	return s.sweep("torus", torusArms, func(fabricArm, programRun) string { return detail })
 }
 
-// TorusConfigFrom derives the torus configuration from the common ablation
+// torusConfigFrom derives the torus configuration from the common ablation
 // Config: a 4x4 torus with single-socket nodes scaled so the total core
 // count comes close to cfg.Cores (minimum 2 cores per node so the
 // intra-block stencil exists), 8 iterations, scramble 1.
-func TorusConfigFrom(cfg Config) TorusConfig {
+func torusConfigFrom(cfg Config) TorusConfig {
 	cfg = cfg.withDefaults()
 	per := max(cfg.Cores/16, 2)
 	return TorusConfig{

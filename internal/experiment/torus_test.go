@@ -10,15 +10,14 @@ func torusCfg(dims []int, seed int64) TorusConfig {
 }
 
 // TestAblationTorus asserts the A13 ordering — routed distance matching
-// with the space-filling-curve seed beats the balanced-tree-only matcher
-// (which skips shaped fabrics and inherits the scramble), which beats
-// round-robin — on two torus shapes and two scheduler seeds, both
+// with the space-filling-curve seed beats the positional group→node order
+// (which inherits the scramble), which beats round-robin — on two torus shapes and two scheduler seeds, both
 // relations strict.
 func TestAblationTorus(t *testing.T) {
 	for _, dims := range [][]int{{4, 4}, {2, 2, 4}} {
 		for _, seed := range []int64{7, 42} {
 			cfg := torusCfg(dims, seed)
-			rows, err := AblationTorus(cfg)
+			rows, err := torusRows(cfg)
 			if err != nil {
 				t.Fatalf("dims=%v seed=%d: %v", dims, seed, err)
 			}
@@ -121,7 +120,7 @@ func TestTorusValidation(t *testing.T) {
 // TestTorusConfigFrom pins the shape derivation from the common ablation
 // Config.
 func TestTorusConfigFrom(t *testing.T) {
-	cfg := TorusConfigFrom(Config{Cores: 192})
+	cfg := torusConfigFrom(Config{Cores: 192})
 	s, err := cfg.scenario()
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +128,7 @@ func TestTorusConfigFrom(t *testing.T) {
 	if got := len(s.stencil.sizes) * cfg.CoresPerNode; got != 192 {
 		t.Errorf("192-core request produced %d cores", got)
 	}
-	small := TorusConfigFrom(Config{Cores: 8})
+	small := torusConfigFrom(Config{Cores: 8})
 	if small.CoresPerNode < 2 {
 		t.Errorf("small request produced %d cores per node, need >= 2 for the stencil", small.CoresPerNode)
 	}

@@ -71,7 +71,7 @@ func TestClusterFromSpecRackTier(t *testing.T) {
 	if racks := c.Machine().Topology().NumRacks(); racks != 2 || c.Nodes() != 4 {
 		t.Fatalf("shape: %d racks, %d nodes", racks, c.Nodes())
 	}
-	if got := c.Machine().FabricGraph().NumLevels(); got != 2 {
+	if got := len(c.Machine().Topology().FabricLevels()); got != 2 {
 		t.Errorf("%d fabric levels, want 2 (NICs and rack uplinks)", got)
 	}
 }

@@ -59,14 +59,6 @@ type Hierarchical struct {
 	// a rack-level failure (a ToR sever, a correlated node kill) can then
 	// take out at most one member of the pair.
 	SpreadDomains bool
-	// TreeFabric restricts the group→node matching to the balanced-tree
-	// model of earlier revisions: shaped (torus/dragonfly) fabrics and
-	// uneven trees — which the balanced FabricTree cannot express — skip
-	// the matching and keep the positional group→node order. This is the
-	// "tree-matched" arm of ablation A13; the default matches such fabrics
-	// under the fabric graph's routed latencies (with a space-filling-curve
-	// seed on tori) instead.
-	TreeFabric bool
 	// Workers bounds the worker pool that runs the per-node Algorithm 1
 	// stage: the per-node mappings are independent (each works on its own
 	// sub-matrix against the shared read-only task matrix), so on a
@@ -138,7 +130,7 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 			return nil, err
 		}
 		if match {
-			if nodeOf, err = p.matchFabric(topo, groupMatrix, nodeOf, partCaps, caps); err != nil {
+			if nodeOf, err = matchFabric(topo, groupMatrix, partCaps, caps); err != nil {
 				return nil, fmt.Errorf("placement: hierarchical fabric matching: %w", err)
 			}
 		}
@@ -171,23 +163,28 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 	// per-node instances are independent, so they run across a bounded
 	// worker pool; results land in a per-group slot and are merged in group
 	// order below, which keeps the assignment bit-identical at any worker
-	// count. Each worker carves every sub-matrix into its own storage and
-	// maps it with its own Mapper, so it reuses one working set for all the
-	// nodes it maps; the results share none of it.
+	// count. Worker w maps groups w, w+W, w+2W, …, so which worker carves
+	// which sub-matrix, and with it the bytes of a placement, does not
+	// depend on goroutine timing. Each worker carves its sub-matrices into
+	// its own storage and maps them with its own Mapper, so it reuses one
+	// working set for all the nodes it maps; the results share none of it.
 	results, errs := make([]*treematch.Result, len(groups)), make([]error, len(groups))
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	feed := make(chan int)
+	workers = min(workers, len(groups))
 	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(groups)); w++ {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var st comm.Storage
 			var mapper treematch.Mapper
-			for g := range feed {
+			for g := w; g < len(groups); g += workers {
+				if len(groups[g]) == 0 {
+					continue
+				}
 				node := nodeOf[g]
 				sub, err := m.SubmatrixIn(&st, groups[g])
 				if err == nil {
@@ -200,12 +197,6 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 			}
 		}()
 	}
-	for g, group := range groups {
-		if len(group) > 0 {
-			feed <- g
-		}
-	}
-	close(feed)
 	wg.Wait()
 
 	nonEmpty := 0
@@ -251,11 +242,10 @@ func (p Hierarchical) Assign(mach *numasim.Machine, m *comm.Matrix) (*Assignment
 //   - a shaped (torus, dragonfly) fabric or an uneven tree, which admit no
 //     balanced abstract tree, go to matchGroups under the fabric graph's
 //     routed latencies, with the space-filling-curve embedding as a seed
-//     candidate on a torus without classes; TreeFabric skips these and
-//     returns positional, the group→node identity.
+//     candidate on a torus without classes.
 //
 // Assign calls it only off a flat single-switch fabric.
-func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Matrix, positional, groupCaps, nodeCaps []int) ([]int, error) {
+func matchFabric(topo *topology.Topology, groupMatrix *comm.Matrix, groupCaps, nodeCaps []int) ([]int, error) {
 	shape := topo.FabricShape()
 	var fabricTree *treematch.Tree
 	if shape == nil {
@@ -269,8 +259,6 @@ func (p Hierarchical) matchFabric(topo *topology.Topology, groupMatrix *comm.Mat
 	}
 	classed := mixedCaps(groupCaps)
 	switch {
-	case fabricTree == nil && p.TreeFabric:
-		return positional, nil
 	case fabricTree != nil && !classed:
 		// Clustering, not distribution: spreading groups across racks is
 		// exactly what the matching must avoid, so the tree is not

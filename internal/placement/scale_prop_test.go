@@ -3,6 +3,7 @@ package placement
 import (
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/comm"
@@ -188,16 +189,19 @@ func TestHierarchicalSequentialAllocs(t *testing.T) {
 }
 
 // TestHierarchicalAssignBytes pins the bytes of TestHierarchicalSequentialAllocs'
-// placement at pools of 1, 2 and 4 workers. Its level-1 portfolio lies
-// below multilevelMinOrder, so GOMAXPROCS sizes nothing in it; a pool
-// worker that takes a node keeps its own sub-matrix storage and Mapper
-// (about 5.5 KB for these 10-task nodes). Which workers take nodes is the
-// scheduler's choice, so each pin is the fewest bytes of ten placements,
-// and bounds the run in which every worker takes one. Measured on amd64:
-// 134 632, 140 040 and 150 936 bytes at GOMAXPROCS 2; 139 352, 144 920
-// and 156 056 while every node built its own tree and the padding strip
-// copied the groups.
+// placement at pools of 1, 2 and 4 workers, exactly up to 64 bytes of
+// runtime slack, on the 64-bit and the 32-bit ports. Its level-1 portfolio
+// lies below multilevelMinOrder, so GOMAXPROCS sizes nothing in it, and
+// worker w maps groups w, w+W, …, so every worker keeps its own sub-matrix
+// storage and Mapper (about 5.5 KB for these 10-task nodes) at any
+// goroutine timing. The portfolio's candidates still run on goroutines of
+// their own (order 80 is above concurrentMinOrder), so one placement may
+// read up to a few KB more at GOMAXPROCS ≥ 2; the pin is on the fewest of
+// ten.
 func TestHierarchicalAssignBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates beside the placement; the bytes are pinned without it")
+	}
 	plat, err := numasim.NewPlatform("cluster:8 pack:1 core:8", numasim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +209,13 @@ func TestHierarchicalAssignBytes(t *testing.T) {
 	m := comm.RandomSparse(80, 8, 100, 1)
 	for _, pin := range []struct {
 		workers int
-		bytes   uint64
-	}{{1, 137_000}, {2, 143_000}, {4, 154_000}} {
+		bytes64 uint64
+		bytes32 uint64
+	}{{1, 134_536, 101_344}, {2, 140_008, 105_144}, {4, 150_936, 112_760}} {
+		want := pin.bytes64
+		if strconv.IntSize == 32 {
+			want = pin.bytes32
+		}
 		place := func() {
 			if _, err := (Hierarchical{Workers: pin.workers}).Assign(plat.Machine(), m); err != nil {
 				t.Fatal(err)
@@ -221,9 +230,8 @@ func TestHierarchicalAssignBytes(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
 		}
-		t.Logf("%d workers: %d bytes per placement", pin.workers, fewest)
-		if fewest > pin.bytes {
-			t.Errorf("%d workers: %d bytes per placement, want ≤ %d", pin.workers, fewest, pin.bytes)
+		if fewest < want || fewest > want+64 {
+			t.Errorf("%d workers: %d bytes per placement, want %d (+ ≤ 64)", pin.workers, fewest, want)
 		}
 	}
 }

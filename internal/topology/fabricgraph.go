@@ -188,10 +188,6 @@ func (g *FabricGraph) LevelEdges(level int) []int {
 	return g.levelEdge[level]
 }
 
-// NumLevels returns the number of tree-fabric levels (0 on a non-tree
-// shape).
-func (g *FabricGraph) NumLevels() int { return len(g.levelEdge) }
-
 // Root returns the root switch vertex of a compiled tree fabric (the last
 // vertex), or -1 on a non-tree shape. AppendPath(buf, node, Root()) is the
 // node's up-chain: its NIC link, then its rack's and pod's uplinks.

@@ -182,8 +182,8 @@ func TestTreeGraphCompilation(t *testing.T) {
 		// The levelEdge bridge covers every fabric level with the same group
 		// counts as the per-level model.
 		levels := to.FabricLevels()
-		if g.NumLevels() != len(levels) {
-			t.Fatalf("%s: NumLevels() = %d, want %d", c.spec, g.NumLevels(), len(levels))
+		if len(g.levelEdge) != len(levels) {
+			t.Fatalf("%s: %d edge levels, want %d", c.spec, len(g.levelEdge), len(levels))
 		}
 		for li, lv := range levels {
 			if got := len(g.LevelEdges(li)); got != len(lv) {
@@ -262,7 +262,7 @@ func TestPathCacheMatchesRoute(t *testing.T) {
 			}
 			// The up-chain of a node is its own-side link at every level.
 			var want []int
-			for l := 0; l < g.NumLevels(); l++ {
+			for l := range len(to.FabricLevels()) {
 				o := to.ClusterNodes()[n-1]
 				for k := 0; k < l; k++ {
 					o = o.Parent
