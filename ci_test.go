@@ -251,7 +251,11 @@ func TestFuzzTargetsHaveCISteps(t *testing.T) {
 // derived adapter, Hierarchical.TreeFabric and FabricGraph.NumLevels go
 // (−78), net of A1–A7's registered orderings (+22) and of the node pool's
 // fixed dealing (−3).
-const nonTestLineCeiling = 12629
+// 12629 → 12565: each experiment has one entry point, so A8's second door
+// (PhaseShiftConfig, PhaseShiftResult, RunPhaseShift and its mode lookup)
+// and RunAdaptive's options go, TorusResult drops its unread Mode and
+// String, and the facade stops re-exporting Figure 1 and the phase shift.
+const nonTestLineCeiling = 12565
 
 // TestNonTestLineCeiling counts the non-test Go lines outside benchmark/ the
 // way ROADMAP.md does — non-blank lines that are not // comments, as
@@ -297,7 +301,7 @@ func TestNonTestLineCeiling(t *testing.T) {
 var testOnlyAllowed = map[string]string{
 	"comm.Matrix.Equal":                  "the comparator every differential test reads its verdict from",
 	"comm.Random":                        "the seeded random matrices the partitioners and their oracles are fuzzed on",
-	"experiment.Studies":                 "the study registry, held against the README and the Go benchmarks",
+	"experiment.Studies":                 "the study registry, held against the README and every study's orderings",
 	"experiment.AblationOrderings":       "the orderings each study test asserts on its rows",
 	"numasim.Machine.EdgeFaultFactor":    "reads back what ApplyFaultEvents made of an edge: degrades compound, a sever is 0",
 	"numasim.Proc.Bound":                 "observes whether a Proc is pinned (MigrateTo pins, nobind leaves it roaming)",

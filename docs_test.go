@@ -173,12 +173,10 @@ func studyTableRow(s experiment.Study) string {
 }
 
 // TestStudyRegistryInvariants holds the study registry against its
-// consumers: names, ids and cell names are unique (cells are an ordered
-// slice, so BenchmarkAblation's sub-benchmark names are unique and come in
-// the same order on every run); every asserted ordering names rows its
-// study really emits on every default cell, and holds there; and the
-// README experiment table carries exactly the registry's row for every
-// study. (The committed bench/ artifacts need no entry here: cmd/ablate's
+// consumers: names, ids and cell names are unique; every asserted ordering
+// names rows its study really emits on every default cell, and holds there;
+// and the README experiment table carries exactly the registry's row for
+// every study. (The committed bench/ artifacts need no entry here: cmd/ablate's
 // TestBenchArtifacts globs them and regenerates each from its own contents.)
 func TestStudyRegistryInvariants(t *testing.T) {
 	studies := experiment.Studies()

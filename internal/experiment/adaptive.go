@@ -13,32 +13,14 @@ import (
 // once, from the statically predicted affinity matrix; after the shift that
 // prediction is simply wrong, and only a runtime that feeds the measured
 // communication window back into placement can recover.
-
-// PhaseShiftConfig parameterizes the phase-shifting workload: an iterative
-// ring of tasks (one per core, LK23-like per-iteration costs) where each
-// task exchanges halos with its ring neighbours for the first half of the
-// run, then abruptly with its diametrically opposite task for the second
-// half. A placement that packs ring segments per socket — optimal for phase
-// one — makes every phase-two exchange cross the machine.
-type PhaseShiftConfig struct {
-	// Cores and CoresPerSocket shape the machine (defaults 48 and 8); one
-	// task runs per core. The task count must be even and at least 4 for
-	// the opposite pairing to be well defined.
-	Cores, CoresPerSocket int
-	// Seed drives the simulated OS scheduler (unused while all tasks stay
-	// bound, but kept for symmetry with Config).
-	Seed int64
-}
-
-func (c PhaseShiftConfig) withDefaults() PhaseShiftConfig {
-	if c.Cores == 0 {
-		c.Cores = 48
-	}
-	if c.CoresPerSocket == 0 {
-		c.CoresPerSocket = 8
-	}
-	return c
-}
+//
+// The phase-shifting workload is an iterative ring of tasks (one per core,
+// LK23-like per-iteration costs) where each task exchanges halos with its
+// ring neighbours for the first half of the run, then abruptly with its
+// diametrically opposite task for the second half. A placement that packs
+// ring segments per socket — optimal for phase one — makes every phase-two
+// exchange cross the machine. The task count must be even and at least 4
+// for the opposite pairing to be well defined.
 
 // The phase-shift run: phaseShiftIters iterations, the pattern shifting
 // after phaseShiftAt; each task sweeps a phaseShiftBlockBytes working set
@@ -53,34 +35,19 @@ const (
 	phaseShiftEpochIters = 4
 )
 
-// PhaseShiftResult reports one phase-shift run.
-type PhaseShiftResult struct {
-	Mode    string // "static", "adaptive" or "oracle"
-	Seconds float64
-	// Stats is the adaptive engine's decision record (zero for static).
-	Stats placement.AdaptiveStats
-}
-
-// String renders a one-line summary.
-func (r PhaseShiftResult) String() string {
-	return fmt.Sprintf("%-8s time=%8.3fs epochs=%d applied=%d rebinds=%d",
-		r.Mode, r.Seconds, r.Stats.Epochs, r.Stats.Applied, r.Stats.Rebinds)
-}
-
 // phaseShiftEps is the volume of an inactive partner handle: the protocol
 // still cycles through it every iteration (the handle set is fixed at build
 // time), but it carries a negligible 8 bytes.
 const phaseShiftEps = 8
 
-// buildPhaseShift constructs the phase-shifting ring on the runtime: task i
-// writes its own block location and reads its left, right and opposite
-// partners' blocks each iteration, with the heavy volume on the ring
-// partners before the shift and on the opposite partner after it. All
-// volumes are whole bytes well below 2^53, so every accumulated matrix
+// buildPhaseShift constructs the phase-shifting ring of n tasks on the
+// runtime: task i writes its own block location and reads its left, right
+// and opposite partners' blocks each iteration, with the heavy volume on
+// the ring partners before the shift and on the opposite partner after it.
+// All volumes are whole bytes well below 2^53, so every accumulated matrix
 // entry is exact and the run is bit-deterministic regardless of goroutine
 // interleaving.
-func buildPhaseShift(rt *orwl.Runtime, cfg PhaseShiftConfig) error {
-	n := cfg.Cores
+func buildPhaseShift(rt *orwl.Runtime, n int) error {
 	if n < 4 || n%2 != 0 {
 		return fmt.Errorf("experiment: phase shift needs an even task count >= 4, got %d", n)
 	}
@@ -107,64 +74,45 @@ func buildPhaseShift(rt *orwl.Runtime, cfg PhaseShiftConfig) error {
 	return nil
 }
 
-// RunPhaseShift executes the phase-shifting workload under one of three
-// placement modes:
-//
-//   - "static": the paper's one-shot pipeline — TreeMatch from the static
-//     affinity matrix, never revisited;
-//   - "adaptive": the epoch-based engine — same initial placement, then a
-//     re-placement decision from the measured window every EpochIters
-//     iterations, applied only when the predicted gain clears the modeled
-//     migration cost;
-//   - "oracle": the adaptive engine with free migration and no hysteresis,
-//     an upper bound on what re-placement could gain.
-func RunPhaseShift(mode string, cfg PhaseShiftConfig) (PhaseShiftResult, error) {
-	cfg = cfg.withDefaults()
-	adaptive, err := armPolicy("phase-shift", phaseShiftArms, mode)
-	if err != nil {
-		return PhaseShiftResult{}, err
-	}
-	res, err := runPhaseShift(adaptive, cfg)
-	res.Mode = mode
-	return res, err
-}
-
-func runPhaseShift(adaptive *placement.AdaptiveOptions, cfg PhaseShiftConfig) (PhaseShiftResult, error) {
+// runPhaseShift runs the phase-shifting ring with one task per core of
+// cfg's machine (no SMT) under one arm of phaseShiftArms.
+func runPhaseShift(adaptive *placement.AdaptiveOptions, cfg Config) (programRun, error) {
 	mach, err := Machine(Config{Cores: cfg.Cores, CoresPerSocket: cfg.CoresPerSocket})
 	if err != nil {
-		return PhaseShiftResult{}, err
+		return programRun{}, err
 	}
-	run, err := runProgram(mach, cfg.Seed, func(rt *orwl.Runtime) ([]bool, error) { return nil, buildPhaseShift(rt, cfg) },
+	return runProgram(mach, cfg.Seed, func(rt *orwl.Runtime) ([]bool, error) { return nil, buildPhaseShift(rt, cfg.Cores) },
 		placement.TreeMatch{}, adaptive)
-	if err != nil {
-		return PhaseShiftResult{}, err
-	}
-	return PhaseShiftResult{Seconds: run.seconds, Stats: run.stats}, nil
 }
 
-// phaseShiftArms are the placement modes of the phase-shift workload; a nil
-// entry is the engine-less one-shot pipeline.
+// phaseShiftArms are the placement modes of the phase-shift workload:
+//
+//   - "static": the paper's one-shot pipeline — TreeMatch from the static
+//     affinity matrix, never revisited (the nil entry);
+//   - "adaptive": the epoch-based engine — same initial placement, then a
+//     re-placement decision from the measured window every
+//     phaseShiftEpochIters iterations, applied only when the predicted gain
+//     clears the modeled migration cost;
+//   - "oracle": the adaptive engine with free migration and no hysteresis,
+//     an upper bound on what re-placement could gain.
 var phaseShiftArms = []arm[*placement.AdaptiveOptions]{
 	{"static", nil},
 	{"adaptive", &placement.AdaptiveOptions{Base: placement.TreeMatch{}, EpochIters: phaseShiftEpochIters}},
 	{"oracle", &placement.AdaptiveOptions{Base: placement.TreeMatch{}, EpochIters: phaseShiftEpochIters, FreeMigration: true}},
 }
 
-// RunAdaptive executes the standard (stationary) LK23 configuration under
-// the adaptive engine instead of the one-shot pipeline, for the regression
-// half of the adaptive ablation: on a workload whose pattern never changes,
-// hysteresis must keep the engine still and the result within migration
-// noise of the static placement.
-func RunAdaptive(cfg Config, opts placement.AdaptiveOptions) (Result, placement.AdaptiveStats, error) {
+// runAdaptive executes the standard (stationary) LK23 configuration under
+// the adaptive engine instead of the one-shot pipeline, re-deciding every
+// fifth of the run, for the regression half of the adaptive ablation: on a
+// workload whose pattern never changes, hysteresis must keep the engine
+// still and the result within migration noise of the static placement.
+func runAdaptive(cfg Config) (Result, placement.AdaptiveStats, error) {
 	cfg = cfg.withDefaults()
-	if opts.EpochIters == 0 {
-		opts.EpochIters = max(cfg.Iters/5, 1)
-	}
 	mach, err := Machine(cfg)
 	if err != nil {
 		return Result{}, placement.AdaptiveStats{}, err
 	}
-	res, run, err := runLK23(mach, cfg, ORWLBind, nil, &opts)
+	res, run, err := runLK23(mach, cfg, ORWLBind, nil, &placement.AdaptiveOptions{EpochIters: max(cfg.Iters/5, 1)})
 	return res, run.stats, err
 }
 
@@ -174,19 +122,14 @@ func RunAdaptive(cfg Config, opts placement.AdaptiveOptions) (Result, placement.
 // win) and the stationary LK23 workload (where adapting must not lose).
 func AblationAdaptive(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	ps := PhaseShiftConfig{
-		Cores:          cfg.Cores,
-		CoresPerSocket: cfg.CoresPerSocket,
-		Seed:           cfg.Seed,
-	}.withDefaults()
 	rows, err := sweep("adaptive", "phase/", phaseShiftArms,
-		func(adaptive *placement.AdaptiveOptions) (PhaseShiftResult, error) {
-			return runPhaseShift(adaptive, ps)
+		func(adaptive *placement.AdaptiveOptions) (programRun, error) {
+			return runPhaseShift(adaptive, cfg)
 		},
-		func(a arm[*placement.AdaptiveOptions], res PhaseShiftResult) AblationRow {
-			row := AblationRow{Seconds: res.Seconds}
+		func(a arm[*placement.AdaptiveOptions], run programRun) AblationRow {
+			row := AblationRow{Seconds: run.seconds}
 			if a.policy != nil {
-				row.Detail = adaptiveDetail(res.Stats)
+				row.Detail = adaptiveDetail(run.stats)
 			}
 			return row
 		})
@@ -198,7 +141,7 @@ func AblationAdaptive(cfg Config) ([]AblationRow, error) {
 		return nil, fmt.Errorf("ablation adaptive, stationary static: %w", err)
 	}
 	rows = append(rows, AblationRow{Name: "lk23/static", Seconds: static.Seconds})
-	adaptive, st, err := RunAdaptive(cfg, placement.AdaptiveOptions{})
+	adaptive, st, err := runAdaptive(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("ablation adaptive, stationary adaptive: %w", err)
 	}

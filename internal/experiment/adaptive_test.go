@@ -1,13 +1,23 @@
 package experiment
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/placement"
-)
+func phaseCfg() Config {
+	return Config{Cores: 48, CoresPerSocket: 8, Seed: 7}
+}
 
-func phaseCfg() PhaseShiftConfig {
-	return PhaseShiftConfig{Cores: 48, Seed: 7}
+// phaseRuns runs every arm of phaseShiftArms on cfg, keyed by arm name.
+func phaseRuns(t *testing.T, cfg Config) map[string]programRun {
+	t.Helper()
+	runs := map[string]programRun{}
+	for _, a := range phaseShiftArms {
+		run, err := runPhaseShift(a.policy, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		runs[a.name] = run
+	}
+	return runs
 }
 
 // TestPhaseShiftAdaptiveBeatsStatic is the acceptance criterion of the
@@ -15,61 +25,42 @@ func phaseCfg() PhaseShiftConfig {
 // mid-run, epoch-based re-placement must beat the one-shot static pipeline,
 // and the free-migration oracle bounds it from below.
 func TestPhaseShiftAdaptiveBeatsStatic(t *testing.T) {
-	static, err := RunPhaseShift("static", phaseCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := RunPhaseShift("adaptive", phaseCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := RunPhaseShift("oracle", phaseCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.Seconds >= static.Seconds {
+	runs := phaseRuns(t, phaseCfg())
+	static, adaptive, oracle := runs["static"], runs["adaptive"], runs["oracle"]
+	if adaptive.seconds >= static.seconds {
 		t.Errorf("adaptive %.4fs not faster than static %.4fs on the phase shift",
-			adaptive.Seconds, static.Seconds)
+			adaptive.seconds, static.seconds)
 	}
-	if oracle.Seconds > adaptive.Seconds {
+	if oracle.seconds > adaptive.seconds {
 		t.Errorf("oracle %.4fs slower than adaptive %.4fs; free migration must bound it",
-			oracle.Seconds, adaptive.Seconds)
+			oracle.seconds, adaptive.seconds)
 	}
-	if adaptive.Stats.Rebinds == 0 {
-		t.Errorf("adaptive run moved no tasks; the phase shift went unnoticed (stats %+v)", adaptive.Stats)
+	if adaptive.stats.Rebinds == 0 {
+		t.Errorf("adaptive run moved no tasks; the phase shift went unnoticed (stats %+v)", adaptive.stats)
 	}
-	if adaptive.Stats.Applied < 1 {
-		t.Errorf("no epoch applied a re-placement (stats %+v)", adaptive.Stats)
+	if adaptive.stats.Applied < 1 {
+		t.Errorf("no epoch applied a re-placement (stats %+v)", adaptive.stats)
 	}
 }
 
 func TestPhaseShiftDeterministic(t *testing.T) {
-	for _, mode := range []string{"static", "adaptive", "oracle"} {
-		a, err := RunPhaseShift(mode, phaseCfg())
-		if err != nil {
-			t.Fatal(err)
+	first, again := phaseRuns(t, phaseCfg()), phaseRuns(t, phaseCfg())
+	for _, a := range phaseShiftArms {
+		x, y := first[a.name].seconds, again[a.name].seconds
+		if x != y {
+			t.Errorf("%s not deterministic: %v vs %v", a.name, x, y)
 		}
-		b, err := RunPhaseShift(mode, phaseCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Seconds != b.Seconds {
-			t.Errorf("%s not deterministic: %v vs %v", mode, a.Seconds, b.Seconds)
-		}
-		if a.Seconds <= 0 {
-			t.Errorf("%s: non-positive makespan %v", mode, a.Seconds)
+		if x <= 0 {
+			t.Errorf("%s: non-positive makespan %v", a.name, x)
 		}
 	}
 }
 
 func TestPhaseShiftValidation(t *testing.T) {
-	if _, err := RunPhaseShift("nonsense", phaseCfg()); err == nil {
-		t.Errorf("unknown mode accepted")
-	}
 	cfg := phaseCfg()
 	cfg.Cores = 7 // odd task count: the opposite pairing is undefined
 	cfg.CoresPerSocket = 7
-	if _, err := RunPhaseShift("static", cfg); err == nil {
+	if _, err := runPhaseShift(nil, cfg); err == nil {
 		t.Errorf("odd task count accepted")
 	}
 }
@@ -84,7 +75,7 @@ func TestAdaptiveStationaryNoRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, stats, err := RunAdaptive(cfg, placement.AdaptiveOptions{})
+	adaptive, stats, err := runAdaptive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +87,7 @@ func TestAdaptiveStationaryNoRegression(t *testing.T) {
 			adaptive.Seconds, static.Seconds)
 	}
 	// Determinism of the adaptive run.
-	again, _, err := RunAdaptive(cfg, placement.AdaptiveOptions{})
+	again, _, err := runAdaptive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,6 +182,15 @@ func TestFigure1Shape(t *testing.T) {
 	}
 }
 
+// TestDefaultFigure1Points holds the default sweep of cmd/lk23 -figure1 to
+// at least five core counts, the one socket and the whole machine included.
+func TestDefaultFigure1Points(t *testing.T) {
+	pts := DefaultFigure1Points()
+	if len(pts) < 5 || pts[0] != 8 || pts[len(pts)-1] != 192 {
+		t.Errorf("default points %v: want at least 5, from 8 to 192 cores", pts)
+	}
+}
+
 func TestFullScaleAnchors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 16384x16384, 100-iteration run")

@@ -7,10 +7,11 @@ import (
 
 // The study registry: the one place a study of the suite is declared.
 // cmd/ablate's dispatch, its -exp usage and the JSON report's identities,
-// AblationOrderings, BenchmarkAblation and the README experiment-table guard
-// are all derived from the Studies table, so adding a study means adding one
-// entry here (plus its arm table and, when its rows are to be pinned, one
-// committed `ablate -exp <name> -json` document under bench/). A study's
+// AblationOrderings, TestStudyRegistryInvariants and the README
+// experiment-table guard are all derived from the Studies table, so adding a
+// study means adding one entry here (plus its arm table and, when its rows
+// are to be pinned, one committed `ablate -exp <name> -json` document under
+// bench/). A study's
 // whole configuration is its entry: every study is an AblationX that runs on
 // the common Config alone (scale and seed) and derives any shape of its own
 // from it; no caller reshapes one study.
@@ -22,16 +23,15 @@ type Study struct {
 	// Desc says what the study compares; Title prefixes it with the ID.
 	Desc string
 	// Orderings are the relations between the study's rows that every
-	// consumer asserts — the test suite, BenchmarkAblation and cmd/ablate
-	// -json check the same statements, so a placement regression cannot pass
-	// one gate and slip through another. A study whose row names differ per
-	// cell (A4's block counts) has none.
+	// consumer asserts — the study tests, TestStudyRegistryInvariants and
+	// cmd/ablate -json check the same statements, so a placement regression
+	// cannot pass one gate and slip through another. A study whose row names
+	// differ per cell (A4's block counts) has none.
 	Orderings []Ordering
 	// Cells are the default shape × seed configurations of the study, in
 	// order; the first is the reduced scale cmd/ablate runs by default.
-	// Only tests read the rest: BenchmarkAblation (bench_test.go) sweeps
-	// every cell, and TestStudyRegistryInvariants (docs_test.go) asserts the
-	// Orderings on every cell in tier-1.
+	// Only TestStudyRegistryInvariants (docs_test.go) reads the rest: it
+	// asserts the Orderings on every cell in tier-1.
 	Cells []Cell
 
 	run func(Config) ([]AblationRow, error)

@@ -155,18 +155,12 @@ var torusArms = []arm[fabricArm]{
 
 // TorusResult reports one torus halo-exchange run.
 type TorusResult struct {
-	Mode    string
 	Seconds float64
 	// WallSeconds is the real time the placement call took, declaring the
 	// contention the placement implies included. It reaches no row and no
 	// bench artifact; the benchmark module's fabric-stencil workload reads
 	// it as experiment.torus_place_ms.
 	WallSeconds float64
-}
-
-// String renders a one-line summary.
-func (r TorusResult) String() string {
-	return fmt.Sprintf("%-13s time=%8.3fs place=%6.4fs wall", r.Mode, r.Seconds, r.WallSeconds)
 }
 
 // torusNeighbors returns the row-major cell ids adjacent to cell on the
@@ -205,7 +199,7 @@ func torusNeighbors(dims []int, cell int) []int {
 func RunTorus(mode string, cfg TorusConfig) (TorusResult, error) {
 	s, err := cfg.scenario()
 	run, err := s.runMode("torus", torusArms, mode, err)
-	return TorusResult{Mode: mode, Seconds: run.seconds, WallSeconds: run.placeWall}, err
+	return TorusResult{Seconds: run.seconds, WallSeconds: run.placeWall}, err
 }
 
 // AblationTorus (A13) compares the placement arms on the torus halo

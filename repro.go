@@ -4,7 +4,10 @@
 // model enriched with a TreeMatch-based, topology-aware thread-placement
 // module, evaluated with the Livermore Kernel 23 benchmark.
 //
-// This package is the public facade; the implementation lives in the
+// This package is the library's facade: a simulated machine with an ORWL
+// program on it (System), the placement policies and the adaptive
+// re-placement engine. The evaluation is not part of it: cmd/lk23 runs
+// Figure 1 and cmd/ablate the studies. The implementation lives in the
 // internal packages:
 //
 //	internal/topology   hardware topology model (the HWLOC role)
@@ -19,14 +22,13 @@
 //	internal/experiment Figure 1 and the ablation studies
 //	internal/trace      lock-transition tracing
 //
-// The quickest entry points are below; see README.md for the architecture.
+// See README.md for the architecture.
 package repro
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/experiment"
 	"repro/internal/numasim"
 	"repro/internal/orwl"
 	"repro/internal/placement"
@@ -170,35 +172,3 @@ func PlaceAdaptive(rt *Runtime, opts AdaptiveOptions, heavy []bool) (*AdaptiveEn
 // Epoch is the quiesced runtime view handed to epoch hooks; see
 // orwl.Runtime.ConfigureEpochs.
 type Epoch = orwl.Epoch
-
-// PhaseShiftConfig and PhaseShiftResult parameterize the phase-shifting
-// evaluation scenario of the adaptive engine (experiment A8).
-type (
-	PhaseShiftConfig = experiment.PhaseShiftConfig
-	PhaseShiftResult = experiment.PhaseShiftResult
-)
-
-// RunPhaseShift runs the phase-shifting workload under "static", "adaptive"
-// or "oracle" placement; see experiment.RunPhaseShift.
-func RunPhaseShift(mode string, cfg PhaseShiftConfig) (PhaseShiftResult, error) {
-	return experiment.RunPhaseShift(mode, cfg)
-}
-
-// ExperimentConfig parameterizes the Livermore Kernel 23 experiment.
-type ExperimentConfig = experiment.Config
-
-// Figure1Row is one core-count point of the paper's Figure 1.
-type Figure1Row = experiment.Figure1Row
-
-// Figure1 regenerates the paper's Figure 1: LK23 processing time for
-// ORWL Bind, ORWL NoBind and OpenMP at each core count.
-func Figure1(points []int, cfg ExperimentConfig) ([]Figure1Row, error) {
-	return experiment.Figure1(points, cfg)
-}
-
-// DefaultFigure1Points returns the swept core counts (8..192).
-func DefaultFigure1Points() []int { return experiment.DefaultFigure1Points() }
-
-// FormatFigure1 renders Figure 1 rows as a table with the paper's speedup
-// columns.
-func FormatFigure1(rows []Figure1Row) string { return experiment.FormatFigure1(rows) }

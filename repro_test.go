@@ -1,9 +1,6 @@
 package repro
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestFacadeSystem(t *testing.T) {
 	sys, err := NewSystem(SystemOptions{TopologySpec: "pack:2 core:2 pu:1", Seed: 1})
@@ -31,29 +28,5 @@ func TestFacadeSystem(t *testing.T) {
 	}
 	if got := loc.PeekData().([]float64)[0]; got != 42 {
 		t.Errorf("location = %v, want 42", got)
-	}
-}
-
-func TestFacadeFigure1(t *testing.T) {
-	rows, err := Figure1([]int{8, 16}, ExperimentConfig{
-		Rows: 2048, Cols: 2048, Iters: 5, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Bind <= 0 || r.NoBind <= 0 || r.OMP <= 0 {
-			t.Errorf("missing times: %+v", r)
-		}
-	}
-	out := FormatFigure1(rows)
-	if !strings.Contains(out, "orwl-bind") {
-		t.Errorf("table: %s", out)
-	}
-	if len(DefaultFigure1Points()) < 5 {
-		t.Errorf("default points too few")
 	}
 }
