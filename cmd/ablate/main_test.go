@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -239,6 +240,51 @@ func TestRunAllGolden(t *testing.T) {
 	}
 	if got := buf.String(); got != string(want) {
 		t.Errorf("ablate -exp all drifted from testdata/all.golden:\n%s", firstDiff(string(want), got))
+	}
+}
+
+// TestRecordedViolations pins the orderings `ablate -exp all` breaks off
+// the reduced scale's default cell, as ROADMAP H3 records them: the text
+// report's "violated:" lines in report order, nothing fixed. A fix or a new
+// violation shows up here as a diff of these lists.
+func TestRecordedViolations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every study at two configurations (~2 s)")
+	}
+	for _, c := range []struct {
+		cores int
+		seed  int64
+		want  []string
+	}{
+		{8, experiment.Reduced.Seed, []string{
+			"spare/mapped < spare/unmapped",
+			"orwl-bind < omp/static",
+			"phase/adaptive < phase/static",
+			"rack/rack-aware < rack/rack-blind",
+		}},
+		{96, 3, []string{
+			"omp/guided < omp/dynamic",
+			"rack/rack-blind < rack/flat",
+		}},
+	} {
+		r := experiment.Reduced
+		cfg, err := buildConfig(r.Rows, r.Cols, r.Iters, c.cores, c.seed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(&buf, cfg, "all", false); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if rel, ok := strings.CutPrefix(line, "violated: "); ok {
+				got = append(got, rel)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("-cores %d -seed %d violates %q, want %q", c.cores, c.seed, got, c.want)
+		}
 	}
 }
 

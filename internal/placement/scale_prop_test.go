@@ -216,7 +216,7 @@ func TestHierarchicalAssignBytes(t *testing.T) {
 		workers int
 		bytes64 uint64
 		bytes32 uint64
-	}{{1, 134_536, 101_344}, {2, 140_008, 105_144}, {4, 150_936, 112_760}} {
+	}{{1, 134_456, 101_312}, {2, 139_928, 105_112}, {4, 150_856, 112_728}} {
 		want := pin.bytes64
 		if strconv.IntSize == 32 {
 			want = pin.bytes32

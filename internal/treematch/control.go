@@ -142,10 +142,7 @@ func (w *Mapper) Map(target Target, m *comm.Matrix, opt Options) (*Result, error
 		slices.SortStableFunc(byVolume, func(a, b int) int {
 			return descending(m.RowVolume(a), m.RowVolume(b))
 		})
-		ext, err := m.ExtendZero(tasks + nCtl)
-		if err != nil {
-			return nil, err
-		}
+		ext := must(m.ExtendZero(tasks + nCtl))
 		for k, task := range byVolume[:nCtl] {
 			// Control entity tasks+k; a row volume that overflowed to +Inf
 			// is kept the largest volume AddSym takes.

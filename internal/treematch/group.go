@@ -47,6 +47,17 @@ func storage(st **comm.Storage) *comm.Storage {
 	return *st
 }
 
+// must returns m, a matrix comm derived from an entity list this package
+// built itself (a partition's groups, a group's members, a padded order),
+// and panics with err otherwise: comm rejects only lists out of range or
+// not disjoint, which no treematch list is, so err can only mean a bug here.
+func must(m *comm.Matrix, err error) *comm.Matrix {
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // partitioner is the working set of the node-level partition, the part of
 // a Mapper that PartitionAcrossWeighted uses: the padding view's storage
 // and the candidate sets the portfolio runs in. The zero value is ready.
@@ -101,7 +112,6 @@ type score struct {
 	groups        [][]int
 	intra         float64
 	streams, peak int
-	err           error
 }
 
 // beats reports whether s wins over the best so far by the exact measured
@@ -117,59 +127,51 @@ func (s *score) beats(best *score) bool {
 }
 
 // run builds candidate c's groups in cs and refines them.
-func (p *portfolio) run(c candidate, cs *candidateSet) ([][]int, error) {
+func (p *portfolio) run(c candidate, cs *candidateSet) [][]int {
 	// The node-level cut is the expensive one (every cut byte crosses the
 	// network), so refinement always runs here even when per-core grouping
 	// of a matrix this size would skip it.
 	w, passes := p.work, partitionRefinePasses
 	var groups [][]int
-	var err error
 	switch c {
 	case directCandidate:
 		// Built unrefined: the KL passes run once, below.
 		groups = groupProcesses(w, p.per, 0, &cs.fill)
 	case bisectCandidate:
-		groups, err = bisectPartition(w, identityIDs(w.Order()), p.k, passes, cs)
+		groups = bisectPartition(w, identityIDs(w.Order()), p.k, passes, cs)
 	case coarsenCandidate:
-		groups, err = coarsenPartition(w, p.k, passes, cs)
+		groups = coarsenPartition(w, p.k, passes, cs)
 	case mergeCandidate:
-		groups, err = mergeFinePartition(w, p.k, passes, cs)
+		groups = mergeFinePartition(w, p.k, passes, cs)
 	case spectralCandidate:
-		groups, err = spectralPartition(w, identityIDs(w.Order()), p.k, passes, p.memo, cs)
+		groups = spectralPartition(w, identityIDs(w.Order()), p.k, passes, p.memo, cs)
 	case greedySizedCandidate:
 		groups = greedySizedGroups(w, p.sizes, &cs.fill)
 	case spectralSizedCandidate:
-		groups, err = spectralPartitionSized(w, identityIDs(w.Order()), p.sizes, p.memo, cs)
-	}
-	if err != nil {
-		return nil, err
+		groups = spectralPartitionSized(w, identityIDs(w.Order()), p.sizes, p.memo, cs)
 	}
 	if p.k > 1 && (p.sizes != nil || p.per > 1) {
 		refineGroups(w, groups, passes)
 	}
-	return groups, nil
+	return groups
 }
 
 // evaluate runs candidate c in cs and scores it.
 func (p *portfolio) evaluate(c candidate, cs *candidateSet) score {
-	groups, err := p.run(c, cs)
-	if err != nil {
-		return score{err: err}
-	}
+	groups := p.run(c, cs)
 	s, peak := crossingStats(p.work, groups, &cs.cross)
 	return score{groups: groups, intra: intraVolume(p.work, groups), streams: s, peak: peak}
 }
 
-// pick returns the winning candidate's groups, or the first error in
-// portfolio order. Below concurrentMinOrder the candidates run one after
-// another in sets.first on the calling goroutine, each compared with the
-// best so far as soon as it is scored; from it on candidate i runs in
-// sets.each[i] on a goroutine of its own, and the scores are compared once
-// all are in.
+// pick returns the winning candidate's groups. Below concurrentMinOrder
+// the candidates run one after another in sets.first on the calling
+// goroutine, each compared with the best so far as soon as it is scored;
+// from it on candidate i runs in sets.each[i] on a goroutine of its own,
+// and the scores are compared once all are in.
 // Either way the comparisons are the same, in portfolio order, so the
 // winner is too; nothing of a candidate's groups lives in a set, so holding
 // the best costs no copy.
-func (p *portfolio) pick(sets *candidateSets) ([][]int, error) {
+func (p *portfolio) pick(sets *candidateSets) [][]int {
 	var scores []score
 	if p.work.Order() >= concurrentMinOrder {
 		scores = p.evaluateAll(sets)
@@ -182,14 +184,11 @@ func (p *portfolio) pick(sets *candidateSets) ([][]int, error) {
 		} else {
 			s = p.evaluate(c, &sets.first)
 		}
-		if s.err != nil {
-			return nil, s.err
-		}
 		if s.beats(&best) {
 			best = s
 		}
 	}
-	return best.groups, nil
+	return best.groups
 }
 
 // evaluateAll scores candidate i in sets.each[i], all at once, one
@@ -234,33 +233,26 @@ func (p portfolio) evaluateAll(sets *candidateSets) []score {
 // cut, measured exactly. The candidates run in w's candidate sets — one
 // after another, or concurrently from concurrentMinOrder on (see pick) —
 // and the winner is picked in fixed portfolio order.
-func (w *partitioner) partitionEqual(m *comm.Matrix, k int, opt Options) ([][]int, error) {
+func (w *partitioner) partitionEqual(m *comm.Matrix, k int, opt Options) [][]int {
 	p := m.Order()
 	if p == 0 {
-		return make([][]int, k), nil
+		return make([][]int, k)
 	}
 	per := (p + k - 1) / k
 	work := m
 	if per*k > p {
-		var err error
-		if work, err = m.PadView(storage(&w.pad), per*k); err != nil {
-			return nil, err
-		}
+		work = must(m.PadView(storage(&w.pad), per*k))
 	}
 	var best [][]int
-	var err error
 	if work.Order() > multilevelMinOrder {
 		// The portfolio (greedy fill, full KL, spectral iteration) is
 		// superlinear in the order; above the threshold the multilevel
 		// coarsening driver takes over. Below it nothing changes, keeping
 		// every pre-existing shape bit-identical.
-		best, err = multilevelPartition(work, k, per, &w.cand)
+		best = multilevelPartition(work, k, per, &w.cand)
 	} else {
 		pf := equalPortfolio(work, p, k, per, opt.Spectral)
-		best, err = pf.pick(&w.cand)
-	}
-	if err != nil {
-		return nil, err
+		best = pf.pick(&w.cand)
 	}
 	// Strip the padding in place, each group capped at its real entities;
 	// a group of padding alone becomes nil. Both branches build their
@@ -278,7 +270,7 @@ func (w *partitioner) partitionEqual(m *comm.Matrix, k int, opt Options) ([][]in
 			best[gi] = kept[:len(kept):len(kept)]
 		}
 	}
-	return best, nil
+	return best
 }
 
 // equalPortfolio assembles the equal-capacity portfolio in its fixed order.
@@ -395,7 +387,7 @@ func (w *partitioner) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Op
 		}
 	}
 	if equal {
-		return w.partitionEqual(m, k, opt)
+		return w.partitionEqual(m, k, opt), nil
 	}
 	p := m.Order()
 	if p == 0 {
@@ -415,10 +407,7 @@ func (w *partitioner) PartitionAcrossWeighted(m *comm.Matrix, caps []int, opt Op
 		pf := portfolio{work: m, k: k, sizes: sizes, memo: opt.Spectral}
 		pf.add(greedySizedCandidate)
 		pf.add(spectralSizedCandidate)
-		var err error
-		if best, err = pf.pick(&w.cand); err != nil {
-			return nil, err
-		}
+		best = pf.pick(&w.cand)
 	}
 	for _, g := range best {
 		slices.Sort(g)
@@ -435,11 +424,7 @@ func PartitionAcrossWeightedMatrix(m *comm.Matrix, caps []int, opt Options) ([][
 	if err != nil {
 		return nil, nil, err
 	}
-	agg, err := m.Aggregate(groups)
-	if err != nil {
-		return nil, nil, err
-	}
-	return groups, agg, nil
+	return groups, must(m.Aggregate(groups)), nil
 }
 
 // weightedSizes apportions p entities over the capacities by the largest-
@@ -685,43 +670,33 @@ func (h *affHeap) pop() affEntry {
 // bisectPartition splits the given entities (len(ids) divisible by k) into k
 // equal groups by recursive bisection on the sub-matrix they induce, in cs.
 // Odd factors fall back to direct grouping at that level.
-func bisectPartition(m *comm.Matrix, ids []int, k, passes int, cs *candidateSet) ([][]int, error) {
+func bisectPartition(m *comm.Matrix, ids []int, k, passes int, cs *candidateSet) [][]int {
 	if k == 1 {
-		return [][]int{ids}, nil
+		return [][]int{ids}
 	}
-	sub, err := induced(m, ids, &cs.sub)
-	if err != nil {
-		return nil, err
-	}
+	sub := induced(m, ids, &cs.sub)
 	split := k
 	if k%2 == 0 {
 		split = 2
 	}
 	local := relabel(groupProcesses(sub, len(ids)/split, passes, &cs.fill), ids)
 	if split == k {
-		return local, nil
+		return local
 	}
 	var out [][]int
 	for _, half := range local {
-		deeper, err := bisectPartition(m, half, k/2, passes, cs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, deeper...)
+		out = append(out, bisectPartition(m, half, k/2, passes, cs)...)
 	}
-	return out, nil
+	return out
 }
 
 // mergeFinePartition is the split-finer-then-merge candidate: 2k fine groups
 // of half the capacity, aggregated into a 2k-order matrix, then paired into
 // the final k groups by affinity; it runs in cs.
-func mergeFinePartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int, error) {
+func mergeFinePartition(m *comm.Matrix, k, passes int, cs *candidateSet) [][]int {
 	fine := groupProcesses(m, m.Order()/(2*k), passes, &cs.fill)
-	agg, err := m.AggregateIn(storage(&cs.aggs[0]), fine)
-	if err != nil {
-		return nil, err
-	}
-	return expand(groupProcesses(agg, 2, passes, &cs.fill), fine), nil
+	agg := must(m.AggregateIn(storage(&cs.aggs[0]), fine))
+	return expand(groupProcesses(agg, 2, passes, &cs.fill), fine)
 }
 
 // isIdentity reports whether ids is exactly 0..n-1, in which case a
@@ -744,7 +719,7 @@ func isIdentity(ids []int, n int) bool {
 // coarse entities carry the accumulated affinity structure, so the final
 // grouping sees block-level weights instead of uniform lattice edges. The
 // coarse matrices alternate between cs's two aggregate storages.
-func coarsenPartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int, error) {
+func coarsenPartition(m *comm.Matrix, k, passes int, cs *candidateSet) [][]int {
 	cover, ids := make([][]int, m.Order()), identityIDs(m.Order())
 	for i := range cover {
 		cover[i] = ids[i : i+1 : i+1]
@@ -752,14 +727,10 @@ func coarsenPartition(m *comm.Matrix, k, passes int, cs *candidateSet) ([][]int,
 	mat := m
 	for level := 0; mat.Order() > 4*k && mat.Order()%2 == 0 && (mat.Order()/2)%k == 0; level++ {
 		pairs := groupProcesses(mat, 2, passes, &cs.fill)
-		var err error
-		mat, err = mat.AggregateIn(storage(&cs.aggs[level%2]), pairs)
-		if err != nil {
-			return nil, err
-		}
+		mat = must(mat.AggregateIn(storage(&cs.aggs[level%2]), pairs))
 		cover = expand(pairs, cover)
 	}
-	return expand(groupProcesses(mat, mat.Order()/k, passes, &cs.fill), cover), nil
+	return expand(groupProcesses(mat, mat.Order()/k, passes, &cs.fill), cover)
 }
 
 // groupProcesses partitions the p entities of the matrix into p/a groups of

@@ -49,7 +49,7 @@ const (
 // multilevelPartition partitions the (padded) matrix into k groups of
 // exactly per entities. Requires per·k == work.Order(). Groups come back
 // sorted. The coarse portfolio and the greedy fill run in sets.
-func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([][]int, error) {
+func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) [][]int {
 	passes := partitionRefinePasses
 
 	// Coarsening: heavy-edge perfect matchings keep every coarse vertex at
@@ -64,23 +64,16 @@ func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([]
 	perCur := per
 	for perCur > coarsePerTarget && perCur%2 == 0 {
 		pairs := heavyEdgeMatching(mat)
-		agg, err := mat.Aggregate(pairs)
-		if err != nil {
-			return nil, err
-		}
 		levels = append(levels, level{mat: mat, pairs: pairs})
-		mat = agg
+		mat = must(mat.Aggregate(pairs))
 		perCur /= 2
 	}
 
 	// Initial partition of the coarsest graph.
 	var groups [][]int
 	if mat.Order() <= coarsePortfolioMax {
-		var err error
 		pf := equalPortfolio(mat, mat.Order(), k, perCur, nil)
-		if groups, err = pf.pick(sets); err != nil {
-			return nil, err
-		}
+		groups = pf.pick(sets)
 	} else {
 		fill := &sets.first.fill
 		groups = fill.uniform(mat, perCur, k)
@@ -97,7 +90,7 @@ func multilevelPartition(work *comm.Matrix, k, per int, sets *candidateSets) ([]
 	for _, g := range groups {
 		slices.Sort(g)
 	}
-	return groups, nil
+	return groups
 }
 
 // heavyEdgeMatching builds a perfect matching of the matrix's entities:

@@ -312,7 +312,7 @@ func oraclePartitionAcross(m *comm.Matrix, k int) ([][]int, error) {
 	var best [][]int
 	var err error
 	if work.Order() > multilevelMinOrder {
-		best, err = multilevelPartition(work, k, per, new(candidateSets))
+		best = multilevelPartition(work, k, per, new(candidateSets))
 	} else {
 		best, err = pickPartition(evalPartitionCandidates(work, equalPartitionCandidates(work, p, k, per), true))
 	}

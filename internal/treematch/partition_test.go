@@ -241,3 +241,25 @@ func TestSpectralCandidateSkippedOnPaddedMatrices(t *testing.T) {
 			padded.candidates(), exact.candidates())
 	}
 }
+
+// TestMustPanicsOnRejectedList holds the one guard of the derivations the
+// partitioners and Algorithm 1 make from their own lists: a list comm
+// rejects (here an entity outside the order) panics with comm's error
+// instead of returning a matrix.
+func TestMustPanicsOnRejectedList(t *testing.T) {
+	m := comm.Ring(4, 1)
+	if got := must(m.Submatrix([]int{0, 1})); got.Order() != 2 {
+		t.Fatalf("accepted list: order %d, want 2", got.Order())
+	}
+	_, want := m.Submatrix([]int{0, 4})
+	if want == nil {
+		t.Fatal("comm accepted entity 4 of an order-4 matrix")
+	}
+	defer func() {
+		if err, _ := recover().(error); err == nil || err.Error() != want.Error() {
+			t.Errorf("must panicked with %v, want comm's error %v", err, want)
+		}
+	}()
+	must(m.Submatrix([]int{0, 4}))
+	t.Error("must returned on a rejected list")
+}

@@ -173,15 +173,14 @@ type SpectralWarmer struct{ cs candidateSet }
 // above multilevelMinOrder are skipped: no portfolio runs there.
 func (w *SpectralWarmer) Warm(memo *SpectralMemo, m *comm.Matrix) {
 	if m.Order() <= multilevelMinOrder {
-		// The identity subset induces m itself, so order cannot fail.
-		_, _ = memo.order(m, identityIDs(m.Order()), &w.cs)
+		memo.order(m, identityIDs(m.Order()), &w.cs)
 	}
 }
 
 // order returns spectralOrder of the submatrix ids induce on m, from the
 // memo when it holds it (a nil memo always computes), computing it in cs.
 // Neither ids nor the result may be modified afterwards.
-func (memo *SpectralMemo) order(m *comm.Matrix, ids []int, cs *candidateSet) ([]int, error) {
+func (memo *SpectralMemo) order(m *comm.Matrix, ids []int, cs *candidateSet) []int {
 	if memo != nil && memo.m == nil {
 		memo.m = m
 	}
@@ -189,29 +188,25 @@ func (memo *SpectralMemo) order(m *comm.Matrix, ids []int, cs *candidateSet) ([]
 	if use {
 		for _, e := range memo.entries {
 			if slices.Equal(e.ids, ids) {
-				return e.order, nil
+				return e.order
 			}
 		}
 	}
-	sub, err := induced(m, ids, &cs.sub)
-	if err != nil {
-		return nil, err
-	}
-	order := spectralOrder(sub, &cs.spectral)
+	order := spectralOrder(induced(m, ids, &cs.sub), &cs.spectral)
 	if use {
 		memo.entries = append(memo.entries, spectralEntry{ids, order})
 	}
-	return order, nil
+	return order
 }
 
 // induced is the submatrix ids induce on m, built into *st (made on first
 // use; valid until it is next used), or m itself when ids is exactly
 // 0..m.Order()-1.
-func induced(m *comm.Matrix, ids []int, st **comm.Storage) (*comm.Matrix, error) {
+func induced(m *comm.Matrix, ids []int, st **comm.Storage) *comm.Matrix {
 	if isIdentity(ids, m.Order()) {
-		return m, nil
+		return m
 	}
-	return m.SubmatrixIn(storage(st), ids)
+	return must(m.SubmatrixIn(storage(st), ids))
 }
 
 // splitByOrder deals ids in the given order: the first cut go to lo, the
@@ -233,32 +228,18 @@ func splitByOrder(ids, order []int, cut int) (lo, hi []int) {
 // capacity portfolio: recursively halve the entities at the Fiedler
 // median, falling back to direct grouping when a level's factor is odd.
 // len(ids) must be divisible by k. It runs in cs.
-func spectralPartition(m *comm.Matrix, ids []int, k, passes int, memo *SpectralMemo, cs *candidateSet) ([][]int, error) {
+func spectralPartition(m *comm.Matrix, ids []int, k, passes int, memo *SpectralMemo, cs *candidateSet) [][]int {
 	if k == 1 {
-		return [][]int{append([]int(nil), ids...)}, nil
+		return [][]int{append([]int(nil), ids...)}
 	}
 	if k%2 != 0 {
 		// No even split available: group the remaining entities directly.
-		sub, err := induced(m, ids, &cs.sub)
-		if err != nil {
-			return nil, err
-		}
-		return relabel(groupProcesses(sub, len(ids)/k, passes, &cs.fill), ids), nil
+		sub := induced(m, ids, &cs.sub)
+		return relabel(groupProcesses(sub, len(ids)/k, passes, &cs.fill), ids)
 	}
-	order, err := memo.order(m, ids, cs)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := splitByOrder(ids, order, len(ids)/2)
-	left, err := spectralPartition(m, lo, k/2, passes, memo, cs)
-	if err != nil {
-		return nil, err
-	}
-	right, err := spectralPartition(m, hi, k/2, passes, memo, cs)
-	if err != nil {
-		return nil, err
-	}
-	return append(left, right...), nil
+	lo, hi := splitByOrder(ids, memo.order(m, ids, cs), len(ids)/2)
+	left := spectralPartition(m, lo, k/2, passes, memo, cs)
+	return append(left, spectralPartition(m, hi, k/2, passes, memo, cs)...)
 }
 
 // spectralPartitionSized is the spectral candidate of the capacity-weighted
@@ -266,9 +247,9 @@ func spectralPartition(m *comm.Matrix, ids []int, k, passes int, memo *SpectralM
 // runs of nearly equal total, and the entities at the matching Fiedler
 // rank. sizes[g] is the exact size group g must come out with; the group
 // order of the result matches the order of sizes. It runs in cs.
-func spectralPartitionSized(m *comm.Matrix, ids []int, sizes []int, memo *SpectralMemo, cs *candidateSet) ([][]int, error) {
+func spectralPartitionSized(m *comm.Matrix, ids []int, sizes []int, memo *SpectralMemo, cs *candidateSet) [][]int {
 	if len(sizes) == 1 {
-		return [][]int{append([]int(nil), ids...)}, nil
+		return [][]int{append([]int(nil), ids...)}
 	}
 	// Split the group list at the prefix whose size total is closest to
 	// half; both sides keep at least one group.
@@ -284,18 +265,7 @@ func spectralPartitionSized(m *comm.Matrix, ids []int, sizes []int, memo *Spectr
 			bestGap, split, prefix = gap, g+1, run
 		}
 	}
-	order, err := memo.order(m, ids, cs)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := splitByOrder(ids, order, prefix)
-	left, err := spectralPartitionSized(m, lo, sizes[:split], memo, cs)
-	if err != nil {
-		return nil, err
-	}
-	right, err := spectralPartitionSized(m, hi, sizes[split:], memo, cs)
-	if err != nil {
-		return nil, err
-	}
-	return append(left, right...), nil
+	lo, hi := splitByOrder(ids, memo.order(m, ids, cs), prefix)
+	left := spectralPartitionSized(m, lo, sizes[:split], memo, cs)
+	return append(left, spectralPartitionSized(m, hi, sizes[split:], memo, cs)...)
 }

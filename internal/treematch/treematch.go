@@ -113,11 +113,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 	// a view sharing m's rows serves.
 	mat := m
 	if p < work.Leaves() {
-		var err error
-		mat, err = m.PadView(storage(&w.pad), work.Leaves())
-		if err != nil {
-			return nil, err
-		}
+		mat = must(m.PadView(storage(&w.pad), work.Leaves()))
 	}
 
 	// Lines 3–7: group from the leaves up, aggregating after each level.
@@ -146,11 +142,7 @@ func (w *Mapper) mapMatrix(tree *Tree, m *comm.Matrix) (*Mapping, error) {
 		if depth == 1 {
 			break // the root's aggregate is never read
 		}
-		var err error
-		mat, err = mat.AggregateIn(storage(&w.cand.first.aggs[len(levels)%2]), groups)
-		if err != nil {
-			return nil, err
-		}
+		mat = must(mat.AggregateIn(storage(&w.cand.first.aggs[len(levels)%2]), groups))
 	}
 	w.flat, w.next = flat, next
 
